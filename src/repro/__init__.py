@@ -52,7 +52,6 @@ from repro import (
     models,
     nn,
     optim,
-    rpc,
     sharded,
     simnet,
     simulation,
@@ -74,7 +73,6 @@ __all__ = [
     "models",
     "nn",
     "optim",
-    "rpc",
     "sharded",
     "simnet",
     "simulation",

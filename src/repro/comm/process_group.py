@@ -28,7 +28,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.comm import algorithms
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.debug import desync as _desync
-from repro.debug.flight_recorder import current_collective_context, recorder_for
+from repro.debug.flight_recorder import CollectiveRecord, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
 from repro.telemetry.health import accounting as _health
 from repro.telemetry.health.events import record_event
@@ -72,30 +72,32 @@ class CollectiveTimeoutError(CollectiveError):
 class Work:
     """Handle for an asynchronously executing collective.
 
-    The communication worker stamps ``_t_start``/``_t_end``
-    (``perf_counter`` seconds) around the collective's execution, so
-    callers holding the handle — notably the reducer's per-bucket
-    latency and overlap-ratio accounting — can read how long the
-    operation actually ran, as opposed to how long they waited on it.
+    ``record`` is the collective's one
+    :class:`~repro.debug.flight_recorder.CollectiveRecord`: its facts,
+    its terminal state, and the scheduled/started/finished stamps
+    (``perf_counter`` seconds) the communication worker writes around
+    the collective's execution — so callers holding the handle, notably
+    the reducer's per-bucket latency and overlap-ratio accounting, can
+    read how long the operation actually ran, as opposed to how long
+    they waited on it.  ``result[0]`` holds what the collective's
+    algorithm returned (None for in-place ops) once ``wait()`` returns.
     """
 
-    def __init__(self, description: str = "", meta: Optional[dict] = None):
+    def __init__(self, record: CollectiveRecord):
+        self.record = record
+        self.result: list = [None]
         self._done = threading.Event()
-        self._error: Optional[BaseException] = None
-        self.description = description
-        self.meta = meta
-        self._t_start: Optional[float] = None
-        self._t_end: Optional[float] = None
-        # Flight-recorder record for this collective (debug mode only).
-        self._debug_record = None
+
+    @property
+    def description(self) -> str:
+        """``op#seq`` — how error messages and ``comm`` spans name it."""
+        return self.record.name
 
     def _complete(self, error: Optional[BaseException] = None) -> None:
-        # First completion wins: the hang watchdog may fail a stuck Work
-        # with a desync report before the worker's own (less precise)
-        # transport timeout surfaces; keep the richer error.
-        if self._done.is_set():
-            return
-        self._error = error
+        # The record keeps its first terminal state: the hang watchdog
+        # may fail a stuck Work with a desync report before the worker's
+        # own (less precise) transport timeout surfaces.
+        self.record.finish(error)
         self._done.set()
 
     def is_completed(self) -> bool:
@@ -106,33 +108,21 @@ class Work:
         """Block until the collective finishes; re-raise any failure.
 
         A caller-side timeout does not leave the collective dangling:
-        the work is marked failed (first completion wins, so a worker
-        that finishes in the same instant keeps its result) and its
-        flight-recorder record — which would otherwise stay "started"
-        forever — is closed as failed with the timeout error.
+        its record — which would otherwise stay "started" forever — is
+        finished as failed with the timeout error (first terminal state
+        wins, so a worker that finishes in the same instant keeps its
+        result).
         """
         if not self._done.wait(timeout):
-            detail = ""
-            if self.meta:
-                detail = " (" + ", ".join(
-                    f"{key}={value}" for key, value in sorted(self.meta.items())
-                ) + ")"
-            error = CollectiveTimeoutError(
-                f"timed out waiting for collective {self.description!r}{detail} "
-                f"after {timeout}s (caller-side wait expired)"
+            facts = ", ".join(
+                f"{key}={value}" for key, value in self.record.facts().items()
             )
-            self._complete(error)
-            if self._error is None:
-                # Lost the race: the worker completed successfully
-                # between the wait expiring and our failure landing.
-                return
-            if self._debug_record is not None:
-                from repro.debug.flight_recorder import mark_record_failed
-
-                mark_record_failed(self._debug_record, self._error)
-            raise self._error
-        if self._error is not None:
-            raise self._error
+            self._complete(CollectiveTimeoutError(
+                f"timed out waiting for collective {self.description!r} "
+                f"({facts}) after {timeout}s (caller-side wait expired)"
+            ))
+        if self.record.error is not None:
+            raise self.record.error
 
     def __repr__(self) -> str:
         state = "done" if self.is_completed() else "pending"
@@ -154,6 +144,40 @@ def _device_of(tensor) -> Optional[str]:
     if isinstance(tensor, np.ndarray):
         return None
     return getattr(tensor, "device", None)
+
+
+class _Op(NamedTuple):
+    """One row of the collective table ``ProcessGroup._collective`` runs."""
+
+    #: ``fn(hub, ranks, rank, [array,] *operands, tag, timeout[, chunk_bytes])``;
+    #: None = the group's current AllReduce algorithm, resolved per call.
+    algorithm: Optional[Callable]
+    #: Operands that enter the signature every rank must agree on.
+    signature: Tuple[str, ...] = ()
+    #: Accounted bytes are ``nbytes × world`` (every rank's tensor lands here).
+    world_bytes: bool = False
+    #: The group's ``chunk_bytes`` is forwarded to the algorithm.
+    chunked: bool = False
+
+
+_OPS = {
+    "allreduce": _Op(None, ("reduce_op",), chunked=True),
+    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True),
+    "allgather": _Op(algorithms.allgather, world_bytes=True),
+    "reduce_scatter": _Op(algorithms.reduce_scatter, ("reduce_op",)),
+    "reduce_scatter_flat": _Op(
+        algorithms.reduce_scatter_flat, ("reduce_op",), chunked=True
+    ),
+    "all_gather_flat": _Op(algorithms.all_gather_into_flat, chunked=True),
+    "reduce": _Op(algorithms.reduce, ("root", "reduce_op")),
+    "gather": _Op(algorithms.gather, ("root",)),
+    "scatter": _Op(algorithms.scatter, ("root",)),
+    "barrier": _Op(algorithms.barrier),
+}
+
+#: ``ReliableTransportHub.retry_totals_for`` order; per-collective deltas
+#: land under these names in the record's ``extra``.
+_RETRY_COUNTERS = ("retries", "retransmits", "duplicates_dropped", "corrupt_detected")
 
 
 class ProcessGroup:
@@ -180,7 +204,6 @@ class ProcessGroup:
         group_id: Optional[int] = None,
         timeout: float = 30.0,
         algorithm: Optional[str] = None,
-        check_consistency: bool = True,
         num_streams: int = 1,
         chunk_bytes: Optional[int] = None,
     ):
@@ -197,7 +220,6 @@ class ProcessGroup:
         self.algorithm = algorithm or self.default_algorithm
         if self.algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
             raise ValueError(f"unknown allreduce algorithm {self.algorithm!r}")
-        self.check_consistency = check_consistency
         if num_streams < 1:
             raise ValueError("num_streams must be >= 1")
         #: Number of communication worker threads ("streams"); collectives
@@ -214,9 +236,9 @@ class ProcessGroup:
         # Byte counter for tests and reporting.
         self.bytes_communicated = 0
         self._closed = False
-        # Per-stream (work, started-at) while a worker executes a
-        # collective; the hang watchdog polls the oldest via the
-        # ``_inflight`` property.  Set/cleared by each worker thread.
+        # Per-stream Work while a worker executes its collective; the
+        # hang watchdog polls the oldest via the ``_inflight`` property.
+        # Set/removed by each worker thread.
         self._inflight_by_stream: dict = {}
         #: Set when shutdown could not join a communication worker.
         self.worker_stuck = False
@@ -239,20 +261,10 @@ class ProcessGroup:
             self._watchdog = HangWatchdog(self)
 
         # The dedicated communication workers ("streams").
-        self._queues: List["queue.Queue"] = [
-            queue.Queue() for _ in range(self.num_streams)
-        ]
-        self._workers: List[threading.Thread] = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(stream,),
-                name=f"pg{self._group_id}-rank{rank}-comm{stream}",
-                daemon=True,
-            )
-            for stream in range(self.num_streams)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._queues: List["queue.Queue"] = []
+        self._workers: List[threading.Thread] = []
+        for stream in range(self.num_streams):
+            self._start_worker(stream)
         if self._watchdog is not None:
             self._watchdog.start()
 
@@ -260,137 +272,120 @@ class ProcessGroup:
     # worker machinery
     # ------------------------------------------------------------------
     @property
-    def _inflight(self):
-        """Oldest in-flight (work, started-at) pair, or None.
+    def _inflight(self) -> Optional[Work]:
+        """Longest-running in-flight Work, or None.
 
         The hang watchdog polls this; with multiple streams the longest-
         running collective is the one worth reporting.
         """
-        entries = list(self._inflight_by_stream.values())
-        live = [e for e in entries if e is not None]
-        if not live:
-            return None
-        return min(live, key=lambda pair: pair[1])
+        live = list(self._inflight_by_stream.values())
+        return min(live, key=lambda work: work.record.t_start, default=None)
+
+    def _start_worker(self, stream: int) -> None:
+        """Append stream ``stream``'s queue and start its worker thread."""
+        self._queues.append(queue.Queue())
+        worker = threading.Thread(
+            target=self._worker_loop,
+            args=(stream,),
+            name=f"pg{self._group_id}-rank{self.global_rank}-comm{stream}",
+            daemon=True,
+        )
+        self._workers.append(worker)
+        worker.start()
 
     def _worker_loop(self, stream: int) -> None:
         # Worker threads carry the owning rank's identity so telemetry
         # spans and log records from inside collectives attribute
         # correctly (the rank contextvar does not cross thread spawns).
         set_current_rank(self.global_rank)
+        # With a retrying transport, attribute this rank's retry
+        # counter movement to the collective that ran (approximate
+        # under num_streams > 1, exact otherwise).
+        retry_probe = getattr(self.hub, "retry_totals_for", None)
         while True:
             item = self._queues[stream].get()
             if item is None:
                 return
             fn, work = item
+            record = work.record
+            retries = retry_probe(self.global_rank) if retry_probe else None
+            record.start()
+            self._inflight_by_stream[stream] = work
+            self._observe(record, "start", record.t_start)
             error: Optional[BaseException] = None
-            record = work._debug_record
-            if record is not None:
-                self.flight_recorder.mark_started(record)
-            # With a retrying transport, attribute this rank's retry
-            # counter movement to the collective that ran (approximate
-            # under num_streams > 1, exact otherwise).
-            retry_probe = getattr(self.hub, "retry_totals_for", None)
-            retry_before = retry_probe(self.global_rank) if retry_probe else None
-            self._inflight_by_stream[stream] = (work, time.perf_counter())
-            # Health accounting brackets the collective so the receive
-            # helper in the algorithms can attribute stalls per source.
-            health_on = _health.collecting_enabled()
-            if health_on:
-                _health.begin_collective()
-            work._t_start = time.perf_counter()
-            if health_on:
-                self._record_lifecycle("start", work, work._t_start)
             try:
-                fn()
+                work.result[0] = fn()
             except BaseException as exc:  # propagate through the Work handle
                 error = exc
-            work._t_end = time.perf_counter()
-            self._inflight_by_stream[stream] = None
-            if health_on:
-                stall_s, stall_by_src, chunks = _health.end_collective()
+            record.finish(error)
+            del self._inflight_by_stream[stream]
+            if retries is not None:
+                for name, before, after in zip(
+                    _RETRY_COUNTERS, retries, retry_probe(self.global_rank)
+                ):
+                    if after > before:
+                        record.extra[name] = after - before
+            self._observe(record, "finish", record.t_end)
+            work._done.set()
+
+    def _observe(self, record: CollectiveRecord, stage: str, t: float) -> None:
+        """Hand ``record``, stamped ``stage`` at ``t``, to every view that is on.
+
+        The one place observers attach to a collective: ``"schedule"``
+        comes from the issuing thread, ``"start"`` and ``"finish"`` from
+        the communication worker.
+
+        * flight ring (``REPRO_DEBUG``) — retains the record from
+          schedule on; later stamps show through the reference;
+        * health (telemetry + its kill switch) — brackets execution so
+          the algorithms' receive helper can attribute stalls per
+          source, accounts efficiency at finish, and logs one lifecycle
+          event per stage carrying the ``(group, seq)`` trace context
+          that lets the engine stitch the same collective across ranks;
+        * ``comm`` span (telemetry) — one per finished collective.
+        """
+        if stage == "schedule" and self.flight_recorder is not None and DEBUG.level:
+            self.flight_recorder.add(record)
+        if not TRACER.enabled:  # every other view needs telemetry on
+            return
+        finished = stage == "finish"
+        error = record.error if finished else None
+        failure = type(error).__name__ if error is not None else None
+        if _health.collecting_enabled():
+            if stage == "start":
+                _health.begin_collective()
+            elif finished:
                 _health.record_collective(
-                    self.global_rank,
-                    work.meta,
-                    work._t_start,
-                    work._t_end,
-                    len(self.ranks),
-                    self.backend,
-                    stall_s,
-                    stall_by_src,
-                    chunks,
+                    self.global_rank, record, len(self.ranks), self.backend
                 )
-                self._record_lifecycle(
-                    "failed" if error is not None else "complete",
-                    work,
-                    work._t_end,
-                    extra={"error": type(error).__name__} if error is not None else None,
-                )
-            if retry_before is not None:
-                after = retry_probe(self.global_rank)
-                deltas = {
-                    name: after[i] - retry_before[i]
-                    for i, name in enumerate(
-                        ("retries", "retransmits", "duplicates_dropped",
-                         "corrupt_detected")
-                    )
-                    if after[i] > retry_before[i]
-                }
-                if deltas:
-                    if work.meta is not None:
-                        work.meta.update(deltas)
-                    if record is not None:
-                        extra = dict(record.extra or {})
-                        extra.update(deltas)
-                        record.extra = extra
-            if record is not None:
-                self.flight_recorder.mark_completed(record, error)
-            if TRACER.enabled:
-                args = dict(work.meta) if work.meta else {}
-                if error is not None:
-                    args["error"] = type(error).__name__
-                TRACER.record(
-                    work.description,
-                    work._t_start,
-                    work._t_end,
-                    cat="comm",
-                    stream="comm",
-                    rank=self.global_rank,
-                    args=args or None,
-                )
-            work._complete(error)
+            record_event(
+                self.global_rank,
+                stage if not finished else "failed" if failure else "complete",
+                t=t,
+                group=record.group_id,
+                seq=record.seq,
+                op=record.op,
+                bucket=record.bucket,
+                nbytes=record.bytes,
+                extra={"error": failure} if failure else None,
+            )
+        if finished:
+            args = record.facts()
+            if failure:
+                args["error"] = failure
+            TRACER.record(
+                record.name, record.t_start, record.t_end,
+                cat="comm", stream="comm", rank=self.global_rank, args=args,
+            )
 
-    def _record_lifecycle(
-        self, kind: str, work: Work, t: float, extra: Optional[dict] = None
-    ) -> None:
-        """Append one collective lifecycle event to this rank's health
-        event log, carrying the ``(group, seq)`` trace context that lets
-        the engine stitch the same collective across ranks."""
-        meta = work.meta or {}
-        record_event(
-            self.global_rank,
-            kind,
-            t=t,
-            group=self._group_id,
-            seq=meta.get("seq"),
-            op=meta.get("op"),
-            bucket=meta.get("bucket"),
-            nbytes=meta.get("bytes"),
-            extra=extra,
-        )
-
-    def _submit(
-        self,
-        fn,
-        description: str,
-        async_op: bool,
-        meta: Optional[dict] = None,
-        fingerprint: Optional[dict] = None,
-    ) -> Optional[Work]:
+    def _submit(self, fn, record: CollectiveRecord, async_op: bool):
         """Queue ``fn`` on the deterministic stream for this collective.
 
         The stream index derives from the collective's sequence number,
         so every rank routes collective ``seq`` to the same worker and
-        peers always meet on a matching stream.
+        peers always meet on a matching stream.  Returns the
+        :class:`Work` when ``async_op``; otherwise waits and returns
+        what ``fn`` returned.
         """
         if self._closed:
             raise CollectiveError("process group has been shut down")
@@ -399,33 +394,15 @@ class ProcessGroup:
             # thread when a collective-scoped crash rule fires — before
             # the collective is queued, so peers see a vanished rank.
             self._fault_plan.on_collective(
-                self.global_rank,
-                (meta or {}).get("op", description),
-                (meta or {}).get("seq", -1),
-                self._group_id,
+                self.global_rank, record.op, record.seq, self._group_id
             )
-        work = Work(description, meta)
-        if _health.collecting_enabled():
-            self._record_lifecycle("schedule", work, time.perf_counter())
-        stream = (meta or {}).get("seq", 0) % self.num_streams
-        if self.flight_recorder is not None and DEBUG.level:
-            fp = fingerprint or {}
-            work._debug_record = self.flight_recorder.record_scheduled(
-                seq=(meta or {}).get("seq", -1),
-                op=fp.get("op") or (meta or {}).get("op", description),
-                group_id=self._group_id,
-                shape=fp.get("shape"),
-                dtype=fp.get("dtype"),
-                nbytes=fp.get("nbytes"),
-                extra={k: v for k, v in fp.items()
-                       if k not in ("op", "shape", "dtype", "nbytes")},
-                context=current_collective_context(),
-            )
-        self._queues[stream].put((fn, work))
+        work = Work(record)
+        self._observe(record, "schedule", record.t_sched)
+        self._queues[record.seq % self.num_streams].put((fn, work))
         if async_op:
             return work
         work.wait(self.timeout + 5.0)
-        return None
+        return work.result[0]
 
     def install_fault_plan(self, plan) -> None:
         """Install (or with ``None`` remove) a fault plan on this group.
@@ -479,15 +456,7 @@ class ProcessGroup:
             return
         if num_streams > self.num_streams:
             for stream in range(self.num_streams, num_streams):
-                self._queues.append(queue.Queue())
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    args=(stream,),
-                    name=f"pg{self._group_id}-rank{self.global_rank}-comm{stream}",
-                    daemon=True,
-                )
-                self._workers.append(worker)
-                worker.start()
+                self._start_worker(stream)
         else:
             retired = self._workers[num_streams:]
             for stream in range(num_streams, self.num_streams):
@@ -505,9 +474,6 @@ class ProcessGroup:
                 )
             self._queues = self._queues[:num_streams]
             self._workers = self._workers[:num_streams]
-            for stream in list(self._inflight_by_stream):
-                if stream >= num_streams:
-                    self._inflight_by_stream.pop(stream, None)
         self.num_streams = int(num_streams)
 
     def shutdown(self, grace: float = 2.0) -> bool:
@@ -599,8 +565,6 @@ class ProcessGroup:
         and, under ``REPRO_DEBUG=DETAIL``, every rank's signature so the
         report shows exactly who diverged.
         """
-        if not self.check_consistency:
-            return
         key = f"pg{self._group_id}/sig/{seq}"
         detail = DEBUG.level >= DETAIL
         if detail:
@@ -682,117 +646,67 @@ class ProcessGroup:
         """Number of ranks in this group (the p of the α–β model)."""
         return len(self.ranks)
 
-    def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
-        """Reduce ``tensor`` in place across the group (sum by default)."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("allreduce")
-        seq = tag[1]
-        signature = _desync.fingerprint("allreduce", array, reduce_op=op)
-        algorithm = algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("allreduce", array.nbytes)
+    def _collective(self, name: str, tensor, async_op: bool = False, **operands):
+        """The one path every collective takes (paper §3.3's uniform contract).
 
-        def run() -> None:
+        Device check → sequence number → fingerprint → byte accounting →
+        the collective's one record → a closure that checks the
+        signature, runs the op's algorithm and translates transport
+        timeouts → ``_submit``.  ``name`` selects the row of ``_OPS``;
+        ``operands`` are the op's keyword operands in the algorithm's
+        positional order.  Returns what the public method returns: the
+        :class:`Work` when ``async_op``, else the algorithm's result
+        (None for in-place ops).
+        """
+        row = _OPS[name]
+        array = wire = None
+        if tensor is not None:  # scatter and barrier carry no tensor
+            self._check_device(tensor)
+            array = _as_array(tensor)
+        tag = self._next_tag(name)
+        seq = tag[1]
+        signature = _desync.fingerprint(
+            name, array, **{key: operands[key] for key in row.signature}
+        )
+        if array is not None:
+            wire = array.nbytes * (len(self.ranks) if row.world_bytes else 1)
+            self.bytes_communicated += wire
+            self._record_op_metrics(name, wire)
+        record = CollectiveRecord(seq, self._group_id, signature, wire)
+        algorithm = row.algorithm
+        if algorithm is None:
+            algorithm = algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
+            record.extra["algorithm"] = self.algorithm
+        args = ([] if array is None else [array]) + list(operands.values())
+
+        def run():
             self._check_signature(seq, signature)
+            chunk = (self.chunk_bytes,) if row.chunked else ()
             try:
-                algorithm(
-                    self.hub, self.ranks, self.group_rank, array, op, tag,
-                    self.timeout, self.chunk_bytes,
+                return algorithm(
+                    self.hub, self.ranks, self.group_rank, *args, tag,
+                    self.timeout, *chunk,
                 )
             except TransportTimeoutError as exc:
                 raise CollectiveTimeoutError(str(exc)) from exc
 
-        meta = {
-            "op": "allreduce",
-            "seq": seq,
-            "bytes": array.nbytes,
-            "algorithm": self.algorithm,
-            "reduce_op": op,
-            "group": self._group_id,
-        }
-        return self._submit(
-            run, f"allreduce#{seq}", async_op, meta=meta, fingerprint=signature
-        )
+        return self._submit(run, record, async_op)
+
+    def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
+        """Reduce ``tensor`` in place across the group (sum by default)."""
+        return self._collective("allreduce", tensor, async_op, reduce_op=op)
 
     def broadcast(self, tensor, src: int = 0, async_op: bool = False):
         """Broadcast from group-rank ``src`` into every rank's tensor."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("broadcast")
-        seq = tag[1]
-        signature = _desync.fingerprint("broadcast", array, src=src)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("broadcast", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                algorithms.broadcast(
-                    self.hub, self.ranks, self.group_rank, array, src, tag,
-                    self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "broadcast", "seq": seq, "bytes": array.nbytes, "src": src,
-                "group": self._group_id}
-        return self._submit(
-            run, f"broadcast#{seq}", async_op, meta=meta, fingerprint=signature
-        )
+        return self._collective("broadcast", tensor, async_op, src=src)
 
     def allgather(self, tensor, async_op: bool = False):
         """Gather every rank's tensor; sync form returns (world, n) array."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("allgather")
-        seq = tag[1]
-        signature = _desync.fingerprint("allgather", array)
-        self.bytes_communicated += array.nbytes * len(self.ranks)
-        self._record_op_metrics("allgather", array.nbytes * len(self.ranks))
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                result[0] = algorithms.allgather(
-                    self.hub, self.ranks, self.group_rank, array, tag, self.timeout
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "allgather", "seq": seq,
-                "bytes": array.nbytes * len(self.ranks), "group": self._group_id}
-        work = self._submit(
-            run, f"allgather#{seq}", async_op, meta=meta, fingerprint=signature
-        )
-        if async_op:
-            work.result = result  # type: ignore[attr-defined]
-            return work
-        return result[0]
+        return self._collective("allgather", tensor, async_op)
 
     def reduce_scatter(self, tensor, op: str = ReduceOp.SUM):
         """Synchronously reduce-scatter; returns this rank's chunk."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce_scatter")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce_scatter", array, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce_scatter", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.reduce_scatter(
-                self.hub, self.ranks, self.group_rank, array, op, tag, self.timeout
-            )
-
-        meta = {"op": "reduce_scatter", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"reduce_scatter#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        return self._collective("reduce_scatter", tensor, reduce_op=op)
 
     def reduce_scatter_flat(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce across the group and return this rank's contiguous span.
@@ -805,35 +719,7 @@ class ProcessGroup:
         ``async_op=True`` returns a :class:`Work` whose ``result[0]``
         holds the span after ``wait()``.
         """
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce_scatter_flat")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce_scatter_flat", array, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce_scatter_flat", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                result[0] = algorithms.reduce_scatter_flat(
-                    self.hub, self.ranks, self.group_rank, array, op, tag,
-                    self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "reduce_scatter_flat", "seq": seq, "bytes": array.nbytes,
-                "reduce_op": op, "group": self._group_id}
-        work = self._submit(
-            run, f"reduce_scatter_flat#{seq}", async_op, meta=meta,
-            fingerprint=signature,
-        )
-        if async_op:
-            work.result = result  # type: ignore[attr-defined]
-            return work
-        return result[0]
+        return self._collective("reduce_scatter_flat", tensor, async_op, reduce_op=op)
 
     def all_gather_flat(self, tensor, shard=None, async_op: bool = False):
         """Fill ``tensor`` in place with every rank's contiguous span.
@@ -847,93 +733,29 @@ class ProcessGroup:
         the parameter-materialization primitive of the ZeRO stages
         (:mod:`repro.sharded`).
         """
-        self._check_device(tensor)
-        array = _as_array(tensor)
         shard_array = None if shard is None else _as_array(shard)
-        tag = self._next_tag("all_gather_flat")
-        seq = tag[1]
-        signature = _desync.fingerprint("all_gather_flat", array)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("all_gather_flat", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                algorithms.all_gather_into_flat(
-                    self.hub, self.ranks, self.group_rank, array, shard_array,
-                    tag, self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "all_gather_flat", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        return self._submit(
-            run, f"all_gather_flat#{seq}", async_op, meta=meta,
-            fingerprint=signature,
-        )
+        return self._collective("all_gather_flat", tensor, async_op, shard=shard_array)
 
     def reduce(self, tensor, root: int = 0, op: str = ReduceOp.SUM):
         """Reduce into group-rank ``root``'s tensor (synchronous)."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce", array, root=root, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            algorithms.reduce(
-                self.hub, self.ranks, self.group_rank, array, root, op, tag, self.timeout
-            )
-
-        meta = {"op": "reduce", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"reduce#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
+        self._collective("reduce", tensor, root=root, reduce_op=op)
 
     def gather(self, tensor, root: int = 0):
         """Gather tensors at ``root``; returns (world, n) there, None elsewhere."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("gather")
-        seq = tag[1]
-        signature = _desync.fingerprint("gather", array, root=root)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("gather", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.gather(
-                self.hub, self.ranks, self.group_rank, array, root, tag, self.timeout
-            )
-
-        meta = {"op": "gather", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"gather#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        return self._collective("gather", tensor, root=root)
 
     def scatter(self, chunks=None, root: int = 0):
         """Scatter root's per-rank chunks; returns this rank's chunk."""
-        tag = self._next_tag("scatter")
-        seq = tag[1]
-        signature = _desync.fingerprint("scatter", root=root)
-        result: list = [None]
+        return self._collective("scatter", None, chunks=chunks, root=root)
 
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.scatter(
-                self.hub, self.ranks, self.group_rank, chunks, root, tag, self.timeout
-            )
+    def barrier(self) -> None:
+        """Block until every member rank reaches this barrier.
 
-        meta = {"op": "scatter", "seq": seq, "group": self._group_id}
-        self._submit(run, f"scatter#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        Implemented as a 1-element tree AllReduce: ≈ 2·⌈log₂ p⌉·α.
+        Thread-safe like every collective here: issue from the rank's
+        own thread; the transfer itself runs on the comm worker.
+        """
+        self._collective("barrier", None)
 
     def send(self, tensor, dst: int, tag: object = "p2p") -> None:
         """Point-to-point send to group-rank ``dst`` (paper §2.3 contrasts
@@ -955,25 +777,6 @@ class ProcessGroup:
             self.timeout,
         )
         array[...] = incoming.reshape(array.shape)
-
-    def barrier(self) -> None:
-        """Block until every member rank reaches this barrier.
-
-        Implemented as a 1-element tree AllReduce: ≈ 2·⌈log₂ p⌉·α.
-        Thread-safe like every collective here: issue from the rank's
-        own thread; the transfer itself runs on the comm worker.
-        """
-        tag = self._next_tag("barrier")
-        seq = tag[1]
-        signature = _desync.fingerprint("barrier")
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            algorithms.barrier(self.hub, self.ranks, self.group_rank, tag, self.timeout)
-
-        meta = {"op": "barrier", "seq": seq, "group": self._group_id}
-        self._submit(run, f"barrier#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
 
 
 class ProcessGroupNccl(ProcessGroup):

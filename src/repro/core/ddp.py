@@ -187,12 +187,7 @@ class DistributedDataParallel(Module):
 
     # ------------------------------------------------------------------
     def _broadcast_module_state(self) -> None:
-        label = (
-            collective_context("ddp init broadcast")
-            if DEBUG.level
-            else contextlib.nullcontext()
-        )
-        with label:
+        with collective_context("ddp init broadcast"):
             for param in self._params:
                 self.process_group.broadcast(param, src=0)
             for buffer in self.module.buffers():

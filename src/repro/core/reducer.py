@@ -28,7 +28,6 @@ Responsibilities, mirroring the paper's four components:
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,8 +40,6 @@ from repro.comm.process_group import ReduceOp
 from repro.core.bucket import BucketSpec, validate_assignment
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
-from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event as record_health_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.recorder import IterationRecorder
 from repro.telemetry.spans import TRACER
@@ -434,14 +431,10 @@ class Reducer:
             bucket.spec.index,
             bucket.spec.total_elements,
         )
-        # Label the collective with its bucket so flight-recorder entries
-        # read "allreduce#12 [bucket 3]" in a desync report.
-        label = (
-            collective_context(f"bucket {bucket.spec.index}")
-            if DEBUG.level
-            else contextlib.nullcontext()
-        )
-        with label:
+        # Label every collective the launch issues with its bucket: the
+        # record carries it to the flight ring ("allreduce#12 [bucket
+        # 3]" in a desync report), the comm span and the health events.
+        with collective_context(f"bucket {bucket.spec.index}", bucket.spec.index):
             if self.comm_hook is not None:
                 bucket.work = self.comm_hook(
                     self.process_group, bucket.tensor, self.world_size
@@ -450,21 +443,6 @@ class Reducer:
                 bucket.work = self.process_group.allreduce(
                     bucket.tensor, ReduceOp.SUM, async_op=True
                 )
-        # Tag the collective with its bucket so comm spans and flight
-        # records attribute to a reducer bucket in the merged timeline.
-        meta = getattr(bucket.work, "meta", None)
-        if meta is not None:
-            meta.setdefault("bucket", bucket.spec.index)
-        if _health.collecting_enabled():
-            record_health_event(
-                self.recorder.rank,
-                "bucket_launch",
-                iteration=self.recorder.iteration,
-                bucket=bucket.spec.index,
-                seq=(meta or {}).get("seq"),
-                group=(meta or {}).get("group"),
-                nbytes=bucket.flat.nbytes,
-            )
 
     def _finalize_backward(self) -> None:
         """Wait for communication, average, and write gradients back.
@@ -541,12 +519,7 @@ class Reducer:
         else:
             device = getattr(self.params[0], "device", "cpu")
             staging = Tensor(bitmap, device=device)
-        label = (
-            collective_context("unused-param bitmap")
-            if DEBUG.level
-            else contextlib.nullcontext()
-        )
-        with label:
+        with collective_context("unused-param bitmap"):
             work = self.process_group.allreduce(staging, ReduceOp.SUM, async_op=True)
         work.wait()
         # The communication consumed the accumulated local record.

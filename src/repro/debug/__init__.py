@@ -4,10 +4,12 @@ The paper's headline failure mode (§3.2.3, Fig. 3(a)) — ranks issuing
 collectives in mismatched order — surfaces in production as an opaque
 NCCL hang.  This package turns that hang into a diagnosis:
 
-* :mod:`~repro.debug.flight_recorder` — per-rank bounded ring buffer of
-  every collective's lifecycle (seq, op, group, payload fingerprint,
-  caller context, scheduled/started/completed timestamps), with JSON
-  dump and a cross-rank "last N collectives per rank" table.
+* :mod:`~repro.debug.flight_recorder` — the one
+  :class:`CollectiveRecord` every collective's ``Work`` carries (seq,
+  op, group, payload fingerprint, caller context,
+  scheduled/started/completed timestamps) and the per-rank bounded ring
+  buffer that retains them, with JSON dump and a cross-rank "last N
+  collectives per rank" table.
 * :mod:`~repro.debug.watchdog` — per-``ProcessGroup`` thread that, when
   a collective exceeds the hang threshold, gathers every rank's flight
   recorder tail through the rendezvous store and fails the run with a
@@ -18,7 +20,7 @@ NCCL hang.  This package turns that hang into a diagnosis:
 
 Everything is gated by ``REPRO_DEBUG=OFF|INFO|DETAIL`` (default OFF; see
 :mod:`~repro.debug.levels`): while OFF the comm layer pays one integer
-check per collective and records nothing.
+check per collective and retains nothing.
 
     REPRO_DEBUG=INFO python train.py          # or:
     from repro import debug

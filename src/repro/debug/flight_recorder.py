@@ -11,9 +11,11 @@ dump and the "last N collectives per rank" table shows exactly which
 rank stopped issuing collectives, at which sequence number, and what it
 was doing instead.
 
-Recording is gated by ``REPRO_DEBUG`` (see :mod:`repro.debug.levels`):
-with the level at ``OFF`` no recorder is ever attached and no record is
-written.
+The :class:`CollectiveRecord` itself always exists — it is the one
+record every ``Work`` carries and every observer reads.  *Retaining* it
+in a ring is gated by ``REPRO_DEBUG`` (see :mod:`repro.debug.levels`):
+with the level at ``OFF`` no recorder is ever attached and a record
+dies with its ``Work``.
 """
 
 from __future__ import annotations
@@ -35,18 +37,24 @@ STARTED = "started"
 COMPLETED = "completed"
 FAILED = "failed"
 
-#: Caller-context label (e.g. "bucket 3") attached to records scheduled
-#: while the context manager below is active.  A contextvar so reducer
-#: code can label collectives without widening the ProcessGroup API.
-_collective_context: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_collective_context", default=None
+#: Caller-context label (e.g. "bucket 3", plus the bucket index when the
+#: caller is the reducer) stamped on records created while the context
+#: manager below is active.  A contextvar so reducer code can label
+#: collectives without widening the ProcessGroup API.
+_collective_context: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "repro_collective_context", default=(None, None)
 )
+
+#: Guards every record's state transitions: the worker, a caller-side
+#: wait timeout and the hang watchdog may race to start/finish one.
+_state_lock = threading.Lock()
 
 
 @contextlib.contextmanager
-def collective_context(label: str):
-    """Label collectives scheduled inside the block (``context`` field)."""
-    token = _collective_context.set(label)
+def collective_context(label: str, bucket: Optional[int] = None):
+    """Label collectives scheduled inside the block (``context`` and,
+    for reducer buckets, ``bucket`` fields of their records)."""
+    token = _collective_context.set((label, bucket))
     try:
         yield
     finally:
@@ -54,34 +62,80 @@ def collective_context(label: str):
 
 
 def current_collective_context() -> Optional[str]:
-    return _collective_context.get()
+    return _collective_context.get()[0]
 
 
 class CollectiveRecord:
-    """One collective's lifecycle as seen by the issuing rank."""
+    """The one record of a collective, as seen by the issuing rank.
+
+    Every ``Work`` owns exactly one and every observer is a view of it:
+    the flight ring holds it by reference, the health event log and
+    accounting, the ``comm`` span and the watchdog's report read its
+    fields.  The facts are the collective's fingerprint (``op``,
+    ``shape``, ``dtype``, ``nbytes``; the remaining signature fields —
+    reduce op / src / root — plus the algorithm and transport retry
+    deltas in ``extra``), its identity (``group_id``, ``seq``), the
+    bytes the group accounts for it, and the caller's label.  The
+    issuing thread creates it (stamped *scheduled*); the communication
+    worker stamps :meth:`start` and :meth:`finish`.
+    """
 
     __slots__ = (
-        "seq", "op", "group_id", "shape", "dtype", "nbytes", "extra",
-        "context", "state", "t_sched", "t_start", "t_end", "error",
+        "seq", "op", "group_id", "shape", "dtype", "nbytes", "extra", "bytes",
+        "context", "bucket", "state", "t_sched", "t_start", "t_end", "error",
     )
 
-    def __init__(self, seq, op, group_id, shape, dtype, nbytes, extra, context):
+    def __init__(self, seq, group_id, fingerprint: dict, bytes: Optional[int] = None):
         self.seq = seq
-        self.op = op
         self.group_id = group_id
-        self.shape = shape
-        self.dtype = dtype
-        self.nbytes = nbytes
+        extra = dict(fingerprint)
+        self.op = extra.pop("op")
+        self.shape = extra.pop("shape", None)
+        self.dtype = extra.pop("dtype", None)
+        self.nbytes = extra.pop("nbytes", None)
         self.extra = extra
-        self.context = context
+        self.bytes = bytes
+        self.context, self.bucket = _collective_context.get()
         self.state = SCHEDULED
         self.t_sched = time.perf_counter()
         self.t_start: Optional[float] = None
         self.t_end: Optional[float] = None
-        self.error: Optional[str] = None
+        self.error: Optional[BaseException] = None
+
+    def start(self) -> None:
+        """Stamp the start of execution (communication worker)."""
+        with _state_lock:
+            self.t_start = time.perf_counter()
+            if self.state == SCHEDULED:  # a caller may have given up already
+                self.state = STARTED
+
+    def finish(self, error: Optional[BaseException] = None) -> None:
+        """Close the record; the first terminal state wins.
+
+        A record already failed — by a caller-side ``Work.wait`` timeout
+        or the hang watchdog's desync report — keeps that richer error
+        when the communication worker later reports in, and a worker
+        that finished first keeps its result.
+        """
+        with _state_lock:
+            if self.state not in (COMPLETED, FAILED):
+                self.t_end = time.perf_counter()
+                self.error = error
+                self.state = COMPLETED if error is None else FAILED
+
+    @property
+    def name(self) -> str:
+        """``op#seq`` — how spans, error messages and alarms name it."""
+        return f"{self.op}#{self.seq}"
 
     def describe(self) -> str:
-        return f"{self.op}#{self.seq}@pg{self.group_id}"
+        return f"{self.name}@pg{self.group_id}"
+
+    def facts(self) -> dict:
+        """The set facts as one flat dict (``comm`` span args, timeout text)."""
+        facts = {"op": self.op, "seq": self.seq, "bytes": self.bytes,
+                 "group": self.group_id, **self.extra, "bucket": self.bucket}
+        return {key: value for key, value in facts.items() if value is not None}
 
     def as_dict(self) -> dict:
         return {
@@ -91,13 +145,16 @@ class CollectiveRecord:
             "shape": list(self.shape) if self.shape is not None else None,
             "dtype": self.dtype,
             "nbytes": self.nbytes,
-            "extra": dict(self.extra) if self.extra else {},
+            "extra": dict(self.extra),
             "context": self.context,
             "state": self.state,
             "t_sched": self.t_sched,
             "t_start": self.t_start,
             "t_end": self.t_end,
-            "error": self.error,
+            "error": (
+                f"{type(self.error).__name__}: {self.error}"
+                if self.error is not None else None
+            ),
         }
 
     def __repr__(self) -> str:
@@ -107,9 +164,9 @@ class CollectiveRecord:
 class FlightRecorder:
     """Bounded ring of :class:`CollectiveRecord` for one rank.
 
-    The issuing (caller) thread records ``scheduled``; the communication
-    worker records ``started`` and ``completed``/``failed`` — one short
-    lock guards the ring.
+    The ring holds each record by reference, so the stamps the
+    communication worker writes later show up in every dump — one short
+    lock guards the ring itself.
     """
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
@@ -119,46 +176,12 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
 
-    # -- recording ------------------------------------------------------
-    def record_scheduled(
-        self,
-        seq: int,
-        op: str,
-        group_id,
-        shape=None,
-        dtype=None,
-        nbytes=None,
-        extra: Optional[dict] = None,
-        context: Optional[str] = None,
-    ) -> CollectiveRecord:
-        record = CollectiveRecord(seq, op, group_id, shape, dtype, nbytes,
-                                  extra, context)
+    def add(self, record: CollectiveRecord) -> None:
+        """Retain a just-scheduled record (dropping the oldest when full)."""
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(record)
-        return record
-
-    def mark_started(self, record: CollectiveRecord) -> None:
-        record.t_start = time.perf_counter()
-        record.state = STARTED
-
-    def mark_completed(self, record: CollectiveRecord,
-                       error: Optional[BaseException] = None) -> None:
-        """Close a record (first completion wins, like ``Work``).
-
-        A record already failed — e.g. by a caller-side ``Work.wait``
-        timeout or the hang watchdog — keeps its richer error even if
-        the communication worker later reports in.
-        """
-        if record.state in (COMPLETED, FAILED):
-            return
-        record.t_end = time.perf_counter()
-        if error is None:
-            record.state = COMPLETED
-        else:
-            record.state = FAILED
-            record.error = f"{type(error).__name__}: {error}"
 
     # -- introspection --------------------------------------------------
     def depth(self) -> int:
@@ -218,20 +241,6 @@ class FlightRecorder:
         with self._lock:
             self._ring.clear()
             self.dropped = 0
-
-
-def mark_record_failed(record: CollectiveRecord, error: BaseException) -> None:
-    """Fail a record from outside its recorder (first terminal state wins).
-
-    Used by caller-side ``Work.wait`` timeouts, which hold the record
-    but not the recorder: the entry must not be left dangling in the
-    ``started`` state when the caller has already given up on it.
-    """
-    if record.state in (COMPLETED, FAILED):
-        return
-    record.t_end = time.perf_counter()
-    record.state = FAILED
-    record.error = f"{type(error).__name__}: {error}"
 
 
 # ----------------------------------------------------------------------

@@ -126,13 +126,12 @@ class HangWatchdog:
                     self._answered_alarm = alarm["id"]
                     self.alarms_answered += 1
                     self.publish_state()
-                inflight = group._inflight
-                if inflight is None:
-                    continue
-                work, since = inflight
+                work = group._inflight
                 if (
-                    id(work) not in self._reported
-                    and time.perf_counter() - since > self.hang_threshold
+                    work is not None
+                    and id(work) not in self._reported
+                    and time.perf_counter() - work.record.t_start
+                    > self.hang_threshold
                 ):
                     self._reported.add(id(work))
                     self._handle_hang(work)
@@ -159,17 +158,7 @@ class HangWatchdog:
         )
         self._answered_alarm = alarm_id
         self.publish_state()
-
-        record = getattr(work, "_debug_record", None)
-        if record is not None:
-            stuck = record.as_dict()
-        else:
-            meta = work.meta or {}
-            stuck = {"op": meta.get("op", work.description),
-                     "seq": meta.get("seq", -1),
-                     "group_id": group._group_id, "state": "started",
-                     "shape": None, "dtype": None,
-                     "nbytes": meta.get("bytes")}
+        stuck = work.record.as_dict()
 
         # Give peers' watchdogs a grace window to answer the alarm; ranks
         # that shut down already left a parting snapshot.

@@ -369,7 +369,7 @@ class ReliableTransportHub(TransportHub):
         """(retries, retransmits, duplicates, corruptions) for ``rank``.
 
         Process-group workers snapshot this around each collective to
-        attach retry deltas to flight-recorder records and work meta.
+        attach retry deltas to the collective's record.
         """
         with self._stats_lock:
             return (

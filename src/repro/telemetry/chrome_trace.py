@@ -109,12 +109,7 @@ def export_chrome_trace(path: str, tracer: Optional[SpanTracer] = None) -> str:
 # ----------------------------------------------------------------------
 # merged timeline: spans + flight recorder + resilience instants
 # ----------------------------------------------------------------------
-def merged_trace_events(
-    tracer: Optional[SpanTracer] = None,
-    include_flight: bool = True,
-    include_resilience: bool = True,
-    include_health: bool = True,
-) -> List[dict]:
+def merged_trace_events(tracer: Optional[SpanTracer] = None) -> List[dict]:
     """One timeline for every evidence source the runtime keeps.
 
     Four tracks per rank, all on the shared ``perf_counter`` clock:
@@ -132,21 +127,15 @@ def merged_trace_events(
       ``health`` row, carrying the ``(group, seq)`` trace context that
       stitches the same collective across ranks.
     """
+    from repro.debug.flight_recorder import dump_all
+    from repro.telemetry.health.events import all_event_logs
+
     tracer = tracer or TRACER
     all_spans = tracer.spans()
-
-    flight_dumps: List[dict] = []
-    if include_flight:
-        from repro.debug.flight_recorder import all_recorders
-
-        flight_dumps = [rec.dump() for _, rec in sorted(all_recorders().items())]
-
+    flight_dumps = dump_all()
     health_events: List[dict] = []
-    if include_health:
-        from repro.telemetry.health.events import all_event_logs
-
-        for _, log in sorted(all_event_logs().items()):
-            health_events.extend(log.as_dicts())
+    for _, log in sorted(all_event_logs().items()):
+        health_events.extend(log.as_dicts())
 
     # One epoch across every source so the tracks stay aligned.
     starts = [span.t_start for span in all_spans]
@@ -171,8 +160,6 @@ def merged_trace_events(
         return streams[stream]
 
     for span in all_spans:
-        if span.cat == "resilience" and not include_resilience:
-            continue
         args = dict(span.args) if span.args else {}
         if span.cat == "resilience":
             # Point-in-time markers: a retry has no meaningful duration.
@@ -255,15 +242,10 @@ def merged_trace_events(
     return events
 
 
-def export_merged_trace(path: str, tracer: Optional[SpanTracer] = None,
-                        include_flight: bool = True,
-                        include_resilience: bool = True,
-                        include_health: bool = True) -> str:
+def export_merged_trace(path: str, tracer: Optional[SpanTracer] = None) -> str:
     """Write the merged (spans + flight + resilience + health) timeline;
     returns path."""
-    events = merged_trace_events(tracer, include_flight=include_flight,
-                                 include_resilience=include_resilience,
-                                 include_health=include_health)
+    events = merged_trace_events(tracer)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w") as handle:

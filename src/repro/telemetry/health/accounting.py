@@ -28,7 +28,7 @@ new plumbing:
 
 The stall attribution is collected by the collective algorithms
 themselves (:func:`note_recv_stall` from a thread-local accumulator the
-worker brackets with :func:`begin_collective` / :func:`end_collective`)
+worker brackets with :func:`begin_collective` / :func:`record_collective`)
 — each process-group stream is its own thread, so accumulators never
 cross collectives.
 
@@ -40,7 +40,7 @@ attribute check.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
@@ -88,18 +88,6 @@ def note_recv_stall(src: int, seconds: float) -> None:
     by_src = _local.stall_by_src
     by_src[src] = by_src.get(src, 0.0) + seconds
     _local.chunks += 1
-
-
-def end_collective() -> Tuple[float, Dict[int, float], int]:
-    """Stop collecting; returns (total stall, per-source stall, chunks)."""
-    stall = getattr(_local, "stall_s", 0.0)
-    by_src = getattr(_local, "stall_by_src", {})
-    chunks = getattr(_local, "chunks", 0)
-    _local.collecting = False
-    _local.stall_s = 0.0
-    _local.stall_by_src = {}
-    _local.chunks = 0
-    return stall, by_src, chunks
 
 
 #: Ops whose payload crosses the bottleneck ~2(p−1)/p times (bus-bandwidth
@@ -195,30 +183,23 @@ def reset_instrument_cache() -> None:
         _instruments.clear()
 
 
-def record_collective(
-    rank: int,
-    meta: Optional[dict],
-    t_start: Optional[float],
-    t_end: Optional[float],
-    world: int,
-    backend: str,
-    stall_s: float,
-    stall_by_src: Dict[int, float],
-    chunks: int,
-) -> None:
-    """Publish one executed collective's efficiency metrics.
+def record_collective(rank: int, record, world: int, backend: str) -> None:
+    """Publish one finished collective's efficiency metrics.
 
-    Called from the process-group worker right after the collective
-    function returned; ``meta`` is the work's metadata (op, seq, bytes,
-    algorithm...).  Robust to missing fields — a collective without a
-    byte count (barrier) still accounts latency and stalls.
+    Called on the process-group worker right after the collective
+    function returned, with the collective's
+    :class:`~repro.debug.flight_recorder.CollectiveRecord` (op,
+    accounted bytes, start/end stamps); closes the stall collection
+    :func:`begin_collective` opened on this thread.  A collective
+    without a byte count (barrier) still accounts latency and stalls.
     """
-    if t_start is None or t_end is None:
-        return
-    wall = max(0.0, t_end - t_start)
-    meta = meta or {}
-    op = meta.get("op", "unknown")
-    nbytes = int(meta.get("bytes", 0) or 0)
+    stall_s = getattr(_local, "stall_s", 0.0)
+    stall_by_src = getattr(_local, "stall_by_src", {})
+    chunks = getattr(_local, "chunks", 0)
+    _local.collecting = False
+    wall = max(0.0, record.t_end - record.t_start)
+    op = record.op
+    nbytes = record.bytes or 0
     handles = _instruments_for(rank)
 
     handles.accounted.add(1)

@@ -14,10 +14,10 @@ counters, and the cross-rank event log, and emit
   ``comm.model_efficiency``).
 * **overlap_collapse** — a rank's comm/compute overlap ratio fell to a
   fraction of its own earlier healthy level (paper Fig. 4 regression).
-* **retransmit_storm** — transport retry/retransmit/corruption counters
-  grow far faster than collectives complete: a lossy or corrupting
-  wire, attributed to the receiving rank (and, when the event log saw
-  the incidents, to the modal source edge).
+* **retransmit_storm** — transport retransmit/corruption counters grow
+  far faster than collectives complete: a lossy or corrupting wire,
+  attributed to the receiving rank (and, when the event log saw the
+  incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
   hang the debug watchdog catches, visible while everyone is still
@@ -54,9 +54,13 @@ from repro.telemetry.health.diagnosis import (
 
 _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 
-#: Transport counters that count as storm events (receiver-attributed).
-_STORM_COUNTERS = ("transport.retries", "transport.retransmits",
-                   "transport.corrupt_detected")
+#: Transport counters that count as storm events (receiver-attributed):
+#: evidence of *loss* only — a redelivery that found the message in the
+#: sender's log, or a checksum failure.  ``transport.retries`` is not
+#: one: it also counts every expired wait slice on a merely late peer
+#: (nothing sent yet, nothing to redeliver), which on a loaded box
+#: reaches storm rates with zero faults.  It rides along as evidence.
+_STORM_COUNTERS = ("transport.retransmits", "transport.corrupt_detected")
 
 
 @dataclass
@@ -77,7 +81,7 @@ class Thresholds:
     #: A receiver counts as a reporter above this share of the top
     #: source's total stall.
     reporter_share: float = 0.15
-    #: Minimum storm events (retries + retransmits + corruptions).
+    #: Minimum storm events (retransmits + corruptions).
     storm_min_events: int = 20
     #: ... and at least this many events per accounted collective.
     storm_events_per_collective: float = 0.5
@@ -97,7 +101,7 @@ class Signals:
     ranks: List[int]
     #: stall[dst][src] = receive-wait seconds dst attributed to src.
     stall: Dict[int, Dict[int, float]]
-    #: Per-rank storm-event counts (retries + retransmits + corruption).
+    #: Per-rank storm-event counts (retransmits + corruption).
     storm_events: Dict[int, float]
     #: Per-rank transport counter detail (evidence).
     transport: Dict[int, Dict[str, float]]
@@ -144,12 +148,12 @@ def _signals_from_snapshots(
         events = sum(float(counters.get(name, 0.0)) for name in _STORM_COUNTERS)
         if events:
             storm[rank] = events
-        detail = {name: float(counters[name]) for name in _STORM_COUNTERS
-                  if counters.get(name)}
-        if counters.get("transport.duplicates_dropped"):
-            detail["transport.duplicates_dropped"] = float(
-                counters["transport.duplicates_dropped"]
-            )
+        detail = {
+            name: float(counters[name])
+            for name in (*_STORM_COUNTERS, "transport.retries",
+                         "transport.duplicates_dropped")
+            if counters.get(name)
+        }
         if detail:
             transport[rank] = detail
         collectives[rank] = float(counters.get("health.collectives_accounted", 0.0))
@@ -295,7 +299,7 @@ def _detect_retransmit_storm(
         Diagnosis(
             kind=RETRANSMIT_STORM,
             summary=(
-                f"transport absorbed {int(total_events)} retry/retransmit/"
+                f"transport absorbed {int(total_events)} retransmit/"
                 f"corruption events over {int(total_collectives)} collectives; "
                 f"rank {culprit} received {share:.0%} of them"
                 + (f" (mostly from rank {edge[0]})" if edge else "")
@@ -397,7 +401,7 @@ def _storm_edges_from_events() -> Dict[int, Dict[int, int]]:
     edges: Dict[int, Dict[int, int]] = {}
     for rank, log in all_event_logs().items():
         for event in log.events():
-            if event.kind in ("retransmit", "retry", "corrupt_detected"):
+            if event.kind in ("retransmit", "corrupt_detected"):
                 src = (event.extra or {}).get("src")
                 if src is not None:
                     by_src = edges.setdefault(rank, {})

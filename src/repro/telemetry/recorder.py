@@ -19,8 +19,8 @@ prepare â”€â”€â–º first_grad â”€â”€â”€â”€â”€â”€â”€â”€â”€â”€â”€â–º all_grads â”€â
    â”” bucket i: ready â–º launch â–º [comm start â”€â”€ comm end] (worker thread)
 ```
 
-The communication intervals come from the ``Work`` handles, which the
-process-group worker loop stamps with execution start/end times; the
+The communication intervals come from the ``Work`` handles' records,
+which the process-group worker stamps with execution start/end times; the
 **overlap ratio** is the fraction of total AllReduce wall time hidden
 inside the backward-compute window ``[first_grad, all_grads]``.
 """
@@ -34,19 +34,16 @@ from repro.telemetry.spans import TRACER
 
 
 def work_interval(work) -> Optional[Tuple[float, float]]:
-    """Execution interval stamped on a ``Work`` handle, if available.
+    """Execution interval stamped on a ``Work``'s record, if available.
 
     Communication hooks wrap the real handle (``_HookWork``); unwrap
     one level of ``_inner`` so compressed buckets still report comm
     time.  Returns ``None`` for handles that never executed.
     """
     for candidate in (work, getattr(work, "_inner", None)):
-        if candidate is None:
-            continue
-        t_start = getattr(candidate, "_t_start", None)
-        t_end = getattr(candidate, "_t_end", None)
-        if t_start is not None and t_end is not None:
-            return (t_start, t_end)
+        record = getattr(candidate, "record", None)
+        if record is not None and record.t_start is not None and record.t_end is not None:
+            return (record.t_start, record.t_end)
     return None
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from repro import nn
 from repro.comm import run_distributed
+from repro.comm.process_group import Work
+from repro.debug import CollectiveRecord, fingerprint
 from repro.utils import manual_seed
 
 
@@ -19,6 +21,11 @@ def run_world(world_size, fn, backend=None, timeout=10.0, **group_kwargs):
     return run_distributed(
         world_size, fn, backend=backend, timeout=timeout, **group_kwargs
     )
+
+
+def bare_work(op="allreduce", seq=0, bytes=None):
+    """A ``Work`` no worker will ever complete, for handle-level tests."""
+    return Work(CollectiveRecord(seq, 0, fingerprint(op), bytes=bytes))
 
 
 def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:

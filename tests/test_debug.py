@@ -2,6 +2,8 @@
 monitored barrier, and the shutdown-unwedging regression."""
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,11 +14,11 @@ from repro.comm import (
     get_context,
     monitored_barrier,
 )
-from repro.comm.process_group import Work
 from repro.core import DistributedDataParallel
 from repro.core.bucket import compute_bucket_assignment
 from repro.core.reducer import Reducer, ReducerError
 from repro.debug import (
+    CollectiveRecord,
     FlightRecorder,
     all_recorders,
     build_desync_report,
@@ -36,7 +38,7 @@ from repro.debug import (
 from repro.nn.module import Parameter
 from repro.utils import manual_seed
 
-from conftest import run_world, small_classifier
+from conftest import bare_work, run_world, small_classifier
 
 
 @pytest.fixture
@@ -63,41 +65,82 @@ class TestLevels:
             set_debug_level(7)
 
 
+def _record(recorder, seq, op="allreduce", group_id=0, array=None):
+    """Schedule one collective on ``recorder`` the way ``_submit`` does."""
+    record = CollectiveRecord(seq, group_id, fingerprint(op, array))
+    recorder.add(record)
+    return record
+
+
 class TestFlightRecorder:
     def test_ring_drops_oldest(self):
         recorder = FlightRecorder(rank=0, capacity=4)
         for seq in range(6):
-            recorder.record_scheduled(seq, "allreduce", group_id=0)
+            _record(recorder, seq)
         assert recorder.depth() == 4
         assert recorder.dropped == 2
         assert [r.seq for r in recorder.records()] == [2, 3, 4, 5]
 
     def test_lifecycle_and_snapshot(self):
         recorder = FlightRecorder(rank=1)
-        first = recorder.record_scheduled(
-            0, "allreduce", 0, shape=(4,), dtype="float64", nbytes=32
-        )
-        recorder.mark_started(first)
-        recorder.mark_completed(first)
-        second = recorder.record_scheduled(1, "broadcast", 0, context="bucket 2")
-        recorder.mark_started(second)
+        first = _record(recorder, 0, array=np.zeros(4))
+        assert (first.shape, first.dtype, first.nbytes) == ((4,), "float64", 32)
+        first.start()
+        first.finish()
+        with collective_context("bucket 2", 2):
+            second = _record(recorder, 1, "broadcast")
+        second.start()
 
         snap = recorder.group_snapshot(0)
         assert snap["last_completed"]["seq"] == 0
         assert snap["last_scheduled"]["seq"] == 1
         assert snap["inflight"]["op"] == "broadcast"
         assert snap["inflight"]["context"] == "bucket 2"
+        assert second.bucket == 2
         assert len(snap["tail"]) == 2
 
-        recorder.mark_completed(second, error=RuntimeError("boom"))
+        second.finish(RuntimeError("boom"))
         assert recorder.inflight(0) is None
         assert recorder.records()[-1].state == "failed"
-        assert "boom" in recorder.records()[-1].error
+        assert "boom" in recorder.tail(1)[0]["error"]
+        # First terminal state wins: a late success changes nothing.
+        t_end = second.t_end
+        second.finish()
+        assert (second.state, second.t_end) == ("failed", t_end)
+
+    def test_racing_finishers_leave_one_consistent_terminal_state(self):
+        """Worker, caller timeout and watchdog may finish a record at
+        once: state, error and end stamp must all come from one call."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seq in range(100):
+                record = CollectiveRecord(seq, 0, fingerprint("allreduce"))
+                gate = threading.Barrier(8)
+                stamps = []
+
+                def racer(i):
+                    gate.wait(timeout=5)
+                    record.finish(RuntimeError(str(i)) if i % 2 else None)
+                    stamps.append(record.t_end)
+
+                threads = [threading.Thread(target=racer, args=(i,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                assert not any(thread.is_alive() for thread in threads)
+                assert (record.state == "failed") == (record.error is not None)
+                assert record.state in ("completed", "failed")
+                assert len(set(stamps)) == 1  # stamped exactly once
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_records_filter_by_group(self):
         recorder = FlightRecorder(rank=0)
-        recorder.record_scheduled(0, "allreduce", group_id=1)
-        recorder.record_scheduled(0, "allreduce", group_id=2)
+        _record(recorder, 0, group_id=1)
+        _record(recorder, 0, group_id=2)
         assert len(recorder.records(group_id=1)) == 1
         assert recorder.group_snapshot(2)["last_scheduled"]["group_id"] == 2
 
@@ -249,7 +292,7 @@ class TestMismatchDiagnosis:
 
 class TestWorkMeta:
     def test_timeout_error_names_collective_meta(self):
-        work = Work("allreduce#3", {"op": "allreduce", "seq": 3, "bytes": 64})
+        work = bare_work(seq=3, bytes=64)
         with pytest.raises(CollectiveTimeoutError) as excinfo:
             work.wait(timeout=0.01)
         message = str(excinfo.value)
@@ -258,7 +301,7 @@ class TestWorkMeta:
         assert "seq=3" in message
 
     def test_first_completion_wins(self):
-        work = Work("allreduce#0")
+        work = bare_work()
         rich = CollectiveTimeoutError("rich desync report")
         work._complete(rich)
         work._complete(CollectiveTimeoutError("bare transport timeout"))

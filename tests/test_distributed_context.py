@@ -14,6 +14,8 @@ from repro.comm import (
     run_distributed,
 )
 
+from conftest import bare_work
+
 
 class TestContextAccess:
     def test_no_context_outside_harness(self):
@@ -118,24 +120,20 @@ class TestErrorPropagation:
 
 class TestWorkHandle:
     def test_wait_timeout(self):
-        from repro.comm.process_group import CollectiveTimeoutError, Work
+        from repro.comm.process_group import CollectiveTimeoutError
 
-        work = Work("never-completes")
+        work = bare_work("never-completes")
         with pytest.raises(CollectiveTimeoutError):
             work.wait(timeout=0.05)
 
     def test_error_propagates_through_wait(self):
-        from repro.comm.process_group import Work
-
-        work = Work("fails")
+        work = bare_work("fails")
         work._complete(ValueError("inner"))
         with pytest.raises(ValueError, match="inner"):
             work.wait()
 
     def test_repr(self):
-        from repro.comm.process_group import Work
-
-        work = Work("x")
+        work = bare_work("x")
         assert "pending" in repr(work)
         work._complete()
         assert "done" in repr(work)

@@ -166,15 +166,33 @@ class TestDetectors:
     def test_retransmit_storm_fires_on_rate_not_raw_count(self):
         base = {"health.collectives_accounted": 20.0}
         storm = dict(base, **{"transport.retries": 18.0,
-                              "transport.retransmits": 14.0})
+                              "transport.retransmits": 24.0})
         diagnoses = analyze_snapshots([_snap(0, base), _snap(2, storm)])
         assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
         assert diagnoses[0].culprit_rank == 2
-        assert diagnoses[0].evidence["total_storm_events"] == 32
+        assert diagnoses[0].evidence["total_storm_events"] == 24
+        # Retries ride along as evidence without counting as events.
+        assert diagnoses[0].evidence["transport_counters"][2] == {
+            "transport.retries": 18.0, "transport.retransmits": 24.0,
+        }
         # Same raw count over a long healthy run: below the per-collective
         # rate gate, so no diagnosis.
         long_run = dict(storm, **{"health.collectives_accounted": 500.0})
         assert analyze_snapshots([_snap(0, base), _snap(2, long_run)]) == []
+
+    def test_retries_without_loss_evidence_are_not_a_storm(self):
+        """Regression: an expired wait slice on a merely late peer bumps
+        ``transport.retries`` with nothing to redeliver; a loaded box
+        reached 57 of them over 26 collectives per rank with zero
+        faults.  Only retransmits and corruption are loss evidence."""
+        late_peers = {"health.collectives_accounted": 26.0,
+                      "transport.retries": 57.0}
+        assert analyze_snapshots([_snap(0, late_peers), _snap(1, late_peers)]) == []
+        # The same waits plus real redeliveries: still a storm.
+        lossy = dict(late_peers, **{"transport.retransmits": 30.0})
+        diagnoses = analyze_snapshots([_snap(0, late_peers), _snap(1, lossy)])
+        assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
+        assert diagnoses[0].culprit_rank == 1
 
     def test_overlap_collapse_compares_late_to_own_early_mean(self):
         collapsed = _snap(1, histograms={
@@ -362,7 +380,7 @@ def _storm_ticks():
     per_rank = [
         _snap(0, {"health.collectives_accounted": 20.0}),
         _snap(2, {"health.collectives_accounted": 20.0,
-                  "transport.retries": 25.0, "transport.retransmits": 15.0}),
+                  "transport.retries": 15.0, "transport.retransmits": 25.0}),
     ]
     return [_tick(0, per_rank)]
 
@@ -371,7 +389,7 @@ class TestOfflineAnalysis:
     def test_analyze_ticks_reports_the_storm(self):
         report = analyze_ticks(_storm_ticks())
         assert report["ticks"] == 1 and report["ranks"] == [0, 2]
-        assert report["storm_events"] == 40
+        assert report["storm_events"] == 25
         assert [d["kind"] for d in report["diagnoses"]] == [RETRANSMIT_STORM]
         assert report["diagnoses"][0]["culprit_rank"] == 2
 

@@ -1,16 +1,26 @@
 """ProcessGroup API: sync/async, consistency, backends, round-robin."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.autograd import Tensor
 from repro.comm import (
     CollectiveMismatchError,
+    CollectiveTimeoutError,
     get_context,
     new_process_group,
     new_round_robin_group,
 )
-from repro.comm.process_group import ReduceOp, Work
+from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work
+from repro.debug import (
+    clear_recorders,
+    get_debug_level,
+    recorder_for,
+    set_debug_level,
+)
 
 from conftest import run_world
 
@@ -266,3 +276,169 @@ class TestSubgroupsAndRoundRobin:
         message = str(excinfo.value)
         assert f"collective #1 mismatch in group {gid_first}" in message
         assert f"group {gid_second}" not in message
+
+
+# ----------------------------------------------------------------------
+# the op table: one matrix over every collective
+# ----------------------------------------------------------------------
+N = 4  # elements per tensor (float64 → 32 payload bytes)
+
+
+def _issue(pg, name, n=N, root=0, async_op=False):
+    """Call collective ``name`` with small canonical arguments; ``root``
+    is the src/root of the rooted ops (ignored by the others)."""
+    kwargs = {"async_op": True} if async_op else {}
+    x = np.ones(n)
+    if name == "allreduce":
+        return pg.allreduce(x, **kwargs)
+    if name == "broadcast":
+        return pg.broadcast(x, src=root, **kwargs)
+    if name == "allgather":
+        return pg.allgather(x, **kwargs)
+    if name == "reduce_scatter":
+        return pg.reduce_scatter(x)
+    if name == "reduce_scatter_flat":
+        return pg.reduce_scatter_flat(x, **kwargs)
+    if name == "all_gather_flat":
+        return pg.all_gather_flat(x, **kwargs)
+    if name == "reduce":
+        return pg.reduce(x, root=root)
+    if name == "gather":
+        return pg.gather(x, root=root)
+    if name == "scatter":
+        chunks = [x] * pg.size if pg.group_rank == root else None
+        return pg.scatter(chunks, root=root)
+    assert name == "barrier"
+    return pg.barrier()
+
+
+#: name -> (accepts async_op, accounted bytes at world 2, returns a result)
+OP_MATRIX = {
+    "allreduce": (True, 8 * N, False),
+    "broadcast": (True, 8 * N, False),
+    "allgather": (True, 8 * N * 2, True),
+    "reduce_scatter": (False, 8 * N, True),
+    "reduce_scatter_flat": (True, 8 * N, True),
+    "all_gather_flat": (True, 8 * N, False),
+    "reduce": (False, 8 * N, False),
+    "gather": (False, 8 * N, True),
+    "scatter": (False, None, True),
+    "barrier": (False, None, False),
+}
+OP_CASES = [
+    pytest.param(name, mode == "async", id=f"{name}-{mode}")
+    for name, (takes_async, _, _) in OP_MATRIX.items()
+    for mode in (("sync", "async") if takes_async else ("sync",))
+]
+
+
+@pytest.fixture
+def observed():
+    """REPRO_DEBUG=INFO and telemetry on for one test, cleared around it."""
+    previous = get_debug_level()
+    clear_recorders()
+    telemetry.reset()
+    set_debug_level("INFO")
+    telemetry.enable()
+    yield
+    telemetry.disable()
+    telemetry.reset()
+    set_debug_level(previous)
+    clear_recorders()
+
+
+class TestOpTable:
+    def test_matrix_covers_the_table(self):
+        assert set(OP_MATRIX) == set(_OPS)
+        for name, (takes_async, _, _) in OP_MATRIX.items():
+            params = inspect.signature(getattr(ProcessGroup, name)).parameters
+            assert ("async_op" in params) == takes_async, name
+
+    @pytest.mark.parametrize("name,async_op", OP_CASES)
+    def test_every_view_reads_one_record(self, observed, name, async_op):
+        """Sequence numbers are contiguous, bytes are accounted per op, and
+        the flight record, the health lifecycle events and the comm span
+        of each collective agree on (group, seq, op, bytes, start, end)."""
+        _, wire, returns = OP_MATRIX[name]
+        repeats = 3
+
+        def body(rank):
+            pg = get_context().default_group
+            for _ in range(repeats):
+                out = _issue(pg, name, async_op=async_op)
+                if async_op:
+                    assert isinstance(out, Work)
+                    out.wait()
+                    out = out.result[0]
+                # gather's result lands on the root only.
+                expect = returns and not (name == "gather" and rank != 0)
+                assert (out is not None) == expect
+            return pg._group_id, pg.bytes_communicated
+
+        results = run_world(2, body, backend="gloo")
+        for rank, (gid, accounted) in enumerate(results):
+            assert accounted == repeats * (wire or 0)
+            flights = recorder_for(rank).dump()["records"]
+            assert [r["seq"] for r in flights] == list(range(repeats))
+            spans = {s.name: s for s in telemetry.get_tracer().spans(rank)
+                     if s.cat == "comm"}
+            events = telemetry.event_log_for(rank).as_dicts()
+            for flight in flights:
+                seq = flight["seq"]
+                assert flight["op"] == name and flight["group_id"] == gid
+                assert flight["state"] == "completed"
+                assert flight["nbytes"] == (8 * N if wire else None)
+                span = spans[f"{name}#{seq}"]
+                assert span.args["op"] == name and span.args["seq"] == seq
+                assert span.args["group"] == gid
+                assert span.args.get("bytes") == wire
+                assert (span.t_start, span.t_end) == (
+                    flight["t_start"], flight["t_end"])
+                marks = {e["kind"]: e for e in events if e.get("seq") == seq}
+                assert set(marks) == {"schedule", "start", "complete"}
+                for mark in marks.values():
+                    assert (mark["group"], mark["op"]) == (gid, name)
+                    assert mark.get("nbytes") == wire
+                assert marks["schedule"]["t"] == flight["t_sched"]
+                assert marks["start"]["t"] == flight["t_start"]
+                assert marks["complete"]["t"] == flight["t_end"]
+
+    @pytest.mark.parametrize("name", list(OP_MATRIX))
+    def test_mismatched_peer_gets_a_field_diff(self, name):
+        """A peer that diverges in any signature field — shape for tensor
+        ops, root for scatter, the op itself for barrier — is told which."""
+        field = {"scatter": "root", "barrier": "op"}.get(name, "shape")
+
+        def body(rank):
+            pg = get_context().default_group
+            if rank == 0:
+                _issue(pg, name)
+            elif field == "shape":
+                _issue(pg, name, n=N + 2)
+            elif field == "root":
+                _issue(pg, name, root=1)
+            else:
+                pg.allreduce(np.ones(N))
+
+        with pytest.raises(RuntimeError, match="mismatch") as excinfo:
+            run_world(2, body, backend="gloo", timeout=3)
+        assert isinstance(excinfo.value.__cause__, CollectiveMismatchError)
+        message = str(excinfo.value)
+        assert "differing fields:" in message and f"{field}: " in message
+
+    @pytest.mark.parametrize("name", list(OP_MATRIX))
+    def test_absent_peer_raises_collective_timeout(self, name):
+        """Every collective translates the transport's timeout into a
+        ``CollectiveTimeoutError`` (five of the ten used to leak the raw
+        ``TransportTimeoutError``, which is not a ``CollectiveError``)."""
+        # Rank 0 leads the group (its signature check passes at once)
+        # and must be a receiver, so root the rooted ops accordingly.
+        root = 1 if name in ("broadcast", "scatter") else 0
+
+        def body(rank):
+            if rank == 0:
+                _issue(get_context().default_group, name, root=root)
+
+        with pytest.raises(RuntimeError, match="rank 0 failed") as excinfo:
+            run_world(2, body, backend="gloo", timeout=0.3)
+        assert isinstance(excinfo.value.__cause__, CollectiveTimeoutError)

@@ -16,10 +16,11 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor
 from repro.comm import Store, run_distributed
-from repro.comm.process_group import CollectiveTimeoutError, Work
+from repro.comm.process_group import CollectiveTimeoutError
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.core import DistributedDataParallel
-from repro.debug.flight_recorder import FAILED, FlightRecorder
+from repro.debug import FlightRecorder
+from repro.debug.flight_recorder import FAILED
 from repro.optim import SGD
 from repro.resilience import (
     FaultPlan,
@@ -36,7 +37,7 @@ from repro.resilience import (
 from repro.resilience.faults import InjectedRankFailure
 from repro.utils import load_training_checkpoint, save_training_checkpoint
 
-from conftest import small_classifier
+from conftest import bare_work, small_classifier
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -189,7 +190,7 @@ class TestReliableTransport:
 
 class TestWorkWaitTimeout:
     def test_wait_timeout_marks_work_failed(self):
-        work = Work("allreduce#3")
+        work = bare_work(seq=3)
         with pytest.raises(CollectiveTimeoutError, match="caller-side wait"):
             work.wait(timeout=0.01)
         assert work.is_completed()
@@ -199,22 +200,22 @@ class TestWorkWaitTimeout:
 
     def test_wait_timeout_fails_flight_record(self):
         recorder = FlightRecorder(rank=0)
-        record = recorder.record_scheduled(seq=3, op="allreduce", group_id=0)
-        recorder.mark_started(record)
-        work = Work("allreduce#3")
-        work._debug_record = record
+        work = bare_work(seq=3)
+        recorder.add(work.record)
+        work.record.start()
         with pytest.raises(CollectiveTimeoutError):
             work.wait(timeout=0.01)
-        assert record.state == FAILED
-        assert "caller-side wait" in record.error
+        (dumped,) = recorder.dump()["records"]
+        assert dumped["state"] == FAILED
+        assert "caller-side wait" in dumped["error"]
 
     def test_worker_success_wins_race_against_timeout(self):
-        """First completion wins: a worker finishing as the caller's
+        """First terminal state wins: a worker finishing as the caller's
         wait expires keeps its successful result."""
-        work = Work("allreduce#4")
+        work = bare_work(seq=4)
         work._complete(None)
         work.wait(timeout=0.0)  # does not raise: success already landed
-        assert work._error is None
+        assert work.record.error is None
 
 
 class TestStoreLifecycle:
