@@ -15,11 +15,14 @@ not touched by an iteration never fire their hooks — reproducing the
 from __future__ import annotations
 
 import contextlib
+import heapq
 import threading
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
+
+from repro.autograd.tensor import Tensor
 
 _grad_state = threading.local()
 
@@ -80,8 +83,6 @@ class AccumulateGrad:
         self._post_hooks.clear()
 
     def accumulate(self, grad: np.ndarray) -> None:
-        from repro.autograd.tensor import Tensor
-
         if grad.shape != self.tensor.data.shape:
             raise RuntimeError(
                 f"gradient shape {grad.shape} does not match leaf shape "
@@ -90,18 +91,26 @@ class AccumulateGrad:
         if self.tensor.grad is None:
             view = self.grad_view
             if view is not None and view.data.shape == grad.shape:
-                # Zero-copy path: land the gradient directly in the
-                # external (bucket) storage and alias it as .grad.
+                # View path: one copy lands the gradient in the external
+                # (bucket) storage, which is then aliased as .grad — no
+                # second copy when the bucket is reduced.
                 np.copyto(view.data, grad)
                 self.tensor.grad = view
             else:
+                # order="C": astype would otherwise keep the producer's
+                # memory order, and a transposed gradient would make
+                # every later += and optimizer sweep strided.
                 self.tensor.grad = Tensor(
-                    grad.astype(self.tensor.data.dtype, copy=True)
+                    grad.astype(self.tensor.data.dtype, order="C", copy=True)
                 )
         else:
             self.tensor.grad.data += grad
-        for hook in list(self._post_hooks):
-            hook(self)
+        hooks = self._post_hooks
+        if len(hooks) == 1:
+            hooks[0](self)
+        else:
+            for hook in list(hooks):  # a hook may remove itself
+                hook(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AccumulateGrad shape={self.tensor.data.shape}>"
@@ -123,19 +132,16 @@ def backward(root_tensor, grad: np.ndarray) -> None:
 
     dependencies = _count_dependencies(root)
     pending: Dict[object, np.ndarray] = {root: np.asarray(grad, dtype=np.float64)}
-    # Ready queue ordered by seq_nr descending approximates the reverse of
-    # execution order, which keeps gradient-ready order realistic for the
-    # overlap experiments (later layers' grads become ready first).
-    ready = [root]
+    # Ready queue popped by seq_nr descending (a max-heap on the unique
+    # sequence numbers) approximates the reverse of execution order, which
+    # keeps gradient-ready order realistic for the overlap experiments
+    # (later layers' grads become ready first).  Leaves never enter it:
+    # they accumulate below, the moment their last gradient arrives.
+    ready = [(-root.seq_nr, root)]
 
     while ready:
-        ready.sort(key=lambda n: getattr(n, "seq_nr", -1))
-        node = ready.pop()
+        node = heapq.heappop(ready)[1]
         grad_output = pending.pop(node)
-
-        if isinstance(node, AccumulateGrad):
-            node.accumulate(grad_output)
-            continue
 
         grads_in = node.backward(node.ctx, grad_output)
         if not isinstance(grads_in, tuple):
@@ -150,7 +156,8 @@ def backward(root_tensor, grad: np.ndarray) -> None:
         for edge, grad_in in zip(node.next_edges, grads_in):
             if edge is None or grad_in is None:
                 continue
-            grad_in = np.asarray(grad_in)
+            if not isinstance(grad_in, np.ndarray):
+                grad_in = np.asarray(grad_in)
             if edge in pending:
                 pending[edge] = pending[edge] + grad_in
             else:
@@ -163,7 +170,7 @@ def backward(root_tensor, grad: np.ndarray) -> None:
                     # signal DDP's bucketing overlap relies on.
                     edge.accumulate(pending.pop(edge))
                 else:
-                    ready.append(edge)
+                    heapq.heappush(ready, (-edge.seq_nr, edge))
 
     if pending:
         raise RuntimeError(

@@ -18,6 +18,9 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.autograd.engine import is_grad_enabled
+from repro.autograd.tensor import Tensor
+
 
 class Context:
     """Scratch space a Function's forward leaves for its backward.
@@ -71,9 +74,6 @@ class Function:
     @classmethod
     def apply(cls, *inputs: Any, **kwargs: Any):
         """Run forward, and record a tape node when gradients are needed."""
-        from repro.autograd.engine import is_grad_enabled
-        from repro.autograd.tensor import Tensor
-
         tensor_inputs = [inp for inp in inputs if isinstance(inp, Tensor)]
         raw = [inp.data if isinstance(inp, Tensor) else inp for inp in inputs]
 

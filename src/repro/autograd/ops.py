@@ -4,6 +4,13 @@ Every public function here builds (at most) one tape node via
 ``Function.apply``.  Higher-level layers (``repro.nn``) compose these
 primitives, which keeps each backward rule small and independently
 testable against numeric differentiation.
+
+The ops a per-op profile (``repro.autograd.profiler``) ranked at the top
+of the transformer / MLP iteration are fused instead of composed —
+:class:`Linear`, :class:`Gelu`, :class:`LayerNorm` and the scaled
+:class:`Softmax` — and their composed formulations are kept as the
+references in ``tests/test_fused_ops.py``.  Every op hands a parameter
+its gradient C-contiguous in the parameter's layout.
 """
 
 from __future__ import annotations
@@ -246,23 +253,58 @@ class Min(Function):
 
 
 class Gelu(Function):
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    ``0.5 a (1 + tanh(c (a + k a^3)))`` evaluated as multiplies on reused
+    buffers: no ``a**3`` (libm ``pow``), and no full-size array allocated
+    beyond what is saved or returned — forward makes two (``tanh`` for
+    backward, the output), backward one (the gradient), working through a
+    block-sized scratch.
+    """
 
     _C = np.sqrt(2.0 / np.pi)
+    _K = 0.044715
+    #: Elements per backward block: the scratch and one block of each of
+    #: the four operands are 128 KB apiece and stay in a 1 MB L2.
+    _BLOCK = 16384
 
     @staticmethod
     def forward(ctx: Context, a):
-        inner = Gelu._C * (a + 0.044715 * a**3)
-        t = np.tanh(inner)
+        # out=: a 0-d input must stay an array for the in-place chain.
+        t = np.multiply(a, a, out=np.empty(a.shape))
+        t *= Gelu._C * Gelu._K
+        t += Gelu._C
+        t *= a  # c (a + k a^3)
+        np.tanh(t, out=t)
         ctx.save_for_backward(a, t)
-        return 0.5 * a * (1.0 + t)
+        out = t + 1.0
+        out *= a
+        out *= 0.5
+        return out
 
     @staticmethod
     def backward(ctx: Context, grad):
+        # 0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 k a^2), times grad.
         a, t = ctx.saved
-        d_inner = Gelu._C * (1.0 + 3 * 0.044715 * a**2)
-        local = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * d_inner
-        return (grad * local,)
+        out = np.empty(a.shape)
+        a_flat, t_flat, grad_flat, out_flat = (np.ravel(x) for x in (a, t, grad, out))
+        scratch = np.empty(a_flat[: Gelu._BLOCK].shape)  # one block, or all of a small input
+        for start in range(0, a.size, Gelu._BLOCK):
+            block = slice(start, start + Gelu._BLOCK)
+            a_b, t_b, local = a_flat[block], t_flat[block], out_flat[block]
+            d_inner = scratch[: a_b.size]
+            np.multiply(a_b, a_b, out=d_inner)
+            d_inner *= 3.0 * Gelu._C * Gelu._K
+            d_inner += Gelu._C
+            np.multiply(t_b, t_b, out=local)
+            np.subtract(1.0, local, out=local)  # sech^2
+            local *= d_inner
+            local *= a_b
+            local += t_b
+            local += 1.0
+            local *= 0.5
+            local *= grad_flat[block]
+        return (out,)
 
 
 # ---------------------------------------------------------------------
@@ -285,6 +327,38 @@ class MatMul(Function):
         grad_a = unbroadcast(grad_a, a.shape)
         grad_b = unbroadcast(grad_b, b.shape)
         return grad_a, grad_b
+
+
+class Linear(Function):
+    """``x @ weight.T (+ bias)`` over the last dimension of ``x``.
+
+    Leading dimensions are folded so forward and backward are one GEMM
+    each, and ``grad_weight`` is produced directly as a C-contiguous
+    ``(out, in)`` array — the layout :class:`AccumulateGrad` can memcpy
+    into a bucket view and every optimizer sweeps at unit stride.
+
+    Inputs are ``(x, bias, weight)``: the engine hands gradients to
+    leaves in input order, and bucket order (the reverse of
+    ``parameters()``) assumes a layer's bias is ready before its weight.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x, bias, weight):
+        ctx.save_for_backward(x, weight)
+        ctx.has_bias = bias is not None
+        out = x.reshape(-1, x.shape[-1]) @ weight.T
+        if bias is not None:
+            out += bias
+        return out.reshape(x.shape[:-1] + (weight.shape[0],))
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        x, weight = ctx.saved
+        grad2 = grad.reshape(-1, grad.shape[-1])
+        grad_x = (grad2 @ weight).reshape(x.shape)
+        grad_weight = grad2.T @ x.reshape(-1, x.shape[-1])
+        grad_bias = grad2.sum(axis=0) if ctx.has_bias else None
+        return grad_x, grad_bias, grad_weight
 
 
 class Transpose(Function):
@@ -415,20 +489,70 @@ class LogSoftmax(Function):
 
 
 class Softmax(Function):
+    """``softmax(scale * a)`` along ``axis``; ``scale`` folds attention's
+    ``1 / sqrt(head_dim)`` into the same node."""
+
     @staticmethod
-    def forward(ctx: Context, a, axis: int = -1):
-        shifted = a - a.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=axis, keepdims=True)
+    def forward(ctx: Context, a, axis: int = -1, scale: float = 1.0):
+        out = a * scale
+        out -= out.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
         ctx.save_for_backward(out)
         ctx.axis = axis
+        ctx.scale = scale
         return out
 
     @staticmethod
     def backward(ctx: Context, grad):
         (out,) = ctx.saved
-        dot = (grad * out).sum(axis=ctx.axis, keepdims=True)
-        return (out * (grad - dot), None)
+        grad_a = grad * out
+        grad_a -= out * grad_a.sum(axis=ctx.axis, keepdims=True)
+        grad_a *= ctx.scale
+        return (grad_a,)
+
+
+# ---------------------------------------------------------------------
+# normalization
+# ---------------------------------------------------------------------
+
+
+class LayerNorm(Function):
+    """``(x - mean) / sqrt(var + eps) * weight + bias`` over the last
+    dimension, with the closed-form backward
+
+    ``grad_x = rstd * (gw - mean(gw) - xhat * mean(gw * xhat))``,
+    ``gw = grad * weight``.
+
+    Inputs are ``(x, bias, weight)`` for the reason given in
+    :class:`Linear`.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x, bias, weight, eps: float = 1e-5):
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+        rstd = 1.0 / np.sqrt(var + eps)
+        xhat *= rstd
+        ctx.save_for_backward(xhat, rstd, weight)
+        out = xhat * weight
+        out += bias
+        return out
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        xhat, rstd, weight = ctx.saved
+        width = xhat.shape[-1]
+        grad_bias = grad.reshape(-1, width).sum(axis=0)
+        scratch = grad * xhat
+        grad_weight = scratch.reshape(-1, width).sum(axis=0)
+        grad_x = grad * weight
+        np.multiply(grad_x, xhat, out=scratch)
+        np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
+        grad_x -= grad_x.mean(axis=-1, keepdims=True)
+        grad_x -= scratch
+        grad_x *= rstd
+        return grad_x, grad_bias, grad_weight
 
 
 # ---------------------------------------------------------------------
@@ -661,6 +785,16 @@ def matmul(a, b):
     return MatMul.apply(a, b)
 
 
+def linear(x, weight, bias=None):
+    """``x @ weight.T (+ bias)`` as one tape node; ``weight`` is ``(out, in)``."""
+    return Linear.apply(x, bias, weight)
+
+
+def layer_norm(x, weight, bias, eps: float = 1e-5):
+    """Normalize over the last dimension, then scale and shift, as one node."""
+    return LayerNorm.apply(x, bias, weight, eps=eps)
+
+
 def transpose(a, axis0: int, axis1: int):
     return Transpose.apply(a, axis0, axis1)
 
@@ -693,8 +827,9 @@ def log_softmax(a, axis: int = -1):
     return LogSoftmax.apply(a, axis=axis)
 
 
-def softmax(a, axis: int = -1):
-    return Softmax.apply(a, axis=axis)
+def softmax(a, axis: int = -1, scale: float = 1.0):
+    """``softmax(scale * a)`` along ``axis`` as one tape node."""
+    return Softmax.apply(a, axis=axis, scale=scale)
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0):

@@ -64,11 +64,12 @@ class DistributedDataParallel(Module):
         Optional smaller cap for the first bucket so communication can
         start earlier.
     gradient_as_bucket_view:
-        When True (default), parameters' ``.grad`` tensors are zero-copy
-        views of the reducer's flat bucket buffers: backward writes
-        gradients directly into communication memory and no gather or
-        write-back copies happen on the hot path.  Set False to get the
-        seed copy-in/copy-out path (same numerics, more memory traffic).
+        When True (default), parameters' ``.grad`` tensors are views of
+        the reducer's flat bucket buffers: the gradient accumulator
+        copies each fresh gradient into communication memory once, and
+        no hook-time gather or write-back copy follows.  Set False to
+        get the seed copy-in/copy-out path (same numerics, two more
+        copies per gradient).
     max_in_flight_buckets:
         Optional cap on concurrently outstanding bucket AllReduces (see
         :class:`~repro.core.reducer.Reducer`); pair with a process group

@@ -6,12 +6,14 @@ Responsibilities, mirroring the paper's four components:
    on the same logical device as their parameters.
 2. **Autograd hooks** — one post-hook per parameter's gradient
    accumulator.  By default (``gradient_as_bucket_view=True``) each
-   parameter's ``.grad`` is a zero-copy numpy *view* of its bucket slot:
-   the autograd engine writes gradients directly into bucket memory, so
-   the hook only decrements the bucket's pending count — no gather copy
-   on the hot path.  With views disabled, the hook copies the fresh
-   gradient into its slot (the seed data path, kept as a measurable
-   baseline).  The hook that drops a count to zero marks the bucket
+   parameter's ``.grad`` is a numpy *view* of its bucket slot: the
+   accumulator copies the gradient an op produced into that view once
+   (a memcpy — ops hand gradients over C-contiguous), so the hook only
+   decrements the bucket's pending count and no hook-time gather
+   follows.  With views disabled, the hook gathers the accumulated
+   gradient into its slot, a second copy (the seed data path, kept as a
+   measurable baseline); ``grad_copy_count`` counts these hook-time
+   gathers only.  The hook that drops a count to zero marks the bucket
    ready.
 3. **Bucket AllReduce** — ready buckets launch *asynchronously* and
    strictly **in bucket-index order** on every rank; bucket ``i+1``
@@ -100,9 +102,10 @@ class Reducer:
         Optional gradient-compression hook (paper §6.2.3).
     gradient_as_bucket_view:
         When True (default), install each parameter's gradient as a
-        zero-copy view of its bucket slot; the autograd engine then
-        writes gradients directly into bucket memory and finalize needs
-        no write-back copy either.  Views are adopted lazily (a
+        view of its bucket slot; the accumulator then copies each fresh
+        gradient straight into bucket memory (its one copy), the hook
+        gathers nothing and finalize needs no write-back copy either.
+        Views are adopted lazily (a
         parameter that never produces a gradient keeps ``grad is
         None``).  False reproduces the seed copy-in/copy-out path.
     max_in_flight_buckets:
@@ -153,10 +156,11 @@ class Reducer:
         #: Bucket buffers allocated over this reducer's lifetime; stays
         #: flat in steady state (the zero-layout-work acceptance check).
         self.layout_allocations = 0
-        #: Gradients that had to be gathered into a bucket by copy.
+        #: Gradients the hook had to gather into a bucket by copy (the
+        #: accumulator's own copy into a view is not counted).
         self.grad_copy_count = 0
         #: Gradients that were already resident in bucket memory when
-        #: their hook fired (the zero-copy fast path).
+        #: their hook fired (the no-gather fast path).
         self.zero_copy_hits = 0
         #: rebuild_buckets calls that were no-ops (identical layout).
         self.noop_rebuild_count = 0
@@ -377,8 +381,8 @@ class Reducer:
                     f"hook fired for parameter {param_index} but .grad is None"
                 )
             if view is not None and param.grad is view:
-                # Zero-copy: the engine already wrote the gradient into
-                # bucket memory through the installed view.
+                # No gather: the accumulator already copied the gradient
+                # into bucket memory through the installed view.
                 self.zero_copy_hits += 1
             else:
                 bucket.flat[offset : offset + size] = param.grad.data.reshape(-1)

@@ -39,8 +39,8 @@ class MultiHeadSelfAttention(nn.Module):
         q = self._split_heads(self.query(x), batch, seq)
         k = self._split_heads(self.key(x), batch, seq)
         v = self._split_heads(self.value(x), batch, seq)
-        scores = (q @ ops.transpose(k, 2, 3)) * (1.0 / math.sqrt(self.head_dim))
-        weights = ops.softmax(scores, axis=-1)
+        scores = q @ ops.transpose(k, 2, 3)
+        weights = ops.softmax(scores, axis=-1, scale=1.0 / math.sqrt(self.head_dim))
         mixed = weights @ v  # (B, heads, T, head_dim)
         merged = ops.transpose(mixed, 1, 2).reshape(batch, seq, self.hidden)
         return self.output(merged)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -34,10 +35,7 @@ class Linear(Module):
             object.__setattr__(self, "bias", None)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return ops.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         has_bias = self._parameters.get("bias") is not None

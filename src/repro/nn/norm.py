@@ -90,8 +90,4 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = ops.mean(x, axis=-1, keepdims=True)
-        centered = x - mean
-        var = ops.mean(centered * centered, axis=-1, keepdims=True)
-        normalized = centered * (var + self.eps) ** -0.5
-        return normalized * self.weight + self.bias
+        return ops.layer_norm(x, self.weight, self.bias, eps=self.eps)
