@@ -10,7 +10,7 @@ docs/sharding.md for the stage taxonomy, memory model, and knobs):
 * :class:`~repro.sharded.data_parallel.ShardedDataParallel` — ZeRO-2:
   gradients reduce-scattered; each rank keeps only its shard.
 * :class:`~repro.sharded.fsdp.FullyShardedDataParallel` — ZeRO-3:
-  parameters themselves sharded, gathered per submodule on demand.
+  parameters themselves sharded, gathered per block ahead of use.
 
 All stages share one :class:`~repro.sharded.flat.FlatShardLayout`
 (buckets + ``partition_spans`` ownership) and the
@@ -28,7 +28,7 @@ from repro.sharded.checkpoint import (
     shard_payload,
 )
 from repro.sharded.data_parallel import ShardedDataParallel
-from repro.sharded.flat import FlatShardLayout, unit_bucket_specs
+from repro.sharded.flat import FlatShardLayout, select_units, unit_bucket_specs
 from repro.sharded.fsdp import FullyShardedDataParallel
 from repro.sharded.memory import (
     ShardedStats,
@@ -52,6 +52,7 @@ __all__ = [
     "optimizer_state_arrays",
     "reshard_state_dict",
     "save_sharded_training_checkpoint",
+    "select_units",
     "shard_payload",
     "storage_bytes",
     "unit_bucket_specs",

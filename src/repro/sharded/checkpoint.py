@@ -176,8 +176,8 @@ def shard_payload(model, include_buffers: bool = False) -> Tuple[Dict, Dict]:
     state spans (``opt/b{b}/{key}``, scalars as 0-d arrays); with
     ``include_buffers`` (rank 0) the module's full buffers ride along as
     ``buffer/{name}``.  ``meta`` records what a restore at a different
-    world size must validate: bucket totals, parameter count, stage, and
-    this rank's spans.
+    world size or bucket layout must validate: bucket totals, parameter
+    count and concatenation order, stage, and this rank's spans.
     """
     optimizer = model.optimizer
     layout = optimizer.layout
@@ -195,6 +195,7 @@ def shard_payload(model, include_buffers: bool = False) -> Tuple[Dict, Dict]:
         "stage": getattr(getattr(model, "stats", None), "stage", "sharded"),
         "num_params": len(optimizer.params),
         "bucket_totals": [int(b.total_elements) for b in layout.buckets],
+        "param_order": layout.concat_order(),
         "span": [
             [int(lo), int(hi)]
             for lo, hi in (
@@ -206,18 +207,23 @@ def shard_payload(model, include_buffers: bool = False) -> Tuple[Dict, Dict]:
 
 
 def load_shard_payloads(model, shards: Dict[int, Tuple[Dict, object]]) -> Dict:
-    """Reassemble per-rank shard payloads into a (possibly re-worlded)
-    sharded wrapper.
+    """Reassemble per-rank shard payloads into a (possibly re-worlded,
+    possibly re-bucketed) sharded wrapper.
 
     ``shards`` maps every *saved* rank to its ``(arrays, manifest)``
     pair (:func:`shard_payload` output; the manifest supplies the saved
-    world size and meta).  The saved span table is reconstructed with
-    ``partition_spans(total, saved_world)`` — deterministic, so nothing
-    but the shards themselves needs to survive — full flats are
-    assembled per bucket, and this rank's *new* spans are sliced into
-    the shard tensors, the live parameters (except ZeRO-3, whose freed
-    stubs regather lazily from the shards), and the inner optimizer's
-    state.  Purely local.  Returns ``{"iteration", "extra"}``.
+    world size and meta).  The saved span tables are reconstructed with
+    ``partition_spans(saved_total, saved_world)`` — deterministic, so
+    nothing but the shards themselves needs to survive — which places
+    every saved piece (parameters, and each optimizer-state key) in the
+    concatenation of the *saved* buckets.  The target layout reads its
+    own buckets and spans out of that concatenation, so a checkpoint
+    restores across world sizes and across bucket layouts (another
+    ``bucket_cap_mb``, per-leaf vs per-block ZeRO-3 units) as long as
+    both concatenate the same parameters in the same order.  This rank's
+    new spans land in the shard tensors, the live parameters (except
+    ZeRO-3, whose freed stubs regather from the shards), and the inner
+    optimizer's state.  Purely local.  Returns ``{"iteration", "extra"}``.
     """
     from repro.comm.algorithms import partition_spans
 
@@ -234,78 +240,82 @@ def load_shard_payloads(model, shards: Dict[int, Tuple[Dict, object]]) -> Dict:
             f"shard payloads cover saved world {saved_world} but ranks "
             f"{missing} are absent"
         )
-    bucket_totals = [int(x) for x in meta.get("bucket_totals", [])]
-    ours = [int(b.total_elements) for b in layout.buckets]
-    if bucket_totals and bucket_totals != ours:
-        raise ValueError(
-            f"saved bucket layout {bucket_totals} does not match the target "
-            f"layout {ours}; bucket caps or the model differ"
-        )
     num_params = meta.get("num_params")
     if num_params is not None and int(num_params) != len(optimizer.params):
         raise ValueError(
             f"saved shards cover {int(num_params)} parameters but the "
             f"target model has {len(optimizer.params)}"
         )
+    ours = [int(b.total_elements) for b in layout.buckets]
+    saved_totals = [int(x) for x in meta.get("bucket_totals") or ours]
+    order = layout.concat_order()
+    saved_order = meta.get("param_order")  # absent from older checkpoints
+    param_edges = np.cumsum([layout.params[i].numel() for i in order])
+    if (
+        sum(saved_totals) != sum(ours)
+        or (saved_order is not None and [int(i) for i in saved_order] != order)
+        or not np.isin(np.cumsum(saved_totals), param_edges).all()
+    ):
+        raise ValueError(
+            f"saved bucket layout {saved_totals} does not match the target "
+            f"layout {ours}; the model or its parameter order differs"
+        )
+    saved_starts = [0] + [int(edge) for edge in np.cumsum(saved_totals)]
 
-    sharded_params = hasattr(model, "summon_full_params")
-    for bucket, shard in enumerate(optimizer.shards):
-        total = int(layout.buckets[bucket].total_elements)
-        old_spans = partition_spans(total, saved_world)
-        flat = np.zeros(total, dtype=layout.bucket_dtype(bucket))
-        keys = set()
-        prefix = f"opt/b{bucket}/"
-        for old_rank in range(saved_world):
-            arrays, _ = shards[old_rank]
-            lo, hi = old_spans[old_rank]
-            piece = arrays.get(f"param/b{bucket}")
-            if piece is None or piece.size != hi - lo:
-                raise ChecksumError(
-                    f"saved rank {old_rank} shard of bucket {bucket} holds "
-                    f"{0 if piece is None else piece.size} elements, "
-                    f"expected {hi - lo}"
-                )
-            flat[lo:hi] = np.asarray(piece).reshape(-1)
-            keys.update(
-                key[len(prefix):] for key in arrays if key.startswith(prefix)
-            )
-        new_lo, new_hi = layout.span(bucket, optimizer.rank)
-        shard.data[...] = flat[new_lo:new_hi]
-        if not sharded_params:
-            layout.scatter_into_params(bucket, flat)
-        shard_state: Dict = {}
-        for key in sorted(keys):
-            scalar = None
-            pieces: Dict[int, np.ndarray] = {}
-            for old_rank in range(saved_world):
-                arrays, _ = shards[old_rank]
-                value = arrays.get(f"{prefix}{key}")
-                if value is None:
+    def window(template: str, g_lo: int, g_hi: int, dtype=None):
+        """Elements ``[g_lo, g_hi)`` — in model-wide concatenation
+        coordinates — of one saved array family (``template`` takes the
+        saved bucket index); a scalar family's value; None when no rank
+        saved it.  ``dtype`` marks the family as required (parameters)."""
+        out = None
+        for saved_bucket, total in enumerate(saved_totals):
+            name, base = template.format(saved_bucket), saved_starts[saved_bucket]
+            for old_rank, (lo, hi) in enumerate(partition_spans(total, saved_world)):
+                value = shards[old_rank][0].get(name)
+                if value is None and dtype is None:
                     continue
-                value = np.asarray(value)
+                # A missing required piece fails the size check below.
+                value = np.asarray(() if value is None else value)
                 if value.ndim == 0:
-                    scalar = value.item()
-                else:
-                    pieces[old_rank] = value
-            if not pieces:
-                if scalar is not None:
-                    shard_state[key] = scalar
-                continue
-            key_flat = np.zeros(total, dtype=next(iter(pieces.values())).dtype)
-            for old_rank, value in pieces.items():
-                lo, hi = old_spans[old_rank]
+                    return value.item()
                 if value.size != hi - lo:
                     raise ChecksumError(
-                        f"saved rank {old_rank} state '{key}' of bucket "
-                        f"{bucket} holds {value.size} elements, expected "
-                        f"{hi - lo}"
+                        f"saved rank {old_rank} holds {value.size} elements of "
+                        f"{name!r}, expected {hi - lo}"
                     )
-                key_flat[lo:hi] = value.reshape(-1)
-            shard_state[key] = key_flat[new_lo:new_hi].copy()
+                if out is None:
+                    out = np.zeros(g_hi - g_lo, dtype=dtype or value.dtype)
+                a, b = max(g_lo, base + lo), min(g_hi, base + hi)
+                if a < b:
+                    piece = value.reshape(-1)[a - base - lo : b - base - lo]
+                    out[a - g_lo : b - g_lo] = piece
+        return out
+
+    keys = sorted({
+        key.split("/", 2)[2]
+        for arrays, _ in shards.values()
+        for key in arrays
+        if key.startswith("opt/b")
+    })
+    sharded_params = hasattr(model, "summon_full_params")
+    start = 0
+    for bucket, shard in enumerate(optimizer.shards):
+        flat = window(
+            "param/b{}", start, start + ours[bucket], layout.bucket_dtype(bucket)
+        )
+        lo, hi = layout.span(bucket, optimizer.rank)
+        shard.data[...] = flat[lo:hi]
+        if not sharded_params:
+            layout.scatter_into_params(bucket, flat)
+        shard_state = {
+            key: window("opt/b{}/" + key, start + lo, start + hi) for key in keys
+        }
+        shard_state = {k: v for k, v in shard_state.items() if v is not None}
         if shard_state:
             optimizer.inner.state[id(shard)] = shard_state
         else:
             optimizer.inner.state.pop(id(shard), None)
+        start += ours[bucket]
 
     own_buffers = dict(model.module.named_buffers())
     for key, value in rank0_arrays.items():

@@ -3,7 +3,7 @@
 The sharded stack reuses DDP's bucket machinery
 (:mod:`repro.core.bucket`): parameters are coalesced into flat buckets
 — by :func:`~repro.core.bucket.cached_bucket_assignment` for ZeRO-1/2,
-or one bucket per ``repro.nn`` submodule for ZeRO-3 — and each bucket's
+or one bucket per :func:`select_units` block for ZeRO-3 — and each bucket's
 flat element range is partitioned across ranks with
 :func:`~repro.comm.algorithms.partition_spans`.  Rank ``r`` owns span
 ``r`` of every bucket: exactly the span
@@ -20,12 +20,14 @@ bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.algorithms import partition_spans
 from repro.core.bucket import BucketSpec, cached_bucket_assignment
+from repro.nn.container import ModuleList, Sequential
 from repro.utils.units import MB
 
 #: Bucket cap used when the caller does not want size-based splitting:
@@ -33,27 +35,58 @@ from repro.utils.units import MB
 UNBOUNDED_CAP_BYTES = 1 << 62
 
 
+def select_units(root) -> List[Tuple[str, list]]:
+    """ZeRO-3's gather/free units: ``(dotted module path, parameters)``.
+
+    The paper's bucketing lesson (§3.2.2) applied to parameter sharding:
+    a unit is a *block*, not a leaf.  The walk descends from ``root``
+    through pure containers only — the root itself, ``Sequential`` /
+    ``ModuleList``, and a parameter-less module with a single
+    parameter-bearing child (a wrapper) — and every other module met on
+    the way becomes one unit holding all parameters of its subtree.  The
+    root's own direct parameters form a unit of their own (path ``""``).
+    Units come out in registration (≈ forward execution) order.
+    """
+    units: List[Tuple[str, list]] = []
+
+    def walk(module, path: str, is_root: bool) -> None:
+        direct = [p for p in module._parameters.values() if p is not None]
+        children = [
+            (name, child)
+            for name, child in module._modules.items()
+            if child is not None and next(child.parameters(), None) is not None
+        ]
+        container = not direct and (
+            isinstance(module, (Sequential, ModuleList)) or len(children) == 1
+        )
+        if not (is_root or container):
+            units.append((path, list(module.parameters())))
+            return
+        if direct:
+            units.append((path, direct))
+        for name, child in children:
+            walk(child, f"{path}.{name}" if path else name, False)
+
+    walk(root, "", True)
+    return units
+
+
 def unit_bucket_specs(unit_param_indices: Sequence[Sequence[int]], params) -> List[BucketSpec]:
     """Build one :class:`BucketSpec` per explicit parameter grouping.
 
-    ZeRO-3 shards per ``repro.nn`` submodule rather than by byte cap;
-    this adapts those module-defined groups onto the same spec type the
-    reducer and :class:`FlatShardLayout` already understand.
+    ZeRO-3 shards per :func:`select_units` block rather than by byte
+    cap; this adapts those module-defined groups onto the same spec type
+    the reducer and :class:`FlatShardLayout` already understand.
     """
     specs: List[BucketSpec] = []
     for indices in unit_param_indices:
         sizes = tuple(params[i].numel() for i in indices)
-        offsets = []
-        offset = 0
-        for size in sizes:
-            offsets.append(offset)
-            offset += size
         first = params[indices[0]]
         specs.append(
             BucketSpec(
                 index=len(specs),
                 param_indices=tuple(indices),
-                offsets=tuple(offsets),
+                offsets=tuple(itertools.accumulate(sizes[:-1], initial=0)),
                 sizes=sizes,
                 device=getattr(first, "device", "cpu"),
                 dtype=str(first.dtype),
@@ -122,6 +155,21 @@ class FlatShardLayout:
         """The numpy dtype of a bucket's flat buffer."""
         return np.dtype(self.buckets[bucket].dtype)
 
+    def bucket_nbytes(self, bucket: int) -> int:
+        """Bytes of a bucket's flat buffer."""
+        return self.buckets[bucket].total_elements * self.bucket_dtype(bucket).itemsize
+
+    def empty_flat(self, bucket: int) -> np.ndarray:
+        """An uninitialized flat buffer of the bucket's size and dtype."""
+        return np.empty(
+            self.buckets[bucket].total_elements, dtype=self.bucket_dtype(bucket)
+        )
+
+    def concat_order(self) -> List[int]:
+        """Parameter indices in the order the buckets concatenate them —
+        what two layouts must share for shards to re-slice across them."""
+        return [index for spec in self.buckets for index in spec.param_indices]
+
     # -- parameter <-> flat copies --------------------------------------
     def bucket_entries(self, bucket: int) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(param_index, flat_offset, size)`` for one bucket."""
@@ -136,20 +184,6 @@ class FlatShardLayout:
         for index, offset, size in self.bucket_entries(bucket):
             flat[offset : offset + size] = self.params[index].data.reshape(-1)
 
-    def copy_grads_into(self, bucket: int, flat: np.ndarray) -> List[int]:
-        """Copy parameter gradients into the flat buffer; missing
-        gradients contribute zeros.  Returns the indices of parameters
-        that had no gradient (for the caller's unused-parameter error)."""
-        missing: List[int] = []
-        for index, offset, size in self.bucket_entries(bucket):
-            grad = self.params[index].grad
-            if grad is None:
-                flat[offset : offset + size] = 0.0
-                missing.append(index)
-            else:
-                flat[offset : offset + size] = grad.data.reshape(-1)
-        return missing
-
     def scatter_into_params(self, bucket: int, flat: np.ndarray) -> None:
         """Write the bucket's flat buffer back into the parameters."""
         for index, offset, size in self.bucket_entries(bucket):
@@ -157,6 +191,15 @@ class FlatShardLayout:
             np.copyto(
                 param.data, flat[offset : offset + size].reshape(param.data.shape)
             )
+
+    def broadcast_params(self, process_group, src: int = 0) -> None:
+        """Overwrite every rank's parameters with ``src``'s: one
+        broadcast per flat bucket instead of one per parameter."""
+        for bucket in range(self.num_buckets):
+            flat = self.empty_flat(bucket)
+            self.copy_params_into(bucket, flat)
+            process_group.broadcast(flat, src=src)
+            self.scatter_into_params(bucket, flat)
 
     # -- shard <-> parameter mapping ------------------------------------
     def shard_overlaps(

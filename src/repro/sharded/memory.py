@@ -91,10 +91,14 @@ def measure_ddp_bytes(ddp, optimizer=None) -> int:
 class ShardedStats:
     """Counters + peak-byte meter behind ``ddp_stats()["sharded"]``.
 
-    ``observe(nbytes)`` feeds a measured live-byte sample; the wrappers
-    call it at the peaks of their lifecycle (post-gather, post-backward,
-    pre-free), so ``peak_bytes`` tracks the worst point of an iteration
-    rather than a steady state.
+    ``observe(nbytes)`` feeds a measured live-byte sample, and
+    ``peak_bytes`` is the largest *sample*, not a true high-water mark.
+    The wrappers sample at ``step()`` entry (every gradient flat live,
+    nothing harvested yet) and exit; ZeRO-3 also samples each time a
+    unit's gather has been bound in forward.  Nothing samples *during*
+    backward, where ZeRO-3 briefly holds the full parameters plus one
+    unit's gradient flat — ``tests/test_sharded_schedule.py`` bounds that
+    from the test side and docs/performance.md prints it.
     """
 
     def __init__(self, stage: str, world: int):

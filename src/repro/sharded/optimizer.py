@@ -167,10 +167,7 @@ class ShardedOptimizer:
         flats: List[np.ndarray] = []
         works: List = []
         for bucket, shard in enumerate(self.shards):
-            flat = np.empty(
-                self.layout.buckets[bucket].total_elements,
-                dtype=self.layout.bucket_dtype(bucket),
-            )
+            flat = self.layout.empty_flat(bucket)
             work = self.process_group.all_gather_flat(
                 flat, shard=shard.data, async_op=True
             )

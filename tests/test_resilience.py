@@ -9,6 +9,7 @@ run exactly reproducible.
 import os
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -247,27 +248,50 @@ class TestStoreLifecycle:
 
 
 class TestHeartbeat:
-    def test_monitor_detects_stopped_heartbeat(self):
+    """Liveness is judged on a clock the test drives: ``heartbeat.py``
+    reads ``time.monotonic`` through its module-level ``time``, which is
+    swapped for a fake here, so a loaded machine cannot make a live rank
+    look dead (or a silent one look alive) by stalling a thread."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        from repro.resilience import heartbeat
+
+        now = [100.0]
+        monkeypatch.setattr(heartbeat, "time", types.SimpleNamespace(
+            monotonic=lambda: now[0], perf_counter=time.perf_counter,
+        ))
+        return now
+
+    def test_monitor_detects_stopped_heartbeat(self, clock):
         store = Store()
         beat = Heartbeat(store, "hb-test", 0, interval=0.02).start()
-        monitor = HeartbeatMonitor(
-            store, "hb-test", [0], miss_threshold=0.15, grace=0.5
-        )
-        time.sleep(0.05)
-        assert monitor.dead_ranks() == []
-        beat.stop()
-        time.sleep(0.3)
+        try:
+            monitor = HeartbeatMonitor(
+                store, "hb-test", [0], miss_threshold=0.15, grace=0.5
+            )
+            assert monitor.dead_ranks() == []
+        finally:
+            beat.stop()
+        assert not beat._thread.is_alive()
+        clock[0] += 0.3  # nobody beats any more: the last one goes stale
         assert monitor.dead_ranks() == [0]
 
-    def test_never_started_rank_dead_only_after_grace(self):
+    def test_never_started_rank_dead_only_after_grace(self, clock):
         store = Store()
         monitor = HeartbeatMonitor(
             store, "hb-test2", [0, 1], miss_threshold=0.05, grace=0.2
         )
-        Heartbeat(store, "hb-test2", 0, interval=0.02).start()
-        assert 1 not in monitor.dead_ranks()  # inside the grace window
-        time.sleep(0.3)
-        assert monitor.dead_ranks() == [1]
+        beat = Heartbeat(store, "hb-test2", 0, interval=0.02)  # beaten by hand
+        beat.beat_once()
+        clock[0] += 0.1
+        beat.beat_once()
+        assert monitor.dead_ranks() == []  # rank 1 silent, inside the grace window
+        clock[0] += 0.2
+        beat.beat_once()
+        assert monitor.dead_ranks() == [1]  # rank 0 is live, rank 1 never started
+        clock[0] += 0.1
+        assert monitor.dead_ranks() == [0, 1]
 
 
 class TestTrainingCheckpoint:

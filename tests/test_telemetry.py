@@ -21,6 +21,7 @@ from conftest import run_world, small_classifier
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
+from repro.models import MLP
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 from repro.utils import manual_seed
 from repro.utils.logging import enable_logging, logger
@@ -202,20 +203,18 @@ class TestRealRunTracing:
         telemetry.enable()
 
         def body(rank):
-            # Wide enough that backward compute spans several thread
-            # scheduling quanta, so early buckets' AllReduces genuinely
-            # run concurrently with the remaining backward.
+            # Wide and deep enough that backward compute spans several
+            # thread scheduling quanta, so early buckets' AllReduces
+            # genuinely run concurrently with the remaining backward
+            # (256-wide x 3 read an overlap of exactly 0 in one run of
+            # seven once the fused Linear kernel halved its backward).
             manual_seed(0)
-            net = nn.Sequential(
-                nn.Linear(64, 256), nn.ReLU(), nn.Linear(256, 256), nn.ReLU(),
-                nn.Linear(256, 256), nn.ReLU(), nn.Linear(256, 8)
-            )
-            ddp = DistributedDataParallel(net, bucket_cap_mb=0.3)
+            ddp = DistributedDataParallel(MLP(64, [512] * 5, 8), bucket_cap_mb=1.2)
             opt = optim.SGD(ddp.parameters(), lr=0.01)
             rng = np.random.default_rng(rank)
             for _ in range(3):
-                inp = Tensor(rng.standard_normal((64, 64)))
-                exp = rng.integers(0, 8, 64)
+                inp = Tensor(rng.standard_normal((128, 64)))
+                exp = rng.integers(0, 8, 128)
                 opt.zero_grad()
                 nn.CrossEntropyLoss()(ddp(inp), exp).backward()
                 opt.step()
