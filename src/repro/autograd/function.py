@@ -27,9 +27,15 @@ class Context:
 
     ``save_for_backward`` stores arrays; arbitrary attributes may also be
     assigned (e.g. ``ctx.shape = x.shape``) exactly as in PyTorch.
+
+    ``needs_input_grad`` — one bool per forward input, true where the
+    input has an edge — exists only on the context of a *recorded* node
+    (``Function.apply`` sets it after forward, from the edges it builds
+    anyway), so ``backward`` may read it to skip a gradient nobody
+    consumes; it must still return ``None`` in that input's position.
     """
 
-    __slots__ = ("saved", "__dict__")
+    __slots__ = ("saved", "needs_input_grad", "__dict__")
 
     def __init__(self) -> None:
         self.saved: tuple = ()
@@ -91,6 +97,7 @@ class Function:
                     edges.append(inp._grad_edge())
                 else:
                     edges.append(None)
+            ctx.needs_input_grad = tuple(edge is not None for edge in edges)
             node = cls(ctx, edges)
             node.input_count = len(inputs)
             out.grad_fn = node

@@ -6,11 +6,12 @@ primitives, which keeps each backward rule small and independently
 testable against numeric differentiation.
 
 The ops a per-op profile (``repro.autograd.profiler``) ranked at the top
-of the transformer / MLP iteration are fused instead of composed —
-:class:`Linear`, :class:`Gelu`, :class:`LayerNorm` and the scaled
-:class:`Softmax` — and their composed formulations are kept as the
-references in ``tests/test_fused_ops.py``.  Every op hands a parameter
-its gradient C-contiguous in the parameter's layout.
+of the transformer / MLP / ConvNet iteration are fused instead of
+composed — :class:`Linear`, :class:`Gelu`, :class:`LayerNorm`, the
+scaled :class:`Softmax`, :class:`Conv2d` (with bias), :class:`BatchNorm`
+and :class:`MaxPool2d` — and the formulations they replaced are kept as
+the references in ``tests/test_fused_ops.py``.  Every op hands a
+parameter its gradient C-contiguous in the parameter's layout.
 """
 
 from __future__ import annotations
@@ -355,7 +356,8 @@ class Linear(Function):
     def backward(ctx: Context, grad):
         x, weight = ctx.saved
         grad2 = grad.reshape(-1, grad.shape[-1])
-        grad_x = (grad2 @ weight).reshape(x.shape)
+        # The network input has no edge: nobody reads its gradient.
+        grad_x = (grad2 @ weight).reshape(x.shape) if ctx.needs_input_grad[0] else None
         grad_weight = grad2.T @ x.reshape(-1, x.shape[-1])
         grad_bias = grad2.sum(axis=0) if ctx.has_bias else None
         return grad_x, grad_bias, grad_weight
@@ -555,78 +557,147 @@ class LayerNorm(Function):
         return grad_x, grad_bias, grad_weight
 
 
+class BatchNorm(Function):
+    """Training-mode batch normalisation: ``(x - mean) / sqrt(var + eps)
+    * weight + bias`` with the statistics taken over every axis but 1,
+    so ``(N, C)``, ``(N, C, L)`` and ``(N, C, H, W)`` inputs share it.
+
+    Closed-form backward, ``m`` elements per channel::
+
+        grad_b = sum(g)    grad_w = sum(g * xhat)
+        grad_x = weight * rstd * (g - grad_b / m - xhat * grad_w / m)
+
+    ``stats``, when given, is a list that receives the batch mean and
+    the biased batch variance (each ``(C,)``): the module's running
+    statistics are built from them outside the tape.  Inputs are
+    ``(x, bias, weight)`` for the reason given in :class:`Linear`.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x, bias, weight, eps: float = 1e-5, stats=None):
+        axes = (0,) + tuple(range(2, x.ndim))
+        ctx.axes = axes
+        ctx.channel_shape = shape = (1, -1) + (1,) * (x.ndim - 2)
+        mean = x.mean(axis=axes, keepdims=True)
+        xhat = x - mean
+        out = xhat * xhat  # the squares now, the result below
+        var = out.mean(axis=axes, keepdims=True)
+        if stats is not None:
+            stats += (mean.reshape(-1), var.reshape(-1))
+        rstd = (var + eps) ** -0.5
+        xhat *= rstd
+        ctx.save_for_backward(xhat, rstd, weight)
+        np.multiply(xhat, weight.reshape(shape), out=out)
+        out += bias.reshape(shape)
+        return out
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        xhat, rstd, weight = ctx.saved
+        axes, shape = ctx.axes, ctx.channel_shape
+        per_channel = xhat.size // xhat.shape[1]
+        grad_bias = grad.sum(axis=axes)
+        # One full-size array, in the activation's memory layout: first
+        # the products for grad_weight, then grad_x built up in place.
+        grad_x = np.multiply(grad, xhat, out=np.empty_like(xhat))
+        grad_weight = grad_x.sum(axis=axes)
+        np.multiply(xhat, (grad_weight / -per_channel).reshape(shape), out=grad_x)
+        grad_x += grad
+        grad_x -= (grad_bias / per_channel).reshape(shape)
+        grad_x *= weight.reshape(shape) * rstd
+        return grad_x, grad_bias, grad_weight
+
+
 # ---------------------------------------------------------------------
 # convolution / pooling (im2col based)
 # ---------------------------------------------------------------------
 
 
 class Conv2d(Function):
-    """2-D cross-correlation over NCHW inputs via im2col.
+    """2-D cross-correlation (+ bias) over NCHW inputs via im2col.
 
     Weight layout is ``(out_channels, in_channels, kh, kw)``; stride and
-    zero padding are symmetric.
+    zero padding are symmetric.  The patch matrix is K-major,
+    ``(C*kh*kw, N*oh*ow)``, so forward is one GEMM ``(oc, K) @ (K, M)``
+    whose channel-major result takes the bias as ``+= bias[:, None]``,
+    and ``grad_weight = G @ cols.T`` comes out C-contiguous in the
+    weight's own layout.  The output is the NCHW *view* of that
+    channel-major array — no transposing copy; elementwise ops keep the
+    memory order, so a following :class:`BatchNorm` hands the gradient
+    back channel-major and ``G`` is a view as well.  ``grad_x`` (a
+    second GEMM and the col2im scatter) is skipped when the input has no
+    edge — the first layer of a network.  Inputs are ``(x, bias,
+    weight)`` for the reason given in :class:`Linear`.
     """
 
     @staticmethod
-    def forward(ctx: Context, x, weight, stride: int = 1, padding: int = 0):
+    def forward(ctx: Context, x, bias, weight, stride: int = 1, padding: int = 0):
         n, c, h, w = x.shape
         oc, ic, kh, kw = weight.shape
         if ic != c:
             raise ValueError(f"conv2d channel mismatch: input {c}, weight {ic}")
         cols, out_h, out_w = _im2col(x, kh, kw, stride, padding)
-        w_mat = weight.reshape(oc, -1)
-        out = (cols @ w_mat.T).reshape(n, out_h, out_w, oc).transpose(0, 3, 1, 2)
+        out = weight.reshape(oc, -1) @ cols
+        if bias is not None:
+            out += bias[:, None]
         ctx.save_for_backward(cols, weight)
+        ctx.has_bias = bias is not None
         ctx.x_shape = x.shape
         ctx.stride = stride
         ctx.padding = padding
-        return np.ascontiguousarray(out)
+        return out.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     @staticmethod
     def backward(ctx: Context, grad):
         cols, weight = ctx.saved
-        n, c, h, w = ctx.x_shape
-        oc, ic, kh, kw = weight.shape
-        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, oc)
-        grad_weight = (grad_mat.T @ cols).reshape(weight.shape)
-        grad_cols = grad_mat @ weight.reshape(oc, -1)
-        grad_x = _col2im(
-            grad_cols, ctx.x_shape, kh, kw, ctx.stride, ctx.padding
-        )
-        return grad_x, grad_weight, None, None
+        oc, _, kh, kw = weight.shape
+        grad_mat = grad.transpose(1, 0, 2, 3).reshape(oc, -1)  # a view, if channel-major
+        grad_weight = (grad_mat @ cols.T).reshape(weight.shape)
+        grad_bias = grad_mat.sum(axis=1) if ctx.has_bias else None
+        grad_x = None
+        if ctx.needs_input_grad[0]:
+            grad_cols = weight.reshape(oc, -1).T @ grad_mat
+            grad_x = _col2im(grad_cols, ctx.x_shape, kh, kw, ctx.stride, ctx.padding)
+        return grad_x, grad_bias, grad_weight, None, None
 
 
 class MaxPool2d(Function):
+    """Max pooling as a running maximum over the ``kernel**2`` strided
+    views of the input, one per in-window offset in row-major order.
+
+    The strict ``>`` keeps the *first* offset that attains the maximum —
+    ``argmax``'s tie rule (all-zero windows after a ReLU are the common
+    tie).  Backward adds ``grad`` into each offset's view where that
+    offset won; within one offset no two outputs share an input element,
+    so the strided ``+=`` is exact for overlapping windows too.
+    """
+
     @staticmethod
     def forward(ctx: Context, x, kernel: int = 2, stride: Optional[int] = None):
         stride = stride or kernel
-        n, c, h, w = x.shape
-        out_h = (h - kernel) // stride + 1
-        out_w = (w - kernel) // stride + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride, :, :]
-        flat = windows.reshape(n, c, out_h, out_w, -1)
-        argmax = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-        ctx.argmax = argmax
+        out_h = (x.shape[2] - kernel) // stride + 1
+        out_w = (x.shape[3] - kernel) // stride + 1
+        views = _window_views(x, kernel, kernel, stride, out_h, out_w)
+        out = np.array(next(views))  # a compact copy, in x's memory order
+        index = np.zeros_like(out, dtype=np.min_scalar_type(kernel * kernel - 1))
+        for offset, view in enumerate(views, start=1):
+            better = view > out
+            np.maximum(out, view, out=out)
+            np.putmask(index, better, offset)
+        ctx.index = index
         ctx.x_shape = x.shape
         ctx.kernel = kernel
         ctx.stride = stride
-        return np.ascontiguousarray(out)
+        return out
 
     @staticmethod
     def backward(ctx: Context, grad):
-        n, c, h, w = ctx.x_shape
-        kernel, stride = ctx.kernel, ctx.stride
-        out_h, out_w = grad.shape[2], grad.shape[3]
-        grad_x = np.zeros(ctx.x_shape, dtype=np.float64)
-        ki = ctx.argmax // kernel
-        kj = ctx.argmax % kernel
-        ii = (np.arange(out_h)[None, None, :, None] * stride) + ki
-        jj = (np.arange(out_w)[None, None, None, :] * stride) + kj
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(grad_x, (nn, cc, ii, jj), grad)
+        kernel, index = ctx.kernel, ctx.index
+        grad_x = np.zeros(ctx.x_shape, dtype=grad.dtype)
+        views = _window_views(grad_x, kernel, kernel, ctx.stride, *grad.shape[2:])
+        share = np.empty_like(grad)
+        for offset, view in enumerate(views):
+            view += np.multiply(grad, index == offset, out=share)
         return (grad_x, None, None)
 
 
@@ -650,7 +721,7 @@ class AvgPool2d(Function):
         kernel, stride = ctx.kernel, ctx.stride
         n, c, h, w = ctx.x_shape
         out_h, out_w = grad.shape[2], grad.shape[3]
-        grad_x = np.zeros(ctx.x_shape, dtype=np.float64)
+        grad_x = np.zeros(ctx.x_shape, dtype=grad.dtype)
         share = grad / (kernel * kernel)
         for ki in range(kernel):
             for kj in range(kernel):
@@ -658,35 +729,46 @@ class AvgPool2d(Function):
         return (grad_x, None, None)
 
 
+def _window_views(x: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int):
+    """The ``kh * kw`` strided views of ``x``'s last two axes, one per
+    in-window offset in row-major order; each is ``(..., out_h, out_w)``."""
+    for ki in range(kh):
+        for kj in range(kw):
+            yield x[..., ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride]
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """The K-major patch matrix ``(C*kh*kw, N*out_h*out_w)`` of an NCHW
+    array: one strided slice copy per kernel offset into one array."""
     n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    channel_major = x.transpose(1, 0, 2, 3)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ph, pw = x.shape[2], x.shape[3]
-    out_h = (ph - kh) // stride + 1
-    out_w = (pw - kw) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, out_h, out_w, C*kh*kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
+        padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = channel_major
+        channel_major = padded
+    cols = np.empty((c, kh * kw, n, out_h, out_w), dtype=x.dtype)
+    for offset, view in enumerate(_window_views(channel_major, kh, kw, stride, out_h, out_w)):
+        cols[:, offset] = view
+    return cols.reshape(c * kh * kw, -1), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int):
+    """Scatter-add a K-major patch matrix back onto an NCHW array (the
+    transpose of :func:`_im2col`), accumulating over ``(C, N, ph, pw)``."""
     n, c, h, w = x_shape
     ph, pw = h + 2 * padding, w + 2 * padding
     out_h = (ph - kh) // stride + 1
     out_w = (pw - kw) // stride + 1
-    padded = np.zeros((n, c, ph, pw), dtype=np.float64)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for ki in range(kh):
-        for kj in range(kw):
-            padded[:, :, ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride] += cols[
-                :, :, :, :, ki, kj
-            ]
+    padded = np.zeros((c, n, ph, pw), dtype=cols.dtype)
+    cols = cols.reshape(c, kh * kw, n, out_h, out_w)
+    for offset, view in enumerate(_window_views(padded, kh, kw, stride, out_h, out_w)):
+        view += cols[:, offset]
+    grad_x = padded.transpose(1, 0, 2, 3)
     if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        grad_x = grad_x[:, :, padding:-padding, padding:-padding]
+    return grad_x
 
 
 # ---------------------------------------------------------------------
@@ -832,8 +914,17 @@ def softmax(a, axis: int = -1, scale: float = 1.0):
     return Softmax.apply(a, axis=axis, scale=scale)
 
 
-def conv2d(x, weight, stride: int = 1, padding: int = 0):
-    return Conv2d.apply(x, weight, stride=stride, padding=padding)
+def batch_norm(x, weight, bias, eps: float = 1e-5, stats=None):
+    """Normalize by the batch statistics over every axis but 1, then
+    scale and shift, as one node; ``stats`` (a list) receives the batch
+    mean and biased variance."""
+    return BatchNorm.apply(x, bias, weight, eps=eps, stats=stats)
+
+
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0):
+    """Cross-correlate NCHW ``x`` with ``(oc, ic, kh, kw)`` ``weight``
+    (+ per-channel ``bias``) as one tape node."""
+    return Conv2d.apply(x, bias, weight, stride=stride, padding=padding)
 
 
 def max_pool2d(x, kernel: int = 2, stride: Optional[int] = None):

@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.autograd.tensor import Tensor
 from repro.utils.units import MB
+
+#: Bucket cap for a caller that does not want size-based splitting:
+#: large enough that only device/dtype changes close a bucket.
+UNBOUNDED_CAP_BYTES = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,34 @@ class BucketSpec:
 
     def offset_of(self, param_index: int) -> int:
         return self.offsets[self.param_indices.index(param_index)]
+
+
+def copy_params_into(spec: BucketSpec, params: Sequence, flat: np.ndarray) -> None:
+    """Copy the values of ``spec``'s tensors into its flat buffer."""
+    for index, offset, size in zip(spec.param_indices, spec.offsets, spec.sizes):
+        flat[offset : offset + size] = params[index].data.reshape(-1)
+
+
+def scatter_into_params(spec: BucketSpec, params: Sequence, flat: np.ndarray) -> None:
+    """Write ``spec``'s flat buffer back into its tensors, in place."""
+    for index, offset, size in zip(spec.param_indices, spec.offsets, spec.sizes):
+        data = params[index].data
+        np.copyto(data, flat[offset : offset + size].reshape(data.shape))
+
+
+def broadcast_params(
+    specs: Sequence[BucketSpec], params: Sequence, process_group, src: int = 0
+) -> None:
+    """Overwrite every rank's ``params`` with ``src``'s: one broadcast
+    per flat bucket — the ``broadcast_coalesced`` of the c10d frontend —
+    instead of one per tensor.  ``params`` are any tensors the specs
+    index (parameters or buffers); each flat carries its bucket's device
+    tag, so a backend still sees where the tensors live."""
+    for spec in specs:
+        flat = np.empty(spec.total_elements, dtype=np.dtype(spec.dtype))
+        copy_params_into(spec, params, flat)
+        process_group.broadcast(Tensor(flat, device=spec.device), src=src)
+        scatter_into_params(spec, params, flat)
 
 
 def compute_bucket_assignment(

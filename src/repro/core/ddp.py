@@ -24,7 +24,12 @@ from typing import Optional
 
 from repro.autograd.tensor import Tensor
 from repro.comm.distributed import get_context
-from repro.core.bucket import cached_bucket_assignment
+from repro.core.bucket import (
+    UNBOUNDED_CAP_BYTES,
+    broadcast_params,
+    cached_bucket_assignment,
+    compute_bucket_assignment,
+)
 from repro.core.reducer import CommHook, Reducer
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG, DETAIL, INFO, debug_level_name
@@ -124,6 +129,12 @@ class DistributedDataParallel(Module):
         if not self._params:
             raise ValueError("DistributedDataParallel requires a model with parameters")
         self._param_names = [name for name, _ in module.named_parameters()]
+        # Buffers travel as one flat broadcast per (device, dtype) run,
+        # not one per tensor; the layout is built once, here.
+        self._module_buffers = list(module.buffers())
+        self._buffer_flat_specs = compute_bucket_assignment(
+            self._module_buffers, UNBOUNDED_CAP_BYTES
+        )
 
         # (0) REPRO_DEBUG=INFO: verify every replica wrapped the same
         # architecture *before* broadcasting, so a rank that built a
@@ -189,10 +200,9 @@ class DistributedDataParallel(Module):
     # ------------------------------------------------------------------
     def _broadcast_module_state(self) -> None:
         with collective_context("ddp init broadcast"):
-            for param in self._params:
-                self.process_group.broadcast(param, src=0)
-            for buffer in self.module.buffers():
-                self.process_group.broadcast(buffer, src=0)
+            param_flat_specs = compute_bucket_assignment(self._params, UNBOUNDED_CAP_BYTES)
+            broadcast_params(param_flat_specs, self._params, self.process_group)
+            self._broadcast_buffers_now()
 
     # ------------------------------------------------------------------
     # REPRO_DEBUG replica consistency checks (TORCH_DISTRIBUTED_DEBUG
@@ -271,8 +281,8 @@ class DistributedDataParallel(Module):
             )
 
     def _broadcast_buffers_now(self) -> None:
-        for buffer in self.module.buffers():
-            self.process_group.broadcast(buffer, src=0)
+        # No buffers, no specs: a buffer-less model issues nothing.
+        broadcast_params(self._buffer_flat_specs, self._module_buffers, self.process_group)
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -335,7 +345,7 @@ class DistributedDataParallel(Module):
                 self._maybe_rebucket_from_trace()
             # Buffers changed since the last synchronized iteration must
             # be re-aligned to rank 0 before this forward (§4.1).
-            if self.broadcast_buffers and any(True for _ in self.module.buffers()):
+            if self.broadcast_buffers:
                 self._broadcast_buffers_now()
         with _spans.span(
             "ddp.forward",

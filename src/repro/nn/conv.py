@@ -44,10 +44,9 @@ class Conv2d(Module):
             object.__setattr__(self, "bias", None)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
-        return out
+        return ops.conv2d(
+            x, self.weight, self.bias, stride=self.stride, padding=self.padding
+        )
 
     def __repr__(self) -> str:
         return (

@@ -16,9 +16,8 @@ from repro.nn.module import Module, Parameter
 
 
 class _BatchNorm(Module):
-    """Shared machinery for BatchNorm1d/2d (differing only in reduce axes)."""
-
-    _reduce_axes: tuple
+    """Shared machinery for BatchNorm1d/2d: both normalize over every
+    axis but the channel axis 1."""
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -31,52 +30,32 @@ class _BatchNorm(Module):
         self.register_buffer("running_var", Tensor(np.ones(num_features)))
         self.register_buffer("num_batches_tracked", Tensor(np.zeros(1)))
 
-    def _param_shape(self, ndim: int) -> tuple:
-        shape = [1] * ndim
-        shape[1] = self.num_features
-        return tuple(shape)
-
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._reduce_axes
-        shape = self._param_shape(x.ndim)
         if self.training:
-            mean = ops.mean(x, axis=axes, keepdims=True)
-            centered = x - mean
-            var = ops.mean(centered * centered, axis=axes, keepdims=True)
+            stats: list = []
+            out = ops.batch_norm(x, self.weight, self.bias, eps=self.eps, stats=stats)
+            mean, var = stats
             # Update running statistics outside the tape.
-            count = np.prod([x.shape[ax] for ax in axes])
-            unbiased = var.data * count / max(count - 1, 1)
+            count = x.size // self.num_features
+            unbiased = var * count / max(count - 1, 1)
             m = self.momentum
-            self.running_mean.data[...] = (
-                (1 - m) * self.running_mean.data + m * mean.data.reshape(-1)
-            )
-            self.running_var.data[...] = (
-                (1 - m) * self.running_var.data + m * unbiased.reshape(-1)
-            )
+            self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean
+            self.running_var.data[...] = (1 - m) * self.running_var.data + m * unbiased
             self.num_batches_tracked.data += 1
-            inv_std = (var + self.eps) ** -0.5
-            normalized = centered * inv_std
-        else:
-            mean = Tensor(self.running_mean.data.reshape(shape))
-            var = Tensor(self.running_var.data.reshape(shape))
-            normalized = (x - mean) * Tensor((var.data + self.eps) ** -0.5)
+            return out
+        shape = (1, -1) + (1,) * (x.ndim - 2)
+        mean = Tensor(self.running_mean.data.reshape(shape))
+        var = Tensor(self.running_var.data.reshape(shape))
+        normalized = (x - mean) * Tensor((var.data + self.eps) ** -0.5)
         return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
 
 
 class BatchNorm1d(_BatchNorm):
     """Normalizes (N, C) or (N, C, L) inputs over the batch dimension(s)."""
 
-    _reduce_axes = (0,)
-
-    def forward(self, x: Tensor) -> Tensor:
-        object.__setattr__(self, "_reduce_axes", (0,) if x.ndim == 2 else (0, 2))
-        return super().forward(x)
-
 
 class BatchNorm2d(_BatchNorm):
     """Normalizes (N, C, H, W) inputs over N, H, W."""
-
-    _reduce_axes = (0, 2, 3)
 
 
 class LayerNorm(Module):

@@ -26,13 +26,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.algorithms import partition_spans
-from repro.core.bucket import BucketSpec, cached_bucket_assignment
+from repro.core import bucket as _bucket
+from repro.core.bucket import UNBOUNDED_CAP_BYTES, BucketSpec, cached_bucket_assignment
 from repro.nn.container import ModuleList, Sequential
 from repro.utils.units import MB
-
-#: Bucket cap used when the caller does not want size-based splitting:
-#: large enough that only device/dtype changes close a bucket.
-UNBOUNDED_CAP_BYTES = 1 << 62
 
 
 def select_units(root) -> List[Tuple[str, list]]:
@@ -181,25 +178,16 @@ class FlatShardLayout:
 
     def copy_params_into(self, bucket: int, flat: np.ndarray) -> None:
         """Copy parameter values into the bucket's flat buffer."""
-        for index, offset, size in self.bucket_entries(bucket):
-            flat[offset : offset + size] = self.params[index].data.reshape(-1)
+        _bucket.copy_params_into(self.buckets[bucket], self.params, flat)
 
     def scatter_into_params(self, bucket: int, flat: np.ndarray) -> None:
         """Write the bucket's flat buffer back into the parameters."""
-        for index, offset, size in self.bucket_entries(bucket):
-            param = self.params[index]
-            np.copyto(
-                param.data, flat[offset : offset + size].reshape(param.data.shape)
-            )
+        _bucket.scatter_into_params(self.buckets[bucket], self.params, flat)
 
     def broadcast_params(self, process_group, src: int = 0) -> None:
         """Overwrite every rank's parameters with ``src``'s: one
         broadcast per flat bucket instead of one per parameter."""
-        for bucket in range(self.num_buckets):
-            flat = self.empty_flat(bucket)
-            self.copy_params_into(bucket, flat)
-            process_group.broadcast(flat, src=src)
-            self.scatter_into_params(bucket, flat)
+        _bucket.broadcast_params(self.buckets, self.params, process_group, src=src)
 
     # -- shard <-> parameter mapping ------------------------------------
     def shard_overlaps(

@@ -77,12 +77,7 @@ def measure_ddp_bytes(ddp, optimizer=None) -> int:
     optimizer state.  The DDP side of the bench's crossover table,
     measured with the same walker as the sharded wrappers."""
     arrays = list(module_arrays(ddp.module))
-    reducer = getattr(ddp, "reducer", None)
-    if reducer is not None:
-        for bucket in getattr(reducer, "_buckets", []):
-            flat = getattr(bucket, "flat", None)
-            if isinstance(flat, np.ndarray):
-                arrays.append(flat)
+    arrays.extend(bucket.flat for bucket in ddp.reducer.buckets)
     if optimizer is not None:
         arrays.extend(optimizer_state_arrays(optimizer))
     return storage_bytes(arrays)

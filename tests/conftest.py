@@ -8,7 +8,13 @@ import pytest
 from repro import nn
 from repro.comm import run_distributed
 from repro.comm.process_group import Work
-from repro.debug import CollectiveRecord, fingerprint
+from repro.debug import (
+    CollectiveRecord,
+    clear_recorders,
+    fingerprint,
+    get_debug_level,
+    set_debug_level,
+)
 from repro.utils import manual_seed
 
 
@@ -56,6 +62,17 @@ def buffered_classifier(seed: int = 7) -> nn.Module:
     return nn.Sequential(
         nn.Linear(6, 16), nn.BatchNorm1d(16), nn.ReLU(), nn.Linear(16, 4)
     )
+
+
+@pytest.fixture
+def flight():
+    """Flight recorder on for one test (REPRO_DEBUG=INFO), off after."""
+    previous = get_debug_level()
+    clear_recorders()
+    set_debug_level("INFO")
+    yield
+    set_debug_level(previous)
+    clear_recorders()
 
 
 @pytest.fixture

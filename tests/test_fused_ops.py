@@ -1,10 +1,11 @@
-"""Fused compute kernels: Linear, Gelu, LayerNorm, scaled Softmax.
+"""Fused compute kernels: Linear, Gelu, LayerNorm, scaled Softmax,
+Conv2d, BatchNorm, MaxPool2d.
 
-The composed-primitive formulations these kernels replaced live on here
-as the references: each fused op must match its reference to 1e-12 in
-value and in every input gradient, pass ``gradcheck``, and hand every
-leaf gradient to ``AccumulateGrad`` C-contiguous in the parameter's
-layout — locally, under DDP (view and copy mode) and under ZeRO-3.
+The formulations these kernels replaced live on here as the references:
+each fused op must match its reference to 1e-12 in value and in every
+input gradient, pass ``gradcheck``, and hand every leaf gradient to
+``AccumulateGrad`` C-contiguous in the parameter's layout — locally,
+under DDP (view and copy mode) and under ZeRO-3.
 """
 
 import heapq
@@ -14,13 +15,22 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import AccumulateGrad, Tensor, gradcheck, ops
+from repro.autograd import (
+    AccumulateGrad,
+    Tensor,
+    collect_participating_accumulators,
+    gradcheck,
+    ops,
+)
 from repro.autograd import engine as engine_module
 from repro.autograd.function import Context, Function
+from repro.autograd.graph import graph_node_count
 from repro.autograd.profiler import main as profiler_main
 from repro.autograd.profiler import profile_ops
+from repro.comm import get_context
 from repro.core import DistributedDataParallel
-from repro.models import MLP, TinyTransformer
+from repro.models import MLP, ConvNet, TinyTransformer
+from repro.nn.norm import _BatchNorm
 from repro.optim import SGD
 from repro.sharded import FullyShardedDataParallel
 from repro.utils import manual_seed
@@ -53,6 +63,146 @@ def scaled_softmax_reference(x, scale):
     scaled = x * scale
     e = ops.exp(scaled - Tensor(scaled.data.max(axis=-1, keepdims=True)))
     return e / ops.sum(e, axis=-1, keepdims=True)
+
+
+class Conv2dReference(Function):
+    """The im2col convolution ``ops.Conv2d`` replaced: a padded copy, a
+    6-D ``sliding_window_view`` gathered into an M-major patch matrix,
+    and a transposed output made contiguous; bias is a separate ``Add``."""
+
+    @staticmethod
+    def forward(ctx: Context, x, weight, stride: int = 1, padding: int = 0):
+        n, c, h, w = x.shape
+        oc, _, kh, kw = weight.shape
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride, :, :]
+        out_h, out_w = windows.shape[2:4]
+        cols = np.ascontiguousarray(
+            windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
+        )
+        ctx.save_for_backward(cols, weight)
+        ctx.geometry = (x.shape, padded.shape, out_h, out_w, stride, padding)
+        out = (cols @ weight.reshape(oc, -1).T).reshape(n, out_h, out_w, oc)
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        cols, weight = ctx.saved
+        (n, c, h, w), padded_shape, out_h, out_w, stride, padding = ctx.geometry
+        oc, _, kh, kw = weight.shape
+        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, oc)
+        grad_weight = (grad_mat.T @ cols).reshape(weight.shape)
+        grad_cols = (grad_mat @ weight.reshape(oc, -1)).reshape(n, out_h, out_w, c, kh, kw)
+        grad_cols = grad_cols.transpose(0, 3, 1, 2, 4, 5)
+        padded = np.zeros(padded_shape)
+        for ki in range(kh):
+            for kj in range(kw):
+                padded[:, :, ki : ki + out_h * stride : stride,
+                       kj : kj + out_w * stride : stride] += grad_cols[:, :, :, :, ki, kj]
+        return padded[:, :, padding : padding + h, padding : padding + w], grad_weight, None, None
+
+
+def conv2d_reference(x, weight, bias=None, stride=1, padding=0):
+    out = Conv2dReference.apply(x, weight, stride=stride, padding=padding)
+    return out if bias is None else out + bias.reshape(1, -1, 1, 1)
+
+
+class MaxPool2dReference(Function):
+    """The pooling ``ops.MaxPool2d`` replaced: ``argmax`` over the
+    flattened windows, ``take_along_axis``, and an ``np.add.at`` scatter."""
+
+    @staticmethod
+    def forward(ctx: Context, x, kernel: int = 2, stride=None):
+        stride = stride or kernel
+        windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride, :, :]
+        flat = windows.reshape(windows.shape[:4] + (-1,))
+        ctx.argmax = flat.argmax(axis=-1)
+        ctx.geometry = (x.shape, kernel, stride)
+        return np.take_along_axis(flat, ctx.argmax[..., None], axis=-1)[..., 0]
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        (n, c, h, w), kernel, stride = ctx.geometry
+        grad_x = np.zeros((n, c, h, w))
+        ii = np.arange(grad.shape[2])[None, None, :, None] * stride + ctx.argmax // kernel
+        jj = np.arange(grad.shape[3])[None, None, None, :] * stride + ctx.argmax % kernel
+        nn_, cc = np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None]
+        np.add.at(grad_x, (nn_, cc, ii, jj), grad)
+        return (grad_x, None, None)
+
+
+def max_pool2d_reference(x, kernel=2, stride=None):
+    return MaxPool2dReference.apply(x, kernel=kernel, stride=stride)
+
+
+class ComposedBatchNorm(_BatchNorm):
+    """The twelve-node batch norm ``ops.BatchNorm`` replaced, buffers
+    included: the module the fused one must equal bit for bit in its
+    running statistics."""
+
+    def forward(self, x):
+        axes = (0,) + tuple(range(2, x.ndim))
+        shape = (1, self.num_features) + (1,) * (x.ndim - 2)
+        if self.training:
+            mean = ops.mean(x, axis=axes, keepdims=True)
+            centered = x - mean
+            var = ops.mean(centered * centered, axis=axes, keepdims=True)
+            count = np.prod([x.shape[ax] for ax in axes])
+            unbiased = var.data * count / max(count - 1, 1)
+            m = self.momentum
+            self.running_mean.data[...] = (
+                (1 - m) * self.running_mean.data + m * mean.data.reshape(-1)
+            )
+            self.running_var.data[...] = (
+                (1 - m) * self.running_var.data + m * unbiased.reshape(-1)
+            )
+            self.num_batches_tracked.data += 1
+            normalized = centered * (var + self.eps) ** -0.5
+        else:
+            mean = Tensor(self.running_mean.data.reshape(shape))
+            var = Tensor(self.running_var.data.reshape(shape))
+            normalized = (x - mean) * Tensor((var.data + self.eps) ** -0.5)
+        return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
+
+
+def batch_norm_reference(x, weight, bias, eps=1e-5):
+    module = ComposedBatchNorm(weight.shape[0], eps=eps)
+    module.weight, module.bias = weight, bias
+    return module(x)
+
+
+class _ReferenceConv2d(nn.Conv2d):
+    def forward(self, x):
+        return conv2d_reference(x, self.weight, self.bias, self.stride, self.padding)
+
+
+class _ReferenceMaxPool2d(nn.MaxPool2d):
+    def forward(self, x):
+        return max_pool2d_reference(x, self.kernel_size, self.stride)
+
+
+_REFERENCE_CLASS = {
+    nn.Conv2d: _ReferenceConv2d,
+    nn.MaxPool2d: _ReferenceMaxPool2d,
+    nn.BatchNorm1d: ComposedBatchNorm,
+    nn.BatchNorm2d: ComposedBatchNorm,
+}
+
+
+def as_reference(model):
+    """``model`` with every conv / pool / batch-norm layer switched, in
+    place, to the formulation it had before the fused kernels."""
+    for module in model.modules():
+        if type(module) in _REFERENCE_CLASS:
+            object.__setattr__(module, "__class__", _REFERENCE_CLASS[type(module)])
+    return model
+
+
+def _tape_nodes(output):
+    """Function nodes on the tape behind ``output`` (leaves not counted)."""
+    return graph_node_count([output]) - len(collect_participating_accumulators([output]))
 
 
 def _value_and_grads(fn, arrays, upstream):
@@ -168,6 +318,212 @@ class TestScaledSoftmax:
         assert profile.calls["Softmax", "forward"] == 2  # one per block
 
 
+class TestConv2d:
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+    def test_matches_reference_and_gradcheck(self, rng, with_bias, stride, padding):
+        x = rng.standard_normal((2, 3, 6, 5))
+        weight = rng.standard_normal((4, 3, 3, 3))
+        bias = rng.standard_normal(4) if with_bias else None
+        out_shape = (2, 4, (6 + 2 * padding - 3) // stride + 1, (5 + 2 * padding - 3) // stride + 1)
+        _assert_matches_reference(
+            lambda *t: ops.conv2d(*t, stride=stride, padding=padding),
+            lambda *t: conv2d_reference(*t, stride=stride, padding=padding),
+            [x, weight, bias], out_shape, rng,
+        )
+        inputs = [x, weight] + ([bias] if with_bias else [])
+        assert gradcheck(
+            lambda *t: (ops.conv2d(*t, stride=stride, padding=padding) ** 2).sum(), inputs
+        )
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_input_without_edge_skips_grad_x(self, rng, monkeypatch, padding):
+        x = rng.standard_normal((2, 3, 6, 6))
+        arrays = [rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)]
+        upstream = rng.standard_normal((2, 4, 4 + 2 * padding, 4 + 2 * padding))
+        _, ref_grads = _value_and_grads(
+            lambda w, b: conv2d_reference(Tensor(x), w, b, padding=padding), arrays, upstream
+        )
+        monkeypatch.setattr(ops, "_col2im", None)  # calling it would raise
+        weight, bias = (Tensor(a, requires_grad=True) for a in arrays)
+        out = ops.conv2d(Tensor(x), weight, bias, padding=padding)
+        assert out.grad_fn.ctx.needs_input_grad == (False, True, True)
+        (out * Tensor(upstream)).sum().backward()
+        for param, ref_grad in zip((weight, bias), ref_grads):
+            assert np.abs(param.grad.data - ref_grad).max() <= TOL
+
+    def test_non_contiguous_input(self, rng):
+        base = rng.standard_normal((2, 5, 6, 3))  # NHWC, viewed as NCHW
+        weight, bias = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+
+        def through(conv):
+            return lambda t, w, b: conv(
+                ops.transpose(ops.transpose(t, 1, 3), 2, 3), w, b, stride=1, padding=1
+            )
+
+        _assert_matches_reference(
+            through(ops.conv2d), through(conv2d_reference), [base, weight, bias],
+            (2, 4, 5, 6), rng,
+        )
+
+    def test_module_is_one_node_with_parameter_edges(self, rng):
+        layer = nn.Conv2d(3, 4, kernel_size=3, padding=1)
+        out = layer(Tensor(rng.standard_normal((2, 3, 5, 5))))
+        assert out.grad_fn.name() == "Conv2d"
+        assert [type(e) for e in out.grad_fn.next_edges] == [type(None)] + [AccumulateGrad] * 2
+
+
+class TestBatchNorm:
+    SHAPES = [(6, 4), (5, 4, 3), (3, 4, 5, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["NC", "NCL", "NCHW"])
+    def test_matches_reference_and_gradcheck(self, rng, shape):
+        arrays = [rng.standard_normal(shape) * 2.0 + 1.0, rng.standard_normal(4),
+                  rng.standard_normal(4)]
+        _assert_matches_reference(ops.batch_norm, batch_norm_reference, arrays, shape, rng)
+        weights = Tensor(rng.standard_normal(shape))
+        assert gradcheck(
+            lambda x, w, b: (ops.batch_norm(x, w, b) * weights).sum(), arrays
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["NC", "NCL", "NCHW"])
+    def test_running_statistics_are_bitwise_the_composed_modules(self, rng, shape):
+        layer = nn.BatchNorm1d(4, momentum=0.3) if len(shape) < 4 else nn.BatchNorm2d(4, momentum=0.3)
+        reference = ComposedBatchNorm(4, momentum=0.3)
+        for step in range(3):
+            x = Tensor(rng.standard_normal(shape) * (step + 1.0))
+            layer(x), reference(x)
+            for name, buffer in layer.named_buffers():
+                assert np.array_equal(buffer.data, dict(reference.named_buffers())[name].data)
+        assert layer.num_batches_tracked.data[0] == 3
+        assert not np.array_equal(layer.running_mean.data, np.zeros(4))
+
+    def test_one_node_eps_and_momentum(self, rng):
+        x = rng.standard_normal((8, 3, 4, 4))
+        layer, reference = nn.BatchNorm2d(3, eps=0.5, momentum=1.0), ComposedBatchNorm(3, eps=0.5)
+        out = layer(Tensor(x))
+        assert out.grad_fn.name() == "BatchNorm"
+        assert _tape_nodes(out) == 1
+        assert np.abs(out.data - reference(Tensor(x)).data).max() <= TOL
+        assert np.abs(out.data - nn.BatchNorm2d(3)(Tensor(x)).data).max() > 1e-3  # eps is used
+        assert np.array_equal(layer.running_mean.data, x.mean(axis=(0, 2, 3)))  # momentum 1
+
+    def test_statistics_update_without_a_tape(self, rng):
+        layer = nn.BatchNorm1d(3)
+        with engine_module.no_grad():
+            out = layer(Tensor(rng.standard_normal((5, 3)) + 2.0))
+        assert out.grad_fn is None
+        assert layer.num_batches_tracked.data[0] == 1 and layer.running_mean.data.min() > 0
+
+    def test_eval_mode_is_the_composed_formulation(self, rng):
+        layer, reference = nn.BatchNorm2d(3), ComposedBatchNorm(3)
+        warm_up = Tensor(rng.standard_normal((4, 3, 2, 2)) + 1.0)
+        for module in (layer, reference):
+            module(warm_up)
+            module.eval()
+        x = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+        ours, theirs = layer(x), reference(x)
+        assert np.array_equal(ours.data, theirs.data)
+        assert _tape_nodes(ours) == _tape_nodes(theirs) > 1
+        assert layer.num_batches_tracked.data[0] == 1  # eval leaves the buffers alone
+
+
+class TestMaxPool2d:
+    @pytest.mark.parametrize(
+        "size, kernel, stride",
+        [(6, 2, 2), (5, 2, 1), (7, 3, 2), (7, 2, 2), (8, 3, 3)],
+        ids=["2/2", "2/1-overlapping", "3/2", "2/2-ragged", "3/3-ragged"],
+    )
+    def test_matches_reference_and_gradcheck(self, rng, size, kernel, stride):
+        x = rng.standard_normal((2, 3, size, size + 1))
+        out = (size - kernel) // stride + 1, (size + 1 - kernel) // stride + 1
+        _assert_matches_reference(
+            lambda t: ops.max_pool2d(t, kernel, stride),
+            lambda t: max_pool2d_reference(t, kernel, stride),
+            [x], (2, 3) + out, rng,
+        )
+        assert gradcheck(lambda t: (ops.max_pool2d(t, kernel, stride) ** 2).sum(), [x])
+
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (2, 1)])
+    def test_ties_go_to_the_first_element_like_argmax(self, kernel, stride):
+        # After a ReLU whole windows are zero: every offset attains the max.
+        arrays = [np.zeros((1, 2, 4, 4))]
+        arrays[0][0, 1, 1:3, 1:3] = 1.0  # and a window of equal positives
+        side = (4 - kernel) // stride + 1
+        upstream = np.arange(1.0, 1.0 + 2 * side * side).reshape(1, 2, side, side)
+        value, (grad,) = _value_and_grads(
+            lambda t: ops.max_pool2d(t, kernel, stride), arrays, upstream
+        )
+        ref_value, (ref_grad,) = _value_and_grads(
+            lambda t: max_pool2d_reference(t, kernel, stride), arrays, upstream
+        )
+        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
+        if kernel == stride:  # the whole window's gradient lands on its first element
+            assert np.array_equal(grad[0, 0, :2, :2], [[upstream[0, 0, 0, 0], 0], [0, 0]])
+
+    def test_second_backward_over_the_same_tape(self, rng):
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
+        out = ops.max_pool2d(x, 2, 1)
+        out.sum().backward()
+        first = x.grad.data.copy()
+        x.grad = None
+        out.sum().backward()
+        assert np.array_equal(x.grad.data, first)
+
+
+class TestGradientDtype:
+    """Backward allocates in the incoming gradient's dtype, not float64."""
+
+    @pytest.mark.parametrize("op", [ops.MaxPool2d, ops.AvgPool2d], ids=["max", "avg"])
+    def test_pooling_float32_round_trip(self, rng, op):
+        ctx = Context()
+        out = op.forward(ctx, rng.standard_normal((2, 3, 6, 6)).astype(np.float32), kernel=2)
+        assert out.dtype == np.float32
+        assert op.backward(ctx, np.ones_like(out))[0].dtype == np.float32
+
+    def test_conv2d_float32_round_trip(self, rng):
+        ctx = Context()
+        x, bias, weight = (rng.standard_normal(shape).astype(np.float32)
+                           for shape in [(2, 3, 6, 6), (4,), (4, 3, 3, 3)])
+        out = ops.Conv2d.forward(ctx, x, bias, weight, stride=1, padding=1)
+        ctx.needs_input_grad = (True, True, True)  # what apply() records
+        grads = ops.Conv2d.backward(ctx, np.ones_like(out))[:3]
+        assert [g.dtype for g in (out,) + grads] == [np.float32] * 4
+        assert grads[0].shape == x.shape
+
+
+class TestNeedsInputGrad:
+    def test_set_from_the_edges_of_a_recorded_node_only(self, rng):
+        weight = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        out = ops.linear(Tensor(rng.standard_normal((2, 4))), weight)
+        assert out.grad_fn.ctx.needs_input_grad == (False, False, True)
+        hidden = ops.linear(out, weight.reshape(4, 3), Tensor(np.zeros(4), requires_grad=True))
+        assert hidden.grad_fn.ctx.needs_input_grad == (True, True, True)
+        assert not hasattr(Context(), "needs_input_grad")
+
+    def test_linear_skips_the_network_inputs_gradient(self, rng):
+        x = rng.standard_normal((5, 4))
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal(3)]
+        upstream = rng.standard_normal((5, 3))
+        returned = []
+        real_backward = ops.Linear.backward
+
+        class Spy(ops.Linear):
+            @staticmethod
+            def backward(ctx, grad):
+                returned.append(real_backward(ctx, grad))
+                return returned[-1]
+
+        _, grads = _value_and_grads(lambda w, b: Spy.apply(Tensor(x), b, w), arrays, upstream)
+        _, ref_grads = _value_and_grads(
+            lambda w, b: linear_reference(Tensor(x), w, b), arrays, upstream
+        )
+        assert returned[0][0] is None and len(returned[0]) == 3  # Nones stay aligned
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert np.abs(grad - ref_grad).max() <= TOL
+
+
 # -- the layout contract -----------------------------------------------
 
 def _models():
@@ -178,6 +534,8 @@ def _models():
         (TinyTransformer(vocab_size=16, max_seq_len=8, hidden=8, num_heads=2,
                          num_layers=1, ffn_dim=16, num_classes=3),
          rng.integers(0, 16, (4, 8))),
+        (ConvNet(num_classes=3, channels=2, image_size=8),
+         Tensor(rng.standard_normal((4, 1, 8, 8)))),
     ]
 
 
@@ -210,7 +568,7 @@ def incoming(monkeypatch):
 
 
 class TestGradientLayout:
-    NUM_PARAMS = 6 + 20  # MLP + one-block transformer
+    NUM_PARAMS = 6 + 20 + 12  # MLP + one-block transformer + ConvNet
 
     def test_local(self, incoming):
         layouts = _backward_once(lambda model: model)
@@ -293,6 +651,141 @@ class TestReadinessOrder:
 
         # Recorded at the parent commit (composed Add/MatMul/Transpose chain).
         assert run_world(2, body, backend="gloo") == [(5, 4, 3, 2, 1, 0)] * 2
+
+    def test_order_tracer_observes_the_reverse_of_parameters_on_convnet(self):
+        def body(rank):
+            ddp = DistributedDataParallel(
+                _convnet(), trace_backward_order=True, rebucket_after_iterations=100
+            )
+            nn.CrossEntropyLoss()(ddp(Tensor(IMAGES[rank::2])), LABELS[rank::2]).backward()
+            return ddp.reducer.order_tracer.observed_order()
+
+        assert run_world(2, body, backend="gloo") == [tuple(range(11, -1, -1))] * 2
+
+
+# -- ConvNet end to end ------------------------------------------------
+
+IMAGES = np.random.default_rng(11).standard_normal((8, 1, 8, 8))
+LABELS = np.random.default_rng(12).integers(0, 4, 8)
+
+
+def _convnet(seed=5):
+    manual_seed(seed)
+    return ConvNet(num_classes=4, channels=3, image_size=8)
+
+
+def _train(model, steps, forward=None):
+    """SGD steps on one fixed batch, through ``forward`` (a wrapper of
+    ``model``) when given; the loss of each step, then the state."""
+    forward = forward or model
+    optimizer, loss_fn, losses = SGD(model.parameters(), lr=0.05), nn.CrossEntropyLoss(), []
+    for _ in range(steps):
+        optimizer.zero_grad()
+        loss = loss_fn(forward(Tensor(IMAGES)), LABELS)
+        loss.backward()
+        optimizer.step()
+        losses.append(float(loss.data))
+    return losses, model.state_dict()
+
+
+class TestConvNet:
+    def test_sixteen_tape_nodes(self):
+        model = _convnet()
+        loss = nn.CrossEntropyLoss()(model(Tensor(IMAGES)), LABELS)
+        assert _tape_nodes(loss) == 16
+        assert _tape_nodes(nn.CrossEntropyLoss()(as_reference(model)(Tensor(IMAGES)), LABELS)) == 40
+
+    def test_five_steps_match_the_reference_formulations(self):
+        # Summation order inside an op changed, so not bitwise: 1e-12 relative.
+        losses, state = _train(_convnet(), steps=5)
+        ref_losses, ref_state = _train(as_reference(_convnet()), steps=5)
+        assert ref_losses[-1] < ref_losses[0]
+        for loss, ref_loss in zip(losses, ref_losses):
+            assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
+        for name in ("features.1.running_mean", "features.5.running_var", "head.3.weight"):
+            assert np.abs(state[name] - ref_state[name]).max() <= 1e-10
+
+    @pytest.mark.parametrize("as_view", [True, False], ids=["view", "copy"])
+    def test_ddp_is_bitwise_local_training(self, as_view):
+        """Every rank feeds the local run's batch, so the averaged
+        gradient is the local one exactly — parameters, running
+        statistics and losses must not differ in a single bit."""
+        local_losses, local_state = _train(_convnet(), steps=3)
+
+        def body(rank):
+            model = _convnet(seed=5 + rank)  # the constructor broadcast aligns them
+            ddp = DistributedDataParallel(
+                model, bucket_cap_mb=0, gradient_as_bucket_view=as_view
+            )
+            return _train(model, steps=3, forward=ddp)
+
+        for losses, state in run_world(2, body, backend="gloo"):
+            assert losses == local_losses
+            assert state.keys() == local_state.keys()
+            for name, value in state.items():
+                assert np.array_equal(value, local_state[name]), name
+
+
+# -- DDP's state broadcasts are flat -----------------------------------
+
+class TestFlatStateBroadcast:
+    @staticmethod
+    def _ops_per_phase(make_model, inputs, **ddp_kwargs):
+        """Collective op names at construction, in a synchronized
+        iteration, and in a ``no_sync`` forward/backward — per rank."""
+
+        def body(rank):
+            recorder = get_context().default_group.flight_recorder
+            phases, mark = [], recorder.depth()
+
+            def phase_done():
+                nonlocal mark
+                phases.append([r.op for r in recorder.records()[mark:]])
+                mark = recorder.depth()
+
+            ddp = DistributedDataParallel(make_model(), **ddp_kwargs)
+            phase_done()
+            loss_fn = nn.CrossEntropyLoss()
+            loss_fn(ddp(inputs), LABELS).backward()
+            phase_done()
+            with ddp.no_sync():
+                loss_fn(ddp(inputs), LABELS).backward()
+            phase_done()
+            return phases
+
+        return run_world(2, body, backend="gloo")
+
+    def test_convnet_counts(self, flight):
+        for construction, iteration, unsynced in self._ops_per_phase(
+            _convnet, Tensor(IMAGES), bucket_cap_mb=0
+        ):
+            assert construction == ["broadcast"] * 2  # parameters, buffers
+            assert iteration == ["broadcast"] + ["allreduce"] * 12  # 13, was 18
+            assert unsynced == []
+
+    def test_no_buffer_broadcast_when_disabled_or_bufferless(self, flight):
+        for kwargs, make_model, inputs in [
+            (dict(broadcast_buffers=False), _convnet, Tensor(IMAGES)),
+            (dict(), lambda: MLP(6, [8], 4), Tensor(IMAGES.reshape(8, -1)[:, :6])),
+        ]:
+            for construction, iteration, _ in self._ops_per_phase(make_model, inputs, **kwargs):
+                assert construction == ["broadcast"] * (2 if kwargs else 1)
+                assert iteration == ["allreduce"]
+
+    def test_replicas_start_bitwise_from_rank_zero(self):
+        expected = _convnet(seed=40).state_dict()
+
+        def body(rank):
+            model = _convnet(seed=40 + rank)
+            for buffer in model.buffers():
+                buffer.data += rank  # buffers differ too before the broadcast
+            DistributedDataParallel(model)
+            return model.state_dict()
+
+        for state in run_world(2, body, backend="gloo"):
+            for name, value in state.items():
+                assert value.dtype == expected[name].dtype
+                assert np.array_equal(value, expected[name]), name
 
 
 # -- engine: the heap pops what the sort popped ------------------------

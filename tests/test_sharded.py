@@ -351,6 +351,29 @@ class TestZero3Properties:
         for peak, ddp in zip(fsdp_peaks, ddp_bytes):
             assert peak < ddp
 
+    def test_ddp_meter_counts_bucket_flats_in_copy_mode(self):
+        """With ``gradient_as_bucket_view=False`` the reducer's flats are
+        storage of their own: no ``param.grad`` aliases them, so the
+        meter must add them itself."""
+
+        def body(rank):
+            sizes = []
+            for as_view in (True, False):
+                model = small_classifier()
+                ddp = DistributedDataParallel(
+                    model, gradient_as_bucket_view=as_view, **SMALL_BUCKETS
+                )
+                nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
+                flats = sum(bucket.flat.nbytes for bucket in ddp.reducer.buckets)
+                sizes.append((measure_ddp_bytes(ddp), flats))
+            return sizes
+
+        for (view_bytes, flats), (copy_bytes, _) in run_world(2, body, backend="gloo"):
+            grads = sum(p.numel() * 8 for p in small_classifier().parameters())
+            assert flats == grads  # params + grads-in-flats, then + grads again
+            assert view_bytes == 2 * grads
+            assert copy_bytes == 3 * grads
+
     def test_summon_full_params_round_trip(self):
         def body(rank):
             model = small_classifier()

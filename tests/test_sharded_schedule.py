@@ -30,7 +30,6 @@ from repro.autograd.engine import AccumulateGrad
 from repro.comm import get_context
 from repro.comm.process_group import Work
 from repro.core import DistributedDataParallel
-from repro.debug import clear_recorders, get_debug_level, set_debug_level
 from repro.models import MLP, ConvNet, TinyTransformer
 from repro.optim import SGD, Adam
 from repro.sharded import (
@@ -101,17 +100,6 @@ def _per_leaf_indices(model):
         [index_of[id(p)] for p in sub._parameters.values()]
         for sub in model.modules() if sub._parameters
     ]
-
-
-@pytest.fixture
-def flight():
-    """Flight recorder on for one test (REPRO_DEBUG=INFO), off after."""
-    previous = get_debug_level()
-    clear_recorders()
-    set_debug_level("INFO")
-    yield
-    set_debug_level(previous)
-    clear_recorders()
 
 
 def _ops_since(group, mark):
