@@ -5,6 +5,12 @@ these time the *actual* in-process implementations — the ring, tree,
 halving-doubling, and hierarchical AllReduce over the thread transport,
 and a full threaded DDP training iteration.  Useful for tracking
 regressions in the library itself.
+
+The five ``<algorithm>`` rows time rank-thread start-up plus one 512 KB
+call, which is the latency regime.  The ``*_16mb_w2`` rows are the
+bandwidth regime the DDP buckets of a large model live in: the median of
+N calls on a 16 MiB buffer inside two *live* rank threads (no start-up in
+the window), for ``sum`` and for the fused ``avg``.
 """
 
 import os
@@ -47,6 +53,59 @@ def _run_collective(algorithm_name):
     for t in threads:
         t.join(30)
     return outputs
+
+
+BW_WORLD = 2
+BW_ELEMS = 2 * 1024 * 1024  # fp64 elements: 16 MiB, far above RENDEZVOUS_BYTES
+BW_TIMEOUT = 30
+
+
+def _allreduce_call(name, op):
+    fn = alg.ALLREDUCE_ALGORITHMS[name]
+    return lambda hub, ranks, rank, buf, tag: fn(hub, ranks, rank, buf, op, tag, BW_TIMEOUT)
+
+
+#: row name -> call(hub, ranks, rank, buf, tag) on a 16 MiB buffer.
+BANDWIDTH_ROWS = {
+    "ring_16mb_w2": _allreduce_call("ring", "sum"),
+    "ring_16mb_w2_avg": _allreduce_call("ring", "avg"),
+    "halving_doubling_16mb_w2": _allreduce_call("halving_doubling", "sum"),
+    "halving_doubling_16mb_w2_avg": _allreduce_call("halving_doubling", "avg"),
+    "reduce_scatter_flat_16mb_w2": lambda hub, ranks, rank, buf, tag: (
+        alg.reduce_scatter_flat(hub, ranks, rank, buf, "sum", tag, BW_TIMEOUT)),
+    "reduce_scatter_flat_16mb_w2_avg": lambda hub, ranks, rank, buf, tag: (
+        alg.reduce_scatter_flat(hub, ranks, rank, buf, "avg", tag, BW_TIMEOUT)),
+    "all_gather_flat_16mb_w2": lambda hub, ranks, rank, buf, tag: (
+        alg.all_gather_into_flat(hub, ranks, rank, buf, None, tag, BW_TIMEOUT)),
+}
+
+
+def _median_in_live_threads(call, calls, warmup=2):
+    """Median seconds of ``call`` over ``calls`` back-to-back invocations
+    inside running rank threads (the slower rank's median)."""
+    hub = TransportHub(BW_WORLD, default_timeout=BW_TIMEOUT)
+    ranks = list(range(BW_WORLD))
+    gate = threading.Barrier(BW_WORLD)
+    medians = [None] * BW_WORLD
+
+    def body(rank):
+        buf = np.ones(BW_ELEMS)
+        samples = []
+        for i in range(warmup + calls):
+            gate.wait()
+            start = time.perf_counter()
+            call(hub, ranks, rank, buf, ("bw", i))
+            samples.append(time.perf_counter() - start)
+            buf.fill(1.0)  # sums would otherwise double every call
+        medians[rank] = sorted(samples[warmup:])[calls // 2]
+
+    threads = [threading.Thread(target=body, args=(r,)) for r in ranks]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(BW_TIMEOUT * 4)
+    assert hub.pending_messages() == 0
+    return max(medians)
 
 
 def bench_micro_allreduce_ring(benchmark):
@@ -131,9 +190,14 @@ def main(argv=None):
         median = sorted(samples)[len(samples) // 2]
         timings[name] = median
         rows.append([name, median])
+    calls = 5 if iters == 3 else 15
+    for name, call in BANDWIDTH_ROWS.items():
+        timings[name] = _median_in_live_threads(call, calls)
+        rows.append([name, timings[name]])
     report(
         "collectives_micro",
-        f"AllReduce microbench ({WORLD} ranks, {PAYLOAD} fp64 elems, median of {iters})",
+        f"AllReduce microbench ({WORLD} ranks, {PAYLOAD} fp64 elems, median of {iters}; "
+        f"*_16mb_w2: {BW_WORLD} live ranks, {BW_ELEMS} fp64 elems, median of {calls} calls)",
         ["algorithm", "seconds"],
         rows,
     )
@@ -143,6 +207,7 @@ def main(argv=None):
             "world": WORLD,
             "payload_elems": PAYLOAD,
             "iters": iters,
+            "bandwidth_calls": calls,
             "median_seconds": timings,
         },
     )

@@ -19,9 +19,30 @@ Hot-path design (paper Figs. 7/8 cost model):
 
 * **Contiguous segments** — buffers are partitioned with
   :func:`partition_spans` into contiguous ``[lo, hi)`` windows, so every
-  send is a single ``memcpy``-like slice copy and every reduction is one
-  vectorized numpy ufunc call (``np.add(dst, src, out=dst)``).  No index
-  arrays, no fancy-indexing gathers, no Python element loops.
+  send is one slice and every reduction is one vectorized numpy ufunc
+  call (``np.add(dst, src, out=dst)``).  No index arrays, no
+  fancy-indexing gathers, no Python element loops.
+* **One memory pass per transferred byte** — the transport's ownership
+  contract is *a sent array is not modified until the peer consumed
+  it*.  Below :data:`RENDEZVOUS_BYTES` the chunked collectives honour it
+  the *eager* way, by sending a private copy.  At or above it they
+  *lend*: ``hub.send`` gets a view of the collective's own buffer and
+  the peer reduces or copies straight out of it (the rendezvous
+  protocol of large-message MPI / Gloo / NCCL paths).  A lent region is
+  protected by **causality** where the sender's next write to it is
+  itself triggered by a message that follows the peer's read (reduce /
+  reduce-scatter phases), and by one zero-byte **completion token** per
+  borrowing peer where the buffer outlives the collective (all-gather /
+  broadcast phases, ``reduce_scatter_flat``'s sends of the caller's
+  input): the borrower sends the token after its last read and the
+  lender receives it before the algorithm returns, so ``Work.wait()``
+  still means "this tensor is yours again".  Each function's docstring
+  carries its own argument; ``docs/internals.md`` has the table.
+* **Fused average** — ``op="avg"`` (``ReduceOp.AVG``) is a sum plus
+  exactly one division by the group size, done by the rank that holds a
+  fully reduced chunk, on the chunk it just reduced and before it is
+  circulated — bitwise what a sum followed by ``/= world`` on every
+  rank produces, for 1/p of the arithmetic and no extra sweep.
 * **Chunked transfers** — segments larger than ``chunk_bytes`` (default
   :data:`DEFAULT_CHUNK_BYTES`, env ``REPRO_CHUNK_BYTES``) are split into
   chunks that are deposited into the transport back-to-back.  Because
@@ -55,6 +76,14 @@ from repro.telemetry.health import accounting as _health
 
 ReduceFn = Callable[..., np.ndarray]
 
+#: Collective buffers of at least this many bytes are sent by rendezvous
+#: (lent views + completion tokens), smaller ones by eager copy.  256 KiB
+#: is where lending overtakes copying on a world-2 halving-doubling
+#: AllReduce (docs/performance.md, "Bandwidth path").  Every rank derives
+#: the choice from ``buffer.nbytes``, which the signature check already
+#: makes them agree on, so the message protocol stays aligned.
+RENDEZVOUS_BYTES: int = 256 * 1024
+
 
 def _recv(hub: TransportHub, me: int, src: int, tag: object, timeout: float | None):
     """``hub.recv`` plus per-source stall attribution.
@@ -71,6 +100,42 @@ def _recv(hub: TransportHub, me: int, src: int, tag: object, timeout: float | No
     payload = hub.recv(me, src, tag, timeout)
     _health.note_recv_stall(src, time.perf_counter() - t0)
     return payload
+
+
+def _post(hub: TransportHub, src: int, dst: int, tag: object, piece: np.ndarray,
+          lend: bool) -> None:
+    """Send ``piece``: lent as the view it is, or as an eager copy."""
+    hub.send(src, dst, tag, piece if lend else piece.copy())
+
+
+def _settle(hub: TransportHub, me: int, tag: object, lend: bool,
+            lenders: Sequence[int], borrowers: Sequence[int],
+            timeout: float | None) -> None:
+    """Return lent regions to their owners: one token per borrowing peer.
+
+    Called after this rank's last read of every ``lenders`` buffer; it
+    returns once every ``borrowers`` peer has said the same about ours.
+    Tokens are ordinary (zero-byte) messages, so a retrying transport
+    sequences, checksums and retransmits them like any other.
+    """
+    if not lend:
+        return
+    for peer in lenders:
+        hub.send(me, peer, (tag, "done"), None)
+    for peer in borrowers:
+        _recv(hub, me, peer, (tag, "done"), timeout)
+
+
+def _write_back(buffer: np.ndarray, flat: np.ndarray) -> None:
+    """Land ``flat`` in ``buffer`` when ``buffer.reshape(-1)`` had to copy.
+
+    For a buffer no 1-D view can express (``base.T``) ``flat`` is private
+    memory — which is also what gets lent, never the caller's strided
+    storage — and the result has to be written through the buffer.
+    """
+    if not np.may_share_memory(flat, buffer):
+        buffer[...] = flat.reshape(buffer.shape)
+
 
 #: Elementwise reduction operators.  All values are numpy ufuncs so the
 #: hot path can reduce **in place** (``fn(dst, src, out=dst)``) without
@@ -161,7 +226,40 @@ def _reduce_fn(op: str) -> ReduceFn:
     try:
         return REDUCE_FUNCTIONS[op]
     except KeyError:
-        raise ValueError(f"unknown reduce op {op!r}; options: {sorted(REDUCE_FUNCTIONS)}")
+        raise ValueError(
+            f"unknown reduce op {op!r}; options: {sorted(REDUCE_FUNCTIONS)} "
+            f"(and 'avg' for allreduce / reduce_scatter_flat)"
+        )
+
+
+def check_avg_dtype(dtype: np.dtype) -> None:
+    """``avg`` divides in the array's own dtype, so it must be floating."""
+    if not np.issubdtype(dtype, np.floating):
+        raise ValueError(
+            f"reduce op 'avg' is defined for floating dtypes, got {dtype}; "
+            f"use 'sum' and divide in a floating dtype"
+        )
+
+
+def _reduce_plan(op: str, world: int, dtype: np.dtype) -> Tuple[ReduceFn, int | None]:
+    """Resolve ``op`` to ``(ufunc, divisor)``.
+
+    ``divisor`` is None for the plain operators; for ``"avg"`` it is the
+    group size, applied once by whichever rank finishes reducing a chunk.
+    """
+    if op != "avg":
+        return _reduce_fn(op), None
+    check_avg_dtype(dtype)
+    return np.add, world
+
+
+def _divide(array: np.ndarray, divisor: int) -> None:
+    """``array /= divisor``.  A power of two multiplies by its reciprocal
+    instead: that is exact, hence the same bits, at a quarter of the cost."""
+    if divisor & (divisor - 1):
+        array /= divisor
+    else:
+        array *= 1.0 / divisor
 
 
 def allreduce_naive(
@@ -178,14 +276,15 @@ def allreduce_naive(
 
     Cost per rank: (p−1)α + (p−1)·n·β — each rank moves the *entire*
     buffer p−1 times, the O(p·n) strawman the paper contrasts with ring
-    AllReduce.  Kept unchunked on purpose: it is the seed-fidelity
-    baseline the benchmarks compare against.
+    AllReduce.  Kept unchunked and eager on purpose: it is the
+    seed-fidelity baseline the benchmarks compare against.  ``avg``
+    divides each rank's accumulator.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group; the local buffer is only written by its own rank.
     """
-    fn = _reduce_fn(op)
     world = len(ranks)
+    fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
         return
     mine = buffer.copy()
@@ -198,7 +297,57 @@ def allreduce_naive(
             continue
         incoming = _recv(hub, ranks[me], peer, (tag, "naive", offset), timeout)
         fn(acc, incoming, out=acc)
+    if divisor:
+        _divide(acc, divisor)
     buffer[...] = acc
+
+
+def _ring(
+    hub: TransportHub,
+    ranks: Sequence[int],
+    me: int,
+    flat: np.ndarray,
+    fn: ReduceFn,
+    divisor: int | None,
+    tag: object,
+    timeout: float | None,
+    chunk_bytes: int | None,
+) -> None:
+    """:func:`allreduce_ring` on a 1-D array with the op already resolved
+    (``divisor`` may differ from ``len(ranks)``: the hierarchical leader
+    ring averages over the whole group)."""
+    world = len(ranks)
+    segments = partition_spans(flat.size, world)
+    celems = _chunk_elems(chunk_bytes, flat.dtype)
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
+    right = ranks[(me + 1) % world]
+    left = ranks[(me - 1) % world]
+
+    # Phase 1: reduce-scatter. After world-1 steps, rank r owns the fully
+    # reduced segment (r+1) % world.
+    for step in range(world - 1):
+        send_lo, send_hi = segments[(me - step) % world]
+        recv_lo, recv_hi = segments[(me - step - 1) % world]
+        owned = divisor and step == world - 2
+        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
+            _post(hub, here, right, (tag, "rs", step, c), flat[lo:hi], lend)
+        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
+            incoming = _recv(hub, here, left, (tag, "rs", step, c), timeout)
+            piece = flat[lo:hi]
+            fn(piece, incoming, out=piece)
+            if owned:
+                _divide(piece, divisor)
+
+    # Phase 2: allgather. Circulate the reduced segments.
+    for step in range(world - 1):
+        send_lo, send_hi = segments[(me - step + 1) % world]
+        recv_lo, recv_hi = segments[(me - step) % world]
+        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
+            _post(hub, here, right, (tag, "ag", step, c), flat[lo:hi], lend)
+        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
+            flat[lo:hi] = _recv(hub, here, left, (tag, "ag", step, c), timeout)
+    _settle(hub, here, tag, lend, [left], [right], timeout)
 
 
 def allreduce_ring(
@@ -219,42 +368,74 @@ def allreduce_ring(
     one segment right and reduces the incoming segment from the left
     with one vectorized ufunc call.  Segments larger than ``chunk_bytes``
     are pipelined as several in-flight chunks (the reducing side starts
-    on chunk 0 while later chunks are still being deposited).
+    on chunk 0 while later chunks are still being deposited).  ``avg``
+    divides in the last reduce-scatter step, on the segment a rank owns.
+
+    Lent sends (buffers ≥ :data:`RENDEZVOUS_BYTES`).  *Reduce-scatter —
+    causality:* segment k is lent by rank r = k+s at step s and read by
+    r+1; each chunk of it then travels r+1 → … → k−1 (its owner) and
+    back out k−1 → k → … → r−1 → r in the allgather, every hop sending
+    only after it consumed the previous one.  The sender's only later
+    write to the chunk is that allgather message from r−1, at the end
+    of a chain that starts with r+1's read.  *Allgather — token:* a
+    segment lent here is never written again by its sender, but the
+    buffer outlives the call, so the right neighbour returns one token.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    fn = _reduce_fn(op)
     world = len(ranks)
+    fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
         return
     flat = buffer.reshape(-1)
-    segments = partition_spans(flat.size, world)
-    celems = _chunk_elems(chunk_bytes, flat.dtype)
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
+    _ring(hub, ranks, me, flat, fn, divisor, tag, timeout, chunk_bytes)
+    _write_back(buffer, flat)
 
-    # Phase 1: reduce-scatter. After world-1 steps, rank r owns the fully
-    # reduced segment (r+1) % world.
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step) % world]
-        recv_lo, recv_hi = segments[(me - step - 1) % world]
-        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            hub.send(ranks[me], right, (tag, "rs", step, c), flat[lo:hi].copy())
-        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, ranks[me], left, (tag, "rs", step, c), timeout)
-            fn(flat[lo:hi], incoming, out=flat[lo:hi])
 
-    # Phase 2: allgather. Circulate the reduced segments.
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step + 1) % world]
-        recv_lo, recv_hi = segments[(me - step) % world]
-        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            hub.send(ranks[me], right, (tag, "ag", step, c), flat[lo:hi].copy())
-        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, ranks[me], left, (tag, "ag", step, c), timeout)
-            flat[lo:hi] = incoming
-    buffer.reshape(-1)[...] = flat
+def _tree_broadcast(
+    hub: TransportHub,
+    ranks: Sequence[int],
+    me: int,
+    flat: np.ndarray,
+    root: int,
+    tag: object,
+    timeout: float | None,
+    chunk_bytes: int | None,
+) -> None:
+    """Binomial-tree broadcast of a 1-D array from group-rank ``root``.
+
+    Lent sends — token: a rank writes its buffer once (the receive from
+    its parent) and only afterwards lends it to its children, so nothing
+    inside the call overwrites a lent region; each child returns one
+    token because the buffer outlives the call.
+    """
+    world = len(ranks)
+    whole = _chunk_spans(0, flat.size, _chunk_elems(chunk_bytes, flat.dtype))
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
+    parent: List[int] = []
+    children: List[int] = []
+    # Re-index so the root is virtual rank 0.
+    vrank = (me - root) % world
+    top = 1
+    while top < world:
+        top <<= 1
+    mask = top >> 1
+    while mask >= 1:
+        if vrank & (mask - 1) == 0:  # still active at this round
+            if vrank & mask:
+                src = ranks[(vrank - mask + root) % world]
+                parent.append(src)
+                for c, (lo, hi) in enumerate(whole):
+                    flat[lo:hi] = _recv(hub, here, src, (tag, "bc", mask, c), timeout)
+            elif vrank + mask < world:
+                dst = ranks[(vrank + mask + root) % world]
+                children.append(dst)
+                for c, (lo, hi) in enumerate(whole):
+                    _post(hub, here, dst, (tag, "bc", mask, c), flat[lo:hi], lend)
+        mask >>= 1
+    _settle(hub, here, tag, lend, parent, children, timeout)
 
 
 def allreduce_tree(
@@ -262,7 +443,7 @@ def allreduce_tree(
     ranks: Sequence[int],
     me: int,
     buffer: np.ndarray,
-    op: str = "tree",
+    op: str = "sum",
     tag: object = "tree",
     timeout: float | None = None,
     chunk_bytes: int | None = None,
@@ -273,52 +454,48 @@ def allreduce_tree(
     rounds (the NCCL 2.4-style tree variant) but each round moves the
     full buffer, so it loses to the ring on large n.  Whole-buffer
     transfers are chunked so partners overlap reduction with transfer.
+    ``avg`` divides at the root, in its last reduce round.
+
+    Lent sends.  *Reduce — causality:* a rank lends its whole buffer to
+    the partner below its lowest set bit and drops out; its next write
+    is the broadcast it receives from that same partner, which the
+    partner sends after it reduced the lent chunks.  *Broadcast — token*
+    (see :func:`_tree_broadcast`).
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    fn = _reduce_fn(op)
     world = len(ranks)
+    fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
         return
     flat = buffer.reshape(-1)
-    celems = _chunk_elems(chunk_bytes, flat.dtype)
-    whole = _chunk_spans(0, flat.size, celems)
+    whole = _chunk_spans(0, flat.size, _chunk_elems(chunk_bytes, flat.dtype))
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
 
     # Reduce phase: at round k, ranks with the k-th bit set send to the
     # partner with that bit cleared, then drop out.
     mask = 1
     while mask < world:
         if me & mask:
-            partner = me - mask
             for c, (lo, hi) in enumerate(whole):
-                hub.send(ranks[me], ranks[partner], (tag, "red", mask, c), flat[lo:hi].copy())
+                _post(hub, here, ranks[me - mask], (tag, "red", mask, c), flat[lo:hi], lend)
             break
         partner = me + mask
         if partner < world:
+            reduced = divisor and me == 0 and mask << 1 >= world
             for c, (lo, hi) in enumerate(whole):
-                incoming = _recv(hub, ranks[me], ranks[partner], (tag, "red", mask, c), timeout)
-                fn(flat[lo:hi], incoming, out=flat[lo:hi])
+                incoming = _recv(hub, here, ranks[partner], (tag, "red", mask, c), timeout)
+                piece = flat[lo:hi]
+                fn(piece, incoming, out=piece)
+                if reduced:
+                    _divide(piece, divisor)
         mask <<= 1
 
     # Broadcast phase: mirror image, highest mask first.
-    top = 1
-    while top < world:
-        top <<= 1
-    mask = top >> 1
-    while mask >= 1:
-        if me & (mask - 1) == 0:  # still active at this round
-            if me & mask:
-                for c, (lo, hi) in enumerate(whole):
-                    incoming = _recv(hub, ranks[me], ranks[me - mask], (tag, "bc", mask, c), timeout)
-                    flat[lo:hi] = incoming
-            else:
-                partner = me + mask
-                if partner < world:
-                    for c, (lo, hi) in enumerate(whole):
-                        hub.send(ranks[me], ranks[partner], (tag, "bc", mask, c), flat[lo:hi].copy())
-        mask >>= 1
-    buffer.reshape(-1)[...] = flat
+    _tree_broadcast(hub, ranks, me, flat, 0, tag, timeout, chunk_bytes)
+    _write_back(buffer, flat)
 
 
 def allreduce_halving_doubling(
@@ -338,7 +515,16 @@ def allreduce_halving_doubling(
     contiguous half-window with the partner at distance 2ᵏ; windows are
     chunked for in-flight pipelining.  Requires a power-of-two
     participant count; other sizes delegate to the ring, which is what
-    Gloo's bcube fallback effectively does.
+    Gloo's bcube fallback effectively does.  ``avg`` divides in the last
+    halving round, on the window a rank ends up owning.
+
+    Lent sends.  *Halving — causality:* the half a rank lends at
+    distance d lies outside every window it touches in later halving
+    rounds; its next write to it is the doubling-round message at the
+    same distance d from the same partner, who sends it after reducing
+    the lent chunks.  *Doubling — token:* the window a rank lends is
+    never written again inside the call (later rounds fill outside it);
+    each of the log₂ p doubling partners returns one token.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
@@ -347,11 +533,13 @@ def allreduce_halving_doubling(
     if world & (world - 1):
         allreduce_ring(hub, ranks, me, buffer, op, (tag, "ringfb"), timeout, chunk_bytes)
         return
-    fn = _reduce_fn(op)
+    fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
         return
     flat = buffer.reshape(-1)
     celems = _chunk_elems(chunk_bytes, flat.dtype)
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
     # Track the index window this rank is responsible for.
     lo, hi = 0, flat.size
     distance = 1
@@ -364,30 +552,36 @@ def allreduce_halving_doubling(
             send_lo, send_hi, keep_lo, keep_hi = mid, hi, lo, mid
         else:
             send_lo, send_hi, keep_lo, keep_hi = lo, mid, mid, hi
+        owned = divisor and distance << 1 == world
         for c, (clo, chi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            hub.send(ranks[me], ranks[partner], (tag, "rs", distance, c), flat[clo:chi].copy())
+            _post(hub, here, ranks[partner], (tag, "rs", distance, c), flat[clo:chi], lend)
         for c, (clo, chi) in enumerate(_chunk_spans(keep_lo, keep_hi, celems)):
-            incoming = _recv(hub, ranks[me], ranks[partner], (tag, "rs", distance, c), timeout)
-            fn(flat[clo:chi], incoming, out=flat[clo:chi])
+            incoming = _recv(hub, here, ranks[partner], (tag, "rs", distance, c), timeout)
+            piece = flat[clo:chi]
+            fn(piece, incoming, out=piece)
+            if owned:
+                _divide(piece, divisor)
         spans.append((lo, hi))
         lo, hi = keep_lo, keep_hi
         distance <<= 1
     # Allgather with doubling vectors (reverse the halving).
+    partners = []
     distance >>= 1
     while distance >= 1:
         partner = me ^ distance
+        partners.append(ranks[partner])
         prev_lo, prev_hi = spans.pop()
         for c, (clo, chi) in enumerate(_chunk_spans(lo, hi, celems)):
-            hub.send(ranks[me], ranks[partner], (tag, "ag", distance, c), flat[clo:chi].copy())
+            _post(hub, here, ranks[partner], (tag, "ag", distance, c), flat[clo:chi], lend)
         # Partners shared the same parent window [prev_lo, prev_hi); the
         # lower rank kept the lower half, so each fills in the other half.
         fill_lo, fill_hi = (hi, prev_hi) if me < partner else (prev_lo, lo)
         for c, (clo, chi) in enumerate(_chunk_spans(fill_lo, fill_hi, celems)):
-            incoming = _recv(hub, ranks[me], ranks[partner], (tag, "ag", distance, c), timeout)
-            flat[clo:chi] = incoming
+            flat[clo:chi] = _recv(hub, here, ranks[partner], (tag, "ag", distance, c), timeout)
         lo, hi = prev_lo, prev_hi
         distance >>= 1
-    buffer.reshape(-1)[...] = flat
+    _settle(hub, here, tag, lend, partners, partners, timeout)
+    _write_back(buffer, flat)
 
 
 def broadcast(
@@ -404,38 +598,18 @@ def broadcast(
 
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); the root sends ⌈log₂ p⌉ copies,
     interior ranks forward once per subtree.  Transfers are chunked so
-    a forwarding rank relays chunk 0 before chunk *k* arrives.
+    a forwarding rank relays chunk 0 before chunk *k* arrives.  Buffers
+    ≥ :data:`RENDEZVOUS_BYTES` are lent to the children, one token each
+    (see :func:`_tree_broadcast`).
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    world = len(ranks)
-    if world == 1:
+    if len(ranks) == 1:
         return
     flat = buffer.reshape(-1)
-    celems = _chunk_elems(chunk_bytes, flat.dtype)
-    whole = _chunk_spans(0, flat.size, celems)
-    # Re-index so the root is virtual rank 0.
-    vrank = (me - root) % world
-    top = 1
-    while top < world:
-        top <<= 1
-    mask = top >> 1
-    while mask >= 1:
-        if vrank & (mask - 1) == 0:
-            if vrank & mask:
-                src = ranks[(vrank - mask + root) % world]
-                for c, (lo, hi) in enumerate(whole):
-                    incoming = _recv(hub, ranks[me], src, (tag, "bc", mask, c), timeout)
-                    flat[lo:hi] = incoming
-            else:
-                vpartner = vrank + mask
-                if vpartner < world:
-                    dst = ranks[(vpartner + root) % world]
-                    for c, (lo, hi) in enumerate(whole):
-                        hub.send(ranks[me], dst, (tag, "bc", mask, c), flat[lo:hi].copy())
-        mask >>= 1
-    buffer.reshape(-1)[...] = flat
+    _tree_broadcast(hub, ranks, me, flat, root, tag, timeout, chunk_bytes)
+    _write_back(buffer, flat)
 
 
 def allgather(
@@ -525,40 +699,56 @@ def reduce_scatter_flat(
     — the ownership convention the sharded (ZeRO) stack builds on: the
     span a rank reduces here is exactly the span it owns in
     ``all_gather_into_flat`` and in the sharded optimizer's state
-    partition.  The caller's buffer is left untouched (reductions run on
-    a private copy), so gradients can be reused after the collective.
+    partition.  The caller's buffer is left untouched: every step
+    reduces the incoming partial sum with the caller's span *into a
+    fresh span-sized array*, which is what the next step forwards and
+    what the last step returns — no world-sized scratch.  ``avg``
+    divides the returned span, in the last step.
 
     Cost per rank: (p−1)α + ((p−1)/p)·n·β — phase 1 of the ring
     AllReduce.  Spans larger than ``chunk_bytes`` are pipelined as
     several in-flight chunks; empty spans (``n < p``) still exchange one
     empty chunk per step so the message protocol stays aligned.
 
+    Lent sends.  Step 0 lends the caller's own span, which outlives the
+    call — *token* from the right neighbour.  Later steps lend the
+    previous step's partial array, which nobody writes again — nothing
+    to protect.
+
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    fn = _reduce_fn(op)
     world = len(ranks)
     flat = buffer.reshape(-1)
+    fn, divisor = _reduce_plan(op, world, flat.dtype)
     segments = partition_spans(flat.size, world)
     if world == 1:
         return flat.copy()
-    work = flat.copy()
     celems = _chunk_elems(chunk_bytes, flat.dtype)
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
     right = ranks[(me + 1) % world]
     left = ranks[(me - 1) % world]
+    # What the coming step sends, and the flat index of its element 0.
+    outgoing, base = flat, 0
     # The allreduce_ring schedule shifted by one slot, so after world-1
     # steps rank r holds the fully reduced segment r (not (r+1) % p).
     for step in range(world - 1):
         send_lo, send_hi = segments[(me - step - 1) % world]
         recv_lo, recv_hi = segments[(me - step - 2) % world]
+        owned = divisor and step == world - 2
         for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            hub.send(ranks[me], right, (tag, "rs", step, c), work[lo:hi].copy())
+            _post(hub, here, right, (tag, "rs", step, c), outgoing[lo - base : hi - base], lend)
+        partial = np.empty(recv_hi - recv_lo, dtype=flat.dtype)
         for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, ranks[me], left, (tag, "rs", step, c), timeout)
-            fn(work[lo:hi], incoming, out=work[lo:hi])
-    owned_lo, owned_hi = segments[me]
-    # Copy the owned span out so the world-sized scratch is collectable.
-    return work[owned_lo:owned_hi].copy()
+            incoming = _recv(hub, here, left, (tag, "rs", step, c), timeout)
+            piece = partial[lo - recv_lo : hi - recv_lo]
+            fn(flat[lo:hi], incoming, out=piece)
+            if owned:
+                _divide(piece, divisor)
+        outgoing, base = partial, recv_lo
+    _settle(hub, here, tag, lend, [left], [right], timeout)
+    return partial
 
 
 def all_gather_into_flat(
@@ -586,6 +776,10 @@ def all_gather_into_flat(
     several in-flight chunks; empty spans still exchange one empty chunk
     per step so the message protocol stays aligned.
 
+    Lent sends — token: a span is lent only after this rank wrote it
+    (its own at step 0, a received one afterwards) and is not written
+    again; the right neighbour returns one token.
+
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
@@ -602,21 +796,21 @@ def all_gather_into_flat(
                 f"holds {my_hi - my_lo}"
             )
         flat[my_lo:my_hi] = contribution
-    if world == 1:
-        buffer.reshape(-1)[...] = flat
-        return
-    celems = _chunk_elems(chunk_bytes, flat.dtype)
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step) % world]
-        recv_lo, recv_hi = segments[(me - step - 1) % world]
-        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            hub.send(ranks[me], right, (tag, "ag", step, c), flat[lo:hi].copy())
-        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, ranks[me], left, (tag, "ag", step, c), timeout)
-            flat[lo:hi] = incoming
-    buffer.reshape(-1)[...] = flat
+    if world > 1:
+        celems = _chunk_elems(chunk_bytes, flat.dtype)
+        lend = flat.nbytes >= RENDEZVOUS_BYTES
+        here = ranks[me]
+        right = ranks[(me + 1) % world]
+        left = ranks[(me - 1) % world]
+        for step in range(world - 1):
+            send_lo, send_hi = segments[(me - step) % world]
+            recv_lo, recv_hi = segments[(me - step - 1) % world]
+            for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
+                _post(hub, here, right, (tag, "ag", step, c), flat[lo:hi], lend)
+            for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
+                flat[lo:hi] = _recv(hub, here, left, (tag, "ag", step, c), timeout)
+        _settle(hub, here, tag, lend, [left], [right], timeout)
+    _write_back(buffer, flat)
 
 
 def reduce(
@@ -633,7 +827,8 @@ def reduce(
     other ranks' buffers are left with partial sums, as in MPI).
 
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); each rank sends its running
-    partial sum exactly once, reductions are in-place ufunc calls.
+    partial sum exactly once (an eager copy), reductions are in-place
+    ufunc calls.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
@@ -656,6 +851,7 @@ def reduce(
             incoming = _recv(hub, ranks[me], src, (tag, "red", mask), timeout)
             fn(flat, incoming, out=flat)
         mask <<= 1
+    _write_back(buffer, flat)
 
 
 def gather(
@@ -759,15 +955,20 @@ def allreduce_hierarchical(
     Cost per rank: ≈ ⌈log₂ g⌉·(α + n·β) intra-group + (for leaders)
     2(ℓ−1)α + 2((ℓ−1)/ℓ)·n·β on the leader ring of ℓ = ⌈p/g⌉ members.
 
+    The intra-group reduce is eager; the leader ring and the broadcast
+    lend as :func:`allreduce_ring` and :func:`broadcast` do.  ``avg``
+    divides in the leader ring — by the size of the *whole* group, not
+    by the leader count.
+
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
     world = len(ranks)
-    if world == 1:
-        return
     if world <= group_size:
         allreduce_ring(hub, ranks, me, buffer, op, (tag, "flat"), timeout, chunk_bytes)
         return
+    fn, divisor = _reduce_plan(op, world, buffer.dtype)
+    flat = buffer.reshape(-1)
 
     group_index = me // group_size
     group_lo = group_index * group_size
@@ -776,14 +977,19 @@ def allreduce_hierarchical(
     leader_locals = list(range(0, world, group_size))
     leaders = [ranks[i] for i in leader_locals]
 
-    # Phase 1: reduce within the group to its leader (local rank 0).
-    reduce(hub, group_members, local_me, buffer, 0, op, (tag, "intra", group_index), timeout)
+    # Phase 1: reduce within the group to its leader (local rank 0);
+    # under avg the sums stay sums until the leader ring.
+    intra_op = "sum" if divisor else op
+    reduce(hub, group_members, local_me, flat, 0, intra_op, (tag, "intra", group_index), timeout)
     # Phase 2: ring AllReduce among the leaders.
     if local_me == 0:
         leader_me = leader_locals.index(group_lo)
-        allreduce_ring(hub, leaders, leader_me, buffer, op, (tag, "inter"), timeout, chunk_bytes)
+        _ring(hub, leaders, leader_me, flat, fn, divisor, (tag, "inter"), timeout, chunk_bytes)
     # Phase 3: broadcast the result within the group.
-    broadcast(hub, group_members, local_me, buffer, 0, (tag, "bcast", group_index), timeout, chunk_bytes)
+    _tree_broadcast(
+        hub, group_members, local_me, flat, 0, (tag, "bcast", group_index), timeout, chunk_bytes
+    )
+    _write_back(buffer, flat)
 
 
 #: Registry the :class:`~repro.comm.process_group.ProcessGroup` backends

@@ -47,9 +47,16 @@ from repro.utils.rank import set_current_rank
 
 
 class ReduceOp:
-    """Reduction operators accepted by collectives."""
+    """Reduction operators accepted by collectives.
+
+    ``AVG`` (``allreduce`` and ``reduce_scatter_flat``, floating dtypes)
+    is ``SUM`` plus one division by the group size, done inside the
+    collective by the rank that finishes reducing each chunk — bitwise
+    what ``SUM`` followed by ``/= size`` on every rank produces.
+    """
 
     SUM = "sum"
+    AVG = "avg"
     PROD = "prod"
     MIN = "min"
     MAX = "max"
@@ -663,6 +670,9 @@ class ProcessGroup:
         if tensor is not None:  # scatter and barrier carry no tensor
             self._check_device(tensor)
             array = _as_array(tensor)
+        if operands.get("reduce_op") == ReduceOp.AVG:
+            # On the issuing thread, before a sequence number is spent.
+            algorithms.check_avg_dtype(array.dtype)
         tag = self._next_tag(name)
         seq = tag[1]
         signature = _desync.fingerprint(
@@ -693,7 +703,12 @@ class ProcessGroup:
         return self._submit(run, record, async_op)
 
     def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
-        """Reduce ``tensor`` in place across the group (sum by default)."""
+        """Reduce ``tensor`` in place across the group (sum by default).
+
+        When an ``async_op`` call's ``Work.wait()`` returns, the tensor
+        is the caller's again: no peer still reads it (large tensors are
+        lent to peers rather than copied, see :mod:`repro.comm.algorithms`).
+        """
         return self._collective("allreduce", tensor, async_op, reduce_op=op)
 
     def broadcast(self, tensor, src: int = 0, async_op: bool = False):
@@ -714,7 +729,8 @@ class ProcessGroup:
         The flat tensor is partitioned with
         :func:`~repro.comm.algorithms.partition_spans`; rank ``r`` gets
         back the fully reduced span ``r`` as a new array (the caller's
-        tensor is not modified).  This is the gradient-sharding
+        tensor is not modified, and stays lent to the peers until the
+        collective completed).  This is the gradient-sharding
         primitive of the ZeRO stages (:mod:`repro.sharded`).  With
         ``async_op=True`` returns a :class:`Work` whose ``result[0]``
         holds the span after ``wait()``.

@@ -7,6 +7,18 @@ verbs, so the ring/tree/halving-doubling implementations in
 ``algorithms.py`` are the real algorithms, not shortcuts through shared
 memory.
 
+**Ownership contract.**  The hub moves references, not bytes: ``recv``
+returns the very object ``send`` was given.  So *a sent array is not
+modified until the peer consumed it* — the sender keeps that promise,
+the hub does not police it.  The collectives in ``algorithms.py``
+guarantee it three ways: an *eager* send hands over a private copy
+(small buffers, and every non-chunked collective); a *lent* send hands
+over a view of the live buffer and is protected by *causality* (the
+sender's next write to the region is triggered by a message that
+follows the peer's read) or by a zero-byte *completion token* the peer
+sends back after its last read.  A receiver, in turn, only reads what
+it received.
+
 The hub also keeps per-rank traffic counters (messages and bytes sent),
 which the tests use to verify algorithmic properties such as "ring
 AllReduce sends ``2*(p-1)`` chunks per rank".
@@ -93,7 +105,8 @@ class TransportHub:
     def send(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
         """Deposit ``payload`` into the (src, dst, tag) mailbox.
 
-        With a fault plan installed the deposit models a lossy wire: the
+        The payload is delivered by reference (see the module's
+        ownership contract).  With a fault plan installed the deposit models a lossy wire: the
         plan decides what actually lands in the mailbox (nothing for a
         drop, two copies for a duplicate, a perturbed copy for a
         corruption) and dropped messages are not counted as sent.

@@ -9,7 +9,7 @@ must hold the *averaged* gradient.
 
 Provided hooks:
 
-* :func:`allreduce_hook` — the identity hook (sum + divide); baseline.
+* :func:`allreduce_hook` — the identity hook (``ReduceOp.AVG``); baseline.
 * :func:`fp16_compress_hook` / :class:`Fp16Hook` — cast to float16 on
   the wire (the class form adds optional error feedback).
 * :func:`quantize8_hook` / :class:`Quantize8Hook` — linear 8-bit
@@ -64,13 +64,8 @@ class _HookWork:
 
 
 def allreduce_hook(process_group, bucket: Tensor, world: int):
-    """Vanilla hook: AllReduce-sum then divide — what DDP does natively."""
-    work = process_group.allreduce(bucket, ReduceOp.SUM, async_op=True)
-
-    def finish() -> None:
-        bucket.data /= world
-
-    return _HookWork(work, finish)
+    """Vanilla hook: AllReduce-average — what DDP does natively."""
+    return process_group.allreduce(bucket, ReduceOp.AVG, async_op=True)
 
 
 def fp16_compress_hook(process_group, bucket: Tensor, world: int):

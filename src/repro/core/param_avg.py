@@ -25,10 +25,8 @@ from repro.nn.module import Module
 
 def average_parameters(module: Module, process_group) -> None:
     """In-place cross-rank mean of every parameter (one pass, blocking)."""
-    world = process_group.size
     for param in module.parameters():
-        process_group.allreduce(param, ReduceOp.SUM)
-        param.data /= world
+        process_group.allreduce(param, ReduceOp.AVG)
 
 
 class ParameterAveragingTrainer:

@@ -17,9 +17,10 @@ Responsibilities, mirroring the paper's four components:
    ready.
 3. **Bucket AllReduce** — ready buckets launch *asynchronously* and
    strictly **in bucket-index order** on every rank; bucket ``i+1``
-   never launches before bucket ``i`` (Fig. 3(a) caveat).  The hook
-   that readies the final bucket blocks until every AllReduce finishes,
-   averages, and writes gradients back (Algorithm 1, lines 17–21).
+   never launches before bucket ``i`` (Fig. 3(a) caveat).  The
+   collective is an ``AVG`` AllReduce, so the mean is taken inside it.
+   The hook that readies the final bucket blocks until every AllReduce
+   finishes and writes gradients back (Algorithm 1, lines 17–21).
 4. **Globally unused parameters** — a local bitmap records which
    parameters produced gradients; one extra AllReduce merges bitmaps so
    that parameters unused on *every* rank keep their gradients intact
@@ -445,11 +446,11 @@ class Reducer:
                 )
             else:
                 bucket.work = self.process_group.allreduce(
-                    bucket.tensor, ReduceOp.SUM, async_op=True
+                    bucket.tensor, ReduceOp.AVG, async_op=True
                 )
 
     def _finalize_backward(self) -> None:
-        """Wait for communication, average, and write gradients back.
+        """Wait for communication and write the averaged gradients back.
 
         Runs inside the autograd hook that readied the final bucket
         (Algorithm 1 line 21) — the engine thread blocks here while the
@@ -463,9 +464,6 @@ class Reducer:
         for bucket in self.buckets:
             if bucket.work is not None:
                 bucket.work.wait()
-            if self.comm_hook is None:
-                # Average: the collective summed gradients across ranks.
-                bucket.flat /= self.world_size
             for slot, param_index in enumerate(bucket.spec.param_indices):
                 param = self.params[param_index]
                 view = self._grad_views[param_index]

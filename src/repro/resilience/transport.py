@@ -6,7 +6,11 @@ the in-process wire, the way TCP layers reliability over lossy IP:
 * **Acked sends with sequence numbers** — every ``(src, dst, tag)``
   stream numbers its messages; the sender keeps each payload in a
   bounded retransmit buffer until the receiver's delivery marker (the
-  "ack") passes it.
+  "ack") passes it.  The buffer holds a *reference*: for a lent send
+  (``repro.comm.algorithms``) that is a view of the sender's live
+  buffer, which is sound because only an **unconsumed** sequence number
+  is ever re-sent, and the ownership contract keeps a lent region
+  unmodified until its message was consumed.
 * **Seq-deduplication** — duplicate deliveries (retransmissions that
   crossed a late original, or a fault plan's ``duplicate`` rule) are
   recognised by sequence number and discarded.
@@ -51,6 +55,8 @@ from repro.comm.transport import (
     TransportTimeoutError,
     _NOTHING,
 )
+from repro.telemetry.health import accounting as _health
+from repro.telemetry.health.events import record_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 
@@ -88,8 +94,14 @@ class RetryPolicy:
 
 
 def _checksum(payload: Any) -> int:
-    """CRC32 of a payload (ndarray bytes, or repr for other objects)."""
+    """CRC32 of a payload (ndarray bytes, or repr for other objects).
+
+    A C-contiguous array is checksummed where it lies; only strided and
+    0-d input is gathered into a temporary first.
+    """
     if isinstance(payload, np.ndarray):
+        if payload.ndim and payload.flags.c_contiguous:
+            return zlib.crc32(payload.reshape(-1).view(np.uint8))
         return zlib.crc32(np.ascontiguousarray(payload).tobytes())
     return zlib.crc32(repr(payload).encode())
 
@@ -125,9 +137,6 @@ def _mark(rank: int, event: str, **args: Any) -> None:
                   rank=rank, args=args)
     # Mirror the incident into the health event log so the anomaly
     # engine can attribute retransmit storms to their source edge.
-    from repro.telemetry.health import accounting as _health
-    from repro.telemetry.health.events import record_event
-
     if _health.is_enabled():
         record_event(rank, event, t=now, extra=dict(args) if args else None)
 
@@ -260,16 +269,14 @@ class ReliableTransportHub(TransportHub):
         :class:`~repro.comm.transport.TransportTimeoutError` when the
         overall deadline passes without a valid delivery.
         """
-        import time as _time
-
         self._check_rank(src)
         self._check_rank(dst)
         key = (src, dst, tag)
         policy = self.retry
         total = timeout if timeout is not None else self.default_timeout
-        deadline = _time.perf_counter() + total
+        deadline = time.perf_counter() + total
         traced = TRACER.enabled
-        t_start = _time.perf_counter() if traced else 0.0
+        t_start = time.perf_counter() if traced else 0.0
         retries_here = 0
         backoff = policy.base_backoff
 
@@ -282,7 +289,7 @@ class ReliableTransportHub(TransportHub):
                 TRACER.record(
                     "transport.recv",
                     t_start,
-                    _time.perf_counter(),
+                    time.perf_counter(),
                     cat="transport",
                     stream="transport",
                     rank=dst,
@@ -302,7 +309,7 @@ class ReliableTransportHub(TransportHub):
             if held is not None:
                 return finish(held.payload)
 
-            remaining = deadline - _time.perf_counter()
+            remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 raise TransportTimeoutError(
                     f"rank {dst} timed out waiting for message from rank {src} "

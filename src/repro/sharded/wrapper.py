@@ -14,9 +14,10 @@ backward schedule, written once here:
   mechanism): a gradient is written once, straight into the buffer that
   is communicated, and one that arrived early is copied in.  When the
   bucket's last gradient lands the flat is reduce-scattered
-  **asynchronously** and the frontier moves on;
-* ``step()`` harvests: waits for the spans in launch order, averages,
-  and hands each to the optimizer.
+  **asynchronously** with ``ReduceOp.AVG`` (the rank that owns a span
+  divides it, inside the collective) and the frontier moves on;
+* ``step()`` harvests: waits for the averaged spans in launch order and
+  hands each to the optimizer.
 
 Models whose autograd graph skips parameters are rejected with a named
 error at ``step()`` — sharded mode has no unused-parameter bitmap, so a
@@ -31,6 +32,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.comm.process_group import ReduceOp
 from repro.nn.module import Module
 from repro.sharded.checkpoint import (
     load_sharded_training_checkpoint,
@@ -159,7 +161,7 @@ class ShardedWrapper(Module):
             flat = self._grad_flats[bucket]
             self._set_grad_views(bucket, None)
             self._works[bucket] = self.process_group.reduce_scatter_flat(
-                flat, async_op=True
+                flat, ReduceOp.AVG, async_op=True
             )
             self.stats.reduce_scatter_count += 1
             self.stats.reduce_scatter_bytes += flat.nbytes
@@ -171,8 +173,8 @@ class ShardedWrapper(Module):
 
     def _harvest(self) -> None:
         """First half of ``step()``: require a complete backward, sample
-        the meter, then wait for the spans in launch order and install
-        each, averaged, as its shard's gradient."""
+        the meter, then wait for the (already averaged) spans in launch
+        order and install each as its shard's gradient."""
         buckets = self.layout.num_buckets
         if 0 <= self._frontier < buckets:
             names = [
@@ -188,9 +190,7 @@ class ShardedWrapper(Module):
         for bucket in range(buckets)[:: self._launch_step]:
             work = self._works[bucket]
             work.wait()
-            span = work.result[0]
-            span /= self.world
-            self.optimizer.set_shard_grad(bucket, span)
+            self.optimizer.set_shard_grad(bucket, work.result[0])
             self._grad_flats[bucket] = None
             self._works[bucket] = None
 

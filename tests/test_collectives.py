@@ -11,8 +11,10 @@ from repro.comm.transport import TransportHub
 WORLD_SIZES = [1, 2, 3, 4, 5, 7, 8]
 
 
-def run_ranks(world, fn, timeout=10.0):
-    hub = TransportHub(world, default_timeout=timeout)
+def run_ranks(world, fn, timeout=10.0, hub=None):
+    """``fn(hub, rank)`` on ``world`` threads; per-rank results + the hub
+    (a fresh ``TransportHub`` unless one is passed in)."""
+    hub = hub or TransportHub(world, default_timeout=timeout)
     results = [None] * world
     errors = []
 
@@ -27,6 +29,7 @@ def run_ranks(world, fn, timeout=10.0):
         t.start()
     for t in threads:
         t.join(timeout=timeout * 2)
+    assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     return results, hub
 
@@ -90,6 +93,95 @@ def test_unknown_op_raises():
     hub = TransportHub(1)
     with pytest.raises(ValueError, match="unknown reduce op"):
         alg.allreduce_ring(hub, [0], 0, np.zeros(3), "bogus")
+
+
+@pytest.mark.parametrize("algorithm", sorted(alg.ALLREDUCE_ALGORITHMS))
+def test_registry_entries_run_on_their_defaults(algorithm):
+    """Every entry is callable with the four required arguments alone
+    (``allreduce_tree`` used to default ``op`` to its tag, ``"tree"``)."""
+    fn = alg.ALLREDUCE_ALGORITHMS[algorithm]
+
+    def body(hub, rank):
+        buf = np.full(5, float(rank + 1))
+        fn(hub, [0, 1, 2], rank, buf)
+        return buf
+
+    results, _ = run_ranks(3, body)
+    for out in results:
+        assert np.array_equal(out, np.full(5, 6.0))
+
+
+# ----------------------------------------------------------------------
+# in-place collectives write through the buffer they were given
+# ----------------------------------------------------------------------
+def _c_contiguous(rank):
+    return np.full((4, 6), float(rank + 1))
+
+
+def _sliced(rank):
+    """Rows of a larger array: ``reshape(-1)`` is still a view."""
+    return np.full((6, 6), float(rank + 1))[1:5]
+
+
+def _strided(rank):
+    """Every other element: a 1-D view that is not contiguous."""
+    return np.full(48, float(rank + 1))[::2]
+
+
+def _transposed(rank):
+    """``base.T``: no 1-D view exists, ``reshape(-1)`` has to copy."""
+    return np.full((6, 4), float(rank + 1)).T
+
+
+def _inplace_allreduce(name, **extra):
+    def call(hub, ranks, rank, buf):
+        alg.ALLREDUCE_ALGORITHMS[name](hub, ranks, rank, buf, "sum", "t", **extra)
+        return 6.0  # 1 + 2 + 3
+
+    return call
+
+
+def _inplace_broadcast(hub, ranks, rank, buf):
+    alg.broadcast(hub, ranks, rank, buf, 1, "t")
+    return 2.0
+
+
+def _inplace_reduce(hub, ranks, rank, buf):
+    alg.reduce(hub, ranks, rank, buf, 0, "sum", "t")
+    return 6.0 if rank == 0 else None  # non-roots hold partial sums
+
+
+def _inplace_all_gather(hub, ranks, rank, buf):
+    alg.all_gather_into_flat(hub, ranks, rank, buf, None, "t")
+    return np.repeat([1.0, 2.0, 3.0], 8).reshape(buf.shape)
+
+
+INPLACE = {name: _inplace_allreduce(name) for name in sorted(alg.ALLREDUCE_ALGORITHMS)}
+INPLACE["hierarchical_g2"] = _inplace_allreduce("hierarchical", group_size=2)
+INPLACE.update(broadcast=_inplace_broadcast, reduce=_inplace_reduce,
+               all_gather_into_flat=_inplace_all_gather)
+
+
+@pytest.mark.parametrize("lend", [False, True], ids=["eager", "lent"])
+@pytest.mark.parametrize("layout", [_c_contiguous, _sliced, _strided, _transposed])
+@pytest.mark.parametrize("collective", list(INPLACE))
+def test_inplace_collectives_write_through_any_layout(collective, layout, lend, monkeypatch):
+    """The result lands in the caller's array whatever its strides.  For a
+    transposed view the algorithms used to reduce a private flattened copy
+    and write it into a second temporary: the call returned with the
+    caller's data unchanged and raised nothing."""
+    monkeypatch.setattr(alg, "RENDEZVOUS_BYTES", 0 if lend else 1 << 62)
+
+    def body(hub, rank):
+        buf = layout(rank)
+        expected = INPLACE[collective](hub, [0, 1, 2], rank, buf)
+        return buf, expected
+
+    results, hub = run_ranks(3, body)
+    for buf, expected in results:
+        if expected is not None:
+            assert np.array_equal(buf, np.broadcast_to(expected, buf.shape))
+    assert hub.pending_messages() == 0
 
 
 class TestRingProperties:

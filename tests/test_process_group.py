@@ -426,6 +426,48 @@ class TestOpTable:
         message = str(excinfo.value)
         assert "differing fields:" in message and f"{field}: " in message
 
+    @pytest.mark.parametrize("name", ["allreduce", "reduce_scatter_flat"])
+    @pytest.mark.parametrize("async_op", [False, True], ids=["sync", "async"])
+    def test_avg_is_sum_divided_by_the_group_size(self, name, async_op):
+        def body(rank):
+            pg = get_context().default_group
+            outs = []
+            for op in (ReduceOp.SUM, ReduceOp.AVG):
+                x = np.arange(7.0) * (rank + 1) / 3
+                out = getattr(pg, name)(x, op, async_op=async_op)
+                if async_op:
+                    out.wait()
+                    out = out.result[0]
+                outs.append(x if out is None else out)
+            summed, averaged = outs
+            return np.array_equal(averaged, summed / pg.size)
+
+        assert run_world(3, body, backend="gloo") == [True] * 3
+
+    @pytest.mark.parametrize("name", ["allreduce", "reduce_scatter_flat"])
+    def test_integer_avg_raises_on_the_issuing_thread(self, name):
+        """Before a sequence number is spent or anything is queued: even
+        an ``async_op`` call raises at the call, not at ``wait()``."""
+        def body(rank):
+            pg = get_context().default_group
+            with pytest.raises(ValueError, match="'avg' is defined for floating dtypes"):
+                getattr(pg, name)(np.ones(4, dtype=np.int64), ReduceOp.AVG, async_op=True)
+            x = np.ones(4)
+            pg.allreduce(x)  # the group is still in step
+            return pg._seq, x[0]
+
+        assert run_world(2, body, backend="gloo") == [(1, 2.0)] * 2
+
+    def test_avg_against_sum_is_a_named_mismatch(self):
+        def body(rank):
+            pg = get_context().default_group
+            pg.allreduce(np.ones(N), ReduceOp.AVG if rank else ReduceOp.SUM)
+
+        with pytest.raises(RuntimeError, match="mismatch") as excinfo:
+            run_world(2, body, backend="gloo", timeout=3)
+        assert isinstance(excinfo.value.__cause__, CollectiveMismatchError)
+        assert "differing fields: reduce_op: avg != sum" in str(excinfo.value)
+
     @pytest.mark.parametrize("name", list(OP_MATRIX))
     def test_absent_peer_raises_collective_timeout(self, name):
         """Every collective translates the transport's timeout into a

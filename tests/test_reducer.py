@@ -26,8 +26,10 @@ class RecordingGroup:
     def allreduce(self, tensor, op="sum", async_op=False):
         data = tensor.data if hasattr(tensor, "data") else tensor
         self.calls.append(("allreduce", data, op))
-        # emulate a world where the peer contributes the same values
-        data *= self.size
+        # emulate a world where the peer contributes the same values:
+        # their sum is size × ours, their average is ours unchanged
+        if op != "avg":
+            data *= self.size
 
         class _W:
             def wait(self, timeout=None):
@@ -57,7 +59,7 @@ class TestLifecycle:
         params, reducer, group = make_reducer()
         reducer.prepare_for_backward([])
         (sum((p * 2.0).sum() for p in params)).backward()
-        # local grad = 2; fake group doubles (sum over 2 ranks) then /2
+        # local grad = 2; the fake group averages two identical ranks
         for p in params:
             assert np.allclose(p.grad.data, 2.0)
 

@@ -10,6 +10,7 @@ import os
 import threading
 import time
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.resilience import (
     duplicate,
 )
 from repro.resilience.faults import InjectedRankFailure
+from repro.resilience.transport import _checksum
 from repro.utils import load_training_checkpoint, save_training_checkpoint
 
 from conftest import bare_work, small_classifier
@@ -133,6 +135,25 @@ class TestReliableTransport:
         # original delivered — not silently handed to the caller.
         assert np.array_equal(out, original)
         assert hub.resilience_stats()["total_corrupt_detected"] == 1
+
+    @pytest.mark.parametrize("payload", [
+        np.arange(12.0),                          # contiguous: CRC'd in place
+        np.arange(12.0).reshape(3, 4),
+        np.arange(12, dtype=np.float32)[::2],     # strided
+        np.arange(12.0).reshape(3, 4).T,
+        np.array(3.5),                            # 0-d
+        np.zeros(0),
+        np.array([True, False]),
+        None,                                     # a completion token
+        ("not", "an", "array"),
+    ], ids=["1d", "2d", "strided", "transposed", "0d", "empty", "bool", "token", "tuple"])
+    def test_checksum_equals_the_copying_formula(self, payload):
+        """The in-place CRC is the CRC of the bytes a copy would hold."""
+        if isinstance(payload, np.ndarray):
+            expected = zlib.crc32(np.ascontiguousarray(payload).tobytes())
+        else:
+            expected = zlib.crc32(repr(payload).encode())
+        assert _checksum(payload) == expected
 
     def test_retry_budget_exhaustion_fails_fast(self):
         hub = ReliableTransportHub(

@@ -503,9 +503,9 @@ def _sample_at_reduce_scatter(fsdp, samples):
     group = fsdp.process_group
     launch = group.reduce_scatter_flat
 
-    def sampling(flat, **kwargs):
+    def sampling(*args, **kwargs):
         samples.append((fsdp.live_bytes(), _walk_bytes(fsdp)))
-        return launch(flat, **kwargs)
+        return launch(*args, **kwargs)
 
     group.reduce_scatter_flat = sampling  # instance attribute; the group dies with the test
 
