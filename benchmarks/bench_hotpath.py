@@ -15,6 +15,13 @@ machine-readable ``BENCH_hotpath.json`` at the repo root:
    and 1 vs. 2 communication streams, with the reducer's always-on
    phase telemetry (and zero-copy counters) attached so the JSON shows
    *where* the time went, not just how much there was.
+4. **Optimizer step** — rows ``optim_step_adam_830k`` and
+   ``optim_step_sgd_4m``: the median ``optimizer.step()`` of real DDP
+   training, timed **inside two live rank threads** (both leave the
+   same AllReduce and step at the same moment; alone on the machine the
+   step prefers a block size that loses under contention), with each
+   bucket stepped as one flat (view mode) against one parameter at a
+   time (copy mode), and the numpy calls per step of each.
 
 Run ``python benchmarks/bench_hotpath.py --smoke`` for the CI-sized
 version.  Exits non-zero if the optimized path loses to the seed path
@@ -37,6 +44,8 @@ from common import emit_json, report  # noqa: E402
 
 from repro import nn  # noqa: E402
 from repro.autograd import Tensor  # noqa: E402
+from repro.autograd.profiler import _workload as profiler_workload  # noqa: E402
+from repro.autograd.profiler import count_numpy_calls  # noqa: E402
 from repro.comm import algorithms as alg  # noqa: E402
 from repro.comm import run_distributed  # noqa: E402
 from repro.comm.transport import TransportHub  # noqa: E402
@@ -228,6 +237,43 @@ def bench_ddp_iteration(hidden, iters, configs):
     return results
 
 
+#: Row name -> the profiler CLI's workload of that name: the models,
+#: batches and optimizers of the repo benchmark's tfm_ddp_w2 and
+#: mlp_ddp_bw_w2.
+OPTIM_STEP_ROWS = {"optim_step_adam_830k": "transformer", "optim_step_sgd_4m": "mlp"}
+
+
+def bench_optim_step(iters):
+    """Median ``optimizer.step()`` inside two live DDP rank threads."""
+    rows = {}
+    for name, workload in OPTIM_STEP_ROWS.items():
+        row = {}
+        for layout, view in (("flat", True), ("per_param", False)):
+            with count_numpy_calls() as counts:
+
+                def body(rank):
+                    model, inputs, labels, loss_fn, optimizer = profiler_workload(workload)
+                    ddp = DistributedDataParallel(model, gradient_as_bucket_view=view)
+                    me = threading.get_ident()
+                    spans = []
+                    for _ in range(iters + 2):
+                        optimizer.zero_grad()
+                        loss_fn(ddp(inputs), labels).backward()
+                        calls = counts[me]
+                        t0 = time.perf_counter()
+                        optimizer.step()
+                        spans.append(time.perf_counter() - t0)
+                    elements = sum(p.numel() for p in ddp.parameters())
+                    return statistics.median(spans[2:]), counts[me] - calls, elements
+
+                per_rank = run_distributed(2, body, backend="gloo", timeout=120.0)
+            row[f"{layout}_ms"] = max(r[0] for r in per_rank) * 1e3
+            row[f"{layout}_numpy_calls"] = per_rank[0][1]
+            row["elements"] = per_rank[0][2]
+        rows[name] = row
+    return rows
+
+
 def bench_sampler_overhead(hidden, iters, interval=0.1):
     """Iteration-time cost of the observatory's background sampler.
 
@@ -368,12 +414,12 @@ def main(argv=None):
         worlds, sizes_mb = [2, 4], [1, 25]
         chunk_kbs = [64, 1024, 8192]
         iters = args.iters or 3
-        hidden, ddp_iters = 256, 4
+        hidden, ddp_iters, step_iters = 256, 4, 8
     else:
         worlds, sizes_mb = [2, 4, 8], [1, 8, 25, 50]
         chunk_kbs = [16, 64, 256, 1024, 4096, 8192, 32768]
         iters = args.iters or 5
-        hidden, ddp_iters = 512, 8
+        hidden, ddp_iters, step_iters = 512, 8, 40
 
     print(f"[bench_hotpath] allreduce sweep: worlds={worlds} sizes_mb={sizes_mb}")
     allreduce_rows = bench_allreduce_sweep(worlds, sizes_mb, iters)
@@ -417,6 +463,19 @@ def main(argv=None):
             [r["mode"], r["num_streams"], r["iter_s"] * 1e3, r["zero_copy_hits"],
              r["grad_copy_count"], r["overlap_ratio"]]
             for r in ddp_rows
+        ],
+    )
+
+    print("[bench_hotpath] optimizer step inside two live rank threads")
+    optim_rows = bench_optim_step(step_iters)
+    report(
+        "hotpath_optim_step",
+        "optimizer.step() in 2 live DDP rank threads (ms, slower rank, median)",
+        ["row", "elements", "flat_ms", "per_param_ms", "flat_calls", "per_param_calls"],
+        [
+            [name, r["elements"], r["flat_ms"], r["per_param_ms"],
+             r["flat_numpy_calls"], r["per_param_numpy_calls"]]
+            for name, r in optim_rows.items()
         ],
     )
 
@@ -470,6 +529,7 @@ def main(argv=None):
             "allreduce": allreduce_rows,
             "chunk_sweep": chunk_rows,
             "ddp": ddp_rows,
+            "optim_step": optim_rows,
             "sampler_overhead": sampler_row,
             "health_overhead": health_row,
             "checks": checks,

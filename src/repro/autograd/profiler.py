@@ -18,16 +18,21 @@ thread (a local training loop), not inside ``run_distributed``.
 
 ``python -m repro.autograd.profiler --model transformer|mlp|convnet
 --iters N`` prints the ranked table for one of the benchmark's models on
-a local (unwrapped, single-thread) training loop.
+a local (unwrapped, single-thread) training loop, and how many numpy
+calls one optimizer step makes (:func:`count_numpy_calls`, which works
+under ``run_distributed`` too: the count is kept per thread).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.autograd.engine import AccumulateGrad
 from repro.autograd.function import Function
@@ -116,6 +121,52 @@ def profile_ops() -> Iterator[OpProfile]:
             setattr(cls, name, original)
 
 
+class _CountingNumpy:
+    """Stands in for a module's ``np`` global: numpy's functions and
+    ufuncs come out wrapped to count one call for the calling thread,
+    types and constants come out as they are."""
+
+    def __init__(self, counts: Counter):
+        self._counts = counts
+
+    def __getattr__(self, name: str):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        counts = self._counts
+
+        def counted(*args, **kwargs):
+            counts[threading.get_ident()] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@contextlib.contextmanager
+def count_numpy_calls() -> Iterator[Counter]:
+    """Count the numpy calls ``repro.optim`` makes inside the block.
+
+    The optimizer kernels reach numpy only through their modules' ``np``
+    global (every ufunc is an explicit ``np.multiply(..., out=...)``), so
+    swapping that global for a counting stand-in sees each call; the
+    originals are put back on exit.  The swap is process-wide, so enter
+    the block once, *around* ``run_distributed``; the ``Counter`` it
+    yields is keyed by thread ident and each rank thread reads its own
+    ``counts[threading.get_ident()]`` before and after a step.
+    """
+    from repro.optim import adam, optimizer, sgd
+
+    counts: Counter = Counter()
+    modules = (adam, optimizer, sgd)
+    for module in modules:
+        module.np = _CountingNumpy(counts)
+    try:
+        yield counts
+    finally:
+        for module in modules:
+            module.np = np
+
+
 def format_table(rows: Sequence[OpRow], iter_ms: Optional[float] = None) -> str:
     """The ranked table; with ``iter_ms`` a second share column, of the
     measured iteration rather than of op self time."""
@@ -183,13 +234,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         start = time.perf_counter()
         step_s = sum(iteration() for _ in range(args.iters))
         iter_ms = (time.perf_counter() - start) * 1e3 / args.iters
+    with count_numpy_calls() as counts:
+        iteration()
     step_ms = step_s * 1e3 / args.iters
     ops_ms = profile.total_ms(args.iters)
     print(f"{args.model}: {args.iters} local iterations, {iter_ms:.2f} ms each "
           "(forward + backward + optimizer step, wrappers on)")
     print(format_table(profile.rows(args.iters), iter_ms))
     print(f"op self time {ops_ms:.2f} ms ({ops_ms / iter_ms:.1%} of the iteration), "
-          f"optimizer step {step_ms:.2f} ms ({step_ms / iter_ms:.1%}), "
+          f"optimizer step {step_ms:.2f} ms ({step_ms / iter_ms:.1%}; "
+          f"{sum(counts.values())} numpy calls), "
           f"tape + engine + Python glue {iter_ms - ops_ms - step_ms:.2f} ms")
     return 0
 

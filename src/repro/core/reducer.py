@@ -40,7 +40,7 @@ from repro.autograd.engine import AccumulateGrad
 from repro.autograd.graph import collect_participating_accumulators
 from repro.autograd.tensor import Tensor
 from repro.comm.process_group import ReduceOp
-from repro.core.bucket import BucketSpec, validate_assignment
+from repro.core.bucket import BucketSpec, copy_params_into, validate_assignment
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
@@ -62,6 +62,8 @@ class _Bucket:
         # The tensor wrapper carries the device tag that backends like
         # NCCL check; it shares storage with ``flat``.
         self.tensor = Tensor(self.flat, device=spec.device)
+        # View mode only: the bucket's parameters, laid out like ``flat``.
+        self.param_flat: Optional[np.ndarray] = None
         self.pending = len(spec.param_indices)
         self.ready = False
         self.launched = False
@@ -214,6 +216,13 @@ class Reducer:
         to the parameter's gradient accumulator for lazy adoption, and
         any live gradient value is migrated into the new storage so a
         rebuild never loses accumulated gradients (no_sync, §3.2.4).
+
+        The parameters themselves move too: each bucket gets a second
+        flat laid out exactly like the gradient flat, the current values
+        are copied in (bitwise), and every ``param.data`` becomes a view
+        of it.  A bucket's parameters and gradients are then two arrays,
+        which is what lets an optimizer step the bucket as one
+        (:mod:`repro.optim.optimizer`).
         """
         self._bucket_specs = list(bucket_specs)
         self.buckets = [
@@ -235,10 +244,15 @@ class Reducer:
             return
         for bucket in self.buckets:
             spec = bucket.spec
+            bucket.param_flat = np.empty_like(bucket.flat)
+            copy_params_into(spec, self.params, bucket.param_flat)
             for slot, param_index in enumerate(spec.param_indices):
                 param = self.params[param_index]
                 offset = spec.offsets[slot]
                 size = spec.sizes[slot]
+                param.data = bucket.param_flat[offset : offset + size].reshape(
+                    param.shape
+                )
                 window = bucket.flat[offset : offset + size]
                 view = Tensor(
                     window.reshape(param.shape),
@@ -558,9 +572,10 @@ class Reducer:
     def detach_hooks(self) -> None:
         """Remove all autograd hooks and gradient views (DDP teardown).
 
-        Gradients that currently alias bucket memory are detached into
-        private copies so the module remains usable (and its gradients
-        mutable) after the reducer — and its buffers — are dropped.
+        Parameters and gradients that currently alias bucket memory are
+        detached into private copies so the module remains usable (and
+        its gradients mutable) after the reducer — and its buffers — are
+        dropped.
         """
         for handle in self._hook_handles:
             handle()
@@ -569,6 +584,9 @@ class Reducer:
             view = self._grad_views[index]
             if view is None:
                 continue
+            position, _ = self._locator[index]
+            if param.data.base is self.buckets[position].param_flat:
+                param.data = param.data.copy()
             if param.grad is view:
                 param.grad = Tensor(view.data.copy(), device=view.device)
             param.accumulator().set_grad_view(None)

@@ -49,6 +49,14 @@ class DataLoader:
         return -(-n // self.batch_size)
 
     def _collate(self, indices):
+        get_batch = getattr(self.dataset, "get_batch", None)
+        if get_batch is not None:
+            # One fancy-indexed copy per column instead of a Python
+            # loop over samples; the batch is bitwise the same.
+            batch = get_batch(indices)
+            if not isinstance(batch, tuple):
+                return _wrap(batch)
+            return tuple(_wrap(column) for column in batch)
         samples = [self.dataset[i] for i in indices]
         first = samples[0]
         if not isinstance(first, tuple):
@@ -58,7 +66,10 @@ class DataLoader:
 
 
 def _stack(items):
-    stacked = np.stack([np.asarray(item) for item in items])
+    return _wrap(np.stack([np.asarray(item) for item in items]))
+
+
+def _wrap(stacked: np.ndarray):
     if stacked.dtype.kind == "f":
         return Tensor(stacked)
     return stacked

@@ -35,3 +35,11 @@ class TensorDataset(Dataset):
     def __getitem__(self, index: int):
         items = tuple(array[index] for array in self.arrays)
         return items if len(items) > 1 else items[0]
+
+    def get_batch(self, indices: Sequence[int]):
+        """The samples at ``indices`` stacked column by column — what
+        stacking ``self[i]`` for each index gives, in one fancy-indexed
+        copy per array.  :class:`~repro.data.DataLoader` uses it when a
+        dataset offers it."""
+        items = tuple(array[indices] for array in self.arrays)
+        return items if len(items) > 1 else items[0]

@@ -31,6 +31,8 @@ class StepLR(_Scheduler):
     """Multiply LR by ``gamma`` every ``step_size`` epochs."""
 
     def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
+        if step_size < 1:
+            raise ValueError(f"invalid step_size {step_size}: must be >= 1")
         super().__init__(optimizer)
         self.step_size = step_size
         self.gamma = gamma
@@ -44,6 +46,8 @@ class CosineAnnealingLR(_Scheduler):
     """Cosine decay from base LR to ``eta_min`` over ``t_max`` epochs."""
 
     def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
+        if t_max < 1:
+            raise ValueError(f"invalid t_max {t_max}: must be >= 1")
         super().__init__(optimizer)
         self.t_max = t_max
         self.eta_min = eta_min

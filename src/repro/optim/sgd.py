@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.optim.optimizer import Optimizer
+import numpy as np
+
+from repro.optim.optimizer import BLOCK_ELEMENTS, Optimizer
 
 
 class SGD(Optimizer):
@@ -38,26 +40,38 @@ class SGD(Optimizer):
         }
         super().__init__(params, defaults)
 
-    def step(self) -> None:
-        for group in self.param_groups:
-            lr = group["lr"]
-            momentum = group["momentum"]
-            weight_decay = group["weight_decay"]
-            nesterov = group["nesterov"]
-            for param in group["params"]:
-                if param.grad is None:
-                    continue
-                grad = param.grad.data
+    def _kernel(self, group, units) -> None:
+        lr = group["lr"]
+        momentum = group["momentum"]
+        weight_decay = group["weight_decay"]
+        nesterov = group["nesterov"]
+        for p, g, state in units:
+            work_a, work_b = self._workspace(p.dtype)
+            buf = first = None
+            if momentum:
+                buf = state.get("momentum_buffer")
+                first = buf is None
+                if first:
+                    buf = state["momentum_buffer"] = np.empty_like(p)
+            for lo in range(0, p.size, BLOCK_ELEMENTS):
+                hi = lo + BLOCK_ELEMENTS
+                pb, gb = p[lo:hi], g[lo:hi]
+                a = work_a[: pb.size]
                 if weight_decay:
-                    grad = grad + weight_decay * param.data
+                    np.multiply(pb, weight_decay, out=a)
+                    gb = np.add(gb, a, out=a)
                 if momentum:
-                    state = self.state_for(param)
-                    buf = state.get("momentum_buffer")
-                    if buf is None:
-                        buf = grad.copy()
-                        state["momentum_buffer"] = buf
+                    vb = buf[lo:hi]
+                    if first:
+                        np.copyto(vb, gb)
                     else:
-                        buf *= momentum
-                        buf += grad
-                    grad = grad + momentum * buf if nesterov else buf
-                param.data -= lr * grad
+                        np.multiply(vb, momentum, out=vb)
+                        np.add(vb, gb, out=vb)
+                    if nesterov:
+                        b = work_b[: pb.size]
+                        np.multiply(vb, momentum, out=b)
+                        gb = np.add(gb, b, out=b)
+                    else:
+                        gb = vb
+                np.multiply(gb, lr, out=a)
+                np.subtract(pb, a, out=pb)

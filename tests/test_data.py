@@ -122,6 +122,44 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader(TensorDataset(np.arange(2)), batch_size=0)
 
+    @pytest.mark.parametrize("arrays", [
+        (np.arange(40.0).reshape(10, 2, 2), np.arange(10)),
+        (np.arange(10, dtype=np.float32),),
+        (np.arange(20).reshape(10, 2), np.linspace(0, 1, 10), np.arange(10) % 3 == 0),
+    ])
+    def test_batched_fetch_is_the_per_sample_batch_bitwise(self, arrays):
+        """``TensorDataset.get_batch`` (one fancy-indexed copy per column)
+        against the same samples fetched one by one and stacked."""
+
+        class PerSample:  # a map-style dataset that offers no batched fetch
+            def __len__(self):
+                return len(arrays[0])
+
+            def __getitem__(self, index):
+                return TensorDataset(*arrays)[index]
+
+        def batches(dataset):
+            sampler = DistributedSampler(dataset, 2, 1, seed=5)
+            return list(DataLoader(dataset, batch_size=3, sampler=sampler))
+
+        fast, slow = batches(TensorDataset(*arrays)), batches(PerSample())
+        assert len(fast) == len(slow) == 2
+        for fast_batch, slow_batch in zip(fast, slow):
+            if not isinstance(fast_batch, tuple):
+                fast_batch, slow_batch = (fast_batch,), (slow_batch,)
+            assert len(fast_batch) == len(slow_batch) == len(arrays)
+            for a, b in zip(fast_batch, slow_batch):
+                assert type(a) is type(b)
+                a, b = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_batch_does_not_alias_the_dataset(self):
+        data = np.arange(8.0)
+        (batch,) = list(DataLoader(TensorDataset(data), batch_size=8))
+        batch.data[0] = -1.0
+        assert data[0] == 0.0
+
 
 class TestSyntheticData:
     def test_regression_shapes(self):

@@ -942,3 +942,17 @@ class TestProfiler:
         out = capsys.readouterr().out
         assert "self ms/iter" in out and "op self time" in out
         assert ("Conv2d" if model == "convnet" else "Linear") in out
+        # 68 parameters x 14 Adam ufuncs, 10 x 4 momentum-SGD blocks of at
+        # most 64 K elements (4 x 16 + 6 small), 12 x 2 plain SGD.
+        calls = {"transformer": 952, "mlp": 280, "convnet": 24}[model]
+        assert f"{calls} numpy calls" in out
+
+    def test_count_numpy_calls_restores_the_modules(self):
+        from repro.autograd.profiler import count_numpy_calls
+        from repro.optim import adam, optimizer, sgd
+
+        with count_numpy_calls() as counts:
+            assert adam.np is not np
+            assert isinstance(np.zeros(1), optimizer.np.ndarray)
+        assert adam.np is np and sgd.np is np and optimizer.np is np
+        assert sum(counts.values()) == 0

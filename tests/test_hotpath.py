@@ -410,3 +410,309 @@ class TestMultiStream:
             return True
 
         assert all(run_world(2, body, backend="gloo", num_streams=4))
+
+
+# ----------------------------------------------------------------------
+# One parameter flat per bucket, stepped as one array.
+#
+# ``Shadow`` (tests/test_optim.py) steps copies of the parameters with
+# the per-parameter reference loops inside every ``optimizer.step()``
+# and asserts bitwise agreement, so each test below only has to drive a
+# training loop through the situation it names.
+# ----------------------------------------------------------------------
+from repro.models import BranchedModel  # noqa: E402
+from repro.optim import Adam, AdamW  # noqa: E402
+from repro.sharded import (  # noqa: E402
+    FullyShardedDataParallel,
+    ShardedDataParallel,
+    ShardedOptimizer,
+    measure_ddp_bytes,
+)
+from test_optim import Shadow, runs_of  # noqa: E402
+
+_frng = np.random.default_rng(11)
+FX = _frng.standard_normal((16, 6))
+FY = _frng.integers(0, 4, 16)
+
+FLAT_OPTIMIZERS = {
+    "sgd_nesterov_wd": lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=0.01,
+                                      nesterov=True),
+    "sgd_momentum": lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+    "adam_wd": lambda ps: Adam(ps, lr=0.01, weight_decay=0.01),
+    "adamw_wd": lambda ps: AdamW(ps, lr=0.01, weight_decay=0.01),
+    # Two groups with different learning rates inside one bucket.
+    "adam_two_groups": lambda ps: (lambda ps: Adam(
+        [{"params": ps[:2], "lr": 0.02}, {"params": ps[2:], "lr": 0.001}]
+    ))(list(ps)),
+}
+
+
+def _iterate(forward, optimizer, rank, steps, before=None):
+    loss_fn = nn.CrossEntropyLoss()
+    shard = slice(rank * 8, (rank + 1) * 8)
+    for step in range(steps):
+        if before is not None:
+            before(step)
+        optimizer.zero_grad()
+        loss_fn(forward(Tensor(FX[shard])), FY[shard]).backward()
+        optimizer.step()
+
+
+class TestParameterFlats:
+    def test_parameters_are_views_of_a_flat_laid_out_like_the_gradients(self):
+        def body(rank):
+            model = small_classifier()
+            before = [p.data.copy() for p in model.parameters()]
+            ddp = DistributedDataParallel(model, bucket_cap_mb=0.0005)
+            assert len(ddp.reducer.buckets) > 1
+            for bucket in ddp.reducer.buckets:
+                assert bucket.param_flat.shape == bucket.flat.shape
+                spec = bucket.spec
+                for index, offset, size in zip(spec.param_indices, spec.offsets, spec.sizes):
+                    param = ddp.reducer.params[index]
+                    window = bucket.param_flat[offset : offset + size]
+                    assert np.shares_memory(param.data, window)
+                    assert param.data.tobytes() == window.tobytes()
+            for param, value in zip(model.parameters(), before):
+                assert param.data.tobytes() == value.tobytes()
+            return True
+
+        assert all(run_world(2, body, backend="gloo"))
+
+    def test_copy_mode_leaves_parameters_alone(self):
+        def body(rank):
+            model = small_classifier()
+            arrays = [p.data for p in model.parameters()]
+            ddp = DistributedDataParallel(model, gradient_as_bucket_view=False)
+            assert all(b.param_flat is None for b in ddp.reducer.buckets)
+            return all(p.data is a for p, a in zip(model.parameters(), arrays))
+
+        assert all(run_world(2, body, backend="gloo"))
+
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_measure_ddp_bytes_is_what_it_was(self, as_view):
+        """Flats hold the same elements the scattered arrays held: view
+        mode params + gradient flats + two Adam moments, copy mode one
+        more set of gradients — to the byte."""
+
+        def body(rank):
+            model = small_classifier()
+            ddp = DistributedDataParallel(model, gradient_as_bucket_view=as_view)
+            optimizer = Adam(ddp.parameters(), lr=0.01)
+            _iterate(ddp, optimizer, rank, 2)
+            return measure_ddp_bytes(ddp, optimizer)
+
+        param_bytes = sum(p.data.nbytes for p in small_classifier().parameters())
+        expected = (4 if as_view else 5) * param_bytes
+        assert run_world(2, body, backend="gloo") == [expected] * 2
+
+
+class TestFlatStepUnderDDP:
+    @pytest.mark.parametrize("name", sorted(FLAT_OPTIMIZERS))
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_ddp_step_is_the_reference_loop_bitwise(self, name, as_view):
+        def body(rank):
+            ddp = DistributedDataParallel(
+                small_classifier(), gradient_as_bucket_view=as_view
+            )
+            optimizer = FLAT_OPTIMIZERS[name](ddp.parameters())
+            shadow = Shadow.attach(optimizer)
+            _iterate(ddp, optimizer, rank, 5)
+            assert shadow.steps == 5
+            return runs_of(optimizer), ddp.state_dict()
+
+        results = run_world(2, body, backend="gloo")
+        runs = results[0][0]
+        if not as_view:
+            assert all(group == [] for group in runs)
+        elif name == "adam_two_groups":
+            assert runs == [[2], [2]]
+        else:
+            assert runs == [[4]]  # the whole bucket is one array
+        for key, value in results[0][1].items():
+            assert value.tobytes() == results[1][1][key].tobytes()
+
+    @pytest.mark.parametrize("name", ["sgd_nesterov_wd", "adam_wd", "adamw_wd"])
+    @pytest.mark.parametrize("stage", ["zero1", "zero2", "zero3"])
+    def test_sharded_inner_step_is_the_reference_loop_bitwise(self, stage, name):
+        """ZeRO's inner optimizer sees 1-D shards: same kernel, and the
+        result tracks DDP's as closely as it did."""
+        factory = FLAT_OPTIMIZERS[name]
+
+        def sharded(rank):
+            model = small_classifier()
+            if stage == "zero1":
+                forward = DistributedDataParallel(model, bucket_cap_mb=0.0005)
+                sharded_opt = ShardedOptimizer(list(forward.parameters()), factory)
+
+                def step():
+                    sharded_opt.set_grads_from_params()
+                    sharded_opt.step()
+
+                zero_grad, state = sharded_opt.zero_grad, model.state_dict
+            else:
+                wrapper = {"zero2": ShardedDataParallel, "zero3": FullyShardedDataParallel}
+                kwargs = {"bucket_cap_mb": 0.0005} if stage == "zero2" else {}
+                forward = wrapper[stage](model, factory, **kwargs)
+                sharded_opt = forward.optimizer
+                step, zero_grad, state = forward.step, forward.zero_grad, forward.state_dict
+            shadow = Shadow.attach(sharded_opt.inner)
+            loss_fn = nn.CrossEntropyLoss()
+            shard = slice(rank * 8, (rank + 1) * 8)
+            for _ in range(5):
+                zero_grad()
+                loss_fn(forward(Tensor(FX[shard])), FY[shard]).backward()
+                step()
+            assert shadow.steps == 5
+            return {k: np.asarray(v).copy() for k, v in state().items()}
+
+        def replicated(rank):
+            ddp = DistributedDataParallel(small_classifier())
+            optimizer = factory(ddp.parameters())
+            _iterate(ddp, optimizer, rank, 5)
+            return ddp.state_dict()
+
+        for ours, theirs in zip(run_world(2, sharded, backend="gloo"),
+                                run_world(2, replicated, backend="gloo")):
+            for key in theirs:
+                np.testing.assert_allclose(ours[key], theirs[key], rtol=1e-9, atol=1e-12)
+
+    def test_unused_parameter_splits_the_run_for_that_step(self):
+        def body(rank):
+            manual_seed(4)
+            model = BranchedModel(num_branches=2)
+            ddp = DistributedDataParallel(model, find_unused_parameters=True)
+            optimizer = Adam(ddp.parameters(), lr=0.01)
+            shadow = Shadow.attach(optimizer)
+            loss_fn = nn.CrossEntropyLoss()
+            x, y = Tensor(np.ones((2, 8)) * (rank + 1)), np.zeros(2, dtype=np.int64)
+            seen = []
+            for branch in (0, 0, 1, 1):  # the other branch is unused on every rank
+                optimizer.zero_grad()
+                loss_fn(ddp(x, branch=branch), y).backward()
+                optimizer.step()
+                seen.append(runs_of(optimizer))
+                unused = model.branches[1 - branch]
+                assert all(p.grad is None for p in unused.parameters())
+            assert shadow.steps == 4
+            return seen
+
+        seen = run_world(2, body, backend="gloo")[0]
+        assert all(sum(group) == 4 for (group,) in seen)  # 6 parameters, 2 unused
+
+    def test_data_rebound_mid_training(self):
+        def body(rank):
+            model = small_classifier()
+            ddp = DistributedDataParallel(model)
+            optimizer = Adam(ddp.parameters(), lr=0.01)
+            shadow = Shadow.attach(optimizer)
+            victim = list(model.parameters())[1]
+
+            def before(step):
+                if step == 2:
+                    victim.data = victim.data.copy()
+
+            _iterate(ddp, optimizer, rank, 5, before)
+            assert shadow.steps == 5
+            assert optimizer.state_for(victim)["step"] == 5
+            return runs_of(optimizer)
+
+        # b2 W2 | b1 (rebound) | W1: one run of two is left.
+        assert run_world(2, body, backend="gloo")[0] == [[2]]
+
+    @pytest.mark.parametrize("relayout", ["rebuild_buckets", "set_bucket_cap_mb"])
+    @pytest.mark.parametrize("name", ["sgd_momentum", "adam_wd"])
+    def test_relayout_mid_training_keeps_the_moments(self, name, relayout):
+        """A re-bucket (order prediction, or the autotuner applying a
+        new cap) re-homes every parameter; the optimizer's state follows
+        it into the new flats."""
+
+        def body(rank):
+            model = small_classifier()
+            ddp = DistributedDataParallel(model)
+            optimizer = FLAT_OPTIMIZERS[name](ddp.parameters())
+            shadow = Shadow.attach(optimizer)
+            snapshots = []
+
+            def before(step):
+                if step != 3:
+                    return
+                snapshots.append(optimizer.state_dict())
+                if relayout == "rebuild_buckets":
+                    ddp.reducer.rebuild_buckets(compute_bucket_assignment(
+                        list(ddp.parameters()), bucket_cap_bytes=600
+                    ))
+                else:
+                    ddp.set_bucket_cap_mb(600 / (1024 * 1024))
+                assert len(ddp.reducer.buckets) > 1
+                snapshots.append(optimizer.state_dict())
+
+            _iterate(ddp, optimizer, rank, 6, before)
+            assert shadow.steps == 6
+            held, kept = snapshots
+            for index in held["state"]:
+                for key, value in held["state"][index].items():
+                    assert np.asarray(kept["state"][index][key]).tobytes() == \
+                        np.asarray(value).tobytes()
+            return runs_of(optimizer), ddp.state_dict()
+
+        results = run_world(2, body, backend="gloo")
+        assert sum(results[0][0][0]) >= 2  # still stepping runs, now per bucket
+        for key, value in results[0][1].items():
+            assert value.tobytes() == results[1][1][key].tobytes()
+
+    def test_no_sync_accumulation(self):
+        def body(rank):
+            ddp = DistributedDataParallel(small_classifier())
+            optimizer = Adam(ddp.parameters(), lr=0.01)
+            shadow = Shadow.attach(optimizer)
+            loss_fn = nn.CrossEntropyLoss()
+            for step in range(3):
+                optimizer.zero_grad()
+                with ddp.no_sync():
+                    micro = slice(rank * 4, rank * 4 + 4)
+                    loss_fn(ddp(Tensor(FX[micro])), FY[micro]).backward()
+                micro = slice(8 + rank * 4, 12 + rank * 4)
+                loss_fn(ddp(Tensor(FX[micro])), FY[micro]).backward()
+                optimizer.step()
+            assert shadow.steps == 3
+            return runs_of(optimizer), ddp.state_dict()
+
+        results = run_world(2, body, backend="gloo")
+        assert results[0][0] == [[4]]
+        for key, value in results[0][1].items():
+            assert value.tobytes() == results[1][1][key].tobytes()
+
+    def test_detach_hooks_leaves_a_usable_module(self):
+        def body(rank):
+            model = small_classifier()
+            ddp = DistributedDataParallel(model)
+            optimizer = Adam(ddp.parameters(), lr=0.01)
+            shadow = Shadow.attach(optimizer)
+            _iterate(ddp, optimizer, rank, 2)
+            flats = [bucket.param_flat for bucket in ddp.reducer.buckets]
+            values = [p.data.copy() for p in model.parameters()]
+            ddp.reducer.detach_hooks()
+            for param, value in zip(model.parameters(), values):
+                assert param.data.tobytes() == value.tobytes()
+                assert not any(np.shares_memory(param.data, flat) for flat in flats)
+            _iterate(model, optimizer, rank, 2)  # plain local training now
+            assert shadow.steps == 4
+            assert optimizer.state_for(next(iter(model.parameters())))["step"] == 4
+            return runs_of(optimizer)
+
+        assert run_world(2, body, backend="gloo") == [[[]]] * 2
+
+    def test_optimizer_built_before_the_wrap_finds_the_flats(self):
+        def body(rank):
+            model = small_classifier()
+            optimizer = Adam(model.parameters(), lr=0.01)
+            shadow = Shadow.attach(optimizer)
+            _iterate(model, optimizer, 0, 2)  # same data on every rank
+            assert runs_of(optimizer) == [[]]
+            ddp = DistributedDataParallel(model)
+            _iterate(ddp, optimizer, rank, 3)
+            assert shadow.steps == 5
+            return runs_of(optimizer)
+
+        assert run_world(2, body, backend="gloo") == [[[4]]] * 2
