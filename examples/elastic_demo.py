@@ -212,9 +212,12 @@ def main() -> int:
          grow.deaths == [2] and grow.admissions == [2]),
         ("world grew back to full size",
          grow.final_world_size == WORLD),
+        # A generation the supervisor cut short to admit the returning
+        # rank may lose its last push to the closing hub (its local
+        # commit carries the state); every other generation replicated.
         ("checkpoint engine replicated shards",
          all((g.get("checkpoint") or {}).get(0, {}).get("replicas_sent", 0)
-             > 0 for g in grow.generations)),
+             > 0 for g in grow.generations if not g["grow_ready"])),
         ("grow losses bitwise-match the composed same-schedule baseline",
          composed_losses == grow.losses),
     ]

@@ -32,25 +32,22 @@ numbers stay monotonic across elastic re-rendezvous generations.
 
 from __future__ import annotations
 
+import glob
 import os
 import queue
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.checkpoint.format import (
     ChecksumError,
-    TRAILER_SIZE,
-    append_trailer,
-    crc_of,
-    load_verified_npz,
+    atomic_write,
     npz_bytes,
     parse_npz,
-    read_verified,
-    verify_bytes,
+    seal,
 )
 from repro.checkpoint.manifest import (
     Manifest,
@@ -60,37 +57,26 @@ from repro.checkpoint.manifest import (
     list_generations,
     load_generation_manifest,
     manifest_filename,
+    verify_generation,
+    write_manifest,
 )
+from repro.checkpoint.payload import full_payload, install_full
+from repro.checkpoint.reshard import load_shard_payloads, shard_payload
+from repro.comm.transport import TransportTimeoutError
+from repro.telemetry.health.events import record_event
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
-
-#: Env knob: default replication factor for engines that are not given
-#: one explicitly (1 = no replication).
-REPLICATION_ENV = "REPRO_CKPT_REPLICATION"
-#: Env knob: set to ``0`` to force synchronous (write-on-training-thread)
-#: saves even where the engine would default to async.
-ASYNC_ENV = "REPRO_CKPT_ASYNC"
 
 #: Replication arrivals later than this many seconds after the owner's
 #: snapshot are annotated in the health event log.
 REPLICATION_LAG_WARN_S = 2.0
+#: How long a replica receiver blocks on the hub before re-checking
+#: whether the engine was closed.
+RECV_SLICE_S = 0.05
 
 _ENGINES: "weakref.WeakValueDictionary[int, CheckpointEngine]" = (
     weakref.WeakValueDictionary()
 )
-
-
-def default_replication_factor() -> int:
-    """Replication factor from ``REPRO_CKPT_REPLICATION`` (default 1)."""
-    try:
-        return max(1, int(os.environ.get(REPLICATION_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def default_async_write() -> bool:
-    """Async-save default from ``REPRO_CKPT_ASYNC`` (default on)."""
-    return os.environ.get(ASYNC_ENV, "1") != "0"
 
 
 def stats_for(rank: int) -> Optional[dict]:
@@ -108,23 +94,12 @@ def _record_span(name: str, t_start: float, t_end: float, rank: int, **args) -> 
         )
 
 
-def _health_event(rank: int, kind: str, **fields) -> None:
-    from repro.telemetry.health.events import record_event
+class _SaveJob(NamedTuple):
+    """One snapshot queued for serialization + commit."""
 
-    record_event(rank, kind, **fields)
-
-
-class _SaveJob:
-    """One snapshot queued for background serialization + commit."""
-
-    __slots__ = ("generation", "files", "manifest", "snapshot_t")
-
-    def __init__(self, generation: int, files: Dict[str, Dict[str, np.ndarray]],
-                 manifest: Manifest, snapshot_t: float):
-        self.generation = generation
-        self.files = files
-        self.manifest = manifest
-        self.snapshot_t = snapshot_t
+    files: Dict[str, Dict[str, np.ndarray]]
+    manifest: Manifest
+    snapshot_t: float
 
 
 class CheckpointEngine:
@@ -143,12 +118,12 @@ class CheckpointEngine:
         replica pushes; required when ``replication_factor > 1``.
     replication_factor:
         Total copies of each rank's files (1 = local only); clamped to
-        ``world``.  Defaults to ``REPRO_CKPT_REPLICATION``.
+        ``world``.
     keep:
         Committed generations retained per rank directory.
     async_write:
-        Serialize + write on a background thread (default, overridable
-        via ``REPRO_CKPT_ASYNC=0``); False runs the full save inline.
+        Serialize + write on a background thread (default); False runs
+        the same job inline and raises a write error to the caller.
     fault_plan:
         Checkpoint-I/O chaos hook (defaults to the hub's installed
         plan): consulted per written file via ``on_checkpoint_write``.
@@ -163,11 +138,10 @@ class CheckpointEngine:
         rank: int,
         world: int,
         hub=None,
-        replication_factor: Optional[int] = None,
+        replication_factor: int = 1,
         keep: int = 2,
-        async_write: Optional[bool] = None,
+        async_write: bool = True,
         fault_plan=None,
-        recv_slice_s: float = 0.05,
     ):
         if world < 1:
             raise ValueError("world must be >= 1")
@@ -177,19 +151,14 @@ class CheckpointEngine:
         self.rank = rank
         self.world = world
         self.hub = hub
-        if replication_factor is None:
-            replication_factor = default_replication_factor()
         self.replication_factor = max(1, min(int(replication_factor), world))
         if self.replication_factor > 1 and hub is None:
             raise ValueError("replication_factor > 1 requires a transport hub")
         self.keep = int(keep)
-        self.async_write = (
-            default_async_write() if async_write is None else bool(async_write)
-        )
+        self.async_write = bool(async_write)
         self.fault_plan = fault_plan if fault_plan is not None else (
             getattr(hub, "fault_plan", None)
         )
-        self.recv_slice_s = recv_slice_s
         self.rank_dir = os.path.join(directory, f"rank{rank}")
         os.makedirs(self.rank_dir, exist_ok=True)
 
@@ -246,7 +215,6 @@ class CheckpointEngine:
         return [
             (self.rank - i) % self.world
             for i in range(1, self.replication_factor)
-            if (self.rank - i) % self.world != self.rank
         ]
 
     def replica_dir(self, owner: int) -> str:
@@ -264,23 +232,15 @@ class CheckpointEngine:
         suffices) but every rank commits a manifest, so restores can
         tell "rank never saved" from "rank's files were lost".
         """
-        from repro.utils.checkpoint import training_payload
-
         t0 = time.perf_counter()
         files: Dict[str, Dict[str, np.ndarray]] = {}
         if self.rank == 0:
-            files["full.npz"] = training_payload(
-                module, optimizer, iteration=iteration, extra=extra, copy=True
+            files["full.npz"] = full_payload(
+                module.state_dict(),
+                None if optimizer is None else optimizer.state_dict(),
+                iteration, extra, copy=True,
             )
-        manifest = Manifest(
-            generation=int(iteration),
-            rank=self.rank,
-            world_size=self.world,
-            iteration=int(iteration),
-            mode="full",
-            meta={"writer_rank": 0},
-        )
-        return self._submit(files, manifest, t0)
+        return self._submit(files, "full", {"writer_rank": 0}, iteration, t0)
 
     def save_sharded(self, model, iteration: int = 0,
                      extra: Optional[Dict] = None) -> int:
@@ -291,35 +251,27 @@ class CheckpointEngine:
         replicated buffers/meta).  The manifest's span table is what
         lets :meth:`load_latest` reshard into a different world size.
         """
-        from repro.sharded.checkpoint import shard_payload
-
         t0 = time.perf_counter()
-        arrays, meta = shard_payload(model, include_buffers=self.rank == 0)
-        for key, value in (extra or {}).items():
-            arrays[f"extra/{key}"] = np.asarray(value)
+        arrays, meta = shard_payload(model, include_buffers=self.rank == 0, extra=extra)
+        return self._submit({"shard.npz": arrays}, "sharded", meta, iteration, t0)
+
+    def _submit(self, files, mode: str, meta: Dict, iteration: int, t0: float) -> int:
+        if self._closed:
+            raise RuntimeError("checkpoint engine is closed")
         manifest = Manifest(
             generation=int(iteration),
             rank=self.rank,
             world_size=self.world,
             iteration=int(iteration),
-            mode="sharded",
+            mode=mode,
             meta=meta,
         )
-        return self._submit({"shard.npz": arrays}, manifest, t0)
-
-    def _submit(self, files, manifest: Manifest, t0: float) -> int:
-        if self._closed:
-            raise RuntimeError("checkpoint engine is closed")
-        job = _SaveJob(manifest.generation, files, manifest, t0)
-        self._idle.clear()
+        job = _SaveJob(files, manifest, t0)
         if self.async_write:
+            self._idle.clear()
             self._queue.put(job)
         else:
-            try:
-                self._run_job(job)
-            finally:
-                if self._queue.empty():
-                    self._idle.set()
+            self._run_job(job)
         t1 = time.perf_counter()
         with self._lock:
             self._stats["saves"] += 1
@@ -345,7 +297,7 @@ class CheckpointEngine:
                     self._stats["write_errors"] += 1
                 logger.warning(
                     "checkpoint: rank %d background save of generation %d "
-                    "failed: %s", self.rank, job.generation, exc,
+                    "failed: %s", self.rank, job.manifest.generation, exc,
                 )
             finally:
                 self._queue.task_done()
@@ -353,38 +305,22 @@ class CheckpointEngine:
                     self._idle.set()
 
     def _run_job(self, job: _SaveJob) -> None:
-        gen_dir = os.path.join(self.rank_dir, generation_dirname(job.generation))
-        entries: List[ManifestFile] = []
+        gen_dir = os.path.join(self.rank_dir, generation_dirname(job.manifest.generation))
         wire_files: Dict[str, bytes] = {}
-        hook = (
-            self.fault_plan.on_checkpoint_write
-            if self.fault_plan is not None
-            and hasattr(self.fault_plan, "on_checkpoint_write")
-            else None
-        )
+        hook = getattr(self.fault_plan, "on_checkpoint_write", None)
         t_ser = time.perf_counter()
         blobs = {name: npz_bytes(arrays) for name, arrays in job.files.items()}
         t_wr = time.perf_counter()
         written = 0
         for name, payload in blobs.items():
-            data = append_trailer(payload)
-            if hook is not None:
-                data = hook(self.rank, os.path.join(gen_dir, name), data)
-            os.makedirs(gen_dir, exist_ok=True)
-            tmp = os.path.join(gen_dir, f".{name}.tmp.{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, os.path.join(gen_dir, name))
-            # Manifest records the *intended* bytes: a fault-injected
-            # torn write is then caught by size/CRC at verify time.
-            entries.append(
-                ManifestFile(name, len(payload) + TRAILER_SIZE, crc_of(payload))
-            )
-            wire_files[name] = append_trailer(payload)
-            written += len(data)
-        job.manifest.files = entries
-        from repro.checkpoint.manifest import write_manifest
-
+            # Sealed once: the same bytes go to disk (through the fault
+            # hook), to the buddies (untorn), and — as size and CRC —
+            # into the manifest, which thus records the *intended* file:
+            # a fault-injected torn write is caught at verify time.
+            data, crc = seal(payload)
+            written += atomic_write(os.path.join(gen_dir, name), data, hook, self.rank)
+            job.manifest.files.append(ManifestFile(name, len(data), crc))
+            wire_files[name] = data
         write_manifest(self.rank_dir, job.manifest)
         t_done = time.perf_counter()
         with self._lock:
@@ -393,7 +329,7 @@ class CheckpointEngine:
             self._stats["bytes_written"] += written
         _record_span(
             "checkpoint.write", t_ser, t_done, self.rank,
-            generation=job.generation, bytes=written,
+            generation=job.manifest.generation, bytes=written,
         )
         self._replicate(job, wire_files)
         deleted = apply_retention(self.rank_dir, self.keep)
@@ -408,8 +344,7 @@ class CheckpointEngine:
         if self.replication_factor <= 1 or self.hub is None:
             return
         message = {
-            "generation": job.generation,
-            "owner": self.rank,
+            "generation": job.manifest.generation,
             "snapshot_t": job.snapshot_t,
             "manifest": job.manifest.to_json(),
             "files": {
@@ -425,7 +360,7 @@ class CheckpointEngine:
             except Exception as exc:  # noqa: BLE001 - hub may be closing
                 logger.warning(
                     "checkpoint: rank %d replica push gen %d -> rank %d "
-                    "failed: %s", self.rank, job.generation, buddy, exc,
+                    "failed: %s", self.rank, job.manifest.generation, buddy, exc,
                 )
                 continue
             with self._lock:
@@ -433,20 +368,18 @@ class CheckpointEngine:
                 self._stats["replica_bytes_sent"] += nbytes
         _record_span(
             "checkpoint.replicate", t0, time.perf_counter(), self.rank,
-            generation=job.generation, buddies=len(self.buddies()),
+            generation=job.manifest.generation, buddies=len(self.buddies()),
         )
 
     def _receiver_loop(self, owner: int) -> None:
-        from repro.comm.transport import TransportClosedError, TransportTimeoutError
-
         while not self._closed:
             try:
                 message = self.hub.recv(
-                    self.rank, owner, ("ckpt", owner), timeout=self.recv_slice_s
+                    self.rank, owner, ("ckpt", owner), timeout=RECV_SLICE_S
                 )
             except TransportTimeoutError:
                 continue
-            except (TransportClosedError, Exception):  # noqa: BLE001
+            except Exception:  # noqa: BLE001 - hub closed under us
                 return
             try:
                 self._store_replica(owner, message)
@@ -461,20 +394,16 @@ class CheckpointEngine:
         generation = int(message["generation"])
         target = self.replica_dir(owner)
         gen_dir = os.path.join(target, generation_dirname(generation))
-        os.makedirs(gen_dir, exist_ok=True)
         for name, data in message["files"].items():
-            blob = np.asarray(data, dtype=np.uint8).tobytes()
-            tmp = os.path.join(gen_dir, f".{name}.tmp.{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, os.path.join(gen_dir, name))
+            atomic_write(
+                os.path.join(gen_dir, name), np.asarray(data, dtype=np.uint8).tobytes()
+            )
         # Commit the replica with the owner's own manifest, so the
         # replica directory is a drop-in substitute for the owner's.
-        path = os.path.join(target, manifest_filename(generation))
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            handle.write(message["manifest"])
-        os.replace(tmp, path)
+        atomic_write(
+            os.path.join(target, manifest_filename(generation)),
+            message["manifest"].encode(),
+        )
         lag = time.perf_counter() - float(message.get("snapshot_t", t0))
         with self._lock:
             self._stats["replicas_received"] += 1
@@ -485,71 +414,48 @@ class CheckpointEngine:
             "checkpoint.replica_recv", t0, time.perf_counter(), self.rank,
             owner=owner, generation=generation, lag_s=round(lag, 6),
         )
-        _health_event(
-            self.rank, "checkpoint.replica",
-            owner=owner, generation=generation, lag_s=lag,
-        )
+        detail = {"owner": owner, "generation": generation, "lag_s": lag}
+        record_event(self.rank, "checkpoint.replica", extra=detail)
         if lag > REPLICATION_LAG_WARN_S:
-            _health_event(
-                self.rank, "checkpoint.replication_lag",
-                owner=owner, generation=generation, lag_s=lag,
-            )
+            record_event(self.rank, "checkpoint.replication_lag", extra=detail)
 
     # -- restoring -------------------------------------------------------
-    def _source_dirs(self) -> List[str]:
-        """Every directory that may hold committed manifests: each
-        rank's own dir plus each rank's replica mirrors."""
-        sources: List[str] = []
-        if not os.path.isdir(self.directory):
-            return sources
-        for name in sorted(os.listdir(self.directory)):
-            rank_dir = os.path.join(self.directory, name)
-            if not (name.startswith("rank") and os.path.isdir(rank_dir)):
-                continue
-            sources.append(rank_dir)
-            replica_root = os.path.join(rank_dir, "replica")
-            if os.path.isdir(replica_root):
-                for sub in sorted(os.listdir(replica_root)):
-                    path = os.path.join(replica_root, sub)
-                    if os.path.isdir(path):
-                        sources.append(path)
-        return sources
-
     def _committed_generations(self) -> Dict[int, Dict[int, List[Tuple[str, Manifest]]]]:
         """``generation -> owner rank -> [(dir, manifest), ...]`` over
-        every source directory (owner dirs first, replicas after)."""
+        every rank's own directory, then every replica mirror."""
         table: Dict[int, Dict[int, List[Tuple[str, Manifest]]]] = {}
-        for source in self._source_dirs():
-            is_replica = os.sep + "replica" + os.sep in source + os.sep
+        own = os.path.join(self.directory, "rank*")
+        for source in sorted(glob.glob(own)) + sorted(
+            glob.glob(os.path.join(own, "replica", "*"))
+        ):
             for generation in list_generations(source):
                 try:
                     manifest = load_generation_manifest(source, generation)
                 except ChecksumError:
                     continue
-                if manifest is None:
-                    continue
-                slots = table.setdefault(generation, {}).setdefault(
-                    manifest.rank, []
-                )
-                if is_replica:
-                    slots.append((source, manifest))
-                else:
-                    slots.insert(0, (source, manifest))
+                if manifest is not None:
+                    table.setdefault(generation, {}).setdefault(
+                        manifest.rank, []
+                    ).append((source, manifest))
         return table
 
     def _load_rank_payload(
         self, sources: List[Tuple[str, Manifest]], name: str
     ) -> Optional[Tuple[Dict[str, np.ndarray], Manifest, str]]:
-        """First CRC-valid copy of ``name`` across owner + replicas."""
-        from repro.checkpoint.manifest import verify_generation
-
+        """First verified copy of ``name`` across owner + replicas, as
+        ``(arrays, manifest, "local" | "replica")``.  The bytes parsed
+        are the bytes the audit read: one read, one CRC per file."""
         for directory, manifest in sources:
             try:
-                verify_generation(directory, manifest)
-                path = os.path.join(
-                    directory, generation_dirname(manifest.generation), name
+                payloads = verify_generation(directory, manifest)
+                if name not in payloads:
+                    raise ChecksumError(f"commit holds no {name!r}", path=directory)
+                own = os.path.join(self.directory, f"rank{manifest.rank}")
+                return (
+                    parse_npz(payloads[name], path=directory),
+                    manifest,
+                    "local" if directory == own else "replica",
                 )
-                return load_verified_npz(path), manifest, directory
             except (ChecksumError, FileNotFoundError) as exc:
                 with self._lock:
                     self._stats["verify_failures"] += 1
@@ -582,56 +488,32 @@ class CheckpointEngine:
     def _try_restore(self, generation, by_rank, module, optimizer, model):
         sample = next(iter(by_rank.values()))[0][1]
         if sample.mode == "full":
-            writer = int(sample.meta.get("writer_rank", 0))
-            sources = by_rank.get(writer)
-            if not sources:
-                return None
-            loaded = self._load_rank_payload(sources, "full.npz")
-            if loaded is None:
-                return None
-            payload, manifest, directory = loaded
-            if module is None:
-                return None
-            from repro.utils.checkpoint import install_training_payload
-
-            info = install_training_payload(payload, module, optimizer)
-            info.update(
-                generation=generation,
-                saved_world_size=manifest.world_size,
-                sources={
-                    writer: "local" if directory == os.path.join(
-                        self.directory, f"rank{writer}"
-                    ) else "replica"
-                },
-            )
-            return info
-        # Sharded commit: every saving rank's shard must be recoverable.
-        if model is None:
+            owners = [int(sample.meta.get("writer_rank", 0))]
+            name, target = "full.npz", module
+        else:  # sharded: every saving rank's shard must be recoverable
+            owners = list(range(sample.world_size))
+            name, target = "shard.npz", model
+        if target is None:
             return None
-        saved_world = sample.world_size
         shards: Dict[int, Tuple[Dict[str, np.ndarray], Manifest]] = {}
-        sources_used: Dict[int, str] = {}
-        for old_rank in range(saved_world):
-            slots = by_rank.get(old_rank)
-            if not slots:
+        sources: Dict[int, str] = {}
+        for owner in owners:
+            found = self._load_rank_payload(by_rank.get(owner, []), name)
+            if found is None:
                 return None
-            loaded = self._load_rank_payload(slots, "shard.npz")
-            if loaded is None:
-                return None
-            payload, manifest, directory = loaded
-            shards[old_rank] = (payload, manifest)
-            sources_used[old_rank] = (
-                "local"
-                if directory == os.path.join(self.directory, f"rank{old_rank}")
-                else "replica"
+            shards[owner], sources[owner] = found[:2], found[2]
+        if sample.mode == "full":
+            info = install_full(
+                shards[owners[0]][0],
+                module.load_state_dict,
+                None if optimizer is None else optimizer.load_state_dict,
             )
-        from repro.sharded.checkpoint import load_shard_payloads
-
-        info = load_shard_payloads(model, shards)
+        else:
+            info = load_shard_payloads(model, shards)
         info.update(
             generation=generation,
-            saved_world_size=saved_world,
-            sources=sources_used,
+            saved_world_size=sample.world_size,
+            sources=sources,
         )
         return info
 
@@ -649,7 +531,7 @@ class CheckpointEngine:
             self._queue.put(None)
             self._writer.join(timeout=timeout)
         for thread in self._receivers:
-            thread.join(timeout=self.recv_slice_s * 4 + 0.2)
+            thread.join(timeout=RECV_SLICE_S * 4 + 0.2)
         if _ENGINES.get(self.rank) is self:
             _ENGINES.pop(self.rank, None)
 

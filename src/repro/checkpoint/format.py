@@ -8,19 +8,19 @@ checkpoint this package writes therefore carries a fixed-size trailer::
 
     MAGIC(8) | payload_length u64 LE | crc32 u32 LE | MAGIC(8)
 
-appended *after* the payload bytes.  The payload of the plain training
-checkpoints stays a perfectly ordinary ``.npz`` — ``zipfile`` locates
-the end-of-central-directory record by scanning backwards, so a legacy
-reader that knows nothing about the trailer still opens the file — and
+appended *after* the payload bytes.  The payload stays a perfectly
+ordinary ``.npz`` — ``zipfile`` locates the end-of-central-directory
+record by scanning backwards, so ``np.load`` still opens the file — and
 readers here verify the CRC before a single byte is unpickled, raising
 :class:`ChecksumError` on any mismatch instead of handing numpy a torn
-archive.
+archive.  A file without the trailer is rejected the same way: nothing
+under ``src/`` writes one, and accepting it would mean loading bytes
+nobody can vouch for.
 
-Files written before this format existed carry no trailer; they are
-accepted as-is (backward-compatible read) but still get structural
-validation: a payload ``zipfile`` cannot parse is reported as a
-:class:`ChecksumError`, never as a raw ``BadZipFile`` five frames deep
-in numpy.
+:func:`atomic_write` is the package's one way onto the disk (tmp file,
+then an atomic rename) and the one place the fault plan's checkpoint
+hook is applied; data files, replica files and manifests all go through
+it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: Trailer framing: magic on both sides so a truncated trailer is
-#: distinguishable from a legacy (trailer-less) file.
+#: Trailer framing: magic on both sides of the length and CRC fields.
 MAGIC = b"RPROCKPT"
 _TRAILER_STRUCT = struct.Struct("<QI")
 #: Total trailer size in bytes: MAGIC + u64 length + u32 crc + MAGIC.
@@ -55,88 +54,78 @@ class ChecksumError(RuntimeError):
         self.path = path
 
 
-def append_trailer(payload: bytes) -> bytes:
-    """Return ``payload`` with the verification trailer appended."""
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return payload + MAGIC + _TRAILER_STRUCT.pack(len(payload), crc) + MAGIC
+def seal(payload: bytes) -> Tuple[bytes, int]:
+    """``(payload + trailer, crc32(payload))`` — one CRC pass, one
+    concatenation, for callers that need the on-disk bytes *and* the
+    checksum (the engine: file, replica copy and manifest entry)."""
+    crc = crc_of(payload)
+    return payload + MAGIC + _TRAILER_STRUCT.pack(len(payload), crc) + MAGIC, crc
 
 
-def split_trailer(data: bytes) -> Tuple[bytes, Optional[int]]:
-    """Split raw file bytes into ``(payload, expected_crc)``.
-
-    ``expected_crc`` is ``None`` for legacy files without a trailer.
-    A *recognizably damaged* trailer (magic present on one side only,
-    or a length field pointing outside the file) raises
-    :class:`ChecksumError` — that is a torn write, not a legacy file.
-    """
+def unseal(data: bytes, path: Optional[str] = None) -> Tuple[bytes, int]:
+    """``(verified payload, its crc32)`` of raw checkpoint bytes; the
+    payload is CRC'd once.  Raises :class:`ChecksumError` when the
+    trailer is absent, truncated (a torn tail), malformed, declares a
+    length that is not the file's, or carries another CRC."""
     if len(data) < TRAILER_SIZE or not data.endswith(MAGIC):
-        if MAGIC in data[-(TRAILER_SIZE + 64):] if data else False:
-            raise ChecksumError(
-                "truncated checkpoint trailer (torn write at the tail)"
-            )
-        return data, None
+        raise ChecksumError(
+            "missing or truncated checkpoint trailer (torn write at the "
+            "tail, or not a file this package wrote)",
+            path=path,
+        )
     trailer = data[-TRAILER_SIZE:]
     if not trailer.startswith(MAGIC):
-        raise ChecksumError("malformed checkpoint trailer framing")
-    length, crc = _TRAILER_STRUCT.unpack(
+        raise ChecksumError("malformed checkpoint trailer framing", path=path)
+    length, expected = _TRAILER_STRUCT.unpack(
         trailer[len(MAGIC): len(MAGIC) + _TRAILER_STRUCT.size]
     )
     if length != len(data) - TRAILER_SIZE:
         raise ChecksumError(
             f"checkpoint trailer declares {length} payload bytes but the "
             f"file holds {len(data) - TRAILER_SIZE} (torn or doubly-"
-            "appended write)"
+            "appended write)",
+            path=path,
         )
-    return data[:-TRAILER_SIZE], crc
-
-
-def verify_bytes(data: bytes, path: Optional[str] = None) -> bytes:
-    """Return the verified payload of raw checkpoint bytes.
-
-    Trailer present: CRC must match or :class:`ChecksumError` is
-    raised.  Trailer absent (legacy file): the bytes pass through
-    unverified — structural validation happens at parse time.
-    """
-    try:
-        payload, expected = split_trailer(data)
-    except ChecksumError as exc:
-        raise ChecksumError(str(exc) if path is None else exc.args[0], path=path) from None
-    if expected is not None:
-        actual = zlib.crc32(payload) & 0xFFFFFFFF
-        if actual != expected:
-            raise ChecksumError(
-                f"checkpoint CRC mismatch (expected {expected:#010x}, "
-                f"computed {actual:#010x}); the file is torn or corrupt",
-                path=path,
-            )
-    return payload
+    payload = data[:-TRAILER_SIZE]
+    actual = crc_of(payload)
+    if actual != expected:
+        raise ChecksumError(
+            f"checkpoint CRC mismatch (expected {expected:#010x}, "
+            f"computed {actual:#010x}); the file is torn or corrupt",
+            path=path,
+        )
+    return payload, actual
 
 
 def read_verified(path: str) -> bytes:
     """Read a file and return its CRC-verified payload bytes."""
     with open(path, "rb") as handle:
-        return verify_bytes(handle.read(), path=path)
+        return unseal(handle.read(), path=path)[0]
 
 
-def write_verified(path: str, payload: bytes, fault_hook=None, rank: int = 0) -> int:
-    """Atomically write ``payload`` + trailer to ``path``; returns bytes.
+def atomic_write(path: str, data: bytes, fault_hook=None, rank: int = 0) -> int:
+    """Write ``data`` to ``path`` through a tmp file and an atomic
+    rename; returns the bytes that landed.
 
-    ``fault_hook(rank, name, data) -> data`` is the checkpoint-scoped
+    ``fault_hook(rank, path, data) -> data`` is the checkpoint-scoped
     fault-injection point (:meth:`repro.resilience.FaultPlan
     .on_checkpoint_write`): it sees the final on-disk bytes, so a
     ``corrupt_file`` rule produces exactly the torn-write signature the
     CRC check exists to catch.
     """
-    data = append_trailer(payload)
     if fault_hook is not None:
         data = fault_hook(rank, path, data)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
     return len(data)
+
+
+def write_verified(path: str, payload: bytes) -> int:
+    """Atomically write ``payload`` + trailer to ``path``; returns bytes."""
+    return atomic_write(path, seal(payload)[0])
 
 
 def npz_bytes(payload: Dict[str, np.ndarray]) -> bytes:
@@ -149,9 +138,8 @@ def npz_bytes(payload: Dict[str, np.ndarray]) -> bytes:
 def parse_npz(payload: bytes, path: Optional[str] = None) -> Dict[str, np.ndarray]:
     """Parse verified ``.npz`` payload bytes into an array dict.
 
-    Structural damage (a legacy file torn before the trailer era, or a
-    file whose trailer somehow validated over garbage) surfaces as
-    :class:`ChecksumError`, never as a bare ``BadZipFile``.
+    Structural damage (a file whose trailer validated over garbage)
+    surfaces as :class:`ChecksumError`, never as a bare ``BadZipFile``.
     """
     try:
         with np.load(io.BytesIO(payload)) as data:

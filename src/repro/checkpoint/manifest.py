@@ -25,10 +25,10 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.checkpoint.format import ChecksumError, crc_of
+from repro.checkpoint.format import ChecksumError, atomic_write, unseal
 
 _MANIFEST_RE = re.compile(r"^manifest-(\d{8})\.json$")
 
@@ -72,38 +72,13 @@ class Manifest:
     meta: Dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "generation": self.generation,
-                "rank": self.rank,
-                "world_size": self.world_size,
-                "iteration": self.iteration,
-                "mode": self.mode,
-                "files": [
-                    {"name": f.name, "nbytes": f.nbytes, "crc32": f.crc32}
-                    for f in self.files
-                ],
-                "meta": self.meta,
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
         raw = json.loads(text)
-        return cls(
-            generation=int(raw["generation"]),
-            rank=int(raw["rank"]),
-            world_size=int(raw["world_size"]),
-            iteration=int(raw["iteration"]),
-            mode=raw.get("mode", "full"),
-            files=[
-                ManifestFile(f["name"], int(f["nbytes"]), int(f["crc32"]))
-                for f in raw.get("files", [])
-            ],
-            meta=raw.get("meta", {}),
-        )
+        raw["files"] = [ManifestFile(**entry) for entry in raw.get("files", [])]
+        return cls(**raw)
 
 
 def write_manifest(rank_dir: str, manifest: Manifest) -> str:
@@ -112,22 +87,9 @@ def write_manifest(rank_dir: str, manifest: Manifest) -> str:
     This is the last step of a save — every data file the manifest
     names must already be durably in place.
     """
-    os.makedirs(rank_dir, exist_ok=True)
     path = os.path.join(rank_dir, manifest_filename(manifest.generation))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        handle.write(manifest.to_json())
-    os.replace(tmp, path)
+    atomic_write(path, manifest.to_json().encode())
     return path
-
-
-def read_manifest(path: str) -> Manifest:
-    """Parse one manifest file; malformed JSON raises ChecksumError."""
-    try:
-        with open(path) as handle:
-            return Manifest.from_json(handle.read())
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ChecksumError(f"unreadable manifest ({exc})", path=path) from exc
 
 
 def list_generations(rank_dir: str) -> List[int]:
@@ -143,23 +105,29 @@ def list_generations(rank_dir: str) -> List[int]:
 
 
 def load_generation_manifest(rank_dir: str, generation: int) -> Optional[Manifest]:
-    """The manifest of ``generation`` in ``rank_dir``, or None."""
+    """The manifest of ``generation`` in ``rank_dir``, or None; a
+    malformed one raises :class:`ChecksumError`."""
     path = os.path.join(rank_dir, manifest_filename(generation))
     if not os.path.isfile(path):
         return None
-    return read_manifest(path)
+    try:
+        with open(path) as handle:
+            return Manifest.from_json(handle.read())
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ChecksumError(f"unreadable manifest ({exc})", path=path) from exc
 
 
-def verify_generation(rank_dir: str, manifest: Manifest) -> None:
+def verify_generation(rank_dir: str, manifest: Manifest) -> Dict[str, bytes]:
     """Audit one commit: every listed file present, sized, CRC-valid.
 
-    Raises :class:`ChecksumError` naming the first failing file.  Reads
-    each file once; the CRC is computed over the payload (trailer
-    stripped), matching the value recorded at save time.
+    Raises :class:`ChecksumError` naming the first failing file, else
+    returns the verified payload bytes by file name — each file is read
+    once and its payload CRC'd once, checked against both the file's own
+    trailer and the value the manifest recorded at save time, so a
+    restore parses what the audit read.
     """
-    from repro.checkpoint.format import verify_bytes
-
     gen_dir = os.path.join(rank_dir, generation_dirname(manifest.generation))
+    payloads: Dict[str, bytes] = {}
     for entry in manifest.files:
         path = os.path.join(gen_dir, entry.name)
         if not os.path.isfile(path):
@@ -173,14 +141,14 @@ def verify_generation(rank_dir: str, manifest: Manifest) -> None:
                 f"file is {len(data)} bytes, manifest recorded {entry.nbytes}",
                 path=path,
             )
-        payload = verify_bytes(data, path=path)
-        actual = crc_of(payload)
+        payloads[entry.name], actual = unseal(data, path=path)
         if actual != entry.crc32:
             raise ChecksumError(
                 f"payload CRC {actual:#010x} does not match manifest "
                 f"record {entry.crc32:#010x}",
                 path=path,
             )
+    return payloads
 
 
 def apply_retention(rank_dir: str, keep: int) -> List[int]:
@@ -194,7 +162,7 @@ def apply_retention(rank_dir: str, keep: int) -> List[int]:
     if keep < 1:
         raise ValueError("retention keep must be >= 1")
     generations = list_generations(rank_dir)
-    victims = generations[:-keep] if len(generations) > keep else []
+    victims = generations[:-keep]
     for generation in victims:
         gen_dir = os.path.join(rank_dir, generation_dirname(generation))
         shutil.rmtree(gen_dir, ignore_errors=True)

@@ -38,14 +38,16 @@ reported under ``flapped`` rather than treated as dead.
 State travels between generations exclusively through checkpoints —
 surviving ranks never try to salvage in-memory state from a torn
 iteration, which is exactly how real elastic runtimes avoid mixing
-half-averaged gradients into the restored trajectory.  The default
-carrier is the rolling verified file written by
-:func:`repro.utils.checkpoint.save_training_checkpoint` (or the sharded
-protocol for ZeRO wrappers); setting ``replication_factor > 1`` or
-``checkpoint_async=True`` upgrades it to the
-:class:`~repro.checkpoint.engine.CheckpointEngine` — manifest-committed
-generations, per-file CRC, background writes, and buddy replication, so
-losing any single rank's local shard files is survivable.
+half-averaged gradients into the restored trajectory.  The one carrier
+is the :class:`~repro.checkpoint.engine.CheckpointEngine`, one per rank
+per generation, writing synchronously (so the restart iteration is
+deterministic): manifest-committed generations, per-file CRC, a torn
+newest generation falls back to the one before, the fault plan's
+``corrupt_file`` / ``delay_write`` rules apply to every write, and with
+``replication_factor > 1`` buddy replication makes losing any single
+rank's local files survivable.  A DDP model saves one full payload on
+rank 0; a ``repro.sharded`` wrapper saves one shard per rank, without
+communication.
 """
 
 from __future__ import annotations
@@ -59,13 +61,11 @@ from typing import Callable, Dict, List, Optional
 from repro.checkpoint.engine import CheckpointEngine
 from repro.comm.distributed import destroy_process_group, init_process_group
 from repro.comm.store import Store
+from repro.core.ddp import DistributedDataParallel
 from repro.resilience.faults import FaultPlan, InjectedRankFailure
 from repro.resilience.heartbeat import Heartbeat, HeartbeatMonitor
 from repro.resilience.transport import ReliableTransportHub, RetryPolicy
-from repro.utils.checkpoint import (
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
+from repro.sharded.wrapper import ShardedWrapper
 from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
 
@@ -97,8 +97,9 @@ class ElasticConfig:
     ``min_world_size`` bounds shrinking; dropping below it raises.
     ``max_restarts`` caps re-rendezvous attempts (generations beyond the
     first), so a deterministic repeated death cannot loop forever.
-    ``checkpoint_every`` is the save cadence in iterations (rank 0 of
-    the current generation saves).  ``heartbeat_interval`` /
+    ``checkpoint_every`` is the save cadence in iterations (every rank
+    calls the engine at the same cadence, derived only from the
+    iteration counter).  ``heartbeat_interval`` /
     ``miss_threshold`` tune dead-rank detection; the defaults detect a
     death in ~0.25 s, far below the transport timeout.  ``retry`` is the
     :class:`~repro.resilience.transport.RetryPolicy` for each
@@ -107,21 +108,19 @@ class ElasticConfig:
 
     ``wrapper`` overrides the model wrap: ``wrapper(module, group) ->
     model`` (called instead of the default DDP construction, so e.g.
-    ``repro.sharded`` stages can run elastically).  A wrapped model
-    exposing ``save_training_state``/``load_training_state`` switches
-    checkpointing to the sharded protocol: saves become collective
-    (every rank calls at the same deterministic cadence; rank 0 writes)
-    and restores run on every rank.
+    ``repro.sharded`` stages can run elastically).  A
+    :class:`~repro.sharded.wrapper.ShardedWrapper` owns its optimizer
+    (``setup`` returns ``(module, None)``) and every rank checkpoints
+    its own shard (``save_sharded``); for anything else rank 0
+    checkpoints the replicated module and optimizer (``save_full``).
 
     ``allow_grow`` enables scale-up: matured
     :func:`~repro.resilience.faults.rejoin_rank` rules admit returning
     spots at generation boundaries, up to ``max_world_size`` (None
     leaves growth unbounded).  ``replication_factor`` /
-    ``checkpoint_async`` / ``checkpoint_keep`` configure the
-    :class:`~repro.checkpoint.engine.CheckpointEngine`; the engine is
-    used instead of the rolling single-file checkpoint whenever
-    ``replication_factor > 1`` or ``checkpoint_async`` is set (its
-    files live under :attr:`engine_dir`).
+    ``checkpoint_keep`` configure the
+    :class:`~repro.checkpoint.engine.CheckpointEngine`, whose files
+    live under :attr:`engine_dir`.
     """
 
     policy: str = "shrink"
@@ -129,7 +128,6 @@ class ElasticConfig:
     max_restarts: int = 5
     checkpoint_every: int = 1
     checkpoint_dir: str = "."
-    checkpoint_name: str = "elastic_latest.npz"
     heartbeat_interval: float = 0.05
     miss_threshold: float = 0.3
     grace: float = 2.0
@@ -143,7 +141,6 @@ class ElasticConfig:
     allow_grow: bool = False
     max_world_size: Optional[int] = None
     replication_factor: int = 1
-    checkpoint_async: bool = False
     checkpoint_keep: int = 2
 
     def __post_init__(self):
@@ -166,26 +163,14 @@ class ElasticConfig:
             raise ValueError("replication_factor must be >= 1")
         if self.checkpoint_keep < 1:
             raise ValueError("checkpoint_keep must be >= 1")
-
-    @property
-    def checkpoint_path(self) -> str:
-        """Full path of the rolling training checkpoint."""
-        return os.path.join(self.checkpoint_dir, self.checkpoint_name)
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
 
     @property
     def engine_dir(self) -> str:
-        """Root directory of the checkpoint engine (when it is used)."""
+        """Root directory of the checkpoint engine: where training state
+        lives between generations (``rank{r}/ckpt-{n}/`` + manifests)."""
         return os.path.join(self.checkpoint_dir, "engine")
-
-    @property
-    def uses_engine(self) -> bool:
-        """Whether generations checkpoint through the engine."""
-        return self.replication_factor > 1 or self.checkpoint_async
-
-    @property
-    def state_path(self) -> str:
-        """Where training state actually lives between generations."""
-        return self.engine_dir if self.uses_engine else self.checkpoint_path
 
 
 @dataclass
@@ -321,7 +306,7 @@ def run_elastic(
                 final_world_size=len(spots),
                 generations=generations,
                 losses=losses,
-                checkpoint_path=config.state_path,
+                checkpoint_path=config.engine_dir,
             )
 
         died = report["died"]
@@ -455,84 +440,45 @@ def _run_generation(
             if config.wrapper is not None:
                 model = config.wrapper(module, group)
             else:
-                from repro.core.ddp import DistributedDataParallel
-
                 model = DistributedDataParallel(
                     module, process_group=group, **config.ddp_kwargs
                 )
-            # Sharded wrappers (repro.sharded) checkpoint collectively:
-            # every rank participates in the consolidation gathers, at a
-            # cadence derived only from the iteration counter so all
-            # ranks agree without communication.
-            sharded = hasattr(model, "save_training_state")
-            if config.uses_engine:
-                engine = CheckpointEngine(
-                    config.engine_dir,
-                    rank=rank,
-                    world=world,
-                    hub=hub,
-                    replication_factor=min(config.replication_factor, world),
-                    keep=config.checkpoint_keep,
-                    async_write=config.checkpoint_async,
-                    fault_plan=fault_plan,
-                )
-
-            def save_state(iteration: int) -> None:
-                # Engine saves are collective in the same sense as the
-                # sharded protocol: every rank calls at the same cadence
-                # (full mode writes rank 0's payload, empty manifests
-                # elsewhere; sharded mode writes one shard per rank).
-                if engine is not None:
-                    if sharded:
-                        engine.save_sharded(model, iteration=iteration)
-                    else:
-                        engine.save_full(
-                            module, optimizer, iteration=iteration
-                        )
-                elif sharded:
-                    model.save_training_state(
-                        config.checkpoint_path, iteration=iteration
-                    )
-                elif rank == 0:
-                    save_training_checkpoint(
-                        config.checkpoint_path, module, optimizer,
-                        iteration=iteration,
-                    )
-
-            start = 0
-            if engine is not None:
-                info = engine.load_latest(
-                    module=module,
-                    optimizer=optimizer,
-                    model=model if sharded else None,
-                )
-                if info is not None:
-                    start = info["iteration"]
-            elif os.path.exists(config.checkpoint_path):
-                if sharded:
-                    info = model.load_training_state(config.checkpoint_path)
-                else:
-                    info = load_training_checkpoint(
-                        config.checkpoint_path, module, optimizer
-                    )
-                start = info["iteration"]
+            sharded = isinstance(model, ShardedWrapper)
+            engine = CheckpointEngine(
+                config.engine_dir,
+                rank=rank,
+                world=world,
+                hub=hub,
+                replication_factor=min(config.replication_factor, world),
+                keep=config.checkpoint_keep,
+                async_write=False,
+                fault_plan=fault_plan,
+            )
+            info = engine.load_latest(
+                module=module,
+                optimizer=optimizer,
+                model=model if sharded else None,
+            )
+            start = 0 if info is None else info["iteration"]
             if rank == 0:
                 end_iteration[0] = start
             for iteration in range(start, total_iterations):
                 if store.try_get(abort_key) is not None:
                     raise _GenerationAborted()
                 loss = step(ctx, model, optimizer, iteration)
+                done = iteration + 1
                 if rank == 0:
                     rank0_losses.append(float(loss))
-                    end_iteration[0] = iteration + 1
-                if (iteration + 1) % config.checkpoint_every == 0:
-                    save_state(iteration + 1)
-            if total_iterations % config.checkpoint_every and (
-                sharded or engine is not None or rank == 0
-            ):
-                save_state(total_iterations)
-            if engine is not None:
-                engine.wait(timeout=config.timeout)
+                    end_iteration[0] = done
+                if done % config.checkpoint_every and done != total_iterations:
+                    continue  # not a save boundary
+                # Every rank saves at the same cadence, without
+                # communication: sharded mode writes one shard each, full
+                # mode rank 0's payload and empty manifests elsewhere.
+                if sharded:
+                    engine.save_sharded(model, iteration=done)
+                else:
+                    engine.save_full(module, optimizer, iteration=done)
             store.set(f"{ns}/done/rank{rank}", True)
         except _GenerationAborted:
             store.set(f"{ns}/done/rank{rank}", "aborted")

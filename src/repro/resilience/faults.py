@@ -381,13 +381,13 @@ class FaultPlan:
     def on_checkpoint_write(self, rank: int, path: str, data: bytes) -> bytes:
         """Filter one checkpoint file write; returns the bytes to land.
 
-        The verified writer (:func:`repro.checkpoint.format.write_verified`
-        and the checkpoint engine) calls this with the final on-disk
-        bytes — payload plus CRC trailer — so ``corrupt_file`` rules
-        produce true torn-write signatures and ``delay_write`` rules
-        model a slow disk (the sleep happens on whichever thread is
-        writing: the training thread for synchronous saves, the engine's
-        writer thread for async ones).
+        The checkpoint engine hands this to the one atomic writer
+        (:func:`repro.checkpoint.format.atomic_write`), which calls it
+        with the final on-disk bytes — payload plus CRC trailer — so
+        ``corrupt_file`` rules produce true torn-write signatures and
+        ``delay_write`` rules model a slow disk (the sleep happens on
+        whichever thread is writing: the training thread for synchronous
+        saves, the engine's writer thread for async ones).
         """
         for index, rule in enumerate(self.rules):
             if not rule._matches_checkpoint(rank, path):

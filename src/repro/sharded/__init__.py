@@ -20,7 +20,7 @@ numerically exact against DDP: elementwise optimizers make span-sharded
 updates bit-equal to replicated ones.
 """
 
-from repro.sharded.checkpoint import (
+from repro.checkpoint import (
     load_shard_payloads,
     load_sharded_training_checkpoint,
     reshard_state_dict,

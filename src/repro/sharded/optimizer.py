@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.checkpoint.reshard import reshard_state_dict
 from repro.comm.distributed import get_context
 from repro.sharded.flat import FlatShardLayout
 
@@ -244,13 +245,11 @@ class ShardedOptimizer:
         """Install this rank's spans of a consolidated state dict.
 
         Purely local (every rank holds the full dict after loading a
-        checkpoint): :func:`~repro.sharded.checkpoint.reshard_state_dict`
+        checkpoint): :func:`~repro.checkpoint.reshard.reshard_state_dict`
         reassembles array state into each bucket's flat order — against
         *this* layout and world, whatever world wrote the dict — and the
         rank's spans are copied onto the shard tensors' state.
         """
-        from repro.sharded.checkpoint import reshard_state_dict
-
         resharded = reshard_state_dict(state_dict, self.layout, self.rank)
         self.inner.state.clear()
         for shard, shard_state in zip(self.shards, resharded):

@@ -34,7 +34,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.comm.process_group import ReduceOp
 from repro.nn.module import Module
-from repro.sharded.checkpoint import (
+from repro.checkpoint.payload import (
     load_sharded_training_checkpoint,
     save_sharded_training_checkpoint,
 )
@@ -210,10 +210,11 @@ class ShardedWrapper(Module):
         self.optimizer.zero_grad()
         self._reset_iteration()
 
-    # -- elastic checkpoint protocol -------------------------------------
+    # -- consolidated single-file checkpoints ------------------------------
     def save_training_state(self, path: str, iteration: int = 0, extra=None) -> None:
-        """Collective checkpoint save (rank 0 writes); the protocol
-        :func:`repro.resilience.elastic.run_elastic` drives."""
+        """Collective checkpoint save (rank 0 writes one full-layout
+        file any loader reads; elastic runs use the engine's per-rank
+        shards instead, which cost no collectives)."""
         save_sharded_training_checkpoint(path, self, iteration=iteration, extra=extra)
 
     def load_training_state(self, path: str) -> dict:

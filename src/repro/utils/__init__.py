@@ -2,7 +2,7 @@
 
 from repro.utils.seed import manual_seed, get_rng, fork_rng
 from repro.utils.units import MB, KB, format_bytes, format_seconds
-from repro.utils.checkpoint import (
+from repro.checkpoint.payload import (
     save_checkpoint,
     load_checkpoint,
     save_training_checkpoint,

@@ -20,7 +20,6 @@ from repro.checkpoint import (
     ChecksumError,
     CheckpointEngine,
     Manifest,
-    append_trailer,
     apply_retention,
     generation_dirname,
     list_generations,
@@ -36,11 +35,9 @@ from repro.comm import run_distributed
 from repro.comm.distributed import get_context
 from repro.optim import SGD, Adam, AdamW
 from repro.resilience import FaultPlan, corrupt_file, delay_write
-from repro.sharded import ShardedDataParallel
-from repro.utils.checkpoint import (
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
+from repro.checkpoint.reshard import fill_window
+from repro.sharded import FullyShardedDataParallel, ShardedDataParallel
+from repro.utils import load_training_checkpoint, save_training_checkpoint
 
 from conftest import small_classifier
 
@@ -75,14 +72,15 @@ class TestVerifiedFormat:
         with pytest.raises(ChecksumError):
             load_verified_npz(path)
 
-    def test_legacy_trailerless_file_still_loads(self, tmp_path):
-        path = str(tmp_path / "legacy.npz")
-        np.savez(path[: -len(".npz")] + ".npz", a=np.arange(3.0))
-        from repro.checkpoint import split_trailer
-
-        _, crc = split_trailer(open(path, "rb").read())
-        assert crc is None  # legacy: accepted, unverifiable
-        assert np.array_equal(load_verified_npz(path)["a"], np.arange(3.0))
+    def test_trailerless_file_is_rejected(self, tmp_path):
+        """Nothing under src/ writes a file without the trailer, so one
+        that lacks it is unverifiable bytes, not a checkpoint."""
+        path = str(tmp_path / "bare.npz")
+        np.savez(path, a=np.arange(3.0))
+        with pytest.raises(ChecksumError, match="trailer"):
+            read_verified(path)
+        with pytest.raises(ChecksumError, match="trailer"):
+            load_verified_npz(path)
 
     def test_npz_with_trailer_opens_with_plain_numpy(self, tmp_path):
         """Old readers (np.load) skip the trailer via the zip EOCD scan."""
@@ -160,6 +158,175 @@ class TestManifest:
         open(target, "wb").write(blob[:-10])
         with pytest.raises(ChecksumError):
             verify_generation(rank_dir, manifest)
+
+
+class TestPayloadSchema:
+    """The on-disk format, pinned: sorted keys, dtypes and shapes of both
+    layouts and the manifest ``meta`` keys for one seeded model.  The
+    literals were printed by the commit *before* the schema moved into
+    ``repro.checkpoint.payload``; a file written then loads now."""
+
+    FULL = {
+        "extra/epoch": ("int64", ()),
+        "meta/iteration": ("int64", ()),
+        "meta/opt_num_params": ("int64", ()),
+        **{
+            f"opt/{index}/{key}": (dtype, shape if key != "step" else ())
+            for index, shape in enumerate([(16, 6), (16,), (4, 16), (4,)])
+            for key, dtype in [("exp_avg", "float64"), ("exp_avg_sq", "float64"),
+                               ("step", "int64")]
+        },
+        "state/0.bias": ("float64", (16,)),
+        "state/0.weight": ("float64", (16, 6)),
+        "state/2.bias": ("float64", (4,)),
+        "state/2.weight": ("float64", (4, 16)),
+    }
+    # ZeRO-2, one bucket per parameter in reverse order, world 2: every
+    # rank holds half of each bucket (both halves have the same shape).
+    SHARD = {
+        "extra/epoch": ("int64", ()),
+        **{
+            f"opt/b{bucket}/{key}": (dtype, (half,) if key != "step" else ())
+            for bucket, half in enumerate([2, 32, 8, 48])
+            for key, dtype in [("exp_avg", "float64"), ("exp_avg_sq", "float64"),
+                               ("step", "int64")]
+        },
+        **{f"param/b{bucket}": ("float64", (half,))
+           for bucket, half in enumerate([2, 32, 8, 48])},
+    }
+
+    @staticmethod
+    def _describe(path):
+        return {key: (str(value.dtype), value.shape)
+                for key, value in load_verified_npz(path).items()}
+
+    def test_both_layouts_and_manifest_meta(self, tmp_path):
+        full_root, shard_root = str(tmp_path / "full"), str(tmp_path / "shard")
+
+        def body(rank):
+            model = small_classifier()
+            opt = Adam(model.parameters(), lr=0.01)
+            _loss_fn(model(Tensor(X[:8])), Y[:8]).backward()
+            opt.step()
+            engine = CheckpointEngine(full_root, rank=rank, world=2, async_write=False)
+            engine.save_full(model, opt, iteration=1, extra={"epoch": 3})
+            engine.close()
+            sdp = ShardedDataParallel(
+                small_classifier(), lambda ps: Adam(ps, lr=0.01), bucket_cap_mb=0.0001
+            )
+            sdp.zero_grad()
+            _loss_fn(sdp(Tensor(X[:8])), Y[:8]).backward()
+            sdp.step()
+            engine = CheckpointEngine(shard_root, rank=rank, world=2, async_write=False)
+            engine.save_sharded(sdp, iteration=1, extra={"epoch": 3})
+            engine.close()
+            return True
+
+        assert run_distributed(2, body, backend="gloo") == [True, True]
+        gen = generation_dirname(1)
+        assert gen == "ckpt-00000001"
+        assert sorted(os.listdir(os.path.join(shard_root, "rank0"))) == [
+            gen, "manifest-00000001.json"
+        ]
+        assert self._describe(os.path.join(full_root, "rank0", gen, "full.npz")) == self.FULL
+        for rank, spans in enumerate([[[0, 2], [0, 32], [0, 8], [0, 48]],
+                                      [[2, 4], [32, 64], [8, 16], [48, 96]]]):
+            rank_dir = os.path.join(shard_root, f"rank{rank}")
+            assert self._describe(os.path.join(rank_dir, gen, "shard.npz")) == self.SHARD
+            manifest = load_generation_manifest(rank_dir, 1)
+            assert (manifest.mode, [f.name for f in manifest.files]) == (
+                "sharded", ["shard.npz"]
+            )
+            assert manifest.meta == {
+                "bucket_totals": [4, 64, 16, 96], "num_params": 4,
+                "param_order": [3, 2, 1, 0], "span": spans, "stage": "zero2",
+            }
+            full = load_generation_manifest(os.path.join(full_root, f"rank{rank}"), 1)
+            assert (full.mode, full.meta) == ("full", {"writer_rank": 0})
+            assert [f.name for f in full.files] == (["full.npz"] if rank == 0 else [])
+
+
+class TestFillWindow:
+    """The re-slice core alone: a family's pieces placed on the model-wide
+    concatenation, one window cut out."""
+
+    @staticmethod
+    def _pieces(values, sizes=None):
+        """Consecutive pieces; the complaint names the piece's position."""
+        pieces, start = [], 0
+        for i, value in enumerate(values):
+            size = sizes[i] if sizes else np.size(value)
+            pieces.append((start, size, value, f"piece {i} has {{}} elements, expected {size}"))
+            start += size
+        return pieces
+
+    def test_pieces_overlapping_both_window_edges(self):
+        pieces = self._pieces([np.arange(0, 4.0), np.arange(4, 10.0), np.arange(10, 12.0)])
+        assert fill_window(3, 11, pieces).tolist() == list(np.arange(3, 11.0))
+        assert fill_window(4, 10, pieces).tolist() == list(np.arange(4, 10.0))  # on the edges
+        assert fill_window(5, 5, pieces).shape == (0,)
+
+    def test_multidimensional_pieces_are_flattened(self):
+        pieces = self._pieces([np.arange(6.0).reshape(2, 3), np.arange(6, 8.0)])
+        assert fill_window(2, 7, pieces).tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_scalar_family_passes_through(self):
+        pieces = self._pieces([np.asarray(7), np.asarray(7)], sizes=[4, 4])
+        assert fill_window(0, 8, pieces) == 7
+        assert isinstance(fill_window(0, 8, pieces), int)
+
+    def test_unsaved_pieces_leave_zeros_or_nothing(self):
+        pieces = self._pieces([None, np.ones(3, dtype=np.float32)], sizes=[2, 3])
+        window = fill_window(0, 5, pieces)
+        assert window.tolist() == [0, 0, 1, 1, 1] and window.dtype == np.float32
+        assert fill_window(0, 5, pieces, dtype=np.float64).dtype == np.float64
+        assert fill_window(0, 5, self._pieces([None, None], sizes=[2, 3])) is None
+
+    def test_missing_piece_of_a_required_family_is_a_checksum_error(self):
+        pieces = self._pieces([np.ones(2), None], sizes=[2, 3])
+        with pytest.raises(ChecksumError, match="piece 1 has 0 elements, expected 3"):
+            fill_window(0, 2, pieces, required=True, error=ChecksumError)
+
+    def test_wrong_size_piece_is_caught_outside_the_window_too(self):
+        pieces = self._pieces([np.ones(2), np.ones(4)], sizes=[2, 3])
+        with pytest.raises(ValueError, match="piece 1 has 4 elements, expected 3"):
+            fill_window(0, 2, pieces)
+
+    def test_both_callers_keep_their_messages(self):
+        """reshard_state_dict complains per parameter (ValueError),
+        load_shard_payloads per saved rank span (ChecksumError)."""
+        from types import SimpleNamespace
+
+        from repro.sharded import load_shard_payloads, reshard_state_dict, shard_payload
+
+        def body(rank):
+            sdp = ShardedDataParallel(
+                small_classifier(), lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+                bucket_cap_mb=0.0001,
+            )
+            sdp.zero_grad()
+            _loss_fn(sdp(Tensor(X[:8])), Y[:8]).backward()
+            sdp.step()
+            bad = {"state": {0: {"momentum_buffer": np.zeros(5)}}, "num_params": 4}
+            with pytest.raises(ValueError, match=(
+                "state 'momentum_buffer' for parameter 0 has 5 elements, expected 96"
+            )):
+                reshard_state_dict(bad, sdp.layout, rank)
+            arrays, meta = shard_payload(sdp)
+            shards = {0: (arrays, SimpleNamespace(world_size=1, meta=meta, iteration=1))}
+            arrays["opt/b1/momentum_buffer"] = np.zeros(7)
+            with pytest.raises(ChecksumError, match=(
+                "saved rank 0 holds 7 elements of 'opt/b1/momentum_buffer', expected 64"
+            )):
+                load_shard_payloads(sdp, shards)
+            del arrays["opt/b1/momentum_buffer"], arrays["param/b2"]
+            with pytest.raises(ChecksumError, match=(
+                "saved rank 0 holds 0 elements of 'param/b2', expected 16"
+            )):
+                load_shard_payloads(sdp, shards)
+            return True
+
+        assert run_distributed(1, body, backend="gloo") == [True]
 
 
 def _train_zero2(rank, world, iters=3, bucket_cap_mb=0.0001):
@@ -273,6 +440,29 @@ class TestEngineReplication:
         for state in run_distributed(2, restore_body, backend="gloo"):
             for key, value in reference.items():
                 assert np.array_equal(value, state[key])
+
+    def test_replica_arrival_is_a_health_event(self, tmp_path):
+        """Was: the event call passed fields HealthEvent does not have, so
+        every stored replica logged a 'failed to store' warning."""
+        from repro.telemetry.health.events import event_log_for
+
+        root = str(tmp_path)
+
+        def body(rank):
+            model = _train_zero2(rank, 2, iters=1)
+            hub = get_context().default_group.hub
+            engine = CheckpointEngine(root, rank=rank, world=2, hub=hub,
+                                      replication_factor=2, async_write=False)
+            engine.save_sharded(model, iteration=41)
+            time.sleep(0.2)  # let the buddy receiver persist the push
+            engine.close()
+            return [e.extra for e in event_log_for(rank).events()
+                    if e.kind == "checkpoint.replica"
+                    and e.extra["generation"] == 41]
+
+        for rank, arrivals in enumerate(run_distributed(2, body, backend="gloo")):
+            assert [a["owner"] for a in arrivals] == [1 - rank]
+            assert arrivals[0]["lag_s"] >= 0
 
     def test_corrupt_local_write_falls_back_to_replica(self, tmp_path):
         """corrupt_file tears rank 0's local bytes; the manifest CRC
@@ -465,3 +655,109 @@ class TestOptimizerStateContinuation:
                 for key, value in per_param.items():
                     assert np.asarray(resumed_state["state"][index][key]).tobytes() == \
                         np.asarray(value).tobytes()
+
+    # -- one more axis: the wrapper and the world it is restored into ----
+    MODES = ("ddp", "zero2", "zero3")
+
+    @staticmethod
+    def _build(mode, make, seed=7):
+        """``(model, step, snapshot)`` of one replica under ``mode``."""
+        from repro.core.ddp import DistributedDataParallel
+
+        module = small_classifier(seed=seed)
+        if mode == "ddp":
+            model = DistributedDataParallel(module)
+            opt = make(model.parameters())
+            return model, opt, lambda: (model.module.state_dict(), opt.state_dict())
+        if mode == "zero2":
+            model = ShardedDataParallel(module, make, bucket_cap_mb=0.0001)
+        else:
+            model = FullyShardedDataParallel(module, make)
+        return model, None, lambda: (
+            model.state_dict(), model.optimizer.consolidated_state_dict()
+        )
+
+    @staticmethod
+    def _steps(model, opt, rank, world, steps):
+        per = len(X) // world
+        shard = slice(rank * per, (rank + 1) * per)
+        for _ in steps:
+            (opt or model).zero_grad()
+            _loss_fn(model(Tensor(X[shard])), Y[shard]).backward()
+            (opt or model).step()
+
+    @pytest.mark.parametrize("worlds", [(2, 2), (4, 2), (2, 4)],
+                             ids=["2to2", "4to2", "2to4"])
+    @pytest.mark.parametrize("name", ["adam", "sgd_momentum"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_resume_across_wrappers_and_worlds(self, tmp_path, mode, name, worlds):
+        """Save at 3 through the engine (``save_full`` under DDP, one
+        ``save_sharded`` shard per rank under ZeRO-2/3), restore with
+        ``load_latest`` into fresh replicas at the target world, train
+        on.  Same world: bitwise the uninterrupted run.  Another world:
+        float summation order changes with the world, so the reference is
+        a replica at the *target* world handed the step-3 state in
+        memory (``state_dict`` / consolidated optimizer state) — the
+        engine's files and re-slicing must add nothing to that."""
+        root = str(tmp_path)
+        make = self.OPTIMIZERS[name]
+        saved_world, new_world = worlds
+
+        def save_body(rank):
+            model, opt, snapshot = self._build(mode, make)
+            self._steps(model, opt, rank, saved_world, range(3))
+            engine = CheckpointEngine(root, rank=rank, world=saved_world,
+                                      async_write=False)
+            if mode == "ddp":
+                engine.save_full(model.module, opt, iteration=3)
+            else:
+                engine.save_sharded(model, iteration=3)
+            engine.close()
+            at_save = snapshot()
+            self._steps(model, opt, rank, saved_world, range(3, 6))
+            return at_save, snapshot()
+
+        at_save, uninterrupted = run_distributed(saved_world, save_body, backend="gloo")[0]
+        assert len(uninterrupted[1]["state"]) == uninterrupted[1]["num_params"] == 4
+
+        def resume_body(rank):
+            model, opt, snapshot = self._build(mode, make, seed=99)
+            engine = CheckpointEngine(root, rank=rank, world=new_world,
+                                      async_write=False)
+            if mode == "ddp":
+                info = engine.load_latest(module=model.module, optimizer=opt)
+            else:
+                info = engine.load_latest(model=model)
+            engine.close()
+            assert info is not None and info["iteration"] == 3
+            assert info["saved_world_size"] == saved_world
+            self._steps(model, opt, rank, new_world, range(3, 6))
+            resumed = snapshot()
+
+            handed, handed_opt, handed_snapshot = self._build(mode, make, seed=5)
+            if mode == "ddp":
+                handed.module.load_state_dict(at_save[0])
+                handed_opt.load_state_dict(at_save[1])
+            else:
+                handed.load_state_dict(at_save[0])
+                handed.optimizer.load_consolidated_state_dict(at_save[1])
+            self._steps(handed, handed_opt, rank, new_world, range(3, 6))
+            return resumed, handed_snapshot()
+
+        for resumed, handed in run_distributed(new_world, resume_body, backend="gloo"):
+            expected = uninterrupted if saved_world == new_world else handed
+            for got, want in zip(resumed, expected):
+                assert _flatten(got).keys() == _flatten(want).keys()
+                for key, value in _flatten(want).items():
+                    assert _flatten(got)[key] == value, key
+
+
+def _flatten(tree, prefix=""):
+    """``{dotted path: bytes}`` of a nested state dict, for bitwise
+    comparison of arrays and scalars alike."""
+    if not isinstance(tree, dict):
+        return {prefix: np.asarray(tree).tobytes()}
+    flat = {}
+    for key, value in tree.items():
+        flat.update(_flatten(value, f"{prefix}/{key}"))
+    return flat

@@ -6,6 +6,8 @@ exactly as it issues bucket ``b``'s AllReduce of that iteration — every
 bucket boundary is a tested death site.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from repro.resilience import (
     ElasticConfig,
     FaultPlan,
     RankFailedError,
+    corrupt_file,
     crash_rank,
     drop,
     run_elastic,
 )
+from repro.sharded import ShardedDataParallel
 
 from conftest import small_classifier
 
@@ -159,6 +163,69 @@ class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             ElasticConfig(policy="retry-forever")
+
+    def test_checkpoint_every_below_one_rejected(self):
+        """Was: constructs, trains one iteration, dies inside a rank
+        thread with ``integer modulo by zero``."""
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ElasticConfig(checkpoint_every=0)
+
+
+class TestTornCheckpoint:
+    """The default carrier is attacked by the plan's checkpoint rules:
+    rank 0's newest file is torn, then a rank dies.  The torn generation
+    is skipped, the one before restores, the run finishes shrunken."""
+
+    @staticmethod
+    def _check(res, plan):
+        assert res.completed
+        assert res.deaths == [2]
+        assert res.final_world_size == 2
+        assert res.iterations == 6
+        gen0, gen1 = res.generations
+        assert gen0["end_iteration"] == 3  # generation 3 was committed...
+        assert len(gen1["losses"]) == 4  # ...torn, so 2 restored: 2, 3, 4, 5
+        assert plan.stats()[1]["triggered"] == 1
+        assert all(s["verify_failures"] >= 1 for s in gen1["checkpoint"].values())
+        # The result names the engine root the run restored from.
+        assert os.path.isdir(os.path.join(res.checkpoint_path, "rank0"))
+
+    def test_ddp_falls_back_one_generation(self, tmp_path):
+        plan = FaultPlan([
+            crash_rank(2, scope="collective", op="allreduce",
+                       after=3 * BUCKETS, times=1),  # iteration 3, bucket 0
+            corrupt_file(rank=0, tag_contains="ckpt-00000003", times=1),
+        ])
+        res = run_elastic(3, setup, step, total_iterations=6,
+                          config=config(tmp_path), fault_plan=plan)
+        self._check(res, plan)
+
+    def test_zero2_falls_back_one_generation(self, tmp_path):
+        wrapper = lambda module, group: ShardedDataParallel(  # noqa: E731
+            module, lambda ps: SGD(ps, lr=0.05), process_group=group,
+            bucket_cap_mb=0.0001,
+        )
+
+        def sharded_step(ctx, model, optimizer, iteration):
+            shard = slice(ctx.rank * 4, (ctx.rank + 1) * 4)
+            model.zero_grad()
+            loss = _loss_fn(model(Tensor(X[shard])), Y[shard])
+            loss.backward()
+            model.step()
+            return float(loss.data)
+
+        plan = FaultPlan([
+            crash_rank(2, scope="collective", op="reduce_scatter_flat",
+                       after=3 * BUCKETS, times=1),
+            corrupt_file(rank=0, tag_contains="ckpt-00000003", times=1),
+        ])
+        res = run_elastic(
+            3, lambda ctx: (small_classifier(), None), sharded_step,
+            total_iterations=6,
+            config=config(tmp_path, ddp_kwargs={}, wrapper=wrapper),
+            fault_plan=plan,
+        )
+        self._check(res, plan)
 
 
 class TestElasticBookkeeping:
