@@ -10,7 +10,11 @@ The five ``<algorithm>`` rows time rank-thread start-up plus one 512 KB
 call, which is the latency regime.  The ``*_16mb_w2`` rows are the
 bandwidth regime the DDP buckets of a large model live in: the median of
 N calls on a 16 MiB buffer inside two *live* rank threads (no start-up in
-the window), for ``sum`` and for the fused ``avg``.
+the window), for ``sum`` and for the fused ``avg``.  The
+``allreduce_<size>_w<world>`` rows are the fixed cost of one collective:
+the median *synchronous* call through a gloo ``ProcessGroup`` — issue,
+worker hand-off, signature check, protocol chosen by size, completion —
+again inside live rank threads.
 """
 
 import os
@@ -25,7 +29,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from repro import nn
 from repro.autograd import Tensor
 from repro.comm import algorithms as alg
-from repro.comm import run_distributed
+from repro.comm import get_context, run_distributed
 from repro.comm.transport import TransportHub
 from repro.core import DistributedDataParallel
 from repro.optim import SGD
@@ -106,6 +110,33 @@ def _median_in_live_threads(call, calls, warmup=2):
         t.join(BW_TIMEOUT * 4)
     assert hub.pending_messages() == 0
     return max(medians)
+
+
+#: row name -> (world, buffer bytes) of one sync AllReduce through the group.
+LATENCY_ROWS = {
+    "allreduce_64b_w4": (4, 64),
+    "allreduce_8kb_w4": (4, 8 * 1024),
+    "allreduce_64kb_w4": (4, 64 * 1024),
+    "allreduce_64b_w2": (2, 64),
+}
+
+
+def _median_group_allreduce(world, nbytes, calls, warmup=20):
+    """Median seconds of ``calls`` back-to-back ``group.allreduce`` calls
+    (the slowest rank's median)."""
+
+    def body():
+        group = get_context().default_group
+        buf = np.ones(nbytes // 8)
+        samples = []
+        for _ in range(warmup + calls):
+            start = time.perf_counter()
+            group.allreduce(buf)
+            samples.append(time.perf_counter() - start)
+            buf.fill(1.0)
+        return sorted(samples[warmup:])[calls // 2]
+
+    return max(run_distributed(world, body, backend="gloo", timeout=BW_TIMEOUT))
 
 
 def bench_micro_allreduce_ring(benchmark):
@@ -194,10 +225,15 @@ def main(argv=None):
     for name, call in BANDWIDTH_ROWS.items():
         timings[name] = _median_in_live_threads(call, calls)
         rows.append([name, timings[name]])
+    latency_calls = 100 if iters == 3 else 400
+    for name, (world, nbytes) in LATENCY_ROWS.items():
+        timings[name] = _median_group_allreduce(world, nbytes, latency_calls)
+        rows.append([name, timings[name]])
     report(
         "collectives_micro",
         f"AllReduce microbench ({WORLD} ranks, {PAYLOAD} fp64 elems, median of {iters}; "
-        f"*_16mb_w2: {BW_WORLD} live ranks, {BW_ELEMS} fp64 elems, median of {calls} calls)",
+        f"*_16mb_w2: {BW_WORLD} live ranks, {BW_ELEMS} fp64 elems, median of {calls} calls; "
+        f"allreduce_*: sync call through a gloo group, median of {latency_calls})",
         ["algorithm", "seconds"],
         rows,
     )
@@ -208,6 +244,7 @@ def main(argv=None):
             "payload_elems": PAYLOAD,
             "iters": iters,
             "bandwidth_calls": calls,
+            "latency_calls": latency_calls,
             "median_seconds": timings,
         },
     )

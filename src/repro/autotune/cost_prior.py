@@ -19,7 +19,10 @@ The estimate composes four effects the knobs control:
 * **streams** — ``num_streams`` buckets reduce concurrently, divided by
   the link-capacity :meth:`~repro.simnet.cost_model.CollectiveCostModel.stream_penalty`;
 * **algorithm** — ring is bandwidth-optimal, halving-doubling is
-  latency-optimal, tree pays the full payload per round.
+  latency-optimal, tree pays the full payload per round; a bucket small
+  enough for the group's one-round protocol
+  (:func:`repro.comm.algorithms.allreduce_protocol`) is costed as that
+  whatever the knob says.
 
 The absolute numbers do not need to match the thread transport — only
 the *ordering* matters, and ordering is what the rollback guard
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+from repro.comm.algorithms import allreduce_protocol
 from repro.simnet.cost_model import CollectiveCostModel, cost_model_for
 from repro.utils.units import MB
 
@@ -71,14 +75,21 @@ def _bucket_sizes(model_bytes: float, bucket_cap_mb: float) -> List[float]:
 def _algorithm_time(
     model: CollectiveCostModel, algorithm: str, nbytes: float, world: int
 ) -> float:
-    """One collective of ``nbytes`` under ``algorithm``'s alpha-beta shape."""
+    """One collective of ``nbytes`` under the alpha-beta shape of what
+    would run: ``algorithm`` governs buffers above the group's size rule,
+    below it every algorithm is the one-round direct exchange."""
     if world <= 1 or nbytes <= 0:
         return model.launch_overhead
+    algorithm = allreduce_protocol(algorithm, nbytes, world)
     ring = model.allreduce_time(nbytes, world)
     if algorithm == "ring":
         return ring
     hop = model.hop_latency(world)
     bandwidth = model.bottleneck_bandwidth(world)
+    if algorithm == "naive":
+        # One latency term; every rank's whole buffer reaches every peer.
+        transfer = ((world - 1) * nbytes + model.ramp_bytes) / bandwidth
+        return model.launch_overhead + hop + max(transfer, model.min_message_time)
     rounds = max(1, (world - 1).bit_length())  # ceil(log2(world))
     if algorithm == "halving_doubling":
         # Same 2(p-1)/p bytes through the bottleneck, but only 2*log2(p)

@@ -31,10 +31,12 @@ from repro.utils.units import MB
 #: path; names index :data:`repro.core.comm_hooks.HOOK_FACTORIES`.
 HOOK_CHOICES: Tuple[Optional[str], ...] = (None, "fp16", "topk", "powersgd")
 
-#: AllReduce algorithms the tuner may select.  ``naive`` is excluded on
-#: purpose — it exists as a correctness oracle, not a choice
-#: (docs/performance.md), and ``hierarchical`` only pays off on
-#: multi-host topologies the thread transport does not model.
+#: AllReduce algorithms the tuner may select; the choice governs buffers
+#: above the group's size rule (``algorithms.allreduce_protocol``).
+#: ``naive`` is excluded on purpose — above that rule it is a
+#: correctness oracle, not a choice (docs/performance.md), and
+#: ``hierarchical`` only pays off on multi-host topologies the thread
+#: transport does not model.
 ALGORITHM_CHOICES: Tuple[str, ...] = ("ring", "halving_doubling", "tree")
 
 

@@ -3,7 +3,9 @@
 These are the real algorithms communication libraries use (paper §2.3):
 
 * ``allreduce_naive`` — every rank sends its tensor to every peer and
-  reduces locally; the strawman the paper mentions, kept as a baseline.
+  reduces locally; the strawman the paper mentions for large tensors,
+  and the one-round protocol :func:`allreduce_protocol` picks for small
+  ones.
 * ``allreduce_ring`` — reduce-scatter + allgather ring (NCCL's default),
   2·(p−1) chunk transfers per rank, bandwidth-optimal.
 * ``allreduce_tree`` — binomial-tree reduce to a root followed by a
@@ -234,7 +236,7 @@ def _reduce_fn(op: str) -> ReduceFn:
 
 def check_avg_dtype(dtype: np.dtype) -> None:
     """``avg`` divides in the array's own dtype, so it must be floating."""
-    if not np.issubdtype(dtype, np.floating):
+    if dtype.kind != "f":
         raise ValueError(
             f"reduce op 'avg' is defined for floating dtypes, got {dtype}; "
             f"use 'sum' and divide in a floating dtype"
@@ -272,13 +274,19 @@ def allreduce_naive(
     timeout: float | None = None,
     chunk_bytes: int | None = None,
 ) -> None:
-    """Every rank broadcasts its input to all peers; reduce locally.
+    """Direct exchange: every rank posts its input to all peers; reduce locally.
 
-    Cost per rank: (p−1)α + (p−1)·n·β — each rank moves the *entire*
-    buffer p−1 times, the O(p·n) strawman the paper contrasts with ring
-    AllReduce.  Kept unchunked and eager on purpose: it is the
-    seed-fidelity baseline the benchmarks compare against.  ``avg``
-    divides each rank's accumulator.
+    Cost per rank: p−1 messages of n bytes, all posted in **one round**
+    — each rank moves the *entire* buffer p−1 times, the O(p·n) strawman
+    the paper contrasts with ring AllReduce, and the cheapest thing to
+    do while n is so small that rounds are all there is to pay for (see
+    :func:`allreduce_protocol`).  Unchunked and eager: one private copy
+    is posted to every peer and never written again.
+
+    Every rank reduces the p contributions in group-rank order, its own
+    taking its place in that order, so all ranks end with the same bits
+    whatever the operator's rounding.  ``avg`` divides each rank's
+    accumulator.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group; the local buffer is only written by its own rank.
@@ -287,19 +295,36 @@ def allreduce_naive(
     fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
         return
+    here = ranks[me]
     mine = buffer.copy()
     for offset, peer in enumerate(ranks):
         if offset != me:
-            hub.send(ranks[me], peer, (tag, "naive", me), mine)
-    acc = mine.copy()
+            hub.send(here, peer, (tag, "naive", me), mine)
+    acc = None
     for offset, peer in enumerate(ranks):
-        if offset == me:
-            continue
-        incoming = _recv(hub, ranks[me], peer, (tag, "naive", offset), timeout)
-        fn(acc, incoming, out=acc)
+        piece = mine if offset == me else _recv(
+            hub, here, peer, (tag, "naive", offset), timeout)
+        # The first operation reads two contributions and lands in the
+        # buffer; from then on the buffer is the accumulator.
+        acc = piece if acc is None else fn(acc, piece, out=buffer)
     if divisor:
-        _divide(acc, divisor)
-    buffer[...] = acc
+        _divide(buffer, divisor)
+
+
+def allreduce_protocol(algorithm: str, nbytes: int, world: int) -> str:
+    """The AllReduce that runs for an ``nbytes`` buffer on ``world`` ranks.
+
+    ``"naive"`` — one round of direct exchange — while everything a rank
+    posts, ``(world − 1) · nbytes``, stays under :data:`RENDEZVOUS_BYTES`
+    (the size at which this module stops copying and starts lending);
+    the configured ``algorithm`` from there on.  A small AllReduce costs
+    per-message latency, not bandwidth (paper Fig. 2), and one round of
+    p−1 messages beats 2·log₂ p rounds of one.  Every rank derives the
+    answer from facts the signature check makes them agree on.
+    """
+    if (world - 1) * nbytes < RENDEZVOUS_BYTES:
+        return "naive"
+    return algorithm
 
 
 def _ring(

@@ -157,7 +157,8 @@ class _Op(NamedTuple):
     """One row of the collective table ``ProcessGroup._collective`` runs."""
 
     #: ``fn(hub, ranks, rank, [array,] *operands, tag, timeout[, chunk_bytes])``;
-    #: None = the group's current AllReduce algorithm, resolved per call.
+    #: None = ``algorithms.allreduce_protocol`` of the group's current
+    #: AllReduce algorithm and the buffer's size, resolved per call.
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
@@ -268,7 +269,7 @@ class ProcessGroup:
             self._watchdog = HangWatchdog(self)
 
         # The dedicated communication workers ("streams").
-        self._queues: List["queue.Queue"] = []
+        self._queues: List["queue.SimpleQueue"] = []
         self._workers: List[threading.Thread] = []
         for stream in range(self.num_streams):
             self._start_worker(stream)
@@ -290,7 +291,7 @@ class ProcessGroup:
 
     def _start_worker(self, stream: int) -> None:
         """Append stream ``stream``'s queue and start its worker thread."""
-        self._queues.append(queue.Queue())
+        self._queues.append(queue.SimpleQueue())
         worker = threading.Thread(
             target=self._worker_loop,
             args=(stream,),
@@ -685,8 +686,11 @@ class ProcessGroup:
         record = CollectiveRecord(seq, self._group_id, signature, wire)
         algorithm = row.algorithm
         if algorithm is None:
-            algorithm = algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
-            record.extra["algorithm"] = self.algorithm
+            chosen = algorithms.allreduce_protocol(
+                self.algorithm, array.nbytes, len(self.ranks)
+            )
+            algorithm = algorithms.ALLREDUCE_ALGORITHMS[chosen]
+            record.extra["algorithm"] = chosen
         args = ([] if array is None else [array]) + list(operands.values())
 
         def run():

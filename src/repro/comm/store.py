@@ -10,7 +10,10 @@ constructors use to allocate ids and count arrivals.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, Iterable
+
+from repro.comm.gates import NOTHING, KeyedGates, open_gates
 
 
 class StoreTimeoutError(TimeoutError):
@@ -18,27 +21,36 @@ class StoreTimeoutError(TimeoutError):
 
 
 class Store:
-    """Thread-safe key/value store with blocking reads and atomic adds."""
+    """Thread-safe key/value store with blocking reads and atomic adds.
+
+    Every blocking read parks on the key it waits for
+    (:mod:`repro.comm.gates`); ``set`` / ``add`` wake the readers of the
+    key they wrote and nobody else.
+    """
 
     def __init__(self, timeout: float = 30.0):
         self._data: Dict[str, Any] = {}
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
+        self._gates = KeyedGates(self._lock)
         self.timeout = timeout
 
     def set(self, key: str, value: Any) -> None:
-        """Publish ``value`` under ``key`` and wake blocked readers."""
+        """Publish ``value`` under ``key`` and wake the readers parked on it."""
         with self._lock:
             self._data[key] = value
-            self._lock.notify_all()
+            parked = self._gates.take(key)
+        open_gates(parked)
+
+    def _peek(self, key: str) -> Any:
+        return self._data.get(key, NOTHING)
 
     def get(self, key: str, timeout: float | None = None) -> Any:
         """Return ``key``'s value, blocking until some rank sets it."""
         deadline = timeout if timeout is not None else self.timeout
-        with self._lock:
-            ok = self._lock.wait_for(lambda: key in self._data, deadline)
-            if not ok:
-                raise StoreTimeoutError(f"store.get({key!r}) timed out after {deadline}s")
-            return self._data[key]
+        value = self._gates.wait(key, self._peek, deadline)
+        if value is NOTHING:
+            raise StoreTimeoutError(f"store.get({key!r}) timed out after {deadline}s")
+        return value
 
     def try_get(self, key: str, default: Any = None) -> Any:
         """Non-blocking read: ``key``'s value, or ``default`` if unset.
@@ -54,29 +66,33 @@ class Store:
         with self._lock:
             value = int(self._data.get(key, 0)) + amount
             self._data[key] = value
-            self._lock.notify_all()
-            return value
+            parked = self._gates.take(key)
+        open_gates(parked)
+        return value
 
     def wait(self, keys: Iterable[str], timeout: float | None = None) -> None:
         """Block until every key in ``keys`` exists; raises on timeout."""
-        deadline = timeout if timeout is not None else self.timeout
         keys = list(keys)
-        with self._lock:
-            ok = self._lock.wait_for(lambda: all(k in self._data for k in keys), deadline)
-            if not ok:
-                missing = [k for k in keys if k not in self._data]
+        deadline = time.perf_counter() + (timeout if timeout is not None else self.timeout)
+        for key in keys:
+            remaining = max(0.0, deadline - time.perf_counter())
+            if self._gates.wait(key, self._peek, remaining) is NOTHING:
+                with self._lock:
+                    missing = [k for k in keys if k not in self._data]
                 raise StoreTimeoutError(f"store.wait timed out; missing keys {missing}")
 
     def wait_value(self, key: str, predicate, timeout: float | None = None) -> Any:
         """Block until ``predicate(store[key])`` holds; returns the value."""
         deadline = timeout if timeout is not None else self.timeout
-        with self._lock:
-            ok = self._lock.wait_for(
-                lambda: key in self._data and predicate(self._data[key]), deadline
-            )
-            if not ok:
-                raise StoreTimeoutError(f"store.wait_value({key!r}) timed out")
-            return self._data[key]
+
+        def accepted(key: str) -> Any:
+            value = self._data.get(key, NOTHING)
+            return value if value is not NOTHING and predicate(value) else NOTHING
+
+        value = self._gates.wait(key, accepted, deadline)
+        if value is NOTHING:
+            raise StoreTimeoutError(f"store.wait_value({key!r}) timed out")
+        return value
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns True if it existed."""

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict, deque
+from collections import deque
 from typing import Any, Dict, Hashable, Tuple
 
+from repro.comm.gates import NOTHING, KeyedGates, open_gates
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 
@@ -49,18 +50,23 @@ class TransportClosedError(RuntimeError):
 
 #: Sentinel distinguishing "no message before the slice expired" from a
 #: legitimate ``None`` payload in :meth:`TransportHub._wait_one`.
-_NOTHING = object()
+_NOTHING = NOTHING
 
 
 class TransportHub:
     """In-process message fabric connecting ``world_size`` ranks.
 
-    Thread-safety: fully thread-safe — one condition variable guards the
-    mailboxes, counters, and waiting-receiver registry, so any number of
-    rank and communication-worker threads may ``send``/``recv``
-    concurrently.  ``send`` never blocks (the deposit models the wire:
-    the payload is on its way the moment the call returns), which is
-    what lets chunked collectives keep several chunks in flight.
+    Thread-safety: fully thread-safe — one mutex guards the mailboxes,
+    counters, and the table of parked receivers, so any number of rank
+    and communication-worker threads may ``send``/``recv`` concurrently.
+    A receiver that finds its mailbox empty parks on a private gate
+    filed under its ``(src, dst, tag)`` (:mod:`repro.comm.gates`); a
+    deposit opens the gates of the mailbox it filled and nobody else's,
+    and a message that is already there costs one mutex round.  A
+    mailbox exists only while it holds a message.  ``send`` never blocks
+    (the deposit models the wire: the payload is on its way the moment
+    the call returns), which is what lets chunked collectives keep
+    several chunks in flight.
 
     Cost model: one ``send``/``recv`` pair is one α (latency) plus
     ``payload.nbytes``·β (bandwidth) in the paper's terms; the per-rank
@@ -73,15 +79,14 @@ class TransportHub:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
         self.default_timeout = default_timeout
-        self._cond = threading.Condition()
-        self._mailboxes: Dict[Tuple[int, int, Hashable], deque] = defaultdict(deque)
+        self._mutex = threading.Lock()
+        self._mailboxes: Dict[Tuple[int, int, Hashable], deque] = {}
+        # Parked receivers by mailbox key — also the debug watchdog's
+        # "who is stuck waiting on whom" evidence.
+        self._gates = KeyedGates(self._mutex)
         self._closed = False
         self.messages_sent = [0] * world_size
         self.bytes_sent = [0] * world_size
-        # Live registry of blocked receivers, keyed by an opaque token —
-        # the debug watchdog's "who is stuck waiting on whom" evidence.
-        self._waiting: Dict[int, Tuple[int, int, Hashable, float]] = {}
-        self._wait_token = 0
         #: Optional :class:`repro.resilience.FaultPlan` consulted on every
         #: send (drop / delay / duplicate / corrupt / crash-rank rules).
         self.fault_plan = None
@@ -123,13 +128,18 @@ class TransportHub:
     def _deposit(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
         """Place one message on the wire (counters + receiver wakeup)."""
         nbytes = getattr(payload, "nbytes", 0)
-        with self._cond:
+        key = (src, dst, tag)
+        with self._mutex:
             if self._closed:
                 raise TransportClosedError("transport hub is closed")
-            self._mailboxes[(src, dst, tag)].append(payload)
+            box = self._mailboxes.get(key)
+            if box is None:
+                box = self._mailboxes[key] = deque()
+            box.append(payload)
             self.messages_sent[src] += 1
             self.bytes_sent[src] += int(nbytes)
-            self._cond.notify_all()
+            parked = self._gates.take(key)
+        open_gates(parked)
         if TRACER.enabled:
             registry = registry_for(src)
             registry.counter("transport.messages_sent").add(1)
@@ -169,32 +179,30 @@ class TransportHub:
     def _wait_one(self, key: Tuple[int, int, Hashable], timeout: float) -> Any:
         """Pop the next message for ``key``, or ``_NOTHING`` on timeout.
 
-        The wait is registered in the blocked-receiver table (watchdog
-        evidence) and a hub close raises ``TransportClosedError``.
+        While parked the receiver shows in :meth:`blocked_receivers`
+        (watchdog evidence); a hub close raises ``TransportClosedError``.
         Subclasses use this to wait in short backoff slices.
         """
-        src, dst, tag = key
-        with self._cond:
-            token = self._wait_token
-            self._wait_token += 1
-            self._waiting[token] = (dst, src, tag, time.perf_counter())
-            try:
-                ok = self._cond.wait_for(
-                    lambda: self._closed or bool(self._mailboxes.get(key)), timeout
-                )
-            finally:
-                self._waiting.pop(token, None)
-            if self._closed:
-                raise TransportClosedError("transport hub closed during recv")
-            if not ok:
-                return _NOTHING
-            return self._mailboxes[key].popleft()
+        return self._gates.wait(key, self._pop, timeout)
+
+    def _pop(self, key: Tuple[int, int, Hashable]) -> Any:
+        """Under the mutex: ``key``'s oldest message, freeing an emptied mailbox."""
+        if self._closed:
+            raise TransportClosedError("transport hub closed during recv")
+        box = self._mailboxes.get(key)
+        if box is None:
+            return _NOTHING
+        payload = box.popleft()
+        if not box:
+            del self._mailboxes[key]
+        return payload
 
     def close(self) -> None:
         """Wake every blocked receiver with ``TransportClosedError``."""
-        with self._cond:
+        with self._mutex:
             self._closed = True
-            self._cond.notify_all()
+            parked = self._gates.take_all()
+        open_gates(parked)
 
     @property
     def closed(self) -> bool:
@@ -209,24 +217,25 @@ class TransportHub:
         view a desync report attaches per rank.
         """
         now = time.perf_counter()
-        with self._cond:
-            return [
-                {
-                    "rank": dst,
-                    "waiting_on": src,
-                    "tag": repr(tag),
-                    "blocked_s": now - since,
-                }
-                for dst, src, tag, since in self._waiting.values()
-            ]
+        with self._mutex:
+            parked = self._gates.parked()
+        return [
+            {
+                "rank": dst,
+                "waiting_on": src,
+                "tag": repr(tag),
+                "blocked_s": now - since,
+            }
+            for (src, dst, tag), since in parked
+        ]
 
     def reset_stats(self) -> None:
         """Zero the per-rank message/byte counters (thread-safe)."""
-        with self._cond:
+        with self._mutex:
             self.messages_sent = [0] * self.world_size
             self.bytes_sent = [0] * self.world_size
 
     def pending_messages(self) -> int:
         """Total messages deposited but not yet received (thread-safe)."""
-        with self._cond:
+        with self._mutex:
             return sum(len(box) for box in self._mailboxes.values())

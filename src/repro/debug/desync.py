@@ -17,7 +17,15 @@ Two symptom classes from paper §3.2.3 / Fig. 3(a) are diagnosed here:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype) -> str:
+    """``str(dtype)``, remembered: numpy builds the name through a chain
+    of ``issubdtype`` calls, 10 µs on the thread issuing every collective."""
+    return str(dtype)
 
 
 def fingerprint(op: str, array=None, **extra) -> dict:
@@ -25,7 +33,7 @@ def fingerprint(op: str, array=None, **extra) -> dict:
     fp = {"op": op, "shape": None, "dtype": None, "nbytes": None}
     if array is not None:
         fp["shape"] = tuple(array.shape)
-        fp["dtype"] = str(array.dtype)
+        fp["dtype"] = _dtype_name(array.dtype)
         fp["nbytes"] = int(array.nbytes)
     fp.update(extra)
     return fp

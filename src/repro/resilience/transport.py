@@ -158,8 +158,8 @@ class ReliableTransportHub(TransportHub):
     retransmit buffer keeps the authoritative payload, which is what
     makes injected drops and corruption survivable.
 
-    Thread-safety matches the base hub: one condition variable guards
-    mailboxes, logs, markers, and counters.
+    Thread-safety matches the base hub: its one mutex guards mailboxes,
+    logs, markers, and counters.
     """
 
     def __init__(
@@ -200,7 +200,7 @@ class ReliableTransportHub(TransportHub):
         key = (src, dst, tag)
         policy = self.retry
         checksum = _checksum(payload) if policy.verify_checksums else None
-        with self._cond:
+        with self._mutex:
             seq = self._send_seq.get(key, 0) + 1
             self._send_seq[key] = seq
             log = self._sent_log.get(key)
@@ -220,7 +220,7 @@ class ReliableTransportHub(TransportHub):
         """Redeliver ``seq`` from the sender's log (through the faulty
         wire again); returns False when the sender has not sent it yet."""
         src, dst, tag = key
-        with self._cond:
+        with self._mutex:
             log = self._sent_log.get(key, ())
             envelope = next((e for e in log if e.seq == seq), None)
         if envelope is None:
@@ -281,7 +281,7 @@ class ReliableTransportHub(TransportHub):
         backoff = policy.base_backoff
 
         def finish(payload: Any) -> Any:
-            with self._cond:
+            with self._mutex:
                 expected = self._recv_next.get(key, 1)
                 self._recv_next[key] = expected + 1
                 self._acked[key] = expected
@@ -302,7 +302,7 @@ class ReliableTransportHub(TransportHub):
             return payload
 
         while True:
-            with self._cond:
+            with self._mutex:
                 expected = self._recv_next.get(key, 1)
                 stash = self._reorder.get(key)
                 held = stash.pop(expected, None) if stash else None
@@ -356,7 +356,7 @@ class ReliableTransportHub(TransportHub):
             if envelope.seq > expected:
                 # A gap: an earlier message was dropped on the wire.
                 # Hold this one and pull the missing seq from the log.
-                with self._cond:
+                with self._mutex:
                     stash = self._reorder.setdefault(key, {})
                     if envelope.seq in stash:
                         dup = True

@@ -53,6 +53,58 @@ class TestAllReduceSum:
             assert np.allclose(out, expected)
 
 
+@pytest.mark.parametrize("world", [2, 3, 4, 5])
+@pytest.mark.parametrize("op", ["sum", "avg"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestReplicaEquality:
+    """The paper's correctness argument needs every replica to end an
+    AllReduce with the *same bits*, not merely close ones."""
+
+    def _inputs(self, world, dtype):
+        rng = np.random.default_rng(100 + world)
+        # Mixed magnitudes make float addition order-sensitive.
+        return [
+            (rng.standard_normal(257) * 10.0 ** rng.integers(-3, 4, 257)).astype(dtype)
+            for _ in range(world)
+        ]
+
+    @pytest.mark.parametrize("algorithm", sorted(alg.ALLREDUCE_ALGORITHMS))
+    def test_all_ranks_end_with_identical_bytes(self, world, op, dtype, algorithm):
+        inputs = self._inputs(world, dtype)
+        fn = alg.ALLREDUCE_ALGORITHMS[algorithm]
+
+        def body(hub, rank):
+            buf = inputs[rank].copy()
+            fn(hub, list(range(world)), rank, buf, op, tag="t")
+            return buf
+
+        results, _ = run_ranks(world, body)
+        assert np.allclose(results[0], np.sum(inputs, axis=0) / (world if op == "avg" else 1),
+                           rtol=1e-3 if dtype is np.float32 else 1e-9, atol=1e-3)
+        for out in results[1:]:
+            assert out.tobytes() == results[0].tobytes()
+
+    def test_naive_is_the_rank_ordered_sum(self, world, op, dtype):
+        inputs = self._inputs(world, dtype)
+        expected = inputs[0].copy()
+        for contribution in inputs[1:]:
+            expected += contribution
+        if op == "avg":
+            expected /= world
+        sent = [buf.copy() for buf in inputs]
+
+        def body(hub, rank):
+            alg.allreduce_naive(hub, list(range(world)), rank, sent[rank], op, tag="t")
+            return sent[rank]
+
+        results, hub = run_ranks(world, body)
+        for out in results:
+            assert out.tobytes() == expected.tobytes()
+        # One round: a whole-buffer message to each peer, nothing else.
+        assert hub.messages_sent == [world - 1] * world
+        assert hub.bytes_sent == [(world - 1) * inputs[0].nbytes] * world
+
+
 @pytest.mark.parametrize("op,reduce_fn", [
     ("max", np.maximum.reduce),
     ("min", np.minimum.reduce),

@@ -315,8 +315,10 @@ class TestFaultMatrix:
             retry=RetryPolicy(base_backoff=0.001), seed=seed,
         )
         plan = FaultPlan([drop(rank=0, dst=2, probability=0.5)], seed=seed)
-        run_world(WORLD, _train, backend="gloo", timeout=60.0,
-                  hub=hub, fault_plan=plan)
+        # One message per peer per small AllReduce: 10 iterations put the
+        # engine's storm_min_events (20) drops on the faulted edge.
+        run_world(WORLD, lambda rank: _train(rank, iterations=10),
+                  backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
         kinds = {d.kind: d for d in analyze_snapshots()}
         assert RETRANSMIT_STORM in kinds
         storm = kinds[RETRANSMIT_STORM]

@@ -14,6 +14,7 @@ from repro.comm import (
     new_process_group,
     new_round_robin_group,
 )
+from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
 from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work
 from repro.debug import (
     clear_recorders,
@@ -467,6 +468,97 @@ class TestOpTable:
             run_world(2, body, backend="gloo", timeout=3)
         assert isinstance(excinfo.value.__cause__, CollectiveMismatchError)
         assert "differing fields: reduce_op: avg != sum" in str(excinfo.value)
+
+    #: world -> (float64 elements exactly at the size rule, hub messages
+    #: per rank one element below it, and at it under gloo's default).
+    #: At the rule: world 2 lends (rs + ag + token), 3 and 5 fall back
+    #: to the ring's 2(p−1), 4 is halving-doubling's 2·log₂ p.
+    SIZE_RULE = {2: (32768, 1, 3), 3: (16384, 2, 4), 4: (10923, 3, 4), 5: (8192, 4, 8)}
+
+    @pytest.mark.parametrize("world", sorted(SIZE_RULE))
+    @pytest.mark.parametrize("async_op", [False, True], ids=["sync", "async"])
+    def test_allreduce_protocol_follows_the_size_rule(self, observed, world, async_op):
+        """One round of direct exchange while everything a rank posts
+        stays under RENDEZVOUS_BYTES, the group's algorithm from there
+        on — and every view names what actually ran."""
+        at_rule, msgs_below, msgs_at = self.SIZE_RULE[world]
+        assert (world - 1) * 8 * (at_rule - 1) < RENDEZVOUS_BYTES <= (world - 1) * 8 * at_rule
+
+        def allreduce(pg, x, op=ReduceOp.SUM):
+            before = pg.hub.messages_sent[pg.global_rank]
+            work = pg.allreduce(x, op, async_op=async_op)
+            if async_op:
+                work.wait()
+            record = pg.flight_recorder.records()[-1]
+            assert record.op == "allreduce" and record.state == "completed"
+            sent = pg.hub.messages_sent[pg.global_rank] - before
+            return record.extra["algorithm"], sent
+
+        def body(rank):
+            pg = get_context().default_group
+            rng = np.random.default_rng(rank)
+            seen = []
+            for n in (at_rule - 1, at_rule):
+                base = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+                summed, averaged = base.copy(), base.copy()
+                seen.append(allreduce(pg, summed))
+                seen.append(allreduce(pg, averaged, ReduceOp.AVG))
+                summed /= pg.size
+                assert averaged.tobytes() == summed.tobytes()
+                seen.append(averaged.tobytes())
+            return seen
+
+        results = run_world(world, body, backend="gloo", timeout=20.0)
+        assert results[0][0:2] == [("naive", msgs_below)] * 2
+        assert results[0][3:5] == [("halving_doubling", msgs_at)] * 2
+        for seen in results[1:]:
+            assert seen == results[0]  # same protocol, same bits, every rank
+        for rank in range(world):
+            spans = [s for s in telemetry.get_tracer().spans(rank) if s.cat == "comm"]
+            assert [s.args["algorithm"] for s in spans] == (
+                ["naive"] * 2 + ["halving_doubling"] * 2)
+
+    def test_size_rule_is_one_function_of_bytes_and_world(self):
+        assert allreduce_protocol("ring", 8, 1) == "naive"
+        assert allreduce_protocol("ring", RENDEZVOUS_BYTES - 1, 2) == "naive"
+        assert allreduce_protocol("ring", RENDEZVOUS_BYTES, 2) == "ring"
+        assert allreduce_protocol("tree", RENDEZVOUS_BYTES // 7, 8) == "naive"
+        assert allreduce_protocol("tree", RENDEZVOUS_BYTES // 7 + 1, 8) == "tree"
+
+    @pytest.mark.parametrize("async_op", [False, True], ids=["sync", "async"])
+    def test_small_integer_allreduce(self, async_op):
+        def body(rank):
+            pg = get_context().default_group
+            total, peak = np.arange(5) * (rank + 1), np.arange(5) * (rank + 1)
+            for x, op in ((total, ReduceOp.SUM), (peak, ReduceOp.MAX)):
+                work = pg.allreduce(x, op, async_op=async_op)
+                if async_op:
+                    work.wait()
+            return total.tolist(), peak.tolist(), str(total.dtype)
+
+        expected = ([0, 10, 20, 30, 40], [0, 4, 8, 12, 16], "int64")
+        assert run_world(4, body, backend="gloo") == [expected] * 4
+
+    def test_small_async_allreduce_keeps_its_errors(self):
+        """The one-round protocol sits behind the same signature check
+        and the same timeout translation as every other algorithm."""
+        def mismatched(rank):
+            pg = get_context().default_group
+            pg.allreduce(np.ones(N + 2 * rank), async_op=True).wait()
+
+        with pytest.raises(RuntimeError, match="mismatch") as excinfo:
+            run_world(2, mismatched, backend="gloo", timeout=3)
+        assert isinstance(excinfo.value.__cause__, CollectiveMismatchError)
+        assert "differing fields:" in str(excinfo.value)
+        assert "shape: " in str(excinfo.value)
+
+        def alone(rank):
+            if rank == 0:
+                get_context().default_group.allreduce(np.ones(N), async_op=True).wait()
+
+        with pytest.raises(RuntimeError, match="rank 0 failed") as excinfo:
+            run_world(2, alone, backend="gloo", timeout=0.3)
+        assert isinstance(excinfo.value.__cause__, CollectiveTimeoutError)
 
     @pytest.mark.parametrize("name", list(OP_MATRIX))
     def test_absent_peer_raises_collective_timeout(self, name):
