@@ -337,8 +337,8 @@ def bench_health_overhead(hidden, iters):
 
     Telemetry stays enabled for both runs; only the health kill switch
     flips.  The delta isolates what the per-collective efficiency
-    accounting (stall bracketing, busbw/utilization observations, event
-    log appends) adds on top of spans — the acceptance bound is < 5%.
+    accounting (stall bracketing, busbw/utilization observations) adds
+    on top of spans and retained records — the acceptance bound is < 5%.
 
     The schedule is ABBA (off, on, on, off) with each arm averaged:
     background load on a shared runner drifts over the measurement

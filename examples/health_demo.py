@@ -10,7 +10,8 @@ seeded :class:`~repro.resilience.FaultPlan` abuses the wire:
 
 The health engine watches the same run through its efficiency metrics
 (per-source receive stalls, achieved bus bandwidth, chunk-pipeline
-utilization) and cross-rank event log, then prints what a human would
+utilization) and the cross-rank causal timeline stitched from every
+rank's collective records, then prints what a human would
 have had to dig out of a Chrome trace:
 
 * ``persistent_straggler`` naming rank 1, and
@@ -126,10 +127,10 @@ def main() -> int:
           f"(p50 {busbw['p50']:.3f})")
     print(f"chunk pipeline utilization: mean {util['mean']:.3f}")
     print(f"receive stall: {health['recv_stall_s']:.3f}s, "
-          f"event log depth {health['event_log_depth']}")
+          f"records retained {stats[0]['debug']['flight_recorder_depth']}")
 
     # -- causal timeline ------------------------------------------------
-    timeline = [r for r in merge_causal_timeline() if r["seq"] is not None]
+    timeline = merge_causal_timeline()
     worst = max(timeline, key=lambda r: r["start_skew_s"], default=None)
     if worst is not None:
         print(f"\ncausal timeline: {len(timeline)} collectives stitched; "

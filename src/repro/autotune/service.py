@@ -2,7 +2,7 @@
 
 :class:`Autotuner` closes the loop between the telemetry the runtime
 already produces (per-bucket AllReduce latency, compute/comm overlap
-ratio, backward-compute time, health events) and the knobs that shape
+ratio, backward-compute time, health signals) and the knobs that shape
 the hot path (``bucket_cap_mb``, ``chunk_bytes``, ``num_streams``,
 collective algorithm, optionally the compression hook) — the adaptive
 tuning the paper proposes as future work (§7), in the style of Bagua's
@@ -32,7 +32,7 @@ bucket relayouts go through the no-op-aware ``rebuild_buckets``, stream
 pool resizes through ``ProcessGroup.set_num_streams``, and stateful
 comm hooks are reset on relayout so error-feedback residuals never
 apply to a mismatched layout.  Every applied change is annotated on the
-merged trace (an ``autotune`` instant span + a health event), so retune
+merged trace (an ``autotune`` instant span), so retune
 decisions are visible on the timeline next to their effect.
 """
 
@@ -49,8 +49,6 @@ import numpy as np
 from repro.comm import algorithms
 from repro.comm.process_group import ReduceOp
 from repro.core.comm_hooks import make_hook, reset_hook
-from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event as record_health_event
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 
@@ -314,8 +312,6 @@ class Autotuner:
             "autotune.retune", now, now, cat="autotune", stream="autotune",
             rank=rank, args=args,
         )
-        if _health.collecting_enabled():
-            record_health_event(rank, "autotune_retune", t=now, extra=args)
 
     # ------------------------------------------------------------------
     def report(self) -> dict:

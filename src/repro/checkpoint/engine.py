@@ -63,13 +63,9 @@ from repro.checkpoint.manifest import (
 from repro.checkpoint.payload import full_payload, install_full
 from repro.checkpoint.reshard import load_shard_payloads, shard_payload
 from repro.comm.transport import TransportTimeoutError
-from repro.telemetry.health.events import record_event
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 
-#: Replication arrivals later than this many seconds after the owner's
-#: snapshot are annotated in the health event log.
-REPLICATION_LAG_WARN_S = 2.0
 #: How long a replica receiver blocks on the hub before re-checking
 #: whether the engine was closed.
 RECV_SLICE_S = 0.05
@@ -414,10 +410,6 @@ class CheckpointEngine:
             "checkpoint.replica_recv", t0, time.perf_counter(), self.rank,
             owner=owner, generation=generation, lag_s=round(lag, 6),
         )
-        detail = {"owner": owner, "generation": generation, "lag_s": lag}
-        record_event(self.rank, "checkpoint.replica", extra=detail)
-        if lag > REPLICATION_LAG_WARN_S:
-            record_event(self.rank, "checkpoint.replication_lag", extra=detail)
 
     # -- restoring -------------------------------------------------------
     def _committed_generations(self) -> Dict[int, Dict[int, List[Tuple[str, Manifest]]]]:

@@ -36,10 +36,9 @@ from repro.comm import algorithms
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.debug import desync as _desync
-from repro.debug.flight_recorder import CollectiveRecord, recorder_for
+from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
 from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
@@ -97,7 +96,7 @@ class Work:
 
     @property
     def description(self) -> str:
-        """``op#seq`` — how error messages and ``comm`` spans name it."""
+        """``op#seq`` — how error messages and the ``comm`` trace row name it."""
         return self.record.name
 
     def _complete(self, error: Optional[BaseException] = None) -> None:
@@ -258,12 +257,10 @@ class ProcessGroup:
             arrival_key, lambda v: v >= len(self.ranks), timeout=timeout
         )
 
-        # Debug layer (REPRO_DEBUG=INFO|DETAIL): per-rank flight recorder
-        # plus a hang watchdog thread for this group membership.
-        self.flight_recorder = None
+        # Debug layer (REPRO_DEBUG=INFO|DETAIL): a hang watchdog thread
+        # for this group membership.
         self._watchdog = None
         if DEBUG.level:
-            self.flight_recorder = recorder_for(rank)
             from repro.debug.watchdog import HangWatchdog
 
             self._watchdog = HangWatchdog(self)
@@ -275,6 +272,13 @@ class ProcessGroup:
             self._start_worker(stream)
         if self._watchdog is not None:
             self._watchdog.start()
+
+    @property
+    def flight_recorder(self) -> FlightRecorder:
+        """This rank's ring of retained collective records (the one
+        store every cross-rank view reads; filled while ``REPRO_DEBUG``
+        ≥ INFO or telemetry is on)."""
+        return recorder_for(self.global_rank)
 
     # ------------------------------------------------------------------
     # worker machinery
@@ -319,7 +323,7 @@ class ProcessGroup:
             retries = retry_probe(self.global_rank) if retry_probe else None
             record.start()
             self._inflight_by_stream[stream] = work
-            self._observe(record, "start", record.t_start)
+            self._observe(record, "start")
             error: Optional[BaseException] = None
             try:
                 work.result[0] = fn()
@@ -333,58 +337,34 @@ class ProcessGroup:
                 ):
                     if after > before:
                         record.extra[name] = after - before
-            self._observe(record, "finish", record.t_end)
+            self._observe(record, "finish")
             work._done.set()
 
-    def _observe(self, record: CollectiveRecord, stage: str, t: float) -> None:
-        """Hand ``record``, stamped ``stage`` at ``t``, to every view that is on.
+    def _observe(self, record: CollectiveRecord, stage: str) -> None:
+        """Hand ``record`` at ``stage`` to the two views that need a hook.
 
         The one place observers attach to a collective: ``"schedule"``
         comes from the issuing thread, ``"start"`` and ``"finish"`` from
         the communication worker.
 
-        * flight ring (``REPRO_DEBUG``) — retains the record from
-          schedule on; later stamps show through the reference;
-        * health (telemetry + its kill switch) — brackets execution so
-          the algorithms' receive helper can attribute stalls per
-          source, accounts efficiency at finish, and logs one lifecycle
-          event per stage carrying the ``(group, seq)`` trace context
-          that lets the engine stitch the same collective across ranks;
-        * ``comm`` span (telemetry) — one per finished collective.
+        * the record ring (``REPRO_DEBUG`` ≥ INFO or telemetry on) —
+          retains the record from schedule on; later stamps show through
+          the reference, and the causal timeline, the ``comm`` trace row
+          and the profiler are read from it;
+        * health accounting (telemetry + its kill switch) — brackets
+          execution so the algorithms' receive helper can attribute
+          stalls per source, and publishes efficiency metrics at finish.
         """
-        if stage == "schedule" and self.flight_recorder is not None and DEBUG.level:
-            self.flight_recorder.add(record)
-        if not TRACER.enabled:  # every other view needs telemetry on
-            return
-        finished = stage == "finish"
-        error = record.error if finished else None
-        failure = type(error).__name__ if error is not None else None
-        if _health.collecting_enabled():
+        if stage == "schedule":
+            if DEBUG.level or TRACER.enabled:
+                recorder_for(self.global_rank).add(record)
+        elif _health.collecting_enabled():
             if stage == "start":
                 _health.begin_collective()
-            elif finished:
+            else:
                 _health.record_collective(
                     self.global_rank, record, len(self.ranks), self.backend
                 )
-            record_event(
-                self.global_rank,
-                stage if not finished else "failed" if failure else "complete",
-                t=t,
-                group=record.group_id,
-                seq=record.seq,
-                op=record.op,
-                bucket=record.bucket,
-                nbytes=record.bytes,
-                extra={"error": failure} if failure else None,
-            )
-        if finished:
-            args = record.facts()
-            if failure:
-                args["error"] = failure
-            TRACER.record(
-                record.name, record.t_start, record.t_end,
-                cat="comm", stream="comm", rank=self.global_rank, args=args,
-            )
 
     def _submit(self, fn, record: CollectiveRecord, async_op: bool):
         """Queue ``fn`` on the deterministic stream for this collective.
@@ -405,7 +385,7 @@ class ProcessGroup:
                 self.global_rank, record.op, record.seq, self._group_id
             )
         work = Work(record)
-        self._observe(record, "schedule", record.t_sched)
+        self._observe(record, "schedule")
         self._queues[record.seq % self.num_streams].put((fn, work))
         if async_op:
             return work

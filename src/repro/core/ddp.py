@@ -512,8 +512,9 @@ class DistributedDataParallel(Module):
         return probe() if callable(probe) else None
 
     def _debug_stats(self) -> dict:
-        """REPRO_DEBUG layer state: flight-recorder depth and watchdog
-        status for this rank's process group (all zeros/None when OFF)."""
+        """REPRO_DEBUG layer state: the depth of this rank's collective
+        record ring (filled at INFO or with telemetry on) and the
+        watchdog status of its process group (None when OFF)."""
         group = self.process_group
         recorder = getattr(group, "flight_recorder", None)
         watchdog = getattr(group, "_watchdog", None)

@@ -452,7 +452,7 @@ class Reducer:
         )
         # Label every collective the launch issues with its bucket: the
         # record carries it to the flight ring ("allreduce#12 [bucket
-        # 3]" in a desync report), the comm span and the health events.
+        # 3]" in a desync report), the causal timeline and the profiler.
         with collective_context(f"bucket {bucket.spec.index}", bucket.spec.index):
             if self.comm_hook is not None:
                 bucket.work = self.comm_hook(

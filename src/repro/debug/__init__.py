@@ -20,7 +20,8 @@ NCCL hang.  This package turns that hang into a diagnosis:
 
 Everything is gated by ``REPRO_DEBUG=OFF|INFO|DETAIL`` (default OFF; see
 :mod:`~repro.debug.levels`): while OFF the comm layer pays one integer
-check per collective and retains nothing.
+check per collective and retains nothing unless telemetry is on — the
+ring is also telemetry's store of collective lifecycles.
 
     REPRO_DEBUG=INFO python train.py          # or:
     from repro import debug

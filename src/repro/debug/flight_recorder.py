@@ -13,9 +13,15 @@ was doing instead.
 
 The :class:`CollectiveRecord` itself always exists — it is the one
 record every ``Work`` carries and every observer reads.  *Retaining* it
-in a ring is gated by ``REPRO_DEBUG`` (see :mod:`repro.debug.levels`):
-with the level at ``OFF`` no recorder is ever attached and a record
-dies with its ``Work``.
+in a ring happens when ``REPRO_DEBUG`` ≥ INFO (see
+:mod:`repro.debug.levels`) or telemetry is on; otherwise a record dies
+with its ``Work``.  The rings are the only store of collective
+lifecycles: :func:`merge_causal_timeline` and :func:`seq_frontier`
+stitch them across ranks by ``(group, seq)`` — the identity every rank
+agrees on because collectives are issued in the same order everywhere
+(paper §3.3) — and the Chrome trace's ``comm`` row and the critical-path
+profiler read them too.  All rank threads share one ``perf_counter``
+clock, so the stitched order is causal, not approximate.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 #: Records retained per rank before the ring drops the oldest.
-DEFAULT_CAPACITY = 256
+DEFAULT_CAPACITY = 2048
 
 # Lifecycle states.
 SCHEDULED = "scheduled"
@@ -69,9 +75,9 @@ class CollectiveRecord:
     """The one record of a collective, as seen by the issuing rank.
 
     Every ``Work`` owns exactly one and every observer is a view of it:
-    the flight ring holds it by reference, the health event log and
-    accounting, the ``comm`` span and the watchdog's report read its
-    fields.  The facts are the collective's fingerprint (``op``,
+    the flight ring holds it by reference, the causal timeline, the
+    ``comm`` trace row, health accounting and the watchdog's report
+    read its fields.  The facts are the collective's fingerprint (``op``,
     ``shape``, ``dtype``, ``nbytes``; the remaining signature fields —
     reduce op / src / root — plus the algorithm and transport retry
     deltas in ``extra``), its identity (``group_id``, ``seq``), the
@@ -125,14 +131,14 @@ class CollectiveRecord:
 
     @property
     def name(self) -> str:
-        """``op#seq`` — how spans, error messages and alarms name it."""
+        """``op#seq`` — how trace rows, error messages and alarms name it."""
         return f"{self.op}#{self.seq}"
 
     def describe(self) -> str:
         return f"{self.name}@pg{self.group_id}"
 
     def facts(self) -> dict:
-        """The set facts as one flat dict (``comm`` span args, timeout text)."""
+        """The set facts as one flat dict (``comm`` row args, timeout text)."""
         facts = {"op": self.op, "seq": self.seq, "bytes": self.bytes,
                  "group": self.group_id, **self.extra, "bucket": self.bucket}
         return {key: value for key, value in facts.items() if value is not None}
@@ -250,14 +256,13 @@ _registry_lock = threading.Lock()
 _recorders: Dict[int, FlightRecorder] = {}
 
 
-def recorder_for(rank: int, capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
+def recorder_for(rank: int) -> FlightRecorder:
     """This rank's flight recorder (created on first use)."""
-    with _registry_lock:
-        recorder = _recorders.get(rank)
-        if recorder is None:
-            recorder = FlightRecorder(rank, capacity)
-            _recorders[rank] = recorder
-        return recorder
+    recorder = _recorders.get(rank)
+    if recorder is None:
+        with _registry_lock:
+            recorder = _recorders.setdefault(rank, FlightRecorder(rank))
+    return recorder
 
 
 def all_recorders() -> Dict[int, FlightRecorder]:
@@ -266,8 +271,94 @@ def all_recorders() -> Dict[int, FlightRecorder]:
 
 
 def clear_recorders() -> None:
+    """Drop every rank's ring (``telemetry.reset()`` calls this too)."""
     with _registry_lock:
         _recorders.clear()
+
+
+# ----------------------------------------------------------------------
+# cross-rank views: causal timeline and sequence frontier
+# ----------------------------------------------------------------------
+def _lifecycle(rank: int, record: CollectiveRecord) -> List[dict]:
+    """``record`` as its ``schedule`` / ``start`` / ``complete`` or
+    ``failed`` events, each carrying the ``(group, seq)`` trace context."""
+    with _state_lock:  # one consistent view of a record a racer may finish
+        t_start, t_end, error = record.t_start, record.t_end, record.error
+    facts = {"group": record.group_id, "seq": record.seq, "op": record.op,
+             "bucket": record.bucket, "nbytes": record.bytes}
+    facts = {key: value for key, value in facts.items() if value is not None}
+    events = [{"kind": "schedule", "rank": rank, "t": record.t_sched, **facts}]
+    if t_start is not None:
+        events.append({"kind": "start", "rank": rank, "t": t_start, **facts})
+    if t_end is not None and error is None:
+        events.append({"kind": "complete", "rank": rank, "t": t_end, **facts})
+    elif t_end is not None:
+        events.append({"kind": "failed", "rank": rank, "t": t_end, **facts,
+                       "extra": {"error": type(error).__name__}})
+    return events
+
+
+def merge_causal_timeline(
+    recorders: Optional[Dict[int, FlightRecorder]] = None,
+) -> List[dict]:
+    """Stitch per-rank rings into one causal timeline per collective.
+
+    Every retained record becomes its lifecycle events, grouped by
+    ``(group, seq)`` — the globally agreed identity of one collective —
+    and ordered by timestamp.  Returns one entry per collective, ordered
+    by (group, seq)::
+
+        {"group": 0, "seq": 14, "op": "allreduce", "bucket": 3,
+         "ranks": [0, 1, 2, 3],
+         "events": [{...}, ...],            # time-ordered, all ranks
+         "t_first": ..., "t_last": ...,
+         "start_skew_s": 0.081}             # max-min of 'start' marks
+
+    ``start_skew_s`` is the straggler signature: how far apart the ranks
+    began executing the same collective.
+    """
+    keyed: Dict[tuple, List[dict]] = {}
+    for recorder in (all_recorders() if recorders is None else recorders).values():
+        for record in recorder.records():
+            keyed.setdefault((record.group_id, record.seq), []).extend(
+                _lifecycle(recorder.rank, record)
+            )
+    timeline: List[dict] = []
+    for (group, seq), events in sorted(keyed.items()):
+        events.sort(key=lambda event: event["t"])
+        starts = [event["t"] for event in events if event["kind"] == "start"]
+        timeline.append({
+            "group": group,
+            "seq": seq,
+            "op": events[0]["op"],
+            "bucket": next((e["bucket"] for e in events if "bucket" in e), None),
+            "ranks": sorted({event["rank"] for event in events}),
+            "events": events,
+            "t_first": events[0]["t"],
+            "t_last": events[-1]["t"],
+            "start_skew_s": (max(starts) - min(starts)) if len(starts) > 1 else 0.0,
+        })
+    return timeline
+
+
+def seq_frontier(
+    recorders: Optional[Dict[int, FlightRecorder]] = None,
+) -> Dict[int, Dict[int, int]]:
+    """Per group: each rank's highest *started* collective sequence.
+
+    The desync-precursor detector compares frontiers — a rank whose
+    frontier trails the group's leader by many collectives is drifting
+    toward the hang the watchdog would eventually catch.
+    """
+    frontier: Dict[int, Dict[int, int]] = {}
+    for recorder in (all_recorders() if recorders is None else recorders).values():
+        for record in recorder.records():
+            if record.t_start is None:
+                continue
+            per_group = frontier.setdefault(record.group_id, {})
+            if record.seq > per_group.get(recorder.rank, -1):
+                per_group[recorder.rank] = record.seq
+    return frontier
 
 
 def dump_all() -> List[dict]:

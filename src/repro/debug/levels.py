@@ -4,7 +4,8 @@ Mirrors ``TORCH_DISTRIBUTED_DEBUG``: the debug layer is compiled around
 one integer read (``DEBUG.level``) so the hot collective path pays a
 single attribute check while debugging is off.
 
-* ``OFF`` (default) — zero recording, zero extra threads.
+* ``OFF`` (default) — zero extra threads; collective records are
+  retained only while telemetry is on.
 * ``INFO`` — flight recorder on, hang watchdog on, DDP construction
   verifies parameter shapes/dtypes across ranks, reducer errors name
   unready parameters.

@@ -55,8 +55,6 @@ from repro.comm.transport import (
     TransportTimeoutError,
     _NOTHING,
 )
-from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 
@@ -130,15 +128,13 @@ def _mark(rank: int, event: str, **args: Any) -> None:
 
     The merged Chrome trace (``export_merged_trace``) renders these as
     instant markers on a dedicated ``resilience`` row, lined up under
-    the collective they delayed.  Callers gate on ``TRACER.enabled``.
+    the collective they delayed, and the health engine attributes
+    retransmit storms to their source edge by the ``src`` of these
+    spans.  Callers gate on ``TRACER.enabled``.
     """
     now = time.perf_counter()
     TRACER.record(event, now, now, cat="resilience", stream="resilience",
                   rank=rank, args=args)
-    # Mirror the incident into the health event log so the anomaly
-    # engine can attribute retransmit storms to their source edge.
-    if _health.is_enabled():
-        record_event(rank, event, t=now, extra=dict(args) if args else None)
 
 
 def _collective_key(tag: Hashable) -> Hashable:

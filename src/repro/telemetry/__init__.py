@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 
+from repro.debug.flight_recorder import clear_recorders
 from repro.telemetry.chrome_trace import (
     export_chrome_trace,
     export_merged_trace,
@@ -71,12 +72,7 @@ from repro.telemetry.straggler import StragglerReport, detect_stragglers
 from repro.telemetry import health
 from repro.telemetry.health import (
     Diagnosis,
-    EventLog,
-    HealthEvent,
-    all_event_logs,
     analyze_snapshots,
-    clear_event_logs,
-    event_log_for,
     health_report,
     merge_causal_timeline,
     render_diagnoses,
@@ -100,20 +96,18 @@ def get_metrics(rank=None) -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Drop every recorded span, metric, and health event (enabled state
-    unchanged)."""
+    """Drop every recorded span, metric and retained collective record
+    (enabled state unchanged)."""
     get_tracer().clear()
     clear_all_registries()
-    clear_event_logs()
+    clear_recorders()
 
 
 __all__ = [
     "Counter",
     "CriticalPathProfiler",
     "Diagnosis",
-    "EventLog",
     "Gauge",
-    "HealthEvent",
     "Histogram",
     "IterationProfile",
     "IterationRecorder",
@@ -124,16 +118,13 @@ __all__ = [
     "SpanRecord",
     "SpanTracer",
     "StragglerReport",
-    "all_event_logs",
     "all_snapshots",
     "analyze_snapshots",
     "begin",
-    "clear_event_logs",
     "clear_all_registries",
     "detect_stragglers",
     "disable",
     "enable",
-    "event_log_for",
     "export_chrome_trace",
     "export_merged_trace",
     "get_metrics",

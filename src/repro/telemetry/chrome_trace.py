@@ -8,31 +8,37 @@ streams — so a measured trace and a simulated trace of the same model
 drop into Perfetto side by side and the paper's Fig. 4 overlap picture
 can be compared prediction-vs-reality.
 
-All ranks share one process clock (``perf_counter``), so cross-rank
-alignment is exact; timestamps are rebased to the earliest recorded
-span and expressed in microseconds, as the format requires.
+Two stores feed it: the span tracer (compute, iteration, bucket,
+transport, resilience, ... rows) and the per-rank rings of
+:class:`~repro.debug.flight_recorder.CollectiveRecord` — the ``comm``
+row is drawn from the records, one ``op#seq`` bar per collective from
+its start to its end stamp.  All ranks share one process clock
+(``perf_counter``), so cross-rank alignment is exact; timestamps are
+rebased to the earliest one and expressed in microseconds, as the
+format requires.
 
-:func:`merged_trace_events` widens the picture into one timeline:
-telemetry spans, the :mod:`repro.debug` flight recorder's collective
-lifecycles, and :mod:`repro.resilience` retry/heartbeat instants all
-render as distinct tracks per rank — the span rows as duration events,
-the flight-recorder rows as ``op#seq`` lifecycle bars, and resilience
-events as instant markers.  Because every source stamps the same
-``perf_counter`` clock, a retransmit marker lines up exactly under the
-collective it delayed.
+:func:`merged_trace_events` widens the picture: the records' whole
+lifecycles (scheduled → finished) as a ``flight`` row, and
+:mod:`repro.resilience` retry/heartbeat spans as instant markers.
+Because every source stamps the same clock, a retransmit marker lines
+up exactly under the collective it delayed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.telemetry.spans import SpanTracer, TRACER
+from repro.debug.flight_recorder import all_recorders
+from repro.telemetry.spans import TRACER
 
 #: Stable tid assignment so compute is always the top row per rank.
 _STREAM_ORDER = {"compute": 0, "comm": 1, "transport": 2,
-                 "resilience": 3, "flight": 4, "health": 5}
+                 "resilience": 3, "flight": 4}
+
+#: ``CollectiveRecord.as_dict`` fields a ``flight`` bar carries.
+_FLIGHT_ARGS = ("state", "group_id", "nbytes", "context", "error")
 
 
 def _tid_for(stream: str, streams: Dict[str, int]) -> int:
@@ -65,189 +71,102 @@ def _metadata_events(seen_tids: Dict[int, Dict[str, int]]) -> List[dict]:
     return events
 
 
-def trace_events(tracer: Optional[SpanTracer] = None) -> List[dict]:
-    """Trace Event Format records for every span the tracer holds."""
-    tracer = tracer or TRACER
-    events: List[dict] = []
-    all_spans = tracer.spans()
-    if not all_spans:
-        return events
-    epoch = min(span.t_start for span in all_spans)
-    seen_tids: Dict[int, Dict[str, int]] = {}
-    for span in all_spans:
-        streams = seen_tids.setdefault(span.rank, {})
-        if span.stream not in streams:
-            streams[span.stream] = _tid_for(span.stream, streams)
-        args = dict(span.args) if span.args else {}
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.cat,
-                "ph": "X",
-                "ts": (span.t_start - epoch) * 1e6,
-                "dur": max(0.0, span.t_end - span.t_start) * 1e6,
-                "pid": span.rank,
-                "tid": streams[span.stream],
-                "args": args,
-            }
-        )
-    # Metadata: name each rank's process and each stream's thread row.
-    events.extend(_metadata_events(seen_tids))
-    return events
-
-
-def export_chrome_trace(path: str, tracer: Optional[SpanTracer] = None) -> str:
-    """Write the measured timeline as chrome://tracing JSON; returns path."""
-    events = trace_events(tracer)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-    return path
-
-
-# ----------------------------------------------------------------------
-# merged timeline: spans + flight recorder + resilience instants
-# ----------------------------------------------------------------------
-def merged_trace_events(tracer: Optional[SpanTracer] = None) -> List[dict]:
-    """One timeline for every evidence source the runtime keeps.
-
-    Four tracks per rank, all on the shared ``perf_counter`` clock:
-
-    * telemetry spans (the same rows :func:`trace_events` emits);
-    * the ``repro.debug`` flight recorder — one ``op#seq`` bar per
-      collective lifecycle (scheduled → completed), on a ``flight``
-      row; records that never finished render up to their last known
-      timestamp with the terminal state in ``args``;
-    * ``repro.resilience`` events (retries, retransmits, corruption
-      drops, heartbeats) — zero-duration spans rendered as instant
-      (``ph: "i"``) markers on a ``resilience`` row;
-    * the ``repro.telemetry.health`` event log — collective lifecycle
-      and bucket-launch marks (``kind#seq``) as instants on a
-      ``health`` row, carrying the ``(group, seq)`` trace context that
-      stitches the same collective across ranks.
-    """
-    from repro.debug.flight_recorder import dump_all
-    from repro.telemetry.health.events import all_event_logs
-
-    tracer = tracer or TRACER
-    all_spans = tracer.spans()
-    flight_dumps = dump_all()
-    health_events: List[dict] = []
-    for _, log in sorted(all_event_logs().items()):
-        health_events.extend(log.as_dicts())
-
-    # One epoch across every source so the tracks stay aligned.
-    starts = [span.t_start for span in all_spans]
-    starts.extend(
-        record["t_sched"]
-        for dump in flight_dumps
-        for record in dump.get("records", ())
-        if record.get("t_sched") is not None
-    )
-    starts.extend(event["t"] for event in health_events)
+def _timeline(merged: bool) -> List[dict]:
+    """Spans + the ``comm`` row; with ``merged``, also ``flight`` bars
+    and resilience spans as instants."""
+    spans = TRACER.spans()
+    records = [
+        (rank, record)
+        for rank, recorder in sorted(all_recorders().items())
+        for record in recorder.records()
+    ]
+    ran = [(rank, record) for rank, record in records
+           if record.t_start is not None and record.t_end is not None]
+    # One epoch across every source so the rows stay aligned.
+    starts = [span.t_start for span in spans]
+    starts.extend(record.t_start for _, record in ran)
+    if merged:
+        starts.extend(record.t_sched for _, record in records)
     if not starts:
         return []
     epoch = min(starts)
-
-    events: List[dict] = []
     seen_tids: Dict[int, Dict[str, int]] = {}
 
-    def tid(rank: int, stream: str) -> int:
+    def event(name, cat, rank, stream, t_start, t_end, args) -> dict:
         streams = seen_tids.setdefault(rank, {})
         if stream not in streams:
             streams[stream] = _tid_for(stream, streams)
-        return streams[stream]
+        out = {"name": name, "cat": cat, "ph": "X",
+               "ts": (t_start - epoch) * 1e6,
+               "pid": rank, "tid": streams[stream], "args": args}
+        if t_end is None:  # point-in-time marker: a retry has no duration
+            out.update(ph="i", s="t")
+        else:
+            out["dur"] = max(0.0, t_end - t_start) * 1e6
+        return out
 
-    for span in all_spans:
-        args = dict(span.args) if span.args else {}
-        if span.cat == "resilience":
-            # Point-in-time markers: a retry has no meaningful duration.
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.cat,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": (span.t_start - epoch) * 1e6,
-                    "pid": span.rank,
-                    "tid": tid(span.rank, span.stream),
-                    "args": args,
-                }
-            )
-            continue
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.cat,
-                "ph": "X",
-                "ts": (span.t_start - epoch) * 1e6,
-                "dur": max(0.0, span.t_end - span.t_start) * 1e6,
-                "pid": span.rank,
-                "tid": tid(span.rank, span.stream),
-                "args": args,
-            }
-        )
-
-    for dump in flight_dumps:
-        rank = dump["rank"]
-        for record in dump.get("records", ()):
-            t_sched = record.get("t_sched")
-            if t_sched is None:
-                continue
-            t_close = record.get("t_end") or record.get("t_start") or t_sched
-            events.append(
-                {
-                    "name": f"{record['op']}#{record['seq']}",
-                    "cat": "flight",
-                    "ph": "X",
-                    "ts": (t_sched - epoch) * 1e6,
-                    "dur": max(0.0, t_close - t_sched) * 1e6,
-                    "pid": rank,
-                    "tid": tid(rank, "flight"),
-                    "args": {
-                        "state": record.get("state"),
-                        "group_id": record.get("group_id"),
-                        "nbytes": record.get("nbytes"),
-                        "context": record.get("context"),
-                        "error": record.get("error"),
-                    },
-                }
-            )
-
-    for event in health_events:
-        name = event["kind"]
-        if event.get("seq") is not None:
-            name = f"{name}#{event['seq']}"
-        args = {
-            key: event[key]
-            for key in ("iteration", "group", "seq", "op", "bucket",
-                        "nbytes", "extra")
-            if event.get(key) is not None
-        }
-        events.append(
-            {
-                "name": name,
-                "cat": "health",
-                "ph": "i",
-                "s": "t",
-                "ts": (event["t"] - epoch) * 1e6,
-                "pid": event["rank"],
-                "tid": tid(event["rank"], "health"),
-                "args": args,
-            }
-        )
-
+    events: List[dict] = []
+    for span in spans:
+        instant = merged and span.cat == "resilience"
+        events.append(event(
+            span.name, span.cat, span.rank, span.stream, span.t_start,
+            None if instant else span.t_end, dict(span.args) if span.args else {},
+        ))
+    for rank, record in ran:
+        args = record.facts()
+        if record.error is not None:
+            args["error"] = type(record.error).__name__
+        events.append(event(record.name, "comm", rank, "comm",
+                            record.t_start, record.t_end, args))
+    if merged:
+        # Records that never finished render up to their last known
+        # stamp, with the terminal state in ``args``.
+        for rank, record in records:
+            facts = record.as_dict()
+            t_close = record.t_end or record.t_start or record.t_sched
+            events.append(event(
+                record.name, "flight", rank, "flight", record.t_sched, t_close,
+                {key: facts[key] for key in _FLIGHT_ARGS},
+            ))
     events.extend(_metadata_events(seen_tids))
     return events
 
 
-def export_merged_trace(path: str, tracer: Optional[SpanTracer] = None) -> str:
-    """Write the merged (spans + flight + resilience + health) timeline;
-    returns path."""
-    events = merged_trace_events(tracer)
+def _write(path: str, events: List[dict]) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w") as handle:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
     return path
+
+
+def trace_events() -> List[dict]:
+    """Trace Event Format records: every span, plus one ``comm``-row
+    bar per retained collective (``op#seq``, start → end)."""
+    return _timeline(merged=False)
+
+
+def export_chrome_trace(path: str) -> str:
+    """Write the measured timeline as chrome://tracing JSON; returns path."""
+    return _write(path, trace_events())
+
+
+def merged_trace_events() -> List[dict]:
+    """One timeline for every evidence source the runtime keeps.
+
+    Per rank, all on the shared ``perf_counter`` clock:
+
+    * the rows :func:`trace_events` emits (spans and the ``comm`` row);
+    * one ``flight`` bar per retained collective record, scheduled →
+      finished — the queueing the ``comm`` row does not show;
+    * ``repro.resilience`` spans (retries, retransmits, corruption
+      drops, heartbeats) rendered as instant (``ph: "i"``) markers on a
+      ``resilience`` row.
+    """
+    return _timeline(merged=True)
+
+
+def export_merged_trace(path: str) -> str:
+    """Write the merged (spans + comm + flight + resilience) timeline;
+    returns path."""
+    return _write(path, merged_trace_events())

@@ -1,21 +1,22 @@
-"""Comm health engine: efficiency accounting, causal event log, and
+"""Comm health engine: efficiency accounting, causal timeline, and
 automated anomaly attribution.
-
-Three layers, bottom up:
 
 * :mod:`~repro.telemetry.health.accounting` — per-collective achieved
   bus bandwidth, chunk-pipeline utilization, and receive-stall
   attribution, measured in the process-group worker and published as
   ordinary registry metrics.
-* :mod:`~repro.telemetry.health.events` — a bounded per-rank
-  :class:`EventLog` of collective lifecycle and resilience events,
-  stitched across ranks into causal timelines by ``(group, seq)``.
+* :func:`merge_causal_timeline` / :func:`seq_frontier` — read-time
+  views over the per-rank collective record rings
+  (:mod:`repro.debug.flight_recorder`), stitched across ranks by
+  ``(group, seq)``.
 * :mod:`~repro.telemetry.health.engine` — rule-based detectors fusing
-  both into :class:`Diagnosis` verdicts (straggler, slow link, overlap
-  collapse, retransmit storm, desync precursor), live via
+  the metrics, the frontier and the resilience spans into
+  :class:`Diagnosis` verdicts (straggler, slow link, overlap collapse,
+  retransmit storm, desync precursor), live via
   ``ddp_stats()["health"]`` or offline via ``tools/healthctl.py``.
 """
 
+from repro.debug.flight_recorder import merge_causal_timeline, seq_frontier
 from repro.telemetry.health.accounting import (
     bus_bytes,
     collecting_enabled,
@@ -40,20 +41,8 @@ from repro.telemetry.health.engine import (
     analyze_ticks,
     health_report,
 )
-from repro.telemetry.health.events import (
-    EVENT_LOG_CAPACITY,
-    EventLog,
-    HealthEvent,
-    all_event_logs,
-    clear_event_logs,
-    event_log_for,
-    merge_causal_timeline,
-    record_event,
-    seq_frontier,
-)
 
 __all__ = [
-    "EVENT_LOG_CAPACITY",
     "DIAGNOSIS_KINDS",
     "DESYNC_PRECURSOR",
     "OVERLAP_COLLAPSE",
@@ -61,22 +50,16 @@ __all__ = [
     "RETRANSMIT_STORM",
     "SLOW_LINK",
     "Diagnosis",
-    "EventLog",
-    "HealthEvent",
     "Thresholds",
-    "all_event_logs",
     "analyze_jsonl",
     "analyze_snapshots",
     "analyze_ticks",
     "bus_bytes",
-    "clear_event_logs",
     "collecting_enabled",
-    "event_log_for",
     "expected_collective_s",
     "health_report",
     "is_enabled",
     "merge_causal_timeline",
-    "record_event",
     "render_diagnoses",
     "seq_frontier",
     "set_enabled",

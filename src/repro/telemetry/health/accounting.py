@@ -52,7 +52,7 @@ _local = threading.local()
 
 
 def set_enabled(enabled: bool) -> None:
-    """Turn health accounting (and event logging) on or off globally."""
+    """Turn health accounting on or off globally."""
     global _ENABLED
     _ENABLED = bool(enabled)
 
@@ -175,12 +175,6 @@ def _instruments_for(rank: int) -> _RankInstruments:
             handles = _RankInstruments(rank)
             _instruments[rank] = handles
     return handles
-
-
-def reset_instrument_cache() -> None:
-    """Drop cached handles (after ``clear_all_registries`` in tests)."""
-    with _instruments_lock:
-        _instruments.clear()
 
 
 def record_collective(rank: int, record, world: int, backend: str) -> None:

@@ -1,7 +1,7 @@
 """Rule-based anomaly attribution over the fused health signals.
 
 Detectors read the efficiency-accounting metrics, the resilience
-counters, and the cross-rank event log, and emit
+counters and spans, and the cross-rank collective frontier, and emit
 :class:`~repro.telemetry.health.diagnosis.Diagnosis` verdicts:
 
 * **persistent_straggler** — one rank's sends stall *multiple* peers:
@@ -16,15 +16,15 @@ counters, and the cross-rank event log, and emit
   fraction of its own earlier healthy level (paper Fig. 4 regression).
 * **retransmit_storm** — transport retransmit/corruption counters grow
   far faster than collectives complete: a lossy or corrupting wire,
-  attributed to the receiving rank (and, when the event log saw the
-  incidents, to the modal source edge).
+  attributed to the receiving rank (and, when resilience spans recorded
+  the incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
   hang the debug watchdog catches, visible while everyone is still
   alive.
 
 Two entry points share the rules: :func:`analyze_snapshots` fuses live
-registry snapshots + event logs (what ``ddp_stats()["health"]``
+registry snapshots, record rings and spans (what ``ddp_stats()["health"]``
 serves), and :func:`analyze_ticks` replays a
 :meth:`~repro.telemetry.observatory.sampler.MetricsSampler.dump_jsonl`
 file offline (what ``tools/healthctl.py`` serves).  Both are pure
@@ -43,6 +43,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.debug.flight_recorder import seq_frontier
+from repro.telemetry.health.accounting import collecting_enabled
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     OVERLAP_COLLAPSE,
@@ -51,6 +53,8 @@ from repro.telemetry.health.diagnosis import (
     SLOW_LINK,
     Diagnosis,
 )
+from repro.telemetry.metrics import all_snapshots, registry_for
+from repro.telemetry.spans import TRACER
 
 _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 
@@ -61,6 +65,8 @@ _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 #: (nothing sent yet, nothing to redeliver), which on a loaded box
 #: reaches storm rates with zero faults.  It rides along as evidence.
 _STORM_COUNTERS = ("transport.retransmits", "transport.corrupt_detected")
+#: The resilience spans that name a storm event's source edge.
+_STORM_SPANS = ("retransmit", "corrupt_detected")
 
 
 @dataclass
@@ -394,18 +400,18 @@ def _run_detectors(
 # ----------------------------------------------------------------------
 # live entry point
 # ----------------------------------------------------------------------
-def _storm_edges_from_events() -> Dict[int, Dict[int, int]]:
-    """incidents[dst][src] from the live event log's resilience marks."""
-    from repro.telemetry.health.events import all_event_logs
-
+def _storm_edges_from_spans() -> Dict[int, Dict[int, int]]:
+    """incidents[dst][src] from the live ``retransmit`` / ``corrupt_detected``
+    resilience spans (recorded on the receiving rank, naming ``src``)."""
     edges: Dict[int, Dict[int, int]] = {}
-    for rank, log in all_event_logs().items():
-        for event in log.events():
-            if event.kind in ("retransmit", "corrupt_detected"):
-                src = (event.extra or {}).get("src")
-                if src is not None:
-                    by_src = edges.setdefault(rank, {})
-                    by_src[src] = by_src.get(src, 0) + 1
+    for rank in TRACER.ranks():
+        for span in TRACER.spans(rank):
+            if span.cat != "resilience" or span.name not in _STORM_SPANS:
+                continue
+            src = (span.args or {}).get("src")
+            if src is not None:
+                by_src = edges.setdefault(rank, {})
+                by_src[src] = by_src.get(src, 0) + 1
     return edges
 
 
@@ -416,8 +422,8 @@ def analyze_snapshots(
     """Run every detector over live (or given) per-rank snapshots.
 
     With no arguments this is the live health check: all registries are
-    snapshotted, the event log supplies the collective frontier and
-    storm-edge attribution, and — live only — the diagnosis count is
+    snapshotted, the collective record rings supply the frontier, the
+    resilience spans the storm-edge attribution, and — live only — the diagnosis count is
     published as the ``health.diagnoses_active`` gauge (rank −1) so a
     Prometheus alert can fire on it.
     """
@@ -426,20 +432,13 @@ def analyze_snapshots(
     frontier: Dict[int, Dict[int, int]] = {}
     storm_edges: Optional[Dict[int, Dict[int, int]]] = None
     if live:
-        from repro.telemetry.metrics import all_snapshots
-        from repro.telemetry.health.events import seq_frontier
-
         snapshots = all_snapshots()
         frontier = seq_frontier()
-        storm_edges = _storm_edges_from_events()
+        storm_edges = _storm_edges_from_spans()
     signals = _signals_from_snapshots(snapshots, frontier=frontier)
     diagnoses = _run_detectors(signals, th, storm_edges)
-    if live:
-        from repro.telemetry.metrics import registry_for
-        from repro.telemetry.spans import TRACER
-
-        if TRACER.enabled:
-            registry_for(-1).gauge("health.diagnoses_active").set(len(diagnoses))
+    if live and TRACER.enabled:
+        registry_for(-1).gauge("health.diagnoses_active").set(len(diagnoses))
     return diagnoses
 
 
@@ -530,10 +529,6 @@ def health_report(
     field is meaningful even with telemetry (and thus the accounting)
     disabled.
     """
-    from repro.telemetry.health import accounting
-    from repro.telemetry.health.events import all_event_logs
-    from repro.telemetry.metrics import registry_for
-
     snap = registry_for(rank).snapshot()
     hists = snap.get("histograms", {})
     counters = snap.get("counters", {})
@@ -544,8 +539,7 @@ def health_report(
             return None
         return {k: summary[k] for k in _HIST_SUMMARY_FIELDS if k in summary}
 
-    enabled = accounting.collecting_enabled()
-    log = all_event_logs().get(rank if rank is not None else -1)
+    enabled = collecting_enabled()
     return {
         "enabled": enabled,
         "overlap_ratio": float(
@@ -559,7 +553,6 @@ def health_report(
         "collectives_accounted": int(
             counters.get("health.collectives_accounted", 0)
         ),
-        "event_log_depth": log.depth() if log is not None else 0,
         "diagnoses": (
             [d.as_dict() for d in analyze_snapshots()] if enabled else []
         ),

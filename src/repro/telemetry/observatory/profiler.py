@@ -26,10 +26,10 @@ Two sources feed the same math:
 * :func:`profile_from_detail` — the reducer's always-on
   ``IterationRecorder.last_detail`` (no telemetry required; this is
   what ``ddp_stats()["profile"]`` reports);
-* :class:`CriticalPathProfiler` — the span tracer's records, which
-  cover *every* retained iteration on *every* rank and so also support
-  the cross-rank straggler summary ("rank 2 finished last on 7/10
-  iterations").
+* :class:`CriticalPathProfiler` — the span tracer's iteration spans and
+  the collective record rings, which cover *every* retained iteration
+  on *every* rank and so also support the cross-rank straggler summary
+  ("rank 2 finished last on 7/10 iterations").
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.spans import SpanTracer, TRACER
+from repro.debug.flight_recorder import all_recorders
+from repro.telemetry.spans import TRACER
 
 #: Span names the recorder emits for the per-iteration phases.
 _PHASE_PREPARE = "prepare_to_first_grad"
@@ -321,22 +322,19 @@ class StragglerSummary:
 
 
 class CriticalPathProfiler:
-    """Builds :class:`IterationProfile` objects from span records.
+    """Builds :class:`IterationProfile` objects from spans and records.
 
-    Requires telemetry to have been enabled during the run — the spans
-    are the evidence.  One profiler call reads the tracer's current
-    rings; it holds no state of its own.
+    Requires telemetry to have been enabled during the run — the
+    iteration spans and the AllReduce records it retained are the
+    evidence.  One profiler call reads the current rings; it holds no
+    state of its own.
     """
 
-    def __init__(self, tracer: Optional[SpanTracer] = None):
-        self.tracer = tracer or TRACER
-
-    # -- span grouping ---------------------------------------------------
+    # -- evidence grouping -----------------------------------------------
     def _collect(self) -> Dict[Tuple[int, int], dict]:
-        """Group spans into per-(rank, iteration) evidence bags."""
+        """Group spans and records into per-(rank, iteration) evidence bags."""
         bags: Dict[Tuple[int, int], dict] = {}
-        comm_by_rank: Dict[int, list] = {}
-        for span in self.tracer.spans():
+        for span in TRACER.spans():
             args = span.args or {}
             if span.cat == "iteration" and "iteration" in args:
                 key = (span.rank, args["iteration"])
@@ -351,9 +349,13 @@ class CriticalPathProfiler:
                 key = (span.rank, args["iteration"])
                 bag = bags.setdefault(key, {"phases": {}, "delays": {}})
                 bag["delays"][args.get("bucket")] = span.duration
-            elif span.cat == "comm":
-                comm_by_rank.setdefault(span.rank, []).append(span)
-        # Attribute comm spans to iterations by time containment of
+        allreduces = {
+            rank: [record for record in recorder.records()
+                   if record.op == "allreduce" and record.t_start is not None
+                   and record.t_end is not None]
+            for rank, recorder in all_recorders().items()
+        }
+        # Attribute AllReduces to iterations by time containment of
         # their start (a bucket AllReduce is launched inside exactly one
         # iteration window, even if it drains into finalize).
         for (rank, _iteration), bag in bags.items():
@@ -362,12 +364,9 @@ class CriticalPathProfiler:
                 continue
             lo, hi = envelope
             bag["comm"] = [
-                (span.args.get("bucket") if span.args else None,
-                 (span.args or {}).get("bytes", 0),
-                 span.t_start, span.t_end)
-                for span in comm_by_rank.get(rank, ())
-                if lo <= span.t_start < hi
-                and (span.args or {}).get("op", "allreduce") == "allreduce"
+                (record.bucket, record.bytes or 0, record.t_start, record.t_end)
+                for record in allreduces.get(rank, ())
+                if lo <= record.t_start < hi
             ]
         return bags
 

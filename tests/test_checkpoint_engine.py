@@ -442,9 +442,9 @@ class TestEngineReplication:
                 assert np.array_equal(value, state[key])
 
     def test_replica_arrival_is_a_health_event(self, tmp_path):
-        """Was: the event call passed fields HealthEvent does not have, so
-        every stored replica logged a 'failed to store' warning."""
-        from repro.telemetry.health.events import event_log_for
+        """Each stored replica leaves one ``checkpoint.replica_recv`` span
+        on the receiving rank, naming its owner and replication lag."""
+        from repro import telemetry
 
         root = str(tmp_path)
 
@@ -456,11 +456,18 @@ class TestEngineReplication:
             engine.save_sharded(model, iteration=41)
             time.sleep(0.2)  # let the buddy receiver persist the push
             engine.close()
-            return [e.extra for e in event_log_for(rank).events()
-                    if e.kind == "checkpoint.replica"
-                    and e.extra["generation"] == 41]
+            return [s.args for s in telemetry.get_tracer().spans(rank)
+                    if s.name == "checkpoint.replica_recv"
+                    and s.args["generation"] == 41]
 
-        for rank, arrivals in enumerate(run_distributed(2, body, backend="gloo")):
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            results = run_distributed(2, body, backend="gloo")
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        for rank, arrivals in enumerate(results):
             assert [a["owner"] for a in arrivals] == [1 - rank]
             assert arrivals[0]["lag_s"] >= 0
 

@@ -178,15 +178,18 @@ class TestFlightRecorder:
         assert "allreduce" in table and "[step 0]" in table
 
     def test_off_records_nothing(self, debug_level):
+        """OFF with telemetry off: no watchdog, and the (always bound)
+        ring retains nothing."""
         debug_level("OFF")
 
         def body(rank):
             pg = get_context().default_group
             pg.allreduce(np.ones(3))
-            return pg.flight_recorder is None and pg._watchdog is None
+            return pg.flight_recorder.depth() == 0 and pg._watchdog is None
 
         assert run_world(2, body, backend="gloo") == [True, True]
-        assert all_recorders() == {}
+        assert sorted(all_recorders()) == [0, 1]
+        assert all(ring.depth() == 0 for ring in all_recorders().values())
 
 
 class TestDesyncDiff:

@@ -1,9 +1,9 @@
-"""Comm health engine: efficiency accounting, causal event log, attribution.
+"""Comm health engine: efficiency accounting, causal timeline, attribution.
 
 Covers the health acceptance surface: per-collective efficiency metrics
 (achieved bus bandwidth, chunk-pipeline utilization, receive-stall
 attribution) flowing into ``ddp_stats()["health"]`` and Prometheus, the
-cross-rank causal event log and its stitched timeline, the rule-based
+cross-rank causal timeline stitched from the record rings, the rule-based
 anomaly detectors on synthetic signals, and — the headline — a seeded
 fault matrix where injected faults yield the *correct* attributed
 diagnosis on every seed while fault-free runs stay silent.
@@ -30,15 +30,15 @@ from repro.telemetry.health import (
     RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
-    EventLog,
     analyze_snapshots,
     analyze_ticks,
     merge_causal_timeline,
-    record_event,
     render_diagnoses,
     seq_frontier,
 )
 from repro.core import DistributedDataParallel
+from repro.debug import CollectiveRecord, FlightRecorder, recorder_for
+from repro.debug.flight_recorder import DEFAULT_CAPACITY
 from repro.utils import manual_seed
 
 WORLD = 4
@@ -75,43 +75,57 @@ def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02):
 
 
 # ----------------------------------------------------------------------
-# event log + causal stitching (unit)
+# record ring + causal stitching (unit)
 # ----------------------------------------------------------------------
-class TestEventLog:
+def _stamped(seq, t_sched=0.0, t_start=None, t_end=None, bucket=None):
+    """An allreduce record of group 0 with hand-set lifecycle stamps."""
+    record = CollectiveRecord(seq, 0, {"op": "allreduce"})
+    record.t_sched, record.t_start, record.t_end = t_sched, t_start, t_end
+    record.bucket = bucket
+    return record
+
+
+class TestRecordRing:
     def test_ring_is_bounded_and_counts_drops(self):
-        log = EventLog(rank=0, capacity=8)
+        # Three events per record: the default ring stitches at least
+        # as many collectives as a 4,096-event log did.
+        assert 3 * DEFAULT_CAPACITY >= 4096
+        ring = FlightRecorder(rank=0, capacity=8)
         for seq in range(12):
-            log.record("start", group=0, seq=seq)
-        assert log.depth() == 8
-        assert log.dropped == 4
-        assert [e.seq for e in log.events()] == list(range(4, 12))
+            ring.add(_stamped(seq, t_start=float(seq)))
+        assert ring.depth() == 8
+        assert ring.dropped == 4
+        assert [r.seq for r in ring.records()] == list(range(4, 12))
 
     def test_merge_stitches_by_group_seq_and_measures_skew(self):
-        logs = {rank: EventLog(rank=rank) for rank in (0, 1)}
-        logs[0].record("start", t=1.00, group=0, seq=5, op="allreduce", bucket=2)
-        logs[1].record("start", t=1.08, group=0, seq=5, op="allreduce")
-        logs[0].record("complete", t=1.20, group=0, seq=5)
-        logs[1].record("heartbeat", t=0.5)  # no trace context
-        timeline = merge_causal_timeline(logs)
-        keyed = [r for r in timeline if r["seq"] is not None]
-        assert len(keyed) == 1
-        record = keyed[0]
-        assert record["ranks"] == [0, 1]
-        assert record["op"] == "allreduce" and record["bucket"] == 2
-        assert record["start_skew_s"] == pytest.approx(0.08)
-        assert [e["kind"] for e in record["events"]] == [
-            "start", "start", "complete"
+        rings = {rank: FlightRecorder(rank=rank) for rank in (0, 1)}
+        rings[0].add(_stamped(5, 0.90, t_start=1.00, t_end=1.20, bucket=2))
+        rings[1].add(_stamped(5, 0.95, t_start=1.08))
+        failed = _stamped(6, 1.30, t_start=1.40)
+        failed.finish(RuntimeError("peer vanished"))
+        rings[1].add(failed)
+        timeline = merge_causal_timeline(rings)
+        assert [entry["seq"] for entry in timeline] == [5, 6]
+        entry = timeline[0]
+        assert entry["ranks"] == [0, 1]
+        assert entry["op"] == "allreduce" and entry["bucket"] == 2
+        assert entry["start_skew_s"] == pytest.approx(0.08)
+        assert [(e["kind"], e["rank"]) for e in entry["events"]] == [
+            ("schedule", 0), ("schedule", 1), ("start", 0), ("start", 1),
+            ("complete", 0),
         ]
-        loose = [r for r in timeline if r["seq"] is None]
-        assert len(loose) == 1 and loose[0]["events"][0]["kind"] == "heartbeat"
+        assert (entry["t_first"], entry["t_last"]) == (0.90, 1.20)
+        last = timeline[1]["events"][-1]
+        assert last["kind"] == "failed"
+        assert last["extra"] == {"error": "RuntimeError"}
 
     def test_seq_frontier_tracks_highest_started_seq(self):
-        logs = {rank: EventLog(rank=rank) for rank in (0, 1)}
+        rings = {rank: FlightRecorder(rank=rank) for rank in (0, 1)}
         for seq in range(6):
-            logs[0].record("start", group=0, seq=seq)
-        logs[1].record("start", group=0, seq=1)
-        logs[1].record("schedule", group=0, seq=9)  # scheduled != started
-        assert seq_frontier(logs) == {0: {0: 5, 1: 1}}
+            rings[0].add(_stamped(seq, t_start=float(seq)))
+        rings[1].add(_stamped(1, t_start=1.0))
+        rings[1].add(_stamped(9))  # scheduled != started
+        assert seq_frontier(rings) == {0: {0: 5, 1: 1}}
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +227,8 @@ class TestDetectors:
 
     def test_desync_precursor_reads_the_live_event_frontier(self):
         for seq in range(20):
-            record_event(0, "start", group=0, seq=seq)
-        record_event(1, "start", group=0, seq=2)
+            recorder_for(0).add(_stamped(seq, t_start=float(seq)))
+        recorder_for(1).add(_stamped(2, t_start=2.0))
         diagnoses = analyze_snapshots()
         assert [d.kind for d in diagnoses] == [DESYNC_PRECURSOR]
         assert diagnoses[0].culprit_rank == 1
@@ -251,7 +265,7 @@ class TestEfficiencyAccounting:
         latency = health["collective_latency_s"]
         assert latency["count"] == health["collectives_accounted"]
         assert health["recv_stall_s"] >= 0.0
-        assert health["event_log_depth"] > 0
+        assert stats[0]["debug"]["flight_recorder_depth"] > 0
         # gloo has a cost model, so the expectation ratio rides along.
         assert health["model_efficiency"] is not None
         assert health["diagnoses"] == []  # healthy run stays silent
@@ -260,7 +274,7 @@ class TestEfficiencyAccounting:
     def test_lifecycle_events_stitch_across_all_ranks(self):
         telemetry.enable()
         run_world(WORLD, _train, backend="gloo", timeout=60.0)
-        timeline = [r for r in merge_causal_timeline() if r["seq"] is not None]
+        timeline = merge_causal_timeline()
         assert timeline
         allreduces = [r for r in timeline if r["op"] == "allreduce"]
         assert allreduces
@@ -290,7 +304,7 @@ class TestEfficiencyAccounting:
         assert not health["enabled"]
         assert health["collectives_accounted"] == 0
         assert health["achieved_busbw_gbps"] is None
-        assert health["event_log_depth"] == 0
+        assert stats[0]["debug"]["flight_recorder_depth"] == 0
         assert health["diagnoses"] == []
 
 

@@ -494,6 +494,31 @@ class TestMergedTimeline:
 
         assert merged_trace_events() == []
 
+    def test_reset_drops_retained_records(self):
+        """Regression: ``telemetry.reset()`` left the record rings full,
+        so a trace exported after a reset drew the previous run's
+        collectives as flight bars."""
+        from repro.comm import get_context
+        from repro.debug import all_recorders, get_debug_level, set_debug_level
+        from repro.telemetry import merged_trace_events
+
+        previous = get_debug_level()
+        set_debug_level("INFO")
+        try:
+            def body(rank):
+                pg = get_context().default_group
+                for _ in range(3):
+                    pg.allreduce(np.ones(4))
+
+            run_world(2, body, backend="gloo")
+            assert merged_trace_events()
+            telemetry.disable()
+            telemetry.reset()
+            assert merged_trace_events() == []
+            assert all(ring.depth() == 0 for ring in all_recorders().values())
+        finally:
+            set_debug_level(previous)
+
 
 # ----------------------------------------------------------------------
 # histogram edge cases: empty, single-sample, NaN guard

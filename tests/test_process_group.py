@@ -17,7 +17,6 @@ from repro.comm import (
 from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
 from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work
 from repro.debug import (
-    clear_recorders,
     get_debug_level,
     recorder_for,
     set_debug_level,
@@ -337,7 +336,6 @@ OP_CASES = [
 def observed():
     """REPRO_DEBUG=INFO and telemetry on for one test, cleared around it."""
     previous = get_debug_level()
-    clear_recorders()
     telemetry.reset()
     set_debug_level("INFO")
     telemetry.enable()
@@ -345,7 +343,6 @@ def observed():
     telemetry.disable()
     telemetry.reset()
     set_debug_level(previous)
-    clear_recorders()
 
 
 class TestOpTable:
@@ -358,8 +355,10 @@ class TestOpTable:
     @pytest.mark.parametrize("name,async_op", OP_CASES)
     def test_every_view_reads_one_record(self, observed, name, async_op):
         """Sequence numbers are contiguous, bytes are accounted per op, and
-        the flight record, the health lifecycle events and the comm span
-        of each collective agree on (group, seq, op, bytes, start, end)."""
+        the retained record, its causal-timeline events and its Chrome
+        trace ``comm`` row agree on (group, seq, op, bytes, start, end) —
+        at REPRO_DEBUG=OFF as at INFO, because telemetry alone retains
+        the record — while no ``comm`` span is recorded at all."""
         _, wire, returns = OP_MATRIX[name]
         repeats = 3
 
@@ -376,33 +375,45 @@ class TestOpTable:
                 assert (out is not None) == expect
             return pg._group_id, pg.bytes_communicated
 
-        results = run_world(2, body, backend="gloo")
-        for rank, (gid, accounted) in enumerate(results):
-            assert accounted == repeats * (wire or 0)
-            flights = recorder_for(rank).dump()["records"]
-            assert [r["seq"] for r in flights] == list(range(repeats))
-            spans = {s.name: s for s in telemetry.get_tracer().spans(rank)
-                     if s.cat == "comm"}
-            events = telemetry.event_log_for(rank).as_dicts()
-            for flight in flights:
-                seq = flight["seq"]
-                assert flight["op"] == name and flight["group_id"] == gid
-                assert flight["state"] == "completed"
-                assert flight["nbytes"] == (8 * N if wire else None)
-                span = spans[f"{name}#{seq}"]
-                assert span.args["op"] == name and span.args["seq"] == seq
-                assert span.args["group"] == gid
-                assert span.args.get("bytes") == wire
-                assert (span.t_start, span.t_end) == (
-                    flight["t_start"], flight["t_end"])
-                marks = {e["kind"]: e for e in events if e.get("seq") == seq}
-                assert set(marks) == {"schedule", "start", "complete"}
-                for mark in marks.values():
-                    assert (mark["group"], mark["op"]) == (gid, name)
-                    assert mark.get("nbytes") == wire
-                assert marks["schedule"]["t"] == flight["t_sched"]
-                assert marks["start"]["t"] == flight["t_start"]
-                assert marks["complete"]["t"] == flight["t_end"]
+        for level in ("OFF", "INFO"):
+            telemetry.reset()
+            set_debug_level(level)
+            results = run_world(2, body, backend="gloo")
+            spans = telemetry.get_tracer().spans()
+            assert not [s for s in spans if s.cat == "comm"]
+            timeline = {(entry["group"], entry["seq"]): entry
+                        for entry in telemetry.merge_causal_timeline()}
+            rows = {(e["pid"], e["name"]): e for e in telemetry.trace_events()
+                    if e.get("cat") == "comm"}
+            records = {rank: recorder_for(rank).dump()["records"]
+                       for rank in range(2)}
+            epoch = min([s.t_start for s in spans] + [
+                r["t_start"] for flights in records.values() for r in flights])
+            for rank, (gid, accounted) in enumerate(results):
+                assert accounted == repeats * (wire or 0)
+                flights = records[rank]
+                assert [r["seq"] for r in flights] == list(range(repeats))
+                for flight in flights:
+                    seq = flight["seq"]
+                    assert flight["op"] == name and flight["group_id"] == gid
+                    assert flight["state"] == "completed"
+                    assert flight["nbytes"] == (8 * N if wire else None)
+                    row = rows[(rank, f"{name}#{seq}")]
+                    assert row["args"]["op"] == name and row["args"]["seq"] == seq
+                    assert row["args"]["group"] == gid
+                    assert row["args"].get("bytes") == wire
+                    assert row["ts"] == (flight["t_start"] - epoch) * 1e6
+                    assert row["ts"] + row["dur"] == pytest.approx(
+                        (flight["t_end"] - epoch) * 1e6, abs=1e-3)
+                    marks = {e["kind"]: e for e in timeline[(gid, seq)]["events"]
+                             if e["rank"] == rank}
+                    assert set(marks) == {"schedule", "start", "complete"}
+                    for mark in marks.values():
+                        assert (mark["group"], mark["op"]) == (gid, name)
+                        assert mark.get("nbytes") == wire
+                    assert marks["schedule"]["t"] == flight["t_sched"]
+                    assert marks["start"]["t"] == flight["t_start"]
+                    assert marks["complete"]["t"] == flight["t_end"]
 
     @pytest.mark.parametrize("name", list(OP_MATRIX))
     def test_mismatched_peer_gets_a_field_diff(self, name):
@@ -514,8 +525,8 @@ class TestOpTable:
         for seen in results[1:]:
             assert seen == results[0]  # same protocol, same bits, every rank
         for rank in range(world):
-            spans = [s for s in telemetry.get_tracer().spans(rank) if s.cat == "comm"]
-            assert [s.args["algorithm"] for s in spans] == (
+            records = recorder_for(rank).records()
+            assert [r.extra["algorithm"] for r in records] == (
                 ["naive"] * 2 + ["halving_doubling"] * 2)
 
     def test_size_rule_is_one_function_of_bytes_and_world(self):
