@@ -10,7 +10,8 @@ package provides:
   channels between ranks, with byte/message accounting.
 * :mod:`~repro.comm.algorithms` — real AllReduce implementations (naive,
   ring, binary tree, recursive halving-doubling) plus broadcast,
-  allgather, reduce-scatter, barrier.
+  allgather, reduce-scatter, and the split-phase one-round forms the
+  group runs under the size rule (small AllReduce, broadcast, barrier).
 * :class:`~repro.comm.process_group.ProcessGroup` — the uniform API DDP
   programs against; ``ProcessGroupNccl`` and ``ProcessGroupGloo`` differ
   in default algorithm and in the cost personality the simulator assigns

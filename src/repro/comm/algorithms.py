@@ -5,7 +5,10 @@ These are the real algorithms communication libraries use (paper §2.3):
 * ``allreduce_naive`` — every rank sends its tensor to every peer and
   reduces locally; the strawman the paper mentions for large tensors,
   and the one-round protocol :func:`allreduce_protocol` picks for small
-  ones.
+  ones.  Below the size rule (:func:`one_round`) the process group runs
+  it split in two — :class:`OneRoundAllreduce` posts at issue and
+  receives at ``wait()`` — and broadcasts the same way
+  (:class:`OneRoundBroadcast`).
 * ``allreduce_ring`` — reduce-scatter + allgather ring (NCCL's default),
   2·(p−1) chunk transfers per rank, bandwidth-optimal.
 * ``allreduce_tree`` — binomial-tree reduce to a root followed by a
@@ -73,6 +76,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.gates import NOTHING
 from repro.comm.transport import TransportHub
 from repro.telemetry.health import accounting as _health
 
@@ -291,40 +295,149 @@ def allreduce_naive(
     Thread-safety: safe to run concurrently on every rank thread of the
     group; the local buffer is only written by its own rank.
     """
-    world = len(ranks)
-    fn, divisor = _reduce_plan(op, world, buffer.dtype)
-    if world == 1:
-        return
-    here = ranks[me]
-    mine = buffer.copy()
-    for offset, peer in enumerate(ranks):
-        if offset != me:
-            hub.send(here, peer, (tag, "naive", me), mine)
-    acc = None
-    for offset, peer in enumerate(ranks):
-        piece = mine if offset == me else _recv(
-            hub, here, peer, (tag, "naive", offset), timeout)
-        # The first operation reads two contributions and lands in the
-        # buffer; from then on the buffer is the accumulator.
-        acc = piece if acc is None else fn(acc, piece, out=buffer)
-    if divisor:
-        _divide(buffer, divisor)
+    exchange = OneRoundAllreduce(hub, ranks, me, buffer, op, (tag, "naive"))
+    exchange.drain(True, timeout)
+    exchange.finish()
+
+
+def one_round(nbytes: int, world: int) -> bool:
+    """The size rule: does a collective of ``nbytes`` per rank run as one
+    round of direct posts?
+
+    True while everything one rank posts, ``(world − 1) · nbytes``, stays
+    under :data:`RENDEZVOUS_BYTES` — the size at which this module stops
+    copying and starts lending.  A small collective costs per-message
+    latency, not bandwidth (paper Fig. 2), and one round of p−1 messages
+    beats 2·log₂ p rounds of one.  Every rank derives the answer from
+    facts the signature check makes them agree on.  The one rule for
+    AllReduce (:func:`allreduce_protocol`) and broadcast alike.
+    """
+    return (world - 1) * nbytes < RENDEZVOUS_BYTES
 
 
 def allreduce_protocol(algorithm: str, nbytes: int, world: int) -> str:
-    """The AllReduce that runs for an ``nbytes`` buffer on ``world`` ranks.
+    """The AllReduce that runs for an ``nbytes`` buffer on ``world`` ranks:
+    ``"naive"`` (one round of direct exchange) under :func:`one_round`'s
+    size rule, the configured ``algorithm`` from there on."""
+    return "naive" if one_round(nbytes, world) else algorithm
 
-    ``"naive"`` — one round of direct exchange — while everything a rank
-    posts, ``(world − 1) · nbytes``, stays under :data:`RENDEZVOUS_BYTES`
-    (the size at which this module stops copying and starts lending);
-    the configured ``algorithm`` from there on.  A small AllReduce costs
-    per-message latency, not bandwidth (paper Fig. 2), and one round of
-    p−1 messages beats 2·log₂ p rounds of one.  Every rank derives the
-    answer from facts the signature check makes them agree on.
+
+class OneRound:
+    """One round of direct posts, received in a second phase.
+
+    The split-phase form of the small collectives: construction posts
+    this rank's contribution, :meth:`drain` collects the peers' — all at
+    once, or (``block=False``) whatever has arrived, without parking —
+    and :meth:`finish` lands the result in the buffer.  Cost per rank:
+    one α for the round, ``len(dsts)`` eager messages of n bytes out and
+    ``len(srcs)`` in.  The payload is one private copy taken at post time,
+    sent to every destination and never written again, so the caller may
+    reuse its buffer as soon as the post returns.
+
+    A message travels under ``(tag, sender's group rank)``.  ``tag``
+    carries whatever sender and receiver must agree on — the process
+    group puts the collective's fingerprint there — so a post that
+    disagrees is never consumed.
+
+    Thread-safety: one rank's exchange; one thread at a time may drain it
+    (the process group's ``Work`` serialises its callers).
     """
-    if (world - 1) * nbytes < RENDEZVOUS_BYTES:
-        return "naive"
-    return algorithm
+
+    __slots__ = ("hub", "ranks", "me", "buffer", "tag", "pieces", "missing")
+
+    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
+                 buffer: np.ndarray, tag: object, payload, dsts: Sequence[int],
+                 srcs: Sequence[int]):
+        self.hub, self.ranks, self.me, self.buffer, self.tag = hub, ranks, me, buffer, tag
+        here = ranks[me]
+        for offset in dsts:
+            hub.send(here, ranks[offset], (tag, me), payload)
+        #: Received contributions by sender group rank.
+        self.pieces: dict = {}
+        #: Senders still to be heard from, in group-rank order.
+        self.missing: List[int] = list(srcs)
+
+    def drain(self, block: bool, timeout: float | None = None) -> bool:
+        """Receive outstanding contributions; True once all are in.
+
+        ``block`` parks on each missing sender in group-rank order (with
+        health stall attribution, :func:`_recv`); otherwise each is polled
+        once and what has not arrived stays missing.
+        """
+        hub, here = self.hub, self.ranks[self.me]
+        for offset in tuple(self.missing):
+            key = (self.tag, offset)
+            if block:
+                piece = _recv(hub, here, self.ranks[offset], key, timeout)
+            else:
+                piece = hub.poll(here, self.ranks[offset], key)
+                if piece is NOTHING:
+                    continue
+            self.pieces[offset] = piece
+            self.missing.remove(offset)
+        return not self.missing
+
+    def finish(self) -> None:
+        """Land the result in the buffer (every contribution is in)."""
+        raise NotImplementedError
+
+
+class OneRoundAllreduce(OneRound):
+    """Direct-exchange AllReduce in two phases (:func:`allreduce_naive`).
+
+    Every rank posts a copy of its buffer to every peer; :meth:`finish`
+    reduces the p contributions in group-rank order, its own taking its
+    place in that order, so all ranks end with the same bits whatever the
+    operator's rounding.  ``avg`` divides each rank's accumulator.  The
+    contribution is the buffer's value at post time.
+    """
+
+    __slots__ = ("fn", "divisor", "mine")
+
+    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
+                 buffer: np.ndarray, op: str, tag: object):
+        world = len(ranks)
+        self.fn, self.divisor = _reduce_plan(op, world, buffer.dtype)
+        self.mine = buffer.copy() if world > 1 else None
+        peers = [offset for offset in range(world) if offset != me]
+        super().__init__(hub, ranks, me, buffer, tag, self.mine, peers, peers)
+
+    def finish(self) -> None:
+        """Reduce the contributions in group-rank order into the buffer."""
+        if self.mine is None:  # world 1
+            return
+        fn, buffer, pieces = self.fn, self.buffer, self.pieces
+        acc = None
+        for offset in range(len(self.ranks)):
+            piece = self.mine if offset == self.me else pieces[offset]
+            # The first operation reads two contributions and lands in
+            # the buffer; from then on the buffer is the accumulator.
+            acc = piece if acc is None else fn(acc, piece, out=buffer)
+        if self.divisor:
+            _divide(buffer, self.divisor)
+
+
+class OneRoundBroadcast(OneRound):
+    """Direct broadcast in two phases: the root posts one copy to each
+    peer, every peer receives one message.  The same bits as the tree
+    :func:`broadcast`, in one round instead of ⌈log₂ p⌉."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
+                 buffer: np.ndarray, root: int, tag: object):
+        self.root = root
+        if me == root:
+            peers = [offset for offset in range(len(ranks)) if offset != root]
+            payload = buffer.copy() if peers else None
+            super().__init__(hub, ranks, me, buffer, tag, payload, peers, ())
+        else:
+            super().__init__(hub, ranks, me, buffer, tag, None, (), (root,))
+
+    def finish(self) -> None:
+        """Copy the root's value into a non-root's buffer."""
+        if self.me != self.root:
+            self.buffer[...] = self.pieces[self.root]
 
 
 def _ring(
@@ -625,7 +738,8 @@ def broadcast(
     interior ranks forward once per subtree.  Transfers are chunked so
     a forwarding rank relays chunk 0 before chunk *k* arrives.  Buffers
     ≥ :data:`RENDEZVOUS_BYTES` are lent to the children, one token each
-    (see :func:`_tree_broadcast`).
+    (see :func:`_tree_broadcast`).  Under the size rule the process group
+    runs :class:`OneRoundBroadcast` instead.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
@@ -938,24 +1052,6 @@ def scatter(
                 hub.send(ranks[me], ranks[peer], (tag, "s", peer), np.asarray(chunks[peer]).copy())
         return np.asarray(chunks[root])
     return _recv(hub, ranks[me], ranks[root], (tag, "s", me), timeout)
-
-
-def barrier(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    tag: object = "barrier",
-    timeout: float | None = None,
-) -> None:
-    """Synchronize all ranks (a 1-element tree allreduce).
-
-    Cost per rank: ≈ 2·⌈log₂ p⌉·α (the payload is 8 bytes).
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    token = np.zeros(1, dtype=np.int64)
-    allreduce_tree(hub, ranks, me, token, "sum", (tag, "tok"), timeout)
 
 
 def allreduce_hierarchical(

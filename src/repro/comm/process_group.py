@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.comm import algorithms
 from repro.comm.store import Store, StoreTimeoutError
-from repro.comm.transport import TransportHub, TransportTimeoutError
+from repro.comm.transport import TransportClosedError, TransportHub, TransportTimeoutError
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
@@ -81,12 +81,18 @@ class Work:
     ``record`` is the collective's one
     :class:`~repro.debug.flight_recorder.CollectiveRecord`: its facts,
     its terminal state, and the scheduled/started/finished stamps
-    (``perf_counter`` seconds) the communication worker writes around
-    the collective's execution — so callers holding the handle, notably
-    the reducer's per-bucket latency and overlap-ratio accounting, can
-    read how long the operation actually ran, as opposed to how long
-    they waited on it.  ``result[0]`` holds what the collective's
-    algorithm returned (None for in-place ops) once ``wait()`` returns.
+    (``perf_counter`` seconds) written around the collective's execution
+    — so callers holding the handle, notably the reducer's per-bucket
+    latency and overlap-ratio accounting, can read how long the operation
+    actually ran, as opposed to how long they waited on it.
+    ``result[0]`` holds what the collective's algorithm returned (None
+    for in-place ops) once ``wait()`` returns.
+
+    This handle is a collective above the size rule
+    (:func:`~repro.comm.algorithms.one_round`), run by a communication
+    worker: ``wait()`` parks on an event the worker sets.  A small
+    collective is a :class:`_SplitWork` and makes progress in ``wait()``
+    / ``is_completed()`` instead.
     """
 
     def __init__(self, record: CollectiveRecord):
@@ -106,9 +112,14 @@ class Work:
         self.record.finish(error)
         self._done.set()
 
+    def _progress(self, block: bool, timeout: Optional[float]) -> bool:
+        """Advance the collective as far as this handle can; True once it
+        finished (ok or not).  ``block`` waits up to ``timeout``."""
+        return self._done.wait(timeout) if block else self._done.is_set()
+
     def is_completed(self) -> bool:
         """Non-blocking poll: has the collective finished (ok or not)?"""
-        return self._done.is_set()
+        return self._progress(False, None)
 
     def wait(self, timeout: Optional[float] = None) -> None:
         """Block until the collective finishes; re-raise any failure.
@@ -119,7 +130,7 @@ class Work:
         wins, so a worker that finishes in the same instant keeps its
         result).
         """
-        if not self._done.wait(timeout):
+        if not self._progress(True, timeout):
             facts = ", ".join(
                 f"{key}={value}" for key, value in self.record.facts().items()
             )
@@ -131,8 +142,87 @@ class Work:
             raise self.record.error
 
     def __repr__(self) -> str:
-        state = "done" if self.is_completed() else "pending"
+        state = "pending" if self.record.t_end is None else "done"
         return f"<Work {self.description} {state}>"
+
+
+class _SplitWork(Work):
+    """A collective under the size rule, completed on the caller.
+
+    Its contribution was posted at issue (``exchange``, an
+    :class:`~repro.comm.algorithms.OneRound`); nothing is queued and no
+    thread owns it.  The first ``wait()`` — or an ``is_completed()`` that
+    finds every contribution already there — checks the leader's
+    signature (non-leaders), receives what is missing, lands the result
+    and runs the group's bookkeeping (``ProcessGroup._execute``).  A lock
+    makes that happen exactly once however many threads ask; a thread
+    that finds another one completing parks on the lock.
+    """
+
+    def __init__(self, record, group: "ProcessGroup", signature: dict, retries):
+        self.record = record
+        self.result = [None]
+        self._group = group
+        self._exchange = None  # set once posted
+        self._signature = signature
+        #: Non-leaders still have to see the leader's signature.
+        self._verify = group.group_rank != 0
+        self._retries = retries
+        self._lock = threading.Lock()
+        self._finished = False
+
+    def _complete(self, error: Optional[BaseException] = None) -> None:
+        self.record.finish(error)
+        self._finished = True
+
+    def _progress(self, block: bool, timeout: Optional[float]) -> bool:
+        if self._finished:
+            return True
+        if block:
+            acquired = self._lock.acquire(timeout=-1 if timeout is None else timeout)
+        else:
+            acquired = self._lock.acquire(blocking=False)
+        if not acquired:  # another thread is completing it
+            return self._finished
+        try:
+            # A poll completes what has all arrived — or, past the group
+            # timeout, fails it the way a parked receive would have.
+            if not self._finished and (
+                block or self._arrived()
+                or time.perf_counter() - self.record.t_start > self._group.timeout
+            ):
+                self._group._execute(
+                    self, lambda: self._land(timeout if block else 0.0), self._retries)
+                self._finished = True
+        finally:
+            self._lock.release()
+        return self._finished
+
+    def _arrived(self) -> bool:
+        """Without parking: is everything needed to complete here?  An
+        error counts (completing then raises it)."""
+        try:
+            if self._verify:
+                leader = self._group.store.try_get(self._group._signature_key(self.record.seq))
+                if leader is None:
+                    return False
+                if leader != self._signature:
+                    return True
+                self._verify = False
+            return self._exchange.drain(False)
+        except TransportClosedError:
+            return True
+
+    def _land(self, timeout: Optional[float]):
+        """Complete the collective: verify, receive the rest, land the result."""
+        group = self._group
+        if self._verify:
+            group._verify_signature(self.record.seq, self._signature)
+        try:
+            self._exchange.drain(True, group.timeout if timeout is None else timeout)
+        except TransportTimeoutError as exc:
+            raise CollectiveTimeoutError(str(exc)) from exc
+        self._exchange.finish()
 
 
 def _as_array(tensor) -> np.ndarray:
@@ -155,9 +245,9 @@ def _device_of(tensor) -> Optional[str]:
 class _Op(NamedTuple):
     """One row of the collective table ``ProcessGroup._collective`` runs."""
 
-    #: ``fn(hub, ranks, rank, [array,] *operands, tag, timeout[, chunk_bytes])``;
-    #: None = ``algorithms.allreduce_protocol`` of the group's current
-    #: AllReduce algorithm and the buffer's size, resolved per call.
+    #: Worker path: ``fn(hub, ranks, rank, [array,] *operands, tag,
+    #: timeout[, chunk_bytes])``; None = the group's current AllReduce
+    #: algorithm, resolved per call.
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
@@ -165,11 +255,21 @@ class _Op(NamedTuple):
     world_bytes: bool = False
     #: The group's ``chunk_bytes`` is forwarded to the algorithm.
     chunked: bool = False
+    #: Split phase under the size rule: ``cls(hub, ranks, rank, [array,]
+    #: *operands, tag)`` posts at issue (an ``algorithms.OneRound``).
+    one_round: Optional[Callable] = None
+
+
+def _barrier_round(hub, ranks, me, tag) -> algorithms.OneRound:
+    """The barrier: a one-element split-phase AllReduce of a token."""
+    return algorithms.OneRoundAllreduce(hub, ranks, me, np.zeros(1, np.int64), "sum", tag)
 
 
 _OPS = {
-    "allreduce": _Op(None, ("reduce_op",), chunked=True),
-    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True),
+    "allreduce": _Op(None, ("reduce_op",), chunked=True,
+                     one_round=algorithms.OneRoundAllreduce),
+    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True,
+                     one_round=algorithms.OneRoundBroadcast),
     "allgather": _Op(algorithms.allgather, world_bytes=True),
     "reduce_scatter": _Op(algorithms.reduce_scatter, ("reduce_op",)),
     "reduce_scatter_flat": _Op(
@@ -179,7 +279,8 @@ _OPS = {
     "reduce": _Op(algorithms.reduce, ("root", "reduce_op")),
     "gather": _Op(algorithms.gather, ("root",)),
     "scatter": _Op(algorithms.scatter, ("root",)),
-    "barrier": _Op(algorithms.barrier),
+    # No tensor, so always under the size rule: never reaches a worker.
+    "barrier": _Op(None, one_round=_barrier_round),
 }
 
 #: ``ReliableTransportHub.retry_totals_for`` order; per-collective deltas
@@ -243,10 +344,17 @@ class ProcessGroup:
         # Byte counter for tests and reporting.
         self.bytes_communicated = 0
         self._closed = False
-        # Per-stream Work while a worker executes its collective; the
-        # hang watchdog polls the oldest via the ``_inflight`` property.
-        # Set/removed by each worker thread.
-        self._inflight_by_stream: dict = {}
+        # Every Work some thread is executing — a worker its queued
+        # collective, a caller the completion of a split-phase one — and
+        # since when; the hang watchdog polls the oldest (``_inflight``).
+        self._executing: dict = {}
+        # Split-phase Work posted and not yet completed (shutdown fails
+        # it, so no later wait() parks on it).
+        self._pending: set = set()
+        # With a retrying transport, this rank's retry counter movement
+        # is attributed to the collective that ran (approximate while
+        # several run at once).
+        self._retry_probe = getattr(hub, "retry_totals_for", None)
         #: Set when shutdown could not join a communication worker.
         self.worker_stuck = False
 
@@ -284,14 +392,16 @@ class ProcessGroup:
     # worker machinery
     # ------------------------------------------------------------------
     @property
-    def _inflight(self) -> Optional[Work]:
-        """Longest-running in-flight Work, or None.
+    def _inflight(self) -> Optional[Tuple[Work, float]]:
+        """The longest-executing Work and since when, or None.
 
-        The hang watchdog polls this; with multiple streams the longest-
-        running collective is the one worth reporting.
+        The hang watchdog polls this; with several collectives executing
+        at once the longest-running one is the one worth reporting.  A
+        split-phase collective counts from the moment a thread began to
+        complete it, not from its post: the caller's compute in between
+        is not a hang.
         """
-        live = list(self._inflight_by_stream.values())
-        return min(live, key=lambda work: work.record.t_start, default=None)
+        return min(list(self._executing.items()), key=lambda item: item[1], default=None)
 
     def _start_worker(self, stream: int) -> None:
         """Append stream ``stream``'s queue and start its worker thread."""
@@ -310,42 +420,54 @@ class ProcessGroup:
         # spans and log records from inside collectives attribute
         # correctly (the rank contextvar does not cross thread spawns).
         set_current_rank(self.global_rank)
-        # With a retrying transport, attribute this rank's retry
-        # counter movement to the collective that ran (approximate
-        # under num_streams > 1, exact otherwise).
-        retry_probe = getattr(self.hub, "retry_totals_for", None)
         while True:
             item = self._queues[stream].get()
             if item is None:
                 return
             fn, work = item
-            record = work.record
-            retries = retry_probe(self.global_rank) if retry_probe else None
-            record.start()
-            self._inflight_by_stream[stream] = work
-            self._observe(record, "start")
-            error: Optional[BaseException] = None
-            try:
-                work.result[0] = fn()
-            except BaseException as exc:  # propagate through the Work handle
-                error = exc
-            record.finish(error)
-            del self._inflight_by_stream[stream]
-            if retries is not None:
-                for name, before, after in zip(
-                    _RETRY_COUNTERS, retries, retry_probe(self.global_rank)
-                ):
-                    if after > before:
-                        record.extra[name] = after - before
-            self._observe(record, "finish")
+            retries = self._retries()
+            work.record.start()
+            self._execute(work, fn, retries)
             work._done.set()
+
+    def _retries(self):
+        """This rank's retry counters now, or None on a plain hub."""
+        return self._retry_probe(self.global_rank) if self._retry_probe else None
+
+    def _execute(self, work: Work, run: Callable, retries) -> None:
+        """Run ``work``'s collective body between its bookkeeping stamps.
+
+        The one sequence both paths share — the worker loop for every
+        queued collective, a split-phase Work for its completion step:
+        listed as executing (watchdog), health bracket opened, ``run()``
+        into ``work.result[0]``, record finished with what it raised,
+        retry deltas since ``retries`` attached, health metrics
+        published.  The caller releases waiters after it returns, so a
+        thread returning from ``wait()`` finds every view written.
+        """
+        record = work.record
+        self._executing[work] = time.perf_counter()
+        self._observe(record, "start")
+        error: Optional[BaseException] = None
+        try:
+            work.result[0] = run()
+        except BaseException as exc:  # propagate through the Work handle
+            error = exc
+        record.finish(error)
+        del self._executing[work]
+        self._pending.discard(work)
+        if retries is not None:
+            for name, before, after in zip(_RETRY_COUNTERS, retries, self._retries()):
+                if after > before:
+                    record.extra[name] = after - before
+        self._observe(record, "finish")
 
     def _observe(self, record: CollectiveRecord, stage: str) -> None:
         """Hand ``record`` at ``stage`` to the two views that need a hook.
 
         The one place observers attach to a collective: ``"schedule"``
         comes from the issuing thread, ``"start"`` and ``"finish"`` from
-        the communication worker.
+        whichever thread executes it (:meth:`_execute`).
 
         * the record ring (``REPRO_DEBUG`` ≥ INFO or telemetry on) —
           retains the record from schedule on; later stamps show through
@@ -366,15 +488,10 @@ class ProcessGroup:
                     self.global_rank, record, len(self.ranks), self.backend
                 )
 
-    def _submit(self, fn, record: CollectiveRecord, async_op: bool):
-        """Queue ``fn`` on the deterministic stream for this collective.
-
-        The stream index derives from the collective's sequence number,
-        so every rank routes collective ``seq`` to the same worker and
-        peers always meet on a matching stream.  Returns the
-        :class:`Work` when ``async_op``; otherwise waits and returns
-        what ``fn`` returned.
-        """
+    def _issue(self, record: CollectiveRecord) -> None:
+        """What every collective does first on the issuing thread: check
+        the group is open, fire collective-scoped fault rules, observe
+        the schedule stamp."""
         if self._closed:
             raise CollectiveError("process group has been shut down")
         if self._fault_plan is not None:
@@ -384,12 +501,46 @@ class ProcessGroup:
             self._fault_plan.on_collective(
                 self.global_rank, record.op, record.seq, self._group_id
             )
-        work = Work(record)
         self._observe(record, "schedule")
+
+    def _submit(self, fn, record: CollectiveRecord, async_op: bool):
+        """Queue ``fn`` on the deterministic stream for this collective.
+
+        The stream index derives from the collective's sequence number,
+        so every rank routes collective ``seq`` to the same worker and
+        peers always meet on a matching stream.  Returns the
+        :class:`Work` when ``async_op``; otherwise waits and returns
+        what ``fn`` returned.
+        """
+        self._issue(record)
+        work = Work(record)
         self._queues[record.seq % self.num_streams].put((fn, work))
         if async_op:
             return work
         work.wait(self.timeout + 5.0)
+        return work.result[0]
+
+    def _post(self, post, record: CollectiveRecord, signature: dict, async_op: bool):
+        """Run a split-phase collective's first half on this thread.
+
+        Publishes the ``signature``, stamps the start and runs ``post()``
+        — the contribution is on the wire when this returns — and hands
+        back a :class:`_SplitWork` that completes on whoever waits for
+        it.  Returns the Work when ``async_op``; otherwise waits and
+        returns what the collective returned.
+        """
+        self._issue(record)
+        self._publish_signature(record.seq, signature)
+        work = _SplitWork(record, self, signature, self._retries())
+        record.start()
+        try:
+            work._exchange = post()
+            self._pending.add(work)
+        except Exception as exc:  # raised by wait(), as a worker's would be
+            work._complete(exc)
+        if async_op:
+            return work
+        work.wait()
         return work.result[0]
 
     def install_fault_plan(self, plan) -> None:
@@ -470,8 +621,11 @@ class ProcessGroup:
         A worker blocked in a transport ``recv`` (its peer diverged or
         died) cannot see the queue sentinel, so after ``grace`` seconds
         the hub is closed to wake it with ``TransportClosedError``
-        instead of stranding the thread.  Workers that still fail to
-        join are reported via ``worker_stuck`` and a log line.
+        instead of stranding the thread.  Split-phase collectives nobody
+        completed fail, so a later ``wait()`` raises at once; a thread
+        parked completing one is woken like a blocked worker.  Workers
+        (or such threads) that still fail to finish are reported via
+        ``worker_stuck`` and a log line.
         """
         if self._closed:
             return not any(worker.is_alive() for worker in self._workers)
@@ -484,31 +638,46 @@ class ProcessGroup:
             except Exception:
                 logger.exception("failed to publish parting debug state")
             self._watchdog.stop()
+        for work in list(self._pending):  # a completed one keeps its result
+            work._complete(CollectiveError(
+                f"process group {self._group_id} shut down before "
+                f"{work.description} completed"
+            ))
+        self._pending.clear()
         for stream_queue in self._queues:
             stream_queue.put(None)
         deadline = min(grace, self.timeout)
-        for worker in self._workers:
-            worker.join(timeout=deadline)
-        if any(worker.is_alive() for worker in self._workers):
+        if not self._quiesce(deadline):
             logger.warning(
                 "comm worker(s) of group %s on rank %d did not drain within "
                 "%.1fs; closing the transport hub to unblock them",
                 self._group_id, self.global_rank, deadline,
             )
             self.hub.close()
-            for worker in self._workers:
-                worker.join(timeout=deadline)
+            self._quiesce(deadline)
         stranded = [worker.name for worker in self._workers if worker.is_alive()]
+        stranded += [work.description for work in list(self._executing)]
         self.worker_stuck = bool(stranded)
         if self.worker_stuck:
             logger.error(
-                "comm worker(s) of group %s on rank %d failed to join even "
-                "after the transport hub was closed (thread(s) %s stranded)",
+                "comm worker(s) or collective completion(s) of group %s on "
+                "rank %d did not finish even after the transport hub was "
+                "closed (%s stranded)",
                 self._group_id, self.global_rank, ", ".join(stranded),
             )
         else:
             self._cleanup_store_namespace()
         return not self.worker_stuck
+
+    def _quiesce(self, timeout: float) -> bool:
+        """Join the workers, then wait out callers still completing a
+        split-phase collective; True if nothing is left executing."""
+        for worker in self._workers:
+            worker.join(timeout=timeout)
+        end = time.perf_counter() + timeout
+        while self._executing and time.perf_counter() < end:
+            time.sleep(0.005)
+        return not self._executing and not any(w.is_alive() for w in self._workers)
 
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
@@ -551,19 +720,32 @@ class ProcessGroup:
         libraries would corrupt data or hang here (paper §3.3); we raise
         a :class:`CollectiveMismatchError` carrying a field-level diff —
         and, under ``REPRO_DEBUG=DETAIL``, every rank's signature so the
-        report shows exactly who diverged.
+        report shows exactly who diverged.  A split-phase collective
+        publishes at issue and verifies at completion, the two halves
+        below.
         """
-        key = f"pg{self._group_id}/sig/{seq}"
-        detail = DEBUG.level >= DETAIL
-        if detail:
-            self.store.set(f"{key}/rank{self.global_rank}", signature)
+        self._publish_signature(seq, signature)
+        self._verify_signature(seq, signature)
+
+    def _signature_key(self, seq: int) -> str:
+        return f"pg{self._group_id}/sig/{seq}"
+
+    def _publish_signature(self, seq: int, signature: dict) -> None:
+        """The leader's fingerprint (every rank's too under DETAIL)."""
+        if DEBUG.level >= DETAIL:
+            self.store.set(f"{self._signature_key(seq)}/rank{self.global_rank}", signature)
         if self.group_rank == 0:
-            self.store.set(key, signature)
+            self.store.set(self._signature_key(seq), signature)
+
+    def _verify_signature(self, seq: int, signature: dict) -> None:
+        """A non-leader's comparison against the leader's fingerprint."""
+        if self.group_rank == 0:
             return
+        key = self._signature_key(seq)
         leader_sig = self._wait_leader_signature(key, seq)
         if leader_sig != signature:
             peer_sigs = None
-            if detail:
+            if DEBUG.level >= DETAIL:
                 # Best-effort gather: peers publish before comparing, so
                 # a short wait usually collects the whole group.
                 deadline = time.perf_counter() + min(1.0, self.timeout / 4.0)
@@ -638,9 +820,11 @@ class ProcessGroup:
         """The one path every collective takes (paper §3.3's uniform contract).
 
         Device check → sequence number → fingerprint → byte accounting →
-        the collective's one record → a closure that checks the
-        signature, runs the op's algorithm and translates transport
-        timeouts → ``_submit``.  ``name`` selects the row of ``_OPS``;
+        the collective's one record → either ``_submit`` of a closure
+        that checks the signature, runs the op's algorithm and translates
+        transport timeouts (for a communication worker), or — for a row
+        with a one-round form, under the size rule — ``_post`` of that
+        form on this thread.  ``name`` selects the row of ``_OPS``;
         ``operands`` are the op's keyword operands in the algorithm's
         positional order.  Returns what the public method returns: the
         :class:`Work` when ``async_op``, else the algorithm's result
@@ -664,14 +848,22 @@ class ProcessGroup:
             self.bytes_communicated += wire
             self._record_op_metrics(name, wire)
         record = CollectiveRecord(seq, self._group_id, signature, wire)
-        algorithm = row.algorithm
-        if algorithm is None:
-            chosen = algorithms.allreduce_protocol(
-                self.algorithm, array.nbytes, len(self.ranks)
-            )
-            algorithm = algorithms.ALLREDUCE_ALGORITHMS[chosen]
-            record.extra["algorithm"] = chosen
         args = ([] if array is None else [array]) + list(operands.values())
+        split = row.one_round is not None and (
+            array is None or algorithms.one_round(array.nbytes, len(self.ranks))
+        )
+        if name == "allreduce":
+            record.extra["algorithm"] = "naive" if split else self.algorithm
+        if split:
+            # Messages are filed under the fingerprint too, so a peer's
+            # mismatched post is never consumed, only diagnosed.
+            key = (tag, tuple(signature.values()))
+
+            def post():
+                return row.one_round(self.hub, self.ranks, self.group_rank, *args, key)
+
+            return self._post(post, record, signature, async_op)
+        algorithm = row.algorithm or algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
 
         def run():
             self._check_signature(seq, signature)
@@ -692,11 +884,19 @@ class ProcessGroup:
         When an ``async_op`` call's ``Work.wait()`` returns, the tensor
         is the caller's again: no peer still reads it (large tensors are
         lent to peers rather than copied, see :mod:`repro.comm.algorithms`).
+        Under the size rule the call posts a copy of the tensor to every
+        peer before it returns — that copy is the contribution — and the
+        receives and the reduction run in ``wait()`` / ``is_completed()``.
         """
         return self._collective("allreduce", tensor, async_op, reduce_op=op)
 
     def broadcast(self, tensor, src: int = 0, async_op: bool = False):
-        """Broadcast from group-rank ``src`` into every rank's tensor."""
+        """Broadcast from group-rank ``src`` into every rank's tensor.
+
+        Under the size rule the root posts one copy to each peer at issue
+        and each peer receives it in ``wait()`` (split phase); above it a
+        communication worker runs the tree broadcast.
+        """
         return self._collective("broadcast", tensor, async_op, src=src)
 
     def allgather(self, tensor, async_op: bool = False):
@@ -751,9 +951,11 @@ class ProcessGroup:
     def barrier(self) -> None:
         """Block until every member rank reaches this barrier.
 
-        Implemented as a 1-element tree AllReduce: ≈ 2·⌈log₂ p⌉·α.
-        Thread-safe like every collective here: issue from the rank's
-        own thread; the transfer itself runs on the comm worker.
+        A one-element split-phase AllReduce of a token: every rank posts
+        to every peer, then receives from every peer — one round, ≈ α,
+        p − 1 messages each way per rank, entirely on the calling thread
+        (no communication worker is involved).  Thread-safe like every
+        collective here: issue from the rank's own thread.
         """
         self._collective("barrier", None)
 

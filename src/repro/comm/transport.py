@@ -176,6 +176,13 @@ class TransportHub:
             )
         return payload
 
+    def poll(self, dst: int, src: int, tag: Hashable) -> Any:
+        """Non-blocking :meth:`recv`: the next (src, dst, tag) message, or
+        :data:`~repro.comm.gates.NOTHING` if none has arrived.  Never
+        parks; a closed hub raises ``TransportClosedError``."""
+        with self._mutex:
+            return self._pop((src, dst, tag))
+
     def _wait_one(self, key: Tuple[int, int, Hashable], timeout: float) -> Any:
         """Pop the next message for ``key``, or ``_NOTHING`` on timeout.
 

@@ -468,7 +468,8 @@ class Reducer:
 
         Runs inside the autograd hook that readied the final bucket
         (Algorithm 1 line 21) — the engine thread blocks here while the
-        process-group worker thread drains the queued AllReduces.
+        process-group worker drains the queued AllReduces, and completes
+        the split-phase (small) ones itself.
         """
         self.recorder.mark_all_grads()
         globally_used = None

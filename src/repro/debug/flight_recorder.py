@@ -51,8 +51,8 @@ _collective_context: contextvars.ContextVar[tuple] = contextvars.ContextVar(
     "repro_collective_context", default=(None, None)
 )
 
-#: Guards every record's state transitions: the worker, a caller-side
-#: wait timeout and the hang watchdog may race to start/finish one.
+#: Guards every record's state transitions: the executing thread, a
+#: caller-side wait timeout and the hang watchdog may race to finish one.
 _state_lock = threading.Lock()
 
 
@@ -82,8 +82,11 @@ class CollectiveRecord:
     reduce op / src / root — plus the algorithm and transport retry
     deltas in ``extra``), its identity (``group_id``, ``seq``), the
     bytes the group accounts for it, and the caller's label.  The
-    issuing thread creates it (stamped *scheduled*); the communication
-    worker stamps :meth:`start` and :meth:`finish`.
+    issuing thread creates it (stamped *scheduled*).  A collective on a
+    communication worker is stamped :meth:`start` and :meth:`finish` by
+    that worker; a split-phase one (under the size rule) is started by
+    the issuing thread as it posts and finished by the thread that
+    completes it in ``wait()`` / ``is_completed()``.
     """
 
     __slots__ = (
@@ -109,7 +112,8 @@ class CollectiveRecord:
         self.error: Optional[BaseException] = None
 
     def start(self) -> None:
-        """Stamp the start of execution (communication worker)."""
+        """Stamp the start of execution (a worker dequeuing it, or the
+        issuing thread posting a split-phase collective)."""
         with _state_lock:
             self.t_start = time.perf_counter()
             if self.state == SCHEDULED:  # a caller may have given up already
@@ -120,8 +124,8 @@ class CollectiveRecord:
 
         A record already failed — by a caller-side ``Work.wait`` timeout
         or the hang watchdog's desync report — keeps that richer error
-        when the communication worker later reports in, and a worker
-        that finished first keeps its result.
+        when the executing thread later reports in, and one that
+        finished first keeps its result.
         """
         with _state_lock:
             if self.state not in (COMPLETED, FAILED):
@@ -171,7 +175,7 @@ class FlightRecorder:
     """Bounded ring of :class:`CollectiveRecord` for one rank.
 
     The ring holds each record by reference, so the stamps the
-    communication worker writes later show up in every dump — one short
+    executing thread writes later show up in every dump — one short
     lock guards the ring itself.
     """
 

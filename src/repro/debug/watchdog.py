@@ -1,11 +1,12 @@
 """Per-``ProcessGroup`` hang watchdog.
 
 Real NCCL desyncs surface as an opaque hang: one rank launched a
-collective its peers never joined, so its communication worker blocks
+collective its peers never joined, so the thread executing it blocks
 until the timeout kills the job with no indication of *who* diverged.
 The watchdog turns that into a diagnosis:
 
-1. Each rank's watchdog thread polls its group's in-flight collective.
+1. Each rank's watchdog thread polls its group's in-flight collective
+   (one a worker executes, or a split-phase one a caller is completing).
    When one exceeds the hang threshold (a fraction of the group timeout,
    so the report lands *before* the bare transport timeout), the first
    detecting rank raises an **alarm** in the rendezvous store.
@@ -15,7 +16,7 @@ The watchdog turns that into a diagnosis:
 3. The detecting rank gathers the snapshots, builds a
    :class:`~repro.debug.desync.DesyncReport` naming culprit / laggard /
    missing ranks, fails the stuck ``Work`` with the report attached, and
-   closes the transport hub so every blocked worker wakes and the run
+   closes the transport hub so every blocked receiver wakes and the run
    terminates instead of stranding threads.
 
 Ranks that already shut down leave a parting snapshot in the store
@@ -126,12 +127,13 @@ class HangWatchdog:
                     self._answered_alarm = alarm["id"]
                     self.alarms_answered += 1
                     self.publish_state()
-                work = group._inflight
+                inflight = group._inflight
+                if inflight is None:
+                    continue
+                work, since = inflight
                 if (
-                    work is not None
-                    and id(work) not in self._reported
-                    and time.perf_counter() - work.record.t_start
-                    > self.hang_threshold
+                    id(work) not in self._reported
+                    and time.perf_counter() - since > self.hang_threshold
                 ):
                     self._reported.add(id(work))
                     self._handle_hang(work)
@@ -191,6 +193,6 @@ class HangWatchdog:
             )
         )
         # The stuck collective can never complete; close the hub so every
-        # blocked communication worker wakes and the run fails fast with
+        # blocked receiver wakes and the run fails fast with
         # the report above instead of a bare timeout.
         group.hub.close()

@@ -265,6 +265,21 @@ class ReliableTransportHub(TransportHub):
         :class:`~repro.comm.transport.TransportTimeoutError` when the
         overall deadline passes without a valid delivery.
         """
+        return self._receive(dst, src, tag, timeout, block=True)
+
+    def poll(self, dst: int, src: int, tag: Hashable) -> Any:
+        """Reliable non-blocking receive: dedup and verify what is there.
+
+        Returns ``_NOTHING`` without parking when no valid delivery is
+        waiting; then, if the sender has already logged the expected
+        message (the wire lost it, or is still delaying it), it is
+        re-requested — so a caller that only ever polls still recovers
+        a drop.  Polls charge no retry budget.
+        """
+        return self._receive(dst, src, tag, None, block=False)
+
+    def _receive(self, dst: int, src: int, tag: Hashable, timeout: float | None,
+                 block: bool) -> Any:
         self._check_rank(src)
         self._check_rank(dst)
         key = (src, dst, tag)
@@ -305,15 +320,21 @@ class ReliableTransportHub(TransportHub):
             if held is not None:
                 return finish(held.payload)
 
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise TransportTimeoutError(
-                    f"rank {dst} timed out waiting for message from rank {src} "
-                    f"tag {tag!r} after {total}s despite {retries_here} "
-                    f"retries (peer rank diverged, hung, or died?)"
-                )
-            slice_timeout = min(backoff, remaining)
-            envelope = self._wait_one(key, slice_timeout)
+            if block:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    raise TransportTimeoutError(
+                        f"rank {dst} timed out waiting for message from rank {src} "
+                        f"tag {tag!r} after {total}s despite {retries_here} "
+                        f"retries (peer rank diverged, hung, or died?)"
+                    )
+                envelope = self._wait_one(key, min(backoff, remaining))
+            else:
+                with self._mutex:
+                    envelope = self._pop(key)
+                if envelope is _NOTHING:
+                    self._retransmit(key, expected)
+                    return _NOTHING
 
             if envelope is _NOTHING:
                 retries_here += 1

@@ -4,7 +4,8 @@ The paper's bucket-size study (Figs. 7/8) and the IBM large-systems
 work (arXiv:1711.00705) both rest on one number per collective: how
 fast did it *actually* go, against how fast the α–β model says it
 *could* go.  This module computes that number where the truth lives —
-the process-group worker thread that executed the collective — and
+the thread that executed the collective (a process-group worker, or
+the caller completing a split-phase one in ``wait()``) — and
 publishes it as ordinary registry metrics, so the sampler, the
 Prometheus exporter, and ``ddp_stats()["health"]`` all see it without
 new plumbing:
@@ -28,9 +29,9 @@ new plumbing:
 
 The stall attribution is collected by the collective algorithms
 themselves (:func:`note_recv_stall` from a thread-local accumulator the
-worker brackets with :func:`begin_collective` / :func:`record_collective`)
-— each process-group stream is its own thread, so accumulators never
-cross collectives.
+executing thread brackets with :func:`begin_collective` /
+:func:`record_collective`) — a thread executes one collective at a time,
+so accumulators never cross collectives.
 
 Everything here is gated on telemetry being enabled *and* the health
 kill switch (:func:`set_enabled`); while off, the hot path pays one
@@ -67,7 +68,7 @@ def active() -> bool:
 
     The algorithms' receive helper checks this one flag — cheaper than
     re-testing tracer + kill switch per chunk, and naturally False on
-    threads (or calls) the worker did not bracket.
+    threads (or calls) nobody bracketed.
     """
     return getattr(_local, "collecting", False)
 
@@ -131,7 +132,7 @@ def expected_collective_s(backend: str, op: str, nbytes: int, world: int) -> Opt
 class _RankInstruments:
     """Resolved instrument handles for one rank's health metrics.
 
-    ``record_collective`` runs once per collective on the worker thread,
+    ``record_collective`` runs once per collective on the executing thread,
     where every lookup steals GIL time from overlapped backward compute
     — so the name-to-instrument resolution happens once per rank, not
     per collective.
@@ -180,7 +181,7 @@ def _instruments_for(rank: int) -> _RankInstruments:
 def record_collective(rank: int, record, world: int, backend: str) -> None:
     """Publish one finished collective's efficiency metrics.
 
-    Called on the process-group worker right after the collective
+    Called on the executing thread right after the collective
     function returned, with the collective's
     :class:`~repro.debug.flight_recorder.CollectiveRecord` (op,
     accounted bytes, start/end stamps); closes the stall collection

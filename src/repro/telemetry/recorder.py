@@ -16,11 +16,13 @@ Phase model per synchronized iteration (paper Fig. 4 / Fig. 6):
 ```
 prepare ──► first_grad ───────────► all_grads ──► done
    │  loss+early backward │ backward compute │ finalize: wait+copy-back
-   └ bucket i: ready ► launch ► [comm start ── comm end] (worker thread)
+   └ bucket i: ready ► launch ► [comm start ── comm end]
 ```
 
 The communication intervals come from the ``Work`` handles' records,
-which the process-group worker stamps with execution start/end times; the
+stamped with execution start/end times — by the process-group worker,
+or for a split-phase bucket (under the size rule) at its post and at its
+completion, so posted time counts as in flight; the
 **overlap ratio** is the fraction of total AllReduce wall time hidden
 inside the backward-compute window ``[first_grad, all_grads]``.
 """

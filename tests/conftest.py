@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,14 @@ def run_world(world_size, fn, backend=None, timeout=10.0, **group_kwargs):
     return run_distributed(
         world_size, fn, backend=backend, timeout=timeout, **group_kwargs
     )
+
+
+def wait_until(condition, timeout=5.0):
+    """Poll ``condition`` every 2 ms; fail the test if it never holds."""
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.002)
 
 
 def bare_work(op="allreduce", seq=0, bytes=None):
@@ -62,6 +72,16 @@ def buffered_classifier(seed: int = 7) -> nn.Module:
     return nn.Sequential(
         nn.Linear(6, 16), nn.BatchNorm1d(16), nn.ReLU(), nn.Linear(16, 4)
     )
+
+
+@pytest.fixture
+def debug_level():
+    """Set the debug level for one test; restore OFF-state afterwards."""
+    previous = get_debug_level()
+    clear_recorders()
+    yield set_debug_level
+    set_debug_level(previous)
+    clear_recorders()
 
 
 @pytest.fixture

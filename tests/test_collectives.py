@@ -1,11 +1,14 @@
 """Collective algorithms over the transport, all world sizes."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from conftest import run_world
 from repro.comm import algorithms as alg
+from repro.comm import get_context
 from repro.comm.transport import TransportHub
 
 WORLD_SIZES = [1, 2, 3, 4, 5, 7, 8]
@@ -321,12 +324,16 @@ class TestAllGatherReduceScatter:
             assert np.allclose(out, expected[chunks[owned]])
 
     def test_barrier_completes(self):
-        def body(hub, rank):
-            alg.barrier(hub, list(range(4)), rank)
-            return True
+        """The group barrier (a one-element split-phase AllReduce) lets
+        no rank through before the last one arrived."""
+        def body(rank):
+            time.sleep(0.02 * rank)
+            arrived = time.perf_counter()
+            get_context().default_group.barrier()
+            return arrived, time.perf_counter()
 
-        results, _ = run_ranks(4, body)
-        assert all(results)
+        stamps = run_world(4, body, backend="gloo")
+        assert min(left for _, left in stamps) >= max(arrived for arrived, _ in stamps)
 
 
 class TestSubgroupRanks:

@@ -22,7 +22,6 @@ from repro.debug import (
     FlightRecorder,
     all_recorders,
     build_desync_report,
-    clear_recorders,
     collective_context,
     current_collective_context,
     describe_fingerprint,
@@ -30,7 +29,6 @@ from repro.debug import (
     dump_all,
     dump_json,
     fingerprint,
-    get_debug_level,
     render_cross_rank,
     render_mismatch,
     set_debug_level,
@@ -39,16 +37,6 @@ from repro.nn.module import Parameter
 from repro.utils import manual_seed
 
 from conftest import bare_work, run_world, small_classifier
-
-
-@pytest.fixture
-def debug_level():
-    """Set the debug level for one test; restore OFF-state afterwards."""
-    previous = get_debug_level()
-    clear_recorders()
-    yield set_debug_level
-    set_debug_level(previous)
-    clear_recorders()
 
 
 class TestLevels:
@@ -66,7 +54,7 @@ class TestLevels:
 
 
 def _record(recorder, seq, op="allreduce", group_id=0, array=None):
-    """Schedule one collective on ``recorder`` the way ``_submit`` does."""
+    """Schedule one collective on ``recorder`` the way ``_issue`` does."""
     record = CollectiveRecord(seq, group_id, fingerprint(op, array))
     recorder.add(record)
     return record

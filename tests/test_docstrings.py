@@ -19,7 +19,7 @@ def test_public_comm_api_has_docstrings():
     problems = []
     for target in DEFAULT_TARGETS:
         problems.extend(
-            f"{target.relative_to(REPO_ROOT)}:{line}: {msg}"
-            for line, msg in check_file(target)
+            f"{path.relative_to(REPO_ROOT)}:{line}: {msg}"
+            for path, line, msg in check_file(target)
         )
     assert not problems, "missing docstrings:\n" + "\n".join(problems)

@@ -1,6 +1,10 @@
 """ProcessGroup API: sync/async, consistency, backends, round-robin."""
 
 import inspect
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,21 +12,28 @@ import pytest
 from repro import telemetry
 from repro.autograd import Tensor
 from repro.comm import (
+    CollectiveError,
     CollectiveMismatchError,
     CollectiveTimeoutError,
+    algorithms,
     get_context,
     new_process_group,
     new_round_robin_group,
 )
 from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
-from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work
+from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _SplitWork
+from repro.comm.transport import TransportClosedError, TransportHub
 from repro.debug import (
     get_debug_level,
     recorder_for,
     set_debug_level,
 )
+from repro.resilience import FaultPlan, InjectedRankFailure, ReliableTransportHub, crash_rank, drop
 
-from conftest import run_world
+from conftest import run_world, wait_until
+
+#: Seeds the split-phase stress (CI runs several; default 0).
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
 class TestBasicCollectives:
@@ -587,3 +598,354 @@ class TestOpTable:
         with pytest.raises(RuntimeError, match="rank 0 failed") as excinfo:
             run_world(2, body, backend="gloo", timeout=0.3)
         assert isinstance(excinfo.value.__cause__, CollectiveTimeoutError)
+
+
+# ----------------------------------------------------------------------
+# split phase: collectives under the size rule complete on the caller
+# ----------------------------------------------------------------------
+#: float64 elements that put one buffer over the size rule at world 3.
+OVER_RULE = RENDEZVOUS_BYTES // 16
+
+
+class TestSplitPhaseMismatch:
+    """A split-phase rank never reduces a peer's mismatched payload: the
+    one-round mailbox is keyed by the fingerprint, so a disagreeing post
+    is never consumed, and a non-leader verifies the leader's signature
+    before it receives anything."""
+
+    @pytest.mark.parametrize("level", ["OFF", "DETAIL"])
+    @pytest.mark.parametrize("odd", [0, 2], ids=["leader", "non-leader"])
+    @pytest.mark.parametrize("case", ["reduce_op", "dtype", "shape", "over_rule", "under_rule"])
+    def test_mismatch_is_diagnosed_never_reduced(self, debug_level, case, odd, level):
+        debug_level(level)
+        field = {"reduce_op": "reduce_op", "dtype": "dtype"}.get(case, "shape")
+        outcomes = {}
+
+        def body(rank):
+            pg = get_context().default_group
+            n, dtype, op = N, np.float64, ReduceOp.SUM
+            if case == "under_rule":  # the odd rank alone under the rule
+                n = N if rank == odd else OVER_RULE
+            elif rank == odd:
+                if case == "reduce_op":
+                    op = ReduceOp.MAX
+                elif case == "dtype":
+                    dtype = np.float32
+                elif case == "shape":
+                    n = N + 2
+                else:  # the odd rank alone over the rule
+                    n = OVER_RULE
+            x = np.full(n, rank + 1, dtype=dtype)
+            assert algorithms.one_round(x.nbytes, pg.size) == (n == N + 2 or n == N)
+            try:
+                pg.allreduce(x, op)
+                outcomes[rank] = x.copy()
+            except BaseException as exc:
+                outcomes[rank] = exc
+                raise
+
+        with pytest.raises(RuntimeError, match="mismatch") as excinfo:
+            run_world(3, body, backend="gloo", timeout=3)
+        error = excinfo.value.__cause__
+        assert isinstance(error, CollectiveMismatchError)
+        assert "differing fields:" in str(error) and f"{field}: " in str(error)
+        assert ("per-rank signatures" in str(error)) == (level == "DETAIL")
+        for rank, outcome in outcomes.items():
+            # Ranks that matched are woken by the hub closing behind the
+            # diagnosis; none reduced a foreign payload or returned.
+            assert isinstance(outcome, (CollectiveMismatchError, TransportClosedError)), (
+                rank, outcome)
+
+
+class TestSplitPhase:
+    """Semantics of a split-phase ``Work``: posted at issue, completed by
+    whoever waits for it, exactly once."""
+
+    @pytest.mark.parametrize("world", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
+    def test_bitwise_equal_to_the_reference_algorithms(self, world, dtype):
+        ops = [ReduceOp.SUM, ReduceOp.MAX]
+        if dtype is not np.int32:
+            ops.append(ReduceOp.AVG)
+        rng = np.random.default_rng([world, np.dtype(dtype).itemsize])
+        inputs = {op: [(rng.standard_normal(37) * 1e3).astype(dtype) for _ in range(world)]
+                  for op in ops + ["bcast"]}
+        root = world - 1
+
+        def through_group(rank):
+            pg = get_context().default_group
+            out = []
+            for op in ops:
+                x = inputs[op][rank].copy()
+                work = pg.allreduce(x, op, async_op=True)
+                assert isinstance(work, _SplitWork)
+                work.wait()
+                out.append(x.tobytes())
+            x = inputs["bcast"][rank].copy()
+            assert isinstance(pg.broadcast(x, src=root, async_op=True), _SplitWork)
+            pg.broadcast(x, src=root)  # and the sync form
+            out.append(x.tobytes())
+            return out
+
+        def through_algorithms(rank):
+            hub, ranks = get_context().hub, list(range(world))
+            out = []
+            for op in ops:
+                x = inputs[op][rank].copy()
+                algorithms.allreduce_naive(hub, ranks, rank, x, op, ("ref", op))
+                out.append(x.tobytes())
+            x = inputs["bcast"][rank].copy()
+            algorithms.broadcast(hub, ranks, rank, x, root, "ref-bcast")  # the tree
+            out.append(x.tobytes())
+            return out
+
+        grouped = run_world(world, through_group, backend="gloo")
+        assert grouped == run_world(world, through_algorithms)
+        # ...and the reduction is the group-rank-ordered one.
+        for op, got in zip(ops, grouped[0]):
+            fn = algorithms.REDUCE_FUNCTIONS["sum" if op == ReduceOp.AVG else op]
+            expect = inputs[op][0].copy()
+            for piece in inputs[op][1:]:
+                fn(expect, piece, out=expect)
+            if op == ReduceOp.AVG:
+                expect /= world
+            assert got == expect.tobytes()
+
+    @pytest.mark.parametrize("name", ["allreduce", "broadcast"])
+    def test_contribution_is_the_value_at_issue(self, name):
+        def body(rank):
+            pg = get_context().default_group
+            x = np.full(5, float(rank + 1))
+            work = getattr(pg, name)(x, async_op=True)
+            x[:] = -100.0  # the caller writes the buffer before wait()
+            work.wait()
+            return x.tolist()
+
+        results = run_world(3, body, backend="gloo")
+        if name == "allreduce":
+            assert results == [[6.0] * 5] * 3
+        else:  # the root's buffer is its own; every peer got its value at issue
+            assert results[1:] == [[1.0] * 5] * 2
+
+    def test_is_completed_drains_without_parking(self):
+        """A poll takes whatever has arrived and never parks; the poll that
+        finds the last contribution completes the Work."""
+        posted = [threading.Event() for _ in range(3)]
+        polled = threading.Event()
+
+        def body(rank):
+            pg = get_context().default_group
+            x = np.full(4, float(rank + 1))
+            if rank == 0:
+                posted[1].wait(5)
+            elif rank == 2:
+                polled.wait(5)
+            work = pg.allreduce(x, async_op=True)
+            posted[rank].set()
+            if rank == 0:
+                assert not work.is_completed()
+                assert work._exchange.missing == [2]  # rank 1's was taken
+                assert pg.hub.blocked_receivers() == []
+                polled.set()
+            while not work.is_completed():
+                assert work.record.t_end is None
+            assert work.record.state == "completed"
+            work.wait()  # already complete: returns at once
+            return x.tolist()
+
+        assert run_world(3, body, backend="gloo") == [[6.0] * 4] * 3
+
+    def test_polling_alone_recovers_a_dropped_post(self):
+        """On the retrying hub a poll re-requests a post the sender has
+        logged but the wire lost, so an ``is_completed()`` loop with no
+        ``wait()`` still finishes."""
+        hub = ReliableTransportHub(2, default_timeout=10.0)
+        plan = FaultPlan([drop(rank=1, times=1)])
+
+        def body(rank):
+            pg = get_context().default_group
+            x = np.full(4, float(rank + 1))
+            work = pg.allreduce(x, async_op=True)
+            while not work.is_completed():
+                pass
+            work.wait()
+            return x.tolist()
+
+        assert run_world(2, body, backend="gloo", hub=hub, fault_plan=plan) == [[3.0] * 4] * 2
+        assert plan.total_triggered() == 1 and hub.retransmits[0] >= 1
+
+    def test_a_failed_post_is_raised_by_wait(self):
+        """A wire-scoped crash fires on the issuing thread as it posts; the
+        call still returns a Work, and its wait() raises — as it would
+        for a collective a worker ran."""
+        seen = {}
+
+        def body(rank):
+            pg = get_context().default_group
+            work = pg.allreduce(np.ones(4), async_op=True)
+            seen[rank] = work.record.state
+            work.wait()
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_world(2, body, backend="gloo", timeout=3,
+                      fault_plan=FaultPlan([crash_rank(1)]))
+        assert isinstance(excinfo.value.__cause__, InjectedRankFailure)
+        assert seen[1] == "failed"
+
+    def test_two_waiters_complete_it_exactly_once(self):
+        def body(rank):
+            pg = get_context().default_group
+            x = np.full(4, float(rank + 1))
+            if rank == 1:
+                time.sleep(0.1)  # both of rank 0's waiters are in wait() first
+            work = pg.allreduce(x, async_op=True)
+            if rank == 1:
+                work.wait()
+                return None
+            executed, real = [], pg._execute
+            pg._execute = lambda *args: (executed.append(args[0]), real(*args))[1]
+            waiters = [threading.Thread(target=work.wait) for _ in range(2)]
+            for waiter in waiters:
+                waiter.start()
+            for waiter in waiters:
+                waiter.join(5)
+            return executed == [work], any(w.is_alive() for w in waiters), x.tolist()
+
+        assert run_world(2, body, backend="gloo")[0] == (True, False, [3.0] * 4)
+
+    def test_shutdown_strands_no_thread(self):
+        """Rank 1 never joins: shutdown wakes the thread parked completing
+        one Work and fails the one nobody waited for, so its later wait()
+        raises at once."""
+        def body(rank):
+            pg = get_context().default_group
+            if rank == 1:
+                return None
+            waited = pg.allreduce(np.ones(4), async_op=True)
+            unwaited = pg.allreduce(np.ones(4), async_op=True)
+            errors = []
+
+            def waiter():
+                try:
+                    waited.wait()
+                except CollectiveError as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            wait_until(lambda: pg.hub.blocked_receivers())
+            start = time.perf_counter()
+            ok = pg.shutdown(grace=0.2)
+            thread.join(5)
+            shut = time.perf_counter() - start
+            with pytest.raises(CollectiveError, match="shut down before allreduce#1"):
+                unwaited.wait()
+            return ok, shut, thread.is_alive(), [str(e) for e in errors], pg._executing
+
+        ok, shut, alive, errors, executing = run_world(2, body, backend="gloo", timeout=30)[0]
+        assert ok and not alive and not executing
+        assert shut < 5.0  # the group timeout is 30 s
+        assert len(errors) == 1 and "shut down before allreduce#0" in errors[0]
+
+    def test_hung_collective_is_named(self, debug_level):
+        """A split-phase AllReduce a peer never issues: its caller shows up
+        parked under the collective's tag, and the watchdog's desync
+        report names it and the culprit."""
+        debug_level("INFO")
+        seen = {}
+
+        def body(rank):
+            pg = get_context().default_group
+            if rank == 0:
+                pg.allreduce(np.ones(4))  # rank 1 never issues it
+            else:
+                wait_until(lambda: pg.hub.blocked_receivers())
+                seen["blocked"] = pg.hub.blocked_receivers()
+
+        with pytest.raises(RuntimeError) as excinfo:
+            run_world(2, body, backend="gloo", timeout=2.0)
+        (entry,) = seen["blocked"]
+        assert (entry["rank"], entry["waiting_on"]) == (0, 1)
+        assert "(0, 0, 'allreduce')" in entry["tag"]
+        message = str(excinfo.value)
+        assert "cross-rank desync detected" in message
+        assert "allreduce#0" in message and "culprit rank(s) [1]" in message
+        assert "in recv from rank 1" in message
+
+
+    def test_compute_between_post_and_wait_is_not_a_hang(self, debug_level):
+        """The watchdog times a split-phase collective from when a thread
+        began completing it: a wait() long after the post is no alarm."""
+        debug_level("INFO")
+
+        def body(rank):
+            pg = get_context().default_group
+            threshold = pg._watchdog.hang_threshold
+            x = np.ones(4)
+            if rank == 1:  # posts late, but well inside the threshold of rank 0's wait
+                time.sleep(1.5 * threshold + 0.4 * threshold)
+            work = pg.allreduce(x, async_op=True)
+            if rank == 0:
+                time.sleep(1.5 * threshold)  # "compute" between post and wait
+            work.wait()
+            return x[0], pg._watchdog.status()["alarms_raised"]
+
+        assert run_world(2, body, backend="gloo", timeout=0.6) == [(2.0, 0)] * 2
+
+
+class TestSplitPhaseStress:
+    """Completions racing each other under short and long switch
+    intervals: sync and async calls, ``is_completed()`` spins, two
+    waiters on one Work, buffers scribbled before ``wait()``, barriers —
+    the op sequence from one seeded script, how each rank waits from its
+    own.  A lost wake-up hangs, a double completion miscounts."""
+
+    @pytest.mark.parametrize("interval", [1e-6, 1e-4, 5e-3])
+    @pytest.mark.parametrize("hub_cls", [TransportHub, ReliableTransportHub])
+    def test_completion_races(self, hub_cls, interval):
+        world, rounds = 3, 200
+        hub = hub_cls(world, default_timeout=20.0)
+
+        def body(rank):
+            pg = get_context().default_group
+            executed, real = [], pg._execute
+            pg._execute = lambda *args: (executed.append(args[0]), real(*args))[1]
+            script = np.random.default_rng([CHAOS_SEED, world])
+            mine = np.random.default_rng([CHAOS_SEED, rank])
+            for i in range(rounds):
+                kind, n, how = script.integers(0, 3), script.integers(1, 64), mine.integers(0, 4)
+                if kind == 2:
+                    pg.barrier()
+                    continue
+                root = i % world
+                x = np.arange(n) + rank * i
+                if kind == 0:
+                    work, expect = pg.allreduce(x, async_op=True), world * np.arange(n) + 3 * i
+                else:
+                    work, expect = pg.broadcast(x, root, async_op=True), np.arange(n) + root * i
+                if how == 1:
+                    while not work.is_completed():
+                        pass
+                elif how == 2:
+                    waiters = [threading.Thread(target=work.wait) for _ in range(2)]
+                    for waiter in waiters:
+                        waiter.start()
+                    for waiter in waiters:
+                        waiter.join()
+                elif how == 3 and not (kind == 1 and rank == root):
+                    x[:] = -1  # the contribution was taken at issue
+                work.wait()
+                assert np.array_equal(x, expect), (i, kind, how)
+            return len(executed), len(set(map(id, executed))), pg._pending, pg._executing
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(interval)
+        try:
+            results = run_world(world, body, backend="gloo", timeout=20.0, hub=hub)
+        finally:
+            sys.setswitchinterval(previous)
+        for executed, distinct, pending, executing in results:
+            assert executed == distinct == rounds  # every collective completed once
+            assert not pending and not executing
+        resent = sum(getattr(hub, "retransmits", [0]))
+        assert hub.pending_messages() <= resent and len(hub._gates) == 0

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import run_world
+from conftest import run_world, wait_until
 from repro.comm.distributed import get_context
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import (
@@ -37,13 +37,6 @@ def joined(threads, timeout=20.0):
     for thread in threads:
         thread.join(timeout)
     return not any(thread.is_alive() for thread in threads)
-
-
-def wait_until(condition, timeout=5.0):
-    deadline = time.perf_counter() + timeout
-    while not condition():
-        assert time.perf_counter() < deadline, "condition never held"
-        time.sleep(0.002)
 
 
 def count_polls(owner, name):
