@@ -124,7 +124,7 @@ def main() -> int:
               f"{'+'.join(entry['changes'])}: "
               f"bucket_cap={cfg['bucket_cap_mb']} MB "
               f"chunk={cfg['chunk_bytes'] // 1024} KiB "
-              f"streams={cfg['num_streams']} alg={cfg['algorithm']}")
+              f"alg={cfg['algorithm']}")
     print(f"active config: {report0['active_config']}")
     print(f"best window time: {report0['best_time_s'] * 1e3:.1f} ms")
 
@@ -132,7 +132,7 @@ def main() -> int:
     # The start config is whatever the first (warmup) window measured;
     # the tuner must both leave it and beat its measured window time.
     # (Which knob it moves is its call — on this scenario it may widen
-    # the buckets *or* parallelize the per-send tax across streams.)
+    # the buckets *or* coarsen the chunks, both of which cut sends.)
     assert report0["applied_changes"] >= 1, "tuner never applied a change"
     active = report0["active_config"]
     start_entry = report0["history"][0]

@@ -7,7 +7,7 @@ collective cost models (``repro.simnet.cost_model``, per the DAG model
 of synchronous SGD in arXiv:1805.03812) and keeps only the most
 promising few — the *prior* the measured sweep then refines.
 
-The estimate composes four effects the knobs control:
+The estimate composes three effects the knobs control:
 
 * **bucketing** — fewer, larger buckets amortize the per-collective
   launch cost (alpha); smaller buckets launch earlier and overlap more
@@ -16,8 +16,6 @@ The estimate composes four effects the knobs control:
   ``chunk_bytes`` granularity: tiny chunks drown in per-hop latency,
   huge chunks lose the intra-collective overlap (the U-curve in
   docs/performance.md);
-* **streams** — ``num_streams`` buckets reduce concurrently, divided by
-  the link-capacity :meth:`~repro.simnet.cost_model.CollectiveCostModel.stream_penalty`;
 * **algorithm** — ring is bandwidth-optimal, halving-doubling is
   latency-optimal, tree pays the full payload per round; a bucket small
   enough for the group's one-round protocol
@@ -144,21 +142,15 @@ def estimate_iteration_time(
     model = cost_model or cost_model_for(backend)
     volume = HOOK_VOLUME_FACTOR.get(config.comm_hook, 1.0)
     per_bucket_overhead = HOOK_OVERHEAD_S.get(config.comm_hook, 0.0)
-    serial_comm = 0.0
+    comm = 0.0
     sizes = _bucket_sizes(model_bytes, config.bucket_cap_mb)
     for nbytes in sizes:
         wire = nbytes * volume
-        serial_comm += (
+        comm += (
             _algorithm_time(model, config.algorithm, wire, world_size)
             + _chunk_penalty(model, wire, config.chunk_bytes, world_size)
             + per_bucket_overhead
         )
-    # Streams let up to num_streams buckets reduce concurrently, but
-    # concurrent streams share the link (stream_penalty) and cannot
-    # help past the bucket count.
-    concurrency = min(config.num_streams, max(1, len(sizes)))
-    penalty = model.stream_penalty(config.num_streams, world_size)
-    comm = serial_comm / concurrency * penalty
     # Buckets other than the last become ready while backward still
     # runs; that fraction of communication can hide behind compute.
     if len(sizes) > 1 and backward_compute_s > 0:

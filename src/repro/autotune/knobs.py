@@ -21,7 +21,7 @@ until documented).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.units import MB
@@ -45,7 +45,8 @@ class Knob:
     """One autotunable dimension.
 
     ``choices`` enumerates categorical knobs; numeric knobs use
-    ``low``/``high`` (inclusive) plus a ``grid`` of sweep candidates.
+    ``low``/``high`` (inclusive, both set) plus a ``grid`` of sweep
+    candidates.
     ``signal`` names the telemetry signal that drives retunes of this
     knob — the row surfaced in the docs taxonomy table.
     """
@@ -65,21 +66,13 @@ class Knob:
         onto a legal choice (categorical knobs fall back to default)."""
         if self.kind == "categorical":
             return value if value in self.choices else self.default
-        if self.low is not None and value < self.low:
-            return type(value)(self.low) if not isinstance(self.low, float) else self.low
-        if self.high is not None and value > self.high:
-            return type(value)(self.high) if not isinstance(self.high, float) else self.high
-        return value
+        return min(max(value, self.low), self.high)
 
     def in_range(self, value) -> bool:
         """Whether ``value`` lies inside this knob's safe range."""
         if self.kind == "categorical":
             return value in self.choices
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
+        return self.low <= value <= self.high
 
 
 #: The knob registry, keyed by :class:`TunedConfig` field name.
@@ -102,15 +95,6 @@ KNOBS: Dict[str, Knob] = {
         high=8 * MB,
         grid=(64 * 1024, 256 * 1024, 1 * MB, 4 * MB),
         signal="chunk-pipeline utilization",
-    ),
-    "num_streams": Knob(
-        name="num_streams",
-        kind="numeric",
-        default=1,
-        low=1,
-        high=4,
-        grid=(1, 2, 4),
-        signal="overlap ratio + ready→launch delay",
     ),
     "algorithm": Knob(
         name="algorithm",
@@ -135,7 +119,6 @@ class TunedConfig:
 
     bucket_cap_mb: float = 25.0
     chunk_bytes: int = 1 * MB
-    num_streams: int = 1
     algorithm: str = "ring"
     comm_hook: Optional[str] = None
 
@@ -145,20 +128,14 @@ class TunedConfig:
 
     def as_dict(self) -> dict:
         """Plain-dict form for reports and JSON artifacts."""
-        return {
-            "bucket_cap_mb": self.bucket_cap_mb,
-            "chunk_bytes": self.chunk_bytes,
-            "num_streams": self.num_streams,
-            "algorithm": self.algorithm,
-            "comm_hook": self.comm_hook,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         """Compact one-line form for logs and trace annotations."""
         hook = self.comm_hook or "none"
         return (
             f"bucket={self.bucket_cap_mb:g}MB chunk={self.chunk_bytes // 1024}KB "
-            f"streams={self.num_streams} alg={self.algorithm} hook={hook}"
+            f"alg={self.algorithm} hook={hook}"
         )
 
 
@@ -206,8 +183,8 @@ def candidate_grid(
 
     The cost-model prior prunes this before anything is measured
     (:func:`repro.autotune.cost_prior.prune_candidates`); the grid
-    itself is bounded (6 caps x 4 chunks x 3 streams x <=3 algorithms
-    x <=4 hooks) so even the unpruned product stays enumerable.
+    itself is bounded (6 caps x 4 chunks x <=3 algorithms x <=4 hooks)
+    so even the unpruned product stays enumerable.
     """
     configs = [base]
     for name, knob in KNOBS.items():

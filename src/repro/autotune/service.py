@@ -3,8 +3,8 @@
 :class:`Autotuner` closes the loop between the telemetry the runtime
 already produces (per-bucket AllReduce latency, compute/comm overlap
 ratio, backward-compute time, health signals) and the knobs that shape
-the hot path (``bucket_cap_mb``, ``chunk_bytes``, ``num_streams``,
-collective algorithm, optionally the compression hook) — the adaptive
+the hot path (``bucket_cap_mb``, ``chunk_bytes``, the collective
+algorithm, optionally the compression hook) — the adaptive
 tuning the paper proposes as future work (§7), in the style of Bagua's
 hyperparameter service.
 
@@ -28,8 +28,8 @@ Two halves, split by *who is allowed to do what*:
 
 Config application happens only at this **safe iteration boundary**
 (reducer finalized, every ``Work`` waited, before the next forward):
-bucket relayouts go through the no-op-aware ``rebuild_buckets``, stream
-pool resizes through ``ProcessGroup.set_num_streams``, and stateful
+bucket relayouts go through the no-op-aware ``rebuild_buckets``, chunk
+and algorithm switches through the group's setters, and stateful
 comm hooks are reset on relayout so error-feedback residuals never
 apply to a mismatched layout.  Every applied change is annotated on the
 merged trace (an ``autotune`` instant span), so retune
@@ -247,7 +247,6 @@ class Autotuner:
         return TunedConfig(
             bucket_cap_mb=float(ddp.bucket_cap_mb),
             chunk_bytes=int(chunk if chunk is not None else algorithms.DEFAULT_CHUNK_BYTES),
-            num_streams=group.num_streams,
             algorithm=group.algorithm,
             comm_hook=self._hook_name,
         )
@@ -265,9 +264,6 @@ class Autotuner:
         if config.chunk_bytes != live.chunk_bytes:
             group.set_chunk_bytes(int(config.chunk_bytes))
             changes.append("chunk_bytes")
-        if config.num_streams != live.num_streams:
-            group.set_num_streams(int(config.num_streams))
-            changes.append("num_streams")
         if config.algorithm != live.algorithm:
             group.set_algorithm(config.algorithm)
             changes.append("algorithm")

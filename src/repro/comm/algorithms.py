@@ -158,34 +158,28 @@ REDUCE_FUNCTIONS: dict[str, ReduceFn] = {
 
 
 def _default_chunk_bytes() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_CHUNK_BYTES", 1 << 20)))
-    except ValueError:
+    """``REPRO_CHUNK_BYTES`` (1 MiB when unset); anything but an integer
+    ≥ 1 raises rather than silently becoming some other chunk size."""
+    raw = os.environ.get("REPRO_CHUNK_BYTES")
+    if raw is None:
         return 1 << 20
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"REPRO_CHUNK_BYTES={raw!r} is not a chunk size: expected an "
+            f"integer number of bytes >= 1"
+        )
+    return value
 
 
-#: Default transfer-chunk size in bytes (1 MiB).  Tunable per call via
-#: ``chunk_bytes=`` or globally via :func:`set_chunk_bytes` / the
-#: ``REPRO_CHUNK_BYTES`` environment variable (read at import).
+#: Default transfer-chunk size in bytes (1 MiB): what a collective uses
+#: when its caller passes ``chunk_bytes=None`` (a process group's
+#: ``chunk_bytes``, settable per group).  ``REPRO_CHUNK_BYTES`` overrides
+#: it, read once at import.
 DEFAULT_CHUNK_BYTES: int = _default_chunk_bytes()
-
-
-def set_chunk_bytes(nbytes: int) -> None:
-    """Set the global default transfer-chunk size (bytes, ≥1).
-
-    Thread-safety: a plain module-global write; call it from the main
-    thread before launching rank threads (the benchmarks' usage), not
-    concurrently with running collectives.
-    """
-    global DEFAULT_CHUNK_BYTES
-    if nbytes < 1:
-        raise ValueError("chunk_bytes must be >= 1")
-    DEFAULT_CHUNK_BYTES = int(nbytes)
-
-
-def get_chunk_bytes() -> int:
-    """Current global default transfer-chunk size in bytes."""
-    return DEFAULT_CHUNK_BYTES
 
 
 def partition_spans(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -227,17 +221,6 @@ def _chunk_spans(lo: int, hi: int, chunk_elems: int) -> List[Tuple[int, int]]:
     return spans
 
 
-def _reduce_fn(op: str) -> ReduceFn:
-    """Resolve a reduce-op name to its ufunc; raises on unknown names."""
-    try:
-        return REDUCE_FUNCTIONS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown reduce op {op!r}; options: {sorted(REDUCE_FUNCTIONS)} "
-            f"(and 'avg' for allreduce / reduce_scatter_flat)"
-        )
-
-
 def check_avg_dtype(dtype: np.dtype) -> None:
     """``avg`` divides in the array's own dtype, so it must be floating."""
     if dtype.kind != "f":
@@ -252,9 +235,16 @@ def _reduce_plan(op: str, world: int, dtype: np.dtype) -> Tuple[ReduceFn, int | 
 
     ``divisor`` is None for the plain operators; for ``"avg"`` it is the
     group size, applied once by whichever rank finishes reducing a chunk.
+    Raises on an unknown name.
     """
     if op != "avg":
-        return _reduce_fn(op), None
+        try:
+            return REDUCE_FUNCTIONS[op], None
+        except KeyError:
+            raise ValueError(
+                f"unknown reduce op {op!r}; options: {sorted(REDUCE_FUNCTIONS)} "
+                f"(and 'avg' for allreduce / reduce / reduce_scatter_flat)"
+            ) from None
     check_avg_dtype(dtype)
     return np.add, world
 
@@ -440,47 +430,64 @@ class OneRoundBroadcast(OneRound):
             self.buffer[...] = self.pieces[self.root]
 
 
-def _ring(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    flat: np.ndarray,
-    fn: ReduceFn,
-    divisor: int | None,
-    tag: object,
-    timeout: float | None,
-    chunk_bytes: int | None,
-) -> None:
-    """:func:`allreduce_ring` on a 1-D array with the op already resolved
-    (``divisor`` may differ from ``len(ranks)``: the hierarchical leader
-    ring averages over the whole group)."""
+def _ring_reduce_scatter(hub: TransportHub, ranks: Sequence[int], me: int, flat: np.ndarray,
+                         first: int, fn: ReduceFn, divisor: int | None, tag: object,
+                         timeout: float | None, chunk_bytes: int | None,
+                         standalone: bool) -> np.ndarray:
+    """The ring's reduce-scatter phase; returns the segment this rank ends
+    up owning, fully reduced.
+
+    At step s a rank sends segment ``first − s`` right and reduces
+    segment ``first − s − 1`` from the left with its own values, so after
+    p − 1 steps it owns segment ``first − p + 2``.  Each step forwards
+    what the previous one reduced; ``divisor`` divides in the last step.
+    Inside an AllReduce the reduction lands in ``flat`` and the allgather
+    that follows settles the lent sends; ``standalone`` reduces into a
+    fresh segment-sized array per step, leaving ``flat`` as it was, and
+    settles here.
+    """
     world = len(ranks)
     segments = partition_spans(flat.size, world)
     celems = _chunk_elems(chunk_bytes, flat.dtype)
     lend = flat.nbytes >= RENDEZVOUS_BYTES
-    here = ranks[me]
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-
-    # Phase 1: reduce-scatter. After world-1 steps, rank r owns the fully
-    # reduced segment (r+1) % world.
+    here, right, left = ranks[me], ranks[(me + 1) % world], ranks[(me - 1) % world]
+    # What the coming step sends, and the flat index of its element 0.
+    outgoing, base = flat, 0
     for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step) % world]
-        recv_lo, recv_hi = segments[(me - step - 1) % world]
+        send_lo, send_hi = segments[(first - step) % world]
+        recv_lo, recv_hi = segments[(first - step - 1) % world]
         owned = divisor and step == world - 2
         for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            _post(hub, here, right, (tag, "rs", step, c), flat[lo:hi], lend)
+            _post(hub, here, right, (tag, "rs", step, c), outgoing[lo - base : hi - base], lend)
+        partial = np.empty(recv_hi - recv_lo, flat.dtype) if standalone else flat[recv_lo:recv_hi]
         for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
             incoming = _recv(hub, here, left, (tag, "rs", step, c), timeout)
-            piece = flat[lo:hi]
-            fn(piece, incoming, out=piece)
+            piece = partial[lo - recv_lo : hi - recv_lo]
+            fn(flat[lo:hi], incoming, out=piece)
             if owned:
                 _divide(piece, divisor)
+        outgoing, base = partial, recv_lo
+    if standalone:
+        _settle(hub, here, tag, lend, [left], [right], timeout)
+    return partial
 
-    # Phase 2: allgather. Circulate the reduced segments.
+
+def _ring_allgather(hub: TransportHub, ranks: Sequence[int], me: int, flat: np.ndarray,
+                    first: int, tag: object, timeout: float | None,
+                    chunk_bytes: int | None) -> None:
+    """The ring's allgather phase: at step s a rank sends segment
+    ``first − s`` right and fills segment ``first − s − 1`` from the left,
+    so a rank that starts out holding segment ``first`` ends with all.
+    Then :func:`_settle` with both neighbours, for this phase and any
+    reduce-scatter before it in the same call."""
+    world = len(ranks)
+    segments = partition_spans(flat.size, world)
+    celems = _chunk_elems(chunk_bytes, flat.dtype)
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here, right, left = ranks[me], ranks[(me + 1) % world], ranks[(me - 1) % world]
     for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step + 1) % world]
-        recv_lo, recv_hi = segments[(me - step) % world]
+        send_lo, send_hi = segments[(first - step) % world]
+        recv_lo, recv_hi = segments[(first - step - 1) % world]
         for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
             _post(hub, here, right, (tag, "ag", step, c), flat[lo:hi], lend)
         for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
@@ -527,53 +534,57 @@ def allreduce_ring(
     if world == 1:
         return
     flat = buffer.reshape(-1)
-    _ring(hub, ranks, me, flat, fn, divisor, tag, timeout, chunk_bytes)
+    # In place, leaving rank r owning segment (r+1) % p; circulated from there.
+    _ring_reduce_scatter(hub, ranks, me, flat, me, fn, divisor, tag, timeout, chunk_bytes, False)
+    _ring_allgather(hub, ranks, me, flat, me + 1, tag, timeout, chunk_bytes)
     _write_back(buffer, flat)
 
 
-def _tree_broadcast(
+def _tree_reduce(
     hub: TransportHub,
     ranks: Sequence[int],
     me: int,
     flat: np.ndarray,
+    fn: ReduceFn,
+    divisor: int | None,
     root: int,
     tag: object,
     timeout: float | None,
     chunk_bytes: int | None,
+    lend: bool,
 ) -> None:
-    """Binomial-tree broadcast of a 1-D array from group-rank ``root``.
+    """Binomial-tree reduce of a 1-D array to group-rank ``root``.
 
-    Lent sends — token: a rank writes its buffer once (the receive from
-    its parent) and only afterwards lends it to its children, so nothing
-    inside the call overwrites a lent region; each child returns one
-    token because the buffer outlives the call.
+    Ranks are re-indexed so the root is virtual rank 0.  At round k a
+    rank with bit k set sends its running partial to the partner with
+    that bit cleared and drops out; the partner reduces it in place,
+    chunk by chunk.  ``divisor`` divides at the root, in its last round.
+    ``lend`` sends views instead of copies — only for a caller whose next
+    write to the buffer is triggered by a message that follows the
+    partner's read (see :func:`allreduce_tree`).
     """
     world = len(ranks)
     whole = _chunk_spans(0, flat.size, _chunk_elems(chunk_bytes, flat.dtype))
-    lend = flat.nbytes >= RENDEZVOUS_BYTES
     here = ranks[me]
-    parent: List[int] = []
-    children: List[int] = []
-    # Re-index so the root is virtual rank 0.
     vrank = (me - root) % world
-    top = 1
-    while top < world:
-        top <<= 1
-    mask = top >> 1
-    while mask >= 1:
-        if vrank & (mask - 1) == 0:  # still active at this round
-            if vrank & mask:
-                src = ranks[(vrank - mask + root) % world]
-                parent.append(src)
-                for c, (lo, hi) in enumerate(whole):
-                    flat[lo:hi] = _recv(hub, here, src, (tag, "bc", mask, c), timeout)
-            elif vrank + mask < world:
-                dst = ranks[(vrank + mask + root) % world]
-                children.append(dst)
-                for c, (lo, hi) in enumerate(whole):
-                    _post(hub, here, dst, (tag, "bc", mask, c), flat[lo:hi], lend)
-        mask >>= 1
-    _settle(hub, here, tag, lend, parent, children, timeout)
+    mask = 1
+    while mask < world:
+        if vrank & mask:
+            dst = ranks[(vrank - mask + root) % world]
+            for c, (lo, hi) in enumerate(whole):
+                _post(hub, here, dst, (tag, "red", mask, c), flat[lo:hi], lend)
+            return
+        vpartner = vrank + mask
+        if vpartner < world:
+            src = ranks[(vpartner + root) % world]
+            reduced = divisor and vrank == 0 and mask << 1 >= world
+            for c, (lo, hi) in enumerate(whole):
+                incoming = _recv(hub, here, src, (tag, "red", mask, c), timeout)
+                piece = flat[lo:hi]
+                fn(piece, incoming, out=piece)
+                if reduced:
+                    _divide(piece, divisor)
+        mask <<= 1
 
 
 def allreduce_tree(
@@ -598,41 +609,17 @@ def allreduce_tree(
     the partner below its lowest set bit and drops out; its next write
     is the broadcast it receives from that same partner, which the
     partner sends after it reduced the lent chunks.  *Broadcast — token*
-    (see :func:`_tree_broadcast`).
+    (see :func:`broadcast`).
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    world = len(ranks)
-    fn, divisor = _reduce_plan(op, world, buffer.dtype)
-    if world == 1:
-        return
+    fn, divisor = _reduce_plan(op, len(ranks), buffer.dtype)
     flat = buffer.reshape(-1)
-    whole = _chunk_spans(0, flat.size, _chunk_elems(chunk_bytes, flat.dtype))
     lend = flat.nbytes >= RENDEZVOUS_BYTES
-    here = ranks[me]
-
-    # Reduce phase: at round k, ranks with the k-th bit set send to the
-    # partner with that bit cleared, then drop out.
-    mask = 1
-    while mask < world:
-        if me & mask:
-            for c, (lo, hi) in enumerate(whole):
-                _post(hub, here, ranks[me - mask], (tag, "red", mask, c), flat[lo:hi], lend)
-            break
-        partner = me + mask
-        if partner < world:
-            reduced = divisor and me == 0 and mask << 1 >= world
-            for c, (lo, hi) in enumerate(whole):
-                incoming = _recv(hub, here, ranks[partner], (tag, "red", mask, c), timeout)
-                piece = flat[lo:hi]
-                fn(piece, incoming, out=piece)
-                if reduced:
-                    _divide(piece, divisor)
-        mask <<= 1
-
+    _tree_reduce(hub, ranks, me, flat, fn, divisor, 0, tag, timeout, chunk_bytes, lend)
     # Broadcast phase: mirror image, highest mask first.
-    _tree_broadcast(hub, ranks, me, flat, 0, tag, timeout, chunk_bytes)
+    broadcast(hub, ranks, me, flat, 0, tag, timeout, chunk_bytes)
     _write_back(buffer, flat)
 
 
@@ -736,88 +723,48 @@ def broadcast(
 
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); the root sends ⌈log₂ p⌉ copies,
     interior ranks forward once per subtree.  Transfers are chunked so
-    a forwarding rank relays chunk 0 before chunk *k* arrives.  Buffers
-    ≥ :data:`RENDEZVOUS_BYTES` are lent to the children, one token each
-    (see :func:`_tree_broadcast`).  Under the size rule the process group
-    runs :class:`OneRoundBroadcast` instead.
+    a forwarding rank relays chunk 0 before chunk *k* arrives.  Under the
+    size rule the process group runs :class:`OneRoundBroadcast` instead;
+    :func:`allreduce_tree` and :func:`allreduce_hierarchical` end with
+    this broadcast.
+
+    Lent sends (buffers ≥ :data:`RENDEZVOUS_BYTES`) — token: a rank
+    writes its buffer once (the receive from its parent) and only
+    afterwards lends it to its children, so nothing inside the call
+    overwrites a lent region; each child returns one token because the
+    buffer outlives the call.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    if len(ranks) == 1:
-        return
     flat = buffer.reshape(-1)
-    _tree_broadcast(hub, ranks, me, flat, root, tag, timeout, chunk_bytes)
+    world = len(ranks)
+    whole = _chunk_spans(0, flat.size, _chunk_elems(chunk_bytes, flat.dtype))
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    here = ranks[me]
+    parent: List[int] = []
+    children: List[int] = []
+    # Re-index so the root is virtual rank 0.
+    vrank = (me - root) % world
+    top = 1
+    while top < world:
+        top <<= 1
+    mask = top >> 1
+    while mask >= 1:
+        if vrank & (mask - 1) == 0:  # still active at this round
+            if vrank & mask:
+                src = ranks[(vrank - mask + root) % world]
+                parent.append(src)
+                for c, (lo, hi) in enumerate(whole):
+                    flat[lo:hi] = _recv(hub, here, src, (tag, "bc", mask, c), timeout)
+            elif vrank + mask < world:
+                dst = ranks[(vrank + mask + root) % world]
+                children.append(dst)
+                for c, (lo, hi) in enumerate(whole):
+                    _post(hub, here, dst, (tag, "bc", mask, c), flat[lo:hi], lend)
+        mask >>= 1
+    _settle(hub, here, tag, lend, parent, children, timeout)
     _write_back(buffer, flat)
-
-
-def allgather(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    buffer: np.ndarray,
-    tag: object = "allgather",
-    timeout: float | None = None,
-) -> np.ndarray:
-    """Ring allgather; returns an array of shape (world, buffer.size).
-
-    Cost per rank: (p−1)α + (p−1)·n·β — every rank's full buffer visits
-    every other rank once around the ring.  Rows are contiguous, so each
-    step is one slice copy.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    world = len(ranks)
-    flat = buffer.reshape(-1)
-    out = np.empty((world, flat.size), dtype=flat.dtype)
-    out[me] = flat
-    if world == 1:
-        return out
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-    for step in range(world - 1):
-        send_idx = (me - step) % world
-        recv_idx = (me - step - 1) % world
-        hub.send(ranks[me], right, (tag, "ag", step), out[send_idx].copy())
-        out[recv_idx] = _recv(hub, ranks[me], left, (tag, "ag", step), timeout)
-    return out
-
-
-def reduce_scatter(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    buffer: np.ndarray,
-    op: str = "sum",
-    tag: object = "rscatter",
-    timeout: float | None = None,
-) -> np.ndarray:
-    """Ring reduce-scatter; returns this rank's fully reduced chunk.
-
-    Cost per rank: (p−1)α + ((p−1)/p)·n·β — phase 1 of the ring
-    AllReduce.  Segments are contiguous spans reduced with in-place
-    ufunc calls.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    fn = _reduce_fn(op)
-    world = len(ranks)
-    flat = buffer.reshape(-1).copy()
-    segments = partition_spans(flat.size, world)
-    if world == 1:
-        return flat
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step) % world]
-        recv_lo, recv_hi = segments[(me - step - 1) % world]
-        hub.send(ranks[me], right, (tag, "rs", step), flat[send_lo:send_hi].copy())
-        incoming = _recv(hub, ranks[me], left, (tag, "rs", step), timeout)
-        fn(flat[recv_lo:recv_hi], incoming, out=flat[recv_lo:recv_hi])
-    owned_lo, owned_hi = segments[(me + 1) % world]
-    return flat[owned_lo:owned_hi]
 
 
 def reduce_scatter_flat(
@@ -860,34 +807,12 @@ def reduce_scatter_flat(
     world = len(ranks)
     flat = buffer.reshape(-1)
     fn, divisor = _reduce_plan(op, world, flat.dtype)
-    segments = partition_spans(flat.size, world)
     if world == 1:
         return flat.copy()
-    celems = _chunk_elems(chunk_bytes, flat.dtype)
-    lend = flat.nbytes >= RENDEZVOUS_BYTES
-    here = ranks[me]
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-    # What the coming step sends, and the flat index of its element 0.
-    outgoing, base = flat, 0
     # The allreduce_ring schedule shifted by one slot, so after world-1
     # steps rank r holds the fully reduced segment r (not (r+1) % p).
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step - 1) % world]
-        recv_lo, recv_hi = segments[(me - step - 2) % world]
-        owned = divisor and step == world - 2
-        for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            _post(hub, here, right, (tag, "rs", step, c), outgoing[lo - base : hi - base], lend)
-        partial = np.empty(recv_hi - recv_lo, dtype=flat.dtype)
-        for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, here, left, (tag, "rs", step, c), timeout)
-            piece = partial[lo - recv_lo : hi - recv_lo]
-            fn(flat[lo:hi], incoming, out=piece)
-            if owned:
-                _divide(piece, divisor)
-        outgoing, base = partial, recv_lo
-    _settle(hub, here, tag, lend, [left], [right], timeout)
-    return partial
+    return _ring_reduce_scatter(hub, ranks, me, flat, me - 1, fn, divisor, tag, timeout,
+                                chunk_bytes, True)
 
 
 def all_gather_into_flat(
@@ -936,19 +861,7 @@ def all_gather_into_flat(
             )
         flat[my_lo:my_hi] = contribution
     if world > 1:
-        celems = _chunk_elems(chunk_bytes, flat.dtype)
-        lend = flat.nbytes >= RENDEZVOUS_BYTES
-        here = ranks[me]
-        right = ranks[(me + 1) % world]
-        left = ranks[(me - 1) % world]
-        for step in range(world - 1):
-            send_lo, send_hi = segments[(me - step) % world]
-            recv_lo, recv_hi = segments[(me - step - 1) % world]
-            for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-                _post(hub, here, right, (tag, "ag", step, c), flat[lo:hi], lend)
-            for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-                flat[lo:hi] = _recv(hub, here, left, (tag, "ag", step, c), timeout)
-        _settle(hub, here, tag, lend, [left], [right], timeout)
+        _ring_allgather(hub, ranks, me, flat, me, tag, timeout, chunk_bytes)
     _write_back(buffer, flat)
 
 
@@ -961,35 +874,23 @@ def reduce(
     op: str = "sum",
     tag: object = "reduce",
     timeout: float | None = None,
+    chunk_bytes: int | None = None,
 ) -> None:
     """Binomial-tree reduce to group-rank ``root`` (in place at root;
-    other ranks' buffers are left with partial sums, as in MPI).
+    other ranks' buffers are left with partial results, as in MPI).
 
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); each rank sends its running
-    partial sum exactly once (an eager copy), reductions are in-place
-    ufunc calls.
+    partial exactly once, chunked (:func:`_tree_reduce`, the reduce
+    phase of :func:`allreduce_tree`).  ``avg`` divides at the root.
+    Eager at every size: a non-root's buffer is the caller's again when
+    the call returns, and no later message tells it the root has read.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group (one call per rank per ``tag``).
     """
-    fn = _reduce_fn(op)
-    world = len(ranks)
-    if world == 1:
-        return
+    fn, divisor = _reduce_plan(op, len(ranks), buffer.dtype)
     flat = buffer.reshape(-1)
-    vrank = (me - root) % world
-    mask = 1
-    while mask < world:
-        if vrank & mask:
-            dst = ranks[(vrank - mask + root) % world]
-            hub.send(ranks[me], dst, (tag, "red", mask), flat.copy())
-            return
-        vpartner = vrank + mask
-        if vpartner < world:
-            src = ranks[(vpartner + root) % world]
-            incoming = _recv(hub, ranks[me], src, (tag, "red", mask), timeout)
-            fn(flat, incoming, out=flat)
-        mask <<= 1
+    _tree_reduce(hub, ranks, me, flat, fn, divisor, root, tag, timeout, chunk_bytes, False)
     _write_back(buffer, flat)
 
 
@@ -1076,8 +977,10 @@ def allreduce_hierarchical(
     Cost per rank: ≈ ⌈log₂ g⌉·(α + n·β) intra-group + (for leaders)
     2(ℓ−1)α + 2((ℓ−1)/ℓ)·n·β on the leader ring of ℓ = ⌈p/g⌉ members.
 
-    The intra-group reduce is eager; the leader ring and the broadcast
-    lend as :func:`allreduce_ring` and :func:`broadcast` do.  ``avg``
+    Every phase lends as its :func:`allreduce_tree` / :func:`allreduce_ring`
+    counterpart does: the intra-group reduce by causality (a rank's next
+    write is the group broadcast from the partner it lent to), the leader
+    ring and the broadcast as in those functions.  ``avg``
     divides in the leader ring — by the size of the *whole* group, not
     by the leader count.
 
@@ -1100,14 +1003,18 @@ def allreduce_hierarchical(
 
     # Phase 1: reduce within the group to its leader (local rank 0);
     # under avg the sums stay sums until the leader ring.
-    intra_op = "sum" if divisor else op
-    reduce(hub, group_members, local_me, flat, 0, intra_op, (tag, "intra", group_index), timeout)
+    lend = flat.nbytes >= RENDEZVOUS_BYTES
+    _tree_reduce(hub, group_members, local_me, flat, fn, None, 0,
+                 (tag, "intra", group_index), timeout, chunk_bytes, lend)
     # Phase 2: ring AllReduce among the leaders.
     if local_me == 0:
-        leader_me = leader_locals.index(group_lo)
-        _ring(hub, leaders, leader_me, flat, fn, divisor, (tag, "inter"), timeout, chunk_bytes)
+        # allreduce_ring, averaging over the whole group.
+        leader_me, inter = leader_locals.index(group_lo), (tag, "inter")
+        _ring_reduce_scatter(hub, leaders, leader_me, flat, leader_me, fn, divisor, inter,
+                             timeout, chunk_bytes, False)
+        _ring_allgather(hub, leaders, leader_me, flat, leader_me + 1, inter, timeout, chunk_bytes)
     # Phase 3: broadcast the result within the group.
-    _tree_broadcast(
+    broadcast(
         hub, group_members, local_me, flat, 0, (tag, "bcast", group_index), timeout, chunk_bytes
     )
     _write_back(buffer, flat)

@@ -263,8 +263,8 @@ def run_distributed(
 
     ``fn`` may accept zero arguments or a single ``rank`` argument.  When
     ``backend`` is given, a default process group is initialized before
-    ``fn`` runs; extra keyword arguments (e.g. ``num_streams=2``,
-    ``chunk_bytes=65536``, ``algorithm="tree"``) are forwarded to the
+    ``fn`` runs; extra keyword arguments (e.g. ``chunk_bytes=65536``,
+    ``algorithm="tree"``) are forwarded to the
     backend constructor.  A ``fault_plan``
     (:class:`repro.resilience.FaultPlan`) is installed on the hub before
     any rank starts.  The first rank exception is re-raised in the

@@ -6,14 +6,12 @@ DDP wraps NCCL, Gloo and MPI behind one ``ProcessGroup`` API (paper
 * **Rendezvous construction** — all instances construct together; the
   first arrival blocks until the last joins.
 * **Asynchronous execution** — every collective may return a ``Work``
-  handle; each rank owns one or more dedicated communication worker
-  threads (the analog of NCCL's dedicated CUDA streams), so
-  communication genuinely proceeds concurrently with the caller's
-  computation.  With ``num_streams > 1``, collectives are assigned to
-  streams deterministically by sequence number (``seq % num_streams``),
-  which keeps the assignment identical on every rank — a collective
-  always meets its peers on the same stream, so multiple buckets can be
-  genuinely in flight at once without cross-rank mismatches.
+  handle; each group membership owns one dedicated communication worker
+  thread (the analog of NCCL's dedicated CUDA stream) draining a FIFO
+  queue, so communication genuinely proceeds concurrently with the
+  caller's computation.  Collectives that should run concurrently with
+  each other go to different groups, used in turn by
+  :class:`~repro.comm.round_robin.RoundRobinProcessGroup` (paper §3.3).
 * **Ordered collectives** — operations on all instances must match in
   type/shape/dtype and follow the same order.  A built-in signature
   checker turns the real-world symptom (silent corruption or a hang)
@@ -48,10 +46,10 @@ from repro.utils.rank import set_current_rank
 class ReduceOp:
     """Reduction operators accepted by collectives.
 
-    ``AVG`` (``allreduce`` and ``reduce_scatter_flat``, floating dtypes)
-    is ``SUM`` plus one division by the group size, done inside the
-    collective by the rank that finishes reducing each chunk — bitwise
-    what ``SUM`` followed by ``/= size`` on every rank produces.
+    ``AVG`` (``allreduce``, ``reduce`` and ``reduce_scatter_flat``,
+    floating dtypes) is ``SUM`` plus one division by the group size, done
+    inside the collective by the rank that finishes reducing each chunk —
+    bitwise what ``SUM`` followed by ``/= size`` on the result produces.
     """
 
     SUM = "sum"
@@ -265,18 +263,25 @@ def _barrier_round(hub, ranks, me, tag) -> algorithms.OneRound:
     return algorithms.OneRoundAllreduce(hub, ranks, me, np.zeros(1, np.int64), "sum", tag)
 
 
+def _allgather(hub, ranks, me, array, tag, timeout, chunk_bytes) -> np.ndarray:
+    """Every rank's tensor as row ``r`` of a ``(world, n)`` array: the
+    flat ring all-gather with this rank's tensor as its shard."""
+    out = np.empty((len(ranks), array.size), dtype=array.dtype)
+    algorithms.all_gather_into_flat(hub, ranks, me, out, array, tag, timeout, chunk_bytes)
+    return out
+
+
 _OPS = {
     "allreduce": _Op(None, ("reduce_op",), chunked=True,
                      one_round=algorithms.OneRoundAllreduce),
     "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True,
                      one_round=algorithms.OneRoundBroadcast),
-    "allgather": _Op(algorithms.allgather, world_bytes=True),
-    "reduce_scatter": _Op(algorithms.reduce_scatter, ("reduce_op",)),
+    "allgather": _Op(_allgather, world_bytes=True, chunked=True),
     "reduce_scatter_flat": _Op(
         algorithms.reduce_scatter_flat, ("reduce_op",), chunked=True
     ),
     "all_gather_flat": _Op(algorithms.all_gather_into_flat, chunked=True),
-    "reduce": _Op(algorithms.reduce, ("root", "reduce_op")),
+    "reduce": _Op(algorithms.reduce, ("root", "reduce_op"), chunked=True),
     "gather": _Op(algorithms.gather, ("root",)),
     "scatter": _Op(algorithms.scatter, ("root",)),
     # No tensor, so always under the size rule: never reaches a worker.
@@ -312,7 +317,6 @@ class ProcessGroup:
         group_id: Optional[int] = None,
         timeout: float = 30.0,
         algorithm: Optional[str] = None,
-        num_streams: int = 1,
         chunk_bytes: Optional[int] = None,
     ):
         self.store = store
@@ -328,11 +332,6 @@ class ProcessGroup:
         self.algorithm = algorithm or self.default_algorithm
         if self.algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
             raise ValueError(f"unknown allreduce algorithm {self.algorithm!r}")
-        if num_streams < 1:
-            raise ValueError("num_streams must be >= 1")
-        #: Number of communication worker threads ("streams"); collectives
-        #: are assigned by ``seq % num_streams`` identically on all ranks.
-        self.num_streams = int(num_streams)
         #: Default transfer-chunk size forwarded to the AllReduce
         #: algorithm (None → the module default in ``algorithms``).
         self.chunk_bytes = chunk_bytes
@@ -373,11 +372,14 @@ class ProcessGroup:
 
             self._watchdog = HangWatchdog(self)
 
-        # The dedicated communication workers ("streams").
-        self._queues: List["queue.SimpleQueue"] = []
-        self._workers: List[threading.Thread] = []
-        for stream in range(self.num_streams):
-            self._start_worker(stream)
+        # The dedicated communication worker and its FIFO queue.
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._worker = threading.Thread(
+            target=self._worker_loop,
+            name=f"pg{self._group_id}-rank{self.global_rank}-comm",
+            daemon=True,
+        )
+        self._worker.start()
         if self._watchdog is not None:
             self._watchdog.start()
 
@@ -396,32 +398,21 @@ class ProcessGroup:
         """The longest-executing Work and since when, or None.
 
         The hang watchdog polls this; with several collectives executing
-        at once the longest-running one is the one worth reporting.  A
+        at once (the worker's and callers completing split-phase ones)
+        the longest-running one is the one worth reporting.  A
         split-phase collective counts from the moment a thread began to
         complete it, not from its post: the caller's compute in between
         is not a hang.
         """
         return min(list(self._executing.items()), key=lambda item: item[1], default=None)
 
-    def _start_worker(self, stream: int) -> None:
-        """Append stream ``stream``'s queue and start its worker thread."""
-        self._queues.append(queue.SimpleQueue())
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(stream,),
-            name=f"pg{self._group_id}-rank{self.global_rank}-comm{stream}",
-            daemon=True,
-        )
-        self._workers.append(worker)
-        worker.start()
-
-    def _worker_loop(self, stream: int) -> None:
+    def _worker_loop(self) -> None:
         # Worker threads carry the owning rank's identity so telemetry
         # spans and log records from inside collectives attribute
         # correctly (the rank contextvar does not cross thread spawns).
         set_current_rank(self.global_rank)
         while True:
-            item = self._queues[stream].get()
+            item = self._queue.get()
             if item is None:
                 return
             fn, work = item
@@ -504,17 +495,15 @@ class ProcessGroup:
         self._observe(record, "schedule")
 
     def _submit(self, fn, record: CollectiveRecord, async_op: bool):
-        """Queue ``fn`` on the deterministic stream for this collective.
+        """Queue ``fn`` on the communication worker.
 
-        The stream index derives from the collective's sequence number,
-        so every rank routes collective ``seq`` to the same worker and
-        peers always meet on a matching stream.  Returns the
-        :class:`Work` when ``async_op``; otherwise waits and returns
-        what ``fn`` returned.
+        The worker runs collectives in issue order, which is the same
+        order on every rank.  Returns the :class:`Work` when
+        ``async_op``; otherwise waits and returns what ``fn`` returned.
         """
         self._issue(record)
         work = Work(record)
-        self._queues[record.seq % self.num_streams].put((fn, work))
+        self._queue.put((fn, work))
         if async_op:
             return work
         work.wait(self.timeout + 5.0)
@@ -577,46 +566,8 @@ class ProcessGroup:
             raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         self.chunk_bytes = chunk_bytes
 
-    def set_num_streams(self, num_streams: int) -> None:
-        """Live-resize the communication worker pool.
-
-        Must be called at a quiescent point — no collectives in flight
-        (every issued ``Work`` waited) — and at the same sequence point
-        on every rank, because stream routing is ``seq % num_streams``
-        and ranks pair collectives by stream.  Growing appends queues
-        and worker threads; shrinking retires the tail workers via the
-        queue sentinel and joins them.
-        """
-        if num_streams < 1:
-            raise ValueError("num_streams must be >= 1")
-        if self._closed:
-            raise CollectiveError("process group is shut down")
-        if num_streams == self.num_streams:
-            return
-        if num_streams > self.num_streams:
-            for stream in range(self.num_streams, num_streams):
-                self._start_worker(stream)
-        else:
-            retired = self._workers[num_streams:]
-            for stream in range(num_streams, self.num_streams):
-                self._queues[stream].put(None)
-            for worker in retired:
-                worker.join(timeout=self.timeout)
-            stuck = [worker.name for worker in retired if worker.is_alive()]
-            if stuck:
-                # A retired worker still executing means the caller was
-                # not quiescent; leave the pool untouched rather than
-                # strand a live collective on an unread queue.
-                raise CollectiveError(
-                    f"set_num_streams({num_streams}) with collectives still "
-                    f"in flight on {', '.join(stuck)}; wait all Work first"
-                )
-            self._queues = self._queues[:num_streams]
-            self._workers = self._workers[:num_streams]
-        self.num_streams = int(num_streams)
-
     def shutdown(self, grace: float = 2.0) -> bool:
-        """Stop the worker threads (idempotent); returns True if all joined.
+        """Stop the worker thread (idempotent); returns True if it joined.
 
         A worker blocked in a transport ``recv`` (its peer diverged or
         died) cannot see the queue sentinel, so after ``grace`` seconds
@@ -628,7 +579,7 @@ class ProcessGroup:
         ``worker_stuck`` and a log line.
         """
         if self._closed:
-            return not any(worker.is_alive() for worker in self._workers)
+            return not self._worker.is_alive()
         self._closed = True
         if self._watchdog is not None:
             # Leave a parting snapshot so a peer's watchdog can still
@@ -644,23 +595,22 @@ class ProcessGroup:
                 f"{work.description} completed"
             ))
         self._pending.clear()
-        for stream_queue in self._queues:
-            stream_queue.put(None)
+        self._queue.put(None)
         deadline = min(grace, self.timeout)
         if not self._quiesce(deadline):
             logger.warning(
-                "comm worker(s) of group %s on rank %d did not drain within "
+                "comm worker of group %s on rank %d did not drain within "
                 "%.1fs; closing the transport hub to unblock them",
                 self._group_id, self.global_rank, deadline,
             )
             self.hub.close()
             self._quiesce(deadline)
-        stranded = [worker.name for worker in self._workers if worker.is_alive()]
+        stranded = [self._worker.name] if self._worker.is_alive() else []
         stranded += [work.description for work in list(self._executing)]
         self.worker_stuck = bool(stranded)
         if self.worker_stuck:
             logger.error(
-                "comm worker(s) or collective completion(s) of group %s on "
+                "comm worker or collective completion(s) of group %s on "
                 "rank %d did not finish even after the transport hub was "
                 "closed (%s stranded)",
                 self._group_id, self.global_rank, ", ".join(stranded),
@@ -670,14 +620,13 @@ class ProcessGroup:
         return not self.worker_stuck
 
     def _quiesce(self, timeout: float) -> bool:
-        """Join the workers, then wait out callers still completing a
+        """Join the worker, then wait out callers still completing a
         split-phase collective; True if nothing is left executing."""
-        for worker in self._workers:
-            worker.join(timeout=timeout)
+        self._worker.join(timeout=timeout)
         end = time.perf_counter() + timeout
         while self._executing and time.perf_counter() < end:
             time.sleep(0.005)
-        return not self._executing and not any(w.is_alive() for w in self._workers)
+        return not self._executing and not self._worker.is_alive()
 
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
@@ -712,21 +661,15 @@ class ProcessGroup:
     # ------------------------------------------------------------------
     # consistency checking
     # ------------------------------------------------------------------
-    def _check_signature(self, seq: int, signature: dict) -> None:
-        """Verify all ranks issue the same collective at sequence ``seq``.
-
-        The group leader publishes its fingerprint (op, shape, dtype,
-        nbytes, reduce op / src / root); everyone else compares.  Real
-        libraries would corrupt data or hang here (paper §3.3); we raise
-        a :class:`CollectiveMismatchError` carrying a field-level diff —
-        and, under ``REPRO_DEBUG=DETAIL``, every rank's signature so the
-        report shows exactly who diverged.  A split-phase collective
-        publishes at issue and verifies at completion, the two halves
-        below.
-        """
-        self._publish_signature(seq, signature)
-        self._verify_signature(seq, signature)
-
+    # Every rank must issue the same collective at sequence ``seq``: the
+    # group leader publishes its fingerprint (op, shape, dtype, nbytes,
+    # reduce op / src / root) and everyone else compares.  Real libraries
+    # would corrupt data or hang here (paper §3.3); we raise a
+    # CollectiveMismatchError carrying a field-level diff — and, under
+    # REPRO_DEBUG=DETAIL, every rank's signature so the report shows
+    # exactly who diverged.  A worker-run collective does both halves
+    # before its algorithm; a split-phase one publishes at issue and
+    # verifies at completion.
     def _signature_key(self, seq: int) -> str:
         return f"pg{self._group_id}/sig/{seq}"
 
@@ -866,7 +809,8 @@ class ProcessGroup:
         algorithm = row.algorithm or algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
 
         def run():
-            self._check_signature(seq, signature)
+            self._publish_signature(seq, signature)
+            self._verify_signature(seq, signature)
             chunk = (self.chunk_bytes,) if row.chunked else ()
             try:
                 return algorithm(
@@ -900,12 +844,10 @@ class ProcessGroup:
         return self._collective("broadcast", tensor, async_op, src=src)
 
     def allgather(self, tensor, async_op: bool = False):
-        """Gather every rank's tensor; sync form returns (world, n) array."""
+        """Gather every rank's tensor into a new ``(world, n)`` array (the
+        sync form's return value, ``Work.result[0]`` otherwise): the ring
+        of :meth:`all_gather_flat`, with row ``r`` as rank ``r``'s span."""
         return self._collective("allgather", tensor, async_op)
-
-    def reduce_scatter(self, tensor, op: str = ReduceOp.SUM):
-        """Synchronously reduce-scatter; returns this rank's chunk."""
-        return self._collective("reduce_scatter", tensor, reduce_op=op)
 
     def reduce_scatter_flat(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce across the group and return this rank's contiguous span.
@@ -920,6 +862,10 @@ class ProcessGroup:
         holds the span after ``wait()``.
         """
         return self._collective("reduce_scatter_flat", tensor, async_op, reduce_op=op)
+
+    #: The name torch gives the collective, and one the repo benchmark's
+    #: tracer wraps by name (``benchmarks/e2e/tracing.py``); the same method.
+    reduce_scatter = reduce_scatter_flat
 
     def all_gather_flat(self, tensor, shard=None, async_op: bool = False):
         """Fill ``tensor`` in place with every rank's contiguous span.
@@ -937,7 +883,8 @@ class ProcessGroup:
         return self._collective("all_gather_flat", tensor, async_op, shard=shard_array)
 
     def reduce(self, tensor, root: int = 0, op: str = ReduceOp.SUM):
-        """Reduce into group-rank ``root``'s tensor (synchronous)."""
+        """Reduce into group-rank ``root``'s tensor (synchronous; the
+        other ranks' tensors are left with partial results, as in MPI)."""
         self._collective("reduce", tensor, root=root, reduce_op=op)
 
     def gather(self, tensor, root: int = 0):

@@ -75,15 +75,10 @@ class DistributedDataParallel(Module):
         no hook-time gather or write-back copy follows.  Set False to
         get the seed copy-in/copy-out path (same numerics, two more
         copies per gradient).
-    max_in_flight_buckets:
-        Optional cap on concurrently outstanding bucket AllReduces (see
-        :class:`~repro.core.reducer.Reducer`); pair with a process group
-        constructed with ``num_streams > 1`` to actually run several
-        buckets' collectives concurrently.
     autotune:
         Attach a :class:`repro.autotune.Autotuner` that retunes
-        ``bucket_cap_mb`` / ``chunk_bytes`` / ``num_streams`` / the
-        collective algorithm (and, opted in, the comm hook) live from
+        ``bucket_cap_mb`` / ``chunk_bytes`` / the collective algorithm
+        (and, opted in, the comm hook) live from
         measured iteration times.  Every rank must pass the same value
         — the tuner issues one tiny agreement collective per window.
         See ``docs/autotuning.md``.
@@ -106,7 +101,6 @@ class DistributedDataParallel(Module):
         trace_backward_order: bool = False,
         rebucket_after_iterations: int = 5,
         gradient_as_bucket_view: bool = True,
-        max_in_flight_buckets: Optional[int] = None,
         autotune: bool = False,
         autotune_options: Optional[dict] = None,
     ):
@@ -181,7 +175,6 @@ class DistributedDataParallel(Module):
             order_tracer=tracer,
             param_names=self._param_names,
             gradient_as_bucket_view=gradient_as_bucket_view,
-            max_in_flight_buckets=max_in_flight_buckets,
         )
         self._rebucket_after = rebucket_after_iterations
         self._rebucket_done = not trace_backward_order
@@ -333,7 +326,7 @@ class DistributedDataParallel(Module):
     def forward(self, *inputs, **kwargs):
         if self._sync_enabled:
             # Autotune boundary: the reducer is finalized and all Work
-            # waited, so config changes (relayouts, stream resizes) are
+            # waited, so config changes (relayouts, chunk or algorithm switches) are
             # safe; runs before any of this iteration's collectives so
             # every rank applies them at the same sequence point.
             if self._autotuner is not None:

@@ -111,12 +111,6 @@ class Reducer:
         Views are adopted lazily (a
         parameter that never produces a gradient keeps ``grad is
         None``).  False reproduces the seed copy-in/copy-out path.
-    max_in_flight_buckets:
-        Optional cap on concurrently outstanding bucket AllReduces:
-        after launching bucket ``i``, wait for bucket ``i - cap`` before
-        launching further.  None (default) leaves all buckets in flight,
-        which with a multi-stream process group runs them genuinely
-        concurrently.
     """
 
     def __init__(
@@ -130,7 +124,6 @@ class Reducer:
         order_tracer=None,
         param_names: Optional[Sequence[str]] = None,
         gradient_as_bucket_view: bool = True,
-        max_in_flight_buckets: Optional[int] = None,
     ):
         self.params: List[Tensor] = list(params)
         # Human-readable names (``module.named_parameters()`` order) so
@@ -148,9 +141,6 @@ class Reducer:
         self.overlap = overlap
         self.comm_hook = comm_hook
         self.gradient_as_bucket_view = gradient_as_bucket_view
-        if max_in_flight_buckets is not None and max_in_flight_buckets < 1:
-            raise ValueError("max_in_flight_buckets must be >= 1 or None")
-        self.max_in_flight_buckets = max_in_flight_buckets
         # Optional BackwardOrderTracer recording real gradient-ready
         # order for rebucketing (paper §6.2.1).
         self.order_tracer = order_tracer
@@ -431,12 +421,6 @@ class Reducer:
                 return
             self._launch(bucket)
             self._next_bucket += 1
-            if self.max_in_flight_buckets is not None:
-                # Throttle: block on the bucket that fell out of the
-                # in-flight window before launching any further.
-                trailing = self._next_bucket - 1 - self.max_in_flight_buckets
-                if trailing >= 0 and self.buckets[trailing].work is not None:
-                    self.buckets[trailing].work.wait()
 
     def _launch(self, bucket: _Bucket) -> None:
         if bucket.launched:

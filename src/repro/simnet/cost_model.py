@@ -68,16 +68,17 @@ class CollectiveCostModel:
     def link_capacity(self, world_size: int) -> float:
         return self.link_capacity_inter if self._spans_servers(world_size) else self.link_capacity_intra
 
-    def stream_penalty(self, num_streams: int, world_size: int) -> float:
-        """Slowdown per stream when ``num_streams`` share the link.
+    def stream_penalty(self, streams: int, world_size: int) -> float:
+        """Slowdown per stream when ``streams`` concurrent collectives
+        (round-robin member groups) share the link.
 
         ``k`` streams want ``k × per-stream`` bandwidth; beyond the link
         capacity each slows proportionally, bounding aggregate
         throughput at the capacity.
         """
-        if num_streams <= 1:
+        if streams <= 1:
             return 1.0
-        wanted = num_streams * self.bottleneck_bandwidth(world_size)
+        wanted = streams * self.bottleneck_bandwidth(world_size)
         capacity = self.link_capacity(world_size)
         return max(1.0, wanted / capacity)
 

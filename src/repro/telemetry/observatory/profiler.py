@@ -51,9 +51,10 @@ def _union_within(intervals: Sequence[Tuple[float, float]],
     """Total length of the union of ``intervals`` clipped to [lo, hi].
 
     The union (not the sum) is what "exposed communication" means:
-    with ``num_streams > 1`` two buckets' collectives can run
-    concurrently, and a second stream busy during the same exposed
-    window must not be billed twice against the iteration.
+    collective records can overlap — a split-phase one is in flight from
+    its post to its completion, beside the worker's, and round-robin
+    member groups each run their own — and time two of them share must
+    not be billed twice against the iteration.
     """
     clipped = sorted(
         (max(start, lo), min(end, hi))
@@ -240,7 +241,7 @@ def _build_profile(
     ]
     # Idle bubbles: time inside the communication window where no
     # collective was executing — launch-ordering stalls and queueing
-    # gaps on the comm stream(s).
+    # gaps on the communication worker.
     if intervals:
         comm_lo = min(start for start, _ in intervals)
         comm_hi = max(end for _, end in intervals)

@@ -23,7 +23,7 @@ from repro.utils import manual_seed
 def run_world(world_size, fn, backend=None, timeout=10.0, **group_kwargs):
     """Run ``fn`` on rank threads with a short test-friendly timeout.
 
-    Extra keyword arguments (``num_streams=2``, ``chunk_bytes=...``)
+    Extra keyword arguments (``chunk_bytes=...``, ``algorithm=...``)
     are forwarded to the backend process-group constructor.
     """
     return run_distributed(

@@ -43,21 +43,21 @@ class TestKnobRegistry:
 
     def test_clamp_pulls_into_range(self):
         wild = TunedConfig(
-            bucket_cap_mb=1000.0, chunk_bytes=1, num_streams=99, algorithm="naive"
+            bucket_cap_mb=1000.0, chunk_bytes=1, algorithm="naive", comm_hook="gzip"
         )
         clamped = clamp_config(wild)
         validate_config(clamped)
         assert clamped.bucket_cap_mb == 200.0
         assert clamped.chunk_bytes == 64 * 1024
-        assert clamped.num_streams == 4
         assert clamped.algorithm == "ring"  # categorical falls back to default
+        assert clamped.comm_hook is None
 
     def test_validate_names_every_offender(self):
-        bad = TunedConfig(bucket_cap_mb=0.1, num_streams=9)
+        bad = TunedConfig(bucket_cap_mb=0.1, chunk_bytes=16 * 1024 * 1024)
         with pytest.raises(ValueError) as err:
             validate_config(bad)
         assert "bucket_cap_mb" in str(err.value)
-        assert "num_streams" in str(err.value)
+        assert "chunk_bytes" in str(err.value)
 
     def test_naive_not_a_choice(self):
         assert "naive" not in KNOBS["algorithm"].choices
@@ -72,8 +72,7 @@ class TestKnobRegistry:
     def test_neighbors_stay_in_safe_ranges(self):
         # Even from a corner of the space, every move is clamped legal.
         corner = TunedConfig(
-            bucket_cap_mb=200.0, chunk_bytes=8 * 1024 * 1024, num_streams=4,
-            algorithm="tree",
+            bucket_cap_mb=200.0, chunk_bytes=8 * 1024 * 1024, algorithm="tree",
         )
         moves = neighbors(corner, tune_comm_hook=True)
         assert moves
@@ -234,23 +233,6 @@ class TestPolicyConvergence:
 
 class TestLiveRetune:
     """Integration: the knobs actually move on a live group."""
-
-    def test_set_num_streams_grow_and_shrink(self):
-        def body(rank):
-            from repro.comm.distributed import get_context
-
-            group = get_context().default_group
-            data = np.ones(64)
-            group.allreduce(data)
-            group.set_num_streams(3)
-            assert len(group._workers) == 3
-            group.allreduce(data)
-            group.set_num_streams(1)
-            assert len(group._workers) == 1
-            group.allreduce(data)
-            return float(data[0])
-
-        assert run_world(2, body, backend="gloo") == [8.0, 8.0]
 
     def test_set_algorithm_validates(self):
         def body(rank):

@@ -9,6 +9,7 @@ import pytest
 from conftest import run_world
 from repro.comm import algorithms as alg
 from repro.comm import get_context
+from repro.comm.process_group import _allgather
 from repro.comm.transport import TransportHub
 
 WORLD_SIZES = [1, 2, 3, 4, 5, 7, 8]
@@ -106,6 +107,47 @@ class TestReplicaEquality:
         # One round: a whole-buffer message to each peer, nothing else.
         assert hub.messages_sent == [world - 1] * world
         assert hub.bytes_sent == [(world - 1) * inputs[0].nbytes] * world
+
+    @pytest.mark.parametrize("last", [False, True], ids=["root0", "rootlast"])
+    def test_reduce_is_the_tree_ordered_result(self, world, op, dtype, last):
+        """The standalone reduce is allreduce_tree's reduce phase, eager."""
+        root, inputs = world - 1 if last else 0, self._inputs(world, dtype)
+        bufs = [x.copy() for x in inputs]
+        _, hub = run_ranks(world, lambda hub, rank: alg.reduce(
+            hub, list(range(world)), rank, bufs[rank], root, op, "t"))
+        expected = tree_reduced(inputs, root, np.add, world if op == "avg" else 1)
+        assert bufs[root].tobytes() == expected.tobytes()
+        assert hub.messages_sent == REDUCE_MSGS[world, root]
+
+    def test_allgather_rows_are_the_inputs(self, world, op, dtype):
+        inputs = self._inputs(world, dtype)
+        results, hub = run_ranks(world, lambda hub, rank: _allgather(
+            hub, list(range(world)), rank, inputs[rank], "t", None, None))
+        for out in results:
+            assert out.tobytes() == np.stack(inputs).tobytes()
+        assert hub.messages_sent == ALLGATHER_MSGS[world]
+
+
+def tree_reduced(inputs, root, fn, divisor=1):
+    """numpy binomial-tree reduce to ``root``: virtual rank v = (rank − root) mod p
+    folds in v + mask at round mask; ``divisor`` (``avg``) divides at the end."""
+    world = len(inputs)
+    partial = [inputs[(v + root) % world].copy() for v in range(world)]
+    mask = 1
+    while mask < world:
+        for v in range(0, world - mask, 2 * mask):
+            partial[v] = fn(partial[v], partial[v + mask])
+        mask <<= 1
+    return partial[0] / divisor if divisor > 1 else partial[0]
+
+
+#: (world, root) -> messages per rank of a small reduce: a non-root sends once.
+REDUCE_MSGS = {
+    (1, 0): [0], (2, 0): [0, 1], (2, 1): [1, 0], (3, 0): [0, 1, 1], (3, 2): [1, 1, 0],
+    (4, 0): [0, 1, 1, 1], (4, 3): [1, 1, 1, 0], (5, 0): [0, 1, 1, 1, 1], (5, 4): [1, 1, 1, 1, 0],
+}
+#: world -> messages per rank of an allgather under RENDEZVOUS_BYTES: p − 1 steps.
+ALLGATHER_MSGS = {1: [0], 2: [1, 1], 3: [2, 2, 2], 4: [3, 3, 3, 3], 5: [4, 4, 4, 4, 4]}
 
 
 @pytest.mark.parametrize("op,reduce_fn", [
@@ -299,29 +341,10 @@ class TestAllGatherReduceScatter:
     @pytest.mark.parametrize("world", [1, 2, 4, 5])
     def test_allgather(self, world):
         inputs = [np.full(3, float(r)) for r in range(world)]
-
-        def body(hub, rank):
-            return alg.allgather(hub, list(range(world)), rank, inputs[rank].copy())
-
-        results, _ = run_ranks(world, body)
-        expected = np.stack(inputs)
+        results = run_world(world, lambda rank: get_context().default_group.allgather(
+            inputs[rank].copy()), backend="gloo")
         for out in results:
-            assert np.array_equal(out, expected)
-
-    @pytest.mark.parametrize("world", [2, 3, 4])
-    def test_reduce_scatter_owns_correct_chunk(self, world):
-        rng = np.random.default_rng(1)
-        inputs = [rng.standard_normal(12) for _ in range(world)]
-        expected = np.sum(inputs, axis=0)
-        chunks = np.array_split(np.arange(12), world)
-
-        def body(hub, rank):
-            return alg.reduce_scatter(hub, list(range(world)), rank, inputs[rank].copy())
-
-        results, _ = run_ranks(world, body)
-        for rank, out in enumerate(results):
-            owned = (rank + 1) % world
-            assert np.allclose(out, expected[chunks[owned]])
+            assert np.array_equal(out, np.stack(inputs))
 
     def test_barrier_completes(self):
         """The group barrier (a one-element split-phase AllReduce) lets

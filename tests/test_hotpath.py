@@ -9,8 +9,13 @@ Covers the acceptance criteria of the flat-bucket data path:
   identical;
 * chunked ring/halving-doubling match ``allreduce_naive`` on odd
   sizes, non-divisible chunk counts, and world sizes 1–5;
-* multi-stream process groups keep collectives correct and matched.
+* ``REPRO_CHUNK_BYTES`` sets the default chunk size, and a value that is
+  not a positive integer fails the import by name.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +23,6 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor
 from repro.comm import algorithms as alg
-from repro.comm import get_context
 from repro.comm.transport import TransportHub
 from repro.core import DistributedDataParallel
 from repro.core.bucket import (
@@ -349,67 +353,20 @@ class TestChunkedCollectives:
             for (lo, hi), ref in zip(spans, reference):
                 np.testing.assert_array_equal(np.arange(lo, hi), ref)
 
-    def test_set_chunk_bytes_roundtrip(self):
-        original = alg.get_chunk_bytes()
-        try:
-            alg.set_chunk_bytes(4096)
-            assert alg.get_chunk_bytes() == 4096
-            with pytest.raises(ValueError):
-                alg.set_chunk_bytes(0)
-        finally:
-            alg.set_chunk_bytes(original)
-
-
-class TestMultiStream:
-    def test_many_async_collectives_two_streams(self):
-        def body(rank):
-            pg = get_context().default_group
-            assert pg.num_streams == 2
-            tensors = [Tensor(np.full(8, float(rank + 1 + i))) for i in range(12)]
-            works = [pg.allreduce(t, async_op=True) for t in tensors]
-            for w in works:
-                w.wait()
-            return [t.data.copy() for t in tensors]
-
-        results = run_world(2, body, backend="gloo", num_streams=2)
-        for i in range(12):
-            expected = np.full(8, float(1 + i) + float(2 + i))
-            for rank_result in results:
-                np.testing.assert_allclose(rank_result[i], expected)
-
-    def test_ddp_training_identical_across_stream_counts(self):
-        rng = np.random.default_rng(23)
-        X = rng.standard_normal((8, 6))
-        Y = rng.integers(0, 4, 8)
-
-        def train(streams):
-            def body(rank):
-                model = small_classifier()
-                ddp = DistributedDataParallel(model, bucket_cap_mb=0.001)
-                opt = SGD(ddp.parameters(), lr=0.05)
-                loss_fn = nn.CrossEntropyLoss()
-                shard = slice(rank * 4, (rank + 1) * 4)
-                for _ in range(3):
-                    opt.zero_grad()
-                    loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
-                    opt.step()
-                return ddp.state_dict()
-
-            return run_world(2, body, backend="gloo", num_streams=streams)
-
-        one = train(1)
-        three = train(3)
-        for name in one[0]:
-            np.testing.assert_allclose(one[0][name], three[0][name])
-
-    def test_shutdown_joins_all_streams(self):
-        def body(rank):
-            pg = get_context().default_group
-            pg.allreduce(Tensor(np.ones(4)))
-            assert pg.shutdown()
-            return True
-
-        assert all(run_world(2, body, backend="gloo", num_streams=4))
+    @pytest.mark.parametrize("value", ["4096", "1", "0", "-5", "1MiB", ""])
+    def test_chunk_bytes_env_is_parsed_or_refused(self, value):
+        """Read once at import: an integer ≥ 1 becomes the default; anything
+        else raises a ValueError naming the variable and the value instead
+        of quietly becoming 1 MiB (garbage) or 1-byte chunks (0)."""
+        env = {**os.environ, "REPRO_CHUNK_BYTES": value,
+               "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+        code = "from repro.comm import algorithms; print(algorithms.DEFAULT_CHUNK_BYTES)"
+        probe = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=60)
+        if value in ("4096", "1"):
+            assert (probe.returncode, probe.stdout.split()) == (0, [value]), probe.stderr
+        else:
+            assert f"ValueError: REPRO_CHUNK_BYTES={value!r}" in probe.stderr
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.comm import algorithms as alg
+from repro.comm.process_group import _allgather
 from repro.comm.transport import TransportHub
 from repro.resilience import (
     FaultPlan,
@@ -75,6 +76,9 @@ COLLECTIVES.update(
     broadcast=_broadcast,
     reduce_scatter_flat=_reduce_scatter_flat,
     all_gather_flat=_all_gather_flat,
+    # ProcessGroup.allgather's body: lends its (p, n) output at the threshold.
+    allgather=lambda hub, ranks, rank, buf, tag, chunk, op=None: _allgather(
+        hub, ranks, rank, buf, tag, TIMEOUT, chunk),
 )
 
 
@@ -94,9 +98,10 @@ def sweep(world, sizes, chunk, hub=None, scribble=False, names=COLLECTIVES):
     """Every collective of ``names`` × every size, back to back on one set
     of rank threads; returns ``{(name, n): [rank 0's result, ...]}``.
 
-    With ``scribble`` each rank overwrites its buffer with garbage the
-    instant a call returns — the caller's right once ``Work.wait()``
-    returned — so a peer that still reads a lent region computes garbage.
+    With ``scribble`` each rank overwrites its buffer and the result
+    with garbage the instant a call returns — the caller's right once
+    ``Work.wait()`` returned — so a peer that still reads a lent region
+    computes garbage.
     """
     ranks = list(range(world))
 
@@ -107,11 +112,10 @@ def sweep(world, sizes, chunk, hub=None, scribble=False, names=COLLECTIVES):
             for n in sizes:
                 buf = _inputs(world, n)[rank].copy()
                 result = call(hub, ranks, rank, buf, (name, n), chunk)
-                if result is buf:
-                    result = buf.copy()
+                out[name, n] = result.copy()
                 if scribble:
                     buf.fill(GARBAGE)
-                out[name, n] = result
+                    result.fill(GARBAGE)
         return out
 
     results, hub = run_ranks(world, body, hub)
@@ -131,7 +135,7 @@ def assert_bitwise(got, want):
 # ----------------------------------------------------------------------
 WORLDS = [2, 3, 4, 5]
 #: The stress runs the real code with the two size constants scaled down
-#: 64× (threshold 4 KiB, chunk 16 KiB) so that 20 seeds × 4 worlds × 9
+#: 64× (threshold 4 KiB, chunk 16 KiB) so that 20 seeds × 4 worlds × 10
 #: collectives × 5 sizes stay a few seconds; the unscaled constants get
 #: their own pass below.
 SCALED_RENDEZVOUS = alg.RENDEZVOUS_BYTES // 64
@@ -202,7 +206,7 @@ class TestOverwriteAfterWait:
         sizes = [
             alg.RENDEZVOUS_BYTES // ELEM - 1,
             alg.RENDEZVOUS_BYTES // ELEM,
-            alg.get_chunk_bytes() // ELEM + 1,
+            alg.DEFAULT_CHUNK_BYTES // ELEM + 1,
         ]
         want = eager_reference(world, sizes, None)
         hub = TransportHub(world, default_timeout=TIMEOUT)
@@ -350,7 +354,8 @@ MESSAGE_COUNTS = {
     ("all_gather_flat", 2): ([1, 1], [2, 2]),
     ("all_gather_flat", 3): ([2, 2, 2], [3, 3, 3]),
     ("hierarchical", 4): ([6, 6, 6, 6], [7, 7, 7, 7]),  # one group: the ring
-    # Members: 1 eager send to their leader (+ 1 token for the broadcast).
+    # Members: 1 send to their leader, lent by causality (+ 1 token for
+    # the broadcast).
     # Leaders: ring of two (2 + 1 token) and 1 broadcast send.
     ("hierarchical_g2", 4): ([3, 1, 3, 1], [4, 2, 4, 2]),
 }

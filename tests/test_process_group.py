@@ -31,6 +31,7 @@ from repro.debug import (
 from repro.resilience import FaultPlan, InjectedRankFailure, ReliableTransportHub, crash_rank, drop
 
 from conftest import run_world, wait_until
+from test_collectives import ALLGATHER_MSGS, REDUCE_MSGS, tree_reduced
 
 #: Seeds the split-phase stress (CI runs several; default 0).
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -88,16 +89,6 @@ class TestBasicCollectives:
 
         results = run_world(3, body, backend="gloo")
         assert all(r == [0.0, 1.0, 2.0] for r in results)
-
-    def test_reduce_scatter(self):
-        def body(rank):
-            pg = get_context().default_group
-            return pg.reduce_scatter(np.arange(4.0)).tolist()
-
-        results = run_world(2, body, backend="gloo")
-        # each rank owns chunk (rank+1) % 2 of sum = [0,2,4,6]
-        assert results[0] == [4.0, 6.0]
-        assert results[1] == [0.0, 2.0]
 
     def test_barrier(self):
         def body(rank):
@@ -306,8 +297,6 @@ def _issue(pg, name, n=N, root=0, async_op=False):
         return pg.broadcast(x, src=root, **kwargs)
     if name == "allgather":
         return pg.allgather(x, **kwargs)
-    if name == "reduce_scatter":
-        return pg.reduce_scatter(x)
     if name == "reduce_scatter_flat":
         return pg.reduce_scatter_flat(x, **kwargs)
     if name == "all_gather_flat":
@@ -328,7 +317,6 @@ OP_MATRIX = {
     "allreduce": (True, 8 * N, False),
     "broadcast": (True, 8 * N, False),
     "allgather": (True, 8 * N * 2, True),
-    "reduce_scatter": (False, 8 * N, True),
     "reduce_scatter_flat": (True, 8 * N, True),
     "all_gather_flat": (True, 8 * N, False),
     "reduce": (False, 8 * N, False),
@@ -560,6 +548,32 @@ class TestOpTable:
 
         expected = ([0, 10, 20, 30, 40], [0, 4, 8, 12, 16], "int64")
         assert run_world(4, body, backend="gloo") == [expected] * 4
+
+    @pytest.mark.parametrize("world", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
+    def test_allgather_and_reduce_match_numpy(self, world, dtype):
+        """allgather and the standalone reduce (roots 0 and p − 1) through
+        the group: the numpy result bit for bit, and the literal message
+        counts of the algorithm-level tests."""
+        rng = np.random.default_rng([world, np.dtype(dtype).itemsize])
+        inputs = [(rng.standard_normal(19) * 1e3).astype(dtype) for _ in range(world)]
+        ops = {"sum": np.add, "max": np.maximum, **({} if dtype is np.int32 else {"avg": np.add})}
+        calls = [(root, op) for root in sorted({0, world - 1}) for op in ops]
+
+        def body(rank):
+            pg, out = get_context().default_group, []
+            for root, op in [(None, None)] + calls:
+                x, before = inputs[rank].copy(), pg.hub.messages_sent[rank]
+                got = pg.allgather(x) if root is None else pg.reduce(x, root=root, op=op)
+                out.append(((x if got is None else got).tobytes(), pg.hub.messages_sent[rank] - before))
+            return out
+
+        for rank, ((gathered, sent), *reduced) in enumerate(run_world(world, body, backend="gloo")):
+            assert (gathered, sent) == (np.stack(inputs).tobytes(), ALLGATHER_MSGS[world][rank])
+            for (root, op), (got, sent) in zip(calls, reduced):
+                assert sent == REDUCE_MSGS[world, root][rank]
+                want = tree_reduced(inputs, root, ops[op], world if op == "avg" else 1)
+                assert rank != root or got == want.tobytes(), (root, op)
 
     def test_small_async_allreduce_keeps_its_errors(self):
         """The one-round protocol sits behind the same signature check

@@ -9,8 +9,7 @@ two primitives the ZeRO stages ride on:
   scale with the chunk count;
 * the span convention: rank ``r`` owns ``partition_spans`` span ``r``,
   so reduce-scatter → all-gather round-trips to the allreduce result;
-* the ``ProcessGroup`` exposure, sync and async, on single- and
-  multi-stream groups.
+* the ``ProcessGroup`` exposure, sync and async.
 """
 
 import numpy as np
@@ -206,27 +205,6 @@ class TestProcessGroupExposure:
             return True
 
         assert all(run_world(2, body, backend="gloo"))
-
-    def test_async_pipeline_multi_stream(self):
-        """Several in-flight flat collectives on a two-stream group stay
-        correct and ordered per stream."""
-
-        def body(rank):
-            pg = get_context().default_group
-            assert pg.num_streams == 2
-            tensors = [Tensor(np.full(12, float(rank + 1 + i))) for i in range(8)]
-            works = [pg.reduce_scatter_flat(t, async_op=True) for t in tensors]
-            spans = []
-            for w in works:
-                w.wait()
-                spans.append(w.result[0])
-            lo, hi = alg.partition_spans(12, 3)[rank]
-            for i, span in enumerate(spans):
-                expected = sum(float(r + 1 + i) for r in range(3))
-                np.testing.assert_allclose(span, np.full(hi - lo, expected))
-            return True
-
-        assert all(run_world(3, body, backend="gloo", num_streams=2))
 
     def test_all_gather_flat_fills_in_place(self):
         def body(rank):

@@ -36,7 +36,7 @@ def fmt_config(config: dict) -> str:
     chunk_kib = config["chunk_bytes"] // 1024
     return (
         f"bucket_cap={config['bucket_cap_mb']} MB chunk={chunk_kib} KiB "
-        f"streams={config['num_streams']} alg={config['algorithm']} "
+        f"alg={config['algorithm']} "
         f"hook={config['comm_hook'] or '-'}"
     )
 

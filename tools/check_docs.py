@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/code consistency gate: the documented-knobs guarantee.
 
-Three checks over ``docs/*.md``, ``README.md``, and
+Four checks over ``docs/*.md``, ``README.md``, and
 ``examples/README.md``, all of which must pass for CI to go green:
 
 1. **Knob coverage** — every ``REPRO_*`` environment variable read
@@ -9,10 +9,16 @@ Three checks over ``docs/*.md``, ``README.md``, and
    ``repro.autotune.knobs.KNOBS`` must appear in a markdown *table row*
    in the docs (the knob tables in ``docs/autotuning.md`` are the
    canonical home).  A knob you can set but cannot look up is a bug.
-2. **Dead links** — every relative markdown link must resolve to an
+2. **No stale rows** — the reverse: every ``REPRO_*`` variable a table
+   row names must be read by some Python file of the repo (``src/``,
+   or the harness under ``tests/``, ``benchmarks/``, ``examples/``,
+   ``tools/``), and every row of ``docs/autotuning.md``'s knob table
+   (the table headed ``Knob``) must name a ``KNOBS`` key.  A documented
+   option that no longer exists is a bug too.
+3. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
-3. **Stale module references** — every `` `repro.<something>` ``
+4. **Stale module references** — every `` `repro.<something>` ``
    reference must name an importable module path prefix: the first
    segment after ``repro.`` has to exist as ``src/repro/<segment>``
    (package or module) or as an attribute of the ``repro`` package.
@@ -33,6 +39,8 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 DOC_FILES = ["README.md", "examples/README.md"]
+#: Where the reverse check looks for code reading a ``REPRO_*`` variable.
+CODE_DIRS = ["src", "tests", "benchmarks", "examples", "tools"]
 
 ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
@@ -50,15 +58,16 @@ def doc_paths():
     return [p for p in paths if os.path.isfile(p)]
 
 
-def src_env_vars():
-    """Every REPRO_* variable referenced under src/."""
+def env_vars_under(*dirs):
+    """Every REPRO_* variable referenced by a .py file under ``dirs``."""
     found = set()
-    for dirpath, _dirnames, filenames in os.walk(SRC_DIR):
-        for name in filenames:
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(dirpath, name)) as handle:
-                found.update(ENV_VAR_RE.findall(handle.read()))
+    for root in dirs:
+        for dirpath, _dirnames, filenames in os.walk(root):
+            for name in filenames:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(dirpath, name)) as handle:
+                    found.update(ENV_VAR_RE.findall(handle.read()))
     return found
 
 
@@ -83,7 +92,7 @@ def check_knob_coverage(docs, verbose):
     """Check 1: env vars + autotune knobs present in doc knob tables."""
     tables = "\n".join(table_row_text(text) for _path, text in docs)
     problems = []
-    env_vars = src_env_vars()
+    env_vars = env_vars_under(SRC_DIR)
     for var in sorted(env_vars):
         if var not in tables:
             problems.append(
@@ -108,8 +117,48 @@ def check_knob_coverage(docs, verbose):
     return problems
 
 
+def knob_table_names(doc_text: str) -> list:
+    """First-cell names (backticks stripped) of the rows of every table
+    whose header's first cell is ``Knob``."""
+    names, in_table = [], False
+    for line in doc_text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.lstrip().startswith("|"):
+            in_table = False
+        elif cells[0] == "Knob":
+            in_table = True
+        elif in_table and not set(line.strip()) <= {"|", "-", " ", ":"}:
+            names.append(cells[0].strip("`"))
+    return names
+
+
+def check_stale_rows(docs, verbose):
+    """Check 2: table rows name only variables and knobs that exist."""
+    read = env_vars_under(*(os.path.join(REPO_ROOT, d) for d in CODE_DIRS))
+    knobs = autotune_knobs()
+    problems = []
+    for path, text in docs:
+        rel = os.path.relpath(path, REPO_ROOT)
+        for var in sorted(set(ENV_VAR_RE.findall(table_row_text(text))) - read):
+            problems.append(
+                f"{rel}: a table row names {var}, which no code under "
+                f"{', '.join(CODE_DIRS)} reads — drop the row"
+            )
+        if path.endswith(os.path.join("docs", "autotuning.md")):
+            for name in knob_table_names(text):
+                if name not in knobs:
+                    problems.append(
+                        f"{rel}: knob table row {name!r} is not a key of "
+                        f"repro.autotune.knobs.KNOBS — drop the row"
+                    )
+    if verbose:
+        print(f"  stale rows: {len(read)} REPRO_* vars read by code, "
+              f"{len(knobs)} autotune knobs")
+    return problems
+
+
 def check_links(docs, verbose):
-    """Check 2: every relative link target exists."""
+    """Check 3: every relative link target exists."""
     problems = []
     checked = 0
     for path, text in docs:
@@ -132,7 +181,7 @@ def check_links(docs, verbose):
 
 
 def check_module_refs(docs, verbose):
-    """Check 3: repro.<segment> references resolve to real modules."""
+    """Check 4: repro.<segment> references resolve to real modules."""
     sys.path.insert(0, SRC_DIR)
     import repro
 
@@ -175,6 +224,7 @@ def main(argv=None) -> int:
 
     problems = []
     problems += check_knob_coverage(docs, args.verbose)
+    problems += check_stale_rows(docs, args.verbose)
     problems += check_links(docs, args.verbose)
     problems += check_module_refs(docs, args.verbose)
 
@@ -186,8 +236,8 @@ def main(argv=None) -> int:
             print(f"  - {problem}")
         return 1
     print(f"check_docs OK: {len(docs)} files — knob tables cover every "
-          f"REPRO_* var and autotunable knob, no dead links, no stale "
-          f"repro.* references")
+          f"REPRO_* var and autotunable knob and name nothing else, no dead "
+          f"links, no stale repro.* references")
     return 0
 
 
