@@ -10,6 +10,11 @@ count and launching an AllReduce when the bucket becomes ready.
 Only the sub-graph reachable from the backward root executes, so leaves
 not touched by an iteration never fire their hooks — reproducing the
 "pluralized graphs" hang scenario of Fig. 3(b) that DDP must handle.
+
+A node whose class declares ``grad_destinations`` is offered, before its
+``backward`` runs, the grad view of each leaf it alone feeds
+(:func:`_offer_views`), so the op writes that gradient straight into
+bucket memory and the accumulator has nothing to copy.
 """
 
 from __future__ import annotations
@@ -56,9 +61,13 @@ class AccumulateGrad:
         self.seq_nr = -1  # leaves carry no execution order of their own
         # Optional Tensor whose .data is a view of external storage (the
         # reducer's flat bucket buffer).  When set, the first gradient of
-        # an iteration is written directly into that storage and the view
-        # becomes ``tensor.grad`` — PyTorch's gradient_as_bucket_view.
+        # an iteration lands in that storage and the view becomes
+        # ``tensor.grad`` — PyTorch's gradient_as_bucket_view.
         self.grad_view = None
+        #: Whether the gradient accumulated last was written into the
+        #: view by the op that produced it, so no copy was made — what
+        #: the post-hooks read to tell a zero-copy gradient from a copy.
+        self.in_place = False
 
     def set_grad_view(self, view) -> None:
         """Install (or clear, with None) a preallocated gradient view.
@@ -82,29 +91,40 @@ class AccumulateGrad:
     def clear_post_hooks(self) -> None:
         self._post_hooks.clear()
 
-    def accumulate(self, grad: np.ndarray) -> None:
-        if grad.shape != self.tensor.data.shape:
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Write ``grad`` into ``tensor.grad``, then fire the post-hooks.
+
+        ``owned`` — the producer declared ``grad`` a fresh array nobody
+        else references (:attr:`Function.grad_destinations`), so it may
+        become ``.grad`` itself instead of being copied.
+        """
+        tensor = self.tensor
+        if grad.shape != tensor.data.shape:
             raise RuntimeError(
                 f"gradient shape {grad.shape} does not match leaf shape "
-                f"{self.tensor.data.shape}"
+                f"{tensor.data.shape}"
             )
-        if self.tensor.grad is None:
-            view = self.grad_view
-            if view is not None and view.data.shape == grad.shape:
-                # View path: one copy lands the gradient in the external
-                # (bucket) storage, which is then aliased as .grad — no
-                # second copy when the bucket is reduced.
-                np.copyto(view.data, grad)
-                self.tensor.grad = view
-            else:
-                # order="C": astype would otherwise keep the producer's
-                # memory order, and a transposed gradient would make
-                # every later += and optimizer sweep strided.
-                self.tensor.grad = Tensor(
-                    grad.astype(self.tensor.data.dtype, order="C", copy=True)
-                )
+        view = self.grad_view
+        self.in_place = tensor.grad is None and view is not None and grad is view.data
+        if tensor.grad is not None:
+            tensor.grad.data += grad
+        elif self.in_place:
+            # The op wrote straight into the (bucket) storage the engine
+            # offered it: nothing to copy, now or when it is reduced.
+            tensor.grad = view
+        elif view is not None and view.data.shape == grad.shape:
+            # View path, for a gradient no op could write in place (a
+            # sum over consumers, an op without destinations): one copy.
+            np.copyto(view.data, grad)
+            tensor.grad = view
+        elif (owned and grad.dtype == tensor.data.dtype and grad.base is None
+              and grad.flags.c_contiguous):
+            tensor.grad = Tensor(grad)
         else:
-            self.tensor.grad.data += grad
+            # order="C": astype would otherwise keep the producer's
+            # memory order, and a transposed gradient would make
+            # every later += and optimizer sweep strided.
+            tensor.grad = Tensor(grad.astype(tensor.data.dtype, order="C", copy=True))
         hooks = self._post_hooks
         if len(hooks) == 1:
             hooks[0](self)
@@ -131,7 +151,10 @@ def backward(root_tensor, grad: np.ndarray) -> None:
         raise RuntimeError("tensor does not require grad; backward is a no-op")
 
     dependencies = _count_dependencies(root)
-    pending: Dict[object, np.ndarray] = {root: np.asarray(grad, dtype=np.float64)}
+    # The seed takes the root's floating dtype: a float32 model runs its
+    # backward in float32 (integer roots still seed float64).
+    dtype = root_tensor.data.dtype if root_tensor.data.dtype.kind == "f" else np.float64
+    pending: Dict[object, np.ndarray] = {root: np.asarray(grad, dtype=dtype)}
     # Ready queue popped by seq_nr descending (a max-heap on the unique
     # sequence numbers) approximates the reverse of execution order, which
     # keeps gradient-ready order realistic for the overlap experiments
@@ -142,6 +165,10 @@ def backward(root_tensor, grad: np.ndarray) -> None:
     while ready:
         node = heapq.heappop(ready)[1]
         grad_output = pending.pop(node)
+        destinations = node.grad_destinations
+        if destinations:
+            node.ctx.grad_out = _offer_views(node, destinations, grad_output.dtype,
+                                             dependencies, pending)
 
         grads_in = node.backward(node.ctx, grad_output)
         if not isinstance(grads_in, tuple):
@@ -153,7 +180,7 @@ def backward(root_tensor, grad: np.ndarray) -> None:
                 f"{node.name()}.backward returned {len(grads_in)} gradients "
                 f"for {len(node.next_edges)} inputs"
             )
-        for edge, grad_in in zip(node.next_edges, grads_in):
+        for position, (edge, grad_in) in enumerate(zip(node.next_edges, grads_in)):
             if edge is None or grad_in is None:
                 continue
             if not isinstance(grad_in, np.ndarray):
@@ -167,8 +194,10 @@ def backward(root_tensor, grad: np.ndarray) -> None:
                 if isinstance(edge, AccumulateGrad):
                     # Leaves accumulate (and fire their post-hooks) the
                     # moment their gradient is complete — the readiness
-                    # signal DDP's bucketing overlap relies on.
-                    edge.accumulate(pending.pop(edge))
+                    # signal DDP's bucketing overlap relies on.  What a
+                    # declared position delivers is the op's own fresh
+                    # array, or a sum made here: either is owned.
+                    edge.accumulate(pending.pop(edge), position in destinations)
                 else:
                     heapq.heappush(ready, (-edge.seq_nr, edge))
 
@@ -176,6 +205,28 @@ def backward(root_tensor, grad: np.ndarray) -> None:
         raise RuntimeError(
             "backward finished with undelivered gradients; the tape is corrupt"
         )
+
+
+def _offer_views(node, destinations, dtype, dependencies, pending) -> Dict[int, np.ndarray]:
+    """The grad views ``node`` may write its declared gradients into.
+
+    A leaf's view is offered only when ``node`` is its one consumer in
+    this graph and nothing arrived for it yet (so no sum follows), the
+    leaf has no gradient (so nothing is accumulated on top), and the
+    view has the leaf's shape and ``grad_output``'s dtype (so the op
+    writes what it would have returned, bit for bit) and is C-contiguous
+    (so an op may write through a reshape of it).
+    """
+    offered = {}
+    for position in destinations:
+        edge = node.next_edges[position]
+        if (isinstance(edge, AccumulateGrad) and dependencies[edge] == 1
+                and edge not in pending and edge.tensor.grad is None):
+            view = edge.grad_view
+            if (view is not None and view.data.shape == edge.tensor.data.shape
+                    and view.data.dtype == dtype and view.data.flags.c_contiguous):
+                offered[position] = view.data
+    return offered
 
 
 def _count_dependencies(root) -> Dict[object, int]:

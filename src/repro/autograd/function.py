@@ -14,7 +14,8 @@ edges in reverse topological order.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +34,15 @@ class Context:
     (``Function.apply`` sets it after forward, from the edges it builds
     anyway), so ``backward`` may read it to skip a gradient nobody
     consumes; it must still return ``None`` in that input's position.
+
+    ``grad_out`` maps an input position to the array the gradient for
+    that input should be written into (see
+    :attr:`Function.grad_destinations`); it is empty unless the engine
+    offered one for this backward call.
     """
 
     __slots__ = ("saved", "needs_input_grad", "__dict__")
+    grad_out: Mapping[int, np.ndarray] = MappingProxyType({})
 
     def __init__(self) -> None:
         self.saved: tuple = ()
@@ -57,7 +64,18 @@ class Function:
 
     ``backward`` must return one gradient (or ``None``) per tensor input
     of ``forward``, in order.
+
+    ``grad_destinations`` lists the input positions at which
+    ``backward`` returns a fresh array nobody else references, and
+    honours ``ctx.grad_out[position]`` when present by computing that
+    gradient *into* it (``out=``) and returning it.  The engine offers a
+    leaf's bucket view there, so a parameter gradient is written once,
+    straight into the buffer that is communicated, and
+    :meth:`AccumulateGrad.accumulate` adopts a fresh array where no view
+    is installed instead of copying it.
     """
+
+    grad_destinations: Tuple[int, ...] = ()
 
     def __init__(self, ctx: Context, next_edges: Sequence[Optional[object]]):
         self.ctx = ctx

@@ -12,6 +12,16 @@ scaled :class:`Softmax`, :class:`Conv2d` (with bias), :class:`BatchNorm`
 and :class:`MaxPool2d` — and the formulations they replaced are kept as
 the references in ``tests/test_fused_ops.py``.  Every op hands a
 parameter its gradient C-contiguous in the parameter's layout.
+
+The ops that produce parameter gradients — :class:`Linear`,
+:class:`Conv2d`, :class:`LayerNorm` and :class:`BatchNorm` (bias and
+weight) and :class:`GetItem` (an embedding table) — declare
+``grad_destinations``: they compute those gradients with ``out=`` into
+``ctx.grad_out[position]`` when the engine offers one (a bucket view),
+and otherwise into a fresh array of their own that the accumulator
+adopts.  The call is the one they would make anyway; only where its
+result lands changes.  Temporaries take the dtype of the input or the
+gradient, never a hard-coded float64, so a float32 model stays float32.
 """
 
 from __future__ import annotations
@@ -248,7 +258,7 @@ class Min(Function):
         a, out = ctx.saved
         out_b = _expand_reduced(out, a.shape, ctx.axis, ctx.keepdims)
         grad_b = _expand_reduced(grad, a.shape, ctx.axis, ctx.keepdims)
-        mask = (a == out_b).astype(np.float64)
+        mask = (a == out_b).astype(grad_b.dtype)
         counts = mask.sum(axis=ctx.axis, keepdims=True) if ctx.axis is not None else mask.sum()
         return (grad_b * mask / counts, None, None)
 
@@ -263,7 +273,8 @@ class Gelu(Function):
     block-sized scratch.
     """
 
-    _C = np.sqrt(2.0 / np.pi)
+    # Python floats: a numpy float64 scalar would promote float32 arrays.
+    _C = float(np.sqrt(2.0 / np.pi))
     _K = 0.044715
     #: Elements per backward block: the scratch and one block of each of
     #: the four operands are 128 KB apiece and stay in a 1 MB L2.
@@ -272,7 +283,7 @@ class Gelu(Function):
     @staticmethod
     def forward(ctx: Context, a):
         # out=: a 0-d input must stay an array for the in-place chain.
-        t = np.multiply(a, a, out=np.empty(a.shape))
+        t = np.multiply(a, a, out=np.empty(a.shape, np.result_type(a, 1.0)))
         t *= Gelu._C * Gelu._K
         t += Gelu._C
         t *= a  # c (a + k a^3)
@@ -287,9 +298,9 @@ class Gelu(Function):
     def backward(ctx: Context, grad):
         # 0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 k a^2), times grad.
         a, t = ctx.saved
-        out = np.empty(a.shape)
+        out = np.empty(a.shape, np.result_type(t, grad))
         a_flat, t_flat, grad_flat, out_flat = (np.ravel(x) for x in (a, t, grad, out))
-        scratch = np.empty(a_flat[: Gelu._BLOCK].shape)  # one block, or all of a small input
+        scratch = np.empty(a_flat[: Gelu._BLOCK].shape, t.dtype)  # one block, or all of a small input
         for start in range(0, a.size, Gelu._BLOCK):
             block = slice(start, start + Gelu._BLOCK)
             a_b, t_b, local = a_flat[block], t_flat[block], out_flat[block]
@@ -335,13 +346,16 @@ class Linear(Function):
 
     Leading dimensions are folded so forward and backward are one GEMM
     each, and ``grad_weight`` is produced directly as a C-contiguous
-    ``(out, in)`` array — the layout :class:`AccumulateGrad` can memcpy
-    into a bucket view and every optimizer sweeps at unit stride.
+    ``(out, in)`` array — the layout a bucket view has and every
+    optimizer sweeps at unit stride — by that GEMM, into the bucket view
+    when the engine offers one.
 
     Inputs are ``(x, bias, weight)``: the engine hands gradients to
     leaves in input order, and bucket order (the reverse of
     ``parameters()``) assumes a layer's bias is ready before its weight.
     """
+
+    grad_destinations = (1, 2)
 
     @staticmethod
     def forward(ctx: Context, x, bias, weight):
@@ -358,8 +372,9 @@ class Linear(Function):
         grad2 = grad.reshape(-1, grad.shape[-1])
         # The network input has no edge: nobody reads its gradient.
         grad_x = (grad2 @ weight).reshape(x.shape) if ctx.needs_input_grad[0] else None
-        grad_weight = grad2.T @ x.reshape(-1, x.shape[-1])
-        grad_bias = grad2.sum(axis=0) if ctx.has_bias else None
+        out = ctx.grad_out
+        grad_weight = np.matmul(grad2.T, x.reshape(-1, x.shape[-1]), out=out.get(2))
+        grad_bias = grad2.sum(axis=0, out=out.get(1)) if ctx.has_bias else None
         return grad_x, grad_bias, grad_weight
 
 
@@ -388,7 +403,11 @@ class Reshape(Function):
 
 class GetItem(Function):
     """Indexing/slicing; backward scatter-adds, so fancy indexing with
-    repeated indices (e.g. embedding lookups) accumulates correctly."""
+    repeated indices (e.g. embedding lookups) accumulates correctly.
+    An embedding table's gradient is scattered straight into its bucket
+    view when the engine offers one."""
+
+    grad_destinations = (0,)
 
     @staticmethod
     def forward(ctx: Context, a, index):
@@ -398,7 +417,11 @@ class GetItem(Function):
 
     @staticmethod
     def backward(ctx: Context, grad):
-        out = np.zeros(ctx.shape, dtype=np.float64)
+        out = ctx.grad_out.get(0)
+        if out is None:
+            out = np.zeros(ctx.shape, dtype=grad.dtype)
+        else:
+            out.fill(0)
         np.add.at(out, ctx.index, grad)
         return (out, None)
 
@@ -441,9 +464,10 @@ class Mean(Function):
         ctx.shape = a.shape
         ctx.axis = axis
         ctx.keepdims = keepdims
-        ctx.count = a.size if axis is None else np.prod(
+        # A Python int: a numpy int64 divisor would promote float32 to float64.
+        ctx.count = a.size if axis is None else int(np.prod(
             [a.shape[ax] for ax in _normalize_axis(axis, a.ndim)]
-        )
+        ))
         return a.mean(axis=axis, keepdims=keepdims)
 
     @staticmethod
@@ -467,7 +491,7 @@ class Max(Function):
         a, out = ctx.saved
         out_b = _expand_reduced(out, a.shape, ctx.axis, ctx.keepdims)
         grad_b = _expand_reduced(grad, a.shape, ctx.axis, ctx.keepdims)
-        mask = (a == out_b).astype(np.float64)
+        mask = (a == out_b).astype(grad_b.dtype)
         # Split gradient evenly among ties, matching numeric-gradient tests.
         counts = mask.sum(axis=ctx.axis, keepdims=True) if ctx.axis is not None else mask.sum()
         return (grad_b * mask / counts, None, None)
@@ -530,6 +554,8 @@ class LayerNorm(Function):
     :class:`Linear`.
     """
 
+    grad_destinations = (1, 2)
+
     @staticmethod
     def forward(ctx: Context, x, bias, weight, eps: float = 1e-5):
         xhat = x - x.mean(axis=-1, keepdims=True)
@@ -545,9 +571,9 @@ class LayerNorm(Function):
     def backward(ctx: Context, grad):
         xhat, rstd, weight = ctx.saved
         width = xhat.shape[-1]
-        grad_bias = grad.reshape(-1, width).sum(axis=0)
+        grad_bias = grad.reshape(-1, width).sum(axis=0, out=ctx.grad_out.get(1))
         scratch = grad * xhat
-        grad_weight = scratch.reshape(-1, width).sum(axis=0)
+        grad_weight = scratch.reshape(-1, width).sum(axis=0, out=ctx.grad_out.get(2))
         grad_x = grad * weight
         np.multiply(grad_x, xhat, out=scratch)
         np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
@@ -573,6 +599,8 @@ class BatchNorm(Function):
     ``(x, bias, weight)`` for the reason given in :class:`Linear`.
     """
 
+    grad_destinations = (1, 2)
+
     @staticmethod
     def forward(ctx: Context, x, bias, weight, eps: float = 1e-5, stats=None):
         axes = (0,) + tuple(range(2, x.ndim))
@@ -596,11 +624,11 @@ class BatchNorm(Function):
         xhat, rstd, weight = ctx.saved
         axes, shape = ctx.axes, ctx.channel_shape
         per_channel = xhat.size // xhat.shape[1]
-        grad_bias = grad.sum(axis=axes)
+        grad_bias = grad.sum(axis=axes, out=ctx.grad_out.get(1))
         # One full-size array, in the activation's memory layout: first
         # the products for grad_weight, then grad_x built up in place.
         grad_x = np.multiply(grad, xhat, out=np.empty_like(xhat))
-        grad_weight = grad_x.sum(axis=axes)
+        grad_weight = grad_x.sum(axis=axes, out=ctx.grad_out.get(2))
         np.multiply(xhat, (grad_weight / -per_channel).reshape(shape), out=grad_x)
         grad_x += grad
         grad_x -= (grad_bias / per_channel).reshape(shape)
@@ -630,6 +658,8 @@ class Conv2d(Function):
     weight)`` for the reason given in :class:`Linear`.
     """
 
+    grad_destinations = (1, 2)
+
     @staticmethod
     def forward(ctx: Context, x, bias, weight, stride: int = 1, padding: int = 0):
         n, c, h, w = x.shape
@@ -652,8 +682,13 @@ class Conv2d(Function):
         cols, weight = ctx.saved
         oc, _, kh, kw = weight.shape
         grad_mat = grad.transpose(1, 0, 2, 3).reshape(oc, -1)  # a view, if channel-major
-        grad_weight = (grad_mat @ cols.T).reshape(weight.shape)
-        grad_bias = grad_mat.sum(axis=1) if ctx.has_bias else None
+        # The GEMM writes through a 2-D view of a weight-shaped array, so
+        # what is returned is that array itself (its own base).
+        grad_weight = ctx.grad_out.get(2)
+        if grad_weight is None:
+            grad_weight = np.empty(weight.shape, np.result_type(grad_mat, cols))
+        np.matmul(grad_mat, cols.T, out=grad_weight.reshape(oc, -1))
+        grad_bias = grad_mat.sum(axis=1, out=ctx.grad_out.get(1)) if ctx.has_bias else None
         grad_x = None
         if ctx.needs_input_grad[0]:
             grad_cols = weight.reshape(oc, -1).T @ grad_mat

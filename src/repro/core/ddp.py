@@ -70,11 +70,11 @@ class DistributedDataParallel(Module):
         start earlier.
     gradient_as_bucket_view:
         When True (default), parameters' ``.grad`` tensors are views of
-        the reducer's flat bucket buffers: the gradient accumulator
-        copies each fresh gradient into communication memory once, and
-        no hook-time gather or write-back copy follows.  Set False to
-        get the seed copy-in/copy-out path (same numerics, two more
-        copies per gradient).
+        the reducer's flat bucket buffers: the op that produces each
+        gradient writes it straight into communication memory, and no
+        hook-time gather or write-back copy follows.  Set False to get
+        the seed copy-in/copy-out path (same numerics, two more copies
+        per gradient).
     autotune:
         Attach a :class:`repro.autotune.Autotuner` that retunes
         ``bucket_cap_mb`` / ``chunk_bytes`` / the collective algorithm

@@ -6,14 +6,16 @@ Responsibilities, mirroring the paper's four components:
    on the same logical device as their parameters.
 2. **Autograd hooks** — one post-hook per parameter's gradient
    accumulator.  By default (``gradient_as_bucket_view=True``) each
-   parameter's ``.grad`` is a numpy *view* of its bucket slot: the
-   accumulator copies the gradient an op produced into that view once
-   (a memcpy — ops hand gradients over C-contiguous), so the hook only
-   decrements the bucket's pending count and no hook-time gather
-   follows.  With views disabled, the hook gathers the accumulated
-   gradient into its slot, a second copy (the seed data path, kept as a
-   measurable baseline); ``grad_copy_count`` counts these hook-time
-   gathers only.  The hook that drops a count to zero marks the bucket
+   parameter's ``.grad`` is a numpy *view* of its bucket slot: the op
+   that produces a parameter's gradient writes it straight into that
+   view (the engine offers it; ``zero_copy_hits``), or, where it cannot
+   (a weight shared by two consumers, an op without destinations), the
+   accumulator copies it in once.  Either way the hook only decrements
+   the bucket's pending count and no hook-time gather follows.  With
+   views disabled, the hook gathers the accumulated gradient into its
+   slot (the seed data path, kept as a measurable baseline).
+   ``grad_copy_count`` counts every gradient that reached bucket memory
+   by a copy.  The hook that drops a count to zero marks the bucket
    ready.
 3. **Bucket AllReduce** — ready buckets launch *asynchronously* and
    strictly **in bucket-index order** on every rank; bucket ``i+1``
@@ -105,9 +107,10 @@ class Reducer:
         Optional gradient-compression hook (paper §6.2.3).
     gradient_as_bucket_view:
         When True (default), install each parameter's gradient as a
-        view of its bucket slot; the accumulator then copies each fresh
-        gradient straight into bucket memory (its one copy), the hook
-        gathers nothing and finalize needs no write-back copy either.
+        view of its bucket slot; each gradient is then written straight
+        into bucket memory (by its op, or by the accumulator's one
+        copy), the hook gathers nothing and finalize needs no
+        write-back copy either.
         Views are adopted lazily (a
         parameter that never produces a gradient keeps ``grad is
         None``).  False reproduces the seed copy-in/copy-out path.
@@ -149,11 +152,12 @@ class Reducer:
         #: Bucket buffers allocated over this reducer's lifetime; stays
         #: flat in steady state (the zero-layout-work acceptance check).
         self.layout_allocations = 0
-        #: Gradients the hook had to gather into a bucket by copy (the
-        #: accumulator's own copy into a view is not counted).
+        #: Gradients that reached bucket memory by a copy: the
+        #: accumulator's copy (or ``+=``) into a view, or the hook's
+        #: gather in copy mode.
         self.grad_copy_count = 0
-        #: Gradients that were already resident in bucket memory when
-        #: their hook fired (the no-gather fast path).
+        #: Gradients the op that produced them wrote straight into their
+        #: bucket view (:attr:`Function.grad_destinations`): no copy.
         self.zero_copy_hits = 0
         #: rebuild_buckets calls that were no-ops (identical layout).
         self.noop_rebuild_count = 0
@@ -307,7 +311,7 @@ class Reducer:
             self.recorder.mark_first_grad()
         if TRACER.enabled:
             registry_for(self.recorder.rank).counter("hook.fire_count").add(1)
-        self._mark_ready(index, unused=False)
+        self._mark_ready(index, unused=False, in_place=accumulator.in_place)
 
     def unready_parameters(self) -> List[dict]:
         """Parameters still missing from the current (unfinalized)
@@ -359,7 +363,7 @@ class Reducer:
                 report += " Peer ranks reported: " + "; ".join(peer_lines) + "."
         return report
 
-    def _mark_ready(self, param_index: int, unused: bool) -> None:
+    def _mark_ready(self, param_index: int, unused: bool, in_place: bool = False) -> None:
         self._grad_ready[param_index] = True
         position, slot = self._locator[param_index]
         bucket = self.buckets[position]
@@ -385,12 +389,13 @@ class Reducer:
                 raise ReducerError(
                     f"hook fired for parameter {param_index} but .grad is None"
                 )
-            if view is not None and param.grad is view:
-                # No gather: the accumulator already copied the gradient
-                # into bucket memory through the installed view.
+            if view is None or param.grad is not view:
+                bucket.flat[offset : offset + size] = param.grad.data.reshape(-1)
+            # Else no gather: the gradient already lives in bucket memory,
+            # written there by its op or copied in by the accumulator.
+            if in_place:
                 self.zero_copy_hits += 1
             else:
-                bucket.flat[offset : offset + size] = param.grad.data.reshape(-1)
                 self.grad_copy_count += 1
         if bucket.pending <= 0:
             raise ReducerError(

@@ -27,5 +27,5 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (get_rng().random(x.shape) < keep).astype(np.float64) / keep
+        mask = (get_rng().random(x.shape) < keep).astype(x.dtype) / keep
         return x * Tensor(mask)

@@ -492,6 +492,62 @@ class TestGradientDtype:
         assert [g.dtype for g in (out,) + grads] == [np.float32] * 4
         assert grads[0].shape == x.shape
 
+    def test_float32_models_run_float32_end_to_end(self, monkeypatch):
+        """Every node's forward output and every ``grad_output`` it
+        receives stay float32, from the loss's seed to the leaves."""
+        seen = set()
+
+        def classes(root=Function):
+            for cls in root.__subclasses__():
+                yield cls
+                yield from classes(cls)
+
+        for cls in set(classes()):
+            for direction in ("forward", "backward"):
+                original = cls.__dict__.get(direction)
+                if not isinstance(original, staticmethod):
+                    continue
+
+                def recording(ctx, *args, _fn=original.__func__, _key=(cls.__name__, direction),
+                              **kwargs):
+                    out = _fn(ctx, *args, **kwargs)
+                    seen.add(_key + ((out if _key[1] == "forward" else args[0]).dtype,))
+                    return out
+
+                monkeypatch.setattr(cls, direction, staticmethod(recording))
+        dropout = nn.Dropout(0.25)
+        for model, inputs in _models():
+            _cast(model, np.float32)
+            if isinstance(inputs, Tensor):
+                inputs = Tensor(inputs.data.astype(np.float32))
+            loss = nn.CrossEntropyLoss()(dropout(model(inputs)), np.zeros(4, dtype=np.int64))
+            assert loss.data.dtype == np.float32
+            loss.backward()
+            assert {p.grad.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert {op for op, _, _ in seen} >= {"Linear", "Conv2d", "BatchNorm", "LayerNorm", "Gelu",
+                                              "GetItem", "Softmax", "Mean", "Mul"}
+        assert {dtype for _, _, dtype in seen} == {np.dtype(np.float32)}
+
+    def test_float32_ddp_replicas_stay_bitwise_equal(self):
+        def body(rank):
+            model = _cast(_convnet(seed=5 + rank), np.float32)
+            ddp = DistributedDataParallel(model, bucket_cap_mb=0.001)
+            images = Tensor(IMAGES[rank::2].astype(np.float32))
+            optimizer, loss_fn = SGD(model.parameters(), lr=0.05), nn.CrossEntropyLoss()
+            for _ in range(3):
+                optimizer.zero_grad()
+                loss_fn(ddp(images), LABELS[rank::2]).backward()
+                optimizer.step()
+            # Parameters only: running statistics are each rank's own.
+            params = {name: p.data.copy() for name, p in model.named_parameters()}
+            return params, ddp.ddp_stats()["grad_copy_count"]
+
+        (params0, copies0), (params1, copies1) = run_world(2, body, backend="gloo")
+        assert copies0 == copies1 == 0  # every float32 gradient written in place
+        for name, value in params0.items():
+            assert value.dtype == np.float32, name
+            assert np.array_equal(value, params1[name]), name
+
 
 class TestNeedsInputGrad:
     def test_set_from_the_edges_of_a_recorded_node_only(self, rng):
@@ -526,6 +582,13 @@ class TestNeedsInputGrad:
 
 # -- the layout contract -----------------------------------------------
 
+def _cast(model, dtype):
+    """``model`` with every parameter and buffer cast to ``dtype``."""
+    for tensor in list(model.parameters()) + list(model.buffers()):
+        tensor.data = tensor.data.astype(dtype)
+    return model
+
+
 def _models():
     manual_seed(3)
     rng = np.random.default_rng(3)
@@ -559,12 +622,95 @@ def incoming(monkeypatch):
     seen = []
     original = AccumulateGrad.accumulate
 
-    def recording(self, grad):
+    def recording(self, grad, owned=False):
         seen.append((grad.flags.c_contiguous, grad.strides == self.tensor.data.strides))
-        original(self, grad)
+        original(self, grad, owned)
 
     monkeypatch.setattr(AccumulateGrad, "accumulate", recording)
     return seen
+
+
+def _embedding_reference(indices, weight):
+    return Tensor(np.eye(weight.shape[0])[indices]) @ weight
+
+
+class _Tied(nn.Module):
+    """One square Linear applied twice: its parameters have two consumers."""
+
+    def __init__(self):
+        super().__init__()
+        self.lin = nn.Linear(6, 6)
+
+    def forward(self, x):
+        return self.lin(ops.relu(self.lin(x)))
+
+
+#: Every op that declares gradient destinations, as a layer: (factory,
+#: input shape — None for token indices —, output width, the composed
+#: reference of the layer's op).
+DESTINATIONS = {
+    "linear-2d": (lambda: nn.Linear(6, 5), (4, 6), 5, linear_reference),
+    "linear-3d": (lambda: nn.Linear(6, 5), (2, 3, 6), 5, linear_reference),
+    "conv-bias": (lambda: nn.Conv2d(2, 3, 3, padding=1), (2, 2, 5, 5), 5,
+                  lambda x, w, b: conv2d_reference(x, w, b, padding=1)),
+    "conv-nobias": (lambda: nn.Conv2d(2, 3, 3, padding=1, bias=False), (2, 2, 5, 5), 5,
+                    lambda x, w: conv2d_reference(x, w, padding=1)),
+    "layernorm": (lambda: nn.LayerNorm(6), (4, 6), 6, layer_norm_reference),
+    "batchnorm1d": (lambda: nn.BatchNorm1d(5), (6, 5), 5, batch_norm_reference),
+    "batchnorm2d": (lambda: nn.BatchNorm2d(3), (4, 3, 3, 3), 3, batch_norm_reference),
+    "embedding": (lambda: nn.Embedding(7, 4), None, 4, _embedding_reference),
+}
+_CASES = {**DESTINATIONS, "tied": (_Tied, (4, 6), 6, None)}
+_TOKENS = np.array([[1, 1, 3], [3, 0, 1]])  # repeated rows scatter-add
+
+
+def _destination_input(case, dtype=np.float64):
+    shape = _CASES[case][1]
+    if shape is None:
+        return _TOKENS
+    return Tensor(np.random.default_rng(17).standard_normal(shape).astype(dtype))
+
+
+def _destination_model(case, dtype=np.float64):
+    """The case's layer followed by a Linear head (a second ZeRO-3 unit)."""
+    manual_seed(21)
+    factory, _, width, _ = _CASES[case]
+    return _cast(nn.Sequential(factory(), nn.Linear(width, 2)), dtype)
+
+
+def _destination_run(case, wrap=None, dtype=np.float64):
+    """Two forward/backward passes of the case's model, through
+    ``wrap(model)`` when given, with ``zero_grad()`` between them (so the
+    second writes into views that hold the first's result).  Returns
+    ``(arrivals, wrapper or model)``; ``arrivals`` maps each parameter
+    name to ``(in_place, bits, array)`` as a post-hook registered
+    *before* the wrapper's saw its gradient land in the second pass."""
+    model = _destination_model(case, dtype)
+    arrivals = {}
+    for name, param in model.named_parameters():
+        param.accumulator().register_post_hook(
+            lambda acc, name=name, param=param: arrivals.__setitem__(
+                name, (acc.in_place, param.grad.data.copy(), param.grad.data))
+        )
+    forward = wrap(model) if wrap else model
+    for _ in range(2):
+        forward.zero_grad()
+        out = forward(_destination_input(case, dtype))
+        (out * out).sum().backward()
+    return arrivals, forward
+
+
+def _summary(arrivals, flats):
+    """``arrivals`` with each array replaced by: does it live in a flat?"""
+    return {
+        name: (in_place, bits, any(np.shares_memory(array, flat) for flat in flats))
+        for name, (in_place, bits, array) in arrivals.items()
+    }
+
+
+def _final_grads(model):
+    return {name: p.grad.data.copy() for name, p in model.named_parameters()
+            if p.grad is not None}
 
 
 class TestGradientLayout:
@@ -616,6 +762,207 @@ class TestGradientLayout:
         TransposedGrad.apply(leaf).sum().backward()
         assert leaf.grad.data.flags.c_contiguous
         assert np.array_equal(leaf.grad.data, np.full((3, 5), 2.0))
+
+    # -- the destination contract: ops write into the bucket view ------
+
+    @pytest.mark.parametrize("case", DESTINATIONS)
+    def test_local_matches_the_composed_reference(self, case):
+        reference = DESTINATIONS[case][3]
+
+        def layer_grads(apply):
+            manual_seed(21)
+            layer = DESTINATIONS[case][0]()
+            out = apply(layer, _destination_input(case))
+            (out * out).sum().backward()
+            return [out.data] + [p.grad.data for p in layer.parameters()]
+
+        fused = layer_grads(lambda layer, x: layer(x))
+        composed = layer_grads(lambda layer, x: reference(x, *layer.parameters()))
+        assert len(fused) == len(composed)
+        for value, ref_value in zip(fused, composed):
+            assert np.abs(value - ref_value).max() <= TOL
+
+    @pytest.mark.parametrize("case", DESTINATIONS)
+    def test_local_adopts_the_ops_array(self, case, monkeypatch):
+        delivered = {}
+        original = AccumulateGrad.accumulate
+
+        def recording(self, grad, owned=False):
+            delivered[id(self.tensor)] = (grad, owned)
+            original(self, grad, owned)
+
+        monkeypatch.setattr(AccumulateGrad, "accumulate", recording)
+        arrivals, model = _destination_run(case)
+        for param in model.parameters():
+            grad, owned = delivered[id(param)]
+            assert owned and param.grad.data is grad  # adopted, not copied
+            assert grad.flags.c_contiguous and grad.base is None
+            assert grad.dtype == param.data.dtype
+        assert not any(in_place for in_place, _, _ in arrivals.values())
+
+    def test_a_strided_view_is_copied_into_not_offered(self):
+        # Conv2d writes through a reshape, which of a strided view would
+        # be a copy: the gradient would never reach the view.
+        def conv_grad(view=None):
+            manual_seed(21)
+            layer = nn.Conv2d(2, 3, 3, padding=1)
+            if view is not None:
+                layer.weight.accumulator().set_grad_view(view)
+            out = layer(_destination_input("conv-bias"))
+            (out * out).sum().backward()
+            return layer.weight
+
+        view = Tensor(np.zeros((3, 3, 2, 3)).T)  # the weight's shape, F order
+        weight = conv_grad(view)
+        assert weight.grad is view and not weight.accumulator().in_place
+        assert np.array_equal(view.data, conv_grad().grad.data)
+
+    def test_local_copies_a_gradient_of_another_dtype(self):
+        layer = nn.Linear(6, 5)
+        layer.weight.data = layer.weight.data.astype(np.float32)
+        layer.bias.data = layer.bias.data.astype(np.float32)
+        x = np.random.default_rng(2).standard_normal((4, 6))  # float64 input
+        layer(Tensor(x)).sum().backward()
+        assert layer.weight.grad.data.dtype == np.float32
+        expected = (np.ones((4, 5)).T @ x).astype(np.float32)
+        assert np.array_equal(layer.weight.grad.data, expected)
+
+    @pytest.mark.parametrize("case", DESTINATIONS)
+    def test_ddp_view_written_in_place_with_the_local_bits(self, case):
+        local, _ = _destination_run(case)
+
+        def body(rank):
+            arrivals, ddp = _destination_run(case, DistributedDataParallel)
+            flats = [bucket.flat for bucket in ddp.reducer.buckets]
+            stats = ddp.ddp_stats()
+            return (_summary(arrivals, flats), stats["grad_copy_count"],
+                    stats["zero_copy_hits"], _final_grads(ddp.module))
+
+        for summary, copies, hits, final in run_world(2, body, backend="gloo"):
+            assert summary.keys() == local.keys()
+            for name, (in_place, bits, in_flat) in summary.items():
+                assert in_place and in_flat, name
+                assert np.array_equal(bits, local[name][1]), name
+                assert np.array_equal(final[name], local[name][1]), name  # (g + g) / 2
+            assert (copies, hits) == (0, 2 * len(local))
+
+    @pytest.mark.parametrize("case", DESTINATIONS)
+    def test_zero3_written_in_place_with_the_local_bits(self, case):
+        local, _ = _destination_run(case)
+
+        def body(rank):
+            arrivals, fsdp = _destination_run(
+                case, lambda model: FullyShardedDataParallel(model, lambda ps: SGD(ps, lr=0.1))
+            )
+            return _summary(arrivals, [flat for flat in fsdp._grad_flats if flat is not None])
+
+        for summary in run_world(2, body, backend="gloo"):
+            assert summary.keys() == local.keys()
+            for name, (in_place, bits, in_flat) in summary.items():
+                assert np.array_equal(bits, local[name][1]), name
+                # Backward reaches the head's unit first, and its flat
+                # opens only when the head's bias lands (adopted, then
+                # copied in): the head's weight was not offered a view
+                # and is copied.  The layer's unit is open before its
+                # gradients arrive: every one is written in place.
+                assert in_place == (not name.startswith("1.")), name
+                assert in_flat == (name != "1.bias"), name
+
+    def test_fallback_tied_parameter_is_copied_once(self):
+        local, _ = _destination_run("tied")
+
+        def body(rank):
+            arrivals, ddp = _destination_run("tied", DistributedDataParallel)
+            stats = ddp.ddp_stats()
+            return (_summary(arrivals, [b.flat for b in ddp.reducer.buckets]),
+                    stats["grad_copy_count"], stats["zero_copy_hits"])
+
+        for summary, copies, hits in run_world(2, body, backend="gloo"):
+            for name, (in_place, bits, in_flat) in summary.items():
+                # The shared layer's sums take one copy into the view.
+                assert in_flat and in_place == name.startswith("1."), name
+                assert np.array_equal(bits, local[name][1]), name
+            assert (copies, hits) == (4, 4)  # two passes
+
+    def test_fallback_no_sync_second_micro_batch_accumulates(self):
+        def local_run():
+            model = _destination_model("linear-2d")
+            for scale in (1.0, 2.0):
+                out = model(_destination_input("linear-2d") * scale)
+                (out * out).sum().backward()
+            return _final_grads(model)
+
+        expected = local_run()
+
+        def body(rank):
+            model = _destination_model("linear-2d")
+            ddp = DistributedDataParallel(model)
+            with ddp.no_sync():
+                out = ddp(_destination_input("linear-2d"))
+                (out * out).sum().backward()
+            in_place = [p.accumulator().in_place for p in model.parameters()]
+            out = ddp(_destination_input("linear-2d") * 2.0)
+            (out * out).sum().backward()
+            added = [p.accumulator().in_place for p in model.parameters()]
+            return in_place, added, _final_grads(model), ddp.ddp_stats()["grad_copy_count"]
+
+        for in_place, added, final, copies in run_world(2, body, backend="gloo"):
+            assert all(in_place) and not any(added)  # written, then +=
+            assert copies == len(final)
+            for name, value in final.items():
+                assert np.array_equal(value, expected[name]), name
+
+    def test_fallback_find_unused_parameters(self):
+        x = Tensor(np.random.default_rng(8).standard_normal((2, 3, 4)))
+
+        def run(wrap):
+            manual_seed(4)
+            model = _Branches()
+            forward = wrap(model)
+            (forward(x, head=0) ** 2).sum().backward()
+            return model
+
+        local = _final_grads(run(lambda model: model))
+
+        def body(rank):
+            model = run(lambda m: DistributedDataParallel(m, find_unused_parameters=True))
+            return model.heads[1].weight.grad, _final_grads(model)
+
+        for unused, final in run_world(2, body, backend="gloo"):
+            assert unused is None
+            assert final.keys() == local.keys()
+            for name, value in final.items():
+                assert np.array_equal(value, local[name]), name
+
+    def test_fallback_copy_mode(self):
+        local, _ = _destination_run("conv-bias")
+
+        def body(rank):
+            arrivals, ddp = _destination_run(
+                "conv-bias", lambda model: DistributedDataParallel(
+                    model, gradient_as_bucket_view=False)
+            )
+            return _summary(arrivals, [b.flat for b in ddp.reducer.buckets]), _final_grads(ddp.module)
+
+        for summary, final in run_world(2, body, backend="gloo"):
+            for name, (in_place, bits, in_flat) in summary.items():
+                assert not in_place and not in_flat, name
+                assert np.array_equal(bits, local[name][1]), name
+                assert np.array_equal(final[name], local[name][1]), name
+
+    @pytest.mark.parametrize("case", ["linear-3d", "conv-bias", "batchnorm2d", "embedding"])
+    def test_float32_parameters_are_written_in_place(self, case):
+        local, model = _destination_run(case, dtype=np.float32)
+        assert {bits.dtype for _, bits, _ in local.values()} == {np.dtype(np.float32)}
+
+        def body(rank):
+            arrivals, ddp = _destination_run(case, DistributedDataParallel, dtype=np.float32)
+            return _summary(arrivals, [b.flat for b in ddp.reducer.buckets])
+
+        for summary in run_world(2, body, backend="gloo"):
+            for name, (in_place, bits, in_flat) in summary.items():
+                assert in_place and in_flat, name
+                assert np.array_equal(bits, local[name][1]), name
 
 
 # -- readiness order ---------------------------------------------------

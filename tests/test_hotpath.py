@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor
+from repro.autograd import Tensor, ops
 from repro.comm import algorithms as alg
 from repro.comm.transport import TransportHub
 from repro.core import DistributedDataParallel
@@ -78,12 +78,28 @@ class TestZeroCopyViews:
             assert np.shares_memory(param.grad.data, bucket.flat)
 
     def test_no_copies_on_hot_path(self):
+        # Every gradient comes out of an op that writes into its view.
         params, reducer, group = make_reducer()
+        x = Tensor(np.arange(8.0).reshape(2, 4))
         for _ in range(3):
+            for p in params:
+                p.grad = None  # optimizer.zero_grad()
             reducer.prepare_for_backward([])
-            sum((p * 2.0).sum() for p in params).backward()
+            (ops.layer_norm(x, params[0], params[1])
+             + ops.linear(x, Tensor(np.eye(4)), params[2])).sum().backward()
         assert reducer.grad_copy_count == 0
         assert reducer.zero_copy_hits == 3 * len(params)
+
+    def test_gradients_no_op_wrote_in_place_count_as_copies(self):
+        # Through Mul, and a weight with two consumers: one copy each.
+        params, reducer, group = make_reducer()
+        reducer.prepare_for_backward([])
+        x = Tensor(np.ones((2, 4)))
+        ((params[0] * 2.0).sum() + (params[1] * 3.0).sum()
+         + (ops.linear(x, Tensor(np.eye(4)), params[2])
+            + ops.linear(x, Tensor(np.eye(4)), params[2])).sum()).backward()
+        assert (reducer.grad_copy_count, reducer.zero_copy_hits) == (3, 0)
+        assert np.array_equal(params[2].grad.data, np.full(4, 4.0))
 
     def test_copy_mode_matches_view_mode_numerically(self):
         grads = {}

@@ -456,12 +456,12 @@ class TestArithmeticUnchanged:
         arrivals = []
         original = AccumulateGrad.accumulate
 
-        def recording(self, grad):
-            view = self.grad_view  # where the accumulator will write it
+        def recording(self, grad, owned=False):
+            view = self.grad_view  # where the gradient lands
             arrivals.append((grad.flags.c_contiguous,
                              view is None or view.data.flags.c_contiguous,
                              view is not None))
-            original(self, grad)
+            original(self, grad, owned)
 
         monkeypatch.setattr(AccumulateGrad, "accumulate", recording)
 
