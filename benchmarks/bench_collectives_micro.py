@@ -39,6 +39,20 @@ WORLD = 4
 PAYLOAD = 65_536  # fp64 elements per rank
 
 
+def _join_ranks(row, body, world, timeout):
+    """Run ``body(rank)`` on one thread per rank and join them; a rank
+    still running ``timeout`` seconds after the start fails the row."""
+    threads = [threading.Thread(target=body, args=(r,), daemon=True) for r in range(world)]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    stuck = [rank for rank, t in enumerate(threads) if t.is_alive()]
+    if stuck:
+        raise TimeoutError(f"{row}: ranks {stuck} did not finish within {timeout} s")
+
+
 def _run_collective(algorithm_name):
     fn = alg.ALLREDUCE_ALGORITHMS[algorithm_name]
     hub = TransportHub(WORLD, default_timeout=10)
@@ -51,11 +65,7 @@ def _run_collective(algorithm_name):
         fn(hub, list(range(WORLD)), rank, buf, "sum", tag="b")
         outputs[rank] = buf
 
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(WORLD)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30)
+    _join_ranks(algorithm_name, body, WORLD, 30)
     return outputs
 
 
@@ -84,9 +94,10 @@ BANDWIDTH_ROWS = {
 }
 
 
-def _median_in_live_threads(call, calls, warmup=2):
-    """Median seconds of ``call`` over ``calls`` back-to-back invocations
-    inside running rank threads (the slower rank's median)."""
+def _median_in_live_threads(name, calls, warmup=2):
+    """Median seconds of row ``name``'s call over ``calls`` back-to-back
+    invocations inside running rank threads (the slower rank's median)."""
+    call = BANDWIDTH_ROWS[name]
     hub = TransportHub(BW_WORLD, default_timeout=BW_TIMEOUT)
     ranks = list(range(BW_WORLD))
     gate = threading.Barrier(BW_WORLD)
@@ -103,11 +114,7 @@ def _median_in_live_threads(call, calls, warmup=2):
             buf.fill(1.0)  # sums would otherwise double every call
         medians[rank] = sorted(samples[warmup:])[calls // 2]
 
-    threads = [threading.Thread(target=body, args=(r,)) for r in ranks]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(BW_TIMEOUT * 4)
+    _join_ranks(name, body, BW_WORLD, BW_TIMEOUT * 4)
     assert hub.pending_messages() == 0
     return max(medians)
 
@@ -200,17 +207,12 @@ def bench_micro_bucket_assignment(benchmark):
 
 
 def main(argv=None):
-    """Standalone mode: time each collective and emit BENCH_collectives_micro.json.
-
-    Shares the ``emit_json`` envelope with ``bench_hotpath.py`` so both
-    benches produce the same machine-readable result format without
-    requiring pytest-benchmark.
-    """
-    from common import emit_json, report
+    """Standalone mode: time each row and write
+    ``benchmarks/results/collectives_micro.txt``, without pytest-benchmark."""
+    from common import report
 
     iters = 3 if (argv and "--smoke" in argv) else 7
     rows = []
-    timings = {}
     for name in ["ring", "tree", "halving_doubling", "hierarchical", "naive"]:
         samples = []
         for _ in range(iters):
@@ -218,17 +220,13 @@ def main(argv=None):
             outputs = _run_collective(name)
             samples.append(time.perf_counter() - start)
             assert np.allclose(outputs[0], outputs[-1])
-        median = sorted(samples)[len(samples) // 2]
-        timings[name] = median
-        rows.append([name, median])
+        rows.append([name, sorted(samples)[len(samples) // 2]])
     calls = 5 if iters == 3 else 15
-    for name, call in BANDWIDTH_ROWS.items():
-        timings[name] = _median_in_live_threads(call, calls)
-        rows.append([name, timings[name]])
+    for name in BANDWIDTH_ROWS:
+        rows.append([name, _median_in_live_threads(name, calls)])
     latency_calls = 100 if iters == 3 else 400
     for name, (world, nbytes) in LATENCY_ROWS.items():
-        timings[name] = _median_group_allreduce(world, nbytes, latency_calls)
-        rows.append([name, timings[name]])
+        rows.append([name, _median_group_allreduce(world, nbytes, latency_calls)])
     report(
         "collectives_micro",
         f"AllReduce microbench ({WORLD} ranks, {PAYLOAD} fp64 elems, median of {iters}; "
@@ -236,17 +234,6 @@ def main(argv=None):
         f"allreduce_*: sync call through a gloo group, median of {latency_calls})",
         ["algorithm", "seconds"],
         rows,
-    )
-    emit_json(
-        "collectives_micro",
-        {
-            "world": WORLD,
-            "payload_elems": PAYLOAD,
-            "iters": iters,
-            "bandwidth_calls": calls,
-            "latency_calls": latency_calls,
-            "median_seconds": timings,
-        },
     )
     return 0
 

@@ -25,7 +25,7 @@ from repro.experiments import figures
 from repro.optim import SGD
 from repro.utils import manual_seed
 
-from common import env_int, report
+from common import report
 
 
 def bench_fig06_latency_breakdown(benchmark):
@@ -51,8 +51,8 @@ def bench_fig06_latency_breakdown(benchmark):
 # ----------------------------------------------------------------------
 # measured variant: real 4-rank run through repro.telemetry
 # ----------------------------------------------------------------------
-MEASURED_WORLD = env_int("REPRO_FIG06_WORLD", 4)
-MEASURED_ITERS = env_int("REPRO_FIG06_ITERS", 12)
+MEASURED_WORLD = 4
+MEASURED_ITERS = 12
 
 #: (name, hidden width, hidden depth) — two sizes so the comm share's
 #: growth with model size shows up in the measured numbers too.

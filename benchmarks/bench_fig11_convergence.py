@@ -13,9 +13,7 @@ regimes:
 Loss curves are smoothed with an order-3 low-pass ``filtfilt`` exactly
 as the paper describes.  Only the NCCL-equivalent path matters for
 convergence (the communication layer does not change math), so the
-threaded gloo backend is used.
-
-Iterations default to 150 per curve; set REPRO_FIG11_ITERS to change.
+threaded gloo backend is used.  Each curve is 150 iterations.
 """
 
 import numpy as np
@@ -29,10 +27,10 @@ from repro.models import ConvNet
 from repro.optim import SGD
 from repro.utils import manual_seed
 
-from common import env_int, report
+from common import report
 
 WORLD = 2
-ITERS = env_int("REPRO_FIG11_ITERS", 150)
+ITERS = 150
 CADENCES = [1, 2, 4, 8]
 DATASET = synthetic_mnist(num_samples=1024, noise=0.25, seed=11)
 

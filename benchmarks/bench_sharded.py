@@ -1,27 +1,26 @@
-"""Sharded data parallelism: memory-vs-throughput crossover vs DDP.
+"""Sharded data parallelism: the memory crossover against DDP.
 
 The paper's §7 positions ZeRO as trading communication for memory:
 optimizer state (stage 1), gradients (stage 2), and parameters
 (stage 3) shrink by ~world_size while step time grows with the extra
-gathers.  This bench makes the trade-off concrete with *measured*
-numbers from the real in-process implementations — per-rank peak bytes
-(walked over unique ndarray storages, not estimated) and median step
-wall time for ddp/zero1/zero2/zero3 at each world size — plus the
-analytic crossover table from ``repro.simulation.memory`` for
-paper-scale models where the in-process harness cannot go.
+gathers.  This bench makes the memory side concrete with *measured*
+per-rank peak bytes (walked over unique ndarray storages, not
+estimated) from the real in-process implementations of ddp/zero1/
+zero2/zero3 at each world size, plus the analytic crossover table from
+``repro.simulation.memory`` for paper-scale models where the in-process
+harness cannot go.  The time side is the repo benchmark's
+``tfm_zero3_w2`` against ``tfm_ddp_w2`` (``benchmarks/e2e``).
 
-The acceptance gate (exit 1 on failure): measured ZeRO-3 per-rank peak
-bytes must undercut DDP's at world >= 4.
+The acceptance gate (exit 1 on failure): measured ZeRO-3 and ZeRO-2
+per-rank peak bytes must undercut DDP's at world 4.
 
 Run ``python benchmarks/bench_sharded.py --smoke`` for the CI-sized
-run; results land in ``BENCH_sharded.json`` (``REPRO_BENCH_BASELINE=1``
-writes the committed perf-guard baseline instead).
+run; the tables land in ``benchmarks/results/sharded*.txt``.
 """
 
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -97,8 +96,7 @@ def _build(mode, model):
 
 
 def bench_mode(mode, world, hidden, iters):
-    """One measured configuration: median per-iteration wall time across
-    repeats plus the worst per-rank peak bytes."""
+    """One measured configuration: the worst per-rank peak bytes."""
     peaks = [0] * world
     loss_fn = nn.CrossEntropyLoss()
 
@@ -113,16 +111,8 @@ def bench_mode(mode, world, hidden, iters):
         peaks[rank] = int(peak())
         return True
 
-    start = time.perf_counter()
     run_distributed(world, body, backend="gloo", timeout=120)
-    elapsed = time.perf_counter() - start
-    return {
-        "mode": mode,
-        "world": world,
-        "hidden": hidden,
-        "step_ms": elapsed / iters * 1000.0,
-        "peak_mb": max(peaks) / 1e6,
-    }
+    return {"mode": mode, "world": world, "peak_mb": max(peaks) / 1e6}
 
 
 def analytic_crossover(worlds):
@@ -148,10 +138,9 @@ def main(argv=None):
                         help="CI-sized run: smaller model, fewer iters")
     parser.add_argument("--iters", type=int, default=None,
                         help="training iterations per configuration")
-    parser.add_argument("--out", default=None, help="output JSON path override")
     args = parser.parse_args(argv)
 
-    from common import emit_json, report
+    from common import report
 
     if args.smoke:
         worlds, hidden, iters = [2, 4], 128, args.iters or 3
@@ -164,15 +153,12 @@ def main(argv=None):
         for mode in MODES:
             row = bench_mode(mode, world, hidden, iters)
             rows.append(row)
-            print(
-                f"  world={world} {mode:>5}: "
-                f"{row['step_ms']:.1f} ms/iter, peak {row['peak_mb']:.3f} MB"
-            )
+            print(f"  world={world} {mode:>5}: peak {row['peak_mb']:.3f} MB")
     report(
         "sharded",
         f"ZeRO stages vs DDP (hidden={hidden}, {iters} iters, per-rank peak)",
-        ["world", "mode", "step_ms", "peak_mb"],
-        [[r["world"], r["mode"], r["step_ms"], r["peak_mb"]] for r in rows],
+        ["world", "mode", "peak_mb"],
+        [[r["world"], r["mode"], r["peak_mb"]] for r in rows],
     )
 
     analytic = analytic_crossover([2, 4, 8, 16, 64, 256])
@@ -184,49 +170,19 @@ def main(argv=None):
     )
 
     by_key = {(r["world"], r["mode"]): r for r in rows}
-    crossover = []
-    for world in worlds:
-        ddp = by_key[(world, "ddp")]
-        z3 = by_key[(world, "zero3")]
-        crossover.append({
-            "world": world,
-            "zero3_peak_ratio_vs_ddp": z3["peak_mb"] / ddp["peak_mb"],
-            "zero3_step_ratio_vs_ddp": z3["step_ms"] / ddp["step_ms"],
-        })
     gate_world = max(worlds)
+    ddp_mb = by_key[(gate_world, "ddp")]["peak_mb"]
     checks = {
-        "zero3_peak_below_ddp_at_world4": (
-            by_key[(gate_world, "zero3")]["peak_mb"]
-            < by_key[(gate_world, "ddp")]["peak_mb"]
-        ),
-        "zero2_peak_below_ddp_at_world4": (
-            by_key[(gate_world, "zero2")]["peak_mb"]
-            < by_key[(gate_world, "ddp")]["peak_mb"]
-        ),
+        "zero3_peak_below_ddp_at_world4": by_key[(gate_world, "zero3")]["peak_mb"] < ddp_mb,
+        "zero2_peak_below_ddp_at_world4": by_key[(gate_world, "zero2")]["peak_mb"] < ddp_mb,
     }
-
-    emit_json(
-        "sharded",
-        {
-            "smoke": bool(args.smoke),
-            "iters": iters,
-            "measured": rows,
-            "crossover": crossover,
-            "analytic_resnet50_adam": analytic,
-            "checks": checks,
-        },
-        path=args.out,
-    )
-
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         print(f"[bench_sharded] FAILED checks: {failed}")
         return 1
-    ratio = crossover[-1]
     print(
         f"[bench_sharded] OK — at world {gate_world} ZeRO-3 peaks at "
-        f"{ratio['zero3_peak_ratio_vs_ddp']:.2f}x DDP memory for "
-        f"{ratio['zero3_step_ratio_vs_ddp']:.2f}x the step time"
+        f"{by_key[(gate_world, 'zero3')]['peak_mb'] / ddp_mb:.2f}x DDP memory"
     )
     return 0
 

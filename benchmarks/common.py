@@ -2,28 +2,16 @@
 
 Every bench prints the rows/series the corresponding paper table or
 figure reports (visible with ``pytest benchmarks/ --benchmark-only -s``)
-and appends them to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
+and writes them to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
 can cite the regenerated numbers.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import time
 from typing import Iterable, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: World sizes used by the scalability experiments (paper Fig. 9/10).
-SCALABILITY_WORLDS = [1, 2, 4, 8, 16, 32, 64, 128, 256]
-
-#: Bucket-size sweeps (paper Figs. 7/8): MB values per model.
-RESNET_BUCKET_CAPS = [0, 5, 10, 25, 50]
-BERT_BUCKET_CAPS = [0, 5, 10, 25, 50, 100, 200]
 
 
 def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -49,10 +37,7 @@ def _fmt(cell) -> str:
 def report(name: str, title: str, headers: Sequence[str], rows: List[Sequence]) -> str:
     """Render, print, and persist one table; returns the rendered text."""
     text = render_table(title, headers, rows)
-    print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
-        handle.write(text + "\n")
+    save_text(name, text)
     return text
 
 
@@ -61,46 +46,3 @@ def save_text(name: str, text: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
-
-
-def emit_json(name: str, payload: dict, path: str | None = None) -> str:
-    """Write one machine-readable result file ``BENCH_<name>.json``.
-
-    The shared emit format for every benchmark: results land at the repo
-    root (where trajectory tooling and the CI artifact step pick them
-    up) with a common envelope — bench name, unix timestamp, python and
-    platform strings — wrapped around the bench-specific ``payload``.
-    Returns the written path.
-
-    Baseline mode: with ``REPRO_BENCH_BASELINE=1`` in the environment
-    (and no explicit ``path``), the result is written to
-    ``benchmarks/baselines/<name>.json`` instead — the committed
-    reference that ``tools/perfguard.py`` compares fresh runs against —
-    so blessing a new baseline never clobbers the repo-root BENCH files.
-    """
-    if path is None and os.environ.get("REPRO_BENCH_BASELINE", "").lower() in (
-        "1", "true", "on", "yes",
-    ):
-        os.makedirs(BASELINES_DIR, exist_ok=True)
-        target = os.path.join(BASELINES_DIR, f"{name}.json")
-    else:
-        target = path or os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    document = {
-        "bench": name,
-        "created_unix": time.time(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        **payload,
-    }
-    with open(target, "w") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {target}")
-    return target
-
-
-def env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default

@@ -1,16 +1,10 @@
 """Programmatic access to every paper experiment.
 
 Each function returns the rows of one paper table/figure; the benchmark
-harness (``benchmarks/``) wraps these with timing and shape assertions,
-and ``python -m repro.experiments <name>`` prints any of them from the
-command line:
-
-    python -m repro.experiments list
-    python -m repro.experiments fig09
-    python -m repro.experiments table1
+harness (``benchmarks/bench_*.py``) wraps these with timing, shape
+assertions and the rendered tables under ``benchmarks/results/``.
 """
 
 from repro.experiments import ablations, figures
-from repro.experiments.tables import render_rows
 
-__all__ = ["figures", "ablations", "render_rows"]
+__all__ = ["figures", "ablations"]

@@ -20,8 +20,8 @@ Prometheus exporter's live scrape.
 
 Overhead: sampling is O(instruments) dict work on a daemon thread; at
 the default 100 ms interval it stays far below 1% of a DDP iteration
-(``bench_hotpath.py`` measures exactly this and ``perfguard`` watches
-it).  Samplers started with :meth:`start` register themselves so
+(``bench_hotpath.py`` measures exactly this and fails above 10 %).
+Samplers started with :meth:`start` register themselves so
 distributed-context teardown can :func:`flush_active_samplers` — the
 final partial tick is captured even when the run ends between ticks.
 """

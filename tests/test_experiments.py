@@ -1,10 +1,8 @@
-"""The experiments package and its CLI."""
+"""The experiments package: the figure and ablation row generators."""
 
-import numpy as np
 import pytest
 
-from repro.experiments import ablations, figures, render_rows
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments import ablations, figures
 
 
 class TestFigureGenerators:
@@ -68,43 +66,6 @@ class TestAblationGenerators:
         rows = ablations.param_averaging_timeline(backends=("gloo",), worlds=(32,))
         ((_, _, ddp_latency, avg_latency, _),) = rows
         assert ddp_latency < avg_latency
-
-
-class TestRendering:
-    def test_render_rows(self):
-        text = render_rows("Title", ["a", "bb"], [(1, 2.5), ("x", "y")])
-        lines = text.splitlines()
-        assert lines[0] == "Title"
-        assert "a" in lines[1] and "bb" in lines[1]
-        assert len(lines) == 5
-
-    def test_render_empty_rows(self):
-        text = render_rows("T", ["h"], [])
-        assert "h" in text
-
-
-class TestCli:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig09" in out and "table1" in out
-
-    def test_unknown(self, capsys):
-        assert main(["nope"]) == 2
-
-    def test_every_registered_experiment_runs(self, capsys):
-        # the cheap ones; fig07-10/12 are exercised via figures tests
-        for name in ("fig02a", "fig02b", "fig05", "fig06", "table1",
-                     "ablation-compression"):
-            assert main([name]) == 0
-            assert capsys.readouterr().out.strip()
-
-    def test_experiment_registry_complete(self):
-        expected = {"fig02a", "fig02b", "fig02c", "fig02d", "fig05", "fig06",
-                    "fig07", "fig08", "fig09", "fig10", "fig12", "table1",
-                    "ablation-design", "ablation-compression", "ablation-order",
-                    "ablation-architectures", "ablation-memory"}
-        assert expected == set(EXPERIMENTS)
 
 
 class TestProfileFromModule:

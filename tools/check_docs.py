@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs/code consistency gate: the documented-knobs guarantee.
 
-Four checks over ``docs/*.md``, ``README.md``, and
-``examples/README.md``, all of which must pass for CI to go green:
+Five checks over ``docs/*.md``, ``README.md``, ``examples/README.md``,
+``EXPERIMENTS.md`` and ``DESIGN.md``, all of which must pass for CI to
+go green:
 
 1. **Knob coverage** — every ``REPRO_*`` environment variable read
    anywhere under ``src/`` and every autotunable knob in
@@ -23,6 +24,11 @@ Four checks over ``docs/*.md``, ``README.md``, and
    segment after ``repro.`` has to exist as ``src/repro/<segment>``
    (package or module) or as an attribute of the ``repro`` package.
    Renaming a package without sweeping the docs fails here.
+5. **Stale commands and paths** — every ``python -m repro.<module>``
+   must name a module that can be run (a ``.py`` file, or a package
+   with a ``__main__.py``), and every ``tools/*.py``, ``benchmarks/*.py``
+   or ``examples/*.py`` path the docs name must exist.  Deleting a
+   script or a CLI without sweeping the docs fails here.
 
 Usage:
     python tools/check_docs.py            # check, exit non-zero on failure
@@ -38,13 +44,15 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
-DOC_FILES = ["README.md", "examples/README.md"]
+DOC_FILES = ["README.md", "examples/README.md", "EXPERIMENTS.md", "DESIGN.md"]
 #: Where the reverse check looks for code reading a ``REPRO_*`` variable.
 CODE_DIRS = ["src", "tests", "benchmarks", "examples", "tools"]
 
 ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 MODULE_REF_RE = re.compile(r"\brepro\.([a-zA-Z_][a-zA-Z0-9_]*)")
+RUN_MODULE_RE = re.compile(r"python -m (repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+SCRIPT_PATH_RE = re.compile(r"(?<![\w/.-])((?:tools|benchmarks|examples)/[\w/.-]*\.py)\b")
 
 
 def doc_paths():
@@ -209,6 +217,27 @@ def check_module_refs(docs, verbose):
     return problems
 
 
+def check_commands_and_paths(docs, verbose):
+    """Check 5: ``python -m repro.x`` runs, and named scripts exist."""
+    problems = []
+    checked = 0
+    for path, text in docs:
+        rel = os.path.relpath(path, REPO_ROOT)
+        for module in RUN_MODULE_RE.findall(text):
+            checked += 1
+            base = os.path.join(SRC_DIR, *module.split("."))
+            if not (os.path.isfile(base + ".py")
+                    or os.path.isfile(os.path.join(base, "__main__.py"))):
+                problems.append(f"{rel}: `python -m {module}` names no runnable module")
+        for script in SCRIPT_PATH_RE.findall(text):
+            checked += 1
+            if not os.path.isfile(os.path.join(REPO_ROOT, script)):
+                problems.append(f"{rel}: names {script}, which does not exist")
+    if verbose:
+        print(f"  commands and paths: {checked} checked")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -227,6 +256,7 @@ def main(argv=None) -> int:
     problems += check_stale_rows(docs, args.verbose)
     problems += check_links(docs, args.verbose)
     problems += check_module_refs(docs, args.verbose)
+    problems += check_commands_and_paths(docs, args.verbose)
 
     # De-dup (the same stale ref can appear in several files verbatim).
     unique = sorted(set(problems))
@@ -237,7 +267,7 @@ def main(argv=None) -> int:
         return 1
     print(f"check_docs OK: {len(docs)} files — knob tables cover every "
           f"REPRO_* var and autotunable knob and name nothing else, no dead "
-          f"links, no stale repro.* references")
+          f"links, no stale repro.* references, commands or script paths")
     return 0
 
 
