@@ -7,8 +7,8 @@ NCCL, 26.8% / 21.5% Gloo).
 
 Two benches: the original *simulated* 32-GPU breakdown, and a
 *measured* breakdown of a real 4-rank threaded run instrumented by
-``repro.telemetry`` — the reducer's iteration recorder and the
-Work-handle comm timestamps supply the same fwd/bwd/exposed-comm
+``repro.telemetry`` — the reducer's iteration profiles (its recorder's
+stamps and the Work-handle comm timestamps) supply the same fwd/bwd/exposed-comm
 decomposition the simulator predicts, plus a measured comm/compute
 overlap ratio.
 """
@@ -81,22 +81,25 @@ def _measured_run(width: int, depth: int, overlap: bool):
             opt.zero_grad()
             loss_fn(ddp(inp), exp).backward()
             opt.step()
-            per_iteration.append(dict(ddp.reducer.last_iteration_stats))
+            per_iteration.append(ddp.reducer.recorder.last)
         return per_iteration, ddp.ddp_stats()
 
     results = run_distributed(MEASURED_WORLD, body, backend="gloo", timeout=120)
 
-    def phase_median(key):
+    def phase_median(phase):
         # median over post-warmup iterations, mean over ranks
         return statistics.mean(
-            statistics.median(it[key] for it in per_iter[1:])
+            statistics.median(phase(profile) for profile in per_iter[1:])
             for per_iter, _ in results
         )
 
     phases = {
-        key: phase_median(key)
-        for key in ("prepare_to_first_grad", "backward_compute",
-                    "comm_exposed_wait", "total")
+        "prepare_to_first_grad": phase_median(lambda p: p.prepare_s),
+        "backward_compute": phase_median(lambda p: p.backward_s),
+        "comm_exposed_wait": phase_median(
+            lambda p: p.exposed_comm_s + p.finalize_other_s
+        ),
+        "total": phase_median(lambda p: p.total_s),
     }
     overlap_ratio = statistics.mean(
         stats["comm_compute_overlap_ratio"] for _, stats in results

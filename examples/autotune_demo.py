@@ -80,9 +80,7 @@ def train(iterations, autotune_seed):
             loss.backward()
             opt.step()
             losses.append(loss.item())
-        report = ddp.ddp_stats()["autotune"]
-        ddp.autotuner.close()
-        return losses, report
+        return losses, ddp.ddp_stats()["autotune"]
 
     return body
 

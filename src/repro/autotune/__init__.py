@@ -2,9 +2,9 @@
 
 The paper hand-picks its knobs (25 MB buckets, §6.2.1) and names
 adaptive tuning as future work (§7); this package closes that loop.  A
-per-job :class:`Autotuner` samples the telemetry the runtime already
-emits, agrees on measurements across ranks with a single MAX-AllReduce
-per window, walks a seeded warmup → sweep → hill-climb → converge
+per-job :class:`Autotuner` reads the reducer's per-iteration profile on
+the training thread, agrees on measurements across ranks with a single
+MAX-AllReduce per window, walks a seeded warmup → sweep → hill-climb → converge
 search (:class:`SearchPolicy`) pruned by an analytic alpha-beta cost
 prior (:mod:`repro.autotune.cost_prior`), and applies winning configs
 live at safe iteration boundaries — with a rollback guard so a bad

@@ -1,30 +1,25 @@
 """The online autotuner: live retuning of the comm hot path.
 
-:class:`Autotuner` closes the loop between the telemetry the runtime
-already produces (per-bucket AllReduce latency, compute/comm overlap
-ratio, backward-compute time, health signals) and the knobs that shape
-the hot path (``bucket_cap_mb``, ``chunk_bytes``, the collective
-algorithm, optionally the compression hook) — the adaptive
-tuning the paper proposes as future work (§7), in the style of Bagua's
-hyperparameter service.
+:class:`Autotuner` closes the loop between the record the runtime
+already keeps of every iteration (the reducer's ``IterationProfile``:
+iteration time, backward-compute time, compute/comm overlap ratio) and
+the knobs that shape the hot path (``bucket_cap_mb``, ``chunk_bytes``,
+the collective algorithm, optionally the compression hook) — the
+adaptive tuning the paper proposes as future work (§7), in the style of
+Bagua's hyperparameter service.
 
-Two halves, split by *who is allowed to do what*:
-
-* A **background sampler thread** continuously snapshots the
-  observatory/health signals between iteration boundaries (overlap
-  ratio, per-bucket latencies, straggler diagnoses) into a rolling
-  window.  It never touches knobs and never issues collectives — it
-  only observes.
-* The **training thread** calls :meth:`on_iteration` from
-  ``DistributedDataParallel.forward`` — a deterministic point every
-  rank reaches in lockstep.  Every ``window_iters`` synchronized
-  iterations it closes a measurement window: the ranks agree on the
-  window's iteration time with a single 1-element MAX-AllReduce (the
-  slowest rank defines the truth, and every rank now holds the same
-  number), feeds it to the seeded deterministic
-  :class:`~repro.autotune.policy.SearchPolicy`, and applies whatever
-  config the policy answers with.  Identical inputs + identical policy
-  ⇒ identical decisions on every rank, with no extra broadcast.
+It runs no thread of its own.  The training thread calls
+:meth:`on_iteration` from ``DistributedDataParallel.forward`` — a
+deterministic point every rank reaches in lockstep — which reads the
+last iteration's profile.  Every ``window_iters`` synchronized
+iterations it closes a measurement window: the ranks agree on the
+window's iteration time with a single 1-element MAX-AllReduce (the
+slowest rank defines the truth, and every rank now holds the same
+number), feeds it with the window's median backward time and overlap
+ratio to the seeded deterministic
+:class:`~repro.autotune.policy.SearchPolicy`, and applies whatever
+config the policy answers with.  Identical inputs + identical policy ⇒
+identical decisions on every rank, with no extra broadcast.
 
 Config application happens only at this **safe iteration boundary**
 (reducer finalized, every ``Work`` waited, before the next forward):
@@ -39,10 +34,9 @@ decisions are visible on the timeline next to their effect.
 from __future__ import annotations
 
 import statistics
-import threading
 import time
 import weakref
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -78,14 +72,11 @@ class Autotuner:
         improve_margin: float = 0.02,
         drift_threshold: float = 1.3,
         drift_patience: int = 3,
-        sample_interval_s: float = 0.02,
-        background_sampler: bool = True,
         cost_backend: Optional[str] = None,
     ):
         if window_iters < 1:
             raise ValueError("window_iters must be >= 1")
-        # Weakref: the tuner must not keep a dropped DDP instance (and
-        # its buffers) alive from the sampler thread.
+        # Weakref: the DDP instance owns the tuner; no reference cycle.
         self._ddp = weakref.ref(ddp)
         self.window_iters = window_iters
         self.tune_comm_hook = tune_comm_hook
@@ -123,90 +114,28 @@ class Autotuner:
         self._window_overlap: List[float] = []
         self._applied_log: List[dict] = []
 
-        self._sampled_signals: Dict[str, List[float]] = {}
-        self._sample_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._sampler: Optional[threading.Thread] = None
-        if background_sampler:
-            self._sampler = threading.Thread(
-                target=self._sample_loop,
-                args=(sample_interval_s,),
-                name=f"autotune-rank{group.global_rank}",
-                daemon=True,
-            )
-            self._sampler.start()
-
-    # ------------------------------------------------------------------
-    # background half: signal sampling only, never knob movement
-    # ------------------------------------------------------------------
-    def _sample_loop(self, interval_s: float) -> None:
-        while not self._stop.wait(interval_s):
-            ddp = self._ddp()
-            if ddp is None:
-                return
-            try:
-                detail = ddp.reducer.recorder.last_detail
-            except Exception:
-                continue
-            if not detail:
-                continue
-            overlap = detail.get("comm_compute_overlap_ratio")
-            latencies = [
-                entry.get("allreduce_latency_s", 0.0)
-                for entry in detail.get("buckets", ())
-            ]
-            with self._sample_lock:
-                if overlap is not None:
-                    self._sampled_signals.setdefault("overlap_ratio", []).append(
-                        float(overlap)
-                    )
-                if latencies:
-                    self._sampled_signals.setdefault(
-                        "max_bucket_latency_s", []
-                    ).append(max(latencies))
-
-    def _drain_sampled_signals(self) -> dict:
-        with self._sample_lock:
-            drained = {
-                key: statistics.median(values)
-                for key, values in self._sampled_signals.items()
-                if values
-            }
-            self._sampled_signals.clear()
-        return drained
-
-    # ------------------------------------------------------------------
-    # training-thread half: windows, agreement, application
-    # ------------------------------------------------------------------
     def on_iteration(self) -> None:
         """Called by DDP at the start of each synchronized forward.
 
-        Cheap in the steady state (a couple of dict reads); every
-        ``window_iters`` new finalized iterations it closes a window,
-        which costs one 1-element MAX-AllReduce plus whatever config
-        changes the policy decides on.  **Collective at window
-        boundaries** — safe because every rank counts the same
+        Cheap in the steady state (one read of the last iteration's
+        profile); every ``window_iters`` new finalized iterations it
+        closes a window, which costs one 1-element MAX-AllReduce plus
+        whatever config changes the policy decides on.  **Collective at
+        window boundaries** — safe because every rank counts the same
         synchronized iterations and therefore closes the same windows.
         """
         ddp = self._ddp()
         if ddp is None:
             return
-        detail = ddp.reducer.recorder.last_detail
-        if not detail:
-            return
-        iteration = detail.get("iteration")
-        if iteration == self._last_seen_iteration:
+        profile = ddp.reducer.recorder.last
+        if profile is None or profile.iteration == self._last_seen_iteration:
             return  # no newly finalized iteration since the last call
-        self._last_seen_iteration = iteration
-        phases = detail.get("phases", {})
-        total = float(phases.get("total", 0.0))
-        if total <= 0.0:
+        self._last_seen_iteration = profile.iteration
+        if profile.total_s <= 0.0:
             return
-        self._window_totals.append(total)
-        self._window_backward.append(float(phases.get("backward_compute", 0.0)))
-        self._window_overlap.append(
-            float(detail.get("comm_compute_overlap_ratio", 0.0))
-        )
+        self._window_totals.append(profile.total_s)
+        self._window_backward.append(profile.backward_s)
+        self._window_overlap.append(profile.overlap_ratio)
         if len(self._window_totals) < self.window_iters:
             return
         self._close_window(ddp)
@@ -214,11 +143,10 @@ class Autotuner:
     def _close_window(self, ddp) -> None:
         local = statistics.median(self._window_totals)
         agreed = self._agree(ddp.process_group, local)
-        signals = self._drain_sampled_signals()
-        signals["backward_compute_s"] = statistics.median(self._window_backward)
-        signals.setdefault(
-            "overlap_ratio", statistics.median(self._window_overlap)
-        )
+        signals = {
+            "backward_compute_s": statistics.median(self._window_backward),
+            "overlap_ratio": statistics.median(self._window_overlap),
+        }
         self._window_totals.clear()
         self._window_backward.clear()
         self._window_overlap.clear()
@@ -326,10 +254,3 @@ class Autotuner:
             }
         )
         return payload
-
-    def close(self) -> None:
-        """Stop the background sampler (idempotent)."""
-        self._stop.set()
-        if self._sampler is not None:
-            self._sampler.join(timeout=2.0)
-            self._sampler = None

@@ -407,8 +407,10 @@ class DistributedDataParallel(Module):
         ``get_ddp_logging_data()``.
 
         Always available (the reducer's coarse phase clock stays on even
-        with telemetry disabled).  Per-bucket AllReduce latencies and the
-        overlap ratio describe the *last synchronized* backward:
+        with telemetry disabled).  Per-bucket AllReduce latencies, the
+        overlap ratio, ``last_iteration`` and ``profile`` are views of
+        one record, the reducer's ``recorder.last``: the *last
+        synchronized* backward.
 
         * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the live
           bucket layout (reflects any order-prediction rebuild).
@@ -418,15 +420,16 @@ class DistributedDataParallel(Module):
         * ``comm_compute_overlap_ratio`` — fraction of total bucket
           AllReduce wall time hidden inside the backward-compute window
           (1.0 = fully overlapped, 0.0 = fully exposed; paper Fig. 4).
-        * ``per_bucket_allreduce_latency_s`` — measured execution time
-          of each bucket's collective on the communication worker.
+        * ``per_bucket_allreduce_latency_s`` — each bucket collective's
+          interval from its record: execution on the communication
+          worker, or for a split-phase bucket (under the size rule) from
+          its post to its completion.
         """
         reducer = self.reducer
-        detail = reducer.recorder.last_detail
-        bucket_latencies = {
-            entry["bucket"]: entry["allreduce_latency_s"]
-            for entry in detail.get("buckets", ())
-        }
+        profile = reducer.recorder.last
+        bucket_latencies = (
+            {b.bucket: b.comm_s for b in profile.buckets} if profile else {}
+        )
         return {
             "world_size": self.process_group.size,
             "rank": self.process_group.group_rank,
@@ -447,19 +450,17 @@ class DistributedDataParallel(Module):
             "find_unused_parameters": self.find_unused_parameters,
             "unused_parameter_count": reducer.last_unused_parameter_count,
             "overlap_enabled": reducer.overlap,
-            "comm_compute_overlap_ratio": detail.get(
-                "comm_compute_overlap_ratio", 0.0
-            ),
-            "comm_total_s": detail.get("comm_total_s", 0.0),
-            "comm_hidden_s": detail.get("comm_hidden_s", 0.0),
+            "comm_compute_overlap_ratio": profile.overlap_ratio if profile else 0.0,
+            "comm_total_s": profile.comm_total_s if profile else 0.0,
+            "comm_hidden_s": profile.comm_hidden_s if profile else 0.0,
             "per_bucket_allreduce_latency_s": [
                 bucket_latencies.get(b.spec.index, 0.0) for b in reducer.buckets
             ],
-            "last_iteration": dict(reducer.last_iteration_stats),
+            "last_iteration": _phases(profile),
             "debug": self._debug_stats(),
             "resilience": self._resilience_stats(),
-            "profile": self._profile_stats(detail),
-            "health": self._health_stats(detail),
+            "profile": profile.summary(top=3) if profile else None,
+            "health": self._health_stats(profile.overlap_ratio if profile else 0.0),
             "autotune": (
                 self._autotuner.report() if self._autotuner is not None else None
             ),
@@ -474,7 +475,7 @@ class DistributedDataParallel(Module):
 
         return stats_for(self.process_group.group_rank)
 
-    def _health_stats(self, detail: dict) -> dict:
+    def _health_stats(self, overlap_ratio: float) -> dict:
         """Comm-health section: per-collective efficiency summaries for
         this rank (achieved bus bandwidth, chunk-pipeline utilization,
         cost-model efficiency, receive stalls) plus the anomaly engine's
@@ -483,18 +484,8 @@ class DistributedDataParallel(Module):
         from repro.telemetry.health import health_report
 
         return health_report(
-            rank=self.process_group.global_rank, last_detail=detail
+            rank=self.process_group.global_rank, overlap_ratio=overlap_ratio
         )
-
-    def _profile_stats(self, detail: dict) -> Optional[dict]:
-        """Critical-path attribution of the last synchronized iteration:
-        overlap ratio, exposed-comm time, and the top-3 blame buckets
-        (None before the first sync).  Built from the recorder's coarse
-        clock, so it works with telemetry disabled."""
-        from repro.telemetry.observatory import profile_from_detail
-
-        profile = profile_from_detail(detail, rank=self.process_group.global_rank)
-        return profile.summary(top=3) if profile is not None else None
 
     def _resilience_stats(self) -> Optional[dict]:
         """Transport retry/dedup/corruption counters, when the group runs
@@ -523,8 +514,8 @@ class DistributedDataParallel(Module):
         point).  Returns a :class:`repro.telemetry.StragglerReport`."""
         from repro.telemetry.straggler import detect_stragglers
 
-        phases = self.reducer.recorder.last_detail.get("phases", {})
-        local = float(phases.get("backward_compute", 0.0))
+        profile = self.reducer.recorder.last
+        local = profile.backward_s if profile else 0.0
         return detect_stragglers(self.process_group, local, threshold=threshold)
 
     def __repr__(self) -> str:
@@ -556,6 +547,21 @@ class DistributedDataParallel(Module):
             describe_assignment([b.spec for b in self.reducer.buckets]),
         ]
         return "\n".join(lines)
+
+
+def _phases(profile) -> dict:
+    """``ddp_stats()["last_iteration"]``: the four phases of an
+    :class:`~repro.telemetry.recorder.IterationProfile` under their
+    Fig. 6 names (``{}`` before the first synchronized backward)."""
+    if profile is None:
+        return {}
+    return {
+        "prepare_to_first_grad": profile.prepare_s,
+        "backward_compute": profile.backward_s,
+        # everything after the last gradient: t_done - t_all
+        "comm_exposed_wait": profile.exposed_comm_s + profile.finalize_other_s,
+        "total": profile.total_s,
+    }
 
 
 def _flatten_outputs(out) -> list:

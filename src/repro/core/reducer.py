@@ -33,6 +33,7 @@ Responsibilities, mirroring the paper's four components:
 
 from __future__ import annotations
 
+import logging
 import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -187,11 +188,9 @@ class Reducer:
 
         self.iterations_synced = 0
         self.rebuilt_bucket_count = 0
-        # Wall-clock phase stats for the previous synchronized
-        # iteration — a real-run analog of the paper's Fig. 6 breakdown.
-        self.last_iteration_stats: Dict[str, float] = {}
-        # Single timing source of truth: always-on coarse phase
-        # timestamps; emits spans into the global tracer when telemetry
+        # The one record per iteration: always-on coarse phase stamps,
+        # served as ``recorder.last`` (the paper's Fig. 6 breakdown of a
+        # real run); emits spans into the global tracer when telemetry
         # is enabled (see repro.telemetry.recorder).
         self.recorder = IterationRecorder(
             rank=getattr(process_group, "global_rank", None)
@@ -503,14 +502,16 @@ class Reducer:
         if self.order_tracer is not None:
             # Close partial traces (some parameters may not have fired).
             self.order_tracer.end_iteration()
-        self.last_iteration_stats = self.recorder.finish(
+        self.recorder.finish(
             [(bucket.spec.index, bucket.work) for bucket in self.buckets]
         )
-        logger.debug(
-            "iteration %d finalized: exposed comm wait %.3f ms",
-            self.iterations_synced,
-            self.last_iteration_stats["comm_exposed_wait"] * 1e3,
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            profile = self.recorder.last
+            logger.debug(
+                "iteration %d finalized: exposed comm wait %.3f ms",
+                self.iterations_synced,
+                (profile.exposed_comm_s + profile.finalize_other_s) * 1e3,
+            )
 
     def _allreduce_used_bitmap(self) -> np.ndarray:
         """Merge per-rank usage bitmaps; returns the global bitmap.

@@ -19,9 +19,11 @@ with its ``Work``.  The rings are the only store of collective
 lifecycles: :func:`merge_causal_timeline` and :func:`seq_frontier`
 stitch them across ranks by ``(group, seq)`` — the identity every rank
 agrees on because collectives are issued in the same order everywhere
-(paper §3.3) — and the Chrome trace's ``comm`` row and the critical-path
-profiler read them too.  All rank threads share one ``perf_counter``
-clock, so the stitched order is causal, not approximate.
+(paper §3.3) — and the Chrome trace's ``comm`` row reads them too.
+Under the same gate each ring also keeps its rank's finished DDP
+iterations, which the critical-path profiler reads.  All rank threads
+share one ``perf_counter`` clock, so the stitched order is causal, not
+approximate.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from typing import Dict, List, Optional
 
 #: Records retained per rank before the ring drops the oldest.
 DEFAULT_CAPACITY = 2048
+#: Finished DDP iterations retained per rank.
+ITERATION_CAPACITY = 1024
 
 # Lifecycle states.
 SCHEDULED = "scheduled"
@@ -176,7 +180,11 @@ class FlightRecorder:
 
     The ring holds each record by reference, so the stamps the
     executing thread writes later show up in every dump — one short
-    lock guards the ring itself.
+    lock guards the ring itself.  Beside it, under the same retention
+    gate, a second bounded deque keeps the rank's finished DDP
+    iterations (the reducer's ``IterationRecorder`` stamps, which build
+    their ``IterationProfile`` on first read); ``depth()`` and the dumps
+    count collective records only.
     """
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
@@ -185,6 +193,7 @@ class FlightRecorder:
         self.dropped = 0
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
+        self._iterations: deque = deque(maxlen=ITERATION_CAPACITY)
 
     def add(self, record: CollectiveRecord) -> None:
         """Retain a just-scheduled record (dropping the oldest when full)."""
@@ -192,6 +201,16 @@ class FlightRecorder:
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(record)
+
+    def add_iteration(self, stamps) -> None:
+        """Retain one finished iteration's stamps (oldest dropped when full)."""
+        with self._lock:
+            self._iterations.append(stamps)
+
+    def iterations(self) -> list:
+        """The retained iterations' stamps, oldest first."""
+        with self._lock:
+            return list(self._iterations)
 
     # -- introspection --------------------------------------------------
     def depth(self) -> int:
@@ -250,6 +269,7 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
+            self._iterations.clear()
             self.dropped = 0
 
 

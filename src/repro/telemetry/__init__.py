@@ -12,8 +12,10 @@ threaded ``Reducer``/``ProcessGroup`` path:
 * :mod:`~repro.telemetry.spans` — low-overhead span tracer: per-rank
   ring buffers, context-manager and explicit begin/end forms, one-branch
   no-op fast path while disabled.
-* :mod:`~repro.telemetry.recorder` — the reducer's single timing source
-  (phases, per-bucket ready→launch→comm intervals, overlap ratio).
+* :mod:`~repro.telemetry.recorder` — the reducer's one record per
+  iteration: the phase stamps and per-bucket ready→launch→comm
+  intervals, served as the ``IterationProfile`` that ``ddp_stats()``,
+  the critical-path profiler, the health report and the autotuner read.
 * :mod:`~repro.telemetry.chrome_trace` — measured-timeline export in
   the Trace Event Format (one ``pid`` per rank, compute vs. comm
   ``tid`` rows), directly comparable with the simulator's exporter.
@@ -83,7 +85,6 @@ from repro.telemetry.observatory import (
     IterationProfile,
     MetricsSampler,
     PrometheusExporter,
-    profile_from_detail,
     prometheus_text,
     start_exporter,
 )
@@ -96,8 +97,8 @@ def get_metrics(rank=None) -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Drop every recorded span, metric and retained collective record
-    (enabled state unchanged)."""
+    """Drop every recorded span, metric, retained collective record and
+    retained iteration profile (enabled state unchanged)."""
     get_tracer().clear()
     clear_all_registries()
     clear_recorders()
@@ -136,7 +137,6 @@ __all__ = [
     "merge_causal_timeline",
     "merge_snapshots",
     "merged_trace_events",
-    "profile_from_detail",
     "prometheus_text",
     "registry_for",
     "render_diagnoses",

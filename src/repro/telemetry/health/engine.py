@@ -518,16 +518,14 @@ def analyze_jsonl(path: str, thresholds: Optional[Thresholds] = None) -> dict:
 _HIST_SUMMARY_FIELDS = ("count", "mean", "min", "max", "p50", "p95", "p99")
 
 
-def health_report(
-    rank: Optional[int] = None, last_detail: Optional[dict] = None
-) -> dict:
+def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dict:
     """The per-rank health section ``ddp_stats`` embeds.
 
     Efficiency summaries come from this rank's registry; the diagnosis
-    list is cross-rank (all registries live in this process).  The
-    overlap ratio is served from the always-on recorder detail, so the
-    field is meaningful even with telemetry (and thus the accounting)
-    disabled.
+    list is cross-rank (all registries live in this process).
+    ``overlap_ratio`` is the caller's, from the reducer's always-on
+    iteration profile, so the field is meaningful even with telemetry
+    (and thus the accounting) disabled.
     """
     snap = registry_for(rank).snapshot()
     hists = snap.get("histograms", {})
@@ -542,9 +540,7 @@ def health_report(
     enabled = collecting_enabled()
     return {
         "enabled": enabled,
-        "overlap_ratio": float(
-            (last_detail or {}).get("comm_compute_overlap_ratio", 0.0)
-        ),
+        "overlap_ratio": float(overlap_ratio),
         "achieved_busbw_gbps": summarize("comm.achieved_busbw_gbps"),
         "chunk_pipeline_utilization": summarize("comm.chunk_pipeline_utilization"),
         "collective_latency_s": summarize("comm.collective_latency_s"),

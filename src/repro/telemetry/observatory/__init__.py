@@ -15,10 +15,11 @@ autotuner and fleet-scale service consume:
   exposition served by a stdlib HTTP exporter (opt-in via
   ``REPRO_METRICS_PORT``).
 * :mod:`~repro.telemetry.observatory.profiler` — the critical-path
-  profiler: per-iteration wall-time attribution (forward, backward,
-  exposed communication, launch gaps, stream idle bubbles) following
-  the DAG decomposition of synchronous SGD, with a per-bucket blame
-  table and a cross-rank straggler summary.
+  profiler: every rank's retained per-iteration wall-time attribution
+  (the reducer's ``IterationProfile``: forward, backward, exposed
+  communication, launch gaps, stream idle bubbles, following the DAG
+  decomposition of synchronous SGD, with a per-bucket blame table) and
+  a cross-rank straggler summary.
 
 Typical use::
 
@@ -49,7 +50,6 @@ from repro.telemetry.observatory.exporter import (
 from repro.telemetry.observatory.profiler import (
     CriticalPathProfiler,
     IterationProfile,
-    profile_from_detail,
 )
 from repro.telemetry.observatory.sampler import (
     MetricsSampler,
@@ -66,7 +66,6 @@ __all__ = [
     "SeriesPoint",
     "flush_active_samplers",
     "maybe_start_from_env",
-    "profile_from_detail",
     "prometheus_text",
     "start_exporter",
     "stop_env_exporter",

@@ -1,5 +1,7 @@
 """The online autotuner: knob registry, cost prior, search policy, live runs."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -298,19 +300,23 @@ class TestLiveRetune:
             opt = SGD(ddp.parameters(), lr=0.05)
             loss_fn = nn.CrossEntropyLoss()
             shard = slice(rank * 4, (rank + 1) * 4)
-            losses = []
+            losses, tuner_threads = [], set()
             for _ in range(40):
                 opt.zero_grad()
                 loss = loss_fn(ddp(Tensor(X[shard])), Y[shard])
                 loss.backward()
                 opt.step()
                 losses.append(loss.item())
-            stats = ddp.ddp_stats()["autotune"]
-            ddp.autotuner.close()
-            return losses, stats
+                tuner_threads.update(
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith("autotune-rank")
+                )
+            return losses, ddp.ddp_stats()["autotune"], tuner_threads
 
         results = run_world(2, body, backend="gloo", timeout=60)
         stats0, stats1 = results[0][1], results[1][1]
+        # The tuner runs on the training thread: no thread of its own.
+        assert results[0][2] == results[1][2] == set()
         assert stats0["windows_closed"] > 3
         assert stats0["applied_changes"] >= 1
         # Decision determinism across ranks:

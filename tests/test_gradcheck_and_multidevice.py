@@ -128,7 +128,7 @@ class TestMultiDeviceModels:
 
 
 class TestReducerStats:
-    def test_last_iteration_stats_populated(self):
+    def test_last_iteration_populated(self):
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((4, 6)), rng.integers(0, 4, 4)
 
@@ -138,7 +138,7 @@ class TestReducerStats:
             model = small_classifier()
             ddp = DistributedDataParallel(model)
             nn.CrossEntropyLoss()(ddp(Tensor(X)), Y).backward()
-            return dict(ddp.reducer.last_iteration_stats)
+            return ddp.ddp_stats()["last_iteration"]
 
         stats = run_world(2, body, backend="gloo")[0]
         assert set(stats) == {
@@ -146,3 +146,5 @@ class TestReducerStats:
         }
         assert stats["total"] > 0
         assert stats["comm_exposed_wait"] >= 0
+        assert (stats["prepare_to_first_grad"] + stats["backward_compute"]
+                + stats["comm_exposed_wait"]) == pytest.approx(stats["total"], abs=1e-12)

@@ -34,7 +34,6 @@ from repro.telemetry.observatory import (
     CriticalPathProfiler,
     MetricsSampler,
     PrometheusExporter,
-    profile_from_detail,
     prometheus_text,
     start_exporter,
 )
@@ -251,8 +250,10 @@ class TestPrometheusExporter:
 # ----------------------------------------------------------------------
 # critical-path profiler
 # ----------------------------------------------------------------------
-def _fig06_workload(world=4, width=192, depth=2, iterations=8):
-    """The bench_fig06_breakdown measured workload, test-sized."""
+def _fig06_workload(world=4, width=192, depth=2, iterations=8,
+                    find_unused_parameters=False, ddps=None):
+    """The bench_fig06_breakdown measured workload, test-sized; each
+    rank's DDP lands in ``ddps`` when a dict is given."""
     stats_by_rank = {}
 
     def body(rank):
@@ -261,7 +262,10 @@ def _fig06_workload(world=4, width=192, depth=2, iterations=8):
         for _ in range(depth - 1):
             layers += [nn.Linear(width, width), nn.ReLU()]
         layers += [nn.Linear(width, 8)]
-        ddp = DistributedDataParallel(nn.Sequential(*layers), bucket_cap_mb=0.25)
+        ddp = DistributedDataParallel(
+            nn.Sequential(*layers), bucket_cap_mb=0.25,
+            find_unused_parameters=find_unused_parameters,
+        )
         opt = optim.SGD(ddp.parameters(), lr=0.01)
         rng = np.random.default_rng(rank)
         loss_fn = nn.CrossEntropyLoss()
@@ -272,6 +276,8 @@ def _fig06_workload(world=4, width=192, depth=2, iterations=8):
             loss_fn(ddp(inp), exp).backward()
             opt.step()
         stats_by_rank[rank] = ddp.ddp_stats()
+        if ddps is not None:
+            ddps[rank] = ddp
         return None
 
     run_world(world, body, backend="gloo", timeout=60.0)
@@ -295,27 +301,36 @@ class TestCriticalPathProfiler:
                 f"(iteration {profile.iteration}, rank {profile.rank})"
             )
 
-    def test_overlap_ratio_agrees_with_recorder(self):
+    @pytest.mark.parametrize("find_unused_parameters", [False, True])
+    def test_overlap_ratio_agrees_with_recorder(self, find_unused_parameters):
+        # With find_unused_parameters the bitmap AllReduce runs inside
+        # the iteration too; it is not a bucket and must not count.
         telemetry.enable()
-        stats_by_rank = _fig06_workload(iterations=4)
+        stats_by_rank = _fig06_workload(
+            iterations=4, find_unused_parameters=find_unused_parameters
+        )
         profiler = CriticalPathProfiler()
         for rank, stats in stats_by_rank.items():
             profile = profiler.profile(rank=rank)  # latest iteration
             assert profile is not None
+            assert all(b.bucket is not None for b in profile.buckets)
             assert profile.overlap_ratio == pytest.approx(
                 stats["comm_compute_overlap_ratio"], abs=1e-9
             )
 
-    def test_profile_from_detail_matches_span_profiler(self):
+    def test_profiler_and_ddp_stats_read_the_recorders_profile(self):
         telemetry.enable()
-        stats_by_rank = _fig06_workload(iterations=4)
+        ddps = {}
+        stats_by_rank = _fig06_workload(iterations=4, ddps=ddps)
+        profiler = CriticalPathProfiler()
+        for rank, ddp in ddps.items():
+            last = ddp.reducer.recorder.last
+            assert profiler.profile(rank=rank) is last
+            assert stats_by_rank[rank]["profile"] == last.summary(top=3)
         prof = stats_by_rank[0]["profile"]
-        assert prof is not None
         att = prof["attribution_ms"]
         assert sum(att.values()) == pytest.approx(prof["total_ms"], rel=0.02)
-        assert prof["overlap_ratio"] == pytest.approx(
-            stats_by_rank[0]["comm_compute_overlap_ratio"], abs=1e-9
-        )
+        assert prof["overlap_ratio"] == stats_by_rank[0]["comm_compute_overlap_ratio"]
         assert 1 <= len(prof["blame"]) <= 3
         shares = [b["share_of_exposed"] for b in prof["blame"]]
         assert shares == sorted(shares, reverse=True)
@@ -344,8 +359,37 @@ class TestCriticalPathProfiler:
         assert re.match(r"rank \d+ is the straggler on \d+/4 iterations",
                         summary.describe())
 
-    def test_profile_from_detail_empty(self):
-        assert profile_from_detail({}) is None
+    def test_racing_first_reads_share_one_profile(self):
+        """The profile is built on first read; readers racing to build it
+        (training thread, ``ddp_stats``, the profiler) get one object."""
+        import sys
+
+        from repro.telemetry.recorder import _Stamps
+
+        comm = [(i, 8, 0.1 * i, 0.1 * i + 0.05) for i in range(12)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                stamps = _Stamps(0, 0, 0.0, 0.1, 1.0, 2.0, comm, {})
+                seen = []
+                readers = [threading.Thread(target=lambda: seen.append(stamps.profile()))
+                           for _ in range(8)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=10.0)
+                    assert not reader.is_alive()
+                assert len(seen) == 8 and all(p is seen[0] for p in seen)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_profile_is_none_before_first_sync(self):
+        def body(rank):
+            ddp = DistributedDataParallel(nn.Linear(4, 2))
+            return ddp.reducer.recorder.last, ddp.ddp_stats()["profile"]
+
+        assert run_world(2, body, backend="gloo") == [(None, None), (None, None)]
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +541,8 @@ class TestMergedTimeline:
     def test_reset_drops_retained_records(self):
         """Regression: ``telemetry.reset()`` left the record rings full,
         so a trace exported after a reset drew the previous run's
-        collectives as flight bars."""
+        collectives as flight bars.  The retained iteration profiles go
+        with them."""
         from repro.comm import get_context
         from repro.debug import all_recorders, get_debug_level, set_debug_level
         from repro.telemetry import merged_trace_events
@@ -509,13 +554,16 @@ class TestMergedTimeline:
                 pg = get_context().default_group
                 for _ in range(3):
                     pg.allreduce(np.ones(4))
+                _train_ddp(rank, iterations=2)
 
             run_world(2, body, backend="gloo")
             assert merged_trace_events()
+            assert len(CriticalPathProfiler().profiles()) == 2 * 2
             telemetry.disable()
             telemetry.reset()
             assert merged_trace_events() == []
             assert all(ring.depth() == 0 for ring in all_recorders().values())
+            assert CriticalPathProfiler().profiles() == []
         finally:
             set_debug_level(previous)
 

@@ -259,7 +259,7 @@ class TestRealRunTracing:
     def test_legacy_iteration_stats_still_populated_when_disabled(self):
         def body(rank):
             ddp = _train_ddp(rank, iterations=1)
-            return dict(ddp.reducer.last_iteration_stats)
+            return ddp.ddp_stats()["last_iteration"]
 
         stats = run_world(2, body, backend="gloo")[0]
         assert set(stats) == {
@@ -369,18 +369,18 @@ class TestTelemetryLifecycle:
         assert telemetry.get_tracer().span_count() == 1
 
     def test_iteration_recorder_is_single_timing_source(self):
-        """The legacy ad-hoc fields are gone; stats come from the recorder."""
+        """The legacy ad-hoc fields are gone; stats come from the recorder's
+        one profile, and its phases tile the iteration."""
         from repro.core.reducer import Reducer
 
         assert not hasattr(Reducer, "_t_prepare")
 
         def body(rank):
             ddp = _train_ddp(rank, iterations=1)
-            recorder = ddp.reducer.recorder
-            return (
-                dict(ddp.reducer.last_iteration_stats),
-                dict(recorder.last_detail["phases"]),
-            )
+            return ddp.ddp_stats()["last_iteration"], ddp.reducer.recorder.last
 
-        legacy, phases = run_world(2, body, backend="gloo")[0]
-        assert legacy == phases
+        phases, profile = run_world(2, body, backend="gloo")[0]
+        assert phases["backward_compute"] == profile.backward_s
+        assert phases["total"] == profile.total_s
+        assert (phases["prepare_to_first_grad"] + phases["backward_compute"]
+                + phases["comm_exposed_wait"]) == pytest.approx(phases["total"], abs=1e-12)

@@ -9,13 +9,17 @@ go green:
    anywhere under ``src/`` and every autotunable knob in
    ``repro.autotune.knobs.KNOBS`` must appear in a markdown *table row*
    in the docs (the knob tables in ``docs/autotuning.md`` are the
-   canonical home).  A knob you can set but cannot look up is a bug.
+   canonical home), and every keyword parameter of
+   ``Autotuner.__init__`` (the ``autotune_options`` keys) must be a row
+   of ``docs/autotuning.md``'s table headed ``Option``.  A knob you can
+   set but cannot look up is a bug.
 2. **No stale rows** — the reverse: every ``REPRO_*`` variable a table
    row names must be read by some Python file of the repo (``src/``,
    or the harness under ``tests/``, ``benchmarks/``, ``examples/``,
-   ``tools/``), and every row of ``docs/autotuning.md``'s knob table
-   (the table headed ``Knob``) must name a ``KNOBS`` key.  A documented
-   option that no longer exists is a bug too.
+   ``tools/``), every row of ``docs/autotuning.md``'s knob table (the
+   table headed ``Knob``) must name a ``KNOBS`` key, and every row of
+   its ``Option`` table a keyword parameter of ``Autotuner.__init__``.
+   A documented option that no longer exists is a bug too.
 3. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
@@ -38,6 +42,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import sys
@@ -86,6 +91,25 @@ def autotune_knobs():
     return set(KNOBS)
 
 
+def autotune_options():
+    """The ``autotune_options`` keys: ``Autotuner.__init__``'s keyword
+    parameters after ``ddp``."""
+    sys.path.insert(0, SRC_DIR)
+    from repro.autotune.service import Autotuner
+
+    params = inspect.signature(Autotuner.__init__).parameters
+    return set(params) - {"self", "ddp"}
+
+
+def autotuning_doc(docs) -> str:
+    """The text of ``docs/autotuning.md`` ("" when absent)."""
+    return next(
+        (text for path, text in docs
+         if path.endswith(os.path.join("docs", "autotuning.md"))),
+        "",
+    )
+
+
 def table_row_text(doc_text: str) -> str:
     """Concatenated text of every markdown table row in the document."""
     rows = [
@@ -108,32 +132,36 @@ def check_knob_coverage(docs, verbose):
                 f"docs knob table — add it to docs/autotuning.md"
             )
     knobs = autotune_knobs()
-    autotuning_tables = next(
-        (table_row_text(text) for path, text in docs
-         if path.endswith(os.path.join("docs", "autotuning.md"))),
-        "",
-    )
+    autotuning = autotuning_doc(docs)
+    autotuning_tables = table_row_text(autotuning)
     for knob in sorted(knobs):
         if f"`{knob}`" not in autotuning_tables:
             problems.append(
                 f"autotunable knob {knob} missing from the knob table in "
                 f"docs/autotuning.md"
             )
+    options = autotune_options()
+    for option in sorted(options - set(knob_table_names(autotuning, "Option"))):
+        problems.append(
+            f"autotune option {option} missing from the Option table in "
+            f"docs/autotuning.md"
+        )
     if verbose:
         print(f"  knob coverage: {len(env_vars)} env vars, "
-              f"{len(knobs)} autotune knobs checked")
+              f"{len(knobs)} autotune knobs, {len(options)} autotune "
+              f"options checked")
     return problems
 
 
-def knob_table_names(doc_text: str) -> list:
+def knob_table_names(doc_text: str, header: str = "Knob") -> list:
     """First-cell names (backticks stripped) of the rows of every table
-    whose header's first cell is ``Knob``."""
+    whose header's first cell is ``header``."""
     names, in_table = [], False
     for line in doc_text.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if not line.lstrip().startswith("|"):
             in_table = False
-        elif cells[0] == "Knob":
+        elif cells[0] == header:
             in_table = True
         elif in_table and not set(line.strip()) <= {"|", "-", " ", ":"}:
             names.append(cells[0].strip("`"))
@@ -144,6 +172,7 @@ def check_stale_rows(docs, verbose):
     """Check 2: table rows name only variables and knobs that exist."""
     read = env_vars_under(*(os.path.join(REPO_ROOT, d) for d in CODE_DIRS))
     knobs = autotune_knobs()
+    options = autotune_options()
     problems = []
     for path, text in docs:
         rel = os.path.relpath(path, REPO_ROOT)
@@ -158,6 +187,12 @@ def check_stale_rows(docs, verbose):
                     problems.append(
                         f"{rel}: knob table row {name!r} is not a key of "
                         f"repro.autotune.knobs.KNOBS — drop the row"
+                    )
+            for name in knob_table_names(text, "Option"):
+                if name not in options:
+                    problems.append(
+                        f"{rel}: option table row {name!r} is not a keyword "
+                        f"parameter of Autotuner.__init__ — drop the row"
                     )
     if verbose:
         print(f"  stale rows: {len(read)} REPRO_* vars read by code, "
@@ -266,7 +301,8 @@ def main(argv=None) -> int:
             print(f"  - {problem}")
         return 1
     print(f"check_docs OK: {len(docs)} files — knob tables cover every "
-          f"REPRO_* var and autotunable knob and name nothing else, no dead "
+          f"REPRO_* var, autotunable knob and autotune option and name "
+          f"nothing else, no dead "
           f"links, no stale repro.* references, commands or script paths")
     return 0
 
