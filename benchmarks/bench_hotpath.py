@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Hot-path benchmark: the optimizer step and the cost of watching.
 
-Three tables under ``benchmarks/results/``:
+Two tables under ``benchmarks/results/``:
 
 1. ``hotpath_optim_step`` — rows ``optim_step_adam_830k`` and
    ``optim_step_sgd_4m``: the median ``optimizer.step()`` of real DDP
@@ -11,12 +11,14 @@ Three tables under ``benchmarks/results/``:
    bucket stepped as one flat (view mode) against one parameter at a
    time (copy mode), and the numpy calls per step of each.
 2. ``hotpath_sampler`` — what the observatory's ``MetricsSampler`` adds
-   to a 2-rank DDP iteration.
-3. ``hotpath_health`` — what the comm health engine's accounting adds.
+   to a 2-rank DDP iteration with telemetry on.  Training itself only
+   appends records; the health, op and iteration series are folded
+   from them when the sampler reads, so this table prices the fold
+   too.
 
 Run ``python benchmarks/bench_hotpath.py --smoke`` for the CI-sized
-version.  Exits non-zero if either overhead, the median of ABBA rounds,
-exceeds its bound (sampler 10 %, health 5 %).
+version.  Exits non-zero if the sampler's overhead, the median of ABBA
+rounds, reaches 10 %.
 """
 
 from __future__ import annotations
@@ -141,9 +143,12 @@ def bench_sampler_overhead(hidden, iters, rounds, interval=0.1):
 
     Telemetry stays enabled in both arms of :func:`abba_overhead`; the
     "on" arm also runs a :class:`MetricsSampler` ticking at
-    ``interval``.  The sampler runs on its own daemon thread, so at the
-    default 100 ms interval the overhead should be noise (< 2%); the
-    exit gate is deliberately looser.
+    ``interval``.  With telemetry on, training only appends records;
+    every tick's snapshot folds them into the health, op and iteration
+    series, so the "on" arm pays for the fold as well as the sampling.
+    The sampler runs on its own daemon thread, so at the default 100 ms
+    interval the overhead should be noise (< 2%); the exit gate is
+    deliberately looser.
     """
     from repro import telemetry
     from repro.telemetry.observatory import MetricsSampler
@@ -164,35 +169,6 @@ def bench_sampler_overhead(hidden, iters, rounds, interval=0.1):
         telemetry.disable()
         telemetry.reset()
     return {"interval_s": interval, **row}
-
-
-def bench_health_overhead(hidden, iters, rounds):
-    """Iteration-time cost of the comm health engine's accounting.
-
-    Telemetry stays enabled in both arms of :func:`abba_overhead`; only
-    the health kill switch flips.  The delta isolates what the
-    per-collective efficiency accounting (stall bracketing,
-    busbw/utilization observations) adds on top of spans and retained
-    records — the acceptance bound is < 5%.
-    """
-    from repro import telemetry
-    from repro.telemetry.health import accounting
-
-    @contextlib.contextmanager
-    def accounting_on(on):
-        accounting.set_enabled(on)
-        try:
-            yield
-        finally:
-            accounting.set_enabled(True)
-
-    telemetry.enable()
-    try:
-        row = abba_overhead(accounting_on, hidden, iters, rounds)
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    return row
 
 
 def main(argv=None):
@@ -230,32 +206,14 @@ def main(argv=None):
           sampler_row["on_iter_s"] * 1e3, sampler_row["overhead_pct"]]],
     )
 
-    print("[bench_hotpath] comm health accounting overhead")
-    health_row = bench_health_overhead(hidden, overhead_iters, overhead_rounds)
-    report(
-        "hotpath_health",
-        f"Health accounting overhead (2 ranks, median of {overhead_rounds} ABBA rounds)",
-        ["base_ms", "health_ms", "overhead_pct"],
-        [[health_row["base_iter_s"] * 1e3, health_row["on_iter_s"] * 1e3,
-          health_row["overhead_pct"]]],
-    )
-
-    checks = {
-        # The measured number documents the <2% claim; the gate is
-        # looser, and reads the median of the ABBA rounds.
-        "sampler_overhead_sane": sampler_row["overhead_pct"] < 10.0,
-        # The health-engine acceptance bound: accounting adds < 5% to
-        # the DDP iteration.
-        "health_overhead_sane": health_row["overhead_pct"] < 5.0,
-    }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        print(f"[bench_hotpath] FAILED checks: {failed}")
+    # The one gate on the cost of watching: each tick folds the series
+    # out of the retained records, so this prices the fold too.  The
+    # measured number documents the <2% claim; the gate is looser, and
+    # reads the median of the ABBA rounds.
+    if sampler_row["overhead_pct"] >= 10.0:
+        print("[bench_hotpath] FAILED checks: ['sampler_overhead_sane']")
         return 1
-    print(
-        f"[bench_hotpath] OK — sampler adds {sampler_row['overhead_pct']:.1f} %, "
-        f"health accounting {health_row['overhead_pct']:.1f} %"
-    )
+    print(f"[bench_hotpath] OK — sampler adds {sampler_row['overhead_pct']:.1f} %")
     return 0
 
 

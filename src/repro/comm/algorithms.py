@@ -71,6 +71,7 @@ Per-rank buffers are only touched by their own rank.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Callable, List, Sequence, Tuple
 
@@ -78,7 +79,6 @@ import numpy as np
 
 from repro.comm.gates import NOTHING
 from repro.comm.transport import TransportHub
-from repro.telemetry.health import accounting as _health
 
 ReduceFn = Callable[..., np.ndarray]
 
@@ -91,20 +91,29 @@ ReduceFn = Callable[..., np.ndarray]
 RENDEZVOUS_BYTES: int = 256 * 1024
 
 
+#: ``executing.stalls`` is the receive-stall dict of the collective the
+#: calling thread executes: set by ``ProcessGroup._execute`` while
+#: telemetry is on, and attached to the collective's record when it is
+#: done; absent or None otherwise.
+executing = threading.local()
+
+
 def _recv(hub: TransportHub, me: int, src: int, tag: object, timeout: float | None):
     """``hub.recv`` plus per-source stall attribution.
 
-    When the process-group worker has bracketed this collective for
-    health accounting (:func:`repro.telemetry.health.accounting.active`),
-    the time spent inside ``recv`` is attributed to the sending rank —
-    the raw signal behind straggler and slow-link diagnoses.  Outside a
-    bracket this is a plain ``hub.recv`` plus one attribute check.
+    While the calling thread executes a collective under telemetry, the
+    time spent inside ``recv`` is added to that collective's stall dict
+    under the sending rank — the raw signal behind straggler and
+    slow-link diagnoses, which the health series fold from the record
+    at read.  Otherwise this is a plain ``hub.recv`` plus one attribute
+    check.
     """
-    if not _health.active():
+    stalls = getattr(executing, "stalls", None)
+    if stalls is None:
         return hub.recv(me, src, tag, timeout)
     t0 = time.perf_counter()
     payload = hub.recv(me, src, tag, timeout)
-    _health.note_recv_stall(src, time.perf_counter() - t0)
+    stalls[src] = stalls.get(src, 0.0) + (time.perf_counter() - t0)
     return payload
 
 

@@ -36,7 +36,6 @@ from repro.comm.transport import TransportClosedError, TransportHub, TransportTi
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
-from repro.telemetry.health import accounting as _health
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
@@ -430,15 +429,19 @@ class ProcessGroup:
 
         The one sequence both paths share — the worker loop for every
         queued collective, a split-phase Work for its completion step:
-        listed as executing (watchdog), health bracket opened, ``run()``
-        into ``work.result[0]``, record finished with what it raised,
-        retry deltas since ``retries`` attached, health metrics
-        published.  The caller releases waiters after it returns, so a
-        thread returning from ``wait()`` finds every view written.
+        listed as executing (watchdog), ``run()`` into
+        ``work.result[0]``, record finished with what it raised, retry
+        deltas since ``retries`` attached.  Under telemetry the thread's
+        receive stalls (:data:`algorithms.executing`) are attached last,
+        as ``record.stalls``: that is what lets a read fold the record.
+        The caller releases waiters after it returns, so a thread
+        returning from ``wait()`` finds the record complete.
         """
         record = work.record
         self._executing[work] = time.perf_counter()
-        self._observe(record, "start")
+        stalls = None
+        if TRACER.enabled:
+            stalls = algorithms.executing.stalls = {}
         error: Optional[BaseException] = None
         try:
             work.result[0] = run()
@@ -451,38 +454,16 @@ class ProcessGroup:
             for name, before, after in zip(_RETRY_COUNTERS, retries, self._retries()):
                 if after > before:
                     record.extra[name] = after - before
-        self._observe(record, "finish")
-
-    def _observe(self, record: CollectiveRecord, stage: str) -> None:
-        """Hand ``record`` at ``stage`` to the two views that need a hook.
-
-        The one place observers attach to a collective: ``"schedule"``
-        comes from the issuing thread, ``"start"`` and ``"finish"`` from
-        whichever thread executes it (:meth:`_execute`).
-
-        * the record ring (``REPRO_DEBUG`` ≥ INFO or telemetry on) —
-          retains the record from schedule on; later stamps show through
-          the reference, and the causal timeline, the ``comm`` trace row
-          and the profiler are read from it;
-        * health accounting (telemetry + its kill switch) — brackets
-          execution so the algorithms' receive helper can attribute
-          stalls per source, and publishes efficiency metrics at finish.
-        """
-        if stage == "schedule":
-            if DEBUG.level or TRACER.enabled:
-                recorder_for(self.global_rank).add(record)
-        elif _health.collecting_enabled():
-            if stage == "start":
-                _health.begin_collective()
-            else:
-                _health.record_collective(
-                    self.global_rank, record, len(self.ranks), self.backend
-                )
+        if stalls is not None:
+            algorithms.executing.stalls = None
+            record.stalls = stalls
 
     def _issue(self, record: CollectiveRecord) -> None:
         """What every collective does first on the issuing thread: check
-        the group is open, fire collective-scoped fault rules, observe
-        the schedule stamp."""
+        the group is open, fire collective-scoped fault rules, retain
+        the record in the rank's ring (``REPRO_DEBUG`` ≥ INFO or
+        telemetry on) — the one store the causal timeline, the trace and
+        the health series are read from."""
         if self._closed:
             raise CollectiveError("process group has been shut down")
         if self._fault_plan is not None:
@@ -492,7 +473,8 @@ class ProcessGroup:
             self._fault_plan.on_collective(
                 self.global_rank, record.op, record.seq, self._group_id
             )
-        self._observe(record, "schedule")
+        if DEBUG.level or TRACER.enabled:
+            recorder_for(self.global_rank).add(record)
 
     def _submit(self, fn, record: CollectiveRecord, async_op: bool):
         """Queue ``fn`` on the communication worker.
@@ -746,6 +728,8 @@ class ProcessGroup:
             )
 
     def _record_op_metrics(self, op_name: str, nbytes: int) -> None:
+        """Count a point-to-point op (collectives have a record instead,
+        which the ``{op}.count`` / ``{op}.bytes`` series fold from)."""
         if TRACER.enabled:
             registry = registry_for(self.global_rank)
             registry.counter(f"{op_name}.count").add(1)
@@ -789,8 +773,8 @@ class ProcessGroup:
         if array is not None:
             wire = array.nbytes * (len(self.ranks) if row.world_bytes else 1)
             self.bytes_communicated += wire
-            self._record_op_metrics(name, wire)
         record = CollectiveRecord(seq, self._group_id, signature, wire)
+        record.extra.update(world=len(self.ranks), backend=self.backend)
         args = ([] if array is None else [array]) + list(operands.values())
         split = row.one_round is not None and (
             array is None or algorithms.one_round(array.nbytes, len(self.ranks))

@@ -190,8 +190,8 @@ class Reducer:
         self.rebuilt_bucket_count = 0
         # The one record per iteration: always-on coarse phase stamps,
         # served as ``recorder.last`` (the paper's Fig. 6 breakdown of a
-        # real run); emits spans into the global tracer when telemetry
-        # is enabled (see repro.telemetry.recorder).
+        # real run); the rank's ring retains it for the trace and the
+        # iteration series (see repro.telemetry.recorder).
         self.recorder = IterationRecorder(
             rank=getattr(process_group, "global_rank", None)
         )

@@ -21,9 +21,12 @@ stitch them across ranks by ``(group, seq)`` — the identity every rank
 agrees on because collectives are issued in the same order everywhere
 (paper §3.3) — and the Chrome trace's ``comm`` row reads them too.
 Under the same gate each ring also keeps its rank's finished DDP
-iterations, which the critical-path profiler reads.  All rank threads
-share one ``perf_counter`` clock, so the stitched order is causal, not
-approximate.
+iterations, which the critical-path profiler and the trace's compute
+row read.  The metric series those records imply are not written while
+training: a read folds them out of the ring
+(:func:`repro.telemetry.health.accounting.fold`), and the ring keeps
+the fold's place.  All rank threads share one ``perf_counter`` clock,
+so the stitched order is causal, not approximate.
 """
 
 from __future__ import annotations
@@ -80,22 +83,31 @@ class CollectiveRecord:
 
     Every ``Work`` owns exactly one and every observer is a view of it:
     the flight ring holds it by reference, the causal timeline, the
-    ``comm`` trace row, health accounting and the watchdog's report
-    read its fields.  The facts are the collective's fingerprint (``op``,
-    ``shape``, ``dtype``, ``nbytes``; the remaining signature fields —
-    reduce op / src / root — plus the algorithm and transport retry
-    deltas in ``extra``), its identity (``group_id``, ``seq``), the
-    bytes the group accounts for it, and the caller's label.  The
-    issuing thread creates it (stamped *scheduled*).  A collective on a
-    communication worker is stamped :meth:`start` and :meth:`finish` by
-    that worker; a split-phase one (under the size rule) is started by
-    the issuing thread as it posts and finished by the thread that
-    completes it in ``wait()`` / ``is_completed()``.
+    ``comm`` trace row, the health series folded at read and the
+    watchdog's report read its fields.  The facts are the collective's
+    fingerprint (``op``, ``shape``, ``dtype``, ``nbytes``; the remaining
+    signature fields — reduce op / src / root — plus the group's
+    ``world`` and ``backend``, the algorithm and transport retry deltas
+    in ``extra``), its identity (``group_id``, ``seq``), the bytes the
+    group accounts for it, and the caller's label.  The issuing thread
+    creates it (stamped *scheduled*).  A collective on a communication
+    worker is stamped :meth:`start` and :meth:`finish` by that worker; a
+    split-phase one (under the size rule) is started by the issuing
+    thread as it posts and finished by the thread that completes it in
+    ``wait()`` / ``is_completed()``.
+
+    ``stalls`` (``{src rank: seconds}`` of receive wait) is attached by
+    the executing thread when it is done with a collective it ran while
+    telemetry was on; it stays None otherwise.  It may arrive after the
+    terminal state — a caller whose ``Work.wait(timeout)`` expired
+    finishes the record early — so a read folds a record once
+    ``stalls`` is set, not once it is finished.
     """
 
     __slots__ = (
         "seq", "op", "group_id", "shape", "dtype", "nbytes", "extra", "bytes",
         "context", "bucket", "state", "t_sched", "t_start", "t_end", "error",
+        "stalls",
     )
 
     def __init__(self, seq, group_id, fingerprint: dict, bytes: Optional[int] = None):
@@ -114,6 +126,7 @@ class CollectiveRecord:
         self.t_start: Optional[float] = None
         self.t_end: Optional[float] = None
         self.error: Optional[BaseException] = None
+        self.stalls: Optional[Dict[int, float]] = None
 
     def start(self) -> None:
         """Stamp the start of execution (a worker dequeuing it, or the
@@ -175,6 +188,38 @@ class CollectiveRecord:
         return f"<CollectiveRecord {self.describe()} {self.state}>"
 
 
+class _Kept:
+    """One bounded deque of a ring, and how far reads have folded it.
+
+    Item ``i`` — counting every item ever added — sits at
+    ``items[i - dropped]`` until evicted; ``taken`` is the first index no
+    read has taken, and ``lost`` counts the evicted items no read took
+    that ``counts(item)`` says a read would have folded.
+    """
+
+    __slots__ = ("items", "counts", "dropped", "taken", "lost")
+
+    def __init__(self, maxlen: int, counts):
+        self.items: deque = deque(maxlen=maxlen)
+        self.counts = counts
+        self.dropped = self.taken = self.lost = 0
+
+    def append(self, item) -> None:
+        if len(self.items) == self.items.maxlen:
+            if self.dropped >= self.taken and self.counts(self.items[0]):
+                self.lost += 1
+            self.dropped += 1
+        self.items.append(item)
+
+    def take(self) -> tuple:
+        """``([(index, item)] added since the last take, lost since)``."""
+        added = self.dropped + len(self.items)
+        fresh = [(index, self.items[index - added])
+                 for index in range(max(self.taken, self.dropped), added)]
+        self.taken, lost, self.lost = added, self.lost, 0
+        return fresh, lost
+
+
 class FlightRecorder:
     """Bounded ring of :class:`CollectiveRecord` for one rank.
 
@@ -184,42 +229,77 @@ class FlightRecorder:
     gate, a second bounded deque keeps the rank's finished DDP
     iterations (the reducer's ``IterationRecorder`` stamps, which build
     their ``IterationProfile`` on first read); ``depth()`` and the dumps
-    count collective records only.
+    count collective records only.  Both keep the fold's place
+    (:meth:`unfolded`).
     """
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
         self.rank = rank
         self.capacity = capacity
-        self.dropped = 0
         self._lock = threading.Lock()
-        self._ring: deque = deque(maxlen=capacity)
-        self._iterations: deque = deque(maxlen=ITERATION_CAPACITY)
+        #: Held across one fold — take what is new, publish it — so
+        #: racing readers each see every record exactly once.
+        self.fold_lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
+        self._records = _Kept(self.capacity, lambda record: record.stalls is not None)
+        self._iterations = _Kept(ITERATION_CAPACITY, lambda stamps: stamps.traced)
+        #: Records a read took before their executing thread was done.
+        self._waiting: List[tuple] = []
+
+    @property
+    def dropped(self) -> int:
+        """Records the ring has evicted so far."""
+        return self._records.dropped
 
     def add(self, record: CollectiveRecord) -> None:
         """Retain a just-scheduled record (dropping the oldest when full)."""
         with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(record)
+            self._records.append(record)
 
     def add_iteration(self, stamps) -> None:
         """Retain one finished iteration's stamps (oldest dropped when full)."""
         with self._lock:
             self._iterations.append(stamps)
 
+    def unfolded(self) -> tuple:
+        """What no read has folded yet; call under :attr:`fold_lock`.
+
+        Returns ``(records, iterations, lost, lost_iterations)``: the
+        records whose executing thread is done under telemetry (``stalls``
+        set), the iterations finished under telemetry, and how many of
+        each the deques dropped before any read took them.  A record
+        taken while still executing waits here for the next read; one
+        that never ran under telemetry is let go when the ring drops it.
+        """
+        with self._lock:
+            fresh, lost = self._records.take()
+            iterations, lost_iterations = self._iterations.take()
+            oldest = self._records.dropped
+        records, waiting = [], []
+        for index, record in self._waiting + fresh:
+            if record.stalls is not None:
+                records.append(record)
+            elif index >= oldest:
+                waiting.append((index, record))
+        self._waiting = waiting
+        return (records, [stamps for _, stamps in iterations if stamps.traced],
+                lost, lost_iterations)
+
     def iterations(self) -> list:
         """The retained iterations' stamps, oldest first."""
         with self._lock:
-            return list(self._iterations)
+            return list(self._iterations.items)
 
     # -- introspection --------------------------------------------------
     def depth(self) -> int:
         with self._lock:
-            return len(self._ring)
+            return len(self._records.items)
 
     def records(self, group_id=None) -> List[CollectiveRecord]:
         with self._lock:
-            records = list(self._ring)
+            records = list(self._records.items)
         if group_id is not None:
             records = [r for r in records if r.group_id == group_id]
         return records
@@ -267,10 +347,8 @@ class FlightRecorder:
         }
 
     def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self._iterations.clear()
-            self.dropped = 0
+        with self.fold_lock, self._lock:
+            self._reset()
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,12 @@ streams — so a measured trace and a simulated trace of the same model
 drop into Perfetto side by side and the paper's Fig. 4 overlap picture
 can be compared prediction-vs-reality.
 
-Two stores feed it: the span tracer (compute, iteration, bucket,
-transport, resilience, ... rows) and the per-rank rings of
-:class:`~repro.debug.flight_recorder.CollectiveRecord` — the ``comm``
-row is drawn from the records, one ``op#seq`` bar per collective from
-its start to its end stamp.  All ranks share one process clock
+Two stores feed it: the span tracer (forward, transport, resilience,
+... rows) and the flight recorder's per-rank rings, from which the
+export draws the ``comm`` row — one ``op#seq`` bar per
+:class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end —
+and the reducer's phases on the ``compute`` row, per iteration
+finished under telemetry.  All ranks share one process clock
 (``perf_counter``), so cross-rank alignment is exact; timestamps are
 rebased to the earliest one and expressed in microseconds, as the
 format requires.
@@ -71,20 +72,39 @@ def _metadata_events(seen_tids: Dict[int, Dict[str, int]]) -> List[dict]:
     return events
 
 
+def _iteration_bars(stamps) -> List[tuple]:
+    """One retained iteration's ``compute``-row bars, as ``(name, cat,
+    t_start, t_end, args)``."""
+    iteration = stamps.iteration
+    phases = (("prepare_to_first_grad", stamps.t_prepare, stamps.t_first),
+              ("backward_compute", stamps.t_first, stamps.t_all),
+              ("finalize(wait+copy_back)", stamps.t_all, stamps.t_done))
+    bars = [(f"iteration {iteration}", "iteration", stamps.t_prepare, stamps.t_done,
+             {"iteration": iteration, "overlap_ratio": round(stamps.comm_split()[2], 4)})]
+    bars += [(name, "compute", start, end, {"iteration": iteration})
+             for name, start, end in phases if end > start]
+    sizes = {bucket: nbytes for bucket, nbytes, _, _ in stamps.comm}
+    bars += [(f"bucket {index} ready→launch", "bucket", ready, launched,
+              {"iteration": iteration, "bucket": index, "bytes": sizes.get(index, 0)})
+             for index, (ready, launched) in stamps.launches.items() if launched >= ready]
+    return bars
+
+
 def _timeline(merged: bool) -> List[dict]:
-    """Spans + the ``comm`` row; with ``merged``, also ``flight`` bars
-    and resilience spans as instants."""
+    """Spans + the ``compute`` and ``comm`` rows drawn from the rings;
+    with ``merged``, also ``flight`` bars and resilience spans as
+    instants."""
     spans = TRACER.spans()
-    records = [
-        (rank, record)
-        for rank, recorder in sorted(all_recorders().items())
-        for record in recorder.records()
-    ]
+    rings = sorted(all_recorders().items())
+    records = [(rank, record) for rank, ring in rings for record in ring.records()]
     ran = [(rank, record) for rank, record in records
            if record.t_start is not None and record.t_end is not None]
+    iterations = [(rank, stamps) for rank, ring in rings
+                  for stamps in ring.iterations() if stamps.traced]
     # One epoch across every source so the rows stay aligned.
     starts = [span.t_start for span in spans]
     starts.extend(record.t_start for _, record in ran)
+    starts.extend(stamps.t_prepare for _, stamps in iterations)
     if merged:
         starts.extend(record.t_sched for _, record in records)
     if not starts:
@@ -112,6 +132,9 @@ def _timeline(merged: bool) -> List[dict]:
             span.name, span.cat, span.rank, span.stream, span.t_start,
             None if instant else span.t_end, dict(span.args) if span.args else {},
         ))
+    for rank, stamps in iterations:
+        for name, cat, t_start, t_end, args in _iteration_bars(stamps):
+            events.append(event(name, cat, rank, "compute", t_start, t_end, args))
     for rank, record in ran:
         args = record.facts()
         if record.error is not None:
@@ -141,8 +164,10 @@ def _write(path: str, events: List[dict]) -> str:
 
 
 def trace_events() -> List[dict]:
-    """Trace Event Format records: every span, plus one ``comm``-row
-    bar per retained collective (``op#seq``, start → end)."""
+    """Trace Event Format records: every span, the reducer phases of
+    every iteration retained under telemetry on the ``compute`` row, and
+    one ``comm``-row bar per retained collective (``op#seq``, start →
+    end)."""
     return _timeline(merged=False)
 
 
@@ -156,7 +181,8 @@ def merged_trace_events() -> List[dict]:
 
     Per rank, all on the shared ``perf_counter`` clock:
 
-    * the rows :func:`trace_events` emits (spans and the ``comm`` row);
+    * the rows :func:`trace_events` emits (spans, the iterations'
+      ``compute`` row and the ``comm`` row);
     * one ``flight`` bar per retained collective record, scheduled →
       finished — the queueing the ``comm`` row does not show;
     * ``repro.resilience`` spans (retries, retransmits, corruption

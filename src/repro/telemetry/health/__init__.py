@@ -3,8 +3,8 @@ automated anomaly attribution.
 
 * :mod:`~repro.telemetry.health.accounting` — per-collective achieved
   bus bandwidth, chunk-pipeline utilization, and receive-stall
-  attribution, measured in the process-group worker and published as
-  ordinary registry metrics.
+  attribution, folded from the retained collective records into the
+  ordinary registry metrics when a registry is read.
 * :func:`merge_causal_timeline` / :func:`seq_frontier` — read-time
   views over the per-rank collective record rings
   (:mod:`repro.debug.flight_recorder`), stitched across ranks by
@@ -17,13 +17,7 @@ automated anomaly attribution.
 """
 
 from repro.debug.flight_recorder import merge_causal_timeline, seq_frontier
-from repro.telemetry.health.accounting import (
-    bus_bytes,
-    collecting_enabled,
-    expected_collective_s,
-    is_enabled,
-    set_enabled,
-)
+from repro.telemetry.health.accounting import bus_bytes, expected_collective_s
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     DIAGNOSIS_KINDS,
@@ -55,12 +49,9 @@ __all__ = [
     "analyze_snapshots",
     "analyze_ticks",
     "bus_bytes",
-    "collecting_enabled",
     "expected_collective_s",
     "health_report",
-    "is_enabled",
     "merge_causal_timeline",
     "render_diagnoses",
     "seq_frontier",
-    "set_enabled",
 ]

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.debug.flight_recorder import seq_frontier
-from repro.telemetry.health.accounting import collecting_enabled
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     OVERLAP_COLLAPSE,
@@ -521,8 +520,9 @@ _HIST_SUMMARY_FIELDS = ("count", "mean", "min", "max", "p50", "p95", "p99")
 def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dict:
     """The per-rank health section ``ddp_stats`` embeds.
 
-    Efficiency summaries come from this rank's registry; the diagnosis
-    list is cross-rank (all registries live in this process).
+    Efficiency summaries come from this rank's registry, whose snapshot
+    folds in the rank's records not yet read; the diagnosis list is
+    cross-rank (all registries live in this process).
     ``overlap_ratio`` is the caller's, from the reducer's always-on
     iteration profile, so the field is meaningful even with telemetry
     (and thus the accounting) disabled.
@@ -537,7 +537,7 @@ def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dic
             return None
         return {k: summary[k] for k in _HIST_SUMMARY_FIELDS if k in summary}
 
-    enabled = collecting_enabled()
+    enabled = TRACER.enabled
     return {
         "enabled": enabled,
         "overlap_ratio": float(overlap_ratio),

@@ -5,7 +5,10 @@ Each rank owns one registry (see :func:`repro.telemetry.metrics`);
 worker threads belonging to a rank record into the same registry, so
 per-instrument locks keep concurrent ``add``/``observe`` calls exact.
 
-``snapshot()`` freezes a registry into plain dicts and
+Most series are not written while training but folded from the rank's
+retained collective and iteration records when a registry is read
+(:mod:`repro.telemetry.health.accounting`).  ``snapshot()`` runs that
+fold, then freezes a registry into plain dicts, and
 :func:`merge_snapshots` aggregates snapshots across ranks — the
 cross-rank analog of Prometheus federation, scoped to one process:
 
@@ -212,7 +215,17 @@ class MetricsRegistry:
             self._instruments.clear()
 
     def snapshot(self) -> Dict[str, Dict]:
-        """Freeze into plain dicts: {'counters': {name: value}, ...}."""
+        """Freeze into plain dicts: {'counters': {name: value}, ...}.
+
+        The rank's registry first folds in the series its retained
+        records imply and no read has published yet
+        (:func:`repro.telemetry.health.accounting.fold`) — every reader
+        goes through here, so every reader sees them.
+        """
+        if _registries.get(self.rank) is self:
+            from repro.telemetry.health.accounting import fold
+
+            fold(self)
         with self._lock:
             instruments = dict(self._instruments)
         out: Dict[str, Dict] = {"rank": self.rank, "counters": {}, "gauges": {},

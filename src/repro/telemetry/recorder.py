@@ -3,14 +3,18 @@
 An :class:`IterationRecorder` stamps the handful of coarse
 per-iteration timestamps (a few ``perf_counter`` calls — cheap enough
 to stay on even with telemetry disabled) and, at the end of each
-synchronized iteration, keeps them with each bucket's communication
-interval.  It serves them as one :class:`IterationProfile`
-(:attr:`IterationRecorder.last`), built by :func:`_build_profile` on
-first read and cached, so the training thread never pays for the
-attribution math.  ``ddp_stats()``, the critical-path profiler, the
-health report and the autotuner all read that profile; when telemetry
-is enabled the same stamps are also emitted as spans, so the numbers
-and the intervals in an exported Chrome trace can never disagree.
+synchronized iteration, keeps them with each bucket's (ready, launched)
+stamps and communication interval.  It serves them as one
+:class:`IterationProfile` (:attr:`IterationRecorder.last`), built by
+:func:`_build_profile` on first read and cached, so the training thread
+never pays for the attribution math.  ``ddp_stats()``, the critical-path
+profiler, the health report and the autotuner all read that profile.
+Finishing an iteration writes nothing else: while ``REPRO_DEBUG`` ≥ INFO
+or telemetry is on the rank's ring retains the stamps, and the Chrome
+trace's compute row and the iteration series
+(:func:`repro.telemetry.health.accounting.fold`) are drawn from them
+when read, so the numbers and the intervals in an exported trace can
+never disagree.
 
 Phase model per synchronized iteration (paper Fig. 4 / Fig. 6):
 
@@ -49,7 +53,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.debug.flight_recorder import recorder_for
 from repro.debug.levels import DEBUG
-from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 
 
@@ -228,24 +231,16 @@ class IterationProfile:
         return "\n".join(lines)
 
 
-def _build_profile(
-    rank: Optional[int],
-    iteration: int,
-    t_prepare: float,
-    t_first: float,
-    t_all: float,
-    t_done: float,
-    comm: Sequence[Tuple[Optional[int], int, float, float]],
-    launch_delays: Dict[Optional[int], float],
-) -> IterationProfile:
+def _build_profile(stamps: "_Stamps") -> IterationProfile:
     """The attribution math over (bucket, bytes, start, end) intervals."""
+    t_prepare, t_first, t_all, t_done = (
+        stamps.t_prepare, stamps.t_first, stamps.t_all, stamps.t_done)
+    comm = stamps.comm
+    launch_delays = {
+        bucket: launched - ready for bucket, (ready, launched) in stamps.launches.items()
+    }
     intervals = [(start, end) for _, _, start, end in comm]
-    comm_total = sum(end - start for start, end in intervals)
-    comm_hidden = sum(
-        max(0.0, min(end, t_all) - max(start, t_first))
-        for start, end in intervals
-    )
-    overlap_ratio = (comm_hidden / comm_total) if comm_total > 0 else 0.0
+    comm_total, comm_hidden, overlap_ratio = stamps.comm_split()
     exposed = _union_within(intervals, t_all, t_done)
     finalize = max(0.0, t_done - t_all)
     buckets = [
@@ -270,8 +265,8 @@ def _build_profile(
     else:
         idle_bubble = 0.0
     return IterationProfile(
-        rank=rank,
-        iteration=iteration,
+        rank=stamps.rank,
+        iteration=stamps.iteration,
         t_start=t_prepare,
         t_end=t_done,
         prepare_s=max(0.0, t_first - t_prepare),
@@ -294,20 +289,39 @@ _build_lock = threading.Lock()
 
 
 class _Stamps:
-    """One finished iteration as stamped: the :func:`_build_profile`
-    arguments, and the profile once someone has read it."""
+    """One finished iteration as stamped — ``comm`` holds each bucket
+    collective's ``(bucket, bytes, start, end)``, ``launches`` each
+    bucket's ``(ready, launched)`` pair, ``traced`` whether telemetry
+    was on — and its profile once someone has read it."""
 
-    __slots__ = ("args", "_profile")
+    __slots__ = ("rank", "iteration", "t_prepare", "t_first", "t_all", "t_done",
+                 "comm", "launches", "traced", "_profile")
 
-    def __init__(self, *args):
-        self.args = args
+    def __init__(self, rank: Optional[int], iteration: int, t_prepare: float,
+                 t_first: float, t_all: float, t_done: float,
+                 comm: Sequence[Tuple[Optional[int], int, float, float]],
+                 launches: Dict[int, Tuple[float, float]], traced: bool = False):
+        self.rank, self.iteration = rank, iteration
+        self.t_prepare, self.t_first, self.t_all, self.t_done = (
+            t_prepare, t_first, t_all, t_done)
+        self.comm, self.launches, self.traced = comm, launches, traced
         self._profile: Optional[IterationProfile] = None
+
+    def comm_split(self) -> Tuple[float, float, float]:
+        """``(comm_total_s, comm_hidden_s, overlap_ratio)``: bucket
+        communication time, the part inside the backward-compute window
+        ``[t_first, t_all]``, and their ratio — the profile's numbers,
+        for readers that need no more (the iteration series, the trace)."""
+        total = sum(end - start for _, _, start, end in self.comm)
+        hidden = sum(max(0.0, min(end, self.t_all) - max(start, self.t_first))
+                     for _, _, start, end in self.comm)
+        return total, hidden, (hidden / total if total > 0 else 0.0)
 
     def profile(self) -> IterationProfile:
         if self._profile is None:
             with _build_lock:
                 if self._profile is None:
-                    self._profile = _build_profile(*self.args)
+                    self._profile = _build_profile(self)
         return self._profile
 
 
@@ -362,10 +376,10 @@ class IterationRecorder:
         """Close the iteration and keep its stamps as :attr:`last`.
 
         ``bucket_works`` pairs each bucket index with its ``Work``
-        handle (or ``None``).  While ``REPRO_DEBUG`` ≥ INFO or telemetry
-        is on, the rank's flight recorder retains the iteration too (the
-        critical-path profiler reads it there); with telemetry on, the
-        phases, buckets and the iteration envelope are emitted as spans.
+        handle (or ``None``).  Builds no profile.  While ``REPRO_DEBUG``
+        ≥ INFO or telemetry is on, the rank's flight recorder retains the
+        stamps too: the critical-path profiler, the trace's compute row
+        and the iteration series read them there.
         """
         t_done = time.perf_counter()
         t_first = self.t_first_grad if self.t_first_grad is not None else (
@@ -378,61 +392,13 @@ class IterationRecorder:
             if interval is not None:
                 comm.append((index, self._launch_bytes.get(index, 0),
                              interval[0], interval[1]))
-        delays = {
-            index: launched - self._ready[index]
-            for index, launched in self._launched.items()
-            if index in self._ready
+        launches = {
+            index: (ready, self._launched[index])
+            for index, ready in self._ready.items()
+            if index in self._launched
         }
+        traced = TRACER.enabled
         self._last = _Stamps(self.rank, self.iteration, self.t_prepare,
-                             t_first, t_all, t_done, comm, delays)
-        if self.rank is not None and (DEBUG.level or TRACER.enabled):
+                             t_first, t_all, t_done, comm, launches, traced)
+        if self.rank is not None and (DEBUG.level or traced):
             recorder_for(self.rank).add_iteration(self._last)
-        if TRACER.enabled:
-            self._emit_spans(t_first, t_all, t_done, self.last.overlap_ratio)
-
-    def _emit_spans(self, t_first: float, t_all: float, t_done: float,
-                    overlap_ratio: float) -> None:
-        rank = self.rank
-        iteration = self.iteration
-        registry = registry_for(rank)
-        delay_hist = registry.histogram("bucket.ready_to_launch_delay")
-        for index, t_ready in self._ready.items():
-            launched = self._launched.get(index)
-            if launched is not None and launched >= t_ready:
-                delay_hist.observe(launched - t_ready)
-        registry.gauge("iteration.overlap_ratio").set(overlap_ratio)
-        # History ring of the same ratio: the health engine's overlap-
-        # collapse detector compares early vs late samples per rank.
-        registry.histogram("iteration.overlap_ratio_dist").observe(overlap_ratio)
-        registry.counter("iterations.synced").add(1)
-        TRACER.record(
-            f"iteration {iteration}", self.t_prepare, t_done,
-            cat="iteration", stream="compute", rank=rank,
-            args={"iteration": iteration, "overlap_ratio": round(overlap_ratio, 4)},
-        )
-        if t_first > self.t_prepare:
-            TRACER.record(
-                "prepare_to_first_grad", self.t_prepare, t_first,
-                cat="compute", stream="compute", rank=rank, depth=1,
-                args={"iteration": iteration},
-            )
-        if t_all > t_first:
-            TRACER.record(
-                "backward_compute", t_first, t_all,
-                cat="compute", stream="compute", rank=rank, depth=1,
-                args={"iteration": iteration},
-            )
-        TRACER.record(
-            "finalize(wait+copy_back)", t_all, t_done,
-            cat="compute", stream="compute", rank=rank, depth=1,
-            args={"iteration": iteration},
-        )
-        for index, t_ready in self._ready.items():
-            launched = self._launched.get(index)
-            if launched is not None and launched >= t_ready:
-                TRACER.record(
-                    f"bucket {index} ready→launch", t_ready, launched,
-                    cat="bucket", stream="compute", rank=rank, depth=2,
-                    args={"iteration": iteration, "bucket": index,
-                          "bytes": self._launch_bytes.get(index, 0)},
-                )

@@ -168,8 +168,8 @@ class SpanTracer:
         """Append a completed span; a no-op while the tracer is disabled.
 
         ``t_start``/``t_end`` are ``perf_counter`` seconds, so callers
-        may stamp times early and record retroactively (the reducer
-        emits its phase spans at finalize time).
+        may stamp times early and record retroactively (a checkpoint
+        save records its span once the write has landed).
         """
         if not self.enabled:
             return

@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import run_world
+from conftest import run_world, wait_until
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy
@@ -39,6 +39,8 @@ from repro.telemetry.health import (
 from repro.core import DistributedDataParallel
 from repro.debug import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.flight_recorder import DEFAULT_CAPACITY
+from repro.telemetry.metrics import registry_for
+from repro.telemetry.observatory import MetricsSampler
 from repro.utils import manual_seed
 
 WORLD = 4
@@ -54,8 +56,10 @@ def clean_telemetry():
     telemetry.reset()
 
 
-def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02):
-    """One rank of a multi-bucket DDP loop; returns ddp_stats()."""
+def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02, stats=True, read=False):
+    """One rank of a multi-bucket DDP loop; returns ddp_stats() (None
+    without ``stats``, so nothing reads the registries).  With ``read``
+    every iteration also reads ``ddp_stats()``."""
     manual_seed(3)
     net = nn.Sequential(
         nn.Linear(32, width), nn.ReLU(), nn.Linear(width, width), nn.ReLU(),
@@ -71,7 +75,9 @@ def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02):
         opt.zero_grad()
         loss_fn(ddp(inp), exp).backward()
         opt.step()
-    return ddp.ddp_stats()
+        if read:
+            ddp.ddp_stats()
+    return ddp.ddp_stats() if stats else None
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +312,223 @@ class TestEfficiencyAccounting:
         assert health["achieved_busbw_gbps"] is None
         assert stats[0]["debug"]["flight_recorder_depth"] == 0
         assert health["diagnoses"] == []
+
+
+# ----------------------------------------------------------------------
+# the fold: series derived from the retained records when read
+# ----------------------------------------------------------------------
+#: Series only the fold publishes (nothing on the hot path writes them).
+FOLDED = (
+    "health.collectives_accounted", "comm.collective_latency_s",
+    "comm.achieved_busbw_gbps", "comm.model_efficiency",
+    "comm.chunk_pipeline_utilization", "comm.recv_stall_s",
+    "allreduce.count", "allreduce.bytes", "broadcast.count",
+    "iterations.synced", "iteration.overlap_ratio",
+    "iteration.overlap_ratio_dist", "bucket.ready_to_launch_delay",
+)
+
+
+def _by_rank():
+    return {snap["rank"]: snap for snap in telemetry.all_snapshots()}
+
+
+def _count(snap, name):
+    """A counter's value or a histogram's count (0 when absent)."""
+    if name in snap["counters"]:
+        return snap["counters"][name]
+    return snap["histograms"].get(name, {}).get("count", 0)
+
+
+def _timed_out_allreduce():
+    """World 2: rank 1's sends to rank 0 are delayed 0.3 s, and rank 0's
+    caller gives up on a worker-run AllReduce after 0.05 s, reads the
+    registries while its worker still receives, then waits the worker
+    out.  Returns every rank's snapshot and rank 0's record."""
+    telemetry.enable()
+    plan = FaultPlan([delay(0.3, rank=1, dst=0)], seed=0)
+
+    def body(rank):
+        from repro.comm import CollectiveTimeoutError, get_context
+
+        group = get_context().default_group
+        # (p − 1) · nbytes = 256 KiB: above the size rule, on the worker.
+        work = group.allreduce(np.ones(1 << 15), async_op=True)
+        if rank == 0:
+            with pytest.raises(CollectiveTimeoutError):
+                work.wait(timeout=0.05)
+            assert group._executing            # the worker still receives
+            telemetry.all_snapshots()          # a read in that window
+            wait_until(lambda: not group._executing, timeout=10.0)
+        else:
+            work.wait()
+        return work.record
+
+    records = run_world(2, body, backend="gloo", timeout=30.0, fault_plan=plan)
+    return _by_rank(), records[0]
+
+
+class TestFoldAtRead:
+    def test_hot_path_writes_no_derived_series(self):
+        telemetry.enable()
+        iterations = 3
+        run_world(2, lambda rank: _train(rank, iterations, stats=False),
+                  backend="gloo", timeout=60.0)
+        for rank in range(2):
+            assert not set(registry_for(rank).names()) & set(FOLDED)
+        snaps = _by_rank()
+        for rank in range(2):
+            snap, records = snaps[rank], recorder_for(rank).records()
+            assert set(FOLDED) <= set(snap["counters"]) | set(snap["gauges"]) | set(
+                snap["histograms"])
+            assert (_count(snap, "comm.collective_latency_s")
+                    == _count(snap, "health.collectives_accounted") == len(records))
+            allreduces = [r for r in records if r.op == "allreduce"]
+            assert _count(snap, "allreduce.count") == len(allreduces)
+            assert _count(snap, "allreduce.bytes") == sum(r.bytes for r in allreduces)
+            assert _count(snap, "iterations.synced") == iterations
+
+    def test_profile_is_built_by_its_first_reader(self):
+        telemetry.enable()
+
+        def body(rank):
+            manual_seed(0)
+            ddp = DistributedDataParallel(nn.Linear(8, 4))
+            loss = ddp(Tensor(np.ones((2, 8)))).sum()
+            loss.backward()
+            stamps = ddp.reducer.recorder._last
+            unbuilt = stamps._profile is None
+            return unbuilt, ddp.reducer.recorder.last is stamps._profile
+
+        assert run_world(2, body, backend="gloo") == [(True, True)] * 2
+
+    @pytest.mark.parametrize("readers", [False, True])
+    def test_racing_readers_fold_each_record_once(self, readers):
+        """A 1 ms sampler and ``ddp_stats()`` every iteration on every
+        rank read while training, under a short switch interval: the
+        counts are the records'."""
+        import sys
+
+        telemetry.enable()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sampler = MetricsSampler(interval=0.001).start() if readers else None
+        try:
+            run_world(2, lambda rank: _train(rank, iterations=8, stats=False,
+                                             read=readers),
+                      backend="gloo", timeout=60.0)
+        finally:
+            if sampler is not None:
+                sampler.stop()
+            sys.setswitchinterval(previous)
+        snaps = _by_rank()
+        for rank in range(2):
+            snap, records = snaps[rank], recorder_for(rank).records()
+            assert (_count(snap, "comm.collective_latency_s")
+                    == _count(snap, "health.collectives_accounted") == len(records))
+            assert _count(snap, "allreduce.count") == sum(
+                r.op == "allreduce" for r in records)
+            assert _count(snap, "iterations.synced") == 8
+            assert _count(snap, "iteration.overlap_ratio_dist") == 8
+            assert "health.collectives_unaccounted" not in snap["counters"]
+        # Reset leaves nothing behind: a second run folds from zero.
+        telemetry.reset()
+        run_world(2, lambda rank: _train(rank, iterations=2, stats=False),
+                  backend="gloo", timeout=60.0)
+        snaps = _by_rank()
+        for rank in range(2):
+            assert _count(snaps[rank], "health.collectives_accounted") == len(
+                recorder_for(rank).records())
+            assert _count(snaps[rank], "iterations.synced") == 2
+
+    def test_concurrent_reads_fold_waiting_records_once(self):
+        """Records a read took while in flight finish, then eight threads
+        read at once: each record is published by exactly one of them."""
+        import sys
+        import threading
+
+        start = threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=10.0)
+            registry_for(0).snapshot()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(1, 4):
+                records = [_stamped(seq, t_start=0.0) for seq in range(2000)]
+                for record in records:
+                    recorder_for(0).add(record)
+                registry_for(0).snapshot()  # takes them all while in flight
+                for record in records:
+                    record.t_end, record.stalls = 1.0, {1: 0.5}
+                readers = [threading.Thread(target=read) for _ in range(8)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=10.0)
+                    assert not reader.is_alive()
+                snap = registry_for(0).snapshot()
+                assert _count(snap, "health.collectives_accounted") == 2000 * round_
+        finally:
+            sys.setswitchinterval(previous)
+        assert snap["counters"]["comm.recv_stall_s.from_rank_1"] == pytest.approx(3000.0)
+
+    def test_stalls_after_a_caller_timeout_are_folded(self):
+        """The worker keeps receiving after its caller gave up; those
+        waits are the hung peer's signal, so a read during them must not
+        fold the record early."""
+        snaps, _ = _timed_out_allreduce()
+        stalled = snaps[0]["counters"].get("comm.recv_stall_s.from_rank_1", 0.0)
+        assert stalled >= 0.2
+        assert _count(snaps[0], "health.collectives_accounted") == 1
+
+    def test_failed_collective_keeps_latency_but_no_bandwidth(self):
+        snaps, record = _timed_out_allreduce()
+        assert record.state == "failed"
+        assert _count(snaps[0], "comm.collective_latency_s") == 1
+        assert _count(snaps[0], "comm.achieved_busbw_gbps") == 0
+        assert _count(snaps[0], "comm.model_efficiency") == 0
+        # The peer's completed AllReduce is measured as usual.
+        assert _count(snaps[1], "comm.achieved_busbw_gbps") == 1
+
+    def test_rings_that_drop_unread_records_count_the_gap(self, monkeypatch):
+        from repro.debug import flight_recorder
+
+        monkeypatch.setattr(flight_recorder, "ITERATION_CAPACITY", 2)
+        for rank in range(2):
+            monkeypatch.setitem(flight_recorder._recorders, rank,
+                                FlightRecorder(rank, capacity=4))
+        telemetry.enable()
+        # One bucket: every collective completes before the next starts.
+        run_world(2, lambda rank: _train(rank, iterations=6, bucket_cap_mb=1.0,
+                                         stats=False),
+                  backend="gloo", timeout=60.0)
+        snaps = _by_rank()
+        for rank in range(2):
+            ring, snap = recorder_for(rank), snaps[rank]
+            assert ring.dropped > 0
+            assert _count(snap, "health.collectives_unaccounted") == ring.dropped
+            assert _count(snap, "health.collectives_accounted") == ring.depth() == 4
+            # Iterations the ring dropped still count as synced; only
+            # their samples are gone.
+            assert _count(snap, "iterations.synced") == 6
+            assert _count(snap, "iteration.overlap_ratio_dist") == 2
+
+    def test_debug_retention_without_telemetry_publishes_nothing(self):
+        from repro.debug import get_debug_level, set_debug_level
+
+        previous = get_debug_level()
+        set_debug_level("INFO")
+        try:
+            run_world(2, lambda rank: _train(rank, stats=False),
+                      backend="gloo", timeout=60.0)
+        finally:
+            set_debug_level(previous)
+        for rank in range(2):
+            assert recorder_for(rank).depth() and recorder_for(rank).iterations()
+            snap = registry_for(rank).snapshot()
+            assert not (snap["counters"] or snap["gauges"] or snap["histograms"])
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ merged spans + flight-recorder + resilience Chrome trace.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
@@ -24,6 +25,7 @@ from conftest import run_world
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
+from repro.debug import all_recorders
 from repro.telemetry.metrics import (
     MetricsRegistry,
     merge_snapshots,
@@ -557,7 +559,11 @@ class TestMergedTimeline:
                 _train_ddp(rank, iterations=2)
 
             run_world(2, body, backend="gloo")
-            assert merged_trace_events()
+            events = merged_trace_events()
+            assert events
+            # The compute row is drawn only from iterations that finished
+            # with telemetry on.
+            assert not [e for e in events if e.get("cat") in ("iteration", "bucket")]
             assert len(CriticalPathProfiler().profiles()) == 2 * 2
             telemetry.disable()
             telemetry.reset()
@@ -566,6 +572,65 @@ class TestMergedTimeline:
             assert CriticalPathProfiler().profiles() == []
         finally:
             set_debug_level(previous)
+
+
+# ----------------------------------------------------------------------
+# the metric catalog is what a run publishes
+# ----------------------------------------------------------------------
+_DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "docs", "observability.md")
+
+#: Catalog rows a 2-rank DDP run cannot produce, and why.
+_CATALOG_EXEMPT = {
+    "p2p.": "point-to-point ops; DDP issues collectives only",
+    "straggler.": "only check_stragglers() publishes these",
+    "health.collectives_unaccounted": "only once a ring dropped unread records "
+                                      "(tests/test_health.py::TestFoldAtRead)",
+}
+
+
+def _catalog_names():
+    """The dotted names in the first cell of each Metric-table row."""
+    with open(_DOCS) as handle:
+        lines = handle.read().split("| Metric |", 1)[1].splitlines()[2:]
+    names = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cell = line.split("|")[1]
+        names.extend(name for name in re.findall(r"`([^`]+)`", cell) if "." in name)
+    return names
+
+
+class TestMetricCatalog:
+    def test_every_catalog_row_is_published_by_a_ddp_run(self):
+        def body(rank):
+            ddp = _train_ddp(rank, iterations=2)
+            ddp.set_bucket_cap_mb(1.0)  # a live relayout: reducer.rebuilds
+            loss = nn.CrossEntropyLoss()(ddp(Tensor(np.ones((4, 32)))), np.zeros(4, int))
+            loss.backward()
+
+        telemetry.enable()
+        run_world(2, body, backend="gloo")
+        published = set()
+        for snap in telemetry.all_snapshots():
+            for kind in ("counters", "gauges", "histograms"):
+                published.update(snap[kind])
+        issued = {record.op for ring in all_recorders().values()
+                  for record in ring.records() if record.bytes is not None}
+        assert issued >= {"allreduce", "broadcast"}
+        names = _catalog_names()
+        assert "comm.recv_stall_s.from_rank_N" in names
+        for name in names:
+            if any(name.startswith(prefix) for prefix in _CATALOG_EXEMPT):
+                continue
+            if name.endswith(".*"):  # the op counters, per issued collective
+                op = name[:-2]
+                if op in issued:
+                    assert {f"{op}.count", f"{op}.bytes"} <= published, name
+                continue
+            pattern = re.compile(re.escape(name).replace("_N", r"_\d+") + "$")
+            assert any(pattern.match(series) for series in published), name
 
 
 # ----------------------------------------------------------------------
