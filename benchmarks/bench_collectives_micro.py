@@ -14,7 +14,10 @@ the window), for ``sum`` and for the fused ``avg``.  The
 ``allreduce_<size>_w<world>`` rows are the fixed cost of one collective:
 the median *synchronous* call through a gloo ``ProcessGroup`` — issue,
 worker hand-off, signature check, protocol chosen by size, completion —
-again inside live rank threads.
+again inside live rank threads.  ``small_allreduce_x12_w4`` is the
+reducer's pattern on ``cnn_ddp_lat_w4``'s bucket sizes: twelve async
+``AVG`` AllReduces issued back to back, then waited, at world 4; it
+reports rank-thread CPU per collective and rank (report-only).
 """
 
 import os
@@ -146,6 +149,34 @@ def _median_group_allreduce(world, nbytes, calls, warmup=20):
     return max(run_distributed(world, body, backend="gloo", timeout=BW_TIMEOUT))
 
 
+#: ``cnn_ddp_lat_w4``'s bucket sizes in float64 elements, the worker-path
+#: 401 KB bucket replaced by one under the size rule.
+SMALL_BUCKETS = (10, 640, 64, 4096, 16, 16, 16, 1152, 8, 8, 8, 72)
+
+
+def _cpu_per_small_allreduce(rounds, warmup=30):
+    """Rank-thread CPU seconds per collective and rank: every round issues
+    one async ``AVG`` AllReduce per bucket, then waits for all of them."""
+
+    def body():
+        group = get_context().default_group
+        buffers = [np.ones(n) for n in SMALL_BUCKETS]
+
+        def one_round():
+            for work in [group.allreduce(b, "avg", async_op=True) for b in buffers]:
+                work.wait()
+
+        for _ in range(warmup):
+            one_round()
+        start = time.thread_time()
+        for _ in range(rounds):
+            one_round()
+        return time.thread_time() - start
+
+    cpu = run_distributed(WORLD, body, backend="gloo", timeout=BW_TIMEOUT)
+    return sum(cpu) / (WORLD * rounds * len(SMALL_BUCKETS))
+
+
 def bench_micro_allreduce_ring(benchmark):
     outputs = benchmark(_run_collective, "ring")
     assert np.allclose(outputs[0], outputs[-1])
@@ -225,14 +256,20 @@ def main(argv=None):
     for name in BANDWIDTH_ROWS:
         rows.append([name, _median_in_live_threads(name, calls)])
     latency_calls = 100 if iters == 3 else 400
+    rows = [[name, value, "s"] for name, value in rows]
     for name, (world, nbytes) in LATENCY_ROWS.items():
-        rows.append([name, _median_group_allreduce(world, nbytes, latency_calls)])
+        seconds = _median_group_allreduce(world, nbytes, latency_calls)
+        rows.append([name, f"{1e6 * seconds:.1f}", "us"])
+    rounds = 100 if iters == 3 else 300
+    rows.append(["small_allreduce_x12_w4", f"{1e6 * _cpu_per_small_allreduce(rounds):.1f}",
+                 "us rank-thread CPU per collective-rank"])
     report(
         "collectives_micro",
         f"AllReduce microbench ({WORLD} ranks, {PAYLOAD} fp64 elems, median of {iters}; "
         f"*_16mb_w2: {BW_WORLD} live ranks, {BW_ELEMS} fp64 elems, median of {calls} calls; "
-        f"allreduce_*: sync call through a gloo group, median of {latency_calls})",
-        ["algorithm", "seconds"],
+        f"allreduce_*: sync call through a gloo group, median of {latency_calls}; "
+        f"small_allreduce_x12_w4: {rounds} rounds of 12)",
+        ["row", "value", "unit"],
         rows,
     )
     return 0

@@ -201,8 +201,11 @@ def main() -> int:
         ("rank 2 detected dead", result.deaths == [2]),
         ("world shrank to survivors",
          result.final_world_size == WORLD - 1),
-        ("injected drops were absorbed by retries",
-         plan.stats()[0]["triggered"] == 0 or result.total_retries > 0),
+        # A dropped message reaches its receiver only as a retransmission,
+        # whether a blocking receive's retry or a poll re-requested it.
+        ("injected drops were recovered by retransmission",
+         plan.stats()[0]["triggered"] == 0
+         or sum(g["resilience"]["total_retransmits"] for g in result.generations) > 0),
         ("loss kept improving", result.losses[-1] < result.losses[0]),
         ("final loss matches no-fault shrunken-world baseline",
          abs(result.final_loss - baseline.final_loss) < 0.05),

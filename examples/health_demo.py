@@ -6,7 +6,10 @@ seeded :class:`~repro.resilience.FaultPlan` abuses the wire:
 * ``slow_rank(1, ...)`` — every send from rank 1 is delayed, the
   paper's persistent-straggler scenario;
 * ``drop(rank=0, dst=2, ...)`` — a lossy edge 0→2 whose drops the
-  reliable transport absorbs as retries and retransmissions.
+  reliable transport absorbs as retries and retransmissions: 24
+  deliveries after DDP's construction, so the receiver counts 24
+  retransmissions — over the storm rule's 20 events and half the
+  collectives it accounts.
 
 The health engine watches the same run through its efficiency metrics
 (per-source receive stalls, achieved bus bandwidth, chunk-pipeline
@@ -99,7 +102,7 @@ def main() -> int:
         plan = FaultPlan(
             [
                 slow_rank(SLOW_RANK, seconds=0.008),
-                drop(rank=LOSSY_EDGE[0], dst=LOSSY_EDGE[1], probability=0.4),
+                drop(rank=LOSSY_EDGE[0], dst=LOSSY_EDGE[1], after=2, times=24),
             ],
             seed=args.seed,
         )

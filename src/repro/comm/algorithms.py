@@ -6,9 +6,8 @@ These are the real algorithms communication libraries use (paper §2.3):
   reduces locally; the strawman the paper mentions for large tensors,
   and the one-round protocol :func:`allreduce_protocol` picks for small
   ones.  Below the size rule (:func:`one_round`) the process group runs
-  it split in two — :class:`OneRoundAllreduce` posts at issue and
-  receives at ``wait()`` — and broadcasts the same way
-  (:class:`OneRoundBroadcast`).
+  it split in two — the post at issue, the receives and
+  :func:`reduce_in_order` at ``wait()`` — and broadcasts the same way.
 * ``allreduce_ring`` — reduce-scatter + allgather ring (NCCL's default),
   2·(p−1) chunk transfers per rank, bandwidth-optimal.
 * ``allreduce_tree`` — binomial-tree reduce to a root followed by a
@@ -77,7 +76,6 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.gates import NOTHING
 from repro.comm.transport import TransportHub
 
 ReduceFn = Callable[..., np.ndarray]
@@ -115,6 +113,20 @@ def _recv(hub: TransportHub, me: int, src: int, tag: object, timeout: float | No
     payload = hub.recv(me, src, tag, timeout)
     stalls[src] = stalls.get(src, 0.0) + (time.perf_counter() - t0)
     return payload
+
+
+def _collect(hub: TransportHub, me: int, srcs: Sequence[int], tag: object) -> list:
+    """``hub.collect``, its round booked to ``srcs``' receive stalls in
+    equal shares, as :func:`_recv` books a message that was there."""
+    stalls = getattr(executing, "stalls", None)
+    if stalls is None:
+        return hub.collect(me, srcs, tag)
+    t0 = time.perf_counter()
+    posts = hub.collect(me, srcs, tag)
+    share = (time.perf_counter() - t0) / len(srcs)
+    for src in srcs:
+        stalls[src] = stalls.get(src, 0.0) + share
+    return posts
 
 
 def _post(hub: TransportHub, src: int, dst: int, tag: object, piece: np.ndarray,
@@ -284,19 +296,30 @@ def allreduce_naive(
     the paper contrasts with ring AllReduce, and the cheapest thing to
     do while n is so small that rounds are all there is to pay for (see
     :func:`allreduce_protocol`).  Unchunked and eager: one private copy
-    is posted to every peer and never written again.
-
-    Every rank reduces the p contributions in group-rank order, its own
-    taking its place in that order, so all ranks end with the same bits
-    whatever the operator's rounding.  ``avg`` divides each rank's
-    accumulator.
+    is posted to every peer (:meth:`TransportHub.post`) and never
+    written again.
 
     Thread-safety: safe to run concurrently on every rank thread of the
     group; the local buffer is only written by its own rank.
     """
-    exchange = OneRoundAllreduce(hub, ranks, me, buffer, op, (tag, "naive"))
-    exchange.drain(True, timeout)
-    exchange.finish()
+    world, here, tag = len(ranks), ranks[me], (tag, "naive")
+    mine = buffer.copy()
+    hub.post(here, [rank for rank in ranks if rank != here], tag, mine)
+    pieces = [mine if offset == me else _recv(hub, here, ranks[offset], tag, timeout)
+              for offset in range(world)]
+    reduce_in_order(buffer, pieces, op)
+
+
+def reduce_in_order(buffer: np.ndarray, pieces: Sequence[np.ndarray], op: str) -> None:
+    """Land the reduction of ``pieces`` (one per group rank, in rank
+    order) in ``buffer``: every rank reduces the same pieces in the same
+    order, so all end with the same bits; ``avg`` divides once."""
+    fn, divisor = _reduce_plan(op, len(pieces), buffer.dtype)
+    acc = None
+    for piece in pieces:
+        acc = piece if acc is None else fn(acc, piece, out=buffer)
+    if divisor:
+        _divide(buffer, divisor)
 
 
 def one_round(nbytes: int, world: int) -> bool:
@@ -319,124 +342,6 @@ def allreduce_protocol(algorithm: str, nbytes: int, world: int) -> str:
     ``"naive"`` (one round of direct exchange) under :func:`one_round`'s
     size rule, the configured ``algorithm`` from there on."""
     return "naive" if one_round(nbytes, world) else algorithm
-
-
-class OneRound:
-    """One round of direct posts, received in a second phase.
-
-    The split-phase form of the small collectives: construction posts
-    this rank's contribution, :meth:`drain` collects the peers' — all at
-    once, or (``block=False``) whatever has arrived, without parking —
-    and :meth:`finish` lands the result in the buffer.  Cost per rank:
-    one α for the round, ``len(dsts)`` eager messages of n bytes out and
-    ``len(srcs)`` in.  The payload is one private copy taken at post time,
-    sent to every destination and never written again, so the caller may
-    reuse its buffer as soon as the post returns.
-
-    A message travels under ``(tag, sender's group rank)``.  ``tag``
-    carries whatever sender and receiver must agree on — the process
-    group puts the collective's fingerprint there — so a post that
-    disagrees is never consumed.
-
-    Thread-safety: one rank's exchange; one thread at a time may drain it
-    (the process group's ``Work`` serialises its callers).
-    """
-
-    __slots__ = ("hub", "ranks", "me", "buffer", "tag", "pieces", "missing")
-
-    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
-                 buffer: np.ndarray, tag: object, payload, dsts: Sequence[int],
-                 srcs: Sequence[int]):
-        self.hub, self.ranks, self.me, self.buffer, self.tag = hub, ranks, me, buffer, tag
-        here = ranks[me]
-        for offset in dsts:
-            hub.send(here, ranks[offset], (tag, me), payload)
-        #: Received contributions by sender group rank.
-        self.pieces: dict = {}
-        #: Senders still to be heard from, in group-rank order.
-        self.missing: List[int] = list(srcs)
-
-    def drain(self, block: bool, timeout: float | None = None) -> bool:
-        """Receive outstanding contributions; True once all are in.
-
-        ``block`` parks on each missing sender in group-rank order (with
-        health stall attribution, :func:`_recv`); otherwise each is polled
-        once and what has not arrived stays missing.
-        """
-        hub, here = self.hub, self.ranks[self.me]
-        for offset in tuple(self.missing):
-            key = (self.tag, offset)
-            if block:
-                piece = _recv(hub, here, self.ranks[offset], key, timeout)
-            else:
-                piece = hub.poll(here, self.ranks[offset], key)
-                if piece is NOTHING:
-                    continue
-            self.pieces[offset] = piece
-            self.missing.remove(offset)
-        return not self.missing
-
-    def finish(self) -> None:
-        """Land the result in the buffer (every contribution is in)."""
-        raise NotImplementedError
-
-
-class OneRoundAllreduce(OneRound):
-    """Direct-exchange AllReduce in two phases (:func:`allreduce_naive`).
-
-    Every rank posts a copy of its buffer to every peer; :meth:`finish`
-    reduces the p contributions in group-rank order, its own taking its
-    place in that order, so all ranks end with the same bits whatever the
-    operator's rounding.  ``avg`` divides each rank's accumulator.  The
-    contribution is the buffer's value at post time.
-    """
-
-    __slots__ = ("fn", "divisor", "mine")
-
-    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
-                 buffer: np.ndarray, op: str, tag: object):
-        world = len(ranks)
-        self.fn, self.divisor = _reduce_plan(op, world, buffer.dtype)
-        self.mine = buffer.copy() if world > 1 else None
-        peers = [offset for offset in range(world) if offset != me]
-        super().__init__(hub, ranks, me, buffer, tag, self.mine, peers, peers)
-
-    def finish(self) -> None:
-        """Reduce the contributions in group-rank order into the buffer."""
-        if self.mine is None:  # world 1
-            return
-        fn, buffer, pieces = self.fn, self.buffer, self.pieces
-        acc = None
-        for offset in range(len(self.ranks)):
-            piece = self.mine if offset == self.me else pieces[offset]
-            # The first operation reads two contributions and lands in
-            # the buffer; from then on the buffer is the accumulator.
-            acc = piece if acc is None else fn(acc, piece, out=buffer)
-        if self.divisor:
-            _divide(buffer, self.divisor)
-
-
-class OneRoundBroadcast(OneRound):
-    """Direct broadcast in two phases: the root posts one copy to each
-    peer, every peer receives one message.  The same bits as the tree
-    :func:`broadcast`, in one round instead of ⌈log₂ p⌉."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, hub: TransportHub, ranks: Sequence[int], me: int,
-                 buffer: np.ndarray, root: int, tag: object):
-        self.root = root
-        if me == root:
-            peers = [offset for offset in range(len(ranks)) if offset != root]
-            payload = buffer.copy() if peers else None
-            super().__init__(hub, ranks, me, buffer, tag, payload, peers, ())
-        else:
-            super().__init__(hub, ranks, me, buffer, tag, None, (), (root,))
-
-    def finish(self) -> None:
-        """Copy the root's value into a non-root's buffer."""
-        if self.me != self.root:
-            self.buffer[...] = self.pieces[self.root]
 
 
 def _ring_reduce_scatter(hub: TransportHub, ranks: Sequence[int], me: int, flat: np.ndarray,
@@ -733,7 +638,7 @@ def broadcast(
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); the root sends ⌈log₂ p⌉ copies,
     interior ranks forward once per subtree.  Transfers are chunked so
     a forwarding rank relays chunk 0 before chunk *k* arrives.  Under the
-    size rule the process group runs :class:`OneRoundBroadcast` instead;
+    size rule the process group posts the root's copy to every peer instead;
     :func:`allreduce_tree` and :func:`allreduce_hierarchical` end with
     this broadcast.
 

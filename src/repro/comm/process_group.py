@@ -31,8 +31,14 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm import algorithms
+from repro.comm.gates import NOTHING
 from repro.comm.store import Store, StoreTimeoutError
-from repro.comm.transport import TransportClosedError, TransportHub, TransportTimeoutError
+from repro.comm.transport import (
+    Signed,
+    TransportClosedError,
+    TransportHub,
+    TransportTimeoutError,
+)
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
@@ -77,18 +83,15 @@ class Work:
 
     ``record`` is the collective's one
     :class:`~repro.debug.flight_recorder.CollectiveRecord`: its facts,
-    its terminal state, and the scheduled/started/finished stamps
-    (``perf_counter`` seconds) written around the collective's execution
-    — so callers holding the handle, notably the reducer's per-bucket
-    latency and overlap-ratio accounting, can read how long the operation
-    actually ran, as opposed to how long they waited on it.
-    ``result[0]`` holds what the collective's algorithm returned (None
-    for in-place ops) once ``wait()`` returns.
+    terminal state and scheduled/started/finished stamps, so a holder
+    (the reducer's latency and overlap accounting) reads how long the
+    operation ran, not how long it waited.  ``result[0]`` holds what the
+    algorithm returned (None for in-place ops) once ``wait()`` returns.
 
     This handle is a collective above the size rule
     (:func:`~repro.comm.algorithms.one_round`), run by a communication
     worker: ``wait()`` parks on an event the worker sets.  A small
-    collective is a :class:`_SplitWork` and makes progress in ``wait()``
+    collective is a :class:`_RoundWork` and makes progress in ``wait()``
     / ``is_completed()`` instead.
     """
 
@@ -143,28 +146,30 @@ class Work:
         return f"<Work {self.description} {state}>"
 
 
-class _SplitWork(Work):
+class _RoundWork(Work):
     """A collective under the size rule, completed on the caller.
 
-    Its contribution was posted at issue (``exchange``, an
-    :class:`~repro.comm.algorithms.OneRound`); nothing is queued and no
-    thread owns it.  The first ``wait()`` — or an ``is_completed()`` that
-    finds every contribution already there — checks the leader's
-    signature (non-leaders), receives what is missing, lands the result
-    and runs the group's bookkeeping (``ProcessGroup._execute``).  A lock
-    makes that happen exactly once however many threads ask; a thread
-    that finds another one completing parks on the lock.
+    Its signed contribution (:class:`~repro.comm.transport.Signed`) went
+    out at issue; no thread owns it.  The first ``wait()``, or an
+    ``is_completed()`` that finds every post there, takes the peers'
+    posts, compares their fingerprints, lands the result and runs
+    ``ProcessGroup._execute`` — exactly once, under a lock the other
+    askers park on.
     """
 
-    def __init__(self, record, group: "ProcessGroup", signature: dict, retries):
-        self.record = record
-        self.result = [None]
-        self._group = group
-        self._exchange = None  # set once posted
-        self._signature = signature
-        #: Non-leaders still have to see the leader's signature.
-        self._verify = group.group_rank != 0
-        self._retries = retries
+    def __init__(self, record, group: "ProcessGroup", signature: dict, buffer,
+                 pieces: list, missing: list, op: Optional[str], source: Optional[int]):
+        self.record, self.result = record, [None]
+        self._group, self._signature, self._buffer = group, signature, buffer
+        self._tag = (group._group_id, record.seq)
+        #: Contributions by group rank (this rank's own in its place),
+        #: and the group ranks whose post is still to be taken, in order.
+        self.pieces, self.missing = pieces, missing
+        #: What lands: the reduction of every piece by ``op``, or the
+        #: piece of group rank ``source`` (a broadcast's).
+        self._op, self._source = op, source
+        #: ``(group rank, fingerprint)`` of the first post that disagreed.
+        self._diverged = None
         self._lock = threading.Lock()
         self._finished = False
 
@@ -184,42 +189,57 @@ class _SplitWork(Work):
         try:
             # A poll completes what has all arrived — or, past the group
             # timeout, fails it the way a parked receive would have.
-            if not self._finished and (
-                block or self._arrived()
-                or time.perf_counter() - self.record.t_start > self._group.timeout
-            ):
-                self._group._execute(
-                    self, lambda: self._land(timeout if block else 0.0), self._retries)
+            if not self._finished and (block or self._arrived()):
+                self._group._execute(self, self._land, timeout if block else 0.0)
                 self._finished = True
         finally:
             self._lock.release()
         return self._finished
 
+    def _take(self) -> None:
+        """Take whatever posts have arrived, in one hub round."""
+        group, missing = self._group, self.missing
+        if missing:
+            posts = algorithms._collect(
+                group.hub, group.global_rank, [group.ranks[o] for o in missing], self._tag)
+            self.missing = []
+            self._file(missing, posts)
+
+    def _file(self, offsets, posts) -> None:
+        """Keep each post that agrees with this rank's fingerprint, note
+        the first that does not (never kept); the absent stay missing."""
+        for offset, post in zip(offsets, posts):
+            if post is NOTHING:
+                self.missing.append(offset)
+            elif post.signature == self._signature:
+                self.pieces[offset] = post.data
+            elif self._diverged is None:
+                self._diverged = (offset, post.signature)
+
     def _arrived(self) -> bool:
-        """Without parking: is everything needed to complete here?  An
-        error counts (completing then raises it)."""
+        """Without parking: can completing finish here?  A disagreeing
+        post or a closed hub counts (completing then raises it)."""
         try:
-            if self._verify:
-                leader = self._group.store.try_get(self._group._signature_key(self.record.seq))
-                if leader is None:
-                    return False
-                if leader != self._signature:
-                    return True
-                self._verify = False
-            return self._exchange.drain(False)
+            self._take()
         except TransportClosedError:
             return True
+        return (not self.missing or self._diverged is not None
+                or time.perf_counter() - self.record.t_start > self._group.timeout)
 
     def _land(self, timeout: Optional[float]):
-        """Complete the collective: verify, receive the rest, land the result."""
+        """Complete the collective: receive the rest, land the result."""
         group = self._group
-        if self._verify:
-            group._verify_signature(self.record.seq, self._signature)
-        try:
-            self._exchange.drain(True, group.timeout if timeout is None else timeout)
-        except TransportTimeoutError as exc:
-            raise CollectiveTimeoutError(str(exc)) from exc
-        self._exchange.finish()
+        deadline = time.perf_counter() + (group.timeout if timeout is None else timeout)
+        self._take()
+        while self.missing and self._diverged is None:
+            offset = self.missing.pop(0)
+            self._file((offset,), (group._await_post(self, offset, deadline),))
+        if self._diverged is not None:
+            raise group._mismatch(self.record.seq, self._signature, *self._diverged)
+        if self._op is not None:
+            algorithms.reduce_in_order(self._buffer, self.pieces, self._op)
+        elif self._source is not None:
+            self._buffer[...] = self.pieces[self._source]
 
 
 def _as_array(tensor) -> np.ndarray:
@@ -252,14 +272,9 @@ class _Op(NamedTuple):
     world_bytes: bool = False
     #: The group's ``chunk_bytes`` is forwarded to the algorithm.
     chunked: bool = False
-    #: Split phase under the size rule: ``cls(hub, ranks, rank, [array,]
-    #: *operands, tag)`` posts at issue (an ``algorithms.OneRound``).
-    one_round: Optional[Callable] = None
-
-
-def _barrier_round(hub, ranks, me, tag) -> algorithms.OneRound:
-    """The barrier: a one-element split-phase AllReduce of a token."""
-    return algorithms.OneRoundAllreduce(hub, ranks, me, np.zeros(1, np.int64), "sum", tag)
+    #: Under the size rule, one round of signed posts on the caller
+    #: (:meth:`ProcessGroup._round`) instead of the worker.
+    one_round: bool = False
 
 
 def _allgather(hub, ranks, me, array, tag, timeout, chunk_bytes) -> np.ndarray:
@@ -271,10 +286,8 @@ def _allgather(hub, ranks, me, array, tag, timeout, chunk_bytes) -> np.ndarray:
 
 
 _OPS = {
-    "allreduce": _Op(None, ("reduce_op",), chunked=True,
-                     one_round=algorithms.OneRoundAllreduce),
-    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True,
-                     one_round=algorithms.OneRoundBroadcast),
+    "allreduce": _Op(None, ("reduce_op",), chunked=True, one_round=True),
+    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True, one_round=True),
     "allgather": _Op(_allgather, world_bytes=True, chunked=True),
     "reduce_scatter_flat": _Op(
         algorithms.reduce_scatter_flat, ("reduce_op",), chunked=True
@@ -284,12 +297,12 @@ _OPS = {
     "gather": _Op(algorithms.gather, ("root",)),
     "scatter": _Op(algorithms.scatter, ("root",)),
     # No tensor, so always under the size rule: never reaches a worker.
-    "barrier": _Op(None, one_round=_barrier_round),
+    "barrier": _Op(None, one_round=True),
 }
 
-#: ``ReliableTransportHub.retry_totals_for`` order; per-collective deltas
-#: land under these names in the record's ``extra``.
-_RETRY_COUNTERS = ("retries", "retransmits", "duplicates_dropped", "corrupt_detected")
+#: Seconds a parked rank waits before it looks at the other signature
+#: channel and at whether the group shut down.
+_SLICE_S = 0.25
 
 
 class ProcessGroup:
@@ -346,13 +359,13 @@ class ProcessGroup:
         # collective, a caller the completion of a split-phase one — and
         # since when; the hang watchdog polls the oldest (``_inflight``).
         self._executing: dict = {}
-        # Split-phase Work posted and not yet completed (shutdown fails
-        # it, so no later wait() parks on it).
+        # Small-collective Work posted and not yet completed (shutdown
+        # fails it, so no later wait() parks on it).
         self._pending: set = set()
-        # With a retrying transport, this rank's retry counter movement
-        # is attributed to the collective that ran (approximate while
-        # several run at once).
-        self._retry_probe = getattr(hub, "retry_totals_for", None)
+        # What _describe says, per (op, shape, dtype, signed operands).
+        self._facts: dict = {}
+        self._peers = [offset for offset in range(len(self.ranks)) if offset != self.group_rank]
+        self._peer_ranks = [self.ranks[offset] for offset in self._peers]
         #: Set when shutdown could not join a communication worker.
         self.worker_stuck = False
 
@@ -394,15 +407,9 @@ class ProcessGroup:
     # ------------------------------------------------------------------
     @property
     def _inflight(self) -> Optional[Tuple[Work, float]]:
-        """The longest-executing Work and since when, or None.
-
-        The hang watchdog polls this; with several collectives executing
-        at once (the worker's and callers completing split-phase ones)
-        the longest-running one is the one worth reporting.  A
-        split-phase collective counts from the moment a thread began to
-        complete it, not from its post: the caller's compute in between
-        is not a hang.
-        """
+        """The longest-executing Work and since when, or None — what the
+        hang watchdog reports.  A small collective counts from when a
+        thread began to complete it: compute after its post is no hang."""
         return min(list(self._executing.items()), key=lambda item: item[1], default=None)
 
     def _worker_loop(self) -> None:
@@ -415,27 +422,19 @@ class ProcessGroup:
             if item is None:
                 return
             fn, work = item
-            retries = self._retries()
             work.record.start()
-            self._execute(work, fn, retries)
+            self._execute(work, fn)
             work._done.set()
 
-    def _retries(self):
-        """This rank's retry counters now, or None on a plain hub."""
-        return self._retry_probe(self.global_rank) if self._retry_probe else None
-
-    def _execute(self, work: Work, run: Callable, retries) -> None:
+    def _execute(self, work: Work, run: Callable, *args) -> None:
         """Run ``work``'s collective body between its bookkeeping stamps.
 
-        The one sequence both paths share — the worker loop for every
-        queued collective, a split-phase Work for its completion step:
-        listed as executing (watchdog), ``run()`` into
-        ``work.result[0]``, record finished with what it raised, retry
-        deltas since ``retries`` attached.  Under telemetry the thread's
-        receive stalls (:data:`algorithms.executing`) are attached last,
-        as ``record.stalls``: that is what lets a read fold the record.
-        The caller releases waiters after it returns, so a thread
-        returning from ``wait()`` finds the record complete.
+        Both paths share it — the worker for a queued collective, a small
+        collective's Work for its completion: listed as executing
+        (watchdog), ``run(*args)`` into ``work.result[0]``, record finished
+        with what it raised, and under telemetry the thread's receive
+        stalls (:data:`algorithms.executing`) attached last, which lets a
+        read fold the record.  Waiters are released after it returns.
         """
         record = work.record
         self._executing[work] = time.perf_counter()
@@ -444,16 +443,12 @@ class ProcessGroup:
             stalls = algorithms.executing.stalls = {}
         error: Optional[BaseException] = None
         try:
-            work.result[0] = run()
+            work.result[0] = run(*args)
         except BaseException as exc:  # propagate through the Work handle
             error = exc
         record.finish(error)
         del self._executing[work]
         self._pending.discard(work)
-        if retries is not None:
-            for name, before, after in zip(_RETRY_COUNTERS, retries, self._retries()):
-                if after > before:
-                    record.extra[name] = after - before
         if stalls is not None:
             algorithms.executing.stalls = None
             record.stalls = stalls
@@ -489,29 +484,6 @@ class ProcessGroup:
         if async_op:
             return work
         work.wait(self.timeout + 5.0)
-        return work.result[0]
-
-    def _post(self, post, record: CollectiveRecord, signature: dict, async_op: bool):
-        """Run a split-phase collective's first half on this thread.
-
-        Publishes the ``signature``, stamps the start and runs ``post()``
-        — the contribution is on the wire when this returns — and hands
-        back a :class:`_SplitWork` that completes on whoever waits for
-        it.  Returns the Work when ``async_op``; otherwise waits and
-        returns what the collective returned.
-        """
-        self._issue(record)
-        self._publish_signature(record.seq, signature)
-        work = _SplitWork(record, self, signature, self._retries())
-        record.start()
-        try:
-            work._exchange = post()
-            self._pending.add(work)
-        except Exception as exc:  # raised by wait(), as a worker's would be
-            work._complete(exc)
-        if async_op:
-            return work
-        work.wait()
         return work.result[0]
 
     def install_fault_plan(self, plan) -> None:
@@ -613,14 +585,11 @@ class ProcessGroup:
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
 
-        Collectives leave one signature key per sequence number (plus
-        rendezvous counters, watchdog snapshots, barrier and DDP-check
-        keys), which would grow the store without bound across long
-        elastic runs that create a fresh group per generation.  The last
-        member to shut down cleanly deletes the whole namespace — at
-        that point no watchdog can still need the parting snapshots.
-        Ranks that die without reaching shutdown leave the keys behind
-        on purpose: they are the postmortem evidence.
+        Rendezvous counters, watchdog snapshots, barrier and DDP-check
+        keys (and DETAIL's per-rank signatures) would otherwise pile up
+        across elastic generations.  The last member to shut down cleanly
+        deletes the namespace; ranks that die first leave it behind on
+        purpose, as postmortem evidence.
         """
         gid = self._group_id
         try:
@@ -643,64 +612,41 @@ class ProcessGroup:
     # ------------------------------------------------------------------
     # consistency checking
     # ------------------------------------------------------------------
-    # Every rank must issue the same collective at sequence ``seq``: the
-    # group leader publishes its fingerprint (op, shape, dtype, nbytes,
-    # reduce op / src / root) and everyone else compares.  Real libraries
-    # would corrupt data or hang here (paper §3.3); we raise a
-    # CollectiveMismatchError carrying a field-level diff — and, under
-    # REPRO_DEBUG=DETAIL, every rank's signature so the report shows
-    # exactly who diverged.  A worker-run collective does both halves
-    # before its algorithm; a split-phase one publishes at issue and
-    # verifies at completion.
+    # Every rank must issue the same collective at sequence ``seq`` with
+    # the same fingerprint, or real libraries corrupt data or hang (paper
+    # §3.3); we raise a CollectiveMismatchError with a field-level diff.
+    # A small collective's posts carry the fingerprint; for a worker-run
+    # one the leader publishes it to the store.  A rank parked on one
+    # channel looks at the other, so a protocol disagreement meets too.
     def _signature_key(self, seq: int) -> str:
         return f"pg{self._group_id}/sig/{seq}"
 
-    def _publish_signature(self, seq: int, signature: dict) -> None:
-        """The leader's fingerprint (every rank's too under DETAIL)."""
-        if DEBUG.level >= DETAIL:
-            self.store.set(f"{self._signature_key(seq)}/rank{self.global_rank}", signature)
-        if self.group_rank == 0:
-            self.store.set(self._signature_key(seq), signature)
-
-    def _verify_signature(self, seq: int, signature: dict) -> None:
-        """A non-leader's comparison against the leader's fingerprint."""
-        if self.group_rank == 0:
-            return
+    def _check_signature(self, seq: int, signature: dict) -> None:
+        """The worker path's check: the leader publishes, the others
+        compare (every rank publishes under DETAIL).  A non-leader reads
+        in slices — the group's last read deletes the key — so a
+        shutdown wakes it, and a leader that posted its fingerprint
+        instead (under the size rule) is heard."""
         key = self._signature_key(seq)
-        leader_sig = self._wait_leader_signature(key, seq)
-        if leader_sig != signature:
-            peer_sigs = None
-            if DEBUG.level >= DETAIL:
-                # Best-effort gather: peers publish before comparing, so
-                # a short wait usually collects the whole group.
-                deadline = time.perf_counter() + min(1.0, self.timeout / 4.0)
-                keys = {r: f"{key}/rank{r}" for r in self.ranks}
-                while time.perf_counter() < deadline:
-                    if all(self.store.try_get(k) is not None for k in keys.values()):
-                        break
-                    time.sleep(0.01)
-                peer_sigs = {
-                    r: sig for r, k in keys.items()
-                    if (sig := self.store.try_get(k)) is not None
-                }
-            raise CollectiveMismatchError(
-                _desync.render_mismatch(
-                    self._group_id, seq, self.global_rank, signature,
-                    self.ranks[0], leader_sig, peer_sigs,
-                )
-            )
-
-    def _wait_leader_signature(self, key: str, seq: int) -> dict:
-        """Blocking read of the leader's signature, sliced so a shutdown
-        (``self._closed``) wakes the worker instead of stranding it for
-        the full group timeout."""
+        if DEBUG.level >= DETAIL:
+            self.store.set(f"{key}/rank{self.global_rank}", signature)
+        if self.group_rank == 0:
+            if len(self.ranks) > 1:
+                self.store.set(key, signature)
+            return
         deadline = time.perf_counter() + self.timeout
         while True:
             remaining = deadline - time.perf_counter()
             try:
-                return self.store.get(key, timeout=max(0.0, min(0.25, remaining)))
-            except StoreTimeoutError:
-                if self._closed or self.hub.closed:
+                leader_sig = self.store.get(key, max(0.0, min(_SLICE_S, remaining)),
+                                            readers=len(self.ranks) - 1)
+                break
+            except StoreTimeoutError:  # the poll raises once the hub closed
+                post = self.hub.poll(self.global_rank, self.ranks[0], (self._group_id, seq))
+                if post is not NOTHING:
+                    leader_sig = post.signature
+                    break
+                if self._closed:
                     raise CollectiveError(
                         f"process group {self._group_id} shut down while "
                         f"waiting for the leader's signature of collective "
@@ -714,6 +660,56 @@ class ProcessGroup:
                         f"group {self._group_id} — the leader diverged, "
                         f"hung, or exited"
                     ) from None
+        if leader_sig != signature:
+            raise self._mismatch(seq, signature, 0, leader_sig)
+
+    def _mismatch(self, seq: int, signature: dict, peer: int, theirs: dict):
+        """The error for group rank ``peer`` having issued ``theirs``,
+        rendered against the lower group rank of the two (the leader if
+        it is one), so both sides of a disagreement report it alike."""
+        (low, low_sig), (high, high_sig) = sorted(
+            [(self.group_rank, signature), (peer, theirs)], key=lambda side: side[0])
+        peer_sigs = None
+        if DEBUG.level >= DETAIL:
+            # Best-effort gather: peers publish at issue, so a short wait
+            # usually collects the whole group.
+            key = self._signature_key(seq)
+            deadline = time.perf_counter() + min(1.0, self.timeout / 4.0)
+            keys = {r: f"{key}/rank{r}" for r in self.ranks}
+            while time.perf_counter() < deadline:
+                if all(self.store.try_get(k) is not None for k in keys.values()):
+                    break
+                time.sleep(0.01)
+            peer_sigs = {
+                r: sig for r, k in keys.items()
+                if (sig := self.store.try_get(k)) is not None
+            }
+        return CollectiveMismatchError(_desync.render_mismatch(
+            self._group_id, seq, self.ranks[high], high_sig, self.ranks[low], low_sig,
+            peer_sigs, role="leader" if low == 0 else "peer",
+        ))
+
+    def _await_post(self, work: _RoundWork, offset: int, deadline: float):
+        """Park for group rank ``offset``'s post to ``work``: the leader
+        once, a non-leader in slices, looking between them for the
+        fingerprint a leader on the worker path published instead."""
+        src, seq = self.ranks[offset], work.record.seq
+        slice_s = _SLICE_S if self.group_rank else float("inf")
+        while True:
+            remaining = deadline - time.perf_counter()
+            try:
+                return algorithms._recv(self.hub, self.global_rank, src, work._tag,
+                                        max(0.0, min(slice_s, remaining)))
+            except TransportTimeoutError:
+                if remaining <= slice_s:
+                    raise CollectiveTimeoutError(
+                        f"rank {self.global_rank} timed out waiting for rank "
+                        f"{src}'s post to {work.description} in group "
+                        f"{self._group_id} (peer rank diverged, hung or exited)"
+                    ) from None
+            leader = self.store.try_get(self._signature_key(seq))
+            if leader is not None and leader != work._signature:
+                raise self._mismatch(seq, work._signature, 0, leader)
 
     def _next_tag(self, op_name: str) -> tuple:
         seq = self._seq
@@ -746,55 +742,43 @@ class ProcessGroup:
     def _collective(self, name: str, tensor, async_op: bool = False, **operands):
         """The one path every collective takes (paper §3.3's uniform contract).
 
-        Device check → sequence number → fingerprint → byte accounting →
-        the collective's one record → either ``_submit`` of a closure
+        Device check → the op's facts (:meth:`_describe`, once per op,
+        shape, dtype and signed operands) → sequence number → the
+        collective's one record → :meth:`_round` on this thread (a
+        one-round row under the size rule), or ``_submit`` of a closure
         that checks the signature, runs the op's algorithm and translates
-        transport timeouts (for a communication worker), or — for a row
-        with a one-round form, under the size rule — ``_post`` of that
-        form on this thread.  ``name`` selects the row of ``_OPS``;
+        transport timeouts.  ``name`` selects the row of ``_OPS``;
         ``operands`` are the op's keyword operands in the algorithm's
-        positional order.  Returns what the public method returns: the
-        :class:`Work` when ``async_op``, else the algorithm's result
-        (None for in-place ops).
+        positional order.  Returns the :class:`Work` when ``async_op``,
+        else the algorithm's result (None for in-place ops).
         """
         row = _OPS[name]
-        array = wire = None
+        array = None
         if tensor is not None:  # scatter and barrier carry no tensor
             self._check_device(tensor)
             array = _as_array(tensor)
-        if operands.get("reduce_op") == ReduceOp.AVG:
-            # On the issuing thread, before a sequence number is spent.
-            algorithms.check_avg_dtype(array.dtype)
+        key = (name, None if array is None else (array.shape, array.dtype),
+               *[operands[field] for field in row.signature])
+        facts = self._facts.get(key)
+        if facts is None:
+            if len(self._facts) >= 1024:
+                self._facts.clear()
+            facts = self._facts[key] = self._describe(name, row, array, operands)
+        signature, record_facts, wire, split = facts
         tag = self._next_tag(name)
         seq = tag[1]
-        signature = _desync.fingerprint(
-            name, array, **{key: operands[key] for key in row.signature}
-        )
-        if array is not None:
-            wire = array.nbytes * (len(self.ranks) if row.world_bytes else 1)
+        if wire is not None:
             self.bytes_communicated += wire
-        record = CollectiveRecord(seq, self._group_id, signature, wire)
-        record.extra.update(world=len(self.ranks), backend=self.backend)
-        args = ([] if array is None else [array]) + list(operands.values())
-        split = row.one_round is not None and (
-            array is None or algorithms.one_round(array.nbytes, len(self.ranks))
-        )
-        if name == "allreduce":
-            record.extra["algorithm"] = "naive" if split else self.algorithm
+        record = CollectiveRecord(seq, self._group_id, record_facts, wire)
         if split:
-            # Messages are filed under the fingerprint too, so a peer's
-            # mismatched post is never consumed, only diagnosed.
-            key = (tag, tuple(signature.values()))
-
-            def post():
-                return row.one_round(self.hub, self.ranks, self.group_rank, *args, key)
-
-            return self._post(post, record, signature, async_op)
+            return self._round(record, signature, array, operands, async_op)
+        if name == "allreduce":
+            record.extra["algorithm"] = self.algorithm
+        args = ([] if array is None else [array]) + list(operands.values())
         algorithm = row.algorithm or algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
 
         def run():
-            self._publish_signature(seq, signature)
-            self._verify_signature(seq, signature)
+            self._check_signature(seq, signature)
             chunk = (self.chunk_bytes,) if row.chunked else ()
             try:
                 return algorithm(
@@ -806,15 +790,66 @@ class ProcessGroup:
 
         return self._submit(run, record, async_op)
 
+    def _describe(self, name: str, row: _Op, array, operands: dict) -> tuple:
+        """``(fingerprint, record facts, accounted bytes, size rule)``;
+        raises for an ``avg`` of a non-floating dtype, before a sequence
+        number is spent."""
+        if operands.get("reduce_op") == ReduceOp.AVG:
+            algorithms.check_avg_dtype(array.dtype)
+        signature = _desync.fingerprint(
+            name, array, **{field: operands[field] for field in row.signature}
+        )
+        world = len(self.ranks)
+        wire = None if array is None else array.nbytes * (world if row.world_bytes else 1)
+        split = row.one_round and (array is None or algorithms.one_round(array.nbytes, world))
+        record_facts = dict(signature, world=world, backend=self.backend)
+        if split and name == "allreduce":
+            record_facts["algorithm"] = "naive"
+        return signature, record_facts, wire, split
+
+    def _round(self, record: CollectiveRecord, signature: dict, array, operands: dict,
+               async_op: bool):
+        """Run a collective under the size rule on this thread: post a
+        signed private copy of the buffer to the peers that need it (all,
+        but a broadcast's only from its root) in one hub round; the
+        :class:`_RoundWork` lands the result on whoever waits for it."""
+        self._issue(record)
+        if DEBUG.level >= DETAIL:
+            self.store.set(f"{self._signature_key(record.seq)}/rank{self.global_rank}",
+                           signature)
+        me, world = self.group_rank, len(self.ranks)
+        pieces, op, source = [None] * world, operands.get("reduce_op"), None
+        dsts, missing, payload = self._peer_ranks, list(self._peers), None
+        if record.op == "broadcast":
+            if me == operands["src"]:
+                missing, payload = [], array.copy()
+            else:
+                dsts, missing, source = (), [operands["src"]], operands["src"]
+        elif array is not None and world > 1:  # an AllReduce
+            payload = pieces[me] = array.copy()
+        else:  # a barrier, or an AllReduce of one rank: nothing lands
+            op = None
+        work = _RoundWork(record, self, signature, array, pieces, missing, op, source)
+        record.start()
+        try:
+            if dsts:
+                self.hub.post(self.global_rank, dsts, work._tag, Signed(signature, payload))
+        except Exception as exc:  # raised by wait(), as a worker's would be
+            work._complete(exc)
+        else:
+            self._pending.add(work)
+        if async_op:
+            return work
+        work.wait()
+        return work.result[0]
+
     def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce ``tensor`` in place across the group (sum by default).
 
-        When an ``async_op`` call's ``Work.wait()`` returns, the tensor
-        is the caller's again: no peer still reads it (large tensors are
-        lent to peers rather than copied, see :mod:`repro.comm.algorithms`).
-        Under the size rule the call posts a copy of the tensor to every
-        peer before it returns — that copy is the contribution — and the
-        receives and the reduction run in ``wait()`` / ``is_completed()``.
+        When ``Work.wait()`` returns the tensor is the caller's again (large
+        ones are lent to peers, see :mod:`repro.comm.algorithms`).  Under
+        the size rule the call posts a copy — the contribution — and the
+        reduction runs in ``wait()`` / ``is_completed()``.
         """
         return self._collective("allreduce", tensor, async_op, reduce_op=op)
 
@@ -880,14 +915,9 @@ class ProcessGroup:
         return self._collective("scatter", None, chunks=chunks, root=root)
 
     def barrier(self) -> None:
-        """Block until every member rank reaches this barrier.
-
-        A one-element split-phase AllReduce of a token: every rank posts
-        to every peer, then receives from every peer — one round, ≈ α,
-        p − 1 messages each way per rank, entirely on the calling thread
-        (no communication worker is involved).  Thread-safe like every
-        collective here: issue from the rank's own thread.
-        """
+        """Block until every member rank reaches this barrier: one round
+        (≈ α) of signed posts without data, p − 1 messages each way per
+        rank, on the calling thread; issue it from the rank's own thread."""
         self._collective("barrier", None)
 
     def send(self, tensor, dst: int, tag: object = "p2p") -> None:

@@ -9,6 +9,7 @@ constructors use to allocate ids and count arrivals.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Any, Dict, Iterable
@@ -30,6 +31,8 @@ class Store:
 
     def __init__(self, timeout: float = 30.0):
         self._data: Dict[str, Any] = {}
+        #: Reads still due on keys read with ``get(readers=...)``.
+        self._readers: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._gates = KeyedGates(self._lock)
         self.timeout = timeout
@@ -44,12 +47,24 @@ class Store:
     def _peek(self, key: str) -> Any:
         return self._data.get(key, NOTHING)
 
-    def get(self, key: str, timeout: float | None = None) -> Any:
-        """Return ``key``'s value, blocking until some rank sets it."""
+    def get(self, key: str, timeout: float | None = None, readers: int | None = None) -> Any:
+        """Return ``key``'s value, blocking until some rank sets it; the
+        read that completes ``readers`` reads of the value deletes it."""
         deadline = timeout if timeout is not None else self.timeout
-        value = self._gates.wait(key, self._peek, deadline)
+        poll = self._peek if readers is None else functools.partial(self._read, readers)
+        value = self._gates.wait(key, poll, deadline)
         if value is NOTHING:
             raise StoreTimeoutError(f"store.get({key!r}) timed out after {deadline}s")
+        return value
+
+    def _read(self, readers: int, key: str) -> Any:
+        value = self._data.get(key, NOTHING)
+        if value is not NOTHING:
+            left = self._readers.pop(key, readers) - 1
+            if left > 0:
+                self._readers[key] = left
+            else:
+                del self._data[key]
         return value
 
     def try_get(self, key: str, default: Any = None) -> Any:
@@ -97,6 +112,7 @@ class Store:
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns True if it existed."""
         with self._lock:
+            self._readers.pop(key, None)
             return self._data.pop(key, None) is not None
 
     def delete_prefix(self, prefix: str) -> int:
@@ -111,6 +127,7 @@ class Store:
             victims = [key for key in self._data if key.startswith(prefix)]
             for key in victims:
                 del self._data[key]
+                self._readers.pop(key, None)
             return len(victims)
 
     def keys(self, prefix: str = "") -> list:

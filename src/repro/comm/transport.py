@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Hashable, Tuple
+from typing import Any, Dict, Hashable, NamedTuple, Sequence, Tuple
 
 from repro.comm.gates import NOTHING, KeyedGates, open_gates
 from repro.telemetry.metrics import registry_for
@@ -51,6 +51,19 @@ class TransportClosedError(RuntimeError):
 #: Sentinel distinguishing "no message before the slice expired" from a
 #: legitimate ``None`` payload in :meth:`TransportHub._wait_one`.
 _NOTHING = NOTHING
+
+
+class Signed(NamedTuple):
+    """A payload with its sender's collective fingerprint: what a small
+    collective posts, so every receiver compares fingerprints on arrival."""
+
+    signature: dict
+    data: Any
+
+    @property
+    def nbytes(self) -> int:
+        """The data's byte size, so traffic counters count the payload."""
+        return int(getattr(self.data, "nbytes", 0))
 
 
 class TransportHub:
@@ -120,30 +133,40 @@ class TransportHub:
         self._check_rank(dst)
         plan = self.fault_plan
         if plan is None:
-            self._deposit(src, dst, tag, payload)
+            self._deposit(src, (dst,), tag, payload)
             return
         for delivery in plan.on_send(src, dst, tag, payload):
-            self._deposit(src, dst, tag, delivery)
+            self._deposit(src, (dst,), tag, delivery)
 
-    def _deposit(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
-        """Place one message on the wire (counters + receiver wakeup)."""
-        nbytes = getattr(payload, "nbytes", 0)
-        key = (src, dst, tag)
+    def post(self, src: int, dsts: Sequence[int], tag: Hashable, payload: Any) -> None:
+        """:meth:`send` one ``payload`` to each of ``dsts`` (trusted to be
+        in range) in one mutex round; counters and a fault plan see one
+        send per destination."""
+        if self.fault_plan is not None:
+            for dst in dsts:
+                self.send(src, dst, tag, payload)
+        else:
+            self._deposit(src, dsts, tag, payload)
+
+    def _deposit(self, src: int, dsts: Sequence[int], tag: Hashable, payload: Any) -> None:
+        """Place one message per destination on the wire (counters +
+        receiver wakeup), under one mutex round."""
+        nbytes = int(getattr(payload, "nbytes", 0))
+        parked: list = []
         with self._mutex:
             if self._closed:
                 raise TransportClosedError("transport hub is closed")
-            box = self._mailboxes.get(key)
-            if box is None:
-                box = self._mailboxes[key] = deque()
-            box.append(payload)
-            self.messages_sent[src] += 1
-            self.bytes_sent[src] += int(nbytes)
-            parked = self._gates.take(key)
+            for dst in dsts:
+                key = (src, dst, tag)
+                self._mailboxes.setdefault(key, deque()).append(payload)
+                parked += self._gates.take(key)
+            self.messages_sent[src] += len(dsts)
+            self.bytes_sent[src] += nbytes * len(dsts)
         open_gates(parked)
         if TRACER.enabled:
             registry = registry_for(src)
-            registry.counter("transport.messages_sent").add(1)
-            registry.counter("transport.bytes_sent").add(int(nbytes))
+            registry.counter("transport.messages_sent").add(len(dsts))
+            registry.counter("transport.bytes_sent").add(nbytes * len(dsts))
 
     def recv(self, dst: int, src: int, tag: Hashable, timeout: float | None = None) -> Any:
         """Block until a message matching (src, dst, tag) arrives.
@@ -182,6 +205,13 @@ class TransportHub:
         parks; a closed hub raises ``TransportClosedError``."""
         with self._mutex:
             return self._pop((src, dst, tag))
+
+    def collect(self, dst: int, srcs: Sequence[int], tag: Hashable) -> list:
+        """:meth:`poll` each of ``srcs`` in one mutex round: their next
+        (src, dst, tag) messages, in ``srcs`` order, with
+        :data:`~repro.comm.gates.NOTHING` where none has arrived."""
+        with self._mutex:
+            return [self._pop((src, dst, tag)) for src in srcs]
 
     def _wait_one(self, key: Tuple[int, int, Hashable], timeout: float) -> Any:
         """Pop the next message for ``key``, or ``_NOTHING`` on timeout.

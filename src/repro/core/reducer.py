@@ -71,6 +71,10 @@ class _Bucket:
         self.ready = False
         self.launched = False
         self.work = None
+        #: Labels every collective a launch issues with this bucket: the
+        #: record carries it to the flight ring ("allreduce#12 [bucket
+        #: 3]" in a desync report), the causal timeline and the profiler.
+        self.context = collective_context(f"bucket {spec.index}", spec.index)
 
     def reset(self) -> None:
         self.pending = len(self.spec.param_indices)
@@ -438,10 +442,7 @@ class Reducer:
             bucket.spec.index,
             bucket.spec.total_elements,
         )
-        # Label every collective the launch issues with its bucket: the
-        # record carries it to the flight ring ("allreduce#12 [bucket
-        # 3]" in a desync report), the causal timeline and the profiler.
-        with collective_context(f"bucket {bucket.spec.index}", bucket.spec.index):
+        with bucket.context:
             if self.comm_hook is not None:
                 bucket.work = self.comm_hook(
                     self.process_group, bucket.tensor, self.world_size

@@ -65,14 +65,16 @@ def render_mismatch(
     leader_rank: int,
     leader: dict,
     peer_signatures: Optional[Dict[int, dict]] = None,
+    role: str = "leader",
 ) -> str:
-    """Human-readable cross-rank diff for a ``CollectiveMismatchError``."""
+    """Human-readable cross-rank diff for a ``CollectiveMismatchError``;
+    ``role`` names what the reference rank is to the group."""
     lines = [
         f"collective #{seq} mismatch in group {group_id}: ranks disagree on "
         f"what to launch (paper Fig. 3(a) — all ranks must issue collectives "
         f"in the same order with matching type/shape/dtype).",
         f"  rank {rank} issued:        {describe_fingerprint(mine)}",
-        f"  leader rank {leader_rank} issued: {describe_fingerprint(leader)}",
+        f"  {role} rank {leader_rank} issued: {describe_fingerprint(leader)}",
     ]
     diffs = diff_fingerprints(mine, leader)
     if diffs:

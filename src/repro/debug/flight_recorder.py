@@ -31,7 +31,6 @@ so the stitched order is causal, not approximate.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import json
 import threading
@@ -63,15 +62,26 @@ _collective_context: contextvars.ContextVar[tuple] = contextvars.ContextVar(
 _state_lock = threading.Lock()
 
 
-@contextlib.contextmanager
-def collective_context(label: str, bucket: Optional[int] = None):
+class collective_context:
     """Label collectives scheduled inside the block (``context`` and,
-    for reducer buckets, ``bucket`` fields of their records)."""
-    token = _collective_context.set((label, bucket))
-    try:
-        yield
-    finally:
-        _collective_context.reset(token)
+    for reducer buckets, ``bucket`` fields of their records).
+
+    A plain context manager, not a generator: the reducer keeps one per
+    bucket and enters it at every launch.  One instance must not be
+    entered again before it exits.
+    """
+
+    __slots__ = ("_label", "_token")
+
+    def __init__(self, label: str, bucket: Optional[int] = None):
+        self._label = (label, bucket)
+        self._token = None
+
+    def __enter__(self) -> None:
+        self._token = _collective_context.set(self._label)
+
+    def __exit__(self, *exc) -> None:
+        _collective_context.reset(self._token)
 
 
 def current_collective_context() -> Optional[str]:
@@ -87,9 +97,9 @@ class CollectiveRecord:
     watchdog's report read its fields.  The facts are the collective's
     fingerprint (``op``, ``shape``, ``dtype``, ``nbytes``; the remaining
     signature fields — reduce op / src / root — plus the group's
-    ``world`` and ``backend``, the algorithm and transport retry deltas
-    in ``extra``), its identity (``group_id``, ``seq``), the bytes the
-    group accounts for it, and the caller's label.  The issuing thread
+    ``world`` and ``backend`` and the algorithm in ``extra``), its
+    identity (``group_id``, ``seq``), the bytes the group accounts for
+    it, and the caller's label.  The issuing thread
     creates it (stamped *scheduled*).  A collective on a communication
     worker is stamped :meth:`start` and :meth:`finish` by that worker; a
     split-phase one (under the size rule) is started by the issuing

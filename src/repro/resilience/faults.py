@@ -32,6 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.transport import Signed
+
 #: Rule scopes.
 WIRE = "wire"
 COLLECTIVE = "collective"
@@ -86,7 +88,10 @@ def _unit(seed: int, *parts) -> float:
 
 
 def _corrupt_payload(payload):
-    """Return a perturbed copy of an ndarray payload (others unchanged)."""
+    """Return a perturbed copy of an ndarray payload, or of a signed
+    message's ndarray (others unchanged)."""
+    if isinstance(payload, Signed):
+        return payload._replace(data=_corrupt_payload(payload.data))
     if isinstance(payload, np.ndarray) and payload.size:
         corrupted = payload.copy()
         flat = corrupted.reshape(-1)

@@ -31,7 +31,7 @@ the in-process wire, the way TCP layers reliability over lossy IP:
 Retry / retransmit / dedup / corruption counters are kept per receiving
 rank, mirrored into telemetry (``transport.retries`` etc.) when tracing
 is enabled, and surfaced through ``ddp_stats()["resilience"]`` and the
-flight recorder (retry deltas are attached to each collective's record).
+``resilience`` markers of the merged trace.
 
 The plain :class:`~repro.comm.transport.TransportHub` remains the
 default — the reliable hub costs one checksum per message and is opted
@@ -46,11 +46,12 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Tuple
+from typing import Any, Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.transport import (
+    Signed,
     TransportHub,
     TransportTimeoutError,
     _NOTHING,
@@ -97,6 +98,8 @@ def _checksum(payload: Any) -> int:
     A C-contiguous array is checksummed where it lies; only strided and
     0-d input is gathered into a temporary first.
     """
+    if isinstance(payload, Signed):
+        return zlib.crc32(repr(payload.signature).encode(), _checksum(payload.data))
     if isinstance(payload, np.ndarray):
         if payload.ndim and payload.flags.c_contiguous:
             return zlib.crc32(payload.reshape(-1).view(np.uint8))
@@ -139,8 +142,9 @@ def _mark(rank: int, event: str, **args: Any) -> None:
 
 def _collective_key(tag: Hashable) -> Hashable:
     """Budget bucket for a tag: structured tags lead with the collective
-    identity ``(group_id, seq, op)``; plain tags are their own bucket."""
-    if isinstance(tag, tuple) and tag:
+    identity ``(group_id, seq, op)``; any other tag — a small
+    collective's ``(group_id, seq)`` among them — is its own bucket."""
+    if isinstance(tag, tuple) and tag and isinstance(tag[0], tuple):
         return tag[0]
     return tag
 
@@ -186,10 +190,13 @@ class ReliableTransportHub(TransportHub):
 
     # -- sending --------------------------------------------------------
     def send(self, src: int, dst: int, tag: Hashable, payload: Any) -> None:
-        """Log the payload for retransmission, then deposit on the wire.
+        """Deposit on the wire, then log the payload for retransmission.
 
         The fault plan (if any) filters only the wire deposit; the
         retransmit log always keeps the original payload and checksum.
+        Logging after the deposit means a receiver that finds nothing
+        has nothing to re-request yet: a retransmission only ever
+        replaces a delivery the wire lost, never races the original.
         """
         self._check_rank(src)
         self._check_rank(dst)
@@ -199,6 +206,11 @@ class ReliableTransportHub(TransportHub):
         with self._mutex:
             seq = self._send_seq.get(key, 0) + 1
             self._send_seq[key] = seq
+        plan = self.fault_plan
+        deliveries = [payload] if plan is None else plan.on_send(src, dst, tag, payload)
+        for item in deliveries:
+            self._deposit(src, (dst,), tag, _Envelope(seq, item, checksum))
+        with self._mutex:
             log = self._sent_log.get(key)
             if log is None:
                 log = self._sent_log[key] = deque(maxlen=SEND_LOG_CAPACITY)
@@ -207,16 +219,22 @@ class ReliableTransportHub(TransportHub):
             acked = self._acked.get(key, 0)
             while log and log[0].seq <= acked:
                 log.popleft()
-        plan = self.fault_plan
-        deliveries = [payload] if plan is None else plan.on_send(src, dst, tag, payload)
-        for item in deliveries:
-            self._deposit(src, dst, tag, _Envelope(seq, item, checksum))
+
+    def post(self, src: int, dsts: Sequence[int], tag: Hashable, payload: Any) -> None:
+        """One reliable :meth:`send` per destination: each stream logs,
+        numbers and checksums its own copy of the message."""
+        for dst in dsts:
+            self.send(src, dst, tag, payload)
 
     def _retransmit(self, key: Tuple, seq: int) -> bool:
         """Redeliver ``seq`` from the sender's log (through the faulty
-        wire again); returns False when the sender has not sent it yet."""
+        wire again) if the wire lost it; returns False when there is
+        nothing to redeliver: a message waits in the mailbox, ``seq`` was
+        consumed, or the sender has not sent it yet."""
         src, dst, tag = key
         with self._mutex:
+            if key in self._mailboxes or self._recv_next.get(key, 1) != seq:
+                return False
             log = self._sent_log.get(key, ())
             envelope = next((e for e in log if e.seq == seq), None)
         if envelope is None:
@@ -229,7 +247,7 @@ class ReliableTransportHub(TransportHub):
             # crash rule aimed at the sender must not kill the receiver.
             deliveries = plan.on_send(src, dst, tag, envelope.payload, crashable=False)
         for item in deliveries:
-            self._deposit(src, dst, tag, _Envelope(seq, item, envelope.checksum))
+            self._deposit(src, (dst,), tag, _Envelope(seq, item, envelope.checksum))
         with self._stats_lock:
             self.retransmits[dst] += 1
         if TRACER.enabled:
@@ -272,11 +290,15 @@ class ReliableTransportHub(TransportHub):
 
         Returns ``_NOTHING`` without parking when no valid delivery is
         waiting; then, if the sender has already logged the expected
-        message (the wire lost it, or is still delaying it), it is
-        re-requested — so a caller that only ever polls still recovers
-        a drop.  Polls charge no retry budget.
+        message (the wire lost it), it is re-requested — so a caller
+        that only ever polls still recovers a drop.  Polls charge no
+        retry budget.
         """
         return self._receive(dst, src, tag, None, block=False)
+
+    def collect(self, dst: int, srcs: Sequence[int], tag: Hashable) -> list:
+        """One reliable :meth:`poll` per source, in ``srcs`` order."""
+        return [self.poll(dst, src, tag) for src in srcs]
 
     def _receive(self, dst: int, src: int, tag: Hashable, timeout: float | None,
                  block: bool) -> Any:
@@ -389,20 +411,6 @@ class ReliableTransportHub(TransportHub):
             return finish(envelope.payload)
 
     # -- reporting ------------------------------------------------------
-    def retry_totals_for(self, rank: int) -> Tuple[int, int, int, int]:
-        """(retries, retransmits, duplicates, corruptions) for ``rank``.
-
-        Process-group workers snapshot this around each collective to
-        attach retry deltas to the collective's record.
-        """
-        with self._stats_lock:
-            return (
-                self.retries[rank],
-                self.retransmits[rank],
-                self.duplicates_dropped[rank],
-                self.corrupt_detected[rank],
-            )
-
     def resilience_stats(self) -> dict:
         """Aggregate retry/dedup/corruption counters (JSON-friendly)."""
         with self._stats_lock:

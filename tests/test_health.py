@@ -549,11 +549,13 @@ class TestFaultMatrix:
         telemetry.enable()
         hub = ReliableTransportHub(
             WORLD, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001), seed=seed,
+            retry=RetryPolicy(base_backoff=0.001, max_backoff=0.004), seed=seed,
         )
-        plan = FaultPlan([drop(rank=0, dst=2, probability=0.5)], seed=seed)
-        # One message per peer per small AllReduce: 10 iterations put the
-        # engine's storm_min_events (20) drops on the faulted edge.
+        # The first 30 deliveries on the edge after DDP's construction are
+        # lost, retransmissions included: each needs one more retransmit,
+        # so rank 2 counts at least 30 — over storm_min_events (20) and
+        # over half of the 41 collectives it runs in 10 iterations.
+        plan = FaultPlan([drop(rank=0, dst=2, after=2, times=30)], seed=seed)
         run_world(WORLD, lambda rank: _train(rank, iterations=10),
                   backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
         kinds = {d.kind: d for d in analyze_snapshots()}
@@ -569,7 +571,9 @@ class TestFaultMatrix:
             WORLD, default_timeout=30.0,
             retry=RetryPolicy(base_backoff=0.001), seed=seed,
         )
-        plan = FaultPlan([corrupt(rank=0, dst=2, probability=0.5)], seed=seed)
+        # 20 corrupted deliveries after DDP's construction: each is
+        # detected and retransmitted, 40 storm events by construction.
+        plan = FaultPlan([corrupt(rank=0, dst=2, after=2, times=20)], seed=seed)
         run_world(WORLD, _train, backend="gloo", timeout=60.0,
                   hub=hub, fault_plan=plan)
         kinds = {d.kind: d for d in analyze_snapshots()}

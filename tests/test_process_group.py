@@ -21,7 +21,8 @@ from repro.comm import (
     new_round_robin_group,
 )
 from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
-from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _SplitWork
+from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _RoundWork
+from repro.comm.store import Store
 from repro.comm.transport import TransportClosedError, TransportHub
 from repro.debug import (
     get_debug_level,
@@ -692,11 +693,11 @@ class TestSplitPhase:
             for op in ops:
                 x = inputs[op][rank].copy()
                 work = pg.allreduce(x, op, async_op=True)
-                assert isinstance(work, _SplitWork)
+                assert isinstance(work, _RoundWork)
                 work.wait()
                 out.append(x.tobytes())
             x = inputs["bcast"][rank].copy()
-            assert isinstance(pg.broadcast(x, src=root, async_op=True), _SplitWork)
+            assert isinstance(pg.broadcast(x, src=root, async_op=True), _RoundWork)
             pg.broadcast(x, src=root)  # and the sync form
             out.append(x.tobytes())
             return out
@@ -758,7 +759,7 @@ class TestSplitPhase:
             posted[rank].set()
             if rank == 0:
                 assert not work.is_completed()
-                assert work._exchange.missing == [2]  # rank 1's was taken
+                assert work.missing == [2]  # rank 1's was taken
                 assert pg.hub.blocked_receivers() == []
                 polled.set()
             while not work.is_completed():
@@ -880,7 +881,7 @@ class TestSplitPhase:
             run_world(2, body, backend="gloo", timeout=2.0)
         (entry,) = seen["blocked"]
         assert (entry["rank"], entry["waiting_on"]) == (0, 1)
-        assert "(0, 0, 'allreduce')" in entry["tag"]
+        assert entry["tag"] == "(0, 0)"  # (group, seq): the post's mailbox
         message = str(excinfo.value)
         assert "cross-rank desync detected" in message
         assert "allreduce#0" in message and "culprit rank(s) [1]" in message
@@ -905,6 +906,100 @@ class TestSplitPhase:
             return x[0], pg._watchdog.status()["alarms_raised"]
 
         assert run_world(2, body, backend="gloo", timeout=0.6) == [(2.0, 0)] * 2
+
+
+class _CountingStore(Store):
+    """A store that counts every call made while ``counting`` is set."""
+
+    counting = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+        for name in ("set", "get", "try_get", "add", "wait", "wait_value",
+                     "delete", "delete_prefix", "keys"):
+            setattr(self, name, self._counted(name, getattr(self, name)))
+
+    def _counted(self, name, method):
+        def call(*args, **kwargs):
+            if self.counting:
+                self.calls.append(name)
+            return method(*args, **kwargs)
+        return call
+
+
+class TestSignatureChannels:
+    """Where each path checks the fingerprint: a small collective on the
+    posts alone, a worker-run one through a store key its readers drop."""
+
+    def test_small_collectives_never_touch_the_store(self):
+        store, world = _CountingStore(timeout=10.0), 4
+        gate = threading.Barrier(world)
+
+        def body(rank):
+            pg = get_context().default_group
+            gate.wait()
+            store.counting = True
+            gate.wait()
+            x = np.full(8, float(rank))
+            for i in range(100):
+                if i % 2:
+                    pg.allreduce(x, ReduceOp.AVG, async_op=True).wait()
+                else:
+                    pg.allreduce(x)
+            gate.wait()
+            store.counting = False
+            return x[0]
+
+        results = run_world(world, body, backend="gloo", store=store)
+        assert store.calls == []
+        assert len(set(results)) == 1
+
+    def test_patched_wait_sees_every_small_wait(self, monkeypatch):
+        """``Work.wait`` replaced on the class, as the repo benchmark's
+        tracer replaces it, sees the wait of every small collective —
+        the ones sync calls make inside the call too."""
+        seen, original = {}, Work.wait
+
+        def wait(self, timeout=None):
+            if isinstance(self, _RoundWork):
+                name = threading.current_thread().name
+                seen[name] = seen.get(name, 0) + 1
+            return original(self, timeout)
+
+        monkeypatch.setattr(Work, "wait", wait)
+
+        def body(rank):
+            pg = get_context().default_group
+            x = np.ones(4)
+            for _ in range(5):
+                pg.allreduce(x)
+                pg.allreduce(x, async_op=True).wait()
+                pg.broadcast(x, src=1)
+                pg.broadcast(x, src=0, async_op=True).wait()
+                pg.barrier()
+
+        run_world(3, body, backend="gloo")
+        assert seen == {f"rank{rank}": 25 for rank in range(3)}
+
+    def test_worker_path_signatures_do_not_outlive_their_readers(self, monkeypatch):
+        """The leader's key is deleted by the last non-leader that reads
+        it: after 300 AllReduces on the worker the ``sig/`` prefix holds
+        at most one key per collective still in flight."""
+        monkeypatch.setattr(algorithms, "RENDEZVOUS_BYTES", 0)  # nothing is small
+
+        def body(rank):
+            pg = get_context().default_group
+            prefix = f"pg{pg._group_id}/sig/"
+            most = 0
+            for _ in range(300):
+                pg.allreduce(np.ones(4))
+                most = max(most, len(pg.store.keys(prefix)))
+            return most, pg._seq
+
+        results = run_world(3, body, backend="gloo")
+        assert results[0] == (0, 300)  # the leader's reads: all read already
+        assert all(most <= 1 and seq == 300 for most, seq in results)
 
 
 class TestSplitPhaseStress:

@@ -207,7 +207,9 @@ class TestReliableTransport:
         resilience = results[0][1]
         assert resilience is not None
         if plan.total_triggered():
-            assert resilience["total_retries"] > 0
+            # A dropped message reaches its receiver only as a
+            # retransmission, whether a backoff or a poll asked for it.
+            assert resilience["total_retransmits"] > 0
 
 
 class TestWorkWaitTimeout:
