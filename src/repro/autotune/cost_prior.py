@@ -32,21 +32,14 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.comm.algorithms import allreduce_protocol
+from repro.core.comm_hooks import hook_wire_ratio, make_hook
 from repro.simnet.cost_model import CollectiveCostModel, cost_model_for
 from repro.utils.units import MB
 
 from repro.autotune.knobs import TunedConfig
-
-#: Wire-volume multipliers per comm hook, relative to fp32 allreduce.
-#: fp16 halves bytes; top-k ships ~2x its density (indices + values);
-#: PowerSGD's low-rank factors are a few percent of the dense payload.
-HOOK_VOLUME_FACTOR = {
-    None: 1.0,
-    "fp16": 0.5,
-    "topk": 0.08,
-    "powersgd": 0.06,
-}
 
 #: Fixed per-bucket cost of running a compression hook (pack/unpack,
 #: encode/decode) — keeps the prior from claiming compression is free.
@@ -140,12 +133,14 @@ def estimate_iteration_time(
     returns ``backward + exposed_comm``.
     """
     model = cost_model or cost_model_for(backend)
-    volume = HOOK_VOLUME_FACTOR.get(config.comm_hook, 1.0)
+    # A compressing hook's wire volume, as its own wire_ratio prices a
+    # bucket of fp32 gradients.
+    hook = make_hook(config.comm_hook) if config.comm_hook else None
     per_bucket_overhead = HOOK_OVERHEAD_S.get(config.comm_hook, 0.0)
     comm = 0.0
     sizes = _bucket_sizes(model_bytes, config.bucket_cap_mb)
     for nbytes in sizes:
-        wire = nbytes * volume
+        wire = nbytes * hook_wire_ratio(hook, np.float32, max(1, int(nbytes) // 4))
         comm += (
             _algorithm_time(model, config.algorithm, wire, world_size)
             + _chunk_penalty(model, wire, config.chunk_bytes, world_size)

@@ -23,10 +23,9 @@ identical decisions on every rank, with no extra broadcast.
 
 Config application happens only at this **safe iteration boundary**
 (reducer finalized, every ``Work`` waited, before the next forward):
-bucket relayouts go through the no-op-aware ``rebuild_buckets``, chunk
-and algorithm switches through the group's setters, and stateful
-comm hooks are reset on relayout so error-feedback residuals never
-apply to a mismatched layout.  Every applied change is annotated on the
+bucket relayouts go through the no-op-aware ``rebuild_buckets`` (which
+also resets a stateful comm hook), chunk and algorithm switches through
+the group's setters.  Every applied change is annotated on the
 merged trace (an ``autotune`` instant span), so retune
 decisions are visible on the timeline next to their effect.
 """
@@ -42,7 +41,7 @@ import numpy as np
 
 from repro.comm import algorithms
 from repro.comm.process_group import ReduceOp
-from repro.core.comm_hooks import make_hook, reset_hook
+from repro.core.comm_hooks import make_hook
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 
@@ -184,11 +183,9 @@ class Autotuner:
         validate_config(config)
         group = ddp.process_group
         changes = []
-        relayout = False
         if config.bucket_cap_mb != live.bucket_cap_mb:
             ddp.set_bucket_cap_mb(config.bucket_cap_mb)
             changes.append("bucket_cap_mb")
-            relayout = True
         if config.chunk_bytes != live.chunk_bytes:
             group.set_chunk_bytes(int(config.chunk_bytes))
             changes.append("chunk_bytes")
@@ -200,10 +197,6 @@ class Autotuner:
             ddp.register_comm_hook(hook)
             self._hook_name = config.comm_hook
             changes.append("comm_hook")
-        elif relayout:
-            # Bucket buffers were reallocated under a stateful hook:
-            # drop residuals/factors keyed to the old layout.
-            reset_hook(ddp.reducer.comm_hook)
         if not changes:
             return
         self.applied_changes += 1

@@ -7,27 +7,17 @@ interface: each hook receives ``(process_group, bucket_tensor, world)``
 and must return a ``Work``-like handle; when it completes, the bucket
 must hold the *averaged* gradient.
 
-Provided hooks:
-
-* :func:`allreduce_hook` — the identity hook (``ReduceOp.AVG``); baseline.
-* :func:`fp16_compress_hook` / :class:`Fp16Hook` — cast to float16 on
-  the wire (the class form adds optional error feedback).
-* :func:`quantize8_hook` / :class:`Quantize8Hook` — linear 8-bit
-  quantization with per-bucket scale (class form adds error feedback).
-* :class:`OneBitSGDHook` — sign-based 1-bit compression with local error
-  feedback (Seide et al., the paper's reference [34]).
-* :class:`TopKHook` / :func:`topk_compress_hook` — top-k magnitude
-  sparsification; ships a compact (indices, values) payload via
-  AllGather instead of a dense AllReduce.
-* :class:`PowerSGDHook` — low-rank gradient factorization (Vogels et
-  al.): two small AllReduces of the P/Q factors replace one dense
-  AllReduce of the full bucket.
-
-Stateful hooks (error-feedback residuals, PowerSGD's warm-started Q)
-key their per-bucket state by the bucket buffer's identity and expose
-``reset()``; anything that *relayouts* buckets mid-run (the autotuner's
-``rebuild_buckets``) must call :func:`reset_hook` so residuals do not
-apply to mismatched layouts.
+:func:`allreduce_hook` (``ReduceOp.AVG``, what DDP does natively) is
+the baseline.  Every compressing hook — :class:`Fp16Hook`,
+:class:`Quantize8Hook`, :class:`OneBitSGDHook` (Seide et al., the
+paper's reference [34]), :class:`AdaptivePrecisionHook`,
+:class:`TopKHook`, :class:`PowerSGDHook` (Vogels et al.) — is a
+:class:`CompressionHook`, which owns what they share: error feedback
+(``use_error_feedback`` and the per-bucket residuals), ``reset()`` of
+per-bucket state, and the wire size (:meth:`~CompressionHook.wire_ratio`,
+from what the hook actually sends).  Per-bucket state is keyed by the
+bucket buffer's identity, so the reducer calls :func:`reset_hook`
+whenever ``rebuild_buckets`` installs a new layout.
 
 ``HOOK_FACTORIES`` maps hook names to zero-argument factories producing
 fresh hook instances — the registry behind the autotuner's ``comm_hook``
@@ -36,7 +26,7 @@ dimension and the compression ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -47,15 +37,19 @@ from repro.comm.process_group import ReduceOp
 class _HookWork:
     """Work adapter running a post-processing step after the collective."""
 
-    def __init__(self, inner_work, finish):
-        self._inner = inner_work
+    def __init__(self, work, finish):
+        self._work = work
         self._finish = finish
         self._done = False
 
+    @property
+    def record(self):
+        """The collective's record: a hooked bucket reports its interval."""
+        return getattr(self._work, "record", None)
+
     def wait(self, timeout=None) -> None:
         if not self._done:
-            if self._inner is not None:
-                self._inner.wait(timeout)
+            self._work.wait(timeout)
             self._finish()
             self._done = True
 
@@ -68,147 +62,13 @@ def allreduce_hook(process_group, bucket: Tensor, world: int):
     return process_group.allreduce(bucket, ReduceOp.AVG, async_op=True)
 
 
-def fp16_compress_hook(process_group, bucket: Tensor, world: int):
-    """Communicate in float16, decompress back into the bucket."""
-    compressed = Tensor(bucket.data.astype(np.float16), device=bucket.device)
-    work = process_group.allreduce(compressed, ReduceOp.SUM, async_op=True)
-
-    def finish() -> None:
-        bucket.data[...] = compressed.data.astype(bucket.data.dtype) / world
-
-    return _HookWork(work, finish)
-
-
-def quantize8_hook(process_group, bucket: Tensor, world: int):
-    """Linear 8-bit quantization with a shared per-bucket scale.
-
-    The scale is the global max-abs (one tiny AllReduce), so every rank
-    quantizes onto the same grid and the integer sum is exact.
-    """
-    scale = Tensor(
-        np.array([np.abs(bucket.data).max()], dtype=np.float64), device=bucket.device
-    )
-    process_group.allreduce(scale, ReduceOp.MAX)
-    denom = float(scale.data[0]) or 1.0
-    levels = 127.0
-    quantized = Tensor(
-        np.round(bucket.data / denom * levels).astype(np.int32), device=bucket.device
-    )
-    work = process_group.allreduce(quantized, ReduceOp.SUM, async_op=True)
-
-    def finish() -> None:
-        bucket.data[...] = quantized.data.astype(np.float64) / levels * denom / world
-
-    return _HookWork(work, finish)
-
-
-class OneBitSGDHook:
-    """1-bit SGD: communicate signs, feed quantization error back locally.
-
-    Per-bucket error memory makes the hook stateful; instantiate one per
-    DDP instance.  The reconstruction magnitude is the global mean of
-    per-rank mean-|g| (a second tiny AllReduce).
-    """
-
-    def __init__(self) -> None:
-        self._error: Dict[int, np.ndarray] = {}
-
-    def __call__(self, process_group, bucket: Tensor, world: int):
-        key = id(bucket.data)  # stable: bucket buffers live for the DDP lifetime
-        error = self._error.get(key)
-        if error is None:
-            error = np.zeros_like(bucket.data)
-            self._error[key] = error
-
-        corrected = bucket.data + error
-        magnitude = Tensor(
-            np.array([np.abs(corrected).mean()], dtype=np.float64), device=bucket.device
-        )
-        process_group.allreduce(magnitude, ReduceOp.SUM)
-        mean_magnitude = float(magnitude.data[0]) / world
-
-        signs = np.where(corrected >= 0, 1.0, -1.0)
-        compressed_value = signs * mean_magnitude
-        error[...] = corrected - compressed_value
-
-        wire = Tensor(signs.astype(np.int8), device=bucket.device)
-        work = process_group.allreduce(wire, ReduceOp.SUM, async_op=True)
-
-        def finish() -> None:
-            bucket.data[...] = wire.data.astype(np.float64) * mean_magnitude / world
-
-        return _HookWork(work, finish)
-
-
-class AdaptivePrecisionHook:
-    """Adaptive compression levels (paper §6.2.3).
-
-    "Current DDP implementation always uses the parameter type as the
-    gradient type that can become an overkill especially when the model
-    is approaching convergence.  DDP would benefit from adaptive
-    compression levels by only communicating gradients with the
-    necessary precision."
-
-    The hook inspects each bucket's gradient magnitude and picks the
-    narrowest wire dtype whose absolute rounding error at that magnitude
-    stays below ``tolerance``.  As training converges and gradients
-    shrink, narrower dtypes become acceptable and the wire volume drops
-    automatically.  All ranks must agree on the wire dtype, so the
-    per-bucket choice is made collectively with a tiny MIN-AllReduce
-    (the most conservative rank wins).
-    """
-
-    #: wire dtypes from widest to narrowest; code == index
-    LEVELS = (np.float64, np.float32, np.float16)
-
-    def __init__(self, tolerance: float = 1e-4):
-        self.tolerance = tolerance
-        self.chosen_levels: Dict[int, int] = {}
-
-    def _desired_level(self, data: np.ndarray) -> int:
-        scale = float(np.abs(data).max())
-        if scale == 0.0:
-            return len(self.LEVELS) - 1
-        for code in range(len(self.LEVELS) - 1, 0, -1):
-            dtype = self.LEVELS[code]
-            # absolute rounding error of the dtype at this magnitude
-            rounding = float(np.finfo(dtype).eps) * scale
-            if rounding <= self.tolerance:
-                return code
-        return 0
-
-    def __call__(self, process_group, bucket: Tensor, world: int):
-        desired = self._desired_level(bucket.data)
-        vote = Tensor(np.array([desired], dtype=np.int64), device=bucket.device)
-        process_group.allreduce(vote, ReduceOp.MIN)
-        level = int(vote.data[0])
-        self.chosen_levels[id(bucket.data)] = level
-        wire_dtype = self.LEVELS[level]
-
-        if wire_dtype == bucket.data.dtype:
-            work = process_group.allreduce(bucket, ReduceOp.SUM, async_op=True)
-
-            def finish_same() -> None:
-                bucket.data /= world
-
-            return _HookWork(work, finish_same)
-
-        compressed = Tensor(bucket.data.astype(wire_dtype), device=bucket.device)
-        work = process_group.allreduce(compressed, ReduceOp.SUM, async_op=True)
-
-        def finish() -> None:
-            bucket.data[...] = compressed.data.astype(bucket.data.dtype) / world
-
-        return _HookWork(work, finish)
-
-
 class _ResidualStore:
     """Per-bucket error-feedback residuals keyed by buffer identity.
 
-    Bucket buffers live for the DDP lifetime, so ``id(bucket.data)`` is
-    a stable key — with a shape check so a recycled id (buffer freed by
-    an autotuner relayout, id reused by the allocator) can never
-    resurrect a stale residual of the wrong length.
+    Bucket buffers live until the next relayout, so ``id(bucket.data)``
+    is a stable key — with a shape check so a recycled id (buffer freed
+    by a relayout, id reused by the allocator) can never resurrect a
+    stale residual of the wrong length.
     """
 
     def __init__(self) -> None:
@@ -226,129 +86,215 @@ class _ResidualStore:
         self._store.clear()
 
 
-class Fp16Hook:
-    """float16 on the wire, with optional error feedback.
+class CompressionHook:
+    """Base of every compressing hook.
 
-    The function form (:func:`fp16_compress_hook`) simply drops the
-    rounding error; with ``use_error_feedback=True`` this class carries
-    each rank's float16 rounding error into its next contribution, so
-    the loss does not accumulate over training.
+    With ``use_error_feedback`` each rank carries what compression lost
+    into its next contribution (:meth:`_corrected`), so the error does
+    not accumulate over training.  A dense hook declares the dtype of
+    its summed ``WIRE`` array and of its one-element ``SIDE`` AllReduce
+    (None: none); a sparse one overrides :meth:`_wire_bytes`.
     """
 
+    WIRE = None
+    SIDE = None
+
     def __init__(self, use_error_feedback: bool = False):
         self.use_error_feedback = use_error_feedback
         self._residuals = _ResidualStore()
 
-    def __call__(self, process_group, bucket: Tensor, world: int):
-        data = bucket.data
-        if self.use_error_feedback:
-            residual = self._residuals.get(data)
-            corrected = data + residual
-        else:
-            corrected = data
-        wire = corrected.astype(np.float16)
-        if self.use_error_feedback:
-            residual[...] = corrected - wire.astype(data.dtype)
-        compressed = Tensor(wire, device=bucket.device)
-        work = process_group.allreduce(compressed, ReduceOp.SUM, async_op=True)
+    def _corrected(self, data: np.ndarray):
+        """``(data + residual, residual)`` under error feedback, else
+        ``(data, None)``; the caller writes the new residual."""
+        if not self.use_error_feedback:
+            return data, None
+        residual = self._residuals.get(data)
+        return data + residual, residual
+
+    def _agree(self, process_group, bucket: Tensor, value, op):
+        """Blocking one-element ``SIDE``-dtype AllReduce of ``value`` (a
+        shared scale, a magnitude, a vote); returns the reduced element."""
+        scalar = Tensor(np.array([value], dtype=self.SIDE), device=bucket.device)
+        process_group.allreduce(scalar, op)
+        return scalar.data[0]
+
+    @staticmethod
+    def _sum_and_decode(process_group, bucket: Tensor, wire: np.ndarray, decode):
+        """SUM-AllReduce ``wire``; on completion the bucket holds
+        ``decode(summed wire)``."""
+        summed = Tensor(wire, device=bucket.device)
+        work = process_group.allreduce(summed, ReduceOp.SUM, async_op=True)
 
         def finish() -> None:
-            bucket.data[...] = compressed.data.astype(data.dtype) / world
+            bucket.data[...] = decode(summed.data)
 
         return _HookWork(work, finish)
 
+    def _wire_bytes(self, elements: int) -> int:
+        """Bytes one rank puts on the wire for a bucket of ``elements``."""
+        side = 0 if self.SIDE is None else np.dtype(self.SIDE).itemsize
+        return elements * np.dtype(self.WIRE).itemsize + side
+
+    def wire_ratio(self, dtype, elements: int) -> float:
+        """Wire bytes per gradient byte for a bucket of ``elements``
+        gradients of ``dtype`` (side AllReduces included)."""
+        return self._wire_bytes(elements) / (elements * np.dtype(dtype).itemsize)
+
     def reset(self) -> None:
+        """Drop all per-bucket state (after a bucket relayout)."""
         self._residuals.clear()
 
 
-class Quantize8Hook:
-    """Linear 8-bit quantization (shared global scale), optional error
-    feedback.  Same wire format as :func:`quantize8_hook` — int32
-    carries the integer sum without overflow — plus the residual carry
-    of each rank's local rounding error."""
+class Fp16Hook(CompressionHook):
+    """float16 on the wire, with optional error feedback of each rank's
+    float16 rounding error."""
+
+    WIRE = np.float16
+
+    def __call__(self, process_group, bucket: Tensor, world: int):
+        data = bucket.data
+        corrected, residual = self._corrected(data)
+        wire = corrected.astype(self.WIRE)
+        if residual is not None:
+            residual[...] = corrected - wire.astype(data.dtype)
+        return self._sum_and_decode(process_group, bucket, wire,
+                                    lambda s: s.astype(data.dtype) / world)
+
+
+class Quantize8Hook(CompressionHook):
+    """Linear 8-bit quantization with optional error feedback.
+
+    The scale is the global max-abs (one tiny MAX-AllReduce), so every
+    rank quantizes onto the same grid and the integer sum is exact;
+    int32 carries that sum without overflow.
+    """
 
     LEVELS = 127.0
-
-    def __init__(self, use_error_feedback: bool = False):
-        self.use_error_feedback = use_error_feedback
-        self._residuals = _ResidualStore()
+    WIRE, SIDE = np.int32, np.float64
 
     def __call__(self, process_group, bucket: Tensor, world: int):
         data = bucket.data
-        if self.use_error_feedback:
-            residual = self._residuals.get(data)
-            corrected = data + residual
-        else:
-            corrected = data
-        scale = Tensor(
-            np.array([np.abs(corrected).max()], dtype=np.float64),
-            device=bucket.device,
-        )
-        process_group.allreduce(scale, ReduceOp.MAX)
-        denom = float(scale.data[0]) or 1.0
+        corrected, residual = self._corrected(data)
+        scale = np.abs(corrected).max()
+        denom = float(self._agree(process_group, bucket, scale, ReduceOp.MAX)) or 1.0
         quantized = np.round(corrected / denom * self.LEVELS)
-        if self.use_error_feedback:
+        if residual is not None:
             residual[...] = corrected - quantized / self.LEVELS * denom
-        wire = Tensor(quantized.astype(np.int32), device=bucket.device)
-        work = process_group.allreduce(wire, ReduceOp.SUM, async_op=True)
+        return self._sum_and_decode(
+            process_group, bucket, quantized.astype(self.WIRE),
+            lambda s: s.astype(data.dtype) / self.LEVELS * denom / world)
 
-        def finish() -> None:
-            bucket.data[...] = (
-                wire.data.astype(data.dtype) / self.LEVELS * denom / world
-            )
 
-        return _HookWork(work, finish)
+class OneBitSGDHook(CompressionHook):
+    """1-bit SGD: communicate signs, feed quantization error back locally.
+
+    Error feedback is part of the algorithm, so it is always on.  The
+    reconstruction magnitude is the global mean of per-rank mean-|g|
+    (a second tiny AllReduce).
+    """
+
+    WIRE, SIDE = np.int8, np.float64
+
+    def __init__(self) -> None:
+        super().__init__(use_error_feedback=True)
+
+    def __call__(self, process_group, bucket: Tensor, world: int):
+        corrected, residual = self._corrected(bucket.data)
+        magnitude = np.abs(corrected).mean()
+        mean_magnitude = float(self._agree(process_group, bucket, magnitude, ReduceOp.SUM)) / world
+        signs = np.where(corrected >= 0, 1.0, -1.0)
+        residual[...] = corrected - signs * mean_magnitude
+        return self._sum_and_decode(
+            process_group, bucket, signs.astype(self.WIRE),
+            lambda s: s.astype(np.float64) * mean_magnitude / world)
+
+
+class AdaptivePrecisionHook(CompressionHook):
+    """Adaptive compression levels (paper §6.2.3): communicate gradients
+    with only the necessary precision.
+
+    Each bucket goes out in the narrowest float dtype whose absolute
+    rounding error at the bucket's magnitude stays below ``tolerance``,
+    so the wire narrows as training converges.  Ranks agree on the dtype
+    with a tiny MIN-AllReduce vote (the most conservative rank wins).
+    """
+
+    #: wire dtypes from widest to narrowest; code == index
+    LEVELS = (np.float64, np.float32, np.float16)
+    #: the level is voted at run time: wire_ratio is the widest's bound
+    WIRE, SIDE = LEVELS[0], np.int64
+
+    def __init__(self, tolerance: float = 1e-4):
+        super().__init__()
+        self.tolerance = tolerance
+        self.chosen_levels: Dict[int, int] = {}
+
+    def _desired_level(self, data: np.ndarray) -> int:
+        scale = float(np.abs(data).max())
+        if scale == 0.0:
+            return len(self.LEVELS) - 1
+        for code in range(len(self.LEVELS) - 1, 0, -1):
+            dtype = self.LEVELS[code]
+            # absolute rounding error of the dtype at this magnitude
+            rounding = float(np.finfo(dtype).eps) * scale
+            if rounding <= self.tolerance:
+                return code
+        return 0
+
+    def __call__(self, process_group, bucket: Tensor, world: int):
+        data = bucket.data
+        desired = self._desired_level(data)
+        level = int(self._agree(process_group, bucket, desired, ReduceOp.MIN))
+        self.chosen_levels[id(data)] = level
+        return self._sum_and_decode(process_group, bucket, data.astype(self.LEVELS[level]),
+                                    lambda s: s.astype(data.dtype) / world)
 
     def reset(self) -> None:
-        self._residuals.clear()
+        super().reset()
+        self.chosen_levels.clear()
 
 
-class TopKHook:
+class TopKHook(CompressionHook):
     """Top-k magnitude sparsification with error feedback.
 
     Each rank keeps only the ``density`` fraction of largest-|g|
     entries of its residual-corrected contribution and AllGathers a
     compact ``[indices..., values...]`` payload; every rank then
-    scatter-adds the world's sparse contributions and averages.  Wire
-    volume per rank is ``2 * density * n`` elements versus ``n`` dense
-    — a ~10x reduction at the default density.  Entries *not* selected
-    stay in the residual (error feedback, on by default: without it
-    top-k silently drops most of the gradient).
+    scatter-adds the world's sparse contributions and averages.  The
+    payload is float64 so indices above 2**24 survive.  Entries *not*
+    selected stay in the residual (error feedback, on by default:
+    without it top-k silently drops most of the gradient).
     """
+
+    PAYLOAD = np.float64
 
     def __init__(self, density: float = 0.05, use_error_feedback: bool = True):
         if not 0.0 < density <= 1.0:
             raise ValueError(f"density must be in (0, 1], got {density}")
+        super().__init__(use_error_feedback)
         self.density = density
-        self.use_error_feedback = use_error_feedback
-        self._residuals = _ResidualStore()
+
+    def _k(self, n: int) -> int:
+        # All ranks derive k from (n, density) alone, so the payload
+        # shape — and therefore the collective signature — matches.
+        return max(1, min(n, int(round(n * self.density))))
 
     def __call__(self, process_group, bucket: Tensor, world: int):
         data = bucket.data
         n = data.size
-        if self.use_error_feedback:
-            residual = self._residuals.get(data)
-            corrected = data + residual
-        else:
-            corrected = data.copy()
+        corrected, residual = self._corrected(data)
         flat = corrected.reshape(-1)
-        # All ranks derive k from (n, density) alone, so the payload
-        # shape — and therefore the collective signature — matches.
-        k = max(1, min(n, int(round(n * self.density))))
-        if k >= n:
-            indices = np.arange(n, dtype=np.int64)
-        else:
-            indices = np.argpartition(np.abs(flat), n - k)[n - k :]
-            indices.sort()
+        k = self._k(n)
+        indices = np.argpartition(np.abs(flat), n - k)[n - k :]
+        indices.sort()
         values = flat[indices]
-        if self.use_error_feedback:
+        if residual is not None:
             residual[...] = corrected
             residual.reshape(-1)[indices] = 0.0
         payload = np.concatenate(
-            [indices.astype(np.float64), values.astype(np.float64)]
+            [indices.astype(self.PAYLOAD), values.astype(self.PAYLOAD)]
         )
-        wire = Tensor(payload, device=bucket.device)
-        work = process_group.allgather(wire, async_op=True)
+        work = process_group.allgather(Tensor(payload, device=bucket.device), async_op=True)
 
         def finish() -> None:
             gathered = work.result[0]  # (world, 2k)
@@ -359,27 +305,20 @@ class TopKHook:
 
         return _HookWork(work, finish)
 
-    def reset(self) -> None:
-        self._residuals.clear()
+    def _wire_bytes(self, elements: int) -> int:
+        return 2 * self._k(elements) * np.dtype(self.PAYLOAD).itemsize
 
 
-def topk_compress_hook(
-    density: float = 0.05, use_error_feedback: bool = True
-) -> TopKHook:
-    """A fresh :class:`TopKHook` (factory — the hook is stateful)."""
-    return TopKHook(density=density, use_error_feedback=use_error_feedback)
-
-
-class PowerSGDHook:
+class PowerSGDHook(CompressionHook):
     """PowerSGD low-rank gradient compression (Vogels et al. 2019).
 
-    The bucket is viewed as a near-square matrix ``M`` (zero-padded)
-    and approximated as ``P @ Q^T`` with ``rank`` columns: one
-    AllReduce of ``P = M @ Q`` is launched asynchronously at hook time;
-    at wait time the averaged ``P`` is orthonormalized and a second
-    AllReduce of ``Q = M^T @ P̂`` runs synchronously, after which the
-    bucket holds ``P̂ (M_avg^T P̂)^T = P̂ P̂^T M_avg`` — the projection of
-    the average gradient onto the learned subspace.  ``Q`` is
+    The bucket is viewed as a near-square float64 matrix ``M``
+    (zero-padded) and approximated as ``P @ Q^T`` with ``rank`` columns:
+    one AllReduce of ``P = M @ Q`` is launched asynchronously at hook
+    time; at wait time the averaged ``P`` is orthonormalized and a
+    second AllReduce of ``Q = M^T @ P̂`` runs synchronously, after which
+    the bucket holds ``P̂ (M_avg^T P̂)^T = P̂ P̂^T M_avg`` — the projection
+    of the average gradient onto the learned subspace.  ``Q`` is
     warm-started from a seeded Gaussian identical on every rank and
     carried across iterations (power iteration), and the approximation
     error feeds back through the residual.
@@ -389,36 +328,33 @@ class PowerSGDHook:
     P/Q collective sequence stays aligned across the group.
     """
 
+    MATRIX = np.float64
+
     def __init__(
         self, rank: int = 2, use_error_feedback: bool = True, seed: int = 0
     ):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
+        super().__init__(use_error_feedback)
         self.rank = rank
-        self.use_error_feedback = use_error_feedback
         self.seed = seed
-        self._residuals = _ResidualStore()
         self._q: Dict[int, np.ndarray] = {}
 
-    @staticmethod
-    def _matrix_shape(n: int) -> tuple:
+    def _factor_shape(self, n: int) -> tuple:
+        """``(rows, cols, r)``: the matrix view of ``n`` elements and
+        the factors' column count."""
         rows = int(np.ceil(np.sqrt(n)))
         cols = -(-n // rows)
-        return rows, cols
+        return rows, cols, min(self.rank, rows, cols)
 
     def __call__(self, process_group, bucket: Tensor, world: int):
         data = bucket.data
         n = data.size
-        if self.use_error_feedback:
-            residual = self._residuals.get(data)
-            corrected = data + residual
-        else:
-            corrected = data.copy()
-        rows, cols = self._matrix_shape(n)
-        matrix = np.zeros(rows * cols, dtype=np.float64)
+        corrected, residual = self._corrected(data)
+        rows, cols, r = self._factor_shape(n)
+        matrix = np.zeros(rows * cols, dtype=self.MATRIX)
         matrix[:n] = corrected.reshape(-1)
         M = matrix.reshape(rows, cols)
-        r = min(self.rank, rows, cols)
         qkey = id(data)
         q = self._q.get(qkey)
         if q is None or q.shape != (cols, r):
@@ -438,14 +374,18 @@ class PowerSGDHook:
             q_avg = q_wire.data.reshape(cols, r) / world
             self._q[qkey] = q_avg
             approx = (p_hat @ q_avg.T).reshape(-1)[:n].reshape(data.shape)
-            if self.use_error_feedback:
+            if residual is not None:
                 residual[...] = corrected - approx
             bucket.data[...] = approx
 
         return _HookWork(work, finish)
 
+    def _wire_bytes(self, elements: int) -> int:
+        rows, cols, r = self._factor_shape(elements)
+        return (rows + cols) * r * np.dtype(self.MATRIX).itemsize
+
     def reset(self) -> None:
-        self._residuals.clear()
+        super().reset()
         self._q.clear()
 
 
@@ -475,38 +415,14 @@ def make_hook(name: str):
     return factory()
 
 
+def hook_wire_ratio(hook, dtype, elements: int) -> float:
+    """``hook``'s wire bytes per gradient byte; 1.0 for a hook that
+    sends the bucket as it is (``allreduce_hook``, or none)."""
+    return hook.wire_ratio(dtype, elements) if isinstance(hook, CompressionHook) else 1.0
+
+
 def reset_hook(hook) -> None:
-    """Clear a hook's per-bucket state (residuals, warm-started
-    factors) if it has any — required after a bucket relayout, where
-    buffer identities and shapes change under the hook."""
+    """Clear a hook's per-bucket state, if it has a ``reset()``."""
     reset = getattr(hook, "reset", None)
     if callable(reset):
         reset()
-
-
-def compression_ratio(
-    hook_name: str,
-    dtype_bytes: int = 8,
-    density: float = 0.05,
-    rank: int = 2,
-    elements: int = 1 << 20,
-) -> float:
-    """Wire bytes per gradient element relative to uncompressed.
-
-    ``topk`` and ``powersgd`` ratios depend on configuration:
-    ``density`` (fraction of entries kept, doubled for the index
-    channel) and ``rank``/``elements`` (low-rank factor volume for a
-    near-square ``elements`` matrix) respectively.
-    """
-    if hook_name == "topk":
-        return min(1.0, 2.0 * density)
-    if hook_name == "powersgd":
-        rows, cols = PowerSGDHook._matrix_shape(elements)
-        return min(1.0, (rows + cols) * rank / elements)
-    wire_bytes = {
-        "allreduce": dtype_bytes,
-        "fp16": 2,
-        "quantize8": 4,  # int32 on the wire in this implementation
-        "onebit": 1,  # int8 signs
-    }
-    return wire_bytes[hook_name] / dtype_bytes

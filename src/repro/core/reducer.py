@@ -44,6 +44,7 @@ from repro.autograd.graph import collect_participating_accumulators
 from repro.autograd.tensor import Tensor
 from repro.comm.process_group import ReduceOp
 from repro.core.bucket import BucketSpec, copy_params_into, validate_assignment
+from repro.core.comm_hooks import reset_hook
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
@@ -547,7 +548,9 @@ class Reducer:
         Rebuilding with a layout identical to the current one is a no-op
         (no reallocation, no view churn) — the steady state of PyTorch's
         ``Reducer._rebuild_buckets``, which fires at most once per
-        training run unless the graph actually changes.
+        training run unless the graph actually changes.  A new layout
+        resets the comm hook: its per-bucket state (error-feedback
+        residuals, warm-started factors) belongs to the old buffers.
         """
         if not self._finalized:
             raise ReducerError("cannot rebuild buckets mid-iteration")
@@ -558,6 +561,7 @@ class Reducer:
             self.noop_rebuild_count += 1
             return
         self._install_layout(bucket_specs)
+        reset_hook(self.comm_hook)
         if TRACER.enabled:
             registry_for(self.recorder.rank).counter("reducer.rebuilds").add(1)
 

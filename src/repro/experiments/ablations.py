@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.comm_hooks import hook_wire_ratio, make_hook
 from repro.core.order_prediction import BackwardOrderTracer
 from repro.simnet import NcclCostModel
 from repro.simulation import SimulationConfig, TrainingSimulator
@@ -21,13 +22,14 @@ DESIGN_VARIANTS = [
     ("overlapped", dict(bucket_cap_mb=25.0, overlap=True)),
 ]
 
-#: wire bytes per fp32 gradient element for each hook implementation.
-HOOK_WIRE_BYTES = {
-    "fp32_allreduce": 4,
-    "fp16": 2,
-    "quantize8_int32": 4,
-    "onebit_int8": 1,
-}
+#: (row label, ``HOOK_FACTORIES`` name) of the projected hooks; each
+#: hook prices its own wire for fp32 gradients.
+PROJECTED_HOOKS = (
+    ("fp32_allreduce", "allreduce"),
+    ("fp16", "fp16"),
+    ("quantize8_int32", "quantize8"),
+    ("onebit_int8", "onebit"),
+)
 
 
 def design_progression(backends=("nccl", "gloo"), worlds=(16, 32)):
@@ -63,13 +65,13 @@ def compression_projection(world: int = 32):
     rows = []
     for profile in (resnet50_profile(), bert_profile()):
         full_bytes = profile.num_params * 4
-        for hook, wire_per_element in HOOK_WIRE_BYTES.items():
-            wire = profile.num_params * wire_per_element
+        for label, name in PROJECTED_HOOKS:
+            wire = full_bytes * hook_wire_ratio(make_hook(name), np.float32, profile.num_params)
             latency = cost_model.allreduce_time(wire, world)
             rows.append(
                 (
                     profile.name,
-                    hook,
+                    label,
                     round(wire / 1e6, 1),
                     latency,
                     f"{wire / full_bytes:.2f}x",

@@ -57,16 +57,11 @@ from repro.telemetry.spans import TRACER
 
 
 def work_interval(work) -> Optional[Tuple[float, float]]:
-    """Execution interval stamped on a ``Work``'s record, if available.
-
-    Communication hooks wrap the real handle (``_HookWork``); unwrap
-    one level of ``_inner`` so compressed buckets still report comm
-    time.  Returns ``None`` for handles that never executed.
-    """
-    for candidate in (work, getattr(work, "_inner", None)):
-        record = getattr(candidate, "record", None)
-        if record is not None and record.t_start is not None and record.t_end is not None:
-            return (record.t_start, record.t_end)
+    """Execution interval stamped on a ``Work``'s record (a comm hook's
+    handle exposes its collective's); ``None`` if it never executed."""
+    record = getattr(work, "record", None)
+    if record is not None and record.t_start is not None and record.t_end is not None:
+        return (record.t_start, record.t_end)
     return None
 
 

@@ -1,8 +1,8 @@
 """``tools/check_docs.py`` in both directions, over a temporary tree: a
 knob, autotune option or ``REPRO_*`` variable must have a docs table
 row, and a row must not name a variable no code reads, a knob ``KNOBS``
-no longer has or an option ``Autotuner`` no longer takes; a command or
-script path the docs name must still exist."""
+no longer has or an option ``Autotuner`` no longer takes; a command,
+script path or ``repro.*`` name the docs name must still exist."""
 
 import sys
 from pathlib import Path
@@ -34,14 +34,18 @@ def option_table(names):
     ("", "", OPTIONS[1:], "", f"autotune option {OPTIONS[0]} missing from the Option table"),
     ("", "", OPTIONS, "Run `python tools/gone.py`.\n", "names tools/gone.py, which does not exist"),
     ("", "", OPTIONS, "Run `python -m repro.gone`.\n", "`python -m repro.gone` names no runnable module"),
+    ("", "", OPTIONS, "See `repro.core.comm_hooks.Fp16Hook.wire_ratio`.\n", None),
+    ("", "", OPTIONS, "See `repro.core.comm_hooks.gone_hook`.\n",
+     "stale reference repro.core.comm_hooks.gone_hook"),
 ], ids=["covering", "stale-knob", "stale-env", "stale-option", "missing-option",
-        "stale-script", "stale-command"])
+        "stale-script", "stale-command", "resolving-name", "stale-name"])
 def test_a_minimal_tree(tmp_path, monkeypatch, capsys, knob_row, env_row, options, prose, needle):
     """One source file reading REPRO_CHUNK_BYTES and tables covering it,
     every real knob and every real autotune option pass; one stale or
-    missing row, script or command more is one problem.  ``repro.gone``
-    is a package without a ``__main__.py``: a module reference to it
-    resolves, running it does not."""
+    missing row, script, command or dotted name more is one problem.
+    ``repro.gone`` is a package without a ``__main__.py``: a module
+    reference to it resolves, running it does not.  A dotted name
+    resolves in full, down to the attribute."""
     (tmp_path / "src" / "repro" / "gone").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "gone" / "__init__.py").write_text("")
     (tmp_path / "src" / "chunks.py").write_text('import os\nos.environ.get("REPRO_CHUNK_BYTES")\n')

@@ -46,14 +46,14 @@ class TestAllreduceHook:
 class TestFp16Hook:
     def test_close_to_exact_average(self):
         native = grads_with_hook(None)
-        fp16 = grads_with_hook(lambda: comm_hooks.fp16_compress_hook)
+        fp16 = grads_with_hook(comm_hooks.Fp16Hook)
         for name in native[0]:
             scale = np.abs(native[0][name]).max() + 1e-12
             err = np.abs(native[0][name] - fp16[0][name]).max() / scale
             assert err < 5e-3  # float16 relative precision
 
     def test_ranks_agree(self):
-        fp16 = grads_with_hook(lambda: comm_hooks.fp16_compress_hook)
+        fp16 = grads_with_hook(comm_hooks.Fp16Hook)
         for name in fp16[0]:
             assert np.allclose(fp16[0][name], fp16[1][name])
 
@@ -61,7 +61,7 @@ class TestFp16Hook:
 class TestQuantize8Hook:
     def test_bounded_error(self):
         native = grads_with_hook(None)
-        q8 = grads_with_hook(lambda: comm_hooks.quantize8_hook)
+        q8 = grads_with_hook(comm_hooks.Quantize8Hook)
         # The quantization grid is shared per *bucket*, so compare
         # against the global gradient scale.
         global_scale = max(np.abs(g).max() for g in native[0].values())
@@ -115,7 +115,7 @@ class TestOneBitHook:
         work = hook(OneRankGroup(), bucket, 1)
         work.wait()
         # residual memory must be non-zero (compression was lossy)
-        (err,) = [e for e in hook._error.values()]
+        (err,) = hook._residuals._store.values()
         assert np.abs(err).sum() > 0
 
     def test_training_still_converges(self):
@@ -344,13 +344,43 @@ class TestHookBucketViewAliasing:
 
 class TestCompressionRatios:
     def test_ratios(self):
-        assert comm_hooks.compression_ratio("fp16", 8) == 0.25
-        assert comm_hooks.compression_ratio("onebit", 8) == 0.125
-        assert comm_hooks.compression_ratio("allreduce", 8) == 1.0
-        assert comm_hooks.compression_ratio("topk", density=0.05) == 0.1
-        assert comm_hooks.compression_ratio("powersgd", rank=2, elements=1 << 20) < 0.01
-        with pytest.raises(KeyError):
-            comm_hooks.compression_ratio("bogus")
+        """Each hook prices what it sends: payload plus side AllReduces."""
+        n = 1 << 20
+        f64, f32 = np.float64, np.float32
+        assert comm_hooks.Fp16Hook().wire_ratio(f64, n) == 0.25
+        assert comm_hooks.Fp16Hook(use_error_feedback=True).wire_ratio(f32, n) == 0.5
+        assert comm_hooks.Quantize8Hook().wire_ratio(f64, n) == (4 * n + 8) / (8 * n)
+        assert comm_hooks.OneBitSGDHook().wire_ratio(f64, n) == (n + 8) / (8 * n)
+        # float64 indices and values: 0.2 of an fp32 bucket at density 0.05
+        assert comm_hooks.TopKHook(density=0.05).wire_ratio(f32, n) == pytest.approx(0.2, rel=1e-5)
+        assert comm_hooks.PowerSGDHook(rank=2).wire_ratio(f64, n) < 0.01
+        assert comm_hooks.hook_wire_ratio(comm_hooks.allreduce_hook, f64, n) == 1.0
+        assert comm_hooks.hook_wire_ratio(None, f64, n) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(comm_hooks.HOOK_FACTORIES))
+    def test_wire_ratio_is_what_the_hub_counts(self, name):
+        """At world 2 each rank sends one copy of every payload, so the
+        bytes the hub counts for one iteration are ``wire_ratio`` times
+        the gradient bytes (adaptive's ratio is its widest level's)."""
+
+        def body(rank):
+            model = small_classifier()
+            hook = comm_hooks.make_hook(name)
+            ddp = DistributedDataParallel(model, comm_hook=hook)
+            hub = ddp.process_group.hub
+            before = hub.bytes_sent[rank]
+            nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
+            expected = sum(
+                comm_hooks.hook_wire_ratio(hook, b.flat.dtype, b.flat.size) * b.flat.nbytes
+                for b in ddp.reducer.buckets
+            )
+            return hub.bytes_sent[rank] - before, expected
+
+        for sent, expected in run_world(2, body, backend="gloo"):
+            if name == "adaptive":
+                assert 0 < sent <= expected
+            else:
+                assert sent == pytest.approx(expected, rel=1e-12)
 
     def test_hook_factories_produce_fresh_instances(self):
         a = comm_hooks.make_hook("topk")
@@ -364,8 +394,74 @@ class TestCompressionRatios:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(model)
-            ddp.register_comm_hook(comm_hooks.fp16_compress_hook)
+            ddp.register_comm_hook(comm_hooks.Fp16Hook())
             nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
             return all(p.grad is not None for p in model.parameters())
 
         assert all(run_world(2, body, backend="gloo"))
+
+
+def _per_bucket_state(hook):
+    """Every per-bucket store a hook fills, by name."""
+    stores = {"residuals": hook._residuals._store} if hook.use_error_feedback else {}
+    for name in ("_q", "chosen_levels"):
+        if hasattr(hook, name):
+            stores[name] = getattr(hook, name)
+    return stores
+
+
+class TestRelayoutResetsHook:
+    """A relayout frees the buffers a hook's per-bucket state is keyed
+    to; the reducer resets the hook, so no state outlives its layout."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: comm_hooks.Fp16Hook(use_error_feedback=True),
+            lambda: comm_hooks.Quantize8Hook(use_error_feedback=True),
+            comm_hooks.OneBitSGDHook,
+            comm_hooks.AdaptivePrecisionHook,
+            comm_hooks.TopKHook,
+            comm_hooks.PowerSGDHook,
+        ],
+        ids=["fp16_ef", "quantize8_ef", "onebit", "adaptive", "topk", "powersgd"],
+    )
+    def test_state_is_keyed_only_to_live_buckets(self, factory):
+        def body(rank):
+            model = small_classifier()
+            hook = factory()
+            ddp = DistributedDataParallel(model, comm_hook=hook)
+            loss_fn = nn.CrossEntropyLoss()
+            shard = slice(rank * 4, (rank + 1) * 4)
+            loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
+            before = len(ddp.reducer.buckets)
+            ddp.set_bucket_cap_mb(0.0001)  # one bucket per parameter
+            loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
+            live = {id(b.flat) for b in ddp.reducer.buckets}
+            keys = {name: set(store) for name, store in _per_bucket_state(hook).items()}
+            return before, live, keys
+
+        for before, live, keys in run_world(2, body, backend="gloo"):
+            assert len(live) > before  # the layout really changed
+            for name, stored in keys.items():
+                assert stored == live, name
+
+
+class TestHookedBucketTelemetry:
+    def test_hooked_buckets_report_their_collectives(self):
+        """The hook's handle exposes its collective's record, so every
+        hooked bucket has a latency and the iteration a comm total."""
+
+        def body(rank):
+            model = small_classifier()
+            ddp = DistributedDataParallel(
+                model, bucket_cap_mb=0.0001, comm_hook=comm_hooks.Fp16Hook()
+            )
+            nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
+            stats = ddp.ddp_stats()
+            return stats["per_bucket_allreduce_latency_s"], stats["comm_total_s"]
+
+        for latencies, comm_total in run_world(2, body, backend="gloo"):
+            assert len(latencies) > 1
+            assert all(latency > 0 for latency in latencies)
+            assert comm_total > 0

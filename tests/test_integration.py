@@ -192,7 +192,7 @@ class TestFullTrainingRuns:
             manual_seed(9)
             model = MLP(6, [16], 2)
             ddp = DistributedDataParallel(
-                model, comm_hook=comm_hooks.fp16_compress_hook
+                model, comm_hook=comm_hooks.Fp16Hook()
             )
             sampler = DistributedSampler(ds, 4, rank, shuffle=True)
             loader = DataLoader(ds, batch_size=8, sampler=sampler)

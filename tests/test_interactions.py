@@ -53,7 +53,7 @@ class TestHookAndNoSync:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(
-                model, comm_hook=comm_hooks.fp16_compress_hook
+                model, comm_hook=comm_hooks.Fp16Hook()
             )
             hub = ddp.process_group.hub
             loss_fn = nn.CrossEntropyLoss()
@@ -74,10 +74,10 @@ class TestHookAndNoSync:
         """no_sync accumulation followed by an fp16-compressed sync
         produces the same (within fp16) gradients as uncompressed."""
 
-        def run_with(hook):
+        def run_with(hook_factory):
             def body(rank):
                 model = small_classifier()
-                ddp = DistributedDataParallel(model, comm_hook=hook)
+                ddp = DistributedDataParallel(model, comm_hook=hook_factory())
                 loss_fn = nn.CrossEntropyLoss()
                 shard = slice(rank * 4, (rank + 1) * 4)
                 with ddp.no_sync():
@@ -87,8 +87,8 @@ class TestHookAndNoSync:
 
             return run_world(2, body, backend="gloo")
 
-        plain = run_with(None)
-        compressed = run_with(comm_hooks.fp16_compress_hook)
+        plain = run_with(lambda: None)
+        compressed = run_with(comm_hooks.Fp16Hook)
         for name in plain[0]:
             scale = np.abs(plain[0][name]).max() + 1e-12
             assert np.abs(plain[0][name] - compressed[0][name]).max() / scale < 5e-3
@@ -112,7 +112,7 @@ class TestOverlapOffCombos:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(
-                model, overlap=False, comm_hook=comm_hooks.quantize8_hook
+                model, overlap=False, comm_hook=comm_hooks.Quantize8Hook()
             )
             nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
             return all(p.grad is not None for p in model.parameters())

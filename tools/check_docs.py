@@ -23,11 +23,11 @@ go green:
 3. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
-4. **Stale module references** — every `` `repro.<something>` ``
-   reference must name an importable module path prefix: the first
-   segment after ``repro.`` has to exist as ``src/repro/<segment>``
-   (package or module) or as an attribute of the ``repro`` package.
-   Renaming a package without sweeping the docs fails here.
+4. **Stale references** — every ``repro.a.b.c`` reference must resolve
+   in full: its longest prefix that is a module or package under
+   ``src/`` is imported and the rest looked up as attributes.  Renaming
+   a package, or deleting a function the docs name, without sweeping
+   the docs fails here.
 5. **Stale commands and paths** — every ``python -m repro.<module>``
    must name a module that can be run (a ``.py`` file, or a package
    with a ``__main__.py``), and every ``tools/*.py``, ``benchmarks/*.py``
@@ -42,6 +42,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import os
 import re
@@ -55,7 +56,7 @@ CODE_DIRS = ["src", "tests", "benchmarks", "examples", "tools"]
 
 ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
-MODULE_REF_RE = re.compile(r"\brepro\.([a-zA-Z_][a-zA-Z0-9_]*)")
+MODULE_REF_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 RUN_MODULE_RE = re.compile(r"python -m (repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
 SCRIPT_PATH_RE = re.compile(r"(?<![\w/.-])((?:tools|benchmarks|examples)/[\w/.-]*\.py)\b")
 
@@ -223,32 +224,43 @@ def check_links(docs, verbose):
     return problems
 
 
-def check_module_refs(docs, verbose):
-    """Check 4: repro.<segment> references resolve to real modules."""
-    sys.path.insert(0, SRC_DIR)
-    import repro
+def resolves(dotted: str) -> bool:
+    """True when ``dotted`` names something: the longest prefix that is
+    a module or package under ``src/`` is imported and the rest of the
+    name is looked up on it attribute by attribute."""
+    parts = dotted.split(".")
+    cut = len(parts)
+    while cut > 1 and not (
+        os.path.isdir(os.path.join(SRC_DIR, *parts[:cut]))
+        or os.path.isfile(os.path.join(SRC_DIR, *parts[:cut]) + ".py")
+    ):
+        cut -= 1
+    if cut == len(parts):
+        return True
+    try:
+        target = importlib.import_module(".".join(parts[:cut]))
+    except ImportError:
+        return False
+    for name in parts[cut:]:
+        if not hasattr(target, name):
+            return False
+        target = getattr(target, name)
+    return True
 
+
+def check_module_refs(docs, verbose):
+    """Check 4: every repro.a.b.c reference resolves in full."""
+    sys.path.insert(0, SRC_DIR)
     problems = []
     refs = set()
     for path, text in docs:
         rel = os.path.relpath(path, REPO_ROOT)
-        for match in MODULE_REF_RE.finditer(text):
-            segment = match.group(1)
-            refs.add(segment)
-            pkg_dir = os.path.join(SRC_DIR, "repro", segment)
-            module_file = pkg_dir + ".py"
-            if (
-                os.path.isdir(pkg_dir)
-                or os.path.isfile(module_file)
-                or hasattr(repro, segment)
-            ):
-                continue
-            problems.append(
-                f"{rel}: stale reference repro.{segment} "
-                f"(no src/repro/{segment} module/package or repro attribute)"
-            )
+        for ref in MODULE_REF_RE.findall(text):
+            refs.add(ref)
+            if not resolves(ref):
+                problems.append(f"{rel}: stale reference {ref} (no such module or attribute)")
     if verbose:
-        print(f"  module refs: {len(refs)} distinct repro.* prefixes checked")
+        print(f"  references: {len(refs)} distinct repro.* names resolved")
     return problems
 
 
