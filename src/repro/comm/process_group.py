@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.comm import algorithms
 from repro.comm.gates import NOTHING
-from repro.comm.store import Store, StoreTimeoutError
+from repro.comm.store import Store
 from repro.comm.transport import (
     Signed,
     TransportClosedError,
@@ -42,7 +42,6 @@ from repro.comm.transport import (
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
-from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
@@ -233,7 +232,8 @@ class _RoundWork(Work):
         self._take()
         while self.missing and self._diverged is None:
             offset = self.missing.pop(0)
-            self._file((offset,), (group._await_post(self, offset, deadline),))
+            post = group._await_post(offset, self._tag, self.description, deadline)
+            self._file((offset,), (post,))
         if self._diverged is not None:
             raise group._mismatch(self.record.seq, self._signature, *self._diverged)
         if self._op is not None:
@@ -299,10 +299,6 @@ _OPS = {
     # No tensor, so always under the size rule: never reaches a worker.
     "barrier": _Op(None, one_round=True),
 }
-
-#: Seconds a parked rank waits before it looks at the other signature
-#: channel and at whether the group shut down.
-_SLICE_S = 0.25
 
 
 class ProcessGroup:
@@ -453,12 +449,13 @@ class ProcessGroup:
             algorithms.executing.stalls = None
             record.stalls = stalls
 
-    def _issue(self, record: CollectiveRecord) -> None:
+    def _issue(self, record: CollectiveRecord, signature: dict) -> None:
         """What every collective does first on the issuing thread: check
         the group is open, fire collective-scoped fault rules, retain
         the record in the rank's ring (``REPRO_DEBUG`` ≥ INFO or
         telemetry on) — the one store the causal timeline, the trace and
-        the health series are read from."""
+        the health series are read from — and under DETAIL publish this
+        rank's fingerprint for :meth:`_mismatch`'s per-rank report."""
         if self._closed:
             raise CollectiveError("process group has been shut down")
         if self._fault_plan is not None:
@@ -470,6 +467,8 @@ class ProcessGroup:
             )
         if DEBUG.level or TRACER.enabled:
             recorder_for(self.global_rank).add(record)
+        if DEBUG.level >= DETAIL:
+            self.store.set(self._detail_key(record.seq, self.global_rank), signature)
 
     def _submit(self, fn, record: CollectiveRecord, async_op: bool):
         """Queue ``fn`` on the communication worker.
@@ -478,7 +477,6 @@ class ProcessGroup:
         order on every rank.  Returns the :class:`Work` when
         ``async_op``; otherwise waits and returns what ``fn`` returned.
         """
-        self._issue(record)
         work = Work(record)
         self._queue.put((fn, work))
         if async_op:
@@ -523,10 +521,11 @@ class ProcessGroup:
     def shutdown(self, grace: float = 2.0) -> bool:
         """Stop the worker thread (idempotent); returns True if it joined.
 
-        A worker blocked in a transport ``recv`` (its peer diverged or
-        died) cannot see the queue sentinel, so after ``grace`` seconds
-        the hub is closed to wake it with ``TransportClosedError``
-        instead of stranding the thread.  Split-phase collectives nobody
+        A worker blocked in a transport ``recv`` — a peer's message or
+        the leader's fingerprint, whose sender diverged or died — cannot
+        see the queue sentinel, so after ``grace`` seconds the hub is
+        closed to wake it with ``TransportClosedError`` instead of
+        stranding the thread.  Split-phase collectives nobody
         completed fail, so a later ``wait()`` raises at once; a thread
         parked completing one is woken like a blocked worker.  Workers
         (or such threads) that still fail to finish are reported via
@@ -597,7 +596,7 @@ class ProcessGroup:
             if arrivals < len(self.ranks):
                 return
             for prefix in (
-                f"pg{gid}/",       # rendezvous counter + per-seq signatures
+                f"pg{gid}/",       # rendezvous counter + DETAIL's signatures
                 f"pgdebug/{gid}/", # watchdog alarms and snapshots
                 f"mb/{gid}/",      # monitored_barrier counters
                 f"ddpchk/{gid}/",  # DDP construction consistency checks
@@ -615,53 +614,24 @@ class ProcessGroup:
     # Every rank must issue the same collective at sequence ``seq`` with
     # the same fingerprint, or real libraries corrupt data or hang (paper
     # §3.3); we raise a CollectiveMismatchError with a field-level diff.
-    # A small collective's posts carry the fingerprint; for a worker-run
-    # one the leader publishes it to the store.  A rank parked on one
-    # channel looks at the other, so a protocol disagreement meets too.
-    def _signature_key(self, seq: int) -> str:
-        return f"pg{self._group_id}/sig/{seq}"
+    # The fingerprint travels on the hub under the tag ``(group, seq)``:
+    # with a small collective's contribution, or alone from a worker-path
+    # leader.  Ranks that disagree on the protocol meet in that mailbox.
+    def _detail_key(self, seq: int, rank: int) -> str:
+        return f"pg{self._group_id}/sig/{seq}/rank{rank}"
 
-    def _check_signature(self, seq: int, signature: dict) -> None:
-        """The worker path's check: the leader publishes, the others
-        compare (every rank publishes under DETAIL).  A non-leader reads
-        in slices — the group's last read deletes the key — so a
-        shutdown wakes it, and a leader that posted its fingerprint
-        instead (under the size rule) is heard."""
-        key = self._signature_key(seq)
-        if DEBUG.level >= DETAIL:
-            self.store.set(f"{key}/rank{self.global_rank}", signature)
+    def _check_signature(self, record: CollectiveRecord, signature: dict) -> None:
+        """The worker path's check: the leader posts its fingerprint,
+        without data, under the tag a small collective's post uses; every
+        other rank takes it and compares."""
+        tag = (self._group_id, record.seq)
         if self.group_rank == 0:
-            if len(self.ranks) > 1:
-                self.store.set(key, signature)
+            if self._peer_ranks:
+                self.hub.post(self.global_rank, self._peer_ranks, tag, Signed(signature, None))
             return
-        deadline = time.perf_counter() + self.timeout
-        while True:
-            remaining = deadline - time.perf_counter()
-            try:
-                leader_sig = self.store.get(key, max(0.0, min(_SLICE_S, remaining)),
-                                            readers=len(self.ranks) - 1)
-                break
-            except StoreTimeoutError:  # the poll raises once the hub closed
-                post = self.hub.poll(self.global_rank, self.ranks[0], (self._group_id, seq))
-                if post is not NOTHING:
-                    leader_sig = post.signature
-                    break
-                if self._closed:
-                    raise CollectiveError(
-                        f"process group {self._group_id} shut down while "
-                        f"waiting for the leader's signature of collective "
-                        f"#{seq}"
-                    ) from None
-                if remaining <= 0:
-                    raise CollectiveTimeoutError(
-                        f"rank {self.global_rank} timed out after "
-                        f"{self.timeout}s waiting for the leader (rank "
-                        f"{self.ranks[0]}) to issue collective #{seq} in "
-                        f"group {self._group_id} — the leader diverged, "
-                        f"hung, or exited"
-                    ) from None
-        if leader_sig != signature:
-            raise self._mismatch(seq, signature, 0, leader_sig)
+        post = self._await_post(0, tag, record.name, time.perf_counter() + self.timeout)
+        if post.signature != signature:
+            raise self._mismatch(record.seq, signature, 0, post.signature)
 
     def _mismatch(self, seq: int, signature: dict, peer: int, theirs: dict):
         """The error for group rank ``peer`` having issued ``theirs``,
@@ -673,9 +643,8 @@ class ProcessGroup:
         if DEBUG.level >= DETAIL:
             # Best-effort gather: peers publish at issue, so a short wait
             # usually collects the whole group.
-            key = self._signature_key(seq)
             deadline = time.perf_counter() + min(1.0, self.timeout / 4.0)
-            keys = {r: f"{key}/rank{r}" for r in self.ranks}
+            keys = {r: self._detail_key(seq, r) for r in self.ranks}
             while time.perf_counter() < deadline:
                 if all(self.store.try_get(k) is not None for k in keys.values()):
                     break
@@ -689,27 +658,20 @@ class ProcessGroup:
             peer_sigs, role="leader" if low == 0 else "peer",
         ))
 
-    def _await_post(self, work: _RoundWork, offset: int, deadline: float):
-        """Park for group rank ``offset``'s post to ``work``: the leader
-        once, a non-leader in slices, looking between them for the
-        fingerprint a leader on the worker path published instead."""
-        src, seq = self.ranks[offset], work.record.seq
-        slice_s = _SLICE_S if self.group_rank else float("inf")
-        while True:
-            remaining = deadline - time.perf_counter()
-            try:
-                return algorithms._recv(self.hub, self.global_rank, src, work._tag,
-                                        max(0.0, min(slice_s, remaining)))
-            except TransportTimeoutError:
-                if remaining <= slice_s:
-                    raise CollectiveTimeoutError(
-                        f"rank {self.global_rank} timed out waiting for rank "
-                        f"{src}'s post to {work.description} in group "
-                        f"{self._group_id} (peer rank diverged, hung or exited)"
-                    ) from None
-            leader = self.store.try_get(self._signature_key(seq))
-            if leader is not None and leader != work._signature:
-                raise self._mismatch(seq, work._signature, 0, leader)
+    def _await_post(self, offset: int, tag: tuple, what: str, deadline: float) -> Signed:
+        """Park until ``deadline`` for group rank ``offset``'s post under
+        ``tag`` — a small collective's contribution, or the fingerprint
+        of a worker-path leader; either path's ``what`` names it."""
+        src = self.ranks[offset]
+        try:
+            return algorithms._recv(self.hub, self.global_rank, src, tag,
+                                    max(0.0, deadline - time.perf_counter()))
+        except TransportTimeoutError:
+            raise CollectiveTimeoutError(
+                f"rank {self.global_rank} timed out waiting for rank {src}'s post "
+                f"to {what} in group {self._group_id} (peer rank diverged, hung "
+                f"or exited)"
+            ) from None
 
     def _next_tag(self, op_name: str) -> tuple:
         seq = self._seq
@@ -722,14 +684,6 @@ class ProcessGroup:
                 f"{type(self).__name__} only supports device tensors "
                 f"(got a tensor on 'cpu'); copy to a gpu:* device first"
             )
-
-    def _record_op_metrics(self, op_name: str, nbytes: int) -> None:
-        """Count a point-to-point op (collectives have a record instead,
-        which the ``{op}.count`` / ``{op}.bytes`` series fold from)."""
-        if TRACER.enabled:
-            registry = registry_for(self.global_rank)
-            registry.counter(f"{op_name}.count").add(1)
-            registry.counter(f"{op_name}.bytes").add(nbytes)
 
     # ------------------------------------------------------------------
     # collectives
@@ -744,10 +698,11 @@ class ProcessGroup:
 
         Device check → the op's facts (:meth:`_describe`, once per op,
         shape, dtype and signed operands) → sequence number → the
-        collective's one record → :meth:`_round` on this thread (a
-        one-round row under the size rule), or ``_submit`` of a closure
-        that checks the signature, runs the op's algorithm and translates
-        transport timeouts.  ``name`` selects the row of ``_OPS``;
+        collective's one record, issued (:meth:`_issue`) → :meth:`_round`
+        on this thread (a one-round row under the size rule), or
+        ``_submit`` of a closure that checks the signature, runs the op's
+        algorithm and translates transport timeouts.  ``name`` selects
+        the row of ``_OPS``;
         ``operands`` are the op's keyword operands in the algorithm's
         positional order.  Returns the :class:`Work` when ``async_op``,
         else the algorithm's result (None for in-place ops).
@@ -766,10 +721,10 @@ class ProcessGroup:
             facts = self._facts[key] = self._describe(name, row, array, operands)
         signature, record_facts, wire, split = facts
         tag = self._next_tag(name)
-        seq = tag[1]
         if wire is not None:
             self.bytes_communicated += wire
-        record = CollectiveRecord(seq, self._group_id, record_facts, wire)
+        record = CollectiveRecord(tag[1], self._group_id, record_facts, wire)
+        self._issue(record, signature)
         if split:
             return self._round(record, signature, array, operands, async_op)
         if name == "allreduce":
@@ -778,7 +733,7 @@ class ProcessGroup:
         algorithm = row.algorithm or algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
 
         def run():
-            self._check_signature(seq, signature)
+            self._check_signature(record, signature)
             chunk = (self.chunk_bytes,) if row.chunked else ()
             try:
                 return algorithm(
@@ -813,10 +768,6 @@ class ProcessGroup:
         signed private copy of the buffer to the peers that need it (all,
         but a broadcast's only from its root) in one hub round; the
         :class:`_RoundWork` lands the result on whoever waits for it."""
-        self._issue(record)
-        if DEBUG.level >= DETAIL:
-            self.store.set(f"{self._signature_key(record.seq)}/rank{self.global_rank}",
-                           signature)
         me, world = self.group_rank, len(self.ranks)
         pieces, op, source = [None] * world, operands.get("reduce_op"), None
         dsts, missing, payload = self._peer_ranks, list(self._peers), None
@@ -925,7 +876,6 @@ class ProcessGroup:
         this with collectives; provided for parameter-server-style code)."""
         array = _as_array(tensor)
         self.bytes_communicated += array.nbytes
-        self._record_op_metrics("p2p.send", array.nbytes)
         self.hub.send(
             self.ranks[self.group_rank], self.ranks[dst], ("p2p", self._group_id, tag),
             array.copy(),
@@ -934,7 +884,6 @@ class ProcessGroup:
     def recv(self, tensor, src: int, tag: object = "p2p") -> None:
         """Blocking point-to-point receive from group-rank ``src``."""
         array = _as_array(tensor)
-        self._record_op_metrics("p2p.recv", array.nbytes)
         incoming = self.hub.recv(
             self.ranks[self.group_rank], self.ranks[src], ("p2p", self._group_id, tag),
             self.timeout,

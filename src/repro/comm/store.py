@@ -9,7 +9,6 @@ constructors use to allocate ids and count arrivals.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from typing import Any, Dict, Iterable
@@ -31,8 +30,6 @@ class Store:
 
     def __init__(self, timeout: float = 30.0):
         self._data: Dict[str, Any] = {}
-        #: Reads still due on keys read with ``get(readers=...)``.
-        self._readers: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._gates = KeyedGates(self._lock)
         self.timeout = timeout
@@ -47,24 +44,12 @@ class Store:
     def _peek(self, key: str) -> Any:
         return self._data.get(key, NOTHING)
 
-    def get(self, key: str, timeout: float | None = None, readers: int | None = None) -> Any:
-        """Return ``key``'s value, blocking until some rank sets it; the
-        read that completes ``readers`` reads of the value deletes it."""
+    def get(self, key: str, timeout: float | None = None) -> Any:
+        """Return ``key``'s value, blocking until some rank sets it."""
         deadline = timeout if timeout is not None else self.timeout
-        poll = self._peek if readers is None else functools.partial(self._read, readers)
-        value = self._gates.wait(key, poll, deadline)
+        value = self._gates.wait(key, self._peek, deadline)
         if value is NOTHING:
             raise StoreTimeoutError(f"store.get({key!r}) timed out after {deadline}s")
-        return value
-
-    def _read(self, readers: int, key: str) -> Any:
-        value = self._data.get(key, NOTHING)
-        if value is not NOTHING:
-            left = self._readers.pop(key, readers) - 1
-            if left > 0:
-                self._readers[key] = left
-            else:
-                del self._data[key]
         return value
 
     def try_get(self, key: str, default: Any = None) -> Any:
@@ -112,22 +97,22 @@ class Store:
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns True if it existed."""
         with self._lock:
-            self._readers.pop(key, None)
             return self._data.pop(key, None) is not None
 
     def delete_prefix(self, prefix: str) -> int:
         """Remove every key starting with ``prefix``; returns the count.
 
         Process groups call this on destroy to drop their namespaced
-        keys (per-seq collective signatures, watchdog snapshots, barrier
-        counters), so long-lived stores — notably the one shared across
-        elastic re-rendezvous generations — do not grow unboundedly.
+        keys (rendezvous counters, watchdog snapshots, barrier counters,
+        and the per-rank collective signatures published only under
+        ``REPRO_DEBUG=DETAIL``), so long-lived stores — notably the one
+        shared across elastic re-rendezvous generations — do not grow
+        unboundedly.
         """
         with self._lock:
             victims = [key for key in self._data if key.startswith(prefix)]
             for key in victims:
                 del self._data[key]
-                self._readers.pop(key, None)
             return len(victims)
 
     def keys(self, prefix: str = "") -> list:

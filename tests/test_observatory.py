@@ -582,7 +582,6 @@ _DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Catalog rows a 2-rank DDP run cannot produce, and why.
 _CATALOG_EXEMPT = {
-    "p2p.": "point-to-point ops; DDP issues collectives only",
     "straggler.": "only check_stragglers() publishes these",
     "health.collectives_unaccounted": "only once a ring dropped unread records "
                                       "(tests/test_health.py::TestFoldAtRead)",

@@ -23,7 +23,7 @@ from repro.comm import (
 from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
 from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _RoundWork
 from repro.comm.store import Store
-from repro.comm.transport import TransportClosedError, TransportHub
+from repro.comm.transport import Signed, TransportClosedError, TransportHub
 from repro.debug import (
     get_debug_level,
     recorder_for,
@@ -483,7 +483,9 @@ class TestOpTable:
     #: world -> (float64 elements exactly at the size rule, hub messages
     #: per rank one element below it, and at it under gloo's default).
     #: At the rule: world 2 lends (rs + ag + token), 3 and 5 fall back
-    #: to the ring's 2(p−1), 4 is halving-doubling's 2·log₂ p.
+    #: to the ring's 2(p−1), 4 is halving-doubling's 2·log₂ p — the
+    #: algorithm's own; the worker path's leader adds its fingerprint
+    #: post to each of the p − 1 peers.
     SIZE_RULE = {2: (32768, 1, 3), 3: (16384, 2, 4), 4: (10923, 3, 4), 5: (8192, 4, 8)}
 
     @pytest.mark.parametrize("world", sorted(SIZE_RULE))
@@ -520,10 +522,11 @@ class TestOpTable:
             return seen
 
         results = run_world(world, body, backend="gloo", timeout=20.0)
-        assert results[0][0:2] == [("naive", msgs_below)] * 2
-        assert results[0][3:5] == [("halving_doubling", msgs_at)] * 2
-        for seen in results[1:]:
-            assert seen == results[0]  # same protocol, same bits, every rank
+        for rank, seen in enumerate(results):  # same protocol, same bits, every rank
+            fingerprints = world - 1 if rank == 0 else 0
+            assert seen[0:2] == [("naive", msgs_below)] * 2
+            assert seen[3:5] == [("halving_doubling", msgs_at + fingerprints)] * 2
+            assert seen[2::3] == results[0][2::3]
         for rank in range(world):
             records = recorder_for(rank).records()
             assert [r.extra["algorithm"] for r in records] == (
@@ -555,7 +558,8 @@ class TestOpTable:
     def test_allgather_and_reduce_match_numpy(self, world, dtype):
         """allgather and the standalone reduce (roots 0 and p − 1) through
         the group: the numpy result bit for bit, and the literal message
-        counts of the algorithm-level tests."""
+        counts of the algorithm-level tests plus, on the leader, its
+        fingerprint post to each of the p − 1 peers."""
         rng = np.random.default_rng([world, np.dtype(dtype).itemsize])
         inputs = [(rng.standard_normal(19) * 1e3).astype(dtype) for _ in range(world)]
         ops = {"sum": np.add, "max": np.maximum, **({} if dtype is np.int32 else {"avg": np.add})}
@@ -570,9 +574,11 @@ class TestOpTable:
             return out
 
         for rank, ((gathered, sent), *reduced) in enumerate(run_world(world, body, backend="gloo")):
-            assert (gathered, sent) == (np.stack(inputs).tobytes(), ALLGATHER_MSGS[world][rank])
+            fingerprints = world - 1 if rank == 0 else 0
+            assert (gathered, sent) == (
+                np.stack(inputs).tobytes(), ALLGATHER_MSGS[world][rank] + fingerprints)
             for (root, op), (got, sent) in zip(calls, reduced):
-                assert sent == REDUCE_MSGS[world, root][rank]
+                assert sent == REDUCE_MSGS[world, root][rank] + fingerprints
                 want = tree_reduced(inputs, root, ops[op], world if op == "avg" else 1)
                 assert rank != root or got == want.tobytes(), (root, op)
 
@@ -929,8 +935,9 @@ class _CountingStore(Store):
 
 
 class TestSignatureChannels:
-    """Where each path checks the fingerprint: a small collective on the
-    posts alone, a worker-run one through a store key its readers drop."""
+    """Where each path checks the fingerprint: on the hub, under the tag
+    ``(group, seq)`` — a small collective's posts carry it, a worker-run
+    one's leader posts it alone — so no collective touches the store."""
 
     def test_small_collectives_never_touch_the_store(self):
         store, world = _CountingStore(timeout=10.0), 4
@@ -954,6 +961,63 @@ class TestSignatureChannels:
         results = run_world(world, body, backend="gloo", store=store)
         assert store.calls == []
         assert len(set(results)) == 1
+
+    def test_no_collective_touches_the_store_at_off(self, debug_level):
+        """Under the size rule and above it, AllReduce, broadcast, the
+        flat reduce-scatter / all-gather pair and barrier: not one store
+        call between construction and shutdown."""
+        debug_level("OFF")
+        store, world = _CountingStore(timeout=10.0), 3
+        gate = threading.Barrier(world)
+
+        def body(rank):
+            pg = get_context().default_group
+            gate.wait()
+            store.counting = True
+            gate.wait()
+            for n in (N, OVER_RULE):
+                x = np.full(n, float(rank))
+                assert algorithms.one_round(x.nbytes, world) == (n == N)
+                for _ in range(10):
+                    pg.allreduce(x, ReduceOp.AVG, async_op=True).wait()
+                    pg.broadcast(x, src=1)
+                    span = pg.reduce_scatter_flat(x, ReduceOp.AVG)
+                    pg.all_gather_flat(x, shard=span)
+                    pg.barrier()
+            gate.wait()
+            store.counting = False
+            return x.tobytes()
+
+        results = run_world(world, body, backend="gloo", store=store)
+        assert store.calls == []
+        assert len(set(results)) == 1
+
+    def test_fingerprint_wait_is_a_transport_receive(self, observed):
+        """Non-leaders waiting for a late leader's worker-path fingerprint
+        are parked in the hub: ``blocked_receivers()`` — the hang
+        watchdog's evidence — names them waiting on the leader under the
+        collective's tag, and their records book the wait as a receive
+        stall from the leader, like any late sender's."""
+        late_s = 0.05
+
+        def body(rank):
+            pg = get_context().default_group
+            if rank == 0:  # the leader issues once both peers are parked
+                tag = repr((pg._group_id, pg._seq))
+
+                def parked():
+                    return sorted((entry["rank"], entry["waiting_on"])
+                                  for entry in pg.hub.blocked_receivers()
+                                  if entry["tag"] == tag)
+
+                wait_until(lambda: parked() == [(1, 0), (2, 0)])
+                time.sleep(late_s)
+            pg.allreduce(np.ones(OVER_RULE))
+            return pg.flight_recorder.records()[-1]
+
+        for record in run_world(3, body, backend="gloo")[1:]:
+            assert (record.op, record.extra["algorithm"]) == ("allreduce", "halving_doubling")
+            assert record.stalls[0] >= late_s
 
     def test_patched_wait_sees_every_small_wait(self, monkeypatch):
         """``Work.wait`` replaced on the class, as the repo benchmark's
@@ -983,10 +1047,20 @@ class TestSignatureChannels:
         assert seen == {f"rank{rank}": 25 for rank in range(3)}
 
     def test_worker_path_signatures_do_not_outlive_their_readers(self, monkeypatch):
-        """The leader's key is deleted by the last non-leader that reads
-        it: after 300 AllReduces on the worker the ``sig/`` prefix holds
-        at most one key per collective still in flight."""
+        """The leader's fingerprint is a hub post its readers take: after
+        300 AllReduces on the worker no ``sig/`` key was ever written,
+        the leader posted each fingerprint to both peers, and once every
+        rank is done no post is left in the hub."""
         monkeypatch.setattr(algorithms, "RENDEZVOUS_BYTES", 0)  # nothing is small
+        fingerprints, real_post = [], TransportHub.post
+
+        def post(hub, src, dsts, tag, payload):
+            if isinstance(payload, Signed) and payload.data is None:
+                fingerprints.append((src, tuple(dsts)))
+            return real_post(hub, src, dsts, tag, payload)
+
+        monkeypatch.setattr(TransportHub, "post", post)
+        done = threading.Barrier(3)
 
         def body(rank):
             pg = get_context().default_group
@@ -995,11 +1069,11 @@ class TestSignatureChannels:
             for _ in range(300):
                 pg.allreduce(np.ones(4))
                 most = max(most, len(pg.store.keys(prefix)))
-            return most, pg._seq
+            done.wait()  # every rank completed its last collective
+            return most, pg._seq, pg.hub.pending_messages()
 
-        results = run_world(3, body, backend="gloo")
-        assert results[0] == (0, 300)  # the leader's reads: all read already
-        assert all(most <= 1 and seq == 300 for most, seq in results)
+        assert run_world(3, body, backend="gloo") == [(0, 300, 0)] * 3
+        assert fingerprints == [(0, (1, 2))] * 300
 
 
 class TestSplitPhaseStress:
