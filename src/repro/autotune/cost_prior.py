@@ -3,7 +3,7 @@
 Measuring a candidate config costs a full measurement window (several
 training iterations), so the sweep must not measure the whole knob
 cross-product.  This module scores every candidate with the alpha-beta
-collective cost models (``repro.simnet.cost_model``, per the DAG model
+collective cost model (``repro.simnet.cost_model``, per the DAG model
 of synchronous SGD in arXiv:1805.03812) and keeps only the most
 promising few — the *prior* the measured sweep then refines.
 
@@ -30,7 +30,7 @@ protects when the prior is wrong.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -63,42 +63,6 @@ def _bucket_sizes(model_bytes: float, bucket_cap_mb: float) -> List[float]:
     return sizes or [model_bytes]
 
 
-def _algorithm_time(
-    model: CollectiveCostModel, algorithm: str, nbytes: float, world: int
-) -> float:
-    """One collective of ``nbytes`` under the alpha-beta shape of what
-    would run: ``algorithm`` governs buffers above the group's size rule,
-    below it every algorithm is the one-round direct exchange."""
-    if world <= 1 or nbytes <= 0:
-        return model.launch_overhead
-    algorithm = allreduce_protocol(algorithm, nbytes, world)
-    ring = model.allreduce_time(nbytes, world)
-    if algorithm == "ring":
-        return ring
-    hop = model.hop_latency(world)
-    bandwidth = model.bottleneck_bandwidth(world)
-    if algorithm == "naive":
-        # One latency term; every rank's whole buffer reaches every peer.
-        transfer = ((world - 1) * nbytes + model.ramp_bytes) / bandwidth
-        return model.launch_overhead + hop + max(transfer, model.min_message_time)
-    rounds = max(1, (world - 1).bit_length())  # ceil(log2(world))
-    if algorithm == "halving_doubling":
-        # Same 2(p-1)/p bytes through the bottleneck, but only 2*log2(p)
-        # latency terms — wins when alpha dominates.
-        transfer = (2.0 * (world - 1) / world * nbytes + model.ramp_bytes) / bandwidth
-        return model.launch_overhead + 2.0 * rounds * hop + max(
-            transfer, model.min_message_time
-        )
-    if algorithm == "tree":
-        # Reduce up + broadcast down: log2(p) rounds each carrying the
-        # full payload — latency-friendly, bandwidth-suboptimal.
-        per_round = max((nbytes + model.ramp_bytes) / bandwidth, model.min_message_time)
-        return model.launch_overhead + 2.0 * rounds * (hop + per_round)
-    if algorithm == "hierarchical":
-        return model.hierarchical_allreduce_time(nbytes, world)
-    return ring
-
-
 def _chunk_penalty(
     model: CollectiveCostModel, nbytes: float, chunk_bytes: int, world: int
 ) -> float:
@@ -122,7 +86,6 @@ def estimate_iteration_time(
     model_bytes: float,
     world_size: int,
     backward_compute_s: float = 0.0,
-    cost_model: Optional[CollectiveCostModel] = None,
     backend: str = "gloo",
 ) -> float:
     """Predicted per-iteration time (seconds) under ``config``.
@@ -130,9 +93,11 @@ def estimate_iteration_time(
     ``backward_compute_s`` is the measured backward-pass compute time;
     communication launched while backward is still producing gradients
     is hidden behind it (the paper's §3.2.3 overlap), so the estimate
-    returns ``backward + exposed_comm``.
+    returns ``backward + exposed_comm``.  Each bucket is priced as the
+    AllReduce that would run: ``config.algorithm`` above the group's
+    size rule, the one-round direct exchange below it.
     """
-    model = cost_model or cost_model_for(backend)
+    model = cost_model_for(backend)
     # A compressing hook's wire volume, as its own wire_ratio prices a
     # bucket of fp32 gradients.
     hook = make_hook(config.comm_hook) if config.comm_hook else None
@@ -141,8 +106,13 @@ def estimate_iteration_time(
     sizes = _bucket_sizes(model_bytes, config.bucket_cap_mb)
     for nbytes in sizes:
         wire = nbytes * hook_wire_ratio(hook, np.float32, max(1, int(nbytes) // 4))
+        if world_size <= 1 or wire <= 0:
+            collective = model.launch_overhead
+        else:
+            algorithm = allreduce_protocol(config.algorithm, wire, world_size)
+            collective = model.allreduce_time(wire, world_size, algorithm=algorithm)
         comm += (
-            _algorithm_time(model, config.algorithm, wire, world_size)
+            collective
             + _chunk_penalty(model, wire, config.chunk_bytes, world_size)
             + per_bucket_overhead
         )
@@ -163,7 +133,6 @@ def prune_candidates(
     world_size: int,
     backward_compute_s: float = 0.0,
     keep: int = 8,
-    cost_model: Optional[CollectiveCostModel] = None,
     backend: str = "gloo",
 ) -> List[TunedConfig]:
     """The ``keep`` most promising candidates by predicted time.
@@ -178,7 +147,6 @@ def prune_candidates(
                 model_bytes,
                 world_size,
                 backward_compute_s,
-                cost_model=cost_model,
                 backend=backend,
             ),
             index,

@@ -76,7 +76,6 @@ class SearchPolicy:
         tune_comm_hook: bool = False,
         tune_algorithm: bool = True,
         seed: int = 0,
-        cost_model=None,
     ):
         self.base_config = clamp_config(base_config)
         self.model_bytes = float(model_bytes)
@@ -92,7 +91,6 @@ class SearchPolicy:
         self.tune_algorithm = tune_algorithm
         self.seed = seed
         self._rng = random.Random(seed)
-        self._cost_model = cost_model
 
         self.state = WARMUP
         self.active_config = self.base_config
@@ -242,7 +240,6 @@ class SearchPolicy:
             self.world_size,
             backward_compute_s=self._backward_estimate,
             keep=self.sweep_keep,
-            cost_model=self._cost_model,
             backend=self.backend,
         )
         return kept

@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.comm import algorithms
+from repro.comm import algorithms, backends
 from repro.comm.process_group import ReduceOp
 from repro.core.comm_hooks import make_hook
 from repro.telemetry.spans import TRACER
@@ -71,7 +71,6 @@ class Autotuner:
         improve_margin: float = 0.02,
         drift_threshold: float = 1.3,
         drift_patience: int = 3,
-        cost_backend: Optional[str] = None,
     ):
         if window_iters < 1:
             raise ValueError("window_iters must be >= 1")
@@ -82,9 +81,14 @@ class Autotuner:
 
         group = ddp.process_group
         model_bytes = sum(p.numel() * p.element_size() for p in ddp._params)
-        backend = cost_backend or group.backend
-        if backend not in ("nccl", "gloo"):
-            backend = "gloo"  # closest personality for the thread transport
+        # A group whose backend has no cost row (mpi, a round-robin
+        # composite) is priced with gloo's, the closest to the thread
+        # transport.
+        try:
+            priced = backends.backend(group.backend).cost is not None
+        except ValueError:
+            priced = False
+        backend = group.backend if priced else "gloo"
         self._hook_name: Optional[str] = (
             None if ddp.reducer.comm_hook is None else "user"
         )

@@ -13,9 +13,10 @@ package provides:
   allgather, reduce-scatter, and the split-phase one-round forms the
   group runs under the size rule (small AllReduce, broadcast, barrier).
 * :class:`~repro.comm.process_group.ProcessGroup` — the uniform API DDP
-  programs against; ``ProcessGroupNccl`` and ``ProcessGroupGloo`` differ
-  in default algorithm and in the cost personality the simulator assigns
-  them, not in semantics.
+  programs against, one class for every backend.
+* :mod:`~repro.comm.backends` — the backend table: nccl, gloo and mpi
+  are rows (default algorithm, device rule, host staging, α–β cost) and
+  differ in that data, not in semantics.
 * :class:`~repro.comm.round_robin.RoundRobinProcessGroup` — dispatches
   successive collectives across several groups (paper §3.3, §5.4).
 * :mod:`~repro.comm.distributed` — rank context plumbing and the
@@ -26,9 +27,6 @@ from repro.comm.store import Store
 from repro.comm.transport import TransportHub
 from repro.comm.process_group import (
     ProcessGroup,
-    ProcessGroupGloo,
-    ProcessGroupMpi,
-    ProcessGroupNccl,
     ReduceOp,
     Work,
     CollectiveError,
@@ -53,9 +51,6 @@ __all__ = [
     "Store",
     "TransportHub",
     "ProcessGroup",
-    "ProcessGroupGloo",
-    "ProcessGroupMpi",
-    "ProcessGroupNccl",
     "RoundRobinProcessGroup",
     "ReduceOp",
     "Work",

@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.comm.process_group import BACKENDS, ProcessGroup
+from repro.comm import backends
+from repro.comm.process_group import ProcessGroup
 from repro.comm.round_robin import RoundRobinProcessGroup
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub
@@ -116,10 +117,8 @@ def init_process_group(
         ctx = DistributedContext(rank, world_size, store, hub)
         _set_context(ctx)
         set_current_rank(rank)
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; options: {sorted(BACKENDS)}")
-    group = BACKENDS[backend](
-        ctx.store, ctx.hub, ctx.rank, group_id=group_id, timeout=timeout, **kwargs
+    group = ProcessGroup(
+        ctx.store, ctx.hub, ctx.rank, backend, group_id=group_id, timeout=timeout, **kwargs
     )
     ctx.default_group = group
     ctx._owned_groups.append(group)
@@ -138,6 +137,7 @@ def new_process_group(
     same order; the group id is allocated collectively through the store.
     """
     ctx = get_context()
+    backends.backend(backend)  # an unknown name fails before any store traffic
     member_ranks = sorted(ranks) if ranks is not None else list(range(ctx.world_size))
     # Allocate one id per (call-site order, membership); the first caller
     # bumps the counter, everyone else reads the same value via the
@@ -154,10 +154,11 @@ def new_process_group(
         # As in torch.distributed.new_group: every rank calls, only
         # members receive a usable group.
         return None
-    group = BACKENDS[backend](
+    group = ProcessGroup(
         ctx.store,
         ctx.hub,
         ctx.rank,
+        backend,
         ranks=member_ranks,
         group_id=group_id,
         timeout=timeout,

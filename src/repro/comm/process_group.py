@@ -1,4 +1,4 @@
-"""The ``ProcessGroup`` abstraction and its backend implementations.
+"""The ``ProcessGroup`` abstraction.
 
 DDP wraps NCCL, Gloo and MPI behind one ``ProcessGroup`` API (paper
 §3.3).  Key semantics reproduced here:
@@ -16,7 +16,8 @@ DDP wraps NCCL, Gloo and MPI behind one ``ProcessGroup`` API (paper
   type/shape/dtype and follow the same order.  A built-in signature
   checker turns the real-world symptom (silent corruption or a hang)
   into a diagnosable :class:`CollectiveMismatchError`.
-* **Device restrictions** — ``ProcessGroupNccl`` only accepts tensors on
+* **Device restrictions** — a group reads its backend's row in
+  :mod:`repro.comm.backends`; on nccl's it only accepts tensors on
   ``gpu:*`` devices, which forces DDP to keep its CPU bitmap copy logic
   (paper §4.2, "Globally Unused Parameters").
 """
@@ -30,7 +31,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm import algorithms
+from repro.comm import algorithms, backends
 from repro.comm.gates import NOTHING
 from repro.comm.store import Store
 from repro.comm.transport import (
@@ -304,23 +305,20 @@ _OPS = {
 class ProcessGroup:
     """One rank's membership in a communicator group.
 
-    Subclasses choose the default AllReduce algorithm and the accepted
-    device kinds.  Per-rank instances coordinate purely through the
-    shared :class:`TransportHub` and :class:`Store`.
+    ``backend`` names a row of :mod:`repro.comm.backends`, which sets
+    ``.backend`` (the row's name, used by cost models and diagnostics),
+    ``.algorithm`` (the row's default AllReduce unless ``algorithm`` is
+    given) and ``.supports_cpu_tensors`` (whether tensors tagged "cpu"
+    may be communicated).  Per-rank instances coordinate purely through
+    the shared :class:`TransportHub` and :class:`Store`.
     """
-
-    #: Backend name, e.g. "nccl" — used by cost models and diagnostics.
-    backend = "base"
-    #: Default AllReduce algorithm key into ``algorithms.ALLREDUCE_ALGORITHMS``.
-    default_algorithm = "ring"
-    #: Whether tensors tagged "cpu" may be communicated.
-    supports_cpu_tensors = True
 
     def __init__(
         self,
         store: Store,
         hub: TransportHub,
         rank: int,
+        backend: str = "gloo",
         ranks: Optional[Sequence[int]] = None,
         group_id: Optional[int] = None,
         timeout: float = 30.0,
@@ -337,7 +335,10 @@ class ProcessGroup:
             raise ValueError(f"rank {rank} is not a member of group ranks {self.ranks}")
         self.group_rank = self.ranks.index(rank)
         self.timeout = timeout
-        self.algorithm = algorithm or self.default_algorithm
+        row = backends.backend(backend)
+        self.backend = row.name
+        self.supports_cpu_tensors = row.supports_cpu_tensors
+        self.algorithm = algorithm or row.default_algorithm
         if self.algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
             raise ValueError(f"unknown allreduce algorithm {self.algorithm!r}")
         #: Default transfer-chunk size forwarded to the AllReduce
@@ -681,7 +682,7 @@ class ProcessGroup:
     def _check_device(self, tensor) -> None:
         if not self.supports_cpu_tensors and _device_of(tensor) == "cpu":
             raise CollectiveError(
-                f"{type(self).__name__} only supports device tensors "
+                f"backend {self.backend!r} only supports device tensors "
                 f"(got a tensor on 'cpu'); copy to a gpu:* device first"
             )
 
@@ -889,44 +890,3 @@ class ProcessGroup:
             self.timeout,
         )
         array[...] = incoming.reshape(array.shape)
-
-
-class ProcessGroupNccl(ProcessGroup):
-    """NCCL personality: ring AllReduce, device tensors only.
-
-    Like ``ProcessGroupNCCL`` in the paper (§4.2), CPU tensors are
-    rejected — DDP must stage its unused-parameter bitmap through a
-    device-resident copy when running on this backend.
-    """
-
-    backend = "nccl"
-    default_algorithm = "ring"
-    supports_cpu_tensors = False
-
-
-class ProcessGroupGloo(ProcessGroup):
-    """Gloo personality: halving-doubling AllReduce, CPU tensors fine."""
-
-    backend = "gloo"
-    default_algorithm = "halving_doubling"
-    supports_cpu_tensors = True
-
-
-class ProcessGroupMpi(ProcessGroup):
-    """MPI personality: the paper's third backend option (§3.3).
-
-    Tree-based AllReduce (latency-optimized, as in classic MPI
-    implementations); CPU tensors accepted.  The paper does not evaluate
-    MPI, so no cost-model personality is calibrated for it.
-    """
-
-    backend = "mpi"
-    default_algorithm = "tree"
-    supports_cpu_tensors = True
-
-
-BACKENDS = {
-    "nccl": ProcessGroupNccl,
-    "gloo": ProcessGroupGloo,
-    "mpi": ProcessGroupMpi,
-}

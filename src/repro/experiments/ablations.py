@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.comm_hooks import hook_wire_ratio, make_hook
 from repro.core.order_prediction import BackwardOrderTracer
-from repro.simnet import NcclCostModel
+from repro.simnet import cost_model_for
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import bert_profile, resnet50_profile
 
@@ -61,7 +61,7 @@ def design_progression(backends=("nccl", "gloo"), worlds=(16, 32)):
 
 def compression_projection(world: int = 32):
     """§6.2.3 ablation: wire volume and projected AllReduce time per hook."""
-    cost_model = NcclCostModel()
+    cost_model = cost_model_for("nccl")
     rows = []
     for profile in (resnet50_profile(), bert_profile()):
         full_bytes = profile.num_params * 4
@@ -119,14 +119,12 @@ def architecture_comparison(worlds=(2, 8, 16, 32), backend: str = "nccl"):
     """§2.3 / related-work ablation: AllReduce vs parameter server vs
     hierarchical AllReduce, per-iteration gradient-exchange time for
     ResNet50's 102 MB of fp32 gradients."""
-    from repro.simnet import cost_model_for
-
     cost = cost_model_for(backend)
     nbytes = resnet50_profile().gradient_bytes
     rows = []
     for world in worlds:
         flat = cost.allreduce_time(nbytes, world)
-        hierarchical = cost.hierarchical_allreduce_time(nbytes, world)
+        hierarchical = cost.allreduce_time(nbytes, world, algorithm="hierarchical")
         ps = cost.parameter_server_time(nbytes, num_workers=world)
         rows.append((world, flat, hierarchical, ps, f"{ps / flat:.1f}x"))
     return rows

@@ -15,9 +15,8 @@ import numpy as np
 from repro.simnet import (
     CPU_SERVER,
     GPU_V100,
-    GlooCostModel,
-    NcclCostModel,
     SharedEntitlement,
+    cost_model_for,
 )
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import bert_profile, resnet50_profile, resnet152_profile
@@ -41,7 +40,7 @@ FIG2_SWEEP = [1_000, 5_000, 10_000, 50_000, 100_000, 500_000,
 
 def fig02_allreduce_sweep(backend: str, total_params: int = 60_000_000):
     """Fig. 2(a,b): total AllReduce time vs params per op (2 ranks)."""
-    model = NcclCostModel() if backend == "nccl" else GlooCostModel()
+    model = cost_model_for(backend)
     return [(size, model.sweep_total_time(total_params, size)) for size in FIG2_SWEEP]
 
 

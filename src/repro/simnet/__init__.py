@@ -6,10 +6,11 @@ hardware analytically:
 
 * :mod:`~repro.simnet.topology` — the 8-GPU server interconnect of
   Fig. 5 (NV1/NV2/NODE link tiers) and multi-machine cluster specs.
-* :mod:`~repro.simnet.cost_model` — alpha–beta collective cost models
-  with NCCL and Gloo personalities, calibrated so the Fig. 2(a,b)
-  curves reproduce (NCCL keeps improving past 20 M parameters per
-  AllReduce; Gloo saturates near 500 K).
+* :mod:`~repro.simnet.cost_model` — the alpha–beta collective cost
+  model, built from a backend row's calibration
+  (:mod:`repro.comm.backends`) so the Fig. 2(a,b) curves reproduce
+  (NCCL keeps improving past 20 M parameters per AllReduce; Gloo
+  saturates near 500 K).
 * :mod:`~repro.simnet.device` — GPU/CPU backward-compute profiles
   calibrated to Fig. 2(c,d) (ResNet152: ~250 ms GPU, ~6 s CPU).
 * :mod:`~repro.simnet.entitlement` — the shared-entitlement environment
@@ -26,8 +27,6 @@ from repro.simnet.topology import (
 )
 from repro.simnet.cost_model import (
     CollectiveCostModel,
-    NcclCostModel,
-    GlooCostModel,
     cost_model_for,
 )
 from repro.simnet.device import DeviceProfile, GPU_V100, CPU_SERVER
@@ -39,8 +38,6 @@ __all__ = [
     "ClusterSpec",
     "dgx1_topology",
     "CollectiveCostModel",
-    "NcclCostModel",
-    "GlooCostModel",
     "cost_model_for",
     "DeviceProfile",
     "GPU_V100",

@@ -1,4 +1,4 @@
-"""Alpha–beta cost models for collective operations.
+"""The alpha–beta cost model that prices every collective.
 
 Ring AllReduce on ``p`` ranks moves each byte ``2(p-1)/p`` times through
 the bottleneck link and pays ``2(p-1)`` per-hop latencies; every
@@ -9,12 +9,10 @@ what produces both Fig. 2 saturation shapes: Gloo's tiny ramp+huge
 overhead saturate the sweep near 500 K parameters per AllReduce, while
 NCCL keeps improving visibly through the whole sweep.
 
-Backend personalities (calibrated against Figs. 2, 6–9, 12):
-
-* **NCCL** — GPU tensors; ~40 GB/s effective intra-server (NVLink),
-  ~2.6 GB/s effective per-stream across servers; microsecond overheads.
-* **Gloo** — CPU tensors over TCP; ~1–1.3 GB/s, 10× launch overhead,
-  plus a host-side reduction cost per byte.
+One class serves every backend; a backend's calibration (Figs. 2, 6–9,
+12) is the ``cost`` of its row in :mod:`repro.comm.backends`, and
+:func:`cost_model_for` builds the model from it.  The runtime's health
+fold, the simulator and the autotuner's prior all price through here.
 
 ``link_capacity_*`` bounds the *aggregate* bandwidth several concurrent
 process groups can extract: one NCCL stream cannot saturate the link
@@ -27,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.comm.backends import backend
 from repro.simnet.topology import ClusterSpec
 
 FLOAT32_BYTES = 4
@@ -53,6 +52,11 @@ class CollectiveCostModel:
     link_capacity_inter: float = 10e9
     #: Floor on any single transfer (protocol minimum), seconds.
     min_message_time: float = 1e-6
+    #: Host-side summation rate, bytes/s (None: the reduction is free,
+    #: as on a device backend).
+    cpu_reduce_bandwidth: Optional[float] = None
+    #: Beyond this size the host reduction slows down superlinearly.
+    cpu_cache_friendly_bytes: float = float("inf")
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
 
     # ------------------------------------------------------------------
@@ -83,42 +87,72 @@ class CollectiveCostModel:
         return max(1.0, wanted / capacity)
 
     # ------------------------------------------------------------------
-    def allreduce_time(
-        self, nbytes: float, world_size: int, bandwidth_factor: float = 1.0
-    ) -> float:
-        """One ring AllReduce of ``nbytes`` over ``world_size`` ranks.
+    def _cpu_reduce_time(self, nbytes: float) -> float:
+        factor = 1.0 + min(nbytes / self.cpu_cache_friendly_bytes, 4.0)
+        return nbytes / self.cpu_reduce_bandwidth * factor
 
-        ``bandwidth_factor`` scales effective bandwidth downward to
-        model a degraded environment (``simnet.entitlement``).
+    def allreduce_time(
+        self,
+        nbytes: float,
+        world_size: int,
+        bandwidth_factor: float = 1.0,
+        algorithm: str = "ring",
+    ) -> float:
+        """One AllReduce of ``nbytes`` over ``world_size`` ranks, shaped
+        as ``algorithm`` (a key of ``algorithms.ALLREDUCE_ALGORITHMS``;
+        an unknown key is priced as the ring).
+
+        * ``ring`` — ``2(p-1)/p`` bytes through the bottleneck and
+          ``2(p-1)`` latencies;
+        * ``halving_doubling`` — the same bytes, ``2·log2(p)`` latencies
+          (wins when alpha dominates);
+        * ``naive`` — one latency; every rank's whole buffer reaches
+          every peer (the one-round protocol under the size rule);
+        * ``tree`` — reduce up and broadcast down: ``log2(p)`` rounds
+          each, every round carrying the full payload;
+        * ``hierarchical`` — intra-server tree + leader ring + bcast
+          (BlueConnect, Blink); the ring within one server.
+
+        Known quirk, kept for the calibrated figures: the host-reduction
+        term (``cpu_reduce_bandwidth``) is charged on the ring price
+        (and on :meth:`async_batch_time`'s pipelined rings) only, not on
+        the other shapes.  ``bandwidth_factor`` scales
+        effective bandwidth downward to model a degraded environment
+        (``simnet.entitlement``).
         """
         if nbytes <= 0:
             return 0.0
         if world_size <= 1:
             return self.launch_overhead
         p = world_size
+        if algorithm == "hierarchical" and self._spans_servers(p):
+            return self._hierarchical_time(nbytes, p, bandwidth_factor)
         bandwidth = self.bottleneck_bandwidth(p) * bandwidth_factor
+        hop = self.hop_latency(p)
+        rounds = max(1, (p - 1).bit_length())  # ceil(log2(p))
+        if algorithm == "naive":
+            transfer = ((p - 1) * nbytes + self.ramp_bytes) / bandwidth
+            return self.launch_overhead + hop + max(transfer, self.min_message_time)
+        if algorithm == "tree":
+            per_round = max((nbytes + self.ramp_bytes) / bandwidth, self.min_message_time)
+            return self.launch_overhead + 2.0 * rounds * (hop + per_round)
         transfer = (2.0 * (p - 1) / p * nbytes + self.ramp_bytes) / bandwidth
-        hops = 2.0 * (p - 1)
-        return self.launch_overhead + hops * self.hop_latency(p) + max(
+        if algorithm == "halving_doubling":
+            return self.launch_overhead + 2.0 * rounds * hop + max(
+                transfer, self.min_message_time
+            )
+        seconds = self.launch_overhead + 2.0 * (p - 1) * hop + max(
             transfer, self.min_message_time
         )
+        if self.cpu_reduce_bandwidth is not None:
+            seconds += self._cpu_reduce_time(nbytes)
+        return seconds
 
-    def hierarchical_allreduce_time(
-        self, nbytes: float, world_size: int, bandwidth_factor: float = 1.0
+    def _hierarchical_time(
+        self, nbytes: float, world_size: int, bandwidth_factor: float
     ) -> float:
-        """Two-level AllReduce: intra-server tree + leader ring + bcast.
-
-        The paper's related work (BlueConnect, Blink) decomposes
-        AllReduce along the network hierarchy; this projects that
-        algorithm on the same cluster for comparison with the flat ring.
-        """
-        if nbytes <= 0 or world_size <= 1:
-            return self.allreduce_time(nbytes, world_size, bandwidth_factor)
-        per_server = self.cluster.gpus_per_server
-        if world_size <= per_server:
-            return self.allreduce_time(nbytes, world_size, bandwidth_factor)
-        servers = -(-world_size // per_server)
-        intra_rounds = max(1, (per_server - 1).bit_length())
+        servers = -(-world_size // self.cluster.gpus_per_server)
+        intra_rounds = max(1, (self.cluster.gpus_per_server - 1).bit_length())
         intra = 2 * intra_rounds * (
             self.intra_hop_latency + (nbytes + self.ramp_bytes) / self.intra_bandwidth
         )
@@ -143,25 +177,6 @@ class CollectiveCostModel:
             num_workers + 1
         ) + transfer
 
-    def broadcast_time(self, nbytes: float, world_size: int) -> float:
-        """Binomial-tree broadcast: log2(p) rounds of the full payload."""
-        if world_size <= 1 or nbytes <= 0:
-            return 0.0
-        rounds = max(1, (world_size - 1).bit_length())
-        bandwidth = self.bottleneck_bandwidth(world_size)
-        return self.launch_overhead + rounds * (
-            self.hop_latency(world_size)
-            + max((nbytes + self.ramp_bytes) / bandwidth, self.min_message_time)
-        )
-
-    def allgather_time(self, nbytes: float, world_size: int) -> float:
-        if world_size <= 1 or nbytes <= 0:
-            return 0.0
-        p = world_size
-        bandwidth = self.bottleneck_bandwidth(p)
-        transfer = ((p - 1) * nbytes + self.ramp_bytes) / bandwidth
-        return self.launch_overhead + (p - 1) * self.hop_latency(p) + transfer
-
     # ------------------------------------------------------------------
     def async_batch_time(self, op_bytes: float, num_ops: int, world_size: int) -> float:
         """Total time for ``num_ops`` AllReduces launched asynchronously.
@@ -184,7 +199,10 @@ class CollectiveCostModel:
             + 2.0 * (p - 1) * self.hop_latency(p)
             + self.ramp_bytes / bandwidth
         )
-        return num_ops * per_op + transfer
+        seconds = num_ops * per_op + transfer
+        if self.cpu_reduce_bandwidth is not None:
+            seconds += num_ops * self._cpu_reduce_time(op_bytes)
+        return seconds
 
     def sweep_total_time(
         self, total_params: int, params_per_op: int, world_size: int = 2
@@ -195,77 +213,10 @@ class CollectiveCostModel:
         return self.async_batch_time(params_per_op * FLOAT32_BYTES, num_ops, world_size)
 
 
-class NcclCostModel(CollectiveCostModel):
-    """NCCL over NVLink (intra-server) and the rack network (inter)."""
-
-    def __init__(self, cluster: Optional[ClusterSpec] = None):
-        super().__init__(
-            name="nccl",
-            launch_overhead=12e-6,
-            intra_bandwidth=40e9,
-            inter_bandwidth=2.6e9,
-            intra_hop_latency=1.2e-6,
-            inter_hop_latency=5e-6,
-            ramp_bytes=1.5e6,
-            link_capacity_intra=120e9,
-            link_capacity_inter=9e9,
-            min_message_time=2e-6,
-            cluster=cluster or ClusterSpec(),
-        )
-
-
-class GlooCostModel(CollectiveCostModel):
-    """Gloo on CPU tensors over TCP: high overheads, low bandwidth.
-
-    Adds a host-side reduction cost per byte — on Gloo the summation
-    runs on CPU cores, the second reason large tensors stop helping
-    (Fig. 2(b)'s plateau past ~500 K parameters).
-    """
-
-    def __init__(self, cluster: Optional[ClusterSpec] = None):
-        super().__init__(
-            name="gloo",
-            launch_overhead=160e-6,
-            intra_bandwidth=1.3e9,
-            inter_bandwidth=1.0e9,
-            intra_hop_latency=20e-6,
-            inter_hop_latency=30e-6,
-            ramp_bytes=0.4e6,
-            link_capacity_intra=2.4e9,
-            link_capacity_inter=1.8e9,
-            min_message_time=20e-6,
-            cluster=cluster or ClusterSpec(),
-        )
-        self.cpu_reduce_bandwidth = 6e9  # bytes/s of local summation
-        # Beyond the cache-friendly regime the host-side reduction slows
-        # down superlinearly; this is why huge Gloo buckets stop paying
-        # (the Fig. 7(b)/(d) preference for small buckets on Gloo).
-        self.cpu_cache_friendly_bytes = 8e6
-
-    def _cpu_reduce_time(self, nbytes: float) -> float:
-        factor = 1.0 + min(nbytes / self.cpu_cache_friendly_bytes, 4.0)
-        return nbytes / self.cpu_reduce_bandwidth * factor
-
-    def allreduce_time(
-        self, nbytes: float, world_size: int, bandwidth_factor: float = 1.0
-    ) -> float:
-        base = super().allreduce_time(nbytes, world_size, bandwidth_factor)
-        if world_size <= 1 or nbytes <= 0:
-            return base
-        return base + self._cpu_reduce_time(nbytes)
-
-    def async_batch_time(self, op_bytes: float, num_ops: int, world_size: int) -> float:
-        base = super().async_batch_time(op_bytes, num_ops, world_size)
-        if world_size <= 1:
-            return base
-        return base + num_ops * self._cpu_reduce_time(op_bytes)
-
-
-def cost_model_for(backend: str, cluster: Optional[ClusterSpec] = None) -> CollectiveCostModel:
-    """Cost model matching a ``ProcessGroup`` backend name."""
-    backend = backend.lower()
-    if backend == "nccl":
-        return NcclCostModel(cluster)
-    if backend == "gloo":
-        return GlooCostModel(cluster)
-    raise ValueError(f"no cost model for backend {backend!r}")
+def cost_model_for(name: str, cluster: Optional[ClusterSpec] = None) -> CollectiveCostModel:
+    """The cost model of backend ``name``'s row; ``ValueError`` for an
+    unknown backend or one without a calibrated cost (mpi)."""
+    row = backend(name)
+    if row.cost is None:
+        raise ValueError(f"no cost model for backend {row.name!r}")
+    return CollectiveCostModel(name=row.name, cluster=cluster or ClusterSpec(), **row.cost)

@@ -33,15 +33,6 @@ LINK_BANDWIDTH: Dict[LinkType, float] = {
     LinkType.SELF: float("inf"),
 }
 
-#: Per-hop latency, seconds.
-LINK_LATENCY: Dict[LinkType, float] = {
-    LinkType.NV2: 1.5e-6,
-    LinkType.NV1: 2.0e-6,
-    LinkType.NODE: 4.0e-6,
-    LinkType.NIC: 12.0e-6,
-    LinkType.SELF: 0.0,
-}
-
 
 @dataclass(frozen=True)
 class ServerTopology:
@@ -112,7 +103,6 @@ class ClusterSpec:
     num_servers: int = 4
     gpus_per_server: int = 8
     server: ServerTopology = None  # type: ignore[assignment]
-    nic_bandwidth: float = LINK_BANDWIDTH[LinkType.NIC]
 
     def __post_init__(self):
         if self.server is None:
@@ -135,30 +125,3 @@ class ClusterSpec:
 
     def spans_servers(self, world_size: int) -> bool:
         return world_size > self.gpus_per_server
-
-    def ring_bottleneck_bandwidth(self, world_size: int) -> float:
-        """Bottleneck bandwidth of the natural rank-order ring.
-
-        Within one server this is the NVLink ring bottleneck; as soon as
-        the ring crosses a server boundary the NIC dominates — the
-        paper's §6.1 resource-allocation lesson.
-        """
-        if world_size <= 1:
-            return float("inf")
-        if not self.spans_servers(world_size):
-            # NCCL searches for NVLink-only rings; on the cube-mesh the
-            # 8-GPU ring 0-1-2-3-7-6-5-4 stays on NVLink throughout.
-            if world_size == self.server.num_gpus == 8:
-                ring = [0, 1, 2, 3, 7, 6, 5, 4]
-            else:
-                ring = list(range(world_size))
-            return self.server.ring_bandwidth(ring)
-        return self.nic_bandwidth
-
-    def hop_latency(self, world_size: int) -> float:
-        """Per-hop latency of the bottleneck link class in the ring."""
-        if world_size <= 1:
-            return 0.0
-        if not self.spans_servers(world_size):
-            return LINK_LATENCY[LinkType.NV1]
-        return LINK_LATENCY[LinkType.NIC]

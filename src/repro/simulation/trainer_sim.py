@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.comm.backends import backend
 from repro.core.bucket import BucketSpec, compute_bucket_assignment
 from repro.simnet.cost_model import CollectiveCostModel, cost_model_for
 from repro.simnet.device import DeviceProfile, GPU_V100
@@ -34,8 +35,9 @@ from repro.simulation.events import Timeline
 from repro.simulation.models import ModelProfile
 from repro.utils.units import MB
 
-#: Host<->device staging bandwidth paid per bucket by CPU backends (Gloo
-#: communicates CPU tensors, so GPU gradients cross PCIe twice).
+#: Host<->device staging bandwidth paid per bucket by a backend whose row
+#: says ``host_staging`` (Gloo communicates CPU tensors, so GPU gradients
+#: cross PCIe twice).
 PCIE_BANDWIDTH = 12e9
 
 
@@ -119,6 +121,7 @@ class TrainingSimulator:
         self.cost_model: CollectiveCostModel = cost_model_for(
             config.backend, config.cluster
         )
+        self._host_staging = backend(config.backend).host_staging
         if config.bucket_specs is not None:
             self.buckets: List[BucketSpec] = list(config.bucket_specs)
         else:
@@ -173,7 +176,7 @@ class TrainingSimulator:
             )
             * penalty
         )
-        if self.config.backend == "gloo":
+        if self._host_staging:
             # GPU gradients stage through host memory for CPU collectives.
             duration += 2.0 * nbytes / PCIE_BANDWIDTH
         return duration

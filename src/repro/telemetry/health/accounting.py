@@ -14,8 +14,8 @@ runs :func:`fold`, which publishes what no read has taken yet into the
 rank's registry, so counters stay cumulative.  Per collective:
 ``comm.collective_latency_s``; ``comm.achieved_busbw_gbps``
 (:func:`bus_bytes` over wall time, the NCCL-tests convention) and
-``comm.model_efficiency`` (:func:`expected_collective_s` over wall
-time), neither for a failed collective, whose bytes may never have
+``comm.model_efficiency`` (:func:`expected_collective_s` of the
+algorithm that ran over wall time), neither for a failed collective, whose bytes may never have
 moved; ``comm.chunk_pipeline_utilization`` (the share of wall time not
 blocked in ``recv``); ``comm.recv_stall_s`` and
 ``comm.recv_stall_s.from_rank_N`` — the per-source split the anomaly
@@ -33,10 +33,12 @@ not ``traced`` — even when ``REPRO_DEBUG`` retains them.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Dict, Optional
 
 from repro.debug.flight_recorder import all_recorders
+from repro.simnet.cost_model import CollectiveCostModel, cost_model_for
 
 #: Ops whose payload crosses the bottleneck ~2(p−1)/p times (bus-bandwidth
 #: convention applies); other ops report algorithm bandwidth (nbytes/t).
@@ -52,28 +54,29 @@ def bus_bytes(op: str, nbytes: int, world: int) -> float:
     return float(nbytes)
 
 
-#: Per-backend cost-model cache (False = backend has no model), so a
-#: fold does not re-construct the model per record.
-_model_cache: Dict[str, object] = {}
+@functools.lru_cache(maxsize=None)
+def _cost_model(backend: str) -> Optional[CollectiveCostModel]:
+    """``backend``'s cost model, built once (None without a calibrated
+    row, e.g. mpi)."""
+    try:
+        return cost_model_for(backend)
+    except ValueError:
+        return None
 
 
-def expected_collective_s(backend: str, op: str, nbytes: int, world: int) -> Optional[float]:
-    """Analytic α–β expectation for this collective, if a calibrated
-    cost model exists for ``backend`` (None otherwise — e.g. mpi)."""
+def expected_collective_s(
+    backend: str, op: str, nbytes: int, world: int, algorithm: str = "ring"
+) -> Optional[float]:
+    """Analytic α–β expectation for this collective run as
+    ``algorithm`` (the record's fact: ``naive`` under the size rule, the
+    group's algorithm above it), if a calibrated cost model exists for
+    ``backend`` (None otherwise — e.g. mpi)."""
     if op != "allreduce" or nbytes <= 0 or world <= 1:
         return None
-    model = _model_cache.get(backend)
+    model = _cost_model(backend)
     if model is None:
-        try:
-            from repro.simnet.cost_model import cost_model_for
-
-            model = cost_model_for(backend)
-        except (ValueError, ImportError):
-            model = False
-        _model_cache[backend] = model
-    if model is False:
         return None
-    return model.allreduce_time(nbytes, world)
+    return model.allreduce_time(nbytes, world, algorithm=algorithm)
 
 
 def fold(registry) -> None:
@@ -119,7 +122,10 @@ def _fold_collectives(registry, records) -> None:
             utilization.observe(min(1.0, max(0.0, 1.0 - stall_s / wall)))
         if record.error is None and nbytes > 0 and wall > 0.0 and world > 1:
             busbw.observe(bus_bytes(op, nbytes, world) / wall / 1e9)
-            expected = expected_collective_s(record.extra.get("backend"), op, nbytes, world)
+            expected = expected_collective_s(
+                record.extra.get("backend"), op, nbytes, world,
+                record.extra.get("algorithm", "ring"),
+            )
             if expected is not None:
                 # 1.0 = exactly at the model; << 1.0 = far slower than the
                 # hardware expectation (the IBM sick-link signal).

@@ -21,7 +21,6 @@ from repro.autotune.cost_prior import estimate_iteration_time, prune_candidates
 from repro.autotune.knobs import candidate_grid, neighbors
 from repro.core import DistributedDataParallel
 from repro.optim import SGD
-from repro.simnet.cost_model import cost_model_for
 from repro.utils import manual_seed
 
 from conftest import run_world, small_classifier
@@ -149,7 +148,7 @@ class TestPolicyConvergence:
             self.MODEL_BYTES,
             self.WORLD,
             self.BACKWARD_S,
-            cost_model=cost_model_for("gloo"),
+            backend="gloo",
         )
 
     def test_converges_near_optimum_within_30_windows(self):

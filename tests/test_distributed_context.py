@@ -11,6 +11,7 @@ from repro.comm import (
     get_rank,
     get_world_size,
     init_process_group,
+    new_process_group,
     run_distributed,
 )
 
@@ -76,6 +77,16 @@ class TestInitProcessGroup:
 
         with pytest.raises(RuntimeError, match="unknown backend"):
             run_distributed(2, body, timeout=3)
+
+    def test_new_group_unknown_backend_fails_before_the_store(self):
+        store = Store(timeout=3)
+
+        def body(rank):
+            new_process_group("smpi")
+
+        with pytest.raises(RuntimeError, match=r"unknown backend 'smpi'; options: "):
+            run_distributed(2, body, timeout=3, store=store)
+        assert store.keys() == []  # no group id was allocated
 
     def test_default_group_set(self):
         def body(rank):

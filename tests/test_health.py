@@ -23,6 +23,7 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy
 from repro.resilience.faults import corrupt, delay, drop, slow_rank
+from repro.simnet import cost_model_for
 from repro.telemetry.health import (
     DESYNC_PRECURSOR,
     OVERLAP_COLLAPSE,
@@ -276,6 +277,22 @@ class TestEfficiencyAccounting:
         assert health["model_efficiency"] is not None
         assert health["diagnoses"] == []  # healthy run stays silent
         json.dumps(health)
+
+    @pytest.mark.parametrize("algorithm", ["naive", "halving_doubling"])
+    def test_record_priced_as_the_algorithm_that_ran(self, algorithm):
+        """``comm.model_efficiency`` prices a record by its ``algorithm``
+        fact (the one-round ``naive`` or the group's), not as a ring."""
+        nbytes, wall = 1_600_000, 0.004
+        record = CollectiveRecord(0, 0, {"op": "allreduce", "world": 2, "backend": "gloo",
+                                         "algorithm": algorithm}, nbytes)
+        record.t_start, record.t_end, record.stalls = 1.0, 1.0 + wall, {}
+        recorder_for(0).add(record)
+        efficiency = registry_for(0).snapshot()["histograms"]["comm.model_efficiency"]
+        model = cost_model_for("gloo")
+        assert efficiency["count"] == 1
+        assert efficiency["sum"] != pytest.approx(model.allreduce_time(nbytes, 2) / wall)
+        expected = model.allreduce_time(nbytes, 2, algorithm=algorithm)
+        assert efficiency["sum"] == pytest.approx(expected / wall)
 
     def test_lifecycle_events_stitch_across_all_ranks(self):
         telemetry.enable()

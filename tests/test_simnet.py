@@ -7,9 +7,7 @@ from repro.simnet import (
     CPU_SERVER,
     GPU_V100,
     ClusterSpec,
-    GlooCostModel,
     LinkType,
-    NcclCostModel,
     SharedEntitlement,
     cost_model_for,
     dgx1_topology,
@@ -63,22 +61,18 @@ class TestTopology:
         with pytest.raises(ValueError):
             ClusterSpec().placement(100)
 
-    def test_ring_bottleneck_drops_across_servers(self):
-        cluster = ClusterSpec()
-        assert cluster.ring_bottleneck_bandwidth(8) > cluster.ring_bottleneck_bandwidth(16)
-
 
 class TestCostModels:
     def test_nccl_sweep_monotone_decreasing(self):
         """Fig. 2(a): total time falls as per-op size grows."""
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         sizes = [1_000, 10_000, 100_000, 1_000_000, 10_000_000]
         times = [model.sweep_total_time(60_000_000, s) for s in sizes]
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_gloo_sweep_saturates_near_500k(self):
         """Fig. 2(b): beyond ~500K params/op Gloo stops improving."""
-        model = GlooCostModel()
+        model = cost_model_for("gloo")
         t_small = model.sweep_total_time(60_000_000, 10_000)
         t_500k = model.sweep_total_time(60_000_000, 500_000)
         t_10m = model.sweep_total_time(60_000_000, 10_000_000)
@@ -86,34 +80,34 @@ class TestCostModels:
         assert abs(t_10m - t_500k) < t_500k  # flat-ish after the knee
 
     def test_nccl_much_faster_than_gloo(self):
-        nccl, gloo = NcclCostModel(), GlooCostModel()
+        nccl, gloo = cost_model_for("nccl"), cost_model_for("gloo")
         assert nccl.allreduce_time(1e6, 16) < gloo.allreduce_time(1e6, 16) / 2
         for nbytes in (25e6, 100e6):
             assert nccl.allreduce_time(nbytes, 16) < gloo.allreduce_time(nbytes, 16) / 3
 
     def test_allreduce_time_grows_with_world(self):
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         times = [model.allreduce_time(25e6, w) for w in (2, 4, 8)]
         assert times[0] < times[1] < times[2]
 
     def test_intra_vs_inter_cliff(self):
         """Crossing the server boundary costs bandwidth (§6.1 lesson)."""
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         assert model.allreduce_time(25e6, 16) > 3 * model.allreduce_time(25e6, 8)
 
     def test_bandwidth_factor_scales(self):
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         healthy = model.allreduce_time(25e6, 32, bandwidth_factor=1.0)
         degraded = model.allreduce_time(25e6, 32, bandwidth_factor=0.5)
         assert degraded > healthy * 1.5
 
     def test_world_one_is_free_ish(self):
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         assert model.allreduce_time(25e6, 1) <= model.launch_overhead
         assert model.allreduce_time(0, 4) == 0.0
 
     def test_stream_penalty(self):
-        model = NcclCostModel()
+        model = cost_model_for("nccl")
         assert model.stream_penalty(1, 32) == 1.0
         # 3 streams fit under the inter-server link capacity
         assert model.stream_penalty(3, 32) == pytest.approx(1.0)
@@ -121,14 +115,8 @@ class TestCostModels:
         assert model.stream_penalty(5, 32) > 1.0
 
     def test_gloo_stream_penalty_kicks_in_early(self):
-        model = GlooCostModel()
+        model = cost_model_for("gloo")
         assert model.stream_penalty(3, 32) > 1.0
-
-    def test_broadcast_allgather_positive(self):
-        model = NcclCostModel()
-        assert model.broadcast_time(1e6, 8) > 0
-        assert model.allgather_time(1e6, 8) > 0
-        assert model.broadcast_time(1e6, 1) == 0.0
 
     def test_cost_model_for(self):
         assert cost_model_for("nccl").name == "nccl"

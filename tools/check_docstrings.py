@@ -29,6 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Files whose public API must be fully documented.
 DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "comm" / "algorithms.py",
+    REPO_ROOT / "src" / "repro" / "comm" / "backends.py",
     REPO_ROOT / "src" / "repro" / "comm" / "process_group.py",
     REPO_ROOT / "src" / "repro" / "comm" / "transport.py",
     REPO_ROOT / "src" / "repro" / "comm" / "distributed.py",
