@@ -3,8 +3,8 @@
 The paper's related work positions ZeRO as trading training speed for
 memory by partitioning parameters, gradients, and optimizer states
 across DDP instances.  This bench quantifies the per-GPU footprint of
-each stage for both evaluation models with Adam, plus the measured
-optimizer-state sharding of this library's ZeroRedundancyOptimizer.
+each stage for both evaluation models with Adam (the measured
+counterpart is ``bench_sharded.py``, over ``repro.sharded``).
 """
 
 from repro.simulation.memory import memory_report

@@ -15,11 +15,9 @@ from repro.baselines.parameter_server import (
     ParameterServerWorker,
     run_parameter_server_training,
 )
-from repro.baselines.zero import ZeroRedundancyOptimizer
 
 __all__ = [
     "ParameterServer",
     "ParameterServerWorker",
     "run_parameter_server_training",
-    "ZeroRedundancyOptimizer",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 from typing import Optional
 
-from repro.autograd.tensor import Tensor
 from repro.comm.distributed import get_context
 from repro.core.bucket import (
     UNBOUNDED_CAP_BYTES,
@@ -347,7 +346,7 @@ class DistributedDataParallel(Module):
         ):
             out = self.module(*inputs, **kwargs)
         if self._sync_enabled:
-            self.reducer.prepare_for_backward(_flatten_outputs(out))
+            self.reducer.prepare_for_backward(out)
             self._did_sync_last_backward = True
         else:
             self._did_sync_last_backward = False
@@ -404,62 +403,17 @@ class DistributedDataParallel(Module):
     # ------------------------------------------------------------------
     def ddp_stats(self) -> dict:
         """Iteration statistics report — the analog of PyTorch DDP's
-        ``get_ddp_logging_data()``.
-
-        Always available (the reducer's coarse phase clock stays on even
-        with telemetry disabled).  Per-bucket AllReduce latencies, the
-        overlap ratio, ``last_iteration`` and ``profile`` are views of
-        one record, the reducer's ``recorder.last``: the *last
-        synchronized* backward.
-
-        * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the live
-          bucket layout (reflects any order-prediction rebuild).
-        * ``unused_parameter_count`` — parameters marked ready-as-unused
-          in the last prepared backward (0 unless
-          ``find_unused_parameters`` found absentees).
-        * ``comm_compute_overlap_ratio`` — fraction of total bucket
-          AllReduce wall time hidden inside the backward-compute window
-          (1.0 = fully overlapped, 0.0 = fully exposed; paper Fig. 4).
-        * ``per_bucket_allreduce_latency_s`` — each bucket collective's
-          interval from its record: execution on the communication
-          worker, or for a split-phase bucket (under the size rule) from
-          its post to its completion.
-        """
-        reducer = self.reducer
-        profile = reducer.recorder.last
-        bucket_latencies = (
-            {b.bucket: b.comm_s for b in profile.buckets} if profile else {}
-        )
+        ``get_ddp_logging_data()``: :meth:`Reducer.stats` (shared with
+        the sharded wrappers) plus the backend, the cap and one section
+        per subsystem.  Always available: the reducer's coarse phase
+        clock stays on with telemetry disabled."""
+        profile = self.reducer.recorder.last
         return {
-            "world_size": self.process_group.size,
-            "rank": self.process_group.group_rank,
+            **self.reducer.stats(),
             "backend": self.process_group.backend,
             "bucket_cap_mb": self.bucket_cap_mb,
-            "num_buckets": len(reducer.buckets),
-            "bucket_sizes_bytes": [b.flat.nbytes for b in reducer.buckets],
-            "bucket_param_indices": [
-                list(b.spec.param_indices) for b in reducer.buckets
-            ],
-            "rebuilt_bucket_count": reducer.rebuilt_bucket_count,
-            "gradient_as_bucket_view": reducer.gradient_as_bucket_view,
-            "grad_copy_count": reducer.grad_copy_count,
-            "zero_copy_hits": reducer.zero_copy_hits,
-            "layout_allocations": reducer.layout_allocations,
-            "noop_rebuild_count": reducer.noop_rebuild_count,
-            "iterations_synced": reducer.iterations_synced,
-            "find_unused_parameters": self.find_unused_parameters,
-            "unused_parameter_count": reducer.last_unused_parameter_count,
-            "overlap_enabled": reducer.overlap,
-            "comm_compute_overlap_ratio": profile.overlap_ratio if profile else 0.0,
-            "comm_total_s": profile.comm_total_s if profile else 0.0,
-            "comm_hidden_s": profile.comm_hidden_s if profile else 0.0,
-            "per_bucket_allreduce_latency_s": [
-                bucket_latencies.get(b.spec.index, 0.0) for b in reducer.buckets
-            ],
-            "last_iteration": _phases(profile),
             "debug": self._debug_stats(),
             "resilience": self._resilience_stats(),
-            "profile": profile.summary(top=3) if profile else None,
             "health": self._health_stats(profile.overlap_ratio if profile else 0.0),
             "autotune": (
                 self._autotuner.report() if self._autotuner is not None else None
@@ -547,36 +501,3 @@ class DistributedDataParallel(Module):
             describe_assignment([b.spec for b in self.reducer.buckets]),
         ]
         return "\n".join(lines)
-
-
-def _phases(profile) -> dict:
-    """``ddp_stats()["last_iteration"]``: the four phases of an
-    :class:`~repro.telemetry.recorder.IterationProfile` under their
-    Fig. 6 names (``{}`` before the first synchronized backward)."""
-    if profile is None:
-        return {}
-    return {
-        "prepare_to_first_grad": profile.prepare_s,
-        "backward_compute": profile.backward_s,
-        # everything after the last gradient: t_done - t_all
-        "comm_exposed_wait": profile.exposed_comm_s + profile.finalize_other_s,
-        "total": profile.total_s,
-    }
-
-
-def _flatten_outputs(out) -> list:
-    """Collect all Tensors from arbitrarily nested forward outputs."""
-    tensors: list = []
-
-    def visit(value) -> None:
-        if isinstance(value, Tensor):
-            tensors.append(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item)
-        elif isinstance(value, dict):
-            for item in value.values():
-                visit(item)
-
-    visit(out)
-    return tensors

@@ -1,6 +1,8 @@
 """The gradient-reduction core (the ``reducer.cpp`` analog; paper §4.2).
 
-Responsibilities, mirroring the paper's four components:
+The one backward schedule of every data-parallel wrapper: DDP (and
+ZeRO-1, DDP plus a sharded optimizer) and :mod:`repro.sharded`'s ZeRO-2
+and ZeRO-3.  Responsibilities, mirroring the paper's four components:
 
 1. **Parameter-to-bucket mapping** — flat per-bucket buffers allocated
    on the same logical device as their parameters.
@@ -17,18 +19,25 @@ Responsibilities, mirroring the paper's four components:
    ``grad_copy_count`` counts every gradient that reached bucket memory
    by a copy.  The hook that drops a count to zero marks the bucket
    ready.
-3. **Bucket AllReduce** — ready buckets launch *asynchronously* and
-   strictly **in bucket-index order** on every rank; bucket ``i+1``
-   never launches before bucket ``i`` (Fig. 3(a) caveat).  The
-   collective is an ``AVG`` AllReduce, so the mean is taken inside it.
-   The hook that readies the final bucket blocks until every AllReduce
-   finishes and writes gradients back (Algorithm 1, lines 17–21).
+3. **Bucket collective** — ready buckets launch *asynchronously* and
+   strictly in one fixed **launch order** on every rank, whatever each
+   rank's own gradient order (Fig. 3(a) caveat).  The collective takes
+   the mean inside it (``ReduceOp.AVG``).  The hook that readies the
+   final bucket blocks until every collective finishes and finalizes
+   the iteration (Algorithm 1, lines 17–21).
 4. **Globally unused parameters** — a local bitmap records which
    parameters produced gradients; one extra AllReduce merges bitmaps so
    that parameters unused on *every* rank keep their gradients intact
    (the optimizer-regression caveat of §3.2.3).  The bitmap is kept on
    CPU and staged through a device-resident copy for backends that
    reject CPU tensors (§4.2).
+
+The wrapper fixes the only three things that differ: the collective
+(DDP AllReduces persistent flats; ZeRO-2/3 pass ``shards`` and
+reduce-scatter a flat opened at the frontier, released at finalize when
+its span lands on the shard optimizer), the launch direction (ZeRO-3's
+forward-order units descend) and whether parameters are re-homed into a
+bucket parameter flat (DDP only).
 """
 
 from __future__ import annotations
@@ -60,12 +69,14 @@ class ReducerError(RuntimeError):
 class _Bucket:
     """Runtime state for one bucket: flat buffer plus readiness counters."""
 
-    def __init__(self, spec: BucketSpec, dtype: np.dtype):
+    def __init__(self, spec: BucketSpec, dtype: np.dtype, persistent: bool = True):
         self.spec = spec
-        self.flat = np.zeros(spec.total_elements, dtype=dtype)
+        self.nbytes = spec.total_elements * np.dtype(dtype).itemsize
+        # A sharded bucket's flat lives from the frontier's open to finalize.
+        self.flat = np.zeros(spec.total_elements, dtype=dtype) if persistent else None
         # The tensor wrapper carries the device tag that backends like
         # NCCL check; it shares storage with ``flat``.
-        self.tensor = Tensor(self.flat, device=spec.device)
+        self.tensor = Tensor(self.flat, device=spec.device) if persistent else None
         # View mode only: the bucket's parameters, laid out like ``flat``.
         self.param_flat: Optional[np.ndarray] = None
         self.pending = len(spec.param_indices)
@@ -120,6 +131,13 @@ class Reducer:
         Views are adopted lazily (a
         parameter that never produces a gradient keeps ``grad is
         None``).  False reproduces the seed copy-in/copy-out path.
+    shards:
+        A gradient-sharding wrapper (ZeRO-2/3), told of each launch
+        (``bucket_launched(index)``) and of finalize's start
+        (``harvest_started()``); each averaged span goes to
+        ``shards.optimizer.set_shard_grad(index, span)``.
+    descending:
+        Launch from the last bucket down (ZeRO-3's forward-order units).
     """
 
     def __init__(
@@ -133,6 +151,8 @@ class Reducer:
         order_tracer=None,
         param_names: Optional[Sequence[str]] = None,
         gradient_as_bucket_view: bool = True,
+        shards=None,
+        descending: bool = False,
     ):
         self.params: List[Tensor] = list(params)
         # Human-readable names (``module.named_parameters()`` order) so
@@ -150,6 +170,8 @@ class Reducer:
         self.overlap = overlap
         self.comm_hook = comm_hook
         self.gradient_as_bucket_view = gradient_as_bucket_view
+        self.shards = shards
+        self.descending = descending
         # Optional BackwardOrderTracer recording real gradient-ready
         # order for rebucketing (paper §6.2.1).
         self.order_tracer = order_tracer
@@ -224,9 +246,15 @@ class Reducer:
         """
         self._bucket_specs = list(bucket_specs)
         self.buckets = [
-            _Bucket(spec, self.params[spec.param_indices[0]].dtype if spec.param_indices else np.float64)
+            _Bucket(
+                spec,
+                self.params[spec.param_indices[0]].dtype if spec.param_indices else np.float64,
+                persistent=self.shards is None,
+            )
             for spec in bucket_specs
         ]
+        #: The buckets in launch order: the frontier walks this list.
+        self._launch_order = self.buckets[::-1] if self.descending else self.buckets
         self.layout_allocations += len(self.buckets)
         # param index -> (bucket position, slot position)
         self._locator = {}
@@ -238,7 +266,7 @@ class Reducer:
         # that must survive the zero-fill + AllReduce round trip.
         self._grad_views: List[Optional[Tensor]] = [None] * len(self.params)
         self._unused_stash: Dict[int, np.ndarray] = {}
-        if not self.gradient_as_bucket_view:
+        if not self.gradient_as_bucket_view or self.shards is not None:
             return
         for bucket in self.buckets:
             spec = bucket.spec
@@ -266,13 +294,13 @@ class Reducer:
     # ------------------------------------------------------------------
     # iteration lifecycle
     # ------------------------------------------------------------------
-    def prepare_for_backward(self, outputs: Sequence[Tensor]) -> None:
+    def prepare_for_backward(self, outputs) -> None:
         """Arm the reducer for the next backward pass (Algorithm 1 line 10).
 
         With ``find_unused_parameters`` the autograd graph is traversed
-        from ``outputs`` and parameters outside it are marked ready
-        immediately, contributing zeros, so their absence cannot hang
-        the bucket (Fig. 3(b)).
+        from ``outputs`` (the forward's result, nested in any way) and
+        parameters outside it are marked ready immediately, contributing
+        zeros, so their absence cannot hang the bucket (Fig. 3(b)).
         """
         if not self._finalized:
             raise ReducerError(
@@ -293,7 +321,7 @@ class Reducer:
         self.recorder.start_iteration(self.iterations_synced)
 
         if self.find_unused_parameters:
-            participating = collect_participating_accumulators(outputs)
+            participating = collect_participating_accumulators(_flatten_outputs(outputs))
             participating_ids = {id(acc) for acc in participating}
             for index, param in enumerate(self.params):
                 if id(param.accumulator()) not in participating_ids:
@@ -376,6 +404,8 @@ class Reducer:
         size = spec.sizes[slot]
         param = self.params[param_index]
         view = self._grad_views[param_index]
+        # A sharded bucket whose flat is not open yet takes its slots'
+        # values when the frontier opens it (_open).
         if unused:
             # Unused parameters contribute zeros to the reduced sum.  If
             # the parameter's gradient aliases the slot (an accumulated
@@ -386,14 +416,15 @@ class Reducer:
                 self._unused_stash[param_index] = bucket.flat[
                     offset : offset + size
                 ].copy()
-            bucket.flat[offset : offset + size] = 0.0
+            if bucket.flat is not None:
+                bucket.flat[offset : offset + size] = 0.0
             self.last_unused_parameter_count += 1
         else:
             if param.grad is None:
                 raise ReducerError(
                     f"hook fired for parameter {param_index} but .grad is None"
                 )
-            if view is None or param.grad is not view:
+            if param.grad is not view and bucket.flat is not None:
                 bucket.flat[offset : offset + size] = param.grad.data.reshape(-1)
             # Else no gather: the gradient already lives in bucket memory,
             # written there by its op or copied in by the accumulator.
@@ -417,34 +448,70 @@ class Reducer:
                 if not self.overlap:
                     self._launch_ready_buckets_in_order()
                 self._finalize_backward()
+        elif bucket.flat is None and bucket is self._launch_order[self._next_bucket]:
+            # A sharded bucket's first gradient at the frontier opens it.
+            self._launch_ready_buckets_in_order()
 
     def _launch_ready_buckets_in_order(self) -> None:
-        """Launch AllReduce on every ready bucket at the order frontier.
+        """Launch every ready bucket at the order frontier.
 
         Buckets may become ready out of order; communication still obeys
-        bucket-index order so contents match across ranks (Fig. 3(a)).
+        the launch order so contents match across ranks (Fig. 3(a)).  A
+        sharded bucket's flat is opened when the frontier reaches it.
         """
-        while self._next_bucket < len(self.buckets):
-            bucket = self.buckets[self._next_bucket]
+        while self._next_bucket < len(self._launch_order):
+            bucket = self._launch_order[self._next_bucket]
+            if bucket.flat is None:
+                self._open(bucket)
             if not bucket.ready:
                 return
             self._launch(bucket)
             self._next_bucket += 1
 
+    def _open(self, bucket: _Bucket) -> None:
+        """Give a sharded bucket its flat, its accumulators views of it;
+        a gradient already there is copied in and re-aliased (one copy),
+        an unused parameter's slot zeroed."""
+        spec = bucket.spec
+        bucket.flat = np.empty(spec.total_elements, dtype=spec.dtype)
+        for index, offset, size in zip(spec.param_indices, spec.offsets, spec.sizes):
+            param = self.params[index]
+            view = Tensor(bucket.flat[offset : offset + size].reshape(param.data.shape))
+            self._grad_views[index] = view
+            if param.grad is not None:
+                np.copyto(view.data, param.grad.data)
+                param.grad = view
+            elif self._grad_ready[index]:
+                view.data[...] = 0.0
+            else:
+                param.accumulator().set_grad_view(view)
+
+    def _close(self, bucket: _Bucket) -> None:
+        """Detach a sharded bucket's accumulators from its flat."""
+        for index in bucket.spec.param_indices:
+            self._grad_views[index] = None
+            self.params[index].accumulator().set_grad_view(None)
+
     def _launch(self, bucket: _Bucket) -> None:
         if bucket.launched:
             return
         bucket.launched = True
-        self.recorder.bucket_launched(bucket.spec.index, bucket.flat.nbytes)
+        self.recorder.bucket_launched(bucket.spec.index, bucket.nbytes)
         if TRACER.enabled:
             registry_for(self.recorder.rank).counter("bucket.launches").add(1)
         logger.debug(
-            "launch allreduce bucket %d (%d elements)",
+            "launch bucket %d (%d elements)",
             bucket.spec.index,
             bucket.spec.total_elements,
         )
         with bucket.context:
-            if self.comm_hook is not None:
+            if self.shards is not None:
+                self._close(bucket)
+                bucket.work = self.process_group.reduce_scatter_flat(
+                    bucket.flat, ReduceOp.AVG, async_op=True
+                )
+                self.shards.bucket_launched(bucket.spec.index)
+            elif self.comm_hook is not None:
                 bucket.work = self.comm_hook(
                     self.process_group, bucket.tensor, self.world_size
                 )
@@ -454,18 +521,41 @@ class Reducer:
                 )
 
     def _finalize_backward(self) -> None:
-        """Wait for communication and write the averaged gradients back.
+        """Wait for communication and hand the averaged gradients over.
 
         Runs inside the autograd hook that readied the final bucket
         (Algorithm 1 line 21) — the engine thread blocks here while the
-        process-group worker drains the queued AllReduces, and completes
+        process-group worker drains the queued collectives, and completes
         the split-phase (small) ones itself.
         """
         self.recorder.mark_all_grads()
         globally_used = None
         if self.find_unused_parameters:
             globally_used = self._allreduce_used_bitmap()
+        if self.shards is not None:
+            self._harvest()
+        else:
+            self._write_back(globally_used)
+        self._expect_hooks = False
+        self._finalized = True
+        self.iterations_synced += 1
+        if self.order_tracer is not None:
+            # Close partial traces (some parameters may not have fired).
+            self.order_tracer.end_iteration()
+        self.recorder.finish(
+            [(bucket.spec.index, bucket.work) for bucket in self.buckets]
+        )
+        if logger.isEnabledFor(logging.DEBUG):
+            profile = self.recorder.last
+            logger.debug(
+                "iteration %d finalized: exposed comm wait %.3f ms",
+                self.iterations_synced,
+                (profile.exposed_comm_s + profile.finalize_other_s) * 1e3,
+            )
 
+    def _write_back(self, globally_used: Optional[np.ndarray]) -> None:
+        """AllReduce finalize: wait for every bucket and make each
+        parameter's ``.grad`` hold its averaged gradient."""
         for bucket in self.buckets:
             if bucket.work is not None:
                 bucket.work.wait()
@@ -498,22 +588,30 @@ class Reducer:
                 else:
                     param.grad.data[...] = value
         self._unused_stash.clear()
+
+    def _harvest(self) -> None:
+        """Sharded finalize: land each averaged span on the shard optimizer,
+        in launch order, and release the flat."""
+        self.shards.harvest_started()
+        for bucket in self._launch_order:
+            bucket.work.wait()
+            self.shards.optimizer.set_shard_grad(bucket.spec.index, bucket.work.result[0])
+            bucket.flat = None
+
+    def discard_iteration(self) -> None:
+        """Drop an iteration that will not finalize (no-op once it has):
+        launched collectives are waited — no ``Work`` is abandoned — and
+        opened sharded flats released, so the next one starts clean."""
+        if self._finalized:
+            return
+        for bucket in self.buckets:
+            if bucket.launched:
+                bucket.work.wait()
+            if self.shards is not None and bucket.flat is not None:
+                self._close(bucket)
+                bucket.flat = None
         self._expect_hooks = False
         self._finalized = True
-        self.iterations_synced += 1
-        if self.order_tracer is not None:
-            # Close partial traces (some parameters may not have fired).
-            self.order_tracer.end_iteration()
-        self.recorder.finish(
-            [(bucket.spec.index, bucket.work) for bucket in self.buckets]
-        )
-        if logger.isEnabledFor(logging.DEBUG):
-            profile = self.recorder.last
-            logger.debug(
-                "iteration %d finalized: exposed comm wait %.3f ms",
-                self.iterations_synced,
-                (profile.exposed_comm_s + profile.finalize_other_s) * 1e3,
-            )
 
     def _allreduce_used_bitmap(self) -> np.ndarray:
         """Merge per-rank usage bitmaps; returns the global bitmap.
@@ -591,3 +689,86 @@ class Reducer:
     @property
     def finalized(self) -> bool:
         return self._finalized
+
+    # ------------------------------------------------------------------
+    # observability
+    # ------------------------------------------------------------------
+    def stats(self) -> dict:
+        """The reducer's part of every wrapper's ``ddp_stats()``.
+
+        Latencies, the overlap ratio, ``last_iteration`` and ``profile``
+        are views of one record, ``recorder.last``: the *last
+        synchronized* backward.
+
+        * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the live
+          bucket layout (reflects any order-prediction rebuild).
+        * ``unused_parameter_count`` — parameters marked ready-as-unused
+          in the last prepared backward.
+        * ``comm_compute_overlap_ratio`` — fraction of bucket collective
+          time hidden inside the backward-compute window (paper Fig. 4).
+        * ``per_bucket_allreduce_latency_s`` — each bucket collective's
+          interval from its record (a split-phase one's from post to
+          completion).
+        """
+        profile = self.recorder.last
+        bucket_latencies = (
+            {b.bucket: b.comm_s for b in profile.buckets} if profile else {}
+        )
+        return {
+            "world_size": self.world_size,
+            "rank": self.process_group.group_rank,
+            "num_buckets": len(self.buckets),
+            "bucket_sizes_bytes": [b.nbytes for b in self.buckets],
+            "bucket_param_indices": [list(b.spec.param_indices) for b in self.buckets],
+            "rebuilt_bucket_count": self.rebuilt_bucket_count,
+            "gradient_as_bucket_view": self.gradient_as_bucket_view,
+            "grad_copy_count": self.grad_copy_count,
+            "zero_copy_hits": self.zero_copy_hits,
+            "layout_allocations": self.layout_allocations,
+            "noop_rebuild_count": self.noop_rebuild_count,
+            "iterations_synced": self.iterations_synced,
+            "find_unused_parameters": self.find_unused_parameters,
+            "unused_parameter_count": self.last_unused_parameter_count,
+            "overlap_enabled": self.overlap,
+            "comm_compute_overlap_ratio": profile.overlap_ratio if profile else 0.0,
+            "comm_total_s": profile.comm_total_s if profile else 0.0,
+            "comm_hidden_s": profile.comm_hidden_s if profile else 0.0,
+            "per_bucket_allreduce_latency_s": [
+                bucket_latencies.get(b.spec.index, 0.0) for b in self.buckets
+            ],
+            "last_iteration": _phases(profile),
+            "profile": profile.summary(top=3) if profile else None,
+        }
+
+
+def _phases(profile) -> dict:
+    """``ddp_stats()["last_iteration"]``: the four phases of an
+    :class:`~repro.telemetry.recorder.IterationProfile` under their
+    Fig. 6 names (``{}`` before the first synchronized backward)."""
+    if profile is None:
+        return {}
+    return {
+        "prepare_to_first_grad": profile.prepare_s,
+        "backward_compute": profile.backward_s,
+        # everything after the last gradient: t_done - t_all
+        "comm_exposed_wait": profile.exposed_comm_s + profile.finalize_other_s,
+        "total": profile.total_s,
+    }
+
+
+def _flatten_outputs(out) -> list:
+    """Collect all Tensors from arbitrarily nested forward outputs."""
+    tensors: list = []
+
+    def visit(value) -> None:
+        if isinstance(value, Tensor):
+            tensors.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                visit(item)
+
+    visit(out)
+    return tensors

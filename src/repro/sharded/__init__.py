@@ -13,7 +13,8 @@ docs/sharding.md for the stage taxonomy, memory model, and knobs):
   parameters themselves sharded, gathered per block ahead of use.
 
 All stages share one :class:`~repro.sharded.flat.FlatShardLayout`
-(buckets + ``partition_spans`` ownership) and the
+(buckets + ``partition_spans`` ownership), DDP's
+:class:`~repro.core.reducer.Reducer` for the backward, and the
 ``reduce_scatter_flat`` / ``all_gather_flat`` collectives of
 :class:`~repro.comm.process_group.ProcessGroup`, and every stage is
 numerically exact against DDP: elementwise optimizers make span-sharded

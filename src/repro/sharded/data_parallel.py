@@ -4,15 +4,14 @@ The training loop looks like DDP's, but the wrapper owns the optimizer
 (construction must know the shard layout) and the backward communicates
 with ``reduce_scatter_flat`` instead of allreduce:
 
-* gradients land in per-bucket flats that are reduce-scattered
-  **asynchronously** behind a bucket-order launch frontier as each fills
-  — the backward schedule of :mod:`repro.sharded.wrapper`, shared with
-  ZeRO-3;
-* :meth:`ShardedDataParallel.step` waits for the spans, hands each rank
-  its averaged shard, **frees the full gradients** (the ZeRO-2 memory
-  property: a full gradient set exists only transiently between backward
-  and step, and only once — ``param.grad`` aliases the flats), runs the
-  sharded optimizer, and all-gathers the updated parameter spans.
+* DDP's :class:`~repro.core.reducer.Reducer` reduce-scatters each
+  bucket's flat **asynchronously** as it fills, and by the end of
+  backward each rank's averaged span is on its optimizer shard;
+* :meth:`ShardedDataParallel.step` **frees the full gradients** (the
+  ZeRO-2 memory property: a full gradient set exists only transiently
+  between backward and step, and only once — ``param.grad`` aliases the
+  flats), runs the sharded optimizer, and all-gathers the updated
+  parameter spans.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ class ShardedDataParallel(ShardedWrapper):
     bucket_cap_mb:
         Bucket size knob (reverse-parameter-order assignment, shared
         with the optimizer's span layout).
+    find_unused_parameters:
+        As for DDP: parameters outside the forward's graph contribute
+        zero gradients, at one bitmap AllReduce per iteration.
 
     Thread-safety: per-rank object; drive it from the rank's thread.
     """
@@ -50,10 +52,12 @@ class ShardedDataParallel(ShardedWrapper):
         optimizer_factory: Callable,
         process_group=None,
         bucket_cap_mb: float = 25.0,
+        find_unused_parameters: bool = False,
     ):
         super().__init__(
             module, optimizer_factory, process_group, stage="zero2",
-            gather_after_step=True, bucket_cap_mb=bucket_cap_mb,
+            gather_after_step=True, find_unused_parameters=find_unused_parameters,
+            bucket_cap_mb=bucket_cap_mb,
         )
 
     # -- module protocol -------------------------------------------------
@@ -68,11 +72,9 @@ class ShardedDataParallel(ShardedWrapper):
 
     # -- training step ---------------------------------------------------
     def step(self) -> None:
-        """Wait for the reduce-scatters, free full gradients, run the
-        sharded optimizer update, and all-gather new parameters."""
-        # Sampled at entry, the peak of the iteration: the full gradient
-        # flats + shards + state all live.
-        self._harvest()
+        """Free full gradients, run the sharded optimizer update, and
+        all-gather new parameters."""
+        self._require_reduced()
         # The ZeRO-2 property: full per-parameter gradients are dropped
         # before the weight update — only the averaged shard survives.
         for param in self._params:
@@ -80,9 +82,7 @@ class ShardedDataParallel(ShardedWrapper):
         self.stats.free_count += len(self._params)
         self.optimizer.step()  # all-gathers every bucket's updated span
         self.stats.gather_count += self.layout.num_buckets
-        self.stats.all_gather_bytes += sum(
-            map(self.layout.bucket_nbytes, range(self.layout.num_buckets))
-        )
+        self.stats.all_gather_bytes += sum(b.nbytes for b in self.reducer.buckets)
         self.stats.iterations += 1
         self.stats.observe(self.live_bytes())
 
@@ -97,5 +97,5 @@ class ShardedDataParallel(ShardedWrapper):
             if shard.grad is not None:
                 arrays.append(shard.grad.data)
         arrays.extend(optimizer_state_arrays(self.optimizer.inner))
-        arrays.extend(flat for flat in self._grad_flats if flat is not None)
+        arrays.extend(bucket.flat for bucket in self.reducer.buckets)
         return storage_bytes(arrays)

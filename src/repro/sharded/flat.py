@@ -136,10 +136,6 @@ class FlatShardLayout:
         """Number of flat buckets in the layout."""
         return len(self.buckets)
 
-    def total_numel(self) -> int:
-        """Total parameter elements across all buckets."""
-        return sum(b.total_elements for b in self.buckets)
-
     def shard_numel(self, rank: int) -> int:
         """Elements rank ``rank`` owns, summed over all buckets."""
         return sum(hi - lo for spans in self.spans for lo, hi in [spans[rank]])
@@ -151,10 +147,6 @@ class FlatShardLayout:
     def bucket_dtype(self, bucket: int) -> np.dtype:
         """The numpy dtype of a bucket's flat buffer."""
         return np.dtype(self.buckets[bucket].dtype)
-
-    def bucket_nbytes(self, bucket: int) -> int:
-        """Bytes of a bucket's flat buffer."""
-        return self.buckets[bucket].total_elements * self.bucket_dtype(bucket).itemsize
 
     def empty_flat(self, bucket: int) -> np.ndarray:
         """An uninitialized flat buffer of the bucket's size and dtype."""
@@ -175,10 +167,6 @@ class FlatShardLayout:
             spec.param_indices, spec.offsets, spec.sizes
         ):
             yield param_index, offset, size
-
-    def copy_params_into(self, bucket: int, flat: np.ndarray) -> None:
-        """Copy parameter values into the bucket's flat buffer."""
-        _bucket.copy_params_into(self.buckets[bucket], self.params, flat)
 
     def scatter_into_params(self, bucket: int, flat: np.ndarray) -> None:
         """Write the bucket's flat buffer back into the parameters."""

@@ -16,22 +16,23 @@ unit.  The full parameter arrays exist only while a unit is
   views into the gathered flat.  Nothing is resharded after forward, so
   every flat is resident by the end of it whatever the schedule — which
   is why there is no prefetch-depth knob;
-* **backward** — the schedule of :mod:`repro.sharded.wrapper`, walked in
-  reverse unit order: gradients land directly in the unit's gradient
-  flat, and when the unit's last one does (the engine's dependency
-  counting guarantees gradients are final) the flat is reduce-scattered
-  asynchronously and the unit's full parameters are freed on the spot —
-  each parameter's ``data`` becomes a zero-stride broadcast stub
-  (shape/dtype preserved, one element of backing storage).  Backward
-  therefore never holds more than the full parameters plus one unit;
+* **backward** — DDP's :class:`~repro.core.reducer.Reducer`, its
+  launch frontier walking the units in reverse order: gradients land
+  directly in the unit's gradient flat, and when the unit's last one
+  does (the engine's dependency counting guarantees gradients are final)
+  the flat is reduce-scattered asynchronously and the unit's full
+  parameters are freed on the spot — each parameter's ``data`` becomes
+  a zero-stride broadcast stub (shape/dtype preserved, one element of
+  backing storage).  Backward therefore never holds more than the full
+  parameters plus one unit.  With ``find_unused_parameters=True`` a unit
+  outside the forward's graph reduce-scatters zeros and is freed too;
 * **step** — the inner optimizer updates the shard tensors in place; no
   gather happens (``gather_after_step=False``): the next forward
   re-materializes each unit from its updated shard.
 
 Limitations (checked or documented): a parameter registered under two
-modules (weight tying) raises ``NotImplementedError``; every parameter
-must participate in backward (no unused-parameter bitmap); parameters
-must not be mutated outside :meth:`FullyShardedDataParallel.summon_full_params`.
+modules (weight tying) raises ``NotImplementedError``; parameters must
+not be mutated outside :meth:`FullyShardedDataParallel.summon_full_params`.
 """
 
 from __future__ import annotations
@@ -70,18 +71,22 @@ class FullyShardedDataParallel(ShardedWrapper):
         Builds the inner optimizer over this rank's shard tensors.
     process_group:
         Group for the collectives; defaults to the rank's default group.
+    find_unused_parameters:
+        As for DDP: parameters outside the forward's graph contribute
+        zero gradients, at one bitmap AllReduce per iteration.
 
     Thread-safety: per-rank object; drive it from the rank's thread.
     """
 
     # Backward reaches the last-registered unit first.
-    _launch_step = -1
+    _descending = True
 
     def __init__(
         self,
         module: Module,
         optimizer_factory: Callable,
         process_group=None,
+        find_unused_parameters: bool = False,
     ):
         params: list = []
         index_of: Dict[int, int] = {}
@@ -99,7 +104,7 @@ class FullyShardedDataParallel(ShardedWrapper):
         # next forward regathers from the updated shards).
         super().__init__(
             module, optimizer_factory, process_group, stage="zero3",
-            gather_after_step=False,
+            gather_after_step=False, find_unused_parameters=find_unused_parameters,
             specs=unit_bucket_specs(
                 [[index_of[id(p)] for p in unit_params] for _, unit_params in units],
                 params,
@@ -121,10 +126,11 @@ class FullyShardedDataParallel(ShardedWrapper):
             for spec in self.layout.buckets
         ]
 
+        unit_of = {id(p): unit for unit, (_, ps) in enumerate(units) for p in ps}
         for sub in module.modules():
             direct = [p for p in sub._parameters.values() if p is not None]
             if direct:
-                self._wrap_forward(sub, self._bucket_of[index_of[id(direct[0])]])
+                self._wrap_forward(sub, unit_of[id(direct[0])])
         # Shards were initialized from the broadcast values; now drop the
         # full parameters — from here on they exist only materialized.
         for unit in range(self.num_units):
@@ -172,6 +178,10 @@ class FullyShardedDataParallel(ShardedWrapper):
         self.stats.observe(self.live_bytes())
 
     def _free_unit(self, unit: int, count: bool = True) -> None:
+        work = self._gathers[unit]
+        if work is not None:  # a unit whose forward never ran
+            work.wait()
+            self._gathers[unit] = None
         for index, _, _ in self.layout.bucket_entries(unit):
             param = self._params[index]
             param.data = self._stubs[index]
@@ -180,18 +190,16 @@ class FullyShardedDataParallel(ShardedWrapper):
         if count:
             self.stats.free_count += 1
 
-    def _bucket_launched(self, bucket: int) -> None:
-        # The unit's backward is complete (dependency counting made its
-        # gradients final, and they live on in the flat being reduced), so
-        # the full parameters are dropped right now: the ZeRO-3 memory shape.
+    def bucket_launched(self, bucket: int) -> None:
+        """The unit's reduce-scatter was issued, so its backward is over
+        (its final gradients live on in the flat being reduced): drop the
+        full parameters right now — the ZeRO-3 memory shape."""
+        super().bucket_launched(bucket)
         self._free_unit(bucket)
 
     def _discard_iteration(self) -> None:
         super()._discard_iteration()
-        for unit, work in enumerate(self._gathers):
-            if work is not None:  # a unit whose forward never ran
-                work.wait()
-                self._gathers[unit] = None
+        for unit in range(self.num_units):
             self._free_unit(unit, count=False)
 
     # -- module protocol -------------------------------------------------
@@ -237,11 +245,12 @@ class FullyShardedDataParallel(ShardedWrapper):
 
     # -- training step ---------------------------------------------------
     def step(self) -> None:
-        """Wait for the gradient reduce-scatters and update the shards.
+        """Update the shards from the averaged spans the backward left
+        on them.
 
         No parameter gather happens here — the next forward
         re-materializes each unit from its updated shard."""
-        self._harvest()
+        self._require_reduced()
         self.optimizer.step(gather=False)
         self.stats.iterations += 1
         self.stats.observe(self.live_bytes())
@@ -264,7 +273,7 @@ class FullyShardedDataParallel(ShardedWrapper):
                 total += flat.nbytes
             if flat is None or self._gathers[unit] is not None:
                 total += self._stub_bytes[unit]
-        total += sum(flat.nbytes for flat in self._grad_flats if flat is not None)
+        total += sum(b.flat.nbytes for b in self.reducer.buckets if b.flat is not None)
         for param in self._params:
             grad = param.grad
             if grad is not None and grad.data.base is None:

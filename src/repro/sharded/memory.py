@@ -88,12 +88,13 @@ class ShardedStats:
 
     ``observe(nbytes)`` feeds a measured live-byte sample, and
     ``peak_bytes`` is the largest *sample*, not a true high-water mark.
-    The wrappers sample at ``step()`` entry (every gradient flat live,
-    nothing harvested yet) and exit; ZeRO-3 also samples each time a
-    unit's gather has been bound in forward.  Nothing samples *during*
-    backward, where ZeRO-3 briefly holds the full parameters plus one
-    unit's gradient flat — ``tests/test_sharded_schedule.py`` bounds that
-    from the test side and docs/performance.md prints it.
+    The wrappers sample when the reducer's finalize starts (every
+    gradient flat live, nothing harvested yet) and at the end of
+    ``step()``; ZeRO-3 also samples each time a unit's gather has been
+    bound in forward.  Nothing samples *during* backward, where ZeRO-3
+    briefly holds the full parameters plus one unit's gradient flat —
+    ``tests/test_sharded_schedule.py`` bounds that from the test side
+    and docs/performance.md prints it.
     """
 
     def __init__(self, stage: str, world: int):

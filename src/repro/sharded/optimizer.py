@@ -11,12 +11,12 @@ update, so ZeRO-1/2/3 parity with DDP is exact, not approximate.
 
 Gradients arrive one of two ways:
 
-* :meth:`ShardedOptimizer.set_grads_from_params` — ZeRO-1: the caller
-  (DDP, or the baselines adapter) already holds full averaged
-  gradients; each rank copies just its spans onto the shard tensors.
-* :meth:`ShardedOptimizer.set_shard_grad` — ZeRO-2/3: the wrapper
-  reduce-scattered gradients and hands each rank its span directly;
-  full gradients never exist on any rank.
+* :meth:`ShardedOptimizer.set_grads_from_params` — ZeRO-1: DDP already
+  left full averaged gradients; each rank copies just its spans onto
+  the shard tensors.
+* :meth:`ShardedOptimizer.set_shard_grad` — ZeRO-2/3: the reducer
+  reduce-scattered each bucket and hands each rank its span directly;
+  full gradients never outlive the backward.
 
 After the inner step, :meth:`ShardedOptimizer.step` all-gathers the
 updated spans back into the real parameters (``gather_after_step=True``,
@@ -34,6 +34,7 @@ from repro.autograd.tensor import Tensor
 from repro.checkpoint.reshard import reshard_state_dict
 from repro.comm.distributed import get_context
 from repro.sharded.flat import FlatShardLayout
+from repro.sharded.memory import optimizer_state_arrays, storage_bytes
 
 
 def _resolve_group(process_group):
@@ -97,7 +98,6 @@ class ShardedOptimizer:
             self.params, self.world, bucket_cap_mb=bucket_cap_mb
         )
         self.gather_after_step = bool(gather_after_step)
-        self.all_gather_count = 0
 
         # One contiguous shard tensor per bucket (possibly 0 elements on
         # some ranks for tiny buckets); the inner optimizer sees exactly
@@ -174,7 +174,6 @@ class ShardedOptimizer:
             )
             flats.append(flat)
             works.append(work)
-            self.all_gather_count += 1
         for bucket, work in enumerate(works):
             work.wait()
             self.layout.scatter_into_params(bucket, flats[bucket])
@@ -200,8 +199,6 @@ class ShardedOptimizer:
 
     def state_bytes(self) -> int:
         """Measured bytes of ndarray state held by the inner optimizer."""
-        from repro.sharded.memory import optimizer_state_arrays, storage_bytes
-
         return storage_bytes(optimizer_state_arrays(self.inner))
 
     # -- consolidated (positional, full-model) state --------------------
@@ -229,7 +226,6 @@ class ShardedOptimizer:
                         dtype=value.dtype,
                     )
                     self.process_group.all_gather_flat(flat, shard=value)
-                    self.all_gather_count += 1
                     for index, offset, size in self.layout.bucket_entries(bucket):
                         per_param.setdefault(index, {})[key] = (
                             flat[offset : offset + size]

@@ -851,10 +851,16 @@ class TestGradientLayout:
         local, _ = _destination_run(case)
 
         def body(rank):
-            arrivals, fsdp = _destination_run(
+            # The flats are released at the end of backward: keep each
+            # one as it is reduce-scattered.
+            group, flats = get_context().default_group, []
+            launch = group.reduce_scatter_flat
+            group.reduce_scatter_flat = lambda flat, *args, **kwargs: (
+                flats.append(flat) or launch(flat, *args, **kwargs))
+            arrivals, _ = _destination_run(
                 case, lambda model: FullyShardedDataParallel(model, lambda ps: SGD(ps, lr=0.1))
             )
-            return _summary(arrivals, [flat for flat in fsdp._grad_flats if flat is not None])
+            return _summary(arrivals, flats)
 
         for summary in run_world(2, body, backend="gloo"):
             assert summary.keys() == local.keys()

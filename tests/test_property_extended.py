@@ -134,33 +134,25 @@ class TestZeroPartitionProperty:
         world=st.integers(1, 6),
     )
     def test_partition_covers_and_balances(self, sizes, world):
-        from repro.baselines.zero import ZeroRedundancyOptimizer
         from repro.nn.module import Parameter
+        from repro.sharded import ShardedOptimizer
 
         class _PG:
             def __init__(self, size, rank):
                 self.size = size
                 self.group_rank = rank
 
-            def broadcast(self, tensor, src=0):
-                pass
-
         params = [Parameter(np.zeros(s)) for s in sizes]
-        owner_maps = []
-        for rank in range(world):
-            zro = ZeroRedundancyOptimizer(
-                params, lambda shard: None, _PG(world, rank)
-            )
-            owner_maps.append(zro.owner_of)
-        # identical on every rank, covers every parameter
-        assert all(m == owner_maps[0] for m in owner_maps)
-        assert set(owner_maps[0]) == set(range(len(params)))
-        # load balance: no rank exceeds max single param + fair share
-        loads = [0] * world
-        for index, owner in owner_maps[0].items():
-            loads[owner] += params[index].numel()
-        fair = sum(sizes) / world
-        assert max(loads) <= fair + max(sizes)
+        optimizers = [
+            ShardedOptimizer(params, lambda shard: None, _PG(world, rank))
+            for rank in range(world)
+        ]
+        # identical on every rank
+        assert all(opt.layout.spans == optimizers[0].layout.spans for opt in optimizers)
+        # the spans tile every element, balanced to one element per bucket
+        loads = [opt.shard_numel() for opt in optimizers]
+        assert sum(loads) == sum(sizes)
+        assert max(loads) - min(loads) <= len(optimizers[0].layout.buckets)
 
 
 class TestSimulatorProperties:

@@ -21,6 +21,7 @@ from repro.core import DistributedDataParallel
 from repro.models import TinyTransformer
 from repro.optim import SGD, Adam
 from repro.resilience import ElasticConfig, FaultPlan, crash_rank, run_elastic
+from repro.telemetry.recorder import IterationProfile
 from repro.sharded import (
     FullyShardedDataParallel,
     ShardedDataParallel,
@@ -214,6 +215,82 @@ class TestTransformerParity:
                 )
 
 
+class _SkipsParameters(nn.Module):
+    """``unused`` never runs (globally unused); ``rank0_only`` runs on
+    rank 0 alone (unused on rank 1)."""
+
+    def __init__(self, rank):
+        super().__init__()
+        self.first = nn.Linear(6, 8)
+        self.unused = nn.Linear(8, 8)
+        self.rank0_only = nn.Linear(8, 8)
+        self.last = nn.Linear(8, 4)
+        self.rank = rank
+
+    def forward(self, x):
+        x = self.first(x).relu()
+        if self.rank == 0:
+            x = self.rank0_only(x)
+        return self.last(x)
+
+
+class TestUnusedParameters:
+    """``find_unused_parameters=True`` through the one reducer: ZeRO-2
+    and ZeRO-3 train a model that skips parameters, bitwise equal to
+    ZeRO-1 (DDP + ``ShardedOptimizer``, whose ``set_grads_from_params``
+    gives an absent gradient the zeros a reduce-scattered unused slot
+    carries)."""
+
+    def _train(self, stage, rank, iters=4):
+        manual_seed(7)
+        model = _SkipsParameters(rank)
+
+        def factory(params):
+            return Adam(params, lr=1e-2)
+
+        if stage == "zero1":
+            wrapper = DistributedDataParallel(model, find_unused_parameters=True)
+            opt = ShardedOptimizer(list(wrapper.parameters()), factory)
+            zero_grad = opt.zero_grad
+
+            def step():
+                opt.set_grads_from_params()
+                opt.step()
+        else:
+            if stage == "zero2":  # one bucket per parameter
+                wrapper = ShardedDataParallel(
+                    model, factory, find_unused_parameters=True, **SMALL_BUCKETS
+                )
+            else:  # one unit per layer
+                wrapper = FullyShardedDataParallel(
+                    model, factory, find_unused_parameters=True
+                )
+            step, zero_grad = wrapper.step, wrapper.zero_grad
+        loss_fn = nn.CrossEntropyLoss()
+        shard = _mlp_shard(rank, 2)
+        for _ in range(iters):
+            zero_grad()
+            loss_fn(wrapper(Tensor(X[shard])), Y[shard]).backward()
+            step()
+        state = {k: np.array(v) for k, v in wrapper.state_dict().items()}  # ZeRO-3 gathers
+        return state, wrapper.ddp_stats()["unused_parameter_count"]
+
+    @pytest.mark.parametrize("stage", ["zero2", "zero3"])
+    def test_trains_bitwise_equal_to_zero1(self, stage):
+        reference = run_world(2, lambda rank: self._train("zero1", rank), backend="gloo")
+        sharded = run_world(2, lambda rank: self._train(stage, rank), backend="gloo")
+        manual_seed(7)
+        initial = {k: np.array(v) for k, v in _SkipsParameters(0).state_dict().items()}
+        for rank, ((expected, _), (state, unused)) in enumerate(zip(reference, sharded)):
+            assert unused == (2 if rank == 0 else 4)
+            assert state.keys() == expected.keys()
+            for name, value in expected.items():
+                assert np.array_equal(state[name], value), (stage, rank, name)
+            # Globally unused: no gradient anywhere, so Adam never moved it.
+            assert np.array_equal(state["unused.weight"], initial["unused.weight"])
+            assert not np.array_equal(state["rank0_only.weight"], initial["rank0_only.weight"])
+
+
 class TestZero2Properties:
     def test_full_gradients_are_dropped_after_step(self):
         """ZeRO-2's defining property: no rank keeps the full gradient
@@ -316,6 +393,29 @@ class TestZero3Properties:
             assert stats["free_count"] == 2 * units
             assert stats["all_gather_bytes"] > 0
             assert stats["peak_bytes_per_rank"] > 0
+
+    def test_profile_has_one_bucket_per_unit_reduce_scatter(self):
+        """The reducer's record and report, as for DDP."""
+
+        def body(rank):
+            fsdp = FullyShardedDataParallel(small_classifier(), lambda ps: SGD(ps, lr=0.05))
+            assert fsdp.ddp_stats()["profile"] is None  # before the first iteration
+            loss_fn = nn.CrossEntropyLoss()
+            for _ in range(2):
+                fsdp.zero_grad()
+                loss_fn(fsdp(Tensor(X[:4])), Y[:4]).backward()
+                fsdp.step()
+            return fsdp.ddp_stats(), fsdp.reducer.recorder.last, fsdp.num_units
+
+        for stats, profile, units in run_world(2, body, backend="gloo"):
+            assert isinstance(profile, IterationProfile)
+            assert sorted(b.bucket for b in profile.buckets) == list(range(units))
+            assert [b.bytes for b in sorted(profile.buckets, key=lambda b: b.bucket)] == (
+                stats["bucket_sizes_bytes"])
+            assert stats["profile"] == profile.summary(top=3)
+            assert stats["iterations_synced"] == 2
+            assert stats["num_buckets"] == units
+            assert 0.0 <= stats["comm_compute_overlap_ratio"] <= 1.0
 
     def test_peak_memory_beats_ddp_at_world_4(self):
         """The acceptance crossover: measured per-rank peak bytes of

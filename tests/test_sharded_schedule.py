@@ -1,5 +1,6 @@
 """The ZeRO-3 runtime schedule: block units, pipelined gathers, one
-gradient copy per unit (``repro.sharded.fsdp`` + ``repro.sharded.wrapper``).
+gradient copy per unit (``repro.sharded.fsdp`` on the launch frontier
+of ``repro.core.reducer``).
 
 What is pinned here, beyond the parity suites of ``test_sharded.py``:
 
@@ -489,7 +490,7 @@ def _walk_bytes(fsdp):
             arrays.append(param.grad.data)
     arrays.extend(buffer.data for buffer in fsdp.module.buffers())
     arrays.extend(fsdp._unit_flats)
-    arrays.extend(fsdp._grad_flats)
+    arrays.extend(bucket.flat for bucket in fsdp.reducer.buckets)
     for shard in fsdp.optimizer.shards:
         arrays.append(shard.data)
         if shard.grad is not None:

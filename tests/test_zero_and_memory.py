@@ -1,13 +1,13 @@
-"""ZeRO-style sharded optimizer and the §7 memory model."""
+"""ZeRO-1's sharded optimizer and the §7 memory model."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.baselines import ZeroRedundancyOptimizer
 from repro.core import DistributedDataParallel
 from repro.optim import SGD, Adam
+from repro.sharded import ShardedOptimizer
 from repro.simulation.memory import memory_breakdown, memory_report
 from repro.simulation.models import bert_profile, resnet50_profile
 
@@ -27,11 +27,16 @@ def _train(rank, make_optimizer, iters=5):
     for _ in range(iters):
         optimizer.zero_grad()
         loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
+        if isinstance(optimizer, ShardedOptimizer):
+            optimizer.set_grads_from_params()  # DDP averaged the full gradients
         optimizer.step()
     return ddp.state_dict(), optimizer
 
 
 class TestZeroRedundancyOptimizer:
+    """ZeRO-1 (the Zero Redundancy Optimizer's first stage) is DDP plus a
+    :class:`ShardedOptimizer` over flat spans."""
+
     def test_equivalent_to_replicated_momentum_sgd(self):
         """Sharded optimizer states + owner broadcasts == replicated
         optimizers, exactly (the ZeRO stage-1 guarantee)."""
@@ -42,8 +47,8 @@ class TestZeroRedundancyOptimizer:
 
         def sharded(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
-                    ddp.parameters(),
+                return ShardedOptimizer(
+                    list(ddp.parameters()),
                     lambda shard: SGD(shard, lr=0.05, momentum=0.9),
                     ddp.process_group,
                 )
@@ -64,8 +69,8 @@ class TestZeroRedundancyOptimizer:
 
         def sharded(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
-                    ddp.parameters(),
+                return ShardedOptimizer(
+                    list(ddp.parameters()),
                     lambda shard: Adam(shard, lr=0.01),
                     ddp.process_group,
                 )
@@ -81,8 +86,8 @@ class TestZeroRedundancyOptimizer:
     def test_state_is_actually_sharded(self):
         def body(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
-                    ddp.parameters(),
+                return ShardedOptimizer(
+                    list(ddp.parameters()),
                     lambda shard: SGD(shard, lr=0.05, momentum=0.9),
                     ddp.process_group,
                 )
@@ -101,28 +106,25 @@ class TestZeroRedundancyOptimizer:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(model)
-            zro = ZeroRedundancyOptimizer(
-                ddp.parameters(), lambda s: SGD(s, lr=0.1), ddp.process_group
+            zro = ShardedOptimizer(
+                list(ddp.parameters()), lambda s: SGD(s, lr=0.1), ddp.process_group
             )
-            return tuple(sorted(zro.owner_of.items()))
+            return zro.layout.spans
 
-        maps = run_world(2, body, backend="gloo")
-        assert maps[0] == maps[1]
+        spans = run_world(2, body, backend="gloo")
+        assert spans[0] == spans[1]
 
     def test_owner_map_balances_sizes(self):
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(model)
-            zro = ZeroRedundancyOptimizer(
-                ddp.parameters(), lambda s: SGD(s, lr=0.1), ddp.process_group
+            zro = ShardedOptimizer(
+                list(ddp.parameters()), lambda s: SGD(s, lr=0.1), ddp.process_group
             )
-            loads = [0, 0]
-            for index, owner in zro.owner_of.items():
-                loads[owner] += zro.params[index].numel()
-            return loads
+            return zro.shard_numel()
 
-        loads = run_world(2, body, backend="gloo")[0]
-        assert max(loads) < 2.5 * min(loads)
+        loads = run_world(2, body, backend="gloo")
+        assert max(loads) - min(loads) <= 1  # flat spans split to ±1 element
 
     def test_empty_params_rejected(self):
         class _PG:
@@ -130,7 +132,7 @@ class TestZeroRedundancyOptimizer:
             group_rank = 0
 
         with pytest.raises(ValueError):
-            ZeroRedundancyOptimizer([], lambda s: None, _PG())
+            ShardedOptimizer([], lambda s: None, _PG())
 
 
 class TestMemoryModel:
