@@ -11,10 +11,10 @@ attached:
 * the critical-path profiler's per-bucket blame table for the last
   iteration (where did the wall time go: prepare, backward, exposed
   communication, finalize) and the cross-rank straggler summary;
-* the merged Chrome trace (``observatory_timeline.json``): telemetry
-  spans, flight-recorder collective lifecycles (enable with
-  ``REPRO_DEBUG=INFO``), and resilience instants in one timeline —
-  load it at https://ui.perfetto.dev.
+* the merged Chrome trace (``observatory_timeline.json``): the
+  ``compute`` and ``comm`` rows, each collective's scheduled → finished
+  lifecycle on a ``flight`` row, and resilience instants, all drawn
+  from the per-rank record rings — load it at https://ui.perfetto.dev.
 
 The script validates its own outputs (series present, exposition
 scrapes, attribution sums to the iteration wall time, trace parses) so

@@ -3,7 +3,7 @@
 Enables ``repro.telemetry``, trains a small MLP on rank threads, then:
 
 * exports a Chrome trace (``telemetry_trace.json``) with one process
-  per rank and compute/comm/transport rows — load it in Perfetto
+  per rank and compute/comm rows — load it in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``;
 * prints ``ddp_stats()`` (bucket layout, overlap ratio, per-bucket
   AllReduce latency) and the merged cross-rank metric counters;
@@ -73,7 +73,7 @@ def validate_trace(path: str) -> dict:
     }
     for rank, cats in cats_by_rank.items():
         assert "comm" in cats, f"rank {rank} has no comm rows"
-        assert {"compute", "iteration"} & cats, f"rank {rank} has no compute spans"
+        assert {"compute", "iteration"} & cats, f"rank {rank} has no compute rows"
     # every gradient AllReduce falls inside some iteration window on its
     # rank (construction-time broadcasts legitimately precede iteration 0)
     iterations = [e for e in complete if e["cat"] == "iteration"]
@@ -97,7 +97,7 @@ def main() -> None:
     telemetry.export_chrome_trace(trace_path)
     summary = validate_trace(trace_path)
     print(f"chrome trace: {trace_path} "
-          f"({summary['events']} spans from {summary['ranks']} ranks) — "
+          f"({summary['events']} bars from {summary['ranks']} ranks) — "
           "open it in https://ui.perfetto.dev\n")
 
     stats, straggler = results[0]

@@ -25,15 +25,15 @@ Config application happens only at this **safe iteration boundary**
 (reducer finalized, every ``Work`` waited, before the next forward):
 bucket relayouts go through the no-op-aware ``rebuild_buckets`` (which
 also resets a stateful comm hook), chunk and algorithm switches through
-the group's setters.  Every applied change is annotated on the
-merged trace (an ``autotune`` instant span), so retune
-decisions are visible on the timeline next to their effect.
+the group's setters.  Under telemetry every applied change is an
+``autotune.retune`` incident on the rank's ring — an instant on the
+trace's ``autotune`` row — so retune decisions are visible on the
+timeline next to their effect.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
 import weakref
 from typing import List, Optional
 
@@ -42,7 +42,7 @@ import numpy as np
 from repro.comm import algorithms, backends
 from repro.comm.process_group import ReduceOp
 from repro.core.comm_hooks import make_hook
-from repro.telemetry.spans import TRACER
+from repro.debug.flight_recorder import record_incident
 from repro.utils.logging import logger
 
 from repro.autotune.knobs import TunedConfig, clamp_config, knob_table, validate_config
@@ -212,26 +212,15 @@ class Autotuner:
                 "config": config.as_dict(),
             }
         )
-        self._annotate(group, config, changes)
+        # An instant on the trace's ``autotune`` row, next to its effect.
+        record_incident(group.global_rank, "autotune.retune", "autotune",
+                        changes=changes, state=self.policy.state,
+                        config=config.describe())
         logger.info(
             "autotune: applied %s -> %s (state %s)",
             ",".join(changes),
             config.describe(),
             self.policy.state,
-        )
-
-    def _annotate(self, group, config: TunedConfig, changes: list) -> None:
-        """Make the retune visible on the merged timeline."""
-        rank = group.global_rank
-        now = time.perf_counter()
-        args = {
-            "changes": changes,
-            "state": self.policy.state,
-            "config": config.describe(),
-        }
-        TRACER.record(
-            "autotune.retune", now, now, cat="autotune", stream="autotune",
-            rank=rank, args=args,
         )
 
     # ------------------------------------------------------------------

@@ -63,7 +63,7 @@ from repro.checkpoint.manifest import (
 from repro.checkpoint.payload import full_payload, install_full
 from repro.checkpoint.reshard import load_shard_payloads, shard_payload
 from repro.comm.transport import TransportTimeoutError
-from repro.telemetry.spans import TRACER
+from repro.debug.flight_recorder import record_incident
 from repro.utils.logging import logger
 
 #: How long a replica receiver blocks on the hub before re-checking
@@ -80,14 +80,6 @@ def stats_for(rank: int) -> Optional[dict]:
     ``ddp_stats()["checkpoint"]`` section), or None."""
     engine = _ENGINES.get(rank)
     return engine.stats() if engine is not None else None
-
-
-def _record_span(name: str, t_start: float, t_end: float, rank: int, **args) -> None:
-    if TRACER.enabled:
-        TRACER.record(
-            name, t_start, t_end, cat="checkpoint", stream="checkpoint",
-            rank=rank, args=args or None,
-        )
 
 
 class _SaveJob(NamedTuple):
@@ -273,8 +265,8 @@ class CheckpointEngine:
             self._stats["saves"] += 1
             self._stats["snapshot_s"] += t1 - t0
             self._stats["last_generation"] = manifest.generation
-        _record_span(
-            "checkpoint.snapshot", t0, t1, self.rank,
+        record_incident(
+            self.rank, "checkpoint.snapshot", "checkpoint", t0, t1,
             generation=manifest.generation, mode=manifest.mode,
         )
         return manifest.generation
@@ -323,8 +315,8 @@ class CheckpointEngine:
             self._stats["serialize_s"] += t_wr - t_ser
             self._stats["write_s"] += t_done - t_wr
             self._stats["bytes_written"] += written
-        _record_span(
-            "checkpoint.write", t_ser, t_done, self.rank,
+        record_incident(
+            self.rank, "checkpoint.write", "checkpoint", t_ser, t_done,
             generation=job.manifest.generation, bytes=written,
         )
         self._replicate(job, wire_files)
@@ -362,8 +354,9 @@ class CheckpointEngine:
             with self._lock:
                 self._stats["replicas_sent"] += 1
                 self._stats["replica_bytes_sent"] += nbytes
-        _record_span(
-            "checkpoint.replicate", t0, time.perf_counter(), self.rank,
+        record_incident(
+            self.rank, "checkpoint.replicate", "checkpoint",
+            t0, time.perf_counter(),
             generation=job.manifest.generation, buddies=len(self.buddies()),
         )
 
@@ -406,8 +399,9 @@ class CheckpointEngine:
             self._stats["replication_lag_max_s"] = max(
                 self._stats["replication_lag_max_s"], lag
             )
-        _record_span(
-            "checkpoint.replica_recv", t0, time.perf_counter(), self.rank,
+        record_incident(
+            self.rank, "checkpoint.replica_recv", "checkpoint",
+            t0, time.perf_counter(),
             owner=owner, generation=generation, lag_s=round(lag, 6),
         )
 

@@ -43,7 +43,6 @@ from repro.comm.transport import (
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
-from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
 
@@ -411,7 +410,7 @@ class ProcessGroup:
 
     def _worker_loop(self) -> None:
         # Worker threads carry the owning rank's identity so telemetry
-        # spans and log records from inside collectives attribute
+        # and log records from inside collectives attribute
         # correctly (the rank contextvar does not cross thread spawns).
         set_current_rank(self.global_rank)
         while True:
@@ -436,7 +435,7 @@ class ProcessGroup:
         record = work.record
         self._executing[work] = time.perf_counter()
         stalls = None
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             stalls = algorithms.executing.stalls = {}
         error: Optional[BaseException] = None
         try:
@@ -466,7 +465,7 @@ class ProcessGroup:
             self._fault_plan.on_collective(
                 self.global_rank, record.op, record.seq, self._group_id
             )
-        if DEBUG.level or TRACER.enabled:
+        if DEBUG.level or DEBUG.telemetry:
             recorder_for(self.global_rank).add(record)
         if DEBUG.level >= DETAIL:
             self.store.set(self._detail_key(record.seq, self.global_rank), signature)

@@ -32,8 +32,8 @@ from collections import deque
 from typing import Any, Dict, Hashable, NamedTuple, Sequence, Tuple
 
 from repro.comm.gates import NOTHING, KeyedGates, open_gates
+from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
-from repro.telemetry.spans import TRACER
 
 
 class TransportTimeoutError(TimeoutError):
@@ -163,39 +163,22 @@ class TransportHub:
             self.messages_sent[src] += len(dsts)
             self.bytes_sent[src] += nbytes * len(dsts)
         open_gates(parked)
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry = registry_for(src)
             registry.counter("transport.messages_sent").add(len(dsts))
             registry.counter("transport.bytes_sent").add(nbytes * len(dsts))
 
     def recv(self, dst: int, src: int, tag: Hashable, timeout: float | None = None) -> Any:
-        """Block until a message matching (src, dst, tag) arrives.
-
-        With telemetry enabled, the blocked interval is recorded as a
-        ``transport.recv`` span on the *receiver's* timeline — the
-        dependency-stall picture of who waits on whom.
-        """
+        """Block until a message matching (src, dst, tag) arrives."""
         self._check_rank(src)
         self._check_rank(dst)
         deadline = timeout if timeout is not None else self.default_timeout
         key = (src, dst, tag)
-        traced = TRACER.enabled
-        t_start = time.perf_counter() if traced else 0.0
         payload = self._wait_one(key, deadline)
         if payload is _NOTHING:
             raise TransportTimeoutError(
                 f"rank {dst} timed out waiting for message from rank {src} "
                 f"tag {tag!r} after {deadline}s (peer rank diverged or hung?)"
-            )
-        if traced:
-            TRACER.record(
-                "transport.recv",
-                t_start,
-                time.perf_counter(),
-                cat="transport",
-                stream="transport",
-                rank=dst,
-                args={"src": src, "bytes": int(getattr(payload, "nbytes", 0))},
             )
         return payload
 

@@ -20,6 +20,7 @@ overlapped AllReduce during backward.
 from __future__ import annotations
 
 import contextlib
+import time
 from typing import Optional
 
 from repro.comm.distributed import get_context
@@ -33,7 +34,6 @@ from repro.core.reducer import CommHook, Reducer
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG, DETAIL, INFO, debug_level_name
 from repro.nn.module import Module
-from repro.telemetry import spans as _spans
 from repro.utils.units import MB
 
 
@@ -339,14 +339,10 @@ class DistributedDataParallel(Module):
             # be re-aligned to rank 0 before this forward (§4.1).
             if self.broadcast_buffers:
                 self._broadcast_buffers_now()
-        with _spans.span(
-            "ddp.forward",
-            iteration=self.reducer.iterations_synced,
-            sync=self._sync_enabled,
-        ):
-            out = self.module(*inputs, **kwargs)
+        t_forward = time.perf_counter()
+        out = self.module(*inputs, **kwargs)
         if self._sync_enabled:
-            self.reducer.prepare_for_backward(out)
+            self.reducer.prepare_for_backward(out, t_forward)
             self._did_sync_last_backward = True
         else:
             self._did_sync_last_backward = False

@@ -58,7 +58,6 @@ from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.recorder import IterationRecorder
-from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 
 
@@ -294,13 +293,15 @@ class Reducer:
     # ------------------------------------------------------------------
     # iteration lifecycle
     # ------------------------------------------------------------------
-    def prepare_for_backward(self, outputs) -> None:
+    def prepare_for_backward(self, outputs, t_forward: Optional[float] = None) -> None:
         """Arm the reducer for the next backward pass (Algorithm 1 line 10).
 
         With ``find_unused_parameters`` the autograd graph is traversed
         from ``outputs`` (the forward's result, nested in any way) and
         parameters outside it are marked ready immediately, contributing
         zeros, so their absence cannot hang the bucket (Fig. 3(b)).
+        ``t_forward`` (``perf_counter``) is when that forward began; the
+        iteration's stamps keep it for the trace's ``forward`` bar.
         """
         if not self._finalized:
             raise ReducerError(
@@ -318,7 +319,7 @@ class Reducer:
         self._finalized = False
         self._expect_hooks = True
         self.last_unused_parameter_count = 0
-        self.recorder.start_iteration(self.iterations_synced)
+        self.recorder.start_iteration(self.iterations_synced, t_forward)
 
         if self.find_unused_parameters:
             participating = collect_participating_accumulators(_flatten_outputs(outputs))
@@ -341,7 +342,7 @@ class Reducer:
             self.order_tracer.record(index)
         if self.recorder.t_first_grad is None:
             self.recorder.mark_first_grad()
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry_for(self.recorder.rank).counter("hook.fire_count").add(1)
         self._mark_ready(index, unused=False, in_place=accumulator.in_place)
 
@@ -497,7 +498,7 @@ class Reducer:
             return
         bucket.launched = True
         self.recorder.bucket_launched(bucket.spec.index, bucket.nbytes)
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry_for(self.recorder.rank).counter("bucket.launches").add(1)
         logger.debug(
             "launch bucket %d (%d elements)",
@@ -660,7 +661,7 @@ class Reducer:
             return
         self._install_layout(bucket_specs)
         reset_hook(self.comm_hook)
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry_for(self.recorder.rank).counter("reducer.rebuilds").add(1)
 
     def detach_hooks(self) -> None:

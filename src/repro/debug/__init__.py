@@ -8,8 +8,10 @@ NCCL hang.  This package turns that hang into a diagnosis:
   :class:`CollectiveRecord` every collective's ``Work`` carries (seq,
   op, group, payload fingerprint, caller context,
   scheduled/started/completed timestamps) and the per-rank bounded ring
-  buffer that retains them, with JSON dump and a cross-rank "last N
-  collectives per rank" table.
+  buffer that retains them beside the rank's finished iterations and,
+  under telemetry, its incidents (the one event store every telemetry
+  view reads), with JSON dump and a cross-rank "last N collectives per
+  rank" table.
 * :mod:`~repro.debug.watchdog` — per-``ProcessGroup`` thread that, when
   a collective exceeds the hang threshold, gathers every rank's flight
   recorder tail through the rendezvous store and fails the run with a

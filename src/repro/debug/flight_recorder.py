@@ -22,8 +22,12 @@ agrees on because collectives are issued in the same order everywhere
 (paper §3.3) — and the Chrome trace's ``comm`` row reads them too.
 Under the same gate each ring also keeps its rank's finished DDP
 iterations, which the critical-path profiler and the trace's compute
-row read.  The metric series those records imply are not written while
-training: a read folds them out of the ring
+row read.  While telemetry is on, a third deque keeps the rank's
+*incidents* — the events that are not collectives or iterations:
+resilience instants, heartbeats, autotuner retunes and checkpoint
+phases — which the trace's other rows and the health engine's storm
+attribution read.  The metric series those records imply are not
+written while training: a read folds them out of the ring
 (:func:`repro.telemetry.health.accounting.fold`), and the ring keeps
 the fold's place.  All rank threads share one ``perf_counter`` clock,
 so the stitched order is causal, not approximate.
@@ -36,12 +40,16 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
+
+from repro.debug.levels import DEBUG
 
 #: Records retained per rank before the ring drops the oldest.
 DEFAULT_CAPACITY = 2048
 #: Finished DDP iterations retained per rank.
 ITERATION_CAPACITY = 1024
+#: Incidents retained per rank.
+INCIDENT_CAPACITY = 65536
 
 # Lifecycle states.
 SCHEDULED = "scheduled"
@@ -198,6 +206,29 @@ class CollectiveRecord:
         return f"<CollectiveRecord {self.describe()} {self.state}>"
 
 
+class Incident(NamedTuple):
+    """One timeline event that is neither a collective nor an iteration:
+    drawn on trace row ``row`` as an instant (``t_end`` None) or as a
+    bar (``perf_counter`` seconds)."""
+
+    name: str
+    row: str
+    t_start: float
+    t_end: Optional[float]
+    args: dict
+
+
+def record_incident(rank: int, name: str, row: str, t_start: Optional[float] = None,
+                    t_end: Optional[float] = None, **args) -> None:
+    """Retain an incident on ``rank``'s ring while telemetry is on (a
+    no-op otherwise).  ``t_start`` defaults to now; an interval's
+    stamps may be taken early and recorded once it has ended."""
+    if DEBUG.telemetry:
+        if t_start is None:
+            t_start = time.perf_counter()
+        recorder_for(rank).add_incident(Incident(name, row, t_start, t_end, args))
+
+
 class _Kept:
     """One bounded deque of a ring, and how far reads have folded it.
 
@@ -238,9 +269,10 @@ class FlightRecorder:
     lock guards the ring itself.  Beside it, under the same retention
     gate, a second bounded deque keeps the rank's finished DDP
     iterations (the reducer's ``IterationRecorder`` stamps, which build
-    their ``IterationProfile`` on first read); ``depth()`` and the dumps
-    count collective records only.  Both keep the fold's place
-    (:meth:`unfolded`).
+    their ``IterationProfile`` on first read), and a third the incidents
+    (:class:`Incident`) recorded under telemetry; ``depth()`` and the
+    dumps count collective records only.  The first two keep the fold's
+    place (:meth:`unfolded`).
     """
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
@@ -255,6 +287,7 @@ class FlightRecorder:
     def _reset(self) -> None:
         self._records = _Kept(self.capacity, lambda record: record.stalls is not None)
         self._iterations = _Kept(ITERATION_CAPACITY, lambda stamps: stamps.traced)
+        self._incidents: deque = deque(maxlen=INCIDENT_CAPACITY)
         #: Records a read took before their executing thread was done.
         self._waiting: List[tuple] = []
 
@@ -272,6 +305,11 @@ class FlightRecorder:
         """Retain one finished iteration's stamps (oldest dropped when full)."""
         with self._lock:
             self._iterations.append(stamps)
+
+    def add_incident(self, incident: Incident) -> None:
+        """Retain one incident (oldest dropped when full)."""
+        with self._lock:
+            self._incidents.append(incident)
 
     def unfolded(self) -> tuple:
         """What no read has folded yet; call under :attr:`fold_lock`.
@@ -301,6 +339,11 @@ class FlightRecorder:
         """The retained iterations' stamps, oldest first."""
         with self._lock:
             return list(self._iterations.items)
+
+    def incidents(self) -> List[Incident]:
+        """The retained incidents, oldest first."""
+        with self._lock:
+            return list(self._incidents)
 
     # -- introspection --------------------------------------------------
     def depth(self) -> int:

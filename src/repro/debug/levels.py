@@ -12,6 +12,11 @@ single attribute check while debugging is off.
 * ``DETAIL`` — everything above, plus per-rank signature publication
   (cross-rank fingerprint diffs on mismatch) and a post-broadcast
   parameter *value* check at DDP construction.
+
+Beside the level sits the one telemetry flag, ``DEBUG.telemetry``
+(``repro.telemetry.enable()`` / ``disable()``; ``REPRO_TELEMETRY=1`` at
+import).  Every retention gate reads this one state:
+``DEBUG.level or DEBUG.telemetry`` keeps records in the rank's ring.
 """
 
 from __future__ import annotations
@@ -31,12 +36,14 @@ _NAME_LEVELS = {
 
 
 class _DebugState:
-    """Process-wide debug level; ``DEBUG.level`` is the one-branch gate."""
+    """Process-wide debug level and telemetry flag; ``DEBUG.level`` and
+    ``DEBUG.telemetry`` are the one-branch gates."""
 
-    __slots__ = ("level",)
+    __slots__ = ("level", "telemetry")
 
-    def __init__(self, level: int = OFF):
+    def __init__(self, level: int = OFF, telemetry: bool = False):
         self.level = level
+        self.telemetry = telemetry
 
 
 def _parse(value) -> int:
@@ -66,7 +73,10 @@ def _parse_env() -> int:
         return OFF
 
 
-DEBUG = _DebugState(_parse_env())
+DEBUG = _DebugState(
+    _parse_env(),
+    os.environ.get("REPRO_TELEMETRY", "").lower() in ("1", "true", "on", "yes"),
+)
 
 
 def set_debug_level(level) -> int:

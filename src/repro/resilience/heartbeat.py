@@ -19,7 +19,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.telemetry.spans import TRACER
+from repro.debug.flight_recorder import record_incident
 
 
 def heartbeat_key(namespace: str, rank: int) -> str:
@@ -63,14 +63,9 @@ class Heartbeat:
             heartbeat_key(self.namespace, self.rank),
             {"beat": self.beats, "time": time.monotonic()},
         )
-        if TRACER.enabled:
-            # Instant marker on the merged timeline's resilience row.
-            now = time.perf_counter()
-            TRACER.record(
-                "heartbeat", now, now, cat="resilience", stream="resilience",
-                rank=self.rank,
-                args={"beat": self.beats, "namespace": self.namespace},
-            )
+        # Instant marker on the trace's resilience row.
+        record_incident(self.rank, "heartbeat", "resilience",
+                        beat=self.beats, namespace=self.namespace)
 
     def start(self) -> "Heartbeat":
         """Publish a first beat and start the background thread."""

@@ -29,9 +29,11 @@ the in-process wire, the way TCP layers reliability over lossy IP:
   fails fast rather than retrying forever.
 
 Retry / retransmit / dedup / corruption counters are kept per receiving
-rank, mirrored into telemetry (``transport.retries`` etc.) when tracing
-is enabled, and surfaced through ``ddp_stats()["resilience"]`` and the
-``resilience`` markers of the merged trace.
+rank, mirrored into telemetry (``transport.retries`` etc.) while it is
+on, and surfaced through ``ddp_stats()["resilience"]``.  Under
+telemetry each event is also an incident on the receiving rank's ring:
+an instant on the trace's ``resilience`` row, and — by its ``src`` —
+the source edge the health engine blames for a retransmit storm.
 
 The plain :class:`~repro.comm.transport.TransportHub` remains the
 default — the reliable hub costs one checksum per message and is opted
@@ -56,8 +58,9 @@ from repro.comm.transport import (
     TransportTimeoutError,
     _NOTHING,
 )
+from repro.debug.flight_recorder import record_incident
+from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
-from repro.telemetry.spans import TRACER
 
 #: Per-stream retransmit buffer depth (messages retained until acked).
 SEND_LOG_CAPACITY = 512
@@ -124,20 +127,6 @@ class _Envelope:
 
     def __repr__(self) -> str:
         return f"<Envelope seq={self.seq} nbytes={self.nbytes}>"
-
-
-def _mark(rank: int, event: str, **args: Any) -> None:
-    """Drop a zero-duration resilience span on ``rank``'s timeline.
-
-    The merged Chrome trace (``export_merged_trace``) renders these as
-    instant markers on a dedicated ``resilience`` row, lined up under
-    the collective they delayed, and the health engine attributes
-    retransmit storms to their source edge by the ``src`` of these
-    spans.  Callers gate on ``TRACER.enabled``.
-    """
-    now = time.perf_counter()
-    TRACER.record(event, now, now, cat="resilience", stream="resilience",
-                  rank=rank, args=args)
 
 
 def _collective_key(tag: Hashable) -> Hashable:
@@ -250,9 +239,9 @@ class ReliableTransportHub(TransportHub):
             self._deposit(src, (dst,), tag, _Envelope(seq, item, envelope.checksum))
         with self._stats_lock:
             self.retransmits[dst] += 1
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry_for(dst).counter("transport.retransmits").add(1)
-            _mark(dst, "retransmit", seq=seq, src=src)
+            record_incident(dst, "retransmit", "resilience", seq=seq, src=src)
         return True
 
     # -- receiving ------------------------------------------------------
@@ -270,9 +259,10 @@ class ReliableTransportHub(TransportHub):
                 used = 0
             used += 1
             self._budget_used[ckey] = used
-        if TRACER.enabled:
+        if DEBUG.telemetry:
             registry_for(dst).counter("transport.retries").add(1)
-            _mark(dst, "retry", collective=repr(_collective_key(tag)), used=used)
+            record_incident(dst, "retry", "resilience",
+                            collective=repr(_collective_key(tag)), used=used)
         return used
 
     def recv(self, dst: int, src: int, tag: Hashable, timeout: float | None = None) -> Any:
@@ -308,8 +298,6 @@ class ReliableTransportHub(TransportHub):
         policy = self.retry
         total = timeout if timeout is not None else self.default_timeout
         deadline = time.perf_counter() + total
-        traced = TRACER.enabled
-        t_start = time.perf_counter() if traced else 0.0
         retries_here = 0
         backoff = policy.base_backoff
 
@@ -318,20 +306,6 @@ class ReliableTransportHub(TransportHub):
                 expected = self._recv_next.get(key, 1)
                 self._recv_next[key] = expected + 1
                 self._acked[key] = expected
-            if traced:
-                TRACER.record(
-                    "transport.recv",
-                    t_start,
-                    time.perf_counter(),
-                    cat="transport",
-                    stream="transport",
-                    rank=dst,
-                    args={
-                        "src": src,
-                        "bytes": int(getattr(payload, "nbytes", 0)),
-                        "retries": retries_here,
-                    },
-                )
             return payload
 
         while True:
@@ -376,9 +350,10 @@ class ReliableTransportHub(TransportHub):
             if envelope.seq < expected:
                 with self._stats_lock:
                     self.duplicates_dropped[dst] += 1
-                if TRACER.enabled:
+                if DEBUG.telemetry:
                     registry_for(dst).counter("transport.duplicates_dropped").add(1)
-                    _mark(dst, "duplicate_dropped", seq=envelope.seq, src=src)
+                    record_incident(dst, "duplicate_dropped", "resilience",
+                                    seq=envelope.seq, src=src)
                 continue
             if (
                 policy.verify_checksums
@@ -387,9 +362,10 @@ class ReliableTransportHub(TransportHub):
             ):
                 with self._stats_lock:
                     self.corrupt_detected[dst] += 1
-                if TRACER.enabled:
+                if DEBUG.telemetry:
                     registry_for(dst).counter("transport.corrupt_detected").add(1)
-                    _mark(dst, "corrupt_detected", seq=envelope.seq, src=src)
+                    record_incident(dst, "corrupt_detected", "resilience",
+                                    seq=envelope.seq, src=src)
                 self._retransmit(key, envelope.seq)
                 continue
             if envelope.seq > expected:

@@ -10,6 +10,7 @@ and the checkpoint calls.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Optional
 
 from repro.checkpoint import payload
@@ -65,8 +66,9 @@ class ShardedWrapper(Module):
     def forward(self, *inputs, **kwargs):
         """Drop an unfinished iteration, run the module, arm the reducer."""
         self.reducer.discard_iteration()
+        t_forward = time.perf_counter()
         out = self.module(*inputs, **kwargs)
-        self.reducer.prepare_for_backward(out)
+        self.reducer.prepare_for_backward(out, t_forward)
         return out
 
     def zero_grad(self) -> None:

@@ -9,9 +9,6 @@ threaded ``Reducer``/``ProcessGroup`` path:
 * :mod:`~repro.telemetry.metrics` — per-rank counters/gauges/histograms
   with snapshot + cross-rank merge (``allreduce.bytes``,
   ``bucket.ready_to_launch_delay``, ``hook.fire_count``, ...).
-* :mod:`~repro.telemetry.spans` — low-overhead span tracer: per-rank
-  ring buffers, context-manager and explicit begin/end forms, one-branch
-  no-op fast path while disabled.
 * :mod:`~repro.telemetry.recorder` — the reducer's one record per
   iteration: the phase stamps and per-bucket ready→launch→comm
   intervals, served as the ``IterationProfile`` that ``ddp_stats()``,
@@ -19,11 +16,17 @@ threaded ``Reducer``/``ProcessGroup`` path:
 * :mod:`~repro.telemetry.chrome_trace` — measured-timeline export in
   the Trace Event Format (one ``pid`` per rank, compute vs. comm
   ``tid`` rows), directly comparable with the simulator's exporter.
+  It reads only the per-rank flight-recorder rings
+  (:mod:`repro.debug.flight_recorder`): collective records, finished
+  iterations and incidents (resilience, autotune and checkpoint events)
+  are the one event model every view draws from.
 * :mod:`~repro.telemetry.straggler` — cross-rank AllGather of timing
   samples with outlier flagging.
 
-Telemetry is **off by default** and costs one attribute check per
-instrumentation site while off.  Turn it on with::
+Telemetry is **off by default** and costs one attribute check
+(``DEBUG.telemetry``, beside ``DEBUG.level`` in
+:mod:`repro.debug.levels`) per instrumentation site while off.  Turn it
+on with::
 
     from repro import telemetry
     telemetry.enable()              # or REPRO_TELEMETRY=1 in the env
@@ -39,9 +42,8 @@ walkthrough.
 
 from __future__ import annotations
 
-import os
-
 from repro.debug.flight_recorder import clear_recorders
+from repro.debug.levels import DEBUG
 from repro.telemetry.chrome_trace import (
     export_chrome_trace,
     export_merged_trace,
@@ -59,17 +61,6 @@ from repro.telemetry.metrics import (
     registry_for,
 )
 from repro.telemetry.recorder import IterationRecorder, work_interval
-from repro.telemetry.spans import (
-    Span,
-    SpanRecord,
-    SpanTracer,
-    begin,
-    disable,
-    enable,
-    get_tracer,
-    is_enabled,
-    span,
-)
 from repro.telemetry.straggler import StragglerReport, detect_stragglers
 from repro.telemetry import health
 from repro.telemetry.health import (
@@ -96,10 +87,23 @@ def get_metrics(rank=None) -> MetricsRegistry:
     return registry_for(rank)
 
 
+def is_enabled() -> bool:
+    return DEBUG.telemetry
+
+
+def enable() -> None:
+    """Turn on telemetry recording (idempotent)."""
+    DEBUG.telemetry = True
+
+
+def disable() -> None:
+    """Stop recording; what was captured remains until ``reset()``."""
+    DEBUG.telemetry = False
+
+
 def reset() -> None:
-    """Drop every recorded span, metric, retained collective record and
-    retained iteration profile (enabled state unchanged)."""
-    get_tracer().clear()
+    """Drop every metric, retained collective record, retained iteration
+    and incident (enabled state unchanged)."""
     clear_all_registries()
     clear_recorders()
 
@@ -115,13 +119,9 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "PrometheusExporter",
-    "Span",
-    "SpanRecord",
-    "SpanTracer",
     "StragglerReport",
     "all_snapshots",
     "analyze_snapshots",
-    "begin",
     "clear_all_registries",
     "detect_stragglers",
     "disable",
@@ -129,7 +129,6 @@ __all__ = [
     "export_chrome_trace",
     "export_merged_trace",
     "get_metrics",
-    "get_tracer",
     "health",
     "health_report",
     "is_enabled",
@@ -142,15 +141,12 @@ __all__ = [
     "render_diagnoses",
     "reset",
     "seq_frontier",
-    "span",
     "start_exporter",
     "trace_events",
     "work_interval",
 ]
 
-if os.environ.get("REPRO_TELEMETRY", "").lower() in ("1", "true", "on", "yes"):
-    enable()
-
-# REPRO_METRICS_PORT=<port> serves /metrics for the whole run (and
-# implies telemetry on — a scrape endpoint without data is useless).
+# REPRO_TELEMETRY=1 turned DEBUG.telemetry on when repro.debug.levels was
+# imported.  REPRO_METRICS_PORT=<port> serves /metrics for the whole run
+# (and implies telemetry on — a scrape endpoint without data is useless).
 maybe_start_from_env()

@@ -3,26 +3,28 @@
 The simulator already exports its predicted timeline in the Trace Event
 Format (``repro.simulation.trace``).  This module emits the **measured**
 timeline of a real threaded run in the same format — one ``pid`` per
-rank, separate ``tid`` rows for compute vs. communication vs. transport
-streams — so a measured trace and a simulated trace of the same model
-drop into Perfetto side by side and the paper's Fig. 4 overlap picture
-can be compared prediction-vs-reality.
+rank, separate ``tid`` rows for compute vs. communication — so a
+measured trace and a simulated trace of the same model drop into
+Perfetto side by side and the paper's Fig. 4 overlap picture can be
+compared prediction-vs-reality.
 
-Two stores feed it: the span tracer (forward, transport, resilience,
-... rows) and the flight recorder's per-rank rings, from which the
-export draws the ``comm`` row — one ``op#seq`` bar per
-:class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end —
-and the reducer's phases on the ``compute`` row, per iteration
-finished under telemetry.  All ranks share one process clock
-(``perf_counter``), so cross-rank alignment is exact; timestamps are
-rebased to the earliest one and expressed in microseconds, as the
-format requires.
+One store feeds it: each rank's flight-recorder ring
+(:mod:`repro.debug.flight_recorder`).  Its iterations finished under
+telemetry draw the ``compute`` row (the ``forward`` bar, the reducer's
+phases and the ``iteration N`` umbrella); its collective records draw
+the ``comm`` row — one ``op#seq`` bar per
+:class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end,
+with the receive waits the executing thread booked per source as the
+bar's ``stalls``; and its incidents draw the remaining rows —
+``resilience`` and ``autotune`` instants, ``checkpoint`` bars.  All
+ranks share one process clock (``perf_counter``), so cross-rank
+alignment is exact; timestamps are rebased to the earliest one and
+expressed in microseconds, as the format requires.
 
-:func:`merged_trace_events` widens the picture: the records' whole
-lifecycles (scheduled → finished) as a ``flight`` row, and
-:mod:`repro.resilience` retry/heartbeat spans as instant markers.
-Because every source stamps the same clock, a retransmit marker lines
-up exactly under the collective it delayed.
+:func:`merged_trace_events` adds the records' whole lifecycles
+(scheduled → finished) as a ``flight`` row.  Because every source stamps
+the same clock, a retransmit marker lines up exactly under the
+collective it delayed.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ import os
 from typing import Dict, List
 
 from repro.debug.flight_recorder import all_recorders
-from repro.telemetry.spans import TRACER
 
 #: Stable tid assignment so compute is always the top row per rank.
-_STREAM_ORDER = {"compute": 0, "comm": 1, "transport": 2,
-                 "resilience": 3, "flight": 4}
+_STREAM_ORDER = {"compute": 0, "comm": 1, "resilience": 2, "flight": 3}
 
 #: ``CollectiveRecord.as_dict`` fields a ``flight`` bar carries.
 _FLIGHT_ARGS = ("state", "group_id", "nbytes", "context", "error")
@@ -81,6 +81,9 @@ def _iteration_bars(stamps) -> List[tuple]:
               ("finalize(wait+copy_back)", stamps.t_all, stamps.t_done))
     bars = [(f"iteration {iteration}", "iteration", stamps.t_prepare, stamps.t_done,
              {"iteration": iteration, "overlap_ratio": round(stamps.comm_split()[2], 4)})]
+    if stamps.t_forward is not None:
+        bars.append(("forward", "compute", stamps.t_forward, stamps.t_prepare,
+                     {"iteration": iteration}))
     bars += [(name, "compute", start, end, {"iteration": iteration})
              for name, start, end in phases if end > start]
     sizes = {bucket: nbytes for bucket, nbytes, _, _ in stamps.comm}
@@ -91,20 +94,20 @@ def _iteration_bars(stamps) -> List[tuple]:
 
 
 def _timeline(merged: bool) -> List[dict]:
-    """Spans + the ``compute`` and ``comm`` rows drawn from the rings;
-    with ``merged``, also ``flight`` bars and resilience spans as
-    instants."""
-    spans = TRACER.spans()
+    """The rows drawn from the rings; with ``merged``, also ``flight``
+    bars."""
     rings = sorted(all_recorders().items())
+    incidents = [(rank, incident) for rank, ring in rings
+                 for incident in ring.incidents()]
     records = [(rank, record) for rank, ring in rings for record in ring.records()]
     ran = [(rank, record) for rank, record in records
            if record.t_start is not None and record.t_end is not None]
-    iterations = [(rank, stamps) for rank, ring in rings
-                  for stamps in ring.iterations() if stamps.traced]
+    bars = [(rank, bar) for rank, ring in rings for stamps in ring.iterations()
+            if stamps.traced for bar in _iteration_bars(stamps)]
     # One epoch across every source so the rows stay aligned.
-    starts = [span.t_start for span in spans]
+    starts = [incident.t_start for _, incident in incidents]
     starts.extend(record.t_start for _, record in ran)
-    starts.extend(stamps.t_prepare for _, stamps in iterations)
+    starts.extend(t_start for _, (_, _, t_start, _, _) in bars)
     if merged:
         starts.extend(record.t_sched for _, record in records)
     if not starts:
@@ -125,20 +128,17 @@ def _timeline(merged: bool) -> List[dict]:
             out["dur"] = max(0.0, t_end - t_start) * 1e6
         return out
 
-    events: List[dict] = []
-    for span in spans:
-        instant = merged and span.cat == "resilience"
-        events.append(event(
-            span.name, span.cat, span.rank, span.stream, span.t_start,
-            None if instant else span.t_end, dict(span.args) if span.args else {},
-        ))
-    for rank, stamps in iterations:
-        for name, cat, t_start, t_end, args in _iteration_bars(stamps):
-            events.append(event(name, cat, rank, "compute", t_start, t_end, args))
+    events = [event(incident.name, incident.row, rank, incident.row,
+                    incident.t_start, incident.t_end, dict(incident.args))
+              for rank, incident in incidents]
+    events += [event(name, cat, rank, "compute", t_start, t_end, args)
+               for rank, (name, cat, t_start, t_end, args) in bars]
     for rank, record in ran:
         args = record.facts()
         if record.error is not None:
             args["error"] = type(record.error).__name__
+        if record.stalls:
+            args["stalls"] = dict(record.stalls)
         events.append(event(record.name, "comm", rank, "comm",
                             record.t_start, record.t_end, args))
     if merged:
@@ -164,10 +164,10 @@ def _write(path: str, events: List[dict]) -> str:
 
 
 def trace_events() -> List[dict]:
-    """Trace Event Format records: every span, the reducer phases of
-    every iteration retained under telemetry on the ``compute`` row, and
-    one ``comm``-row bar per retained collective (``op#seq``, start →
-    end)."""
+    """Trace Event Format records: the forward and reducer phases of
+    every iteration retained under telemetry on the ``compute`` row, one
+    ``comm``-row bar per retained collective (``op#seq``, start → end),
+    and every retained incident on its own row."""
     return _timeline(merged=False)
 
 
@@ -181,18 +181,17 @@ def merged_trace_events() -> List[dict]:
 
     Per rank, all on the shared ``perf_counter`` clock:
 
-    * the rows :func:`trace_events` emits (spans, the iterations'
-      ``compute`` row and the ``comm`` row);
+    * the rows :func:`trace_events` emits (the iterations' ``compute``
+      row, the ``comm`` row, and the incidents: ``repro.resilience``
+      retries, retransmits, corruption drops and heartbeats as instant
+      (``ph: "i"``) markers on a ``resilience`` row, ...);
     * one ``flight`` bar per retained collective record, scheduled →
-      finished — the queueing the ``comm`` row does not show;
-    * ``repro.resilience`` spans (retries, retransmits, corruption
-      drops, heartbeats) rendered as instant (``ph: "i"``) markers on a
-      ``resilience`` row.
+      finished — the queueing the ``comm`` row does not show.
     """
     return _timeline(merged=True)
 
 
 def export_merged_trace(path: str) -> str:
-    """Write the merged (spans + comm + flight + resilience) timeline;
+    """Write the merged (compute + comm + incidents + flight) timeline;
     returns path."""
     return _write(path, merged_trace_events())

@@ -10,7 +10,7 @@ automated anomaly attribution.
   (:mod:`repro.debug.flight_recorder`), stitched across ranks by
   ``(group, seq)``.
 * :mod:`~repro.telemetry.health.engine` — rule-based detectors fusing
-  the metrics, the frontier and the resilience spans into
+  the metrics, the frontier and the resilience incidents into
   :class:`Diagnosis` verdicts (straggler, slow link, overlap collapse,
   retransmit storm, desync precursor), live via
   ``ddp_stats()["health"]`` or offline via ``tools/healthctl.py``.

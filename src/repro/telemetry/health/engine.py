@@ -1,7 +1,7 @@
 """Rule-based anomaly attribution over the fused health signals.
 
 Detectors read the efficiency-accounting metrics, the resilience
-counters and spans, and the cross-rank collective frontier, and emit
+counters and incidents, and the cross-rank collective frontier, and emit
 :class:`~repro.telemetry.health.diagnosis.Diagnosis` verdicts:
 
 * **persistent_straggler** — one rank's sends stall *multiple* peers:
@@ -16,15 +16,15 @@ counters and spans, and the cross-rank collective frontier, and emit
   fraction of its own earlier healthy level (paper Fig. 4 regression).
 * **retransmit_storm** — transport retransmit/corruption counters grow
   far faster than collectives complete: a lossy or corrupting wire,
-  attributed to the receiving rank (and, when resilience spans recorded
-  the incidents, to the modal source edge).
+  attributed to the receiving rank (and, when the rings retained the
+  resilience incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
   hang the debug watchdog catches, visible while everyone is still
   alive.
 
 Two entry points share the rules: :func:`analyze_snapshots` fuses live
-registry snapshots, record rings and spans (what ``ddp_stats()["health"]``
+registry snapshots and the record rings (what ``ddp_stats()["health"]``
 serves), and :func:`analyze_ticks` replays a
 :meth:`~repro.telemetry.observatory.sampler.MetricsSampler.dump_jsonl`
 file offline (what ``tools/healthctl.py`` serves).  Both are pure
@@ -43,7 +43,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.debug.flight_recorder import seq_frontier
+from repro.debug.flight_recorder import all_recorders, seq_frontier
+from repro.debug.levels import DEBUG
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     OVERLAP_COLLAPSE,
@@ -53,7 +54,6 @@ from repro.telemetry.health.diagnosis import (
     Diagnosis,
 )
 from repro.telemetry.metrics import all_snapshots, registry_for
-from repro.telemetry.spans import TRACER
 
 _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 
@@ -64,8 +64,8 @@ _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 #: (nothing sent yet, nothing to redeliver), which on a loaded box
 #: reaches storm rates with zero faults.  It rides along as evidence.
 _STORM_COUNTERS = ("transport.retransmits", "transport.corrupt_detected")
-#: The resilience spans that name a storm event's source edge.
-_STORM_SPANS = ("retransmit", "corrupt_detected")
+#: The resilience incidents that name a storm event's source edge.
+_STORM_INCIDENTS = ("retransmit", "corrupt_detected")
 
 
 @dataclass
@@ -399,16 +399,14 @@ def _run_detectors(
 # ----------------------------------------------------------------------
 # live entry point
 # ----------------------------------------------------------------------
-def _storm_edges_from_spans() -> Dict[int, Dict[int, int]]:
-    """incidents[dst][src] from the live ``retransmit`` / ``corrupt_detected``
-    resilience spans (recorded on the receiving rank, naming ``src``)."""
+def _storm_edges_from_incidents() -> Dict[int, Dict[int, int]]:
+    """incidents[dst][src] from the ``retransmit`` / ``corrupt_detected``
+    incidents in the rings (recorded on the receiving rank, naming ``src``)."""
     edges: Dict[int, Dict[int, int]] = {}
-    for rank in TRACER.ranks():
-        for span in TRACER.spans(rank):
-            if span.cat != "resilience" or span.name not in _STORM_SPANS:
-                continue
-            src = (span.args or {}).get("src")
-            if src is not None:
+    for rank, ring in all_recorders().items():
+        for incident in ring.incidents():
+            src = incident.args.get("src")
+            if incident.name in _STORM_INCIDENTS and src is not None:
                 by_src = edges.setdefault(rank, {})
                 by_src[src] = by_src.get(src, 0) + 1
     return edges
@@ -421,10 +419,10 @@ def analyze_snapshots(
     """Run every detector over live (or given) per-rank snapshots.
 
     With no arguments this is the live health check: all registries are
-    snapshotted, the collective record rings supply the frontier, the
-    resilience spans the storm-edge attribution, and — live only — the diagnosis count is
-    published as the ``health.diagnoses_active`` gauge (rank −1) so a
-    Prometheus alert can fire on it.
+    snapshotted, the record rings supply the frontier and, from their
+    resilience incidents, the storm-edge attribution, and — live only —
+    the diagnosis count is published as the ``health.diagnoses_active``
+    gauge (rank −1) so a Prometheus alert can fire on it.
     """
     th = thresholds or Thresholds()
     live = snapshots is None
@@ -433,10 +431,10 @@ def analyze_snapshots(
     if live:
         snapshots = all_snapshots()
         frontier = seq_frontier()
-        storm_edges = _storm_edges_from_spans()
+        storm_edges = _storm_edges_from_incidents()
     signals = _signals_from_snapshots(snapshots, frontier=frontier)
     diagnoses = _run_detectors(signals, th, storm_edges)
-    if live and TRACER.enabled:
+    if live and DEBUG.telemetry:
         registry_for(-1).gauge("health.diagnoses_active").set(len(diagnoses))
     return diagnoses
 
@@ -537,7 +535,7 @@ def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dic
             return None
         return {k: summary[k] for k in _HIST_SUMMARY_FIELDS if k in summary}
 
-    enabled = TRACER.enabled
+    enabled = DEBUG.telemetry
     return {
         "enabled": enabled,
         "overlap_ratio": float(overlap_ratio),

@@ -27,6 +27,8 @@ import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
+from repro.utils.rank import get_current_rank
+
 #: Recent samples kept per histogram for percentile estimation.
 HISTOGRAM_SAMPLE_CAPACITY = 1024
 
@@ -251,8 +253,6 @@ def registry_for(rank: Optional[int] = None) -> MetricsRegistry:
     """Get-or-create the registry for ``rank`` (default: calling thread's
     rank per :mod:`repro.utils.rank`; ``-1`` outside any rank context)."""
     if rank is None:
-        from repro.utils.rank import get_current_rank
-
         current = get_current_rank()
         rank = current if current is not None else -1
     with _registries_lock:

@@ -25,6 +25,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
+from repro.debug.levels import DEBUG
 from repro.telemetry import metrics as _metrics
 from repro.utils.logging import logger
 
@@ -174,9 +175,7 @@ def maybe_start_from_env() -> Optional[PrometheusExporter]:
     except ValueError:
         logger.warning("REPRO_METRICS_PORT=%r is not a port number; ignored", raw)
         return None
-    from repro.telemetry import spans as _spans
-
-    _spans.enable()
+    DEBUG.telemetry = True
     _env_exporter = start_exporter(port=port)
     return _env_exporter
 

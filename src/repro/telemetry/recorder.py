@@ -14,7 +14,9 @@ or telemetry is on the rank's ring retains the stamps, and the Chrome
 trace's compute row and the iteration series
 (:func:`repro.telemetry.health.accounting.fold`) are drawn from them
 when read, so the numbers and the intervals in an exported trace can
-never disagree.
+never disagree.  The wrapper's forward start rides along as one more
+stamp: the trace draws it as the ``forward`` bar and the profile ignores
+it.
 
 Phase model per synchronized iteration (paper Fig. 4 / Fig. 6):
 
@@ -53,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.debug.flight_recorder import recorder_for
 from repro.debug.levels import DEBUG
-from repro.telemetry.spans import TRACER
 
 
 def work_interval(work) -> Optional[Tuple[float, float]]:
@@ -284,21 +285,23 @@ _build_lock = threading.Lock()
 
 
 class _Stamps:
-    """One finished iteration as stamped — ``comm`` holds each bucket
-    collective's ``(bucket, bytes, start, end)``, ``launches`` each
-    bucket's ``(ready, launched)`` pair, ``traced`` whether telemetry
-    was on — and its profile once someone has read it."""
+    """One finished iteration as stamped — ``t_forward`` when the
+    wrapper's forward began (None if it did not say), ``comm`` each
+    bucket collective's ``(bucket, bytes, start, end)``, ``launches``
+    each bucket's ``(ready, launched)`` pair, ``traced`` whether
+    telemetry was on — and its profile once someone has read it."""
 
-    __slots__ = ("rank", "iteration", "t_prepare", "t_first", "t_all", "t_done",
-                 "comm", "launches", "traced", "_profile")
+    __slots__ = ("rank", "iteration", "t_forward", "t_prepare", "t_first", "t_all",
+                 "t_done", "comm", "launches", "traced", "_profile")
 
     def __init__(self, rank: Optional[int], iteration: int, t_prepare: float,
                  t_first: float, t_all: float, t_done: float,
                  comm: Sequence[Tuple[Optional[int], int, float, float]],
-                 launches: Dict[int, Tuple[float, float]], traced: bool = False):
+                 launches: Dict[int, Tuple[float, float]], traced: bool = False,
+                 t_forward: Optional[float] = None):
         self.rank, self.iteration = rank, iteration
-        self.t_prepare, self.t_first, self.t_all, self.t_done = (
-            t_prepare, t_first, t_all, t_done)
+        self.t_forward, self.t_prepare, self.t_first, self.t_all, self.t_done = (
+            t_forward, t_prepare, t_first, t_all, t_done)
         self.comm, self.launches, self.traced = comm, launches, traced
         self._profile: Optional[IterationProfile] = None
 
@@ -326,6 +329,7 @@ class IterationRecorder:
     def __init__(self, rank: Optional[int] = None):
         self.rank = rank
         self.iteration = -1
+        self.t_forward: Optional[float] = None
         self.t_prepare = 0.0
         self.t_first_grad: Optional[float] = None
         self.t_all_grads: Optional[float] = None
@@ -342,8 +346,11 @@ class IterationRecorder:
         return self._last.profile() if self._last is not None else None
 
     # -- marks ----------------------------------------------------------
-    def start_iteration(self, iteration: int) -> None:
+    def start_iteration(self, iteration: int, t_forward: Optional[float]) -> None:
+        """Stamp ``prepare``; ``t_forward`` is when the forward that
+        armed this iteration began, if the wrapper stamped it."""
         self.iteration = iteration
+        self.t_forward = t_forward
         self.t_first_grad = None
         self.t_all_grads = None
         self._ready.clear()
@@ -392,8 +399,9 @@ class IterationRecorder:
             for index, ready in self._ready.items()
             if index in self._launched
         }
-        traced = TRACER.enabled
+        traced = DEBUG.telemetry
         self._last = _Stamps(self.rank, self.iteration, self.t_prepare,
-                             t_first, t_all, t_done, comm, launches, traced)
+                             t_first, t_all, t_done, comm, launches, traced,
+                             self.t_forward)
         if self.rank is not None and (DEBUG.level or traced):
             recorder_for(self.rank).add_iteration(self._last)

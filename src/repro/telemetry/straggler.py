@@ -20,7 +20,8 @@ from typing import List
 
 import numpy as np
 
-from repro.telemetry.spans import TRACER
+from repro.debug.levels import DEBUG
+from repro.telemetry.metrics import registry_for
 from repro.utils.logging import logger
 
 
@@ -87,9 +88,7 @@ def detect_stragglers(
             stragglers,
             report.max_slowdown,
         )
-    if TRACER.enabled:
-        from repro.telemetry.metrics import registry_for
-
+    if DEBUG.telemetry:
         registry = registry_for()
         registry.counter("straggler.checks").add(1)
         if report.is_straggler:

@@ -33,6 +33,7 @@ from repro.checkpoint import (
 )
 from repro.comm import run_distributed
 from repro.comm.distributed import get_context
+from repro.debug import recorder_for
 from repro.optim import SGD, Adam, AdamW
 from repro.resilience import FaultPlan, corrupt_file, delay_write
 from repro.checkpoint.reshard import fill_window
@@ -375,6 +376,28 @@ class TestEngineFullMode:
             for a, b in zip(saved, restored):
                 assert np.array_equal(a, b)
 
+    def test_save_draws_checkpoint_bars_on_the_trace(self, tmp_path):
+        """One save under telemetry: its snapshot and its write are bars
+        with a duration on rank 0's ``checkpoint`` row."""
+        from repro import telemetry
+
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            engine = CheckpointEngine(str(tmp_path), rank=0, world=1, async_write=False)
+            engine.save_full(small_classifier(), iteration=1)
+            engine.close()
+            events = telemetry.trace_events()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        rows = {e["tid"]: e["args"]["name"] for e in events
+                if e["name"] == "thread_name" and e["pid"] == 0}
+        bars = {e["name"]: e for e in events if e.get("cat") == "checkpoint"}
+        for name in ("checkpoint.snapshot", "checkpoint.write"):
+            assert bars[name]["ph"] == "X" and bars[name]["dur"] > 0
+            assert bars[name]["pid"] == 0 and rows[bars[name]["tid"]] == "checkpoint"
+
     def test_async_save_does_not_block_on_delay(self, tmp_path):
         """delay_write stalls the background writer, not the trainer."""
         root = str(tmp_path)
@@ -442,8 +465,9 @@ class TestEngineReplication:
                 assert np.array_equal(value, state[key])
 
     def test_replica_arrival_is_a_health_event(self, tmp_path):
-        """Each stored replica leaves one ``checkpoint.replica_recv`` span
-        on the receiving rank, naming its owner and replication lag."""
+        """Each stored replica leaves one ``checkpoint.replica_recv``
+        incident on the receiving rank's ring, naming its owner and
+        replication lag."""
         from repro import telemetry
 
         root = str(tmp_path)
@@ -456,9 +480,9 @@ class TestEngineReplication:
             engine.save_sharded(model, iteration=41)
             time.sleep(0.2)  # let the buddy receiver persist the push
             engine.close()
-            return [s.args for s in telemetry.get_tracer().spans(rank)
-                    if s.name == "checkpoint.replica_recv"
-                    and s.args["generation"] == 41]
+            return [i.args for i in recorder_for(rank).incidents()
+                    if i.name == "checkpoint.replica_recv"
+                    and i.args["generation"] == 41]
 
         telemetry.reset()
         telemetry.enable()

@@ -25,6 +25,7 @@ from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _RoundW
 from repro.comm.store import Store
 from repro.comm.transport import Signed, TransportClosedError, TransportHub
 from repro.debug import (
+    all_recorders,
     get_debug_level,
     recorder_for,
     set_debug_level,
@@ -358,7 +359,7 @@ class TestOpTable:
         the retained record, its causal-timeline events and its Chrome
         trace ``comm`` row agree on (group, seq, op, bytes, start, end) —
         at REPRO_DEBUG=OFF as at INFO, because telemetry alone retains
-        the record — while no ``comm`` span is recorded at all."""
+        the record — while no ``comm`` incident is recorded at all."""
         _, wire, returns = OP_MATRIX[name]
         repeats = 3
 
@@ -379,15 +380,16 @@ class TestOpTable:
             telemetry.reset()
             set_debug_level(level)
             results = run_world(2, body, backend="gloo")
-            spans = telemetry.get_tracer().spans()
-            assert not [s for s in spans if s.cat == "comm"]
+            incidents = [incident for ring in all_recorders().values()
+                         for incident in ring.incidents()]
+            assert not [i for i in incidents if i.row == "comm"]
             timeline = {(entry["group"], entry["seq"]): entry
                         for entry in telemetry.merge_causal_timeline()}
             rows = {(e["pid"], e["name"]): e for e in telemetry.trace_events()
                     if e.get("cat") == "comm"}
             records = {rank: recorder_for(rank).dump()["records"]
                        for rank in range(2)}
-            epoch = min([s.t_start for s in spans] + [
+            epoch = min([i.t_start for i in incidents] + [
                 r["t_start"] for flights in records.values() for r in flights])
             for rank, (gid, accounted) in enumerate(results):
                 assert accounted == repeats * (wire or 0)

@@ -1,9 +1,9 @@
-"""Telemetry subsystem: metrics, spans, Chrome export, stragglers.
+"""Telemetry subsystem: metrics, incidents, Chrome export, stragglers.
 
 Covers the observability acceptance surface: thread-safe metric
-recording, span nesting, a real (non-simulated) 4-rank DDP run whose
-exported Chrome trace contains compute and comm spans for every rank
-with comm spans landing inside the right iteration, straggler
+recording, the bounded incident deque, a real (non-simulated) 4-rank
+DDP run whose exported Chrome trace contains compute and comm bars for
+every rank with comm bars landing inside the right iteration, straggler
 detection, rank-aware logging, and the zero-overhead disabled path.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,11 +20,13 @@ from conftest import run_world, small_classifier
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
+from repro.debug import all_recorders, flight_recorder, recorder_for
+from repro.debug.flight_recorder import record_incident
 from repro.models import MLP
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 from repro.utils import manual_seed
 from repro.utils.logging import enable_logging, logger
-from repro.utils.rank import get_current_rank, set_current_rank
+from repro.utils.rank import get_current_rank
 
 
 @pytest.fixture(autouse=True)
@@ -107,49 +108,25 @@ class TestMetricsRegistry:
         assert merged["histograms"]["lat"]["max"] == pytest.approx(0.3)
 
 
-class TestSpans:
-    def test_span_nesting_depth_and_containment(self):
-        telemetry.enable()
-        set_current_rank(7)
-        try:
-            with telemetry.span("outer"):
-                with telemetry.span("inner"):
-                    time.sleep(0.001)
-        finally:
-            set_current_rank(None)
-        spans = {s.name: s for s in telemetry.get_tracer().spans(rank=7)}
-        outer, inner = spans["outer"], spans["inner"]
-        assert outer.depth == 0 and inner.depth == 1
-        assert outer.t_start <= inner.t_start <= inner.t_end <= outer.t_end
+def _incident_count() -> int:
+    return sum(len(ring.incidents()) for ring in all_recorders().values())
 
-    def test_explicit_begin_end(self):
-        telemetry.enable()
-        span = telemetry.begin("phase", cat="compute", rank=3, step=1)
-        span.set(extra=2)
-        span.end()
-        span.end()  # idempotent
-        [record] = telemetry.get_tracer().spans(rank=3)
-        assert record.args == {"step": 1, "extra": 2}
 
-    def test_ring_buffer_caps_memory(self):
+class TestIncidents:
+    def test_incident_deque_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flight_recorder, "INCIDENT_CAPACITY", 16)
         telemetry.enable()
-        tracer = telemetry.get_tracer()
-        old_capacity = tracer.capacity
-        tracer.capacity = 16
-        try:
-            for i in range(100):
-                tracer.record(f"s{i}", 0.0, 1.0, rank=5)
-            spans = tracer.spans(rank=5)
-            assert len(spans) == 16
-            assert spans[-1].name == "s99"  # oldest dropped, newest kept
-        finally:
-            tracer.capacity = old_capacity
+        for i in range(100):
+            record_incident(5, f"s{i}", "resilience", 0.0, 1.0)
+        incidents = recorder_for(5).incidents()
+        assert len(incidents) == 16
+        assert incidents[-1].name == "s99"  # oldest dropped, newest kept
+        assert incidents[-1].t_end == 1.0 and incidents[-1].row == "resilience"
 
-    def test_disabled_span_is_noop(self):
+    def test_disabled_incident_is_noop(self):
         assert not telemetry.is_enabled()
-        with telemetry.span("ignored") as s:
-            s.set(a=1)
-        assert telemetry.get_tracer().span_count() == 0
+        record_incident(0, "ignored", "resilience", a=1)
+        assert _incident_count() == 0
 
 
 class TestRealRunTracing:
@@ -167,8 +144,8 @@ class TestRealRunTracing:
         for rank in range(4):
             rank_events = [e for e in complete if e["pid"] == rank]
             cats = {e["cat"] for e in rank_events}
-            assert "compute" in cats, f"rank {rank} missing compute spans"
-            assert "comm" in cats, f"rank {rank} missing comm spans"
+            assert "compute" in cats, f"rank {rank} missing compute bars"
+            assert "comm" in cats, f"rank {rank} missing comm bars"
             # Every bucket AllReduce lands inside the right iteration:
             # its interval is contained in exactly the iteration span
             # whose index it served.
@@ -189,7 +166,7 @@ class TestRealRunTracing:
                     if start <= event["ts"] and event["ts"] + event["dur"] <= end
                 ]
                 assert len(inside) == 1, (
-                    f"comm span {event['name']} on rank {rank} not nested "
+                    f"comm bar {event['name']} on rank {rank} not nested "
                     f"under exactly one iteration: {inside}"
                 )
         # Metadata rows name every rank's process.
@@ -246,11 +223,39 @@ class TestRealRunTracing:
         stats = run_world(2, body, backend="gloo")[0]
         assert stats["unused_parameter_count"] == 2  # weight + bias of branch 1
 
+    def test_forward_bar_ends_where_its_iteration_starts(self):
+        """Each synced forward is one ``forward`` bar on its rank's
+        ``compute`` row, ending at its ``iteration N`` bar's start; a
+        forward under ``no_sync`` draws none."""
+        telemetry.enable()
+        iterations = 3
+
+        def body(rank):
+            ddp = _train_ddp(rank, iterations)
+            with ddp.no_sync():
+                ddp(Tensor(np.ones((4, 32))))
+
+        run_world(2, body, backend="gloo")
+        events = telemetry.trace_events()
+        for rank in range(2):
+            mine = [e for e in events if e["pid"] == rank]
+            rows = {e["tid"]: e["args"]["name"] for e in mine if e["ph"] == "M"}
+            forwards = {e["args"]["iteration"]: e for e in mine if e["name"] == "forward"}
+            starts = {e["args"]["iteration"]: e["ts"] for e in mine
+                      if e.get("cat") == "iteration"}
+            assert sorted(forwards) == sorted(starts) == list(range(iterations))
+            for iteration, bar in forwards.items():
+                assert rows[bar["tid"]] == "compute" and bar["dur"] > 0
+                assert bar["ts"] + bar["dur"] == pytest.approx(starts[iteration], abs=1e-3)
+
     def test_disabled_run_records_zero_spans_and_metrics(self):
+        """With telemetry off nothing is retained: no incident, no
+        collective record, no series."""
         assert not telemetry.is_enabled()
         run_world(2, lambda rank: (_train_ddp(rank, iterations=2), None)[1],
                   backend="gloo")
-        assert telemetry.get_tracer().span_count() == 0
+        assert _incident_count() == 0
+        assert all(ring.depth() == 0 for ring in all_recorders().values())
         assert all(
             not snap["counters"] and not snap["histograms"]
             for snap in telemetry.all_snapshots()
@@ -353,20 +358,22 @@ class TestTelemetryLifecycle:
         telemetry.enable()
         telemetry.enable()  # idempotent
         assert telemetry.is_enabled()
-        telemetry.get_tracer().record("x", 0.0, 1.0, rank=0)
+        record_incident(0, "x", "resilience", 0.0, 1.0)
         telemetry.registry_for(0).counter("c").add(1)
         telemetry.reset()
         assert telemetry.is_enabled()  # reset clears data, not the switch
-        assert telemetry.get_tracer().span_count() == 0
+        assert _incident_count() == 0
         assert telemetry.all_snapshots() == []
         telemetry.disable()
         assert not telemetry.is_enabled()
 
-    def test_spans_survive_disable_until_reset(self):
+    def test_incidents_survive_disable_until_reset(self):
         telemetry.enable()
-        telemetry.get_tracer().record("kept", 0.0, 1.0, rank=0)
+        record_incident(0, "kept", "resilience", 0.0, 1.0)
         telemetry.disable()
-        assert telemetry.get_tracer().span_count() == 1
+        assert _incident_count() == 1
+        telemetry.reset()
+        assert _incident_count() == 0
 
     def test_iteration_recorder_is_single_timing_source(self):
         """The legacy ad-hoc fields are gone; stats come from the recorder's
