@@ -3,7 +3,11 @@
 Runs the repo benchmark's own training loop (``benchmarks/e2e/harness.py::
 train``: same model, batches, optimizer, four rank threads) under four
 configurations and prints ``iter p50`` and process CPU per iteration for
-each, raw milliseconds:
+each, raw milliseconds, and the voluntary / involuntary context switches
+per rank-iteration (``getrusage(RUSAGE_THREAD)`` in each rank thread
+around the timed loop): under one GIL a voluntary switch is mostly a
+rank thread giving the GIL up — a numpy call that releases it, or a
+wait:
 
 * ``local``      — four threads training locally: no DDP, no collectives.
   The GIL-serialised compute nothing in ``repro.comm`` can touch.
@@ -25,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import statistics
 import sys
 import threading
@@ -66,21 +71,26 @@ def measure(row: str, iters: int) -> dict:
         train(replica, batches, WARMUP, NullTracer())
         if gate.wait() == 0:
             cpu[0] = time.process_time()
+        before = resource.getrusage(resource.RUSAGE_THREAD)
         start = time.perf_counter()
         ends, _ = train(replica, batches, iters, NullTracer())
+        after = resource.getrusage(resource.RUSAGE_THREAD)
         if gate.wait() == 0:
             cpu[1] = time.process_time()
-        return start, ends
+        return start, ends, (after.ru_nvcsw - before.ru_nvcsw, after.ru_nivcsw - before.ru_nivcsw)
 
     results = run_distributed(
         workload.world, body, backend=None if ddp_kwargs is None else "gloo",
         timeout=TIMEOUT_S,
     )
-    starts, ends = zip(*results)
+    starts, ends, switches = zip(*results)
+    voluntary, involuntary = (sum(counts) / (workload.world * iters) for counts in zip(*switches))
     return {
         "row": row,
         "iter_p50_ms": round(1e3 * statistics.median(iteration_times(starts, ends)), 2),
         "cpu_ms_per_iter": round(1e3 * (cpu[1] - cpu[0]) / iters, 2),
+        "vol_csw_per_rank_iter": round(voluntary, 1),
+        "invol_csw_per_rank_iter": round(involuntary, 1),
     }
 
 

@@ -637,7 +637,7 @@ class BatchNorm(Function):
 
 
 # ---------------------------------------------------------------------
-# convolution / pooling (im2col based)
+# convolution / pooling
 # ---------------------------------------------------------------------
 
 
@@ -645,17 +645,16 @@ class Conv2d(Function):
     """2-D cross-correlation (+ bias) over NCHW inputs via im2col.
 
     Weight layout is ``(out_channels, in_channels, kh, kw)``; stride and
-    zero padding are symmetric.  The patch matrix is K-major,
-    ``(C*kh*kw, N*oh*ow)``, so forward is one GEMM ``(oc, K) @ (K, M)``
-    whose channel-major result takes the bias as ``+= bias[:, None]``,
-    and ``grad_weight = G @ cols.T`` comes out C-contiguous in the
-    weight's own layout.  The output is the NCHW *view* of that
-    channel-major array — no transposing copy; elementwise ops keep the
-    memory order, so a following :class:`BatchNorm` hands the gradient
-    back channel-major and ``G`` is a view as well.  ``grad_x`` (a
-    second GEMM and the col2im scatter) is skipped when the input has no
-    edge — the first layer of a network.  Inputs are ``(x, bias,
-    weight)`` for the reason given in :class:`Linear`.
+    zero padding are symmetric.  :func:`_im2col` copies the K-major patch
+    matrix ``(C*kh*kw, N*oh*ow)`` in one call, so forward is one GEMM
+    ``(oc, K) @ (K, M)`` whose channel-major result takes the bias as
+    ``+= bias[:, None]`` and is returned as its NCHW *view*; ``grad_weight
+    = G @ cols.T`` comes out C-contiguous in the weight's layout.
+    Elementwise ops keep the memory order, so a following
+    :class:`BatchNorm` hands the gradient back channel-major and ``G`` is
+    a view too.  ``grad_x`` (a second GEMM and the col2im scatter) is
+    skipped when the input has no edge — the first layer of a network.
+    Inputs are ``(x, bias, weight)`` for the reason given in :class:`Linear`.
     """
 
     grad_destinations = (1, 2)
@@ -666,15 +665,14 @@ class Conv2d(Function):
         oc, ic, kh, kw = weight.shape
         if ic != c:
             raise ValueError(f"conv2d channel mismatch: input {c}, weight {ic}")
-        cols, out_h, out_w = _im2col(x, kh, kw, stride, padding)
+        out_h, out_w = _output_size("conv2d", (h, w), kh, kw, stride, padding)
+        cols = _im2col(x, kh, kw, stride, padding)
         out = weight.reshape(oc, -1) @ cols
         if bias is not None:
             out += bias[:, None]
         ctx.save_for_backward(cols, weight)
         ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        ctx.stride = stride
-        ctx.padding = padding
+        ctx.x_shape, ctx.stride, ctx.padding = x.shape, stride, padding
         return out.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     @staticmethod
@@ -697,113 +695,117 @@ class Conv2d(Function):
 
 
 class MaxPool2d(Function):
-    """Max pooling as a running maximum over the ``kernel**2`` strided
-    views of the input, one per in-window offset in row-major order.
-
-    The strict ``>`` keeps the *first* offset that attains the maximum —
-    ``argmax``'s tie rule (all-zero windows after a ReLU are the common
-    tie).  Backward adds ``grad`` into each offset's view where that
-    offset won; within one offset no two outputs share an input element,
-    so the strided ``+=`` is exact for overlapping windows too.
-    """
+    """Separable max pooling: the maximum along W, then along H, each a
+    running maximum over ``kernel`` strided views whose strict ``>`` keeps
+    the first offset attaining it, ``argmax``'s row-major tie rule (ReLU's
+    all-zero windows are the common tie).  Backward routes the gradient
+    back along H, then W, accumulating only where windows overlap."""
 
     @staticmethod
     def forward(ctx: Context, x, kernel: int = 2, stride: Optional[int] = None):
-        stride = stride or kernel
-        out_h = (x.shape[2] - kernel) // stride + 1
-        out_w = (x.shape[3] - kernel) // stride + 1
-        views = _window_views(x, kernel, kernel, stride, out_h, out_w)
-        out = np.array(next(views))  # a compact copy, in x's memory order
-        index = np.zeros_like(out, dtype=np.min_scalar_type(kernel * kernel - 1))
-        for offset, view in enumerate(views, start=1):
-            better = view > out
-            np.maximum(out, view, out=out)
-            np.putmask(index, better, offset)
-        ctx.index = index
-        ctx.x_shape = x.shape
-        ctx.kernel = kernel
-        ctx.stride = stride
+        stride = kernel if stride is None else stride
+        out_h, out_w = _output_size("max_pool2d", x.shape[2:], kernel, kernel, stride)
+        rows, ctx.w_index = _max_along(x, 3, kernel, stride, out_w)
+        out, ctx.h_index = _max_along(rows, 2, kernel, stride, out_h)
+        ctx.x_shape, ctx.kernel, ctx.stride = x.shape, kernel, stride
         return out
 
     @staticmethod
     def backward(ctx: Context, grad):
-        kernel, index = ctx.kernel, ctx.index
-        grad_x = np.zeros(ctx.x_shape, dtype=grad.dtype)
-        views = _window_views(grad_x, kernel, kernel, ctx.stride, *grad.shape[2:])
-        share = np.empty_like(grad)
-        for offset, view in enumerate(views):
-            view += np.multiply(grad, index == offset, out=share)
+        rows = _route(grad, ctx.h_index, 2, ctx.kernel, ctx.stride, ctx.x_shape[2])
+        grad_x = _route(rows, ctx.w_index, 3, ctx.kernel, ctx.stride, ctx.x_shape[3])
+        grad_x += 0.0  # the -0.0 of ``g * False`` becomes +0.0, as in a sum from zeros
         return (grad_x, None, None)
+
+
+def _along(axis: int, offset: int, count: int, stride: int) -> tuple:
+    """Index of one in-window offset's strided view on ``axis``."""
+    return (slice(None),) * axis + (slice(offset, offset + count * stride, stride),)
+
+
+def _max_along(x: np.ndarray, axis: int, kernel: int, stride: int, count: int):
+    """Each window's maximum along ``axis``, and its first offset in C
+    order: the layout backward's masked products run fastest over."""
+    first, *rest = (x[_along(axis, offset, count, stride)] for offset in range(kernel))
+    second = rest[0] if rest else first  # kernel 1: each window is its own maximum
+    out = np.maximum(first, second)
+    index = np.greater(second, first, out=np.empty(first.shape, np.min_scalar_type(kernel - 1)))
+    for offset, view in enumerate(rest[1:], start=2):
+        better = view > out
+        np.maximum(out, view, out=out)
+        np.putmask(index, better, offset)
+    return out, index
+
+
+def _route(grad: np.ndarray, index, axis: int, kernel: int, stride: int, length: int):
+    """``grad`` at each window's winning offset on ``axis`` (of ``length``), else 0."""
+    out = np.zeros(grad.shape[:axis] + (length,) + grad.shape[axis + 1:], grad.dtype)
+    for offset in range(kernel):
+        view = out[_along(axis, offset, grad.shape[axis], stride)]
+        if stride >= kernel:  # no position is in two windows
+            np.multiply(grad, index == offset, out=view)
+        else:
+            view += grad * (index == offset)
+    return out
 
 
 class AvgPool2d(Function):
+    """Average pooling as the mean of :func:`_im2col`'s window columns;
+    backward is :func:`_col2im` of the gradient shared over the window."""
+
     @staticmethod
     def forward(ctx: Context, x, kernel: int = 2, stride: Optional[int] = None):
-        stride = stride or kernel
-        n, c, h, w = x.shape
-        out_h = (h - kernel) // stride + 1
-        out_w = (w - kernel) // stride + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride, :, :]
-        out = windows.mean(axis=(-1, -2))
-        ctx.x_shape = x.shape
-        ctx.kernel = kernel
-        ctx.stride = stride
-        return np.ascontiguousarray(out)
+        stride = kernel if stride is None else stride
+        out_h, out_w = _output_size("avg_pool2d", x.shape[2:], kernel, kernel, stride)
+        ctx.x_shape, ctx.kernel, ctx.stride = x.shape, kernel, stride
+        cols = _im2col(x, kernel, kernel, stride, 0).reshape(x.shape[1], kernel * kernel, -1)
+        return cols.mean(axis=1).reshape(-1, x.shape[0], out_h, out_w).transpose(1, 0, 2, 3)
 
     @staticmethod
     def backward(ctx: Context, grad):
-        kernel, stride = ctx.kernel, ctx.stride
-        n, c, h, w = ctx.x_shape
-        out_h, out_w = grad.shape[2], grad.shape[3]
-        grad_x = np.zeros(ctx.x_shape, dtype=grad.dtype)
-        share = grad / (kernel * kernel)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                grad_x[:, :, ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride] += share
-        return (grad_x, None, None)
+        kernel, c = ctx.kernel, ctx.x_shape[1]
+        share = (grad / (kernel * kernel)).transpose(1, 0, 2, 3).reshape(c, 1, -1)
+        cols = np.broadcast_to(share, (c, kernel * kernel, share.shape[2]))
+        return (_col2im(cols, ctx.x_shape, kernel, kernel, ctx.stride, 0), None, None)
 
 
-def _window_views(x: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int):
-    """The ``kh * kw`` strided views of ``x``'s last two axes, one per
-    in-window offset in row-major order; each is ``(..., out_h, out_w)``."""
-    for ki in range(kh):
-        for kj in range(kw):
-            yield x[..., ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride]
+def _output_size(op: str, size: tuple, kh: int, kw: int, stride: int, padding: int = 0):
+    """``(out_h, out_w)``, or a ``ValueError`` naming a geometry with no output."""
+    out_h, out_w = ((n + 2 * padding - k) // (stride or 1) + 1 for n, k in zip(size, (kh, kw)))
+    if kh < 1 or kw < 1 or stride < 1 or padding < 0 or out_h < 1 or out_w < 1:
+        raise ValueError(f"{op}: kernel {kh}x{kw}, stride {stride}, padding {padding} on a "
+                         f"{size[0]}x{size[1]} input has no output")
+    return out_h, out_w
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """The K-major patch matrix ``(C*kh*kw, N*out_h*out_w)`` of an NCHW
-    array: one strided slice copy per kernel offset into one array."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """The ``(C*kh*kw, N*out_h*out_w)`` patch matrix of an NCHW array: one copy
+    from a ``(C, kh, kw, N, out_h, out_w)`` view of its padded channel-major memory."""
     n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
     channel_major = x.transpose(1, 0, 2, 3)
     if padding:
         padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:-padding, padding:-padding] = channel_major
         channel_major = padded
-    cols = np.empty((c, kh * kw, n, out_h, out_w), dtype=x.dtype)
-    for offset, view in enumerate(_window_views(channel_major, kh, kw, stride, out_h, out_w)):
-        cols[:, offset] = view
-    return cols.reshape(c * kh * kw, -1), out_h, out_w
+    windows = np.lib.stride_tricks.sliding_window_view(channel_major, (kh, kw), axis=(2, 3))
+    patches = windows[:, :, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
+    return np.ascontiguousarray(patches).reshape(c * kh * kw, -1)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int):
-    """Scatter-add a K-major patch matrix back onto an NCHW array (the
-    transpose of :func:`_im2col`), accumulating over ``(C, N, ph, pw)``."""
+    """Scatter-add a patch matrix back onto an NCHW array (the transpose of
+    :func:`_im2col`), separably: ``kw`` offsets along W, then ``kh`` along H."""
     n, c, h, w = x_shape
     ph, pw = h + 2 * padding, w + 2 * padding
-    out_h = (ph - kh) // stride + 1
-    out_w = (pw - kw) // stride + 1
+    out_h, out_w = (ph - kh) // stride + 1, (pw - kw) // stride + 1
+    cols = cols.reshape(c, kh, kw, n, out_h, out_w)
+    rows = np.zeros((c, kh, n, out_h, pw), dtype=cols.dtype)
+    for kj in range(kw):
+        rows[_along(4, kj, out_w, stride)] += cols[:, :, kj]
     padded = np.zeros((c, n, ph, pw), dtype=cols.dtype)
-    cols = cols.reshape(c, kh * kw, n, out_h, out_w)
-    for offset, view in enumerate(_window_views(padded, kh, kw, stride, out_h, out_w)):
-        view += cols[:, offset]
-    grad_x = padded.transpose(1, 0, 2, 3)
-    if padding:
-        grad_x = grad_x[:, :, padding:-padding, padding:-padding]
-    return grad_x
+    for ki in range(kh):
+        padded[_along(2, ki, out_h, stride)] += rows[:, ki]
+    return padded[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------

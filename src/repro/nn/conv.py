@@ -55,24 +55,22 @@ class Conv2d(Module):
         )
 
 
-class MaxPool2d(Module):
+class _Pool2d(Module):
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.max_pool2d(x, kernel=self.kernel_size, stride=self.stride)
+        return self._op(x, kernel=self.kernel_size, stride=self.stride)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+class MaxPool2d(_Pool2d):
+    _op = staticmethod(ops.max_pool2d)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.avg_pool2d(x, kernel=self.kernel_size, stride=self.stride)
+
+class AvgPool2d(_Pool2d):
+    _op = staticmethod(ops.avg_pool2d)
 
 
 class Flatten(Module):

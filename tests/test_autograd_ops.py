@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.autograd import Tensor, ops
 from repro.autograd.function import unbroadcast
 
@@ -229,6 +230,56 @@ class TestConvPool:
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
         out = ops.avg_pool2d(x, 2)
         assert np.allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+
+class TestWindowGeometry:
+    """Pooling and convolution raise ``ValueError`` on geometry with no
+    output — kernel or stride below 1, negative padding, a kernel larger
+    than the padded input — and ``stride=None`` means the kernel."""
+
+    X = Tensor(np.ones((1, 2, 4, 4)))
+    WEIGHT = Tensor(np.ones((3, 2, 3, 3)))
+
+    def test_max_pool2d_zero_stride(self):
+        with pytest.raises(ValueError, match="max_pool2d.*stride 0"):
+            ops.max_pool2d(self.X, 2, 0)
+
+    def test_max_pool2d_module_zero_stride(self):
+        with pytest.raises(ValueError, match="stride 0"):
+            nn.MaxPool2d(2, stride=0)(self.X)
+
+    def test_max_pool2d_kernel_larger_than_input(self):
+        with pytest.raises(ValueError, match="kernel 5x5.*4x4 input"):
+            ops.max_pool2d(self.X, 5)
+
+    def test_max_pool2d_zero_kernel(self):
+        with pytest.raises(ValueError, match="kernel 0x0"):
+            ops.max_pool2d(self.X, 0, 1)
+
+    def test_avg_pool2d_zero_stride(self):
+        with pytest.raises(ValueError, match="avg_pool2d.*stride 0"):
+            ops.avg_pool2d(self.X, 2, 0)
+
+    def test_avg_pool2d_module_zero_stride(self):
+        with pytest.raises(ValueError, match="stride 0"):
+            nn.AvgPool2d(2, stride=0)(self.X)
+
+    def test_conv2d_zero_stride(self):
+        with pytest.raises(ValueError, match="conv2d.*stride 0"):
+            ops.conv2d(self.X, self.WEIGHT, stride=0)
+
+    def test_conv2d_negative_padding(self):
+        with pytest.raises(ValueError, match="padding -1"):
+            ops.conv2d(self.X, self.WEIGHT, padding=-1)
+
+    def test_conv2d_kernel_larger_than_padded_input(self):
+        with pytest.raises(ValueError, match="kernel 7x7.*padding 1 on a 4x4 input"):
+            ops.conv2d(self.X, Tensor(np.ones((3, 2, 7, 7))), padding=1)
+
+    def test_none_stride_is_the_kernel_and_a_fitting_kernel_pools(self):
+        assert ops.max_pool2d(self.X, 4).shape == (1, 2, 1, 1)
+        assert ops.max_pool2d(self.X, 2, None).shape == (1, 2, 2, 2)
+        assert ops.conv2d(self.X, Tensor(np.ones((3, 2, 6, 6))), padding=1).shape == (1, 3, 1, 1)
 
 
 class TestUnbroadcast:

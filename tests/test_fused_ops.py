@@ -137,6 +137,39 @@ def max_pool2d_reference(x, kernel=2, stride=None):
     return MaxPool2dReference.apply(x, kernel=kernel, stride=stride)
 
 
+class MaxPool2dKernelSquared(Function):
+    """The pooling the separable ``ops.MaxPool2d`` replaced: a running
+    maximum over the ``kernel**2`` strided window views in row-major
+    order, and backward a masked ``+=`` per view into zeros.  Where
+    windows do not overlap the separable op must equal it bit for bit."""
+
+    @staticmethod
+    def forward(ctx: Context, x, kernel: int = 2, stride=None):
+        stride = kernel if stride is None else stride
+        out_h, out_w = (x.shape[2] - kernel) // stride + 1, (x.shape[3] - kernel) // stride + 1
+        views = [x[..., ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride]
+                 for ki in range(kernel) for kj in range(kernel)]
+        out = np.array(views[0])
+        ctx.index = np.zeros(out.shape, np.intp)
+        for offset, view in enumerate(views[1:], start=1):
+            better = view > out
+            np.maximum(out, view, out=out)
+            np.putmask(ctx.index, better, offset)
+        ctx.geometry = (x.shape, kernel, stride)
+        return out
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        x_shape, kernel, stride = ctx.geometry
+        out_h, out_w = grad.shape[2:]
+        grad_x = np.zeros(x_shape)
+        for offset in range(kernel * kernel):
+            ki, kj = divmod(offset, kernel)
+            grad_x[..., ki : ki + out_h * stride : stride,
+                   kj : kj + out_w * stride : stride] += grad * (ctx.index == offset)
+        return (grad_x, None, None)
+
+
 class ComposedBatchNorm(_BatchNorm):
     """The twelve-node batch norm ``ops.BatchNorm`` replaced, buffers
     included: the module the fused one must equal bit for bit in its
@@ -323,10 +356,29 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
     def test_matches_reference_and_gradcheck(self, rng, with_bias, stride, padding):
+        self._check(rng, with_bias, stride, padding, kernel=3)
+
+    # im2col copies one strided view and col2im scatters W then H:
+    # strides past the kernel, paddings past ``kernel - 1`` (outputs
+    # computed from padding alone) and 1x1 / 5x5 kernels.
+    @pytest.mark.parametrize(
+        "stride, padding, kernel",
+        [(s, p, k) for k in (1, 3, 5) for s in (1, 2, 3) for p in (0, 1, 2)
+         if not (k == 3 and s < 3 and p < 2)],  # the grid above
+    )
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+    def test_wider_geometry_matches_reference_and_gradcheck(
+        self, rng, with_bias, stride, padding, kernel
+    ):
+        self._check(rng, with_bias, stride, padding, kernel)
+
+    @staticmethod
+    def _check(rng, with_bias, stride, padding, kernel):
         x = rng.standard_normal((2, 3, 6, 5))
-        weight = rng.standard_normal((4, 3, 3, 3))
+        weight = rng.standard_normal((4, 3, kernel, kernel))
         bias = rng.standard_normal(4) if with_bias else None
-        out_shape = (2, 4, (6 + 2 * padding - 3) // stride + 1, (5 + 2 * padding - 3) // stride + 1)
+        out_shape = (2, 4, (6 + 2 * padding - kernel) // stride + 1,
+                     (5 + 2 * padding - kernel) // stride + 1)
         _assert_matches_reference(
             lambda *t: ops.conv2d(*t, stride=stride, padding=padding),
             lambda *t: conv2d_reference(*t, stride=stride, padding=padding),
@@ -432,8 +484,8 @@ class TestBatchNorm:
 class TestMaxPool2d:
     @pytest.mark.parametrize(
         "size, kernel, stride",
-        [(6, 2, 2), (5, 2, 1), (7, 3, 2), (7, 2, 2), (8, 3, 3)],
-        ids=["2/2", "2/1-overlapping", "3/2", "2/2-ragged", "3/3-ragged"],
+        [(6, 2, 2), (5, 2, 1), (7, 3, 2), (7, 2, 2), (8, 3, 3), (7, 2, 3), (6, 1, 2)],
+        ids=["2/2", "2/1-overlapping", "3/2", "2/2-ragged", "3/3-ragged", "2/3-gaps", "1/2"],
     )
     def test_matches_reference_and_gradcheck(self, rng, size, kernel, stride):
         x = rng.standard_normal((2, 3, size, size + 1))
@@ -445,7 +497,7 @@ class TestMaxPool2d:
         )
         assert gradcheck(lambda t: (ops.max_pool2d(t, kernel, stride) ** 2).sum(), [x])
 
-    @pytest.mark.parametrize("kernel, stride", [(2, 2), (2, 1)])
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (2, 1), (3, 3), (3, 1)])
     def test_ties_go_to_the_first_element_like_argmax(self, kernel, stride):
         # After a ReLU whole windows are zero: every offset attains the max.
         arrays = [np.zeros((1, 2, 4, 4))]
@@ -461,6 +513,42 @@ class TestMaxPool2d:
         assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
         if kernel == stride:  # the whole window's gradient lands on its first element
             assert np.array_equal(grad[0, 0, :2, :2], [[upstream[0, 0, 0, 0], 0], [0, 0]])
+
+    def test_the_workloads_layout(self, rng):
+        # Conv2d -> BatchNorm -> Relu hands the pool an NCHW view of
+        # channel-major memory, ReLU zeros (ties) included.
+        base = np.maximum(rng.standard_normal((3, 2, 8, 6)), 0.0)  # (C, N, H, W)
+        _assert_matches_reference(
+            lambda t: ops.max_pool2d(ops.transpose(t, 0, 1), 2),
+            lambda t: max_pool2d_reference(ops.transpose(t, 0, 1), 2),
+            [base], (2, 3, 4, 3), rng,
+        )
+
+    @pytest.mark.parametrize(
+        "size, kernel, stride",
+        [(8, 2, 2), (7, 2, 2), (9, 3, 3), (7, 2, 3), (8, 3, 4)],
+        ids=["2/2", "2/2-ragged", "3/3", "2/3-gaps", "3/4-gaps"],
+    )
+    @pytest.mark.parametrize("channel_major", [False, True], ids=["nchw", "cm"])
+    def test_non_overlapping_windows_are_bitwise_the_kernel_squared_op(
+        self, rng, size, kernel, stride, channel_major
+    ):
+        base = np.maximum(rng.standard_normal((3, 2, size, size + 1)), 0.0)
+        x = base.transpose(1, 0, 2, 3)
+        x = x if channel_major else np.ascontiguousarray(x)
+        side = lambda n: (n - kernel) // stride + 1  # noqa: E731
+        upstream = rng.standard_normal((2, 3, side(size), side(size + 1)))
+        upstream[0, 0, 0, 0] = -0.0  # a negative zero, and negatives everywhere
+        results = []
+        for op in (ops.MaxPool2d, MaxPool2dKernelSquared):
+            t = Tensor(x, requires_grad=True)
+            out = op.apply(t, kernel=kernel, stride=stride)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, t.grad.data))
+        (value, grad), (ref_value, ref_grad) = results
+        assert np.array_equal(value.view(np.uint64), ref_value.view(np.uint64))
+        assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+        assert (np.signbit(grad) == (grad < 0)).all()  # every zero is +0.0, as before
 
     def test_second_backward_over_the_same_tape(self, rng):
         x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
