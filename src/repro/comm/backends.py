@@ -16,8 +16,8 @@ what its row says:
   :class:`~repro.simnet.cost_model.CollectiveCostModel`, calibrated
   against Figs. 2, 6–9 and 12, or None where the paper gives no numbers.
 
-Stdlib only: the runtime, the simulator, the autotuner's prior and the
-health fold all read these rows.
+Stdlib only: the runtime, the simulator and the health fold all read
+these rows.
 """
 
 from __future__ import annotations

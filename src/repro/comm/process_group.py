@@ -263,8 +263,8 @@ class _Op(NamedTuple):
     """One row of the collective table ``ProcessGroup._collective`` runs."""
 
     #: Worker path: ``fn(hub, ranks, rank, [array,] *operands, tag,
-    #: timeout[, chunk_bytes])``; None = the group's current AllReduce
-    #: algorithm, resolved per call.
+    #: timeout[, chunk_bytes])``; None = the group's AllReduce
+    #: algorithm (``.algorithm``).
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
@@ -340,8 +340,12 @@ class ProcessGroup:
         self.algorithm = algorithm or row.default_algorithm
         if self.algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
             raise ValueError(f"unknown allreduce algorithm {self.algorithm!r}")
-        #: Default transfer-chunk size forwarded to the AllReduce
-        #: algorithm (None → the module default in ``algorithms``).
+        #: Transfer-chunk size forwarded to the chunked algorithms
+        #: (None → the module default in ``algorithms``).  Every rank
+        #: must pass the same value: chunk boundaries define the
+        #: per-step message sequence.
+        if chunk_bytes is not None and chunk_bytes < 1:
+            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         self.chunk_bytes = chunk_bytes
         self._seq = 0
         self._group_id = group_id if group_id is not None else 0
@@ -491,32 +495,6 @@ class ProcessGroup:
         rules; wire-scoped rules always live on the transport hub.
         """
         self._fault_plan = plan
-
-    # ------------------------------------------------------------------
-    # live retuning (repro.autotune)
-    # ------------------------------------------------------------------
-    def set_algorithm(self, algorithm: str) -> None:
-        """Switch the AllReduce algorithm for *future* collectives.
-
-        The algorithm is resolved per call, so the switch takes effect
-        on the next collective issued.  Every rank must switch at the
-        same sequence point — ranks running different algorithms for
-        the same collective would deadlock on mismatched message
-        patterns.  The autotuner applies this only at agreed iteration
-        boundaries.
-        """
-        if algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        self.algorithm = algorithm
-
-    def set_chunk_bytes(self, chunk_bytes: Optional[int]) -> None:
-        """Set the pipelining chunk size for future collectives
-        (``None`` restores the module default).  Chunking never changes
-        results, but all ranks must agree — chunk boundaries define the
-        per-step message sequence."""
-        if chunk_bytes is not None and chunk_bytes < 1:
-            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-        self.chunk_bytes = chunk_bytes
 
     def shutdown(self, grace: float = 2.0) -> bool:
         """Stop the worker thread (idempotent); returns True if it joined.

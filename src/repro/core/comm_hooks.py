@@ -20,8 +20,8 @@ bucket buffer's identity, so the reducer calls :func:`reset_hook`
 whenever ``rebuild_buckets`` installs a new layout.
 
 ``HOOK_FACTORIES`` maps hook names to zero-argument factories producing
-fresh hook instances — the registry behind the autotuner's ``comm_hook``
-dimension and the compression ablation benchmark.
+fresh hook instances — the registry behind :func:`make_hook` and the
+compression ablation benchmark.
 """
 
 from __future__ import annotations
@@ -391,8 +391,8 @@ class PowerSGDHook(CompressionHook):
 
 #: Hook registry: name → zero-argument factory returning a *fresh* hook
 #: (stateful hooks must not be shared across DDP instances).  This is
-#: the namespace behind the autotuner's ``comm_hook`` dimension and the
-#: compression ablation benchmark.
+#: the namespace behind :func:`make_hook` and the compression ablation
+#: benchmark.
 HOOK_FACTORIES = {
     "allreduce": lambda: allreduce_hook,
     "fp16": Fp16Hook,

@@ -74,17 +74,6 @@ class DistributedDataParallel(Module):
         hook-time gather or write-back copy follows.  Set False to get
         the seed copy-in/copy-out path (same numerics, two more copies
         per gradient).
-    autotune:
-        Attach a :class:`repro.autotune.Autotuner` that retunes
-        ``bucket_cap_mb`` / ``chunk_bytes`` / the collective algorithm
-        (and, opted in, the comm hook) live from
-        measured iteration times.  Every rank must pass the same value
-        — the tuner issues one tiny agreement collective per window.
-        See ``docs/autotuning.md``.
-    autotune_options:
-        Keyword options forwarded to the :class:`~repro.autotune.Autotuner`
-        constructor (``window_iters``, ``tune_comm_hook``, ``seed``, ...);
-        must be identical on every rank.
     """
 
     def __init__(
@@ -100,8 +89,6 @@ class DistributedDataParallel(Module):
         trace_backward_order: bool = False,
         rebucket_after_iterations: int = 5,
         gradient_as_bucket_view: bool = True,
-        autotune: bool = False,
-        autotune_options: Optional[dict] = None,
     ):
         super().__init__()
         self.module = module
@@ -177,12 +164,6 @@ class DistributedDataParallel(Module):
         )
         self._rebucket_after = rebucket_after_iterations
         self._rebucket_done = not trace_backward_order
-
-        self._autotuner = None
-        if autotune:
-            from repro.autotune.service import Autotuner
-
-            self._autotuner = Autotuner(self, **(autotune_options or {}))
 
         self._sync_enabled = True
         # Whether gradients were reduced in the previous backward, which
@@ -324,12 +305,6 @@ class DistributedDataParallel(Module):
 
     def forward(self, *inputs, **kwargs):
         if self._sync_enabled:
-            # Autotune boundary: the reducer is finalized and all Work
-            # waited, so config changes (relayouts, chunk or algorithm switches) are
-            # safe; runs before any of this iteration's collectives so
-            # every rank applies them at the same sequence point.
-            if self._autotuner is not None:
-                self._autotuner.on_iteration()
             if (
                 not self._rebucket_done
                 and self.reducer.iterations_synced >= self._rebucket_after
@@ -365,35 +340,6 @@ class DistributedDataParallel(Module):
         """Install a gradient-compression communication hook (§6.2.3)."""
         self.reducer.set_comm_hook(hook)
 
-    def set_bucket_cap_mb(
-        self, bucket_cap_mb: float, first_bucket_cap_mb: Optional[float] = None
-    ) -> None:
-        """Relayout gradient buckets to a new cap, live.
-
-        Goes through the no-op-aware ``rebuild_buckets`` (an unchanged
-        layout keeps the existing buffers; a changed one migrates live
-        gradient values into the new views).  **Collective discipline**:
-        every rank must call this between iterations at the same point
-        — the bucket layout defines the AllReduce sequence.  This is
-        the autotuner's relayout entry point.
-        """
-        specs = cached_bucket_assignment(
-            self._params,
-            bucket_cap_bytes=int(bucket_cap_mb * MB),
-            first_bucket_cap_bytes=(
-                int(first_bucket_cap_mb * MB)
-                if first_bucket_cap_mb is not None
-                else None
-            ),
-        )
-        self.reducer.rebuild_buckets(specs)
-        self.bucket_cap_mb = bucket_cap_mb
-
-    @property
-    def autotuner(self):
-        """The attached :class:`~repro.autotune.Autotuner` (or None)."""
-        return self._autotuner
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -411,9 +357,6 @@ class DistributedDataParallel(Module):
             "debug": self._debug_stats(),
             "resilience": self._resilience_stats(),
             "health": self._health_stats(profile.overlap_ratio if profile else 0.0),
-            "autotune": (
-                self._autotuner.report() if self._autotuner is not None else None
-            ),
             "checkpoint": self._checkpoint_stats(),
         }
 

@@ -12,7 +12,7 @@ NCCL keeps improving visibly through the whole sweep.
 One class serves every backend; a backend's calibration (Figs. 2, 6–9,
 12) is the ``cost`` of its row in :mod:`repro.comm.backends`, and
 :func:`cost_model_for` builds the model from it.  The runtime's health
-fold, the simulator and the autotuner's prior all price through here.
+fold and the simulator both price through here.
 
 ``link_capacity_*`` bounds the *aggregate* bandwidth several concurrent
 process groups can extract: one NCCL stream cannot saturate the link

@@ -12,13 +12,13 @@ threaded ``Reducer``/``ProcessGroup`` path:
 * :mod:`~repro.telemetry.recorder` — the reducer's one record per
   iteration: the phase stamps and per-bucket ready→launch→comm
   intervals, served as the ``IterationProfile`` that ``ddp_stats()``,
-  the critical-path profiler, the health report and the autotuner read.
+  the critical-path profiler and the health report read.
 * :mod:`~repro.telemetry.chrome_trace` — measured-timeline export in
   the Trace Event Format (one ``pid`` per rank, compute vs. comm
   ``tid`` rows), directly comparable with the simulator's exporter.
   It reads only the per-rank flight-recorder rings
   (:mod:`repro.debug.flight_recorder`): collective records, finished
-  iterations and incidents (resilience, autotune and checkpoint events)
+  iterations and incidents (resilience and checkpoint events)
   are the one event model every view draws from.
 * :mod:`~repro.telemetry.straggler` — cross-rank AllGather of timing
   samples with outlier flagging.

@@ -16,7 +16,7 @@ the ``comm`` row — one ``op#seq`` bar per
 :class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end,
 with the receive waits the executing thread booked per source as the
 bar's ``stalls``; and its incidents draw the remaining rows —
-``resilience`` and ``autotune`` instants, ``checkpoint`` bars.  All
+``resilience`` instants and ``checkpoint`` bars.  All
 ranks share one process clock (``perf_counter``), so cross-rank
 alignment is exact; timestamps are rebased to the earliest one and
 expressed in microseconds, as the format requires.

@@ -3,7 +3,7 @@
 ``repro.telemetry`` captures point-in-time evidence — a metrics
 snapshot, a span ring, one Chrome trace.  The observatory turns those
 snapshots into *streams* and *attributions*, the substrate the
-autotuner and fleet-scale service consume:
+health engine and fleet-scale service consume:
 
 * :mod:`~repro.telemetry.observatory.series` — bounded ring-buffer
   time series with per-tick points.

@@ -1,7 +1,7 @@
 """Bounded time series of sampled metric values.
 
-A :class:`MetricSeries` is the unit the sampler writes and the
-autotuner reads: one named stream of :class:`SeriesPoint` entries, ring
+A :class:`MetricSeries` is the unit the sampler writes and its
+readers query: one named stream of :class:`SeriesPoint` entries, ring
 bounded so an always-on sampler can never grow without limit.  Points
 carry the sampler's *generation* (a monotonically increasing tick
 counter) so ordered comparisons — "the latency stepped up at

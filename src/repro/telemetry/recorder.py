@@ -8,7 +8,7 @@ stamps and communication interval.  It serves them as one
 :class:`IterationProfile` (:attr:`IterationRecorder.last`), built by
 :func:`_build_profile` on first read and cached, so the training thread
 never pays for the attribution math.  ``ddp_stats()``, the critical-path
-profiler, the health report and the autotuner all read that profile.
+profiler and the health report all read that profile.
 Finishing an iteration writes nothing else: while ``REPRO_DEBUG`` ≥ INFO
 or telemetry is on the rank's ring retains the stamps, and the Chrome
 trace's compute row and the iteration series

@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel, comm_hooks
+from repro.core.bucket import compute_bucket_assignment
 from repro.optim import SGD
 from repro.utils import manual_seed
 
@@ -435,7 +436,9 @@ class TestRelayoutResetsHook:
             shard = slice(rank * 4, (rank + 1) * 4)
             loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
             before = len(ddp.reducer.buckets)
-            ddp.set_bucket_cap_mb(0.0001)  # one bucket per parameter
+            ddp.reducer.rebuild_buckets(compute_bucket_assignment(
+                list(ddp.parameters()), bucket_cap_bytes=104
+            ))  # one bucket per parameter
             loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
             live = {id(b.flat) for b in ddp.reducer.buckets}
             keys = {name: set(store) for name, store in _per_bucket_state(hook).items()}

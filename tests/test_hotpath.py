@@ -593,12 +593,11 @@ class TestFlatStepUnderDDP:
         # b2 W2 | b1 (rebound) | W1: one run of two is left.
         assert run_world(2, body, backend="gloo")[0] == [[2]]
 
-    @pytest.mark.parametrize("relayout", ["rebuild_buckets", "set_bucket_cap_mb"])
+    @pytest.mark.parametrize("relayout", ["rebuild_buckets"])
     @pytest.mark.parametrize("name", ["sgd_momentum", "adam_wd"])
     def test_relayout_mid_training_keeps_the_moments(self, name, relayout):
-        """A re-bucket (order prediction, or the autotuner applying a
-        new cap) re-homes every parameter; the optimizer's state follows
-        it into the new flats."""
+        """A re-bucket (order prediction) re-homes every parameter; the
+        optimizer's state follows it into the new flats."""
 
         def body(rank):
             model = small_classifier()
@@ -611,12 +610,9 @@ class TestFlatStepUnderDDP:
                 if step != 3:
                     return
                 snapshots.append(optimizer.state_dict())
-                if relayout == "rebuild_buckets":
-                    ddp.reducer.rebuild_buckets(compute_bucket_assignment(
-                        list(ddp.parameters()), bucket_cap_bytes=600
-                    ))
-                else:
-                    ddp.set_bucket_cap_mb(600 / (1024 * 1024))
+                ddp.reducer.rebuild_buckets(compute_bucket_assignment(
+                    list(ddp.parameters()), bucket_cap_bytes=600
+                ))
                 assert len(ddp.reducer.buckets) > 1
                 snapshots.append(optimizer.state_dict())
 

@@ -25,6 +25,7 @@ from conftest import run_world
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
+from repro.core.bucket import compute_bucket_assignment
 from repro.debug import all_recorders
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -605,7 +606,10 @@ class TestMetricCatalog:
     def test_every_catalog_row_is_published_by_a_ddp_run(self):
         def body(rank):
             ddp = _train_ddp(rank, iterations=2)
-            ddp.set_bucket_cap_mb(1.0)  # a live relayout: reducer.rebuilds
+            # A live relayout: reducer.rebuilds.
+            ddp.reducer.rebuild_buckets(compute_bucket_assignment(
+                list(ddp.parameters()), bucket_cap_bytes=1024 * 1024
+            ))
             loss = nn.CrossEntropyLoss()(ddp(Tensor(np.ones((4, 32)))), np.zeros(4, int))
             loss.backward()
 

@@ -207,6 +207,29 @@ class TestBackendPersonalities:
         assert gloo[0] == ("gloo", "halving_doubling")
 
 
+class TestConstructorArguments:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"chunk_bytes": 0}, "chunk_bytes must be >= 1"),
+        ({"chunk_bytes": -5}, "chunk_bytes must be >= 1"),
+        ({"algorithm": "bogus"}, "unknown allreduce algorithm"),
+        ({"chunk_bytes": None}, None),
+        ({"chunk_bytes": 1}, None),
+    ], ids=["chunk_zero", "chunk_negative", "bogus_algorithm", "chunk_default", "chunk_one"])
+    def test_chunk_bytes_and_algorithm_are_checked(self, kwargs, error):
+        """A chunk below one byte would pipeline one element per message;
+        the constructor refuses it, like an unknown algorithm.  None
+        keeps the module default."""
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                ProcessGroup(Store(), TransportHub(1), 0, **kwargs)
+            return
+        group = ProcessGroup(Store(), TransportHub(1), 0, **kwargs)
+        try:
+            assert group.chunk_bytes == kwargs["chunk_bytes"]
+        finally:
+            group.shutdown()
+
+
 class TestSubgroupsAndRoundRobin:
     def test_subgroup_collective(self):
         def body(rank):

@@ -1,25 +1,20 @@
 #!/usr/bin/env python
-"""Docs/code consistency gate: the documented-knobs guarantee.
+"""Docs/code consistency gate: the documented-variables guarantee.
 
 Five checks over ``docs/*.md``, ``README.md``, ``examples/README.md``,
 ``EXPERIMENTS.md`` and ``DESIGN.md``, all of which must pass for CI to
 go green:
 
-1. **Knob coverage** — every ``REPRO_*`` environment variable read
-   anywhere under ``src/`` and every autotunable knob in
-   ``repro.autotune.knobs.KNOBS`` must appear in a markdown *table row*
-   in the docs (the knob tables in ``docs/autotuning.md`` are the
-   canonical home), and every keyword parameter of
-   ``Autotuner.__init__`` (the ``autotune_options`` keys) must be a row
-   of ``docs/autotuning.md``'s table headed ``Option``.  A knob you can
+1. **Env-var coverage** — every ``REPRO_*`` environment variable read
+   anywhere under ``src/`` must appear in a markdown *table row* in the
+   docs (the "Runtime environment variables" table in
+   ``docs/performance.md`` is the canonical home).  A variable you can
    set but cannot look up is a bug.
 2. **No stale rows** — the reverse: every ``REPRO_*`` variable a table
    row names must be read by some Python file of the repo (``src/``,
    or the harness under ``tests/``, ``benchmarks/``, ``examples/``,
-   ``tools/``), every row of ``docs/autotuning.md``'s knob table (the
-   table headed ``Knob``) must name a ``KNOBS`` key, and every row of
-   its ``Option`` table a keyword parameter of ``Autotuner.__init__``.
-   A documented option that no longer exists is a bug too.
+   ``tools/``).  A documented variable that no longer exists is a bug
+   too.
 3. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
@@ -43,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import os
 import re
 import sys
@@ -85,32 +79,6 @@ def env_vars_under(*dirs):
     return found
 
 
-def autotune_knobs():
-    sys.path.insert(0, SRC_DIR)
-    from repro.autotune.knobs import KNOBS
-
-    return set(KNOBS)
-
-
-def autotune_options():
-    """The ``autotune_options`` keys: ``Autotuner.__init__``'s keyword
-    parameters after ``ddp``."""
-    sys.path.insert(0, SRC_DIR)
-    from repro.autotune.service import Autotuner
-
-    params = inspect.signature(Autotuner.__init__).parameters
-    return set(params) - {"self", "ddp"}
-
-
-def autotuning_doc(docs) -> str:
-    """The text of ``docs/autotuning.md`` ("" when absent)."""
-    return next(
-        (text for path, text in docs
-         if path.endswith(os.path.join("docs", "autotuning.md"))),
-        "",
-    )
-
-
 def table_row_text(doc_text: str) -> str:
     """Concatenated text of every markdown table row in the document."""
     rows = [
@@ -121,59 +89,23 @@ def table_row_text(doc_text: str) -> str:
     return "\n".join(rows)
 
 
-def check_knob_coverage(docs, verbose):
-    """Check 1: env vars + autotune knobs present in doc knob tables."""
+def check_env_coverage(docs, verbose):
+    """Check 1: every env var read under src/ is in a docs table row."""
     tables = "\n".join(table_row_text(text) for _path, text in docs)
-    problems = []
     env_vars = env_vars_under(SRC_DIR)
-    for var in sorted(env_vars):
-        if var not in tables:
-            problems.append(
-                f"env var {var} (read under src/) missing from every "
-                f"docs knob table — add it to docs/autotuning.md"
-            )
-    knobs = autotune_knobs()
-    autotuning = autotuning_doc(docs)
-    autotuning_tables = table_row_text(autotuning)
-    for knob in sorted(knobs):
-        if f"`{knob}`" not in autotuning_tables:
-            problems.append(
-                f"autotunable knob {knob} missing from the knob table in "
-                f"docs/autotuning.md"
-            )
-    options = autotune_options()
-    for option in sorted(options - set(knob_table_names(autotuning, "Option"))):
-        problems.append(
-            f"autotune option {option} missing from the Option table in "
-            f"docs/autotuning.md"
-        )
+    problems = [
+        f"env var {var} (read under src/) missing from every docs table "
+        f"— add it to docs/performance.md's runtime environment variables"
+        for var in sorted(env_vars) if var not in tables
+    ]
     if verbose:
-        print(f"  knob coverage: {len(env_vars)} env vars, "
-              f"{len(knobs)} autotune knobs, {len(options)} autotune "
-              f"options checked")
+        print(f"  env-var coverage: {len(env_vars)} env vars checked")
     return problems
 
 
-def knob_table_names(doc_text: str, header: str = "Knob") -> list:
-    """First-cell names (backticks stripped) of the rows of every table
-    whose header's first cell is ``header``."""
-    names, in_table = [], False
-    for line in doc_text.splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if not line.lstrip().startswith("|"):
-            in_table = False
-        elif cells[0] == header:
-            in_table = True
-        elif in_table and not set(line.strip()) <= {"|", "-", " ", ":"}:
-            names.append(cells[0].strip("`"))
-    return names
-
-
 def check_stale_rows(docs, verbose):
-    """Check 2: table rows name only variables and knobs that exist."""
+    """Check 2: table rows name only variables some code reads."""
     read = env_vars_under(*(os.path.join(REPO_ROOT, d) for d in CODE_DIRS))
-    knobs = autotune_knobs()
-    options = autotune_options()
     problems = []
     for path, text in docs:
         rel = os.path.relpath(path, REPO_ROOT)
@@ -182,22 +114,8 @@ def check_stale_rows(docs, verbose):
                 f"{rel}: a table row names {var}, which no code under "
                 f"{', '.join(CODE_DIRS)} reads — drop the row"
             )
-        if path.endswith(os.path.join("docs", "autotuning.md")):
-            for name in knob_table_names(text):
-                if name not in knobs:
-                    problems.append(
-                        f"{rel}: knob table row {name!r} is not a key of "
-                        f"repro.autotune.knobs.KNOBS — drop the row"
-                    )
-            for name in knob_table_names(text, "Option"):
-                if name not in options:
-                    problems.append(
-                        f"{rel}: option table row {name!r} is not a keyword "
-                        f"parameter of Autotuner.__init__ — drop the row"
-                    )
     if verbose:
-        print(f"  stale rows: {len(read)} REPRO_* vars read by code, "
-              f"{len(knobs)} autotune knobs")
+        print(f"  stale rows: {len(read)} REPRO_* vars read by code")
     return problems
 
 
@@ -299,7 +217,7 @@ def main(argv=None) -> int:
         print(f"checking {len(docs)} markdown files:")
 
     problems = []
-    problems += check_knob_coverage(docs, args.verbose)
+    problems += check_env_coverage(docs, args.verbose)
     problems += check_stale_rows(docs, args.verbose)
     problems += check_links(docs, args.verbose)
     problems += check_module_refs(docs, args.verbose)
@@ -312,10 +230,9 @@ def main(argv=None) -> int:
         for problem in unique:
             print(f"  - {problem}")
         return 1
-    print(f"check_docs OK: {len(docs)} files — knob tables cover every "
-          f"REPRO_* var, autotunable knob and autotune option and name "
-          f"nothing else, no dead "
-          f"links, no stale repro.* references, commands or script paths")
+    print(f"check_docs OK: {len(docs)} files — tables cover every REPRO_* "
+          f"var and name nothing else, no dead links, no stale repro.* "
+          f"references, commands or script paths")
     return 0
 
 
