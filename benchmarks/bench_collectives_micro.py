@@ -10,7 +10,9 @@ The five ``<algorithm>`` rows time rank-thread start-up plus one 512 KB
 call, which is the latency regime.  The ``*_16mb_w2`` rows are the
 bandwidth regime the DDP buckets of a large model live in: the median of
 N calls on a 16 MiB buffer inside two *live* rank threads (no start-up in
-the window), for ``sum`` and for the fused ``avg``.  The
+the window), for ``sum`` and for the fused ``avg``; the
+``reduce_scatter_flat`` / ``all_gather_flat`` rows call the group op,
+one round at every size.  The
 ``allreduce_<size>_w<world>`` rows are the fixed cost of one collective:
 the median *synchronous* call through a gloo ``ProcessGroup`` — issue,
 worker hand-off, signature check, protocol chosen by size, completion —
@@ -82,29 +84,32 @@ def _allreduce_call(name, op):
     return lambda hub, ranks, rank, buf, tag: fn(hub, ranks, rank, buf, op, tag, BW_TIMEOUT)
 
 
+def _group_call(name, *args):
+    """The rank's gloo group's collective ``name`` (one round at any size)."""
+    return lambda hub, ranks, rank, buf, tag: getattr(
+        get_context().default_group, name)(buf, *args)
+
+
 #: row name -> call(hub, ranks, rank, buf, tag) on a 16 MiB buffer.
 BANDWIDTH_ROWS = {
     "ring_16mb_w2": _allreduce_call("ring", "sum"),
     "ring_16mb_w2_avg": _allreduce_call("ring", "avg"),
     "halving_doubling_16mb_w2": _allreduce_call("halving_doubling", "sum"),
     "halving_doubling_16mb_w2_avg": _allreduce_call("halving_doubling", "avg"),
-    "reduce_scatter_flat_16mb_w2": lambda hub, ranks, rank, buf, tag: (
-        alg.reduce_scatter_flat(hub, ranks, rank, buf, "sum", tag, BW_TIMEOUT)),
-    "reduce_scatter_flat_16mb_w2_avg": lambda hub, ranks, rank, buf, tag: (
-        alg.reduce_scatter_flat(hub, ranks, rank, buf, "avg", tag, BW_TIMEOUT)),
-    "all_gather_flat_16mb_w2": lambda hub, ranks, rank, buf, tag: (
-        alg.all_gather_into_flat(hub, ranks, rank, buf, None, tag, BW_TIMEOUT)),
+    "reduce_scatter_flat_16mb_w2": _group_call("reduce_scatter_flat", "sum"),
+    "reduce_scatter_flat_16mb_w2_avg": _group_call("reduce_scatter_flat", "avg"),
+    "all_gather_flat_16mb_w2": _group_call("all_gather_flat"),
 }
 
 
 def _median_in_live_threads(name, calls, warmup=2):
     """Median seconds of row ``name``'s call over ``calls`` back-to-back
-    invocations inside running rank threads (the slower rank's median)."""
+    invocations inside running rank threads (the slower rank's median);
+    every rank has a gloo group over the hub for the group rows."""
     call = BANDWIDTH_ROWS[name]
     hub = TransportHub(BW_WORLD, default_timeout=BW_TIMEOUT)
     ranks = list(range(BW_WORLD))
     gate = threading.Barrier(BW_WORLD)
-    medians = [None] * BW_WORLD
 
     def body(rank):
         buf = np.ones(BW_ELEMS)
@@ -115,9 +120,9 @@ def _median_in_live_threads(name, calls, warmup=2):
             call(hub, ranks, rank, buf, ("bw", i))
             samples.append(time.perf_counter() - start)
             buf.fill(1.0)  # sums would otherwise double every call
-        medians[rank] = sorted(samples[warmup:])[calls // 2]
+        return sorted(samples[warmup:])[calls // 2]
 
-    _join_ranks(name, body, BW_WORLD, BW_TIMEOUT * 4)
+    medians = run_distributed(BW_WORLD, body, backend="gloo", timeout=BW_TIMEOUT, hub=hub)
     assert hub.pending_messages() == 0
     return max(medians)
 

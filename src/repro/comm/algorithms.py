@@ -7,7 +7,10 @@ These are the real algorithms communication libraries use (paper §2.3):
   and the one-round protocol :func:`allreduce_protocol` picks for small
   ones.  Below the size rule (:func:`one_round`) the process group runs
   it split in two — the post at issue, the receives and
-  :func:`reduce_in_order` at ``wait()`` — and broadcasts the same way.
+  :func:`reduce_in_order` at ``wait()`` — and broadcasts the same way;
+  its reduce-scatter (:func:`reduced` of the pieces of one span) and
+  all-gathers run that way at every size, since their direct exchange
+  moves no more bytes than a ring.
 * ``allreduce_ring`` — reduce-scatter + allgather ring (NCCL's default),
   2·(p−1) chunk transfers per rank, bandwidth-optimal.
 * ``allreduce_tree`` — binomial-tree reduce to a root followed by a
@@ -37,8 +40,7 @@ Hot-path design (paper Figs. 7/8 cost model):
   itself triggered by a message that follows the peer's read (reduce /
   reduce-scatter phases), and by one zero-byte **completion token** per
   borrowing peer where the buffer outlives the collective (all-gather /
-  broadcast phases, ``reduce_scatter_flat``'s sends of the caller's
-  input): the borrower sends the token after its last read and the
+  broadcast phases): the borrower sends the token after its last read and the
   lender receives it before the algorithm returns, so ``Work.wait()``
   still means "this tensor is yours again".  Each function's docstring
   carries its own argument; ``docs/internals.md`` has the table.
@@ -315,11 +317,20 @@ def reduce_in_order(buffer: np.ndarray, pieces: Sequence[np.ndarray], op: str) -
     order) in ``buffer``: every rank reduces the same pieces in the same
     order, so all end with the same bits; ``avg`` divides once."""
     fn, divisor = _reduce_plan(op, len(pieces), buffer.dtype)
-    acc = None
-    for piece in pieces:
-        acc = piece if acc is None else fn(acc, piece, out=buffer)
+    acc = pieces[0]
+    if len(pieces) == 1:
+        buffer[...] = acc
+    for piece in pieces[1:]:
+        acc = fn(acc, piece, out=buffer)
     if divisor:
         _divide(buffer, divisor)
+
+
+def reduced(pieces: Sequence[np.ndarray], op: str) -> np.ndarray:
+    """:func:`reduce_in_order` into a fresh array (a reduce-scatter's span)."""
+    out = np.empty_like(pieces[0])
+    reduce_in_order(out, pieces, op)
+    return out
 
 
 def one_round(nbytes: int, world: int) -> bool:
@@ -346,44 +357,29 @@ def allreduce_protocol(algorithm: str, nbytes: int, world: int) -> str:
 
 def _ring_reduce_scatter(hub: TransportHub, ranks: Sequence[int], me: int, flat: np.ndarray,
                          first: int, fn: ReduceFn, divisor: int | None, tag: object,
-                         timeout: float | None, chunk_bytes: int | None,
-                         standalone: bool) -> np.ndarray:
-    """The ring's reduce-scatter phase; returns the segment this rank ends
-    up owning, fully reduced.
-
-    At step s a rank sends segment ``first − s`` right and reduces
-    segment ``first − s − 1`` from the left with its own values, so after
-    p − 1 steps it owns segment ``first − p + 2``.  Each step forwards
-    what the previous one reduced; ``divisor`` divides in the last step.
-    Inside an AllReduce the reduction lands in ``flat`` and the allgather
-    that follows settles the lent sends; ``standalone`` reduces into a
-    fresh segment-sized array per step, leaving ``flat`` as it was, and
-    settles here.
-    """
+                         timeout: float | None, chunk_bytes: int | None) -> None:
+    """The ring's reduce-scatter phase, in place: at step s a rank sends
+    segment ``first − s`` right and reduces segment ``first − s − 1``
+    from the left into ``flat``, so after p − 1 steps it owns segment
+    ``first − p + 2`` fully reduced.  Each step forwards what the
+    previous one reduced; ``divisor`` divides in the last step.  The
+    allgather that follows settles the lent sends."""
     world = len(ranks)
     segments = partition_spans(flat.size, world)
     celems = _chunk_elems(chunk_bytes, flat.dtype)
     lend = flat.nbytes >= RENDEZVOUS_BYTES
     here, right, left = ranks[me], ranks[(me + 1) % world], ranks[(me - 1) % world]
-    # What the coming step sends, and the flat index of its element 0.
-    outgoing, base = flat, 0
     for step in range(world - 1):
         send_lo, send_hi = segments[(first - step) % world]
         recv_lo, recv_hi = segments[(first - step - 1) % world]
         owned = divisor and step == world - 2
         for c, (lo, hi) in enumerate(_chunk_spans(send_lo, send_hi, celems)):
-            _post(hub, here, right, (tag, "rs", step, c), outgoing[lo - base : hi - base], lend)
-        partial = np.empty(recv_hi - recv_lo, flat.dtype) if standalone else flat[recv_lo:recv_hi]
+            _post(hub, here, right, (tag, "rs", step, c), flat[lo:hi], lend)
         for c, (lo, hi) in enumerate(_chunk_spans(recv_lo, recv_hi, celems)):
-            incoming = _recv(hub, here, left, (tag, "rs", step, c), timeout)
-            piece = partial[lo - recv_lo : hi - recv_lo]
-            fn(flat[lo:hi], incoming, out=piece)
+            piece = flat[lo:hi]
+            fn(piece, _recv(hub, here, left, (tag, "rs", step, c), timeout), out=piece)
             if owned:
                 _divide(piece, divisor)
-        outgoing, base = partial, recv_lo
-    if standalone:
-        _settle(hub, here, tag, lend, [left], [right], timeout)
-    return partial
 
 
 def _ring_allgather(hub: TransportHub, ranks: Sequence[int], me: int, flat: np.ndarray,
@@ -449,7 +445,7 @@ def allreduce_ring(
         return
     flat = buffer.reshape(-1)
     # In place, leaving rank r owning segment (r+1) % p; circulated from there.
-    _ring_reduce_scatter(hub, ranks, me, flat, me, fn, divisor, tag, timeout, chunk_bytes, False)
+    _ring_reduce_scatter(hub, ranks, me, flat, me, fn, divisor, tag, timeout, chunk_bytes)
     _ring_allgather(hub, ranks, me, flat, me + 1, tag, timeout, chunk_bytes)
     _write_back(buffer, flat)
 
@@ -681,104 +677,6 @@ def broadcast(
     _write_back(buffer, flat)
 
 
-def reduce_scatter_flat(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    buffer: np.ndarray,
-    op: str = "sum",
-    tag: object = "rsflat",
-    timeout: float | None = None,
-    chunk_bytes: int | None = None,
-) -> np.ndarray:
-    """Chunked ring reduce-scatter over contiguous spans; returns rank
-    ``me``'s fully reduced span.
-
-    The buffer is partitioned with :func:`partition_spans` into ``p``
-    contiguous spans and rank ``r`` receives the reduction of span ``r``
-    — the ownership convention the sharded (ZeRO) stack builds on: the
-    span a rank reduces here is exactly the span it owns in
-    ``all_gather_into_flat`` and in the sharded optimizer's state
-    partition.  The caller's buffer is left untouched: every step
-    reduces the incoming partial sum with the caller's span *into a
-    fresh span-sized array*, which is what the next step forwards and
-    what the last step returns — no world-sized scratch.  ``avg``
-    divides the returned span, in the last step.
-
-    Cost per rank: (p−1)α + ((p−1)/p)·n·β — phase 1 of the ring
-    AllReduce.  Spans larger than ``chunk_bytes`` are pipelined as
-    several in-flight chunks; empty spans (``n < p``) still exchange one
-    empty chunk per step so the message protocol stays aligned.
-
-    Lent sends.  Step 0 lends the caller's own span, which outlives the
-    call — *token* from the right neighbour.  Later steps lend the
-    previous step's partial array, which nobody writes again — nothing
-    to protect.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    world = len(ranks)
-    flat = buffer.reshape(-1)
-    fn, divisor = _reduce_plan(op, world, flat.dtype)
-    if world == 1:
-        return flat.copy()
-    # The allreduce_ring schedule shifted by one slot, so after world-1
-    # steps rank r holds the fully reduced segment r (not (r+1) % p).
-    return _ring_reduce_scatter(hub, ranks, me, flat, me - 1, fn, divisor, tag, timeout,
-                                chunk_bytes, True)
-
-
-def all_gather_into_flat(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    buffer: np.ndarray,
-    shard: np.ndarray | None = None,
-    tag: object = "agflat",
-    timeout: float | None = None,
-    chunk_bytes: int | None = None,
-) -> None:
-    """Chunked ring allgather of per-rank spans into one flat buffer.
-
-    The inverse of :func:`reduce_scatter_flat`: ``buffer`` (in place) is
-    partitioned with :func:`partition_spans` and, after the call, every
-    rank holds all ``p`` spans.  Rank ``r`` contributes span ``r`` —
-    taken from ``shard`` when given (it must match the span's element
-    count), otherwise from the buffer's own span, so callers that keep
-    only their shard materialize the full tensor without staging it
-    first.
-
-    Cost per rank: (p−1)α + ((p−1)/p)·n·β — phase 2 of the ring
-    AllReduce.  Spans larger than ``chunk_bytes`` are pipelined as
-    several in-flight chunks; empty spans still exchange one empty chunk
-    per step so the message protocol stays aligned.
-
-    Lent sends — token: a span is lent only after this rank wrote it
-    (its own at step 0, a received one afterwards) and is not written
-    again; the right neighbour returns one token.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    world = len(ranks)
-    flat = buffer.reshape(-1)
-    segments = partition_spans(flat.size, world)
-    my_lo, my_hi = segments[me]
-    if shard is not None:
-        contribution = np.asarray(shard).reshape(-1)
-        if contribution.size != my_hi - my_lo:
-            raise ValueError(
-                f"shard has {contribution.size} elements but rank {me}'s "
-                f"span of a {flat.size}-element buffer over {world} ranks "
-                f"holds {my_hi - my_lo}"
-            )
-        flat[my_lo:my_hi] = contribution
-    if world > 1:
-        _ring_allgather(hub, ranks, me, flat, me, tag, timeout, chunk_bytes)
-    _write_back(buffer, flat)
-
-
 def reduce(
     hub: TransportHub,
     ranks: Sequence[int],
@@ -925,7 +823,7 @@ def allreduce_hierarchical(
         # allreduce_ring, averaging over the whole group.
         leader_me, inter = leader_locals.index(group_lo), (tag, "inter")
         _ring_reduce_scatter(hub, leaders, leader_me, flat, leader_me, fn, divisor, inter,
-                             timeout, chunk_bytes, False)
+                             timeout, chunk_bytes)
         _ring_allgather(hub, leaders, leader_me, flat, leader_me + 1, inter, timeout, chunk_bytes)
     # Phase 3: broadcast the result within the group.
     broadcast(

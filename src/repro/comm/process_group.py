@@ -87,11 +87,11 @@ class Work:
     operation ran, not how long it waited.  ``result[0]`` holds what the
     algorithm returned (None for in-place ops) once ``wait()`` returns.
 
-    This handle is a collective above the size rule
-    (:func:`~repro.comm.algorithms.one_round`), run by a communication
-    worker: ``wait()`` parks on an event the worker sets.  A small
-    collective is a :class:`_RoundWork` and makes progress in ``wait()``
-    / ``is_completed()`` instead.
+    This handle is a collective a communication worker runs: ``wait()``
+    parks on an event the worker sets.  A one-round collective (a small
+    AllReduce or broadcast, and every reduce-scatter, all-gather and
+    barrier) is a :class:`_RoundWork` and makes progress in ``wait()`` /
+    ``is_completed()`` instead.
     """
 
     def __init__(self, record: CollectiveRecord):
@@ -146,27 +146,29 @@ class Work:
 
 
 class _RoundWork(Work):
-    """A collective under the size rule, completed on the caller.
+    """A one-round collective, completed on the caller.
 
-    Its signed contribution (:class:`~repro.comm.transport.Signed`) went
+    Its signed contributions (:class:`~repro.comm.transport.Signed`) went
     out at issue; no thread owns it.  The first ``wait()``, or an
     ``is_completed()`` that finds every post there, takes the peers'
     posts, compares their fingerprints, lands the result and runs
     ``ProcessGroup._execute`` — exactly once, under a lock the other
-    askers park on.
+    askers park on.  Then it drops the pieces and the caller's buffer:
+    a Work its holder keeps (DDP's reducer keeps ``bucket.work`` until
+    the next backward) holds no contribution.
     """
 
-    def __init__(self, record, group: "ProcessGroup", signature: dict, buffer,
-                 pieces: list, missing: list, op: Optional[str], source: Optional[int]):
+    def __init__(self, record, group: "ProcessGroup", signature: dict,
+                 pieces: list, missing: list, land: Optional[Callable]):
         self.record, self.result = record, [None]
-        self._group, self._signature, self._buffer = group, signature, buffer
+        self._group, self._signature = group, signature
         self._tag = (group._group_id, record.seq)
         #: Contributions by group rank (this rank's own in its place),
         #: and the group ranks whose post is still to be taken, in order.
         self.pieces, self.missing = pieces, missing
-        #: What lands: the reduction of every piece by ``op``, or the
-        #: piece of group rank ``source`` (a broadcast's).
-        self._op, self._source = op, source
+        #: ``land(pieces)`` writes the result and returns ``result[0]``;
+        #: None when nothing lands (a barrier, a broadcast's root).
+        self._land_pieces = land
         #: ``(group rank, fingerprint)`` of the first post that disagreed.
         self._diverged = None
         self._lock = threading.Lock()
@@ -191,6 +193,7 @@ class _RoundWork(Work):
             if not self._finished and (block or self._arrived()):
                 self._group._execute(self, self._land, timeout if block else 0.0)
                 self._finished = True
+                self.pieces = self._land_pieces = None
         finally:
             self._lock.release()
         return self._finished
@@ -236,10 +239,8 @@ class _RoundWork(Work):
             self._file((offset,), (post,))
         if self._diverged is not None:
             raise group._mismatch(self.record.seq, self._signature, *self._diverged)
-        if self._op is not None:
-            algorithms.reduce_in_order(self._buffer, self.pieces, self._op)
-        elif self._source is not None:
-            self._buffer[...] = self.pieces[self._source]
+        if self._land_pieces is not None:
+            return self._land_pieces(self.pieces)
 
 
 def _as_array(tensor) -> np.ndarray:
@@ -250,6 +251,15 @@ def _as_array(tensor) -> np.ndarray:
     if not isinstance(data, np.ndarray):
         raise TypeError(f"collectives operate on tensors/ndarrays, got {type(tensor)}")
     return data
+
+
+def _fill_spans(buffer: np.ndarray, spans, pieces) -> None:
+    """Land an all-gather: piece ``r`` into span ``r`` of ``buffer``'s
+    flat view (through a private flat when no view can express it)."""
+    flat = buffer.reshape(-1)
+    for (lo, hi), piece in zip(spans, pieces):
+        flat[lo:hi] = piece
+    algorithms._write_back(buffer, flat)
 
 
 def _device_of(tensor) -> Optional[str]:
@@ -264,7 +274,7 @@ class _Op(NamedTuple):
 
     #: Worker path: ``fn(hub, ranks, rank, [array,] *operands, tag,
     #: timeout[, chunk_bytes])``; None = the group's AllReduce
-    #: algorithm (``.algorithm``).
+    #: algorithm (``.algorithm``), or no worker path at all.
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
@@ -272,32 +282,26 @@ class _Op(NamedTuple):
     world_bytes: bool = False
     #: The group's ``chunk_bytes`` is forwarded to the algorithm.
     chunked: bool = False
-    #: Under the size rule, one round of signed posts on the caller
-    #: (:meth:`ProcessGroup._round`) instead of the worker.
-    one_round: bool = False
-
-
-def _allgather(hub, ranks, me, array, tag, timeout, chunk_bytes) -> np.ndarray:
-    """Every rank's tensor as row ``r`` of a ``(world, n)`` array: the
-    flat ring all-gather with this rank's tensor as its shard."""
-    out = np.empty((len(ranks), array.size), dtype=array.dtype)
-    algorithms.all_gather_into_flat(hub, ranks, me, out, array, tag, timeout, chunk_bytes)
-    return out
+    #: When the op runs as one round of signed posts on the caller
+    #: (:meth:`ProcessGroup._round`) instead of on the worker: ``"small"``
+    #: under the size rule (:func:`~repro.comm.algorithms.one_round`),
+    #: ``"always"`` at every size.  A direct reduce-scatter or all-gather
+    #: moves the ring's (p − 1)/p · n bytes per rank in one round instead
+    #: of p − 1; a direct AllReduce or broadcast moves (p − 1) · n.
+    one_round: str = ""
 
 
 _OPS = {
-    "allreduce": _Op(None, ("reduce_op",), chunked=True, one_round=True),
-    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True, one_round=True),
-    "allgather": _Op(_allgather, world_bytes=True, chunked=True),
-    "reduce_scatter_flat": _Op(
-        algorithms.reduce_scatter_flat, ("reduce_op",), chunked=True
-    ),
-    "all_gather_flat": _Op(algorithms.all_gather_into_flat, chunked=True),
+    "allreduce": _Op(None, ("reduce_op",), chunked=True, one_round="small"),
+    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True, one_round="small"),
+    "allgather": _Op(None, world_bytes=True, one_round="always"),
+    "reduce_scatter_flat": _Op(None, ("reduce_op",), one_round="always"),
+    "all_gather_flat": _Op(None, one_round="always"),
     "reduce": _Op(algorithms.reduce, ("root", "reduce_op"), chunked=True),
     "gather": _Op(algorithms.gather, ("root",)),
     "scatter": _Op(algorithms.scatter, ("root",)),
-    # No tensor, so always under the size rule: never reaches a worker.
-    "barrier": _Op(None, one_round=True),
+    # No tensor: nothing to size.
+    "barrier": _Op(None, one_round="always"),
 }
 
 
@@ -425,6 +429,9 @@ class ProcessGroup:
             work.record.start()
             self._execute(work, fn)
             work._done.set()
+            # Parked in get() until the next one, these would keep the
+            # finished collective's buffers alive.
+            item = fn = work = None
 
     def _execute(self, work: Work, run: Callable, *args) -> None:
         """Run ``work``'s collective body between its bookkeeping stamps.
@@ -677,7 +684,7 @@ class ProcessGroup:
         Device check → the op's facts (:meth:`_describe`, once per op,
         shape, dtype and signed operands) → sequence number → the
         collective's one record, issued (:meth:`_issue`) → :meth:`_round`
-        on this thread (a one-round row under the size rule), or
+        on this thread (a one-round row, at its size), or
         ``_submit`` of a closure that checks the signature, runs the op's
         algorithm and translates transport timeouts.  ``name`` selects
         the row of ``_OPS``;
@@ -724,7 +731,7 @@ class ProcessGroup:
         return self._submit(run, record, async_op)
 
     def _describe(self, name: str, row: _Op, array, operands: dict) -> tuple:
-        """``(fingerprint, record facts, accounted bytes, size rule)``;
+        """``(fingerprint, record facts, accounted bytes, one round)``;
         raises for an ``avg`` of a non-floating dtype, before a sequence
         number is spent."""
         if operands.get("reduce_op") == ReduceOp.AVG:
@@ -734,7 +741,8 @@ class ProcessGroup:
         )
         world = len(self.ranks)
         wire = None if array is None else array.nbytes * (world if row.world_bytes else 1)
-        split = row.one_round and (array is None or algorithms.one_round(array.nbytes, world))
+        split = row.one_round == "always" or (
+            row.one_round == "small" and algorithms.one_round(array.nbytes, world))
         record_facts = dict(signature, world=world, backend=self.backend)
         if split and name == "allreduce":
             record_facts["algorithm"] = "naive"
@@ -742,27 +750,46 @@ class ProcessGroup:
 
     def _round(self, record: CollectiveRecord, signature: dict, array, operands: dict,
                async_op: bool):
-        """Run a collective under the size rule on this thread: post a
-        signed private copy of the buffer to the peers that need it (all,
-        but a broadcast's only from its root) in one hub round; the
+        """Run a one-round collective on this thread: post a signed
+        private copy of what each peer needs from this rank — the buffer
+        (a broadcast's only from its root), an all-gather's contribution,
+        a reduce-scatter's span of that peer — in one hub round; the
         :class:`_RoundWork` lands the result on whoever waits for it."""
-        me, world = self.group_rank, len(self.ranks)
-        pieces, op, source = [None] * world, operands.get("reduce_op"), None
-        dsts, missing, payload = self._peer_ranks, list(self._peers), None
-        if record.op == "broadcast":
-            if me == operands["src"]:
-                missing, payload = [], array.copy()
+        me, world, name = self.group_rank, len(self.ranks), record.op
+        pieces, missing, peers = [None] * world, list(self._peers), self._peer_ranks
+        op, posts, land = operands.get("reduce_op"), None, None
+        if name == "broadcast":
+            src = operands["src"]
+            if me == src:
+                missing, pieces[me] = [], array.copy()
             else:
-                dsts, missing, source = (), [operands["src"]], operands["src"]
+                missing, posts = [src], []
+                land = lambda got: np.copyto(array, got[src])
+        elif name == "reduce_scatter_flat":
+            flat = array.reshape(-1)
+            spans = algorithms.partition_spans(flat.size, world)
+            posts = [((self.ranks[offset],), flat[lo:hi].copy())
+                     for offset, (lo, hi) in enumerate(spans) if offset != me]
+            pieces[me] = flat[slice(*spans[me])]  # the caller's, lent until wait()
+            land = lambda got: algorithms.reduced(got, op)
+        elif name == "all_gather_flat":
+            spans, shard = algorithms.partition_spans(array.size, world), operands["shard"]
+            mine = array.reshape(-1)[slice(*spans[me])] if shard is None else shard
+            pieces[me] = mine.flatten()
+            land = lambda got: _fill_spans(array, spans, got)
+        elif name == "allgather":
+            pieces[me], land = array.flatten(), np.stack
         elif array is not None and world > 1:  # an AllReduce
-            payload = pieces[me] = array.copy()
-        else:  # a barrier, or an AllReduce of one rank: nothing lands
-            op = None
-        work = _RoundWork(record, self, signature, array, pieces, missing, op, source)
+            pieces[me] = array.copy()
+            land = lambda got: algorithms.reduce_in_order(array, got, op)
+        if posts is None:  # this rank's piece to every peer (a barrier's: None)
+            posts = [(peers, pieces[me])]
+        work = _RoundWork(record, self, signature, pieces, missing, land)
         record.start()
         try:
-            if dsts:
-                self.hub.post(self.global_rank, dsts, work._tag, Signed(signature, payload))
+            for dsts, payload in posts:
+                if dsts:
+                    self.hub.post(self.global_rank, dsts, work._tag, Signed(signature, payload))
         except Exception as exc:  # raised by wait(), as a worker's would be
             work._complete(exc)
         else:
@@ -793,8 +820,8 @@ class ProcessGroup:
 
     def allgather(self, tensor, async_op: bool = False):
         """Gather every rank's tensor into a new ``(world, n)`` array (the
-        sync form's return value, ``Work.result[0]`` otherwise): the ring
-        of :meth:`all_gather_flat`, with row ``r`` as rank ``r``'s span."""
+        sync form's return value, ``Work.result[0]`` otherwise), row ``r``
+        rank ``r``'s: one round, the call posting a copy to every peer."""
         return self._collective("allgather", tensor, async_op)
 
     def reduce_scatter_flat(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
@@ -802,12 +829,14 @@ class ProcessGroup:
 
         The flat tensor is partitioned with
         :func:`~repro.comm.algorithms.partition_spans`; rank ``r`` gets
-        back the fully reduced span ``r`` as a new array (the caller's
-        tensor is not modified, and stays lent to the peers until the
-        collective completed).  This is the gradient-sharding
-        primitive of the ZeRO stages (:mod:`repro.sharded`).  With
-        ``async_op=True`` returns a :class:`Work` whose ``result[0]``
-        holds the span after ``wait()``.
+        back the fully reduced span ``r`` as a new array.  One round at
+        every size: the call posts each peer a copy of that peer's span,
+        and ``wait()`` reduces the pieces of span ``r`` in group-rank
+        order (the caller's tensor is not modified, and its own span is
+        read there, so it stays lent until then).  This is the
+        gradient-sharding primitive of the ZeRO stages
+        (:mod:`repro.sharded`).  With ``async_op=True`` returns a
+        :class:`Work` whose ``result[0]`` holds the span after ``wait()``.
         """
         return self._collective("reduce_scatter_flat", tensor, async_op, reduce_op=op)
 
@@ -823,11 +852,20 @@ class ProcessGroup:
         :func:`~repro.comm.algorithms.partition_spans` and after the
         collective every rank holds all spans.  Rank ``r`` contributes
         span ``r`` — from ``shard`` when given (its element count must
-        match the span), otherwise from the tensor's own span.  This is
-        the parameter-materialization primitive of the ZeRO stages
+        match the span), otherwise from the tensor's own span, copied at
+        the call and posted to every peer in one round.  This is the
+        parameter-materialization primitive of the ZeRO stages
         (:mod:`repro.sharded`).
         """
-        shard_array = None if shard is None else _as_array(shard)
+        shard_array = None
+        if shard is not None:  # checked before a sequence number is spent
+            shard_array, size = _as_array(shard), _as_array(tensor).size
+            lo, hi = algorithms.partition_spans(size, self.size)[self.group_rank]
+            if shard_array.size != hi - lo:
+                raise ValueError(
+                    f"shard has {shard_array.size} elements but group rank "
+                    f"{self.group_rank}'s span of a {size}-element tensor over "
+                    f"{self.size} ranks holds {hi - lo}")
         return self._collective("all_gather_flat", tensor, async_op, shard=shard_array)
 
     def reduce(self, tensor, root: int = 0, op: str = ReduceOp.SUM):

@@ -1,6 +1,5 @@
 """Collective algorithms over the transport, all world sizes."""
 
-import threading
 import time
 
 import numpy as np
@@ -9,32 +8,19 @@ import pytest
 from conftest import run_world
 from repro.comm import algorithms as alg
 from repro.comm import get_context
-from repro.comm.process_group import _allgather
 from repro.comm.transport import TransportHub
 
 WORLD_SIZES = [1, 2, 3, 4, 5, 7, 8]
 
 
 def run_ranks(world, fn, timeout=10.0, hub=None):
-    """``fn(hub, rank)`` on ``world`` threads; per-rank results + the hub
-    (a fresh ``TransportHub`` unless one is passed in)."""
+    """``fn(hub, rank)`` on ``world`` rank threads, each with a default
+    gloo group over the hub (``get_context().default_group``, for the
+    collectives that exist only as group ops); per-rank results + the
+    hub (a fresh ``TransportHub`` unless one is passed in)."""
     hub = hub or TransportHub(world, default_timeout=timeout)
-    results = [None] * world
-    errors = []
-
-    def worker(rank):
-        try:
-            results[rank] = fn(hub, rank)
-        except Exception as exc:  # noqa: BLE001
-            errors.append((rank, exc))
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(world)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=timeout * 2)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
+    results = run_world(world, lambda rank: fn(hub, rank), backend="gloo",
+                        timeout=timeout, hub=hub)
     return results, hub
 
 
@@ -121,8 +107,8 @@ class TestReplicaEquality:
 
     def test_allgather_rows_are_the_inputs(self, world, op, dtype):
         inputs = self._inputs(world, dtype)
-        results, hub = run_ranks(world, lambda hub, rank: _allgather(
-            hub, list(range(world)), rank, inputs[rank], "t", None, None))
+        results, hub = run_ranks(world, lambda hub, rank: get_context().default_group.allgather(
+            inputs[rank]))
         for out in results:
             assert out.tobytes() == np.stack(inputs).tobytes()
         assert hub.messages_sent == ALLGATHER_MSGS[world]
@@ -146,7 +132,7 @@ REDUCE_MSGS = {
     (1, 0): [0], (2, 0): [0, 1], (2, 1): [1, 0], (3, 0): [0, 1, 1], (3, 2): [1, 1, 0],
     (4, 0): [0, 1, 1, 1], (4, 3): [1, 1, 1, 0], (5, 0): [0, 1, 1, 1, 1], (5, 4): [1, 1, 1, 1, 0],
 }
-#: world -> messages per rank of an allgather under RENDEZVOUS_BYTES: p − 1 steps.
+#: world -> messages per rank of an allgather: one round, a post to each peer.
 ALLGATHER_MSGS = {1: [0], 2: [1, 1], 3: [2, 2, 2], 4: [3, 3, 3, 3], 5: [4, 4, 4, 4, 4]}
 
 
@@ -249,7 +235,7 @@ def _inplace_reduce(hub, ranks, rank, buf):
 
 
 def _inplace_all_gather(hub, ranks, rank, buf):
-    alg.all_gather_into_flat(hub, ranks, rank, buf, None, "t")
+    get_context().default_group.all_gather_flat(buf)
     return np.repeat([1.0, 2.0, 3.0], 8).reshape(buf.shape)
 
 

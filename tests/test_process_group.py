@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -583,8 +584,9 @@ class TestOpTable:
     def test_allgather_and_reduce_match_numpy(self, world, dtype):
         """allgather and the standalone reduce (roots 0 and p − 1) through
         the group: the numpy result bit for bit, and the literal message
-        counts of the algorithm-level tests plus, on the leader, its
-        fingerprint post to each of the p − 1 peers."""
+        counts — the allgather's one round of posts, the reduce's tree
+        plus, on the leader, its fingerprint post to each of the p − 1
+        peers."""
         rng = np.random.default_rng([world, np.dtype(dtype).itemsize])
         inputs = [(rng.standard_normal(19) * 1e3).astype(dtype) for _ in range(world)]
         ops = {"sum": np.add, "max": np.maximum, **({} if dtype is np.int32 else {"avg": np.add})}
@@ -600,8 +602,7 @@ class TestOpTable:
 
         for rank, ((gathered, sent), *reduced) in enumerate(run_world(world, body, backend="gloo")):
             fingerprints = world - 1 if rank == 0 else 0
-            assert (gathered, sent) == (
-                np.stack(inputs).tobytes(), ALLGATHER_MSGS[world][rank] + fingerprints)
+            assert (gathered, sent) == (np.stack(inputs).tobytes(), ALLGATHER_MSGS[world][rank])
             for (root, op), (got, sent) in zip(calls, reduced):
                 assert sent == REDUCE_MSGS[world, root][rank] + fingerprints
                 want = tree_reduced(inputs, root, ops[op], world if op == "avg" else 1)
@@ -661,30 +662,41 @@ class TestSplitPhaseMismatch:
 
     @pytest.mark.parametrize("level", ["OFF", "DETAIL"])
     @pytest.mark.parametrize("odd", [0, 2], ids=["leader", "non-leader"])
-    @pytest.mark.parametrize("case", ["reduce_op", "dtype", "shape", "over_rule", "under_rule"])
+    @pytest.mark.parametrize("case", ["reduce_op", "dtype", "shape", "over_rule", "under_rule",
+                                      "rs_reduce_op", "rs_vs_ag"])
     def test_mismatch_is_diagnosed_never_reduced(self, debug_level, case, odd, level):
+        """``rs_*``: reduce-scatters, one round at every size — one rank's
+        with another ``reduce_op``, or an all-gather in its place."""
         debug_level(level)
-        field = {"reduce_op": "reduce_op", "dtype": "dtype"}.get(case, "shape")
+        field = {"reduce_op": "reduce_op", "dtype": "dtype", "rs_reduce_op": "reduce_op",
+                 "rs_vs_ag": "op"}.get(case, "shape")
         outcomes = {}
 
         def body(rank):
             pg = get_context().default_group
-            n, dtype, op = N, np.float64, ReduceOp.SUM
+            n, dtype, op, name = N, np.float64, ReduceOp.SUM, "allreduce"
+            if case.startswith("rs_"):
+                name = "reduce_scatter_flat"
             if case == "under_rule":  # the odd rank alone under the rule
                 n = N if rank == odd else OVER_RULE
             elif rank == odd:
-                if case == "reduce_op":
+                if case in ("reduce_op", "rs_reduce_op"):
                     op = ReduceOp.MAX
                 elif case == "dtype":
                     dtype = np.float32
                 elif case == "shape":
                     n = N + 2
+                elif case == "rs_vs_ag":
+                    name = "all_gather_flat"
                 else:  # the odd rank alone over the rule
                     n = OVER_RULE
             x = np.full(n, rank + 1, dtype=dtype)
             assert algorithms.one_round(x.nbytes, pg.size) == (n == N + 2 or n == N)
             try:
-                pg.allreduce(x, op)
+                if name == "all_gather_flat":
+                    pg.all_gather_flat(x)
+                else:
+                    getattr(pg, name)(x, op)
                 outcomes[rank] = x.copy()
             except BaseException as exc:
                 outcomes[rank] = exc
@@ -695,6 +707,8 @@ class TestSplitPhaseMismatch:
         error = excinfo.value.__cause__
         assert isinstance(error, CollectiveMismatchError)
         assert "differing fields:" in str(error) and f"{field}: " in str(error)
+        if case == "rs_vs_ag":
+            assert "reduce_scatter_flat" in str(error) and "all_gather_flat" in str(error)
         assert ("per-rank signatures" in str(error)) == (level == "DETAIL")
         for rank, outcome in outcomes.items():
             # Ranks that matched are woken by the hub closing behind the
@@ -703,9 +717,62 @@ class TestSplitPhaseMismatch:
                 rank, outcome)
 
 
+    @pytest.mark.parametrize("case", ["reduce_op", "op"])
+    def test_both_sides_name_the_disagreement(self, case):
+        """A reduce-scatter meeting an all-gather, or a reduce-scatter of
+        another ``reduce_op``, at one sequence number raises on both
+        ranks, each naming both sides."""
+        def body(rank):
+            pg = get_context().default_group
+            try:
+                if not rank:
+                    pg.reduce_scatter_flat(np.ones(N))
+                elif case == "op":
+                    pg.all_gather_flat(np.ones(N))
+                else:
+                    pg.reduce_scatter_flat(np.ones(N), ReduceOp.MAX)
+            except CollectiveMismatchError as exc:
+                return str(exc)
+
+        both = ("all_gather_flat", "reduce_scatter_flat") if case == "op" else ("max", "sum")
+        for message in run_world(2, body, backend="gloo", timeout=3):
+            assert f"differing fields: {case}: " in message
+            assert all(side in message for side in both), message
+
+
 class TestSplitPhase:
     """Semantics of a split-phase ``Work``: posted at issue, completed by
     whoever waits for it, exactly once."""
+
+    @pytest.mark.parametrize("name", ["allreduce", "broadcast", "reduce_scatter_flat",
+                                      "all_gather_flat", "allgather"])
+    def test_a_landed_work_holds_no_contribution(self, name, monkeypatch):
+        """Once it landed, a Work its holder keeps — DDP's reducer keeps
+        ``bucket.work`` until the next backward — keeps neither a posted
+        copy nor the caller's buffer alive."""
+        posted, real_post = [], TransportHub.post
+
+        def post(hub, src, dsts, tag, payload):
+            if isinstance(payload, Signed) and payload.data is not None:
+                posted.append(weakref.ref(payload.data))
+            return real_post(hub, src, dsts, tag, payload)
+
+        monkeypatch.setattr(TransportHub, "post", post)
+        landed = threading.Barrier(2)
+
+        def body(rank):
+            pg = get_context().default_group
+            buf = np.full(N, rank + 1.0)
+            work = getattr(pg, name)(buf, async_op=True)
+            work.wait()
+            landed.wait()  # the peer took this rank's post too
+            return work, weakref.ref(buf)
+
+        results = run_world(2, body, backend="gloo")
+        assert len(posted) == 2 - (name == "broadcast")
+        assert [ref() for ref in posted] == [None] * len(posted)
+        assert [buffer() for _, buffer in results] == [None, None]
+        assert all(work.record.state == "completed" for work, _ in results)
 
     @pytest.mark.parametrize("world", [2, 3, 4])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
@@ -1104,9 +1171,10 @@ class TestSignatureChannels:
 class TestSplitPhaseStress:
     """Completions racing each other under short and long switch
     intervals: sync and async calls, ``is_completed()`` spins, two
-    waiters on one Work, buffers scribbled before ``wait()``, barriers —
-    the op sequence from one seeded script, how each rank waits from its
-    own.  A lost wake-up hangs, a double completion miscounts."""
+    waiters on one Work, buffers scribbled before ``wait()``, barriers,
+    reduce-scatters and all-gathers — the op sequence from one seeded
+    script, how each rank waits from its own.  A lost wake-up hangs, a
+    double completion miscounts."""
 
     @pytest.mark.parametrize("interval", [1e-6, 1e-4, 5e-3])
     @pytest.mark.parametrize("hub_cls", [TransportHub, ReliableTransportHub])
@@ -1121,16 +1189,22 @@ class TestSplitPhaseStress:
             script = np.random.default_rng([CHAOS_SEED, world])
             mine = np.random.default_rng([CHAOS_SEED, rank])
             for i in range(rounds):
-                kind, n, how = script.integers(0, 3), script.integers(1, 64), mine.integers(0, 4)
+                kind, n, how = script.integers(0, 5), script.integers(1, 64), mine.integers(0, 4)
                 if kind == 2:
                     pg.barrier()
                     continue
-                root = i % world
+                root, spans = i % world, algorithms.partition_spans(n, world)
                 x = np.arange(n) + rank * i
                 if kind == 0:
                     work, expect = pg.allreduce(x, async_op=True), world * np.arange(n) + 3 * i
-                else:
+                elif kind == 1:
                     work, expect = pg.broadcast(x, root, async_op=True), np.arange(n) + root * i
+                elif kind == 3:  # x stays lent until wait(): never scribbled
+                    work, expect, how = pg.reduce_scatter_flat(x, async_op=True), x.copy(), min(how, 2)
+                else:
+                    work = pg.all_gather_flat(x, async_op=True)
+                    expect = np.concatenate([np.arange(lo, hi) + r * i
+                                             for r, (lo, hi) in enumerate(spans)])
                 if how == 1:
                     while not work.is_completed():
                         pass
@@ -1144,6 +1218,9 @@ class TestSplitPhaseStress:
                     x[:] = -1  # the contribution was taken at issue
                 work.wait()
                 assert np.array_equal(x, expect), (i, kind, how)
+                if kind == 3:
+                    summed = world * np.arange(n) + 3 * i
+                    assert np.array_equal(work.result[0], summed[slice(*spans[rank])]), i
             return len(executed), len(set(map(id, executed))), pg._pending, pg._executing
 
         previous = sys.getswitchinterval()

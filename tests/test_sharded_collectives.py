@@ -1,14 +1,17 @@
-"""The flat sharding collectives: reduce_scatter_flat / all_gather_into_flat.
+"""The flat sharding collectives: ``ProcessGroup.reduce_scatter_flat`` /
+``all_gather_flat`` (and ``allgather``, the same exchange into rows).
 
-Mirrors ``tests/test_hotpath.py``'s chunked-collective coverage for the
-two primitives the ZeRO stages ride on:
+Each is one round on the calling thread at every size: the call posts
+this rank's copies, ``wait()`` lands the result.  Covered here:
 
 * worlds 1–5 with odd (non-divisible) element counts, including sizes
   smaller than the world (empty spans on some ranks);
-* chunked pipelining — results invariant to chunk size, message counts
-  scale with the chunk count;
 * the span convention: rank ``r`` owns ``partition_spans`` span ``r``,
   so reduce-scatter → all-gather round-trips to the allreduce result;
+* ``shard=``, 2-D and non-contiguous tensors, and ``chunk_bytes``, which
+  does not apply (one message per peer at any size);
+* Works waited in any order, and a lossy, duplicating, corrupting wire
+  under the retrying hub — both bitwise equal to the plain run;
 * the ``ProcessGroup`` exposure, sync and async.
 """
 
@@ -18,9 +21,9 @@ import pytest
 from repro.autograd import Tensor
 from repro.comm import algorithms as alg
 from repro.comm import get_context
+from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy, corrupt, drop, duplicate
 
 from conftest import run_world
-from test_hotpath import _run_ranks
 
 WORLDS_1_TO_5 = [1, 2, 3, 4, 5]
 ODD_SIZES = [1, 3, 17, 97]
@@ -31,6 +34,12 @@ def _inputs(world, size, seed):
     return [rng.standard_normal(size) for _ in range(world)]
 
 
+def _run(world, body, **kwargs):
+    """``body(group, rank)`` on ``world`` rank threads with a gloo group."""
+    return run_world(world, lambda rank: body(get_context().default_group, rank),
+                     backend="gloo", timeout=15.0, **kwargs)
+
+
 class TestReduceScatterFlat:
     @pytest.mark.parametrize("world", WORLDS_1_TO_5)
     @pytest.mark.parametrize("size", ODD_SIZES)
@@ -38,13 +47,8 @@ class TestReduceScatterFlat:
         inputs = _inputs(world, size, world * 1000 + size)
         expected = np.sum(inputs, axis=0)
         spans = alg.partition_spans(size, world)
-
-        def body(hub, ranks, me):
-            return alg.reduce_scatter_flat(
-                hub, ranks, me, inputs[me].copy(), "sum", "rs", 15.0, 40
-            )
-
-        for me, out in enumerate(_run_ranks(world, body)):
+        outs = _run(world, lambda pg, me: pg.reduce_scatter_flat(inputs[me].copy()))
+        for me, out in enumerate(outs):
             lo, hi = spans[me]
             assert out.shape == (hi - lo,)
             np.testing.assert_allclose(out, expected[lo:hi], rtol=1e-9)
@@ -59,68 +63,43 @@ class TestReduceScatterFlat:
             "prod": np.prod(inputs, axis=0),
         }[op]
         spans = alg.partition_spans(size, world)
-
-        def body(hub, ranks, me):
-            return alg.reduce_scatter_flat(
-                hub, ranks, me, inputs[me].copy(), op, "rs", 15.0
-            )
-
-        for me, out in enumerate(_run_ranks(world, body)):
+        outs = _run(world, lambda pg, me: pg.reduce_scatter_flat(inputs[me].copy(), op))
+        for me, out in enumerate(outs):
             lo, hi = spans[me]
             np.testing.assert_allclose(out, reduced[lo:hi], rtol=1e-9)
 
     @pytest.mark.parametrize("chunk_bytes", [8, 24, 100, 10**9])
     def test_chunk_size_never_changes_result(self, chunk_bytes):
+        """``chunk_bytes`` does not apply: the same bits and one message
+        to each peer, whatever it is."""
         world, size = 4, 53
         inputs = _inputs(world, size, chunk_bytes % 997)
-        expected = np.sum(inputs, axis=0)
-        spans = alg.partition_spans(size, world)
 
-        def body(hub, ranks, me):
-            return alg.reduce_scatter_flat(
-                hub, ranks, me, inputs[me].copy(), "sum", "rs", 15.0, chunk_bytes
-            )
+        def body(pg, me):
+            before = pg.hub.messages_sent[me]
+            out = pg.reduce_scatter_flat(inputs[me].copy())
+            return out.tobytes(), pg.hub.messages_sent[me] - before
 
-        for me, out in enumerate(_run_ranks(world, body)):
-            lo, hi = spans[me]
-            np.testing.assert_allclose(out, expected[lo:hi], rtol=1e-9)
+        plain = _run(world, body)
+        assert _run(world, body, chunk_bytes=chunk_bytes) == plain
+        assert [sent for _, sent in plain] == [world - 1] * world
 
     def test_does_not_mutate_the_input(self):
         world = 3
         inputs = _inputs(world, 17, 3)
 
-        def body(hub, ranks, me):
+        def body(pg, me):
             buf = inputs[me].copy()
-            alg.reduce_scatter_flat(hub, ranks, me, buf, "sum", "rs", 15.0)
+            pg.reduce_scatter_flat(buf)
             return np.array_equal(buf, inputs[me])
 
-        assert all(_run_ranks(world, body))
-
-    def test_chunking_multiplies_message_count(self):
-        """25 fp64 elements, world 5 → 5-element spans; 16-byte chunks
-        (2 elements) → 3 chunks per span → 3·(p−1) sends per rank, the
-        reduce-scatter half of the ring allreduce's message count."""
-        world = 5
-        counts = {}
-
-        def body(hub, ranks, me):
-            alg.reduce_scatter_flat(hub, ranks, me, np.ones(25), "sum", "rs", 15.0, 16)
-            counts[me] = hub.messages_sent[me]
-
-        _run_ranks(world, body)
-        assert all(count == 3 * (world - 1) for count in counts.values())
+        assert all(_run(world, body))
 
     def test_size_smaller_than_world_gives_empty_spans(self):
         world, size = 5, 3
         inputs = _inputs(world, size, 11)
         expected = np.sum(inputs, axis=0)
-
-        def body(hub, ranks, me):
-            return alg.reduce_scatter_flat(
-                hub, ranks, me, inputs[me].copy(), "sum", "rs", 15.0
-            )
-
-        outs = _run_ranks(world, body)
+        outs = _run(world, lambda pg, me: pg.reduce_scatter_flat(inputs[me].copy()))
         for me, (lo, hi) in enumerate(alg.partition_spans(size, world)):
             assert outs[me].shape == (hi - lo,)
             np.testing.assert_allclose(outs[me], expected[lo:hi], rtol=1e-9)
@@ -135,14 +114,14 @@ class TestAllGatherIntoFlat:
         reference = rng.standard_normal(size)
         spans = alg.partition_spans(size, world)
 
-        def body(hub, ranks, me):
+        def body(pg, me):
             lo, hi = spans[me]
             buf = np.zeros(size)
             buf[lo:hi] = reference[lo:hi]  # only my span is populated
-            alg.all_gather_into_flat(hub, ranks, me, buf, None, "ag", 15.0, 40)
+            pg.all_gather_flat(buf)
             return buf
 
-        for out in _run_ranks(world, body):
+        for out in _run(world, body):
             np.testing.assert_allclose(out, reference, rtol=1e-12)
 
     def test_shard_argument_is_the_contribution(self, world=4, size=53):
@@ -150,30 +129,27 @@ class TestAllGatherIntoFlat:
         reference = rng.standard_normal(size)
         spans = alg.partition_spans(size, world)
 
-        def body(hub, ranks, me):
+        def body(pg, me):
             lo, hi = spans[me]
             buf = np.full(size, np.nan)  # stale garbage everywhere
-            alg.all_gather_into_flat(
-                hub, ranks, me, buf, reference[lo:hi].copy(), "ag", 15.0
-            )
+            pg.all_gather_flat(buf, shard=reference[lo:hi].copy())
             return buf
 
-        for out in _run_ranks(world, body):
+        for out in _run(world, body):
             np.testing.assert_allclose(out, reference, rtol=1e-12)
 
     def test_shard_size_mismatch_raises(self):
-        def body(hub, ranks, me):
-            try:
-                alg.all_gather_into_flat(
-                    hub, ranks, me, np.zeros(10), np.zeros(9), "ag", 15.0
-                )
-            except ValueError as exc:
-                hub.close()
-                return str(exc)
-            return None
+        """At the call, before a sequence number is spent: the group
+        stays in step."""
+        def body(pg, me):
+            with pytest.raises(ValueError, match="shard has 9 elements .* holds 5"):
+                pg.all_gather_flat(np.zeros(10), np.zeros(9), async_op=True)
+            seq = pg._seq
+            x = np.ones(2)
+            pg.allreduce(x)
+            return seq, x.tolist()
 
-        results = _run_ranks(2, body)
-        assert any(r and "elements" in r for r in results)
+        assert _run(2, body) == [(0, [2.0, 2.0])] * 2
 
     def test_round_trips_with_reduce_scatter(self):
         """reduce_scatter → all_gather(shard=...) == allreduce: the span
@@ -182,16 +158,63 @@ class TestAllGatherIntoFlat:
         inputs = _inputs(world, size, 17)
         expected = np.sum(inputs, axis=0)
 
-        def body(hub, ranks, me):
-            span = alg.reduce_scatter_flat(
-                hub, ranks, me, inputs[me].copy(), "sum", "rs", 15.0
-            )
+        def body(pg, me):
+            span = pg.reduce_scatter_flat(inputs[me].copy())
             full = np.zeros(size)
-            alg.all_gather_into_flat(hub, ranks, me, full, span, "ag", 15.0)
+            pg.all_gather_flat(full, shard=span)
             return full
 
-        for out in _run_ranks(world, body):
+        for out in _run(world, body):
             np.testing.assert_allclose(out, expected, rtol=1e-9)
+
+
+def _script(pg, rank, reverse=False):
+    """Reduce-scatters (sum and avg) and all-gathers over uneven, empty,
+    2-D and non-contiguous buffers, all issued async, then waited — in
+    issue order or the reverse; returns every result's bytes."""
+    world, rng = pg.size, np.random.default_rng([rank, 5])
+    works, outs = [], []
+    for size in (1, world - 1, 23, 4 * 6):
+        x = rng.standard_normal(size)
+        if size == 24:  # a transposed (non-contiguous) 2-D view
+            x = x.reshape(4, 6).T
+        for op in ("sum", "avg"):
+            works.append(pg.reduce_scatter_flat(x, op, async_op=True))
+        lo, hi = alg.partition_spans(x.size, world)[rank]
+        gathered = np.full(x.shape, np.nan)
+        works.append(pg.all_gather_flat(gathered, shard=x.reshape(-1)[lo:hi] * 2, async_op=True))
+        filled = x.copy(order="K")  # x stays lent to the reduce-scatters
+        works.append(pg.all_gather_flat(filled, async_op=True))
+        works.append(pg.allgather(x, async_op=True))
+        outs += [gathered, filled]
+    for work in reversed(works) if reverse else works:
+        work.wait()
+    results = [work.result[0] for work in works if work.result[0] is not None]
+    return [out.tobytes() for out in results + outs]
+
+
+class TestGroupConformance:
+    @pytest.mark.parametrize("world", [1, 2, 3, 4])
+    def test_any_wait_order_lands_the_same_bits(self, world):
+        """Every post goes out at issue, so ranks may complete their Works
+        in opposite orders without waiting on each other."""
+        forward = _run(world, lambda pg, rank: _script(pg, rank))
+        assert _run(world, lambda pg, rank: _script(pg, rank, reverse=rank % 2 == 0)) == forward
+        for rank_bytes in forward[1:]:  # every rank gathered the same buffers
+            assert rank_bytes[-8:] == forward[0][-8:]
+
+    @pytest.mark.parametrize("world", [2, 3, 4])
+    def test_faulty_wire_equals_fault_free_bitwise(self, world):
+        plain = _run(world, lambda pg, rank: _script(pg, rank))
+        hub = ReliableTransportHub(world, default_timeout=15.0,
+                                   retry=RetryPolicy(base_backoff=0.001), seed=world)
+        plan = FaultPlan([drop(probability=0.2), duplicate(probability=0.2),
+                          corrupt(probability=0.2)], seed=world)
+        got = _run(world, lambda pg, rank: _script(pg, rank, reverse=rank == 1),
+                   hub=hub, fault_plan=plan)
+        assert got == plain
+        stats = hub.resilience_stats()
+        assert plan.total_triggered() > 0 and stats["total_retransmits"] > 0
 
 
 class TestProcessGroupExposure:
