@@ -2,11 +2,12 @@
 diagnosis (paper §3.2.3 / Fig. 3(a)).
 
 Scenario 1 — **hang**: rank 1 issues fewer collectives than rank 0 and
-exits, so rank 0's last AllReduce can never complete.  The per-group
-hang watchdog must detect the stall *before* the transport timeout,
-gather every rank's flight-recorder snapshot through the store, and
-fail the run with a desync report naming rank 1 as the culprit and the
-exact stuck collective.
+exits, so rank 0's last AllReduce can never complete.  The hang watch of
+rank 0's liveness thread must detect the stall *before* the transport
+timeout, gather every rank's flight-recorder snapshot through the store,
+and fail the run with a desync report naming rank 1 as the culprit and
+the exact stuck collective.  While it runs, each rank must run exactly
+one liveness thread and no other watcher.
 
 Scenario 2 — **mismatch**: both ranks call AllReduce at the same
 sequence number but with different tensor shapes.  The consistency
@@ -20,6 +21,8 @@ Run:
     REPRO_DEBUG=DETAIL python examples/desync_demo.py
 """
 
+import re
+import threading
 import time
 
 import numpy as np
@@ -30,11 +33,23 @@ from repro.debug import clear_recorders, set_debug_level
 TIMEOUT = 4.0
 
 
+def watcher_threads(rank: int) -> list:
+    """Threads named after ``rank`` other than the rank's own and its
+    groups' communication workers: the ones that watch or beat for it."""
+    return sorted(
+        t.name for t in threading.enumerate()
+        if re.search(rf"rank{rank}(?!\d)", t.name)
+        and t is not threading.current_thread() and not t.name.endswith("-comm")
+    )
+
+
 def hang_scenario() -> float:
     """Rank 1 stops issuing collectives; returns the wall time to fail."""
+    watchers = {}
 
     def train(rank: int):
         group = get_context().default_group
+        watchers[rank] = watcher_threads(rank)
         group.allreduce(np.ones(8))          # seq 0: both ranks join
         if rank == 0:
             group.allreduce(np.ones(8))      # seq 1: rank 1 never joins
@@ -53,7 +68,10 @@ def hang_scenario() -> float:
         assert "rank 1 (shutdown)" in message, "rank 1 parting state missing"
         assert elapsed < TIMEOUT, (
             f"diagnosis took {elapsed:.2f}s — slower than the {TIMEOUT}s "
-            f"group timeout; the watchdog never fired"
+            f"group timeout; the hang watch never fired"
+        )
+        assert watchers == {r: [f"liveness-rank{r}"] for r in (0, 1)}, (
+            f"expected one liveness thread per rank, saw {watchers}"
         )
         return elapsed
     raise AssertionError("desynced run finished without an error")

@@ -7,14 +7,15 @@ Enables ``repro.telemetry``, trains a small MLP on rank threads, then:
   (https://ui.perfetto.dev) or ``chrome://tracing``;
 * prints ``ddp_stats()`` (bucket layout, overlap ratio, per-bucket
   AllReduce latency) and the merged cross-rank metric counters;
-* runs the cross-rank straggler detector;
+* prints the critical-path profiler's straggler summary, read from the
+  per-rank record rings (no extra collective);
 * validates the exported trace: parseable JSON, events from every
   rank, and ``comm`` rows nested inside an iteration window — so CI can
   use this script as a telemetry smoke test;
 * checks the ``debug`` section of ``ddp_stats()``: with telemetry on
   the collective record ring must hold records at every level; with
-  ``REPRO_DEBUG=INFO`` (or higher) the hang watchdog must be running,
-  and when OFF there must be none.
+  ``REPRO_DEBUG=INFO`` (or higher) the rank's liveness thread must be
+  watching for hangs, and when OFF there must be no watch.
 
 Run:
     python examples/telemetry_demo.py
@@ -31,6 +32,7 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.comm import run_distributed
 from repro.core import DistributedDataParallel
+from repro.telemetry.observatory import CriticalPathProfiler
 from repro.utils import manual_seed
 
 WORLD_SIZE = int(os.environ.get("REPRO_DEMO_WORLD", "4"))
@@ -55,8 +57,7 @@ def train(rank: int):
         loss_fn(ddp(inp), exp).backward()
         opt.step()
 
-    report = ddp.check_stragglers(threshold=1.5)
-    return ddp.ddp_stats(), report
+    return ddp.ddp_stats()
 
 
 def validate_trace(path: str) -> dict:
@@ -100,7 +101,7 @@ def main() -> None:
           f"({summary['events']} bars from {summary['ranks']} ranks) — "
           "open it in https://ui.perfetto.dev\n")
 
-    stats, straggler = results[0]
+    stats = results[0]
     print("ddp_stats() on rank 0:")
     for key in ("world_size", "backend", "num_buckets", "bucket_sizes_bytes",
                 "unused_parameter_count", "comm_compute_overlap_ratio",
@@ -115,7 +116,7 @@ def main() -> None:
         print(f"  {name}: {merged['counters'][name]}")
     assert merged["counters"]["iterations.synced"] == WORLD_SIZE * ITERATIONS
 
-    print(f"\nstraggler check: {straggler.describe()}")
+    print(f"\n{CriticalPathProfiler().straggler_summary().describe()}")
 
     debug = stats["debug"]
     print(f"\ndebug layer (REPRO_DEBUG={debug['level']}): {debug}")
@@ -124,9 +125,9 @@ def main() -> None:
         f"REPRO_DEBUG={debug['level']}"
     )
     if debug["level"] == "OFF":
-        assert debug["watchdog"] is None, "no watchdog expected when OFF"
+        assert debug["watchdog"] is None, "no hang watch expected when OFF"
     else:
-        assert debug["watchdog"]["active"], "hang watchdog was not running"
+        assert debug["watchdog"]["active"], "the liveness thread was not running"
         assert debug["watchdog"]["alarms_raised"] == 0, (
             "healthy run raised a desync alarm"
         )

@@ -21,6 +21,10 @@ package provides:
   successive collectives across several groups (paper §3.3, §5.4).
 * :mod:`~repro.comm.distributed` — rank context plumbing and the
   ``run_distributed`` thread harness used by tests and examples.
+* :mod:`~repro.comm.liveness` — the one liveness thread per rank
+  (:class:`RankMonitor`, owned by the rank's context): heartbeats for
+  the elastic supervisor and, under ``REPRO_DEBUG`` ≥ INFO, the hang
+  watch that turns a desync hang into a report.
 """
 
 from repro.comm.store import Store

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.comm import backends
+from repro.comm.liveness import RankMonitor
 from repro.comm.process_group import ProcessGroup
 from repro.comm.round_robin import RoundRobinProcessGroup
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub
+from repro.debug.levels import DEBUG
 from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
 
@@ -37,9 +39,21 @@ class DistributedContext:
     hub: TransportHub
     default_group: Optional[ProcessGroup] = None
     _owned_groups: List = field(default_factory=list)
+    #: The rank's one liveness thread (heartbeat + hang watch); the
+    #: first duty that needs it starts it, :meth:`close` stops it.
+    monitor: RankMonitor = field(init=False)
+
+    def __post_init__(self):
+        self.monitor = RankMonitor(self.rank)
+
+    def _own(self, group: ProcessGroup) -> ProcessGroup:
+        self._owned_groups.append(group)
+        if DEBUG.level:
+            self.monitor.watch(group)
+        return group
 
     def close(self) -> None:
-        """Shut down every owned group.
+        """Shut down every owned group, then stop the liveness thread.
 
         A communication worker wedged in a transport ``recv`` (its peer
         diverged or died) is woken by the group's shutdown closing the
@@ -57,6 +71,7 @@ class DistributedContext:
                 stuck.append(f"pg{group._group_id}")
         self._owned_groups.clear()
         self.default_group = None
+        self.monitor.stop()
         if stuck:
             logger.error(
                 "rank %d: communication workers of %s could not be joined "
@@ -66,6 +81,17 @@ class DistributedContext:
 
 def _set_context(ctx: Optional[DistributedContext]) -> None:
     _thread_ctx.ctx = ctx
+
+
+def enter_context(
+    rank: int, world_size: int, store: Store, hub: TransportHub
+) -> DistributedContext:
+    """Make a fresh context this thread's, as rank ``rank``."""
+    ctx = DistributedContext(rank, world_size, store, hub)
+    _set_context(ctx)
+    # Rank identity for log records and telemetry attribution.
+    set_current_rank(rank)
+    return ctx
 
 
 def get_context() -> DistributedContext:
@@ -114,14 +140,11 @@ def init_process_group(
                 "outside run_distributed(), init_process_group needs "
                 "store=, hub=, rank=, world_size="
             )
-        ctx = DistributedContext(rank, world_size, store, hub)
-        _set_context(ctx)
-        set_current_rank(rank)
-    group = ProcessGroup(
+        ctx = enter_context(rank, world_size, store, hub)
+    group = ctx._own(ProcessGroup(
         ctx.store, ctx.hub, ctx.rank, backend, group_id=group_id, timeout=timeout, **kwargs
-    )
+    ))
     ctx.default_group = group
-    ctx._owned_groups.append(group)
     return group
 
 
@@ -154,7 +177,7 @@ def new_process_group(
         # As in torch.distributed.new_group: every rank calls, only
         # members receive a usable group.
         return None
-    group = ProcessGroup(
+    return ctx._own(ProcessGroup(
         ctx.store,
         ctx.hub,
         ctx.rank,
@@ -163,9 +186,7 @@ def new_process_group(
         group_id=group_id,
         timeout=timeout,
         **kwargs,
-    )
-    ctx._owned_groups.append(group)
-    return group
+    ))
 
 
 def new_round_robin_group(
@@ -280,10 +301,7 @@ def run_distributed(
     wants_rank = len(inspect.signature(fn).parameters) >= 1
 
     def runner(rank: int) -> None:
-        ctx = DistributedContext(rank, world_size, store, hub)
-        _set_context(ctx)
-        # Rank identity for log records and telemetry span attribution.
-        set_current_rank(rank)
+        enter_context(rank, world_size, store, hub)
         try:
             if backend is not None:
                 init_process_group(backend, timeout=timeout, **group_kwargs)

@@ -105,7 +105,7 @@ class Work:
         return self.record.name
 
     def _complete(self, error: Optional[BaseException] = None) -> None:
-        # The record keeps its first terminal state: the hang watchdog
+        # The record keeps its first terminal state: the hang watch
         # may fail a stuck Work with a desync report before the worker's
         # own (less precise) transport timeout surfaces.
         self.record.finish(error)
@@ -361,7 +361,7 @@ class ProcessGroup:
         self._closed = False
         # Every Work some thread is executing — a worker its queued
         # collective, a caller the completion of a split-phase one — and
-        # since when; the hang watchdog polls the oldest (``_inflight``).
+        # since when; the hang watch polls the oldest (``_inflight``).
         self._executing: dict = {}
         # Small-collective Work posted and not yet completed (shutdown
         # fails it, so no later wait() parks on it).
@@ -380,13 +380,9 @@ class ProcessGroup:
             arrival_key, lambda v: v >= len(self.ranks), timeout=timeout
         )
 
-        # Debug layer (REPRO_DEBUG=INFO|DETAIL): a hang watchdog thread
-        # for this group membership.
-        self._watchdog = None
-        if DEBUG.level:
-            from repro.debug.watchdog import HangWatchdog
-
-            self._watchdog = HangWatchdog(self)
+        # The rank's liveness monitor, once it watches this group for
+        # hangs (REPRO_DEBUG ≥ INFO; see repro.comm.liveness).
+        self._monitor = None
 
         # The dedicated communication worker and its FIFO queue.
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -396,8 +392,6 @@ class ProcessGroup:
             daemon=True,
         )
         self._worker.start()
-        if self._watchdog is not None:
-            self._watchdog.start()
 
     @property
     def flight_recorder(self) -> FlightRecorder:
@@ -412,7 +406,7 @@ class ProcessGroup:
     @property
     def _inflight(self) -> Optional[Tuple[Work, float]]:
         """The longest-executing Work and since when, or None — what the
-        hang watchdog reports.  A small collective counts from when a
+        hang watch reports.  A small collective counts from when a
         thread began to complete it: compute after its post is no hang."""
         return min(list(self._executing.items()), key=lambda item: item[1], default=None)
 
@@ -438,7 +432,7 @@ class ProcessGroup:
 
         Both paths share it — the worker for a queued collective, a small
         collective's Work for its completion: listed as executing
-        (watchdog), ``run(*args)`` into ``work.result[0]``, record finished
+        (hang watch), ``run(*args)`` into ``work.result[0]``, record finished
         with what it raised, and under telemetry the thread's receive
         stalls (:data:`algorithms.executing`) attached last, which lets a
         read fold the record.  Waiters are released after it returns.
@@ -519,14 +513,10 @@ class ProcessGroup:
         if self._closed:
             return not self._worker.is_alive()
         self._closed = True
-        if self._watchdog is not None:
-            # Leave a parting snapshot so a peer's watchdog can still
+        if self._monitor is not None:
+            # Leave a parting snapshot so a peer's hang report can still
             # attribute a later hang to this (exited) rank.
-            try:
-                self._watchdog.publish_state(status="shutdown")
-            except Exception:
-                logger.exception("failed to publish parting debug state")
-            self._watchdog.stop()
+            self._monitor.unwatch(self)
         for work in list(self._pending):  # a completed one keeps its result
             work._complete(CollectiveError(
                 f"process group {self._group_id} shut down before "
@@ -569,7 +559,7 @@ class ProcessGroup:
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
 
-        Rendezvous counters, watchdog snapshots, barrier and DDP-check
+        Rendezvous counters, hang-watch snapshots, barrier and DDP-check
         keys (and DETAIL's per-rank signatures) would otherwise pile up
         across elastic generations.  The last member to shut down cleanly
         deletes the namespace; ranks that die first leave it behind on
@@ -582,7 +572,7 @@ class ProcessGroup:
                 return
             for prefix in (
                 f"pg{gid}/",       # rendezvous counter + DETAIL's signatures
-                f"pgdebug/{gid}/", # watchdog alarms and snapshots
+                f"pgdebug/{gid}/", # hang-watch alarms and snapshots
                 f"mb/{gid}/",      # monitored_barrier counters
                 f"ddpchk/{gid}/",  # DDP construction consistency checks
                 f"pgfini/{gid}/",  # this counter itself

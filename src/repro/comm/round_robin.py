@@ -83,10 +83,6 @@ class RoundRobinProcessGroup:
         """Debug flight recorder (first member's), or None."""
         return self.groups[0].flight_recorder
 
-    @property
-    def _watchdog(self):
-        return self.groups[0]._watchdog
-
     def _pick(self) -> ProcessGroup:
         group = self.groups[self._next]
         self._next = (self._next + 1) % len(self.groups)

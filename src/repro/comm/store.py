@@ -55,7 +55,7 @@ class Store:
     def try_get(self, key: str, default: Any = None) -> Any:
         """Non-blocking read: ``key``'s value, or ``default`` if unset.
 
-        The debug watchdog polls with this — peeking for an alarm or a
+        The hang watch polls with this — peeking for an alarm or a
         peer's state must never block behind a rank that will not write.
         """
         with self._lock:
@@ -103,7 +103,7 @@ class Store:
         """Remove every key starting with ``prefix``; returns the count.
 
         Process groups call this on destroy to drop their namespaced
-        keys (rendezvous counters, watchdog snapshots, barrier counters,
+        keys (rendezvous counters, hang-watch snapshots, barrier counters,
         and the per-rank collective signatures published only under
         ``REPRO_DEBUG=DETAIL``), so long-lived stores — notably the one
         shared across elastic re-rendezvous generations — do not grow

@@ -94,7 +94,7 @@ class TransportHub:
         self.default_timeout = default_timeout
         self._mutex = threading.Lock()
         self._mailboxes: Dict[Tuple[int, int, Hashable], deque] = {}
-        # Parked receivers by mailbox key — also the debug watchdog's
+        # Parked receivers by mailbox key — also the hang watch's
         # "who is stuck waiting on whom" evidence.
         self._gates = KeyedGates(self._mutex)
         self._closed = False
@@ -200,7 +200,7 @@ class TransportHub:
         """Pop the next message for ``key``, or ``_NOTHING`` on timeout.
 
         While parked the receiver shows in :meth:`blocked_receivers`
-        (watchdog evidence); a hub close raises ``TransportClosedError``.
+        (hang-watch evidence); a hub close raises ``TransportClosedError``.
         Subclasses use this to wait in short backoff slices.
         """
         return self._gates.wait(key, self._pop, timeout)

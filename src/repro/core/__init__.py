@@ -27,7 +27,6 @@ from repro.core.data_parallel import DataParallel
 from repro.core.param_avg import ParameterAveragingTrainer, average_parameters
 from repro.core import comm_hooks
 from repro.core.order_prediction import BackwardOrderTracer, assignment_from_order
-from repro.core.layer_drop import BroadcastLayerDrop, SeededLayerDrop
 from repro.core.taxonomy import TRAINING_SOLUTIONS, render_table1
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "comm_hooks",
     "BackwardOrderTracer",
     "assignment_from_order",
-    "BroadcastLayerDrop",
-    "SeededLayerDrop",
     "TRAINING_SOLUTIONS",
     "render_table1",
 ]

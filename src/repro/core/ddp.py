@@ -390,26 +390,15 @@ class DistributedDataParallel(Module):
 
     def _debug_stats(self) -> dict:
         """REPRO_DEBUG layer state: the depth of this rank's collective
-        record ring (filled at INFO or with telemetry on) and the
-        watchdog status of its process group (None when OFF)."""
-        group = self.process_group
-        recorder = getattr(group, "flight_recorder", None)
-        watchdog = getattr(group, "_watchdog", None)
+        record ring (filled at INFO or with telemetry on) and the hang
+        watch's status over every group the rank watches (None when
+        OFF)."""
+        recorder = getattr(self.process_group, "flight_recorder", None)
         return {
             "level": debug_level_name(),
             "flight_recorder_depth": recorder.depth() if recorder else 0,
-            "watchdog": watchdog.status() if watchdog else None,
+            "watchdog": get_context().monitor.status() if DEBUG.level else None,
         }
-
-    def check_stragglers(self, threshold: float = 1.5):
-        """Exchange the last backward-compute time across ranks and flag
-        outliers (a **collective** — every rank must call it at the same
-        point).  Returns a :class:`repro.telemetry.StragglerReport`."""
-        from repro.telemetry.straggler import detect_stragglers
-
-        profile = self.reducer.recorder.last
-        local = profile.backward_s if profile else 0.0
-        return detect_stragglers(self.process_group, local, threshold=threshold)
 
     def __repr__(self) -> str:
         return (

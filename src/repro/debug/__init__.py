@@ -1,4 +1,4 @@
-"""Distributed debug layer: flight recorder, hang watchdog, desync diff.
+"""Distributed debug layer: flight recorder and desync diff.
 
 The paper's headline failure mode (§3.2.3, Fig. 3(a)) — ranks issuing
 collectives in mismatched order — surfaces in production as an opaque
@@ -12,13 +12,12 @@ NCCL hang.  This package turns that hang into a diagnosis:
   under telemetry, its incidents (the one event store every telemetry
   view reads), with JSON dump and a cross-rank "last N collectives per
   rank" table.
-* :mod:`~repro.debug.watchdog` — per-``ProcessGroup`` thread that, when
-  a collective exceeds the hang threshold, gathers every rank's flight
-  recorder tail through the rendezvous store and fails the run with a
-  :class:`~repro.debug.desync.DesyncReport` naming culprit, laggard,
-  and missing ranks.
-* :mod:`~repro.debug.desync` — rich collective fingerprints and the
-  field-level cross-rank diff rendered on ``CollectiveMismatchError``.
+* :mod:`~repro.debug.desync` — rich collective fingerprints, the
+  field-level cross-rank diff rendered on ``CollectiveMismatchError``,
+  and the :class:`~repro.debug.desync.DesyncReport` naming culprit,
+  laggard and missing ranks that the hang watch of each rank's liveness
+  monitor (:mod:`repro.comm.liveness`) builds from every rank's
+  flight-recorder snapshot when a collective hangs.
 
 Everything is gated by ``REPRO_DEBUG=OFF|INFO|DETAIL`` (default OFF; see
 :mod:`~repro.debug.levels`): while OFF the comm layer pays one integer
@@ -66,7 +65,6 @@ from repro.debug.levels import (
     get_debug_level,
     set_debug_level,
 )
-from repro.debug.watchdog import HangWatchdog
 
 __all__ = [
     "CollectiveRecord",
@@ -74,7 +72,6 @@ __all__ = [
     "DETAIL",
     "DesyncReport",
     "FlightRecorder",
-    "HangWatchdog",
     "INFO",
     "OFF",
     "all_recorders",
@@ -96,7 +93,7 @@ __all__ = [
 ]
 
 # Debugging without log output is half a tool: when REPRO_DEBUG is on
-# and the user did not configure logging explicitly, surface watchdog
+# and the user did not configure logging explicitly, surface hang
 # and mismatch reports on stderr.
 if DEBUG.level and not os.environ.get("REPRO_LOG"):
     from repro.utils.logging import enable_logging

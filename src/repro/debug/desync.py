@@ -9,7 +9,7 @@ Two symptom classes from paper §3.2.3 / Fig. 3(a) are diagnosed here:
   ``REPRO_DEBUG=DETAIL`` published every rank's signature.
 * **Desync hang** — some rank stopped issuing collectives, so a peer's
   collective can never complete.  :func:`build_desync_report` merges the
-  per-rank flight-recorder snapshots the watchdog gathered through the
+  per-rank flight-recorder snapshots the hang watch gathered through the
   store and names the culprit ranks (never scheduled the stuck
   collective), the laggards (furthest-behind completions), and the
   missing (never responded — crashed or exited).
@@ -88,7 +88,7 @@ def render_mismatch(
 
 
 class DesyncReport:
-    """The watchdog's verdict on a hung collective."""
+    """The hang watch's verdict on a hung collective."""
 
     def __init__(
         self,

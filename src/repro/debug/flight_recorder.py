@@ -65,7 +65,7 @@ _collective_context: contextvars.ContextVar[tuple] = contextvars.ContextVar(
 )
 
 #: Guards every record's state transitions: the executing thread, a
-#: caller-side wait timeout and the hang watchdog may race to finish one.
+#: caller-side wait timeout and the hang watch may race to finish one.
 _state_lock = threading.Lock()
 
 
@@ -101,7 +101,7 @@ class CollectiveRecord:
     Every ``Work`` owns exactly one and every observer is a view of it:
     the flight ring holds it by reference, the causal timeline, the
     ``comm`` trace row, the health series folded at read and the
-    watchdog's report read its fields.  The facts are the collective's
+    hang watch's report read its fields.  The facts are the collective's
     fingerprint (``op``, ``shape``, ``dtype``, ``nbytes``; the remaining
     signature fields — reduce op / src / root — plus the group's
     ``world`` and ``backend`` and the algorithm in ``extra``), its
@@ -157,7 +157,7 @@ class CollectiveRecord:
         """Close the record; the first terminal state wins.
 
         A record already failed — by a caller-side ``Work.wait`` timeout
-        or the hang watchdog's desync report — keeps that richer error
+        or the hang watch's desync report — keeps that richer error
         when the executing thread later reports in, and one that
         finished first keeps its result.
         """
@@ -502,7 +502,7 @@ def seq_frontier(
 
     The desync-precursor detector compares frontiers — a rank whose
     frontier trails the group's leader by many collectives is drifting
-    toward the hang the watchdog would eventually catch.
+    toward the hang the hang watch would eventually catch.
     """
     frontier: Dict[int, Dict[int, int]] = {}
     for recorder in (all_recorders() if recorders is None else recorders).values():
@@ -548,7 +548,7 @@ def render_cross_rank(dumps: List[dict], last_n: int = 10) -> str:
     """Merge per-rank dumps into a "last N collectives per rank" table.
 
     ``dumps`` is a list of :meth:`FlightRecorder.dump` dicts (e.g. from
-    :func:`dump_all`, or gathered from the store by the watchdog).
+    :func:`dump_all`, or gathered from the store by the hang watch).
     """
     lines = ["collective flight recorder — last %d per rank" % last_n]
     for dump in sorted(dumps, key=lambda d: d["rank"]):

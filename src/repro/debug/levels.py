@@ -6,7 +6,7 @@ single attribute check while debugging is off.
 
 * ``OFF`` (default) — zero extra threads; collective records are
   retained only while telemetry is on.
-* ``INFO`` — flight recorder on, hang watchdog on, DDP construction
+* ``INFO`` — flight recorder on, hang watch on, DDP construction
   verifies parameter shapes/dtypes across ranks, reducer errors name
   unready parameters.
 * ``DETAIL`` — everything above, plus per-rank signature publication

@@ -15,11 +15,11 @@ to die.  This package makes each of those failure modes *inducible* and
   a retrying, acked, checksummed transport that absorbs drops,
   duplicates, and corruption; counters surface in ``ddp_stats()`` and
   the flight recorder.
-* :mod:`repro.resilience.heartbeat` — store-based liveness beacons
-  that detect a dead rank in fractions of a second.
 * :mod:`repro.resilience.elastic` — :func:`run_elastic`, the
-  shrink-to-survive supervisor: checkpoint, detect death, re-rendezvous
-  the survivors, restore, continue.
+  shrink-to-survive supervisor: checkpoint, detect death (from the
+  store-based beats of each rank's :mod:`repro.comm.liveness` monitor,
+  in fractions of a second), re-rendezvous the survivors, restore,
+  continue.
 
 See ``docs/resilience.md`` for the taxonomy mapping paper failure modes
 to injection rules and recovery behaviour.
@@ -50,7 +50,6 @@ from repro.resilience.faults import (
     rejoin_rank,
     slow_rank,
 )
-from repro.resilience.heartbeat import Heartbeat, HeartbeatMonitor, heartbeat_key
 from repro.resilience.transport import (
     ReliableTransportHub,
     RetryBudgetExceededError,
@@ -77,9 +76,6 @@ __all__ = [
     "ReliableTransportHub",
     "RetryPolicy",
     "RetryBudgetExceededError",
-    "Heartbeat",
-    "HeartbeatMonitor",
-    "heartbeat_key",
     "run_elastic",
     "ElasticConfig",
     "ElasticContext",

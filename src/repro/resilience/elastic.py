@@ -5,8 +5,11 @@ schedulers run it — expecting ranks to die.  Each attempt is a
 **generation**: a fresh :class:`~repro.resilience.transport.ReliableTransportHub`
 plus a fresh process group with a generation-unique ``group_id`` (so no
 store key from a dead generation can bleed into the next), one thread
-per rank, and a store-based heartbeat per rank.  The supervisor (the
-caller's thread) watches heartbeats and explicit death flags; when a
+per rank, and a store-based heartbeat per rank (the beat duty of the
+rank's :class:`~repro.comm.liveness.RankMonitor`: one every
+:data:`~repro.comm.liveness.BEAT_INTERVAL`).  The supervisor (the
+caller's thread) watches heartbeats and explicit death flags — a beat
+older than :data:`~repro.comm.liveness.MISS_THRESHOLD` is a death; when a
 rank dies it sets an abort flag, closes the hub to wake the blocked
 survivors, and applies the configured policy:
 
@@ -59,15 +62,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.checkpoint.engine import CheckpointEngine
-from repro.comm.distributed import destroy_process_group, init_process_group
+from repro.comm.distributed import (
+    destroy_process_group,
+    enter_context,
+    init_process_group,
+)
+from repro.comm.liveness import HeartbeatMonitor
 from repro.comm.store import Store
 from repro.core.ddp import DistributedDataParallel
 from repro.resilience.faults import FaultPlan, InjectedRankFailure
-from repro.resilience.heartbeat import Heartbeat, HeartbeatMonitor
 from repro.resilience.transport import ReliableTransportHub, RetryPolicy
 from repro.sharded.wrapper import ShardedWrapper
 from repro.utils.logging import logger
-from repro.utils.rank import set_current_rank
 
 
 class RankFailedError(RuntimeError):
@@ -99,9 +105,10 @@ class ElasticConfig:
     first), so a deterministic repeated death cannot loop forever.
     ``checkpoint_every`` is the save cadence in iterations (every rank
     calls the engine at the same cadence, derived only from the
-    iteration counter).  ``heartbeat_interval`` /
-    ``miss_threshold`` tune dead-rank detection; the defaults detect a
-    death in ~0.25 s, far below the transport timeout.  ``retry`` is the
+    iteration counter).  Dead-rank detection is fixed: a beat every
+    :data:`~repro.comm.liveness.BEAT_INTERVAL`, death after a
+    :data:`~repro.comm.liveness.MISS_THRESHOLD` miss, far below the
+    transport timeout.  ``retry`` is the
     :class:`~repro.resilience.transport.RetryPolicy` for each
     generation's hub; ``group_kwargs`` / ``ddp_kwargs`` forward to the
     process-group backend and the DDP wrapper.
@@ -128,9 +135,6 @@ class ElasticConfig:
     max_restarts: int = 5
     checkpoint_every: int = 1
     checkpoint_dir: str = "."
-    heartbeat_interval: float = 0.05
-    miss_threshold: float = 0.3
-    grace: float = 2.0
     backend: str = "gloo"
     timeout: float = 10.0
     retry: Optional[RetryPolicy] = None
@@ -189,7 +193,7 @@ class ElasticContext:
     store: Store
     namespace: str
     group: object = None
-    #: The rank's liveness beacon; step functions may call
+    #: The rank's liveness monitor; step functions may call
     #: ``ctx.heartbeat.suspend(seconds)`` to simulate a flapping rank.
     heartbeat: object = None
 
@@ -409,11 +413,9 @@ def _run_generation(
             store=store,
             namespace=ns,
         )
-        set_current_rank(rank)
-        heartbeat = Heartbeat(
-            store, ns, rank, interval=config.heartbeat_interval
-        ).start()
-        ctx.heartbeat = heartbeat
+        liveness = enter_context(rank, world, store, hub).monitor
+        liveness.beat(store, ns)
+        ctx.heartbeat = liveness
         engine: Optional[CheckpointEngine] = None
         try:
             # Re-rendezvous barrier: every admitted member — survivor or
@@ -426,10 +428,6 @@ def _run_generation(
             )
             group = init_process_group(
                 config.backend,
-                store=store,
-                hub=hub,
-                rank=rank,
-                world_size=world,
                 timeout=config.timeout,
                 group_id=f"e{generation}",
                 **config.group_kwargs,
@@ -496,14 +494,13 @@ def _run_generation(
                     {"kind": kind, "reason": f"{type(exc).__name__}: {exc}"},
                 )
             # A dead process takes its heartbeat with it.
-            heartbeat.stop()
+            liveness.stop()
         finally:
             if engine is not None:
                 with lock:
                     engine_stats[rank] = engine.stats()
                 engine.close(timeout=config.timeout)
-            heartbeat.stop()
-            destroy_process_group()
+            destroy_process_group()  # stops the liveness thread
 
     threads = [
         threading.Thread(
@@ -512,10 +509,7 @@ def _run_generation(
         )
         for r in range(world)
     ]
-    monitor = HeartbeatMonitor(
-        store, ns, list(range(world)),
-        miss_threshold=config.miss_threshold, grace=config.grace,
-    )
+    monitor = HeartbeatMonitor(store, ns, list(range(world)))
     for thread in threads:
         thread.start()
 

@@ -72,7 +72,7 @@ class RetryBudgetExceededError(TransportTimeoutError):
     """A recv exhausted its collective's retry budget.
 
     Subclasses :class:`~repro.comm.transport.TransportTimeoutError` so
-    existing timeout handling (process-group error mapping, watchdog
+    existing timeout handling (process-group error mapping, hang
     reports) applies unchanged.
     """
 

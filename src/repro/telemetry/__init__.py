@@ -20,8 +20,6 @@ threaded ``Reducer``/``ProcessGroup`` path:
   (:mod:`repro.debug.flight_recorder`): collective records, finished
   iterations and incidents (resilience and checkpoint events)
   are the one event model every view draws from.
-* :mod:`~repro.telemetry.straggler` — cross-rank AllGather of timing
-  samples with outlier flagging.
 
 Telemetry is **off by default** and costs one attribute check
 (``DEBUG.telemetry``, beside ``DEBUG.level`` in
@@ -61,7 +59,6 @@ from repro.telemetry.metrics import (
     registry_for,
 )
 from repro.telemetry.recorder import IterationRecorder, work_interval
-from repro.telemetry.straggler import StragglerReport, detect_stragglers
 from repro.telemetry import health
 from repro.telemetry.health import (
     Diagnosis,
@@ -119,11 +116,9 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "PrometheusExporter",
-    "StragglerReport",
     "all_snapshots",
     "analyze_snapshots",
     "clear_all_registries",
-    "detect_stragglers",
     "disable",
     "enable",
     "export_chrome_trace",

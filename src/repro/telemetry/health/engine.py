@@ -20,7 +20,7 @@ counters and incidents, and the cross-rank collective frontier, and emit
   resilience incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
-  hang the debug watchdog catches, visible while everyone is still
+  hang the hang watch catches, visible while everyone is still
   alive.
 
 Two entry points share the rules: :func:`analyze_snapshots` fuses live

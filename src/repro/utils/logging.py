@@ -62,7 +62,7 @@ _warned_lock = __import__("threading").Lock()
 def warn_once(key: str, message: str, *args, level: int = logging.WARNING) -> bool:
     """Log ``message`` at most once per ``key`` for the process lifetime.
 
-    Used by periodic machinery (the debug watchdog's poll loop, shutdown
+    Used by periodic machinery (the liveness thread's tick, shutdown
     paths that several owners may drive) where a recurring condition
     should surface exactly once instead of flooding stderr.  Returns
     True if the message was emitted.

@@ -1,7 +1,8 @@
-"""Debug layer: levels, flight recorder, desync diagnosis, watchdog,
-monitored barrier, and the shutdown-unwedging regression."""
+"""Debug layer: levels, flight recorder, desync diagnosis, the hang
+watch, monitored barrier, and the shutdown-unwedging regression."""
 
 import json
+import re
 import sys
 import threading
 import time
@@ -13,6 +14,7 @@ from repro.comm import (
     CollectiveTimeoutError,
     get_context,
     monitored_barrier,
+    new_round_robin_group,
 )
 from repro.core import DistributedDataParallel
 from repro.core.bucket import compute_bucket_assignment
@@ -166,14 +168,14 @@ class TestFlightRecorder:
         assert "allreduce" in table and "[step 0]" in table
 
     def test_off_records_nothing(self, debug_level):
-        """OFF with telemetry off: no watchdog, and the (always bound)
-        ring retains nothing."""
+        """OFF with telemetry off: no liveness thread, and the (always
+        bound) ring retains nothing."""
         debug_level("OFF")
 
         def body(rank):
             pg = get_context().default_group
             pg.allreduce(np.ones(3))
-            return pg.flight_recorder.depth() == 0 and pg._watchdog is None
+            return pg.flight_recorder.depth() == 0 and not get_context().monitor.is_alive()
 
         assert run_world(2, body, backend="gloo") == [True, True]
         assert sorted(all_recorders()) == [0, 1]
@@ -258,11 +260,74 @@ class TestWatchdog:
             pg = get_context().default_group
             for _ in range(3):
                 pg.allreduce(np.ones(2))
-            return pg._watchdog.status()
+            return get_context().monitor.status()
 
         statuses = run_world(2, body, backend="gloo")
         assert all(s["alarms_raised"] == 0 for s in statuses)
         assert all(s["active"] for s in statuses)
+
+
+def liveness_threads(rank):
+    """Names of the threads that watch or beat for ``rank``: every live
+    thread named after it except rank threads, its groups' communication
+    workers and checkpoint writers."""
+    return sorted(
+        t.name for t in threading.enumerate()
+        if re.search(rf"rank{rank}(?!\d)", t.name)
+        and not re.fullmatch(rf"(elastic-g\d+-)?rank{rank}", t.name)
+        and not t.name.endswith("-comm") and not t.name.startswith("ckpt-")
+    )
+
+
+class TestLiveness:
+    def test_one_liveness_thread_per_rank(self, debug_level, tmp_path):
+        """A default group plus a two-group round robin, and an elastic
+        rank, each run exactly one thread that watches and beats."""
+        from repro.optim import SGD
+        from repro.resilience import ElasticConfig, run_elastic
+
+        debug_level("INFO")
+
+        def body(rank):
+            new_round_robin_group("gloo", num_groups=2)
+            return liveness_threads(rank)
+
+        assert run_world(2, body, backend="gloo") == [
+            ["liveness-rank0"], ["liveness-rank1"],
+        ]
+
+        seen = {}
+
+        def setup(ctx):  # runs once the rank's group is watched
+            seen[ctx.rank] = liveness_threads(ctx.rank)
+            model = small_classifier()
+            return model, SGD(model.parameters(), lr=0.05)
+
+        def step(ctx, model, opt, iteration):
+            return 0.0
+
+        result = run_elastic(2, setup, step, total_iterations=1,
+                             config=ElasticConfig(checkpoint_dir=str(tmp_path)))
+        assert result.completed
+        assert seen == {0: ["liveness-rank0"], 1: ["liveness-rank1"]}
+
+    def test_round_robin_member_hang_shows_in_ddp_stats(self, debug_level):
+        """The status covers every group the rank watches, not just the
+        round robin's first member."""
+        debug_level("INFO")
+
+        def body(rank):
+            rr = new_round_robin_group("gloo", num_groups=2, timeout=1.5)
+            manual_seed(0)
+            ddp = DistributedDataParallel(small_classifier(), process_group=rr)
+            if rank == 0:  # rank 1 never joins member 1's collective
+                with pytest.raises(CollectiveTimeoutError, match="desync"):
+                    rr.groups[1].allreduce(np.ones(4))
+            return ddp.ddp_stats()["debug"]["watchdog"]
+
+        statuses = run_world(2, body, backend="gloo")
+        assert statuses[0]["alarms_raised"] >= 1
+        assert "allreduce" in statuses[0]["last_report"]
 
 
 class TestMismatchDiagnosis:

@@ -215,12 +215,12 @@ class TestFlap:
                     and not flapped_once[0]):
                 flapped_once[0] = True
                 ctx.heartbeat.suspend(0.8)
-                time.sleep(0.6)  # outlive miss_threshold while suspended
+                time.sleep(0.6)  # outlive MISS_THRESHOLD while suspended
             return step(ctx, model, opt, iteration)
 
         res = run_elastic(
             2, setup, flappy_step, total_iterations=6,
-            config=config(tmp_path, miss_threshold=0.3, allow_grow=True),
+            config=config(tmp_path, allow_grow=True),
             fault_plan=FaultPlan([]),
         )
         assert res.completed

@@ -1,17 +1,15 @@
-"""MPI backend, P2P, root collectives, DDP order tracing, layer-drop
-coordination, adaptive precision, checkpointing."""
+"""MPI backend, P2P, root collectives, DDP order tracing, adaptive
+precision, checkpointing."""
 
 import os
 import tempfile
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.autograd import Tensor
 from repro.comm import get_context
 from repro.core import DistributedDataParallel, comm_hooks
-from repro.core.layer_drop import BroadcastLayerDrop, SeededLayerDrop
 from repro.optim import SGD
 from repro.utils import load_checkpoint, manual_seed, save_checkpoint
 
@@ -180,41 +178,6 @@ class TestDdpOrderTracing:
 
         counts = run_world(2, body, backend="gloo")
         assert counts == [0, 0]
-
-
-class TestLayerDropCoordination:
-    def test_seeded_plans_agree_across_ranks(self):
-        def body(rank):
-            coordinator = SeededLayerDrop(num_layers=6, drop_prob=0.4, seed=9)
-            return [coordinator.next_plan() for _ in range(5)]
-
-        plans = run_world(3, body)
-        assert plans[0] == plans[1] == plans[2]
-
-    def test_seeded_plans_vary_over_iterations(self):
-        coordinator = SeededLayerDrop(num_layers=8, drop_prob=0.5, seed=0)
-        plans = [tuple(coordinator.next_plan()) for _ in range(10)]
-        assert len(set(plans)) > 1
-
-    def test_at_least_one_layer_kept(self):
-        coordinator = SeededLayerDrop(num_layers=3, drop_prob=0.99, seed=1)
-        for _ in range(50):
-            assert any(coordinator.next_plan())
-
-    def test_broadcast_plans_agree(self):
-        def body(rank):
-            pg = get_context().default_group
-            coordinator = BroadcastLayerDrop(pg, num_layers=5, drop_prob=0.5, seed=rank)
-            return [coordinator.next_plan() for _ in range(4)]
-
-        plans = run_world(2, body, backend="gloo")
-        assert plans[0] == plans[1]
-
-    def test_invalid_drop_prob(self):
-        with pytest.raises(ValueError):
-            SeededLayerDrop(4, 1.0)
-        with pytest.raises(ValueError):
-            BroadcastLayerDrop(None, 4, -0.1)
 
 
 class TestAdaptivePrecision:

@@ -396,7 +396,7 @@ class TestCriticalPathProfiler:
 
 
 # ----------------------------------------------------------------------
-# straggler detection + sampler series under fault injection
+# sampler series under fault injection
 # ----------------------------------------------------------------------
 class TestInjectedStraggler:
     def test_slow_rank_is_named_and_series_shows_the_step(self):
@@ -409,7 +409,6 @@ class TestInjectedStraggler:
         plan = FaultPlan([slow_rank(slow, delay, tag_contains="hot")], seed=0)
         sampler = MetricsSampler(interval=60.0)  # manual ticks only
         barrier = threading.Barrier(world)
-        reports = {}
 
         def probe_send(rank, context, tag):
             """Time one ring send; the fault sleeps on the sender."""
@@ -417,13 +416,11 @@ class TestInjectedStraggler:
             context.hub.send(rank, (rank + 1) % world, (tag, rank), np.zeros(8))
             elapsed = time.perf_counter() - t0
             registry_for(rank).gauge("probe.send_s").set(elapsed)
-            return elapsed
 
         def body(rank):
             from repro.comm.distributed import get_context
 
             context = get_context()
-            group = context.default_group
             left = (rank - 1) % world
             # Phase A: healthy sends (and drain the ring neighbor's).
             probe_send(rank, context, "warm")
@@ -433,24 +430,16 @@ class TestInjectedStraggler:
                 sampler.sample_once()   # generation 0: healthy latencies
             barrier.wait()
             # Phase B: the fault fires on the slow rank's probe.
-            elapsed = probe_send(rank, context, "hot")
+            probe_send(rank, context, "hot")
             context.hub.recv(rank, left, ("hot", left), timeout=10.0)
             barrier.wait()
             if rank == 0:
                 sampler.sample_once()   # generation 1: the step
             barrier.wait()
-            reports[rank] = telemetry.detect_stragglers(
-                group, elapsed, threshold=1.5
-            )
             return None
 
         telemetry.enable()
         run_world(world, body, backend="gloo", fault_plan=plan, timeout=30.0)
-
-        # The straggler detector names the injected rank on every rank.
-        for rank, report in reports.items():
-            assert report.stragglers == [slow]
-            assert report.is_straggler == (rank == slow)
 
         # The slow rank's latency series steps up at generation 1.
         series = sampler.series("probe.send_s", rank=slow)
@@ -583,7 +572,6 @@ _DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Catalog rows a 2-rank DDP run cannot produce, and why.
 _CATALOG_EXEMPT = {
-    "straggler.": "only check_stragglers() publishes these",
     "health.collectives_unaccounted": "only once a ring dropped unread records "
                                       "(tests/test_health.py::TestFoldAtRead)",
 }

@@ -993,7 +993,7 @@ class TestSplitPhase:
 
         def body(rank):
             pg = get_context().default_group
-            threshold = pg._watchdog.hang_threshold
+            threshold = get_context().monitor.status()["hang_threshold_s"]
             x = np.ones(4)
             if rank == 1:  # posts late, but well inside the threshold of rank 0's wait
                 time.sleep(1.5 * threshold + 0.4 * threshold)
@@ -1001,7 +1001,7 @@ class TestSplitPhase:
             if rank == 0:
                 time.sleep(1.5 * threshold)  # "compute" between post and wait
             work.wait()
-            return x[0], pg._watchdog.status()["alarms_raised"]
+            return x[0], get_context().monitor.status()["alarms_raised"]
 
         assert run_world(2, body, backend="gloo", timeout=0.6) == [(2.0, 0)] * 2
 

@@ -7,6 +7,7 @@ run exactly reproducible.
 """
 
 import os
+import sys
 import threading
 import time
 import types
@@ -17,7 +18,8 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.comm import Store, run_distributed
+from repro.comm import Store, get_context, liveness, run_distributed
+from repro.comm.liveness import HeartbeatMonitor, RankMonitor
 from repro.comm.process_group import CollectiveTimeoutError
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.core import DistributedDataParallel
@@ -26,8 +28,6 @@ from repro.debug.flight_recorder import FAILED
 from repro.optim import SGD
 from repro.resilience import (
     FaultPlan,
-    Heartbeat,
-    HeartbeatMonitor,
     ReliableTransportHub,
     RetryBudgetExceededError,
     RetryPolicy,
@@ -270,51 +270,145 @@ class TestStoreLifecycle:
         assert store.keys() == ["b/1"]
 
 
-class TestHeartbeat:
-    """Liveness is judged on a clock the test drives: ``heartbeat.py``
+def fresh_beat(store, namespace, rank, now, timeout=5.0):
+    """Wait until ``rank``'s published beat carries the fake time ``now``
+    (the liveness thread beats once per tick)."""
+    deadline = time.perf_counter() + timeout
+    key = liveness.heartbeat_key(namespace, rank)
+    while (store.try_get(key) or {}).get("time") != now:
+        assert time.perf_counter() < deadline, "no beat at the current time"
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """Liveness is judged on a clock the test drives: ``liveness.py``
     reads ``time.monotonic`` through its module-level ``time``, which is
     swapped for a fake here, so a loaded machine cannot make a live rank
     look dead (or a silent one look alive) by stalling a thread."""
+    now = [100.0]
+    monkeypatch.setattr(liveness, "time", types.SimpleNamespace(
+        monotonic=lambda: now[0], perf_counter=time.perf_counter,
+    ))
+    return now
 
-    @pytest.fixture
-    def clock(self, monkeypatch):
-        from repro.resilience import heartbeat
 
-        now = [100.0]
-        monkeypatch.setattr(heartbeat, "time", types.SimpleNamespace(
-            monotonic=lambda: now[0], perf_counter=time.perf_counter,
-        ))
-        return now
-
+class TestHeartbeat:
     def test_monitor_detects_stopped_heartbeat(self, clock):
         store = Store()
-        beat = Heartbeat(store, "hb-test", 0, interval=0.02).start()
+        beating = RankMonitor(0)
+        beating.beat(store, "hb-test")
         try:
-            monitor = HeartbeatMonitor(
-                store, "hb-test", [0], miss_threshold=0.15, grace=0.5
-            )
+            monitor = HeartbeatMonitor(store, "hb-test", [0])
             assert monitor.dead_ranks() == []
         finally:
-            beat.stop()
-        assert not beat._thread.is_alive()
-        clock[0] += 0.3  # nobody beats any more: the last one goes stale
+            beating.stop()
+        assert not beating.is_alive()
+        # Nobody beats any more: the last one goes stale.
+        clock[0] += liveness.MISS_THRESHOLD + 0.05
         assert monitor.dead_ranks() == [0]
 
     def test_never_started_rank_dead_only_after_grace(self, clock):
         store = Store()
-        monitor = HeartbeatMonitor(
-            store, "hb-test2", [0, 1], miss_threshold=0.05, grace=0.2
-        )
-        beat = Heartbeat(store, "hb-test2", 0, interval=0.02)  # beaten by hand
-        beat.beat_once()
-        clock[0] += 0.1
-        beat.beat_once()
-        assert monitor.dead_ranks() == []  # rank 1 silent, inside the grace window
-        clock[0] += 0.2
-        beat.beat_once()
-        assert monitor.dead_ranks() == [1]  # rank 0 is live, rank 1 never started
-        clock[0] += 0.1
+        monitor = HeartbeatMonitor(store, "hb-test2", [0, 1])
+        beating = RankMonitor(0)
+        beating.beat(store, "hb-test2")
+        try:
+            clock[0] += liveness.STARTUP_GRACE - 0.1
+            fresh_beat(store, "hb-test2", 0, clock[0])
+            assert monitor.dead_ranks() == []  # rank 1 silent, inside the grace window
+            clock[0] += 0.2
+            fresh_beat(store, "hb-test2", 0, clock[0])
+            assert monitor.dead_ranks() == [1]  # rank 0 is live, rank 1 never started
+        finally:
+            beating.stop()
+        clock[0] += liveness.MISS_THRESHOLD + 0.05
         assert monitor.dead_ranks() == [0, 1]
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestLivenessThread:
+    """One thread beats and watches, so the hang report must never hold
+    it.  In both tests rank 0 hangs in a worker-path AllReduce (async, so
+    its own thread stays free) that rank 1 never joins, and rank 1 has
+    stopped its monitor, so it never answers the alarm: rank 0's report
+    then waits out its whole grace window, which the frozen fake clock
+    keeps open."""
+
+    HANG_ELEMENTS = 1 << 16  # 512 KiB: above the one-round size rule
+
+    def test_open_report_does_not_pause_beat(self, clock, debug_level):
+        debug_level("INFO")
+        done = threading.Event()
+
+        def body(rank):
+            ctx = get_context()
+            if rank == 1:
+                ctx.monitor.stop()
+                assert done.wait(10.0)
+                return None
+            monitor = ctx.monitor
+            monitor.beat(ctx.store, "hb-report")
+            ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True)
+            (watch,) = monitor._watches.values()
+            wait_until(lambda: watch.report is not None)
+            beats = monitor.beats
+            wait_until(lambda: monitor.beats >= beats + 3)
+            still_open = watch.report is not None
+            clock[0] += watch.grace  # the window closes on the next tick
+            wait_until(lambda: monitor.alarms_raised == 1)
+            done.set()
+            return still_open, monitor.status()["last_report"]
+
+        (still_open, stuck), _ = run_distributed(2, body, backend="gloo", timeout=0.5)
+        assert still_open
+        assert "allreduce#0" in stuck
+
+    def test_published_beat_is_the_latest_under_contention(self):
+        """``beat()`` on the caller's thread races the tick's beat: the
+        store must always end on the monitor's own count."""
+        store = Store()
+        monitor = RankMonitor(0)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.perf_counter() + 0.3
+            while time.perf_counter() < deadline:
+                monitor.beat(store, "hb-race")
+        finally:
+            sys.setswitchinterval(previous)
+            monitor.stop()
+        assert not monitor.is_alive()
+        key = liveness.heartbeat_key("hb-race", 0)
+        assert store.try_get(key)["beat"] == monitor.beats
+
+    def test_shutdown_mid_report_leaves_no_monitor_thread(self, clock, debug_level):
+        debug_level("INFO")
+        monitors = {}
+
+        def body(rank):
+            ctx = get_context()
+            if rank == 1:
+                ctx.monitor.stop()
+                # Stay (and keep the parting snapshot back) until rank 0
+                # has closed its context with the report still open.
+                wait_until(lambda: 0 in monitors and not monitors[0].is_alive())
+                return
+            ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True)
+            (watch,) = ctx.monitor._watches.values()
+            wait_until(lambda: watch.report is not None)
+            monitors[0] = ctx.monitor
+
+        run_distributed(2, body, backend="gloo", timeout=0.5)
+        assert not monitors[0].is_alive()
+        assert monitors[0].alarms_raised == 0  # the report never finished
+        assert "liveness-rank0" not in [t.name for t in threading.enumerate()]
 
 
 class TestTrainingCheckpoint:

@@ -1,10 +1,10 @@
-"""Telemetry subsystem: metrics, incidents, Chrome export, stragglers.
+"""Telemetry subsystem: metrics, incidents, Chrome export, logging.
 
 Covers the observability acceptance surface: thread-safe metric
 recording, the bounded incident deque, a real (non-simulated) 4-rank
 DDP run whose exported Chrome trace contains compute and comm bars for
-every rank with comm bars landing inside the right iteration, straggler
-detection, rank-aware logging, and the zero-overhead disabled path.
+every rank with comm bars landing inside the right iteration,
+rank-aware logging, and the zero-overhead disabled path.
 """
 
 from __future__ import annotations
@@ -271,40 +271,6 @@ class TestRealRunTracing:
             "prepare_to_first_grad", "backward_compute", "comm_exposed_wait", "total",
         }
         assert stats["total"] > 0
-
-
-class TestStragglerDetection:
-    def test_flags_injected_straggler(self):
-        def body(rank):
-            from repro.comm.distributed import get_context
-
-            group = get_context().default_group
-            # Rank 3 pretends its backward took 4x everyone else's.
-            local = 0.4 if rank == 3 else 0.1
-            return telemetry.detect_stragglers(group, local, threshold=1.5)
-
-        reports = run_world(4, body, backend="gloo")
-        for rank, report in enumerate(reports):
-            assert report.stragglers == [3]
-            assert report.is_straggler == (rank == 3)
-            assert report.median == pytest.approx(0.1)
-            assert report.max_slowdown == pytest.approx(4.0)
-        assert "straggler" in reports[0].describe()
-
-    def test_balanced_ranks_not_flagged(self):
-        def body(rank):
-            from repro.comm.distributed import get_context
-
-            group = get_context().default_group
-            return telemetry.detect_stragglers(group, 0.1, threshold=1.5)
-
-        for report in run_world(2, body, backend="gloo"):
-            assert report.stragglers == []
-            assert report.max_slowdown == pytest.approx(1.0)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            telemetry.detect_stragglers(None, 0.1, threshold=0.9)
 
 
 class TestRankAwareLogging:
