@@ -21,13 +21,14 @@ have had to dig out of a Chrome trace:
 * ``retransmit_storm`` naming the lossy edge's receiving rank —
 
 each with confidence and the evidence numbers behind the verdict.  The
-offline path is exercised too: the sampler's JSONL dump feeds
-``tools/healthctl.py``-style analysis and must reach the same verdicts.
+offline path is exercised too: the flight-recorder dump (``dump_json``,
+what ``tools/healthctl.py`` reads) is reloaded from JSON and must give
+exactly the live verdicts.
 
 Run:
     python examples/health_demo.py                  # faulty run
     python examples/health_demo.py --fault-free     # CI false-positive gate
-    python examples/health_demo.py --dump health_metrics.jsonl
+    python examples/health_demo.py --dump health_faulty.json
 """
 
 import argparse
@@ -39,18 +40,17 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.comm import Store, run_distributed
 from repro.core import DistributedDataParallel
+from repro.debug import dump_json
 from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy, drop
 from repro.resilience.faults import slow_rank
 from repro.telemetry.health import (
     PERSISTENT_STRAGGLER,
     RETRANSMIT_STORM,
-    analyze_snapshots,
-    analyze_ticks,
+    analyze_dumps,
     health_report,
     merge_causal_timeline,
     render_diagnoses,
 )
-from repro.telemetry.observatory import MetricsSampler
 from repro.utils import manual_seed
 
 WORLD_SIZE = 4
@@ -84,7 +84,7 @@ def main() -> int:
                         help="run without any injected fault (gate mode: "
                         "asserts zero diagnoses)")
     parser.add_argument("--dump", metavar="PATH", default=None,
-                        help="write the sampler's metrics JSONL here "
+                        help="write the flight-recorder dump here "
                         "(feed it to tools/healthctl.py)")
     parser.add_argument("--seed", type=int, default=0,
                         help="chaos seed for the fault plan")
@@ -112,12 +112,10 @@ def main() -> int:
     )
     print(f"== training: {WORLD_SIZE} ranks x {ITERATIONS} iterations "
           f"({mode}) ==")
-    sampler = MetricsSampler(interval=0.05).start()
     stats = run_distributed(
         WORLD_SIZE, train, backend="gloo", timeout=60.0,
         store=Store(timeout=30.0), hub=hub, fault_plan=plan,
     )
-    sampler.stop()
 
     # -- live health section (what ddp_stats()["health"] serves) --------
     health = stats[0]["health"]
@@ -141,7 +139,7 @@ def main() -> int:
               f"(op {worst['op']} seq {worst['seq']})")
 
     # -- live diagnoses -------------------------------------------------
-    diagnoses = analyze_snapshots()
+    diagnoses = analyze_dumps()
     print("\n== live anomaly attribution ==")
     print(render_diagnoses(diagnoses), end="")
 
@@ -164,19 +162,16 @@ def main() -> int:
               f"storm=rank {storm.culprit_rank}"
               + (f" edge {storm.culprit_edge}" if storm.culprit_edge else ""))
 
-    # -- offline path (healthctl over the JSONL dump) -------------------
-    offline = analyze_ticks(sampler.ticks())
-    offline_kinds = {d["kind"] for d in offline["diagnoses"]}
-    print(f"\noffline replay over {offline['ticks']} sampler ticks: "
-          f"{sorted(offline_kinds) or 'no anomalies'}")
-    if args.fault_free:
-        assert not offline_kinds, f"offline false positive: {offline_kinds}"
-    else:
-        assert PERSISTENT_STRAGGLER in offline_kinds, (
-            "offline analysis missed the straggler"
-        )
+    # -- offline path (healthctl over the flight-recorder dump) ---------
+    dumps = json.loads(dump_json(args.dump))["flight_recorders"]
+    offline = analyze_dumps(dumps)
+    print(f"\noffline check over the dump of ranks "
+          f"{[d['rank'] for d in dumps]}: "
+          f"{sorted(d.kind for d in offline) or 'no anomalies'}")
+    assert [d.as_dict() for d in offline] == [d.as_dict() for d in diagnoses], (
+        "the dump's verdicts differ from the live ones"
+    )
     if args.dump:
-        sampler.dump_jsonl(args.dump)
         print(f"wrote {args.dump} — analyze with: "
               f"python tools/healthctl.py {args.dump}")
 

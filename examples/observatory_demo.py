@@ -3,9 +3,6 @@
 Runs a short multi-rank DDP job with the full performance observatory
 attached:
 
-* a :class:`~repro.telemetry.observatory.MetricsSampler` snapshotting
-  every rank's metrics registry at 50 ms into ring-bounded time series,
-  dumped to ``observatory_metrics.jsonl`` (one JSON tick per line);
 * a Prometheus exporter serving the same registries on ``/metrics`` —
   the demo scrapes itself once over HTTP and prints a few lines;
 * the critical-path profiler's per-bucket blame table for the last
@@ -14,11 +11,15 @@ attached:
 * the merged Chrome trace (``observatory_timeline.json``): the
   ``compute`` and ``comm`` rows, each collective's scheduled → finished
   lifecycle on a ``flight`` row, and resilience instants, all drawn
-  from the per-rank record rings — load it at https://ui.perfetto.dev.
+  from the per-rank record rings — load it at https://ui.perfetto.dev;
+* the run's post-mortem artefact, the flight-recorder dump
+  (``observatory_flight_recorder.json``): per rank the records, the
+  incidents and the folded metrics that ``tools/healthctl.py`` reads.
 
-The script validates its own outputs (series present, exposition
-scrapes, attribution sums to the iteration wall time, trace parses) so
-CI can run it as the observatory smoke test.
+The script validates its own outputs (exposition scrapes, attribution
+sums to the iteration wall time, trace parses, every rank's dump holds
+its records and metrics) so CI can run it as the observatory smoke
+test.
 
 Run:
     python examples/observatory_demo.py
@@ -35,16 +36,13 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.comm import run_distributed
 from repro.core import DistributedDataParallel
-from repro.telemetry.observatory import (
-    CriticalPathProfiler,
-    MetricsSampler,
-    start_exporter,
-)
+from repro.debug import dump_json
+from repro.telemetry.observatory import CriticalPathProfiler, start_exporter
 from repro.utils import manual_seed
 
 WORLD_SIZE = int(os.environ.get("REPRO_DEMO_WORLD", "4"))
 ITERATIONS = 6
-METRICS_PATH = os.environ.get("REPRO_DEMO_METRICS", "observatory_metrics.jsonl")
+DUMP_PATH = os.environ.get("REPRO_DEMO_DUMP", "observatory_flight_recorder.json")
 TIMELINE_PATH = os.environ.get("REPRO_DEMO_TIMELINE", "observatory_timeline.json")
 
 
@@ -69,7 +67,6 @@ def train(rank: int):
 
 def main() -> int:
     telemetry.enable()
-    sampler = MetricsSampler(interval=0.05).start()
     exporter = start_exporter(port=int(os.environ.get("REPRO_METRICS_PORT", 0)))
 
     print(f"== training: {WORLD_SIZE} ranks x {ITERATIONS} iterations ==")
@@ -86,15 +83,16 @@ def main() -> int:
     print("\n".join(interesting[: WORLD_SIZE * 2]))
     assert "repro_iterations_synced_total" in exposition
 
-    # -- time series ----------------------------------------------------
-    sampler.stop()
-    names = sampler.series_names()
-    print(f"\n== sampler: {sampler.generation + 1} ticks, "
-          f"{len(names)} metrics tracked ==")
-    overlap = sampler.series("iteration.overlap_ratio", rank=0)
-    assert overlap is not None and len(overlap) >= 1
-    sampler.dump_jsonl(METRICS_PATH)
-    print(f"wrote {METRICS_PATH} ({len(sampler.ticks())} ticks)")
+    # -- post-mortem artefact ------------------------------------------
+    dumps = json.loads(dump_json(DUMP_PATH))["flight_recorders"]
+    print(f"\n== flight-recorder dump: ranks {[d['rank'] for d in dumps]} ==")
+    for dump in dumps:
+        counters = dump["metrics"]["counters"]
+        assert dump["records"] and counters["iterations.synced"] == ITERATIONS
+        print(f"rank {dump['rank']}: {len(dump['records'])} records, "
+              f"{len(dump['incidents'])} incidents, "
+              f"{counters['health.collectives_accounted']:.0f} collectives accounted")
+    print(f"wrote {DUMP_PATH} — analyze with: python tools/healthctl.py {DUMP_PATH}")
 
     # -- critical-path blame -------------------------------------------
     profiler = CriticalPathProfiler()

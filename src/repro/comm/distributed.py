@@ -60,11 +60,6 @@ class DistributedContext:
         hub; any worker that still fails to join is reported instead of
         silently stranded.
         """
-        # Capture the run's final metrics before the groups go away —
-        # without this, anything since the last sampler tick is lost.
-        from repro.telemetry.observatory.sampler import flush_active_samplers
-
-        flush_active_samplers()
         stuck: List[str] = []
         for group in self._owned_groups:
             if not group.shutdown():

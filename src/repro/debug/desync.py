@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional
 
+from repro.debug.flight_recorder import _fmt_record
+
 
 @functools.lru_cache(maxsize=None)
 def _dtype_name(dtype) -> str:
@@ -131,8 +133,6 @@ class DesyncReport:
         )
 
     def render(self) -> str:
-        from repro.debug.flight_recorder import _fmt_record
-
         lines = [
             f"cross-rank desync detected in group {self.group_id} by rank "
             f"{self.detected_by}: collective {self.stuck_description()} did "

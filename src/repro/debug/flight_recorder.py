@@ -9,17 +9,21 @@ bucket launched it), and scheduled → started → completed timestamps.
 When a run desyncs, the recorders are the evidence: merge every rank's
 dump and the "last N collectives per rank" table shows exactly which
 rank stopped issuing collectives, at which sequence number, and what it
-was doing instead.
+was doing instead.  :func:`dump_json` is a run's one post-mortem
+artefact: per rank the records, the incidents and the rank's folded
+metrics snapshot, which ``tools/healthctl.py`` runs the live health
+check over.
 
 The :class:`CollectiveRecord` itself always exists — it is the one
 record every ``Work`` carries and every observer reads.  *Retaining* it
 in a ring happens when ``REPRO_DEBUG`` ≥ INFO (see
 :mod:`repro.debug.levels`) or telemetry is on; otherwise a record dies
 with its ``Work``.  The rings are the only store of collective
-lifecycles: :func:`merge_causal_timeline` and :func:`seq_frontier`
-stitch them across ranks by ``(group, seq)`` — the identity every rank
-agrees on because collectives are issued in the same order everywhere
-(paper §3.3) — and the Chrome trace's ``comm`` row reads them too.
+lifecycles: :func:`merge_causal_timeline` stitches them across ranks
+by ``(group, seq)`` — the identity every rank agrees on because
+collectives are issued in the same order everywhere (paper §3.3) —
+:func:`seq_frontier` reads their dumps, and the Chrome trace's ``comm``
+row reads them too.
 Under the same gate each ring also keeps its rank's finished DDP
 iterations, which the critical-path profiler and the trace's compute
 row read.  While telemetry is on, a third deque keeps the rank's
@@ -390,12 +394,24 @@ class FlightRecorder:
             "tail": self.tail(tail, group_id),
         }
 
-    def dump(self) -> dict:
+    def dump(self, metrics: Optional[dict] = None) -> dict:
+        """This rank's post-mortem unit, JSON-serializable: the retained
+        records and incidents, and ``metrics`` — the rank's registry
+        ``snapshot()``, which :func:`dump_all` takes after the snapshot
+        folded this ring, so its counters are the run's totals and its
+        histograms carry their samples.
+
+        The iteration stamps are not serialized: the snapshot already
+        carries the series folded from them, and no offline reader needs
+        more.
+        """
         return {
             "rank": self.rank,
             "capacity": self.capacity,
             "dropped": self.dropped,
             "records": [r.as_dict() for r in self.records()],
+            "incidents": [incident._asdict() for incident in self.incidents()],
+            "metrics": metrics or {},
         }
 
     def clear(self) -> None:
@@ -495,33 +511,43 @@ def merge_causal_timeline(
     return timeline
 
 
-def seq_frontier(
-    recorders: Optional[Dict[int, FlightRecorder]] = None,
-) -> Dict[int, Dict[int, int]]:
-    """Per group: each rank's highest *started* collective sequence.
+def seq_frontier(dumps: Optional[List[dict]] = None) -> Dict[int, Dict[int, int]]:
+    """Per group: each rank's highest *started* collective sequence, read
+    from per-rank dumps (default :func:`dump_all`).
 
     The desync-precursor detector compares frontiers — a rank whose
     frontier trails the group's leader by many collectives is drifting
     toward the hang the hang watch would eventually catch.
     """
     frontier: Dict[int, Dict[int, int]] = {}
-    for recorder in (all_recorders() if recorders is None else recorders).values():
-        for record in recorder.records():
-            if record.t_start is None:
+    for dump in dump_all() if dumps is None else dumps:
+        for record in dump.get("records", []):
+            if record["t_start"] is None:
                 continue
-            per_group = frontier.setdefault(record.group_id, {})
-            if record.seq > per_group.get(recorder.rank, -1):
-                per_group[recorder.rank] = record.seq
+            per_group = frontier.setdefault(record["group_id"], {})
+            if record["seq"] > per_group.get(dump["rank"], -1):
+                per_group[dump["rank"]] = record["seq"]
     return frontier
 
 
 def dump_all() -> List[dict]:
-    """Every rank's dump, sorted by rank (JSON-serializable)."""
-    return [rec.dump() for _, rec in sorted(all_recorders().items())]
+    """Every rank's :meth:`~FlightRecorder.dump`, sorted by rank: each rank
+    ≥ 0 with a ring or a metrics registry (the transport writes its
+    counters to registries even for a rank whose ring is empty)."""
+    # Here, not at the top: importing repro.telemetry imports this module.
+    from repro.telemetry.metrics import all_snapshots, registry_for
+
+    rings = all_recorders()
+    for rank in rings:
+        registry_for(rank)  # a ring's series are folded into its rank's registry
+    snapshots = {snap["rank"]: snap for snap in all_snapshots() if snap["rank"] >= 0}
+    return [(rings.get(rank) or FlightRecorder(rank)).dump(snapshot)
+            for rank, snapshot in sorted(snapshots.items())]
 
 
 def dump_json(path: Optional[str] = None, indent: int = 2) -> str:
-    """Serialize every recorder; optionally write the JSON to ``path``."""
+    """Serialize :func:`dump_all` (the file ``tools/healthctl.py`` reads);
+    optionally write the JSON to ``path``."""
     text = json.dumps({"flight_recorders": dump_all()}, indent=indent)
     if path is not None:
         with open(path, "w") as fh:

@@ -62,7 +62,7 @@ from repro.telemetry.recorder import IterationRecorder, work_interval
 from repro.telemetry import health
 from repro.telemetry.health import (
     Diagnosis,
-    analyze_snapshots,
+    analyze_dumps,
     health_report,
     merge_causal_timeline,
     render_diagnoses,
@@ -71,7 +71,6 @@ from repro.telemetry.health import (
 from repro.telemetry.observatory import (
     CriticalPathProfiler,
     IterationProfile,
-    MetricsSampler,
     PrometheusExporter,
     prometheus_text,
     start_exporter,
@@ -114,10 +113,9 @@ __all__ = [
     "IterationProfile",
     "IterationRecorder",
     "MetricsRegistry",
-    "MetricsSampler",
     "PrometheusExporter",
     "all_snapshots",
-    "analyze_snapshots",
+    "analyze_dumps",
     "clear_all_registries",
     "disable",
     "enable",

@@ -10,10 +10,12 @@ automated anomaly attribution.
   (:mod:`repro.debug.flight_recorder`), stitched across ranks by
   ``(group, seq)``.
 * :mod:`~repro.telemetry.health.engine` — rule-based detectors fusing
-  the metrics, the frontier and the resilience incidents into
-  :class:`Diagnosis` verdicts (straggler, slow link, overlap collapse,
-  retransmit storm, desync precursor), live via
-  ``ddp_stats()["health"]`` or offline via ``tools/healthctl.py``.
+  the metrics, the frontier and the resilience incidents of per-rank
+  flight-recorder dumps into :class:`Diagnosis` verdicts (straggler,
+  slow link, retransmit storm, desync precursor): one entry point,
+  :func:`analyze_dumps`, live over ``dump_all()`` via
+  ``ddp_stats()["health"]`` or offline over a ``dump_json`` file via
+  ``tools/healthctl.py``.
 """
 
 from repro.debug.flight_recorder import merge_causal_timeline, seq_frontier
@@ -21,33 +23,22 @@ from repro.telemetry.health.accounting import bus_bytes, expected_collective_s
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     DIAGNOSIS_KINDS,
-    OVERLAP_COLLAPSE,
     PERSISTENT_STRAGGLER,
     RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
     render_diagnoses,
 )
-from repro.telemetry.health.engine import (
-    Thresholds,
-    analyze_jsonl,
-    analyze_snapshots,
-    analyze_ticks,
-    health_report,
-)
+from repro.telemetry.health.engine import analyze_dumps, health_report
 
 __all__ = [
     "DIAGNOSIS_KINDS",
     "DESYNC_PRECURSOR",
-    "OVERLAP_COLLAPSE",
     "PERSISTENT_STRAGGLER",
     "RETRANSMIT_STORM",
     "SLOW_LINK",
     "Diagnosis",
-    "Thresholds",
-    "analyze_jsonl",
-    "analyze_snapshots",
-    "analyze_ticks",
+    "analyze_dumps",
     "bus_bytes",
     "expected_collective_s",
     "health_report",

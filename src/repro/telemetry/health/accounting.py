@@ -8,8 +8,8 @@ hot path only appends: the rank's ring keeps every collective's
 :class:`~repro.debug.flight_recorder.CollectiveRecord` (its executing
 thread adds the receive waits, per sending rank, as ``record.stalls``)
 and every synchronized iteration's stamps.  A read —
-``MetricsRegistry.snapshot()``, hence every sampler tick, Prometheus
-scrape, ``ddp_stats()["health"]`` and live ``analyze_snapshots`` —
+``MetricsRegistry.snapshot()``, hence every Prometheus scrape,
+``dump_all()`` and so ``ddp_stats()["health"]`` and ``dump_json`` —
 runs :func:`fold`, which publishes what no read has taken yet into the
 rank's registry, so counters stay cumulative.  Per collective:
 ``comm.collective_latency_s``; ``comm.achieved_busbw_gbps``
@@ -82,8 +82,8 @@ def expected_collective_s(
 def fold(registry) -> None:
     """Publish ``registry``'s rank's not-yet-folded records into it.
 
-    Runs under the rank ring's fold lock, so concurrent readers (the
-    sampler thread, an exporter scrape, rank threads in ``ddp_stats()``)
+    Runs under the rank ring's fold lock, so concurrent readers (an
+    exporter scrape, rank threads in ``ddp_stats()``, a dump)
     publish each record exactly once, and a reader that waited finds the
     other's results in place.  Creates nothing for a rank without a ring.
     """

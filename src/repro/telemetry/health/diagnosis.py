@@ -14,14 +14,12 @@ from typing import Dict, List, Optional, Tuple
 #: The diagnosis taxonomy (documented in docs/observability.md).
 PERSISTENT_STRAGGLER = "persistent_straggler"
 SLOW_LINK = "slow_link"
-OVERLAP_COLLAPSE = "overlap_collapse"
 RETRANSMIT_STORM = "retransmit_storm"
 DESYNC_PRECURSOR = "desync_precursor"
 
 DIAGNOSIS_KINDS = (
     PERSISTENT_STRAGGLER,
     SLOW_LINK,
-    OVERLAP_COLLAPSE,
     RETRANSMIT_STORM,
     DESYNC_PRECURSOR,
 )

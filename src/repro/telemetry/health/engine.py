@@ -1,4 +1,4 @@
-"""Rule-based anomaly attribution over the fused health signals.
+"""Rule-based anomaly attribution over per-rank flight-recorder dumps.
 
 Detectors read the efficiency-accounting metrics, the resilience
 counters and incidents, and the cross-rank collective frontier, and emit
@@ -12,8 +12,6 @@ counters and incidents, and the cross-rank collective frontier, and emit
   arXiv:1711.00705 approach of ranking links by achieved vs expected
   bandwidth; the cost-model expectation rides along in the evidence as
   ``comm.model_efficiency``).
-* **overlap_collapse** — a rank's comm/compute overlap ratio fell to a
-  fraction of its own earlier healthy level (paper Fig. 4 regression).
 * **retransmit_storm** — transport retransmit/corruption counters grow
   far faster than collectives complete: a lossy or corrupting wire,
   attributed to the receiving rank (and, when the rings retained the
@@ -23,13 +21,14 @@ counters and incidents, and the cross-rank collective frontier, and emit
   hang the hang watch catches, visible while everyone is still
   alive.
 
-Two entry points share the rules: :func:`analyze_snapshots` fuses live
-registry snapshots and the record rings (what ``ddp_stats()["health"]``
-serves), and :func:`analyze_ticks` replays a
-:meth:`~repro.telemetry.observatory.sampler.MetricsSampler.dump_jsonl`
-file offline (what ``tools/healthctl.py`` serves).  Both are pure
-functions of their inputs with deterministic thresholds, so a seeded
-fault plan produces the same diagnoses on every run.
+One entry point, :func:`analyze_dumps`, reads the one post-mortem
+format — :func:`~repro.debug.flight_recorder.dump_all`'s per-rank dumps
+(records, incidents and the rank's folded metrics snapshot).  The live
+check (``ddp_stats()["health"]``) runs it over ``dump_all()``;
+``tools/healthctl.py`` runs it over a ``dump_json`` file.  It is a pure
+function of its input with fixed thresholds (the module constants
+below), so a seeded fault plan produces the same diagnoses on every run,
+and a dump gives the verdicts the live check gave.
 
 Thresholds are deliberately conservative: the CI chaos gate fails if a
 fault-free run produces *any* diagnosis, so every rule requires both an
@@ -38,22 +37,20 @@ absolute floor and a dominance ratio before it speaks.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.debug.flight_recorder import all_recorders, seq_frontier
+from repro.debug.flight_recorder import dump_all, seq_frontier
 from repro.debug.levels import DEBUG
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
-    OVERLAP_COLLAPSE,
     PERSISTENT_STRAGGLER,
     RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
 )
-from repro.telemetry.metrics import all_snapshots, registry_for
+from repro.telemetry.metrics import registry_for
 
 _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
 
@@ -68,84 +65,75 @@ _STORM_COUNTERS = ("transport.retransmits", "transport.corrupt_detected")
 _STORM_INCIDENTS = ("retransmit", "corrupt_detected")
 
 
-@dataclass
-class Thresholds:
-    """Detector knobs; defaults tuned so healthy runs stay silent."""
-
-    #: Minimum total stall (seconds) attributed to one source before the
-    #: straggler/slow-link rule may speak.
-    stall_floor_s: float = 0.2
-    #: Top source's stall must exceed the runner-up by this factor.
-    #: Synchronous collectives cascade waits (everyone eventually waits
-    #: on the slowest), so perfect concentration never happens; 2x over
-    #: the runner-up with the absolute floor already met is decisive.
-    stall_dominance: float = 2.0
-    #: Receivers that must report the stall for it to be a *rank*
-    #: problem; fewer makes it an *edge* problem.
-    straggler_min_reporters: int = 2
-    #: A receiver counts as a reporter above this share of the top
-    #: source's total stall.
-    reporter_share: float = 0.15
-    #: Minimum storm events (retransmits + corruptions).
-    storm_min_events: int = 20
-    #: ... and at least this many events per accounted collective.
-    storm_events_per_collective: float = 0.5
-    #: Overlap-collapse rule: need this many samples, a healthy early
-    #: mean, and a late mean at most this fraction of the early one.
-    overlap_min_samples: int = 6
-    overlap_healthy: float = 0.4
-    overlap_collapse_factor: float = 0.5
-    #: Desync rule: frontier spread (collectives) before flagging.
-    desync_seq_spread: int = 8
+#: Minimum total stall (seconds) attributed to one source before the
+#: straggler/slow-link rule may speak.
+STALL_FLOOR_S = 0.2
+#: Top source's stall must exceed the runner-up by this factor.
+#: Synchronous collectives cascade waits (everyone eventually waits on
+#: the slowest), so perfect concentration never happens; 2x over the
+#: runner-up with the absolute floor already met is decisive.
+STALL_DOMINANCE = 2.0
+#: Receivers that must report the stall for it to be a *rank* problem;
+#: fewer makes it an *edge* problem.
+STRAGGLER_MIN_REPORTERS = 2
+#: A receiver counts as a reporter above this share of the top source's
+#: total stall.
+REPORTER_SHARE = 0.15
+#: Minimum storm events (retransmits + corruptions) ...
+STORM_MIN_EVENTS = 20
+#: ... and at least this many events per accounted collective.
+STORM_EVENTS_PER_COLLECTIVE = 0.5
+#: Frontier spread (collectives) before the desync rule flags a laggard.
+DESYNC_SEQ_SPREAD = 8
 
 
 @dataclass
 class Signals:
     """The fused per-rank inputs every detector reads."""
 
-    ranks: List[int]
     #: stall[dst][src] = receive-wait seconds dst attributed to src.
     stall: Dict[int, Dict[int, float]]
     #: Per-rank storm-event counts (retransmits + corruption).
     storm_events: Dict[int, float]
+    #: storm_edges[dst][src] = storm incidents dst recorded naming src.
+    storm_edges: Dict[int, Dict[int, int]]
     #: Per-rank transport counter detail (evidence).
     transport: Dict[int, Dict[str, float]]
     #: Per-rank accounted-collective counts.
     collectives: Dict[int, float]
-    #: Per-rank overlap-ratio history, oldest first.
-    overlap: Dict[int, List[float]]
     #: Per-group, per-rank highest started collective sequence.
     frontier: Dict[int, Dict[int, int]]
     #: Per-rank mean cost-model efficiency (evidence; may be empty).
     model_efficiency: Dict[int, float]
 
 
-def _signals_from_snapshots(
-    snapshots: Sequence[dict],
-    frontier: Optional[Dict[int, Dict[int, int]]] = None,
-    overlap_series: Optional[Dict[int, List[float]]] = None,
-) -> Signals:
-    """Normalize registry-style per-rank snapshots into :class:`Signals`.
+def _storm_edges(dumps: Sequence[dict]) -> Dict[int, Dict[int, int]]:
+    """incidents[dst][src] from the ``retransmit`` / ``corrupt_detected``
+    incidents of each dump (recorded on the receiving rank, naming ``src``)."""
+    edges: Dict[int, Dict[int, int]] = {}
+    for dump in dumps:
+        for incident in dump.get("incidents", []):
+            src = incident["args"].get("src")
+            if incident["name"] in _STORM_INCIDENTS and src is not None:
+                by_src = edges.setdefault(dump["rank"], {})
+                by_src[src] = by_src.get(src, 0) + 1
+    return edges
 
-    Accepts both live ``MetricsRegistry.snapshot()`` dicts and the
-    ``per_rank`` entries of a sampler tick (same shape minus histogram
-    sample lists).  Ragged or partial snapshots are tolerated.
-    """
-    ranks: List[int] = []
+
+def _signals(dumps: Sequence[dict]) -> Signals:
+    """Fuse per-rank dumps into :class:`Signals`: the frontier from the
+    records, the storm edges from the incidents, everything else from
+    each dump's ``"metrics"`` snapshot.  Partial dumps are tolerated."""
+    dumps = [d for d in dumps if isinstance(d, dict) and d.get("rank", -1) >= 0]
     stall: Dict[int, Dict[int, float]] = {}
     storm: Dict[int, float] = {}
     transport: Dict[int, Dict[str, float]] = {}
     collectives: Dict[int, float] = {}
-    overlap: Dict[int, List[float]] = dict(overlap_series or {})
     model_eff: Dict[int, float] = {}
-    for snap in snapshots:
-        if not isinstance(snap, dict):
-            continue
-        rank = snap.get("rank")
-        if rank is None or rank < 0:
-            continue
-        ranks.append(rank)
-        counters = snap.get("counters", {}) or {}
+    for dump in dumps:
+        rank = dump["rank"]
+        metrics = dump.get("metrics") or {}
+        counters = metrics.get("counters", {})
         for name, value in counters.items():
             match = _STALL_FROM.match(name)
             if match:
@@ -162,21 +150,16 @@ def _signals_from_snapshots(
         if detail:
             transport[rank] = detail
         collectives[rank] = float(counters.get("health.collectives_accounted", 0.0))
-        hists = snap.get("histograms", {}) or {}
-        overlap_hist = hists.get("iteration.overlap_ratio_dist")
-        if rank not in overlap and overlap_hist and overlap_hist.get("samples"):
-            overlap[rank] = [float(v) for v in overlap_hist["samples"]]
-        eff = hists.get("comm.model_efficiency")
+        eff = metrics.get("histograms", {}).get("comm.model_efficiency")
         if eff and eff.get("count"):
             model_eff[rank] = float(eff.get("mean", 0.0))
     return Signals(
-        ranks=sorted(set(ranks)),
         stall=stall,
         storm_events=storm,
+        storm_edges=_storm_edges(dumps),
         transport=transport,
         collectives=collectives,
-        overlap=overlap,
-        frontier=dict(frontier or {}),
+        frontier=seq_frontier(dumps),
         model_efficiency=model_eff,
     )
 
@@ -185,7 +168,7 @@ def _signals_from_snapshots(
 # detectors
 # ----------------------------------------------------------------------
 def _detect_stall_culprit(
-    signals: Signals, th: Thresholds, exclude: frozenset = frozenset()
+    signals: Signals, exclude: frozenset = frozenset()
 ) -> List[Diagnosis]:
     """Straggler vs slow link from the per-source stall attribution.
 
@@ -208,16 +191,16 @@ def _detect_stall_culprit(
         return []
     top_src = max(totals, key=totals.get)
     top_total = totals[top_src]
-    if top_total < th.stall_floor_s:
+    if top_total < STALL_FLOOR_S:
         return []
     others = sorted((v for s, v in totals.items() if s != top_src), reverse=True)
     runner_up = others[0] if others else 0.0
-    if top_total < th.stall_dominance * max(runner_up, 1e-9):
+    if top_total < STALL_DOMINANCE * max(runner_up, 1e-9):
         return []
     reporters = sorted(
         dst
         for dst, by_src in stall_rows.items()
-        if by_src.get(top_src, 0.0) >= th.reporter_share * top_total
+        if by_src.get(top_src, 0.0) >= REPORTER_SHARE * top_total
     )
     confidence = min(1.0, 1.0 - runner_up / top_total)
     evidence = {
@@ -235,7 +218,7 @@ def _detect_stall_culprit(
             rank: round(value, 4)
             for rank, value in sorted(signals.model_efficiency.items())
         }
-    if len(reporters) >= th.straggler_min_reporters:
+    if len(reporters) >= STRAGGLER_MIN_REPORTERS:
         return [
             Diagnosis(
                 kind=PERSISTENT_STRAGGLER,
@@ -267,12 +250,9 @@ def _detect_stall_culprit(
     ]
 
 
-def _detect_retransmit_storm(
-    signals: Signals, th: Thresholds,
-    storm_edges: Optional[Dict[int, Dict[int, int]]] = None,
-) -> List[Diagnosis]:
+def _detect_retransmit_storm(signals: Signals) -> List[Diagnosis]:
     total_events = sum(signals.storm_events.values())
-    if total_events < th.storm_min_events:
+    if total_events < STORM_MIN_EVENTS:
         return []
     total_collectives = sum(signals.collectives.values())
     culprit = max(signals.storm_events, key=signals.storm_events.get)
@@ -281,7 +261,7 @@ def _detect_retransmit_storm(
     # with a handful of absorbed retries stays silent.
     culprit_collectives = max(1.0, signals.collectives.get(culprit, 0.0))
     if signals.storm_events[culprit] < (
-        th.storm_events_per_collective * culprit_collectives
+        STORM_EVENTS_PER_COLLECTIVE * culprit_collectives
     ):
         return []
     evidence = {
@@ -295,10 +275,10 @@ def _detect_retransmit_storm(
         },
     }
     edge = None
-    if storm_edges and storm_edges.get(culprit):
-        src = max(storm_edges[culprit], key=storm_edges[culprit].get)
-        edge = (src, culprit)
-        evidence["incidents_by_source"] = dict(sorted(storm_edges[culprit].items()))
+    by_src = signals.storm_edges.get(culprit)
+    if by_src:
+        edge = (max(by_src, key=by_src.get), culprit)
+        evidence["incidents_by_source"] = dict(sorted(by_src.items()))
     share = signals.storm_events[culprit] / total_events
     return [
         Diagnosis(
@@ -317,37 +297,7 @@ def _detect_retransmit_storm(
     ]
 
 
-def _detect_overlap_collapse(signals: Signals, th: Thresholds) -> List[Diagnosis]:
-    out: List[Diagnosis] = []
-    for rank in sorted(signals.overlap):
-        values = [v for v in signals.overlap[rank] if v == v]  # drop NaN
-        if len(values) < th.overlap_min_samples:
-            continue
-        half = len(values) // 2
-        early = sum(values[:half]) / half
-        late = sum(values[half:]) / (len(values) - half)
-        if early >= th.overlap_healthy and late <= th.overlap_collapse_factor * early:
-            out.append(
-                Diagnosis(
-                    kind=OVERLAP_COLLAPSE,
-                    summary=(
-                        f"rank {rank}'s comm/compute overlap fell from "
-                        f"{early:.2f} to {late:.2f} — communication is no "
-                        f"longer hidden by backward compute"
-                    ),
-                    culprit_rank=rank,
-                    confidence=min(1.0, 1.0 - late / max(early, 1e-9)),
-                    evidence={
-                        "early_overlap_mean": round(early, 4),
-                        "late_overlap_mean": round(late, 4),
-                        "samples": len(values),
-                    },
-                )
-            )
-    return out
-
-
-def _detect_desync_precursor(signals: Signals, th: Thresholds) -> List[Diagnosis]:
+def _detect_desync_precursor(signals: Signals) -> List[Diagnosis]:
     out: List[Diagnosis] = []
     for group, per_rank in sorted(signals.frontier.items()):
         if len(per_rank) < 2:
@@ -355,7 +305,7 @@ def _detect_desync_precursor(signals: Signals, th: Thresholds) -> List[Diagnosis
         leader = max(per_rank, key=per_rank.get)
         laggard = min(per_rank, key=per_rank.get)
         spread = per_rank[leader] - per_rank[laggard]
-        if spread < th.desync_seq_spread:
+        if spread < DESYNC_SEQ_SPREAD:
             continue
         out.append(
             Diagnosis(
@@ -367,7 +317,7 @@ def _detect_desync_precursor(signals: Signals, th: Thresholds) -> List[Diagnosis
                     f"{per_rank[laggard]})"
                 ),
                 culprit_rank=laggard,
-                confidence=min(1.0, spread / (4.0 * th.desync_seq_spread) + 0.5),
+                confidence=min(1.0, spread / (4.0 * DESYNC_SEQ_SPREAD) + 0.5),
                 evidence={
                     "group": group,
                     "seq_by_rank": dict(sorted(per_rank.items())),
@@ -378,135 +328,29 @@ def _detect_desync_precursor(signals: Signals, th: Thresholds) -> List[Diagnosis
     return out
 
 
-def _run_detectors(
-    signals: Signals,
-    th: Thresholds,
-    storm_edges: Optional[Dict[int, Dict[int, int]]] = None,
-) -> List[Diagnosis]:
-    diagnoses: List[Diagnosis] = []
-    storms = _detect_retransmit_storm(signals, th, storm_edges)
-    diagnoses.extend(storms)
+def analyze_dumps(dumps: Optional[Sequence[dict]] = None) -> List[Diagnosis]:
+    """Run every detector over per-rank flight-recorder dumps.
+
+    ``dumps`` are :meth:`~repro.debug.flight_recorder.FlightRecorder.dump`
+    dicts — live from :func:`~repro.debug.flight_recorder.dump_all`, or
+    ``json.load``-ed from a ``dump_json`` file (what ``tools/healthctl.py``
+    does).  With no argument this is the live health check over
+    ``dump_all()``, and — live only — the diagnosis count is published as
+    the ``health.diagnoses_active`` gauge (rank −1) so a Prometheus alert
+    can fire on it.
+    """
+    live = dumps is None
+    signals = _signals(dump_all() if live else dumps)
+    diagnoses = _detect_retransmit_storm(signals)
     # A storm receiver's waits measure retransmission backoff, not peer
     # speed — exclude its stall rows so a co-occurring straggler is
     # still attributable (and a storm isn't double-reported as a link).
-    storm_ranks = frozenset(d.culprit_rank for d in storms)
-    diagnoses.extend(_detect_stall_culprit(signals, th, exclude=storm_ranks))
-    diagnoses.extend(_detect_overlap_collapse(signals, th))
-    diagnoses.extend(_detect_desync_precursor(signals, th))
-    return diagnoses
-
-
-# ----------------------------------------------------------------------
-# live entry point
-# ----------------------------------------------------------------------
-def _storm_edges_from_incidents() -> Dict[int, Dict[int, int]]:
-    """incidents[dst][src] from the ``retransmit`` / ``corrupt_detected``
-    incidents in the rings (recorded on the receiving rank, naming ``src``)."""
-    edges: Dict[int, Dict[int, int]] = {}
-    for rank, ring in all_recorders().items():
-        for incident in ring.incidents():
-            src = incident.args.get("src")
-            if incident.name in _STORM_INCIDENTS and src is not None:
-                by_src = edges.setdefault(rank, {})
-                by_src[src] = by_src.get(src, 0) + 1
-    return edges
-
-
-def analyze_snapshots(
-    snapshots: Optional[Sequence[dict]] = None,
-    thresholds: Optional[Thresholds] = None,
-) -> List[Diagnosis]:
-    """Run every detector over live (or given) per-rank snapshots.
-
-    With no arguments this is the live health check: all registries are
-    snapshotted, the record rings supply the frontier and, from their
-    resilience incidents, the storm-edge attribution, and — live only —
-    the diagnosis count is published as the ``health.diagnoses_active``
-    gauge (rank −1) so a Prometheus alert can fire on it.
-    """
-    th = thresholds or Thresholds()
-    live = snapshots is None
-    frontier: Dict[int, Dict[int, int]] = {}
-    storm_edges: Optional[Dict[int, Dict[int, int]]] = None
-    if live:
-        snapshots = all_snapshots()
-        frontier = seq_frontier()
-        storm_edges = _storm_edges_from_incidents()
-    signals = _signals_from_snapshots(snapshots, frontier=frontier)
-    diagnoses = _run_detectors(signals, th, storm_edges)
+    storm_ranks = frozenset(d.culprit_rank for d in diagnoses)
+    diagnoses += _detect_stall_culprit(signals, exclude=storm_ranks)
+    diagnoses += _detect_desync_precursor(signals)
     if live and DEBUG.telemetry:
         registry_for(-1).gauge("health.diagnoses_active").set(len(diagnoses))
     return diagnoses
-
-
-# ----------------------------------------------------------------------
-# offline entry point (sampler JSONL dumps → healthctl)
-# ----------------------------------------------------------------------
-def analyze_ticks(
-    ticks: Sequence[dict], thresholds: Optional[Thresholds] = None
-) -> dict:
-    """Replay a sampler tick log (``dump_jsonl`` records) offline.
-
-    Counters in ticks are cumulative, so the final tick carries the run
-    totals; the overlap-ratio *gauge* is followed across ticks to give
-    the collapse detector its history; the desync frontier is
-    approximated by each rank's ``health.collectives_accounted`` at the
-    final tick (sequence numbers and execution counts advance together,
-    so a frozen or trailing count is the same drift signal).
-    """
-    th = thresholds or Thresholds()
-    ticks = [t for t in ticks if isinstance(t, dict)]
-    if not ticks:
-        return {"ticks": 0, "ranks": [], "diagnoses": []}
-    final = ticks[-1].get("per_rank", []) or []
-
-    overlap_series: Dict[int, List[float]] = {}
-    for tick in ticks:
-        for snap in tick.get("per_rank", []) or []:
-            rank = snap.get("rank")
-            if rank is None or rank < 0:
-                continue
-            value = (snap.get("gauges", {}) or {}).get("iteration.overlap_ratio")
-            if value is not None:
-                series = overlap_series.setdefault(rank, [])
-                # Gauges repeat between iterations; keep transitions only
-                # so the history reflects iterations, not tick cadence.
-                if not series or series[-1] != value:
-                    series.append(float(value))
-
-    frontier: Dict[int, Dict[int, int]] = {}
-    for snap in final:
-        rank = snap.get("rank")
-        if rank is None or rank < 0:
-            continue
-        count = (snap.get("counters", {}) or {}).get("health.collectives_accounted")
-        if count:
-            frontier.setdefault(0, {})[rank] = int(count)
-
-    signals = _signals_from_snapshots(
-        final, frontier=frontier, overlap_series=overlap_series
-    )
-    diagnoses = _run_detectors(signals, th)
-    return {
-        "ticks": len(ticks),
-        "ranks": signals.ranks,
-        "collectives_accounted": int(sum(signals.collectives.values())),
-        "storm_events": int(sum(signals.storm_events.values())),
-        "diagnoses": [d.as_dict() for d in diagnoses],
-    }
-
-
-def analyze_jsonl(path: str, thresholds: Optional[Thresholds] = None) -> dict:
-    """Load a ``MetricsSampler.dump_jsonl`` file and analyze it."""
-    ticks: List[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                ticks.append(json.loads(line))
-    report = analyze_ticks(ticks, thresholds)
-    report["path"] = path
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -548,6 +392,6 @@ def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dic
             counters.get("health.collectives_accounted", 0)
         ),
         "diagnoses": (
-            [d.as_dict() for d in analyze_snapshots()] if enabled else []
+            [d.as_dict() for d in analyze_dumps()] if enabled else []
         ),
     }

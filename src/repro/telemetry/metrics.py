@@ -288,8 +288,7 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Dict]]) -> Dict[str, Dict]:
     Snapshots need not share a metric keyset: a rank that died mid-run
     (shrink recovery) or never reached a code path simply contributes
     nothing to the metrics it lacks, and partial histogram summaries
-    (e.g. sampler ticks, which drop the sample list) merge on whatever
-    fields they carry.
+    (e.g. without a sample list) merge on whatever fields they carry.
     """
     merged: Dict[str, Dict] = {"ranks": [], "counters": {}, "gauges": {},
                                "histograms": {}}

@@ -1,19 +1,13 @@
-"""The performance observatory: continuous, queryable telemetry.
+"""The performance observatory: live scrapes and attributions.
 
 ``repro.telemetry`` captures point-in-time evidence — a metrics
-snapshot, a span ring, one Chrome trace.  The observatory turns those
-snapshots into *streams* and *attributions*, the substrate the
-health engine and fleet-scale service consume:
+snapshot, the per-rank record rings, one Chrome trace.  The observatory
+serves and explains it:
 
-* :mod:`~repro.telemetry.observatory.series` — bounded ring-buffer
-  time series with per-tick points.
-* :mod:`~repro.telemetry.observatory.sampler` — a background
-  :class:`MetricsSampler` that snapshots every rank's registry on an
-  interval, aggregates across ranks (sum/min/max/mean, pooled-sample
-  percentiles), and dumps JSONL for offline analysis.
 * :mod:`~repro.telemetry.observatory.exporter` — Prometheus text
   exposition served by a stdlib HTTP exporter (opt-in via
-  ``REPRO_METRICS_PORT``).
+  ``REPRO_METRICS_PORT``); every scrape renders ``snapshot()``, which
+  folds the rings first, so there is no sampling thread.
 * :mod:`~repro.telemetry.observatory.profiler` — the critical-path
   profiler: every rank's retained per-iteration wall-time attribution
   (the reducer's ``IterationProfile``: forward, backward, exposed
@@ -21,17 +15,19 @@ health engine and fleet-scale service consume:
   decomposition of synchronous SGD, with a per-bucket blame table) and
   a cross-rank straggler summary.
 
+The offline artefact is the flight-recorder dump
+(:func:`repro.debug.flight_recorder.dump_json`): records, incidents
+and each rank's folded metrics, which ``tools/healthctl.py`` reads.
+
 Typical use::
 
-    from repro import telemetry
+    from repro import debug, telemetry
     from repro.telemetry import observatory
 
     telemetry.enable()
-    sampler = observatory.MetricsSampler(interval=0.1).start()
     exporter = observatory.start_exporter(port=9095)   # /metrics
     ... run training ...
-    sampler.stop()
-    sampler.dump_jsonl("metrics.jsonl")
+    debug.dump_json("flight_recorder.json")
     profile = observatory.CriticalPathProfiler().last_profile()
     print(profile.blame_table())
 
@@ -51,20 +47,11 @@ from repro.telemetry.observatory.profiler import (
     CriticalPathProfiler,
     IterationProfile,
 )
-from repro.telemetry.observatory.sampler import (
-    MetricsSampler,
-    flush_active_samplers,
-)
-from repro.telemetry.observatory.series import MetricSeries, SeriesPoint
 
 __all__ = [
     "CriticalPathProfiler",
     "IterationProfile",
-    "MetricSeries",
-    "MetricsSampler",
     "PrometheusExporter",
-    "SeriesPoint",
-    "flush_active_samplers",
     "maybe_start_from_env",
     "prometheus_text",
     "start_exporter",

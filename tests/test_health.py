@@ -26,22 +26,19 @@ from repro.resilience.faults import corrupt, delay, drop, slow_rank
 from repro.simnet import cost_model_for
 from repro.telemetry.health import (
     DESYNC_PRECURSOR,
-    OVERLAP_COLLAPSE,
     PERSISTENT_STRAGGLER,
     RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
-    analyze_snapshots,
-    analyze_ticks,
+    analyze_dumps,
     merge_causal_timeline,
     render_diagnoses,
     seq_frontier,
 )
 from repro.core import DistributedDataParallel
-from repro.debug import CollectiveRecord, FlightRecorder, recorder_for
+from repro.debug import CollectiveRecord, FlightRecorder, dump_all, dump_json, recorder_for
 from repro.debug.flight_recorder import DEFAULT_CAPACITY
-from repro.telemetry.metrics import registry_for
-from repro.telemetry.observatory import MetricsSampler
+from repro.telemetry.metrics import all_snapshots, registry_for
 from repro.utils import manual_seed
 
 WORLD = 4
@@ -132,30 +129,41 @@ class TestRecordRing:
             rings[0].add(_stamped(seq, t_start=float(seq)))
         rings[1].add(_stamped(1, t_start=1.0))
         rings[1].add(_stamped(9))  # scheduled != started
-        assert seq_frontier(rings) == {0: {0: 5, 1: 1}}
+        assert seq_frontier([ring.dump() for ring in rings.values()]) == {0: {0: 5, 1: 1}}
+
+    def test_dump_all_covers_every_ring_and_registry(self):
+        """A rank with only a registry (transport counters) is dumped
+        too, and a ring's dump carries its rank's metrics snapshot."""
+        recorder_for(0).add(_stamped(0, t_start=0.0))
+        registry_for(3).counter("transport.retransmits").add(2)
+        registry_for(-1).gauge("health.diagnoses_active").set(0)
+        dumps = json.loads(json.dumps(dump_all()))
+        assert [dump["rank"] for dump in dumps] == [0, 3]
+        assert [r["seq"] for r in dumps[0]["records"]] == [0]
+        assert dumps[0]["incidents"] == [] and dumps[0]["metrics"]["rank"] == 0
+        assert dumps[1]["records"] == []
+        assert dumps[1]["metrics"]["counters"] == {"transport.retransmits": 2}
 
 
 # ----------------------------------------------------------------------
 # detectors over synthetic signals (unit)
 # ----------------------------------------------------------------------
-def _snap(rank, counters=None, histograms=None):
-    return {
-        "rank": rank,
-        "counters": counters or {},
-        "gauges": {},
-        "histograms": histograms or {},
-    }
+def _dump(rank, counters=None, histograms=None):
+    """A rank's dump with no records or incidents, only metrics."""
+    metrics = {"rank": rank, "counters": counters or {}, "gauges": {},
+               "histograms": histograms or {}}
+    return {"rank": rank, "records": [], "incidents": [], "metrics": metrics}
 
 
 class TestDetectors:
     def test_straggler_needs_multiple_reporters(self):
         snaps = [
-            _snap(0, {"comm.recv_stall_s.from_rank_1": 0.5}),
-            _snap(1),
-            _snap(2, {"comm.recv_stall_s.from_rank_1": 0.4}),
-            _snap(3, {"comm.recv_stall_s.from_rank_0": 0.05}),
+            _dump(0, {"comm.recv_stall_s.from_rank_1": 0.5}),
+            _dump(1),
+            _dump(2, {"comm.recv_stall_s.from_rank_1": 0.4}),
+            _dump(3, {"comm.recv_stall_s.from_rank_0": 0.05}),
         ]
-        diagnoses = analyze_snapshots(snaps)
+        diagnoses = analyze_dumps(snaps)
         assert [d.kind for d in diagnoses] == [PERSISTENT_STRAGGLER]
         straggler = diagnoses[0]
         assert straggler.culprit_rank == 1
@@ -164,22 +172,22 @@ class TestDetectors:
 
     def test_single_reporter_is_a_slow_link(self):
         snaps = [
-            _snap(0),
-            _snap(2, {"comm.recv_stall_s.from_rank_3": 0.6}),
+            _dump(0),
+            _dump(2, {"comm.recv_stall_s.from_rank_3": 0.6}),
         ]
-        diagnoses = analyze_snapshots(snaps)
+        diagnoses = analyze_dumps(snaps)
         assert [d.kind for d in diagnoses] == [SLOW_LINK]
         assert diagnoses[0].culprit_edge == (3, 2)
 
     def test_stall_below_floor_or_dominance_stays_silent(self):
         # Under the absolute floor: silence.
-        assert analyze_snapshots(
-            [_snap(0, {"comm.recv_stall_s.from_rank_1": 0.1})]
+        assert analyze_dumps(
+            [_dump(0, {"comm.recv_stall_s.from_rank_1": 0.1})]
         ) == []
         # Over the floor but spread evenly across sources: silence.
-        assert analyze_snapshots(
+        assert analyze_dumps(
             [
-                _snap(0, {"comm.recv_stall_s.from_rank_1": 0.5,
+                _dump(0, {"comm.recv_stall_s.from_rank_1": 0.5,
                           "comm.recv_stall_s.from_rank_2": 0.45}),
             ]
         ) == []
@@ -188,7 +196,7 @@ class TestDetectors:
         base = {"health.collectives_accounted": 20.0}
         storm = dict(base, **{"transport.retries": 18.0,
                               "transport.retransmits": 24.0})
-        diagnoses = analyze_snapshots([_snap(0, base), _snap(2, storm)])
+        diagnoses = analyze_dumps([_dump(0, base), _dump(2, storm)])
         assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
         assert diagnoses[0].culprit_rank == 2
         assert diagnoses[0].evidence["total_storm_events"] == 24
@@ -199,7 +207,7 @@ class TestDetectors:
         # Same raw count over a long healthy run: below the per-collective
         # rate gate, so no diagnosis.
         long_run = dict(storm, **{"health.collectives_accounted": 500.0})
-        assert analyze_snapshots([_snap(0, base), _snap(2, long_run)]) == []
+        assert analyze_dumps([_dump(0, base), _dump(2, long_run)]) == []
 
     def test_retries_without_loss_evidence_are_not_a_storm(self):
         """Regression: an expired wait slice on a merely late peer bumps
@@ -208,35 +216,18 @@ class TestDetectors:
         faults.  Only retransmits and corruption are loss evidence."""
         late_peers = {"health.collectives_accounted": 26.0,
                       "transport.retries": 57.0}
-        assert analyze_snapshots([_snap(0, late_peers), _snap(1, late_peers)]) == []
+        assert analyze_dumps([_dump(0, late_peers), _dump(1, late_peers)]) == []
         # The same waits plus real redeliveries: still a storm.
         lossy = dict(late_peers, **{"transport.retransmits": 30.0})
-        diagnoses = analyze_snapshots([_snap(0, late_peers), _snap(1, lossy)])
+        diagnoses = analyze_dumps([_dump(0, late_peers), _dump(1, lossy)])
         assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
         assert diagnoses[0].culprit_rank == 1
-
-    def test_overlap_collapse_compares_late_to_own_early_mean(self):
-        collapsed = _snap(1, histograms={
-            "iteration.overlap_ratio_dist": {
-                "count": 12, "samples": [0.6] * 6 + [0.1] * 6,
-            }
-        })
-        diagnoses = analyze_snapshots([collapsed])
-        assert [d.kind for d in diagnoses] == [OVERLAP_COLLAPSE]
-        assert diagnoses[0].culprit_rank == 1
-        # A rank that never overlapped well has nothing to collapse from.
-        never_good = _snap(1, histograms={
-            "iteration.overlap_ratio_dist": {
-                "count": 12, "samples": [0.1] * 12,
-            }
-        })
-        assert analyze_snapshots([never_good]) == []
 
     def test_desync_precursor_reads_the_live_event_frontier(self):
         for seq in range(20):
             recorder_for(0).add(_stamped(seq, t_start=float(seq)))
         recorder_for(1).add(_stamped(2, t_start=2.0))
-        diagnoses = analyze_snapshots()
+        diagnoses = analyze_dumps()
         assert [d.kind for d in diagnoses] == [DESYNC_PRECURSOR]
         assert diagnoses[0].culprit_rank == 1
         assert diagnoses[0].evidence["spread"] == 17
@@ -420,22 +411,33 @@ class TestFoldAtRead:
 
     @pytest.mark.parametrize("readers", [False, True])
     def test_racing_readers_fold_each_record_once(self, readers):
-        """A 1 ms sampler and ``ddp_stats()`` every iteration on every
-        rank read while training, under a short switch interval: the
-        counts are the records'."""
+        """A thread calling ``all_snapshots()`` every 1 ms and
+        ``ddp_stats()`` every iteration on every rank read while
+        training, under a short switch interval: the counts are the
+        records'."""
         import sys
+        import threading
 
         telemetry.enable()
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        sampler = MetricsSampler(interval=0.001).start() if readers else None
+        stop = threading.Event()
+
+        def read():
+            while not stop.wait(0.001):
+                all_snapshots()
+
+        reader = threading.Thread(target=read, daemon=True)
+        if readers:
+            reader.start()
         try:
             run_world(2, lambda rank: _train(rank, iterations=8, stats=False,
                                              read=readers),
                       backend="gloo", timeout=60.0)
         finally:
-            if sampler is not None:
-                sampler.stop()
+            stop.set()
+            if readers:
+                reader.join()
             sys.setswitchinterval(previous)
         snaps = _by_rank()
         for rank in range(2):
@@ -557,7 +559,7 @@ class TestFaultMatrix:
         telemetry.enable()
         plan = FaultPlan([slow_rank(1, seconds=0.01)], seed=seed)
         run_world(WORLD, _train, backend="gloo", timeout=60.0, fault_plan=plan)
-        diagnoses = analyze_snapshots()
+        diagnoses = analyze_dumps()
         assert {d.kind for d in diagnoses} == {PERSISTENT_STRAGGLER}
         assert diagnoses[0].culprit_rank == 1
         assert len(diagnoses[0].evidence["reporters"]) >= 2
@@ -570,12 +572,12 @@ class TestFaultMatrix:
         )
         # The first 30 deliveries on the edge after DDP's construction are
         # lost, retransmissions included: each needs one more retransmit,
-        # so rank 2 counts at least 30 — over storm_min_events (20) and
+        # so rank 2 counts at least 30 — over STORM_MIN_EVENTS (20) and
         # over half of the 41 collectives it runs in 10 iterations.
         plan = FaultPlan([drop(rank=0, dst=2, after=2, times=30)], seed=seed)
         run_world(WORLD, lambda rank: _train(rank, iterations=10),
                   backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
-        kinds = {d.kind: d for d in analyze_snapshots()}
+        kinds = {d.kind: d for d in analyze_dumps()}
         assert RETRANSMIT_STORM in kinds
         storm = kinds[RETRANSMIT_STORM]
         assert storm.culprit_rank == 2
@@ -593,7 +595,7 @@ class TestFaultMatrix:
         plan = FaultPlan([corrupt(rank=0, dst=2, after=2, times=20)], seed=seed)
         run_world(WORLD, _train, backend="gloo", timeout=60.0,
                   hub=hub, fault_plan=plan)
-        kinds = {d.kind: d for d in analyze_snapshots()}
+        kinds = {d.kind: d for d in analyze_dumps()}
         assert RETRANSMIT_STORM in kinds
         assert kinds[RETRANSMIT_STORM].culprit_rank == 2
 
@@ -604,7 +606,7 @@ class TestFaultMatrix:
             retry=RetryPolicy(base_backoff=0.001), seed=seed,
         )
         run_world(WORLD, _train, backend="gloo", timeout=60.0, hub=hub)
-        assert analyze_snapshots() == []
+        assert analyze_dumps() == []
 
 
 class TestSlowLinkAttribution:
@@ -617,54 +619,37 @@ class TestSlowLinkAttribution:
         telemetry.enable()
         plan = FaultPlan([delay(0.02, rank=1, dst=0)], seed=0)
         run_world(2, _train, backend="gloo", timeout=60.0, fault_plan=plan)
-        kinds = {d.kind: d for d in analyze_snapshots()}
+        kinds = {d.kind: d for d in analyze_dumps()}
         assert SLOW_LINK in kinds
         assert kinds[SLOW_LINK].culprit_edge == (1, 0)
         assert PERSISTENT_STRAGGLER not in kinds
 
 
 # ----------------------------------------------------------------------
-# offline: sampler ticks and the healthctl CLI
+# offline: the flight-recorder dump and the healthctl CLI
 # ----------------------------------------------------------------------
-def _tick(generation, per_rank):
-    return {
-        "generation": generation,
-        "time_unix": 0.0,
-        "ranks": [s["rank"] for s in per_rank],
-        "aggregate": {},
-        "per_rank": per_rank,
-    }
-
-
-def _storm_ticks():
-    per_rank = [
-        _snap(0, {"health.collectives_accounted": 20.0}),
-        _snap(2, {"health.collectives_accounted": 20.0,
+def _storm_dumps():
+    return [
+        _dump(0, {"health.collectives_accounted": 20.0}),
+        _dump(2, {"health.collectives_accounted": 20.0,
                   "transport.retries": 15.0, "transport.retransmits": 25.0}),
     ]
-    return [_tick(0, per_rank)]
+
+
+def _write_dump(path, dumps):
+    path.write_text(json.dumps({"flight_recorders": dumps}))
+    return str(path)
 
 
 class TestOfflineAnalysis:
-    def test_analyze_ticks_reports_the_storm(self):
-        report = analyze_ticks(_storm_ticks())
-        assert report["ticks"] == 1 and report["ranks"] == [0, 2]
-        assert report["storm_events"] == 25
-        assert [d["kind"] for d in report["diagnoses"]] == [RETRANSMIT_STORM]
-        assert report["diagnoses"][0]["culprit_rank"] == 2
-
-    def test_analyze_ticks_follows_overlap_gauge_transitions(self):
-        ticks = []
-        for generation, value in enumerate([0.6, 0.6, 0.6, 0.05, 0.05, 0.05]):
-            snap = _snap(0)
-            snap["gauges"]["iteration.overlap_ratio"] = value
-            ticks.append(_tick(generation, [snap]))
-        # Repeated gauge readings collapse to transitions: only 2 points,
-        # under the sample floor — no diagnosis from tick cadence alone.
-        assert analyze_ticks(ticks)["diagnoses"] == []
+    def test_dump_reports_the_storm(self):
+        (storm,) = analyze_dumps(json.loads(json.dumps(_storm_dumps())))
+        assert storm.kind == RETRANSMIT_STORM and storm.culprit_rank == 2
+        assert storm.evidence["total_storm_events"] == 25
+        assert storm.culprit_edge is None  # no incidents name a source
 
     def test_empty_input(self):
-        assert analyze_ticks([]) == {"ticks": 0, "ranks": [], "diagnoses": []}
+        assert analyze_dumps([]) == []
 
 
 def _load_healthctl():
@@ -676,40 +661,56 @@ def _load_healthctl():
     return module
 
 
+def _verdicts(diagnoses):
+    return [(d["kind"], d.get("culprit_rank"), d.get("culprit_edge"))
+            for d in diagnoses]
+
+
 class TestHealthctlCLI:
     def test_report_and_fail_on_diagnosis_gate(self, tmp_path, capsys):
         healthctl = _load_healthctl()
-        dump = tmp_path / "metrics.jsonl"
-        dump.write_text(
-            "\n".join(json.dumps(t) for t in _storm_ticks()) + "\n"
-        )
+        dump = _write_dump(tmp_path / "flight_recorder.json", _storm_dumps())
         out_json = tmp_path / "report.json"
-        assert healthctl.main([str(dump), "--json", str(out_json)]) == 0
+        assert healthctl.main([dump, "--json", str(out_json)]) == 0
         printed = capsys.readouterr().out
         assert "retransmit_storm" in printed
         report = json.loads(out_json.read_text())
+        assert report["ranks"] == [0, 2]
         assert report["diagnoses"][0]["culprit_rank"] == 2
         # The CI gate: same dump, --fail-on-diagnosis exits 1.
-        assert healthctl.main([str(dump), "--fail-on-diagnosis"]) == 1
+        assert healthctl.main([dump, "--fail-on-diagnosis"]) == 1
 
     def test_clean_dump_passes_the_gate(self, tmp_path):
         healthctl = _load_healthctl()
-        dump = tmp_path / "clean.jsonl"
-        clean = _tick(0, [_snap(0, {"health.collectives_accounted": 30.0})])
-        dump.write_text(json.dumps(clean) + "\n")
-        assert healthctl.main([str(dump), "--fail-on-diagnosis"]) == 0
+        dump = _write_dump(tmp_path / "clean.json",
+                           [_dump(0, {"health.collectives_accounted": 30.0})])
+        assert healthctl.main([dump, "--fail-on-diagnosis"]) == 0
 
-    def test_threshold_overrides_and_bad_inputs(self, tmp_path):
+    def test_bad_inputs_exit_2(self, tmp_path):
         healthctl = _load_healthctl()
-        dump = tmp_path / "metrics.jsonl"
-        dump.write_text(
-            "\n".join(json.dumps(t) for t in _storm_ticks()) + "\n"
-        )
-        # Raising the storm floor above the event count silences it.
-        assert healthctl.main(
-            [str(dump), "--storm-min-events", "1000", "--fail-on-diagnosis"]
-        ) == 0
-        assert healthctl.main([str(tmp_path / "missing.jsonl")]) == 2
-        garbage = tmp_path / "garbage.jsonl"
+        assert healthctl.main([str(tmp_path / "missing.json")]) == 2
+        garbage = tmp_path / "garbage.json"
         garbage.write_text("not json\n")
         assert healthctl.main([str(garbage)]) == 2
+
+    def test_recorder_dump_gives_the_live_verdicts(self, tmp_path):
+        """``dump_json`` after a faulted run, read back by ``healthctl``:
+        the same kinds and culprits as the live check."""
+        telemetry.enable()
+        hub = ReliableTransportHub(
+            2, default_timeout=30.0,
+            retry=RetryPolicy(base_backoff=0.001, max_backoff=0.004), seed=0,
+        )
+        plan = FaultPlan([slow_rank(1, seconds=0.01),
+                          drop(rank=0, dst=1, after=2, times=30)], seed=0)
+        run_world(2, lambda rank: _train(rank, iterations=10, stats=False),
+                  backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
+        live = [d.as_dict() for d in analyze_dumps()]
+        assert RETRANSMIT_STORM in {d["kind"] for d in live}
+        path = str(tmp_path / "flight_recorder.json")
+        dump_json(path)
+        out_json = tmp_path / "report.json"
+        assert _load_healthctl().main([path, "--json", str(out_json)]) == 0
+        report = json.loads(out_json.read_text())
+        assert report["ranks"] == [0, 1]
+        assert _verdicts(report["diagnoses"]) == _verdicts(live)

@@ -1,9 +1,7 @@
-"""Performance observatory: sampler, exporter, profiler, merged timeline.
+"""Performance observatory: exporter, profiler, merged timeline.
 
 Covers the observatory acceptance surface: pooled-sample percentile
-merging, time-series sampling with cross-rank aggregation (including
-the teardown flush and the latency step under an injected straggler),
-a Prometheus exposition that passes a line-format checker and a live
+merging, a Prometheus exposition that passes a line-format checker and a live
 scrape, critical-path attribution that sums to measured iteration wall
 time within 2% and agrees with the recorder's overlap ratio, and the
 merged spans + flight-recorder + resilience Chrome trace.
@@ -15,7 +13,6 @@ import json
 import os
 import re
 import threading
-import time
 import urllib.request
 
 import numpy as np
@@ -35,7 +32,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.observatory import (
     CriticalPathProfiler,
-    MetricsSampler,
     PrometheusExporter,
     prometheus_text,
     start_exporter,
@@ -112,76 +108,6 @@ class TestPercentiles:
         assert entry["samples_pooled"] == 100
         per_rank_mean_p99 = (1.0 + 100.0) / 2
         assert entry["p99"] != pytest.approx(per_rank_mean_p99)
-
-
-# ----------------------------------------------------------------------
-# sampler + series
-# ----------------------------------------------------------------------
-class TestMetricsSampler:
-    def test_manual_ticks_build_per_rank_and_aggregate_series(self):
-        registry_for(0).counter("work.done").add(5)
-        registry_for(1).counter("work.done").add(7)
-        registry_for(0).histogram("lat").observe(0.010)
-        registry_for(1).histogram("lat").observe(0.030)
-        sampler = MetricsSampler(interval=0.05)
-        generation = sampler.sample_once()
-        assert generation == 0
-        rank0 = sampler.series("work.done", rank=0)
-        assert rank0.latest().value == 5
-        aggregate = sampler.series("work.done")  # rank=None
-        agg = aggregate.latest().value
-        assert agg["sum"] == 12 and agg["min"] == 5 and agg["max"] == 7
-        assert agg["mean"] == pytest.approx(6.0)
-        lat = sampler.series("lat").latest().value
-        assert lat["count"] == 2
-        assert "p99" in lat
-
-    def test_series_ring_is_bounded_and_generations_advance(self):
-        registry_for(0).gauge("g").set(1.0)
-        sampler = MetricsSampler(interval=0.05, capacity=4)
-        for _ in range(7):
-            sampler.sample_once()
-        series = sampler.series("g", rank=0)
-        assert len(series) == 4
-        generations = [p.generation for p in series.points()]
-        assert generations == [3, 4, 5, 6]
-        assert series.at_generation(5).value == 1.0
-        assert series.at_generation(0) is None  # evicted
-
-    def test_background_thread_samples_and_stops(self):
-        registry_for(0).counter("ticks").add(1)
-        sampler = MetricsSampler(interval=0.02).start()
-        assert sampler.running
-        time.sleep(0.12)
-        sampler.stop()
-        assert not sampler.running
-        assert sampler.generation >= 3
-        assert len(sampler.ticks()) == sampler.generation + 1
-
-    def test_dump_jsonl(self, tmp_path):
-        registry_for(0).counter("c").add(2)
-        registry_for(0).histogram("h").observe(1.5)
-        sampler = MetricsSampler(interval=0.05)
-        sampler.sample_once()
-        sampler.sample_once()
-        path = sampler.dump_jsonl(str(tmp_path / "metrics.jsonl"))
-        lines = [json.loads(line) for line in open(path)]
-        assert [tick["generation"] for tick in lines] == [0, 1]
-        assert lines[0]["aggregate"]["c"]["sum"] == 2
-        assert lines[0]["per_rank"][0]["histograms"]["h"]["count"] == 1
-
-    def test_teardown_flushes_running_sampler(self):
-        # Interval far longer than the run: the only tick can come from
-        # DistributedContext.close() flushing active samplers.
-        telemetry.enable()
-        sampler = MetricsSampler(interval=60.0).start()
-        try:
-            run_world(2, lambda rank: (_train_ddp(rank, iterations=2), None)[1],
-                      backend="gloo")
-            assert sampler.generation >= 0
-            assert sampler.series("iterations.synced", rank=0) is not None
-        finally:
-            sampler.stop(final_sample=False)
 
 
 # ----------------------------------------------------------------------
@@ -393,66 +319,6 @@ class TestCriticalPathProfiler:
             return ddp.reducer.recorder.last, ddp.ddp_stats()["profile"]
 
         assert run_world(2, body, backend="gloo") == [(None, None), (None, None)]
-
-
-# ----------------------------------------------------------------------
-# sampler series under fault injection
-# ----------------------------------------------------------------------
-class TestInjectedStraggler:
-    def test_slow_rank_is_named_and_series_shows_the_step(self):
-        from repro.resilience.faults import FaultPlan, slow_rank
-
-        world, slow, delay = 3, 1, 0.05
-        # Scope the wire fault to the "hot" probe tag so group-setup
-        # traffic and the warm-up probes stay fast: generation 0 samples
-        # the healthy send cost, generation 1 the injected one.
-        plan = FaultPlan([slow_rank(slow, delay, tag_contains="hot")], seed=0)
-        sampler = MetricsSampler(interval=60.0)  # manual ticks only
-        barrier = threading.Barrier(world)
-
-        def probe_send(rank, context, tag):
-            """Time one ring send; the fault sleeps on the sender."""
-            t0 = time.perf_counter()
-            context.hub.send(rank, (rank + 1) % world, (tag, rank), np.zeros(8))
-            elapsed = time.perf_counter() - t0
-            registry_for(rank).gauge("probe.send_s").set(elapsed)
-
-        def body(rank):
-            from repro.comm.distributed import get_context
-
-            context = get_context()
-            left = (rank - 1) % world
-            # Phase A: healthy sends (and drain the ring neighbor's).
-            probe_send(rank, context, "warm")
-            context.hub.recv(rank, left, ("warm", left), timeout=10.0)
-            barrier.wait()
-            if rank == 0:
-                sampler.sample_once()   # generation 0: healthy latencies
-            barrier.wait()
-            # Phase B: the fault fires on the slow rank's probe.
-            probe_send(rank, context, "hot")
-            context.hub.recv(rank, left, ("hot", left), timeout=10.0)
-            barrier.wait()
-            if rank == 0:
-                sampler.sample_once()   # generation 1: the step
-            barrier.wait()
-            return None
-
-        telemetry.enable()
-        run_world(world, body, backend="gloo", fault_plan=plan, timeout=30.0)
-
-        # The slow rank's latency series steps up at generation 1.
-        series = sampler.series("probe.send_s", rank=slow)
-        healthy = series.at_generation(0).value
-        injected = series.at_generation(1).value
-        assert healthy < delay / 2
-        assert injected >= delay * 0.9
-        # Healthy ranks show no such step.
-        for rank in range(world):
-            if rank == slow:
-                continue
-            other = sampler.series("probe.send_s", rank=rank)
-            assert other.at_generation(1).value < delay / 2
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +557,7 @@ class TestMergeRaggedSnapshots:
         assert merged["gauges"]["alive"]["per_rank"] == {1: 0.0}
 
     def test_tick_style_summaries_without_samples_merge(self):
-        # Sampler ticks drop the raw sample list; the merge must still
+        # A summary without its raw sample list: the merge must still
         # pool count/sum/min/max and fall back cleanly on percentiles.
         tick_hist = {"count": 4, "sum": 8.0, "min": 1.0, "max": 3.0}
         live = MetricsRegistry(rank=0)

@@ -1,26 +1,24 @@
 #!/usr/bin/env python
-"""Offline comm-health analysis over observatory JSONL dumps.
+"""Offline comm-health analysis over a flight-recorder dump.
 
-Feeds a :meth:`MetricsSampler.dump_jsonl` file (one JSON tick per line)
-through the same rule-based anomaly engine that powers
-``ddp_stats()["health"]`` and prints the attributed diagnoses — which
-rank is a persistent straggler, which wire edge is retransmitting,
-where the comm/compute overlap collapsed — without needing the run to
-still be alive.
+Loads a :func:`repro.debug.flight_recorder.dump_json` file (per rank:
+the collective records, the incidents and the rank's folded metrics)
+and runs the live health check, ``analyze_dumps``, over it — the same
+rules over the same data ``ddp_stats()["health"]`` read — then prints
+the attributed diagnoses: which rank is a persistent straggler, which
+wire edge is retransmitting, which rank trails the collective frontier,
+without needing the run to still be alive.
 
 Usage::
 
-    python tools/healthctl.py metrics.jsonl              # report
-    python tools/healthctl.py metrics.jsonl --json out.json
-    python tools/healthctl.py metrics.jsonl --fail-on-diagnosis
+    python tools/healthctl.py flight_recorder.json              # report
+    python tools/healthctl.py flight_recorder.json --json out.json
+    python tools/healthctl.py flight_recorder.json --fail-on-diagnosis
 
 ``--fail-on-diagnosis`` exits 1 when any anomaly is attributed — CI's
 false-positive gate runs it over a fault-free chaos-smoke dump, so a
 detector that starts crying wolf fails the build instead of eroding
-trust in the verdicts.
-
-Threshold knobs mirror :class:`repro.telemetry.health.Thresholds`; pass
-e.g. ``--stall-floor-s 0.5`` to make the straggler rule stricter.
+trust in the verdicts.  An unreadable file exits 2.
 """
 
 from __future__ import annotations
@@ -33,79 +31,50 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.telemetry.health import Thresholds, analyze_jsonl  # noqa: E402
-from repro.telemetry.health.diagnosis import Diagnosis, render_diagnoses  # noqa: E402
+from repro.telemetry.health import analyze_dumps, render_diagnoses  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="healthctl",
-        description="Attribute comm anomalies from an observatory JSONL dump.",
+        description="Attribute comm anomalies from a flight-recorder dump.",
     )
-    parser.add_argument("path", help="metrics JSONL file (MetricsSampler.dump_jsonl)")
+    parser.add_argument("path", help="flight-recorder JSON (debug.dump_json)")
     parser.add_argument(
         "--json",
         metavar="OUT",
-        help="also write the full report (diagnoses + run stats) as JSON",
+        help="also write the report (ranks + diagnoses) as JSON",
     )
     parser.add_argument(
         "--fail-on-diagnosis",
         action="store_true",
         help="exit 1 if any anomaly is attributed (CI false-positive gate)",
     )
-    parser.add_argument("--stall-floor-s", type=float, default=None,
-                        help="min stall seconds before straggler/slow-link fires")
-    parser.add_argument("--stall-dominance", type=float, default=None,
-                        help="top source must exceed runner-up by this factor")
-    parser.add_argument("--storm-min-events", type=int, default=None,
-                        help="min transport incidents for a retransmit storm")
-    parser.add_argument("--desync-seq-spread", type=int, default=None,
-                        help="collective-frontier spread before desync fires")
     return parser
-
-
-def _thresholds_from_args(args: argparse.Namespace) -> Thresholds:
-    thresholds = Thresholds()
-    for attr, flag in (
-        ("stall_floor_s", args.stall_floor_s),
-        ("stall_dominance", args.stall_dominance),
-        ("storm_min_events", args.storm_min_events),
-        ("desync_seq_spread", args.desync_seq_spread),
-    ):
-        if flag is not None:
-            setattr(thresholds, attr, flag)
-    return thresholds
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = analyze_jsonl(args.path, _thresholds_from_args(args))
+        with open(args.path) as handle:
+            dumps = json.load(handle)["flight_recorders"]
+        diagnoses = analyze_dumps(dumps)
+        ranks = [dump["rank"] for dump in dumps]
+        records = sum(len(dump["records"]) for dump in dumps)
     except FileNotFoundError:
         print(f"healthctl: no such file: {args.path}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"healthctl: {args.path} is not a metrics JSONL dump: {exc}",
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"healthctl: {args.path} is not a flight-recorder dump: {exc!r}",
               file=sys.stderr)
         return 2
 
-    print(f"analyzed {report['ticks']} tick(s), ranks {report['ranks']}, "
-          f"{report.get('collectives_accounted', 0)} collectives accounted")
-    diagnoses = [
-        Diagnosis(
-            kind=d["kind"],
-            summary=d["summary"],
-            culprit_rank=d.get("culprit_rank"),
-            culprit_edge=tuple(d["culprit_edge"]) if d.get("culprit_edge") else None,
-            culprit_bucket=d.get("culprit_bucket"),
-            confidence=d.get("confidence", 0.5),
-            evidence=d.get("evidence", {}),
-        )
-        for d in report["diagnoses"]
-    ]
+    print(f"analyzed ranks {ranks}: {records} collective records")
     print(render_diagnoses(diagnoses), end="")
 
     if args.json:
+        report = {"path": args.path, "ranks": ranks,
+                  "diagnoses": [d.as_dict() for d in diagnoses]}
         with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
         print(f"report written to {args.json}")
