@@ -81,8 +81,7 @@ class Function:
         self.ctx = ctx
         self.next_edges = list(next_edges)
         # Sequence number lets the engine break ties deterministically and
-        # lets tooling reconstruct execution order (used by the backward
-        # order tracer of §6.2.1).
+        # lets tooling reconstruct execution order.
         self.seq_nr = _next_seq()
 
     # -- subclass API -------------------------------------------------

@@ -12,8 +12,6 @@ Submodules:
   analog).
 * :mod:`~repro.core.comm_hooks` — gradient-compression communication
   hooks (paper §6.2.3 future work).
-* :mod:`~repro.core.order_prediction` — backward-order tracing and
-  rebucketing (paper §6.2.1 future work).
 * :mod:`~repro.core.param_avg` — the parameter-averaging baseline the
   paper argues against (§2.2).
 * :mod:`~repro.core.taxonomy` — Table 1's categorization of distributed
@@ -26,7 +24,6 @@ from repro.core.ddp import DistributedDataParallel
 from repro.core.data_parallel import DataParallel
 from repro.core.param_avg import ParameterAveragingTrainer, average_parameters
 from repro.core import comm_hooks
-from repro.core.order_prediction import BackwardOrderTracer, assignment_from_order
 from repro.core.taxonomy import TRAINING_SOLUTIONS, render_table1
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "ParameterAveragingTrainer",
     "average_parameters",
     "comm_hooks",
-    "BackwardOrderTracer",
-    "assignment_from_order",
     "TRAINING_SOLUTIONS",
     "render_table1",
 ]

@@ -17,7 +17,8 @@ here:
   (PyTorch uses 1 MB for the first bucket).
 * The assignment is a pure function of (parameter shapes, devices,
   dtypes, caps) — identical on every rank, which is what keeps AllReduce
-  contents aligned across processes (Fig. 3(a) caveat).
+  contents aligned across processes (Fig. 3(a) caveat).  A wrapper
+  computes it once, at construction, and never changes it.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class BucketSpec:
     @property
     def total_elements(self) -> int:
         return sum(self.sizes)
-
-    def total_bytes(self, element_size: int = 8) -> int:
-        return self.total_elements * element_size
-
-    def offset_of(self, param_index: int) -> int:
-        return self.offsets[self.param_indices.index(param_index)]
 
 
 def copy_params_into(spec: BucketSpec, params: Sequence, flat: np.ndarray) -> None:
@@ -150,91 +145,6 @@ def compute_bucket_assignment(
         current_bytes += nbytes
     flush()
     return buckets
-
-
-def layout_key(
-    params: Sequence,
-    bucket_cap_bytes: int,
-    first_bucket_cap_bytes: int | None,
-) -> tuple:
-    """Cache key for a bucket layout.
-
-    The assignment is a pure function of (shape, device, dtype) per
-    parameter plus the caps, so two models with identical parameter
-    signatures share one layout.  Parameter *values* are irrelevant.
-    """
-    return (
-        tuple(
-            (tuple(p.shape), getattr(p, "device", "cpu"), str(p.dtype))
-            for p in params
-        ),
-        int(bucket_cap_bytes),
-        None if first_bucket_cap_bytes is None else int(first_bucket_cap_bytes),
-    )
-
-
-class BucketLayoutCache:
-    """Memoizes :func:`compute_bucket_assignment` across iterations.
-
-    The analog of PyTorch's ``Reducer._rebuild_buckets`` steady state:
-    after the first iteration, the layout is a lookup, not a
-    recomputation.  A graph change (different parameter shapes/devices/
-    dtypes or caps) misses the cache and recomputes; :meth:`invalidate`
-    drops everything (used when a rebuild must be forced).
-
-    ``BucketSpec`` is a frozen dataclass, so cached specs are safely
-    shared between reducers.  Not thread-safe for concurrent mutation;
-    DDP constructs and rebuilds on a single thread per rank, and the
-    default instance is per-process.
-    """
-
-    def __init__(self) -> None:
-        self._specs: Dict[tuple, List[BucketSpec]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self,
-        params: Sequence,
-        bucket_cap_bytes: int = 25 * MB,
-        first_bucket_cap_bytes: int | None = None,
-    ) -> List[BucketSpec]:
-        key = layout_key(params, bucket_cap_bytes, first_bucket_cap_bytes)
-        specs = self._specs.get(key)
-        if specs is None:
-            self.misses += 1
-            specs = compute_bucket_assignment(
-                params, bucket_cap_bytes, first_bucket_cap_bytes
-            )
-            self._specs[key] = specs
-        else:
-            self.hits += 1
-        return specs
-
-    def invalidate(self) -> None:
-        """Drop every cached layout (e.g. to force recomputation)."""
-        self._specs.clear()
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
-
-
-#: Process-wide layout cache used by :func:`cached_bucket_assignment`.
-GLOBAL_LAYOUT_CACHE = BucketLayoutCache()
-
-
-def cached_bucket_assignment(
-    params: Sequence,
-    bucket_cap_bytes: int = 25 * MB,
-    first_bucket_cap_bytes: int | None = None,
-    cache: BucketLayoutCache | None = None,
-) -> List[BucketSpec]:
-    """Memoized :func:`compute_bucket_assignment` (see BucketLayoutCache)."""
-    cache = cache if cache is not None else GLOBAL_LAYOUT_CACHE
-    return cache.get(params, bucket_cap_bytes, first_bucket_cap_bytes)
 
 
 def describe_assignment(buckets: Sequence[BucketSpec]) -> str:

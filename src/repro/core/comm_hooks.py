@@ -16,8 +16,7 @@ paper's reference [34]), :class:`AdaptivePrecisionHook`,
 (``use_error_feedback`` and the per-bucket residuals), ``reset()`` of
 per-bucket state, and the wire size (:meth:`~CompressionHook.wire_ratio`,
 from what the hook actually sends).  Per-bucket state is keyed by the
-bucket buffer's identity, so the reducer calls :func:`reset_hook`
-whenever ``rebuild_buckets`` installs a new layout.
+bucket buffer's identity; a reducer's buffers live as long as it does.
 
 ``HOOK_FACTORIES`` maps hook names to zero-argument factories producing
 fresh hook instances — the registry behind :func:`make_hook` and the
@@ -65,9 +64,9 @@ def allreduce_hook(process_group, bucket: Tensor, world: int):
 class _ResidualStore:
     """Per-bucket error-feedback residuals keyed by buffer identity.
 
-    Bucket buffers live until the next relayout, so ``id(bucket.data)``
-    is a stable key — with a shape check so a recycled id (buffer freed
-    by a relayout, id reused by the allocator) can never resurrect a
+    Bucket buffers live as long as their reducer, so ``id(bucket.data)``
+    is a stable key — with a shape check so a recycled id (a dropped
+    wrapper's buffer, id reused by the allocator) can never resurrect a
     stale residual of the wrong length.
     """
 
@@ -141,7 +140,7 @@ class CompressionHook:
         return self._wire_bytes(elements) / (elements * np.dtype(dtype).itemsize)
 
     def reset(self) -> None:
-        """Drop all per-bucket state (after a bucket relayout)."""
+        """Drop all per-bucket state."""
         self._residuals.clear()
 
 
@@ -420,9 +419,3 @@ def hook_wire_ratio(hook, dtype, elements: int) -> float:
     sends the bucket as it is (``allreduce_hook``, or none)."""
     return hook.wire_ratio(dtype, elements) if isinstance(hook, CompressionHook) else 1.0
 
-
-def reset_hook(hook) -> None:
-    """Clear a hook's per-bucket state, if it has a ``reset()``."""
-    reset = getattr(hook, "reset", None)
-    if callable(reset):
-        reset()

@@ -27,14 +27,14 @@ from repro.comm.distributed import get_context
 from repro.core.bucket import (
     UNBOUNDED_CAP_BYTES,
     broadcast_params,
-    cached_bucket_assignment,
     compute_bucket_assignment,
+    describe_assignment,
 )
 from repro.core.reducer import CommHook, Reducer
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG, DETAIL, INFO, debug_level_name
 from repro.nn.module import Module
-from repro.utils.units import MB
+from repro.utils.units import MB, format_bytes
 
 
 class DistributedDataParallel(Module):
@@ -53,6 +53,11 @@ class DistributedDataParallel(Module):
     bucket_cap_mb:
         Bucket size knob (default 25 MB, the paper's default).  ``0``
         communicates each gradient individually (Fig. 7/8 baseline).
+        The layout is computed once, here, in reverse ``parameters()``
+        order (§3.2.3) and never changes; to try another cap, wrap
+        again.  A model whose backward produces gradients far from
+        reverse definition order overlaps less; define its modules in
+        forward order.
     find_unused_parameters:
         Traverse the autograd graph each forward to proactively mark
         absent parameters ready (required for models whose graph varies
@@ -64,9 +69,10 @@ class DistributedDataParallel(Module):
         Launch bucket AllReduce eagerly from hooks (True, the paper's
         design) or only after the full backward (False; the Fig. 6
         "no overlap" baseline).
-    first_bucket_cap_mb:
-        Optional smaller cap for the first bucket so communication can
-        start earlier.
+    comm_hook:
+        Optional gradient-compression hook run on each bucket in place
+        of the AllReduce (§6.2.3; see :mod:`repro.core.comm_hooks`);
+        :meth:`register_comm_hook` sets it later.
     gradient_as_bucket_view:
         When True (default), parameters' ``.grad`` tensors are views of
         the reducer's flat bucket buffers: the op that produces each
@@ -85,9 +91,6 @@ class DistributedDataParallel(Module):
         broadcast_buffers: bool = True,
         overlap: bool = True,
         comm_hook: Optional[CommHook] = None,
-        first_bucket_cap_mb: Optional[float] = None,
-        trace_backward_order: bool = False,
-        rebucket_after_iterations: int = 5,
         gradient_as_bucket_view: bool = True,
     ):
         super().__init__()
@@ -105,10 +108,15 @@ class DistributedDataParallel(Module):
         self.find_unused_parameters = find_unused_parameters
         self.bucket_cap_mb = bucket_cap_mb
 
-        self._params = list(module.parameters())
-        if not self._params:
+        # A tied parameter is registered once per owner; keep it once,
+        # under its first name, so it has one bucket slot and one hook.
+        named = {}
+        for name, param in module.named_parameters():
+            named.setdefault(id(param), (name, param))
+        if not named:
             raise ValueError("DistributedDataParallel requires a model with parameters")
-        self._param_names = [name for name, _ in module.named_parameters()]
+        self._param_names = [name for name, _ in named.values()]
+        self._params = [param for _, param in named.values()]
         # Buffers travel as one flat broadcast per (device, dtype) run,
         # not one per tensor; the layout is built once, here.
         self._module_buffers = list(module.buffers())
@@ -132,25 +140,13 @@ class DistributedDataParallel(Module):
         if DEBUG.level >= DETAIL:
             self._verify_replica_values()
 
-        # (2) Bucket assignment in reverse parameters() order.  The
-        # layout is memoized process-wide: re-wrapping a model with the
-        # same parameter signature and caps reuses the cached specs.
-        bucket_specs = cached_bucket_assignment(
-            self._params,
-            bucket_cap_bytes=int(bucket_cap_mb * MB),
-            first_bucket_cap_bytes=(
-                int(first_bucket_cap_mb * MB) if first_bucket_cap_mb is not None else None
-            ),
+        # (2) Bucket assignment in reverse parameters() order, fixed for
+        # the life of the wrap.
+        bucket_specs = compute_bucket_assignment(
+            self._params, bucket_cap_bytes=int(bucket_cap_mb * MB)
         )
 
         # (3) The reducer installs one autograd hook per parameter.
-        tracer = None
-        if trace_backward_order:
-            from repro.core.order_prediction import BackwardOrderTracer
-
-            tracer = BackwardOrderTracer(
-                len(self._params), stable_iterations=min(3, rebucket_after_iterations)
-            )
         self.reducer = Reducer(
             self._params,
             bucket_specs,
@@ -158,12 +154,9 @@ class DistributedDataParallel(Module):
             find_unused_parameters=find_unused_parameters,
             overlap=overlap,
             comm_hook=comm_hook,
-            order_tracer=tracer,
             param_names=self._param_names,
             gradient_as_bucket_view=gradient_as_bucket_view,
         )
-        self._rebucket_after = rebucket_after_iterations
-        self._rebucket_done = not trace_backward_order
 
         self._sync_enabled = True
         # Whether gradients were reduced in the previous backward, which
@@ -277,39 +270,8 @@ class DistributedDataParallel(Module):
     def will_sync(self) -> bool:
         return self._sync_enabled
 
-    def _maybe_rebucket_from_trace(self) -> None:
-        """Backward-order prediction (paper §6.2.1): once enough stable
-        traces exist, rank 0 broadcasts its observed order (the authority
-        strategy of §6.2.2) and every rank rebuilds identical buckets."""
-        import numpy as np
-
-        from repro.core.order_prediction import assignment_from_order
-
-        tracer = self.reducer.order_tracer
-        order = np.full(len(self._params), -1, dtype=np.int64)
-        if self.process_group.group_rank == 0 and tracer.is_stable():
-            observed = list(tracer.observed_order())
-            observed += [i for i in range(len(self._params)) if i not in set(observed)]
-            order[...] = observed
-        self.process_group.broadcast(order, src=0)
-        self._rebucket_done = True
-        if order[0] < 0:
-            # Rank 0's traces disagreed across iterations (a dynamic
-            # graph); rebucketing would chase noise, so keep the
-            # reverse-definition layout.
-            return
-        specs = assignment_from_order(
-            self._params, [int(i) for i in order], self.bucket_cap_mb
-        )
-        self.reducer.rebuild_buckets(specs)
-
     def forward(self, *inputs, **kwargs):
         if self._sync_enabled:
-            if (
-                not self._rebucket_done
-                and self.reducer.iterations_synced >= self._rebucket_after
-            ):
-                self._maybe_rebucket_from_trace()
             # Buffers changed since the last synchronized iteration must
             # be re-aligned to rank 0 before this forward (§4.1).
             if self.broadcast_buffers:
@@ -409,9 +371,6 @@ class DistributedDataParallel(Module):
 
     def summary(self) -> str:
         """Human-readable configuration + bucket layout report."""
-        from repro.core.bucket import describe_assignment
-        from repro.utils.units import format_bytes
-
         total_params = sum(p.numel() for p in self._params)
         grad_bytes = sum(p.numel() * p.element_size() for p in self._params)
         lines = [

@@ -53,7 +53,6 @@ from repro.autograd.graph import collect_participating_accumulators
 from repro.autograd.tensor import Tensor
 from repro.comm.process_group import ReduceOp
 from repro.core.bucket import BucketSpec, copy_params_into, validate_assignment
-from repro.core.comm_hooks import reset_hook
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
 from repro.telemetry.metrics import registry_for
@@ -110,7 +109,7 @@ class Reducer:
         them, trainable, shared across iterations).
     bucket_specs:
         Deterministic assignment from :func:`compute_bucket_assignment`;
-        must be identical on every rank.
+        must be identical on every rank.  Fixed for the reducer's life.
     process_group:
         Any object with ``allreduce(tensor, op, async_op)`` and ``size``.
     find_unused_parameters:
@@ -147,7 +146,6 @@ class Reducer:
         find_unused_parameters: bool = False,
         overlap: bool = True,
         comm_hook: Optional[CommHook] = None,
-        order_tracer=None,
         param_names: Optional[Sequence[str]] = None,
         gradient_as_bucket_view: bool = True,
         shards=None,
@@ -171,14 +169,8 @@ class Reducer:
         self.gradient_as_bucket_view = gradient_as_bucket_view
         self.shards = shards
         self.descending = descending
-        # Optional BackwardOrderTracer recording real gradient-ready
-        # order for rebucketing (paper §6.2.1).
-        self.order_tracer = order_tracer
 
         # Introspection counters used by tests and benchmarks.
-        #: Bucket buffers allocated over this reducer's lifetime; stays
-        #: flat in steady state (the zero-layout-work acceptance check).
-        self.layout_allocations = 0
         #: Gradients that reached bucket memory by a copy: the
         #: accumulator's copy (or ``+=``) into a view, or the hook's
         #: gather in copy mode.
@@ -186,8 +178,6 @@ class Reducer:
         #: Gradients the op that produced them wrote straight into their
         #: bucket view (:attr:`Function.grad_destinations`): no copy.
         self.zero_copy_hits = 0
-        #: rebuild_buckets calls that were no-ops (identical layout).
-        self.noop_rebuild_count = 0
 
         self._install_layout(bucket_specs)
 
@@ -213,7 +203,6 @@ class Reducer:
         self._lock = threading.Lock()
 
         self.iterations_synced = 0
-        self.rebuilt_bucket_count = 0
         # The one record per iteration: always-on coarse phase stamps,
         # served as ``recorder.last`` (the paper's Fig. 6 breakdown of a
         # real run); the rank's ring retains it for the trace and the
@@ -233,8 +222,8 @@ class Reducer:
         In view mode every parameter gets a Tensor whose ``.data`` is a
         reshaped slice of its bucket's flat buffer; the view is handed
         to the parameter's gradient accumulator for lazy adoption, and
-        any live gradient value is migrated into the new storage so a
-        rebuild never loses accumulated gradients (no_sync, §3.2.4).
+        any live gradient value is migrated into the new storage, so
+        wrapping a model that already holds gradients keeps them.
 
         The parameters themselves move too: each bucket gets a second
         flat laid out exactly like the gradient flat, the current values
@@ -243,7 +232,6 @@ class Reducer:
         which is what lets an optimizer step the bucket as one
         (:mod:`repro.optim.optimizer`).
         """
-        self._bucket_specs = list(bucket_specs)
         self.buckets = [
             _Bucket(
                 spec,
@@ -254,7 +242,6 @@ class Reducer:
         ]
         #: The buckets in launch order: the frontier walks this list.
         self._launch_order = self.buckets[::-1] if self.descending else self.buckets
-        self.layout_allocations += len(self.buckets)
         # param index -> (bucket position, slot position)
         self._locator = {}
         for position, bucket in enumerate(self.buckets):
@@ -284,7 +271,7 @@ class Reducer:
                     device=getattr(param, "device", spec.device),
                 )
                 self._grad_views[param_index] = view
-                if param.grad is not None and param.grad is not view:
+                if param.grad is not None:
                     # Migrate the live gradient into the new storage.
                     view.data[...] = param.grad.data
                     param.grad = view
@@ -338,8 +325,6 @@ class Reducer:
         self._local_used[index] = 1
         if not self._expect_hooks:
             return
-        if self.order_tracer is not None:
-            self.order_tracer.record(index)
         if self.recorder.t_first_grad is None:
             self.recorder.mark_first_grad()
         if DEBUG.telemetry:
@@ -540,9 +525,6 @@ class Reducer:
         self._expect_hooks = False
         self._finalized = True
         self.iterations_synced += 1
-        if self.order_tracer is not None:
-            # Close partial traces (some parameters may not have fired).
-            self.order_tracer.end_iteration()
         self.recorder.finish(
             [(bucket.spec.index, bucket.work) for bucket in self.buckets]
         )
@@ -641,29 +623,6 @@ class Reducer:
         """Install or clear a gradient-compression hook (§6.2.3)."""
         self.comm_hook = hook
 
-    def rebuild_buckets(self, bucket_specs: Sequence[BucketSpec]) -> None:
-        """Swap in a new bucket layout (order-prediction support, §6.2.1).
-
-        Rebuilding with a layout identical to the current one is a no-op
-        (no reallocation, no view churn) — the steady state of PyTorch's
-        ``Reducer._rebuild_buckets``, which fires at most once per
-        training run unless the graph actually changes.  A new layout
-        resets the comm hook: its per-bucket state (error-feedback
-        residuals, warm-started factors) belongs to the old buffers.
-        """
-        if not self._finalized:
-            raise ReducerError("cannot rebuild buckets mid-iteration")
-        validate_assignment(bucket_specs, len(self.params))
-        self.rebuilt_bucket_count += 1
-        if list(bucket_specs) == self._bucket_specs:
-            # Identical layout: keep the live buffers and views.
-            self.noop_rebuild_count += 1
-            return
-        self._install_layout(bucket_specs)
-        reset_hook(self.comm_hook)
-        if DEBUG.telemetry:
-            registry_for(self.recorder.rank).counter("reducer.rebuilds").add(1)
-
     def detach_hooks(self) -> None:
         """Remove all autograd hooks and gradient views (DDP teardown).
 
@@ -701,8 +660,8 @@ class Reducer:
         are views of one record, ``recorder.last``: the *last
         synchronized* backward.
 
-        * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the live
-          bucket layout (reflects any order-prediction rebuild).
+        * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the
+          bucket layout, fixed at construction.
         * ``unused_parameter_count`` — parameters marked ready-as-unused
           in the last prepared backward.
         * ``comm_compute_overlap_ratio`` — fraction of bucket collective
@@ -721,12 +680,9 @@ class Reducer:
             "num_buckets": len(self.buckets),
             "bucket_sizes_bytes": [b.nbytes for b in self.buckets],
             "bucket_param_indices": [list(b.spec.param_indices) for b in self.buckets],
-            "rebuilt_bucket_count": self.rebuilt_bucket_count,
             "gradient_as_bucket_view": self.gradient_as_bucket_view,
             "grad_copy_count": self.grad_copy_count,
             "zero_copy_hits": self.zero_copy_hits,
-            "layout_allocations": self.layout_allocations,
-            "noop_rebuild_count": self.noop_rebuild_count,
             "iterations_synced": self.iterations_synced,
             "find_unused_parameters": self.find_unused_parameters,
             "unused_parameter_count": self.last_unused_parameter_count,

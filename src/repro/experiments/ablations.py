@@ -8,13 +8,16 @@ comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.core.bucket import compute_bucket_assignment
 from repro.core.comm_hooks import hook_wire_ratio, make_hook
-from repro.core.order_prediction import BackwardOrderTracer
 from repro.simnet import cost_model_for
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import bert_profile, resnet50_profile
+from repro.utils.units import MB
 
 DESIGN_VARIANTS = [
     ("naive", dict(bucket_cap_mb=0.0, overlap=False)),
@@ -80,8 +83,33 @@ def compression_projection(world: int = 32):
     return rows
 
 
+def assignment_from_order(params, order, bucket_cap_mb: float = 25.0):
+    """Bucket layout packing ``params`` in ready order ``order``.
+
+    ``order`` is a permutation of parameter indices, first-to-fire
+    first; bucket 0 holds the first-firing parameters, so overlap is
+    maximal for that backward order rather than for the assumed
+    reverse-definition order.
+    """
+    params = list(params)
+    order = list(order)
+    if sorted(order) != list(range(len(params))):
+        raise ValueError("order must be a permutation of parameter indices")
+    # compute_bucket_assignment buckets in *reverse* input order, so
+    # feed it the reversed order, then translate positions back.
+    reversed_order = order[::-1]
+    specs = compute_bucket_assignment(
+        [params[i] for i in reversed_order], int(bucket_cap_mb * MB)
+    )
+    return [
+        replace(spec, param_indices=tuple(reversed_order[i] for i in spec.param_indices))
+        for spec in specs
+    ]
+
+
 def order_prediction(world: int = 32, backend: str = "nccl", seed: int = 0):
-    """§6.2.1 ablation: mismatched execution order vs traced rebucketing.
+    """§6.2.1 ablation: mismatched execution order vs buckets laid out
+    in the traced (here: known) execution order.
 
     Returns (matched, mismatched, traced) median latencies.
     """
@@ -101,11 +129,7 @@ def order_prediction(world: int = 32, backend: str = "nccl", seed: int = 0):
         )
     ).median_latency(8)
 
-    tracer = BackwardOrderTracer(model.num_tensors, stable_iterations=3)
-    for _ in range(3):
-        for index in execution_order:
-            tracer.record(index)
-    specs = tracer.suggest_assignment(list(model.params), bucket_cap_mb=25.0)
+    specs = assignment_from_order(model.params, execution_order)
     traced = TrainingSimulator(
         SimulationConfig(
             model=model, world_size=world, backend=backend,

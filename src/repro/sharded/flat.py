@@ -2,7 +2,7 @@
 
 The sharded stack reuses DDP's bucket machinery
 (:mod:`repro.core.bucket`): parameters are coalesced into flat buckets
-— by :func:`~repro.core.bucket.cached_bucket_assignment` for ZeRO-1/2,
+— by :func:`~repro.core.bucket.compute_bucket_assignment` for ZeRO-1/2,
 or one bucket per :func:`select_units` block for ZeRO-3 — and each bucket's
 flat element range is partitioned across ranks with
 :func:`~repro.comm.algorithms.partition_spans`.  Rank ``r`` owns span
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.comm.algorithms import partition_spans
 from repro.core import bucket as _bucket
-from repro.core.bucket import UNBOUNDED_CAP_BYTES, BucketSpec, cached_bucket_assignment
+from repro.core.bucket import UNBOUNDED_CAP_BYTES, BucketSpec, compute_bucket_assignment
 from repro.nn.container import ModuleList, Sequential
 from repro.utils.units import MB
 
@@ -123,7 +123,7 @@ class FlatShardLayout:
                 if bucket_cap_mb is not None
                 else UNBOUNDED_CAP_BYTES
             )
-            specs = cached_bucket_assignment(self.params, bucket_cap_bytes=cap)
+            specs = compute_bucket_assignment(self.params, bucket_cap_bytes=cap)
         self.buckets: List[BucketSpec] = list(specs)
         #: Per bucket: the ``partition_spans`` ownership table.
         self.spans: List[List[Tuple[int, int]]] = [

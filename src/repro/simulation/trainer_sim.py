@@ -63,8 +63,9 @@ class SimulationConfig:
     #: definition order, the assumption DDP's bucketing relies on.  A
     #: mismatching order models the §6.2.1 problem.
     execution_order: Optional[tuple] = None
-    #: Optional externally supplied bucket layout (e.g. from the
-    #: BackwardOrderTracer) overriding reverse-order assignment.
+    #: Optional externally supplied bucket layout (e.g. from
+    #: ``experiments.ablations.assignment_from_order``) overriding
+    #: reverse-order assignment.
     bucket_specs: Optional[tuple] = None
 
     def with_(self, **overrides) -> "SimulationConfig":

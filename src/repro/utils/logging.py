@@ -2,8 +2,8 @@
 
 A single ``repro`` logger, silent by default.  Set ``REPRO_LOG=debug``
 (or ``info``) in the environment, or call :func:`enable_logging`, to
-see reducer events (bucket launches, finalization, rebucketing) —
-the first thing to look at when a distributed run hangs.
+see reducer events (bucket launches, finalization) — the first thing
+to look at when a distributed run hangs.
 
 Every record carries a ``%(rank)s`` field resolved from the rank
 contextvar (:mod:`repro.utils.rank`) that ``run_distributed`` binds at

@@ -106,17 +106,6 @@ class TestLayout:
         assert bucket.sizes == (7, 5, 3)
         assert bucket.total_elements == 15
 
-    def test_offset_of(self):
-        params = params_of_sizes(3, 5)
-        (bucket,) = compute_bucket_assignment(params, bucket_cap_bytes=MB)
-        assert bucket.offset_of(1) == 0
-        assert bucket.offset_of(0) == 5
-
-    def test_total_bytes(self):
-        params = params_of_sizes(10)
-        (bucket,) = compute_bucket_assignment(params, bucket_cap_bytes=MB)
-        assert bucket.total_bytes(8) == 80
-
     def test_deterministic_across_calls(self):
         params = params_of_sizes(*range(1, 20))
         a = compute_bucket_assignment(params, bucket_cap_bytes=100 * 8)

@@ -317,6 +317,41 @@ class TestUnusedParameters:
         assert run_world(2, body, backend="gloo") == [True, True]
 
 
+class _TiedLinears(nn.Module):
+    """Two layers sharing one weight: ``named_parameters()`` lists it
+    under both names."""
+
+    def __init__(self):
+        super().__init__()
+        manual_seed(3)
+        self.a = nn.Linear(6, 6)
+        self.b = nn.Linear(6, 6)
+        self.b.weight = self.a.weight
+
+    def forward(self, x):
+        return self.b(self.a(x).tanh())
+
+
+class TestTiedParameters:
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_shared_weight_gets_the_averaged_gradient(self, as_view):
+        local = _TiedLinears()
+        (local(Tensor(X8)).sum() / 2).backward()
+        expected = {name: p.grad.data.copy() for name, p in local.named_parameters()}
+
+        def body(rank):
+            model = _TiedLinears()
+            ddp = DistributedDataParallel(model, gradient_as_bucket_view=as_view)
+            ddp(Tensor(X8[rank * 4 : rank * 4 + 4])).sum().backward()
+            grads = {name: p.grad.data.copy() for name, p in model.named_parameters()}
+            return len(ddp.reducer.params), grads
+
+        for count, grads in run_world(2, body, backend="gloo"):
+            assert count == 3  # a.weight, a.bias, b.bias
+            for name, value in expected.items():
+                np.testing.assert_allclose(grads[name], value, atol=1e-12, err_msg=name)
+
+
 class TestTransparency:
     def test_state_dict_passthrough(self):
         def body(rank):

@@ -1,8 +1,15 @@
 """The experiments package: the figure and ablation row generators."""
 
+import numpy as np
 import pytest
 
+from repro.core.bucket import validate_assignment
 from repro.experiments import ablations, figures
+from repro.nn.module import Parameter
+
+
+def _params_of_sizes(*sizes):
+    return [Parameter(np.zeros(s)) for s in sizes]
 
 
 class TestFigureGenerators:
@@ -61,6 +68,26 @@ class TestAblationGenerators:
         matched, mismatched, traced = ablations.order_prediction()
         assert matched < mismatched
         assert traced < mismatched
+
+    def test_assignment_covers_all_params(self):
+        params = _params_of_sizes(4, 4, 4, 4)
+        specs = ablations.assignment_from_order(params, (1, 3, 0, 2), bucket_cap_mb=1.0)
+        validate_assignment(specs, 4)
+
+    def test_first_bucket_holds_first_ready_params(self):
+        """Bucket 0 contains the gradients that become ready first."""
+        params = _params_of_sizes(4, 4, 4, 4)
+        two_params_mb = 2 * 4 * 8 / (1024 * 1024)
+        specs = ablations.assignment_from_order(
+            params, (1, 3, 0, 2), bucket_cap_mb=two_params_mb
+        )
+        assert specs[0].param_indices == (1, 3)
+        assert specs[1].param_indices == (0, 2)
+
+    @pytest.mark.parametrize("order", [(2, 0), (0, 1, 1), (0, 1, 3)])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            ablations.assignment_from_order(_params_of_sizes(4, 4, 4), order)
 
     def test_param_averaging_timeline(self):
         rows = ablations.param_averaging_timeline(backends=("gloo",), worlds=(32,))

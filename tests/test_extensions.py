@@ -1,5 +1,5 @@
-"""MPI backend, P2P, root collectives, DDP order tracing, adaptive
-precision, checkpointing."""
+"""MPI backend, P2P, root collectives, adaptive precision,
+checkpointing."""
 
 import os
 import tempfile
@@ -92,92 +92,6 @@ class TestP2PAndRootCollectives:
 
         results = run_world(3, body, backend="gloo")
         assert results == [[0.0, 0.0], [10.0, 10.0], [20.0, 20.0]]
-
-
-class TestDdpOrderTracing:
-    def test_rebucket_happens_and_training_stays_correct(self):
-        def body(rank):
-            model = small_classifier()
-            ddp = DistributedDataParallel(
-                model,
-                bucket_cap_mb=0.0001,
-                trace_backward_order=True,
-                rebucket_after_iterations=3,
-            )
-            opt = SGD(ddp.parameters(), lr=0.05)
-            loss_fn = nn.CrossEntropyLoss()
-            shard = slice(rank * 4, (rank + 1) * 4)
-            for _ in range(6):
-                opt.zero_grad()
-                loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
-                opt.step()
-            return ddp.reducer.rebuilt_bucket_count, ddp.state_dict()
-
-        # reference: same training without tracing
-        def ref_body(rank):
-            model = small_classifier()
-            ddp = DistributedDataParallel(model, bucket_cap_mb=0.0001)
-            opt = SGD(ddp.parameters(), lr=0.05)
-            loss_fn = nn.CrossEntropyLoss()
-            shard = slice(rank * 4, (rank + 1) * 4)
-            for _ in range(6):
-                opt.zero_grad()
-                loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
-                opt.step()
-            return ddp.state_dict()
-
-        traced = run_world(2, body, backend="gloo")
-        reference = run_world(2, ref_body, backend="gloo")
-        assert traced[0][0] == 1  # rebuilt exactly once
-        for name in reference[0]:
-            assert np.allclose(traced[0][1][name], reference[0][name], atol=1e-9)
-
-    def test_rebucketed_layout_matches_observed_order(self):
-        def body(rank):
-            model = small_classifier()
-            ddp = DistributedDataParallel(
-                model,
-                bucket_cap_mb=1000.0,  # one bucket: layout == order
-                trace_backward_order=True,
-                rebucket_after_iterations=3,
-            )
-            loss_fn = nn.CrossEntropyLoss()
-            for _ in range(4):
-                model.zero_grad()
-                loss_fn(ddp(Tensor(X[:4])), Y[:4]).backward()
-            (bucket,) = ddp.reducer.buckets
-            return bucket.spec.param_indices
-
-        layouts = run_world(2, body, backend="gloo")
-        assert layouts[0] == layouts[1]
-        # observed backward order for Sequential(Linear, ReLU, Linear):
-        # last layer's (weight/bias) hooks fire first
-        assert set(layouts[0][:2]) == {2, 3}
-
-    def test_unstable_trace_skips_rebucketing(self):
-        """A dynamic graph yields disagreeing traces; DDP must keep the
-        reverse-definition layout instead of chasing noise."""
-        from repro.models import BranchedModel
-
-        def body(rank):
-            manual_seed(4)
-            model = BranchedModel(num_branches=2)
-            ddp = DistributedDataParallel(
-                model,
-                find_unused_parameters=True,
-                trace_backward_order=True,
-                rebucket_after_iterations=3,
-            )
-            loss_fn = nn.CrossEntropyLoss()
-            x = Tensor(np.ones((2, 8)))
-            y = np.zeros(2, dtype=np.int64)
-            for it in range(6):
-                model.zero_grad()
-                loss_fn(ddp(x, branch=it % 2), y).backward()
-            return ddp.reducer.rebuilt_bucket_count
-
-        counts = run_world(2, body, backend="gloo")
-        assert counts == [0, 0]
 
 
 class TestAdaptivePrecision:

@@ -1080,29 +1080,6 @@ class TestReadinessOrder:
         order = _ready_order(layer, Tensor(np.ones((4, 4))))
         assert [names[i] for i in order] == ["bias", "weight"]
 
-    def test_order_tracer_observes_the_parents_order_on_mlp(self):
-        def body(rank):
-            manual_seed(0)
-            ddp = DistributedDataParallel(
-                MLP(6, [8, 8], 3), trace_backward_order=True, rebucket_after_iterations=100
-            )
-            x = Tensor(np.random.default_rng(rank).standard_normal((4, 6)))
-            nn.CrossEntropyLoss()(ddp(x), np.zeros(4, dtype=np.int64)).backward()
-            return ddp.reducer.order_tracer.observed_order()
-
-        # Recorded at the parent commit (composed Add/MatMul/Transpose chain).
-        assert run_world(2, body, backend="gloo") == [(5, 4, 3, 2, 1, 0)] * 2
-
-    def test_order_tracer_observes_the_reverse_of_parameters_on_convnet(self):
-        def body(rank):
-            ddp = DistributedDataParallel(
-                _convnet(), trace_backward_order=True, rebucket_after_iterations=100
-            )
-            nn.CrossEntropyLoss()(ddp(Tensor(IMAGES[rank::2])), LABELS[rank::2]).backward()
-            return ddp.reducer.order_tracer.observed_order()
-
-        assert run_world(2, body, backend="gloo") == [tuple(range(11, -1, -1))] * 2
-
 
 # -- ConvNet end to end ------------------------------------------------
 

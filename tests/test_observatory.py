@@ -22,7 +22,6 @@ from conftest import run_world
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
-from repro.core.bucket import compute_bucket_assignment
 from repro.debug import all_recorders
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -459,13 +458,7 @@ def _catalog_names():
 class TestMetricCatalog:
     def test_every_catalog_row_is_published_by_a_ddp_run(self):
         def body(rank):
-            ddp = _train_ddp(rank, iterations=2)
-            # A live relayout: reducer.rebuilds.
-            ddp.reducer.rebuild_buckets(compute_bucket_assignment(
-                list(ddp.parameters()), bucket_cap_bytes=1024 * 1024
-            ))
-            loss = nn.CrossEntropyLoss()(ddp(Tensor(np.ones((4, 32)))), np.zeros(4, int))
-            loss.backward()
+            _train_ddp(rank, iterations=2)
 
         telemetry.enable()
         run_world(2, body, backend="gloo")

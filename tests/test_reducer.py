@@ -154,26 +154,6 @@ class TestUnusedHandling:
 
 
 class TestRebuild:
-    def test_rebuild_buckets_swaps_layout(self):
-        params, reducer, group = make_reducer(cap_bytes=4 * 8)
-        assert len(reducer.buckets) == 3
-        new_specs = compute_bucket_assignment(params, bucket_cap_bytes=10**9)
-        reducer.rebuild_buckets(new_specs)
-        assert len(reducer.buckets) == 1
-        assert reducer.rebuilt_bucket_count == 1
-        # still functions
-        reducer.prepare_for_backward([])
-        sum((p * 1.0).sum() for p in params).backward()
-        assert reducer.finalized
-
-    def test_rebuild_mid_iteration_rejected(self):
-        params, reducer, group = make_reducer()
-        reducer.prepare_for_backward([])
-        with pytest.raises(ReducerError, match="mid-iteration"):
-            reducer.rebuild_buckets(
-                compute_bucket_assignment(params, bucket_cap_bytes=10**9)
-            )
-
     def test_invalid_assignment_rejected(self):
         params, reducer, group = make_reducer()
         with pytest.raises(ValueError):
