@@ -1,26 +1,16 @@
 """Comm health engine demo: inject faults, get attributed diagnoses.
 
-Trains a small DDP model on 4 ranks over the retrying transport while a
-seeded :class:`~repro.resilience.FaultPlan` abuses the wire:
-
-* ``slow_rank(1, ...)`` — every send from rank 1 is delayed, the
-  paper's persistent-straggler scenario;
-* ``drop(rank=0, dst=2, ...)`` — a lossy edge 0→2 whose drops the
-  reliable transport absorbs as retries and retransmissions: 24
-  deliveries after DDP's construction, so the receiver counts 24
-  retransmissions — over the storm rule's 20 events and half the
-  collectives it accounts.
+Trains a small DDP model on 4 ranks while a seeded
+:class:`~repro.resilience.FaultPlan` slows the wire:
+``slow_rank(1, ...)`` delays every send from rank 1, the paper's
+persistent-straggler scenario.
 
 The health engine watches the same run through its efficiency metrics
 (per-source receive stalls, achieved bus bandwidth, chunk-pipeline
 utilization) and the cross-rank causal timeline stitched from every
 rank's collective records, then prints what a human would
-have had to dig out of a Chrome trace:
-
-* ``persistent_straggler`` naming rank 1, and
-* ``retransmit_storm`` naming the lossy edge's receiving rank —
-
-each with confidence and the evidence numbers behind the verdict.  The
+have had to dig out of a Chrome trace: ``persistent_straggler`` naming
+rank 1, with confidence and the evidence numbers behind the verdict.  The
 offline path is exercised too: the flight-recorder dump (``dump_json``,
 what ``tools/healthctl.py`` reads) is reloaded from JSON and must give
 exactly the live verdicts.
@@ -41,11 +31,9 @@ from repro.autograd import Tensor
 from repro.comm import Store, run_distributed
 from repro.core import DistributedDataParallel
 from repro.debug import dump_json
-from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy, drop
-from repro.resilience.faults import slow_rank
+from repro.resilience import FaultPlan, slow_rank
 from repro.telemetry.health import (
     PERSISTENT_STRAGGLER,
-    RETRANSMIT_STORM,
     analyze_dumps,
     health_report,
     merge_causal_timeline,
@@ -56,7 +44,6 @@ from repro.utils import manual_seed
 WORLD_SIZE = 4
 ITERATIONS = 8
 SLOW_RANK = 1
-LOSSY_EDGE = (0, 2)  # a halving-doubling partner pair at distance 2
 
 
 def train(rank: int):
@@ -91,30 +78,16 @@ def main() -> int:
     args = parser.parse_args()
 
     telemetry.enable()
-    # base_backoff sits above the straggler's injected delay so a slow
-    # (but not lossy) sender doesn't trigger spurious retransmissions.
-    hub = ReliableTransportHub(
-        WORLD_SIZE, default_timeout=30.0,
-        retry=RetryPolicy(base_backoff=0.02), seed=args.seed,
-    )
     plan = None
     if not args.fault_free:
-        plan = FaultPlan(
-            [
-                slow_rank(SLOW_RANK, seconds=0.008),
-                drop(rank=LOSSY_EDGE[0], dst=LOSSY_EDGE[1], after=2, times=24),
-            ],
-            seed=args.seed,
-        )
+        plan = FaultPlan([slow_rank(SLOW_RANK, seconds=0.008)], seed=args.seed)
 
-    mode = "fault-free" if args.fault_free else (
-        f"slow rank {SLOW_RANK} + lossy edge {LOSSY_EDGE[0]}→{LOSSY_EDGE[1]}"
-    )
+    mode = "fault-free" if args.fault_free else f"slow rank {SLOW_RANK}"
     print(f"== training: {WORLD_SIZE} ranks x {ITERATIONS} iterations "
           f"({mode}) ==")
     stats = run_distributed(
         WORLD_SIZE, train, backend="gloo", timeout=60.0,
-        store=Store(timeout=30.0), hub=hub, fault_plan=plan,
+        store=Store(timeout=30.0), fault_plan=plan,
     )
 
     # -- live health section (what ddp_stats()["health"] serves) --------
@@ -154,13 +127,7 @@ def main() -> int:
         assert straggler is not None and straggler.culprit_rank == SLOW_RANK, (
             f"expected persistent_straggler on rank {SLOW_RANK}, got {kinds.keys()}"
         )
-        storm = kinds.get(RETRANSMIT_STORM)
-        assert storm is not None and storm.culprit_rank == LOSSY_EDGE[1], (
-            f"expected retransmit_storm on rank {LOSSY_EDGE[1]}, got {kinds.keys()}"
-        )
-        print(f"attribution correct: straggler=rank {straggler.culprit_rank}, "
-              f"storm=rank {storm.culprit_rank}"
-              + (f" edge {storm.culprit_edge}" if storm.culprit_edge else ""))
+        print(f"attribution correct: straggler=rank {straggler.culprit_rank}")
 
     # -- offline path (healthctl over the flight-recorder dump) ---------
     dumps = json.loads(dump_json(args.dump))["flight_recorders"]

@@ -144,8 +144,7 @@ def _settle(hub: TransportHub, me: int, tag: object, lend: bool,
 
     Called after this rank's last read of every ``lenders`` buffer; it
     returns once every ``borrowers`` peer has said the same about ours.
-    Tokens are ordinary (zero-byte) messages, so a retrying transport
-    sequences, checksums and retransmits them like any other.
+    Tokens are ordinary (zero-byte) messages.
     """
     if not lend:
         return

@@ -101,18 +101,17 @@ class TransportHub:
         self.messages_sent = [0] * world_size
         self.bytes_sent = [0] * world_size
         #: Optional :class:`repro.resilience.FaultPlan` consulted on every
-        #: send (drop / delay / duplicate / corrupt / crash-rank rules).
+        #: send (delay / slow-rank / crash-rank rules).
         self.fault_plan = None
 
     def install_fault_plan(self, plan) -> None:
         """Install a fault-injection plan; ``None`` removes it.
 
         Every subsequent :meth:`send` consults ``plan.on_send`` — the
-        plan may drop the wire delivery, delay it, duplicate it, corrupt
-        the payload, or raise
+        plan may delay the delivery or raise
         :class:`~repro.resilience.InjectedRankFailure` on the sending
-        thread.  Process groups sharing this hub pick the plan up for
-        collective-scoped rules as well.
+        thread; it never alters what lands.  Process groups sharing
+        this hub pick the plan up for collective-scoped rules as well.
         """
         self.fault_plan = plan
 
@@ -124,29 +123,24 @@ class TransportHub:
         """Deposit ``payload`` into the (src, dst, tag) mailbox.
 
         The payload is delivered by reference (see the module's
-        ownership contract).  With a fault plan installed the deposit models a lossy wire: the
-        plan decides what actually lands in the mailbox (nothing for a
-        drop, two copies for a duplicate, a perturbed copy for a
-        corruption) and dropped messages are not counted as sent.
+        ownership contract), exactly once.
         """
         self._check_rank(src)
         self._check_rank(dst)
         plan = self.fault_plan
-        if plan is None:
-            self._deposit(src, (dst,), tag, payload)
-            return
-        for delivery in plan.on_send(src, dst, tag, payload):
-            self._deposit(src, (dst,), tag, delivery)
+        if plan is not None:
+            plan.on_send(src, dst, tag)
+        self._deposit(src, (dst,), tag, payload)
 
     def post(self, src: int, dsts: Sequence[int], tag: Hashable, payload: Any) -> None:
         """:meth:`send` one ``payload`` to each of ``dsts`` (trusted to be
         in range) in one mutex round; counters and a fault plan see one
         send per destination."""
-        if self.fault_plan is not None:
+        plan = self.fault_plan
+        if plan is not None:
             for dst in dsts:
-                self.send(src, dst, tag, payload)
-        else:
-            self._deposit(src, dsts, tag, payload)
+                plan.on_send(src, dst, tag)
+        self._deposit(src, dsts, tag, payload)
 
     def _deposit(self, src: int, dsts: Sequence[int], tag: Hashable, payload: Any) -> None:
         """Place one message per destination on the wire (counters +
@@ -201,7 +195,6 @@ class TransportHub:
 
         While parked the receiver shows in :meth:`blocked_receivers`
         (hang-watch evidence); a hub close raises ``TransportClosedError``.
-        Subclasses use this to wait in short backoff slices.
         """
         return self._gates.wait(key, self._pop, timeout)
 

@@ -108,15 +108,11 @@ class DistributedDataParallel(Module):
         self.find_unused_parameters = find_unused_parameters
         self.bucket_cap_mb = bucket_cap_mb
 
-        # A tied parameter is registered once per owner; keep it once,
-        # under its first name, so it has one bucket slot and one hook.
-        named = {}
-        for name, param in module.named_parameters():
-            named.setdefault(id(param), (name, param))
+        named = list(module.named_parameters())
         if not named:
             raise ValueError("DistributedDataParallel requires a model with parameters")
-        self._param_names = [name for name, _ in named.values()]
-        self._params = [param for _, param in named.values()]
+        self._param_names = [name for name, _ in named]
+        self._params = [param for _, param in named]
         # Buffers travel as one flat broadcast per (device, dtype) run,
         # not one per tensor; the layout is built once, here.
         self._module_buffers = list(module.buffers())
@@ -317,7 +313,6 @@ class DistributedDataParallel(Module):
             "backend": self.process_group.backend,
             "bucket_cap_mb": self.bucket_cap_mb,
             "debug": self._debug_stats(),
-            "resilience": self._resilience_stats(),
             "health": self._health_stats(profile.overlap_ratio if profile else 0.0),
             "checkpoint": self._checkpoint_stats(),
         }
@@ -341,14 +336,6 @@ class DistributedDataParallel(Module):
         return health_report(
             rank=self.process_group.global_rank, overlap_ratio=overlap_ratio
         )
-
-    def _resilience_stats(self) -> Optional[dict]:
-        """Transport retry/dedup/corruption counters, when the group runs
-        over a :class:`~repro.resilience.ReliableTransportHub` (None on
-        the plain hub)."""
-        hub = getattr(self.process_group, "hub", None)
-        probe = getattr(hub, "resilience_stats", None)
-        return probe() if callable(probe) else None
 
     def _debug_stats(self) -> dict:
         """REPRO_DEBUG layer state: the depth of this rank's collective

@@ -28,9 +28,9 @@ Under the same gate each ring also keeps its rank's finished DDP
 iterations, which the critical-path profiler and the trace's compute
 row read.  While telemetry is on, a third deque keeps the rank's
 *incidents* — the events that are not collectives or iterations:
-resilience instants, heartbeats and checkpoint phases — which the trace's other rows and the health engine's storm
-attribution read.  The metric series those records imply are not
-written while training: a read folds them out of the ring
+heartbeats and checkpoint phases — which the trace's other rows read.
+The metric series those records imply are not written while training:
+a read folds them out of the ring
 (:func:`repro.telemetry.health.accounting.fold`), and the ring keeps
 the fold's place.  All rank threads share one ``perf_counter`` clock,
 so the stitched order is causal, not approximate.

@@ -109,9 +109,10 @@ class Module:
         self._note_order("module", name)
 
     # -- iteration -------------------------------------------------------
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        """Depth-first, in exact registration order (as in PyTorch, where
-        a parameter defined before a submodule also iterates before it)."""
+    def _registered_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
+        """Every registration, depth-first, in exact registration order (as
+        in PyTorch, where a parameter defined before a submodule also
+        iterates before it): a tied parameter once per name."""
         for kind, name in self._order:
             if kind == "param":
                 param = self._parameters.get(name)
@@ -120,7 +121,16 @@ class Module:
             else:
                 module = self._modules.get(name)
                 if module is not None:
-                    yield from module.named_parameters(prefix + name + ".")
+                    yield from module._registered_parameters(prefix + name + ".")
+
+    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
+        """Each parameter once, under its first registered name, as in
+        PyTorch: a weight tied across two modules is one parameter."""
+        seen = set()
+        for name, param in self._registered_parameters(prefix):
+            if id(param) not in seen:
+                seen.add(id(param))
+                yield name, param
 
     def parameters(self) -> Iterator[Parameter]:
         for _, param in self.named_parameters():
@@ -149,16 +159,17 @@ class Module:
 
     # -- state ------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Flat name → array copy of all parameters and buffers."""
+        """Flat name → array copy of all parameters and buffers, under
+        every registered name (a tied weight appears once per owner)."""
         state: Dict[str, np.ndarray] = OrderedDict()
-        for name, param in self.named_parameters():
+        for name, param in self._registered_parameters():
             state[name] = param.data.copy()
         for name, buf in self.named_buffers():
             state[name] = buf.data.copy()
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+        own = dict(self._registered_parameters())
         own.update(dict(self.named_buffers()))
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)

@@ -1,4 +1,4 @@
-"""Fault injection, reliable transport, and elastic recovery.
+"""Fault injection and elastic recovery.
 
 The paper treats robustness as a first-class property of the DDP stack:
 collectives time out instead of hanging forever, desyncs are diagnosed
@@ -7,14 +7,13 @@ to die.  This package makes each of those failure modes *inducible* and
 *survivable*:
 
 * :mod:`repro.resilience.faults` — seeded, declarative
-  :class:`FaultPlan` rules (drop / delay / duplicate / corrupt /
-  crash-rank / slow-rank) installed on the transport hub and picked up
-  by process groups, so chaos runs are reproducible library features
-  rather than ad-hoc test subclasses.
-* :mod:`repro.resilience.transport` — :class:`ReliableTransportHub`,
-  a retrying, acked, checksummed transport that absorbs drops,
-  duplicates, and corruption; counters surface in ``ddp_stats()`` and
-  the flight recorder.
+  :class:`FaultPlan` rules (delay / crash-rank / slow-rank on the wire,
+  torn or slow checkpoint writes, rejoin) installed on the transport
+  hub and picked up by process groups, so chaos runs are reproducible
+  library features rather than ad-hoc test subclasses.  There is no
+  lossy-wire rule: the transports DDP runs on deliver reliably (paper
+  §3.3), so a lost, duplicated or corrupted message is not a failure
+  this runtime can have.
 * :mod:`repro.resilience.elastic` — :func:`run_elastic`, the
   shrink-to-survive supervisor: checkpoint, detect death (from the
   store-based beats of each rank's :mod:`repro.comm.liveness` monitor,
@@ -40,20 +39,12 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
     InjectedRankFailure,
-    corrupt,
     corrupt_file,
     crash_rank,
     delay,
     delay_write,
-    drop,
-    duplicate,
     rejoin_rank,
     slow_rank,
-)
-from repro.resilience.transport import (
-    ReliableTransportHub,
-    RetryBudgetExceededError,
-    RetryPolicy,
 )
 
 __all__ = [
@@ -64,18 +55,12 @@ __all__ = [
     "COLLECTIVE",
     "CHECKPOINT",
     "ELASTIC",
-    "drop",
     "delay",
-    "duplicate",
-    "corrupt",
     "corrupt_file",
     "delay_write",
     "crash_rank",
     "rejoin_rank",
     "slow_rank",
-    "ReliableTransportHub",
-    "RetryPolicy",
-    "RetryBudgetExceededError",
     "run_elastic",
     "ElasticConfig",
     "ElasticContext",

@@ -2,7 +2,7 @@
 
 :func:`run_elastic` runs a DDP training loop the way production
 schedulers run it — expecting ranks to die.  Each attempt is a
-**generation**: a fresh :class:`~repro.resilience.transport.ReliableTransportHub`
+**generation**: a fresh :class:`~repro.comm.transport.TransportHub`
 plus a fresh process group with a generation-unique ``group_id`` (so no
 store key from a dead generation can bleed into the next), one thread
 per rank, and a store-based heartbeat per rank (the beat duty of the
@@ -69,9 +69,9 @@ from repro.comm.distributed import (
 )
 from repro.comm.liveness import HeartbeatMonitor
 from repro.comm.store import Store
+from repro.comm.transport import TransportHub
 from repro.core.ddp import DistributedDataParallel
 from repro.resilience.faults import FaultPlan, InjectedRankFailure
-from repro.resilience.transport import ReliableTransportHub, RetryPolicy
 from repro.sharded.wrapper import ShardedWrapper
 from repro.utils.logging import logger
 
@@ -108,9 +108,7 @@ class ElasticConfig:
     iteration counter).  Dead-rank detection is fixed: a beat every
     :data:`~repro.comm.liveness.BEAT_INTERVAL`, death after a
     :data:`~repro.comm.liveness.MISS_THRESHOLD` miss, far below the
-    transport timeout.  ``retry`` is the
-    :class:`~repro.resilience.transport.RetryPolicy` for each
-    generation's hub; ``group_kwargs`` / ``ddp_kwargs`` forward to the
+    transport timeout.  ``group_kwargs`` / ``ddp_kwargs`` forward to the
     process-group backend and the DDP wrapper.
 
     ``wrapper`` overrides the model wrap: ``wrapper(module, group) ->
@@ -137,8 +135,6 @@ class ElasticConfig:
     checkpoint_dir: str = "."
     backend: str = "gloo"
     timeout: float = 10.0
-    retry: Optional[RetryPolicy] = None
-    seed: int = 0
     group_kwargs: Dict = field(default_factory=dict)
     ddp_kwargs: Dict = field(default_factory=dict)
     wrapper: Optional[Callable] = None
@@ -213,14 +209,6 @@ class ElasticResult:
     def final_loss(self) -> Optional[float]:
         """Last recorded per-iteration loss (rank 0's), or None."""
         return self.losses[-1] if self.losses else None
-
-    @property
-    def total_retries(self) -> int:
-        """Transport retries summed over every generation."""
-        return sum(
-            g.get("resilience", {}).get("total_retries", 0)
-            for g in self.generations
-        )
 
     @property
     def deaths(self) -> List[int]:
@@ -389,12 +377,7 @@ def _run_generation(
     world = len(spots)
     ns = f"elastic/gen{generation}"
     store = Store(timeout=config.timeout)
-    hub = ReliableTransportHub(
-        world,
-        default_timeout=config.timeout,
-        retry=config.retry,
-        seed=config.seed + generation,
-    )
+    hub = TransportHub(world, default_timeout=config.timeout)
     if fault_plan is not None:
         hub.install_fault_plan(fault_plan)
     abort_key = f"{ns}/abort"
@@ -594,7 +577,6 @@ def _run_generation(
         "death_reasons": death_reasons,
         "flapped": flapped,
         "grow_ready": grow_ready,
-        "resilience": hub.resilience_stats(),
         "faults": fault_plan.stats() if fault_plan is not None else None,
         "checkpoint": dict(sorted(engine_stats.items())) or None,
     }

@@ -4,11 +4,15 @@ Production DDP stacks treat failures as routine; reproducing that
 requires making failure a *library feature* rather than an ad-hoc test
 fixture.  A :class:`FaultPlan` is a seeded list of :class:`FaultRule`
 entries installed on a :class:`~repro.comm.transport.TransportHub`
-(wire-scoped rules: drop / delay / duplicate / corrupt / crash / slow)
-and picked up by every :class:`~repro.comm.process_group.ProcessGroup`
-sharing the hub (collective-scoped rules: crash a rank as it issues its
-*n*-th matching collective — e.g. exactly at a bucket boundary of a DDP
-backward).
+(wire-scoped rules: delay / crash / slow) and picked up by every
+:class:`~repro.comm.process_group.ProcessGroup` sharing the hub
+(collective-scoped rules: crash a rank as it issues its *n*-th matching
+collective — e.g. exactly at a bucket boundary of a DDP backward).
+
+The wire never loses, duplicates or corrupts a message: NCCL and Gloo
+run over transports that already deliver reliably (paper §3.3), and so
+does the in-process hub.  So a wire rule only slows a send or kills its
+sender — the failures a data-parallel job actually meets.
 
 Determinism: probabilistic rules hash ``(seed, rule, src, dst, tag,
 match-count)`` into a uniform draw, so the *same messages* are faulted
@@ -28,11 +32,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from repro.comm.transport import Signed
+from typing import Callable, Dict, List, Optional
 
 #: Rule scopes.
 WIRE = "wire"
@@ -40,11 +40,8 @@ COLLECTIVE = "collective"
 CHECKPOINT = "checkpoint"
 ELASTIC = "elastic"
 
-#: Wire-scoped actions.
-DROP = "drop"
+#: Wire-scoped: add latency to matching sends.
 DELAY = "delay"
-DUPLICATE = "duplicate"
-CORRUPT = "corrupt"
 #: Either scope: terminate the matching rank with InjectedRankFailure.
 CRASH_RANK = "crash_rank"
 #: Wire-scoped: add latency to every send from one rank (a straggler).
@@ -61,8 +58,7 @@ DELAY_WRITE = "delay_write"
 REJOIN_RANK = "rejoin_rank"
 
 _ACTIONS = {
-    DROP, DELAY, DUPLICATE, CORRUPT, CRASH_RANK, SLOW_RANK,
-    CORRUPT_FILE, DELAY_WRITE, REJOIN_RANK,
+    DELAY, CRASH_RANK, SLOW_RANK, CORRUPT_FILE, DELAY_WRITE, REJOIN_RANK,
 }
 _CHECKPOINT_ACTIONS = {CORRUPT_FILE, DELAY_WRITE}
 
@@ -87,22 +83,6 @@ def _unit(seed: int, *parts) -> float:
     return zlib.crc32(blob) / 2**32
 
 
-def _corrupt_payload(payload):
-    """Return a perturbed copy of an ndarray payload, or of a signed
-    message's ndarray (others unchanged)."""
-    if isinstance(payload, Signed):
-        return payload._replace(data=_corrupt_payload(payload.data))
-    if isinstance(payload, np.ndarray) and payload.size:
-        corrupted = payload.copy()
-        flat = corrupted.reshape(-1)
-        if np.issubdtype(corrupted.dtype, np.floating):
-            flat[0] += 1000.0
-        else:
-            flat[0] ^= np.array(0x5A, dtype=corrupted.dtype)
-        return corrupted
-    return payload
-
-
 @dataclass
 class FaultRule:
     """One declarative fault: an action plus match predicates.
@@ -110,8 +90,9 @@ class FaultRule:
     Parameters
     ----------
     action:
-        One of ``drop``, ``delay``, ``duplicate``, ``corrupt``,
-        ``crash_rank``, ``slow_rank``.
+        One of ``delay``, ``crash_rank``, ``slow_rank`` (wire),
+        ``corrupt_file``, ``delay_write`` (checkpoint) or
+        ``rejoin_rank`` (elastic).
     scope:
         ``"wire"`` (matched against transport sends) or ``"collective"``
         (matched as a rank issues a collective).  Only ``crash_rank``
@@ -212,25 +193,10 @@ class FaultRule:
         return True
 
 
-# Declarative constructors — `FaultPlan(rules=[drop(probability=0.01), ...])`.
-def drop(**kwargs) -> FaultRule:
-    """Rule: silently lose matching wire messages."""
-    return FaultRule(DROP, **kwargs)
-
-
+# Declarative constructors — `FaultPlan(rules=[delay(0.01, probability=0.1), ...])`.
 def delay(seconds: float, **kwargs) -> FaultRule:
     """Rule: add ``seconds`` of latency to matching wire messages."""
     return FaultRule(DELAY, delay=seconds, **kwargs)
-
-
-def duplicate(**kwargs) -> FaultRule:
-    """Rule: deliver matching wire messages twice."""
-    return FaultRule(DUPLICATE, **kwargs)
-
-
-def corrupt(**kwargs) -> FaultRule:
-    """Rule: perturb the payload of matching wire messages."""
-    return FaultRule(CORRUPT, **kwargs)
 
 
 def crash_rank(rank: int, scope: str = WIRE, **kwargs) -> FaultRule:
@@ -295,7 +261,7 @@ class FaultPlan:
 
     Usage::
 
-        plan = FaultPlan([drop(probability=0.01),
+        plan = FaultPlan([slow_rank(1, 0.005),
                           crash_rank(2, scope="collective", op="allreduce",
                                      after=7, times=1)], seed=0)
         hub.install_fault_plan(plan)
@@ -334,35 +300,22 @@ class FaultPlan:
         return True
 
     # -- hooks ----------------------------------------------------------
-    def on_send(self, src: int, dst: int, tag, payload, crashable: bool = True):
-        """Filter one wire send; returns the list of payloads to deliver.
+    def on_send(self, src: int, dst: int, tag) -> None:
+        """Apply the wire rules to one send, on the sending thread.
 
         May sleep (delay / slow-rank rules) and may raise
-        :class:`InjectedRankFailure` (wire-scoped crash rules, suppressed
-        when ``crashable`` is False — e.g. for retransmissions serviced
-        on the receiver's thread).
+        :class:`InjectedRankFailure` (wire-scoped crash rules).
         """
-        deliveries = [payload]
         for index, rule in enumerate(self.rules):
             if not rule._matches_wire(src, dst, tag):
                 continue
             if not self._fire(index, rule, (src, dst), repr(tag)):
                 continue
             if rule.action == CRASH_RANK:
-                if crashable:
-                    raise InjectedRankFailure(
-                        src, f"fault plan crashed the rank at send tag={tag!r}"
-                    )
-                continue
-            if rule.action in (DELAY, SLOW_RANK):
-                time.sleep(rule.delay)
-            elif rule.action == DROP:
-                deliveries = []
-            elif rule.action == DUPLICATE:
-                deliveries = deliveries + deliveries
-            elif rule.action == CORRUPT:
-                deliveries = [_corrupt_payload(item) for item in deliveries]
-        return deliveries
+                raise InjectedRankFailure(
+                    src, f"fault plan crashed the rank at send tag={tag!r}"
+                )
+            time.sleep(rule.delay)
 
     def on_collective(self, rank: int, op: str, seq: int, group_id=None) -> None:
         """Hook called as ``rank`` issues collective ``op`` at ``seq``.

@@ -38,7 +38,7 @@ not be mutated outside :meth:`FullyShardedDataParallel.summon_full_params`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -88,16 +88,18 @@ class FullyShardedDataParallel(ShardedWrapper):
         process_group=None,
         find_unused_parameters: bool = False,
     ):
-        params: list = []
-        index_of: Dict[int, int] = {}
-        for name, param in module.named_parameters():
-            if id(param) in index_of:
+        # parameters() yields a tied parameter once; the tie shows only
+        # as a second registration.
+        seen = set()
+        for name, param in module._registered_parameters():
+            if id(param) in seen:
                 raise NotImplementedError(
                     "FullyShardedDataParallel does not support shared "
                     f"(tied) parameters: {name!r} is registered more than once"
                 )
-            index_of[id(param)] = len(params)
-            params.append(param)
+            seen.add(id(param))
+        params = list(module.parameters())
+        index_of = {id(param): i for i, param in enumerate(params)}
         units = select_units(module)
         # The optimizer's shard tensors ARE the authoritative parameter
         # storage between materializations (gather_after_step=False: the

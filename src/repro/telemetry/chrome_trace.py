@@ -16,15 +16,15 @@ the ``comm`` row — one ``op#seq`` bar per
 :class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end,
 with the receive waits the executing thread booked per source as the
 bar's ``stalls``; and its incidents draw the remaining rows —
-``resilience`` instants and ``checkpoint`` bars.  All
+``resilience`` instants (heartbeats) and ``checkpoint`` bars.  All
 ranks share one process clock (``perf_counter``), so cross-rank
 alignment is exact; timestamps are rebased to the earliest one and
 expressed in microseconds, as the format requires.
 
 :func:`merged_trace_events` adds the records' whole lifecycles
 (scheduled → finished) as a ``flight`` row.  Because every source stamps
-the same clock, a retransmit marker lines up exactly under the
-collective it delayed.
+the same clock, a collective's ``flight`` bar lines up exactly under its
+``comm`` bar, and the gap between their starts is its queueing.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _timeline(merged: bool) -> List[dict]:
         out = {"name": name, "cat": cat, "ph": "X",
                "ts": (t_start - epoch) * 1e6,
                "pid": rank, "tid": streams[stream], "args": args}
-        if t_end is None:  # point-in-time marker: a retry has no duration
+        if t_end is None:  # point-in-time marker: a heartbeat has no duration
             out.update(ph="i", s="t")
         else:
             out["dur"] = max(0.0, t_end - t_start) * 1e6
@@ -182,8 +182,7 @@ def merged_trace_events() -> List[dict]:
     Per rank, all on the shared ``perf_counter`` clock:
 
     * the rows :func:`trace_events` emits (the iterations' ``compute``
-      row, the ``comm`` row, and the incidents: ``repro.resilience``
-      retries, retransmits, corruption drops and heartbeats as instant
+      row, the ``comm`` row, and the incidents: heartbeats as instant
       (``ph: "i"``) markers on a ``resilience`` row, ...);
     * one ``flight`` bar per retained collective record, scheduled →
       finished — the queueing the ``comm`` row does not show.

@@ -10,9 +10,9 @@ automated anomaly attribution.
   (:mod:`repro.debug.flight_recorder`), stitched across ranks by
   ``(group, seq)``.
 * :mod:`~repro.telemetry.health.engine` — rule-based detectors fusing
-  the metrics, the frontier and the resilience incidents of per-rank
-  flight-recorder dumps into :class:`Diagnosis` verdicts (straggler,
-  slow link, retransmit storm, desync precursor): one entry point,
+  the metrics and the frontier of per-rank flight-recorder dumps into
+  :class:`Diagnosis` verdicts (straggler, slow link, desync
+  precursor): one entry point,
   :func:`analyze_dumps`, live over ``dump_all()`` via
   ``ddp_stats()["health"]`` or offline over a ``dump_json`` file via
   ``tools/healthctl.py``.
@@ -24,7 +24,6 @@ from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     DIAGNOSIS_KINDS,
     PERSISTENT_STRAGGLER,
-    RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
     render_diagnoses,
@@ -35,7 +34,6 @@ __all__ = [
     "DIAGNOSIS_KINDS",
     "DESYNC_PRECURSOR",
     "PERSISTENT_STRAGGLER",
-    "RETRANSMIT_STORM",
     "SLOW_LINK",
     "Diagnosis",
     "analyze_dumps",

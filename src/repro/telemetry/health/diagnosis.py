@@ -14,13 +14,11 @@ from typing import Dict, List, Optional, Tuple
 #: The diagnosis taxonomy (documented in docs/observability.md).
 PERSISTENT_STRAGGLER = "persistent_straggler"
 SLOW_LINK = "slow_link"
-RETRANSMIT_STORM = "retransmit_storm"
 DESYNC_PRECURSOR = "desync_precursor"
 
 DIAGNOSIS_KINDS = (
     PERSISTENT_STRAGGLER,
     SLOW_LINK,
-    RETRANSMIT_STORM,
     DESYNC_PRECURSOR,
 )
 
@@ -36,7 +34,7 @@ class Diagnosis:
     summary:
         One human-readable sentence naming the culprit and the signal.
     culprit_rank:
-        The rank held responsible (straggler, storm receiver, laggard).
+        The rank held responsible (straggler, laggard).
     culprit_edge:
         The ``(src, dst)`` wire edge held responsible (slow link).
     culprit_bucket:

@@ -1,7 +1,7 @@
 """Rule-based anomaly attribution over per-rank flight-recorder dumps.
 
-Detectors read the efficiency-accounting metrics, the resilience
-counters and incidents, and the cross-rank collective frontier, and emit
+Detectors read the efficiency-accounting metrics and the cross-rank
+collective frontier, and emit
 :class:`~repro.telemetry.health.diagnosis.Diagnosis` verdicts:
 
 * **persistent_straggler** — one rank's sends stall *multiple* peers:
@@ -12,10 +12,6 @@ counters and incidents, and the cross-rank collective frontier, and emit
   arXiv:1711.00705 approach of ranking links by achieved vs expected
   bandwidth; the cost-model expectation rides along in the evidence as
   ``comm.model_efficiency``).
-* **retransmit_storm** — transport retransmit/corruption counters grow
-  far faster than collectives complete: a lossy or corrupting wire,
-  attributed to the receiving rank (and, when the rings retained the
-  resilience incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
   hang the hang watch catches, visible while everyone is still
@@ -46,24 +42,12 @@ from repro.debug.levels import DEBUG
 from repro.telemetry.health.diagnosis import (
     DESYNC_PRECURSOR,
     PERSISTENT_STRAGGLER,
-    RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
 )
 from repro.telemetry.metrics import registry_for
 
 _STALL_FROM = re.compile(r"^comm\.recv_stall_s\.from_rank_(-?\d+)$")
-
-#: Transport counters that count as storm events (receiver-attributed):
-#: evidence of *loss* only — a redelivery that found the message in the
-#: sender's log, or a checksum failure.  ``transport.retries`` is not
-#: one: it also counts every expired wait slice on a merely late peer
-#: (nothing sent yet, nothing to redeliver), which on a loaded box
-#: reaches storm rates with zero faults.  It rides along as evidence.
-_STORM_COUNTERS = ("transport.retransmits", "transport.corrupt_detected")
-#: The resilience incidents that name a storm event's source edge.
-_STORM_INCIDENTS = ("retransmit", "corrupt_detected")
-
 
 #: Minimum total stall (seconds) attributed to one source before the
 #: straggler/slow-link rule may speak.
@@ -79,10 +63,6 @@ STRAGGLER_MIN_REPORTERS = 2
 #: A receiver counts as a reporter above this share of the top source's
 #: total stall.
 REPORTER_SHARE = 0.15
-#: Minimum storm events (retransmits + corruptions) ...
-STORM_MIN_EVENTS = 20
-#: ... and at least this many events per accounted collective.
-STORM_EVENTS_PER_COLLECTIVE = 0.5
 #: Frontier spread (collectives) before the desync rule flags a laggard.
 DESYNC_SEQ_SPREAD = 8
 
@@ -93,42 +73,18 @@ class Signals:
 
     #: stall[dst][src] = receive-wait seconds dst attributed to src.
     stall: Dict[int, Dict[int, float]]
-    #: Per-rank storm-event counts (retransmits + corruption).
-    storm_events: Dict[int, float]
-    #: storm_edges[dst][src] = storm incidents dst recorded naming src.
-    storm_edges: Dict[int, Dict[int, int]]
-    #: Per-rank transport counter detail (evidence).
-    transport: Dict[int, Dict[str, float]]
-    #: Per-rank accounted-collective counts.
-    collectives: Dict[int, float]
     #: Per-group, per-rank highest started collective sequence.
     frontier: Dict[int, Dict[int, int]]
     #: Per-rank mean cost-model efficiency (evidence; may be empty).
     model_efficiency: Dict[int, float]
 
 
-def _storm_edges(dumps: Sequence[dict]) -> Dict[int, Dict[int, int]]:
-    """incidents[dst][src] from the ``retransmit`` / ``corrupt_detected``
-    incidents of each dump (recorded on the receiving rank, naming ``src``)."""
-    edges: Dict[int, Dict[int, int]] = {}
-    for dump in dumps:
-        for incident in dump.get("incidents", []):
-            src = incident["args"].get("src")
-            if incident["name"] in _STORM_INCIDENTS and src is not None:
-                by_src = edges.setdefault(dump["rank"], {})
-                by_src[src] = by_src.get(src, 0) + 1
-    return edges
-
-
 def _signals(dumps: Sequence[dict]) -> Signals:
     """Fuse per-rank dumps into :class:`Signals`: the frontier from the
-    records, the storm edges from the incidents, everything else from
-    each dump's ``"metrics"`` snapshot.  Partial dumps are tolerated."""
+    records, everything else from each dump's ``"metrics"`` snapshot.
+    Partial dumps are tolerated."""
     dumps = [d for d in dumps if isinstance(d, dict) and d.get("rank", -1) >= 0]
     stall: Dict[int, Dict[int, float]] = {}
-    storm: Dict[int, float] = {}
-    transport: Dict[int, Dict[str, float]] = {}
-    collectives: Dict[int, float] = {}
     model_eff: Dict[int, float] = {}
     for dump in dumps:
         rank = dump["rank"]
@@ -138,27 +94,11 @@ def _signals(dumps: Sequence[dict]) -> Signals:
             match = _STALL_FROM.match(name)
             if match:
                 stall.setdefault(rank, {})[int(match.group(1))] = float(value)
-        events = sum(float(counters.get(name, 0.0)) for name in _STORM_COUNTERS)
-        if events:
-            storm[rank] = events
-        detail = {
-            name: float(counters[name])
-            for name in (*_STORM_COUNTERS, "transport.retries",
-                         "transport.duplicates_dropped")
-            if counters.get(name)
-        }
-        if detail:
-            transport[rank] = detail
-        collectives[rank] = float(counters.get("health.collectives_accounted", 0.0))
         eff = metrics.get("histograms", {}).get("comm.model_efficiency")
         if eff and eff.get("count"):
             model_eff[rank] = float(eff.get("mean", 0.0))
     return Signals(
         stall=stall,
-        storm_events=storm,
-        storm_edges=_storm_edges(dumps),
-        transport=transport,
-        collectives=collectives,
         frontier=seq_frontier(dumps),
         model_efficiency=model_eff,
     )
@@ -167,23 +107,10 @@ def _signals(dumps: Sequence[dict]) -> Signals:
 # ----------------------------------------------------------------------
 # detectors
 # ----------------------------------------------------------------------
-def _detect_stall_culprit(
-    signals: Signals, exclude: frozenset = frozenset()
-) -> List[Diagnosis]:
-    """Straggler vs slow link from the per-source stall attribution.
-
-    ``exclude`` removes retransmit-storm culprits from the matrix on
-    both axes: as receivers their waits measure retransmission backoff,
-    not peer speed, and as senders they are late *because* of the storm
-    — either way the storm diagnosis already owns that time, and
-    leaving it in would drown a co-occurring straggler's signal.
-    """
+def _detect_stall_culprit(signals: Signals) -> List[Diagnosis]:
+    """Straggler vs slow link from the per-source stall attribution."""
     totals: Dict[int, float] = {}
-    stall_rows = {
-        dst: {src: s for src, s in by_src.items() if src not in exclude}
-        for dst, by_src in signals.stall.items()
-        if dst not in exclude
-    }
+    stall_rows = signals.stall
     for dst, by_src in stall_rows.items():
         for src, seconds in by_src.items():
             totals[src] = totals.get(src, 0.0) + seconds
@@ -250,53 +177,6 @@ def _detect_stall_culprit(
     ]
 
 
-def _detect_retransmit_storm(signals: Signals) -> List[Diagnosis]:
-    total_events = sum(signals.storm_events.values())
-    if total_events < STORM_MIN_EVENTS:
-        return []
-    total_collectives = sum(signals.collectives.values())
-    culprit = max(signals.storm_events, key=signals.storm_events.get)
-    # Rate-gate on the culprit rank itself: its incident count must be a
-    # real fraction of the collectives *it* ran, so a long healthy run
-    # with a handful of absorbed retries stays silent.
-    culprit_collectives = max(1.0, signals.collectives.get(culprit, 0.0))
-    if signals.storm_events[culprit] < (
-        STORM_EVENTS_PER_COLLECTIVE * culprit_collectives
-    ):
-        return []
-    evidence = {
-        "total_storm_events": int(total_events),
-        "collectives_accounted": int(total_collectives),
-        "events_by_rank": {
-            rank: int(v) for rank, v in sorted(signals.storm_events.items())
-        },
-        "transport_counters": {
-            rank: detail for rank, detail in sorted(signals.transport.items())
-        },
-    }
-    edge = None
-    by_src = signals.storm_edges.get(culprit)
-    if by_src:
-        edge = (max(by_src, key=by_src.get), culprit)
-        evidence["incidents_by_source"] = dict(sorted(by_src.items()))
-    share = signals.storm_events[culprit] / total_events
-    return [
-        Diagnosis(
-            kind=RETRANSMIT_STORM,
-            summary=(
-                f"transport absorbed {int(total_events)} retransmit/"
-                f"corruption events over {int(total_collectives)} collectives; "
-                f"rank {culprit} received {share:.0%} of them"
-                + (f" (mostly from rank {edge[0]})" if edge else "")
-            ),
-            culprit_rank=culprit,
-            culprit_edge=edge,
-            confidence=min(1.0, 0.5 + share / 2.0),
-            evidence=evidence,
-        )
-    ]
-
-
 def _detect_desync_precursor(signals: Signals) -> List[Diagnosis]:
     out: List[Diagnosis] = []
     for group, per_rank in sorted(signals.frontier.items()):
@@ -341,13 +221,7 @@ def analyze_dumps(dumps: Optional[Sequence[dict]] = None) -> List[Diagnosis]:
     """
     live = dumps is None
     signals = _signals(dump_all() if live else dumps)
-    diagnoses = _detect_retransmit_storm(signals)
-    # A storm receiver's waits measure retransmission backoff, not peer
-    # speed — exclude its stall rows so a co-occurring straggler is
-    # still attributable (and a storm isn't double-reported as a link).
-    storm_ranks = frozenset(d.culprit_rank for d in diagnoses)
-    diagnoses += _detect_stall_culprit(signals, exclude=storm_ranks)
-    diagnoses += _detect_desync_precursor(signals)
+    diagnoses = _detect_stall_culprit(signals) + _detect_desync_precursor(signals)
     if live and DEBUG.telemetry:
         registry_for(-1).gauge("health.diagnoses_active").set(len(diagnoses))
     return diagnoses

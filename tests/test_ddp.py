@@ -318,8 +318,8 @@ class TestUnusedParameters:
 
 
 class _TiedLinears(nn.Module):
-    """Two layers sharing one weight: ``named_parameters()`` lists it
-    under both names."""
+    """Two layers sharing one weight: registered under both names,
+    listed once by ``named_parameters()``."""
 
     def __init__(self):
         super().__init__()
@@ -350,6 +350,54 @@ class TestTiedParameters:
             assert count == 3  # a.weight, a.bias, b.bias
             for name, value in expected.items():
                 np.testing.assert_allclose(grads[name], value, atol=1e-12, err_msg=name)
+
+    def test_module_lists_a_tied_weight_once(self):
+        model = nn.Sequential(nn.Linear(3, 3), nn.Linear(3, 3))
+        model[1].weight = model[0].weight
+        assert model.num_parameters() == 15
+        assert [name for name, _ in model.named_parameters()] == [
+            "0.weight", "0.bias", "1.bias"
+        ]
+        SGD(model.parameters(), lr=0.1)  # one group: no duplicate
+        state = model.state_dict()
+        assert list(state) == ["0.weight", "0.bias", "1.weight", "1.bias"]
+        model.load_state_dict(state)
+
+    def test_ddp_world2_is_bitwise_local_sgd(self):
+        """Both ranks train on the local batch, so the average of the two
+        gradients is the local gradient bit for bit: any double count or
+        lost contribution of the tied weight shows as a difference."""
+        make_opt = lambda m: SGD(m.parameters(), lr=0.05, momentum=0.9)
+        local = _TiedLinears()
+        opt = make_opt(local)
+        for _ in range(3):
+            opt.zero_grad()
+            local(Tensor(X8)).tanh().sum().backward()
+            opt.step()
+
+        def body(rank):
+            ddp = DistributedDataParallel(_TiedLinears())
+            opt = make_opt(ddp)
+            for _ in range(3):
+                opt.zero_grad()
+                ddp(Tensor(X8)).tanh().sum().backward()
+                opt.step()
+            return ddp.state_dict()
+
+        for state in run_world(2, body, backend="gloo"):
+            assert state.keys() == local.state_dict().keys()
+            for name, value in local.state_dict().items():
+                np.testing.assert_array_equal(state[name], value, err_msg=name)
+
+    def test_zero3_keeps_its_error_for_a_tie(self):
+        from repro.sharded import FullyShardedDataParallel
+
+        def body(rank):
+            with pytest.raises(NotImplementedError, match="b.weight"):
+                FullyShardedDataParallel(_TiedLinears(), lambda ps: SGD(ps, lr=0.1))
+            return True
+
+        assert run_world(2, body, backend="gloo") == [True, True]
 
 
 class TestTransparency:

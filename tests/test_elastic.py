@@ -20,7 +20,6 @@ from repro.resilience import (
     RankFailedError,
     corrupt_file,
     crash_rank,
-    drop,
     run_elastic,
 )
 from repro.sharded import ShardedDataParallel
@@ -105,10 +104,9 @@ class TestShrinkConvergence:
         assert np.allclose(res.losses, baseline.losses)
 
     def test_mid_run_shrink_converges_to_small_world_loss(self, tmp_path):
-        """Killing a rank mid-run (with drops on top) still converges to
-        the no-fault shrunken-world loss within tolerance."""
+        """Killing a rank mid-run still converges to the no-fault
+        shrunken-world loss within tolerance."""
         plan = FaultPlan([
-            drop(probability=0.01),
             crash_rank(2, scope="collective", op="allreduce",
                        after=3 * BUCKETS + 2, times=1),
         ], seed=0)

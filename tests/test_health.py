@@ -21,13 +21,12 @@ import pytest
 from conftest import run_world, wait_until
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
-from repro.resilience import FaultPlan, ReliableTransportHub, RetryPolicy
-from repro.resilience.faults import corrupt, delay, drop, slow_rank
+from repro.resilience import FaultPlan
+from repro.resilience.faults import delay, slow_rank
 from repro.simnet import cost_model_for
 from repro.telemetry.health import (
     DESYNC_PRECURSOR,
     PERSISTENT_STRAGGLER,
-    RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
     analyze_dumps,
@@ -135,14 +134,14 @@ class TestRecordRing:
         """A rank with only a registry (transport counters) is dumped
         too, and a ring's dump carries its rank's metrics snapshot."""
         recorder_for(0).add(_stamped(0, t_start=0.0))
-        registry_for(3).counter("transport.retransmits").add(2)
+        registry_for(3).counter("transport.messages_sent").add(2)
         registry_for(-1).gauge("health.diagnoses_active").set(0)
         dumps = json.loads(json.dumps(dump_all()))
         assert [dump["rank"] for dump in dumps] == [0, 3]
         assert [r["seq"] for r in dumps[0]["records"]] == [0]
         assert dumps[0]["incidents"] == [] and dumps[0]["metrics"]["rank"] == 0
         assert dumps[1]["records"] == []
-        assert dumps[1]["metrics"]["counters"] == {"transport.retransmits": 2}
+        assert dumps[1]["metrics"]["counters"] == {"transport.messages_sent": 2}
 
 
 # ----------------------------------------------------------------------
@@ -191,37 +190,6 @@ class TestDetectors:
                           "comm.recv_stall_s.from_rank_2": 0.45}),
             ]
         ) == []
-
-    def test_retransmit_storm_fires_on_rate_not_raw_count(self):
-        base = {"health.collectives_accounted": 20.0}
-        storm = dict(base, **{"transport.retries": 18.0,
-                              "transport.retransmits": 24.0})
-        diagnoses = analyze_dumps([_dump(0, base), _dump(2, storm)])
-        assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
-        assert diagnoses[0].culprit_rank == 2
-        assert diagnoses[0].evidence["total_storm_events"] == 24
-        # Retries ride along as evidence without counting as events.
-        assert diagnoses[0].evidence["transport_counters"][2] == {
-            "transport.retries": 18.0, "transport.retransmits": 24.0,
-        }
-        # Same raw count over a long healthy run: below the per-collective
-        # rate gate, so no diagnosis.
-        long_run = dict(storm, **{"health.collectives_accounted": 500.0})
-        assert analyze_dumps([_dump(0, base), _dump(2, long_run)]) == []
-
-    def test_retries_without_loss_evidence_are_not_a_storm(self):
-        """Regression: an expired wait slice on a merely late peer bumps
-        ``transport.retries`` with nothing to redeliver; a loaded box
-        reached 57 of them over 26 collectives per rank with zero
-        faults.  Only retransmits and corruption are loss evidence."""
-        late_peers = {"health.collectives_accounted": 26.0,
-                      "transport.retries": 57.0}
-        assert analyze_dumps([_dump(0, late_peers), _dump(1, late_peers)]) == []
-        # The same waits plus real redeliveries: still a storm.
-        lossy = dict(late_peers, **{"transport.retransmits": 30.0})
-        diagnoses = analyze_dumps([_dump(0, late_peers), _dump(1, lossy)])
-        assert [d.kind for d in diagnoses] == [RETRANSMIT_STORM]
-        assert diagnoses[0].culprit_rank == 1
 
     def test_desync_precursor_reads_the_live_event_frontier(self):
         for seq in range(20):
@@ -564,48 +532,9 @@ class TestFaultMatrix:
         assert diagnoses[0].culprit_rank == 1
         assert len(diagnoses[0].evidence["reporters"]) >= 2
 
-    def test_drop_attributed_as_retransmit_storm(self, seed):
-        telemetry.enable()
-        hub = ReliableTransportHub(
-            WORLD, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001, max_backoff=0.004), seed=seed,
-        )
-        # The first 30 deliveries on the edge after DDP's construction are
-        # lost, retransmissions included: each needs one more retransmit,
-        # so rank 2 counts at least 30 — over STORM_MIN_EVENTS (20) and
-        # over half of the 41 collectives it runs in 10 iterations.
-        plan = FaultPlan([drop(rank=0, dst=2, after=2, times=30)], seed=seed)
-        run_world(WORLD, lambda rank: _train(rank, iterations=10),
-                  backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
-        kinds = {d.kind: d for d in analyze_dumps()}
-        assert RETRANSMIT_STORM in kinds
-        storm = kinds[RETRANSMIT_STORM]
-        assert storm.culprit_rank == 2
-        assert storm.culprit_edge == (0, 2)
-        assert PERSISTENT_STRAGGLER not in kinds
-
-    def test_corrupt_attributed_as_retransmit_storm(self, seed):
-        telemetry.enable()
-        hub = ReliableTransportHub(
-            WORLD, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001), seed=seed,
-        )
-        # 20 corrupted deliveries after DDP's construction: each is
-        # detected and retransmitted, 40 storm events by construction.
-        plan = FaultPlan([corrupt(rank=0, dst=2, after=2, times=20)], seed=seed)
-        run_world(WORLD, _train, backend="gloo", timeout=60.0,
-                  hub=hub, fault_plan=plan)
-        kinds = {d.kind: d for d in analyze_dumps()}
-        assert RETRANSMIT_STORM in kinds
-        assert kinds[RETRANSMIT_STORM].culprit_rank == 2
-
     def test_fault_free_run_yields_zero_diagnoses(self, seed):
         telemetry.enable()
-        hub = ReliableTransportHub(
-            WORLD, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001), seed=seed,
-        )
-        run_world(WORLD, _train, backend="gloo", timeout=60.0, hub=hub)
+        run_world(WORLD, _train, backend="gloo", timeout=60.0)
         assert analyze_dumps() == []
 
 
@@ -628,11 +557,11 @@ class TestSlowLinkAttribution:
 # ----------------------------------------------------------------------
 # offline: the flight-recorder dump and the healthctl CLI
 # ----------------------------------------------------------------------
-def _storm_dumps():
+def _straggler_dumps():
     return [
-        _dump(0, {"health.collectives_accounted": 20.0}),
-        _dump(2, {"health.collectives_accounted": 20.0,
-                  "transport.retries": 15.0, "transport.retransmits": 25.0}),
+        _dump(0, {"comm.recv_stall_s.from_rank_2": 0.5}),
+        _dump(1, {"comm.recv_stall_s.from_rank_2": 0.4}),
+        _dump(2, {"comm.recv_stall_s.from_rank_0": 0.05}),
     ]
 
 
@@ -642,11 +571,11 @@ def _write_dump(path, dumps):
 
 
 class TestOfflineAnalysis:
-    def test_dump_reports_the_storm(self):
-        (storm,) = analyze_dumps(json.loads(json.dumps(_storm_dumps())))
-        assert storm.kind == RETRANSMIT_STORM and storm.culprit_rank == 2
-        assert storm.evidence["total_storm_events"] == 25
-        assert storm.culprit_edge is None  # no incidents name a source
+    def test_dump_reports_the_straggler(self):
+        (straggler,) = analyze_dumps(json.loads(json.dumps(_straggler_dumps())))
+        assert straggler.kind == PERSISTENT_STRAGGLER and straggler.culprit_rank == 2
+        assert straggler.evidence["stall_from_culprit_s"] == 0.9
+        assert straggler.evidence["reporters"] == [0, 1]
 
     def test_empty_input(self):
         assert analyze_dumps([]) == []
@@ -669,13 +598,13 @@ def _verdicts(diagnoses):
 class TestHealthctlCLI:
     def test_report_and_fail_on_diagnosis_gate(self, tmp_path, capsys):
         healthctl = _load_healthctl()
-        dump = _write_dump(tmp_path / "flight_recorder.json", _storm_dumps())
+        dump = _write_dump(tmp_path / "flight_recorder.json", _straggler_dumps())
         out_json = tmp_path / "report.json"
         assert healthctl.main([dump, "--json", str(out_json)]) == 0
         printed = capsys.readouterr().out
-        assert "retransmit_storm" in printed
+        assert "persistent_straggler" in printed
         report = json.loads(out_json.read_text())
-        assert report["ranks"] == [0, 2]
+        assert report["ranks"] == [0, 1, 2]
         assert report["diagnoses"][0]["culprit_rank"] == 2
         # The CI gate: same dump, --fail-on-diagnosis exits 1.
         assert healthctl.main([dump, "--fail-on-diagnosis"]) == 1
@@ -697,20 +626,15 @@ class TestHealthctlCLI:
         """``dump_json`` after a faulted run, read back by ``healthctl``:
         the same kinds and culprits as the live check."""
         telemetry.enable()
-        hub = ReliableTransportHub(
-            2, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001, max_backoff=0.004), seed=0,
-        )
-        plan = FaultPlan([slow_rank(1, seconds=0.01),
-                          drop(rank=0, dst=1, after=2, times=30)], seed=0)
-        run_world(2, lambda rank: _train(rank, iterations=10, stats=False),
-                  backend="gloo", timeout=60.0, hub=hub, fault_plan=plan)
+        plan = FaultPlan([slow_rank(1, seconds=0.01)], seed=0)
+        run_world(3, lambda rank: _train(rank, stats=False),
+                  backend="gloo", timeout=60.0, fault_plan=plan)
         live = [d.as_dict() for d in analyze_dumps()]
-        assert RETRANSMIT_STORM in {d["kind"] for d in live}
+        assert _verdicts(live) == [(PERSISTENT_STRAGGLER, 1, None)]
         path = str(tmp_path / "flight_recorder.json")
         dump_json(path)
         out_json = tmp_path / "report.json"
         assert _load_healthctl().main([path, "--json", str(out_json)]) == 0
         report = json.loads(out_json.read_text())
-        assert report["ranks"] == [0, 1]
+        assert report["ranks"] == [0, 1, 2]
         assert _verdicts(report["diagnoses"]) == _verdicts(live)

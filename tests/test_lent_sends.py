@@ -4,10 +4,10 @@ Above ``RENDEZVOUS_BYTES`` the chunked collectives hand the transport a
 *view* of their buffer; the peer reads it in place and the buffer is
 protected by causality or by a completion token.  These tests attack
 exactly that: scribble over a buffer the instant its collective returns,
-delay ranks at random, lose / duplicate / corrupt the wire — and demand
-the bitwise result of the eager path.  The group's reduce-scatter and
-all-gathers ride along: one round of eager copies at every size, they
-must come out of the same attacks bitwise unchanged.
+delay ranks and wire sends at random — and demand the bitwise result of
+the eager path.  The group's reduce-scatter and all-gathers ride along:
+one round of eager copies at every size, they must come out of the same
+attacks bitwise unchanged.
 
 The chaos seed is taken from ``REPRO_CHAOS_SEED`` (default 0) like the
 other fault-injection suites, so CI's three seeds draw different plans.
@@ -24,15 +24,7 @@ import pytest
 from repro.comm import algorithms as alg
 from repro.comm import get_context
 from repro.comm.transport import TransportHub
-from repro.resilience import (
-    FaultPlan,
-    ReliableTransportHub,
-    RetryPolicy,
-    corrupt,
-    delay,
-    drop,
-    duplicate,
-)
+from repro.resilience import FaultPlan, delay
 
 from test_collectives import run_ranks as _run_ranks
 
@@ -391,50 +383,18 @@ class TestMessageCounts:
 
 
 # ----------------------------------------------------------------------
-# (d) lent sends over the retrying transport, under wire faults
+# (d) lent sends over a delaying wire
 # ----------------------------------------------------------------------
-FAULTS = {
-    "drop": lambda: drop(probability=0.3),
-    "duplicate": lambda: duplicate(probability=0.5),
-    "corrupt": lambda: corrupt(probability=0.3),
-    "delay": lambda: delay(0.004, probability=0.3),
-}
-
-
-class TestReliableHub:
+class TestDelayedWire:
     @pytest.mark.parametrize("world", [2, 3, 4])
-    @pytest.mark.parametrize("fault", list(FAULTS))
-    def test_faulty_wire_equals_fault_free_bitwise(self, fault, world, eager_reference):
+    def test_delayed_wire_equals_fault_free_bitwise(self, world, eager_reference):
         sizes = [LENT_N]
         want = eager_reference(world, sizes, None)
-        hub = ReliableTransportHub(
-            world, default_timeout=TIMEOUT,
-            retry=RetryPolicy(base_backoff=0.001), seed=CHAOS_SEED,
-        )
-        plan = FaultPlan([FAULTS[fault]()], seed=CHAOS_SEED).install(hub)
+        hub = TransportHub(world, default_timeout=TIMEOUT)
+        plan = FaultPlan([delay(0.004, probability=0.3)], seed=CHAOS_SEED).install(hub)
         got, hub = sweep(world, sizes, None, hub, scribble=True)
         assert_bitwise(got, want)
-        stats = hub.resilience_stats()
         assert plan.total_triggered() > 0
-        if fault == "drop":
-            assert stats["total_retransmits"] > 0
-        elif fault == "corrupt":
-            assert stats["total_corrupt_detected"] > 0
-            assert stats["total_retransmits"] >= stats["total_corrupt_detected"]
-        elif fault == "delay":
-            assert stats["total_retries"] > 0
-
-    def test_a_dropped_token_is_retransmitted(self):
-        """Tokens are ordinary messages: sequence-numbered, checksummed,
-        counted, and recovered when the wire loses them."""
-        hub = ReliableTransportHub(
-            2, default_timeout=TIMEOUT, retry=RetryPolicy(base_backoff=0.001)
-        )
-        plan = FaultPlan([drop(tag_contains="'done'", times=1)]).install(hub)
-        got, hub = sweep(2, [LENT_N], None, hub, names=["ring"])
-        assert np.array_equal(got["ring", LENT_N][0], np.sum(_inputs(2, LENT_N), axis=0))
-        assert plan.total_triggered() == 2  # one per edge
-        assert hub.resilience_stats()["total_retransmits"] == 2
         assert hub.pending_messages() == 0
 
 

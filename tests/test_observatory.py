@@ -325,9 +325,9 @@ class TestCriticalPathProfiler:
 # ----------------------------------------------------------------------
 class TestMergedTimeline:
     def test_merged_trace_has_all_three_tracks(self, tmp_path):
+        from repro.comm import Store
+        from repro.comm.liveness import RankMonitor
         from repro.debug.levels import get_debug_level, set_debug_level
-        from repro.resilience.faults import FaultPlan, corrupt
-        from repro.resilience.transport import ReliableTransportHub
 
         telemetry.enable()
         previous = get_debug_level()
@@ -336,19 +336,13 @@ class TestMergedTimeline:
             # Spans + flight records from a real 2-rank DDP run...
             run_world(2, lambda rank: (_train_ddp(rank, iterations=2), None)[1],
                       backend="gloo")
-            # ...and resilience instants from a reliable hub surviving a
-            # corrupted delivery (detect -> retransmit markers).
-            hub = ReliableTransportHub(2, default_timeout=10.0)
-            hub.install_fault_plan(FaultPlan([corrupt(times=1)], seed=0))
-            payload = np.arange(16, dtype=np.float64)
-            sender = threading.Thread(
-                target=hub.send, args=(0, 1, "blob", payload), daemon=True
-            )
-            sender.start()
-            received = hub.recv(1, 0, "blob", timeout=10.0)
-            sender.join(timeout=5.0)
-            np.testing.assert_array_equal(received, payload)
-            assert hub.corrupt_detected[1] == 1
+            # ...and a resilience instant: rank 1's liveness monitor
+            # publishing its first heartbeat.
+            monitor = RankMonitor(1)
+            try:
+                monitor.beat(Store(), "observatory")
+            finally:
+                monitor.stop()
 
             from repro.telemetry import export_merged_trace, merged_trace_events
 
@@ -360,8 +354,7 @@ class TestMergedTimeline:
             # Resilience events are instant markers, flight rows are bars.
             resilience = [e for e in events if e.get("cat") == "resilience"]
             assert resilience and all(e["ph"] == "i" for e in resilience)
-            assert {e["name"] for e in resilience} >= {"corrupt_detected",
-                                                       "retransmit"}
+            assert "heartbeat" in {e["name"] for e in resilience}
             flight = [e for e in events if e.get("cat") == "flight"]
             assert flight and all(e["ph"] == "X" for e in flight)
             assert any(re.match(r"allreduce#\d+", e["name"]) for e in flight)

@@ -1,4 +1,4 @@
-"""Fault plans, the retrying transport, heartbeats, and checkpoints.
+"""Fault plans, the reliable wire, heartbeats, and checkpoints.
 
 The chaos seed is taken from ``REPRO_CHAOS_SEED`` (default 0) so CI can
 sweep several seeds over the same suite — every probabilistic fault
@@ -11,7 +11,6 @@ import sys
 import threading
 import time
 import types
-import zlib
 
 import numpy as np
 import pytest
@@ -21,28 +20,25 @@ from repro.autograd import Tensor
 from repro.comm import Store, get_context, liveness, run_distributed
 from repro.comm.liveness import HeartbeatMonitor, RankMonitor
 from repro.comm.process_group import CollectiveTimeoutError
-from repro.comm.transport import TransportHub, TransportTimeoutError
+from repro.comm.transport import TransportHub
 from repro.core import DistributedDataParallel
 from repro.debug import FlightRecorder
 from repro.debug.flight_recorder import FAILED
 from repro.optim import SGD
-from repro.resilience import (
-    FaultPlan,
-    ReliableTransportHub,
-    RetryBudgetExceededError,
-    RetryPolicy,
-    corrupt,
-    crash_rank,
-    drop,
-    duplicate,
-)
+from repro.resilience import FaultPlan, crash_rank, delay
 from repro.resilience.faults import InjectedRankFailure
-from repro.resilience.transport import _checksum
 from repro.utils import load_training_checkpoint, save_training_checkpoint
 
 from conftest import bare_work, small_classifier
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+
+
+def _fired(plan, src, dst, tag) -> bool:
+    """Whether one send fired a rule of ``plan``."""
+    before = plan.total_triggered()
+    plan.on_send(src, dst, tag)
+    return plan.total_triggered() > before
 
 
 class TestFaultPlan:
@@ -51,36 +47,28 @@ class TestFaultPlan:
         identical messages regardless of call interleaving."""
 
         def run(seed):
-            plan = FaultPlan([drop(probability=0.3)], seed=seed)
-            return [
-                len(plan.on_send(0, 1, ("t", i), np.ones(2))) == 0
-                for i in range(64)
-            ]
+            plan = FaultPlan([delay(0.0, probability=0.3)], seed=seed)
+            return [_fired(plan, 0, 1, ("t", i)) for i in range(64)]
 
-        assert run(CHAOS_SEED) == run(CHAOS_SEED)
+        first = run(CHAOS_SEED)
+        assert first == run(CHAOS_SEED) and any(first) and not all(first)
 
     def test_after_and_times_windows(self):
-        plan = FaultPlan([drop(after=2, times=3)], seed=0)
-        dropped = [
-            len(plan.on_send(0, 1, "t", np.ones(1))) == 0 for i in range(10)
-        ]
+        plan = FaultPlan([delay(0.0, after=2, times=3)], seed=0)
+        fired = [_fired(plan, 0, 1, "t") for i in range(10)]
         # Skips the first 2 matches, fires exactly 3 times, then stops.
-        assert dropped == [False, False, True, True, True] + [False] * 5
+        assert fired == [False, False, True, True, True] + [False] * 5
 
     def test_windows_are_per_edge(self):
-        plan = FaultPlan([drop(times=1)], seed=0)
-        assert plan.on_send(0, 1, "t", np.ones(1)) == []
-        assert plan.on_send(2, 3, "t", np.ones(1)) == []  # separate edge
-        assert len(plan.on_send(0, 1, "t", np.ones(1))) == 1
+        plan = FaultPlan([delay(0.0, times=1)], seed=0)
+        assert _fired(plan, 0, 1, "t")
+        assert _fired(plan, 2, 3, "t")  # separate edge
+        assert not _fired(plan, 0, 1, "t")
 
     def test_times_caps_firings_not_matches(self):
         """With probability < 1, ``times`` bounds actual triggers."""
-        plan = FaultPlan([drop(probability=0.4, times=2)], seed=CHAOS_SEED)
-        drops = sum(
-            len(plan.on_send(0, 1, ("t", i), np.ones(1))) == 0
-            for i in range(100)
-        )
-        assert drops == 2
+        plan = FaultPlan([delay(0.0, probability=0.4, times=2)], seed=CHAOS_SEED)
+        assert sum(_fired(plan, 0, 1, ("t", i)) for i in range(100)) == 2
 
     def test_collective_crash_rule(self):
         plan = FaultPlan([crash_rank(1, scope="collective", op="allreduce",
@@ -94,96 +82,26 @@ class TestFaultPlan:
 
     def test_collective_scope_rejects_non_crash_actions(self):
         with pytest.raises(ValueError, match="crash_rank"):
-            FaultPlan([drop(scope="collective")])
+            FaultPlan([delay(0.0, scope="collective")])
 
 
 class TestReliableTransport:
-    def test_retries_absorb_seeded_drops(self):
-        """Every dropped message is recovered by retransmission — the
-        stream arrives complete, in order, with retry counters > 0."""
-        hub = ReliableTransportHub(
-            2, default_timeout=5.0,
-            retry=RetryPolicy(base_backoff=0.001), seed=CHAOS_SEED,
-        )
-        plan = FaultPlan([drop(probability=0.5)], seed=CHAOS_SEED).install(hub)
-        for i in range(20):
-            hub.send(0, 1, "t", np.full(4, float(i)))
-        for i in range(20):
-            out = hub.recv(1, 0, "t", timeout=5.0)
-            assert np.allclose(out, float(i))
-        stats = hub.resilience_stats()
-        assert plan.total_triggered() > 0
-        assert stats["total_retries"] > 0
-        assert stats["total_retransmits"] > 0
-
-    def test_duplicates_are_deduplicated(self):
-        hub = ReliableTransportHub(2, default_timeout=2.0)
-        FaultPlan([duplicate()]).install(hub)
-        for i in range(5):
-            hub.send(0, 1, "t", np.full(2, float(i)))
-        for i in range(5):
-            assert np.allclose(hub.recv(1, 0, "t"), float(i))
-        assert hub.resilience_stats()["total_duplicates_dropped"] >= 1
-
-    def test_corruption_detected_by_checksum_and_recovered(self):
-        hub = ReliableTransportHub(2, default_timeout=2.0)
-        FaultPlan([corrupt(times=1)]).install(hub)
-        original = np.arange(8, dtype=np.float64)
-        hub.send(0, 1, "t", original)
-        out = hub.recv(1, 0, "t")
-        # The corrupted delivery was rejected and the retransmitted
-        # original delivered — not silently handed to the caller.
-        assert np.array_equal(out, original)
-        assert hub.resilience_stats()["total_corrupt_detected"] == 1
-
-    @pytest.mark.parametrize("payload", [
-        np.arange(12.0),                          # contiguous: CRC'd in place
-        np.arange(12.0).reshape(3, 4),
-        np.arange(12, dtype=np.float32)[::2],     # strided
-        np.arange(12.0).reshape(3, 4).T,
-        np.array(3.5),                            # 0-d
-        np.zeros(0),
-        np.array([True, False]),
-        None,                                     # a completion token
-        ("not", "an", "array"),
-    ], ids=["1d", "2d", "strided", "transposed", "0d", "empty", "bool", "token", "tuple"])
-    def test_checksum_equals_the_copying_formula(self, payload):
-        """The in-place CRC is the CRC of the bytes a copy would hold."""
-        if isinstance(payload, np.ndarray):
-            expected = zlib.crc32(np.ascontiguousarray(payload).tobytes())
-        else:
-            expected = zlib.crc32(repr(payload).encode())
-        assert _checksum(payload) == expected
-
-    def test_retry_budget_exhaustion_fails_fast(self):
-        hub = ReliableTransportHub(
-            2, default_timeout=30.0,
-            retry=RetryPolicy(base_backoff=0.001, budget_per_collective=5),
-        )
-        FaultPlan([drop(rank=0, probability=1.0)]).install(hub)
-        hub.send(0, 1, "t", np.ones(2))
-        with pytest.raises(RetryBudgetExceededError, match="retry budget"):
-            hub.recv(1, 0, "t", timeout=30.0)
-        # Subclasses TransportTimeoutError: existing handling applies.
-        assert issubclass(RetryBudgetExceededError, TransportTimeoutError)
+    """The wire delivers every message once, in order, by reference; a
+    fault plan can only slow a send or kill its sender."""
 
     def test_plain_hub_has_no_reliability_overhead_path(self):
-        """The base hub stays envelope-free (zero-copy hot path)."""
+        """The hub hands the receiver the sent object itself: no
+        envelope, no copy."""
         hub = TransportHub(2)
         payload = np.ones(4)
         hub.send(0, 1, "t", payload)
         assert hub.recv(1, 0, "t") is payload
 
     def test_ddp_chaos_run_stays_in_lockstep(self):
-        """DDP over the reliable hub under seeded drops: replicas agree
-        bit-for-bit and the absorbed drops show up in ddp_stats()."""
+        """DDP under seeded wire delays: replicas agree bit-for-bit."""
         rng = np.random.default_rng(0)
         X, Y = rng.standard_normal((8, 6)), rng.integers(0, 4, 8)
-        hub = ReliableTransportHub(
-            2, default_timeout=10.0,
-            retry=RetryPolicy(base_backoff=0.001), seed=CHAOS_SEED,
-        )
-        plan = FaultPlan([drop(probability=0.05)], seed=CHAOS_SEED)
+        plan = FaultPlan([delay(0.002, probability=0.2)], seed=CHAOS_SEED)
 
         def body(rank):
             model = small_classifier()
@@ -195,21 +113,15 @@ class TestReliableTransport:
                 opt.zero_grad()
                 loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
                 opt.step()
-            return ddp.state_dict(), ddp.ddp_stats()["resilience"]
+            return ddp.state_dict()
 
-        results = run_distributed(
-            2, body, backend="gloo", timeout=10, hub=hub,
+        states = run_distributed(
+            2, body, backend="gloo", timeout=10,
             store=Store(timeout=10), fault_plan=plan,
         )
-        states = [state for state, _ in results]
+        assert plan.total_triggered() > 0
         for name in states[0]:
             assert np.array_equal(states[0][name], states[1][name])
-        resilience = results[0][1]
-        assert resilience is not None
-        if plan.total_triggered():
-            # A dropped message reaches its receiver only as a
-            # retransmission, whether a backoff or a poll asked for it.
-            assert resilience["total_retransmits"] > 0
 
 
 class TestWorkWaitTimeout:

@@ -21,10 +21,8 @@ from repro.comm.transport import (
     TransportHub,
     TransportTimeoutError,
 )
-from repro.resilience import ReliableTransportHub, RetryPolicy
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-HUBS = [TransportHub, ReliableTransportHub]
 
 
 def start(target, *args):
@@ -209,13 +207,12 @@ class TestTransport:
 class TestParkedReceivers:
     """A receiver parks on its own mailbox; a deposit wakes that mailbox only."""
 
-    @pytest.mark.parametrize("hub_cls", HUBS)
-    def test_lost_wakeup_stress(self, hub_cls):
+    def test_lost_wakeup_stress(self):
         """Eight threads ping-pong in bursts over random keys, so every
         send races the instant its receiver parks: each message arrives
         once, FIFO per key, and nothing is left behind in the hub."""
         pairs, rounds, tags = 4, 1300, 3
-        hub = hub_cls(2 * pairs, default_timeout=10.0)
+        hub = TransportHub(2 * pairs, default_timeout=10.0)
         polls = count_polls(hub, "_pop")
         errors = []
 
@@ -256,13 +253,9 @@ class TestParkedReceivers:
         assert messages >= 20_000
         # Every poll past a receive's first one followed a park.
         assert sum(polls.values()) - messages >= 5_000
-        # The reliable hub's 2 ms backoff slices expire here (timeouts
-        # racing deposits); a retransmission that crossed its original
-        # may be left over, and is the only thing that may be.
-        resent = sum(getattr(hub, "retransmits", [0]))
-        assert sum(hub.messages_sent) == messages + resent
-        assert hub.pending_messages() <= resent
-        assert len(hub._mailboxes) <= resent and len(hub._gates) == 0
+        assert sum(hub.messages_sent) == messages
+        assert hub.pending_messages() == 0
+        assert len(hub._mailboxes) == 0 and len(hub._gates) == 0
         assert hub.blocked_receivers() == []
 
     def test_deposit_wakes_only_its_own_key(self):
@@ -291,9 +284,8 @@ class TestParkedReceivers:
         assert joined(threads) and sorted(out) == [1, 2]
         assert len(hub._gates) == 0
 
-    @pytest.mark.parametrize("hub_cls", HUBS)
-    def test_timeout_then_late_deposit_reaches_the_next_recv(self, hub_cls):
-        hub = hub_cls(2)
+    def test_timeout_then_late_deposit_reaches_the_next_recv(self):
+        hub = TransportHub(2)
         assert hub._wait_one((0, 1, "late"), 0.02) is _NOTHING
         with pytest.raises(TransportTimeoutError, match="rank 1 timed out"):
             hub.recv(1, 0, "late", timeout=0.02)
@@ -399,15 +391,9 @@ class TestStoreParking:
         assert len(store._gates) == 0
 
 
-@pytest.mark.parametrize("hub", [
-    lambda: TransportHub(4, default_timeout=20.0),
-    # No retransmissions: a duplicate may outlive the run by design.
-    lambda: ReliableTransportHub(4, default_timeout=20.0,
-                                 retry=RetryPolicy(base_backoff=20.0)),
-], ids=["TransportHub", "ReliableTransportHub"])
-def test_emptied_mailboxes_are_freed(hub):
+def test_emptied_mailboxes_are_freed():
     """500 world-4 AllReduces left 8,005 empty deques (6 MB) in the hub."""
-    hub = hub()
+    hub = TransportHub(4, default_timeout=20.0)
 
     def body(rank):
         group = get_context().default_group

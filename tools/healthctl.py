@@ -6,7 +6,7 @@ the collective records, the incidents and the rank's folded metrics)
 and runs the live health check, ``analyze_dumps``, over it — the same
 rules over the same data ``ddp_stats()["health"]`` read — then prints
 the attributed diagnoses: which rank is a persistent straggler, which
-wire edge is retransmitting, which rank trails the collective frontier,
+link is slow, which rank trails the collective frontier,
 without needing the run to still be alive.
 
 Usage::
