@@ -1,12 +1,12 @@
 """Microbenchmarks: real wall-clock cost of the threaded collectives.
 
 Unlike the figure benches (which run on the calibrated cost models),
-these time the *actual* in-process implementations — the ring, tree,
-halving-doubling, and hierarchical AllReduce over the thread transport,
-and a full threaded DDP training iteration.  Useful for tracking
-regressions in the library itself.
+these time the *actual* in-process implementations — the ring and the
+one-round (naive) AllReduce over the thread transport, and a full
+threaded DDP training iteration.  Useful for tracking regressions in the
+library itself.
 
-The five ``<algorithm>`` rows time rank-thread start-up plus one 512 KB
+The two ``<algorithm>`` rows time rank-thread start-up plus one 512 KB
 call, which is the latency regime.  The ``*_16mb_w2`` rows are the
 bandwidth regime the DDP buckets of a large model live in: the median of
 N calls on a 16 MiB buffer inside two *live* rank threads (no start-up in
@@ -94,8 +94,6 @@ def _group_call(name, *args):
 BANDWIDTH_ROWS = {
     "ring_16mb_w2": _allreduce_call("ring", "sum"),
     "ring_16mb_w2_avg": _allreduce_call("ring", "avg"),
-    "halving_doubling_16mb_w2": _allreduce_call("halving_doubling", "sum"),
-    "halving_doubling_16mb_w2_avg": _allreduce_call("halving_doubling", "avg"),
     "reduce_scatter_flat_16mb_w2": _group_call("reduce_scatter_flat", "sum"),
     "reduce_scatter_flat_16mb_w2_avg": _group_call("reduce_scatter_flat", "avg"),
     "all_gather_flat_16mb_w2": _group_call("all_gather_flat"),
@@ -187,21 +185,6 @@ def bench_micro_allreduce_ring(benchmark):
     assert np.allclose(outputs[0], outputs[-1])
 
 
-def bench_micro_allreduce_tree(benchmark):
-    outputs = benchmark(_run_collective, "tree")
-    assert np.allclose(outputs[0], outputs[-1])
-
-
-def bench_micro_allreduce_halving_doubling(benchmark):
-    outputs = benchmark(_run_collective, "halving_doubling")
-    assert np.allclose(outputs[0], outputs[-1])
-
-
-def bench_micro_allreduce_hierarchical(benchmark):
-    outputs = benchmark(_run_collective, "hierarchical")
-    assert np.allclose(outputs[0], outputs[-1])
-
-
 def bench_micro_allreduce_naive(benchmark):
     outputs = benchmark(_run_collective, "naive")
     assert np.allclose(outputs[0], outputs[-1])
@@ -249,7 +232,7 @@ def main(argv=None):
 
     iters = 3 if (argv and "--smoke" in argv) else 7
     rows = []
-    for name in ["ring", "tree", "halving_doubling", "hierarchical", "naive"]:
+    for name in ["ring", "naive"]:
         samples = []
         for _ in range(iters):
             start = time.perf_counter()

@@ -18,13 +18,16 @@ The acceptance scenario for ``repro.resilience`` end to end:
 
 Each claim is asserted; the script exits non-zero if any fails, and on
 failure writes the collective flight-recorder dump (when REPRO_DEBUG is
-enabled) next to the checkpoint for postmortem.
+enabled) next to the checkpoint for postmortem.  The working directory
+(``$TMPDIR/elastic_demo_*``) is removed once every check passes and kept
+after an exception or a failed check.
 
 Run:
     python examples/elastic_demo.py
 """
 
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -213,6 +216,7 @@ def main() -> int:
         dump_flight_recorder(workdir)
         return 1
     print("\nall checks passed")
+    shutil.rmtree(workdir)
     return 0
 
 

@@ -8,7 +8,7 @@ Layered like the paper's Fig. 1, bottom-up:
   gradient-accumulator post-hooks.
 * :mod:`repro.nn` / :mod:`repro.optim` — layers and optimizers.
 * :mod:`repro.comm` — collective communication (the c10d analog):
-  rendezvous store, transport, ring/tree/halving-doubling AllReduce,
+  rendezvous store, transport, one-round and ring AllReduce,
   NCCL/Gloo-personality process groups, round-robin composition.
 * :mod:`repro.core` — the contribution: ``DistributedDataParallel``
   with gradient bucketing, computation/communication overlap,

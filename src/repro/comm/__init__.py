@@ -8,14 +8,15 @@ package provides:
   rank joins, exactly as described in paper §3.3.
 * :class:`~repro.comm.transport.TransportHub` — point-to-point message
   channels between ranks, with byte/message accounting.
-* :mod:`~repro.comm.algorithms` — real AllReduce implementations (naive,
-  ring, binary tree, recursive halving-doubling) plus broadcast,
-  allgather, reduce-scatter, and the split-phase one-round forms the
-  group runs under the size rule (small AllReduce, broadcast, barrier).
+* :mod:`~repro.comm.algorithms` — real AllReduce implementations (the
+  one-round direct exchange under the size rule, the ring above it)
+  plus tree broadcast and reduce, gather, scatter, and the split-phase
+  one-round forms the group runs for small AllReduces and broadcasts
+  and for every reduce-scatter, all-gather and barrier.
 * :class:`~repro.comm.process_group.ProcessGroup` — the uniform API DDP
   programs against, one class for every backend.
 * :mod:`~repro.comm.backends` — the backend table: nccl, gloo and mpi
-  are rows (default algorithm, device rule, host staging, α–β cost) and
+  are rows (device rule, host staging, α–β cost) and
   differ in that data, not in semantics.
 * :class:`~repro.comm.round_robin.RoundRobinProcessGroup` — dispatches
   successive collectives across several groups (paper §3.3, §5.4).

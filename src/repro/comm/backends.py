@@ -1,11 +1,9 @@
 """The backend table: nccl, gloo and mpi as rows of data.
 
 DDP programs against one ``ProcessGroup`` API whatever the backend
-(paper §3.3), and in this library a backend differs from another only in
-what its row says:
+(paper §3.3), and every backend runs the same collective algorithms; a
+backend differs from another only in what its row says:
 
-* ``default_algorithm`` — the AllReduce a group runs unless told
-  otherwise (a key of ``algorithms.ALLREDUCE_ALGORITHMS``);
 * ``supports_cpu_tensors`` — the device rule: nccl rejects tensors on
   ``cpu``, which is why DDP keeps its device-resident copy of the
   unused-parameter bitmap (§4.2);
@@ -29,17 +27,16 @@ class Backend(NamedTuple):
     """One backend's row of the table."""
 
     name: str
-    default_algorithm: str
     supports_cpu_tensors: bool
     host_staging: bool
     cost: Optional[Mapping[str, float]]
 
 
 _ROWS = {row.name: row for row in (
-    # NCCL: ring AllReduce on device tensors; ~40 GB/s effective over
+    # NCCL: device tensors; ~40 GB/s effective over
     # NVLink within a server, ~2.6 GB/s per stream across servers,
     # microsecond overheads.
-    Backend("nccl", "ring", False, False, dict(
+    Backend("nccl", False, False, dict(
         launch_overhead=12e-6,
         intra_bandwidth=40e9,
         inter_bandwidth=2.6e9,
@@ -50,13 +47,13 @@ _ROWS = {row.name: row for row in (
         link_capacity_inter=9e9,
         min_message_time=2e-6,
     )),
-    # Gloo: halving-doubling on CPU tensors over TCP; ~1–1.3 GB/s, ten
+    # Gloo: CPU tensors over TCP; ~1–1.3 GB/s, ten
     # times NCCL's launch overhead, and the summation runs on host cores
     # — the second reason large tensors stop helping (Fig. 2(b)'s
     # plateau past ~500 K parameters).  Past the cache-friendly size the
     # host reduction slows superlinearly, which is why huge Gloo buckets
     # stop paying (Fig. 7(b)/(d)).
-    Backend("gloo", "halving_doubling", True, True, dict(
+    Backend("gloo", True, True, dict(
         launch_overhead=160e-6,
         intra_bandwidth=1.3e9,
         inter_bandwidth=1.0e9,
@@ -70,9 +67,8 @@ _ROWS = {row.name: row for row in (
         cpu_cache_friendly_bytes=8e6,
     )),
     # MPI: the paper's third option (§3.3), which it does not evaluate —
-    # tree AllReduce (latency-optimised, as in classic MPI
-    # implementations) on CPU tensors, and no calibrated cost.
-    Backend("mpi", "tree", True, True, None),
+    # CPU tensors, and no calibrated cost.
+    Backend("mpi", True, True, None),
 )}
 
 

@@ -118,7 +118,6 @@ def init_process_group(
     world_size: Optional[int] = None,
     timeout: float = 30.0,
     group_id=0,
-    **kwargs,
 ) -> ProcessGroup:
     """Create (or recreate) the default process group for this rank.
 
@@ -137,7 +136,7 @@ def init_process_group(
             )
         ctx = enter_context(rank, world_size, store, hub)
     group = ctx._own(ProcessGroup(
-        ctx.store, ctx.hub, ctx.rank, backend, group_id=group_id, timeout=timeout, **kwargs
+        ctx.store, ctx.hub, ctx.rank, backend, group_id=group_id, timeout=timeout
     ))
     ctx.default_group = group
     return group
@@ -147,7 +146,6 @@ def new_process_group(
     backend: str = "nccl",
     ranks: Optional[Sequence[int]] = None,
     timeout: float = 30.0,
-    **kwargs,
 ) -> ProcessGroup:
     """Create an additional group (for round-robin or sub-groups).
 
@@ -180,14 +178,14 @@ def new_process_group(
         ranks=member_ranks,
         group_id=group_id,
         timeout=timeout,
-        **kwargs,
     ))
 
 
 def new_round_robin_group(
     backend: str = "nccl", num_groups: int = 2, timeout: float = 30.0, **kwargs
 ) -> RoundRobinProcessGroup:
-    """Compose ``num_groups`` fresh groups into a round-robin dispatcher."""
+    """Compose ``num_groups`` fresh groups into a round-robin dispatcher;
+    extra keyword arguments (``ranks=``) go to :func:`new_process_group`."""
     members = [
         new_process_group(backend, timeout=timeout, **kwargs) for _ in range(num_groups)
     ]
@@ -274,15 +272,12 @@ def run_distributed(
     store: Optional[Store] = None,
     hub: Optional[TransportHub] = None,
     fault_plan=None,
-    **group_kwargs,
 ) -> List:
     """Run ``fn`` on ``world_size`` rank threads; returns per-rank results.
 
     ``fn`` may accept zero arguments or a single ``rank`` argument.  When
     ``backend`` is given, a default process group is initialized before
-    ``fn`` runs; extra keyword arguments (e.g. ``chunk_bytes=65536``,
-    ``algorithm="tree"``) are forwarded to the
-    backend constructor.  A ``fault_plan``
+    ``fn`` runs.  A ``fault_plan``
     (:class:`repro.resilience.FaultPlan`) is installed on the hub before
     any rank starts.  The first rank exception is re-raised in the
     caller.
@@ -299,7 +294,7 @@ def run_distributed(
         enter_context(rank, world_size, store, hub)
         try:
             if backend is not None:
-                init_process_group(backend, timeout=timeout, **group_kwargs)
+                init_process_group(backend, timeout=timeout)
             results[rank] = fn(rank) if wants_rank else fn()
         except BaseException as exc:  # noqa: BLE001 - propagate to caller
             errors.append((rank, exc))

@@ -52,7 +52,7 @@ class ReduceOp:
 
     ``AVG`` (``allreduce``, ``reduce`` and ``reduce_scatter_flat``,
     floating dtypes) is ``SUM`` plus one division by the group size, done
-    inside the collective by the rank that finishes reducing each chunk —
+    inside the collective by the rank that finishes reducing each segment —
     bitwise what ``SUM`` followed by ``/= size`` on the result produces.
     """
 
@@ -273,15 +273,12 @@ class _Op(NamedTuple):
     """One row of the collective table ``ProcessGroup._collective`` runs."""
 
     #: Worker path: ``fn(hub, ranks, rank, [array,] *operands, tag,
-    #: timeout[, chunk_bytes])``; None = the group's AllReduce
-    #: algorithm (``.algorithm``), or no worker path at all.
+    #: timeout)``; None = no worker path at all.
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
     #: Accounted bytes are ``nbytes × world`` (every rank's tensor lands here).
     world_bytes: bool = False
-    #: The group's ``chunk_bytes`` is forwarded to the algorithm.
-    chunked: bool = False
     #: When the op runs as one round of signed posts on the caller
     #: (:meth:`ProcessGroup._round`) instead of on the worker: ``"small"``
     #: under the size rule (:func:`~repro.comm.algorithms.one_round`),
@@ -292,12 +289,12 @@ class _Op(NamedTuple):
 
 
 _OPS = {
-    "allreduce": _Op(None, ("reduce_op",), chunked=True, one_round="small"),
-    "broadcast": _Op(algorithms.broadcast, ("src",), chunked=True, one_round="small"),
+    "allreduce": _Op(algorithms.allreduce_ring, ("reduce_op",), one_round="small"),
+    "broadcast": _Op(algorithms.broadcast, ("src",), one_round="small"),
     "allgather": _Op(None, world_bytes=True, one_round="always"),
     "reduce_scatter_flat": _Op(None, ("reduce_op",), one_round="always"),
     "all_gather_flat": _Op(None, one_round="always"),
-    "reduce": _Op(algorithms.reduce, ("root", "reduce_op"), chunked=True),
+    "reduce": _Op(algorithms.reduce, ("root", "reduce_op")),
     "gather": _Op(algorithms.gather, ("root",)),
     "scatter": _Op(algorithms.scatter, ("root",)),
     # No tensor: nothing to size.
@@ -309,11 +306,12 @@ class ProcessGroup:
     """One rank's membership in a communicator group.
 
     ``backend`` names a row of :mod:`repro.comm.backends`, which sets
-    ``.backend`` (the row's name, used by cost models and diagnostics),
-    ``.algorithm`` (the row's default AllReduce unless ``algorithm`` is
-    given) and ``.supports_cpu_tensors`` (whether tensors tagged "cpu"
-    may be communicated).  Per-rank instances coordinate purely through
-    the shared :class:`TransportHub` and :class:`Store`.
+    ``.backend`` (the row's name, used by cost models and diagnostics)
+    and ``.supports_cpu_tensors`` (whether tensors tagged "cpu" may be
+    communicated).  Every backend runs the same AllReduces: one round of
+    direct exchange under the size rule, the ring above it.  Per-rank
+    instances coordinate purely through the shared
+    :class:`TransportHub` and :class:`Store`.
     """
 
     def __init__(
@@ -325,8 +323,6 @@ class ProcessGroup:
         ranks: Optional[Sequence[int]] = None,
         group_id: Optional[int] = None,
         timeout: float = 30.0,
-        algorithm: Optional[str] = None,
-        chunk_bytes: Optional[int] = None,
     ):
         self.store = store
         self.hub = hub
@@ -341,16 +337,11 @@ class ProcessGroup:
         row = backends.backend(backend)
         self.backend = row.name
         self.supports_cpu_tensors = row.supports_cpu_tensors
-        self.algorithm = algorithm or row.default_algorithm
-        if self.algorithm not in algorithms.ALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown allreduce algorithm {self.algorithm!r}")
-        #: Transfer-chunk size forwarded to the chunked algorithms
-        #: (None → the module default in ``algorithms``).  Every rank
-        #: must pass the same value: chunk boundaries define the
-        #: per-step message sequence.
-        if chunk_bytes is not None and chunk_bytes < 1:
-            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-        self.chunk_bytes = chunk_bytes
+        #: The AllReduce above the size rule, stamped on its records for
+        #: the health accounting; benchmarks/e2e's isolated_calls reads it.
+        self.algorithm = "ring"
+        #: Always None; benchmarks/e2e's isolated_calls reads it.
+        self.chunk_bytes = None
         self._seq = 0
         self._group_id = group_id if group_id is not None else 0
         # Fault injection: collective-scoped rules (crash a rank as it
@@ -705,16 +696,12 @@ class ProcessGroup:
         if name == "allreduce":
             record.extra["algorithm"] = self.algorithm
         args = ([] if array is None else [array]) + list(operands.values())
-        algorithm = row.algorithm or algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
 
         def run():
             self._check_signature(record, signature)
-            chunk = (self.chunk_bytes,) if row.chunked else ()
             try:
-                return algorithm(
-                    self.hub, self.ranks, self.group_rank, *args, tag,
-                    self.timeout, *chunk,
-                )
+                return row.algorithm(
+                    self.hub, self.ranks, self.group_rank, *args, tag, self.timeout)
             except TransportTimeoutError as exc:
                 raise CollectiveTimeoutError(str(exc)) from exc
 

@@ -3,7 +3,7 @@
 ``TransportHub`` is the wire: every (src → dst) pair owns a set of tagged
 mailboxes.  Collective algorithms are written purely in terms of
 ``send``/``recv``, exactly as they would be over sockets or InfiniBand
-verbs, so the ring/tree/halving-doubling implementations in
+verbs, so the ring and tree implementations in
 ``algorithms.py`` are the real algorithms, not shortcuts through shared
 memory.
 
@@ -12,7 +12,7 @@ returns the very object ``send`` was given.  So *a sent array is not
 modified until the peer consumed it* — the sender keeps that promise,
 the hub does not police it.  The collectives in ``algorithms.py``
 guarantee it three ways: an *eager* send hands over a private copy
-(small buffers, and every non-chunked collective); a *lent* send hands
+(small buffers, and every one-round collective); a *lent* send hands
 over a view of the live buffer and is protected by *causality* (the
 sender's next write to the region is triggered by a message that
 follows the peer's read) or by a zero-byte *completion token* the peer
@@ -21,7 +21,7 @@ it received.
 
 The hub also keeps per-rank traffic counters (messages and bytes sent),
 which the tests use to verify algorithmic properties such as "ring
-AllReduce sends ``2*(p-1)`` chunks per rank".
+AllReduce sends ``2*(p-1)`` segments per rank".
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class TransportHub:
     and a message that is already there costs one mutex round.  A
     mailbox exists only while it holds a message.  ``send`` never blocks
     (the deposit models the wire: the payload is on its way the moment
-    the call returns), which is what lets chunked collectives keep
-    several chunks in flight.
+    the call returns), which is what lets every rank of a ring send
+    before it receives.
 
     Cost model: one ``send``/``recv`` pair is one α (latency) plus
     ``payload.nbytes``·β (bandwidth) in the paper's terms; the per-rank

@@ -108,8 +108,7 @@ class ElasticConfig:
     iteration counter).  Dead-rank detection is fixed: a beat every
     :data:`~repro.comm.liveness.BEAT_INTERVAL`, death after a
     :data:`~repro.comm.liveness.MISS_THRESHOLD` miss, far below the
-    transport timeout.  ``group_kwargs`` / ``ddp_kwargs`` forward to the
-    process-group backend and the DDP wrapper.
+    transport timeout.  ``ddp_kwargs`` forward to the DDP wrapper.
 
     ``wrapper`` overrides the model wrap: ``wrapper(module, group) ->
     model`` (called instead of the default DDP construction, so e.g.
@@ -135,7 +134,6 @@ class ElasticConfig:
     checkpoint_dir: str = "."
     backend: str = "gloo"
     timeout: float = 10.0
-    group_kwargs: Dict = field(default_factory=dict)
     ddp_kwargs: Dict = field(default_factory=dict)
     wrapper: Optional[Callable] = None
     allow_grow: bool = False
@@ -413,7 +411,6 @@ def _run_generation(
                 config.backend,
                 timeout=config.timeout,
                 group_id=f"e{generation}",
-                **config.group_kwargs,
             )
             ctx.group = group
             module, optimizer = setup(ctx)

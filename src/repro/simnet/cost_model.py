@@ -99,17 +99,14 @@ class CollectiveCostModel:
         algorithm: str = "ring",
     ) -> float:
         """One AllReduce of ``nbytes`` over ``world_size`` ranks, shaped
-        as ``algorithm`` (a key of ``algorithms.ALLREDUCE_ALGORITHMS``;
-        an unknown key is priced as the ring).
+        as ``algorithm`` (a shape name; an unknown name is priced as the
+        ring).  The runtime runs ``naive`` and ``ring``;
+        ``hierarchical`` is a formula for the architectures ablation.
 
         * ``ring`` — ``2(p-1)/p`` bytes through the bottleneck and
           ``2(p-1)`` latencies;
-        * ``halving_doubling`` — the same bytes, ``2·log2(p)`` latencies
-          (wins when alpha dominates);
         * ``naive`` — one latency; every rank's whole buffer reaches
           every peer (the one-round protocol under the size rule);
-        * ``tree`` — reduce up and broadcast down: ``log2(p)`` rounds
-          each, every round carrying the full payload;
         * ``hierarchical`` — intra-server tree + leader ring + bcast
           (BlueConnect, Blink); the ring within one server.
 
@@ -129,18 +126,10 @@ class CollectiveCostModel:
             return self._hierarchical_time(nbytes, p, bandwidth_factor)
         bandwidth = self.bottleneck_bandwidth(p) * bandwidth_factor
         hop = self.hop_latency(p)
-        rounds = max(1, (p - 1).bit_length())  # ceil(log2(p))
         if algorithm == "naive":
             transfer = ((p - 1) * nbytes + self.ramp_bytes) / bandwidth
             return self.launch_overhead + hop + max(transfer, self.min_message_time)
-        if algorithm == "tree":
-            per_round = max((nbytes + self.ramp_bytes) / bandwidth, self.min_message_time)
-            return self.launch_overhead + 2.0 * rounds * (hop + per_round)
         transfer = (2.0 * (p - 1) / p * nbytes + self.ramp_bytes) / bandwidth
-        if algorithm == "halving_doubling":
-            return self.launch_overhead + 2.0 * rounds * hop + max(
-                transfer, self.min_message_time
-            )
         seconds = self.launch_overhead + 2.0 * (p - 1) * hop + max(
             transfer, self.min_message_time
         )

@@ -68,8 +68,8 @@ def expected_collective_s(
     backend: str, op: str, nbytes: int, world: int, algorithm: str = "ring"
 ) -> Optional[float]:
     """Analytic α–β expectation for this collective run as
-    ``algorithm`` (the record's fact: ``naive`` under the size rule, the
-    group's algorithm above it), if a calibrated cost model exists for
+    ``algorithm`` (the record's fact: ``naive`` under the size rule,
+    ``ring`` above it), if a calibrated cost model exists for
     ``backend`` (None otherwise — e.g. mpi)."""
     if op != "allreduce" or nbytes <= 0 or world <= 1:
         return None

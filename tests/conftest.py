@@ -20,15 +20,13 @@ from repro.debug import (
 from repro.utils import manual_seed
 
 
-def run_world(world_size, fn, backend=None, timeout=10.0, **group_kwargs):
+def run_world(world_size, fn, backend=None, timeout=10.0, **options):
     """Run ``fn`` on rank threads with a short test-friendly timeout.
 
-    Extra keyword arguments (``chunk_bytes=...``, ``algorithm=...``)
-    are forwarded to the backend process-group constructor.
+    Extra keyword arguments (``hub=``, ``store=``, ``fault_plan=``) go
+    to ``run_distributed``.
     """
-    return run_distributed(
-        world_size, fn, backend=backend, timeout=timeout, **group_kwargs
-    )
+    return run_distributed(world_size, fn, backend=backend, timeout=timeout, **options)
 
 
 def wait_until(condition, timeout=5.0):

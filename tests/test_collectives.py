@@ -96,7 +96,7 @@ class TestReplicaEquality:
 
     @pytest.mark.parametrize("last", [False, True], ids=["root0", "rootlast"])
     def test_reduce_is_the_tree_ordered_result(self, world, op, dtype, last):
-        """The standalone reduce is allreduce_tree's reduce phase, eager."""
+        """The standalone reduce is a binomial tree, eager."""
         root, inputs = world - 1 if last else 0, self._inputs(world, dtype)
         bufs = [x.copy() for x in inputs]
         _, hub = run_ranks(world, lambda hub, rank: alg.reduce(
@@ -180,8 +180,7 @@ def test_unknown_op_raises():
 
 @pytest.mark.parametrize("algorithm", sorted(alg.ALLREDUCE_ALGORITHMS))
 def test_registry_entries_run_on_their_defaults(algorithm):
-    """Every entry is callable with the four required arguments alone
-    (``allreduce_tree`` used to default ``op`` to its tag, ``"tree"``)."""
+    """Every entry is callable with the four required arguments alone."""
     fn = alg.ALLREDUCE_ALGORITHMS[algorithm]
 
     def body(hub, rank):
@@ -216,9 +215,9 @@ def _transposed(rank):
     return np.full((6, 4), float(rank + 1)).T
 
 
-def _inplace_allreduce(name, **extra):
+def _inplace_allreduce(name):
     def call(hub, ranks, rank, buf):
-        alg.ALLREDUCE_ALGORITHMS[name](hub, ranks, rank, buf, "sum", "t", **extra)
+        alg.ALLREDUCE_ALGORITHMS[name](hub, ranks, rank, buf, "sum", "t")
         return 6.0  # 1 + 2 + 3
 
     return call
@@ -240,7 +239,6 @@ def _inplace_all_gather(hub, ranks, rank, buf):
 
 
 INPLACE = {name: _inplace_allreduce(name) for name in sorted(alg.ALLREDUCE_ALGORITHMS)}
-INPLACE["hierarchical_g2"] = _inplace_allreduce("hierarchical", group_size=2)
 INPLACE.update(broadcast=_inplace_broadcast, reduce=_inplace_reduce,
                all_gather_into_flat=_inplace_all_gather)
 
@@ -268,6 +266,41 @@ def test_inplace_collectives_write_through_any_layout(collective, layout, lend, 
 
 
 class TestRingProperties:
+    #: Just below and at the lending threshold, in float64 elements.
+    STRADDLE = [alg.RENDEZVOUS_BYTES // 8 - 1, alg.RENDEZVOUS_BYTES // 8]
+
+    @pytest.mark.parametrize("n", STRADDLE, ids=["eager", "lent"])
+    @pytest.mark.parametrize("op", ["sum", "avg"])
+    @pytest.mark.parametrize("world", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_naive_with_identical_bytes(self, world, op, n):
+        """The one AllReduce above the size rule against the reference:
+        every rank ends with the same bytes, close to the rank-ordered
+        result — and at world 2, where both add the same two operands
+        and ``avg`` multiplies by 0.5, bitwise equal to it."""
+        rng = np.random.default_rng(world)
+        inputs = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n) for _ in range(world)]
+
+        def body(hub, rank):
+            ring, naive = inputs[rank].copy(), inputs[rank].copy()
+            alg.allreduce_ring(hub, list(range(world)), rank, ring, op, "r")
+            alg.allreduce_naive(hub, list(range(world)), rank, naive, op, "n")
+            return ring.tobytes(), naive
+
+        results, hub = run_ranks(world, body)
+        assert len({ring for ring, _ in results}) == 1
+        ring, naive = np.frombuffer(results[0][0]), results[0][1]
+        np.testing.assert_allclose(ring, naive, rtol=1e-9, atol=1e-9)
+        if world <= 2:
+            assert ring.tobytes() == naive.tobytes()
+        assert hub.pending_messages() == 0
+
+    def test_a_chunk_size_is_refused(self):
+        """Transfers are unchunked; the trailing parameter only takes None."""
+        hub = TransportHub(1)
+        alg.allreduce_ring(hub, [0], 0, np.zeros(3), "sum", "t", None, None)
+        with pytest.raises(TypeError, match="chunk_bytes must be None"):
+            alg.allreduce_ring(hub, [0], 0, np.zeros(3), "sum", "t", None, 1 << 20)
+
     def test_message_count_is_2p_minus_2(self):
         world = 5
 

@@ -29,7 +29,7 @@ class TestMpiBackend:
             return x[0], pg.backend, pg.algorithm
 
         results = run_world(3, body, backend="mpi")
-        assert results[0] == (6.0, "mpi", "tree")
+        assert results[0] == (6.0, "mpi", "ring")
 
     def test_ddp_training_on_mpi(self):
         def body(rank):

@@ -1,4 +1,4 @@
-"""Hot-path overhaul: zero-copy buckets, chunked collectives.
+"""Hot-path overhaul: zero-copy buckets, flat collectives.
 
 Covers the acceptance criteria of the flat-bucket data path:
 
@@ -6,15 +6,9 @@ Covers the acceptance criteria of the flat-bucket data path:
   buffer (no gather copy on launch, no write-back copy on finalize);
 * a gradient that exists when the reducer is built moves into its
   bucket view;
-* chunked ring/halving-doubling match ``allreduce_naive`` on odd
-  sizes, non-divisible chunk counts, and world sizes 1–5;
-* ``REPRO_CHUNK_BYTES`` sets the default chunk size, and a value that is
-  not a positive integer fails the import by name.
+* the ring matches ``allreduce_naive`` on odd sizes and world sizes
+  1–5 (segments of unequal length, some empty).
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -229,22 +223,23 @@ class TestZeroCopyViews:
 
 WORLDS_1_TO_5 = [1, 2, 3, 4, 5]
 ODD_SIZES = [1, 3, 17, 97]
-CHUNKED_ALGOS = [alg.allreduce_ring, alg.allreduce_halving_doubling, alg.allreduce_tree]
+#: The AllReduces that send a buffer as per-rank segments.
+SEGMENTED = [alg.allreduce_ring]
 
 
 class TestChunkedCollectives:
+    """Segmented collectives against the whole-buffer reference."""
+
     @pytest.mark.parametrize("world", WORLDS_1_TO_5)
     @pytest.mark.parametrize("size", ODD_SIZES)
-    @pytest.mark.parametrize("fn", CHUNKED_ALGOS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fn", SEGMENTED, ids=lambda f: f.__name__)
     def test_matches_naive_on_odd_sizes(self, world, size, fn):
         rng = np.random.default_rng(world * 100 + size)
         inputs = [rng.standard_normal(size) for _ in range(world)]
 
-        def chunked(hub, ranks, me):
+        def segmented(hub, ranks, me):
             buf = inputs[me].copy()
-            # 40-byte chunks: 5 fp64 elements → non-divisible chunk
-            # counts for every odd size here.
-            fn(hub, ranks, me, buf, "sum", "t", 15.0, 40)
+            fn(hub, ranks, me, buf, "sum", "t", 15.0)
             return buf
 
         def naive(hub, ranks, me):
@@ -252,51 +247,10 @@ class TestChunkedCollectives:
             alg.allreduce_naive(hub, ranks, me, buf, "sum", "n", 15.0)
             return buf
 
-        chunked_out = _run_ranks(world, chunked)
+        segmented_out = _run_ranks(world, segmented)
         naive_out = _run_ranks(world, naive)
-        for mine, reference in zip(chunked_out, naive_out):
+        for mine, reference in zip(segmented_out, naive_out):
             np.testing.assert_allclose(mine, reference, rtol=1e-9)
-
-    @pytest.mark.parametrize("chunk_bytes", [8, 24, 100, 10**9])
-    def test_chunk_size_never_changes_result(self, chunk_bytes):
-        world, size = 4, 53
-        rng = np.random.default_rng(chunk_bytes % 1000)
-        inputs = [rng.standard_normal(size) for _ in range(world)]
-        expected = np.sum(inputs, axis=0)
-
-        def body(hub, ranks, me):
-            buf = inputs[me].copy()
-            alg.allreduce_ring(hub, ranks, me, buf, "sum", "t", 15.0, chunk_bytes)
-            return buf
-
-        for out in _run_ranks(world, body):
-            np.testing.assert_allclose(out, expected, rtol=1e-9)
-
-    def test_chunking_multiplies_message_count(self):
-        """25 fp64 elements, world 5 → 5-element segments; 2-element
-        chunks (16 bytes) → 3 chunks per segment → 3·2(p−1) messages."""
-        world = 5
-        hub_counts = {}
-
-        def body(hub, ranks, me):
-            buf = np.ones(25)
-            alg.allreduce_ring(hub, ranks, me, buf, "sum", "t", 15.0, 16)
-            hub_counts[me] = hub.messages_sent[me]
-            return buf
-
-        _run_ranks(world, body)
-        assert all(count == 3 * 2 * (world - 1) for count in hub_counts.values())
-
-    def test_default_chunking_keeps_small_buffers_single_message(self):
-        world = 5
-
-        def body(hub, ranks, me):
-            buf = np.ones(25)
-            alg.allreduce_ring(hub, ranks, me, buf, "sum", "t", 15.0)
-            return hub.messages_sent[me]
-
-        counts = _run_ranks(world, body)
-        assert counts == [2 * (world - 1)] * world
 
     def test_partition_spans_matches_array_split(self):
         for total, parts in [(12, 4), (13, 4), (3, 5), (0, 3), (25, 5)]:
@@ -305,21 +259,6 @@ class TestChunkedCollectives:
             assert len(spans) == parts
             for (lo, hi), ref in zip(spans, reference):
                 np.testing.assert_array_equal(np.arange(lo, hi), ref)
-
-    @pytest.mark.parametrize("value", ["4096", "1", "0", "-5", "1MiB", ""])
-    def test_chunk_bytes_env_is_parsed_or_refused(self, value):
-        """Read once at import: an integer ≥ 1 becomes the default; anything
-        else raises a ValueError naming the variable and the value instead
-        of quietly becoming 1 MiB (garbage) or 1-byte chunks (0)."""
-        env = {**os.environ, "REPRO_CHUNK_BYTES": value,
-               "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
-        code = "from repro.comm import algorithms; print(algorithms.DEFAULT_CHUNK_BYTES)"
-        probe = subprocess.run([sys.executable, "-c", code], env=env,
-                               capture_output=True, text=True, timeout=60)
-        if value in ("4096", "1"):
-            assert (probe.returncode, probe.stdout.split()) == (0, [value]), probe.stderr
-        else:
-            assert f"ValueError: REPRO_CHUNK_BYTES={value!r}" in probe.stderr
 
 
 # ----------------------------------------------------------------------

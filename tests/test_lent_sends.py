@@ -1,7 +1,7 @@
 """Lent (rendezvous) sends and the fused ``avg`` reduce op.
 
-Above ``RENDEZVOUS_BYTES`` the chunked collectives hand the transport a
-*view* of their buffer; the peer reads it in place and the buffer is
+Above ``RENDEZVOUS_BYTES`` the ring and the broadcast hand the transport
+a *view* of their buffer; the peer reads it in place and the buffer is
 protected by causality or by a completion token.  These tests attack
 exactly that: scribble over a buffer the instant its collective returns,
 delay ranks and wire sends at random — and demand the bitwise result of
@@ -35,18 +35,18 @@ NEVER = 1 << 62  # a RENDEZVOUS_BYTES no buffer reaches: everything eager
 ELEM = 8  # bytes per float64
 
 
-def _allreduce(name, **extra):
-    fn = functools.partial(alg.ALLREDUCE_ALGORITHMS[name], **extra)
+def _allreduce(name):
+    fn = alg.ALLREDUCE_ALGORITHMS[name]
 
-    def call(hub, ranks, rank, buf, tag, chunk, op="sum"):
-        fn(hub, ranks, rank, buf, op, tag, TIMEOUT, chunk)
+    def call(hub, ranks, rank, buf, tag, op="sum"):
+        fn(hub, ranks, rank, buf, op, tag, TIMEOUT)
         return buf
 
     return call
 
 
-def _broadcast(hub, ranks, rank, buf, tag, chunk, op=None):
-    alg.broadcast(hub, ranks, rank, buf, len(ranks) - 1, tag, TIMEOUT, chunk)
+def _broadcast(hub, ranks, rank, buf, tag, op=None):
+    alg.broadcast(hub, ranks, rank, buf, len(ranks) - 1, tag, TIMEOUT)
     return buf
 
 
@@ -55,19 +55,17 @@ def _group_op(name):
     on the calling rank's default group (``run_ranks`` gives every rank
     one over the hub), returning the result, or ``buf`` when in place."""
 
-    def call(hub, ranks, rank, buf, tag, chunk, op=None):
+    def call(hub, ranks, rank, buf, tag, op=None):
         out = getattr(get_context().default_group, name)(buf, *(() if op is None else (op,)))
         return buf if out is None else out
 
     return call
 
 
-#: Every chunked collective and every AllReduce algorithm, behind one
-#: calling convention: ``call(hub, ranks, rank, buf, tag, chunk[, op])``
+#: Every lending collective and every AllReduce algorithm, behind one
+#: calling convention: ``call(hub, ranks, rank, buf, tag[, op])``
 #: returns the array that holds the result (``buf`` itself when in place).
-#: ``hierarchical_g2`` has real groups at every world above 2.
 COLLECTIVES = {name: _allreduce(name) for name in sorted(alg.ALLREDUCE_ALGORITHMS)}
-COLLECTIVES["hierarchical_g2"] = _allreduce("hierarchical", group_size=2)
 ALLREDUCES = list(COLLECTIVES)
 COLLECTIVES.update(
     broadcast=_broadcast,
@@ -91,7 +89,7 @@ def run_ranks(world, body, hub=None):
     return _run_ranks(world, body, TIMEOUT, hub)
 
 
-def sweep(world, sizes, chunk, hub=None, scribble=False, names=COLLECTIVES):
+def sweep(world, sizes, hub=None, scribble=False, names=COLLECTIVES):
     """Every collective of ``names`` × every size, back to back on one set
     of rank threads; returns ``{(name, n): [rank 0's result, ...]}``.
 
@@ -108,7 +106,7 @@ def sweep(world, sizes, chunk, hub=None, scribble=False, names=COLLECTIVES):
             call = COLLECTIVES[name]
             for n in sizes:
                 buf = _inputs(world, n)[rank].copy()
-                result = call(hub, ranks, rank, buf, (name, n), chunk)
+                result = call(hub, ranks, rank, buf, (name, n))
                 out[name, n] = result.copy()
                 if scribble:
                     buf.fill(GARBAGE)
@@ -131,33 +129,34 @@ def assert_bitwise(got, want):
 # (a) overwrite-after-wait stress
 # ----------------------------------------------------------------------
 WORLDS = [2, 3, 4, 5]
-#: The stress runs the real code with the two size constants scaled down
-#: 64× (threshold 4 KiB, chunk 16 KiB) so that 20 seeds × 4 worlds × 10
-#: collectives × 5 sizes stay a few seconds; the unscaled constants get
-#: their own pass below.
+#: The stress runs the real code with the threshold scaled down 64×
+#: (4 KiB) so that 20 seeds × 4 worlds × 7 collectives × 5 sizes stay a
+#: few seconds; the unscaled threshold gets its own pass below.
 SCALED_RENDEZVOUS = alg.RENDEZVOUS_BYTES // 64
-SCALED_CHUNK = (1 << 20) // 64
 
 
-def _stress_sizes(rendezvous, chunk):
-    """Just below / at the threshold, one chunk ± 1 element, 3.5 chunks."""
+def _stress_sizes(rendezvous):
+    """Just below / at the threshold, then 4× it ± 1 element and 14× it
+    (segments of unequal length at every world here)."""
     return [
         rendezvous // ELEM - 1,
         rendezvous // ELEM,
-        chunk // ELEM - 1,
-        chunk // ELEM + 1,
-        7 * chunk // (2 * ELEM),
+        4 * rendezvous // ELEM - 1,
+        4 * rendezvous // ELEM + 1,
+        14 * rendezvous // ELEM,
     ]
 
 
 def _delay_plan(world, seed):
     """Seeded stragglers: every rank gets its own delay and firing rate,
-    so which rank returns first (and scribbles) differs seed to seed."""
+    so which rank returns first (and scribbles) differs seed to seed.
+    The rates are high enough that every seed's plan fires on a world-2
+    sweep, about 40 sends per rank."""
     rng = np.random.default_rng(seed)
     return FaultPlan(
         [
             delay(float(rng.choice([2e-4, 5e-4, 1e-3])), rank=rank,
-                  probability=float(rng.choice([0.02, 0.05, 0.1])))
+                  probability=float(rng.choice([0.1, 0.2, 0.3])))
             for rank in range(world)
         ],
         seed=seed,
@@ -166,15 +165,15 @@ def _delay_plan(world, seed):
 
 @pytest.fixture(scope="module")
 def eager_reference():
-    """Eager results per (world, sizes, chunk), computed once."""
+    """Eager results per (world, sizes), computed once."""
     cache = {}
 
-    def get(world, sizes, chunk):
-        key = (world, tuple(sizes), chunk)
+    def get(world, sizes):
+        key = (world, tuple(sizes))
         if key not in cache:
             saved, alg.RENDEZVOUS_BYTES = alg.RENDEZVOUS_BYTES, NEVER
             try:
-                cache[key], _ = sweep(world, sizes, chunk)
+                cache[key], _ = sweep(world, sizes)
             finally:
                 alg.RENDEZVOUS_BYTES = saved
         return cache[key]
@@ -185,30 +184,30 @@ def eager_reference():
 class TestOverwriteAfterWait:
     @pytest.mark.parametrize("world", WORLDS)
     def test_scribbling_ranks_cannot_disturb_a_peer(self, world, eager_reference, monkeypatch):
-        sizes = _stress_sizes(SCALED_RENDEZVOUS, SCALED_CHUNK)
-        want = eager_reference(world, sizes, SCALED_CHUNK)
+        sizes = _stress_sizes(SCALED_RENDEZVOUS)
+        want = eager_reference(world, sizes)
         monkeypatch.setattr(alg, "RENDEZVOUS_BYTES", SCALED_RENDEZVOUS)
         for seed in range(CHAOS_SEED * 20, CHAOS_SEED * 20 + 20):
             hub = TransportHub(world, default_timeout=TIMEOUT)
             plan = _delay_plan(world, seed).install(hub)
-            got, hub = sweep(world, sizes, SCALED_CHUNK, hub, scribble=True)
+            got, hub = sweep(world, sizes, hub, scribble=True)
             assert_bitwise(got, want)
             assert hub.pending_messages() == 0, seed
             assert plan.total_triggered() > 0
 
     @pytest.mark.parametrize("world", WORLDS)
     def test_at_the_real_threshold(self, world, eager_reference):
-        """The unscaled constants: 256 KiB − 1 element stays eager, 256 KiB
-        lends, one default chunk + 1 element lends across a chunk seam."""
+        """The unscaled threshold: 256 KiB − 1 element stays eager, 256 KiB
+        lends, and so does 1 MiB + 1 element."""
         sizes = [
             alg.RENDEZVOUS_BYTES // ELEM - 1,
             alg.RENDEZVOUS_BYTES // ELEM,
-            alg.DEFAULT_CHUNK_BYTES // ELEM + 1,
+            4 * alg.RENDEZVOUS_BYTES // ELEM + 1,
         ]
-        want = eager_reference(world, sizes, None)
+        want = eager_reference(world, sizes)
         hub = TransportHub(world, default_timeout=TIMEOUT)
         _delay_plan(world, CHAOS_SEED + 100).install(hub)
-        got, hub = sweep(world, sizes, None, hub, scribble=True)
+        got, hub = sweep(world, sizes, hub, scribble=True)
         assert_bitwise(got, want)
         assert hub.pending_messages() == 0
 
@@ -245,8 +244,7 @@ def mode(request, monkeypatch):
 
 
 class TestAvg:
-    # 3, 5, 6: halving-doubling falls back to the ring; 3–6 with groups of
-    # two: hierarchical has a trailing single-member group at 3 and 5.
+    # Odd and even worlds: the ring's segments are of unequal length.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("world", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("name", ALLREDUCES)
@@ -257,9 +255,9 @@ class TestAvg:
 
         def body(hub, rank):
             summed, averaged = inputs[rank].copy(), inputs[rank].copy()
-            COLLECTIVES[name](hub, ranks, rank, summed, "s", 64, "sum")
+            COLLECTIVES[name](hub, ranks, rank, summed, "s", "sum")
             summed /= world
-            COLLECTIVES[name](hub, ranks, rank, averaged, "a", 64, "avg")
+            COLLECTIVES[name](hub, ranks, rank, averaged, "a", "avg")
             return summed, averaged
 
         results, hub = run_ranks(world, body)
@@ -277,9 +275,9 @@ class TestAvg:
 
         def body(hub, rank):
             call = COLLECTIVES["reduce_scatter_flat"]
-            summed = call(hub, ranks, rank, inputs[rank], "s", 32, "sum")
+            summed = call(hub, ranks, rank, inputs[rank], "s", "sum")
             summed /= world
-            averaged = call(hub, ranks, rank, inputs[rank], "a", 32, "avg")
+            averaged = call(hub, ranks, rank, inputs[rank], "a", "avg")
             return summed, averaged
 
         results, _ = run_ranks(world, body)
@@ -312,7 +310,7 @@ class TestAvg:
     def test_integer_avg_raises_by_name(self, name):
         def body(hub, rank):
             with pytest.raises(ValueError, match="'avg' is defined for floating dtypes, got int32"):
-                COLLECTIVES[name](hub, [0], 0, np.ones(4, dtype=np.int32), "t", None, "avg")
+                COLLECTIVES[name](hub, [0], 0, np.ones(4, dtype=np.int32), "t", "avg")
 
         run_ranks(1, body)
 
@@ -320,11 +318,11 @@ class TestAvg:
 # ----------------------------------------------------------------------
 # (c) message counts, as literals
 # ----------------------------------------------------------------------
-def _counts(name, world, n, chunk=None):
+def _counts(name, world, n):
     ranks = list(range(world))
 
     def body(hub, rank):
-        COLLECTIVES[name](hub, ranks, rank, np.ones(n), "t", chunk)
+        COLLECTIVES[name](hub, ranks, rank, np.ones(n), "t")
 
     _, hub = run_ranks(world, body)
     assert hub.pending_messages() == 0
@@ -342,23 +340,13 @@ MESSAGE_COUNTS = {
     ("ring", 2): ([2, 2], [3, 3]),
     ("ring", 3): ([4, 4, 4], [5, 5, 5]),
     ("ring", 4): ([6, 6, 6, 6], [7, 7, 7, 7]),
-    ("halving_doubling", 2): ([2, 2], [3, 3]),
-    ("halving_doubling", 3): ([4, 4, 4], [5, 5, 5]),  # ring fallback
-    ("halving_doubling", 4): ([4, 4, 4, 4], [6, 6, 6, 6]),
-    # Every non-root returns one token to its broadcast parent.
-    ("tree", 2): ([1, 1], [1, 2]),
-    ("tree", 4): ([2, 1, 2, 1], [2, 2, 3, 2]),
-    ("tree", 5): ([3, 1, 2, 1, 1], [3, 2, 3, 2, 2]),
+    ("ring", 5): ([8, 8, 8, 8, 8], [9, 9, 9, 9, 9]),
+    # Every non-root returns one token to its parent.
     ("broadcast", 4): ([0, 1, 0, 2], [1, 2, 1, 2]),  # root = rank 3
     ("reduce_scatter_flat", 2): ([1, 1], [1, 1]),
     ("reduce_scatter_flat", 3): ([2, 2, 2], [2, 2, 2]),
     ("all_gather_flat", 2): ([1, 1], [1, 1]),
     ("all_gather_flat", 3): ([2, 2, 2], [2, 2, 2]),
-    ("hierarchical", 4): ([6, 6, 6, 6], [7, 7, 7, 7]),  # one group: the ring
-    # Members: 1 send to their leader, lent by causality (+ 1 token for
-    # the broadcast).
-    # Leaders: ring of two (2 + 1 token) and 1 broadcast send.
-    ("hierarchical_g2", 4): ([3, 1, 3, 1], [4, 2, 4, 2]),
 }
 
 
@@ -374,13 +362,6 @@ class TestMessageCounts:
         monkeypatch.setattr(alg, "RENDEZVOUS_BYTES", NEVER)
         assert _counts(name, world, LENT_N) == (eager, lent_bytes)
 
-    def test_chunked_segments_still_one_token_per_peer(self):
-        # 3 MiB at world 2: each half is 1.5 MiB = two default chunks.
-        n = 3 * (1 << 20) // ELEM
-        msgs, sent = _counts("halving_doubling", 2, n)
-        assert msgs == [5, 5]  # 2 + 2 chunks, 1 token
-        assert sent == [n * ELEM, n * ELEM]  # half out in each phase
-
 
 # ----------------------------------------------------------------------
 # (d) lent sends over a delaying wire
@@ -389,10 +370,10 @@ class TestDelayedWire:
     @pytest.mark.parametrize("world", [2, 3, 4])
     def test_delayed_wire_equals_fault_free_bitwise(self, world, eager_reference):
         sizes = [LENT_N]
-        want = eager_reference(world, sizes, None)
+        want = eager_reference(world, sizes)
         hub = TransportHub(world, default_timeout=TIMEOUT)
         plan = FaultPlan([delay(0.004, probability=0.3)], seed=CHAOS_SEED).install(hub)
-        got, hub = sweep(world, sizes, None, hub, scribble=True)
+        got, hub = sweep(world, sizes, hub, scribble=True)
         assert_bitwise(got, want)
         assert plan.total_triggered() > 0
         assert hub.pending_messages() == 0
@@ -415,7 +396,7 @@ class TestReduceScatterFlatMemory:
         call = COLLECTIVES["reduce_scatter_flat"]
 
         def body(hub, rank):
-            return call(hub, ranks, rank, inputs[rank], "t", None, "sum")
+            return call(hub, ranks, rank, inputs[rank], "t", "sum")
 
         tracemalloc.start()
         try:

@@ -21,7 +21,7 @@ from repro.comm import (
     new_process_group,
     new_round_robin_group,
 )
-from repro.comm.algorithms import RENDEZVOUS_BYTES, allreduce_protocol
+from repro.comm.algorithms import RENDEZVOUS_BYTES, one_round
 from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _RoundWork
 from repro.comm.store import Store
 from repro.comm.transport import Signed, TransportClosedError, TransportHub
@@ -205,30 +205,7 @@ class TestBackendPersonalities:
         nccl = run_world(2, body, backend="nccl")
         gloo = run_world(2, body, backend="gloo")
         assert nccl[0] == ("nccl", "ring")
-        assert gloo[0] == ("gloo", "halving_doubling")
-
-
-class TestConstructorArguments:
-    @pytest.mark.parametrize("kwargs, error", [
-        ({"chunk_bytes": 0}, "chunk_bytes must be >= 1"),
-        ({"chunk_bytes": -5}, "chunk_bytes must be >= 1"),
-        ({"algorithm": "bogus"}, "unknown allreduce algorithm"),
-        ({"chunk_bytes": None}, None),
-        ({"chunk_bytes": 1}, None),
-    ], ids=["chunk_zero", "chunk_negative", "bogus_algorithm", "chunk_default", "chunk_one"])
-    def test_chunk_bytes_and_algorithm_are_checked(self, kwargs, error):
-        """A chunk below one byte would pipeline one element per message;
-        the constructor refuses it, like an unknown algorithm.  None
-        keeps the module default."""
-        if error is not None:
-            with pytest.raises(ValueError, match=error):
-                ProcessGroup(Store(), TransportHub(1), 0, **kwargs)
-            return
-        group = ProcessGroup(Store(), TransportHub(1), 0, **kwargs)
-        try:
-            assert group.chunk_bytes == kwargs["chunk_bytes"]
-        finally:
-            group.shutdown()
+        assert gloo[0] == ("gloo", "ring")
 
 
 class TestSubgroupsAndRoundRobin:
@@ -507,19 +484,18 @@ class TestOpTable:
         assert "differing fields: reduce_op: avg != sum" in str(excinfo.value)
 
     #: world -> (float64 elements exactly at the size rule, hub messages
-    #: per rank one element below it, and at it under gloo's default).
-    #: At the rule: world 2 lends (rs + ag + token), 3 and 5 fall back
-    #: to the ring's 2(p−1), 4 is halving-doubling's 2·log₂ p — the
-    #: algorithm's own; the worker path's leader adds its fingerprint
-    #: post to each of the p − 1 peers.
-    SIZE_RULE = {2: (32768, 1, 3), 3: (16384, 2, 4), 4: (10923, 3, 4), 5: (8192, 4, 8)}
+    #: per rank one element below it, and at it).  At the rule: world 2
+    #: lends (rs + ag + token), the others send the ring's eager 2(p−1);
+    #: the worker path's leader adds its fingerprint post to each of the
+    #: p − 1 peers.
+    SIZE_RULE = {2: (32768, 1, 3), 3: (16384, 2, 4), 4: (10923, 3, 6), 5: (8192, 4, 8)}
 
     @pytest.mark.parametrize("world", sorted(SIZE_RULE))
     @pytest.mark.parametrize("async_op", [False, True], ids=["sync", "async"])
-    def test_allreduce_protocol_follows_the_size_rule(self, observed, world, async_op):
+    def test_allreduce_follows_the_size_rule(self, observed, world, async_op):
         """One round of direct exchange while everything a rank posts
-        stays under RENDEZVOUS_BYTES, the group's algorithm from there
-        on — and every view names what actually ran."""
+        stays under RENDEZVOUS_BYTES, the ring from there on — and every
+        view names what actually ran."""
         at_rule, msgs_below, msgs_at = self.SIZE_RULE[world]
         assert (world - 1) * 8 * (at_rule - 1) < RENDEZVOUS_BYTES <= (world - 1) * 8 * at_rule
 
@@ -551,19 +527,19 @@ class TestOpTable:
         for rank, seen in enumerate(results):  # same protocol, same bits, every rank
             fingerprints = world - 1 if rank == 0 else 0
             assert seen[0:2] == [("naive", msgs_below)] * 2
-            assert seen[3:5] == [("halving_doubling", msgs_at + fingerprints)] * 2
+            assert seen[3:5] == [("ring", msgs_at + fingerprints)] * 2
             assert seen[2::3] == results[0][2::3]
         for rank in range(world):
             records = recorder_for(rank).records()
             assert [r.extra["algorithm"] for r in records] == (
-                ["naive"] * 2 + ["halving_doubling"] * 2)
+                ["naive"] * 2 + ["ring"] * 2)
 
     def test_size_rule_is_one_function_of_bytes_and_world(self):
-        assert allreduce_protocol("ring", 8, 1) == "naive"
-        assert allreduce_protocol("ring", RENDEZVOUS_BYTES - 1, 2) == "naive"
-        assert allreduce_protocol("ring", RENDEZVOUS_BYTES, 2) == "ring"
-        assert allreduce_protocol("tree", RENDEZVOUS_BYTES // 7, 8) == "naive"
-        assert allreduce_protocol("tree", RENDEZVOUS_BYTES // 7 + 1, 8) == "tree"
+        assert one_round(8, 1)
+        assert one_round(RENDEZVOUS_BYTES - 1, 2)
+        assert not one_round(RENDEZVOUS_BYTES, 2)
+        assert one_round(RENDEZVOUS_BYTES // 7, 8)
+        assert not one_round(RENDEZVOUS_BYTES // 7 + 1, 8)
 
     @pytest.mark.parametrize("async_op", [False, True], ids=["sync", "async"])
     def test_small_integer_allreduce(self, async_op):
@@ -1089,7 +1065,7 @@ class TestSignatureChannels:
             return pg.flight_recorder.records()[-1]
 
         for record in run_world(3, body, backend="gloo")[1:]:
-            assert (record.op, record.extra["algorithm"]) == ("allreduce", "halving_doubling")
+            assert (record.op, record.extra["algorithm"]) == ("allreduce", "ring")
             assert record.stalls[0] >= late_s
 
     def test_patched_wait_sees_every_small_wait(self, monkeypatch):

@@ -1,16 +1,12 @@
 """Extended property-based coverage: DDP equivalence over random
-architectures, compression error bounds, ZeRO partitions, hierarchical
-allreduce, simulator invariants."""
-
-import threading
+architectures, compression error bounds, ZeRO partitions, simulator
+invariants."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.comm import algorithms as alg
-from repro.comm.transport import TransportHub
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import resnet50_profile
 from repro.utils import manual_seed
@@ -71,43 +67,6 @@ class TestDdpEquivalenceProperty:
         for state in states:
             for name in expected:
                 assert np.allclose(state[name], expected[name], atol=1e-8)
-
-
-class TestHierarchicalAllreduceProperty:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        world=st.integers(2, 10),
-        group_size=st.integers(2, 5),
-        size=st.integers(1, 30),
-        seed=st.integers(0, 999),
-    )
-    def test_matches_sum(self, world, group_size, size, seed):
-        rng = np.random.default_rng(seed)
-        inputs = [rng.standard_normal(size) for _ in range(world)]
-        expected = np.sum(inputs, axis=0)
-        hub = TransportHub(world, default_timeout=10)
-        outputs = [None] * world
-        errors = []
-
-        def body(rank):
-            try:
-                buf = inputs[rank].copy()
-                alg.allreduce_hierarchical(
-                    hub, list(range(world)), rank, buf, "sum",
-                    tag="h", group_size=group_size,
-                )
-                outputs[rank] = buf
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=body, args=(r,)) for r in range(world)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(20)
-        assert not errors, errors
-        for out in outputs:
-            assert np.allclose(out, expected)
 
 
 class TestCompressionErrorBounds:

@@ -8,8 +8,7 @@ this rank's copies, ``wait()`` lands the result.  Covered here:
   smaller than the world (empty spans on some ranks);
 * the span convention: rank ``r`` owns ``partition_spans`` span ``r``,
   so reduce-scatter → all-gather round-trips to the allreduce result;
-* ``shard=``, 2-D and non-contiguous tensors, and ``chunk_bytes``, which
-  does not apply (one message per peer at any size);
+* ``shard=``, 2-D and non-contiguous tensors;
 * Works waited in any order, and a wire with seeded delays — both
   bitwise equal to the plain run;
 * the ``ProcessGroup`` exposure, sync and async.
@@ -67,22 +66,6 @@ class TestReduceScatterFlat:
         for me, out in enumerate(outs):
             lo, hi = spans[me]
             np.testing.assert_allclose(out, reduced[lo:hi], rtol=1e-9)
-
-    @pytest.mark.parametrize("chunk_bytes", [8, 24, 100, 10**9])
-    def test_chunk_size_never_changes_result(self, chunk_bytes):
-        """``chunk_bytes`` does not apply: the same bits and one message
-        to each peer, whatever it is."""
-        world, size = 4, 53
-        inputs = _inputs(world, size, chunk_bytes % 997)
-
-        def body(pg, me):
-            before = pg.hub.messages_sent[me]
-            out = pg.reduce_scatter_flat(inputs[me].copy())
-            return out.tobytes(), pg.hub.messages_sent[me] - before
-
-        plain = _run(world, body)
-        assert _run(world, body, chunk_bytes=chunk_bytes) == plain
-        assert [sent for _, sent in plain] == [world - 1] * world
 
     def test_does_not_mutate_the_input(self):
         world = 3
