@@ -24,14 +24,26 @@ def run_ranks(world, fn, timeout=10.0, hub=None):
     return results, hub
 
 
+def tree_allreduce(hub, ranks, me, buffer, op="sum", tag="tree", timeout=None):
+    """The rooted AllReduce the two binomial trees compose: ``reduce`` to
+    group-rank 0 (eager), then ``broadcast`` from it (lent at
+    ``RENDEZVOUS_BYTES``), with the registry's calling convention."""
+    alg.reduce(hub, ranks, me, buffer, 0, op, tag, timeout)
+    alg.broadcast(hub, ranks, me, buffer, 0, tag, timeout)
+
+
+#: The registry's AllReduces, and ``tree``: the trees' composition.
+ALLREDUCES = {**alg.ALLREDUCE_ALGORITHMS, "tree": tree_allreduce}
+
+
 @pytest.mark.parametrize("world", WORLD_SIZES)
-@pytest.mark.parametrize("algorithm", sorted(alg.ALLREDUCE_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(ALLREDUCES))
 class TestAllReduceSum:
     def test_sum_matches(self, world, algorithm):
         rng = np.random.default_rng(world)
         inputs = [rng.standard_normal(17) for _ in range(world)]
         expected = np.sum(inputs, axis=0)
-        fn = alg.ALLREDUCE_ALGORITHMS[algorithm]
+        fn = ALLREDUCES[algorithm]
 
         def body(hub, rank):
             buf = inputs[rank].copy()
@@ -58,10 +70,10 @@ class TestReplicaEquality:
             for _ in range(world)
         ]
 
-    @pytest.mark.parametrize("algorithm", sorted(alg.ALLREDUCE_ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(ALLREDUCES))
     def test_all_ranks_end_with_identical_bytes(self, world, op, dtype, algorithm):
         inputs = self._inputs(world, dtype)
-        fn = alg.ALLREDUCE_ALGORITHMS[algorithm]
+        fn = ALLREDUCES[algorithm]
 
         def body(hub, rank):
             buf = inputs[rank].copy()
@@ -217,7 +229,7 @@ def _transposed(rank):
 
 def _inplace_allreduce(name):
     def call(hub, ranks, rank, buf):
-        alg.ALLREDUCE_ALGORITHMS[name](hub, ranks, rank, buf, "sum", "t")
+        ALLREDUCES[name](hub, ranks, rank, buf, "sum", "t")
         return 6.0  # 1 + 2 + 3
 
     return call
@@ -238,7 +250,7 @@ def _inplace_all_gather(hub, ranks, rank, buf):
     return np.repeat([1.0, 2.0, 3.0], 8).reshape(buf.shape)
 
 
-INPLACE = {name: _inplace_allreduce(name) for name in sorted(alg.ALLREDUCE_ALGORITHMS)}
+INPLACE = {name: _inplace_allreduce(name) for name in sorted(ALLREDUCES)}
 INPLACE.update(broadcast=_inplace_broadcast, reduce=_inplace_reduce,
                all_gather_into_flat=_inplace_all_gather)
 

@@ -26,6 +26,7 @@ from repro.comm import get_context
 from repro.comm.transport import TransportHub
 from repro.resilience import FaultPlan, delay
 
+from test_collectives import ALLREDUCES as _ALLREDUCES
 from test_collectives import run_ranks as _run_ranks
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -36,7 +37,7 @@ ELEM = 8  # bytes per float64
 
 
 def _allreduce(name):
-    fn = alg.ALLREDUCE_ALGORITHMS[name]
+    fn = _ALLREDUCES[name]
 
     def call(hub, ranks, rank, buf, tag, op="sum"):
         fn(hub, ranks, rank, buf, op, tag, TIMEOUT)
@@ -62,10 +63,11 @@ def _group_op(name):
     return call
 
 
-#: Every lending collective and every AllReduce algorithm, behind one
-#: calling convention: ``call(hub, ranks, rank, buf, tag[, op])``
-#: returns the array that holds the result (``buf`` itself when in place).
-COLLECTIVES = {name: _allreduce(name) for name in sorted(alg.ALLREDUCE_ALGORITHMS)}
+#: Every lending collective and every AllReduce (the registry's and the
+#: trees' composition), behind one calling convention:
+#: ``call(hub, ranks, rank, buf, tag[, op])`` returns the array that
+#: holds the result (``buf`` itself when in place).
+COLLECTIVES = {name: _allreduce(name) for name in sorted(_ALLREDUCES)}
 ALLREDUCES = list(COLLECTIVES)
 COLLECTIVES.update(
     broadcast=_broadcast,
@@ -341,6 +343,11 @@ MESSAGE_COUNTS = {
     ("ring", 3): ([4, 4, 4], [5, 5, 5]),
     ("ring", 4): ([6, 6, 6, 6], [7, 7, 7, 7]),
     ("ring", 5): ([8, 8, 8, 8, 8], [9, 9, 9, 9, 9]),
+    # Reduce to rank 0, eager, then the broadcast back: every non-root
+    # returns one token to its broadcast parent.
+    ("tree", 2): ([1, 1], [1, 2]),
+    ("tree", 4): ([2, 1, 2, 1], [2, 2, 3, 2]),
+    ("tree", 5): ([3, 1, 2, 1, 1], [3, 2, 3, 2, 2]),
     # Every non-root returns one token to its parent.
     ("broadcast", 4): ([0, 1, 0, 2], [1, 2, 1, 2]),  # root = rank 3
     ("reduce_scatter_flat", 2): ([1, 1], [1, 1]),
