@@ -9,17 +9,20 @@ the backward pass, because their hooks never fire (Fig. 3(b)).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.autograd.engine import AccumulateGrad
+from repro.autograd.tensor import Tensor
 
 
-def collect_participating_accumulators(outputs: Iterable) -> Set[AccumulateGrad]:
-    """All ``AccumulateGrad`` nodes reachable from ``outputs`` tensors."""
+def collect_participating_accumulators(outputs) -> Set[AccumulateGrad]:
+    """All ``AccumulateGrad`` nodes reachable from ``outputs``: a tensor,
+    or lists, tuples and dicts of them nested in any way (a forward's
+    result)."""
     found: Set[AccumulateGrad] = set()
     seen: Set[int] = set()
     stack: List[object] = []
-    for out in outputs:
+    for out in _tensors(outputs):
         node = getattr(out, "grad_fn", None)
         if node is None and getattr(out, "requires_grad", False) and out.is_leaf:
             found.add(out.accumulator())
@@ -37,6 +40,17 @@ def collect_participating_accumulators(outputs: Iterable) -> Set[AccumulateGrad]
             if edge is not None and id(edge) not in seen:
                 stack.append(edge)
     return found
+
+
+def _tensors(value) -> Iterator[Tensor]:
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _tensors(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _tensors(item)
 
 
 def graph_node_count(outputs: Iterable) -> int:

@@ -7,15 +7,17 @@ testable against numeric differentiation.
 
 The ops a per-op profile (``repro.autograd.profiler``) ranked at the top
 of the transformer / MLP / ConvNet iteration are fused instead of
-composed — :class:`Linear`, :class:`Gelu`, :class:`LayerNorm`, the
-scaled :class:`Softmax`, :class:`Conv2d` (with bias), :class:`BatchNorm`
-and :class:`MaxPool2d` — and the formulations they replaced are kept as
-the references in ``tests/test_fused_ops.py``.  Every op hands a
+composed — :class:`Linear`, :class:`Gelu`, :class:`LayerNorm`,
+:class:`Conv2d` (with bias), :class:`BatchNorm` and :class:`MaxPool2d`,
+and a transformer block's :class:`SelfAttention`, :class:`FeedForward`
+and :class:`AddLayerNorm` — and the formulations they replaced are kept
+as the references in ``tests/test_fused_ops.py``.  Every op hands a
 parameter its gradient C-contiguous in the parameter's layout.
 
 The ops that produce parameter gradients — :class:`Linear`,
-:class:`Conv2d`, :class:`LayerNorm` and :class:`BatchNorm` (bias and
-weight) and :class:`GetItem` (an embedding table) — declare
+:class:`Conv2d`, :class:`LayerNorm`, :class:`AddLayerNorm`,
+:class:`BatchNorm`, :class:`SelfAttention` and :class:`FeedForward`
+(biases and weights) and :class:`GetItem` (an embedding table) — declare
 ``grad_destinations``: they compute those gradients with ``out=`` into
 ``ctx.grad_out[position]`` when the engine offers one (a bucket view),
 and otherwise into a fresh array of their own that the accumulator
@@ -26,6 +28,7 @@ gradient, never a hard-coded float64, so a float32 model stays float32.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -266,57 +269,66 @@ class Min(Function):
 class Gelu(Function):
     """Gaussian error linear unit (tanh approximation, as in BERT).
 
-    ``0.5 a (1 + tanh(c (a + k a^3)))`` evaluated as multiplies on reused
-    buffers: no ``a**3`` (libm ``pow``), and no full-size array allocated
-    beyond what is saved or returned — forward makes two (``tanh`` for
-    backward, the output), backward one (the gradient), working through a
-    block-sized scratch.
+    Forward computes the derivative beside the value
+    (:func:`_gelu_with_slope`), so backward is one multiply and never
+    re-runs ``tanh``.
     """
-
-    # Python floats: a numpy float64 scalar would promote float32 arrays.
-    _C = float(np.sqrt(2.0 / np.pi))
-    _K = 0.044715
-    #: Elements per backward block: the scratch and one block of each of
-    #: the four operands are 128 KB apiece and stay in a 1 MB L2.
-    _BLOCK = 16384
 
     @staticmethod
     def forward(ctx: Context, a):
-        # out=: a 0-d input must stay an array for the in-place chain.
-        t = np.multiply(a, a, out=np.empty(a.shape, np.result_type(a, 1.0)))
-        t *= Gelu._C * Gelu._K
-        t += Gelu._C
-        t *= a  # c (a + k a^3)
-        np.tanh(t, out=t)
-        ctx.save_for_backward(a, t)
-        out = t + 1.0
-        out *= a
-        out *= 0.5
+        out = np.empty(a.shape, np.result_type(a, 1.0))
+        ctx.save_for_backward(_gelu_with_slope(a, out))
         return out
 
     @staticmethod
     def backward(ctx: Context, grad):
-        # 0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 k a^2), times grad.
-        a, t = ctx.saved
-        out = np.empty(a.shape, np.result_type(t, grad))
-        a_flat, t_flat, grad_flat, out_flat = (np.ravel(x) for x in (a, t, grad, out))
-        scratch = np.empty(a_flat[: Gelu._BLOCK].shape, t.dtype)  # one block, or all of a small input
-        for start in range(0, a.size, Gelu._BLOCK):
-            block = slice(start, start + Gelu._BLOCK)
-            a_b, t_b, local = a_flat[block], t_flat[block], out_flat[block]
-            d_inner = scratch[: a_b.size]
-            np.multiply(a_b, a_b, out=d_inner)
-            d_inner *= 3.0 * Gelu._C * Gelu._K
-            d_inner += Gelu._C
-            np.multiply(t_b, t_b, out=local)
-            np.subtract(1.0, local, out=local)  # sech^2
-            local *= d_inner
-            local *= a_b
-            local += t_b
-            local += 1.0
-            local *= 0.5
-            local *= grad_flat[block]
-        return (out,)
+        (slope,) = ctx.saved
+        return (grad * slope,)
+
+
+# Python floats: a numpy float64 scalar would promote float32 arrays.
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_K = 0.044715
+#: Elements per GELU block: the two scratch blocks and one block of each
+#: operand are 128 KB apiece and stay in a 1 MB L2.
+_GELU_BLOCK = 16384
+
+
+def _gelu_with_slope(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``gelu(a) = 0.5 a (1 + t)``, ``t = tanh(c (a + k a^3))``, into
+    ``out`` (C-contiguous; ``a`` itself may be it) and return the slope
+    ``0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 k a^2)``, a new array.
+
+    Both come out of one pass of cache-sized blocks, as multiplies on two
+    block-sized scratch arrays: no ``a**3`` (libm ``pow``), and no
+    full-size temporary.
+    """
+    slope = np.empty(out.shape, out.dtype)
+    a_flat, out_flat, slope_flat = np.ravel(a), out.reshape(-1), slope.reshape(-1)
+    t_all = np.empty(a_flat[:_GELU_BLOCK].shape, out.dtype)  # one block, or all of a small input
+    u_all = np.empty_like(t_all)
+    for start in range(0, a_flat.size, _GELU_BLOCK):
+        block = slice(start, start + _GELU_BLOCK)
+        x, d = a_flat[block], slope_flat[block]
+        t, u = t_all[: x.size], u_all[: x.size]
+        np.multiply(x, x, out=t)
+        np.multiply(t, 3.0 * _GELU_C * _GELU_K, out=d)
+        d += _GELU_C  # c (1 + 3 k a^2)
+        t *= _GELU_C * _GELU_K
+        t += _GELU_C
+        t *= x  # c (a + k a^3)
+        np.tanh(t, out=t)
+        np.multiply(t, t, out=u)
+        np.subtract(1.0, u, out=u)  # sech^2
+        np.multiply(u, d, out=d)
+        d *= x
+        d += t
+        d += 1.0
+        d *= 0.5
+        t += 1.0
+        t *= x
+        np.multiply(t, 0.5, out=out_flat[block])  # last: ``x`` may be this block
+    return slope
 
 
 # ---------------------------------------------------------------------
@@ -515,18 +527,13 @@ class LogSoftmax(Function):
 
 
 class Softmax(Function):
-    """``softmax(scale * a)`` along ``axis``; ``scale`` folds attention's
-    ``1 / sqrt(head_dim)`` into the same node."""
-
     @staticmethod
-    def forward(ctx: Context, a, axis: int = -1, scale: float = 1.0):
-        out = a * scale
-        out -= out.max(axis=axis, keepdims=True)
+    def forward(ctx: Context, a, axis: int = -1):
+        out = a - a.max(axis=axis, keepdims=True)
         np.exp(out, out=out)
         out /= out.sum(axis=axis, keepdims=True)
         ctx.save_for_backward(out)
         ctx.axis = axis
-        ctx.scale = scale
         return out
 
     @staticmethod
@@ -534,7 +541,6 @@ class Softmax(Function):
         (out,) = ctx.saved
         grad_a = grad * out
         grad_a -= out * grad_a.sum(axis=ctx.axis, keepdims=True)
-        grad_a *= ctx.scale
         return (grad_a,)
 
 
@@ -558,29 +564,62 @@ class LayerNorm(Function):
 
     @staticmethod
     def forward(ctx: Context, x, bias, weight, eps: float = 1e-5):
-        xhat = x - x.mean(axis=-1, keepdims=True)
-        var = (xhat * xhat).mean(axis=-1, keepdims=True)
-        rstd = 1.0 / np.sqrt(var + eps)
-        xhat *= rstd
-        ctx.save_for_backward(xhat, rstd, weight)
-        out = xhat * weight
-        out += bias
-        return out
+        return _layer_norm(ctx, x - x.mean(axis=-1, keepdims=True), bias, weight, eps)
 
     @staticmethod
     def backward(ctx: Context, grad):
-        xhat, rstd, weight = ctx.saved
-        width = xhat.shape[-1]
-        grad_bias = grad.reshape(-1, width).sum(axis=0, out=ctx.grad_out.get(1))
-        scratch = grad * xhat
-        grad_weight = scratch.reshape(-1, width).sum(axis=0, out=ctx.grad_out.get(2))
-        grad_x = grad * weight
-        np.multiply(grad_x, xhat, out=scratch)
-        np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
-        grad_x -= grad_x.mean(axis=-1, keepdims=True)
-        grad_x -= scratch
-        grad_x *= rstd
-        return grad_x, grad_bias, grad_weight
+        out = ctx.grad_out
+        return _layer_norm_backward(ctx, grad, out.get(1), out.get(2))
+
+
+class AddLayerNorm(Function):
+    """``LayerNorm(x + residual)``: a transformer block's residual add and
+    its normalisation as one node.  Both addends receive the same
+    gradient.  Inputs are ``(x, residual, bias, weight)``."""
+
+    grad_destinations = (2, 3)
+
+    @staticmethod
+    def forward(ctx: Context, x, residual, bias, weight, eps: float = 1e-5):
+        total = x + residual
+        total -= total.mean(axis=-1, keepdims=True)
+        return _layer_norm(ctx, total, bias, weight, eps)
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        out = ctx.grad_out
+        grad_x, grad_bias, grad_weight = _layer_norm_backward(ctx, grad, out.get(2), out.get(3))
+        return grad_x, grad_x, grad_bias, grad_weight
+
+
+def _layer_norm(ctx: Context, xhat: np.ndarray, bias, weight, eps: float) -> np.ndarray:
+    """Forward of :class:`LayerNorm` from the centred input ``xhat`` (the
+    caller's own array, normalised in place and saved)."""
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + eps)
+    xhat *= rstd
+    ctx.save_for_backward(xhat, rstd, weight)
+    out = xhat * weight
+    out += bias
+    return out
+
+
+def _layer_norm_backward(ctx: Context, grad, bias_out, weight_out):
+    """``(grad_x, grad_bias, grad_weight)`` of :func:`_layer_norm`, the
+    parameter gradients computed into ``bias_out`` / ``weight_out`` when
+    they are arrays."""
+    xhat, rstd, weight = ctx.saved
+    width = xhat.shape[-1]
+    grad_bias = grad.reshape(-1, width).sum(axis=0, out=bias_out)
+    scratch = grad * xhat
+    grad_weight = scratch.reshape(-1, width).sum(axis=0, out=weight_out)
+    grad_x = grad * weight
+    np.multiply(grad_x, xhat, out=scratch)
+    np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
+    grad_x -= grad_x.mean(axis=-1, keepdims=True)
+    grad_x -= scratch
+    grad_x *= rstd
+    return grad_x, grad_bias, grad_weight
 
 
 class BatchNorm(Function):
@@ -634,6 +673,124 @@ class BatchNorm(Function):
         grad_x -= (grad_bias / per_channel).reshape(shape)
         grad_x *= weight.reshape(shape) * rstd
         return grad_x, grad_bias, grad_weight
+
+
+# ---------------------------------------------------------------------
+# transformer blocks
+# ---------------------------------------------------------------------
+
+
+class SelfAttention(Function):
+    """Multi-head self-attention as one node: ``softmax(q k^T / sqrt(d))
+    v`` per head, heads merged, then the output projection.
+
+    Inputs are ``(x, output.bias, output.weight, value.bias, value.weight,
+    key.bias, key.weight, query.bias, query.weight)``, the reverse of the
+    module's registration order: the engine hands leaves their gradients
+    in input order, which is then bucket order, as for :class:`Linear`.
+    Forward is one GEMM against the query, key and value weights stacked
+    per call, with the heads as views of its result; backward is one
+    ``grad_x`` GEMM against the same stack, and computes every weight and
+    bias gradient into ``ctx.grad_out`` when the engine offers it.
+    """
+
+    grad_destinations = (1, 2, 3, 4, 5, 6, 7, 8)
+
+    @staticmethod
+    def forward(ctx: Context, x, out_bias, out_weight, v_bias, v_weight, k_bias, k_weight,
+                q_bias, q_weight, num_heads: int):
+        batch, seq, width = x.shape
+        head_dim = width // num_heads
+        rows = x.reshape(-1, width)
+        stacked = np.concatenate((q_weight, k_weight, v_weight))
+        qkv = rows @ stacked.T
+        qkv += np.concatenate((q_bias, k_bias, v_bias))
+        # (3, batch, heads, seq, head_dim) views of the (rows, 3 * width) GEMM
+        heads = qkv.reshape(batch, seq, 3, num_heads, head_dim).transpose(2, 0, 3, 1, 4)
+        q, k, v = heads
+        scale = 1.0 / math.sqrt(head_dim)
+        probs = q @ k.swapaxes(-1, -2)
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        mixed = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, width)
+        out = mixed @ out_weight.T
+        out += out_bias
+        ctx.save_for_backward(rows, stacked, heads, probs, mixed, out_weight)
+        ctx.scale = scale
+        return out.reshape(x.shape)
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        rows, stacked, (q, k, v), probs, mixed, out_weight = ctx.saved
+        out = ctx.grad_out
+        batch, num_heads, seq, head_dim = q.shape
+        width = rows.shape[1]
+        grad2 = grad.reshape(-1, width)
+        grad_out_weight = np.matmul(grad2.T, mixed, out=out.get(2))
+        grad_out_bias = grad2.sum(axis=0, out=out.get(1))
+        grad_mixed = (grad2 @ out_weight).reshape(batch, seq, num_heads, head_dim)
+        grad_mixed = grad_mixed.transpose(0, 2, 1, 3)
+        # Gradients of q, k and v land in the layout of the forward's GEMM,
+        # so one GEMM against ``stacked`` gives grad_x.
+        grad_qkv = np.empty((batch, seq, 3, num_heads, head_dim), np.result_type(grad, probs))
+        grad_q, grad_k, grad_v = grad_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.swapaxes(-1, -2), grad_mixed, out=grad_v)
+        grad_scores = grad_mixed @ v.swapaxes(-1, -2)
+        grad_scores *= probs  # the softmax's backward, then the scale's
+        grad_scores -= probs * grad_scores.sum(axis=-1, keepdims=True)
+        grad_scores *= ctx.scale
+        np.matmul(grad_scores, k, out=grad_q)
+        np.matmul(grad_scores.swapaxes(-1, -2), q, out=grad_k)
+        grad_qkv = grad_qkv.reshape(-1, 3 * width)
+        grads = [None, grad_out_bias, grad_out_weight]
+        for part, position in ((2, 3), (1, 5), (0, 7)):  # value, key, query
+            columns = grad_qkv[:, part * width:(part + 1) * width]
+            grads.append(columns.sum(axis=0, out=out.get(position)))
+            grads.append(np.matmul(columns.T, rows, out=out.get(position + 1)))
+        if ctx.needs_input_grad[0]:
+            grads[0] = (grad_qkv @ stacked).reshape(grad.shape)
+        return tuple(grads)
+
+
+class FeedForward(Function):
+    """A transformer block's ``gelu(x @ in_weight.T + in_bias) @
+    out_weight.T + out_bias`` as one node.  GELU's slope is computed in the
+    forward's blocks (:func:`_gelu_with_slope`) and saved, so backward
+    multiplies by it and never re-runs ``tanh``.  Inputs are ``(x,
+    out_bias, out_weight, in_bias, in_weight)``, reverse registration
+    order as in :class:`SelfAttention`.
+    """
+
+    grad_destinations = (1, 2, 3, 4)
+
+    @staticmethod
+    def forward(ctx: Context, x, out_bias, out_weight, in_bias, in_weight):
+        rows = x.reshape(-1, x.shape[-1])
+        hidden = rows @ in_weight.T
+        hidden += in_bias
+        slope = _gelu_with_slope(hidden, hidden)  # GELU in place
+        out = hidden @ out_weight.T
+        out += out_bias
+        ctx.save_for_backward(rows, hidden, slope, in_weight, out_weight)
+        return out.reshape(x.shape[:-1] + (out_weight.shape[0],))
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        rows, hidden, slope, in_weight, out_weight = ctx.saved
+        out = ctx.grad_out
+        grad2 = grad.reshape(-1, grad.shape[-1])
+        grad_out_weight = np.matmul(grad2.T, hidden, out=out.get(2))
+        grad_out_bias = grad2.sum(axis=0, out=out.get(1))
+        grad_hidden = grad2 @ out_weight
+        grad_hidden *= slope
+        grad_in_weight = np.matmul(grad_hidden.T, rows, out=out.get(4))
+        grad_in_bias = grad_hidden.sum(axis=0, out=out.get(3))
+        grad_x = None
+        if ctx.needs_input_grad[0]:
+            grad_x = (grad_hidden @ in_weight).reshape(grad.shape[:-1] + (rows.shape[1],))
+        return grad_x, grad_out_bias, grad_out_weight, grad_in_bias, grad_in_weight
 
 
 # ---------------------------------------------------------------------
@@ -914,6 +1071,25 @@ def layer_norm(x, weight, bias, eps: float = 1e-5):
     return LayerNorm.apply(x, bias, weight, eps=eps)
 
 
+def add_layer_norm(x, residual, weight, bias, eps: float = 1e-5):
+    """``layer_norm(x + residual, weight, bias, eps)`` as one node."""
+    return AddLayerNorm.apply(x, residual, bias, weight, eps=eps)
+
+
+def self_attention(x, query, key, value, output, num_heads: int):
+    """Multi-head self-attention over ``(batch, seq, width)`` ``x`` as one
+    node; ``query``, ``key``, ``value`` and ``output`` are ``(weight,
+    bias)`` pairs, each weight ``(width, width)``."""
+    return SelfAttention.apply(x, *output[::-1], *value[::-1], *key[::-1], *query[::-1],
+                               num_heads=num_heads)
+
+
+def feed_forward(x, in_weight, in_bias, out_weight, out_bias):
+    """``linear(gelu(linear(x, in_weight, in_bias)), out_weight, out_bias)``
+    as one node."""
+    return FeedForward.apply(x, out_bias, out_weight, in_bias, in_weight)
+
+
 def transpose(a, axis0: int, axis1: int):
     return Transpose.apply(a, axis0, axis1)
 
@@ -946,9 +1122,8 @@ def log_softmax(a, axis: int = -1):
     return LogSoftmax.apply(a, axis=axis)
 
 
-def softmax(a, axis: int = -1, scale: float = 1.0):
-    """``softmax(scale * a)`` along ``axis`` as one tape node."""
-    return Softmax.apply(a, axis=axis, scale=scale)
+def softmax(a, axis: int = -1):
+    return Softmax.apply(a, axis=axis)
 
 
 def batch_norm(x, weight, bias, eps: float = 1e-5, stats=None):

@@ -309,7 +309,7 @@ class Reducer:
         self.recorder.start_iteration(self.iterations_synced, t_forward)
 
         if self.find_unused_parameters:
-            participating = collect_participating_accumulators(_flatten_outputs(outputs))
+            participating = collect_participating_accumulators(outputs)
             participating_ids = {id(acc) for acc in participating}
             for index, param in enumerate(self.params):
                 if id(param.accumulator()) not in participating_ids:
@@ -711,21 +711,3 @@ def _phases(profile) -> dict:
         "comm_exposed_wait": profile.exposed_comm_s + profile.finalize_other_s,
         "total": profile.total_s,
     }
-
-
-def _flatten_outputs(out) -> list:
-    """Collect all Tensors from arbitrarily nested forward outputs."""
-    tensors: list = []
-
-    def visit(value) -> None:
-        if isinstance(value, Tensor):
-            tensors.append(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item)
-        elif isinstance(value, dict):
-            for item in value.values():
-                visit(item)
-
-    visit(out)
-    return tensors

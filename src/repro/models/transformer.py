@@ -7,8 +7,6 @@ feed-forwards, mean-pooled classification head.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro import nn
@@ -17,36 +15,34 @@ from repro.autograd.tensor import Tensor
 
 
 class MultiHeadSelfAttention(nn.Module):
+    """Self-attention over ``num_heads`` heads as one tape node
+    (:class:`~repro.autograd.ops.SelfAttention`): the four projections are
+    ``Linear`` modules for their parameters and ``state_dict`` names, and
+    the node reads their weights and biases directly."""
+
     def __init__(self, hidden: int, num_heads: int):
         super().__init__()
         if hidden % num_heads:
             raise ValueError("hidden must be divisible by num_heads")
-        self.hidden = hidden
         self.num_heads = num_heads
-        self.head_dim = hidden // num_heads
         self.query = nn.Linear(hidden, hidden)
         self.key = nn.Linear(hidden, hidden)
         self.value = nn.Linear(hidden, hidden)
         self.output = nn.Linear(hidden, hidden)
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        # (B, T, H) -> (B, heads, T, head_dim)
-        x = x.reshape(batch, seq, self.num_heads, self.head_dim)
-        return ops.transpose(x, 1, 2)
-
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.query(x), batch, seq)
-        k = self._split_heads(self.key(x), batch, seq)
-        v = self._split_heads(self.value(x), batch, seq)
-        scores = q @ ops.transpose(k, 2, 3)
-        weights = ops.softmax(scores, axis=-1, scale=1.0 / math.sqrt(self.head_dim))
-        mixed = weights @ v  # (B, heads, T, head_dim)
-        merged = ops.transpose(mixed, 1, 2).reshape(batch, seq, self.hidden)
-        return self.output(merged)
+        projections = [(layer.weight, layer.bias)
+                       for layer in (self.query, self.key, self.value, self.output)]
+        return ops.self_attention(x, *projections, num_heads=self.num_heads)
 
 
 class TransformerBlock(nn.Module):
+    """Post-norm encoder block as four tape nodes: attention, residual add
+    + ``norm1``, the ``ffn_in`` → GELU → ``ffn_out`` feed-forward, residual
+    add + ``norm2``.  Its parameters are read here, inside its own
+    ``forward`` — what ZeRO-3, which gathers a block when its ``forward``
+    is entered, asks of a unit."""
+
     def __init__(self, hidden: int, num_heads: int, ffn_dim: int):
         super().__init__()
         self.attention = MultiHeadSelfAttention(hidden, num_heads)
@@ -56,9 +52,11 @@ class TransformerBlock(nn.Module):
         self.norm2 = nn.LayerNorm(hidden)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = self.norm1(x + self.attention(x))
-        hidden = self.ffn_out(ops.gelu(self.ffn_in(x)))
-        return self.norm2(x + hidden)
+        norm1, norm2 = self.norm1, self.norm2
+        x = ops.add_layer_norm(x, self.attention(x), norm1.weight, norm1.bias, norm1.eps)
+        hidden = ops.feed_forward(x, self.ffn_in.weight, self.ffn_in.bias,
+                                  self.ffn_out.weight, self.ffn_out.bias)
+        return ops.add_layer_norm(x, hidden, norm2.weight, norm2.bias, norm2.eps)
 
 
 class TinyTransformer(nn.Module):

@@ -9,13 +9,17 @@ unit.  The full parameter arrays exist only while a unit is
 
 * **forward** — ``forward()`` issues every unit's ``all_gather_flat``
   asynchronously, in unit order, so the gathers pipeline behind the
-  compute of the units before them; the ``forward`` of every
-  parameter-owning submodule is wrapped (instance-attribute override, so
-  ``Module.__call__`` picks it up) to wait, on first use, for its own
-  unit's gather only, after which the unit's parameters are zero-copy
-  views into the gathered flat.  Nothing is resharded after forward, so
-  every flat is resident by the end of it whatever the schedule — which
-  is why there is no prefetch-depth knob;
+  compute of the units before them; each unit module's ``forward`` is
+  wrapped (one instance-attribute override per unit, so
+  ``Module.__call__`` picks it up) to wait, when it is entered, for its
+  own unit's gather only, after which the unit's parameters are
+  zero-copy views into the gathered flat.  So a unit's parameters must
+  be read inside its module's ``forward`` — by its children's modules or
+  directly, as a fused op does; a forward that reads them from outside
+  (a block's leaf called by its parent) is refused with a
+  ``RuntimeError`` before backward.  Nothing is resharded after forward,
+  so every flat is resident by the end of it whatever the schedule —
+  which is why there is no prefetch-depth knob;
 * **backward** — DDP's :class:`~repro.core.reducer.Reducer`, its
   launch frontier walking the units in reverse order: gradients land
   directly in the unit's gradient flat, and when the unit's last one
@@ -42,9 +46,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.autograd.graph import collect_participating_accumulators
 from repro.nn.module import Module
 from repro.sharded.flat import select_units, unit_bucket_specs
-from repro.sharded.memory import optimizer_state_arrays, storage_bytes
+from repro.sharded.memory import StorageCache, optimizer_state_arrays, storage_bytes
 from repro.sharded.wrapper import ShardedWrapper
 
 
@@ -127,12 +132,14 @@ class FullyShardedDataParallel(ShardedWrapper):
             sum(self._stubs[i].itemsize for i in spec.param_indices)
             for spec in self.layout.buckets
         ]
+        # Optimizer state and shard gradients are replaced, not resized.
+        self._state_bytes = StorageCache()
 
-        unit_of = {id(p): unit for unit, (_, ps) in enumerate(units) for p in ps}
-        for sub in module.modules():
-            direct = [p for p in sub._parameters.values() if p is not None]
-            if direct:
-                self._wrap_forward(sub, unit_of[id(direct[0])])
+        for unit, name in enumerate(self._unit_names):
+            sub = module
+            for part in name.split(".") if name else ():
+                sub = sub._modules[part]
+            self._wrap_forward(sub, unit)
         # Shards were initialized from the broadcast values; now drop the
         # full parameters — from here on they exist only materialized.
         for unit in range(self.num_units):
@@ -207,10 +214,29 @@ class FullyShardedDataParallel(ShardedWrapper):
     # -- module protocol -------------------------------------------------
     def forward(self, *inputs, **kwargs):
         """Issue every unit's gather in unit order, then run the wrapped
-        module; each unit waits for its own gather at first use."""
+        module; each unit waits for its own gather when it is entered.
+        A unit never entered may only be absent from the output's graph."""
         for unit in range(self.num_units):
             self._issue_gather(unit)
-        return super().forward(*inputs, **kwargs)
+        out = super().forward(*inputs, **kwargs)
+        skipped = [unit for unit, work in enumerate(self._gathers) if work is not None]
+        if skipped:
+            self._refuse_reads_outside(out, skipped)
+        return out
+
+    def _refuse_reads_outside(self, out, skipped) -> None:
+        """Raise if ``out`` depends on a unit whose forward did not run:
+        its parameters were read as freed stubs (zeros), not gathered."""
+        used = {id(acc) for acc in collect_participating_accumulators(out)}
+        for unit in skipped:
+            if any(id(self._params[index].accumulator()) in used
+                   for index, _, _ in self.layout.bucket_entries(unit)):
+                self._discard_iteration()
+                raise RuntimeError(
+                    f"FullyShardedDataParallel: unit {self._unit_names[unit]!r} was used "
+                    "but its forward never ran; ZeRO-3 gathers a unit when its module's "
+                    "forward is entered, so read its parameters inside that forward"
+                )
 
     def state_dict(self):
         """Full (unsharded) state dict; gathers and re-frees each unit."""
@@ -269,7 +295,7 @@ class FullyShardedDataParallel(ShardedWrapper):
         arrays.extend(
             shard.grad.data for shard in self.optimizer.shards if shard.grad is not None
         )
-        total = self._fixed_bytes + storage_bytes(arrays)
+        total = self._fixed_bytes + self._state_bytes.storage_bytes(arrays)
         for unit, flat in enumerate(self._unit_flats):
             if flat is not None:
                 total += flat.nbytes

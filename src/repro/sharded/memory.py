@@ -15,7 +15,8 @@ Thread-safety: per-rank data only; call from the owning rank's thread.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+import weakref
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -47,6 +48,28 @@ def storage_bytes(arrays: Iterable[Optional[np.ndarray]]) -> int:
         seen.add(key)
         total += base.nbytes
     return total
+
+
+class StorageCache:
+    """:func:`storage_bytes` of a list of arrays that are replaced rather
+    than resized (optimizer state, shard gradients): walked again only
+    when the list holds an array it did not hold at the last walk.
+    Identity is checked through weak references, so the cache keeps
+    nothing alive and a recycled ``id`` cannot pass for the old array."""
+
+    def __init__(self) -> None:
+        self._refs: List[weakref.ref] = []
+        self._bytes = 0
+
+    def storage_bytes(self, arrays: List[np.ndarray]) -> int:
+        """What ``storage_bytes(arrays)`` returns."""
+        refs = self._refs
+        if len(refs) != len(arrays) or any(
+            ref() is not array for ref, array in zip(refs, arrays)
+        ):
+            self._refs = [weakref.ref(array) for array in arrays]
+            self._bytes = storage_bytes(arrays)
+        return self._bytes
 
 
 def module_arrays(module) -> Iterator[Optional[np.ndarray]]:

@@ -1,5 +1,6 @@
-"""Fused compute kernels: Linear, Gelu, LayerNorm, scaled Softmax,
-Conv2d, BatchNorm, MaxPool2d.
+"""Fused compute kernels: Linear, Gelu, LayerNorm, Softmax, Conv2d,
+BatchNorm, MaxPool2d, and the transformer block's SelfAttention,
+FeedForward and AddLayerNorm.
 
 The formulations these kernels replaced live on here as the references:
 each fused op must match its reference to 1e-12 in value and in every
@@ -30,6 +31,7 @@ from repro.autograd.profiler import profile_ops
 from repro.comm import get_context
 from repro.core import DistributedDataParallel
 from repro.models import MLP, ConvNet, TinyTransformer
+from repro.models.transformer import MultiHeadSelfAttention, TransformerBlock
 from repro.nn.norm import _BatchNorm
 from repro.optim import SGD
 from repro.sharded import FullyShardedDataParallel
@@ -63,6 +65,41 @@ def scaled_softmax_reference(x, scale):
     scaled = x * scale
     e = ops.exp(scaled - Tensor(scaled.data.max(axis=-1, keepdims=True)))
     return e / ops.sum(e, axis=-1, keepdims=True)
+
+
+def attention_reference(x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias,
+                        o_weight, o_bias, num_heads):
+    """The chain ``ops.SelfAttention`` replaced: four Linears, heads split
+    by Reshape + Transpose, two MatMuls and a scaled softmax."""
+    batch, seq, width = x.shape
+    head_dim = width // num_heads
+
+    def split_heads(t):
+        return ops.transpose(t.reshape(batch, seq, num_heads, head_dim), 1, 2)
+
+    q = split_heads(linear_reference(x, q_weight, q_bias))
+    k = split_heads(linear_reference(x, k_weight, k_bias))
+    v = split_heads(linear_reference(x, v_weight, v_bias))
+    weights = scaled_softmax_reference(q @ ops.transpose(k, 2, 3), 1.0 / math.sqrt(head_dim))
+    merged = ops.transpose(weights @ v, 1, 2).reshape(batch, seq, width)
+    return linear_reference(merged, o_weight, o_bias)
+
+
+def feed_forward_reference(x, in_weight, in_bias, out_weight, out_bias):
+    return linear_reference(gelu_reference(linear_reference(x, in_weight, in_bias)),
+                            out_weight, out_bias)
+
+
+def add_layer_norm_reference(x, residual, weight, bias, eps=1e-5):
+    return layer_norm_reference(x + residual, weight, bias, eps)
+
+
+def block_reference(x, *params, num_heads=2):
+    """A ``TransformerBlock``, its parameters in ``parameters()`` order,
+    as the composed primitives it ran before its four fused nodes."""
+    attention, (w1, b1, wi, bi, wo, bo, w2, b2) = params[:8], params[8:]
+    x = add_layer_norm_reference(x, attention_reference(x, *attention, num_heads), w1, b1)
+    return add_layer_norm_reference(x, feed_forward_reference(x, wi, bi, wo, bo), w2, b2)
 
 
 class Conv2dReference(Function):
@@ -216,17 +253,24 @@ class _ReferenceMaxPool2d(nn.MaxPool2d):
         return max_pool2d_reference(x, self.kernel_size, self.stride)
 
 
+class _ReferenceBlock(TransformerBlock):
+    def forward(self, x):
+        return block_reference(x, *self.parameters(), num_heads=self.attention.num_heads)
+
+
 _REFERENCE_CLASS = {
     nn.Conv2d: _ReferenceConv2d,
     nn.MaxPool2d: _ReferenceMaxPool2d,
     nn.BatchNorm1d: ComposedBatchNorm,
     nn.BatchNorm2d: ComposedBatchNorm,
+    TransformerBlock: _ReferenceBlock,
 }
 
 
 def as_reference(model):
-    """``model`` with every conv / pool / batch-norm layer switched, in
-    place, to the formulation it had before the fused kernels."""
+    """``model`` with every conv / pool / batch-norm layer and transformer
+    block switched, in place, to the formulation it had before the fused
+    kernels."""
     for module in model.modules():
         if type(module) in _REFERENCE_CLASS:
             object.__setattr__(module, "__class__", _REFERENCE_CLASS[type(module)])
@@ -327,28 +371,136 @@ class TestLayerNorm:
         assert np.abs(out.data - expected.data).max() <= TOL
 
 
-class TestScaledSoftmax:
-    @pytest.mark.parametrize("scale", [1.0, 0.25])
-    def test_matches_reference_and_gradcheck(self, rng, scale):
+class TestSoftmax:
+    def test_matches_reference_and_gradcheck(self, rng):
         x = rng.standard_normal((2, 3, 5)) * 3.0
         _assert_matches_reference(
-            lambda t: ops.softmax(t, axis=-1, scale=scale),
-            lambda t: scaled_softmax_reference(t, scale),
+            lambda t: ops.softmax(t, axis=-1),
+            lambda t: scaled_softmax_reference(t, 1.0),
             [x], x.shape, rng,
         )
         weights = Tensor(rng.standard_normal(x.shape))
-        assert gradcheck(lambda t: (ops.softmax(t, scale=scale) * weights).sum(), [x])
+        assert gradcheck(lambda t: (ops.softmax(t) * weights).sum(), [x])
+
+
+def _assert_close_relative(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= TOL * np.abs(reference).max()
+
+
+#: The inputs of ``attention_reference``, in its order.
+_ATTENTION_NAMES = ["x", "q_weight", "q_bias", "k_weight", "k_bias",
+                    "v_weight", "v_bias", "o_weight", "o_bias"]
+
+
+def _attention_arrays(rng, batch=2, seq=5, width=8, scale=1.0):
+    shapes = [(batch, seq, width)] + [(width, width), (width,)] * 4
+    return [rng.standard_normal(shape) * scale for shape in shapes]
+
+
+def _fused_attention(num_heads):
+    return lambda x, qw, qb, kw, kb, vw, vb, ow, ob: ops.self_attention(
+        x, (qw, qb), (kw, kb), (vw, vb), (ow, ob), num_heads=num_heads)
+
+
+class TestSelfAttention:
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_matches_the_composed_chain(self, rng, num_heads):
+        """Value and every gradient to 1e-12 relative at the scale
+        ``1 / sqrt(head_dim)``.  The key bias shifts every score of a
+        query row alike, which softmax cancels: its gradient is 0 in
+        exact arithmetic, so it is compared absolutely."""
+        arrays = _attention_arrays(rng, scale=1.5)
+        upstream = rng.standard_normal(arrays[0].shape)
+        value, grads = _value_and_grads(_fused_attention(num_heads), arrays, upstream)
+        ref_value, ref_grads = _value_and_grads(
+            lambda *t: attention_reference(*t, num_heads), arrays, upstream)
+        _assert_close_relative(value, ref_value)
+        for name, grad, ref_grad in zip(_ATTENTION_NAMES, grads, ref_grads):
+            if name == "k_bias":
+                assert np.abs(grad - ref_grad).max() <= TOL
+                assert np.abs(ref_grad).max() <= TOL
+            else:
+                _assert_close_relative(grad, ref_grad)
+
+    def test_gradcheck(self, rng):
+        arrays = _attention_arrays(rng, batch=2, seq=3, width=4)
+        weights = Tensor(rng.standard_normal(arrays[0].shape))
+        fused = _fused_attention(2)
+        assert gradcheck(lambda *t: (fused(*t) * weights).sum(), arrays)
 
     def test_attention_uses_the_fused_node(self, rng):
         manual_seed(0)
         model = TinyTransformer()
         with profile_ops() as profile:
             model(rng.integers(0, 64, (2, 16))).sum().backward()
-        # Nothing but the two embedding adds and the residual adds is
-        # left of the primitive chains: no Mul (score scaling, LayerNorm),
-        # no Pow, no Sub.
-        assert {"Mul", "Pow", "Sub"}.isdisjoint(op for op, _ in profile.calls)
-        assert profile.calls["Softmax", "forward"] == 2  # one per block
+        # Nothing but the embedding add is left of the primitive chains:
+        # no projections split into heads, no score scaling, no LayerNorm
+        # or residual built from primitives.
+        ops_seen = {op for op, _ in profile.calls}
+        assert {"Mul", "Pow", "Sub", "Softmax", "MatMul", "Transpose", "Reshape",
+                "Gelu", "LayerNorm"}.isdisjoint(ops_seen)
+        assert profile.calls["SelfAttention", "forward"] == 2  # one per block
+        assert profile.calls["Add", "forward"] == 1
+        assert profile.calls["Linear", "forward"] == 1  # the head
+
+
+class TestFeedForward:
+    def test_matches_the_composed_chain_and_gradcheck(self, rng):
+        arrays = [rng.standard_normal(shape) * 1.5
+                  for shape in [(2, 3, 4), (10, 4), (10,), (4, 10), (4,)]]
+        _assert_matches_reference(
+            ops.feed_forward, feed_forward_reference, arrays, (2, 3, 4), rng
+        )
+        weights = Tensor(rng.standard_normal((2, 3, 4)))
+        assert gradcheck(lambda *t: (ops.feed_forward(*t) * weights).sum(), arrays)
+
+
+class TestAddLayerNorm:
+    def test_matches_the_composed_chain_and_gradcheck(self, rng):
+        arrays = [rng.standard_normal(shape) for shape in [(2, 3, 6), (2, 3, 6), (6,), (6,)]]
+        _assert_matches_reference(
+            ops.add_layer_norm, add_layer_norm_reference, arrays, (2, 3, 6), rng
+        )
+        weights = Tensor(rng.standard_normal((2, 3, 6)))
+        assert gradcheck(lambda *t: (ops.add_layer_norm(*t) * weights).sum(), arrays)
+
+
+class TestTransformerBlock:
+    def test_four_tape_nodes(self, rng):
+        manual_seed(2)
+        block = TransformerBlock(8, 2, 16)
+        out = block(Tensor(rng.standard_normal((2, 5, 8))))
+        assert _tape_nodes(out) == 4
+        second_norm = out.grad_fn
+        feed_forward = second_norm.next_edges[1]
+        first_norm = second_norm.next_edges[0]
+        attention = first_norm.next_edges[1]
+        assert [n.name() for n in (attention, first_norm, feed_forward, second_norm)] == [
+            "SelfAttention", "AddLayerNorm", "FeedForward", "AddLayerNorm"]
+        assert feed_forward.next_edges[0] is first_norm
+
+    def test_model_matches_the_composed_chain(self, rng):
+        """Loss and every parameter gradient of the whole model, to 1e-12
+        relative (the key biases absolutely)."""
+        tokens, labels = rng.integers(0, 64, (4, 16)), rng.integers(0, 4, 4)
+
+        def run(model):
+            loss = nn.CrossEntropyLoss()(model(tokens), labels)
+            loss.backward()
+            return float(loss.data), {n: p.grad.data for n, p in model.named_parameters()}
+
+        manual_seed(6)
+        loss, grads = run(TinyTransformer())
+        manual_seed(6)
+        ref_loss, ref_grads = run(as_reference(TinyTransformer()))
+        assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            if name.endswith("key.bias"):
+                assert np.abs(grad - ref_grads[name]).max() <= TOL, name
+            else:
+                _assert_close_relative(grad, ref_grads[name])
 
 
 class TestConv2d:
@@ -604,7 +756,11 @@ class TestGradientDtype:
 
                 monkeypatch.setattr(cls, direction, staticmethod(recording))
         dropout = nn.Dropout(0.25)
-        for model, inputs in _models():
+        # The primitive Gelu, LayerNorm and Softmax still serve nn modules.
+        manual_seed(3)
+        modules = nn.Sequential(nn.Linear(6, 8), nn.GELU(), nn.LayerNorm(8), nn.Softmax())
+        rows = Tensor(np.random.default_rng(3).standard_normal((4, 6)))
+        for model, inputs in _models() + [(modules, rows)]:
             _cast(model, np.float32)
             if isinstance(inputs, Tensor):
                 inputs = Tensor(inputs.data.astype(np.float32))
@@ -613,7 +769,8 @@ class TestGradientDtype:
             loss.backward()
             assert {p.grad.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
         assert {op for op, _, _ in seen} >= {"Linear", "Conv2d", "BatchNorm", "LayerNorm", "Gelu",
-                                              "GetItem", "Softmax", "Mean", "Mul"}
+                                              "GetItem", "Softmax", "Mean", "Mul", "SelfAttention",
+                                              "FeedForward", "AddLayerNorm"}
         assert {dtype for _, _, dtype in seen} == {np.dtype(np.float32)}
 
     def test_float32_ddp_replicas_stay_bitwise_equal(self):
@@ -747,6 +904,9 @@ DESTINATIONS = {
     "batchnorm1d": (lambda: nn.BatchNorm1d(5), (6, 5), 5, batch_norm_reference),
     "batchnorm2d": (lambda: nn.BatchNorm2d(3), (4, 3, 3, 3), 3, batch_norm_reference),
     "embedding": (lambda: nn.Embedding(7, 4), None, 4, _embedding_reference),
+    "attention": (lambda: MultiHeadSelfAttention(6, 2), (2, 3, 6), 6,
+                  lambda x, *params: attention_reference(x, *params, num_heads=2)),
+    "block": (lambda: TransformerBlock(6, 2, 10), (2, 3, 6), 6, block_reference),
 }
 _CASES = {**DESTINATIONS, "tied": (_Tied, (4, 6), 6, None)}
 _TOKENS = np.array([[1, 1, 3], [3, 0, 1]])  # repeated rows scatter-add
@@ -1044,7 +1204,8 @@ class TestGradientLayout:
                 assert np.array_equal(bits, local[name][1]), name
                 assert np.array_equal(final[name], local[name][1]), name
 
-    @pytest.mark.parametrize("case", ["linear-3d", "conv-bias", "batchnorm2d", "embedding"])
+    @pytest.mark.parametrize("case", ["linear-3d", "conv-bias", "batchnorm2d", "embedding",
+                                      "attention", "block"])
     def test_float32_parameters_are_written_in_place(self, case):
         local, model = _destination_run(case, dtype=np.float32)
         assert {bits.dtype for _, bits, _ in local.values()} == {np.dtype(np.float32)}
@@ -1075,6 +1236,18 @@ class TestReadinessOrder:
         for model, inputs in _models():
             order = _ready_order(model, inputs)
             assert order == list(reversed(range(len(order))))
+        # Through the fused block nodes too: each hands its leaves their
+        # gradients in input order, the reverse of registration.
+        manual_seed(3)
+        block = TransformerBlock(8, 2, 16)
+        names = [name for name, _ in block.named_parameters()]
+        order = []
+        for index, param in enumerate(block.parameters()):
+            param.accumulator().register_post_hook(lambda _, index=index: order.append(index))
+        block(Tensor(np.random.default_rng(3).standard_normal((2, 5, 8)))).sum().backward()
+        assert [names[i] for i in order] == names[::-1]
+        assert names[::-1][:2] == ["norm2.bias", "norm2.weight"]
+        assert names[::-1][-2:] == ["attention.query.bias", "attention.query.weight"]
         layer = nn.Linear(4, 3)
         names = [name for name, _ in layer.named_parameters()]
         order = _ready_order(layer, Tensor(np.ones((4, 4))))
@@ -1228,15 +1401,6 @@ def _sorted_list_backward_order(root):
 
 class TestEngineOrder:
     def test_transformer_backward_runs_nodes_in_the_recorded_order(self, monkeypatch):
-        manual_seed(1)
-        model = TinyTransformer()
-        loss = nn.CrossEntropyLoss()(
-            model(np.random.default_rng(1).integers(0, 64, (4, 16))),
-            np.zeros(4, dtype=np.int64),
-        )
-        expected = _sorted_list_backward_order(loss.grad_fn)
-        assert len(expected) > 50
-
         executed = []
         real_pop = heapq.heappop
 
@@ -1246,8 +1410,19 @@ class TestEngineOrder:
             return item
 
         monkeypatch.setattr(engine_module.heapq, "heappop", recording_pop)
-        loss.backward()
-        assert [id(n) for n in executed] == [id(n) for n in expected]
+        # Two blocks of four nodes, and the composed chain they replaced.
+        for composed, expected_nodes in [(False, 17), (True, 133)]:
+            manual_seed(1)
+            model = as_reference(TinyTransformer()) if composed else TinyTransformer()
+            loss = nn.CrossEntropyLoss()(
+                model(np.random.default_rng(1).integers(0, 64, (4, 16))),
+                np.zeros(4, dtype=np.int64),
+            )
+            expected = _sorted_list_backward_order(loss.grad_fn)
+            assert len(expected) == expected_nodes
+            executed.clear()
+            loss.backward()
+            assert [id(n) for n in executed] == [id(n) for n in expected]
 
 
 # -- DDP protocols through the fused Linear ----------------------------

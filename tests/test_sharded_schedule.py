@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor
+from repro.autograd import Tensor, ops
 from repro.autograd.engine import AccumulateGrad
 from repro.comm import get_context
 from repro.comm.process_group import Work
@@ -101,6 +101,13 @@ def _per_leaf_indices(model):
         [index_of[id(p)] for p in sub._parameters.values()]
         for sub in model.modules() if sub._parameters
     ]
+
+
+def _named_modules(module, prefix=""):
+    """``(dotted path, module)`` of ``module`` and every descendant."""
+    yield prefix, module
+    for name, child in module._modules.items():
+        yield from _named_modules(child, f"{prefix}.{name}" if prefix else name)
 
 
 def _ops_since(group, mark):
@@ -257,29 +264,45 @@ class TestCollectiveSchedule:
             for name, value in reference.items():  # rank 0's, bitwise
                 assert np.array_equal(state[name], value), name
 
-    def test_leaf_called_from_outside_its_block(self):
-        """The block's ``forward`` never runs; its leaves still gather
-        the block's unit — once."""
+    def test_one_forward_wrapper_per_unit(self):
+        def body(rank):
+            model = _transformer()
+            fsdp = FullyShardedDataParallel(model, _adam)
+            wrapped = [name for name, sub in _named_modules(model) if "forward" in vars(sub)]
+            return wrapped, fsdp.ddp_stats()["units"]
 
-        class Outside(nn.Module):
+        for wrapped, units in run_world(2, body, backend="gloo"):
+            assert wrapped == units  # the blocks, not their 16 leaves each
+
+    def test_unit_reading_its_childrens_parameters_directly(self):
+        """A unit's forward may use its children's parameters without
+        calling them (as a fused op does): the unit is gathered when its
+        own forward is entered, so this trains bitwise like DDP."""
+
+        class Direct(_Block):
+            def forward(self, x):
+                hidden = ops.linear(x, self.up.weight, self.up.bias).relu()
+                return ops.linear(hidden, self.down.weight, self.down.bias)
+
+        class Model(nn.Module):
             def __init__(self):
                 super().__init__()
-                self.block = _Block(6, 5)
+                self.block = Direct(6, 5)
                 self.head = nn.Linear(6, 4)
 
             def forward(self, x):
-                return self.head(self.block.down(self.block.up(x).relu()))
+                return self.head(self.block(x))
 
         def body(rank, sharded):
             manual_seed(3)
-            model = Outside()
+            model = Model()
             batch = Tensor(X[rank * 8:(rank + 1) * 8]), Y[rank * 8:(rank + 1) * 8]
             if not sharded:
                 ddp = DistributedDataParallel(model)
                 opt = Adam(ddp.parameters(), lr=1e-2)
                 for _ in range(3):
                     opt.zero_grad()
-                    LOSS(ddp(*batch[:1]), batch[1]).backward()
+                    LOSS(ddp(batch[0]), batch[1]).backward()
                     opt.step()
                 return model.state_dict(), None
             fsdp = FullyShardedDataParallel(model, _adam)
@@ -293,6 +316,36 @@ class TestCollectiveSchedule:
             assert stats["sharded"]["gather_count"] == 3 * 2 + 2  # + state_dict()
             for name, value in ddp_state.items():
                 assert np.array_equal(state[name], value), name
+
+    def test_refuses_a_leaf_called_outside_its_block(self, flight):
+        """The block's ``forward`` never runs, so its unit is never
+        gathered: the forward that read its freed parameters is refused
+        before backward, and leaves nothing pending."""
+
+        class Outside(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.block = _Block(6, 5)
+                self.head = nn.Linear(6, 4)
+
+            def forward(self, x):
+                return self.head(self.block.down(self.block.up(x).relu()))
+
+        def body(rank):
+            group = get_context().default_group
+            manual_seed(3)
+            model = Outside()
+            fsdp = FullyShardedDataParallel(model, _adam)
+            with pytest.raises(RuntimeError) as raised:
+                fsdp(Tensor(X[:4]))
+            records = group.flight_recorder.records()
+            assert [r.state for r in records] == ["completed"] * len(records)
+            assert fsdp.live_bytes() == _walk_bytes(fsdp)
+            return str(raised.value), fsdp._unit_flats
+
+        for message, flats in run_world(2, body, backend="gloo"):
+            assert "'block'" in message and "forward" in message
+            assert flats == [None, None]  # both units freed again
 
     def test_skipped_unit_is_named_and_leaks_nothing(self, flight, monkeypatch):
         class Skipping(nn.Module):
@@ -531,6 +584,14 @@ class TestMemoryMeter:
             else:
                 batch = Tensor(X[rank * 8:(rank + 1) * 8]), Y[rank * 8:(rank + 1) * 8]
             _iterate(fsdp, batch, iters=2)
+            # The meter re-walks optimizer state only when an array was
+            # replaced: drop the state, then load it back as new arrays.
+            state = fsdp.optimizer.consolidated_state_dict()
+            fsdp.optimizer.inner.state.clear()
+            checked.append((fsdp.live_bytes(), _walk_bytes(fsdp)))
+            fsdp.optimizer.load_consolidated_state_dict(state)
+            checked.append((fsdp.live_bytes(), _walk_bytes(fsdp)))
+            assert checked[-1][0] > checked[-2][0]
             with fsdp.summon_full_params():
                 checked.append((fsdp.live_bytes(), _walk_bytes(fsdp)))
             checked.append((fsdp.live_bytes(), _walk_bytes(fsdp)))
