@@ -8,16 +8,18 @@ testable against numeric differentiation.
 The ops a per-op profile (``repro.autograd.profiler``) ranked at the top
 of the transformer / MLP / ConvNet iteration are fused instead of
 composed — :class:`Linear`, :class:`Gelu`, :class:`LayerNorm`,
-:class:`Conv2d` (with bias), :class:`BatchNorm` and :class:`MaxPool2d`,
-and a transformer block's :class:`SelfAttention`, :class:`FeedForward`
-and :class:`AddLayerNorm` — and the formulations they replaced are kept
-as the references in ``tests/test_fused_ops.py``.  Every op hands a
-parameter its gradient C-contiguous in the parameter's layout.
+:class:`Conv2d` (with bias), :class:`BatchNorm`, :class:`MaxPool2d` and
+:class:`CrossEntropy`, a transformer block's :class:`SelfAttention`,
+:class:`FeedForward` and :class:`AddLayerNorm`, and a ConvNet stage's
+:class:`ConvStage` — and the formulations they replaced are kept as the
+references in ``tests/test_fused_ops.py``.  Every op hands a parameter
+its gradient C-contiguous in the parameter's layout.
 
 The ops that produce parameter gradients — :class:`Linear`,
 :class:`Conv2d`, :class:`LayerNorm`, :class:`AddLayerNorm`,
-:class:`BatchNorm`, :class:`SelfAttention` and :class:`FeedForward`
-(biases and weights) and :class:`GetItem` (an embedding table) — declare
+:class:`BatchNorm`, :class:`SelfAttention`, :class:`FeedForward` and
+:class:`ConvStage` (biases and weights) and :class:`GetItem` (an
+embedding table) — declare
 ``grad_destinations``: they compute those gradients with ``out=`` into
 ``ctx.grad_out[position]`` when the engine offers one (a bucket view),
 and otherwise into a fresh array of their own that the accumulator
@@ -526,6 +528,39 @@ class LogSoftmax(Function):
         return (grad - softmax * grad.sum(axis=ctx.axis, keepdims=True), None)
 
 
+class CrossEntropy(Function):
+    """Softmax cross entropy of ``(N, C)`` logits against integer targets
+    as one node: log-softmax, the target's entry, negated, reduced by
+    ``reduction`` (``"mean"``, ``"sum"`` or ``"none"``).  Backward is
+    ``softmax * w`` with ``w`` taken once more off each target entry,
+    ``w`` the incoming gradient over the reduction (``/ N`` for the mean).
+    The targets are a plain array: they have no edge."""
+
+    @staticmethod
+    def forward(ctx: Context, logits, target, reduction: str = "mean"):
+        if reduction not in ("mean", "sum", "none"):
+            raise ValueError(f"unknown reduction {reduction!r}")
+        log_probs = logits - logits.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        rows = np.arange(log_probs.shape[0])
+        losses = -log_probs[rows, target]
+        ctx.save_for_backward(log_probs, rows, target)
+        ctx.reduction = reduction
+        if reduction == "mean":
+            return losses.mean()
+        return losses.sum() if reduction == "sum" else losses
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        log_probs, rows, target = ctx.saved
+        if ctx.reduction == "mean":
+            grad = grad / log_probs.shape[0]  # a Python int: float32 stays float32
+        grad_logits = np.exp(log_probs)
+        grad_logits *= grad[:, None] if ctx.reduction == "none" else grad
+        grad_logits[rows, target] -= grad
+        return grad_logits, None
+
+
 class Softmax(Function):
     @staticmethod
     def forward(ctx: Context, a, axis: int = -1):
@@ -633,8 +668,9 @@ class BatchNorm(Function):
         grad_x = weight * rstd * (g - grad_b / m - xhat * grad_w / m)
 
     ``stats``, when given, is a list that receives the batch mean and
-    the biased batch variance (each ``(C,)``): the module's running
-    statistics are built from them outside the tape.  Inputs are
+    the biased batch variance (each ``(C,)``) and the element count per
+    channel: the module's running statistics are built from them outside
+    the tape.  Inputs are
     ``(x, bias, weight)`` for the reason given in :class:`Linear`.
     """
 
@@ -650,7 +686,7 @@ class BatchNorm(Function):
         out = xhat * xhat  # the squares now, the result below
         var = out.mean(axis=axes, keepdims=True)
         if stats is not None:
-            stats += (mean.reshape(-1), var.reshape(-1))
+            stats += (mean.reshape(-1), var.reshape(-1), x.size // x.shape[1])
         rstd = (var + eps) ** -0.5
         xhat *= rstd
         ctx.save_for_backward(xhat, rstd, weight)
@@ -906,6 +942,115 @@ def _route(grad: np.ndarray, index, axis: int, kernel: int, stride: int, length:
     return out
 
 
+class ConvStage(Function):
+    """A ConvNet stage — :class:`Conv2d` with stride 1 and a bias,
+    training-mode :class:`BatchNorm`, :class:`Relu` and a 2x2
+    :class:`MaxPool2d` — as one node, computed on the conv GEMM's
+    channel-major ``(C, N*H*W)`` result.
+
+    The batch statistics are row reductions of that matrix.  The conv
+    bias cancels in the normalisation, so it enters only the batch mean
+    handed to ``stats`` (for the running statistics), and its gradient
+    is 0 in exact arithmetic.  The stage pools first and applies ReLU to
+    the pooled quarter: max and ReLU commute, and with the first offset
+    winning a tie the input gradient is the same — a window whose
+    maximum is not positive passes no gradient either way, and equal
+    positive maxima tie the same before and after ReLU.
+
+    Inputs are ``(x, bn_bias, bn_weight, conv_bias, conv_weight)``, the
+    reverse of the stage's registration order, as in
+    :class:`SelfAttention`; backward computes all four parameter
+    gradients into ``ctx.grad_out`` when the engine offers it, and
+    skips ``grad_x`` when the input has no edge, as :class:`Conv2d` does.
+    ``stats`` is :class:`BatchNorm`'s.  The output is the NCHW view of
+    channel-major memory.
+    """
+
+    grad_destinations = (1, 2, 3, 4)
+
+    @staticmethod
+    def forward(ctx: Context, x, bn_bias, bn_weight, conv_bias, conv_weight,
+                padding: int = 0, eps: float = 1e-5, stats=None):
+        n, c, h, w = x.shape
+        oc, ic, kh, kw = conv_weight.shape
+        if ic != c:
+            raise ValueError(f"conv_stage channel mismatch: input {c}, weight {ic}")
+        out_h, out_w = _output_size("conv_stage", (h, w), kh, kw, 1, padding)
+        _output_size("conv_stage pool", (out_h, out_w), 2, 2, 2)  # a window must fit
+        cols = _im2col(x, kh, kw, 1, padding)
+        xhat = conv_weight.reshape(oc, -1) @ cols
+        mean = xhat.mean(axis=1, keepdims=True)
+        xhat -= mean
+        var = np.einsum("ij,ij->i", xhat, xhat)[:, None]
+        var /= xhat.shape[1]
+        if stats is not None:
+            stats += (mean.reshape(-1) + conv_bias, var.reshape(-1), xhat.shape[1])
+        rstd = (var + eps) ** -0.5
+        xhat *= rstd
+        normed = np.multiply(xhat, bn_weight[:, None])
+        normed += bn_bias[:, None]
+        out, winner = _pool_relu(normed.reshape(oc, n, out_h, out_w))
+        ctx.save_for_backward(cols, conv_weight, xhat, rstd, bn_weight, winner)
+        ctx.x_shape, ctx.padding, ctx.conv_size = x.shape, padding, (out_h, out_w)
+        return out.transpose(1, 0, 2, 3)
+
+    @staticmethod
+    def backward(ctx: Context, grad):
+        cols, conv_weight, xhat, rstd, bn_weight, winner = ctx.saved
+        out = ctx.grad_out
+        oc, _, kh, kw = conv_weight.shape
+        grad_y = _unpool_relu(grad.transpose(1, 0, 2, 3), winner, ctx.conv_size).reshape(oc, -1)
+        count = grad_y.shape[1]
+        grad_bn_bias = grad_y.sum(axis=1, out=out.get(1))
+        grad_bn_weight = np.einsum("ij,ij->i", grad_y, xhat, out=out.get(2))
+        scratch = np.multiply(xhat, (grad_bn_weight / -count)[:, None])
+        scratch -= (grad_bn_bias / count)[:, None]
+        grad_y += scratch
+        grad_y *= (bn_weight * rstd.reshape(-1))[:, None]
+        grad_conv_bias = grad_y.sum(axis=1, out=out.get(3))
+        grad_weight = out.get(4)
+        if grad_weight is None:
+            grad_weight = np.empty(conv_weight.shape, np.result_type(grad_y, cols))
+        np.matmul(grad_y, cols.T, out=grad_weight.reshape(oc, -1))
+        grad_x = None
+        if ctx.needs_input_grad[0]:
+            grad_cols = conv_weight.reshape(oc, -1).T @ grad_y
+            grad_x = _col2im(grad_cols, ctx.x_shape, kh, kw, 1, ctx.padding)
+        return grad_x, grad_bn_bias, grad_bn_weight, grad_conv_bias, grad_weight
+
+
+def _pool_relu(planes: np.ndarray):
+    """``relu(max_pool2d(planes, 2))`` over the last two axes, and each
+    window's winner for :func:`_unpool_relu`: its offset ``2 * row +
+    column`` (``uint8``), or 4 where the maximum is not positive and ReLU
+    passes nothing.  The maximum is separable, along W then along H, and
+    a strict ``>`` keeps the first offset on a tie, as in
+    :class:`MaxPool2d`."""
+    rows_h, cols_w = (2 * (size // 2) for size in planes.shape[-2:])
+    left, right = planes[..., 0:cols_w:2], planes[..., 1:cols_w:2]
+    rows = np.maximum(left, right)
+    right_won = right > left
+    top, bottom = rows[..., 0:rows_h:2, :], rows[..., 1:rows_h:2, :]
+    out = np.maximum(top, bottom)
+    winner = np.where(bottom > top, right_won[..., 1:rows_h:2, :] + np.uint8(2),
+                      right_won[..., 0:rows_h:2, :])
+    np.putmask(winner, out <= 0, 4)
+    np.maximum(out, 0.0, out=out)
+    return out, winner
+
+
+def _unpool_relu(grad: np.ndarray, winner: np.ndarray, size: tuple) -> np.ndarray:
+    """The gradient of :func:`_pool_relu`'s input, ``size`` its last two
+    axes: ``grad`` at each window's winner, 0 elsewhere."""
+    rows_h, cols_w = (2 * (length // 2) for length in size)
+    fill = np.empty if (rows_h, cols_w) == tuple(size) else np.zeros  # ragged: a zero edge
+    out = fill(grad.shape[:-2] + tuple(size), grad.dtype)
+    for offset in range(4):
+        row, column = divmod(offset, 2)
+        np.multiply(grad, winner == offset, out=out[..., row:rows_h:2, column:cols_w:2])
+    return out
+
+
 class AvgPool2d(Function):
     """Average pooling as the mean of :func:`_im2col`'s window columns;
     backward is :func:`_col2im` of the gradient shared over the window."""
@@ -1126,10 +1271,16 @@ def softmax(a, axis: int = -1):
     return Softmax.apply(a, axis=axis)
 
 
+def cross_entropy(logits, target, reduction: str = "mean"):
+    """Softmax cross entropy of ``(N, C)`` logits against ``(N,)`` integer
+    targets (an array) as one node."""
+    return CrossEntropy.apply(logits, target, reduction=reduction)
+
+
 def batch_norm(x, weight, bias, eps: float = 1e-5, stats=None):
     """Normalize by the batch statistics over every axis but 1, then
     scale and shift, as one node; ``stats`` (a list) receives the batch
-    mean and biased variance."""
+    mean, the biased variance and the count they were taken over."""
     return BatchNorm.apply(x, bias, weight, eps=eps, stats=stats)
 
 
@@ -1137,6 +1288,15 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0):
     """Cross-correlate NCHW ``x`` with ``(oc, ic, kh, kw)`` ``weight``
     (+ per-channel ``bias``) as one tape node."""
     return Conv2d.apply(x, bias, weight, stride=stride, padding=padding)
+
+
+def conv_stage(x, conv_weight, conv_bias, bn_weight, bn_bias, padding: int = 0,
+               eps: float = 1e-5, stats=None):
+    """``max_pool2d(relu(batch_norm(conv2d(x, ...), ...)), 2)`` in training
+    mode, the conv's stride 1, as one node; ``stats`` as in
+    :func:`batch_norm`."""
+    return ConvStage.apply(x, bn_bias, bn_weight, conv_bias, conv_weight, padding=padding,
+                           eps=eps, stats=stats)
 
 
 def max_pool2d(x, kernel: int = 2, stride: Optional[int] = None):

@@ -18,8 +18,9 @@ thread (a local training loop), not inside ``run_distributed``.
 
 ``python -m repro.autograd.profiler --model transformer|mlp|convnet
 --iters N`` prints the ranked table for one of the benchmark's models on
-a local (unwrapped, single-thread) training loop, and how many numpy
-calls one optimizer step makes (:func:`count_numpy_calls`, which works
+a local (unwrapped, single-thread) training loop, how many tape nodes
+one iteration records (loss included), and how many numpy calls one
+optimizer step makes (:func:`count_numpy_calls`, which works
 under ``run_distributed`` too: the count is kept per thread).
 """
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from repro.autograd.engine import AccumulateGrad
 from repro.autograd.function import Function
+from repro.autograd.graph import collect_participating_accumulators, graph_node_count
 
 
 class OpRow(NamedTuple):
@@ -230,6 +232,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return time.perf_counter() - start
 
     iteration()  # warm-up: lazy optimizer state, BLAS thread start-up
+    loss = loss_fn(model(inputs), labels)
+    nodes = graph_node_count([loss]) - len(collect_participating_accumulators(loss))
     with profile_ops() as profile:
         start = time.perf_counter()
         step_s = sum(iteration() for _ in range(args.iters))
@@ -241,7 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"{args.model}: {args.iters} local iterations, {iter_ms:.2f} ms each "
           "(forward + backward + optimizer step, wrappers on)")
     print(format_table(profile.rows(args.iters), iter_ms))
-    print(f"op self time {ops_ms:.2f} ms ({ops_ms / iter_ms:.1%} of the iteration), "
+    print(f"{nodes} tape nodes per iteration, "
+          f"op self time {ops_ms:.2f} ms ({ops_ms / iter_ms:.1%} of the iteration), "
           f"optimizer step {step_ms:.2f} ms ({step_ms / iter_ms:.1%}; "
           f"{sum(counts.values())} numpy calls), "
           f"tape + engine + Python glue {iter_ms - ops_ms - step_ms:.2f} ms")

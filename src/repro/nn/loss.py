@@ -49,18 +49,15 @@ class NLLLoss(Module):
 
 
 class CrossEntropyLoss(Module):
-    """Softmax cross entropy over raw logits (N, C)."""
+    """Softmax cross entropy over raw logits (N, C), as one tape node
+    (:class:`~repro.autograd.ops.CrossEntropy`)."""
 
     def __init__(self, reduction: str = "mean"):
         super().__init__()
         self.reduction = reduction
 
     def forward(self, logits: Tensor, target) -> Tensor:
-        log_probs = ops.log_softmax(logits, axis=-1)
-        target_idx = _target_indices(target)
-        rows = np.arange(logits.shape[0])
-        picked = log_probs[rows, target_idx]
-        return _reduce(-picked, self.reduction)
+        return ops.cross_entropy(logits, _target_indices(target), self.reduction)
 
 
 def _target_indices(target) -> np.ndarray:

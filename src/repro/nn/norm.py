@@ -34,20 +34,24 @@ class _BatchNorm(Module):
         if self.training:
             stats: list = []
             out = ops.batch_norm(x, self.weight, self.bias, eps=self.eps, stats=stats)
-            mean, var = stats
-            # Update running statistics outside the tape.
-            count = x.size // self.num_features
-            unbiased = var * count / max(count - 1, 1)
-            m = self.momentum
-            self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean
-            self.running_var.data[...] = (1 - m) * self.running_var.data + m * unbiased
-            self.num_batches_tracked.data += 1
+            self.track(stats)
             return out
         shape = (1, -1) + (1,) * (x.ndim - 2)
         mean = Tensor(self.running_mean.data.reshape(shape))
         var = Tensor(self.running_var.data.reshape(shape))
         normalized = (x - mean) * Tensor((var.data + self.eps) ** -0.5)
         return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
+
+    def track(self, stats: list) -> None:
+        """Fold one batch's ``[mean, biased variance, elements per
+        channel]``, what a training-mode op hands its ``stats`` list, into
+        the running statistics, outside the tape."""
+        mean, var, count = stats
+        unbiased = var * count / max(count - 1, 1)
+        m = self.momentum
+        self.running_mean.data[...] = (1 - m) * self.running_mean.data + m * mean
+        self.running_var.data[...] = (1 - m) * self.running_var.data + m * unbiased
+        self.num_batches_tracked.data += 1
 
 
 class BatchNorm1d(_BatchNorm):

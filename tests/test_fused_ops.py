@@ -1,6 +1,7 @@
 """Fused compute kernels: Linear, Gelu, LayerNorm, Softmax, Conv2d,
-BatchNorm, MaxPool2d, and the transformer block's SelfAttention,
-FeedForward and AddLayerNorm.
+BatchNorm, MaxPool2d, CrossEntropy, the transformer block's
+SelfAttention, FeedForward and AddLayerNorm, and the ConvNet stage's
+ConvStage.
 
 The formulations these kernels replaced live on here as the references:
 each fused op must match its reference to 1e-12 in value and in every
@@ -31,6 +32,7 @@ from repro.autograd.profiler import profile_ops
 from repro.comm import get_context
 from repro.core import DistributedDataParallel
 from repro.models import MLP, ConvNet, TinyTransformer
+from repro.models.convnet import ConvStage
 from repro.models.transformer import MultiHeadSelfAttention, TransformerBlock
 from repro.nn.norm import _BatchNorm
 from repro.optim import SGD
@@ -243,6 +245,25 @@ def batch_norm_reference(x, weight, bias, eps=1e-5):
     return module(x)
 
 
+def conv_stage_reference(x, conv_weight, conv_bias, bn_weight, bn_bias, padding=1, bn=None):
+    """The chain ``ops.ConvStage`` replaced: the reference Conv2d, a
+    ``ComposedBatchNorm`` — ``bn``, whose running statistics it updates,
+    when given —, Relu, and the reference MaxPool2d(2)."""
+    bn = ComposedBatchNorm(bn_weight.shape[0]) if bn is None else bn
+    bn.weight, bn.bias = bn_weight, bn_bias
+    conv = conv2d_reference(x, conv_weight, conv_bias, padding=padding)
+    return max_pool2d_reference(ops.relu(bn(conv)), 2)
+
+
+def cross_entropy_reference(logits, target, reduction="mean"):
+    """The chain ``ops.CrossEntropy`` replaced: LogSoftmax, the targets'
+    GetItem, Neg, and Mean or Sum."""
+    losses = -ops.log_softmax(logits, axis=-1)[np.arange(logits.shape[0]), np.asarray(target)]
+    if reduction == "mean":
+        return losses.mean()
+    return losses.sum() if reduction == "sum" else losses
+
+
 class _ReferenceConv2d(nn.Conv2d):
     def forward(self, x):
         return conv2d_reference(x, self.weight, self.bias, self.stride, self.padding)
@@ -258,19 +279,28 @@ class _ReferenceBlock(TransformerBlock):
         return block_reference(x, *self.parameters(), num_heads=self.attention.num_heads)
 
 
+class _ReferenceConvStage(ConvStage):
+    def forward(self, x):
+        conv, bn = self.conv, self.bn
+        return conv_stage_reference(x, conv.weight, conv.bias, bn.weight, bn.bias,
+                                    conv.padding, bn=bn)
+
+
 _REFERENCE_CLASS = {
     nn.Conv2d: _ReferenceConv2d,
     nn.MaxPool2d: _ReferenceMaxPool2d,
     nn.BatchNorm1d: ComposedBatchNorm,
     nn.BatchNorm2d: ComposedBatchNorm,
     TransformerBlock: _ReferenceBlock,
+    ConvStage: _ReferenceConvStage,
 }
 
 
 def as_reference(model):
-    """``model`` with every conv / pool / batch-norm layer and transformer
-    block switched, in place, to the formulation it had before the fused
-    kernels."""
+    """``model`` with every conv / pool / batch-norm layer, transformer
+    block and ConvNet stage switched, in place, to the formulation it had
+    before the fused kernels (its loss is not a module of it:
+    ``cross_entropy_reference`` is the composed one)."""
     for module in model.modules():
         if type(module) in _REFERENCE_CLASS:
             object.__setattr__(module, "__class__", _REFERENCE_CLASS[type(module)])
@@ -386,6 +416,44 @@ class TestSoftmax:
 def _assert_close_relative(value, reference):
     assert value.shape == reference.shape
     assert np.abs(value - reference).max() <= TOL * np.abs(reference).max()
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_matches_the_composed_chain_and_gradcheck(self, rng, reduction):
+        logits = rng.standard_normal((6, 5)) * 3.0
+        target = np.array([0, 4, 4, 2, 1, 4])  # a repeated class
+        upstream = rng.standard_normal((6,) if reduction == "none" else ())
+        value, (grad,) = _value_and_grads(
+            lambda t: ops.cross_entropy(t, target, reduction), [logits], upstream)
+        ref_value, (ref_grad,) = _value_and_grads(
+            lambda t: cross_entropy_reference(t, target, reduction), [logits], upstream)
+        _assert_close_relative(np.asarray(value), np.asarray(ref_value))
+        _assert_close_relative(grad, ref_grad)
+        weights = Tensor(upstream)
+        assert gradcheck(lambda t: (ops.cross_entropy(t, target, reduction) * weights).sum(),
+                         [logits])
+
+    def test_module_is_one_node_and_nll_is_unchanged(self, rng):
+        logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        target = Tensor(np.array([2.0, 0.0, 1.0, 2.0]))  # float labels are indices too
+        loss = nn.CrossEntropyLoss()(logits, target)
+        assert loss.grad_fn.name() == "CrossEntropy" and _tape_nodes(loss) == 1
+        assert loss.grad_fn.next_edges[1] is None  # the targets have no edge
+        nll = nn.NLLLoss()(ops.log_softmax(logits), target)
+        assert _tape_nodes(nll) == 4  # LogSoftmax, GetItem, Neg, Mean
+        assert abs(float(nll.data) - float(loss.data)) <= TOL * abs(float(loss.data))
+
+    def test_unknown_reduction_raises(self, rng):
+        with pytest.raises(ValueError, match="unknown reduction 'avg'"):
+            nn.CrossEntropyLoss(reduction="avg")(Tensor(rng.standard_normal((2, 3))), [0, 1])
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_float32_round_trip(self, rng, reduction):
+        logits = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        loss = ops.cross_entropy(logits, np.array([0, 1, 2, 1]), reduction)
+        loss.sum().backward()
+        assert loss.data.dtype == logits.grad.data.dtype == np.float32
 
 
 #: The inputs of ``attention_reference``, in its order.
@@ -712,6 +780,124 @@ class TestMaxPool2d:
         assert np.array_equal(x.grad.data, first)
 
 
+_STAGE_NAMES = ["x", "conv_weight", "conv_bias", "bn_weight", "bn_bias"]
+
+
+def _stage_arrays(rng, shape, out_channels=5):
+    """``conv_stage_reference``'s inputs, in its order."""
+    channels = shape[1]
+    return [rng.standard_normal(shape) * 2.0 + 1.0,
+            rng.standard_normal((out_channels, channels, 3, 3)),
+            rng.standard_normal(out_channels), rng.standard_normal(out_channels) * 1.5,
+            rng.standard_normal(out_channels)]
+
+
+def _stage_and_reference(arrays, upstream):
+    """Value and gradients of the fused stage and of its composed
+    reference, and their running statistics after the one batch."""
+    stats, reference_bn = [], ComposedBatchNorm(arrays[1].shape[0])
+    fused = _value_and_grads(lambda *t: ops.conv_stage(*t, padding=1, stats=stats),
+                             arrays, upstream)
+    reference = _value_and_grads(lambda *t: conv_stage_reference(*t, bn=reference_bn),
+                                 arrays, upstream)
+    fused_bn = nn.BatchNorm2d(arrays[1].shape[0])
+    fused_bn.track(stats)
+    return fused, reference, fused_bn, reference_bn
+
+
+class TestConvStage:
+    @pytest.mark.parametrize("shape", [(4, 3, 8, 6), (3, 2, 7, 5)], ids=["even", "ragged"])
+    def test_matches_the_composed_chain(self, rng, shape):
+        """Value, every gradient and the running statistics to 1e-12
+        relative.  The conv bias cancels in the normalisation: its
+        gradient is 0 in exact arithmetic, so it is compared absolutely."""
+        arrays = _stage_arrays(rng, shape)
+        upstream = rng.standard_normal((shape[0], 5, shape[2] // 2, shape[3] // 2))
+        (value, grads), (ref_value, ref_grads), bn, ref_bn = _stage_and_reference(arrays, upstream)
+        _assert_close_relative(value, ref_value)
+        for name, grad, ref_grad in zip(_STAGE_NAMES, grads, ref_grads):
+            if name == "conv_bias":
+                assert np.abs(grad - ref_grad).max() <= TOL, name
+                assert np.abs(ref_grad).max() <= TOL, name
+            else:
+                _assert_close_relative(grad, ref_grad)
+        for name in ("running_mean", "running_var"):
+            _assert_close_relative(getattr(bn, name).data, getattr(ref_bn, name).data)
+        assert bn.num_batches_tracked.data[0] == ref_bn.num_batches_tracked.data[0] == 1
+
+    def test_tied_windows_match_the_composed_chain(self, rng):
+        """A zero BatchNorm weight makes every output its channel's bias:
+        all-negative windows, windows of exactly 0.0, and windows of four
+        equal positive maxima, where the first offset takes the gradient."""
+        arrays = _stage_arrays(rng, (2, 2, 4, 4), out_channels=3)
+        arrays[3] = np.zeros(3)
+        arrays[4] = np.array([-1.0, 0.0, 1.5])
+        upstream = rng.standard_normal((2, 3, 2, 2))
+        (value, grads), (ref_value, ref_grads), _, _ = _stage_and_reference(arrays, upstream)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(value[:, 2], np.full((2, 2, 2), 1.5))
+        for name, grad, ref_grad in zip(_STAGE_NAMES, grads, ref_grads):
+            assert np.abs(grad - ref_grad).max() <= TOL * max(np.abs(ref_grad).max(), 1.0), name
+        assert np.abs(grads[3][2]) > 0  # the weight of the positive channel still learns
+
+    def test_pool_relu_ties_are_bitwise_the_composed_chain(self):
+        """The gradient into the pool is the composed chain's, bit for bit
+        (zero signs aside): an all-negative window, a window whose maximum
+        is exactly 0.0 (twice), two equal positive maxima, one winner."""
+        windows = [[-1.0, -2.0, -0.5, -3.0], [0.0, -1.0, -2.0, 0.0],
+                   [-1.0, 2.0, 1.0, 2.0], [0.5, 1.5, 2.5, -1.0]]
+        planes = np.array(windows).reshape(1, 1, 4, 2, 2).transpose(0, 1, 3, 2, 4)
+        planes = np.ascontiguousarray(planes).reshape(1, 1, 2, 8)  # windows side by side
+        upstream = np.array([1.5, -2.0, 3.0, -0.25]).reshape(1, 1, 1, 4)
+        out, winner = ops._pool_relu(planes)
+        grad = ops._unpool_relu(upstream, winner, planes.shape[2:])
+        assert np.array_equal(out, [[[[0.0, 0.0, 2.0, 2.5]]]])
+        expected = np.zeros((2, 8))
+        expected[0, 5] = 3.0  # the first of the equal maxima
+        expected[1, 6] = -0.25
+        for pool in (ops.max_pool2d, max_pool2d_reference):
+            ref_value, (ref_grad,) = _value_and_grads(lambda t: pool(ops.relu(t), 2),
+                                                      [planes], upstream)
+            assert np.array_equal(out, ref_value)
+            assert np.array_equal((grad + 0.0).view(np.uint64), (ref_grad + 0.0).view(np.uint64))
+        assert np.array_equal(grad[0, 0], expected)
+
+    def test_gradcheck(self, rng):
+        arrays = _stage_arrays(rng, (3, 2, 4, 4), out_channels=3)
+        weights = Tensor(rng.standard_normal((3, 3, 2, 2)))
+        assert gradcheck(lambda *t: (ops.conv_stage(*t, padding=1) * weights).sum(), arrays)
+
+    def test_float32_in_float32_out(self, rng):
+        arrays = [a.astype(np.float32) for a in _stage_arrays(rng, (2, 3, 6, 6), out_channels=4)]
+        x, conv_weight, conv_bias, bn_weight, bn_bias = arrays
+        ctx, stats = Context(), []
+        out = ops.ConvStage.forward(ctx, x, bn_bias, bn_weight, conv_bias, conv_weight,
+                                    padding=1, stats=stats)
+        ctx.needs_input_grad = (True,) * 5  # what apply() records
+        grads = ops.ConvStage.backward(ctx, np.ones_like(out))
+        assert [g.dtype for g in (out,) + grads + tuple(stats[:2])] == [np.float32] * 8
+        assert [g.shape for g in grads] == [a.shape for a in arrays[:1]] + [
+            a.shape for a in (bn_bias, bn_weight, conv_bias, conv_weight)]
+
+    def test_module_is_one_node_and_eval_is_the_composed_chain(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 6, 6)))
+        manual_seed(8)
+        stage = ConvStage(3, 4)
+        manual_seed(8)
+        reference = as_reference(ConvStage(3, 4))
+        out = stage(x)
+        assert out.grad_fn.name() == "ConvStage" and _tape_nodes(out) == 1
+        assert [None if e is None else e.tensor for e in out.grad_fn.next_edges] == [
+            None, stage.bn.bias, stage.bn.weight, stage.conv.bias, stage.conv.weight]
+        reference(x)
+        for module in (stage, reference):
+            module.eval()
+        ours, theirs = stage(x), reference(x)
+        _assert_close_relative(ours.data, theirs.data)
+        assert _tape_nodes(ours) > 1  # eval runs the composed ops
+        assert stage.bn.num_batches_tracked.data[0] == 1  # eval leaves the buffers alone
+
+
 class TestGradientDtype:
     """Backward allocates in the incoming gradient's dtype, not float64."""
 
@@ -756,11 +942,15 @@ class TestGradientDtype:
 
                 monkeypatch.setattr(cls, direction, staticmethod(recording))
         dropout = nn.Dropout(0.25)
-        # The primitive Gelu, LayerNorm and Softmax still serve nn modules.
+        # The primitive Gelu, LayerNorm, Softmax, Conv2d, BatchNorm and
+        # MaxPool2d still serve nn modules.
         manual_seed(3)
         modules = nn.Sequential(nn.Linear(6, 8), nn.GELU(), nn.LayerNorm(8), nn.Softmax())
         rows = Tensor(np.random.default_rng(3).standard_normal((4, 6)))
-        for model, inputs in _models() + [(modules, rows)]:
+        layers = nn.Sequential(nn.Conv2d(1, 2, 3), nn.BatchNorm2d(2), nn.ReLU(), nn.MaxPool2d(2),
+                               nn.Flatten())
+        images = Tensor(np.random.default_rng(3).standard_normal((4, 1, 6, 6)))
+        for model, inputs in _models() + [(modules, rows), (layers, images)]:
             _cast(model, np.float32)
             if isinstance(inputs, Tensor):
                 inputs = Tensor(inputs.data.astype(np.float32))
@@ -770,7 +960,8 @@ class TestGradientDtype:
             assert {p.grad.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
         assert {op for op, _, _ in seen} >= {"Linear", "Conv2d", "BatchNorm", "LayerNorm", "Gelu",
                                               "GetItem", "Softmax", "Mean", "Mul", "SelfAttention",
-                                              "FeedForward", "AddLayerNorm"}
+                                              "FeedForward", "AddLayerNorm", "ConvStage",
+                                              "CrossEntropy", "MaxPool2d"}
         assert {dtype for _, _, dtype in seen} == {np.dtype(np.float32)}
 
     def test_float32_ddp_replicas_stay_bitwise_equal(self):
@@ -907,6 +1098,7 @@ DESTINATIONS = {
     "attention": (lambda: MultiHeadSelfAttention(6, 2), (2, 3, 6), 6,
                   lambda x, *params: attention_reference(x, *params, num_heads=2)),
     "block": (lambda: TransformerBlock(6, 2, 10), (2, 3, 6), 6, block_reference),
+    "stage": (lambda: ConvStage(2, 3), (2, 2, 6, 6), 3, conv_stage_reference),
 }
 _CASES = {**DESTINATIONS, "tied": (_Tied, (4, 6), 6, None)}
 _TOKENS = np.array([[1, 1, 3], [3, 0, 1]])  # repeated rows scatter-add
@@ -1205,7 +1397,7 @@ class TestGradientLayout:
                 assert np.array_equal(final[name], local[name][1]), name
 
     @pytest.mark.parametrize("case", ["linear-3d", "conv-bias", "batchnorm2d", "embedding",
-                                      "attention", "block"])
+                                      "attention", "block", "stage"])
     def test_float32_parameters_are_written_in_place(self, case):
         local, model = _destination_run(case, dtype=np.float32)
         assert {bits.dtype for _, bits, _ in local.values()} == {np.dtype(np.float32)}
@@ -1248,6 +1440,14 @@ class TestReadinessOrder:
         assert [names[i] for i in order] == names[::-1]
         assert names[::-1][:2] == ["norm2.bias", "norm2.weight"]
         assert names[::-1][-2:] == ["attention.query.bias", "attention.query.weight"]
+        # ... and through the ConvNet stage's.
+        stage = ConvStage(2, 3)
+        names = [name for name, _ in stage.named_parameters()]
+        order = []
+        for index, param in enumerate(stage.parameters()):
+            param.accumulator().register_post_hook(lambda _, index=index: order.append(index))
+        stage(Tensor(np.random.default_rng(3).standard_normal((2, 2, 4, 4)))).sum().backward()
+        assert [names[i] for i in order] == ["bn.bias", "bn.weight", "conv.bias", "conv.weight"]
         layer = nn.Linear(4, 3)
         names = [name for name, _ in layer.named_parameters()]
         order = _ready_order(layer, Tensor(np.ones((4, 4))))
@@ -1280,11 +1480,43 @@ def _train(model, steps, forward=None):
 
 
 class TestConvNet:
-    def test_sixteen_tape_nodes(self):
+    def test_seven_tape_nodes(self):
         model = _convnet()
         loss = nn.CrossEntropyLoss()(model(Tensor(IMAGES)), LABELS)
-        assert _tape_nodes(loss) == 16
-        assert _tape_nodes(nn.CrossEntropyLoss()(as_reference(model)(Tensor(IMAGES)), LABELS)) == 40
+        assert _tape_nodes(loss) == 7
+        names = []
+        node = loss.grad_fn
+        while node is not None:
+            names.append(node.name())
+            node = node.next_edges[0]
+        assert names == ["CrossEntropy", "Linear", "Relu", "Linear", "Reshape", "ConvStage",
+                         "ConvStage"]
+        reference = cross_entropy_reference(as_reference(model)(Tensor(IMAGES)), LABELS)
+        assert _tape_nodes(reference) == 40
+
+    def test_model_matches_the_composed_chain(self):
+        """Loss, every parameter gradient and the running statistics to
+        1e-12 relative (the conv biases' gradients, 0 in exact
+        arithmetic, absolutely)."""
+
+        def run(model, loss_fn):
+            loss = loss_fn(model(Tensor(IMAGES)), LABELS)
+            loss.backward()
+            grads = {n: p.grad.data for n, p in model.named_parameters()}
+            return float(loss.data), grads, {n: b.data for n, b in model.named_buffers()}
+
+        loss, grads, buffers = run(_convnet(), nn.CrossEntropyLoss())
+        ref_loss, ref_grads, ref_buffers = run(as_reference(_convnet()), cross_entropy_reference)
+        assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys() and len(grads) == 12
+        for name, grad in grads.items():
+            if name.endswith("conv.bias"):
+                assert np.abs(grad - ref_grads[name]).max() <= TOL, name
+            else:
+                _assert_close_relative(grad, ref_grads[name])
+        assert buffers.keys() == ref_buffers.keys() and len(buffers) == 6
+        for name, value in buffers.items():
+            _assert_close_relative(value, ref_buffers[name])
 
     def test_five_steps_match_the_reference_formulations(self):
         # Summation order inside an op changed, so not bitwise: 1e-12 relative.
@@ -1293,7 +1525,7 @@ class TestConvNet:
         assert ref_losses[-1] < ref_losses[0]
         for loss, ref_loss in zip(losses, ref_losses):
             assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
-        for name in ("features.1.running_mean", "features.5.running_var", "head.3.weight"):
+        for name in ("features.0.bn.running_mean", "features.1.bn.running_var", "head.3.weight"):
             assert np.abs(state[name] - ref_state[name]).max() <= 1e-10
 
     @pytest.mark.parametrize("as_view", [True, False], ids=["view", "copy"])
@@ -1410,11 +1642,13 @@ class TestEngineOrder:
             return item
 
         monkeypatch.setattr(engine_module.heapq, "heappop", recording_pop)
-        # Two blocks of four nodes, and the composed chain they replaced.
-        for composed, expected_nodes in [(False, 17), (True, 133)]:
+        # Two blocks of four nodes and the loss's one, and the composed
+        # chain they replaced.
+        for composed, expected_nodes in [(False, 14), (True, 133)]:
             manual_seed(1)
             model = as_reference(TinyTransformer()) if composed else TinyTransformer()
-            loss = nn.CrossEntropyLoss()(
+            loss_fn = cross_entropy_reference if composed else nn.CrossEntropyLoss()
+            loss = loss_fn(
                 model(np.random.default_rng(1).integers(0, 64, (4, 16))),
                 np.zeros(4, dtype=np.int64),
             )
@@ -1534,7 +1768,10 @@ class TestProfiler:
         assert profiler_main(["--model", model, "--iters", "1"]) == 0
         out = capsys.readouterr().out
         assert "self ms/iter" in out and "op self time" in out
-        assert ("Conv2d" if model == "convnet" else "Linear") in out
+        assert ("ConvStage" if model == "convnet" else "Linear") in out
+        # The loss's node included.
+        nodes = {"transformer": 22, "mlp": 10, "convnet": 7}[model]
+        assert f"{nodes} tape nodes per iteration" in out
         # 68 parameters x 14 Adam ufuncs, 10 x 4 momentum-SGD blocks of at
         # most 64 K elements (4 x 16 + 6 small), 12 x 2 plain SGD.
         calls = {"transformer": 952, "mlp": 280, "convnet": 24}[model]

@@ -537,7 +537,10 @@ class TestFaultMatrix:
     def test_fault_free_run_yields_zero_diagnoses(self, seed):
         telemetry.enable()
         run_world(WORLD, _train, backend="gloo", timeout=60.0)
-        assert analyze_dumps() == []
+        diagnoses = analyze_dumps()
+        assert diagnoses == [], "; ".join(
+            f"{d.kind}: rank {d.culprit_rank}, edge {d.culprit_edge}, evidence {d.evidence}"
+            for d in diagnoses)
 
 
 class TestSlowLinkAttribution:

@@ -180,14 +180,21 @@ class TestUnitSelection:
         (small_classifier, [("0", [0, 1]), ("2", [2, 3])]),
         (lambda: MLP(6, [8, 8], 4),
          [("body.0", [0, 1]), ("body.2", [2, 3]), ("body.4", [4, 5])]),
-        (lambda: ConvNet(channels=2),
-         [("features.0", [0, 1]), ("features.1", [2, 3]), ("features.4", [4, 5]),
-          ("features.5", [6, 7]), ("head.1", [8, 9]), ("head.3", [10, 11])]),
-    ], ids=["small_classifier", "MLP", "ConvNet"])
+    ], ids=["small_classifier", "MLP"])
     def test_flat_models_keep_the_per_leaf_layout(self, build, expected):
         model = build()
         assert _unit_indices(model) == expected
         assert [indices for _, indices in expected] == _per_leaf_indices(model)
+
+    def test_convnet_is_one_unit_per_stage(self):
+        """A stage reads its conv's and batch norm's parameters in one
+        node, inside its own ``forward``: the two leaves are one unit."""
+        model = ConvNet(channels=2)
+        assert _unit_indices(model) == [
+            ("features.0", [0, 1, 2, 3]), ("features.1", [4, 5, 6, 7]),
+            ("head.1", [8, 9]), ("head.3", [10, 11]),
+        ]
+        assert _per_leaf_indices(model)[:4] == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     def test_root_parameters_form_their_own_unit(self):
         assert _unit_indices(_OwnParameters()) == [("", [0, 5]), ("block", [1, 2, 3, 4])]
@@ -473,6 +480,36 @@ class TestArithmeticUnchanged:
             world, lambda rank: _zero3_run(rank, world), backend="gloo", timeout=30
         )
         _assert_same(zero3, naive)
+
+    def test_convnet_stages_train_as_under_ddp(self):
+        """One unit per stage, gathered when the stage's ``forward`` is
+        entered: the parameters after three Adam steps are DDP's, bit for
+        bit (buffers are each rank's own under ZeRO-3)."""
+        images = np.random.default_rng(4).standard_normal((8, 1, 8, 8))
+
+        def run(rank, zero3):
+            manual_seed(6)
+            model = ConvNet(num_classes=2, channels=2, image_size=8)
+            batch = Tensor(images[rank * 4:(rank + 1) * 4]), LABELS[rank * 4:(rank + 1) * 4]
+            names = [name for name, _ in model.named_parameters()]
+            if zero3:
+                fsdp = FullyShardedDataParallel(model, _adam)
+                _iterate(fsdp, batch, iters=3)
+                state = _full_state(fsdp)
+                return fsdp.ddp_stats()["units"], {name: state[name] for name in names}
+            ddp = DistributedDataParallel(model)
+            opt = _adam(ddp.parameters())
+            for _ in range(3):
+                opt.zero_grad()
+                LOSS(ddp(batch[0]), batch[1]).backward()
+                opt.step()
+            return None, {name: model.state_dict()[name].copy() for name in names}
+
+        ddp = run_world(2, lambda rank: run(rank, False), backend="gloo", timeout=30)
+        zero3 = run_world(2, lambda rank: run(rank, True), backend="gloo", timeout=30)
+        for units, _ in zero3:
+            assert units == ["features.0", "features.1", "head.1", "head.3"]
+        _assert_same([params for _, params in zero3], [params for _, params in ddp])
 
     def test_world_4_tracks_ddp_to_rounding(self):
         ddp = run_world(4, lambda rank: _ddp_run(rank, 4), backend="gloo", timeout=30)
