@@ -34,12 +34,11 @@ TIMEOUT = 4.0
 
 
 def watcher_threads(rank: int) -> list:
-    """Threads named after ``rank`` other than the rank's own and its
-    groups' communication workers: the ones that watch or beat for it."""
+    """Threads named after ``rank`` other than the rank's own: the ones
+    that watch or beat for it."""
     return sorted(
         t.name for t in threading.enumerate()
-        if re.search(rf"rank{rank}(?!\d)", t.name)
-        and t is not threading.current_thread() and not t.name.endswith("-comm")
+        if re.search(rf"rank{rank}(?!\d)", t.name) and t is not threading.current_thread()
     )
 
 

@@ -9,7 +9,7 @@ Layered like the paper's Fig. 1, bottom-up:
 * :mod:`repro.nn` / :mod:`repro.optim` — layers and optimizers.
 * :mod:`repro.comm` — collective communication (the c10d analog):
   rendezvous store, transport, one-round and ring AllReduce,
-  NCCL/Gloo-personality process groups, round-robin composition.
+  NCCL/Gloo-personality process groups.
 * :mod:`repro.core` — the contribution: ``DistributedDataParallel``
   with gradient bucketing, computation/communication overlap,
   ``no_sync``, unused-parameter detection, communication hooks.

@@ -9,17 +9,14 @@ package provides:
 * :class:`~repro.comm.transport.TransportHub` — point-to-point message
   channels between ranks, with byte/message accounting.
 * :mod:`~repro.comm.algorithms` — real AllReduce implementations (the
-  one-round direct exchange under the size rule, the ring above it)
-  plus tree broadcast and reduce, gather, scatter, and the split-phase
-  one-round forms the group runs for small AllReduces and broadcasts
-  and for every reduce-scatter, all-gather and barrier.
+  one-round direct exchange under the size rule, the ring above it, as
+  a step machine) plus tree broadcast and reduce, gather, scatter.
 * :class:`~repro.comm.process_group.ProcessGroup` — the uniform API DDP
-  programs against, one class for every backend.
+  programs against, one class for every backend; every collective runs
+  on the thread that issues and waits for it.
 * :mod:`~repro.comm.backends` — the backend table: nccl, gloo and mpi
   are rows (device rule, host staging, α–β cost) and
   differ in that data, not in semantics.
-* :class:`~repro.comm.round_robin.RoundRobinProcessGroup` — dispatches
-  successive collectives across several groups (paper §3.3, §5.4).
 * :mod:`~repro.comm.distributed` — rank context plumbing and the
   ``run_distributed`` thread harness used by tests and examples.
 * :mod:`~repro.comm.liveness` — the one liveness thread per rank
@@ -38,7 +35,6 @@ from repro.comm.process_group import (
     CollectiveMismatchError,
     CollectiveTimeoutError,
 )
-from repro.comm.round_robin import RoundRobinProcessGroup
 from repro.comm.distributed import (
     DistributedContext,
     init_process_group,
@@ -48,7 +44,6 @@ from repro.comm.distributed import (
     get_world_size,
     monitored_barrier,
     new_process_group,
-    new_round_robin_group,
     run_distributed,
 )
 
@@ -56,7 +51,6 @@ __all__ = [
     "Store",
     "TransportHub",
     "ProcessGroup",
-    "RoundRobinProcessGroup",
     "ReduceOp",
     "Work",
     "CollectiveError",
@@ -70,6 +64,5 @@ __all__ = [
     "get_world_size",
     "monitored_barrier",
     "new_process_group",
-    "new_round_robin_group",
     "run_distributed",
 ]

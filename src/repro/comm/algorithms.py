@@ -16,9 +16,14 @@ These are the real algorithms communication libraries use (paper §2.3):
 * ``broadcast`` / ``reduce`` — binomial trees; ``gather`` / ``scatter``
   — direct sends to and from the root.
 
-All functions operate **in place** on a flat numpy array and take the
-list of participating global ranks, so sub-groups and round-robin groups
-reuse them unchanged.  ``tag`` namespaces concurrent collectives.
+The ring and the tree broadcast are written once, as *step machines*
+(:func:`ring_steps`, :func:`broadcast_steps`; protocol in
+:func:`run_steps`): ``allreduce_ring`` and ``broadcast`` drive one to its
+end on the calling thread, and a process group's ``Work`` drives the
+same machine from ``wait()`` / ``is_completed()``, its first step posted
+at issue.  All functions operate **in place** on a flat numpy array and
+take the list of participating global ranks, so sub-groups reuse them
+unchanged.  ``tag`` namespaces concurrent collectives.
 
 Hot-path design (paper Figs. 7/8 cost model):
 
@@ -67,13 +72,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Generator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.transport import TransportHub
+from repro.comm.transport import Signed, TransportHub
 
 ReduceFn = Callable[..., np.ndarray]
+#: A step machine (see :func:`run_steps`).
+Steps = Generator[Tuple[object, Sequence[int]], list, object]
 
 #: Collective buffers of at least this many bytes are sent by rendezvous
 #: (lent views + completion tokens), smaller ones by eager copy.  256 KiB
@@ -85,7 +92,7 @@ RENDEZVOUS_BYTES: int = 256 * 1024
 
 
 #: ``executing.stalls`` is the receive-stall dict of the collective the
-#: calling thread executes: set by ``ProcessGroup._execute`` while
+#: calling thread advances: set by ``ProcessGroup._execute`` while
 #: telemetry is on, and attached to the collective's record when it is
 #: done; absent or None otherwise.
 executing = threading.local()
@@ -124,27 +131,42 @@ def _collect(hub: TransportHub, me: int, srcs: Sequence[int], tag: object) -> li
     return posts
 
 
-def _post(hub: TransportHub, src: int, dst: int, tag: object, piece: np.ndarray,
-          lend: bool) -> None:
-    """Send ``piece``: lent as the view it is, or as an eager copy."""
-    hub.send(src, dst, tag, piece if lend else piece.copy())
-
-
 def _settle(hub: TransportHub, me: int, tag: object, lend: bool,
-            lenders: Sequence[int], borrowers: Sequence[int],
-            timeout: float | None) -> None:
+            lenders: Sequence[int], borrowers: Sequence[int]) -> Sequence[int]:
     """Return lent regions to their owners: one token per borrowing peer.
 
-    Called after this rank's last read of every ``lenders`` buffer; it
-    returns once every ``borrowers`` peer has said the same about ours.
-    Tokens are ordinary (zero-byte) messages.
+    Called after this rank's last read of every ``lenders`` buffer (global
+    ranks), it sends each one a token and returns the ``borrowers`` (group
+    ranks) whose tokens the steps must take before they end — once every
+    one said the same about ours.  Tokens are ordinary (zero-byte)
+    messages under ``(tag, "done")``.
     """
     if not lend:
-        return
+        return ()
     for peer in lenders:
         hub.send(me, peer, (tag, "done"), None)
-    for peer in borrowers:
-        _recv(hub, me, peer, (tag, "done"), timeout)
+    return borrowers
+
+
+def run_steps(steps: Steps, hub: TransportHub, ranks: Sequence[int], me: int,
+              timeout: float | None) -> object:
+    """Drive a step machine to its end on the calling thread, parking for
+    each message it asks for; returns what the machine returned.
+
+    A machine is a generator: it sends what it can, then yields
+    ``(tag, srcs)`` — the group ranks whose next message under ``tag``
+    it needs — and is resumed with those messages, in ``srcs`` order
+    (a ``Signed`` one unwrapped).  A process group drives the same
+    machines from ``Work.wait()`` / ``is_completed()`` instead.
+    """
+    here, got = ranks[me], None
+    while True:
+        try:
+            tag, srcs = steps.send(got)
+        except StopIteration as stop:
+            return stop.value
+        got = [_recv(hub, here, ranks[src], tag, timeout) for src in srcs]
+        got = [post.data if type(post) is Signed else post for post in got]
 
 
 def _write_back(buffer: np.ndarray, flat: np.ndarray) -> None:
@@ -294,17 +316,16 @@ def one_round(nbytes: int, world: int) -> bool:
     return (world - 1) * nbytes < RENDEZVOUS_BYTES
 
 
-def allreduce_ring(
+def ring_steps(
     hub: TransportHub,
     ranks: Sequence[int],
     me: int,
     buffer: np.ndarray,
     op: str = "sum",
     tag: object = "ring",
-    timeout: float | None = None,
-    chunk_bytes: None = None,  # always None: benchmarks/e2e's isolated_calls passes it
-) -> None:
-    """Reduce-scatter + allgather ring (NCCL's default algorithm).
+    signature: dict | None = None,
+) -> Steps:
+    """Reduce-scatter + allgather ring (NCCL's default algorithm), as steps.
 
     Cost per rank: 2(p−1)α + 2·((p−1)/p)·n·β — bandwidth-optimal: each
     byte crosses each link roughly twice regardless of p.  The buffer is
@@ -315,6 +336,10 @@ def allreduce_ring(
     Allgather: at step s it sends segment r + 1 − s right and fills
     segment r − s from the left.  Each segment is one message.
 
+    The first send is ``Signed(signature, segment)`` under ``tag`` itself,
+    the mailbox a one-round post uses; later ones are plain, under
+    ``(tag, "rs" | "ag", step)``.
+
     Lent sends (buffers ≥ :data:`RENDEZVOUS_BYTES`).  *Reduce-scatter —
     causality:* segment k is lent by rank r = k+s at step s and read by
     r+1; it then travels r+1 → … → k−1 (its owner) and back out
@@ -324,13 +349,7 @@ def allreduce_ring(
     chain that starts with r+1's read.  *Allgather — token:* a segment
     lent here is never written again by its sender, but the buffer
     outlives the call, so the right neighbour returns one token.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
     """
-    if chunk_bytes is not None:
-        raise TypeError(f"allreduce_ring sends unchunked; chunk_bytes must be None, "
-                        f"got {chunk_bytes!r}")
     world = len(ranks)
     fn, divisor = _reduce_plan(op, world, buffer.dtype)
     if world == 1:
@@ -338,48 +357,71 @@ def allreduce_ring(
     flat = buffer.reshape(-1)
     segments = partition_spans(flat.size, world)
     lend = flat.nbytes >= RENDEZVOUS_BYTES
-    here, right, left = ranks[me], ranks[(me + 1) % world], ranks[(me - 1) % world]
+    here, right, left = ranks[me], ranks[(me + 1) % world], (me - 1) % world
     for step in range(world - 1):
         lo, hi = segments[(me - step) % world]
-        _post(hub, here, right, (tag, "rs", step), flat[lo:hi], lend)
+        piece, step_tag = flat[lo:hi] if lend else flat[lo:hi].copy(), (tag, "rs", step)
+        if not step:
+            piece, step_tag = Signed(signature, piece), tag
+        hub.post(here, (right,), step_tag, piece)
         lo, hi = segments[(me - step - 1) % world]
         owned = flat[lo:hi]
-        fn(owned, _recv(hub, here, left, (tag, "rs", step), timeout), out=owned)
+        (got,) = yield step_tag, (left,)
+        fn(owned, got, out=owned)
     if divisor:
         _divide(owned, divisor)
     for step in range(world - 1):
         lo, hi = segments[(me + 1 - step) % world]
-        _post(hub, here, right, (tag, "ag", step), flat[lo:hi], lend)
+        hub.post(here, (right,), (tag, "ag", step), flat[lo:hi] if lend else flat[lo:hi].copy())
         lo, hi = segments[(me - step) % world]
-        flat[lo:hi] = _recv(hub, here, left, (tag, "ag", step), timeout)
-    _settle(hub, here, tag, lend, [left], [right], timeout)
+        (flat[lo:hi],) = yield (tag, "ag", step), (left,)
+    owed = _settle(hub, here, tag, lend, [ranks[left]], [(me + 1) % world])
+    if owed:
+        yield (tag, "done"), owed
     _write_back(buffer, flat)
 
 
-def broadcast(
+def allreduce_ring(
+    hub: TransportHub,
+    ranks: Sequence[int],
+    me: int,
+    buffer: np.ndarray,
+    op: str = "sum",
+    tag: object = "ring",
+    timeout: float | None = None,
+    chunk_bytes: None = None,  # always None: benchmarks/e2e's isolated_calls passes it
+) -> None:
+    """:func:`ring_steps` driven to its end on the calling thread (one
+    call per rank per ``tag``, concurrently on every rank thread)."""
+    if chunk_bytes is not None:
+        raise TypeError(f"allreduce_ring sends unchunked; chunk_bytes must be None, "
+                        f"got {chunk_bytes!r}")
+    run_steps(ring_steps(hub, ranks, me, buffer, op, tag), hub, ranks, me, timeout)
+
+
+def broadcast_steps(
     hub: TransportHub,
     ranks: Sequence[int],
     me: int,
     buffer: np.ndarray,
     root: int = 0,
     tag: object = "bcast",
-    timeout: float | None = None,
-) -> None:
-    """Binomial-tree broadcast from group-rank ``root`` (in place).
+    signature: dict | None = None,
+) -> Steps:
+    """Binomial-tree broadcast from group-rank ``root`` (in place), as steps.
 
     Cost per rank: ≤ ⌈log₂ p⌉·(α + n·β); the root sends ⌈log₂ p⌉ copies,
     interior ranks forward once per subtree, the whole buffer as one
     message.  Under the size rule the process group posts the root's
-    copy to every peer instead.
+    copy to every peer instead.  Every tree message is
+    ``Signed(signature, buffer)`` under ``tag`` (a rank receives one, from
+    its parent); the root sends all of its own in the first step.
 
     Lent sends (buffers ≥ :data:`RENDEZVOUS_BYTES`) — token: a rank
     writes its buffer once (the receive from its parent) and only
     afterwards lends it to its children, so nothing inside the call
     overwrites a lent region; each child returns one token because the
     buffer outlives the call.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
     """
     flat = buffer.reshape(-1)
     world = len(ranks)
@@ -396,16 +438,33 @@ def broadcast(
     while mask >= 1:
         if vrank & (mask - 1) == 0:  # still active at this round
             if vrank & mask:
-                src = ranks[(vrank - mask + root) % world]
-                parent.append(src)
-                flat[...] = _recv(hub, here, src, (tag, "bc", mask), timeout)
+                src = (vrank - mask + root) % world
+                parent.append(ranks[src])
+                (flat[...],) = yield tag, (src,)
             elif vrank + mask < world:
-                dst = ranks[(vrank + mask + root) % world]
-                children.append(dst)
-                _post(hub, here, dst, (tag, "bc", mask), flat, lend)
+                child = (vrank + mask + root) % world
+                children.append(child)
+                piece = flat if lend else flat.copy()
+                hub.post(here, (ranks[child],), tag, Signed(signature, piece))
         mask >>= 1
-    _settle(hub, here, tag, lend, parent, children, timeout)
+    owed = _settle(hub, here, tag, lend, parent, children)
+    if owed:
+        yield (tag, "done"), owed
     _write_back(buffer, flat)
+
+
+def broadcast(
+    hub: TransportHub,
+    ranks: Sequence[int],
+    me: int,
+    buffer: np.ndarray,
+    root: int = 0,
+    tag: object = "bcast",
+    timeout: float | None = None,
+) -> None:
+    """:func:`broadcast_steps` driven to its end on the calling thread (one
+    call per rank per ``tag``, concurrently on every rank thread)."""
+    run_steps(broadcast_steps(hub, ranks, me, buffer, root, tag), hub, ranks, me, timeout)
 
 
 def reduce(

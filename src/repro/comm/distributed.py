@@ -19,11 +19,9 @@ from typing import Callable, List, Optional, Sequence
 from repro.comm import backends
 from repro.comm.liveness import RankMonitor
 from repro.comm.process_group import ProcessGroup
-from repro.comm.round_robin import RoundRobinProcessGroup
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub
 from repro.debug.levels import DEBUG
-from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
 
 _thread_ctx = threading.local()
@@ -55,23 +53,15 @@ class DistributedContext:
     def close(self) -> None:
         """Shut down every owned group, then stop the liveness thread.
 
-        A communication worker wedged in a transport ``recv`` (its peer
-        diverged or died) is woken by the group's shutdown closing the
-        hub; any worker that still fails to join is reported instead of
-        silently stranded.
+        A thread parked in a collective's ``wait()`` (its peer diverged
+        or died) is woken by the group's shutdown closing the hub; the
+        group logs one that still does not return.
         """
-        stuck: List[str] = []
         for group in self._owned_groups:
-            if not group.shutdown():
-                stuck.append(f"pg{group._group_id}")
+            group.shutdown()
         self._owned_groups.clear()
         self.default_group = None
         self.monitor.stop()
-        if stuck:
-            logger.error(
-                "rank %d: communication workers of %s could not be joined "
-                "at context close", self.rank, ", ".join(stuck),
-            )
 
 
 def _set_context(ctx: Optional[DistributedContext]) -> None:
@@ -147,7 +137,8 @@ def new_process_group(
     ranks: Optional[Sequence[int]] = None,
     timeout: float = 30.0,
 ) -> ProcessGroup:
-    """Create an additional group (for round-robin or sub-groups).
+    """Create an additional group (a sub-group, or a second group over
+    the same ranks).
 
     Every member rank must call this the same number of times in the
     same order; the group id is allocated collectively through the store.
@@ -179,17 +170,6 @@ def new_process_group(
         group_id=group_id,
         timeout=timeout,
     ))
-
-
-def new_round_robin_group(
-    backend: str = "nccl", num_groups: int = 2, timeout: float = 30.0, **kwargs
-) -> RoundRobinProcessGroup:
-    """Compose ``num_groups`` fresh groups into a round-robin dispatcher;
-    extra keyword arguments (``ranks=``) go to :func:`new_process_group`."""
-    members = [
-        new_process_group(backend, timeout=timeout, **kwargs) for _ in range(num_groups)
-    ]
-    return RoundRobinProcessGroup(members)
 
 
 def monitored_barrier(

@@ -6,12 +6,12 @@ DDP wraps NCCL, Gloo and MPI behind one ``ProcessGroup`` API (paper
 * **Rendezvous construction** — all instances construct together; the
   first arrival blocks until the last joins.
 * **Asynchronous execution** — every collective may return a ``Work``
-  handle; each group membership owns one dedicated communication worker
-  thread (the analog of NCCL's dedicated CUDA stream) draining a FIFO
-  queue, so communication genuinely proceeds concurrently with the
-  caller's computation.  Collectives that should run concurrently with
-  each other go to different groups, used in turn by
-  :class:`~repro.comm.round_robin.RoundRobinProcessGroup` (paper §3.3).
+  handle, and issuing one never blocks: the call runs the collective's
+  first step on the calling thread (its signed posts, the ring's first
+  segment) and ``Work.wait()`` / ``is_completed()`` run the rest there
+  too.  There is no communication thread: the paper's separate CUDA
+  stream has a resource of its own to overlap onto, and here the rank
+  threads already fill the cores (docs/performance.md).
 * **Ordered collectives** — operations on all instances must match in
   type/shape/dtype and follow the same order.  A built-in signature
   checker turns the real-world symptom (silent corruption or a hang)
@@ -24,7 +24,6 @@ DDP wraps NCCL, Gloo and MPI behind one ``ProcessGroup`` API (paper
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -34,17 +33,11 @@ import numpy as np
 from repro.comm import algorithms, backends
 from repro.comm.gates import NOTHING
 from repro.comm.store import Store
-from repro.comm.transport import (
-    Signed,
-    TransportClosedError,
-    TransportHub,
-    TransportTimeoutError,
-)
+from repro.comm.transport import Signed, TransportClosedError, TransportHub, TransportTimeoutError
 from repro.debug import desync as _desync
 from repro.debug.flight_recorder import CollectiveRecord, FlightRecorder, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
 from repro.utils.logging import logger
-from repro.utils.rank import set_current_rank
 
 
 class ReduceOp:
@@ -78,26 +71,35 @@ class CollectiveTimeoutError(CollectiveError):
 
 
 class Work:
-    """Handle for an asynchronously executing collective.
+    """Handle of one collective, advanced by whoever holds it.
 
     ``record`` is the collective's one
-    :class:`~repro.debug.flight_recorder.CollectiveRecord`: its facts,
-    terminal state and scheduled/started/finished stamps, so a holder
-    (the reducer's latency and overlap accounting) reads how long the
-    operation ran, not how long it waited.  ``result[0]`` holds what the
-    algorithm returned (None for in-place ops) once ``wait()`` returns.
-
-    This handle is a collective a communication worker runs: ``wait()``
-    parks on an event the worker sets.  A one-round collective (a small
-    AllReduce or broadcast, and every reduce-scatter, all-gather and
-    barrier) is a :class:`_RoundWork` and makes progress in ``wait()`` /
-    ``is_completed()`` instead.
+    :class:`~repro.debug.flight_recorder.CollectiveRecord` (facts,
+    terminal state, scheduled/started/finished stamps); ``result[0]``
+    holds what it returned (None for in-place ops) once ``wait()`` did.
+    The collective is a step machine (:func:`~repro.comm.algorithms.run_steps`)
+    whose first step ran at issue.  No thread owns the rest: ``wait()``
+    parks for each message the steps ask for, ``is_completed()`` takes
+    what has arrived and advances as far as that allows.  A
+    :class:`~repro.comm.transport.Signed` message whose fingerprint
+    disagrees is never used; it raises :class:`CollectiveMismatchError`.
+    A wait first completes its group's older collectives, so ranks that
+    wait out of issue order still meet.  Ended steps are dropped: a kept
+    Work (DDP's ``bucket.work``) holds no buffer.
     """
 
-    def __init__(self, record: CollectiveRecord):
-        self.record = record
-        self.result: list = [None]
-        self._done = threading.Event()
+    def __init__(self, record: CollectiveRecord, group: "Optional[ProcessGroup]" = None,
+                 signature: Optional[dict] = None, steps=None):
+        self.record, self.result = record, [None]
+        self._group, self._signature, self._steps = group, signature, steps
+        #: The tag and group ranks of the messages the steps wait for,
+        #: those still to be taken, and those taken, by group rank.
+        self._tag, self._want, self.missing, self._got = None, (), [], {}
+        #: ``(group rank, fingerprint)`` of the first post that disagreed.
+        self._diverged = None
+        #: Receive stalls by sending rank (telemetry on).
+        self._stalls: Optional[dict] = None
+        self._lock, self._finished = threading.Lock(), False
 
     @property
     def description(self) -> str:
@@ -105,34 +107,135 @@ class Work:
         return self.record.name
 
     def _complete(self, error: Optional[BaseException] = None) -> None:
-        # The record keeps its first terminal state: the hang watch
-        # may fail a stuck Work with a desync report before the worker's
-        # own (less precise) transport timeout surfaces.
+        """Finish from outside the steps (shutdown, the hang watch's
+        desync report); the record keeps its first terminal state."""
         self.record.finish(error)
-        self._done.set()
+        self._finished = True
+
+    def _finish(self, error: Optional[BaseException] = None) -> None:
+        """The steps ended or failed: close the record, attach the stalls
+        last (which lets a read fold it), drop the steps and pieces."""
+        self.record.finish(error)
+        if self._stalls is None and DEBUG.telemetry:
+            self._stalls = {}
+        if self._stalls is not None:
+            self.record.stalls = self._stalls
+        self._finished, self._steps, self._got = True, None, {}
+        if self._group is not None:
+            self._group._pending.pop(self, None)
+
+    def _advance(self, got) -> bool:
+        """Resume the steps with ``got``; True once they ended."""
+        try:
+            self._tag, want = self._steps.send(got)
+        except StopIteration as stop:
+            self.result[0] = stop.value
+            return True
+        except TransportTimeoutError as exc:  # a rooted op's blocking algorithm
+            self._steps = None
+            raise CollectiveTimeoutError(str(exc)) from exc
+        except BaseException:
+            self._steps = None
+            raise
+        self._want, self.missing = want, list(want)
+        return False
+
+    def _take(self) -> None:
+        """Take whatever messages have arrived, in one hub round."""
+        group, missing = self._group, self.missing
+        if missing:
+            posts = algorithms._collect(
+                group.hub, group.global_rank, [group.ranks[o] for o in missing], self._tag)
+            self.missing = []
+            self._file(missing, posts)
+
+    def _file(self, offsets, posts) -> None:
+        """Keep each message (a post that agrees with this rank's
+        fingerprint unwrapped), note the first post that does not (never
+        kept); the absent stay missing."""
+        for offset, post in zip(offsets, posts):
+            if post is NOTHING:
+                self.missing.append(offset)
+            elif type(post) is not Signed:
+                self._got[offset] = post
+            elif post.signature == self._signature:
+                self._got[offset] = post.data
+            elif self._diverged is None:
+                self._diverged = (offset, post.signature)
+
+    def _drive(self, deadline: Optional[float]) -> bool:
+        """Advance the steps as far as the arrived messages allow —
+        parking until ``deadline`` for each missing one when given, never
+        with None; True once the steps ended."""
+        group = self._group
+        while True:
+            if deadline is None or len(self.missing) > 1:
+                self._take()
+            while deadline is not None and self.missing and self._diverged is None:
+                offset = self.missing[0]
+                post = group._await_post(offset, self._tag, self.description, deadline)
+                del self.missing[0]
+                self._file((offset,), (post,))
+            if self._diverged is not None:
+                raise group._mismatch(self.record.seq, self._signature, *self._diverged)
+            if self.missing:
+                return False
+            got = [self._got.pop(offset) for offset in self._want]
+            if self._advance(got):
+                return True
+
+    def _arrived(self) -> bool:
+        """Can a poll advance the steps?  A disagreeing post, a closed hub
+        or an overdue collective counts (advancing then raises it)."""
+        try:
+            self._take()
+        except TransportClosedError:
+            return True
+        return (not self.missing or self._diverged is not None or self._overdue())
+
+    def _overdue(self) -> bool:
+        return time.perf_counter() - self.record.t_start > self._group.timeout
 
     def _progress(self, block: bool, timeout: Optional[float]) -> bool:
-        """Advance the collective as far as this handle can; True once it
-        finished (ok or not).  ``block`` waits up to ``timeout``."""
-        return self._done.wait(timeout) if block else self._done.is_set()
+        """Advance as far as this handle can (``block``: parking up to
+        ``timeout``); True once finished, ok or not."""
+        if self._finished or self._steps is None:
+            return self._finished
+        if block:
+            for older in list(self._group._pending):
+                if older is self:
+                    break
+                older._progress(True, timeout)
+            acquired = self._lock.acquire(timeout=-1 if timeout is None else timeout)
+        else:
+            acquired = self._lock.acquire(blocking=False)
+        if not acquired:  # another thread is advancing it
+            return self._finished
+        try:
+            if self._finished:
+                pass
+            elif block:
+                self._group._execute(self, time.perf_counter() + (
+                    self._group.timeout if timeout is None else timeout), timeout is not None)
+            elif self._arrived():
+                self._group._execute(self, time.perf_counter() if self._overdue() else None)
+        finally:
+            self._lock.release()
+        return self._finished
 
     def is_completed(self) -> bool:
         """Non-blocking poll: has the collective finished (ok or not)?"""
         return self._progress(False, None)
 
     def wait(self, timeout: Optional[float] = None) -> None:
-        """Block until the collective finishes; re-raise any failure.
+        """Complete the collective; re-raise any failure.
 
-        A caller-side timeout does not leave the collective dangling:
-        its record — which would otherwise stay "started" forever — is
-        finished as failed with the timeout error (first terminal state
-        wins, so a worker that finishes in the same instant keeps its
-        result).
+        A ``timeout`` that runs out fails the record but leaves the steps
+        where they are: a later ``wait()`` carries the exchange to its end,
+        so peers are not stranded, then raises that error.
         """
-        if not self._progress(True, timeout):
-            facts = ", ".join(
-                f"{key}={value}" for key, value in self.record.facts().items()
-            )
+        if not self._progress(True, timeout) and self.record.error is None:
+            facts = ", ".join(f"{key}={value}" for key, value in self.record.facts().items())
             self._complete(CollectiveTimeoutError(
                 f"timed out waiting for collective {self.description!r} "
                 f"({facts}) after {timeout}s (caller-side wait expired)"
@@ -143,104 +246,6 @@ class Work:
     def __repr__(self) -> str:
         state = "pending" if self.record.t_end is None else "done"
         return f"<Work {self.description} {state}>"
-
-
-class _RoundWork(Work):
-    """A one-round collective, completed on the caller.
-
-    Its signed contributions (:class:`~repro.comm.transport.Signed`) went
-    out at issue; no thread owns it.  The first ``wait()``, or an
-    ``is_completed()`` that finds every post there, takes the peers'
-    posts, compares their fingerprints, lands the result and runs
-    ``ProcessGroup._execute`` — exactly once, under a lock the other
-    askers park on.  Then it drops the pieces and the caller's buffer:
-    a Work its holder keeps (DDP's reducer keeps ``bucket.work`` until
-    the next backward) holds no contribution.
-    """
-
-    def __init__(self, record, group: "ProcessGroup", signature: dict,
-                 pieces: list, missing: list, land: Optional[Callable]):
-        self.record, self.result = record, [None]
-        self._group, self._signature = group, signature
-        self._tag = (group._group_id, record.seq)
-        #: Contributions by group rank (this rank's own in its place),
-        #: and the group ranks whose post is still to be taken, in order.
-        self.pieces, self.missing = pieces, missing
-        #: ``land(pieces)`` writes the result and returns ``result[0]``;
-        #: None when nothing lands (a barrier, a broadcast's root).
-        self._land_pieces = land
-        #: ``(group rank, fingerprint)`` of the first post that disagreed.
-        self._diverged = None
-        self._lock = threading.Lock()
-        self._finished = False
-
-    def _complete(self, error: Optional[BaseException] = None) -> None:
-        self.record.finish(error)
-        self._finished = True
-
-    def _progress(self, block: bool, timeout: Optional[float]) -> bool:
-        if self._finished:
-            return True
-        if block:
-            acquired = self._lock.acquire(timeout=-1 if timeout is None else timeout)
-        else:
-            acquired = self._lock.acquire(blocking=False)
-        if not acquired:  # another thread is completing it
-            return self._finished
-        try:
-            # A poll completes what has all arrived — or, past the group
-            # timeout, fails it the way a parked receive would have.
-            if not self._finished and (block or self._arrived()):
-                self._group._execute(self, self._land, timeout if block else 0.0)
-                self._finished = True
-                self.pieces = self._land_pieces = None
-        finally:
-            self._lock.release()
-        return self._finished
-
-    def _take(self) -> None:
-        """Take whatever posts have arrived, in one hub round."""
-        group, missing = self._group, self.missing
-        if missing:
-            posts = algorithms._collect(
-                group.hub, group.global_rank, [group.ranks[o] for o in missing], self._tag)
-            self.missing = []
-            self._file(missing, posts)
-
-    def _file(self, offsets, posts) -> None:
-        """Keep each post that agrees with this rank's fingerprint, note
-        the first that does not (never kept); the absent stay missing."""
-        for offset, post in zip(offsets, posts):
-            if post is NOTHING:
-                self.missing.append(offset)
-            elif post.signature == self._signature:
-                self.pieces[offset] = post.data
-            elif self._diverged is None:
-                self._diverged = (offset, post.signature)
-
-    def _arrived(self) -> bool:
-        """Without parking: can completing finish here?  A disagreeing
-        post or a closed hub counts (completing then raises it)."""
-        try:
-            self._take()
-        except TransportClosedError:
-            return True
-        return (not self.missing or self._diverged is not None
-                or time.perf_counter() - self.record.t_start > self._group.timeout)
-
-    def _land(self, timeout: Optional[float]):
-        """Complete the collective: receive the rest, land the result."""
-        group = self._group
-        deadline = time.perf_counter() + (group.timeout if timeout is None else timeout)
-        self._take()
-        while self.missing and self._diverged is None:
-            offset = self.missing.pop(0)
-            post = group._await_post(offset, self._tag, self.description, deadline)
-            self._file((offset,), (post,))
-        if self._diverged is not None:
-            raise group._mismatch(self.record.seq, self._signature, *self._diverged)
-        if self._land_pieces is not None:
-            return self._land_pieces(self.pieces)
 
 
 def _as_array(tensor) -> np.ndarray:
@@ -272,25 +277,24 @@ def _device_of(tensor) -> Optional[str]:
 class _Op(NamedTuple):
     """One row of the collective table ``ProcessGroup._collective`` runs."""
 
-    #: Worker path: ``fn(hub, ranks, rank, [array,] *operands, tag,
-    #: timeout)``; None = no worker path at all.
+    #: Above the size rule, the steps ``fn(hub, ranks, rank, array, operand,
+    #: tag, signature)``; with no one-round form, the blocking algorithm
+    #: :meth:`ProcessGroup._rooted` runs.
     algorithm: Optional[Callable]
     #: Operands that enter the signature every rank must agree on.
     signature: Tuple[str, ...] = ()
     #: Accounted bytes are ``nbytes × world`` (every rank's tensor lands here).
     world_bytes: bool = False
-    #: When the op runs as one round of signed posts on the caller
-    #: (:meth:`ProcessGroup._round`) instead of on the worker: ``"small"``
-    #: under the size rule (:func:`~repro.comm.algorithms.one_round`),
-    #: ``"always"`` at every size.  A direct reduce-scatter or all-gather
-    #: moves the ring's (p − 1)/p · n bytes per rank in one round instead
-    #: of p − 1; a direct AllReduce or broadcast moves (p − 1) · n.
+    #: When the op runs as one round of signed posts (:meth:`ProcessGroup._round`):
+    #: ``"small"`` under the size rule (:func:`~repro.comm.algorithms.one_round`),
+    #: ``"always"`` at every size — a direct reduce-scatter or all-gather
+    #: moves no more bytes than the ring, in one round instead of p − 1.
     one_round: str = ""
 
 
 _OPS = {
-    "allreduce": _Op(algorithms.allreduce_ring, ("reduce_op",), one_round="small"),
-    "broadcast": _Op(algorithms.broadcast, ("src",), one_round="small"),
+    "allreduce": _Op(algorithms.ring_steps, ("reduce_op",), one_round="small"),
+    "broadcast": _Op(algorithms.broadcast_steps, ("src",), one_round="small"),
     "allgather": _Op(None, world_bytes=True, one_round="always"),
     "reduce_scatter_flat": _Op(None, ("reduce_op",), one_round="always"),
     "all_gather_flat": _Op(None, one_round="always"),
@@ -314,29 +318,17 @@ class ProcessGroup:
     :class:`TransportHub` and :class:`Store`.
     """
 
-    def __init__(
-        self,
-        store: Store,
-        hub: TransportHub,
-        rank: int,
-        backend: str = "gloo",
-        ranks: Optional[Sequence[int]] = None,
-        group_id: Optional[int] = None,
-        timeout: float = 30.0,
-    ):
-        self.store = store
-        self.hub = hub
-        self.global_rank = rank
-        self.ranks: List[int] = sorted(ranks) if ranks is not None else list(
-            range(hub.world_size)
-        )
+    def __init__(self, store: Store, hub: TransportHub, rank: int, backend: str = "gloo",
+                 ranks: Optional[Sequence[int]] = None, group_id: Optional[int] = None,
+                 timeout: float = 30.0):
+        self.store, self.hub, self.global_rank = store, hub, rank
+        self.ranks: List[int] = sorted(ranks) if ranks is not None else list(range(hub.world_size))
         if rank not in self.ranks:
             raise ValueError(f"rank {rank} is not a member of group ranks {self.ranks}")
         self.group_rank = self.ranks.index(rank)
         self.timeout = timeout
         row = backends.backend(backend)
-        self.backend = row.name
-        self.supports_cpu_tensors = row.supports_cpu_tensors
+        self.backend, self.supports_cpu_tensors = row.name, row.supports_cpu_tensors
         #: The AllReduce above the size rule, stamped on its records for
         #: the health accounting; benchmarks/e2e's isolated_calls reads it.
         self.algorithm = "ring"
@@ -347,162 +339,95 @@ class ProcessGroup:
         # Fault injection: collective-scoped rules (crash a rank as it
         # issues its n-th collective) ride on the hub's installed plan.
         self._fault_plan = getattr(hub, "fault_plan", None)
-        # Byte counter for tests and reporting.
-        self.bytes_communicated = 0
+        self.bytes_communicated = 0  # for tests and reporting
         self._closed = False
-        # Every Work some thread is executing — a worker its queued
-        # collective, a caller the completion of a split-phase one — and
-        # since when; the hang watch polls the oldest (``_inflight``).
+        # Every Work a thread is parked advancing, and since when; the
+        # hang watch polls the oldest (``_inflight``).
         self._executing: dict = {}
-        # Small-collective Work posted and not yet completed (shutdown
-        # fails it, so no later wait() parks on it).
-        self._pending: set = set()
+        # Work issued and not finished, in issue order: a wait completes
+        # the older ones first, shutdown fails them all.
+        self._pending: dict = {}
         # What _describe says, per (op, shape, dtype, signed operands).
         self._facts: dict = {}
         self._peers = [offset for offset in range(len(self.ranks)) if offset != self.group_rank]
         self._peer_ranks = [self.ranks[offset] for offset in self._peers]
-        #: Set when shutdown could not join a communication worker.
-        self.worker_stuck = False
 
         # Rendezvous: block until every member has constructed (paper §3.3).
         arrival_key = f"pg{self._group_id}/arrivals"
         self.store.add(arrival_key, 1)
-        self.store.wait_value(
-            arrival_key, lambda v: v >= len(self.ranks), timeout=timeout
-        )
+        self.store.wait_value(arrival_key, lambda v: v >= len(self.ranks), timeout=timeout)
 
         # The rank's liveness monitor, once it watches this group for
         # hangs (REPRO_DEBUG ≥ INFO; see repro.comm.liveness).
         self._monitor = None
 
-        # The dedicated communication worker and its FIFO queue.
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._worker = threading.Thread(
-            target=self._worker_loop,
-            name=f"pg{self._group_id}-rank{self.global_rank}-comm",
-            daemon=True,
-        )
-        self._worker.start()
-
     @property
     def flight_recorder(self) -> FlightRecorder:
-        """This rank's ring of retained collective records (the one
-        store every cross-rank view reads; filled while ``REPRO_DEBUG``
-        ≥ INFO or telemetry is on)."""
+        """This rank's ring of retained collective records (filled while
+        ``REPRO_DEBUG`` ≥ INFO or telemetry is on)."""
         return recorder_for(self.global_rank)
 
     # ------------------------------------------------------------------
-    # worker machinery
+    # issue and progress
     # ------------------------------------------------------------------
     @property
     def _inflight(self) -> Optional[Tuple[Work, float]]:
-        """The longest-executing Work and since when, or None — what the
-        hang watch reports.  A small collective counts from when a
-        thread began to complete it: compute after its post is no hang."""
+        """The longest-parked Work and since when, or None — what the hang
+        watch reports (compute between issue and wait is no hang)."""
         return min(list(self._executing.items()), key=lambda item: item[1], default=None)
 
-    def _worker_loop(self) -> None:
-        # Worker threads carry the owning rank's identity so telemetry
-        # and log records from inside collectives attribute
-        # correctly (the rank contextvar does not cross thread spawns).
-        set_current_rank(self.global_rank)
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            fn, work = item
-            work.record.start()
-            self._execute(work, fn)
-            work._done.set()
-            # Parked in get() until the next one, these would keep the
-            # finished collective's buffers alive.
-            item = fn = work = None
-
-    def _execute(self, work: Work, run: Callable, *args) -> None:
-        """Run ``work``'s collective body between its bookkeeping stamps.
-
-        Both paths share it — the worker for a queued collective, a small
-        collective's Work for its completion: listed as executing
-        (hang watch), ``run(*args)`` into ``work.result[0]``, record finished
-        with what it raised, and under telemetry the thread's receive
-        stalls (:data:`algorithms.executing`) attached last, which lets a
-        read fold the record.  Waiters are released after it returns.
-        """
-        record = work.record
-        self._executing[work] = time.perf_counter()
-        stalls = None
+    def _execute(self, work: Work, deadline: Optional[float], resumable: bool = False) -> None:
+        """Advance ``work``'s steps (:meth:`Work._drive`), listed as
+        executing while it may park (hang watch), the thread's receive
+        stalls (:data:`algorithms.executing`) booked to it under telemetry.
+        Steps that ended or raised finish it; an expired ``resumable``
+        deadline (a caller's ``wait(timeout)``) fails only the record."""
+        if deadline is not None:
+            self._executing[work] = time.perf_counter()
         if DEBUG.telemetry:
-            stalls = algorithms.executing.stalls = {}
-        error: Optional[BaseException] = None
+            if work._stalls is None:
+                work._stalls = {}
+            algorithms.executing.stalls = work._stalls
         try:
-            work.result[0] = run(*args)
+            done, error = work._drive(deadline), None
         except BaseException as exc:  # propagate through the Work handle
             error = exc
-        record.finish(error)
-        del self._executing[work]
-        self._pending.discard(work)
-        if stalls is not None:
+            done = work._steps is None or not (
+                resumable and isinstance(exc, CollectiveTimeoutError))
+        finally:
             algorithms.executing.stalls = None
-            record.stalls = stalls
+            self._executing.pop(work, None)
+        if done:
+            work._finish(error)
+        elif error is not None:
+            work.record.finish(error)
 
     def _issue(self, record: CollectiveRecord, signature: dict) -> None:
-        """What every collective does first on the issuing thread: check
-        the group is open, fire collective-scoped fault rules, retain
-        the record in the rank's ring (``REPRO_DEBUG`` ≥ INFO or
-        telemetry on) — the one store the causal timeline, the trace and
-        the health series are read from — and under DETAIL publish this
-        rank's fingerprint for :meth:`_mismatch`'s per-rank report."""
+        """What every collective does first: check the group is open, fire
+        collective-scoped fault rules, retain the record in the rank's ring
+        (``REPRO_DEBUG`` ≥ INFO or telemetry on — what every cross-rank view
+        reads), and under DETAIL publish this rank's fingerprint."""
         if self._closed:
             raise CollectiveError("process group has been shut down")
         if self._fault_plan is not None:
-            # Raises InjectedRankFailure on the issuing rank's own
-            # thread when a collective-scoped crash rule fires — before
-            # the collective is queued, so peers see a vanished rank.
-            self._fault_plan.on_collective(
-                self.global_rank, record.op, record.seq, self._group_id
-            )
+            # A collective-scoped crash rule raises InjectedRankFailure
+            # here, before anything is posted: peers see a vanished rank.
+            self._fault_plan.on_collective(self.global_rank, record.op, record.seq, self._group_id)
         if DEBUG.level or DEBUG.telemetry:
             recorder_for(self.global_rank).add(record)
         if DEBUG.level >= DETAIL:
             self.store.set(self._detail_key(record.seq, self.global_rank), signature)
 
-    def _submit(self, fn, record: CollectiveRecord, async_op: bool):
-        """Queue ``fn`` on the communication worker.
-
-        The worker runs collectives in issue order, which is the same
-        order on every rank.  Returns the :class:`Work` when
-        ``async_op``; otherwise waits and returns what ``fn`` returned.
-        """
-        work = Work(record)
-        self._queue.put((fn, work))
-        if async_op:
-            return work
-        work.wait(self.timeout + 5.0)
-        return work.result[0]
-
-    def install_fault_plan(self, plan) -> None:
-        """Install (or with ``None`` remove) a fault plan on this group.
-
-        Overrides the plan inherited from the hub for collective-scoped
-        rules; wire-scoped rules always live on the transport hub.
-        """
-        self._fault_plan = plan
-
     def shutdown(self, grace: float = 2.0) -> bool:
-        """Stop the worker thread (idempotent); returns True if it joined.
+        """Close the group (idempotent); False if a thread stays stuck.
 
-        A worker blocked in a transport ``recv`` — a peer's message or
-        the leader's fingerprint, whose sender diverged or died — cannot
-        see the queue sentinel, so after ``grace`` seconds the hub is
-        closed to wake it with ``TransportClosedError`` instead of
-        stranding the thread.  Split-phase collectives nobody
-        completed fail, so a later ``wait()`` raises at once; a thread
-        parked completing one is woken like a blocked worker.  Workers
-        (or such threads) that still fail to finish are reported via
-        ``worker_stuck`` and a log line.
+        Unfinished collectives fail, so a later ``wait()`` raises at once.
+        A thread parked advancing one (its peer diverged or died) gets
+        ``grace`` seconds, then the hub is closed to wake it; one that
+        still does not return is logged.
         """
         if self._closed:
-            return not self._worker.is_alive()
+            return not self._executing
         self._closed = True
         if self._monitor is not None:
             # Leave a parting snapshot so a peer's hang report can still
@@ -510,42 +435,29 @@ class ProcessGroup:
             self._monitor.unwatch(self)
         for work in list(self._pending):  # a completed one keeps its result
             work._complete(CollectiveError(
-                f"process group {self._group_id} shut down before "
-                f"{work.description} completed"
-            ))
+                f"process group {self._group_id} shut down before {work.description} completed"))
         self._pending.clear()
-        self._queue.put(None)
         deadline = min(grace, self.timeout)
         if not self._quiesce(deadline):
-            logger.warning(
-                "comm worker of group %s on rank %d did not drain within "
-                "%.1fs; closing the transport hub to unblock them",
-                self._group_id, self.global_rank, deadline,
-            )
+            logger.warning("collective(s) of group %s on rank %d still parked after "
+                           "%.1fs; closing the transport hub to unblock them",
+                           self._group_id, self.global_rank, deadline)
             self.hub.close()
             self._quiesce(deadline)
-        stranded = [self._worker.name] if self._worker.is_alive() else []
-        stranded += [work.description for work in list(self._executing)]
-        self.worker_stuck = bool(stranded)
-        if self.worker_stuck:
-            logger.error(
-                "comm worker or collective completion(s) of group %s on "
-                "rank %d did not finish even after the transport hub was "
-                "closed (%s stranded)",
-                self._group_id, self.global_rank, ", ".join(stranded),
-            )
+        stranded = [work.description for work in list(self._executing)]
+        if stranded:
+            logger.error("group %s on rank %d: %s stranded even after the hub closed",
+                         self._group_id, self.global_rank, ", ".join(stranded))
         else:
             self._cleanup_store_namespace()
-        return not self.worker_stuck
+        return not stranded
 
     def _quiesce(self, timeout: float) -> bool:
-        """Join the worker, then wait out callers still completing a
-        split-phase collective; True if nothing is left executing."""
-        self._worker.join(timeout=timeout)
+        """Wait out threads still advancing a collective; True if none is."""
         end = time.perf_counter() + timeout
         while self._executing and time.perf_counter() < end:
             time.sleep(0.005)
-        return not self._executing and not self._worker.is_alive()
+        return not self._executing
 
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
@@ -570,9 +482,7 @@ class ProcessGroup:
             ):
                 self.store.delete_prefix(prefix)
         except Exception:
-            logger.exception(
-                "store cleanup for group %s failed (keys left behind)", gid
-            )
+            logger.exception("store cleanup for group %s failed (keys left behind)", gid)
 
     # ------------------------------------------------------------------
     # consistency checking
@@ -580,24 +490,10 @@ class ProcessGroup:
     # Every rank must issue the same collective at sequence ``seq`` with
     # the same fingerprint, or real libraries corrupt data or hang (paper
     # §3.3); we raise a CollectiveMismatchError with a field-level diff.
-    # The fingerprint travels on the hub under the tag ``(group, seq)``:
-    # with a small collective's contribution, or alone from a worker-path
-    # leader.  Ranks that disagree on the protocol meet in that mailbox.
+    # The fingerprint travels on the hub under the tag ``(group, seq)``
+    # (see Work), so ranks that disagree on the protocol meet there.
     def _detail_key(self, seq: int, rank: int) -> str:
         return f"pg{self._group_id}/sig/{seq}/rank{rank}"
-
-    def _check_signature(self, record: CollectiveRecord, signature: dict) -> None:
-        """The worker path's check: the leader posts its fingerprint,
-        without data, under the tag a small collective's post uses; every
-        other rank takes it and compares."""
-        tag = (self._group_id, record.seq)
-        if self.group_rank == 0:
-            if self._peer_ranks:
-                self.hub.post(self.global_rank, self._peer_ranks, tag, Signed(signature, None))
-            return
-        post = self._await_post(0, tag, record.name, time.perf_counter() + self.timeout)
-        if post.signature != signature:
-            raise self._mismatch(record.seq, signature, 0, post.signature)
 
     def _mismatch(self, seq: int, signature: dict, peer: int, theirs: dict):
         """The error for group rank ``peer`` having issued ``theirs``,
@@ -615,41 +511,30 @@ class ProcessGroup:
                 if all(self.store.try_get(k) is not None for k in keys.values()):
                     break
                 time.sleep(0.01)
-            peer_sigs = {
-                r: sig for r, k in keys.items()
-                if (sig := self.store.try_get(k)) is not None
-            }
+            peer_sigs = {r: sig for r, k in keys.items()
+                         if (sig := self.store.try_get(k)) is not None}
         return CollectiveMismatchError(_desync.render_mismatch(
             self._group_id, seq, self.ranks[high], high_sig, self.ranks[low], low_sig,
             peer_sigs, role="leader" if low == 0 else "peer",
         ))
 
     def _await_post(self, offset: int, tag: tuple, what: str, deadline: float) -> Signed:
-        """Park until ``deadline`` for group rank ``offset``'s post under
-        ``tag`` — a small collective's contribution, or the fingerprint
-        of a worker-path leader; either path's ``what`` names it."""
+        """Park until ``deadline`` for group rank ``offset``'s message
+        under ``tag``, which the collective ``what`` waits for."""
         src = self.ranks[offset]
         try:
             return algorithms._recv(self.hub, self.global_rank, src, tag,
                                     max(0.0, deadline - time.perf_counter()))
         except TransportTimeoutError:
             raise CollectiveTimeoutError(
-                f"rank {self.global_rank} timed out waiting for rank {src}'s post "
-                f"to {what} in group {self._group_id} (peer rank diverged, hung "
-                f"or exited)"
+                f"rank {self.global_rank} timed out waiting for rank {src}'s message to "
+                f"{what} in group {self._group_id} (peer rank diverged, hung or exited)"
             ) from None
-
-    def _next_tag(self, op_name: str) -> tuple:
-        seq = self._seq
-        self._seq += 1
-        return (self._group_id, seq, op_name)
 
     def _check_device(self, tensor) -> None:
         if not self.supports_cpu_tensors and _device_of(tensor) == "cpu":
-            raise CollectiveError(
-                f"backend {self.backend!r} only supports device tensors "
-                f"(got a tensor on 'cpu'); copy to a gpu:* device first"
-            )
+            raise CollectiveError(f"backend {self.backend!r} only supports device tensors "
+                                  f"(got a tensor on 'cpu'); copy to a gpu:* device first")
 
     # ------------------------------------------------------------------
     # collectives
@@ -663,15 +548,12 @@ class ProcessGroup:
         """The one path every collective takes (paper §3.3's uniform contract).
 
         Device check → the op's facts (:meth:`_describe`, once per op,
-        shape, dtype and signed operands) → sequence number → the
-        collective's one record, issued (:meth:`_issue`) → :meth:`_round`
-        on this thread (a one-round row, at its size), or
-        ``_submit`` of a closure that checks the signature, runs the op's
-        algorithm and translates transport timeouts.  ``name`` selects
-        the row of ``_OPS``;
-        ``operands`` are the op's keyword operands in the algorithm's
-        positional order.  Returns the :class:`Work` when ``async_op``,
-        else the algorithm's result (None for in-place ops).
+        shape, dtype and signed operands) → sequence number → the one
+        record, issued (:meth:`_issue`) → the steps (:meth:`_round`, the
+        row's algorithm or :meth:`_rooted`) → a :class:`Work` that runs
+        the first step here.  ``operands`` are the op's keyword operands
+        in the algorithm's positional order.  Returns the Work when
+        ``async_op``, else what the collective returned once waited.
         """
         row = _OPS[name]
         array = None
@@ -686,26 +568,36 @@ class ProcessGroup:
                 self._facts.clear()
             facts = self._facts[key] = self._describe(name, row, array, operands)
         signature, record_facts, wire, split = facts
-        tag = self._next_tag(name)
+        seq = self._seq
+        self._seq += 1
+        tag = (self._group_id, seq)
         if wire is not None:
             self.bytes_communicated += wire
-        record = CollectiveRecord(tag[1], self._group_id, record_facts, wire)
+        record = CollectiveRecord(seq, self._group_id, record_facts, wire)
         self._issue(record, signature)
-        if split:
-            return self._round(record, signature, array, operands, async_op)
-        if name == "allreduce":
-            record.extra["algorithm"] = self.algorithm
         args = ([] if array is None else [array]) + list(operands.values())
-
-        def run():
-            self._check_signature(record, signature)
-            try:
-                return row.algorithm(
-                    self.hub, self.ranks, self.group_rank, *args, tag, self.timeout)
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        return self._submit(run, record, async_op)
+        if split:
+            steps = self._round(name, tag, signature, array, operands)
+        elif row.one_round:
+            if name == "allreduce":
+                record.extra["algorithm"] = self.algorithm
+            steps = row.algorithm(self.hub, self.ranks, self.group_rank, *args, tag, signature)
+        else:
+            steps = self._rooted(row.algorithm, args, tag, signature)
+        work = Work(record, self, signature, steps)
+        record.start()
+        try:
+            ended, error = work._advance(None), None
+        except Exception as exc:  # raised by wait(), as a later step's would be
+            ended, error = True, exc
+        if ended:
+            work._finish(error)
+        else:
+            self._pending[work] = None
+        if async_op:
+            return work
+        work.wait()
+        return work.result[0]
 
     def _describe(self, name: str, row: _Op, array, operands: dict) -> tuple:
         """``(fingerprint, record facts, accounted bytes, one round)``;
@@ -714,8 +606,7 @@ class ProcessGroup:
         if operands.get("reduce_op") == ReduceOp.AVG:
             algorithms.check_avg_dtype(array.dtype)
         signature = _desync.fingerprint(
-            name, array, **{field: operands[field] for field in row.signature}
-        )
+            name, array, **{field: operands[field] for field in row.signature})
         world = len(self.ranks)
         wire = None if array is None else array.nbytes * (world if row.world_bytes else 1)
         split = row.one_round == "always" or (
@@ -725,14 +616,13 @@ class ProcessGroup:
             record_facts["algorithm"] = "naive"
         return signature, record_facts, wire, split
 
-    def _round(self, record: CollectiveRecord, signature: dict, array, operands: dict,
-               async_op: bool):
-        """Run a one-round collective on this thread: post a signed
+    def _round(self, name: str, tag: tuple, signature: dict, array, operands: dict):
+        """Steps of a one-round collective.  At issue: post a signed
         private copy of what each peer needs from this rank — the buffer
         (a broadcast's only from its root), an all-gather's contribution,
-        a reduce-scatter's span of that peer — in one hub round; the
-        :class:`_RoundWork` lands the result on whoever waits for it."""
-        me, world, name = self.group_rank, len(self.ranks), record.op
+        a reduce-scatter's span of that peer — in one hub round.  Then
+        take every peer's post and land the result."""
+        me, world = self.group_rank, len(self.ranks)
         pieces, missing, peers = [None] * world, list(self._peers), self._peer_ranks
         op, posts, land = operands.get("reduce_op"), None, None
         if name == "broadcast":
@@ -761,20 +651,28 @@ class ProcessGroup:
             land = lambda got: algorithms.reduce_in_order(array, got, op)
         if posts is None:  # this rank's piece to every peer (a barrier's: None)
             posts = [(peers, pieces[me])]
-        work = _RoundWork(record, self, signature, pieces, missing, land)
-        record.start()
-        try:
-            for dsts, payload in posts:
-                if dsts:
-                    self.hub.post(self.global_rank, dsts, work._tag, Signed(signature, payload))
-        except Exception as exc:  # raised by wait(), as a worker's would be
-            work._complete(exc)
+        for dsts, payload in posts:
+            if dsts:
+                self.hub.post(self.global_rank, dsts, tag, Signed(signature, payload))
+        got = yield tag, missing
+        for offset, piece in zip(missing, got):
+            pieces[offset] = piece
+        if land is not None:
+            return land(pieces)
+
+    def _rooted(self, algorithm: Callable, args: list, tag: tuple, signature: dict):
+        """Steps of a rooted op (reduce, gather, scatter).  Its own
+        messages cannot carry the fingerprint — ranks that disagree on
+        the root may exchange none — so at issue group rank 0 posts it
+        alone under ``tag`` and every other rank takes it first; then
+        the blocking algorithm runs."""
+        if self.group_rank == 0:
+            if self._peer_ranks:
+                self.hub.post(self.global_rank, self._peer_ranks, tag, Signed(signature, None))
+            yield tag, ()
         else:
-            self._pending.add(work)
-        if async_op:
-            return work
-        work.wait()
-        return work.result[0]
+            yield tag, (0,)
+        return algorithm(self.hub, self.ranks, self.group_rank, *args, tag, self.timeout)
 
     def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce ``tensor`` in place across the group (sum by default).
@@ -782,7 +680,8 @@ class ProcessGroup:
         When ``Work.wait()`` returns the tensor is the caller's again (large
         ones are lent to peers, see :mod:`repro.comm.algorithms`).  Under
         the size rule the call posts a copy — the contribution — and the
-        reduction runs in ``wait()`` / ``is_completed()``.
+        reduction runs in ``wait()`` / ``is_completed()``; above it the
+        call sends the ring's first segment and they run the other steps.
         """
         return self._collective("allreduce", tensor, async_op, reduce_op=op)
 
@@ -790,8 +689,9 @@ class ProcessGroup:
         """Broadcast from group-rank ``src`` into every rank's tensor.
 
         Under the size rule the root posts one copy to each peer at issue
-        and each peer receives it in ``wait()`` (split phase); above it a
-        communication worker runs the tree broadcast.
+        and each peer receives it in ``wait()``; above it the tree
+        broadcast's root sends at issue and every other rank receives
+        and forwards in ``wait()``.
         """
         return self._collective("broadcast", tensor, async_op, src=src)
 
@@ -806,14 +706,11 @@ class ProcessGroup:
 
         The flat tensor is partitioned with
         :func:`~repro.comm.algorithms.partition_spans`; rank ``r`` gets
-        back the fully reduced span ``r`` as a new array.  One round at
-        every size: the call posts each peer a copy of that peer's span,
-        and ``wait()`` reduces the pieces of span ``r`` in group-rank
-        order (the caller's tensor is not modified, and its own span is
-        read there, so it stays lent until then).  This is the
-        gradient-sharding primitive of the ZeRO stages
-        (:mod:`repro.sharded`).  With ``async_op=True`` returns a
-        :class:`Work` whose ``result[0]`` holds the span after ``wait()``.
+        back the fully reduced span ``r`` as a new array (``result[0]``
+        of the async form).  One round at every size: the call posts each
+        peer a copy of its span, and ``wait()`` reduces span ``r``'s
+        pieces in group-rank order (the caller's own span stays lent until
+        then).  The gradient-sharding primitive of :mod:`repro.sharded`.
         """
         return self._collective("reduce_scatter_flat", tensor, async_op, reduce_op=op)
 
@@ -824,15 +721,11 @@ class ProcessGroup:
     def all_gather_flat(self, tensor, shard=None, async_op: bool = False):
         """Fill ``tensor`` in place with every rank's contiguous span.
 
-        The inverse of :meth:`reduce_scatter_flat`: the flat tensor is
-        partitioned with
-        :func:`~repro.comm.algorithms.partition_spans` and after the
-        collective every rank holds all spans.  Rank ``r`` contributes
-        span ``r`` — from ``shard`` when given (its element count must
-        match the span), otherwise from the tensor's own span, copied at
-        the call and posted to every peer in one round.  This is the
-        parameter-materialization primitive of the ZeRO stages
-        (:mod:`repro.sharded`).
+        The inverse of :meth:`reduce_scatter_flat`.  Rank ``r``
+        contributes span ``r`` — ``shard`` when given (its element count
+        must match the span), else the tensor's own span — copied at the
+        call and posted to every peer in one round.  The
+        parameter-materialization primitive of :mod:`repro.sharded`.
         """
         shard_array = None
         if shard is not None:  # checked before a sequence number is spent
@@ -869,16 +762,11 @@ class ProcessGroup:
         this with collectives; provided for parameter-server-style code)."""
         array = _as_array(tensor)
         self.bytes_communicated += array.nbytes
-        self.hub.send(
-            self.ranks[self.group_rank], self.ranks[dst], ("p2p", self._group_id, tag),
-            array.copy(),
-        )
+        self.hub.send(self.global_rank, self.ranks[dst], ("p2p", self._group_id, tag), array.copy())
 
     def recv(self, tensor, src: int, tag: object = "p2p") -> None:
         """Blocking point-to-point receive from group-rank ``src``."""
         array = _as_array(tensor)
         incoming = self.hub.recv(
-            self.ranks[self.group_rank], self.ranks[src], ("p2p", self._group_id, tag),
-            self.timeout,
-        )
+            self.global_rank, self.ranks[src], ("p2p", self._group_id, tag), self.timeout)
         array[...] = incoming.reshape(array.shape)

@@ -70,8 +70,8 @@ class TransportHub:
     """In-process message fabric connecting ``world_size`` ranks.
 
     Thread-safety: fully thread-safe — one mutex guards the mailboxes,
-    counters, and the table of parked receivers, so any number of rank
-    and communication-worker threads may ``send``/``recv`` concurrently.
+    counters, and the table of parked receivers, so any number of
+    threads may ``send``/``recv`` concurrently.
     A receiver that finds its mailbox empty parks on a private gate
     filed under its ``(src, dst, tag)`` (:mod:`repro.comm.gates`); a
     deposit opens the gates of the mailbox it filled and nobody else's,

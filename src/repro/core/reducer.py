@@ -510,9 +510,8 @@ class Reducer:
         """Wait for communication and hand the averaged gradients over.
 
         Runs inside the autograd hook that readied the final bucket
-        (Algorithm 1 line 21) — the engine thread blocks here while the
-        process-group worker drains the queued collectives, and completes
-        the split-phase (small) ones itself.
+        (Algorithm 1 line 21) — the engine thread completes the launched
+        collectives here, in launch order.
         """
         self.recorder.mark_all_grads()
         globally_used = None
@@ -667,8 +666,7 @@ class Reducer:
         * ``comm_compute_overlap_ratio`` — fraction of bucket collective
           time hidden inside the backward-compute window (paper Fig. 4).
         * ``per_bucket_allreduce_latency_s`` — each bucket collective's
-          interval from its record (a split-phase one's from post to
-          completion).
+          interval from its record (from its first post to its completion).
         """
         profile = self.recorder.last
         bucket_latencies = (

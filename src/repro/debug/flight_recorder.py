@@ -110,12 +110,9 @@ class CollectiveRecord:
     signature fields — reduce op / src / root — plus the group's
     ``world`` and ``backend`` and the algorithm in ``extra``), its
     identity (``group_id``, ``seq``), the bytes the group accounts for
-    it, and the caller's label.  The issuing thread
-    creates it (stamped *scheduled*).  A collective on a communication
-    worker is stamped :meth:`start` and :meth:`finish` by that worker; a
-    split-phase one (under the size rule) is started by the issuing
-    thread as it posts and finished by the thread that completes it in
-    ``wait()`` / ``is_completed()``.
+    it, and the caller's label.  The issuing thread creates it (stamped
+    *scheduled*) and starts it as it posts the first step; the thread
+    that completes it in ``wait()`` / ``is_completed()`` finishes it.
 
     ``stalls`` (``{src rank: seconds}`` of receive wait) is attached by
     the executing thread when it is done with a collective it ran while
@@ -150,8 +147,8 @@ class CollectiveRecord:
         self.stalls: Optional[Dict[int, float]] = None
 
     def start(self) -> None:
-        """Stamp the start of execution (a worker dequeuing it, or the
-        issuing thread posting a split-phase collective)."""
+        """Stamp the start of execution (the issuing thread posting the
+        collective's first step)."""
         with _state_lock:
             self.t_start = time.perf_counter()
             if self.state == SCHEDULED:  # a caller may have given up already

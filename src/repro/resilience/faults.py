@@ -253,10 +253,9 @@ def _tear_bytes(data: bytes) -> bytes:
 
 
 class FaultPlan:
-    """A seeded set of fault rules, installable on hub and groups.
+    """A seeded set of fault rules, installed on a transport hub.
 
-    Thread-safe: rank and communication-worker threads consult the plan
-    concurrently; per-edge match counters are guarded by one lock and
+    Thread-safe: rank threads consult the plan concurrently; per-edge match counters are guarded by one lock and
     probability draws are pure hashes of stable identifiers.
 
     Usage::
@@ -322,8 +321,8 @@ class FaultPlan:
 
         Raises :class:`InjectedRankFailure` when a collective-scoped
         crash rule fires — on the issuing rank's own thread, *before*
-        the collective is queued, which places the death exactly at a
-        chosen bucket boundary of a DDP backward.
+        anything is posted, which places the death exactly at a chosen
+        bucket boundary of a DDP backward.
         """
         for index, rule in enumerate(self.rules):
             if not rule._matches_collective(rank, op, seq):

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is a thread-safe bag of named instruments.
 Each rank owns one registry (see :func:`repro.telemetry.metrics`);
-worker threads belonging to a rank record into the same registry, so
+every thread of a rank records into the same registry, so
 per-instrument locks keep concurrent ``add``/``observe`` calls exact.
 
 Most series are not written while training but folded from the rank's

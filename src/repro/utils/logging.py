@@ -7,8 +7,7 @@ to look at when a distributed run hangs.
 
 Every record carries a ``%(rank)s`` field resolved from the rank
 contextvar (:mod:`repro.utils.rank`) that ``run_distributed`` binds at
-rank spawn and each process group binds on its communication worker —
-so records attribute to the *actual* rank rather than whatever the
+rank spawn — so records attribute to the *actual* rank rather than whatever the
 thread happens to be named.  Records emitted outside any rank context
 show ``-``.
 """

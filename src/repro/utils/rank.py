@@ -1,12 +1,11 @@
 """Rank identity propagation.
 
 Each logical rank in this library is a thread (see
-``repro.comm.distributed.run_distributed``), and each rank additionally
-owns communication worker threads.  Knowing "which rank am I on?" from
-arbitrary library code — log formatting, telemetry attribution — must
-therefore not rely on thread names.  A :mod:`contextvars` variable is
-set at rank spawn (and at communication-worker startup) and read
-wherever rank identity is needed.
+``repro.comm.distributed.run_distributed``).  Knowing "which rank am I
+on?" from arbitrary library code — log formatting, telemetry
+attribution — must not rely on thread names.  A :mod:`contextvars`
+variable is set at rank spawn and read wherever rank identity is
+needed.
 
 ``contextvars`` gives every thread its own value by default, so ranks
 never observe each other's identity, and code running outside any rank

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.comm import (
+    CollectiveError,
     CollectiveTimeoutError,
     get_context,
     monitored_barrier,
-    new_round_robin_group,
+    new_process_group,
 )
 from repro.core import DistributedDataParallel
 from repro.core.bucket import compute_bucket_assignment
@@ -38,7 +39,7 @@ from repro.debug import (
 from repro.nn.module import Parameter
 from repro.utils import manual_seed
 
-from conftest import bare_work, run_world, small_classifier
+from conftest import bare_work, run_world, small_classifier, wait_until
 
 
 class TestLevels:
@@ -269,27 +270,27 @@ class TestWatchdog:
 
 def liveness_threads(rank):
     """Names of the threads that watch or beat for ``rank``: every live
-    thread named after it except rank threads, its groups' communication
-    workers and checkpoint writers."""
+    thread named after it except rank threads and checkpoint writers."""
     return sorted(
         t.name for t in threading.enumerate()
         if re.search(rf"rank{rank}(?!\d)", t.name)
         and not re.fullmatch(rf"(elastic-g\d+-)?rank{rank}", t.name)
-        and not t.name.endswith("-comm") and not t.name.startswith("ckpt-")
+        and not t.name.startswith("ckpt-")
     )
 
 
 class TestLiveness:
     def test_one_liveness_thread_per_rank(self, debug_level, tmp_path):
-        """A default group plus a two-group round robin, and an elastic
-        rank, each run exactly one thread that watches and beats."""
+        """A default group plus two more groups, and an elastic rank, each
+        run exactly one thread that watches and beats."""
         from repro.optim import SGD
         from repro.resilience import ElasticConfig, run_elastic
 
         debug_level("INFO")
 
         def body(rank):
-            new_round_robin_group("gloo", num_groups=2)
+            new_process_group("gloo")
+            new_process_group("gloo")
             return liveness_threads(rank)
 
         assert run_world(2, body, backend="gloo") == [
@@ -311,18 +312,18 @@ class TestLiveness:
         assert result.completed
         assert seen == {0: ["liveness-rank0"], 1: ["liveness-rank1"]}
 
-    def test_round_robin_member_hang_shows_in_ddp_stats(self, debug_level):
+    def test_second_group_hang_shows_in_ddp_stats(self, debug_level):
         """The status covers every group the rank watches, not just the
-        round robin's first member."""
+        one DDP runs on."""
         debug_level("INFO")
 
         def body(rank):
-            rr = new_round_robin_group("gloo", num_groups=2, timeout=1.5)
+            other = new_process_group("gloo", timeout=1.5)
             manual_seed(0)
-            ddp = DistributedDataParallel(small_classifier(), process_group=rr)
-            if rank == 0:  # rank 1 never joins member 1's collective
+            ddp = DistributedDataParallel(small_classifier())
+            if rank == 0:  # rank 1 never joins the other group's collective
                 with pytest.raises(CollectiveTimeoutError, match="desync"):
-                    rr.groups[1].allreduce(np.ones(4))
+                    other.allreduce(np.ones(4))
             return ddp.ddp_stats()["debug"]["watchdog"]
 
         statuses = run_world(2, body, backend="gloo")
@@ -385,23 +386,39 @@ class TestMonitoredBarrier:
 
 class TestShutdownUnwedging:
     def test_shutdown_unblocks_stuck_worker(self):
-        """Regression: a worker blocked in a collective no peer will ever
-        join used to wedge shutdown until the full transport timeout."""
+        """Regression: a thread parked in the split-phase wait of a ring
+        AllReduce no peer will ever join used to wedge shutdown until the
+        full transport timeout."""
 
         def body(rank):
             pg = get_context().default_group
-            if rank == 0:
-                pg.allreduce(np.ones(2), async_op=True)  # rank 1 never joins
-                time.sleep(0.1)  # let the worker block inside the transport
+            if rank == 0:  # rank 1 never joins
+                work = pg.allreduce(np.ones(1 << 15), async_op=True)
+                assert work.record.extra["algorithm"] == "ring"
+                errors = []
+
+                def waiter():
+                    try:
+                        work.wait()
+                    except CollectiveError as exc:
+                        errors.append(exc)
+
+                thread = threading.Thread(target=waiter, name="ring-waiter")
+                thread.start()
+                wait_until(lambda: pg._executing)  # parked inside the transport
             start = time.perf_counter()
             ok = pg.shutdown(grace=0.3)
-            return ok, time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            if rank == 0:
+                thread.join(5)
+                assert not thread.is_alive() and len(errors) == 1
+            return ok, elapsed
 
         results = run_world(2, body, backend="gloo", timeout=30.0)
         for ok, elapsed in results:
-            assert ok, "worker thread failed to join after hub close"
+            assert ok, "the parked waiter did not return after hub close"
             assert elapsed < 5.0, (
-                f"shutdown took {elapsed:.1f}s — blocked worker was not "
+                f"shutdown took {elapsed:.1f}s — the parked wait was not "
                 "unwedged (transport timeout is 30s)"
             )
 

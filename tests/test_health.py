@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import run_world, wait_until
+from conftest import run_world
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.resilience import FaultPlan
@@ -319,9 +319,10 @@ def _count(snap, name):
 
 def _timed_out_allreduce():
     """World 2: rank 1's sends to rank 0 are delayed 0.3 s, and rank 0's
-    caller gives up on a worker-run AllReduce after 0.05 s, reads the
-    registries while its worker still receives, then waits the worker
-    out.  Returns every rank's snapshot and rank 0's record."""
+    caller gives up on a ring AllReduce after 0.05 s, reads the
+    registries while the ring is still unfinished, then carries it to its
+    end with a second wait.  Returns every rank's snapshot and rank 0's
+    record."""
     telemetry.enable()
     plan = FaultPlan([delay(0.3, rank=1, dst=0)], seed=0)
 
@@ -329,14 +330,15 @@ def _timed_out_allreduce():
         from repro.comm import CollectiveTimeoutError, get_context
 
         group = get_context().default_group
-        # (p − 1) · nbytes = 256 KiB: above the size rule, on the worker.
+        # (p − 1) · nbytes = 256 KiB: above the size rule, the ring.
         work = group.allreduce(np.ones(1 << 15), async_op=True)
         if rank == 0:
             with pytest.raises(CollectiveTimeoutError):
                 work.wait(timeout=0.05)
-            assert group._executing            # the worker still receives
+            assert not work.is_completed()     # the ring is still unfinished
             telemetry.all_snapshots()          # a read in that window
-            wait_until(lambda: not group._executing, timeout=10.0)
+            with pytest.raises(CollectiveTimeoutError):
+                work.wait()                    # receives the rest, then re-raises
         else:
             work.wait()
         return work.record
@@ -464,9 +466,9 @@ class TestFoldAtRead:
         assert snap["counters"]["comm.recv_stall_s.from_rank_1"] == pytest.approx(3000.0)
 
     def test_stalls_after_a_caller_timeout_are_folded(self):
-        """The worker keeps receiving after its caller gave up; those
-        waits are the hung peer's signal, so a read during them must not
-        fold the record early."""
+        """A wait after the caller's timeout keeps receiving; those waits
+        are the late peer's signal, so a read before them must not fold
+        the record early."""
         snaps, _ = _timed_out_allreduce()
         stalled = snaps[0]["counters"].get("comm.recv_stall_s.from_rank_1", 0.0)
         assert stalled >= 0.2

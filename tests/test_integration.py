@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.comm import get_context, new_round_robin_group
 from repro.core import DistributedDataParallel, comm_hooks
 from repro.data import DataLoader, DistributedSampler, make_classification, synthetic_mnist
 from repro.models import MLP, ConvNet, StochasticDepthMLP, TinyTransformer
@@ -155,32 +154,6 @@ class TestFullTrainingRuns:
             return ddp.state_dict()
 
         results = run_world(2, body, backend="gloo", timeout=60)
-        for name, value in results[0].items():
-            assert np.allclose(value, results[1][name])
-
-    def test_round_robin_process_group_with_ddp(self):
-        """DDP over a round-robin composite group (paper §5.4)."""
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((8, 6))
-        Y = rng.integers(0, 4, 8)
-
-        def body(rank):
-            manual_seed(8)
-            rr = new_round_robin_group("gloo", num_groups=3)
-            model = nn.Sequential(nn.Linear(6, 16), nn.ReLU(), nn.Linear(16, 4))
-            ddp = DistributedDataParallel(model, process_group=rr, bucket_cap_mb=0.0001)
-            opt = SGD(ddp.parameters(), lr=0.05)
-            loss_fn = nn.CrossEntropyLoss()
-            shard = slice(rank * 4, (rank + 1) * 4)
-            for _ in range(4):
-                opt.zero_grad()
-                loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
-                opt.step()
-            state = ddp.state_dict()
-            rr.shutdown()
-            return state
-
-        results = run_world(2, body, timeout=60)
         for name, value in results[0].items():
             assert np.allclose(value, results[1][name])
 

@@ -1,4 +1,4 @@
-"""ProcessGroup API: sync/async, consistency, backends, round-robin."""
+"""ProcessGroup API: sync/async, consistency, backends, several groups."""
 
 import inspect
 import os
@@ -19,10 +19,9 @@ from repro.comm import (
     algorithms,
     get_context,
     new_process_group,
-    new_round_robin_group,
 )
 from repro.comm.algorithms import RENDEZVOUS_BYTES, one_round
-from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work, _RoundWork
+from repro.comm.process_group import _OPS, ProcessGroup, ReduceOp, Work
 from repro.comm.store import Store
 from repro.comm.transport import Signed, TransportClosedError, TransportHub
 from repro.debug import (
@@ -31,7 +30,7 @@ from repro.debug import (
     recorder_for,
     set_debug_level,
 )
-from repro.resilience import FaultPlan, InjectedRankFailure, crash_rank
+from repro.resilience import FaultPlan, InjectedRankFailure, crash_rank, delay
 
 from conftest import run_world, wait_until
 from test_collectives import ALLGATHER_MSGS, REDUCE_MSGS, tree_reduced
@@ -229,14 +228,15 @@ class TestSubgroupsAndRoundRobin:
         assert run_world(3, body) == [0, 1, None]
 
     def test_round_robin_results_match(self):
+        """Collectives dealt over three groups of the same ranks in turn
+        (the paper's round-robin pattern, §3.3) land the right results."""
         def body(rank):
-            rr = new_round_robin_group("gloo", num_groups=3)
+            groups = [new_process_group("gloo") for _ in range(3)]
             outs = []
             for i in range(7):
                 x = np.full(3, float(rank + i))
-                rr.allreduce(x)
+                groups[i % 3].allreduce(x)
                 outs.append(x[0])
-            rr.shutdown()
             return outs
 
         results = run_world(2, body)
@@ -244,36 +244,28 @@ class TestSubgroupsAndRoundRobin:
 
     def test_round_robin_distributes_across_groups(self):
         def body(rank):
-            rr = new_round_robin_group("gloo", num_groups=2)
-            for _ in range(4):
-                rr.allreduce(np.zeros(2))
-            counts = [g.bytes_communicated for g in rr.groups]
-            rr.shutdown()
-            return counts
+            groups = [new_process_group("gloo") for _ in range(2)]
+            for i in range(4):
+                groups[i % 2].allreduce(np.zeros(2))
+            return [g.bytes_communicated for g in groups]
 
         results = run_world(2, body)
         assert results[0] == [32, 32]
 
-    def test_round_robin_validation(self):
-        from repro.comm.round_robin import RoundRobinProcessGroup
-
-        with pytest.raises(ValueError):
-            RoundRobinProcessGroup([])
-
     def test_round_robin_mismatch_names_inner_group(self):
         """A mismatch under round-robin dispatch must be attributed to
-        the inner group that actually ran the collective — at *its*
-        local sequence number, not the round-robin call index."""
+        the group that actually ran the collective — at *its* local
+        sequence number, not the dispatch index."""
         seen = {}
 
         def body(rank):
-            rr = new_round_robin_group("gloo", num_groups=2)
+            groups = [new_process_group("gloo", timeout=3) for _ in range(2)]
             if rank == 0:
-                seen["gids"] = [g._group_id for g in rr.groups]
-            rr.allreduce(np.zeros(2))  # call 0 -> groups[0], its seq 0
-            rr.allreduce(np.zeros(2))  # call 1 -> groups[1], its seq 0
+                seen["gids"] = [g._group_id for g in groups]
+            groups[0].allreduce(np.zeros(2))  # call 0 -> groups[0], its seq 0
+            groups[1].allreduce(np.zeros(2))  # call 1 -> groups[1], its seq 0
             # call 2 -> groups[0] again, its seq 1; shapes diverge
-            rr.allreduce(np.zeros(2 if rank == 0 else 5))
+            groups[0].allreduce(np.zeros(2 if rank == 0 else 5))
 
         with pytest.raises(RuntimeError, match="mismatch") as excinfo:
             run_world(2, body, timeout=3)
@@ -281,6 +273,36 @@ class TestSubgroupsAndRoundRobin:
         message = str(excinfo.value)
         assert f"collective #1 mismatch in group {gid_first}" in message
         assert f"group {gid_second}" not in message
+
+    def test_opposite_issue_order_over_two_groups_completes(self):
+        """Issue never blocks: ranks issue ring-sized AllReduces on two
+        groups in opposite order, then wait on both.  A design that ran
+        the ring at issue would deadlock here."""
+        def body(rank):
+            groups = [new_process_group("gloo", timeout=10) for _ in range(2)]
+            xs = [np.full(OVER_RULE * 2, float(rank + 1 + 10 * g)) for g in range(2)]
+            assert not algorithms.one_round(xs[0].nbytes, 2)
+            order = [0, 1] if rank == 0 else [1, 0]
+            works = {g: groups[g].allreduce(xs[g], async_op=True) for g in order}
+            for g in range(2):
+                works[g].wait()
+            return [x[0] for x in xs], [works[g].record.extra["algorithm"] for g in range(2)]
+
+        for values, algorithm in run_world(2, body, timeout=10):
+            assert values == [3.0, 23.0] and algorithm == ["ring", "ring"]
+
+    def test_no_communication_thread(self):
+        """No thread named ``*-comm`` exists once a group is up, and none
+        is left once it is shut down."""
+        before = {t.name for t in threading.enumerate()}
+
+        def body(rank):
+            new_process_group("gloo")
+            return sorted(t.name for t in threading.enumerate() if t.name.endswith("-comm"))
+
+        assert run_world(2, body, backend="gloo") == [[], []]
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.endswith("-comm") and t.name not in before]
 
 
 # ----------------------------------------------------------------------
@@ -486,8 +508,8 @@ class TestOpTable:
     #: world -> (float64 elements exactly at the size rule, hub messages
     #: per rank one element below it, and at it).  At the rule: world 2
     #: lends (rs + ag + token), the others send the ring's eager 2(p−1);
-    #: the worker path's leader adds its fingerprint post to each of the
-    #: p − 1 peers.
+    #: the ring's first segment carries the fingerprint, so no rank adds
+    #: a message.
     SIZE_RULE = {2: (32768, 1, 3), 3: (16384, 2, 4), 4: (10923, 3, 6), 5: (8192, 4, 8)}
 
     @pytest.mark.parametrize("world", sorted(SIZE_RULE))
@@ -525,9 +547,8 @@ class TestOpTable:
 
         results = run_world(world, body, backend="gloo", timeout=20.0)
         for rank, seen in enumerate(results):  # same protocol, same bits, every rank
-            fingerprints = world - 1 if rank == 0 else 0
             assert seen[0:2] == [("naive", msgs_below)] * 2
-            assert seen[3:5] == [("ring", msgs_at + fingerprints)] * 2
+            assert seen[3:5] == [("ring", msgs_at)] * 2
             assert seen[2::3] == results[0][2::3]
         for rank in range(world):
             records = recorder_for(rank).records()
@@ -767,11 +788,11 @@ class TestSplitPhase:
             for op in ops:
                 x = inputs[op][rank].copy()
                 work = pg.allreduce(x, op, async_op=True)
-                assert isinstance(work, _RoundWork)
+                assert isinstance(work, Work) and work.record.extra["algorithm"] == "naive"
                 work.wait()
                 out.append(x.tobytes())
             x = inputs["bcast"][rank].copy()
-            assert isinstance(pg.broadcast(x, src=root, async_op=True), _RoundWork)
+            assert isinstance(pg.broadcast(x, src=root, async_op=True), Work)
             pg.broadcast(x, src=root)  # and the sync form
             out.append(x.tobytes())
             return out
@@ -847,7 +868,7 @@ class TestSplitPhase:
     def test_a_failed_post_is_raised_by_wait(self):
         """A wire-scoped crash fires on the issuing thread as it posts; the
         call still returns a Work, and its wait() raises — as it would
-        for a collective a worker ran."""
+        for a failure in a later step."""
         seen = {}
 
         def body(rank):
@@ -861,6 +882,55 @@ class TestSplitPhase:
                       fault_plan=FaultPlan([crash_rank(1)]))
         assert isinstance(excinfo.value.__cause__, InjectedRankFailure)
         assert seen[1] == "failed"
+
+    def test_a_wire_crash_in_a_later_ring_step_surfaces_from_wait(self):
+        """A wire-scoped crash rule that fires inside a ring step after the
+        first (rank 1's allgather send, made in ``wait()``) is raised by
+        that ``wait()``; the issue itself succeeded."""
+        seen = {}
+
+        def body(rank):
+            pg = get_context().default_group
+            work = pg.allreduce(np.ones(OVER_RULE * 2), async_op=True)
+            seen[rank] = work.record.state, work.record.extra["algorithm"]
+            work.wait()
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_world(2, body, backend="gloo", timeout=3, fault_plan=FaultPlan(
+                [crash_rank(1, tag_contains="'ag'")]))
+        assert isinstance(excinfo.value.__cause__, InjectedRankFailure)
+        assert "'ag'" in str(excinfo.value)
+        assert seen[1] == ("started", "ring")
+
+    def test_a_wire_delay_in_a_later_ring_step_lands_in_wait(self):
+        """A delay rule on the allgather sends holds up ``wait()``, not
+        the issue: the ring's later steps run on the waiting thread."""
+        def body(rank):
+            pg = get_context().default_group
+            x = np.full(OVER_RULE * 2, rank + 1.0)
+            start = time.perf_counter()
+            work = pg.allreduce(x, async_op=True)
+            issued = time.perf_counter()
+            work.wait()
+            return issued - start, time.perf_counter() - issued, x[0]
+
+        plan = FaultPlan([delay(0.2, tag_contains="'ag'")])
+        for issue_s, wait_s, value in run_world(2, body, backend="gloo", fault_plan=plan):
+            assert issue_s < 0.15 <= wait_s and value == 3.0
+
+    def test_waits_out_of_issue_order_complete(self):
+        """Two ring AllReduces on one group, waited newest first on one
+        rank: that wait completes the older one first, so the ranks meet
+        (each ring's later steps need the peer to advance the same ring)."""
+        def body(rank):
+            pg = get_context().default_group
+            xs = [np.full(OVER_RULE * 2, rank + 1.0 + 10 * i) for i in range(2)]
+            works = [pg.allreduce(x, async_op=True) for x in xs]
+            for work in (works[::-1] if rank == 0 else works):
+                work.wait()
+            return [x[0] for x in xs]
+
+        assert run_world(2, body, backend="gloo", timeout=10) == [[3.0, 23.0]] * 2
 
     def test_two_waiters_complete_it_exactly_once(self):
         def body(rank):
@@ -984,9 +1054,10 @@ class _CountingStore(Store):
 
 
 class TestSignatureChannels:
-    """Where each path checks the fingerprint: on the hub, under the tag
-    ``(group, seq)`` — a small collective's posts carry it, a worker-run
-    one's leader posts it alone — so no collective touches the store."""
+    """Where each collective checks the fingerprint: on the hub, under the
+    tag ``(group, seq)`` — a small collective's posts carry it, and so do
+    the ring's first segment and the tree broadcast's messages — so no
+    collective touches the store."""
 
     def test_small_collectives_never_touch_the_store(self):
         store, world = _CountingStore(timeout=10.0), 4
@@ -1042,16 +1113,16 @@ class TestSignatureChannels:
         assert len(set(results)) == 1
 
     def test_fingerprint_wait_is_a_transport_receive(self, observed):
-        """Non-leaders waiting for a late leader's worker-path fingerprint
-        are parked in the hub: ``blocked_receivers()`` — the hang
-        watchdog's evidence — names them waiting on the leader under the
-        collective's tag, and their records book the wait as a receive
-        stall from the leader, like any late sender's."""
+        """A rank waiting for a late neighbour's signed first ring segment
+        is parked in the hub: ``blocked_receivers()`` — the hang
+        watchdog's evidence — names it waiting on that neighbour under
+        the collective's tag, and the records book the wait as a receive
+        stall from the late sender, like any late sender's."""
         late_s = 0.05
 
         def body(rank):
             pg = get_context().default_group
-            if rank == 0:  # the leader issues once both peers are parked
+            if rank == 0:  # issues once its right neighbour is parked
                 tag = repr((pg._group_id, pg._seq))
 
                 def parked():
@@ -1059,14 +1130,16 @@ class TestSignatureChannels:
                                   for entry in pg.hub.blocked_receivers()
                                   if entry["tag"] == tag)
 
-                wait_until(lambda: parked() == [(1, 0), (2, 0)])
+                wait_until(lambda: parked() == [(1, 0)])
                 time.sleep(late_s)
             pg.allreduce(np.ones(OVER_RULE))
             return pg.flight_recorder.records()[-1]
 
-        for record in run_world(3, body, backend="gloo")[1:]:
+        records = run_world(3, body, backend="gloo")
+        for record in records:
             assert (record.op, record.extra["algorithm"]) == ("allreduce", "ring")
-            assert record.stalls[0] >= late_s
+        assert records[1].stalls[0] >= late_s
+        assert records[2].stalls[1] >= late_s  # the ring's later steps waited too
 
     def test_patched_wait_sees_every_small_wait(self, monkeypatch):
         """``Work.wait`` replaced on the class, as the repo benchmark's
@@ -1075,9 +1148,8 @@ class TestSignatureChannels:
         seen, original = {}, Work.wait
 
         def wait(self, timeout=None):
-            if isinstance(self, _RoundWork):
-                name = threading.current_thread().name
-                seen[name] = seen.get(name, 0) + 1
+            name = threading.current_thread().name
+            seen[name] = seen.get(name, 0) + 1
             return original(self, timeout)
 
         monkeypatch.setattr(Work, "wait", wait)
@@ -1095,17 +1167,18 @@ class TestSignatureChannels:
         run_world(3, body, backend="gloo")
         assert seen == {f"rank{rank}": 25 for rank in range(3)}
 
-    def test_worker_path_signatures_do_not_outlive_their_readers(self, monkeypatch):
-        """The leader's fingerprint is a hub post its readers take: after
-        300 AllReduces on the worker no ``sig/`` key was ever written,
-        the leader posted each fingerprint to both peers, and once every
-        rank is done no post is left in the hub."""
+    def test_ring_signatures_do_not_outlive_their_readers(self, monkeypatch):
+        """The ring's fingerprint rides its first segment, a hub post its
+        reader takes: after 300 ring AllReduces no ``sig/`` key was ever
+        written, each rank posted one signed segment per AllReduce to its
+        right neighbour and no fingerprint alone, and once every rank is
+        done no post is left in the hub."""
         monkeypatch.setattr(algorithms, "RENDEZVOUS_BYTES", 0)  # nothing is small
-        fingerprints, real_post = [], TransportHub.post
+        signed, real_post = [], TransportHub.post
 
         def post(hub, src, dsts, tag, payload):
-            if isinstance(payload, Signed) and payload.data is None:
-                fingerprints.append((src, tuple(dsts)))
+            if isinstance(payload, Signed):
+                signed.append((src, tuple(dsts), payload.data is None))
             return real_post(hub, src, dsts, tag, payload)
 
         monkeypatch.setattr(TransportHub, "post", post)
@@ -1122,7 +1195,8 @@ class TestSignatureChannels:
             return most, pg._seq, pg.hub.pending_messages()
 
         assert run_world(3, body, backend="gloo") == [(0, 300, 0)] * 3
-        assert fingerprints == [(0, (1, 2))] * 300
+        assert sorted(signed) == sorted(
+            [(rank, ((rank + 1) % 3,), False) for rank in range(3)] * 300)
 
 
 class TestSplitPhaseStress:

@@ -146,8 +146,8 @@ class TestWorkWaitTimeout:
         assert "caller-side wait" in dumped["error"]
 
     def test_worker_success_wins_race_against_timeout(self):
-        """First terminal state wins: a worker finishing as the caller's
-        wait expires keeps its successful result."""
+        """First terminal state wins: a collective that finished as the
+        caller's wait expires keeps its successful result."""
         work = bare_work(seq=4)
         work._complete(None)
         work.wait(timeout=0.0)  # does not raise: success already landed
@@ -245,10 +245,23 @@ def wait_until(predicate, timeout=10.0):
         time.sleep(0.005)
 
 
+def wait_aside(work):
+    """Park a helper thread in ``work.wait()`` — a collective counts as
+    hung from when a thread waits on it — and leave the caller free; the
+    wait's failure (the hang report, the hub closing) is expected."""
+    def waiter():
+        try:
+            work.wait()
+        except Exception:
+            pass
+
+    threading.Thread(target=waiter, daemon=True).start()
+
+
 class TestLivenessThread:
     """One thread beats and watches, so the hang report must never hold
-    it.  In both tests rank 0 hangs in a worker-path AllReduce (async, so
-    its own thread stays free) that rank 1 never joins, and rank 1 has
+    it.  In both tests rank 0 hangs in a ring AllReduce (waited on a
+    helper thread, so its own thread stays free) that rank 1 never joins, and rank 1 has
     stopped its monitor, so it never answers the alarm: rank 0's report
     then waits out its whole grace window, which the frozen fake clock
     keeps open."""
@@ -267,7 +280,7 @@ class TestLivenessThread:
                 return None
             monitor = ctx.monitor
             monitor.beat(ctx.store, "hb-report")
-            ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True)
+            wait_aside(ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True))
             (watch,) = monitor._watches.values()
             wait_until(lambda: watch.report is not None)
             beats = monitor.beats
@@ -312,7 +325,7 @@ class TestLivenessThread:
                 # has closed its context with the report still open.
                 wait_until(lambda: 0 in monitors and not monitors[0].is_alive())
                 return
-            ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True)
+            wait_aside(ctx.default_group.allreduce(np.ones(self.HANG_ELEMENTS), async_op=True))
             (watch,) = ctx.monitor._watches.values()
             wait_until(lambda: watch.report is not None)
             monitors[0] = ctx.monitor

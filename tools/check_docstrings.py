@@ -34,7 +34,6 @@ DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "comm" / "transport.py",
     REPO_ROOT / "src" / "repro" / "comm" / "distributed.py",
     REPO_ROOT / "src" / "repro" / "comm" / "store.py",
-    REPO_ROOT / "src" / "repro" / "comm" / "round_robin.py",
 ]
 
 
