@@ -1,4 +1,4 @@
-"""Observatory smoke: live metrics, critical-path blame, merged timeline.
+"""Observatory smoke: live metrics, critical-path blame, one trace.
 
 Runs a short multi-rank DDP job with the full performance observatory
 attached:
@@ -8,17 +8,18 @@ attached:
 * the critical-path profiler's per-bucket blame table for the last
   iteration (where did the wall time go: prepare, backward, exposed
   communication, finalize) and the cross-rank straggler summary;
-* the merged Chrome trace (``observatory_timeline.json``): the
-  ``compute`` and ``comm`` rows, each collective's scheduled → finished
-  lifecycle on a ``flight`` row, and resilience instants, all drawn
-  from the per-rank record rings — load it at https://ui.perfetto.dev;
+* the Chrome trace (``observatory_timeline.json``): the ``compute``
+  row and the ``comm`` row, one mark per retained collective record,
+  both drawn from the per-rank record rings — load it at
+  https://ui.perfetto.dev;
 * the run's post-mortem artefact, the flight-recorder dump
   (``observatory_flight_recorder.json``): per rank the records, the
   incidents and the folded metrics that ``tools/healthctl.py`` reads.
 
 The script validates its own outputs (exposition scrapes, attribution
-sums to the iteration wall time, trace parses, every rank's dump holds
-its records and metrics) so CI can run it as the observatory smoke
+sums to the iteration wall time, trace parses and draws every retained
+record, every rank's dump holds its records and metrics) so CI can run
+it as the observatory smoke
 test.
 
 Run:
@@ -36,7 +37,7 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.comm import run_distributed
 from repro.core import DistributedDataParallel
-from repro.debug import dump_json
+from repro.debug import all_recorders, dump_json
 from repro.telemetry.observatory import CriticalPathProfiler, start_exporter
 from repro.utils import manual_seed
 
@@ -107,18 +108,19 @@ def main() -> int:
     print(f"ddp_stats profile: overlap {ddp_profile['overlap_ratio']:.3f}, "
           f"exposed comm {ddp_profile['exposed_comm_ms']:.3f} ms")
 
-    # -- merged timeline ------------------------------------------------
-    path = telemetry.export_merged_trace(TIMELINE_PATH)
+    # -- trace ----------------------------------------------------------
+    path = telemetry.export_chrome_trace(TIMELINE_PATH)
     document = json.load(open(path))
     events = document["traceEvents"]
     categories = {e.get("cat") for e in events if e.get("cat")}
-    print(f"\n== merged timeline: {len(events)} events, tracks: "
-          f"{sorted(categories)} ==")
+    print(f"\n== trace: {len(events)} events, tracks: {sorted(categories)} ==")
     assert {"compute", "comm", "iteration"} <= categories
-    if os.environ.get("REPRO_DEBUG", "").upper() in ("INFO", "DETAIL", "1", "2"):
-        assert "flight" in categories, "flight-recorder track missing"
-        print("flight-recorder track present "
-              f"({sum(1 for e in events if e.get('cat') == 'flight')} records)")
+    # The comm row draws every retained record, one mark each.
+    for rank, ring in sorted(all_recorders().items()):
+        marks = sum(1 for e in events if e.get("cat") == "comm" and e["pid"] == rank)
+        assert marks == ring.depth(), (rank, marks, ring.depth())
+    print(f"comm row: one mark per retained record "
+          f"({sum(ring.depth() for ring in all_recorders().values())} records)")
     print(f"wrote {path} — open at https://ui.perfetto.dev")
 
     exporter.close()

@@ -6,7 +6,9 @@ Enables ``repro.telemetry``, trains a small MLP on rank threads, then:
   per rank and compute/comm rows — load it in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``;
 * prints ``ddp_stats()`` (bucket layout, overlap ratio, per-bucket
-  AllReduce latency) and the merged cross-rank metric counters;
+  AllReduce latency, autograd hooks fired), the transport hub's
+  always-on message counters and the merged cross-rank metric
+  counters, which every read folds from the per-rank record rings;
 * prints the critical-path profiler's straggler summary, read from the
   per-rank record rings (no extra collective);
 * validates the exported trace: parseable JSON, events from every
@@ -30,7 +32,7 @@ import numpy as np
 
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
-from repro.comm import run_distributed
+from repro.comm import TransportHub, run_distributed
 from repro.core import DistributedDataParallel
 from repro.telemetry.observatory import CriticalPathProfiler
 from repro.utils import manual_seed
@@ -92,7 +94,8 @@ def validate_trace(path: str) -> dict:
 def main() -> None:
     telemetry.enable()
     print(f"tracing a {WORLD_SIZE}-rank DDP run ({ITERATIONS} iterations)...\n")
-    results = run_distributed(WORLD_SIZE, train, backend="gloo", timeout=60)
+    hub = TransportHub(WORLD_SIZE, default_timeout=60)
+    results = run_distributed(WORLD_SIZE, train, backend="gloo", timeout=60, hub=hub)
 
     trace_path = os.path.join(tempfile.gettempdir(), "telemetry_trace.json")
     telemetry.export_chrome_trace(trace_path)
@@ -108,13 +111,23 @@ def main() -> None:
                 "per_bucket_allreduce_latency_s"):
         print(f"  {key}: {stats[key]}")
     assert 0.0 <= stats["comm_compute_overlap_ratio"] <= 1.0
+    hooks = stats["grad_copy_count"] + stats["zero_copy_hits"]
+    print(f"  autograd hooks fired (grad_copy_count + zero_copy_hits): {hooks}")
+    # Each of the MLP's six parameters fires its hook once per iteration.
+    assert hooks == ITERATIONS * 6, hooks
+
+    print(f"\ntransport hub: {sum(hub.messages_sent)} messages, "
+          f"{sum(hub.bytes_sent)} bytes sent (per rank {hub.messages_sent})")
+    assert all(hub.messages_sent), "a rank sent no message"
 
     merged = telemetry.merge_snapshots(telemetry.all_snapshots())
     print("\nmerged cross-rank counters:")
-    for name in ("allreduce.bytes", "allreduce.count", "hook.fire_count",
-                 "bucket.launches", "iterations.synced"):
+    for name in ("allreduce.bytes", "allreduce.count", "bucket.launches",
+                 "iterations.synced"):
         print(f"  {name}: {merged['counters'][name]}")
     assert merged["counters"]["iterations.synced"] == WORLD_SIZE * ITERATIONS
+    assert merged["counters"]["bucket.launches"] == (
+        WORLD_SIZE * ITERATIONS * stats["num_buckets"])
 
     print(f"\n{CriticalPathProfiler().straggler_summary().describe()}")
 

@@ -75,7 +75,7 @@ class Work:
 
     ``record`` is the collective's one
     :class:`~repro.debug.flight_recorder.CollectiveRecord` (facts,
-    terminal state, scheduled/started/finished stamps); ``result[0]``
+    terminal state, start and finish stamps); ``result[0]``
     holds what it returned (None for in-place ops) once ``wait()`` did.
     The collective is a step machine (:func:`~repro.comm.algorithms.run_steps`)
     whose first step ran at issue.  No thread owns the rest: ``wait()``
@@ -585,7 +585,6 @@ class ProcessGroup:
         else:
             steps = self._rooted(row.algorithm, args, tag, signature)
         work = Work(record, self, signature, steps)
-        record.start()
         try:
             ended, error = work._advance(None), None
         except Exception as exc:  # raised by wait(), as a later step's would be

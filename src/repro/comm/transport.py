@@ -32,8 +32,6 @@ from collections import deque
 from typing import Any, Dict, Hashable, NamedTuple, Sequence, Tuple
 
 from repro.comm.gates import NOTHING, KeyedGates, open_gates
-from repro.debug.levels import DEBUG
-from repro.telemetry.metrics import registry_for
 
 
 class TransportTimeoutError(TimeoutError):
@@ -157,10 +155,6 @@ class TransportHub:
             self.messages_sent[src] += len(dsts)
             self.bytes_sent[src] += nbytes * len(dsts)
         open_gates(parked)
-        if DEBUG.telemetry:
-            registry = registry_for(src)
-            registry.counter("transport.messages_sent").add(len(dsts))
-            registry.counter("transport.bytes_sent").add(nbytes * len(dsts))
 
     def recv(self, dst: int, src: int, tag: Hashable, timeout: float | None = None) -> Any:
         """Block until a message matching (src, dst, tag) arrives."""

@@ -55,7 +55,6 @@ from repro.comm.process_group import ReduceOp
 from repro.core.bucket import BucketSpec, copy_params_into, validate_assignment
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
-from repro.telemetry.metrics import registry_for
 from repro.telemetry.recorder import IterationRecorder
 from repro.utils.logging import logger
 
@@ -327,8 +326,6 @@ class Reducer:
             return
         if self.recorder.t_first_grad is None:
             self.recorder.mark_first_grad()
-        if DEBUG.telemetry:
-            registry_for(self.recorder.rank).counter("hook.fire_count").add(1)
         self._mark_ready(index, unused=False, in_place=accumulator.in_place)
 
     def unready_parameters(self) -> List[dict]:
@@ -483,8 +480,6 @@ class Reducer:
             return
         bucket.launched = True
         self.recorder.bucket_launched(bucket.spec.index, bucket.nbytes)
-        if DEBUG.telemetry:
-            registry_for(self.recorder.rank).counter("bucket.launches").add(1)
         logger.debug(
             "launch bucket %d (%d elements)",
             bucket.spec.index,

@@ -4,7 +4,7 @@ The analog of NCCL's / TorchTitan's flight recorder: a bounded ring
 buffer that records every collective's lifecycle on the rank that issued
 it — sequence number, op, group id, payload fingerprint (shape, dtype,
 nbytes, reduce op / src / root), the caller context (e.g. which reducer
-bucket launched it), and scheduled → started → completed timestamps.
+bucket launched it), and started → completed timestamps.
 
 When a run desyncs, the recorders are the evidence: merge every rank's
 dump and the "last N collectives per rank" table shows exactly which
@@ -12,7 +12,10 @@ rank stopped issuing collectives, at which sequence number, and what it
 was doing instead.  :func:`dump_json` is a run's one post-mortem
 artefact: per rank the records, the incidents and the rank's folded
 metrics snapshot, which ``tools/healthctl.py`` runs the live health
-check over.
+check over.  The ring is its rank's one telemetry store: it also holds
+the rank's metrics registry (``ring.metrics``, what
+:func:`repro.telemetry.metrics.registry_for` returns), so
+:func:`clear_recorders` drops records and metrics together.
 
 The :class:`CollectiveRecord` itself always exists — it is the one
 record every ``Work`` carries and every observer reads.  *Retaining* it
@@ -30,7 +33,7 @@ row read.  While telemetry is on, a third deque keeps the rank's
 *incidents* — the events that are not collectives or iterations:
 heartbeats and checkpoint phases — which the trace's other rows read.
 The metric series those records imply are not written while training:
-a read folds them out of the ring
+a read folds them out of the ring into ``ring.metrics``
 (:func:`repro.telemetry.health.accounting.fold`), and the ring keeps
 the fold's place.  All rank threads share one ``perf_counter`` clock,
 so the stitched order is causal, not approximate.
@@ -55,7 +58,6 @@ ITERATION_CAPACITY = 1024
 INCIDENT_CAPACITY = 65536
 
 # Lifecycle states.
-SCHEDULED = "scheduled"
 STARTED = "started"
 COMPLETED = "completed"
 FAILED = "failed"
@@ -74,7 +76,7 @@ _state_lock = threading.Lock()
 
 
 class collective_context:
-    """Label collectives scheduled inside the block (``context`` and,
+    """Label collectives issued inside the block (``context`` and,
     for reducer buckets, ``bucket`` fields of their records).
 
     A plain context manager, not a generator: the reducer keeps one per
@@ -110,8 +112,8 @@ class CollectiveRecord:
     signature fields — reduce op / src / root — plus the group's
     ``world`` and ``backend`` and the algorithm in ``extra``), its
     identity (``group_id``, ``seq``), the bytes the group accounts for
-    it, and the caller's label.  The issuing thread creates it (stamped
-    *scheduled*) and starts it as it posts the first step; the thread
+    it, and the caller's label.  The issuing thread creates it as it
+    issues the collective, already *started* (``t_start``); the thread
     that completes it in ``wait()`` / ``is_completed()`` finishes it.
 
     ``stalls`` (``{src rank: seconds}`` of receive wait) is attached by
@@ -124,7 +126,7 @@ class CollectiveRecord:
 
     __slots__ = (
         "seq", "op", "group_id", "shape", "dtype", "nbytes", "extra", "bytes",
-        "context", "bucket", "state", "t_sched", "t_start", "t_end", "error",
+        "context", "bucket", "state", "t_start", "t_end", "error",
         "stalls",
     )
 
@@ -139,20 +141,11 @@ class CollectiveRecord:
         self.extra = extra
         self.bytes = bytes
         self.context, self.bucket = _collective_context.get()
-        self.state = SCHEDULED
-        self.t_sched = time.perf_counter()
-        self.t_start: Optional[float] = None
+        self.state = STARTED
+        self.t_start = time.perf_counter()
         self.t_end: Optional[float] = None
         self.error: Optional[BaseException] = None
         self.stalls: Optional[Dict[int, float]] = None
-
-    def start(self) -> None:
-        """Stamp the start of execution (the issuing thread posting the
-        collective's first step)."""
-        with _state_lock:
-            self.t_start = time.perf_counter()
-            if self.state == SCHEDULED:  # a caller may have given up already
-                self.state = STARTED
 
     def finish(self, error: Optional[BaseException] = None) -> None:
         """Close the record; the first terminal state wins.
@@ -193,7 +186,6 @@ class CollectiveRecord:
             "extra": dict(self.extra),
             "context": self.context,
             "state": self.state,
-            "t_sched": self.t_sched,
             "t_start": self.t_start,
             "t_end": self.t_end,
             "error": (
@@ -272,7 +264,8 @@ class FlightRecorder:
     their ``IterationProfile`` on first read), and a third the incidents
     (:class:`Incident`) recorded under telemetry; ``depth()`` and the
     dumps count collective records only.  The first two keep the fold's
-    place (:meth:`unfolded`).
+    place (:meth:`unfolded`), and :attr:`metrics` is the rank's
+    registry the fold publishes into.
     """
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
@@ -285,6 +278,10 @@ class FlightRecorder:
         self._reset()
 
     def _reset(self) -> None:
+        # Here, not at the top: importing repro.telemetry imports this module.
+        from repro.telemetry.metrics import MetricsRegistry
+
+        self.metrics = MetricsRegistry(self.rank)
         self._records = _Kept(self.capacity, lambda record: record.stalls is not None)
         self._iterations = _Kept(ITERATION_CAPACITY, lambda stamps: stamps.traced)
         self._incidents: deque = deque(maxlen=INCIDENT_CAPACITY)
@@ -297,7 +294,7 @@ class FlightRecorder:
         return self._records.dropped
 
     def add(self, record: CollectiveRecord) -> None:
-        """Retain a just-scheduled record (dropping the oldest when full)."""
+        """Retain a just-issued record (dropping the oldest when full)."""
         with self._lock:
             self._records.append(record)
 
@@ -371,9 +368,9 @@ class FlightRecorder:
         return records[-1] if records else None
 
     def inflight(self, group_id=None) -> Optional[CollectiveRecord]:
-        """The oldest scheduled-or-started record not yet finished."""
+        """The oldest record not yet finished."""
         for record in self.records(group_id):
-            if record.state in (SCHEDULED, STARTED):
+            if record.state == STARTED:
                 return record
         return None
 
@@ -391,12 +388,12 @@ class FlightRecorder:
             "tail": self.tail(tail, group_id),
         }
 
-    def dump(self, metrics: Optional[dict] = None) -> dict:
+    def dump(self) -> dict:
         """This rank's post-mortem unit, JSON-serializable: the retained
-        records and incidents, and ``metrics`` — the rank's registry
-        ``snapshot()``, which :func:`dump_all` takes after the snapshot
-        folded this ring, so its counters are the run's totals and its
-        histograms carry their samples.
+        records and incidents, and ``metrics`` — the ``snapshot()`` of
+        the registry this ring holds, which first folds the ring, so its
+        counters are the run's totals and its histograms carry their
+        samples.
 
         The iteration stamps are not serialized: the snapshot already
         carries the series folded from them, and no offline reader needs
@@ -408,7 +405,7 @@ class FlightRecorder:
             "dropped": self.dropped,
             "records": [r.as_dict() for r in self.records()],
             "incidents": [incident._asdict() for incident in self.incidents()],
-            "metrics": metrics or {},
+            "metrics": self.metrics.snapshot(),
         }
 
     def clear(self) -> None:
@@ -438,7 +435,8 @@ def all_recorders() -> Dict[int, FlightRecorder]:
 
 
 def clear_recorders() -> None:
-    """Drop every rank's ring (``telemetry.reset()`` calls this too)."""
+    """Drop every rank's ring, its records and metrics together
+    (``telemetry.reset()`` calls this too)."""
     with _registry_lock:
         _recorders.clear()
 
@@ -447,16 +445,14 @@ def clear_recorders() -> None:
 # cross-rank views: causal timeline and sequence frontier
 # ----------------------------------------------------------------------
 def _lifecycle(rank: int, record: CollectiveRecord) -> List[dict]:
-    """``record`` as its ``schedule`` / ``start`` / ``complete`` or
-    ``failed`` events, each carrying the ``(group, seq)`` trace context."""
+    """``record`` as its ``start`` and ``complete`` or ``failed``
+    events, each carrying the ``(group, seq)`` trace context."""
     with _state_lock:  # one consistent view of a record a racer may finish
         t_start, t_end, error = record.t_start, record.t_end, record.error
     facts = {"group": record.group_id, "seq": record.seq, "op": record.op,
              "bucket": record.bucket, "nbytes": record.bytes}
     facts = {key: value for key, value in facts.items() if value is not None}
-    events = [{"kind": "schedule", "rank": rank, "t": record.t_sched, **facts}]
-    if t_start is not None:
-        events.append({"kind": "start", "rank": rank, "t": t_start, **facts})
+    events = [{"kind": "start", "rank": rank, "t": t_start, **facts}]
     if t_end is not None and error is None:
         events.append({"kind": "complete", "rank": rank, "t": t_end, **facts})
     elif t_end is not None:
@@ -509,8 +505,9 @@ def merge_causal_timeline(
 
 
 def seq_frontier(dumps: Optional[List[dict]] = None) -> Dict[int, Dict[int, int]]:
-    """Per group: each rank's highest *started* collective sequence, read
-    from per-rank dumps (default :func:`dump_all`).
+    """Per group: each rank's highest issued collective sequence (every
+    record is started at issue), read from per-rank dumps (default
+    :func:`dump_all`).
 
     The desync-precursor detector compares frontiers — a rank whose
     frontier trails the group's leader by many collectives is drifting
@@ -519,8 +516,6 @@ def seq_frontier(dumps: Optional[List[dict]] = None) -> Dict[int, Dict[int, int]
     frontier: Dict[int, Dict[int, int]] = {}
     for dump in dump_all() if dumps is None else dumps:
         for record in dump.get("records", []):
-            if record["t_start"] is None:
-                continue
             per_group = frontier.setdefault(record["group_id"], {})
             if record["seq"] > per_group.get(dump["rank"], -1):
                 per_group[dump["rank"]] = record["seq"]
@@ -529,17 +524,8 @@ def seq_frontier(dumps: Optional[List[dict]] = None) -> Dict[int, Dict[int, int]
 
 def dump_all() -> List[dict]:
     """Every rank's :meth:`~FlightRecorder.dump`, sorted by rank: each rank
-    ≥ 0 with a ring or a metrics registry (the transport writes its
-    counters to registries even for a rank whose ring is empty)."""
-    # Here, not at the top: importing repro.telemetry imports this module.
-    from repro.telemetry.metrics import all_snapshots, registry_for
-
-    rings = all_recorders()
-    for rank in rings:
-        registry_for(rank)  # a ring's series are folded into its rank's registry
-    snapshots = {snap["rank"]: snap for snap in all_snapshots() if snap["rank"] >= 0}
-    return [(rings.get(rank) or FlightRecorder(rank)).dump(snapshot)
-            for rank, snapshot in sorted(snapshots.items())]
+    ≥ 0 with a ring, with its folded metrics snapshot."""
+    return [ring.dump() for rank, ring in sorted(all_recorders().items()) if rank >= 0]
 
 
 def dump_json(path: Optional[str] = None, indent: int = 2) -> str:
@@ -555,8 +541,8 @@ def dump_json(path: Optional[str] = None, indent: int = 2) -> str:
 def _fmt_record(record: dict) -> str:
     shape = tuple(record["shape"]) if record.get("shape") else "-"
     age = ""
-    if record.get("t_end") is not None and record.get("t_sched") is not None:
-        age = f" {1e3 * (record['t_end'] - record['t_sched']):.2f}ms"
+    if record.get("t_end") is not None and record.get("t_start") is not None:
+        age = f" {1e3 * (record['t_end'] - record['t_start']):.2f}ms"
     context = f" [{record['context']}]" if record.get("context") else ""
     error = f" !{record['error']}" if record.get("error") else ""
     return (

@@ -275,6 +275,7 @@ def run_elastic(
     spots = list(range(world_size))
     generations: List[dict] = []
     losses: List[float] = []
+    first = 0  # the iteration losses[0] belongs to
     generation = 0
 
     while True:
@@ -288,6 +289,13 @@ def run_elastic(
             fault_plan,
         )
         generations.append(report)
+        start = report["start_iteration"]
+        if start is not None:
+            # Iterations from the resumed checkpoint on ran again: a peer
+            # died before saving what rank 0 had already reported.
+            kept = max(0, start - first) if losses else 0
+            del losses[kept:]
+            first = start - kept
         losses.extend(report["losses"])
         if report["completed"]:
             return ElasticResult(
@@ -380,6 +388,7 @@ def _run_generation(
         hub.install_fault_plan(fault_plan)
     abort_key = f"{ns}/abort"
     rank0_losses: List[float] = []
+    start_iteration: List[Optional[int]] = [None]
     end_iteration = [0]
     errors: Dict[int, BaseException] = {}
     engine_stats: Dict[int, dict] = {}
@@ -439,7 +448,7 @@ def _run_generation(
             )
             start = 0 if info is None else info["iteration"]
             if rank == 0:
-                end_iteration[0] = start
+                start_iteration[0] = end_iteration[0] = start
             for iteration in range(start, total_iterations):
                 if store.try_get(abort_key) is not None:
                     raise _GenerationAborted()
@@ -567,6 +576,7 @@ def _run_generation(
         "world_size": world,
         "spots": list(spots),
         "completed": completed,
+        "start_iteration": start_iteration[0],
         "end_iteration": end_iteration[0],
         "losses": rank0_losses,
         "died": sorted(spots[r] for r in died_ranks),

@@ -8,7 +8,8 @@ threaded ``Reducer``/``ProcessGroup`` path:
 
 * :mod:`~repro.telemetry.metrics` — per-rank counters/gauges/histograms
   with snapshot + cross-rank merge (``allreduce.bytes``,
-  ``bucket.ready_to_launch_delay``, ``hook.fire_count``, ...).
+  ``bucket.ready_to_launch_delay``, ``bucket.launches``, ...), each
+  folded from the rank's ring when read; training writes none.
 * :mod:`~repro.telemetry.recorder` — the reducer's one record per
   iteration: the phase stamps and per-bucket ready→launch→comm
   intervals, served as the ``IterationProfile`` that ``ddp_stats()``,
@@ -20,6 +21,9 @@ threaded ``Reducer``/``ProcessGroup`` path:
   (:mod:`repro.debug.flight_recorder`): collective records, finished
   iterations and incidents (resilience and checkpoint events)
   are the one event model every view draws from.
+
+Each rank has one telemetry store, its ring: it holds the records and
+the rank's metrics registry, so :func:`reset` drops both together.
 
 Telemetry is **off by default** and costs one attribute check
 (``DEBUG.telemetry``, beside ``DEBUG.level`` in
@@ -42,19 +46,13 @@ from __future__ import annotations
 
 from repro.debug.flight_recorder import clear_recorders
 from repro.debug.levels import DEBUG
-from repro.telemetry.chrome_trace import (
-    export_chrome_trace,
-    export_merged_trace,
-    merged_trace_events,
-    trace_events,
-)
+from repro.telemetry.chrome_trace import export_chrome_trace, trace_events
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     all_snapshots,
-    clear_all_registries,
     merge_snapshots,
     registry_for,
 )
@@ -78,11 +76,6 @@ from repro.telemetry.observatory import (
 from repro.telemetry.observatory.exporter import maybe_start_from_env
 
 
-def get_metrics(rank=None) -> MetricsRegistry:
-    """The calling rank's metrics registry (alias of ``registry_for``)."""
-    return registry_for(rank)
-
-
 def is_enabled() -> bool:
     return DEBUG.telemetry
 
@@ -98,9 +91,8 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop every metric, retained collective record, retained iteration
-    and incident (enabled state unchanged)."""
-    clear_all_registries()
+    """Drop every rank's ring: its metrics, retained collective records,
+    retained iterations and incidents (enabled state unchanged)."""
     clear_recorders()
 
 
@@ -116,19 +108,15 @@ __all__ = [
     "PrometheusExporter",
     "all_snapshots",
     "analyze_dumps",
-    "clear_all_registries",
     "disable",
     "enable",
     "export_chrome_trace",
-    "export_merged_trace",
-    "get_metrics",
     "health",
     "health_report",
     "is_enabled",
     "maybe_start_from_env",
     "merge_causal_timeline",
     "merge_snapshots",
-    "merged_trace_events",
     "prometheus_text",
     "registry_for",
     "render_diagnoses",

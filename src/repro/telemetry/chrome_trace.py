@@ -12,19 +12,16 @@ One store feeds it: each rank's flight-recorder ring
 (:mod:`repro.debug.flight_recorder`).  Its iterations finished under
 telemetry draw the ``compute`` row (the ``forward`` bar, the reducer's
 phases and the ``iteration N`` umbrella); its collective records draw
-the ``comm`` row — one ``op#seq`` bar per
-:class:`~repro.debug.flight_recorder.CollectiveRecord`, start → end,
-with the receive waits the executing thread booked per source as the
-bar's ``stalls``; and its incidents draw the remaining rows —
-``resilience`` instants (heartbeats) and ``checkpoint`` bars.  All
-ranks share one process clock (``perf_counter``), so cross-rank
-alignment is exact; timestamps are rebased to the earliest one and
-expressed in microseconds, as the format requires.
-
-:func:`merged_trace_events` adds the records' whole lifecycles
-(scheduled → finished) as a ``flight`` row.  Because every source stamps
-the same clock, a collective's ``flight`` bar lines up exactly under its
-``comm`` bar, and the gap between their starts is its queueing.
+the ``comm`` row — one ``op#seq`` mark per retained
+:class:`~repro.debug.flight_recorder.CollectiveRecord`: a bar from
+start to end, with the receive waits the executing thread booked per
+source as the bar's ``stalls``, or, for a record not finished, an
+instant at its start with its ``state``; and its incidents draw the
+remaining rows — ``resilience`` instants (heartbeats) and
+``checkpoint`` bars.  All ranks share one process clock
+(``perf_counter``), so cross-rank alignment is exact; timestamps are
+rebased to the earliest one and expressed in microseconds, as the
+format requires.
 """
 
 from __future__ import annotations
@@ -36,10 +33,7 @@ from typing import Dict, List
 from repro.debug.flight_recorder import all_recorders
 
 #: Stable tid assignment so compute is always the top row per rank.
-_STREAM_ORDER = {"compute": 0, "comm": 1, "resilience": 2, "flight": 3}
-
-#: ``CollectiveRecord.as_dict`` fields a ``flight`` bar carries.
-_FLIGHT_ARGS = ("state", "group_id", "nbytes", "context", "error")
+_STREAM_ORDER = {"compute": 0, "comm": 1, "resilience": 2}
 
 
 def _tid_for(stream: str, streams: Dict[str, int]) -> int:
@@ -93,23 +87,22 @@ def _iteration_bars(stamps) -> List[tuple]:
     return bars
 
 
-def _timeline(merged: bool) -> List[dict]:
-    """The rows drawn from the rings; with ``merged``, also ``flight``
-    bars."""
+def trace_events() -> List[dict]:
+    """Trace Event Format records: the forward and reducer phases of
+    every iteration retained under telemetry on the ``compute`` row, one
+    ``comm``-row mark per retained collective (``op#seq``: a bar start →
+    end, an instant at the start while unfinished), and every retained
+    incident on its own row."""
     rings = sorted(all_recorders().items())
     incidents = [(rank, incident) for rank, ring in rings
                  for incident in ring.incidents()]
     records = [(rank, record) for rank, ring in rings for record in ring.records()]
-    ran = [(rank, record) for rank, record in records
-           if record.t_start is not None and record.t_end is not None]
     bars = [(rank, bar) for rank, ring in rings for stamps in ring.iterations()
             if stamps.traced for bar in _iteration_bars(stamps)]
     # One epoch across every source so the rows stay aligned.
     starts = [incident.t_start for _, incident in incidents]
-    starts.extend(record.t_start for _, record in ran)
+    starts.extend(record.t_start for _, record in records)
     starts.extend(t_start for _, (_, _, t_start, _, _) in bars)
-    if merged:
-        starts.extend(record.t_sched for _, record in records)
     if not starts:
         return []
     epoch = min(starts)
@@ -122,7 +115,7 @@ def _timeline(merged: bool) -> List[dict]:
         out = {"name": name, "cat": cat, "ph": "X",
                "ts": (t_start - epoch) * 1e6,
                "pid": rank, "tid": streams[stream], "args": args}
-        if t_end is None:  # point-in-time marker: a heartbeat has no duration
+        if t_end is None:  # point-in-time marker: a heartbeat, an unfinished record
             out.update(ph="i", s="t")
         else:
             out["dur"] = max(0.0, t_end - t_start) * 1e6
@@ -133,64 +126,24 @@ def _timeline(merged: bool) -> List[dict]:
               for rank, incident in incidents]
     events += [event(name, cat, rank, "compute", t_start, t_end, args)
                for rank, (name, cat, t_start, t_end, args) in bars]
-    for rank, record in ran:
+    for rank, record in records:
         args = record.facts()
+        t_end = record.t_end
+        if t_end is None:
+            args["state"] = record.state
         if record.error is not None:
             args["error"] = type(record.error).__name__
         if record.stalls:
             args["stalls"] = dict(record.stalls)
         events.append(event(record.name, "comm", rank, "comm",
-                            record.t_start, record.t_end, args))
-    if merged:
-        # Records that never finished render up to their last known
-        # stamp, with the terminal state in ``args``.
-        for rank, record in records:
-            facts = record.as_dict()
-            t_close = record.t_end or record.t_start or record.t_sched
-            events.append(event(
-                record.name, "flight", rank, "flight", record.t_sched, t_close,
-                {key: facts[key] for key in _FLIGHT_ARGS},
-            ))
+                            record.t_start, t_end, args))
     events.extend(_metadata_events(seen_tids))
     return events
 
 
-def _write(path: str, events: List[dict]) -> str:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-    return path
-
-
-def trace_events() -> List[dict]:
-    """Trace Event Format records: the forward and reducer phases of
-    every iteration retained under telemetry on the ``compute`` row, one
-    ``comm``-row bar per retained collective (``op#seq``, start → end),
-    and every retained incident on its own row."""
-    return _timeline(merged=False)
-
-
 def export_chrome_trace(path: str) -> str:
     """Write the measured timeline as chrome://tracing JSON; returns path."""
-    return _write(path, trace_events())
-
-
-def merged_trace_events() -> List[dict]:
-    """One timeline for every evidence source the runtime keeps.
-
-    Per rank, all on the shared ``perf_counter`` clock:
-
-    * the rows :func:`trace_events` emits (the iterations' ``compute``
-      row, the ``comm`` row, and the incidents: heartbeats as instant
-      (``ph: "i"``) markers on a ``resilience`` row, ...);
-    * one ``flight`` bar per retained collective record, scheduled →
-      finished — the queueing the ``comm`` row does not show.
-    """
-    return _timeline(merged=True)
-
-
-def export_merged_trace(path: str) -> str:
-    """Write the merged (compute + comm + incidents + flight) timeline;
-    returns path."""
-    return _write(path, merged_trace_events())
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump({"traceEvents": trace_events(), "displayTimeUnit": "ms"}, handle)
+    return path

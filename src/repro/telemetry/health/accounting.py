@@ -22,7 +22,8 @@ blocked in ``recv``); ``comm.recv_stall_s`` and
 detectors attribute stragglers and sick links with; ``{op}.count`` /
 ``{op}.bytes``; ``health.collectives_accounted``.  Per iteration:
 ``iterations.synced``, ``iteration.overlap_ratio`` (the latest),
-``iteration.overlap_ratio_dist`` and ``bucket.ready_to_launch_delay``.
+``iteration.overlap_ratio_dist``, ``bucket.launches`` and
+``bucket.ready_to_launch_delay``.
 Records the ring dropped before any read took them count as
 ``health.collectives_unaccounted``; dropped iterations still count as
 synced.  Only what ran with telemetry on is folded — a record executed
@@ -37,7 +38,6 @@ import functools
 from collections import defaultdict
 from typing import Dict, Optional
 
-from repro.debug.flight_recorder import all_recorders
 from repro.simnet.cost_model import CollectiveCostModel, cost_model_for
 
 #: Ops whose payload crosses the bottleneck ~2(p−1)/p times (bus-bandwidth
@@ -79,18 +79,17 @@ def expected_collective_s(
     return model.allreduce_time(nbytes, world, algorithm=algorithm)
 
 
-def fold(registry) -> None:
-    """Publish ``registry``'s rank's not-yet-folded records into it.
+def fold(ring) -> None:
+    """Publish ``ring``'s not-yet-folded records into its registry
+    (``ring.metrics``).
 
-    Runs under the rank ring's fold lock, so concurrent readers (an
+    Runs under the ring's fold lock, so concurrent readers (an
     exporter scrape, rank threads in ``ddp_stats()``, a dump)
     publish each record exactly once, and a reader that waited finds the
-    other's results in place.  Creates nothing for a rank without a ring.
+    other's results in place.
     """
-    ring = all_recorders().get(registry.rank)
-    if ring is None:
-        return
     with ring.fold_lock:
+        registry = ring.metrics
         records, iterations, lost, lost_iterations = ring.unfolded()
         if lost:
             registry.counter("health.collectives_unaccounted").add(lost)
@@ -140,6 +139,8 @@ def _fold_collectives(registry, records) -> None:
 
 def _fold_iterations(registry, iterations, lost) -> None:
     registry.counter("iterations.synced").add(len(iterations) + lost)
+    registry.counter("bucket.launches").add(
+        sum(len(stamps.launches) for stamps in iterations))
     delay = registry.histogram("bucket.ready_to_launch_delay")
     overlap = registry.histogram("iteration.overlap_ratio_dist")
     ratio = None

@@ -1,12 +1,13 @@
 """Per-rank metrics: counters, gauges, and histograms.
 
 A :class:`MetricsRegistry` is a thread-safe bag of named instruments.
-Each rank owns one registry (see :func:`repro.telemetry.metrics`);
-every thread of a rank records into the same registry, so
+Each rank's registry is held by its flight-recorder ring
+(:func:`registry_for`), the rank's one telemetry store, so dropping the
+rings (``clear_recorders()``) drops the metrics with the records;
 per-instrument locks keep concurrent ``add``/``observe`` calls exact.
 
-Most series are not written while training but folded from the rank's
-retained collective and iteration records when a registry is read
+Training writes no series: they are folded from the ring's retained
+collective and iteration records when a registry is read
 (:mod:`repro.telemetry.health.accounting`).  ``snapshot()`` runs that
 fold, then freezes a registry into plain dicts, and
 :func:`merge_snapshots` aggregates snapshots across ranks — the
@@ -27,6 +28,7 @@ import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
+from repro.debug.flight_recorder import all_recorders, recorder_for
 from repro.utils.rank import get_current_rank
 
 #: Recent samples kept per histogram for percentile estimation.
@@ -224,10 +226,11 @@ class MetricsRegistry:
         (:func:`repro.telemetry.health.accounting.fold`) — every reader
         goes through here, so every reader sees them.
         """
-        if _registries.get(self.rank) is self:
+        ring = all_recorders().get(self.rank)
+        if ring is not None and ring.metrics is self:
             from repro.telemetry.health.accounting import fold
 
-            fold(self)
+            fold(ring)
         with self._lock:
             instruments = dict(self._instruments)
         out: Dict[str, Dict] = {"rank": self.rank, "counters": {}, "gauges": {},
@@ -242,37 +245,18 @@ class MetricsRegistry:
         return out
 
 
-# ----------------------------------------------------------------------
-# process-wide per-rank registry store
-# ----------------------------------------------------------------------
-_registries: Dict[Optional[int], MetricsRegistry] = {}
-_registries_lock = threading.Lock()
-
-
 def registry_for(rank: Optional[int] = None) -> MetricsRegistry:
-    """Get-or-create the registry for ``rank`` (default: calling thread's
+    """The registry ``rank``'s ring holds (default: calling thread's
     rank per :mod:`repro.utils.rank`; ``-1`` outside any rank context)."""
     if rank is None:
         current = get_current_rank()
         rank = current if current is not None else -1
-    with _registries_lock:
-        registry = _registries.get(rank)
-        if registry is None:
-            registry = MetricsRegistry(rank)
-            _registries[rank] = registry
-        return registry
+    return recorder_for(rank).metrics
 
 
 def all_snapshots() -> List[Dict[str, Dict]]:
-    """Snapshot every rank's registry, ordered by rank."""
-    with _registries_lock:
-        registries = sorted(_registries.items(), key=lambda kv: kv[0])
-    return [registry.snapshot() for _, registry in registries]
-
-
-def clear_all_registries() -> None:
-    with _registries_lock:
-        _registries.clear()
+    """Snapshot every ring's registry, ordered by rank."""
+    return [ring.metrics.snapshot() for _, ring in sorted(all_recorders().items())]
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Dict]]) -> Dict[str, Dict]:

@@ -57,7 +57,7 @@ class TestLevels:
 
 
 def _record(recorder, seq, op="allreduce", group_id=0, array=None):
-    """Schedule one collective on ``recorder`` the way ``_issue`` does."""
+    """Issue one collective on ``recorder`` the way ``_issue`` does."""
     record = CollectiveRecord(seq, group_id, fingerprint(op, array))
     recorder.add(record)
     return record
@@ -76,11 +76,10 @@ class TestFlightRecorder:
         recorder = FlightRecorder(rank=1)
         first = _record(recorder, 0, array=np.zeros(4))
         assert (first.shape, first.dtype, first.nbytes) == ((4,), "float64", 32)
-        first.start()
+        assert first.state == "started" and first.t_start is not None
         first.finish()
         with collective_context("bucket 2", 2):
             second = _record(recorder, 1, "broadcast")
-        second.start()
 
         snap = recorder.group_snapshot(0)
         assert snap["last_completed"]["seq"] == 0

@@ -17,6 +17,7 @@ from repro.optim import SGD
 from repro.resilience import (
     ElasticConfig,
     FaultPlan,
+    InjectedRankFailure,
     RankFailedError,
     corrupt_file,
     crash_rank,
@@ -48,6 +49,20 @@ def step(ctx, model, opt, iteration):
     loss = _loss_fn(model(Tensor(X[shard])), Y[shard])
     loss.backward()
     opt.step()
+    return float(loss.data)
+
+
+def zero2(module, group):
+    return ShardedDataParallel(module, lambda ps: SGD(ps, lr=0.05),
+                               process_group=group, bucket_cap_mb=0.0001)
+
+
+def sharded_step(ctx, model, optimizer, iteration):
+    shard = slice(ctx.rank * 4, (ctx.rank + 1) * 4)
+    model.zero_grad()
+    loss = _loss_fn(model(Tensor(X[shard])), Y[shard])
+    loss.backward()
+    model.step()
     return float(loss.data)
 
 
@@ -199,19 +214,6 @@ class TestTornCheckpoint:
         self._check(res, plan)
 
     def test_zero2_falls_back_one_generation(self, tmp_path):
-        wrapper = lambda module, group: ShardedDataParallel(  # noqa: E731
-            module, lambda ps: SGD(ps, lr=0.05), process_group=group,
-            bucket_cap_mb=0.0001,
-        )
-
-        def sharded_step(ctx, model, optimizer, iteration):
-            shard = slice(ctx.rank * 4, (ctx.rank + 1) * 4)
-            model.zero_grad()
-            loss = _loss_fn(model(Tensor(X[shard])), Y[shard])
-            loss.backward()
-            model.step()
-            return float(loss.data)
-
         plan = FaultPlan([
             crash_rank(2, scope="collective", op="reduce_scatter_flat",
                        after=3 * BUCKETS, times=1),
@@ -220,7 +222,7 @@ class TestTornCheckpoint:
         res = run_elastic(
             3, lambda ctx: (small_classifier(), None), sharded_step,
             total_iterations=6,
-            config=config(tmp_path, ddp_kwargs={}, wrapper=wrapper),
+            config=config(tmp_path, ddp_kwargs={}, wrapper=zero2),
             fault_plan=plan,
         )
         self._check(res, plan)
@@ -234,6 +236,32 @@ class TestElasticBookkeeping:
         assert len(res.generations) == 1
         assert res.deaths == []
         assert len(res.losses) == 3
+
+    def test_iterations_run_twice_report_one_loss(self, tmp_path):
+        """A peer that dies after rank 0 saved iteration k but before it
+        did itself makes the next generation run k again; the history
+        keeps one loss per iteration."""
+        def dying_step(ctx, model, optimizer, iteration):
+            loss = sharded_step(ctx, model, optimizer, iteration)
+            if ctx.generation == 0 and ctx.rank == 1 and iteration == 2:
+                raise InjectedRankFailure(1, "died before saving iteration 2")
+            return loss
+
+        def run(directory, step):
+            return run_elastic(
+                2, lambda ctx: (small_classifier(), None), step, total_iterations=6,
+                config=config(directory, ddp_kwargs={}, wrapper=zero2,
+                              policy="pause_and_wait"),
+            )
+
+        res = run(tmp_path / "killed", dying_step)
+        gen0, gen1 = res.generations
+        assert (gen0["start_iteration"], gen0["end_iteration"]) == (0, 3)
+        assert gen1["start_iteration"] == 2  # iteration 2 runs again
+        reference = run(tmp_path / "whole", sharded_step)
+        assert len(reference.generations) == 1
+        assert len(reference.losses) == 6
+        assert res.losses == reference.losses  # bitwise
 
     def test_checkpoint_carries_cursor_across_generations(self, tmp_path):
         """Iterations completed before the death are not re-run."""

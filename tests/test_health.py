@@ -80,19 +80,20 @@ def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02, stats=True, read=Fa
 # ----------------------------------------------------------------------
 # record ring + causal stitching (unit)
 # ----------------------------------------------------------------------
-def _stamped(seq, t_sched=0.0, t_start=None, t_end=None, bucket=None):
-    """An allreduce record of group 0 with hand-set lifecycle stamps."""
-    record = CollectiveRecord(seq, 0, {"op": "allreduce"})
-    record.t_sched, record.t_start, record.t_end = t_sched, t_start, t_end
+def _stamped(seq, t_start, t_end=None, bucket=None, group=0):
+    """An allreduce record with hand-set lifecycle stamps."""
+    record = CollectiveRecord(seq, group, {"op": "allreduce"})
+    record.t_start, record.t_end = t_start, t_end
     record.bucket = bucket
     return record
 
 
 class TestRecordRing:
     def test_ring_is_bounded_and_counts_drops(self):
-        # Three events per record: the default ring stitches at least
-        # as many collectives as a 4,096-event log did.
-        assert 3 * DEFAULT_CAPACITY >= 4096
+        # Two events per record (start, then complete or failed): the
+        # default ring stitches at least as many collectives as a
+        # 4,096-event log did.
+        assert 2 * DEFAULT_CAPACITY >= 4096
         ring = FlightRecorder(rank=0, capacity=8)
         for seq in range(12):
             ring.add(_stamped(seq, t_start=float(seq)))
@@ -102,9 +103,9 @@ class TestRecordRing:
 
     def test_merge_stitches_by_group_seq_and_measures_skew(self):
         rings = {rank: FlightRecorder(rank=rank) for rank in (0, 1)}
-        rings[0].add(_stamped(5, 0.90, t_start=1.00, t_end=1.20, bucket=2))
-        rings[1].add(_stamped(5, 0.95, t_start=1.08))
-        failed = _stamped(6, 1.30, t_start=1.40)
+        rings[0].add(_stamped(5, 1.00, t_end=1.20, bucket=2))
+        rings[1].add(_stamped(5, 1.08))
+        failed = _stamped(6, 1.40)
         failed.finish(RuntimeError("peer vanished"))
         rings[1].add(failed)
         timeline = merge_causal_timeline(rings)
@@ -114,10 +115,9 @@ class TestRecordRing:
         assert entry["op"] == "allreduce" and entry["bucket"] == 2
         assert entry["start_skew_s"] == pytest.approx(0.08)
         assert [(e["kind"], e["rank"]) for e in entry["events"]] == [
-            ("schedule", 0), ("schedule", 1), ("start", 0), ("start", 1),
-            ("complete", 0),
+            ("start", 0), ("start", 1), ("complete", 0),
         ]
-        assert (entry["t_first"], entry["t_last"]) == (0.90, 1.20)
+        assert (entry["t_first"], entry["t_last"]) == (1.00, 1.20)
         last = timeline[1]["events"][-1]
         assert last["kind"] == "failed"
         assert last["extra"] == {"error": "RuntimeError"}
@@ -127,21 +127,33 @@ class TestRecordRing:
         for seq in range(6):
             rings[0].add(_stamped(seq, t_start=float(seq)))
         rings[1].add(_stamped(1, t_start=1.0))
-        rings[1].add(_stamped(9))  # scheduled != started
-        assert seq_frontier([ring.dump() for ring in rings.values()]) == {0: {0: 5, 1: 1}}
+        rings[1].add(_stamped(9, t_start=9.0, group=1))  # another group's frontier
+        assert seq_frontier([ring.dump() for ring in rings.values()]) == {
+            0: {0: 5, 1: 1}, 1: {1: 9}}
 
     def test_dump_all_covers_every_ring_and_registry(self):
-        """A rank with only a registry (transport counters) is dumped
-        too, and a ring's dump carries its rank's metrics snapshot."""
+        """A rank whose registry holds a series but whose ring holds no
+        record is dumped too, and a ring's dump carries its rank's
+        metrics snapshot."""
         recorder_for(0).add(_stamped(0, t_start=0.0))
-        registry_for(3).counter("transport.messages_sent").add(2)
+        registry_for(3).counter("c").add(2)
         registry_for(-1).gauge("health.diagnoses_active").set(0)
         dumps = json.loads(json.dumps(dump_all()))
         assert [dump["rank"] for dump in dumps] == [0, 3]
         assert [r["seq"] for r in dumps[0]["records"]] == [0]
         assert dumps[0]["incidents"] == [] and dumps[0]["metrics"]["rank"] == 0
         assert dumps[1]["records"] == []
-        assert dumps[1]["metrics"]["counters"] == {"transport.messages_sent": 2}
+        assert dumps[1]["metrics"]["counters"] == {"c": 2}
+
+    def test_clear_recorders_drops_the_metrics(self):
+        """The ring holds its rank's registry: one clear empties both."""
+        from repro.debug import clear_recorders
+
+        registry_for(0).counter("c").add(1)
+        assert registry_for(0) is recorder_for(0).metrics
+        assert [snap["rank"] for snap in all_snapshots()] == [0]
+        clear_recorders()
+        assert all_snapshots() == []
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +249,18 @@ class TestEfficiencyAccounting:
         assert health["diagnoses"] == []  # healthy run stays silent
         json.dumps(health)
 
+    def test_bucket_launches_fold_from_the_iterations(self):
+        """``bucket.launches`` is folded at read from the retained
+        iterations: every bucket launches once per synced iteration."""
+        telemetry.enable()
+        stats = run_world(WORLD, _train, backend="gloo", timeout=60.0)
+        snaps = {snap["rank"]: snap["counters"] for snap in all_snapshots()}
+        buckets = stats[0]["num_buckets"]
+        assert buckets > 1
+        for rank in range(WORLD):
+            assert snaps[rank]["iterations.synced"] == 5
+            assert snaps[rank]["bucket.launches"] == buckets * 5
+
     @pytest.mark.parametrize("algorithm", ["naive", "ring"])
     def test_record_priced_as_the_algorithm_that_ran(self, algorithm):
         """``comm.model_efficiency`` prices a record by its ``algorithm``
@@ -265,7 +289,7 @@ class TestEfficiencyAccounting:
         for record in allreduces:
             assert record["ranks"] == list(range(WORLD))
             kinds = {e["kind"] for e in record["events"]}
-            assert {"schedule", "start", "complete"} <= kinds
+            assert {"start", "complete"} <= kinds
             assert record["start_skew_s"] >= 0.0
             assert record["t_last"] >= record["t_first"]
         # Everyone finished the same collectives: frontier spread is 0.

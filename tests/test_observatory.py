@@ -321,7 +321,7 @@ class TestCriticalPathProfiler:
 
 
 # ----------------------------------------------------------------------
-# merged timeline
+# one timeline: compute, comm and incident rows
 # ----------------------------------------------------------------------
 class TestMergedTimeline:
     def test_merged_trace_has_all_three_tracks(self, tmp_path):
@@ -333,7 +333,7 @@ class TestMergedTimeline:
         previous = get_debug_level()
         set_debug_level("INFO")
         try:
-            # Spans + flight records from a real 2-rank DDP run...
+            # Iterations + collective records from a real 2-rank DDP run...
             run_world(2, lambda rank: (_train_ddp(rank, iterations=2), None)[1],
                       backend="gloo")
             # ...and a resilience instant: rank 1's liveness monitor
@@ -344,34 +344,39 @@ class TestMergedTimeline:
             finally:
                 monitor.stop()
 
-            from repro.telemetry import export_merged_trace, merged_trace_events
+            from repro.telemetry import export_chrome_trace, trace_events
 
-            events = merged_trace_events()
+            events = trace_events()
             categories = {e.get("cat") for e in events if e.get("cat")}
-            assert {"compute", "comm", "iteration", "flight"} <= categories
+            assert {"compute", "comm", "iteration"} <= categories
             assert "resilience" in categories
 
-            # Resilience events are instant markers, flight rows are bars.
+            # Resilience events are instant markers, finished records bars.
             resilience = [e for e in events if e.get("cat") == "resilience"]
             assert resilience and all(e["ph"] == "i" for e in resilience)
             assert "heartbeat" in {e["name"] for e in resilience}
-            flight = [e for e in events if e.get("cat") == "flight"]
-            assert flight and all(e["ph"] == "X" for e in flight)
-            assert any(re.match(r"allreduce#\d+", e["name"]) for e in flight)
-            assert all(e["args"]["state"] == "completed" for e in flight
-                       if e["name"].startswith("allreduce"))
+            comm = [e for e in events if e.get("cat") == "comm"]
+            assert comm and all(e["ph"] == "X" for e in comm)
+            assert any(re.match(r"allreduce#\d+", e["name"]) for e in comm)
+            # One comm mark per retained record, each a completed one.
+            records = {(rank, record.group_id, record.name): record
+                       for rank, ring in all_recorders().items()
+                       for record in ring.records()}
+            assert len(comm) == len(records)
+            assert all(records[(e["pid"], e["args"]["group"], e["name"])].state
+                       == "completed" for e in comm if e["name"].startswith("allreduce"))
 
-            # Distinct named rows: spans, flight, resilience per rank.
+            # Distinct named rows: compute, comm, resilience per rank.
             thread_names = {
                 (e["pid"], e["args"]["name"])
                 for e in events if e.get("name") == "thread_name"
             }
             assert (0, "compute") in thread_names
-            assert (0, "flight") in thread_names
+            assert (0, "comm") in thread_names
             assert (1, "resilience") in thread_names
 
             # The export round-trips as Perfetto-loadable JSON.
-            path = export_merged_trace(str(tmp_path / "merged.json"))
+            path = export_chrome_trace(str(tmp_path / "merged.json"))
             document = json.load(open(path))
             assert document["traceEvents"]
             timestamps = [e["ts"] for e in document["traceEvents"]
@@ -384,18 +389,33 @@ class TestMergedTimeline:
             clear_recorders()
 
     def test_merged_trace_empty_when_nothing_recorded(self):
-        from repro.telemetry import merged_trace_events
+        from repro.telemetry import trace_events
 
-        assert merged_trace_events() == []
+        assert trace_events() == []
+
+    def test_unfinished_record_is_an_instant_with_its_state(self):
+        """A record not finished is drawn on the comm row as an instant
+        at its start, its state in the args; finished, it is a bar."""
+        from repro.debug import CollectiveRecord, fingerprint, recorder_for
+        from repro.telemetry import trace_events
+
+        record = CollectiveRecord(0, 0, fingerprint("allreduce"))
+        recorder_for(0).add(record)
+        (mark,) = [e for e in trace_events() if e.get("cat") == "comm"]
+        assert (mark["name"], mark["ph"], mark["ts"]) == ("allreduce#0", "i", 0.0)
+        assert mark["args"]["state"] == "started"
+        record.finish(RuntimeError("peer vanished"))
+        (bar,) = [e for e in trace_events() if e.get("cat") == "comm"]
+        assert bar["ph"] == "X" and bar["dur"] >= 0.0
+        assert bar["args"]["error"] == "RuntimeError" and "state" not in bar["args"]
 
     def test_reset_drops_retained_records(self):
         """Regression: ``telemetry.reset()`` left the record rings full,
         so a trace exported after a reset drew the previous run's
-        collectives as flight bars.  The retained iteration profiles go
-        with them."""
+        collectives.  The retained iteration profiles go with them."""
         from repro.comm import get_context
         from repro.debug import all_recorders, get_debug_level, set_debug_level
-        from repro.telemetry import merged_trace_events
+        from repro.telemetry import trace_events
 
         previous = get_debug_level()
         set_debug_level("INFO")
@@ -407,7 +427,7 @@ class TestMergedTimeline:
                 _train_ddp(rank, iterations=2)
 
             run_world(2, body, backend="gloo")
-            events = merged_trace_events()
+            events = trace_events()
             assert events
             # The compute row is drawn only from iterations that finished
             # with telemetry on.
@@ -415,7 +435,7 @@ class TestMergedTimeline:
             assert len(CriticalPathProfiler().profiles()) == 2 * 2
             telemetry.disable()
             telemetry.reset()
-            assert merged_trace_events() == []
+            assert trace_events() == []
             assert all(ring.depth() == 0 for ring in all_recorders().values())
             assert CriticalPathProfiler().profiles() == []
         finally:

@@ -432,11 +432,10 @@ class TestOpTable:
                         (flight["t_end"] - epoch) * 1e6, abs=1e-3)
                     marks = {e["kind"]: e for e in timeline[(gid, seq)]["events"]
                              if e["rank"] == rank}
-                    assert set(marks) == {"schedule", "start", "complete"}
+                    assert set(marks) == {"start", "complete"}
                     for mark in marks.values():
                         assert (mark["group"], mark["op"]) == (gid, name)
                         assert mark.get("nbytes") == wire
-                    assert marks["schedule"]["t"] == flight["t_sched"]
                     assert marks["start"]["t"] == flight["t_start"]
                     assert marks["complete"]["t"] == flight["t_end"]
 

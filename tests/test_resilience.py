@@ -138,7 +138,6 @@ class TestWorkWaitTimeout:
         recorder = FlightRecorder(rank=0)
         work = bare_work(seq=3)
         recorder.add(work.record)
-        work.record.start()
         with pytest.raises(CollectiveTimeoutError):
             work.wait(timeout=0.01)
         (dumped,) = recorder.dump()["records"]

@@ -17,12 +17,18 @@ Two reports, both from the AST — nothing is imported or executed:
    (``__init__``) are never listed: executing one proves nothing about
    its submodules being used.
 
-Report mode (the default) always exits 0.  ``--check`` fails only on the
-one regression this repo has already paid for once: a function-level
-import of checkpoint code inside ``repro.checkpoint``, ``repro.sharded``,
-``repro.utils`` or ``repro.resilience`` (the triangle PR 23 removed).
-``core/ddp.py``'s ``_checkpoint_stats`` lies outside those packages and
-belongs to ROADMAP item 3.
+Report mode (the default) always exits 0.  ``--check`` fails on three
+regressions this repo has already paid for once:
+
+* a function-level import of checkpoint code inside ``repro.checkpoint``,
+  ``repro.sharded``, ``repro.utils`` or ``repro.resilience`` (the
+  triangle PR 23 removed; ``core/ddp.py``'s ``_checkpoint_stats`` lies
+  outside those packages and belongs to ROADMAP item 3);
+* any import of ``repro.telemetry.metrics`` inside ``repro.comm`` or
+  ``repro.core``: training writes no metric, every series is folded
+  from the rank's record ring when read;
+* more function-level imports under ``src/`` than
+  ``MAX_FUNCTION_LEVEL_IMPORTS``.
 
 Usage:
     python tools/import_audit.py            # print both reports
@@ -44,6 +50,11 @@ ROOT_DIRS = ["tests", "benchmarks", "examples", "tools", "docs"]
 ROOT_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 GATED_PACKAGES = ("repro.checkpoint", "repro.sharded", "repro.utils", "repro.resilience")
 CHECKPOINT_MODULES = ("repro.checkpoint", "repro.utils.checkpoint", "repro.sharded.checkpoint")
+#: Packages on the training path, which must not write metrics.
+HOT_PACKAGES = ("repro.comm", "repro.core")
+METRICS_MODULE = "repro.telemetry.metrics"
+#: The function-level import count may only go down.
+MAX_FUNCTION_LEVEL_IMPORTS = 39
 MODULE_REF_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: One import statement: (line, target module, imported names, enclosing function or "").
@@ -186,7 +197,7 @@ def reached_modules(graph: Graph) -> Set[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the checkpoint import gate fails")
+                        help="exit 1 if any of the three gates fails")
     args = parser.parse_args(argv)
     graph = Graph()
 
@@ -206,6 +217,20 @@ def main(argv=None) -> int:
         if gated:
             violations.append(f"{rel}:{line}")
 
+    for module in sorted(graph.modules):
+        if not within(module, HOT_PACKAGES):
+            continue
+        for line, target, names, _ in graph.imports[module]:
+            if target == METRICS_MODULE or any(
+                    graph.named(f"{target}.{name}") == METRICS_MODULE for name in names):
+                rel = os.path.relpath(graph.modules[module], REPO_ROOT)
+                violations.append(f"{rel}:{line}")
+                print(f"GATE: {rel}:{line} imports {METRICS_MODULE} on the training path")
+    if len(lazy) > MAX_FUNCTION_LEVEL_IMPORTS:
+        violations.append(f"{len(lazy)} function-level imports")
+        print(f"GATE: {len(lazy)} function-level imports, more than "
+              f"{MAX_FUNCTION_LEVEL_IMPORTS}")
+
     reached = reached_modules(graph)
     unreached = sorted(
         m for m in graph.modules if m not in reached and not graph.is_package(m)
@@ -215,10 +240,7 @@ def main(argv=None) -> int:
         print(f"  {module}  ({os.path.relpath(graph.modules[module], REPO_ROOT)})")
 
     if violations:
-        print(
-            f"\nGATE: {len(violations)} function-level import(s) of checkpoint code "
-            f"inside {', '.join(GATED_PACKAGES)}: {', '.join(violations)}"
-        )
+        print(f"\nGATE: {len(violations)} violation(s): {', '.join(violations)}")
     return 1 if args.check and violations else 0
 
 
