@@ -30,7 +30,7 @@ from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.comm import Store, run_distributed
 from repro.core import DistributedDataParallel
-from repro.debug import dump_json
+from repro.debug import dump_json, recorder_for
 from repro.resilience import FaultPlan, slow_rank
 from repro.telemetry.health import (
     PERSISTENT_STRAGGLER,
@@ -62,7 +62,7 @@ def train(rank: int):
         opt.zero_grad()
         loss_fn(ddp(inp), exp).backward()
         opt.step()
-    return ddp.ddp_stats()
+    return ddp.ddp_stats(), health_report(rank)
 
 
 def main() -> int:
@@ -85,23 +85,24 @@ def main() -> int:
     mode = "fault-free" if args.fault_free else f"slow rank {SLOW_RANK}"
     print(f"== training: {WORLD_SIZE} ranks x {ITERATIONS} iterations "
           f"({mode}) ==")
-    stats = run_distributed(
+    stats, health = run_distributed(
         WORLD_SIZE, train, backend="gloo", timeout=60.0,
         store=Store(timeout=30.0), fault_plan=plan,
-    )
+    )[0]
 
-    # -- live health section (what ddp_stats()["health"] serves) --------
-    health = stats[0]["health"]
-    print("\n== ddp_stats()['health'] (rank 0) ==")
+    # -- live health report ---------------------------------------------
+    print("\n== health_report(0) at the end of rank 0's run ==")
     busbw = health["achieved_busbw_gbps"]
     util = health["chunk_pipeline_utilization"]
     print(f"collectives accounted: {health['collectives_accounted']}, "
-          f"overlap ratio {health['overlap_ratio']:.3f}")
+          f"overlap ratio {stats['comm_compute_overlap_ratio']:.3f}")
     print(f"achieved bus bandwidth: mean {busbw['mean']:.3f} GB/s "
           f"(p50 {busbw['p50']:.3f})")
     print(f"chunk pipeline utilization: mean {util['mean']:.3f}")
     print(f"receive stall: {health['recv_stall_s']:.3f}s, "
-          f"records retained {stats[0]['debug']['flight_recorder_depth']}")
+          f"records retained {recorder_for(0).depth()}")
+    assert health["collectives_accounted"] > 0
+    json.dumps(health)  # must be JSON-serializable end to end
 
     # -- causal timeline ------------------------------------------------
     timeline = merge_causal_timeline()
@@ -141,11 +142,6 @@ def main() -> int:
     if args.dump:
         print(f"wrote {args.dump} — analyze with: "
               f"python tools/healthctl.py {args.dump}")
-
-    # Sanity: health_report is cheap to call directly too.
-    report = health_report(rank=0)
-    assert report["collectives_accounted"] > 0
-    json.dumps(report)  # must be JSON-serializable end to end
 
     print("\nhealth demo OK")
     return 0

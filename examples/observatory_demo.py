@@ -105,8 +105,8 @@ def main() -> int:
     print(f"\n{profiler.straggler_summary().describe()}")
     ddp_profile = stats[0]["profile"]
     assert ddp_profile is not None and ddp_profile["blame"]
-    print(f"ddp_stats profile: overlap {ddp_profile['overlap_ratio']:.3f}, "
-          f"exposed comm {ddp_profile['exposed_comm_ms']:.3f} ms")
+    print(f"ddp_stats profile: overlap {stats[0]['comm_compute_overlap_ratio']:.3f}, "
+          f"exposed comm {ddp_profile['attribution_ms']['exposed_comm_ms']:.3f} ms")
 
     # -- trace ----------------------------------------------------------
     path = telemetry.export_chrome_trace(TIMELINE_PATH)

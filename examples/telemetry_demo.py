@@ -14,10 +14,11 @@ Enables ``repro.telemetry``, trains a small MLP on rank threads, then:
 * validates the exported trace: parseable JSON, events from every
   rank, and ``comm`` rows nested inside an iteration window — so CI can
   use this script as a telemetry smoke test;
-* checks the ``debug`` section of ``ddp_stats()``: with telemetry on
-  the collective record ring must hold records at every level; with
-  ``REPRO_DEBUG=INFO`` (or higher) the rank's liveness thread must be
-  watching for hangs, and when OFF there must be no watch.
+* checks the debug layer: with telemetry on the collective record ring
+  (``recorder_for(rank).depth()``) must hold records at every level;
+  with ``REPRO_DEBUG=INFO`` (or higher) the rank's liveness thread
+  (``get_context().monitor.status()``) must be watching for hangs, and
+  when OFF there must be no watch.
 
 Run:
     python examples/telemetry_demo.py
@@ -32,8 +33,9 @@ import numpy as np
 
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
-from repro.comm import TransportHub, run_distributed
+from repro.comm import TransportHub, get_context, run_distributed
 from repro.core import DistributedDataParallel
+from repro.debug import debug_level_name, recorder_for
 from repro.telemetry.observatory import CriticalPathProfiler
 from repro.utils import manual_seed
 
@@ -59,7 +61,8 @@ def train(rank: int):
         loss_fn(ddp(inp), exp).backward()
         opt.step()
 
-    return ddp.ddp_stats()
+    # The hang watch runs only while the rank does: read it here.
+    return ddp.ddp_stats(), get_context().monitor.status()
 
 
 def validate_trace(path: str) -> dict:
@@ -104,7 +107,7 @@ def main() -> None:
           f"({summary['events']} bars from {summary['ranks']} ranks) — "
           "open it in https://ui.perfetto.dev\n")
 
-    stats = results[0]
+    stats, watch = results[0]
     print("ddp_stats() on rank 0:")
     for key in ("world_size", "backend", "num_buckets", "bucket_sizes_bytes",
                 "unused_parameter_count", "comm_compute_overlap_ratio",
@@ -131,19 +134,18 @@ def main() -> None:
 
     print(f"\n{CriticalPathProfiler().straggler_summary().describe()}")
 
-    debug = stats["debug"]
-    print(f"\ndebug layer (REPRO_DEBUG={debug['level']}): {debug}")
-    assert debug["flight_recorder_depth"] > 0, (
+    level, depth = debug_level_name(), recorder_for(0).depth()
+    print(f"\ndebug layer (REPRO_DEBUG={level}): {depth} records retained, "
+          f"hang watch {watch}")
+    assert depth > 0, (
         "telemetry is on, but the record ring retained no collectives at "
-        f"REPRO_DEBUG={debug['level']}"
+        f"REPRO_DEBUG={level}"
     )
-    if debug["level"] == "OFF":
-        assert debug["watchdog"] is None, "no hang watch expected when OFF"
+    if level == "OFF":
+        assert not watch["active"], "no hang watch expected when OFF"
     else:
-        assert debug["watchdog"]["active"], "the liveness thread was not running"
-        assert debug["watchdog"]["alarms_raised"] == 0, (
-            "healthy run raised a desync alarm"
-        )
+        assert watch["active"], "the liveness thread was not running"
+        assert watch["alarms_raised"] == 0, "healthy run raised a desync alarm"
 
     telemetry.disable()
     print("\ntelemetry smoke passed.")

@@ -54,7 +54,7 @@ from repro.checkpoint.reshard import (
     reshard_state_dict,
     shard_payload,
 )
-from repro.checkpoint.engine import CheckpointEngine, stats_for
+from repro.checkpoint.engine import CheckpointEngine
 
 __all__ = [
     "TRAILER_SIZE",
@@ -82,5 +82,4 @@ __all__ = [
     "reshard_state_dict",
     "shard_payload",
     "CheckpointEngine",
-    "stats_for",
 ]

@@ -37,7 +37,6 @@ import os
 import queue
 import threading
 import time
-import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -69,18 +68,6 @@ from repro.utils.logging import logger
 #: How long a replica receiver blocks on the hub before re-checking
 #: whether the engine was closed.
 RECV_SLICE_S = 0.05
-
-_ENGINES: "weakref.WeakValueDictionary[int, CheckpointEngine]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def stats_for(rank: int) -> Optional[dict]:
-    """Live stats of the newest engine registered for ``rank`` (the
-    ``ddp_stats()["checkpoint"]`` section), or None."""
-    engine = _ENGINES.get(rank)
-    return engine.stats() if engine is not None else None
-
 
 class _SaveJob(NamedTuple):
     """One snapshot queued for serialization + commit."""
@@ -188,7 +175,6 @@ class CheckpointEngine:
             )
             thread.start()
             self._receivers.append(thread)
-        _ENGINES[rank] = self
 
     # -- topology --------------------------------------------------------
     def buddies(self) -> List[int]:
@@ -518,11 +504,10 @@ class CheckpointEngine:
             self._writer.join(timeout=timeout)
         for thread in self._receivers:
             thread.join(timeout=RECV_SLICE_S * 4 + 0.2)
-        if _ENGINES.get(self.rank) is self:
-            _ENGINES.pop(self.rank, None)
 
     def stats(self) -> dict:
-        """Counter snapshot: the ``ddp_stats()["checkpoint"]`` section."""
+        """Counter snapshot: saves, blocked and background time, bytes,
+        replication traffic and lag, retention and failures."""
         with self._lock:
             snap = dict(self._stats)
         snap["async_write"] = self.async_write

@@ -167,7 +167,9 @@ class RankMonitor:
                 logger.exception("failed to publish parting debug state")
 
     def status(self) -> dict:
-        """The watch's state over every group, for ``ddp_stats()``."""
+        """The hang watch's state over every group this rank watches:
+        whether the thread runs, the smallest threshold, the alarms
+        raised and answered, and the last report's stuck description."""
         with self._lock:
             thresholds = [watch.threshold for watch in self._watches.values()]
         return {

@@ -13,10 +13,8 @@ here:
 * All parameters in a bucket share a device and dtype ("buckets are
   always created on the same device as the parameters"); a change of
   either closes the current bucket.
-* An optional smaller first-bucket cap lets communication start earlier
-  (PyTorch uses 1 MB for the first bucket).
 * The assignment is a pure function of (parameter shapes, devices,
-  dtypes, caps) — identical on every rank, which is what keeps AllReduce
+  dtypes, cap) — identical on every rank, which is what keeps AllReduce
   contents aligned across processes (Fig. 3(a) caveat).  A wrapper
   computes it once, at construction, and never changes it.
 """
@@ -88,7 +86,6 @@ def broadcast_params(
 def compute_bucket_assignment(
     params: Sequence,
     bucket_cap_bytes: int = 25 * MB,
-    first_bucket_cap_bytes: int | None = None,
 ) -> List[BucketSpec]:
     """Assign ``params`` (in ``model.parameters()`` order) to buckets.
 
@@ -106,12 +103,11 @@ def compute_bucket_assignment(
     current: List[int] = []
     current_bytes = 0
     current_key: tuple | None = None
-    cap = first_bucket_cap_bytes if first_bucket_cap_bytes is not None else bucket_cap_bytes
 
     indexed = list(enumerate(params))
 
     def flush() -> None:
-        nonlocal current, current_bytes, cap
+        nonlocal current, current_bytes
         if not current:
             return
         sizes = tuple(params[i].numel() for i in current)
@@ -133,12 +129,11 @@ def compute_bucket_assignment(
         )
         current = []
         current_bytes = 0
-        cap = bucket_cap_bytes
 
     for param_index, param in reversed(indexed):
         key = (getattr(param, "device", "cpu"), str(param.dtype))
         nbytes = param.numel() * param.element_size()
-        if current and (key != current_key or current_bytes + nbytes > cap):
+        if current and (key != current_key or current_bytes + nbytes > bucket_cap_bytes):
             flush()
         current_key = key
         current.append(param_index)

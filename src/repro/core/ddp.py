@@ -71,8 +71,7 @@ class DistributedDataParallel(Module):
         "no overlap" baseline).
     comm_hook:
         Optional gradient-compression hook run on each bucket in place
-        of the AllReduce (§6.2.3; see :mod:`repro.core.comm_hooks`);
-        :meth:`register_comm_hook` sets it later.
+        of the AllReduce (§6.2.3; see :mod:`repro.core.comm_hooks`).
     gradient_as_bucket_view:
         When True (default), parameters' ``.grad`` tensors are views of
         the reducer's flat bucket buffers: the op that produces each
@@ -294,59 +293,21 @@ class DistributedDataParallel(Module):
         super().train(mode)
         return self
 
-    def register_comm_hook(self, hook: Optional[CommHook]) -> None:
-        """Install a gradient-compression communication hook (§6.2.3)."""
-        self.reducer.set_comm_hook(hook)
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def ddp_stats(self) -> dict:
         """Iteration statistics report — the analog of PyTorch DDP's
         ``get_ddp_logging_data()``: :meth:`Reducer.stats` (shared with
-        the sharded wrappers) plus the backend, the cap and one section
-        per subsystem.  Always available: the reducer's coarse phase
-        clock stays on with telemetry disabled."""
-        profile = self.reducer.recorder.last
+        the sharded wrappers) plus the backend and the cap.  Always
+        available: the reducer's coarse phase clock stays on with
+        telemetry disabled.  Other subsystems report for themselves:
+        ``telemetry.health_report(rank)``, ``CheckpointEngine.stats()``,
+        ``recorder_for(rank).depth()`` and ``get_context().monitor.status()``."""
         return {
             **self.reducer.stats(),
             "backend": self.process_group.backend,
             "bucket_cap_mb": self.bucket_cap_mb,
-            "debug": self._debug_stats(),
-            "health": self._health_stats(profile.overlap_ratio if profile else 0.0),
-            "checkpoint": self._checkpoint_stats(),
-        }
-
-    def _checkpoint_stats(self) -> Optional[dict]:
-        """Live :class:`~repro.checkpoint.engine.CheckpointEngine`
-        counters for this rank (saves, async stall, replication traffic
-        and lag), or None when no engine is registered."""
-        from repro.checkpoint.engine import stats_for
-
-        return stats_for(self.process_group.group_rank)
-
-    def _health_stats(self, overlap_ratio: float) -> dict:
-        """Comm-health section: per-collective efficiency summaries for
-        this rank (achieved bus bandwidth, chunk-pipeline utilization,
-        cost-model efficiency, receive stalls) plus the anomaly engine's
-        live cross-rank diagnoses.  The overlap ratio is served from the
-        always-on recorder clock; the rest needs telemetry enabled."""
-        from repro.telemetry.health import health_report
-
-        return health_report(
-            rank=self.process_group.global_rank, overlap_ratio=overlap_ratio
-        )
-
-    def _debug_stats(self) -> dict:
-        """REPRO_DEBUG layer state: the depth of this rank's collective
-        record ring (filled at INFO or with telemetry on) and the hang
-        watch's status over every group the rank watches (None when
-        OFF)."""
-        recorder = getattr(self.process_group, "flight_recorder", None)
-        return {
-            "level": debug_level_name(),
-            "flight_recorder_depth": recorder.depth() if recorder else 0,
-            "watchdog": get_context().monitor.status() if DEBUG.level else None,
         }
 
     def __repr__(self) -> str:

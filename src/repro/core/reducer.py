@@ -613,10 +613,6 @@ class Reducer:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def set_comm_hook(self, hook: Optional[CommHook]) -> None:
-        """Install or clear a gradient-compression hook (§6.2.3)."""
-        self.comm_hook = hook
-
     def detach_hooks(self) -> None:
         """Remove all autograd hooks and gradient views (DDP teardown).
 
@@ -650,9 +646,8 @@ class Reducer:
     def stats(self) -> dict:
         """The reducer's part of every wrapper's ``ddp_stats()``.
 
-        Latencies, the overlap ratio, ``last_iteration`` and ``profile``
-        are views of one record, ``recorder.last``: the *last
-        synchronized* backward.
+        Latencies, the overlap ratio and ``profile`` are views of one
+        record, ``recorder.last``: the *last synchronized* backward.
 
         * ``bucket_sizes_bytes`` / ``bucket_param_indices`` — the
           bucket layout, fixed at construction.
@@ -686,21 +681,6 @@ class Reducer:
             "per_bucket_allreduce_latency_s": [
                 bucket_latencies.get(b.spec.index, 0.0) for b in self.buckets
             ],
-            "last_iteration": _phases(profile),
             "profile": profile.summary(top=3) if profile else None,
         }
 
-
-def _phases(profile) -> dict:
-    """``ddp_stats()["last_iteration"]``: the four phases of an
-    :class:`~repro.telemetry.recorder.IterationProfile` under their
-    Fig. 6 names (``{}`` before the first synchronized backward)."""
-    if profile is None:
-        return {}
-    return {
-        "prepare_to_first_grad": profile.prepare_s,
-        "backward_compute": profile.backward_s,
-        # everything after the last gradient: t_done - t_all
-        "comm_exposed_wait": profile.exposed_comm_s + profile.finalize_other_s,
-        "total": profile.total_s,
-    }

@@ -6,8 +6,8 @@ NCCL hang.  This package turns that hang into a diagnosis:
 
 * :mod:`~repro.debug.flight_recorder` — the one
   :class:`CollectiveRecord` every collective's ``Work`` carries (seq,
-  op, group, payload fingerprint, caller context,
-  scheduled/started/completed timestamps) and the per-rank bounded ring
+  op, group, payload fingerprint, caller context, start and end
+  timestamps) and the per-rank bounded ring
   buffer that retains them beside the rank's finished iterations and,
   under telemetry, its incidents (the one event store every telemetry
   view reads), with JSON dump and a cross-rank "last N collectives per

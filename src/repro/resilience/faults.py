@@ -44,8 +44,6 @@ ELASTIC = "elastic"
 DELAY = "delay"
 #: Either scope: terminate the matching rank with InjectedRankFailure.
 CRASH_RANK = "crash_rank"
-#: Wire-scoped: add latency to every send from one rank (a straggler).
-SLOW_RANK = "slow_rank"
 #: Checkpoint-scoped: tear the final on-disk bytes of a matching write
 #: (truncate + flip), producing exactly the signature the CRC trailer
 #: and manifest verification exist to catch.
@@ -58,7 +56,7 @@ DELAY_WRITE = "delay_write"
 REJOIN_RANK = "rejoin_rank"
 
 _ACTIONS = {
-    DELAY, CRASH_RANK, SLOW_RANK, CORRUPT_FILE, DELAY_WRITE, REJOIN_RANK,
+    DELAY, CRASH_RANK, CORRUPT_FILE, DELAY_WRITE, REJOIN_RANK,
 }
 _CHECKPOINT_ACTIONS = {CORRUPT_FILE, DELAY_WRITE}
 
@@ -90,7 +88,7 @@ class FaultRule:
     Parameters
     ----------
     action:
-        One of ``delay``, ``crash_rank``, ``slow_rank`` (wire),
+        One of ``delay``, ``crash_rank`` (wire),
         ``corrupt_file``, ``delay_write`` (checkpoint) or
         ``rejoin_rank`` (elastic).
     scope:
@@ -116,7 +114,7 @@ class FaultRule:
     times:
         Trigger at most this many times (per edge); ``None`` = always.
     delay:
-        Sleep seconds for ``delay``/``slow_rank`` actions.
+        Sleep seconds for ``delay`` actions.
     """
 
     action: str
@@ -206,7 +204,7 @@ def crash_rank(rank: int, scope: str = WIRE, **kwargs) -> FaultRule:
 
 def slow_rank(rank: int, seconds: float, **kwargs) -> FaultRule:
     """Rule: delay every send from ``rank`` (a persistent straggler)."""
-    return FaultRule(SLOW_RANK, rank=rank, delay=seconds, **kwargs)
+    return delay(seconds, rank=rank, **kwargs)
 
 
 def corrupt_file(**kwargs) -> FaultRule:
@@ -302,7 +300,7 @@ class FaultPlan:
     def on_send(self, src: int, dst: int, tag) -> None:
         """Apply the wire rules to one send, on the sending thread.
 
-        May sleep (delay / slow-rank rules) and may raise
+        May sleep (delay rules) and may raise
         :class:`InjectedRankFailure` (wire-scoped crash rules).
         """
         for index, rule in enumerate(self.rules):

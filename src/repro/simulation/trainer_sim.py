@@ -49,7 +49,6 @@ class SimulationConfig:
     world_size: int
     backend: str = "nccl"
     bucket_cap_mb: float = 25.0
-    first_bucket_cap_mb: Optional[float] = None
     overlap: bool = True
     sync_every: int = 1
     num_comm_streams: int = 1
@@ -129,11 +128,6 @@ class TrainingSimulator:
             self.buckets = compute_bucket_assignment(
                 list(config.model.params),
                 bucket_cap_bytes=int(config.bucket_cap_mb * MB),
-                first_bucket_cap_bytes=(
-                    int(config.first_bucket_cap_mb * MB)
-                    if config.first_bucket_cap_mb is not None
-                    else None
-                ),
             )
         self._grad_element_size = config.model.params[0].element_size()
 

@@ -12,8 +12,8 @@ threaded ``Reducer``/``ProcessGroup`` path:
   folded from the rank's ring when read; training writes none.
 * :mod:`~repro.telemetry.recorder` — the reducer's one record per
   iteration: the phase stamps and per-bucket ready→launch→comm
-  intervals, served as the ``IterationProfile`` that ``ddp_stats()``,
-  the critical-path profiler and the health report read.
+  intervals, served as the ``IterationProfile`` that ``ddp_stats()``
+  and the critical-path profiler read.
 * :mod:`~repro.telemetry.chrome_trace` — measured-timeline export in
   the Trace Event Format (one ``pid`` per rank, compute vs. comm
   ``tid`` rows), directly comparable with the simulator's exporter.

@@ -14,7 +14,7 @@ automated anomaly attribution.
   :class:`Diagnosis` verdicts (straggler, slow link, desync
   precursor): one entry point,
   :func:`analyze_dumps`, live over ``dump_all()`` via
-  ``ddp_stats()["health"]`` or offline over a ``dump_json`` file via
+  :func:`health_report` or offline over a ``dump_json`` file via
   ``tools/healthctl.py``.
 """
 

@@ -9,7 +9,7 @@ hot path only appends: the rank's ring keeps every collective's
 thread adds the receive waits, per sending rank, as ``record.stalls``)
 and every synchronized iteration's stamps.  A read —
 ``MetricsRegistry.snapshot()``, hence every Prometheus scrape,
-``dump_all()`` and so ``ddp_stats()["health"]`` and ``dump_json`` —
+``dump_all()`` and so ``health_report()`` and ``dump_json`` —
 runs :func:`fold`, which publishes what no read has taken yet into the
 rank's registry, so counters stay cumulative.  Per collective:
 ``comm.collective_latency_s``; ``comm.achieved_busbw_gbps``
@@ -84,7 +84,7 @@ def fold(ring) -> None:
     (``ring.metrics``).
 
     Runs under the ring's fold lock, so concurrent readers (an
-    exporter scrape, rank threads in ``ddp_stats()``, a dump)
+    exporter scrape, rank threads in ``health_report()``, a dump)
     publish each record exactly once, and a reader that waited finds the
     other's results in place.
     """

@@ -3,7 +3,7 @@
 A diagnosis is a machine-readable claim: *this* anomaly class, *this*
 culprit (rank, bucket, or wire edge), *this* confident, because of
 *this* evidence.  It is the contract between the health engine and its
-consumers — ``ddp_stats()["health"]`` and the ``healthctl`` CLI.
+consumers — ``health_report()`` and the ``healthctl`` CLI.
 """
 
 from __future__ import annotations

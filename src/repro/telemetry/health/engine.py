@@ -20,7 +20,7 @@ collective frontier, and emit
 One entry point, :func:`analyze_dumps`, reads the one post-mortem
 format — :func:`~repro.debug.flight_recorder.dump_all`'s per-rank dumps
 (records, incidents and the rank's folded metrics snapshot).  The live
-check (``ddp_stats()["health"]``) runs it over ``dump_all()``;
+check (:func:`health_report`) runs it over ``dump_all()``;
 ``tools/healthctl.py`` runs it over a ``dump_json`` file.  It is a pure
 function of its input with fixed thresholds (the module constants
 below), so a seeded fault plan produces the same diagnoses on every run,
@@ -228,20 +228,17 @@ def analyze_dumps(dumps: Optional[Sequence[dict]] = None) -> List[Diagnosis]:
 
 
 # ----------------------------------------------------------------------
-# ddp_stats()["health"]
+# health_report(rank)
 # ----------------------------------------------------------------------
 _HIST_SUMMARY_FIELDS = ("count", "mean", "min", "max", "p50", "p95", "p99")
 
 
-def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dict:
-    """The per-rank health section ``ddp_stats`` embeds.
+def health_report(rank: Optional[int] = None) -> dict:
+    """One rank's health report.
 
     Efficiency summaries come from this rank's registry, whose snapshot
     folds in the rank's records not yet read; the diagnosis list is
     cross-rank (all registries live in this process).
-    ``overlap_ratio`` is the caller's, from the reducer's always-on
-    iteration profile, so the field is meaningful even with telemetry
-    (and thus the accounting) disabled.
     """
     snap = registry_for(rank).snapshot()
     hists = snap.get("histograms", {})
@@ -256,7 +253,6 @@ def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dic
     enabled = DEBUG.telemetry
     return {
         "enabled": enabled,
-        "overlap_ratio": float(overlap_ratio),
         "achieved_busbw_gbps": summarize("comm.achieved_busbw_gbps"),
         "chunk_pipeline_utilization": summarize("comm.chunk_pipeline_utilization"),
         "collective_latency_s": summarize("comm.collective_latency_s"),

@@ -7,8 +7,8 @@ synchronized iteration, keeps them with each bucket's (ready, launched)
 stamps and communication interval.  It serves them as one
 :class:`IterationProfile` (:attr:`IterationRecorder.last`), built by
 :func:`_build_profile` on first read and cached, so the training thread
-never pays for the attribution math.  ``ddp_stats()``, the critical-path
-profiler and the health report all read that profile.
+never pays for the attribution math.  ``ddp_stats()`` and the
+critical-path profiler read that profile.
 Finishing an iteration writes nothing else: while ``REPRO_DEBUG`` ≥ INFO
 or telemetry is on the rank's ring retains the stamps, and the Chrome
 trace's compute row and the iteration series
@@ -155,7 +155,9 @@ class IterationProfile:
         return ranked[:top]
 
     def summary(self, top: int = 3) -> dict:
-        """Compact dict for ``ddp_stats()["profile"]``."""
+        """Compact dict for ``ddp_stats()["profile"]``: each number once
+        (the overlap ratio is the report's ``comm_compute_overlap_ratio``,
+        the exposed tail is ``attribution_ms["exposed_comm_ms"]``)."""
         return {
             "iteration": self.iteration,
             "total_ms": self.total_s * 1e3,
@@ -163,8 +165,6 @@ class IterationProfile:
                 key.replace("_s", "_ms"): value * 1e3
                 for key, value in self.attribution().items()
             },
-            "overlap_ratio": self.overlap_ratio,
-            "exposed_comm_ms": self.exposed_comm_s * 1e3,
             "launch_gap_ms": self.launch_gap_s * 1e3,
             "idle_bubble_ms": self.idle_bubble_s * 1e3,
             "blame": [

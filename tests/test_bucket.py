@@ -62,14 +62,6 @@ class TestCap:
             if len(bucket.param_indices) > 1:
                 assert bucket.total_elements * 8 <= cap
 
-    def test_first_bucket_cap_smaller(self):
-        params = params_of_sizes(10, 10, 10, 10)
-        buckets = compute_bucket_assignment(
-            params, bucket_cap_bytes=4 * 10 * 8, first_bucket_cap_bytes=10 * 8
-        )
-        assert len(buckets[0].param_indices) == 1
-        assert len(buckets[1].param_indices) == 3
-
 
 class TestAffinity:
     def test_device_change_closes_bucket(self):

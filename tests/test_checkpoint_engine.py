@@ -606,7 +606,7 @@ class TestRetentionAndStats:
             engine = CheckpointEngine(root, rank=rank, world=2,
                                       async_write=False)
             engine.save_full(model.module, iteration=1)
-            section = model.ddp_stats()["checkpoint"]
+            section = engine.stats()
             engine.close()
             assert section is not None
             assert section["saves"] == 1

@@ -390,16 +390,6 @@ class TestCompressionRatios:
         with pytest.raises(ValueError):
             comm_hooks.make_hook("bogus")
 
-    def test_register_comm_hook_after_construction(self):
-        def body(rank):
-            model = small_classifier()
-            ddp = DistributedDataParallel(model)
-            ddp.register_comm_hook(comm_hooks.Fp16Hook())
-            nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
-            return all(p.grad is not None for p in model.parameters())
-
-        assert all(run_world(2, body, backend="gloo"))
-
 
 class TestHookedBucketTelemetry:
     def test_hooked_buckets_report_their_collectives(self):

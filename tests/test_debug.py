@@ -27,11 +27,13 @@ from repro.debug import (
     build_desync_report,
     collective_context,
     current_collective_context,
+    debug_level_name,
     describe_fingerprint,
     diff_fingerprints,
     dump_all,
     dump_json,
     fingerprint,
+    recorder_for,
     render_cross_rank,
     render_mismatch,
     set_debug_level,
@@ -323,7 +325,7 @@ class TestLiveness:
             if rank == 0:  # rank 1 never joins the other group's collective
                 with pytest.raises(CollectiveTimeoutError, match="desync"):
                     other.allreduce(np.ones(4))
-            return ddp.ddp_stats()["debug"]["watchdog"]
+            return get_context().monitor.status()
 
         statuses = run_world(2, body, backend="gloo")
         assert statuses[0]["alarms_raised"] >= 1
@@ -482,9 +484,8 @@ class TestDDPConstructionChecks:
         debug_level("DETAIL")
 
         def body(rank):
-            ddp = DistributedDataParallel(small_classifier())
-            stats = ddp.ddp_stats()["debug"]
-            return stats["level"], stats["flight_recorder_depth"] > 0
+            DistributedDataParallel(small_classifier())
+            return debug_level_name(), recorder_for(rank).depth() > 0
 
         assert run_world(2, body, backend="gloo") == [
             ("DETAIL", True), ("DETAIL", True)

@@ -2,7 +2,7 @@
 
 Covers the health acceptance surface: per-collective efficiency metrics
 (achieved bus bandwidth, chunk-pipeline utilization, receive-stall
-attribution) flowing into ``ddp_stats()["health"]`` and Prometheus, the
+attribution) flowing into ``health_report()`` and Prometheus, the
 cross-rank causal timeline stitched from the record rings, the rule-based
 anomaly detectors on synthetic signals, and — the headline — a seeded
 fault matrix where injected faults yield the *correct* attributed
@@ -55,8 +55,8 @@ def clean_telemetry():
 
 def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02, stats=True, read=False):
     """One rank of a multi-bucket DDP loop; returns ddp_stats() (None
-    without ``stats``, so nothing reads the registries).  With ``read``
-    every iteration also reads ``ddp_stats()``."""
+    without ``stats``).  With ``read`` every iteration also reads
+    ``ddp_stats()`` and the rank's health report."""
     manual_seed(3)
     net = nn.Sequential(
         nn.Linear(32, width), nn.ReLU(), nn.Linear(width, width), nn.ReLU(),
@@ -74,7 +74,14 @@ def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02, stats=True, read=Fa
         opt.step()
         if read:
             ddp.ddp_stats()
+            telemetry.health_report(rank)
     return ddp.ddp_stats() if stats else None
+
+
+def _train_and_report(rank):
+    """``_train``, then the rank's health report and ring depth."""
+    _train(rank)
+    return telemetry.health_report(rank), recorder_for(rank).depth()
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +239,8 @@ class TestDetectors:
 class TestEfficiencyAccounting:
     def test_health_section_and_metrics_populated(self):
         telemetry.enable()
-        stats = run_world(WORLD, _train, backend="gloo", timeout=60.0)
-        health = stats[0]["health"]
+        health, depth = run_world(WORLD, _train_and_report, backend="gloo",
+                                  timeout=60.0)[0]
         assert health["enabled"]
         assert health["collectives_accounted"] > 0
         busbw = health["achieved_busbw_gbps"]
@@ -243,7 +250,7 @@ class TestEfficiencyAccounting:
         latency = health["collective_latency_s"]
         assert latency["count"] == health["collectives_accounted"]
         assert health["recv_stall_s"] >= 0.0
-        assert stats[0]["debug"]["flight_recorder_depth"] > 0
+        assert depth > 0
         # gloo has a cost model, so the expectation ratio rides along.
         assert health["model_efficiency"] is not None
         assert health["diagnoses"] == []  # healthy run stays silent
@@ -307,12 +314,12 @@ class TestEfficiencyAccounting:
         assert "repro_health_collectives_accounted_total" in text
 
     def test_disabled_accounting_records_nothing(self):
-        stats = run_world(WORLD, _train, backend="gloo", timeout=60.0)
-        health = stats[0]["health"]
+        health, depth = run_world(WORLD, _train_and_report, backend="gloo",
+                                  timeout=60.0)[0]
         assert not health["enabled"]
         assert health["collectives_accounted"] == 0
         assert health["achieved_busbw_gbps"] is None
-        assert stats[0]["debug"]["flight_recorder_depth"] == 0
+        assert depth == 0
         assert health["diagnoses"] == []
 
 

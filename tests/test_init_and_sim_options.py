@@ -82,25 +82,6 @@ class TestSimulatorOptions:
         settings.update(overrides)
         return TrainingSimulator(SimulationConfig(**settings))
 
-    def test_small_first_bucket_starts_comm_earlier(self):
-        plain = self._sim(bucket_cap_mb=25.0)
-        eager = self._sim(bucket_cap_mb=25.0, first_bucket_cap_mb=1.0)
-        # the eager layout has one extra (small) leading bucket
-        assert len(eager.buckets) == len(plain.buckets) + 1
-        assert eager.buckets[0].total_elements < plain.buckets[0].total_elements
-
-    def test_first_bucket_comm_event_starts_earlier(self):
-        plain = self._sim(bucket_cap_mb=25.0).simulate_iteration(0)
-        eager = self._sim(bucket_cap_mb=25.0, first_bucket_cap_mb=1.0).simulate_iteration(0)
-
-        def first_comm_start(result):
-            return min(
-                start for label, _, start, _ in result.events
-                if label.startswith("allreduce")
-            )
-
-        assert first_comm_start(eager) < first_comm_start(plain)
-
     def test_gloo_pays_pcie_staging(self):
         from repro.simnet import cost_model_for
         from repro.simulation.trainer_sim import PCIE_BANDWIDTH

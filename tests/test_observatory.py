@@ -258,7 +258,8 @@ class TestCriticalPathProfiler:
         prof = stats_by_rank[0]["profile"]
         att = prof["attribution_ms"]
         assert sum(att.values()) == pytest.approx(prof["total_ms"], rel=0.02)
-        assert prof["overlap_ratio"] == stats_by_rank[0]["comm_compute_overlap_ratio"]
+        assert ddps[0].reducer.recorder.last.overlap_ratio == (
+            stats_by_rank[0]["comm_compute_overlap_ratio"])
         assert 1 <= len(prof["blame"]) <= 3
         shares = [b["share_of_exposed"] for b in prof["blame"]]
         assert shares == sorted(shares, reverse=True)

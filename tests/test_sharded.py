@@ -121,6 +121,51 @@ STAGE_WRAPS = {
 }
 
 
+#: Each wrapper: its own report keys beside ``Reducer.stats()``, and its factory.
+WRAPPERS = {
+    "ddp": ({"backend", "bucket_cap_mb"}, _ddp_wrap),
+    "zero2": ({"sharded"}, _zero2_wrap),
+    "zero3": ({"sharded", "units"}, _zero3_wrap),
+}
+
+
+def _nested_keys(value):
+    """Every key of a report, at any depth (through lists too)."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            yield from _nested_keys(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from _nested_keys(inner)
+
+
+class TestOneReportShape:
+    """Every wrapper's ``ddp_stats()`` is ``Reducer.stats()`` plus the
+    wrapper's own facts, and states each number once."""
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    def test_report_is_reducer_stats_plus_own_facts(self, wrapper):
+        own, make_wrap = WRAPPERS[wrapper]
+
+        def body(rank):
+            wrapped, step, zero_grad, _ = make_wrap()(small_classifier())
+            loss_fn = nn.CrossEntropyLoss()
+            for _ in range(2):
+                zero_grad()
+                loss_fn(wrapped(Tensor(X[:4])), Y[:4]).backward()
+                step()
+            return wrapped.ddp_stats(), wrapped.reducer.stats()
+
+        for report, reducer in run_world(2, body, backend="gloo"):
+            assert reducer["iterations_synced"] == 2
+            assert set(report) == set(reducer) | own
+            assert {key: report[key] for key in reducer} == reducer
+            assert not {"debug", "health", "checkpoint", "last_iteration"} & set(report)
+            overlap = [k for k in _nested_keys(report) if k.endswith("overlap_ratio")]
+            assert overlap == ["comm_compute_overlap_ratio"]
+
+
 class TestMLPParity:
     """Each stage reproduces DDP's loss curve and final parameters."""
 

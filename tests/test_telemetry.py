@@ -205,7 +205,7 @@ class TestRealRunTracing:
         assert 0.0 < stats["comm_compute_overlap_ratio"] <= 1.0
         assert len(stats["per_bucket_allreduce_latency_s"]) == stats["num_buckets"]
         assert all(lat > 0 for lat in stats["per_bucket_allreduce_latency_s"])
-        assert stats["last_iteration"]["total"] > 0
+        assert stats["profile"]["total_ms"] > 0
 
     def test_ddp_stats_counts_unused_parameters(self):
         def body(rank):
@@ -264,13 +264,13 @@ class TestRealRunTracing:
     def test_legacy_iteration_stats_still_populated_when_disabled(self):
         def body(rank):
             ddp = _train_ddp(rank, iterations=1)
-            return ddp.ddp_stats()["last_iteration"]
+            return ddp.ddp_stats()["profile"]
 
         stats = run_world(2, body, backend="gloo")[0]
-        assert set(stats) == {
-            "prepare_to_first_grad", "backward_compute", "comm_exposed_wait", "total",
+        assert set(stats["attribution_ms"]) == {
+            "prepare_ms", "backward_ms", "exposed_comm_ms", "finalize_other_ms",
         }
-        assert stats["total"] > 0
+        assert stats["total_ms"] > 0
 
 
 class TestRankAwareLogging:
@@ -350,10 +350,10 @@ class TestTelemetryLifecycle:
 
         def body(rank):
             ddp = _train_ddp(rank, iterations=1)
-            return ddp.ddp_stats()["last_iteration"], ddp.reducer.recorder.last
+            return ddp.ddp_stats()["profile"], ddp.reducer.recorder.last
 
-        phases, profile = run_world(2, body, backend="gloo")[0]
-        assert phases["backward_compute"] == profile.backward_s
-        assert phases["total"] == profile.total_s
-        assert (phases["prepare_to_first_grad"] + phases["backward_compute"]
-                + phases["comm_exposed_wait"]) == pytest.approx(phases["total"], abs=1e-12)
+        summary, profile = run_world(2, body, backend="gloo")[0]
+        phases = summary["attribution_ms"]
+        assert phases["backward_ms"] == profile.backward_s * 1e3
+        assert summary["total_ms"] == profile.total_s * 1e3
+        assert sum(phases.values()) == pytest.approx(summary["total_ms"], abs=1e-9)

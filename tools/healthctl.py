@@ -4,7 +4,7 @@
 Loads a :func:`repro.debug.flight_recorder.dump_json` file (per rank:
 the collective records, the incidents and the rank's folded metrics)
 and runs the live health check, ``analyze_dumps``, over it — the same
-rules over the same data ``ddp_stats()["health"]`` read — then prints
+rules over the same data ``health_report()`` reads — then prints
 the attributed diagnoses: which rank is a persistent straggler, which
 link is slow, which rank trails the collective frontier,
 without needing the run to still be alive.

@@ -17,16 +17,18 @@ Two reports, both from the AST — nothing is imported or executed:
    (``__init__``) are never listed: executing one proves nothing about
    its submodules being used.
 
-Report mode (the default) always exits 0.  ``--check`` fails on three
+Report mode (the default) always exits 0.  ``--check`` fails on four
 regressions this repo has already paid for once:
 
 * a function-level import of checkpoint code inside ``repro.checkpoint``,
-  ``repro.sharded``, ``repro.utils`` or ``repro.resilience`` (the
-  triangle PR 23 removed; ``core/ddp.py``'s ``_checkpoint_stats`` lies
-  outside those packages and belongs to ROADMAP item 3);
+  ``repro.sharded``, ``repro.utils`` or ``repro.resilience`` (an
+  import triangle between them was removed once already);
 * any import of ``repro.telemetry.metrics`` inside ``repro.comm`` or
   ``repro.core``: training writes no metric, every series is folded
   from the rank's record ring when read;
+* any import of ``repro.checkpoint`` or ``repro.telemetry.health``
+  inside ``repro.core``: the wrappers report their own facts, and each
+  subsystem reports for itself;
 * more function-level imports under ``src/`` than
   ``MAX_FUNCTION_LEVEL_IMPORTS``.
 
@@ -50,11 +52,15 @@ ROOT_DIRS = ["tests", "benchmarks", "examples", "tools", "docs"]
 ROOT_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 GATED_PACKAGES = ("repro.checkpoint", "repro.sharded", "repro.utils", "repro.resilience")
 CHECKPOINT_MODULES = ("repro.checkpoint", "repro.utils.checkpoint", "repro.sharded.checkpoint")
-#: Packages on the training path, which must not write metrics.
-HOT_PACKAGES = ("repro.comm", "repro.core")
-METRICS_MODULE = "repro.telemetry.metrics"
+#: (importing packages, packages they must not import at any level, why).
+FORBIDDEN_IMPORTS = (
+    (("repro.comm", "repro.core"), ("repro.telemetry.metrics",),
+     "writes metrics on the training path"),
+    (("repro.core",), ("repro.checkpoint", "repro.telemetry.health"),
+     "reports a subsystem's facts from a wrapper"),
+)
 #: The function-level import count may only go down.
-MAX_FUNCTION_LEVEL_IMPORTS = 39
+MAX_FUNCTION_LEVEL_IMPORTS = 37
 MODULE_REF_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: One import statement: (line, target module, imported names, enclosing function or "").
@@ -197,7 +203,7 @@ def reached_modules(graph: Graph) -> Set[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any of the three gates fails")
+                        help="exit 1 if any of the four gates fails")
     args = parser.parse_args(argv)
     graph = Graph()
 
@@ -217,15 +223,17 @@ def main(argv=None) -> int:
         if gated:
             violations.append(f"{rel}:{line}")
 
-    for module in sorted(graph.modules):
-        if not within(module, HOT_PACKAGES):
-            continue
-        for line, target, names, _ in graph.imports[module]:
-            if target == METRICS_MODULE or any(
-                    graph.named(f"{target}.{name}") == METRICS_MODULE for name in names):
-                rel = os.path.relpath(graph.modules[module], REPO_ROOT)
-                violations.append(f"{rel}:{line}")
-                print(f"GATE: {rel}:{line} imports {METRICS_MODULE} on the training path")
+    for importers, forbidden, why in FORBIDDEN_IMPORTS:
+        for module in sorted(graph.modules):
+            if not within(module, importers):
+                continue
+            for line, target, names, _ in graph.imports[module]:
+                landed = [target] + [graph.named(f"{target}.{name}") for name in names]
+                hit = next((m for m in landed if within(m, forbidden)), None)
+                if hit is not None:
+                    rel = os.path.relpath(graph.modules[module], REPO_ROOT)
+                    violations.append(f"{rel}:{line}")
+                    print(f"GATE: {rel}:{line} imports {hit}: {why}")
     if len(lazy) > MAX_FUNCTION_LEVEL_IMPORTS:
         violations.append(f"{len(lazy)} function-level imports")
         print(f"GATE: {len(lazy)} function-level imports, more than "
