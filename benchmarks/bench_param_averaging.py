@@ -21,8 +21,6 @@ from repro.comm import get_context, run_distributed
 from repro.core import DistributedDataParallel
 from repro.core.param_avg import ParameterAveragingTrainer
 from repro.optim import Adam
-from repro.simulation import SimulationConfig, TrainingSimulator
-from repro.simulation.models import resnet50_profile
 from repro.utils import manual_seed
 
 from common import report

@@ -15,7 +15,6 @@ Run:
 import numpy as np
 
 from repro import nn
-from repro.autograd import Tensor
 from repro.comm import run_distributed
 from repro.core import DistributedDataParallel
 from repro.models import TinyTransformer

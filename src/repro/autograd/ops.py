@@ -36,7 +36,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.function import Context, Function, unbroadcast
-from repro.autograd.tensor import Tensor
 
 # ---------------------------------------------------------------------
 # elementwise arithmetic

@@ -17,7 +17,7 @@ subject is ``DistributedDataParallel``.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

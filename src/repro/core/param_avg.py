@@ -16,9 +16,6 @@ Both defects are measurable with this implementation; see
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.autograd.tensor import Tensor
 from repro.comm.process_group import ReduceOp
 from repro.nn.module import Module
 

@@ -10,8 +10,6 @@ loop (documented in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.data.dataset import TensorDataset

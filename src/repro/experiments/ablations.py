@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.bucket import compute_bucket_assignment
-from repro.core.comm_hooks import hook_wire_ratio, make_hook
+from repro.core.comm_hooks import Fp16Hook, allreduce_hook, hook_wire_ratio
 from repro.simnet import cost_model_for
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import bert_profile, resnet50_profile
@@ -25,13 +25,11 @@ DESIGN_VARIANTS = [
     ("overlapped", dict(bucket_cap_mb=25.0, overlap=True)),
 ]
 
-#: (row label, ``HOOK_FACTORIES`` name) of the projected hooks; each
-#: hook prices its own wire for fp32 gradients.
+#: (row label, hook) of the projected hooks; each hook prices its own
+#: wire for fp32 gradients.
 PROJECTED_HOOKS = (
-    ("fp32_allreduce", "allreduce"),
-    ("fp16", "fp16"),
-    ("quantize8_int32", "quantize8"),
-    ("onebit_int8", "onebit"),
+    ("fp32_allreduce", allreduce_hook),
+    ("fp16", Fp16Hook()),
 )
 
 
@@ -68,8 +66,8 @@ def compression_projection(world: int = 32):
     rows = []
     for profile in (resnet50_profile(), bert_profile()):
         full_bytes = profile.num_params * 4
-        for label, name in PROJECTED_HOOKS:
-            wire = full_bytes * hook_wire_ratio(make_hook(name), np.float32, profile.num_params)
+        for label, hook in PROJECTED_HOOKS:
+            wire = full_bytes * hook_wire_ratio(hook, np.float32, profile.num_params)
             latency = cost_model.allreduce_time(wire, world)
             rows.append(
                 (

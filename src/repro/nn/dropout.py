@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 from repro.utils.seed import get_rng

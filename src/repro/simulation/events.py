@@ -10,7 +10,7 @@ streams for communication" (paper §3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

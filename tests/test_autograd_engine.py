@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad, is_grad_enabled, randn
-from repro.autograd.engine import AccumulateGrad
 from repro.autograd.graph import collect_participating_accumulators, graph_node_count
 from repro.utils import manual_seed
 

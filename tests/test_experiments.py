@@ -62,7 +62,7 @@ class TestAblationGenerators:
     def test_compression_projection(self):
         rows = ablations.compression_projection()
         hooks = {r[1] for r in rows}
-        assert "onebit_int8" in hooks and "fp16" in hooks
+        assert hooks == {"fp32_allreduce", "fp16"}
 
     def test_order_prediction_triple(self):
         matched, mismatched, traced = ablations.order_prediction()

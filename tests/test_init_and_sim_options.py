@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.autograd import Tensor, zeros
+from repro.autograd import zeros
 from repro.nn import init
 from repro.simulation import SimulationConfig, TrainingSimulator
 from repro.simulation.models import resnet50_profile

@@ -1,7 +1,6 @@
 """End-to-end integration: full distributed training runs."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.autograd import Tensor

@@ -112,7 +112,7 @@ class TestOverlapOffCombos:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(
-                model, overlap=False, comm_hook=comm_hooks.Quantize8Hook()
+                model, overlap=False, comm_hook=comm_hooks.AdaptivePrecisionHook()
             )
             nn.CrossEntropyLoss()(ddp(Tensor(X[:4])), Y[:4]).backward()
             return all(p.grad is not None for p in model.parameters())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, randn
+from repro.autograd import randn
 from repro.models import (
     MLP,
     BranchedModel,

@@ -7,7 +7,6 @@ from repro import nn
 from repro.autograd import Tensor, ops, randn
 from repro.utils import manual_seed
 
-from conftest import numeric_gradient
 from test_autograd_ops import check_op_gradient
 
 

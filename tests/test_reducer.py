@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.comm import get_context
 from repro.core import DistributedDataParallel
 from repro.core.bucket import compute_bucket_assignment
 from repro.core.reducer import Reducer, ReducerError

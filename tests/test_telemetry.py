@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import run_world, small_classifier
+from conftest import run_world
 from repro import nn, optim, telemetry
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel

@@ -1,7 +1,6 @@
 """Utility helpers: seeding, units, checkpoint internals."""
 
 import numpy as np
-import pytest
 
 from repro.utils import MB, KB, format_bytes, format_seconds, fork_rng, get_rng, manual_seed
 from repro.utils.units import bytes_to_params, params_to_bytes

@@ -17,7 +17,7 @@ Two reports, both from the AST — nothing is imported or executed:
    (``__init__``) are never listed: executing one proves nothing about
    its submodules being used.
 
-Report mode (the default) always exits 0.  ``--check`` fails on four
+Report mode (the default) always exits 0.  ``--check`` fails on five
 regressions this repo has already paid for once:
 
 * a function-level import of checkpoint code inside ``repro.checkpoint``,
@@ -30,7 +30,10 @@ regressions this repo has already paid for once:
   inside ``repro.core``: the wrappers report their own facts, and each
   subsystem reports for itself;
 * more function-level imports under ``src/`` than
-  ``MAX_FUNCTION_LEVEL_IMPORTS``.
+  ``MAX_FUNCTION_LEVEL_IMPORTS``;
+* an unused top-level import in a ``src/`` module other than a package
+  ``__init__``: a name an import binds that the module's AST names
+  nowhere else and ``__all__`` does not list.
 
 Usage:
     python tools/import_audit.py            # print both reports
@@ -81,6 +84,28 @@ def source_modules() -> Dict[str, str]:
                 dotted = os.path.relpath(path, SRC_DIR)[:-3].replace(os.sep, ".")
                 modules[dotted.removesuffix(".__init__")] = path
     return modules
+
+
+def unused_imports(path: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every name a module-level import in ``path``
+    binds that no other node of the module's AST names and ``__all__``
+    does not list."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [
+        (node.lineno, name)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        if name not in used
+    ]
 
 
 def scan(path: str, module: str = "") -> Tuple[List[Import], List[str]]:
@@ -203,7 +228,7 @@ def reached_modules(graph: Graph) -> Set[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any of the four gates fails")
+                        help="exit 1 if any of the five gates fails")
     args = parser.parse_args(argv)
     graph = Graph()
 
@@ -238,6 +263,15 @@ def main(argv=None) -> int:
         violations.append(f"{len(lazy)} function-level imports")
         print(f"GATE: {len(lazy)} function-level imports, more than "
               f"{MAX_FUNCTION_LEVEL_IMPORTS}")
+
+    for module in sorted(graph.modules):
+        path = graph.modules[module]
+        if graph.is_package(module):
+            continue
+        for line, name in unused_imports(path):
+            rel = os.path.relpath(path, REPO_ROOT)
+            violations.append(f"{rel}:{line}")
+            print(f"GATE: {rel}:{line} imports {name}, which the module never uses")
 
     reached = reached_modules(graph)
     unreached = sorted(
